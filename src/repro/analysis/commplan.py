@@ -239,16 +239,13 @@ def _spadd_read_reqs(ck) -> List[RegionReq]:
     """The READ_ONLY launch requirements SpAdd assembly freezes on first
     execute (``CompiledKernel._execute_spadd``), derived the same way —
     or the already-frozen list when the kernel has executed before."""
+    from ..core.kernelspec import SPECS
+
     if ck._spadd_reqs is not None:
         return ck._spadd_reqs
-    operand_tensors = [o.tensor for o in ck.operands]
-    if ck.schedule.assignment.accumulate and all(
-        t is not ck.out for t in operand_tensors
-    ):
-        operand_tensors.append(ck.out)
     return [
         req
-        for t in operand_tensors
+        for t in SPECS[ck.kind].operand_tensors(ck)
         for req in ck.parts[id(t)].region_reqs(Privilege.READ_ONLY)
     ]
 
@@ -282,30 +279,20 @@ def _mirror_kernel(ck, rt: Runtime, work: WorkModel) -> List[StepMetrics]:
     appended steps.  Raises :class:`repro.errors.OOMError` exactly where
     the real execution would.
     """
+    from ..core.kernelspec import SPECS
+
     before = len(rt.metrics.steps)
     ck._place(rt)
     by_color = {p.color: p for p in ck.pieces}
     colors = [p.color for p in ck.pieces]
-    if ck.kind == "spadd":
+    if SPECS[ck.kind].assembles:
         reqs = _spadd_read_reqs(ck)
         rt.index_launch(
             "spadd:symbolic", colors,
             lambda c: work("spadd:symbolic", by_color[c]),
             reqs, proc_map=ck._proc_of_color,
         )
-        scan = rt.metrics.new_step("spadd:scan")
-        for p in ck.pieces:
-            r0, r1 = p.rows
-            n = max(0, r1 - r0 + 1)
-            if p.proc != 0 and n:
-                scan.comm_events.append(CommEvent(
-                    p.proc, 0, n * 8.0, rt.machine.same_node(p.proc, 0),
-                    "counts",
-                ))
-                scan.comm_events.append(CommEvent(
-                    0, p.proc, n * 16.0, rt.machine.same_node(0, p.proc),
-                    "pos",
-                ))
+        ck._spadd_scan_step(rt)
         rt.index_launch(
             "spadd:fill", colors,
             lambda c: work("spadd:fill", by_color[c]),

@@ -168,7 +168,7 @@ def _write_hazards(privs: Sequence[StatementPrivileges]) -> List[Diagnostic]:
 def _unsupported(privs: Sequence[StatementPrivileges]) -> List[Diagnostic]:
     """Statically predict the ``CompileError``s of ``core.compiler``."""
     from ..core.assembly import pattern_source
-    from ..core.compiler import classify
+    from ..core.kernelspec import SPECS, classify
 
     out = []
     for p in privs:
@@ -185,14 +185,14 @@ def _unsupported(privs: Sequence[StatementPrivileges]) -> List[Diagnostic]:
                 message=message, provenance=prov(tensor, vars_),
             ))
 
-        kind = classify(asg).kind
+        spec = SPECS[classify(asg).kind]
         if (
-            kind == "generic"
+            spec.adopts_pattern
             and not asg.lhs.tensor.format.is_all_dense()
             and pattern_source(asg) is None
         ):
             diag(
-                "generic-engine statement with a sparse output needs a "
+                f"{spec.kind}-engine statement with a sparse output needs a "
                 "pattern-preserving RHS (no pattern source found)",
                 tensor=asg.lhs.tensor.name,
             )
@@ -214,9 +214,9 @@ def _unsupported(privs: Sequence[StatementPrivileges]) -> List[Diagnostic]:
                 vars_=tuple(_var_chain(sched, v) for v in dvars),
             )
             continue
-        if nonzero and kind == "generic":
+        if nonzero and "nonzeros" not in spec.strategies:
             diag(
-                "the generic engine only supports coordinate (universe) "
+                f"the {spec.kind} engine only supports coordinate (universe) "
                 "distribution, not non-zero splits",
                 vars_=(_var_chain(sched, nonzero[0]),),
             )

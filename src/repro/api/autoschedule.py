@@ -12,12 +12,13 @@ prerequisite.
 
 Synthesis rules (see ``docs/api.md`` for the user-facing table):
 
-* The statement is classified (:func:`repro.core.compiler.classify`); the
-  kernel kind and the machine's processor kind pick the strategy:
-  SDDMM always distributes non-zeros (statically load balanced — the
-  paper's choice on both processor kinds); SpMM, SpTTV and SpMTTKRP
-  distribute non-zeros on GPU machines and rows on CPU machines; SpMV,
-  SpAdd and the generic fallback distribute rows everywhere.
+* The statement is classified (:func:`repro.core.kernelspec.classify`)
+  and its entry in the kernel table names the legal strategies and the
+  default for the machine's processor kind — the paper's choices (§VI-A):
+  SDDMM, and the fused SDDMM→SpMM that inherits its split, always
+  distribute non-zeros (statically load balanced); SpMM, SpTTV and
+  SpMTTKRP distribute non-zeros on GPU machines and rows on CPU machines;
+  SpMV, SpAdd and the generic fallback distribute rows everywhere.
 * **rows**: the output's first index variable is divided into
   ``machine.size`` pieces, the outer piece loop is distributed, every
   tensor in the statement is communicated at it, and the inner loop is
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple, Union
 
-from ..core.compiler import classify
+from ..core.kernelspec import SPECS, classify
 from ..errors import ScheduleError
 from ..legion.machine import Machine, ProcKind
 from ..taco.expr import Access, Assignment
@@ -45,14 +46,6 @@ from ..taco.schedule import CPUThread, GPUThread, ParallelUnit, Schedule
 from ..taco.tensor import Tensor
 
 __all__ = ["auto_schedule", "auto_strategy", "candidate_strategies"]
-
-#: Kernel kinds that non-zero-distribute on GPU machines (paper §VI-A).
-_GPU_NONZERO_KINDS = frozenset({"spmm", "sddmm", "spttv", "spmttkrp"})
-#: Kernel kinds the 2-D ``grid`` strategy applies to: the output's first
-#: two dimensions are divided over a square processor grid.  SpMM is the
-#: paper's case — rows of B × columns of C tile naturally.
-_GRID_KINDS = frozenset({"spmm"})
-
 
 def _as_assignment(target: Union[Assignment, Tensor]) -> Assignment:
     if isinstance(target, Assignment):
@@ -83,14 +76,7 @@ def _sparse_access(asg: Assignment, kind_roles) -> Optional[Access]:
 
 def auto_strategy(asg: Assignment, machine: Machine) -> str:
     """The synthesized distribution strategy: ``"rows"`` or ``"nonzeros"``."""
-    kind = classify(asg).kind
-    if kind in ("sddmm", "fused_sddmm_spmm"):
-        # The fused SDDMM→SpMM statement inherits SDDMM's statically
-        # load-balanced non-zero split on both processor kinds.
-        return "nonzeros"
-    if machine.kind == ProcKind.GPU and kind in _GPU_NONZERO_KINDS:
-        return "nonzeros"
-    return "rows"
+    return SPECS[classify(asg).kind].default_strategy(machine.kind)
 
 
 def _square_grid(machine: Machine, pieces: Optional[int]) -> Optional[Tuple[int, int]]:
@@ -114,20 +100,17 @@ def candidate_strategies(
 
     The paper's default for this kind/machine comes first — the tuner keeps
     the incumbent on ties, so when two mappings are indistinguishable under
-    the cost model the canonical hand-written choice survives.  The
-    alternatives follow: the other of rows/non-zeros when buildable, and
-    the 2-D ``grid`` for SpMM on square machine grids.
+    the cost model the canonical hand-written choice survives.  The kind's
+    other legal strategies follow: the other of rows/non-zeros, and the
+    2-D ``grid`` on square machine grids.
     """
-    default = auto_strategy(asg, machine)
-    kc = classify(asg)
-    out = [default]
-    if kc.kind != "spadd":
-        if default != "nonzeros" and _sparse_access(asg, kc.roles) is not None:
-            out.append("nonzeros")
-        if default != "rows":
-            out.append("rows")
+    spec = SPECS[classify(asg).kind]
+    default = spec.default_strategy(machine.kind)
+    out = [default] + [
+        s for s in ("nonzeros", "rows") if s != default and s in spec.strategies
+    ]
     if (
-        kc.kind in _GRID_KINDS
+        "grid" in spec.strategies
         and machine.size > 1
         and _square_grid(machine, pieces) is not None
     ):
@@ -166,11 +149,11 @@ def auto_schedule(
             "(expected 'rows', 'nonzeros' or 'grid')"
         )
     if strategy == "grid":
-        kind = classify(asg).kind
-        if kind not in _GRID_KINDS:
+        spec = SPECS[classify(asg).kind]
+        if "grid" not in spec.strategies:
             raise ScheduleError(
-                f"strategy='grid' applies to {sorted(_GRID_KINDS)} "
-                f"statements; this one classifies as {kind!r}"
+                f"strategy='grid' is not legal for {spec.kind!r} statements "
+                f"(legal: {', '.join(spec.strategies)})"
             )
         dims = _square_grid(machine, pieces)
         if dims is None:

@@ -4,9 +4,11 @@ This package lowers a :class:`~repro.core.compiler.CompiledKernel` to a
 standalone generated Python module — one specialized function per
 (kernel × format × strategy) — and binds it into a flat ``{color: thunk}``
 leaf with every piece of index scaffolding hoisted out of the execution
-path.  Generated modules are keyed by the stable schedule fingerprint
-(schedule signature + tensor pattern versions + machine signature), cached
-in :mod:`repro.core.cache`, optionally persisted through the
+path.  Which kernels lower, the arrays ``bind`` receives and each piece's
+frozen :class:`~repro.legion.machine.Work` all come from the kernel table
+(:mod:`repro.core.kernelspec`); this package holds no per-kind logic.
+Generated modules are keyed by the stable schedule fingerprint (schedule
+signature + tensor pattern versions + machine signature), cached in :mod:`repro.core.cache`, optionally persisted through the
 :class:`~repro.core.store_index.ArtifactStore`, and produce bit-identical
 values *and* simulated :class:`~repro.legion.machine.Work` costs relative
 to the interpreter leaves — codegen changes how leaves compute, never what
@@ -25,12 +27,11 @@ Knobs:
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from ..core import cache as _cache
+from ..core.kernelspec import SPECS, template_key
 from ..core.store import stable_fingerprint
-from ..legion.machine import Work
-from ..taco.tensor import CompressedLevel, Tensor
 from . import lowering, registry
 from .lowering import SUPPORTED
 from .registry import AotEntry
@@ -40,8 +41,6 @@ __all__ = [
     "SUPPORTED",
     "codegen_backend",
     "codegen_stats",
-    "format_class",
-    "kernel_spec",
     "leaf_for",
     "reset_codegen_stats",
     "resolve_backend",
@@ -51,16 +50,6 @@ __all__ = [
 
 #: execution backends a compiled statement can target.
 BACKENDS = ("interp", "codegen")
-
-#: distribution strategies each kernel class can lower for.
-_STRATEGIES = {
-    "spmv": ("rows", "nonzeros"),
-    "spmm": ("rows", "nonzeros", "grid"),
-    "sddmm": ("rows", "nonzeros"),
-    "fused_sddmm_spmm": ("rows", "nonzeros"),
-    "spttv": ("rows", "nonzeros"),
-    "spmttkrp": ("rows", "nonzeros"),
-}
 
 
 def _env_default() -> str:
@@ -107,44 +96,9 @@ def reset_codegen_stats() -> None:
     registry.reset_stats()
 
 
-def format_class(tensor: Tensor) -> Optional[str]:
-    """The lowering format class of a sparse operand, or None."""
-    levels = getattr(tensor, "levels", None)
-    if not levels:
-        return None
-    # Templates index levels positionally as row-major storage; permuted
-    # layouts (e.g. CSC's (1, 0)) must take the interpreter leaf.
-    if tensor.format.mode_ordering != tuple(range(tensor.order)):
-        return None
-    if tensor.order == 2:
-        if isinstance(levels[1], CompressedLevel) and levels[0].is_dense:
-            return "csr"
-        return None
-    if tensor.order == 3:
-        if not isinstance(levels[2], CompressedLevel):
-            return None
-        return "csf3" if isinstance(levels[1], CompressedLevel) else "ddc"
-    return None
-
-
-def kernel_spec(ck) -> Optional[Tuple[str, str, str]]:
-    """The (kind, format-class, strategy) lowering key for ``ck``, or None."""
-    strategies = _STRATEGIES.get(ck.kind)
-    if strategies is None or ck.strategy not in strategies:
-        return None
-    sparse_in = ck.roles.get("B")
-    if sparse_in is None:
-        return None
-    fmt = format_class(sparse_in.tensor)
-    if fmt is None:
-        return None
-    key = (ck.kind, fmt, ck.strategy)
-    return key if key in SUPPORTED else None
-
-
 def supported(ck) -> bool:
     """Whether ``ck`` has a lowering template (else: interpreter leaf)."""
-    return kernel_spec(ck) is not None
+    return template_key(ck) is not None
 
 
 def leaf_for(ck) -> Optional[Callable]:
@@ -158,8 +112,8 @@ def leaf_for(ck) -> Optional[Callable]:
     if not _cache.caches_enabled():
         registry.bump("fallbacks")
         return None
-    spec = kernel_spec(ck)
-    if spec is None:
+    tkey = template_key(ck)
+    if tkey is None:
         registry.bump("fallbacks")
         return None
     try:
@@ -167,100 +121,15 @@ def leaf_for(ck) -> Optional[Callable]:
     except _cache.Unfingerprintable:
         registry.bump("fallbacks")
         return None
-    entry = registry.aot_entry_for(key, *spec)
+    entry = registry.aot_entry_for(key, *tkey)
     module = registry.ensure_loaded(entry)
-    thunks = _bind(module, ck, spec)
+    # The table extracts the raw arrays once and freezes each piece's Work
+    # into its tuple; the generated module hoists the index scaffolding.
+    args, pieces = SPECS[ck.kind].bind_args(ck)
+    thunks = module.bind(*args, pieces, registry.jit_decorator())
     registry.bump("binds")
 
     def leaf(piece, _thunks=thunks):
         return _thunks[piece.color]()
 
     return leaf
-
-
-# --------------------------------------------------------------------- #
-# binding: extract raw arrays once, hand them to the generated module
-# --------------------------------------------------------------------- #
-def _row_pieces(ck):
-    return [(p.color, p.rows[0], p.rows[1]) for p in ck.pieces]
-
-
-def _pos_pieces(ck):
-    return [(p.color, p.pos[0], p.pos[1]) for p in ck.pieces]
-
-
-def _bind(module, ck, spec):
-    """Call the generated module's ``bind`` with ck's raw arrays."""
-    kind, fmt, strategy = spec
-    jit = registry.jit_decorator()
-    out = ck.out
-    if kind == "spmv":
-        B = ck.roles["B"].tensor
-        pos, crd, vals = B.csr_arrays()
-        c = ck.roles["c"].tensor.dense_array()
-        o = out.vals.data
-        pieces = _pos_pieces(ck) if strategy == "nonzeros" else _row_pieces(ck)
-        return module.bind(pos, crd, vals, c, o, pieces, Work, jit)
-    if kind == "spmm":
-        B = ck.roles["B"].tensor
-        pos, crd, vals = B.csr_arrays()
-        C = ck.roles["C"].tensor.dense_array()
-        o = out.dense_array()
-        if strategy == "nonzeros":
-            pieces = _pos_pieces(ck)
-        else:
-            pieces = [(p.color, p.rows[0], p.rows[1], p.cols) for p in ck.pieces]
-        return module.bind(pos, crd, vals, C, o, pieces, Work, jit)
-    if kind == "sddmm":
-        B = ck.roles["B"].tensor
-        pos, crd, vals = B.csr_arrays()
-        C = ck.roles["C"].tensor.dense_array()
-        D = ck.roles["D"].tensor.dense_array()
-        ov = out.vals.data
-        pieces = _pos_pieces(ck) if strategy == "nonzeros" else _row_pieces(ck)
-        return module.bind(pos, crd, vals, C, D, ov, pieces, Work, jit)
-    if kind == "fused_sddmm_spmm":
-        B = ck.roles["B"].tensor
-        pos, crd, vals = B.csr_arrays()
-        C = ck.roles["C"].tensor.dense_array()
-        D = ck.roles["D"].tensor.dense_array()
-        F = ck.roles["F"].tensor.dense_array()
-        o = out.dense_array()
-        pieces = _pos_pieces(ck) if strategy == "nonzeros" else _row_pieces(ck)
-        return module.bind(pos, crd, vals, C, D, F, o, pieces, Work, jit)
-    if kind == "spttv":
-        B = ck.roles["B"].tensor
-        lvl2 = B.levels[2]
-        pos2, crd2 = lvl2.pos.data, lvl2.crd.data
-        vals = B.vals.data
-        c = ck.roles["c"].tensor.dense_array()
-        ov = out.vals.data.reshape(-1)
-        if strategy == "nonzeros":
-            return module.bind(pos2, crd2, vals, c, ov, _pos_pieces(ck), Work, jit)
-        if fmt == "csf3":
-            pos1 = B.levels[1].pos.data
-            return module.bind(
-                pos1, pos2, crd2, vals, c, ov, _row_pieces(ck), Work, jit
-            )
-        return module.bind(
-            B.levels[1].size, pos2, crd2, vals, c, ov, _row_pieces(ck), Work, jit
-        )
-    if kind == "spmttkrp":
-        B = ck.roles["B"].tensor
-        lvl2 = B.levels[2]
-        pos2, crd2 = lvl2.pos.data, lvl2.crd.data
-        vals = B.vals.data
-        C = ck.roles["C"].tensor.dense_array()
-        D = ck.roles["D"].tensor.dense_array()
-        o = out.dense_array()
-        pieces = _pos_pieces(ck) if strategy == "nonzeros" else _row_pieces(ck)
-        if fmt == "csf3":
-            lvl1 = B.levels[1]
-            return module.bind(
-                lvl1.pos.data, lvl1.crd.data, pos2, crd2, vals, C, D, o,
-                pieces, Work, jit,
-            )
-        return module.bind(
-            B.levels[1].size, pos2, crd2, vals, C, D, o, pieces, Work, jit
-        )
-    raise AssertionError(f"unreachable: no binder for {spec}")

@@ -3,14 +3,18 @@
 Each supported (kernel × format × strategy) combination lowers to a
 standalone Python module whose ``bind(...)`` function hoists every piece
 of index scaffolding — position slices, ``searchsorted`` row maps,
-``repeat`` segment ids, local CSR blocks, frozen :class:`Work` costs —
-out of the execution path at bind time and returns a ``{color: thunk}``
-dict of flat, zero-argument array kernels.  The thunks intentionally use
-the *identical* accumulation primitives as the interpreter leaves in
-``repro.kernels`` (``np.bincount`` segment sums, scipy CSR ``@``,
-``np.einsum`` row dots), so generated results and simulated ``Work``
-costs are bit-identical to the interpreter — only the per-call Python
-scaffolding disappears.
+``repeat`` segment ids, local CSR blocks — out of the execution path at
+bind time and returns a ``{color: thunk}`` dict of flat, zero-argument
+array kernels.  ``bind`` takes what the kernel table
+(:meth:`repro.core.kernelspec.KernelSpec.bind_args`) hands it: the raw
+operand arrays, then one ``(color, *range arguments, Work)`` tuple per
+piece.  The :class:`~repro.legion.machine.Work` each thunk returns is the
+table's, frozen into that tuple — templates carry no cost formulas.  The
+thunks intentionally use the *identical* accumulation primitives as the
+interpreter leaves in ``repro.kernels`` (``np.bincount`` segment sums,
+scipy CSR ``@``, ``np.einsum`` row dots), so generated results are
+bit-identical to the interpreter — only the per-call Python scaffolding
+disappears.
 
 The emitted source is self-contained (imports ``numpy`` and, where the
 template needs it, ``scipy.sparse``) and carries a ``META`` dict so a
@@ -20,9 +24,6 @@ module dumped via ``REPRO_CODEGEN_DUMP`` or persisted in the
 from __future__ import annotations
 
 from typing import Dict, Tuple
-
-#: bytes per float64 element — mirrors ``repro.kernels.F8``.
-_F8 = 8
 
 _HEADER = '''\
 """Generated by repro.codegen — specialized {kind} leaf ({fmt}, {strategy}).
@@ -35,7 +36,7 @@ import numpy as np
 {extra_imports}
 META = {{
     "generator": "repro.codegen",
-    "version": 1,
+    "version": 2,
     "kind": "{kind}",
     "format": "{fmt}",
     "strategy": "{strategy}",
@@ -57,24 +58,22 @@ def _fill_zero(ov, w):
 '''
 
 _SPMV_ROWS = '''
-def bind(pos, crd, vals, c, out, pieces, Work, jit=None):
+def bind(pos, crd, vals, c, out, pieces, jit=None):
     """Hoist per-piece row scaffolding; return {color: thunk}."""
     kern = _jit_kernel(jit)
     thunks = {}
-    for color, r0, r1 in pieces:
+    for color, r0, r1, w in pieces:
         if r1 < r0:
-            thunks[color] = _const(Work(0.0, 0.0))
+            thunks[color] = _const(w)
             continue
         nr = r1 - r0 + 1
         lo = pos[r0 : r1 + 1, 0]
         hi = pos[r0 : r1 + 1, 1]
         lens = np.maximum(hi - lo + 1, 0)
-        nnz = int(lens.sum())
         ov = out[r0 : r1 + 1]
-        if nnz == 0:
-            thunks[color] = _fill_zero(ov, Work(0.0, float(nr * 8)))
+        if int(lens.sum()) == 0:
+            thunks[color] = _fill_zero(ov, w)
             continue
-        w = Work(2.0 * nnz, float(nnz * 3 * 8 + nr * 2 * 8))
         if kern is not None:
             thunks[color] = _loop_thunk(kern, pos, crd, vals, c, out, r0, r1, w)
             continue
@@ -125,14 +124,13 @@ def _jit_kernel(jit):
 '''
 
 _SPMV_NONZEROS = '''
-def bind(pos, crd, vals, c, out, pieces, Work, jit=None):
+def bind(pos, crd, vals, c, out, pieces, jit=None):
     """Hoist per-piece position scaffolding; return {color: thunk}."""
     thunks = {}
-    for color, p0, p1 in pieces:
+    for color, p0, p1, w in pieces:
         if p1 < p0:
-            thunks[color] = _const(Work(0.0, 0.0))
+            thunks[color] = _const(w)
             continue
-        nnz = p1 - p0 + 1
         v = vals[p0 : p1 + 1]
         cc = crd[p0 : p1 + 1]
         rows = np.searchsorted(
@@ -142,7 +140,6 @@ def bind(pos, crd, vals, c, out, pieces, Work, jit=None):
         nr = r1 - r0 + 1
         rel = rows - r0
         ov = out[r0 : r1 + 1]
-        w = Work(2.0 * nnz, float(nnz * 3 * 8 + nr * 2 * 8))
         thunks[color] = _nz_thunk(v, cc, c, rel, nr, ov, w)
     return thunks
 
@@ -155,19 +152,17 @@ def _nz_thunk(v, cc, c, rel, nr, ov, w):
 '''
 
 _SPMM_ROWS = '''
-def bind(pos, crd, vals, C, out, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, out, pieces, jit=None):
     """Hoist local CSR blocks per piece; return {color: thunk}."""
     thunks = {}
     ncols = C.shape[0]
-    for color, r0, r1, cols in pieces:
+    for color, r0, r1, cols, w in pieces:
         if r1 < r0:
-            thunks[color] = _const(Work(0.0, 0.0))
+            thunks[color] = _const(w)
             continue
         Cv = C if cols is None else C[:, cols[0] : cols[1] + 1]
         Ov = out if cols is None else out[:, cols[0] : cols[1] + 1]
-        k = Cv.shape[1]
         s, e = int(pos[r0, 0]), int(pos[r1, 1])
-        nnz = e + 1 - s
         indptr = np.empty(r1 - r0 + 2, dtype=np.int64)
         indptr[:-1] = pos[r0 : r1 + 1, 0] - s
         indptr[-1] = e + 1 - s
@@ -175,12 +170,7 @@ def bind(pos, crd, vals, C, out, pieces, Work, jit=None):
             (vals[s : e + 1], crd[s : e + 1], indptr),
             shape=(r1 - r0 + 1, ncols),
         )
-        ov = Ov[r0 : r1 + 1, :]
-        w = Work(
-            2.0 * nnz * k,
-            float(nnz * (2 * 8 + 8 * k) + (r1 - r0 + 1) * k * 8),
-        )
-        thunks[color] = _rows_thunk(block, Cv, ov, w)
+        thunks[color] = _rows_thunk(block, Cv, Ov[r0 : r1 + 1, :], w)
     return thunks
 
 
@@ -192,15 +182,14 @@ def _rows_thunk(block, Cv, ov, w):
 '''
 
 _SPMM_NONZEROS = '''
-def bind(pos, crd, vals, C, out, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, out, pieces, jit=None):
     """Hoist position/row scaffolding per piece; return {color: thunk}."""
     thunks = {}
     k = C.shape[1]
-    for color, p0, p1 in pieces:
+    for color, p0, p1, w in pieces:
         if p1 < p0:
-            thunks[color] = _const(Work(0.0, 0.0))
+            thunks[color] = _const(w)
             continue
-        nnz = p1 - p0 + 1
         cols = crd[p0 : p1 + 1]
         v = vals[p0 : p1 + 1]
         rows = np.searchsorted(
@@ -210,10 +199,6 @@ def bind(pos, crd, vals, C, out, pieces, Work, jit=None):
         nr = r1 - r0 + 1
         rel = rows - r0
         ov = out[r0 : r1 + 1, :]
-        w = Work(
-            2.0 * nnz * k,
-            float(nnz * (2 * 8 + 8 * k) + nr * k * 8),
-        )
         thunks[color] = _nz_thunk(v, cols, C, rel, nr, k, ov, w)
     return thunks
 
@@ -231,11 +216,14 @@ def _nz_thunk(v, cols, C, rel, nr, k, ov, w):
     return thunk
 '''
 
-_SDDMM_COMMON = '''
+#: the SDDMM phase, shared by the standalone and the fused templates:
+#: chunked (row-gather, col-gather, vals, out-slice) tuples per position
+#: range, bounding the nnz * k intermediate.
+_SDDMM_CHUNKS = '''
 _CHUNK = 1 << 18
 
 
-def _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, k, Work):
+def _sddmm_chunks(pos, crd, vals, out_vals, p0, p1):
     nnz = p1 - p0 + 1
     rows = np.searchsorted(
         pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64), side="right"
@@ -249,107 +237,81 @@ def _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, k, Work):
             vals[p0 + s : p0 + e],
             out_vals[p0 + s : p0 + e],
         ))
-    w = Work(2.0 * nnz * k + nnz, float(nnz * (2 * k + 4) * 8))
+    return rows, chunks
+
+
+def _run_sddmm(chunks, C, Dt):
+    for rr, cc, vv, oo in chunks:
+        dots = np.einsum("ij,ij->i", C[rr, :], Dt[cc, :])
+        oo[:] = vv * dots
+'''
+
+_SDDMM_COMMON = _SDDMM_CHUNKS + '''
+
+def _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, w):
+    if p1 < p0:
+        return _const(w)
+    _rows, chunks = _sddmm_chunks(pos, crd, vals, out_vals, p0, p1)
 
     def thunk():
-        for rr, cc, vv, oo in chunks:
-            dots = np.einsum("ij,ij->i", C[rr, :], Dt[cc, :])
-            oo[:] = vv * dots
+        _run_sddmm(chunks, C, Dt)
         return w
     return thunk
 '''
 
 _SDDMM_ROWS = _SDDMM_COMMON + '''
 
-def bind(pos, crd, vals, C, D, out_vals, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, D, out_vals, pieces, jit=None):
     """Convert row bounds to position ranges at bind; return {color: thunk}."""
     thunks = {}
     Dt = D.T
-    k = C.shape[1]
-    for color, r0, r1 in pieces:
+    for color, r0, r1, w in pieces:
         if r1 < r0:
-            thunks[color] = _const(Work(0.0, 0.0))
+            thunks[color] = _const(w)
             continue
         p0, p1 = int(pos[r0, 0]), int(pos[r1, 1])
-        if p1 < p0:
-            thunks[color] = _const(Work(0.0, 0.0))
-            continue
-        thunks[color] = _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, k, Work)
+        thunks[color] = _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, w)
     return thunks
 '''
 
 _SDDMM_NONZEROS = _SDDMM_COMMON + '''
 
-def bind(pos, crd, vals, C, D, out_vals, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, D, out_vals, pieces, jit=None):
     """Hoist chunked row/col gathers per piece; return {color: thunk}."""
     thunks = {}
     Dt = D.T
-    k = C.shape[1]
-    for color, p0, p1 in pieces:
-        if p1 < p0:
-            thunks[color] = _const(Work(0.0, 0.0))
-            continue
-        thunks[color] = _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, k, Work)
+    for color, p0, p1, w in pieces:
+        thunks[color] = _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, w)
     return thunks
 '''
 
-_FUSED_SDDMM_SPMM_COMMON = '''
-_CHUNK = 1 << 18
+_FUSED_SDDMM_SPMM_NONZEROS = _SDDMM_CHUNKS + '''
 
-
-def _sddmm_chunks(rows, crd, vals, scratch, p0, p1):
-    """Chunked (row-gather, col-gather, vals, scratch-slice) tuples for the
-    SDDMM phase — same chunking as the standalone sddmm templates."""
-    nnz = p1 - p0 + 1
-    chunks = []
-    for s in range(0, nnz, _CHUNK):
-        e = min(s + _CHUNK, nnz)
-        chunks.append((
-            rows[s:e],
-            crd[p0 + s : p0 + e],
-            vals[p0 + s : p0 + e],
-            scratch[p0 + s : p0 + e],
-        ))
-    return chunks
-'''
-
-_FUSED_SDDMM_SPMM_NONZEROS = _FUSED_SDDMM_SPMM_COMMON + '''
-
-def bind(pos, crd, vals, C, D, F, out, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, D, F, out, pieces, jit=None):
     """Hoist both phases' scaffolding; the SDDMM product lives in a scratch
     values array private to this binding — never a region."""
     thunks = {}
     scratch = np.zeros_like(vals)
     Dt = D.T
-    k = C.shape[1]
     kf = F.shape[1]
-    for color, p0, p1 in pieces:
+    for color, p0, p1, w in pieces:
         if p1 < p0:
-            thunks[color] = _const(Work(0.0, 0.0))
+            thunks[color] = _const(w)
             continue
-        nnz = p1 - p0 + 1
-        rows = np.searchsorted(
-            pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64), side="right"
-        ) - 1
-        chunks = _sddmm_chunks(rows, crd, vals, scratch, p0, p1)
+        rows, chunks = _sddmm_chunks(pos, crd, vals, scratch, p0, p1)
         sv = scratch[p0 : p1 + 1]
         cols = crd[p0 : p1 + 1]
         r0, r1 = int(rows[0]), int(rows[-1])
         nr = r1 - r0 + 1
         rel = rows - r0
         ov = out[r0 : r1 + 1, :]
-        w = Work(2.0 * nnz * k + nnz, float(nnz * (2 * k + 4) * 8)) + Work(
-            2.0 * nnz * kf, float(nnz * (2 * 8 + 8 * kf) + nr * kf * 8)
-        )
         thunks[color] = _nz_thunk(chunks, C, Dt, sv, cols, F, rel, nr, kf, ov, w)
     return thunks
 
 
 def _nz_thunk(chunks, C, Dt, sv, cols, F, rel, nr, kf, ov, w):
     def thunk():
-        for rr, cc, vv, oo in chunks:
-            dots = np.einsum("ij,ij->i", C[rr, :], Dt[cc, :])
-            oo[:] = vv * dots
+        _run_sddmm(chunks, C, Dt)
         prods = sv[:, None] * F[cols, :]
         acc = np.empty((nr, kf), dtype=prods.dtype)
         for col in range(kf):
@@ -361,19 +323,17 @@ def _nz_thunk(chunks, C, Dt, sv, cols, F, rel, nr, kf, ov, w):
     return thunk
 '''
 
-_FUSED_SDDMM_SPMM_ROWS = _FUSED_SDDMM_SPMM_COMMON + '''
+_FUSED_SDDMM_SPMM_ROWS = _SDDMM_CHUNKS + '''
 
-def bind(pos, crd, vals, C, D, F, out, pieces, Work, jit=None):
+def bind(pos, crd, vals, C, D, F, out, pieces, jit=None):
     """Convert row bounds to position ranges at bind; return {color: thunk}."""
     thunks = {}
     scratch = np.zeros_like(vals)
     Dt = D.T
-    k = C.shape[1]
-    kf = F.shape[1]
     ncols = F.shape[0]
-    for color, r0, r1 in pieces:
+    for color, r0, r1, w in pieces:
         if r1 < r0:
-            thunks[color] = _const(Work(0.0, 0.0))
+            thunks[color] = _const(w)
             continue
         nr = r1 - r0 + 1
         ov = out[r0 : r1 + 1, :]
@@ -381,21 +341,14 @@ def bind(pos, crd, vals, C, D, F, out, pieces, Work, jit=None):
         if p1 < p0:
             # No non-zeros in these rows: the SDDMM phase is empty and the
             # SpMM phase overwrites the output block with zeros.
-            thunks[color] = _fill_zero(ov, Work(0.0, float(nr * kf * 8)))
+            thunks[color] = _fill_zero(ov, w)
             continue
-        nnz = p1 - p0 + 1
-        rows = np.searchsorted(
-            pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64), side="right"
-        ) - 1
-        chunks = _sddmm_chunks(rows, crd, vals, scratch, p0, p1)
+        _rows, chunks = _sddmm_chunks(pos, crd, vals, scratch, p0, p1)
         indptr = np.empty(nr + 1, dtype=np.int64)
         indptr[:-1] = pos[r0 : r1 + 1, 0] - p0
         indptr[-1] = p1 + 1 - p0
         sv = scratch[p0 : p1 + 1]
         sidx = crd[p0 : p1 + 1]
-        w = Work(2.0 * nnz * k + nnz, float(nnz * (2 * k + 4) * 8)) + Work(
-            2.0 * nnz * kf, float(nnz * (2 * 8 + 8 * kf) + nr * kf * 8)
-        )
         thunks[color] = _rows_thunk(
             chunks, C, Dt, sv, sidx, indptr, nr, ncols, F, ov, w
         )
@@ -404,9 +357,7 @@ def bind(pos, crd, vals, C, D, F, out, pieces, Work, jit=None):
 
 def _rows_thunk(chunks, C, Dt, sv, sidx, indptr, nr, ncols, F, ov, w):
     def thunk():
-        for rr, cc, vv, oo in chunks:
-            dots = np.einsum("ij,ij->i", C[rr, :], Dt[cc, :])
-            oo[:] = vv * dots
+        _run_sddmm(chunks, C, Dt)
         # The CSR block is rebuilt per execution: its data array is the
         # scratch slice the SDDMM phase just refreshed.
         block = sp.csr_matrix((sv, sidx, indptr), shape=(nr, ncols))
@@ -415,68 +366,48 @@ def _rows_thunk(chunks, C, Dt, sv, sidx, indptr, nr, ncols, F, ov, w):
     return thunk
 '''
 
-_SPTTV_FIBER_COMMON = '''
-def _fiber_thunk(pos2, crd2, vals, c, out_vals, f0, f1, Work):
-    if f1 < f0:
-        return _const(Work(0.0, 0.0))
-    nf = f1 - f0 + 1
-    lo = pos2[f0 : f1 + 1, 0]
-    hi = pos2[f0 : f1 + 1, 1]
-    lens = np.maximum(hi - lo + 1, 0)
-    nnz = int(lens.sum())
-    ov = out_vals[f0 : f1 + 1]
-    if nnz == 0:
-        return _fill_zero(ov, Work(0.0, float(nf * 8)))
-    s = int(lo[0])
-    e = s + nnz - 1
-    v = vals[s : e + 1]
-    cc = crd2[s : e + 1]
-    fibers = np.repeat(np.arange(nf, dtype=np.int64), lens)
-    w = Work(2.0 * nnz, float(nnz * 3 * 8 + nf * 2 * 8))
+#: the table resolves a row range to its fiber range (CSF3 through
+#: ``pos1``, DDC arithmetically), so both formats share this body.
+_SPTTV_FIBERS = '''
+def bind(pos2, crd2, vals, c, out_vals, pieces, jit=None):
+    """Hoist per-piece fiber scaffolding; return {color: thunk}."""
+    thunks = {}
+    for color, f0, f1, w in pieces:
+        if f1 < f0:
+            thunks[color] = _const(w)
+            continue
+        nf = f1 - f0 + 1
+        lo = pos2[f0 : f1 + 1, 0]
+        hi = pos2[f0 : f1 + 1, 1]
+        lens = np.maximum(hi - lo + 1, 0)
+        nnz = int(lens.sum())
+        ov = out_vals[f0 : f1 + 1]
+        if nnz == 0:
+            thunks[color] = _fill_zero(ov, w)
+            continue
+        s = int(lo[0])
+        v = vals[s : s + nnz]
+        cc = crd2[s : s + nnz]
+        fibers = np.repeat(np.arange(nf, dtype=np.int64), lens)
+        thunks[color] = _fiber_thunk(v, cc, c, fibers, nf, ov, w)
+    return thunks
 
+
+def _fiber_thunk(v, cc, c, fibers, nf, ov, w):
     def thunk():
         ov[:] = np.bincount(fibers, weights=v * c[cc], minlength=nf)[:nf]
         return w
     return thunk
 '''
 
-_SPTTV_ROWS_CSF = _SPTTV_FIBER_COMMON + '''
-
-def bind(pos1, pos2, crd2, vals, c, out_vals, pieces, Work, jit=None):
-    """Resolve row bounds to CSF fiber ranges at bind; return {color: thunk}."""
-    thunks = {}
-    for color, r0, r1 in pieces:
-        if r1 < r0:
-            thunks[color] = _const(Work(0.0, 0.0))
-            continue
-        f0, f1 = int(pos1[r0, 0]), int(pos1[r1, 1])
-        thunks[color] = _fiber_thunk(pos2, crd2, vals, c, out_vals, f0, f1, Work)
-    return thunks
-'''
-
-_SPTTV_ROWS_DDC = _SPTTV_FIBER_COMMON + '''
-
-def bind(n1, pos2, crd2, vals, c, out_vals, pieces, Work, jit=None):
-    """Resolve row bounds to dense fiber ranges at bind; return {color: thunk}."""
-    thunks = {}
-    for color, r0, r1 in pieces:
-        if r1 < r0:
-            thunks[color] = _const(Work(0.0, 0.0))
-            continue
-        f0, f1 = r0 * n1, (r1 + 1) * n1 - 1
-        thunks[color] = _fiber_thunk(pos2, crd2, vals, c, out_vals, f0, f1, Work)
-    return thunks
-'''
-
 _SPTTV_NONZEROS = '''
-def bind(pos2, crd2, vals, c, out_vals, pieces, Work, jit=None):
+def bind(pos2, crd2, vals, c, out_vals, pieces, jit=None):
     """Hoist fiber maps per position range; return {color: thunk}."""
     thunks = {}
-    for color, p0, p1 in pieces:
+    for color, p0, p1, w in pieces:
         if p1 < p0:
-            thunks[color] = _const(Work(0.0, 0.0))
+            thunks[color] = _const(w)
             continue
-        nnz = p1 - p0 + 1
         v = vals[p0 : p1 + 1]
         cc = crd2[p0 : p1 + 1]
         fibers = np.searchsorted(
@@ -486,7 +417,6 @@ def bind(pos2, crd2, vals, c, out_vals, pieces, Work, jit=None):
         nf = f1 - f0 + 1
         rel = fibers - f0
         ov = out_vals[f0 : f1 + 1]
-        w = Work(2.0 * nnz, float(nnz * 3 * 8 + nf * 2 * 8))
         thunks[color] = _nz_thunk(v, cc, c, rel, nf, ov, w)
     return thunks
 
@@ -498,40 +428,32 @@ def _nz_thunk(v, cc, c, rel, nf, ov, w):
     return thunk
 '''
 
+#: ``ACCUMULATE`` is substituted per strategy: row pieces own their output
+#: rows and overwrite, non-zero pieces share rows and add.
 _MTTKRP_BODY = '''
-def _body_thunk(i_ids, j_ids, k_ids, v, C, D, out, accumulate, Work):
-    nnz = v.size
+def _body_thunk(i_ids, j_ids, k_ids, v, C, D, out, w):
     l = C.shape[1]
     r0, r1 = int(i_ids[0]), int(i_ids[-1])
     nr = r1 - r0 + 1
     rel = i_ids - r0
     ov = out[r0 : r1 + 1, :]
-    w = Work(3.0 * nnz * l, float(nnz * (2 * l + 3) * 8 + nr * l * 8))
 
-    if accumulate:
-        def thunk():
-            prods = v[:, None] * C[j_ids, :] * D[k_ids, :]
-            acc = np.empty((nr, l), dtype=prods.dtype)
-            for col in range(l):
-                acc[:, col] = np.bincount(
-                    rel, weights=prods[:, col], minlength=nr
-                )[:nr]
+    def thunk():
+        prods = v[:, None] * C[j_ids, :] * D[k_ids, :]
+        acc = np.empty((nr, l), dtype=prods.dtype)
+        for col in range(l):
+            acc[:, col] = np.bincount(
+                rel, weights=prods[:, col], minlength=nr
+            )[:nr]
+        if ACCUMULATE:
             np.add(ov, acc, out=ov)
-            return w
-    else:
-        def thunk():
-            prods = v[:, None] * C[j_ids, :] * D[k_ids, :]
-            acc = np.empty((nr, l), dtype=prods.dtype)
-            for col in range(l):
-                acc[:, col] = np.bincount(
-                    rel, weights=prods[:, col], minlength=nr
-                )[:nr]
+        else:
             ov[:, :] = acc
-            return w
+        return w
     return thunk
 '''
 
-_MTTKRP_CSF_IDS = '''
+_MTTKRP_CSF = _MTTKRP_BODY + '''
 
 def _ids(pos1, crd1, pos2, crd2, p0, p1):
     positions = np.arange(p0, p1 + 1, dtype=np.int64)
@@ -540,9 +462,23 @@ def _ids(pos1, crd1, pos2, crd2, p0, p1):
     j_ids = crd1[fibers]
     k_ids = crd2[positions]
     return i_ids, j_ids, k_ids
+
+
+def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces, jit=None):
+    """Hoist coordinate gathers per position range; return {color: thunk}."""
+    thunks = {}
+    for color, p0, p1, w in pieces:
+        if p1 < p0:
+            thunks[color] = _const(w)
+            continue
+        i_ids, j_ids, k_ids = _ids(pos1, crd1, pos2, crd2, p0, p1)
+        thunks[color] = _body_thunk(
+            i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out, w
+        )
+    return thunks
 '''
 
-_MTTKRP_DDC_IDS = '''
+_MTTKRP_DDC = _MTTKRP_BODY + '''
 
 def _ids(n1, pos2, crd2, p0, p1):
     positions = np.arange(p0, p1 + 1, dtype=np.int64)
@@ -551,90 +487,33 @@ def _ids(n1, pos2, crd2, p0, p1):
     j_ids = fibers % n1
     k_ids = crd2[positions]
     return i_ids, j_ids, k_ids
-'''
 
-_MTTKRP_ROWS_CSF = _MTTKRP_BODY + _MTTKRP_CSF_IDS + '''
 
-def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces, Work, jit=None):
-    """Resolve rows -> fibers -> positions at bind; return {color: thunk}."""
+def bind(n1, pos2, crd2, vals, C, D, out, pieces, jit=None):
+    """Hoist coordinate gathers per position range; return {color: thunk}."""
     thunks = {}
-    for color, r0, r1 in pieces:
-        if r1 < r0:
-            thunks[color] = _const(Work(0.0, 0.0))
-            continue
-        f0, f1 = int(pos1[r0, 0]), int(pos1[r1, 1])
-        if f1 < f0:
-            thunks[color] = _const(Work(0.0, 0.0))
-            continue
-        p0, p1 = int(pos2[f0, 0]), int(pos2[f1, 1])
+    for color, p0, p1, w in pieces:
         if p1 < p0:
-            thunks[color] = _const(Work(0.0, 0.0))
-            continue
-        i_ids, j_ids, k_ids = _ids(pos1, crd1, pos2, crd2, p0, p1)
-        thunks[color] = _body_thunk(
-            i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out, False, Work
-        )
-    return thunks
-'''
-
-_MTTKRP_ROWS_DDC = _MTTKRP_BODY + _MTTKRP_DDC_IDS + '''
-
-def bind(n1, pos2, crd2, vals, C, D, out, pieces, Work, jit=None):
-    """Resolve rows -> fibers -> positions at bind; return {color: thunk}."""
-    thunks = {}
-    for color, r0, r1 in pieces:
-        if r1 < r0:
-            thunks[color] = _const(Work(0.0, 0.0))
-            continue
-        f0, f1 = r0 * n1, (r1 + 1) * n1 - 1
-        if f1 < f0:
-            thunks[color] = _const(Work(0.0, 0.0))
-            continue
-        p0, p1 = int(pos2[f0, 0]), int(pos2[f1, 1])
-        if p1 < p0:
-            thunks[color] = _const(Work(0.0, 0.0))
+            thunks[color] = _const(w)
             continue
         i_ids, j_ids, k_ids = _ids(n1, pos2, crd2, p0, p1)
         thunks[color] = _body_thunk(
-            i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out, False, Work
+            i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out, w
         )
     return thunks
 '''
 
-_MTTKRP_NZ_CSF = _MTTKRP_BODY + _MTTKRP_CSF_IDS + '''
 
-def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces, Work, jit=None):
-    """Hoist coordinate gathers per position range; return {color: thunk}."""
-    thunks = {}
-    for color, p0, p1 in pieces:
-        if p1 < p0:
-            thunks[color] = _const(Work(0.0, 0.0))
-            continue
-        i_ids, j_ids, k_ids = _ids(pos1, crd1, pos2, crd2, p0, p1)
-        thunks[color] = _body_thunk(
-            i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out, True, Work
-        )
-    return thunks
-'''
+def _mttkrp(template: str, strategy: str) -> str:
+    return template.replace("ACCUMULATE", str(strategy == "nonzeros"))
 
-_MTTKRP_NZ_DDC = _MTTKRP_BODY + _MTTKRP_DDC_IDS + '''
 
-def bind(n1, pos2, crd2, vals, C, D, out, pieces, Work, jit=None):
-    """Hoist coordinate gathers per position range; return {color: thunk}."""
-    thunks = {}
-    for color, p0, p1 in pieces:
-        if p1 < p0:
-            thunks[color] = _const(Work(0.0, 0.0))
-            continue
-        i_ids, j_ids, k_ids = _ids(n1, pos2, crd2, p0, p1)
-        thunks[color] = _body_thunk(
-            i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out, True, Work
-        )
-    return thunks
-'''
-
-#: body template per (kind, format-class, strategy); "grid" reuses the
-#: rows template — column slicing rides in the piece tuples.
+#: body template per (kind, format-class, strategy) — exactly the keys the
+#: kernel table declares (``KernelSpec.template_keys``; tier-1 checks the
+#: two agree).  Where the table already resolved a piece to the leaf's
+#: range arguments, keys share a body: "grid" rides the rows template
+#: with a column window in the piece tuple, SpTTV rows are fiber ranges
+#: for both formats, SpMTTKRP rows are position ranges.
 TEMPLATES: Dict[Tuple[str, str, str], str] = {
     ("spmv", "csr", "rows"): _SPMV_ROWS,
     ("spmv", "csr", "nonzeros"): _SPMV_NONZEROS,
@@ -645,21 +524,14 @@ TEMPLATES: Dict[Tuple[str, str, str], str] = {
     ("sddmm", "csr", "nonzeros"): _SDDMM_NONZEROS,
     ("fused_sddmm_spmm", "csr", "rows"): _FUSED_SDDMM_SPMM_ROWS,
     ("fused_sddmm_spmm", "csr", "nonzeros"): _FUSED_SDDMM_SPMM_NONZEROS,
-    ("spttv", "csf3", "rows"): _SPTTV_ROWS_CSF,
-    ("spttv", "ddc", "rows"): _SPTTV_ROWS_DDC,
+    ("spttv", "csf3", "rows"): _SPTTV_FIBERS,
+    ("spttv", "ddc", "rows"): _SPTTV_FIBERS,
     ("spttv", "csf3", "nonzeros"): _SPTTV_NONZEROS,
     ("spttv", "ddc", "nonzeros"): _SPTTV_NONZEROS,
-    ("spmttkrp", "csf3", "rows"): _MTTKRP_ROWS_CSF,
-    ("spmttkrp", "ddc", "rows"): _MTTKRP_ROWS_DDC,
-    ("spmttkrp", "csf3", "nonzeros"): _MTTKRP_NZ_CSF,
-    ("spmttkrp", "ddc", "nonzeros"): _MTTKRP_NZ_DDC,
-}
-
-#: templates whose generated source needs scipy.sparse.
-_NEEDS_SCIPY = {
-    ("spmm", "csr", "rows"),
-    ("spmm", "csr", "grid"),
-    ("fused_sddmm_spmm", "csr", "rows"),
+    ("spmttkrp", "csf3", "rows"): _mttkrp(_MTTKRP_CSF, "rows"),
+    ("spmttkrp", "ddc", "rows"): _mttkrp(_MTTKRP_DDC, "rows"),
+    ("spmttkrp", "csf3", "nonzeros"): _mttkrp(_MTTKRP_CSF, "nonzeros"),
+    ("spmttkrp", "ddc", "nonzeros"): _mttkrp(_MTTKRP_DDC, "nonzeros"),
 }
 
 #: the full lowering support matrix.
@@ -672,7 +544,7 @@ def emit_source(kind: str, fmt: str, strategy: str) -> str:
     body = TEMPLATES.get(key)
     if body is None:
         raise KeyError(f"no lowering template for {key}")
-    extra = "import scipy.sparse as sp\n" if key in _NEEDS_SCIPY else ""
+    extra = "import scipy.sparse as sp\n" if "sp.csr_matrix(" in body else ""
     return _HEADER.format(
         kind=kind, fmt=fmt, strategy=strategy, extra_imports=extra
     ) + body

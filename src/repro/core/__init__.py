@@ -34,12 +34,11 @@ from .assembly import adopt_pattern, install_assembled_output, pattern_source, s
 from .compiler import (
     CompiledKernel,
     ExecutionResult,
-    KernelClass,
     Piece,
-    classify,
     compile_kernel,
     compile_statement,
 )
+from .kernelspec import SPECS, KernelClass, KernelSpec, classify
 from .program import CompiledProgram, ProgramResult, compile_program
 from .store import (
     PackedArtifact,
@@ -62,6 +61,7 @@ __all__ = [
     "adopt_pattern", "install_assembled_output", "pattern_source", "scan_counts",
     "CompiledKernel", "ExecutionResult", "KernelClass", "Piece",
     "classify", "compile_kernel", "compile_statement",
+    "SPECS", "KernelSpec",
     "CompiledProgram", "ProgramResult", "compile_program",
     "PackedArtifact", "load_packed", "read_manifest", "save_packed",
     "stable_fingerprint",

@@ -390,7 +390,7 @@ def _assembled_output_state(t) -> Tuple:
 def is_assembled_output(asg: Assignment) -> bool:
     """True when the statement assembles its sparse output's pattern anew:
     a sum of accesses aligned with a sparse LHS.  This is the single
-    source of truth for the SpAdd shape — ``repro.core.compiler.classify``
+    source of truth for the SpAdd shape — ``repro.core.kernelspec.classify``
     calls it to pick the spadd lowering, and :func:`kernel_fingerprint`
     calls it to exclude the LHS pattern version, so the two can never
     drift (a statement lowered as spadd is always fingerprinted as one)."""

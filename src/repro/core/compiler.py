@@ -13,8 +13,8 @@ Fig. 9a.  For each distributed index variable it
    (``partitionRemainingCoordinateTrees``),
 3. emits a distributed loop passing each piece its sub-regions
    (``emitDistributedForLoop``) — realized as a Legion index launch whose
-   leaf is selected from ``repro.kernels`` by matching the scheduled
-   statement.
+   leaf comes from the statement's entry in the kernel table
+   (:mod:`repro.core.kernelspec`).
 
 The result is a :class:`CompiledKernel` that can be executed repeatedly on a
 :class:`~repro.legion.runtime.Runtime`, producing both the numerical result
@@ -22,7 +22,7 @@ and the simulated distributed execution metrics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,14 +32,15 @@ from ..legion.machine import Machine, Work
 from ..legion.metrics import CommEvent, ExecutionMetrics
 from ..legion.partition import Partition
 from ..legion.runtime import Privilege, RegionReq, Runtime
-from ..taco.expr import Access, Add, Assignment, Mul
+from ..taco.expr import Access, Assignment
 from ..taco.index_vars import IndexVar
 from ..taco.reference import var_sizes
-from ..taco.schedule import ParallelUnit, Schedule
-from ..taco.tensor import CompressedLevel, Tensor
+from ..taco.schedule import Schedule
+from ..taco.tensor import Tensor
 from .. import kernels as K
 from . import cache as _cache
 from .assembly import adopt_pattern, install_assembled_output, pattern_source
+from .kernelspec import SPECS, KernelClass, classify
 from .partitioner import (
     TensorPartition,
     partition_dense_tensor,
@@ -49,89 +50,12 @@ from .partitioner import (
 from .plan import PartitioningPlan
 
 __all__ = [
-    "KernelClass", "classify", "Piece", "CompiledKernel", "compile_kernel",
-    "compile_statement", "ExecutionResult",
+    "Piece", "CompiledKernel", "compile_kernel", "compile_statement",
+    "ExecutionResult",
 ]
 
 Bounds = Tuple[int, int]
 Color = Hashable
-
-
-# --------------------------------------------------------------------------- #
-# kernel classification
-# --------------------------------------------------------------------------- #
-@dataclass
-class KernelClass:
-    kind: str
-    roles: Dict[str, Access] = field(default_factory=dict)
-    operands: List[Access] = field(default_factory=list)  # spadd only
-
-
-def classify(asg: Assignment) -> KernelClass:
-    """Match the statement against the specialized kernel patterns."""
-    fused = getattr(asg, "fused_class", None)
-    if fused is not None:
-        # A pipeline-synthesized statement (repro.core.passes) carries its
-        # class explicitly — e.g. "fused_sddmm_spmm", whose 4-access Mul
-        # would otherwise pattern-match nothing.  Honoring it here makes
-        # the compiler, the autoscheduler, the hazard analyzer and the
-        # communication planner all see the fused kind through their
-        # ordinary classify() entry points.
-        return fused
-    lhs, rhs = asg.lhs, asg.rhs
-    if _cache.is_assembled_output(asg):
-        # SpAdd: a sum of aligned accesses into a sparse output whose
-        # pattern is assembled anew each execute.  The one predicate is
-        # shared with the kernel fingerprint, which must exclude the LHS
-        # pattern version for exactly the statements classified here.
-        return KernelClass("spadd", operands=list(rhs.operands))
-    operands = list(rhs.operands) if isinstance(rhs, Mul) else [rhs]
-    if not all(isinstance(o, Access) for o in operands):
-        return KernelClass("generic")
-    sparse = [o for o in operands if o.tensor.format.has_compressed()]
-    dense = [o for o in operands if not o.tensor.format.has_compressed()]
-    if len(sparse) != 1:
-        return KernelClass("generic")
-    B = sparse[0]
-    bi = B.indices
-    if B.tensor.order == 2 and len(dense) == 1 and len(operands) == 2:
-        d = dense[0]
-        if d.tensor.order == 1 and lhs.indices == (bi[0],) and d.indices == (bi[1],):
-            return KernelClass("spmv", {"B": B, "c": d})
-        if (
-            d.tensor.order == 2
-            and len(lhs.indices) == 2
-            and lhs.indices[0] == bi[0]
-            and d.indices == (bi[1], lhs.indices[1])
-            and lhs.tensor.format.is_all_dense()
-        ):
-            return KernelClass("spmm", {"B": B, "C": d})
-    if (
-        B.tensor.order == 2
-        and len(dense) == 2
-        and lhs.indices == bi
-        and not lhs.tensor.format.is_all_dense()
-    ):
-        C = next((d for d in dense if d.indices and d.indices[0] == bi[0]), None)
-        D = next((d for d in dense if d.indices and d.indices[-1] == bi[1]), None)
-        if C is not None and D is not None and C is not D and C.indices[1] == D.indices[0]:
-            return KernelClass("sddmm", {"B": B, "C": C, "D": D})
-    if B.tensor.order == 3 and len(dense) == 1 and dense[0].tensor.order == 1:
-        if tuple(lhs.indices) == tuple(bi[:2]) and dense[0].indices == (bi[2],):
-            return KernelClass("spttv", {"B": B, "c": dense[0]})
-    if (
-        B.tensor.order == 3
-        and len(dense) == 2
-        and all(d.tensor.order == 2 for d in dense)
-        and len(lhs.indices) == 2
-        and lhs.indices[0] == bi[0]
-    ):
-        l = lhs.indices[1]
-        C = next((d for d in dense if d.indices == (bi[1], l)), None)
-        D = next((d for d in dense if d.indices == (bi[2], l)), None)
-        if C is not None and D is not None:
-            return KernelClass("spmttkrp", {"B": B, "C": C, "D": D})
-    return KernelClass("generic")
 
 
 # --------------------------------------------------------------------------- #
@@ -321,7 +245,7 @@ class CompiledKernel:
         if fresh_trial:
             rt.reset_residency()
         before = len(rt.metrics.steps)
-        if self.kind == "spadd":
+        if SPECS[self.kind].assembles:
             self._execute_spadd(rt)
         else:
             self._execute_compute(rt)
@@ -348,7 +272,9 @@ class CompiledKernel:
                 from .. import codegen as _codegen  # lazy: avoids import cycle
 
                 leaf = _codegen.leaf_for(self)
-            self._leaf = leaf if leaf is not None else _build_leaf(self)
+            if leaf is None:
+                leaf = SPECS[self.kind].interp_leaf(self)
+            self._leaf = leaf
             self._leaf_backend = self.backend
         if self._needs_zero():
             self.out.vals.fill(0.0)
@@ -362,18 +288,26 @@ class CompiledKernel:
         )
 
     def _needs_zero(self) -> bool:
-        if self.privileges.get(id(self.out)) == Privilege.REDUCE:
-            return True
-        if self.kind == "generic" and not self.schedule.assignment.accumulate:
-            # The generic engine scatter-*adds* piece results into the
-            # output under every strategy (not just "nonzeros"), so a
-            # repeated execute must start from zero or it doubles.
-            return True
-        return self.strategy == "nonzeros" and self.kind in (
-            "spmv", "spmm", "spttv", "spmttkrp", "fused_sddmm_spmm",
+        return (
+            self.privileges.get(id(self.out)) == Privilege.REDUCE
+            or SPECS[self.kind].needs_zero(self)
         )
 
     # -- SpAdd: two-phase assembly (paper §V-B) --------------------------------
+    def _spadd_scan_step(self, rt: Runtime) -> None:
+        """The scan between the phases: per-row counts travel to the
+        launching node and the scanned ``pos`` scatters back."""
+        scan = rt.metrics.new_step("spadd:scan")
+        for p in self.pieces:
+            n = max(0, p.rows[1] - p.rows[0] + 1)
+            if p.proc != 0 and n:
+                scan.comm_events.append(
+                    CommEvent(p.proc, 0, n * 8.0, rt.machine.same_node(p.proc, 0), "counts")
+                )
+                scan.comm_events.append(
+                    CommEvent(0, p.proc, n * 16.0, rt.machine.same_node(0, p.proc), "pos")
+                )
+
     def _execute_spadd(self, rt: Runtime) -> None:
         out = self.out
         nrows, ncols = out.shape
@@ -384,11 +318,7 @@ class CompiledKernel:
         # arrays are the values the statement consumes.  Re-reading through
         # the tensor after install would see the freshly-sized empty output
         # instead — the seed bug that crashed or dropped the aliased operand.
-        operand_tensors = [o.tensor for o in self.operands]
-        if self.schedule.assignment.accumulate and all(
-            t is not out for t in operand_tensors
-        ):
-            operand_tensors.append(out)
+        operand_tensors = SPECS[self.kind].operand_tensors(self)
         snaps = [
             (t.levels[1].pos.data, t.levels[1].crd.data, t.vals.data)
             for t in operand_tensors
@@ -425,18 +355,7 @@ class CompiledKernel:
             proc_map=self._proc_of_color,
         )
 
-        # Scan: counts travel to the launching node; scanned pos scatters back.
-        scan = rt.metrics.new_step("spadd:scan")
-        for p in self.pieces:
-            r0, r1 = p.rows
-            n = max(0, r1 - r0 + 1)
-            if p.proc != 0 and n:
-                scan.comm_events.append(
-                    CommEvent(p.proc, 0, n * 8.0, rt.machine.same_node(p.proc, 0), "counts")
-                )
-                scan.comm_events.append(
-                    CommEvent(0, p.proc, n * 16.0, rt.machine.same_node(0, p.proc), "pos")
-                )
+        self._spadd_scan_step(rt)
         out_pos, out_crd, out_vals = install_assembled_output(out, counts, ncols)
 
         def fill(color):
@@ -572,12 +491,14 @@ def _unique_tensors(asg: Assignment) -> List[Tuple[Tensor, Access]]:
 
 
 def _prepare_output(kc: KernelClass, asg: Assignment) -> None:
+    """Pattern-preserving kinds: copy the source operand's structure into
+    a sparse output so the leaves write values only."""
     out = asg.lhs.tensor
+    if not SPECS[kc.kind].adopts_pattern or out.format.is_all_dense():
+        return
     src = pattern_source(asg)
-    if src is not None and kc.kind in ("sddmm", "spttv", "generic"):
-        if not out.format.is_all_dense():
-            adopt_pattern(out, src.tensor, keep_levels=len(asg.lhs.indices))
-            plan_note = True  # structure copied; leaves write values only
+    if src is not None:
+        adopt_pattern(out, src.tensor, keep_levels=len(asg.lhs.indices))
 
 
 def _compile_single(schedule, machine, kc, plan, sizes) -> CompiledKernel:
@@ -858,213 +779,3 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
         schedule, machine, kc.kind, "nonzeros", pieces, parts, privileges, plan,
         kc.roles, kc.operands,
     )
-
-
-# --------------------------------------------------------------------------- #
-# leaf selection
-# --------------------------------------------------------------------------- #
-def _build_leaf(ck: CompiledKernel) -> Callable[[Piece], Work]:
-    kind, strategy = ck.kind, ck.strategy
-    asg = ck.schedule.assignment
-    out = ck.out
-    if kind == "spmv":
-        B = ck.roles["B"].tensor
-        c = ck.roles["c"].tensor.dense_array()
-        pos, crd, vals = B.csr_arrays()
-        o = out.vals.data
-        if strategy == "nonzeros":
-            return lambda p: K.spmv_nonzeros(pos, crd, vals, c, o, p.pos[0], p.pos[1])
-        return lambda p: K.spmv_rows(pos, crd, vals, c, o, p.rows[0], p.rows[1])
-    if kind == "spmm":
-        B = ck.roles["B"].tensor
-        C = ck.roles["C"].tensor.dense_array()
-        pos, crd, vals = B.csr_arrays()
-        o = out.dense_array()
-        if strategy == "nonzeros":
-            return lambda p: K.spmm_nonzeros(pos, crd, vals, C, o, p.pos[0], p.pos[1])
-
-        def spmm_piece(p: Piece) -> Work:
-            if p.cols is not None:
-                c0, c1 = p.cols
-                return K.spmm_rows(
-                    pos, crd, vals, C[:, c0 : c1 + 1], o[:, c0 : c1 + 1],
-                    p.rows[0], p.rows[1],
-                )
-            return K.spmm_rows(pos, crd, vals, C, o, p.rows[0], p.rows[1])
-
-        return spmm_piece
-    if kind == "sddmm":
-        B = ck.roles["B"].tensor
-        C = ck.roles["C"].tensor.dense_array()
-        D = ck.roles["D"].tensor.dense_array()
-        pos, crd, vals = B.csr_arrays()
-        ov = out.vals.data
-        if strategy == "nonzeros":
-            return lambda p: K.sddmm_nonzeros(pos, crd, vals, C, D, ov, p.pos[0], p.pos[1])
-        return lambda p: K.sddmm_rows(pos, crd, vals, C, D, ov, p.rows[0], p.rows[1])
-    if kind == "fused_sddmm_spmm":
-        # Synthesized by the pass pipeline (repro.core.passes): the SDDMM
-        # product is computed into a scratch values array private to the
-        # leaf and consumed immediately by the SpMM phase — it is never a
-        # region, never placed, never communicated.
-        B = ck.roles["B"].tensor
-        C = ck.roles["C"].tensor.dense_array()
-        D = ck.roles["D"].tensor.dense_array()
-        F = ck.roles["F"].tensor.dense_array()
-        pos, crd, vals = B.csr_arrays()
-        o = out.dense_array()
-        scratch = np.zeros_like(vals)
-        if strategy == "nonzeros":
-            def fused_nonzeros(p: Piece) -> Work:
-                w1 = K.sddmm_nonzeros(pos, crd, vals, C, D, scratch, p.pos[0], p.pos[1])
-                w2 = K.spmm_nonzeros(pos, crd, scratch, F, o, p.pos[0], p.pos[1])
-                return w1 + w2
-
-            return fused_nonzeros
-
-        def fused_rows(p: Piece) -> Work:
-            if p.rows[1] < p.rows[0]:
-                return Work.zero()
-            w1 = K.sddmm_rows(pos, crd, vals, C, D, scratch, p.rows[0], p.rows[1])
-            w2 = K.spmm_rows(pos, crd, scratch, F, o, p.rows[0], p.rows[1])
-            return w1 + w2
-
-        return fused_rows
-    if kind == "spttv":
-        return _build_spttv_leaf(ck)
-    if kind == "spmttkrp":
-        return _build_spmttkrp_leaf(ck)
-    if kind == "generic":
-        return _build_generic_leaf(ck)
-    raise CompileError(f"no leaf kernel for {kind}/{strategy}")
-
-
-def _fiber_arrays(B: Tensor):
-    """(pos2, crd2, fiber-range-of-rows fn) for CSF3 or DDC 3-tensors."""
-    lvl2 = B.levels[2]
-    if not isinstance(lvl2, CompressedLevel):
-        raise CompileError("3-tensor kernels need a compressed last level")
-    pos2, crd2 = lvl2.pos.data, lvl2.crd.data
-    lvl1 = B.levels[1]
-    if isinstance(lvl1, CompressedLevel):
-        pos1 = lvl1.pos.data
-
-        def fibers_of_rows(r0: int, r1: int) -> Bounds:
-            return int(pos1[r0, 0]), int(pos1[r1, 1])
-
-    else:
-        n1 = lvl1.size
-
-        def fibers_of_rows(r0: int, r1: int) -> Bounds:
-            return r0 * n1, (r1 + 1) * n1 - 1
-
-    return pos2, crd2, fibers_of_rows
-
-
-def _build_spttv_leaf(ck: CompiledKernel) -> Callable[[Piece], Work]:
-    B = ck.roles["B"].tensor
-    c = ck.roles["c"].tensor.dense_array()
-    pos2, crd2, fibers_of_rows = _fiber_arrays(B)
-    vals = B.vals.data
-    ov = ck.out.vals.data.reshape(-1)
-    if ck.strategy == "nonzeros":
-        return lambda p: K.spttv_nonzeros(pos2, crd2, vals, c, ov, p.pos[0], p.pos[1])
-
-    def rows_piece(p: Piece) -> Work:
-        if p.rows[1] < p.rows[0]:
-            return Work.zero()
-        f0, f1 = fibers_of_rows(p.rows[0], p.rows[1])
-        return K.spttv_fibers(pos2, crd2, vals, c, ov, f0, f1)
-
-    return rows_piece
-
-
-def _build_spmttkrp_leaf(ck: CompiledKernel) -> Callable[[Piece], Work]:
-    B = ck.roles["B"].tensor
-    C = ck.roles["C"].tensor.dense_array()
-    D = ck.roles["D"].tensor.dense_array()
-    pos2, crd2, fibers_of_rows = _fiber_arrays(B)
-    vals = B.vals.data
-    o = ck.out.dense_array()
-    lvl1 = B.levels[1]
-    csf = isinstance(lvl1, CompressedLevel)
-    if csf:
-        pos1, crd1 = lvl1.pos.data, lvl1.crd.data
-
-    def run(p0: int, p1: int, accumulate: bool) -> Work:
-        if csf:
-            return K.spmttkrp_csf(
-                pos1, crd1, pos2, crd2, vals, C, D, o, p0, p1, accumulate=accumulate
-            )
-        return K.spmttkrp_ddc(
-            lvl1.size, pos2, crd2, vals, C, D, o, p0, p1, accumulate=accumulate
-        )
-
-    if ck.strategy == "nonzeros":
-        return lambda p: run(p.pos[0], p.pos[1], True)
-
-    def rows_piece(p: Piece) -> Work:
-        if p.rows[1] < p.rows[0]:
-            return Work.zero()
-        f0, f1 = fibers_of_rows(p.rows[0], p.rows[1])
-        if f1 < f0:
-            return Work.zero()
-        return run(int(pos2[f0, 0]), int(pos2[f1, 1]), False)
-
-    return rows_piece
-
-
-def _build_generic_leaf(ck: CompiledKernel) -> Callable[[Piece], Work]:
-    """Fallback: the generic COO engine per piece (paper: full generality)."""
-    asg = ck.schedule.assignment
-    sizes = var_sizes(asg)
-    out = ck.out
-    if not out.format.is_all_dense():
-        src = pattern_source(asg)
-        if src is None:
-            raise CompileError(
-                "generic distributed lowering requires a dense output or a "
-                "pattern-preserving statement"
-            )
-    dvars = ck.schedule.distributed
-    if dvars and ck.strategy != "rows":
-        raise CompileError(
-            "the generic engine only supports coordinate (universe) "
-            "distribution; schedule a specialized kernel for non-zero splits"
-        )
-    restrict_var = None
-    if dvars and ck.strategy == "rows":
-        unders = ck.schedule.underlying_vars(dvars[0])
-        restrict_var = unders[0]
-
-    dense_out = out.format.is_all_dense()
-    o = out.dense_array() if dense_out else None
-
-    def piece(p: Piece) -> Work:
-        restrict = {restrict_var: p.rows} if restrict_var is not None else None
-        result, work = K.evaluate_generic(asg, sizes, restrict)
-        if dense_out:
-            if result.nnz:
-                np.add.at(o, tuple(result.coords), result.vals)
-        else:
-            coords, _ = out.to_coo()
-            # pattern-preserving sparse output: scatter into stored positions
-            if K.fits_int64(out.shape):
-                key_stored = np.zeros(out.nnz, dtype=np.int64)
-                key_new = np.zeros(result.nnz, dtype=np.int64)
-                for d in range(out.order):
-                    key_stored = key_stored * out.shape[d] + coords[d]
-                    key_new = key_new * out.shape[d] + result.coords[d]
-            else:
-                # Huge dimension products overflow the flattened key; rank
-                # stored and new coordinates jointly instead.
-                both = np.concatenate(
-                    [np.stack(coords), np.asarray(result.coords)], axis=1
-                )
-                ranks = K.lex_ranks(both)
-                key_stored, key_new = ranks[: out.nnz], ranks[out.nnz :]
-            idx = np.searchsorted(key_stored, key_new)
-            out.vals.data.reshape(-1)[idx] += result.vals
-        return work
-
-    return piece

@@ -23,7 +23,7 @@ introspectable order and every run reports what fired through
    restructuring of the roadmap): a producer ``E(i,j) = B(i,j)·U(i,k)·
    V(k,j)`` feeding a single consumer ``H(i,l) = E(i,j)·F(j,l)`` becomes
    one statement ``H(i,l) = B(i,j)·U(i,k)·V(k,j)·F(j,l)`` carrying a
-   synthetic :class:`~repro.core.compiler.KernelClass` of kind
+   synthetic :class:`~repro.core.kernelspec.KernelClass` of kind
    ``"fused_sddmm_spmm"`` — the intermediate sparse product ``E`` never
    materializes as a resident region, so the fused program communicates
    strictly fewer bytes and holds a strictly smaller peak footprint.
@@ -266,7 +266,7 @@ def _find_fusable_pair(entries: List[_Entry], keep_ids, keep_names):
     to any operand the fused statement reads.
     """
     from ..analysis.privileges import program_privileges
-    from .compiler import classify
+    from .kernelspec import classify
 
     privs = program_privileges([e.schedule for e in entries])
     for p, entry in enumerate(entries):
@@ -347,7 +347,7 @@ def _build_fused(
     machine, B, C, D, F, H, i_var, j_var, l_var, strategy=None
 ) -> Schedule:
     from ..api.autoschedule import auto_schedule  # lazy: api layers on core
-    from .compiler import KernelClass
+    from .kernelspec import KernelClass
 
     F_new = Access(F.tensor, (j_var, l_var))
     fused = Assignment(Access(H, (i_var, l_var)), Mul([B, C, D, F_new]))

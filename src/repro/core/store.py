@@ -88,7 +88,10 @@ __all__ = [
     "file_sha256",
 ]
 
-STORE_FORMAT_VERSION = 2
+#: v3: persisted AOT modules take per-piece Work in their ``bind`` piece
+#: tuples (generated-module META version 2); older artifacts are refused
+#: with :class:`~repro.errors.StoreFormatError`, never migrated.
+STORE_FORMAT_VERSION = 3
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"

@@ -9,7 +9,8 @@ a fresh runtime.  The simulator is deterministic, so anything short of
 exact equality is a bug in the model, never noise.  This module sweeps
 the auto-scheduler's space (kernel × format × strategy × cpu/gpu) over
 the same seeded workload builders the execution differential oracle
-(``tests/integration/test_differential.py``) uses, and additionally pins
+(``tests/integration/test_differential.py``) uses, plus the fused
+SDDMM→SpMM statement the pass pipeline synthesizes, and additionally pins
 the cost model: for the specialized kernels the predicted simulated
 seconds equal the measured isolated trial's to the last bit.
 
@@ -30,16 +31,43 @@ import pytest
 REPO = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO / "tests" / "integration"))
 
-from test_differential import _FORMATS, _build, _combos  # noqa: E402
+from test_differential import (  # noqa: E402
+    _build, _combos as _statement_combos, _int_csr, _int_dense,
+)
 
 from repro.analysis.commplan import measured_signature  # noqa: E402
 from repro.analysis.costmodel import predict_cost  # noqa: E402
 from repro.api.autoschedule import auto_schedule  # noqa: E402
-from repro.core import clear_caches, compile_kernel  # noqa: E402
+from repro.core import SPECS, clear_caches, compile_kernel  # noqa: E402
+from repro.core.passes import FUSED_SDDMM_SPMM, pipeline_plan  # noqa: E402
 from repro.legion import Machine  # noqa: E402
 from repro.legion.runtime import Runtime  # noqa: E402
+from repro.taco import CSR, Tensor, index_vars  # noqa: E402
 
 PIECES = 4  # 2x2: every strategy including the square grid is buildable
+
+
+def _fused_statement(rng, n, density, machine):
+    """The statement the pass pipeline synthesizes from an SDDMM→SpMM
+    chain — the one kind no user-written statement classifies as."""
+    B = Tensor.from_scipy("B", _int_csr(rng, n, n, density), CSR)
+    U = Tensor.from_dense("U", _int_dense(rng, (n, 4)))
+    V = Tensor.from_dense("V", _int_dense(rng, (4, n)))
+    F = Tensor.from_dense("F", _int_dense(rng, (n, 5)))
+    E = Tensor.zeros("E", (n, n), CSR)
+    H = Tensor.zeros("H", (n, 5))
+    i, j, k, i2, j2, k2 = index_vars("i j k i2 j2 k2")
+    E[i, j] = B[i, j] * U[i, k] * V[k, j]
+    H[i2, k2] = E[i2, j2] * F[j2, k2]
+    chain = [auto_schedule(t.assignment, machine) for t in (E, H)]
+    (fused,) = pipeline_plan(chain, machine).schedules
+    return fused.assignment
+
+
+def _combos():
+    yield from _statement_combos()
+    for strategy in SPECS[FUSED_SDDMM_SPMM].strategies:
+        yield FUSED_SDDMM_SPMM, "csr", strategy
 
 
 def run_case(
@@ -58,10 +86,13 @@ def run_case(
     returns the matching ``(predicted, measured)`` signatures otherwise.
     """
     rng = np.random.default_rng(seed)
-    out = _build(kind, fmt, rng, n, density)
     machine = (
         Machine.gpu(PIECES) if machine_kind == "gpu" else Machine.cpu(PIECES)
     )
+    if kind == FUSED_SDDMM_SPMM:
+        out = _fused_statement(rng, n, density, machine)
+    else:
+        out = _build(kind, fmt, rng, n, density)
     sched = auto_schedule(out, machine, strategy=strategy)
     ck = compile_kernel(sched, machine)
 

@@ -102,6 +102,27 @@ class TestStrategySelection:
             assert r.kernel.strategy == "grid"
             assert np.allclose(out.dense_array(), M @ C.dense_array())
 
+    def test_generic_statement_tunes_over_its_legal_strategies_only(self):
+        """The pool is the kernel table's legal strategies: the generic
+        COO engine only distributes coordinates, so a generic statement
+        with one sparse operand must not be offered the non-zero split
+        its leaf refuses (that candidate used to abort the search with a
+        CompileError)."""
+        M = uniform_random(40, 0.1, seed=3)
+        with repro.session(nodes=4) as s:
+            B = s.tensor("B", M, repro.CSR)
+            rng = np.random.default_rng(2)
+            c, d = s.tensor("c", rng.random(40)), s.tensor("d", rng.random(40))
+            a = s.zeros("a", (40,))
+            i, j = repro.index_vars("i j")
+            a[i] = B[i, j] * c[j] * d[i]
+            result = s.autotune(a)
+            assert result.kernel.kind == "generic"
+            assert [cand.strategy for cand in result.candidates] == ["rows"]
+            np.testing.assert_allclose(
+                a.to_dense(), (M @ c.to_dense()) * d.to_dense()
+            )
+
     def test_losing_oom_candidate_does_not_win(self):
         """A candidate that OOMs is recorded as DNC and never selected."""
         M = uniform_random(400, 0.02, seed=3)

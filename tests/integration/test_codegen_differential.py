@@ -19,7 +19,7 @@ import pytest
 
 from repro.api.autoschedule import auto_schedule
 from repro.codegen import codegen_stats, reset_codegen_stats
-from repro.core import clear_caches, compile_kernel
+from repro.core import SPECS, clear_caches, compile_kernel
 from repro.legion import Machine, Runtime
 from test_differential import _KIND_FORMATS, _STRATEGIES, _build
 
@@ -27,7 +27,9 @@ PIECES = 4
 
 #: compute kernels with lowering templates (spadd3 never reaches the
 #: compute leaf path — it runs the two-phase assembly pipeline).
-_CODEGEN_KINDS = ("spmv", "spmm", "sddmm", "spttv", "spmttkrp")
+_CODEGEN_KINDS = tuple(
+    k for k in _KIND_FORMATS if k in SPECS and not SPECS[k].interp_only
+)
 
 
 def _metrics_signature(rt: Runtime):

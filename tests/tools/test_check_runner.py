@@ -2,10 +2,11 @@
 
 Running every fast plugin clean here wires the whole invariant set —
 lock discipline, docstring coverage, the exported API surface, the
-nondeterminism lint and the AOT template/sanitizer agreement — into the
-plain ``pytest`` loop.  The self-tests pin the runner's own semantics
-(plugin selection, JSON schema stability, exact-line findings from the
-nondet scanner) so the enforcement cannot rot into a vacuous pass.
+nondeterminism lint, the one-kernel-table lint and the AOT
+template/sanitizer agreement — into the plain ``pytest`` loop.  The
+self-tests pin the runner's own semantics (plugin selection, JSON schema
+stability, exact-line findings from the nondet and kind-compare scanners)
+so the enforcement cannot rot into a vacuous pass.
 """
 import ast
 import json
@@ -85,7 +86,7 @@ def test_cli_only_unknown_exits_two_listing_names():
 
 def test_list_names_every_plugin():
     names = {p.name for p in check.PLUGINS}
-    assert {"lock", "docs", "exports", "nondet",
+    assert {"lock", "docs", "exports", "nondet", "kernelspec",
             "aot-sanitizer", "commplan", "examples"} <= names
     # the commplan planner coherence sweep runs in the fast (tier-1) set
     assert "commplan" in {p.name for p in check.PLUGINS if not p.slow}
@@ -172,12 +173,52 @@ class TestNondetScanner:
         assert "random_state" in findings[0].message
 
 
-def test_legacy_entry_points_still_work():
-    # the wrapped scripts keep their standalone CLIs (back-compat)
+def test_lint_plugins_have_no_cli_of_their_own(capsys):
+    # lock/docs/exports run through the runner; the modules behind them
+    # are importable rule tables and checkers, not scripts
     import api_check
     import docs_check
     import lock_check
 
-    assert lock_check.main() == 0
-    assert docs_check.main([]) == 0
-    assert api_check.export_problems() == []
+    assert check.main(["--only", "lock,docs,exports"]) == 0, (
+        capsys.readouterr().out
+    )
+    for module in (lock_check, docs_check, api_check):
+        assert not hasattr(module, "main")
+
+
+class TestKindCompareScanner:
+    KINDS = {"spmv", "spmm", "generic"}
+
+    def _scan(self, source):
+        return check._scan_kind_compares(
+            "fake.py", source, ast.parse(source), self.KINDS
+        )
+
+    def test_flags_kind_compared_against_kind_literals(self):
+        src = (
+            "def f(ck, kc):\n"
+            "    if ck.kind == 'spmv':\n"                     # line 2
+            "        return 1\n"
+            "    if kc.kind in ('spmm', 'generic'):\n"        # line 4
+            "        return 2\n"
+            "    return 'spmv' != kc.kind\n"                  # line 6
+        )
+        findings = self._scan(src)
+        assert [f.line for f in findings] == [2, 4, 6]
+        assert "'generic', 'spmm'" in findings[1].message
+
+    def test_other_kinds_and_lookups_are_not_flagged(self):
+        src = (
+            "def f(ck, machine, SPECS):\n"
+            "    if machine.kind == 'gpu':\n"     # not a kernel kind
+            "        return SPECS[ck.kind]\n"     # the table lookup
+            "    return ck.kind == other.kind\n"  # no literal
+        )
+        assert self._scan(src) == []
+
+    def test_waiver_needs_a_reason(self):
+        ok = "x = ck.kind == 'spmv'  # kind: ok manifest filter, not behaviour\n"
+        assert self._scan(ok) == []
+        (finding,) = self._scan("x = ck.kind == 'spmv'  # kind: ok\n")
+        assert "without a reason" in finding.message

@@ -1,6 +1,7 @@
 """Tier-1 enforcement of the static lock-discipline check.
 
-``tools/lock_check.py`` asserts that every mutation of the shared cache
+``tools/lock_check.py`` (the ``lock`` plugin of ``tools/check.py``)
+asserts that every mutation of the shared cache
 structures (:mod:`repro.core.cache`, :mod:`repro.codegen.registry`)
 happens under the designated lock — the invariant the multi-tenant
 serving layer leans on.  Running it here wires the check into the fast
@@ -17,11 +18,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO / "tools"))
 
+import check  # noqa: E402
 import lock_check  # noqa: E402
 
 
 def test_repo_lock_discipline_holds(capsys):
-    assert lock_check.main() == 0, capsys.readouterr().out
+    assert check.main(["--only", "lock"]) == 0, capsys.readouterr().out
 
 
 def test_every_watched_file_exists_and_parses():

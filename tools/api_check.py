@@ -1,26 +1,19 @@
-#!/usr/bin/env python
 """Public-surface lint for the high-level API.
 
-Two checked scenarios (``--scenario`` picks one, mirroring
-``tools/bench_check.py``):
+Two checks, each a plugin of ``tools/check.py`` (this module has no
+command line of its own):
 
-* **exports** — ``repro.__init__`` must re-export the documented public
-  surface (the Session front end, ``einsum``, ``Tensor``, the formats,
-  ``Schedule``, …), everything in ``__all__`` must resolve, and every
-  export must carry a docstring (format *instances* are checked through
-  their class).
-* **examples** — every ``examples/*.py`` must run clean under
-  ``PYTHONPATH=src`` (they are the executable documentation of the API).
-
-Exits non-zero on any violation.  Usage::
-
-    python tools/api_check.py                       # both scenarios
-    python tools/api_check.py --scenario exports
-    python tools/api_check.py --scenario examples
+* **exports** (``check.py --only exports``) — ``repro.__init__`` must
+  re-export the documented public surface (the Session front end,
+  ``einsum``, ``Tensor``, the formats, ``Schedule``, …), everything in
+  ``__all__`` must resolve, and every export must carry a docstring
+  (format *instances* are checked through their class).
+* **examples** (``check.py --only examples``, in ``--all``) — every
+  ``examples/*.py`` must run clean under ``PYTHONPATH=src`` (they are the
+  executable documentation of the API).
 """
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -86,19 +79,6 @@ def export_problems() -> list:
     return problems
 
 
-def check_exports() -> int:
-    """The documented surface is exported, resolvable and documented."""
-    problems = export_problems()
-    if problems:
-        for p in problems:
-            print(f"FAIL: {p}")
-        return 1
-    exported = set(getattr(_import_repro(), "__all__", ()))
-    print(f"exports: {len(exported)} names, all resolve and are documented "
-          f"({len(REQUIRED_EXPORTS)} required present)")
-    return 0
-
-
 def example_failures() -> list:
     """(script name, failure detail) for every example that does not run
     clean under ``PYTHONPATH=src`` (empty = all clean)."""
@@ -118,31 +98,3 @@ def example_failures() -> list:
                 f"exited {proc.returncode}:\n{proc.stdout}\n{proc.stderr}",
             ))
     return failures
-
-
-def check_examples() -> int:
-    """Every example runs clean under PYTHONPATH=src."""
-    failures = example_failures()
-    for name, detail in failures:
-        print(f"FAIL: {name} {detail}")
-    if not failures:
-        for script in sorted(EXAMPLES.glob("*.py")):
-            print(f"examples: {script.name} ran clean")
-    return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--scenario", choices=("exports", "examples", "all"),
-                    default="all")
-    args = ap.parse_args(argv)
-    rc = 0
-    if args.scenario in ("exports", "all"):
-        rc |= check_exports()
-    if args.scenario in ("examples", "all"):
-        rc |= check_examples()
-    return rc
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Unified static-check runner: every repo invariant, one entry point.
 
-The repo grew its invariants one ad-hoc script at a time — lock
-discipline (``lock_check.py``), docstring coverage (``docs_check.py``),
-the exported API surface and runnable examples (``api_check.py``).  This
-runner turns each into a *plugin* sharing one AST/source cache and one
-findings model, and adds two codebase passes of its own:
+Each invariant is a *plugin* sharing one AST/source cache and one
+findings model.  ``lock_check.py``, ``docs_check.py`` and ``api_check.py``
+hold the rule tables and checkers of the lock-discipline, docstring and
+export/example plugins; they have no command line of their own.  The
+codebase passes defined here:
 
 * **nondet** — a nondeterminism lint over the deterministic layers
   (``src/repro/kernels``, ``src/repro/codegen``, ``src/repro/analysis``,
@@ -17,15 +17,23 @@ findings model, and adds two codebase passes of its own:
   intentional read (the bench harness timing its own host overhead)
   carries an inline waiver ``# nondet: ok <reason>`` on the flagged
   line — a waiver without a reason is itself a finding;
-* **aot-sanitizer** — every lowering template combination must pass the
-  generated-module AST allowlist (:mod:`repro.analysis.sanitizer`), so
-  the verifier that guards store exec-loads can never drift out of sync
-  with what the emitter produces;
-* **commplan** — every schedule the auto-scheduler can synthesize
-  (kernel × format × strategy × machine kind) must yield a coherent
-  static communication plan (:mod:`repro.analysis.commplan`): the plan
-  derives without error and reports no privilege-incoherent
-  distribution and no missing-``communicate`` duplicate transfers.
+* **kernelspec** — one switchboard: outside the kernel table
+  (``src/repro/core/kernelspec.py``) and the fusion pass
+  (``src/repro/core/passes.py``), no code under ``src/repro`` may compare
+  a ``.kind`` against a string literal naming a kernel kind — per-kind
+  behaviour is a lookup in the table.  Same waiver convention:
+  ``# kind: ok <reason>``;
+* **aot-sanitizer** — every lowering template the kernel table declares
+  must emit and pass the generated-module AST allowlist
+  (:mod:`repro.analysis.sanitizer`), so the verifier that guards store
+  exec-loads can never drift out of sync with what the emitter produces;
+* **commplan** — every (kernel × format × strategy × machine kind) the
+  kernel table declares must yield a coherent static communication plan
+  (:mod:`repro.analysis.commplan`): the plan derives without error and
+  reports no privilege-incoherent distribution and no
+  missing-``communicate`` duplicate transfers;
+* **fusion** — the seeded SDDMM→SpMM chain must fuse, and the fused
+  statement must plan coherently under each of its legal strategies.
 
 Every finding is ``file:line: message``; plugins report a one-line
 summary when clean.  Usage::
@@ -37,8 +45,6 @@ summary when clean.  Usage::
     PYTHONPATH=src python tools/check.py --json
 
 ``tests/tools/test_check_runner.py`` wires the fast set into tier-1.
-The legacy scripts keep working standalone; they are thin shells over
-the same functions this runner imports.
 """
 from __future__ import annotations
 
@@ -209,9 +215,10 @@ NONDET_ROOTS = (
     "src/repro/analysis", "src/repro/distal", "src/repro/bench",
 )
 
-#: inline waiver for an intentional nondeterministic read: the flagged
-#: line carries ``# nondet: ok <reason>``; the reason is mandatory.
-_WAIVER_RE = re.compile(r"#\s*nondet:\s*ok\b[ \t]*(.*)")
+#: inline waiver for an intentional finding: the flagged line carries
+#: ``# <tag>: ok <reason>`` (tags: ``nondet``, ``kind``); the reason is
+#: mandatory.
+_WAIVER_RE = r"#\s*%s:\s*ok\b[ \t]*(.*)"
 
 #: attribute chains whose *call* (or use) injects nondeterminism.
 _WALLCLOCK_CALLS = {
@@ -232,30 +239,33 @@ def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
     return None
 
 
-def _waivers(text: str) -> Dict[int, str]:
-    """Line number → waiver reason ("" when the reason is missing)."""
-    out: Dict[int, str] = {}
+def _reporter(relpath: str, text: str, tag: str, findings: List[Finding]):
+    """``report(line, message)`` appending to ``findings`` unless the line
+    carries a ``# <tag>: ok <reason>`` waiver (one without a reason is
+    itself a finding)."""
+    waiver = re.compile(_WAIVER_RE % tag)
+    waived: Dict[int, str] = {}
     for n, line in enumerate(text.splitlines(), 1):
-        m = _WAIVER_RE.search(line)
+        m = waiver.search(line)
         if m is not None:
-            out[n] = m.group(1).strip()
-    return out
+            waived[n] = m.group(1).strip()
+
+    def report(line: int, message: str) -> None:
+        if line not in waived:
+            findings.append(Finding(relpath, line, message))
+        elif not waived[line]:
+            findings.append(Finding(
+                relpath, line,
+                f"{tag} waiver without a reason: write "
+                f"`# {tag}: ok <why this is intentional>`",
+            ))
+
+    return report
 
 
 def _scan_nondet(relpath: str, text: str, tree: ast.Module) -> List[Finding]:
-    waived = _waivers(text)
-    findings = []
-
-    def report(line: int, message: str) -> None:
-        if line in waived:
-            if not waived[line]:
-                findings.append(Finding(
-                    relpath, line,
-                    "nondet waiver without a reason: write "
-                    "`# nondet: ok <why this read is intentional>`",
-                ))
-            return  # intentionally waived
-        findings.append(Finding(relpath, line, message))
+    findings: List[Finding] = []
+    report = _reporter(relpath, text, "nondet", findings)
 
     # only flag maximal attribute chains, so np.random.random(...) yields
     # one finding rather than one per nested Attribute node
@@ -325,35 +335,90 @@ def _run_nondet(cache: SourceCache) -> CheckResult:
 
 
 # --------------------------------------------------------------------- #
+# one switchboard: no per-kind branches outside the kernel table
+# --------------------------------------------------------------------- #
+#: the modules that may name kernel kinds: the table itself, and the
+#: fusion pass (its legality rule is about two specific kinds).
+KERNELSPEC_EXEMPT = ("src/repro/core/kernelspec.py", "src/repro/core/passes.py")
+
+
+def _scan_kind_compares(
+    relpath: str, text: str, tree: ast.Module, kinds
+) -> List[Finding]:
+    """``x.kind == "spmv"`` / ``x.kind in ("spmv", ...)`` and friends."""
+    findings: List[Finding] = []
+    report = _reporter(relpath, text, "kind", findings)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        if not any(isinstance(e, ast.Attribute) and e.attr == "kind" for e in sides):
+            continue
+        named = sorted({
+            c.value
+            for e in sides for c in ast.walk(e)
+            if isinstance(c, ast.Constant) and c.value in kinds
+        })
+        if named:
+            report(
+                node.lineno,
+                f".kind compared against {', '.join(map(repr, named))} — "
+                "per-kind behaviour belongs in the kernel table "
+                "(repro.core.kernelspec); look it up instead "
+                "(`# kind: ok <reason>` waives an intentional compare)",
+            )
+    return findings
+
+
+def _run_kernelspec(cache: SourceCache) -> CheckResult:
+    from repro.core.kernelspec import SPECS
+
+    findings: List[Finding] = []
+    scanned = 0
+    kinds = set(SPECS)
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        relpath = str(path.relative_to(REPO))
+        if relpath in KERNELSPEC_EXEMPT:
+            continue
+        text, tree = cache.get(relpath)
+        findings.extend(_scan_kind_compares(relpath, text, tree, kinds))
+        scanned += 1
+    return CheckResult(
+        "kernelspec", findings,
+        f"{scanned} modules under src/repro branch on no kernel kind by "
+        f"name; {len(SPECS)} kinds live in the kernel table",
+    )
+
+
+# --------------------------------------------------------------------- #
 # AOT sanitizer self-consistency (new)
 # --------------------------------------------------------------------- #
 def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
-    """Every emittable template must pass the exec-load allowlist."""
-    import itertools
-
+    """Every template the kernel table declares must emit and pass the
+    exec-load allowlist."""
     from repro.analysis.sanitizer import verify_aot_source
     from repro.codegen import lowering
+    from repro.core.kernelspec import SPECS
     from repro.errors import SanitizerError
 
     findings = []
     checked = 0
-    kinds = ("spmv", "spmm", "sddmm", "fused_sddmm_spmm", "spttv",
-             "spmttkrp")
-    fmts = ("csr", "csf", "ddc", "dense")
-    strategies = ("rows", "nonzeros", "grid")
-    for kind, fmt, strategy in itertools.product(kinds, fmts, strategies):
-        try:
-            source = lowering.emit_source(kind, fmt, strategy)
-        except Exception:
-            continue  # combination not emittable — nothing to exec-load
-        checked += 1
-        try:
-            verify_aot_source(source, filename=f"{kind}/{fmt}/{strategy}")
-        except SanitizerError as e:
+    for spec in SPECS.values():
+        for kind, fmt, strategy in spec.template_keys():
+            combo = f"{kind}/{fmt}/{strategy}"
+            try:
+                verify_aot_source(
+                    lowering.emit_source(kind, fmt, strategy), filename=combo
+                )
+            except KeyError:
+                problem = "is declared by the kernel table but has no template"
+            except SanitizerError as e:
+                problem = f"fails the sanitizer allowlist: {e}"
+            else:
+                checked += 1
+                continue
             findings.append(Finding(
-                "src/repro/codegen/lowering.py", None,
-                f"template {kind}/{fmt}/{strategy} fails the sanitizer "
-                f"allowlist: {e}",
+                "src/repro/codegen/lowering.py", None, f"template {combo} {problem}"
             ))
     return CheckResult(
         "aot-sanitizer", findings,
@@ -364,25 +429,6 @@ def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
 # --------------------------------------------------------------------- #
 # static communication-plan coherence (new)
 # --------------------------------------------------------------------- #
-#: auto-scheduler space: which formats and strategies each kind admits.
-_COMMPLAN_KIND_FORMATS = {
-    "spmv": ("csr",),
-    "spmm": ("csr",),
-    "sddmm": ("csr",),
-    "spttv": ("csf3", "ddc"),
-    "spmttkrp": ("csf3", "ddc"),
-    "spadd3": ("csr",),
-}
-_COMMPLAN_STRATEGIES = {
-    "spmv": ("rows", "nonzeros"),
-    "spmm": ("rows", "nonzeros", "grid"),
-    "sddmm": ("rows", "nonzeros"),
-    "spttv": ("rows", "nonzeros"),
-    "spmttkrp": ("rows", "nonzeros"),
-    "spadd3": ("rows",),
-}
-
-
 def _commplan_workload(kind: str, fmt: str, n: int = 18, density: float = 0.25):
     """A small seeded statement of one kind (output tensor with its
     assignment attached), mirroring the differential oracle's builders."""
@@ -444,70 +490,76 @@ def _commplan_workload(kind: str, fmt: str, n: int = 18, density: float = 0.25):
         i, j, kk, ll = index_vars("i j k l")
         out[i, ll] = T[i, j, kk] * C[j, ll] * D[kk, ll]
         return out
-    if kind == "spadd3":
+    if kind == "spadd":
         Bt, Ct, Dt = (Tensor.from_scipy(nm, csr(n, n), CSR) for nm in "BCD")
         out = Tensor.zeros("A", (n, n), CSR)
         i, j = index_vars("i j")
         out[i, j] = Bt[i, j] + Ct[i, j] + Dt[i, j]
         return out
-    raise ValueError(kind)
+    return None  # no user-written statement classifies as this kind
+
+
+def _plan_findings(sched, machine, combo: str) -> List[Finding]:
+    """Findings against one schedule's static communication plan: it must
+    derive, with no error-severity diagnostic (privilege-incoherent
+    distribution) and no missing-``communicate`` duplicate transfer.
+
+    ``RedundantCommunicate`` is advisory — whether a placement moves data
+    depends on residency state, so a cold plan legitimately reports
+    auto-inserted ``communicate`` placements as idle — and is not flagged.
+    """
+    from repro.analysis.commplan import commplan_diagnostics, communication_plan
+    from repro.errors import MissingCommunicate
+
+    where = "src/repro/analysis/commplan.py"
+    try:
+        plan = communication_plan(sched, machine)
+        diags = commplan_diagnostics(sched, machine, plan=plan)
+    except Exception as e:  # a plan must always derive
+        return [Finding(
+            where, None,
+            f"schedule {combo} has no static plan: {type(e).__name__}: {e}",
+        )]
+    return [
+        Finding(where, None, f"schedule {combo} is incoherent: {d}")
+        for d in diags
+        if d.severity == "error" or d.error_type is MissingCommunicate
+    ]
 
 
 def _run_commplan(cache: SourceCache) -> CheckResult:
-    """Every auto-synthesized schedule must yield a coherent static plan.
-
-    For each (kernel × format × strategy × cpu/gpu) the auto-scheduler
-    can emit over a small seeded workload, the static communication
-    planner must derive a plan without error, and the plan's coherence
-    diagnostics must report no error-severity finding (privilege-
-    incoherent distribution) and no missing-``communicate`` duplicate
-    transfer.  ``RedundantCommunicate`` is advisory — whether a
-    placement moves data depends on residency state, so a cold plan
-    legitimately reports auto-inserted ``communicate`` placements as
-    idle — and is not flagged here.
-    """
+    """Every auto-synthesized schedule must yield a coherent static plan:
+    each (kernel × format × strategy) the kernel table declares, on cpu
+    and gpu machines, over a small seeded workload.  The fused kind has
+    no user-written statement; the ``fusion`` plugin covers it through
+    the pass pipeline."""
     import itertools
 
-    from repro.analysis.commplan import commplan_diagnostics, communication_plan
     from repro.api.autoschedule import auto_schedule
-    from repro.core import clear_caches
-    from repro.errors import MissingCommunicate, ScheduleError
+    from repro.core import SPECS, clear_caches
+    from repro.errors import ScheduleError
     from repro.legion import Machine
 
     findings: List[Finding] = []
     checked = 0
     clear_caches()
     try:
-        for kind, machine_kind in itertools.product(
-            _COMMPLAN_KIND_FORMATS, ("cpu", "gpu")
+        for spec, machine_kind in itertools.product(
+            SPECS.values(), ("cpu", "gpu")
         ):
             machine = Machine.gpu(4) if machine_kind == "gpu" else Machine.cpu(4)
-            for fmt, strategy in itertools.product(
-                _COMMPLAN_KIND_FORMATS[kind], _COMMPLAN_STRATEGIES[kind]
-            ):
-                combo = f"{kind}/{fmt}/{strategy}/{machine_kind}"
-                out = _commplan_workload(kind, fmt)
+            for fmt, strategy in itertools.product(spec.formats, spec.strategies):
+                out = _commplan_workload(spec.kind, fmt)
+                if out is None:
+                    continue
                 try:
                     sched = auto_schedule(out, machine, strategy=strategy)
                 except ScheduleError:
-                    continue  # strategy not synthesizable for this kind
-                try:
-                    plan = communication_plan(sched, machine)
-                    diags = commplan_diagnostics(sched, machine, plan=plan)
-                except Exception as e:  # a plan must always derive
-                    findings.append(Finding(
-                        "src/repro/analysis/commplan.py", None,
-                        f"schedule {combo} has no static plan: "
-                        f"{type(e).__name__}: {e}",
-                    ))
-                    continue
+                    continue  # strategy not synthesizable on this machine
+                findings.extend(_plan_findings(
+                    sched, machine, f"{spec.kind}/{fmt}/{strategy}/{machine_kind}"
+                ))
                 checked += 1
-                for d in diags:
-                    if d.severity == "error" or d.error_type is MissingCommunicate:
-                        findings.append(Finding(
-                            "src/repro/analysis/commplan.py", None,
-                            f"schedule {combo} is incoherent: {d}",
-                        ))
     finally:
         clear_caches()
     return CheckResult(
@@ -556,16 +608,14 @@ def _run_fusion(cache: SourceCache) -> CheckResult:
     """Every synthesized fusable chain must fuse into a coherent plan.
 
     On both machine kinds, the pass pipeline must fuse the seeded
-    SDDMM→SpMM chain into one ``fused_sddmm_spmm`` statement, and for
-    every buildable strategy the fused statement's static communication
-    plan must derive without error and report no privilege-incoherent
-    distribution and no missing-``communicate`` duplicate transfers.
+    SDDMM→SpMM chain into one ``fused_sddmm_spmm`` statement, and under
+    each of the fused kind's legal strategies that statement's static
+    communication plan must be coherent (:func:`_plan_findings`).
     """
-    from repro.analysis.commplan import commplan_diagnostics, communication_plan
     from repro.api.autoschedule import auto_schedule
-    from repro.core import clear_caches
+    from repro.core import SPECS, clear_caches
     from repro.core.passes import FUSED_SDDMM_SPMM, pipeline_plan
-    from repro.errors import MissingCommunicate, ScheduleError
+    from repro.errors import ScheduleError
     from repro.legion import Machine
 
     findings: List[Finding] = []
@@ -585,29 +635,16 @@ def _run_fusion(cache: SourceCache) -> CheckResult:
                 ))
                 continue
             fused_asg = plan.schedules[0].assignment
-            for strategy in ("rows", "nonzeros"):
-                combo = f"{FUSED_SDDMM_SPMM}/{strategy}/{machine_kind}"
+            for strategy in SPECS[FUSED_SDDMM_SPMM].strategies:
                 try:
                     sched = auto_schedule(fused_asg, machine, strategy=strategy)
                 except ScheduleError:
                     continue  # strategy not synthesizable for this machine
-                try:
-                    cplan = communication_plan(sched, machine)
-                    diags = commplan_diagnostics(sched, machine, plan=cplan)
-                except Exception as e:  # a plan must always derive
-                    findings.append(Finding(
-                        "src/repro/analysis/commplan.py", None,
-                        f"fused schedule {combo} has no static plan: "
-                        f"{type(e).__name__}: {e}",
-                    ))
-                    continue
+                findings.extend(_plan_findings(
+                    sched, machine,
+                    f"{FUSED_SDDMM_SPMM}/{strategy}/{machine_kind}",
+                ))
                 checked += 1
-                for d in diags:
-                    if d.severity == "error" or d.error_type is MissingCommunicate:
-                        findings.append(Finding(
-                            "src/repro/analysis/commplan.py", None,
-                            f"fused schedule {combo} is incoherent: {d}",
-                        ))
     finally:
         clear_caches()
     return CheckResult(
@@ -629,6 +666,8 @@ PLUGINS: List[Plugin] = [
            _run_exports),
     Plugin("nondet", "deterministic layers free of unseeded RNG and "
            "unwaived wall-clock reads", _run_nondet),
+    Plugin("kernelspec", "no .kind compared against a kernel-kind literal "
+           "outside the kernel table", _run_kernelspec),
     Plugin("aot-sanitizer", "lowering templates pass the exec-load allowlist",
            _run_aot_sanitizer),
     Plugin("commplan", "auto-synthesized schedules yield coherent static "

@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """Documentation lint: every public module under ``src/repro`` must carry a
 module-level docstring.
 
@@ -9,19 +8,13 @@ package on its path) starts with an underscore; ``__init__.py`` files are
 public and checked too.
 
 The check is ``ast``-based (no imports are executed), so it is safe to run
-on any checkout.  Exits non-zero listing every offender; with ``--min-words``
-it also flags placeholder one-worders.
-
-Usage::
-
-    python tools/docs_check.py            # lint src/repro
-    python tools/docs_check.py --root src/other --min-words 3
+on any checkout; ``min_words`` also flags placeholder one-worders.  This
+module is the ``docs`` plugin of ``tools/check.py`` (no command line of
+its own): ``python tools/check.py --only docs``.
 """
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -59,30 +52,3 @@ def check(root: Path, min_words: int) -> list:
         elif len(doc.split()) < min_words:
             offenders.append((path, f"docstring under {min_words} words"))
     return offenders
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--root", type=Path, default=DEFAULT_ROOT,
-                    help="package directory to lint (default: src/repro)")
-    ap.add_argument("--min-words", type=int, default=3,
-                    help="minimum words for a docstring to count (default 3)")
-    args = ap.parse_args(argv)
-
-    root = args.root.resolve()
-    if not root.is_dir():
-        print(f"docs_check: no such directory: {root}", file=sys.stderr)
-        return 2
-    offenders = check(root, args.min_words)
-    if offenders:
-        print(f"docs_check: {len(offenders)} public module(s) lack docs:")
-        for path, why in offenders:
-            print(f"  {path.relative_to(REPO)}: {why}")
-        return 1
-    n = sum(1 for p in root.rglob('*.py') if is_public(p, root))
-    print(f"docs_check: OK ({n} public modules documented)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """Static lock-discipline check for the shared cache state.
 
 The process-wide cache tiers (:mod:`repro.core.cache`) and the AOT module
@@ -21,21 +20,18 @@ double-checked fast paths are intentional); ``__init__`` bodies are exempt
 where the rule says so (the lock is being constructed there); module-level
 statements are exempt (import-time initialization is single-threaded).
 
-Run directly (exits non-zero listing violations)::
+This module is the ``lock`` plugin of ``tools/check.py`` (no command
+line of its own)::
 
-    PYTHONPATH=src python tools/lock_check.py
+    PYTHONPATH=src python tools/check.py --only lock
 
 and enforced in the tier-1 suite by ``tests/tools/test_lock_check.py``.
 """
 from __future__ import annotations
 
 import ast
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Sequence, Set, Tuple
-
-REPO = Path(__file__).resolve().parent.parent
 
 #: method names whose call mutates the receiver (dict/list/OrderedDict).
 MUTATORS = {
@@ -43,7 +39,7 @@ MUTATORS = {
     "append", "extend", "insert", "remove", "sort", "reverse",
 }
 
-__all__ = ["Rule", "Violation", "WATCH", "check_source", "check_file", "main"]
+__all__ = ["Rule", "Violation", "WATCH", "check_source"]
 
 
 @dataclass(frozen=True)
@@ -220,26 +216,3 @@ def check_source(source: str, rules: Sequence[Rule],
     checker = _Checker(rules, filename)
     checker.visit(ast.parse(source, filename))
     return checker.violations
-
-
-def check_file(relpath: str, rules: Sequence[Rule]) -> List[Violation]:
-    path = REPO / relpath
-    return check_source(path.read_text(), rules, relpath)
-
-
-def main(argv=None) -> int:
-    violations: List[Violation] = []
-    for relpath, rules in WATCH.items():
-        violations.extend(check_file(relpath, rules))
-    if violations:
-        for v in violations:
-            print(f"FAIL: {v}")
-        return 1
-    watched = sum(len(r.targets) for rules in WATCH.values() for r in rules)
-    print(f"lock discipline holds: {watched} watched targets across "
-          f"{len(WATCH)} files, every mutation under its designated lock")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
