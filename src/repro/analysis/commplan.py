@@ -285,24 +285,28 @@ def _mirror_kernel(ck, rt: Runtime, work: WorkModel) -> List[StepMetrics]:
     ck._place(rt)
     by_color = {p.color: p for p in ck.pieces}
     colors = [p.color for p in ck.pieces]
+
+    def proc_of(c):
+        return by_color[c].proc
+
     if SPECS[ck.kind].assembles:
         reqs = _spadd_read_reqs(ck)
         rt.index_launch(
             "spadd:symbolic", colors,
             lambda c: work("spadd:symbolic", by_color[c]),
-            reqs, proc_map=ck._proc_of_color,
+            reqs, proc_map=proc_of,
         )
         ck._spadd_scan_step(rt)
         rt.index_launch(
             "spadd:fill", colors,
             lambda c: work("spadd:fill", by_color[c]),
-            reqs, proc_map=ck._proc_of_color,
+            reqs, proc_map=proc_of,
         )
     else:
         rt.index_launch(
             f"{ck.kind}:{ck.strategy}", colors,
             lambda c: work("compute", by_color[c]),
-            ck._reqs(), proc_map=ck._proc_of_color,
+            ck._reqs(), proc_map=proc_of,
         )
     return rt.metrics.steps[before:]
 

@@ -13,8 +13,8 @@ like what :mod:`repro.codegen.lowering` emits:
   getattr-family names, no dunder attribute access, no ``global`` /
   ``nonlocal`` statements;
 * the module body is docstring + imports + literal constant assignments
-  (``META = {...}``, ``_CHUNK = 1 << 18``, ``_JITTED = [False]``) +
-  function definitions, one of which must be ``bind``.
+  (``META = {...}``, ``_CHUNK = 1 << 18``) + function definitions, one
+  of which must be ``bind``.
 
 Violations raise a typed :class:`~repro.errors.SanitizerError` naming
 the offending path and source line.  ``REPRO_AOT_TRUST=1`` is the

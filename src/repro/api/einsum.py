@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from functools import reduce
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..taco.expr import Access, Assignment
 from ..taco.index_vars import IndexVar
@@ -122,6 +122,49 @@ def _parse_spec(spec: str, n_operands: int) -> Tuple[List[str], str, bool]:
     return inputs, out, False
 
 
+def build_assignment(
+    parsed: Tuple[List[str], str, bool],
+    tensors: Sequence[Tensor],
+    make_out: Callable[[Tuple[int, ...]], Tensor],
+    error: Type[Exception] = ValueError,
+) -> Assignment:
+    """The tensor-index-notation statement a parsed spec (the result of
+    :func:`_parse_spec`) describes over packed ``tensors`` — the one
+    spec → :class:`Assignment` builder (``einsum`` and the serving layer
+    both go through it).
+
+    ``make_out(out_shape)`` supplies the output tensor once the subscripts
+    fix its shape.  An operand whose order or extents contradict the
+    subscripts raises ``error``.
+    """
+    inputs, out_sub, additive = parsed
+    ivars: Dict[str, IndexVar] = {}
+    sizes: Dict[str, int] = {}
+    for sub, t in zip(inputs, tensors):
+        if len(sub) != t.order:
+            raise error(
+                f"operand {t.name} has order {t.order} but subscripts "
+                f"{sub!r} name {len(sub)} indices"
+            )
+        for ch, dim in zip(sub, t.shape):
+            if ch in sizes and sizes[ch] != dim:
+                raise error(
+                    f"index {ch!r} has inconsistent extents "
+                    f"{sizes[ch]} and {dim}"
+                )
+            sizes[ch] = dim
+            ivars.setdefault(ch, IndexVar(ch))
+    accesses = [
+        Access(t, tuple(ivars[ch] for ch in sub))
+        for sub, t in zip(inputs, tensors)
+    ]
+    rhs = reduce(
+        (lambda a, b: a + b) if additive else (lambda a, b: a * b), accesses
+    )
+    out = make_out(tuple(sizes[ch] for ch in out_sub))
+    return Assignment(Access(out, tuple(ivars[ch] for ch in out_sub)), rhs)
+
+
 def einsum(
     spec: str,
     *operands,
@@ -152,7 +195,7 @@ def einsum(
     if autotune and schedule is not None:
         raise ValueError("pass either autotune=True or schedule=, not both")
     s = session if session is not None else _default_session()
-    inputs, out_sub, additive = _parse_spec(spec, len(operands))
+    parsed = inputs, out_sub, additive = _parse_spec(spec, len(operands))
 
     # Content-keyed packing: equal raw operands come back as the *same*
     # packed tensor objects, so the identity-keyed kernel cache hits on a
@@ -160,32 +203,14 @@ def einsum(
     tensors: List[Tensor] = [
         s.packed_operand(f"op{k}", op) for k, op in enumerate(operands)
     ]
-    ivars: Dict[str, IndexVar] = {}
-    sizes: Dict[str, int] = {}
-    for sub, t in zip(inputs, tensors):
-        if len(sub) != t.order:
-            raise ValueError(
-                f"operand {t.name} has order {t.order} but subscripts "
-                f"{sub!r} name {len(sub)} indices"
-            )
-        for ch, dim in zip(sub, t.shape):
-            if ch in sizes and sizes[ch] != dim:
+    def output(out_shape):
+        if out is not None:
+            if out.shape != out_shape:
                 raise ValueError(
-                    f"index {ch!r} has inconsistent extents "
-                    f"{sizes[ch]} and {dim}"
+                    f"out tensor shape {out.shape} does not match the "
+                    f"einsum output shape {out_shape}"
                 )
-            sizes[ch] = dim
-            ivars.setdefault(ch, IndexVar(ch))
-
-    accesses = [
-        Access(t, tuple(ivars[ch] for ch in sub))
-        for sub, t in zip(inputs, tensors)
-    ]
-    rhs = reduce(
-        (lambda a, b: a + b) if additive else (lambda a, b: a * b), accesses
-    )
-    out_shape = tuple(sizes[ch] for ch in out_sub)
-    if out is None:
+            return out
         # The output tensor's identity participates in the kernel
         # fingerprint too, so a repeated identical einsum must reuse one
         # output object.  The memo value pins the operand tensors,
@@ -195,17 +220,14 @@ def einsum(
             tuple(id(t) for t in tensors), out_shape,
         )
         memo = s._einsum_out_memo.get(out_key)
-        if memo is not None:
-            out = memo[1]
-        else:
-            out = Tensor.zeros(name, out_shape)
-            s._einsum_out_memo[out_key] = (tuple(tensors), out)
-    elif out.shape != out_shape:
-        raise ValueError(
-            f"out tensor shape {out.shape} does not match the einsum "
-            f"output shape {out_shape}"
-        )
-    asg = Assignment(Access(out, tuple(ivars[ch] for ch in out_sub)), rhs)
+        if memo is None:
+            memo = s._einsum_out_memo[out_key] = (
+                tuple(tensors), Tensor.zeros(name, out_shape)
+            )
+        return memo[1]
+
+    asg = build_assignment(parsed, tensors, output)
+    out = asg.lhs.tensor
     out.assignment = asg
     if autotune:
         # warm=False: the execute below runs (and trace-records) the

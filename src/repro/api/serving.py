@@ -43,12 +43,13 @@ Three mechanisms make the multiplexing safe and cheap:
   its budget — cache hits cost nothing, so steady-state tenants keep
   flowing while a tenant flooding distinct compiles is shed.
 
-``tools/bench_check.py --scenario serving`` gates the layer: p50/p99
-latency and aggregate throughput under a mixed SpMV/SpMM/SDDMM open-loop
-load from 8 tenants, ≥3x the isolated-serial-tenant baseline, with
-compile/tune work deduplicated to one per distinct request and results
-bit-identical to serial execution (see :mod:`repro.bench.servingbench`
-and ``docs/serving.md``).
+The layer's contracts — compile/tune work deduplicated to one build per
+distinct request under a concurrent herd, results bit-identical to serial
+execution, nothing shed under an unbudgeted load — are asserted by
+``tests/serving/test_stress.py`` and ``tests/serving/test_server.py``;
+its latency and throughput are ``perfbench``'s ``serve_p50_s`` /
+``api.serving.*`` rows (``python3 perfbench/run.py --workload
+small_launch``; see ``docs/serving.md``).
 """
 from __future__ import annotations
 
@@ -64,11 +65,10 @@ import numpy as np
 from ..core import cache as _cache
 from ..errors import ServingError, TenantBudgetError
 from ..legion.machine import Machine
-from ..taco.expr import Access, Assignment
+from ..taco.expr import Assignment
 from ..taco.formats import Format
-from ..taco.index_vars import IndexVar
 from ..taco.tensor import Tensor
-from .einsum import _parse_spec
+from .einsum import _parse_spec, build_assignment
 from .session import Session
 
 __all__ = ["Server", "ServeResult", "TenantStats", "serve"]
@@ -474,32 +474,13 @@ class Server:
 
     def _build_entry(self, session: Session, req: _Request) -> _Entry:
         tensors = [self._resolve(tok) for tok in req.operands]
-        inputs, out_sub, additive = _parse_spec(req.spec, len(tensors))
-        ivars: Dict[str, IndexVar] = {}
-        sizes: Dict[str, int] = {}
-        for sub, t in zip(inputs, tensors):
-            if len(sub) != t.order:
-                raise ServingError(
-                    f"operand {t.name} has order {t.order} but subscripts "
-                    f"{sub!r} name {len(sub)} indices"
-                )
-            for ch, dim in zip(sub, t.shape):
-                if ch in sizes and sizes[ch] != dim:
-                    raise ServingError(
-                        f"index {ch!r} has inconsistent extents "
-                        f"{sizes[ch]} and {dim}"
-                    )
-                sizes[ch] = dim
-                ivars.setdefault(ch, IndexVar(ch))
-        accesses = [Access(t, tuple(ivars[ch] for ch in sub))
-                    for sub, t in zip(inputs, tensors)]
-        rhs = accesses[0]
-        for acc in accesses[1:]:
-            rhs = (rhs + acc) if additive else (rhs * acc)
-        out_shape = tuple(sizes[ch] for ch in out_sub)
-        out = Tensor.zeros(f"serve_out_{len(self._entries)}", out_shape,
-                           req.out_format)
-        asg = Assignment(Access(out, tuple(ivars[ch] for ch in out_sub)), rhs)
+        asg = build_assignment(
+            _parse_spec(req.spec, len(tensors)), tensors,
+            lambda shape: Tensor.zeros(
+                f"serve_out_{len(self._entries)}", shape, req.out_format
+            ),
+            error=ServingError,
+        )
 
         aot_before = _cache.cache_stats()["aot_bytes"]
         strategy = None
@@ -512,7 +493,7 @@ class Server:
         compile_bytes = (_cache.kernel_entry_nbytes(kernel)
                          + max(0, aot_after - aot_before))
         return _Entry(
-            key=req.key, assignment=asg, out=out, kernel=kernel,
+            key=req.key, assignment=asg, out=asg.lhs.tensor, kernel=kernel,
             compile_bytes=compile_bytes, strategy=strategy,
         )
 

@@ -33,7 +33,7 @@ from .. import codegen as _codegen
 from ..core import cache as _cache
 from ..core.compiler import CompiledKernel, ExecutionResult
 from ..core.program import CompiledProgram, ProgramResult, compile_program
-from ..core.store_index import ArtifactStore
+from ..core.store_index import ArtifactStore, content_key
 from ..errors import OOMError, ScheduleError
 from ..legion.machine import Machine, NodeSpec
 from ..legion.network import Network
@@ -261,13 +261,11 @@ class Session:
     def _content_key(name: str, data, format: Optional[Format]) -> Optional[str]:
         """A content digest of a raw operand, or None when undigestable.
 
-        SciPy matrices reuse the bench warmstore's digest discipline
-        (name + format + CSR arrays); dense arrays hash name + format +
+        SciPy matrices use the store index's operand digest (name +
+        format + CSR arrays); dense arrays hash name + format +
         shape + dtype + bytes.
         """
         if hasattr(data, "tocoo"):  # scipy sparse
-            from ..bench.warmstore import content_key
-
             return "sp:" + content_key(name, format, data)
         try:
             arr = np.asarray(data)

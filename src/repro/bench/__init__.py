@@ -11,7 +11,6 @@ from .harness import (
     spdistal_spttv,
 )
 from .baseline_runners import ctf_run, petsc_run, trilinos_run
-from .codegenbench import CodegenBenchParams, CodegenBenchResult, run_codegen_bench
 from .iterative import IterativeResult, run_iterative_spmv
 from .warmstart import WarmstartParams, WarmstartResult, run_warmstart
 from .reporting import format_heatmap, format_scaling, format_table, geomean
@@ -23,7 +22,6 @@ __all__ = [
     "spdistal_sddmm", "spdistal_spadd3", "spdistal_spmm",
     "spdistal_spmttkrp", "spdistal_spmv", "spdistal_spttv",
     "ctf_run", "petsc_run", "trilinos_run",
-    "CodegenBenchParams", "CodegenBenchResult", "run_codegen_bench",
     "IterativeResult", "run_iterative_spmv",
     "WarmstartParams", "WarmstartResult", "run_warmstart",
     "format_heatmap", "format_scaling", "format_table", "geomean",

@@ -44,7 +44,6 @@ __all__ = [
     "spdistal_sddmm",
     "spdistal_spttv",
     "spdistal_spmttkrp",
-    "spdistal_autotuned",
 ]
 
 
@@ -55,11 +54,6 @@ class SimResult:
     comm_bytes: float = 0.0
     oom: bool = False
     value: object = None
-    #: Distribution strategy the run used (autotuned runner: the winner).
-    strategy: Optional[str] = None
-    #: Scratch search trials the autotuned runner executed (None for
-    #: hand-scheduled runs).
-    trials_run: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -284,102 +278,6 @@ def spdistal_spttv(
         return seconds, comm, out
 
     return _wrap("SpDISTAL", body)
-
-
-def _autotune_statement(kind: str, args: Tuple):
-    """The statement each kernel runner schedules, rebuilt for the tuner.
-
-    Returns the output tensor with its assignment attached; operands mirror
-    the hand-written runners above (same names, formats, warm-store packing)
-    so the tuner's candidates compare against exactly what the figures run.
-    """
-    if kind == "spmv":
-        A, x = args
-        B = packed_operand("B", A, CSR)
-        c = Tensor.from_dense("c", x)
-        out = Tensor.zeros("a", (A.shape[0],))
-        i, j = index_vars("i j")
-        out[i] = B[i, j] * c[j]
-    elif kind == "spmm":
-        A, C = args
-        B = packed_operand("B", A, CSR)
-        Ct = Tensor.from_dense("C", C)
-        out = Tensor.zeros("A", (A.shape[0], C.shape[1]))
-        i, k, j = index_vars("i k j")
-        out[i, j] = B[i, k] * Ct[k, j]
-    elif kind == "sddmm":
-        A, C, D = args
-        B = packed_operand("B", A, CSR)
-        Ct = Tensor.from_dense("C", C)
-        Dt = Tensor.from_dense("D", D)
-        out = Tensor.zeros("A", A.shape, CSR)
-        i, j, k = index_vars("i j k")
-        out[i, j] = B[i, j] * Ct[i, k] * Dt[k, j]
-    elif kind == "spttv":
-        B, x = args
-        c = Tensor.from_dense("c", x)
-        out = Tensor.zeros(
-            "A", B.shape[:2], None if B.format == DDC else CSR
-        )
-        i, j, k = index_vars("i j k")
-        out[i, j] = B[i, j, k] * c[k]
-    elif kind == "spmttkrp":
-        B, C, D = args
-        Ct = Tensor.from_dense("C", C)
-        Dt = Tensor.from_dense("D", D)
-        out = Tensor.zeros("A", (B.shape[0], C.shape[1]))
-        i, j, k, l = index_vars("i j k l")
-        out[i, l] = B[i, j, k] * Ct[j, l] * Dt[k, l]
-    else:
-        raise ValueError(f"no autotuned runner for kernel kind {kind!r}")
-    return out
-
-
-def spdistal_autotuned(
-    kind: str,
-    args: Tuple,
-    nodes: int,
-    cfg: Optional[BenchConfig] = None,
-    *,
-    gpus: Optional[int] = None,
-    trials: int = 2,
-    prune: bool = False,
-) -> SimResult:
-    """Autotuned runner: ``Session.autotune`` picks the distribution.
-
-    Builds the same statement the hand-written runner for ``kind`` builds
-    over ``args``, lets the session search the strategy candidates (rows /
-    non-zeros / 2-D grid where applicable), and measures one steady warm
-    trial of the winner — the trace-replayed execution later iterations
-    pay.  The returned :class:`SimResult` carries the winning strategy and
-    the number of scratch search trials executed; ``prune=True`` forwards
-    to ``Session.autotune(prune=True)`` (static cost ranking, only the
-    predicted best trial-executes).
-    """
-    cfg = cfg or default_config()
-    from ..api.session import Session
-
-    try:
-        machine = _machine(cfg, nodes, gpus)
-        out = _autotune_statement(kind, args)
-        with Session(machine=machine, network=cfg.legion_network()) as s:
-            tuned = s.autotune(out, trials=trials, prune=prune)
-            res = s.execute(out)  # steady trial: the winner's trace replays
-            value = (
-                out.dense_array().copy()
-                if out.format.is_all_dense()
-                else out.vals.data.copy()
-            )
-            return SimResult(
-                "SpDISTAL-auto",
-                res.simulated_seconds,
-                res.metrics.total_comm_bytes(),
-                value=value,
-                strategy=tuned.strategy,
-                trials_run=tuned.trials_run,
-            )
-    except OOMError:
-        return SimResult("SpDISTAL-auto", float("inf"), oom=True)
 
 
 def spdistal_spmttkrp(

@@ -16,25 +16,27 @@ layers — the kernel cache (no recompilation), the partition memo (no
 coordinate-tree re-partitioning) and the runtime's mapping-trace replay (no
 per-color subset algebra) — so the steady-state cost is the NumPy leaf
 kernel plus dictionary lookups.  With ``cached=False`` every step pays the
-full seed-path cost, which is what :mod:`benchmarks.bench_iterative` and
-``tools/bench_check.py`` compare.
+full seed-path cost.
 
 The *simulated* metrics must be identical either way: caching is a
 wall-clock optimization of the simulator itself and must not change what
-it simulates (checked by ``tests/integration`` and the benchmark).
+it simulates (``tests/integration/test_iterative_caching.py``).  This
+driver records simulated quantities and cache counters only; host
+wall-clock of the same loop is ``perfbench``'s ``warm_step_s`` /
+``vs_scipy_ratio`` (``python3 perfbench/run.py --workload spmv_large``).
 """
 from __future__ import annotations
 
-import contextlib
-import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
+from ..api.session import Session
 from ..core import cache as _cache
 from ..core.compiler import compile_kernel
+from ..core.store import load_packed
 from ..legion.metrics import ExecutionMetrics
 from ..legion.runtime import Runtime
 from ..taco.formats import CSR
@@ -47,8 +49,8 @@ __all__ = [
     "build_spmv_workload",
     "load_spmv_workload",
     "spmv_iteration_schedule",
+    "power_iterate",
     "run_iterative_spmv",
-    "write_bench_report",
 ]
 
 
@@ -65,6 +67,10 @@ def build_spmv_workload(n: int, density: float, seed: int):
     return B, c, a
 
 
+def _load_artifact(source, mmap: bool):
+    return load_packed(source, mmap=mmap, writable=("c",) if mmap else ())
+
+
 def load_spmv_workload(source, *, mmap: bool = False):
     """The scenario's tensors restored from a packed artifact directory.
 
@@ -78,9 +84,7 @@ def load_spmv_workload(source, *, mmap: bool = False):
     ``(B, c, a, runtime)`` — the runtime is the stored one (mapping traces
     included) or None when the artifact carried none.
     """
-    from ..core.store import load_packed
-
-    art = load_packed(source, mmap=mmap, writable=("c",) if mmap else ())
+    art = _load_artifact(source, mmap)
     return art.tensor, art.companions["c"], art.companions["a"], art.runtime()
 
 
@@ -95,11 +99,9 @@ def spmv_iteration_schedule(B: Tensor, c: Tensor, a: Tensor, pieces: int):
 
 @dataclass
 class IterativeResult:
-    """Wall-clock and simulated observations of one iterative-SpMV run."""
+    """Simulated observations and cache counters of one iterative-SpMV run."""
 
-    cached: bool
     iterations: int
-    wall_seconds: List[float]  # per iteration (schedule + compile + execute)
     sim_seconds: List[float]  # simulated seconds per iteration
     comm_events: List[int]  # communication events per iteration
     comm_bytes: List[float]
@@ -109,25 +111,73 @@ class IterativeResult:
     checksum: float
     trace_hits: int = 0
     kernel_cache_hits: int = 0
+    #: Cache behaviour of iteration one alone — what the warm-start
+    #: contract is about (a warm process hits, misses nothing, re-records
+    #: nothing on its *first* execution).
+    first_kernel_hits: int = 0
+    first_partition_misses: int = 0
+    trace_hits_after_first: int = 0
+    trace_records_after_first: int = 0
+    #: ``PackedArtifact.region_residency()`` after the loop (``source=``
+    #: runs only): bytes still memory-mapped vs materialized.
+    region_residency: Dict[str, int] = field(default_factory=dict)
     metrics: List[ExecutionMetrics] = field(default_factory=list)
 
-    @property
-    def wall_first(self) -> float:
-        return self.wall_seconds[0]
 
-    @property
-    def wall_steady(self) -> float:
-        """Median wall-clock of iterations 2..N (the amortized regime).
-
-        Median, not mean: single-core CI boxes show tail spikes (GC,
-        scheduler) that would otherwise dominate a regression gate.
-        """
-        rest = self.wall_seconds[1:]
-        return float(np.median(rest)) if rest else float("nan")
-
-    @property
-    def wall_total(self) -> float:
-        return float(np.sum(self.wall_seconds))
+def power_iterate(
+    B: Tensor,
+    c: Tensor,
+    a: Tensor,
+    pieces: int,
+    iterations: int,
+    network,
+    step: Callable[..., ExecutionMetrics],
+    rt: Optional[Runtime] = None,
+    *,
+    keep_metrics: bool = False,
+) -> IterativeResult:
+    """The scenario's one loop: ``iterations`` steps of normalized power
+    iteration, rebuilding the schedule per step.  ``step(schedule)``
+    compiles and executes it and returns the execution's metrics; ``rt``
+    is the runtime whose trace counters the result reports (None on the
+    seed path, which builds a runtime per step)."""
+    sims, nevents, nbytes, mets = [], [], [], []
+    stats0 = _cache.cache_stats()
+    first: Dict[str, int] = {}
+    for it in range(iterations):
+        m = step(spmv_iteration_schedule(B, c, a, pieces))
+        sims.append(m.simulated_seconds(network))
+        nevents.append(sum(len(st.comm_events) for st in m.steps))
+        nbytes.append(m.total_comm_bytes())
+        if keep_metrics:
+            mets.append(m)
+        if it == 0:
+            stats = _cache.cache_stats()
+            first = {
+                "first_kernel_hits": stats["kernel_hits"] - stats0["kernel_hits"],
+                "first_partition_misses":
+                    stats["partition_misses"] - stats0["partition_misses"],
+                "trace_hits_after_first": rt.trace_hits if rt is not None else 0,
+                "trace_records_after_first":
+                    rt.trace_records if rt is not None else 0,
+            }
+        # Value-only update: write the new iterate into c's region data
+        # in place.  The pattern version does not change, so every cache
+        # layer stays hot.
+        out = a.vals.data
+        norm = float(np.linalg.norm(out))
+        c.vals.data[...] = out / (norm if norm else 1.0)
+    return IterativeResult(
+        iterations=iterations,
+        sim_seconds=sims,
+        comm_events=nevents,
+        comm_bytes=nbytes,
+        checksum=float(np.linalg.norm(a.vals.data)),
+        trace_hits=rt.trace_hits if rt is not None else 0,
+        kernel_cache_hits=_cache.cache_stats()["kernel_hits"] - stats0["kernel_hits"],
+        metrics=mets,
+        **first,
+    )
 
 
 def run_iterative_spmv(
@@ -155,13 +205,13 @@ def run_iterative_spmv(
     iterations when one was saved.
     """
     cfg = cfg or default_config()
-    machine = cfg.cpu_machine(pieces) if hasattr(cfg, "cpu_machine") else None
-    if machine is None:  # pragma: no cover - BenchConfig always has it
-        raise RuntimeError("config lacks cpu_machine")
+    machine = cfg.cpu_machine(pieces)
 
-    stored_rt = None
+    art = stored_rt = None
     if source is not None:
-        B, c, a, stored_rt = load_spmv_workload(source, mmap=mmap)
+        art = _load_artifact(source, mmap)
+        B, c, a = art.tensor, art.companions["c"], art.companions["a"]
+        stored_rt = art.runtime()
     else:
         B, c, a = build_spmv_workload(n, density, seed)
     # Metrics must be priced under the network that actually executes the
@@ -175,79 +225,23 @@ def run_iterative_spmv(
     # step (as the harness does per run), which pays placement + full
     # staging analysis every time.
     if cached:
-        from ..api.session import Session
-
         sess = (Session(runtime=stored_rt) if stored_rt is not None
                 else Session(machine=machine, network=network))
-        rt = sess.runtime
+        result = power_iterate(
+            B, c, a, pieces, iterations, network,
+            lambda s: sess.execute(s).metrics, sess.runtime,
+            keep_metrics=keep_metrics,
+        )
     else:
-        sess, rt = None, None
+        def seed_step(s) -> ExecutionMetrics:
+            ck = compile_kernel(s, machine, use_cache=False)
+            return ck.execute(Runtime(machine, network, trace_replay=False)).metrics
 
-    wall, sims, nevents, nbytes, mets = [], [], [], [], []
-    hits0 = _cache.cache_stats()["kernel_hits"]
-
-    def step() -> ExecutionMetrics:
-        s = spmv_iteration_schedule(B, c, a, pieces)
-        if sess is not None:
-            return sess.execute(s).metrics
-        ck = compile_kernel(s, machine, use_cache=False)
-        step_rt = Runtime(machine, network, trace_replay=False)
-        res = ck.execute(step_rt)
-        return res.metrics
-
-    with _cache.caches_disabled() if not cached else contextlib.nullcontext():
-        for _ in range(iterations):
-            t0 = time.perf_counter()  # nondet: ok reports host-side wall time alongside simulated seconds
-            m = step()
-            wall.append(time.perf_counter() - t0)  # nondet: ok reports host-side wall time alongside simulated seconds
-            sims.append(m.simulated_seconds(network))
-            nevents.append(sum(len(st.comm_events) for st in m.steps))
-            nbytes.append(m.total_comm_bytes())
-            if keep_metrics:
-                mets.append(m)
-            # Value-only update: write the new iterate into c's region data
-            # in place.  The pattern version does not change, so every cache
-            # layer stays hot.
-            out = a.vals.data
-            norm = float(np.linalg.norm(out))
-            c.vals.data[...] = out / (norm if norm else 1.0)
-
-    return IterativeResult(
-        cached=cached,
-        iterations=iterations,
-        wall_seconds=wall,
-        sim_seconds=sims,
-        comm_events=nevents,
-        comm_bytes=nbytes,
-        checksum=float(np.linalg.norm(a.vals.data)),
-        trace_hits=rt.trace_hits if rt is not None else 0,
-        kernel_cache_hits=_cache.cache_stats()["kernel_hits"] - hits0,
-        metrics=mets,
-    )
-
-
-def write_bench_report(
-    cached: IterativeResult, uncached: IterativeResult, directory
-) -> "Path":
-    """Write the ``BENCH_iterative_<ts>.json`` baseline the regression gate
-    (``tools/bench_check.py``) reads.  The one schema definition — both the
-    benchmark and the gate's ``--write`` go through here."""
-    import json
-    from pathlib import Path
-
-    payload = {
-        "scenario": "iterative_spmv",
-        "timestamp": time.strftime("%Y%m%d-%H%M%S"),
-        "iterations": cached.iterations,
-        "cached_first_s": cached.wall_first,
-        "cached_steady_s": cached.wall_steady,
-        "uncached_steady_s": uncached.wall_steady,
-        "steady_speedup": uncached.wall_steady / cached.wall_steady,
-        "trace_hits": cached.trace_hits,
-        "kernel_cache_hits": cached.kernel_cache_hits,
-        "sim_seconds_per_iter": cached.sim_seconds[0],
-        "comm_events_per_iter": cached.comm_events[0],
-    }
-    path = Path(directory) / f"BENCH_iterative_{payload['timestamp']}.json"
-    path.write_text(json.dumps(payload, indent=2))
-    return path
+        with _cache.caches_disabled():
+            result = power_iterate(
+                B, c, a, pieces, iterations, network, seed_step,
+                keep_metrics=keep_metrics,
+            )
+    if art is not None:
+        result.region_residency = art.region_residency()
+    return result

@@ -3,12 +3,13 @@
 PR 1's amortization (kernel cache, partition memo, mapping-trace replay)
 reaches steady state only *within* a process; the artifact store
 (:mod:`repro.core.store`) extends it across processes.  This scenario
-measures that boundary with three actors:
+checks that boundary with three actors, all running the iterative-SpMV
+loop of :mod:`repro.bench.iterative`:
 
-* the **parent** packs the tensors, runs a few iterations of the iterative
-  SpMV loop to populate every cache layer, saves the artifact, then keeps
-  iterating in-process — its post-save iterations are the bit-identical
-  reference for the warm child;
+* the **parent** packs the tensors, runs a few iterations to populate
+  every cache layer, saves the artifact, then keeps iterating in-process —
+  its post-save iterations are the bit-identical reference for the warm
+  child;
 * a **cold child** (fresh Python process) builds the same tensors from the
   seed and iterates with caching on — its first iteration pays packing,
   compilation, partitioning and trace recording (the per-process cold
@@ -18,11 +19,11 @@ measures that boundary with three actors:
   partitions, replay the stored mapping trace (no re-record), and produce
   simulated metrics bit-identical to the parent's in-process cached path.
 
-The headline statistic is ``warmstart_speedup = cold_first / warm_first``:
-how much of the cold start the artifact store removes from a fresh
-process's first execution.  ``benchmarks/bench_warmstart.py`` asserts the
-cache-hit contract and records a ``BENCH_warmstart_*.json`` baseline;
-``tools/bench_check.py`` gates regressions of the speedup.
+``tests/integration/test_warmstart.py`` and
+``tests/bench/test_mmap_drivers.py`` assert that contract; how much
+wall-clock the store removes from a fresh process is ``perfbench``'s
+``warmstart_s`` / ``core.store.*`` rows
+(``python3 perfbench/run.py --workload spmv_large``).
 
 Children are real subprocesses (``python -m repro.bench.warmstart``);
 results travel as JSON, which round-trips floats exactly, so equality
@@ -36,25 +37,19 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from ..core import cache as _cache
-from ..core.compiler import compile_kernel
-from ..core.store import load_packed, save_packed
-from ..legion.runtime import Runtime
-from .iterative import build_spmv_workload, spmv_iteration_schedule
+from ..api.session import Session
+from ..core.store import save_packed
+from .iterative import build_spmv_workload, power_iterate, run_iterative_spmv
 from .models import default_config
 
 __all__ = [
     "WarmstartParams",
     "WarmstartResult",
     "run_warmstart",
-    "write_warmstart_report",
 ]
 
 
@@ -78,7 +73,9 @@ class WarmstartParams:
 
 @dataclass
 class WarmstartResult:
-    """Everything the benchmark and the regression gate assert on."""
+    """Everything the warm-start contract tests assert on.  ``cold`` and
+    ``warm`` are the children's :class:`~repro.bench.iterative.IterativeResult`
+    fields as they crossed the process boundary."""
 
     params: WarmstartParams
     #: The artifact directory — empty when the scenario ran in a temporary
@@ -88,29 +85,6 @@ class WarmstartResult:
     parent_checksum: float
     cold: Dict = field(default_factory=dict)
     warm: Dict = field(default_factory=dict)
-
-    @property
-    def cold_first_s(self) -> float:
-        return self.cold["wall_seconds"][0]
-
-    @property
-    def cold_steady_s(self) -> float:
-        rest = self.cold["wall_seconds"][1:]
-        return float(np.median(rest)) if rest else float("nan")
-
-    @property
-    def warm_first_s(self) -> float:
-        return self.warm["wall_seconds"][0]
-
-    @property
-    def warm_steady_s(self) -> float:
-        rest = self.warm["wall_seconds"][1:]
-        return float(np.median(rest)) if rest else float("nan")
-
-    @property
-    def warmstart_speedup(self) -> float:
-        """Cold-process first execution over warm-process first execution."""
-        return self.cold_first_s / self.warm_first_s
 
     # -- the warm-start contract (acceptance criteria) ----------------------
     @property
@@ -140,91 +114,6 @@ class WarmstartResult:
         return self.warm["checksum"] == self.parent_checksum
 
 
-# --------------------------------------------------------------------------- #
-# shared scenario pieces (parent and children must agree exactly; the
-# tensors and schedule are the iterative scenario's own builders, so this
-# benchmark measures the same kernel `bench_iterative.py` gates)
-# --------------------------------------------------------------------------- #
-def _build_tensors(p: WarmstartParams):
-    return build_spmv_workload(p.n, p.density, p.seed)
-
-
-def _machine_network(p: WarmstartParams):
-    cfg = default_config()
-    return cfg.cpu_machine(p.pieces), cfg.legion_network()
-
-
-def _iterate(B, c, a, machine, network, rt: Runtime, p: WarmstartParams,
-             iterations: int) -> Dict:
-    """Run the power-iteration loop, instrumenting the *first* iteration's
-    cache behavior (the warm-start contract is about execution one)."""
-    wall, sims, nevents, nbytes = [], [], [], []
-    stats = _cache.cache_stats()
-    hits0, pmiss0 = stats["kernel_hits"], stats["partition_misses"]
-    first: Dict = {}
-    for it in range(iterations):
-        t0 = time.perf_counter()  # nondet: ok reports host-side wall time alongside simulated seconds
-        s = spmv_iteration_schedule(B, c, a, p.pieces)
-        ck = compile_kernel(s, machine)
-        res = ck.execute(rt)
-        wall.append(time.perf_counter() - t0)  # nondet: ok reports host-side wall time alongside simulated seconds
-        m = res.metrics
-        sims.append(m.simulated_seconds(network))
-        nevents.append(sum(len(st.comm_events) for st in m.steps))
-        nbytes.append(m.total_comm_bytes())
-        if it == 0:
-            stats = _cache.cache_stats()
-            first = {
-                "first_kernel_hits": stats["kernel_hits"] - hits0,
-                "first_partition_misses": stats["partition_misses"] - pmiss0,
-                "trace_hits_after_first": rt.trace_hits,
-                "trace_records_after_first": rt.trace_records,
-            }
-        out = a.vals.data
-        norm = float(np.linalg.norm(out))
-        c.vals.data[...] = out / (norm if norm else 1.0)
-    return {
-        "wall_seconds": wall,
-        "sim_seconds": sims,
-        "comm_events": nevents,
-        "comm_bytes": nbytes,
-        "checksum": float(np.linalg.norm(a.vals.data)),
-        "trace_hits_total": rt.trace_hits,
-        "trace_records_total": rt.trace_records,
-        **first,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# child processes
-# --------------------------------------------------------------------------- #
-def _child_cold(p: WarmstartParams) -> Dict:
-    machine, network = _machine_network(p)
-    t0 = time.perf_counter()  # nondet: ok measures host pack/load overhead, not simulated time
-    B, c, a = _build_tensors(p)
-    pack_s = time.perf_counter() - t0  # nondet: ok measures host pack/load overhead, not simulated time
-    rt = Runtime(machine, network)
-    out = _iterate(B, c, a, machine, network, rt, p, p.iterations)
-    out["setup_seconds"] = pack_s
-    return out
-
-
-def _child_warm(p: WarmstartParams, store_dir: str) -> Dict:
-    machine, network = _machine_network(p)
-    t0 = time.perf_counter()  # nondet: ok measures host pack/load overhead, not simulated time
-    art = load_packed(
-        store_dir, mmap=p.mmap, writable=("c",) if p.mmap else ()
-    )
-    load_s = time.perf_counter() - t0  # nondet: ok measures host pack/load overhead, not simulated time
-    B = art.tensor
-    c, a = art.companions["c"], art.companions["a"]
-    rt = art.runtime() or Runtime(machine, network)
-    out = _iterate(B, c, a, machine, network, rt, p, p.iterations)
-    out["setup_seconds"] = load_s
-    out["region_residency"] = art.region_residency()
-    return out
-
-
 def _spawn_child(role: str, p: WarmstartParams, store_dir: str,
                  out_path: Path) -> Dict:
     src_dir = Path(__file__).resolve().parents[2]  # .../src
@@ -246,9 +135,6 @@ def _spawn_child(role: str, p: WarmstartParams, store_dir: str,
     return json.loads(out_path.read_text())
 
 
-# --------------------------------------------------------------------------- #
-# driver
-# --------------------------------------------------------------------------- #
 def run_warmstart(
     store_dir: Optional[str] = None,
     params: Optional[WarmstartParams] = None,
@@ -272,50 +158,33 @@ def run_warmstart(
         # Parent: pack, warm every cache layer, save, then keep iterating —
         # the post-save iterations are the in-process cached reference the
         # warm child must match bit-for-bit.
-        machine, network = _machine_network(p)
-        B, c, a = _build_tensors(p)
-        rt = Runtime(machine, network)
-        _iterate(B, c, a, machine, network, rt, p, p.warm_iterations)
-        save_packed(art_dir, B, runtime=rt)
-        ref = _iterate(B, c, a, machine, network, rt, p, p.iterations)
+        cfg = default_config()
+        network = cfg.legion_network()
+        B, c, a = build_spmv_workload(p.n, p.density, p.seed)
+        with Session(machine=cfg.cpu_machine(p.pieces), network=network) as sess:
+            def iterate(iterations):
+                return power_iterate(
+                    B, c, a, p.pieces, iterations, network,
+                    lambda s: sess.execute(s).metrics, sess.runtime,
+                )
+
+            iterate(p.warm_iterations)
+            save_packed(art_dir, B, runtime=sess.runtime)
+            ref = iterate(p.iterations)
 
         cold = _spawn_child("cold", p, art_dir, Path(store_dir) / "cold.json")
         warm = _spawn_child("warm", p, art_dir, Path(store_dir) / "warm.json")
         return WarmstartResult(
             params=p,
             store_dir=art_dir if tmp is None else "",
-            parent_sims=ref["sim_seconds"],
-            parent_checksum=ref["checksum"],
+            parent_sims=ref.sim_seconds,
+            parent_checksum=ref.checksum,
             cold=cold,
             warm=warm,
         )
     finally:
         if tmp is not None:
             tmp.cleanup()
-
-
-def write_warmstart_report(result: WarmstartResult, directory) -> Path:
-    """Write the ``BENCH_warmstart_<ts>.json`` baseline for
-    ``tools/bench_check.py`` (one schema definition, like
-    :func:`repro.bench.iterative.write_bench_report`)."""
-    payload = {
-        "scenario": "warmstart",
-        "timestamp": time.strftime("%Y%m%d-%H%M%S"),
-        "params": asdict(result.params),
-        "cold_first_s": result.cold_first_s,
-        "cold_steady_s": result.cold_steady_s,
-        "warm_first_s": result.warm_first_s,
-        "warm_steady_s": result.warm_steady_s,
-        "warmstart_speedup": result.warmstart_speedup,
-        "warm_first_kernel_hit": result.warm_first_hit_kernel_cache,
-        "warm_first_partition_misses": result.warm_first_partition_misses,
-        "warm_first_trace_records": result.warm_first_trace_records,
-        "metrics_bit_identical": result.metrics_bit_identical,
-        "checksum_bit_identical": result.checksum_bit_identical,
-    }
-    path = Path(directory) / f"BENCH_warmstart_{payload['timestamp']}.json"
-    path.write_text(json.dumps(payload, indent=2))
-    return path
 
 
 def main(argv=None) -> int:
@@ -327,8 +196,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="where to write the result JSON")
     args = ap.parse_args(argv)
     p = WarmstartParams(**json.loads(args.params))
-    out = _child_cold(p) if args.role == "cold" else _child_warm(p, args.store)
-    Path(args.out).write_text(json.dumps(out))
+    if args.role == "cold":
+        res = run_iterative_spmv(p.n, p.density, p.pieces, p.iterations,
+                                 seed=p.seed)
+    else:
+        res = run_iterative_spmv(pieces=p.pieces, iterations=p.iterations,
+                                 source=args.store, mmap=p.mmap)
+    Path(args.out).write_text(json.dumps(asdict(res)))
     return 0
 
 

@@ -18,20 +18,16 @@ operand content:
 
 The packed values are identical either way (packing is deterministic), so
 warm-started figure series are bit-identical to rebuilt-tensor series —
-``tools/bench_check.py --scenario figures`` gates exactly that, plus the
-store's integrity after a GC pass.
+``tests/bench/test_warmstore.py`` asserts exactly that, plus the store's
+integrity after a GC pass.
 """
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-import numpy as np
-import scipy.sparse as sp
-
-from ..core.store_index import ArtifactStore
+from ..core.store_index import ArtifactStore, content_key
 from ..taco.formats import CSR, Format
 from ..taco.tensor import Tensor
 
@@ -75,18 +71,6 @@ def set_warm_memo_enabled(enabled: bool) -> None:
 
 def clear_warm_memo() -> None:
     _memo.clear()
-
-
-def content_key(name: str, fmt: Optional[Format], mat: sp.spmatrix) -> str:
-    """Content digest of one operand: tensor name + format + CSR arrays."""
-    csr = mat.tocsr()
-    h = hashlib.sha256()
-    h.update(repr((name, fmt.name if fmt is not None else None,
-                   csr.shape)).encode())
-    h.update(np.ascontiguousarray(csr.indptr).tobytes())
-    h.update(np.ascontiguousarray(csr.indices).tobytes())
-    h.update(np.ascontiguousarray(csr.data).tobytes())
-    return h.hexdigest()
 
 
 def packed_operand(name: str, obj, fmt: Optional[Format] = CSR) -> Tensor:

@@ -21,8 +21,6 @@ Knobs:
   same programmatically.
 * ``REPRO_CODEGEN_DUMP=dir`` writes every freshly lowered module to *dir*
   for inspection.
-* ``REPRO_CODEGEN_JIT=1`` wraps loop-nest kernel variants with numba's
-  ``@njit(cache=True)`` when numba is importable (warns once otherwise).
 """
 from __future__ import annotations
 
@@ -126,7 +124,7 @@ def leaf_for(ck) -> Optional[Callable]:
     # The table extracts the raw arrays once and freezes each piece's Work
     # into its tuple; the generated module hoists the index scaffolding.
     args, pieces = SPECS[ck.kind].bind_args(ck)
-    thunks = module.bind(*args, pieces, registry.jit_decorator())
+    thunks = module.bind(*args, pieces)
     registry.bump("binds")
 
     def leaf(piece, _thunks=thunks):

@@ -58,9 +58,8 @@ def _fill_zero(ov, w):
 '''
 
 _SPMV_ROWS = '''
-def bind(pos, crd, vals, c, out, pieces, jit=None):
+def bind(pos, crd, vals, c, out, pieces):
     """Hoist per-piece row scaffolding; return {color: thunk}."""
-    kern = _jit_kernel(jit)
     thunks = {}
     for color, r0, r1, w in pieces:
         if r1 < r0:
@@ -73,9 +72,6 @@ def bind(pos, crd, vals, c, out, pieces, jit=None):
         ov = out[r0 : r1 + 1]
         if int(lens.sum()) == 0:
             thunks[color] = _fill_zero(ov, w)
-            continue
-        if kern is not None:
-            thunks[color] = _loop_thunk(kern, pos, crd, vals, c, out, r0, r1, w)
             continue
         s, e = int(lo[0]), int(hi[-1])
         v = vals[s : e + 1]
@@ -90,41 +86,10 @@ def _rows_thunk(v, cc, c, rows, nr, ov, w):
         ov[:] = np.bincount(rows, weights=v * c[cc], minlength=nr)[:nr]
         return w
     return thunk
-
-
-def _loop_thunk(kern, pos, crd, vals, c, out, r0, r1, w):
-    def thunk():
-        kern(pos, crd, vals, c, out, r0, r1)
-        return w
-    return thunk
-
-
-def _kernel_loop(pos, crd, vals, c, out, r0, r1):
-    # Sequential per-row accumulation: identical add order to np.bincount,
-    # so results stay bit-identical to the vectorized thunk.
-    for i in range(r0, r1 + 1):
-        acc = 0.0
-        for p in range(pos[i, 0], pos[i, 1] + 1):
-            acc += vals[p] * c[crd[p]]
-        out[i] = acc
-
-
-_JITTED = [False]
-
-
-def _jit_kernel(jit):
-    if jit is None:
-        return None
-    if _JITTED[0] is False:
-        try:
-            _JITTED[0] = jit(_kernel_loop)
-        except Exception:
-            _JITTED[0] = None
-    return _JITTED[0]
 '''
 
 _SPMV_NONZEROS = '''
-def bind(pos, crd, vals, c, out, pieces, jit=None):
+def bind(pos, crd, vals, c, out, pieces):
     """Hoist per-piece position scaffolding; return {color: thunk}."""
     thunks = {}
     for color, p0, p1, w in pieces:
@@ -152,7 +117,7 @@ def _nz_thunk(v, cc, c, rel, nr, ov, w):
 '''
 
 _SPMM_ROWS = '''
-def bind(pos, crd, vals, C, out, pieces, jit=None):
+def bind(pos, crd, vals, C, out, pieces):
     """Hoist local CSR blocks per piece; return {color: thunk}."""
     thunks = {}
     ncols = C.shape[0]
@@ -182,7 +147,7 @@ def _rows_thunk(block, Cv, ov, w):
 '''
 
 _SPMM_NONZEROS = '''
-def bind(pos, crd, vals, C, out, pieces, jit=None):
+def bind(pos, crd, vals, C, out, pieces):
     """Hoist position/row scaffolding per piece; return {color: thunk}."""
     thunks = {}
     k = C.shape[1]
@@ -261,7 +226,7 @@ def _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, w):
 
 _SDDMM_ROWS = _SDDMM_COMMON + '''
 
-def bind(pos, crd, vals, C, D, out_vals, pieces, jit=None):
+def bind(pos, crd, vals, C, D, out_vals, pieces):
     """Convert row bounds to position ranges at bind; return {color: thunk}."""
     thunks = {}
     Dt = D.T
@@ -276,7 +241,7 @@ def bind(pos, crd, vals, C, D, out_vals, pieces, jit=None):
 
 _SDDMM_NONZEROS = _SDDMM_COMMON + '''
 
-def bind(pos, crd, vals, C, D, out_vals, pieces, jit=None):
+def bind(pos, crd, vals, C, D, out_vals, pieces):
     """Hoist chunked row/col gathers per piece; return {color: thunk}."""
     thunks = {}
     Dt = D.T
@@ -287,7 +252,7 @@ def bind(pos, crd, vals, C, D, out_vals, pieces, jit=None):
 
 _FUSED_SDDMM_SPMM_NONZEROS = _SDDMM_CHUNKS + '''
 
-def bind(pos, crd, vals, C, D, F, out, pieces, jit=None):
+def bind(pos, crd, vals, C, D, F, out, pieces):
     """Hoist both phases' scaffolding; the SDDMM product lives in a scratch
     values array private to this binding — never a region."""
     thunks = {}
@@ -325,7 +290,7 @@ def _nz_thunk(chunks, C, Dt, sv, cols, F, rel, nr, kf, ov, w):
 
 _FUSED_SDDMM_SPMM_ROWS = _SDDMM_CHUNKS + '''
 
-def bind(pos, crd, vals, C, D, F, out, pieces, jit=None):
+def bind(pos, crd, vals, C, D, F, out, pieces):
     """Convert row bounds to position ranges at bind; return {color: thunk}."""
     thunks = {}
     scratch = np.zeros_like(vals)
@@ -369,7 +334,7 @@ def _rows_thunk(chunks, C, Dt, sv, sidx, indptr, nr, ncols, F, ov, w):
 #: the table resolves a row range to its fiber range (CSF3 through
 #: ``pos1``, DDC arithmetically), so both formats share this body.
 _SPTTV_FIBERS = '''
-def bind(pos2, crd2, vals, c, out_vals, pieces, jit=None):
+def bind(pos2, crd2, vals, c, out_vals, pieces):
     """Hoist per-piece fiber scaffolding; return {color: thunk}."""
     thunks = {}
     for color, f0, f1, w in pieces:
@@ -401,7 +366,7 @@ def _fiber_thunk(v, cc, c, fibers, nf, ov, w):
 '''
 
 _SPTTV_NONZEROS = '''
-def bind(pos2, crd2, vals, c, out_vals, pieces, jit=None):
+def bind(pos2, crd2, vals, c, out_vals, pieces):
     """Hoist fiber maps per position range; return {color: thunk}."""
     thunks = {}
     for color, p0, p1, w in pieces:
@@ -464,7 +429,7 @@ def _ids(pos1, crd1, pos2, crd2, p0, p1):
     return i_ids, j_ids, k_ids
 
 
-def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces, jit=None):
+def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces):
     """Hoist coordinate gathers per position range; return {color: thunk}."""
     thunks = {}
     for color, p0, p1, w in pieces:
@@ -489,7 +454,7 @@ def _ids(n1, pos2, crd2, p0, p1):
     return i_ids, j_ids, k_ids
 
 
-def bind(n1, pos2, crd2, vals, C, D, out, pieces, jit=None):
+def bind(n1, pos2, crd2, vals, C, D, out, pieces):
     """Hoist coordinate gathers per position range; return {color: thunk}."""
     thunks = {}
     for color, p0, p1, w in pieces:

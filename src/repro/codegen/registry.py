@@ -1,13 +1,13 @@
-"""AOT module registry: lower, exec-load, dump, and JIT-probe bookkeeping.
+"""AOT module registry: lower, exec-load and dump bookkeeping.
 
 The registry is the lifecycle layer between the lowering templates and the
 kernel cache: ``aot_entry_for`` resolves a stable fingerprint to an
 :class:`AotEntry` (lowering fresh source only on a miss), ``ensure_loaded``
 ``exec``-compiles an entry's source into a real module object exactly once,
 and ``seed_from_store`` registers source re-hydrated from a packed artifact
-without counting as lowering work — the warm-start contract asserted by the
-bench gate.  Counters for every transition are exposed through
-:func:`repro.codegen.codegen_stats`.
+without counting as lowering work — the warm-start contract asserted by
+``tests/core/test_codegen_cache.py::TestStoreWarmStart``.  Counters for
+every transition are exposed through :func:`repro.codegen.codegen_stats`.
 
 Thread safety: the registry is shared by every session in the process, so
 all counter/state mutations happen under the module ``_LOCK`` (enforced
@@ -15,28 +15,27 @@ statically by ``tools/lock_check.py``), and ``aot_entry_for`` is
 *single-flight* per fingerprint — N threads missing on the same key elect
 one lowering leader while the rest wait, so the ``lowered`` counter counts
 distinct fingerprints even under a concurrent herd (the property the
-serving bench and stress suite assert).
+serving stress suite asserts).
 """
 from __future__ import annotations
 
 import os
 import threading
 import types
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..analysis import sanitizer as _sanitizer
 from ..core import cache as _cache
 from . import lowering
 
-#: One lock for every piece of registry state: the lifecycle counters, the
-#: JIT probe memo and the single-flight table.  Reentrant so a locked
-#: helper may call another (``bump`` inside a locked region).
+#: One lock for every piece of registry state: the lifecycle counters and
+#: the single-flight table.  Reentrant so a locked helper may call another
+#: (``bump`` inside a locked region).
 _LOCK = threading.RLock()
 
-#: lifecycle counters — ``lowered`` is the one the warm-start gate watches.
+#: lifecycle counters — ``lowered`` is the one the warm-start tests watch.
 _counters: Dict[str, int] = {
     "lowered": 0,        # fresh source emissions (cache misses)
     "loaded": 0,         # exec-compilations of source into a module
@@ -192,46 +191,3 @@ def _maybe_dump(entry: AotEntry) -> None:
     dump_dir.mkdir(parents=True, exist_ok=True)
     fname = f"{entry.kind}_{entry.fmt}_{entry.strategy}_{entry.key[:16]}.py"
     (dump_dir / fname).write_text(entry.source)
-
-
-# --------------------------------------------------------------------- #
-# optional numba JIT tier
-# --------------------------------------------------------------------- #
-_jit_state: Dict[str, object] = {"probed": False, "warned": False, "decorator": None}
-
-
-def jit_decorator() -> Optional[Callable]:
-    """The njit wrapper when ``REPRO_CODEGEN_JIT=1`` and numba imports.
-
-    Returns ``None`` when the flag is off or numba is absent; the absence
-    path warns exactly once and generated modules keep their vectorized
-    thunks.
-    """
-    if os.environ.get("REPRO_CODEGEN_JIT") != "1":
-        return None
-    with _LOCK:
-        if not _jit_state["probed"]:
-            _jit_state["probed"] = True
-            try:
-                from numba import njit  # type: ignore
-
-                _jit_state["decorator"] = lambda fn: njit(cache=True)(fn)
-            except ImportError:
-                if not _jit_state["warned"]:
-                    warnings.warn(
-                        "REPRO_CODEGEN_JIT=1 but numba is not importable; "
-                        "generated kernels stay vectorized (no JIT tier)",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    _jit_state["warned"] = True
-                _jit_state["decorator"] = None
-        return _jit_state["decorator"]  # type: ignore[return-value]
-
-
-def reset_jit_state() -> None:
-    """Forget the numba probe result (tests toggling the env flag)."""
-    with _LOCK:
-        _jit_state["probed"] = False
-        _jit_state["warned"] = False
-        _jit_state["decorator"] = None

@@ -180,6 +180,7 @@ class CompiledKernel:
         matches the computation distribution; mismatched TDN placements are
         applied by ``repro.distal`` before execution instead.
         """
+        proc_of = {p.color: p.proc for p in self.pieces}.__getitem__
         placed = set()
         for t_id, part in self.parts.items():
             tensor = part.tensor
@@ -196,27 +197,8 @@ class CompiledKernel:
                 if req.partition is None:
                     rt.place_replicated(req.region)
                 else:
-                    rt.place(req.region, req.partition, self._proc_of_color)
+                    rt.place(req.region, req.partition, proc_of)
         rt.invalidate_caches()
-
-    def _proc_of_color(self, color: Color) -> int:
-        if isinstance(color, tuple):
-            idx = 0
-            dims = self._color_dims
-            for c, d in zip(color, dims):
-                idx = idx * d + int(c)
-            return idx % self.machine.size
-        return int(color) % self.machine.size
-
-    @property
-    def _color_dims(self) -> Tuple[int, ...]:
-        first = self.pieces[0].color
-        if isinstance(first, tuple):
-            dims = []
-            for d in range(len(first)):
-                dims.append(max(p.color[d] for p in self.pieces) + 1)
-            return tuple(dims)
-        return (len(self.pieces),)
 
     # -- region requirements --------------------------------------------------
     def _reqs(self) -> List[RegionReq]:
@@ -284,7 +266,7 @@ class CompiledKernel:
             [p.color for p in self.pieces],
             lambda color: self._leaf(by_color[color]),
             self._reqs(),
-            proc_map=self._proc_of_color,
+            proc_map=lambda color: by_color[color].proc,
         )
 
     def _needs_zero(self) -> bool:
@@ -339,6 +321,9 @@ class CompiledKernel:
         read_reqs = self._spadd_reqs
         by_color = {p.color: p for p in self.pieces}
 
+        def proc_of(color):
+            return by_color[color].proc
+
         def symbolic(color):
             p = by_color[color]
             r0, r1 = p.rows
@@ -352,7 +337,7 @@ class CompiledKernel:
             [p.color for p in self.pieces],
             symbolic,
             read_reqs,
-            proc_map=self._proc_of_color,
+            proc_map=proc_of,
         )
 
         self._spadd_scan_step(rt)
@@ -368,7 +353,7 @@ class CompiledKernel:
             [p.color for p in self.pieces],
             fill,
             read_reqs,
-            proc_map=self._proc_of_color,
+            proc_map=proc_of,
         )
 
 
@@ -610,7 +595,9 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
         rows = bounds_of(c, 0)
         cols = bounds_of(c, 1) if multi else None
         pieces.append(
-            Piece(color=c, proc=_linear(c, infos) % machine.size,
+            # colors enumerate the launch grid row-major, so the ordinal is
+            # the linearized grid index.
+            Piece(color=c, proc=i % machine.size,
                   var_bounds=var_bounds, rows=rows, cols=cols)
         )
     plan.emit("launch", f"distributed for io in {{0 ... {len(colors)}}} {{ ... }}")
@@ -662,15 +649,6 @@ def _inferred_windows(
             found = True
             break
     return windows if found else None
-
-
-def _linear(color: Color, infos) -> int:
-    if not isinstance(color, tuple):
-        return int(color)
-    idx = 0
-    for c, (_, _, p, _) in zip(color, infos):
-        idx = idx * p + int(c)
-    return idx
 
 
 def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel:

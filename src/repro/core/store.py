@@ -52,8 +52,10 @@ keys are re-anchored on the unpickled partitions), so a fresh process that
 rebuilds the same schedule over the loaded tensors hits the kernel cache
 on its first compile and replays mapping traces on its first execute —
 steady-state cost from execution one, with bit-identical simulated
-metrics.  See ``docs/caching.md`` for the contract and
-``benchmarks/bench_warmstart.py`` for the measurement.
+metrics.  See ``docs/caching.md`` for the contract,
+``tests/integration/test_warmstart.py`` for its cross-process check and
+``perfbench``'s ``warmstart_s`` / ``core.store.*`` rows for the
+measurement.
 
 Only load artifacts you wrote yourself: this is ``pickle`` underneath,
 with all of pickle's trust assumptions.

@@ -52,6 +52,7 @@ closes (POSIX unlink semantics).
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import shutil
@@ -65,6 +66,8 @@ try:  # POSIX advisory locks; absent on some platforms
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
+
+import numpy as np
 
 from ..analysis.sanitizer import verify_aot_source
 from ..errors import SanitizerError, StoreError, StoreFormatError
@@ -82,6 +85,7 @@ __all__ = [
     "INDEX_FORMAT_VERSION",
     "ArtifactStore",
     "GCStats",
+    "content_key",
     "fingerprint_key",
     "gc_artifacts",
 ]
@@ -96,6 +100,19 @@ OBJECTS_DIR = "objects"
 def fingerprint_key(schedule, machine) -> str:
     """The index key of a schedule/machine pair (see ``stable_fingerprint``)."""
     return f"fp:{stable_fingerprint(schedule, machine)}"
+
+
+def content_key(name: str, fmt, mat) -> str:
+    """Content digest of one raw SciPy operand (tensor name + format + CSR
+    arrays): the caller-side index key packed operands are stored under."""
+    csr = mat.tocsr()
+    h = hashlib.sha256()
+    h.update(repr((name, fmt.name if fmt is not None else None,
+                   csr.shape)).encode())
+    h.update(np.ascontiguousarray(csr.indptr).tobytes())
+    h.update(np.ascontiguousarray(csr.indices).tobytes())
+    h.update(np.ascontiguousarray(csr.data).tobytes())
+    return h.hexdigest()
 
 
 @dataclass

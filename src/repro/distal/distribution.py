@@ -147,19 +147,11 @@ def place_tensor(
     """Partition per the TDN statement and place sub-tensors on the machine."""
     part, plan = partition_for_tdn(tensor, tdn, machine)
 
-    def proc_of(color: Color) -> int:
-        if isinstance(color, tuple):
-            idx = 0
-            for comp, d in zip(color, machine.grid.dims):
-                idx = idx * d + int(comp)
-            return idx % machine.size
-        return int(color) % machine.size
-
     for req in part.region_reqs(Privilege.READ_ONLY):
         if req.partition is None:
             runtime.place_replicated(req.region)
         else:
-            runtime.place(req.region, req.partition, proc_of)
+            runtime.place(req.region, req.partition, machine.proc_of_color)
     tensor._placed_by_tdn = True  # the compiler will not re-place it
     return TensorDistribution(tensor, tdn, machine, part, plan)
 

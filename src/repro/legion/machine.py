@@ -209,6 +209,17 @@ class Machine:
     def dim(self, d: int) -> int:
         return self.grid.dims[d]
 
+    def proc_of_color(self, color) -> int:
+        """The processor a launch or placement colour maps to by default:
+        grid colours linearize row-major over the machine grid, scalar
+        colours are their own index; both wrap around the machine."""
+        if isinstance(color, tuple):
+            idx = 0
+            for c, d in zip(color, self.grid.dims):
+                idx = idx * d + int(c)
+            return idx % self.size
+        return int(color) % self.size
+
     # Named machine dimensions, as in ``M.x`` from the paper's Fig. 1.
     @property
     def x(self) -> int:

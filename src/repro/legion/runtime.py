@@ -307,14 +307,8 @@ class Runtime:
         self._homes_changed()
 
     def _default_proc(self, color: Color, ordinal: int) -> int:
-        if isinstance(color, (int, np.integer)):
-            return int(color) % self.machine.size
-        if isinstance(color, tuple):
-            # row-major linearization of grid colors
-            idx = 0
-            for c, d in zip(color, self.machine.grid.dims):
-                idx = idx * d + int(c)
-            return idx % self.machine.size
+        if isinstance(color, (int, np.integer, tuple)):
+            return self.machine.proc_of_color(color)
         return ordinal % self.machine.size
 
     def _owner_of(self, region: Region, needed: IndexSubset, requester: int) -> int:

@@ -22,6 +22,8 @@ import scipy.sparse as sp
 
 import repro
 from repro.api.session import AutotuneResult
+from repro.bench.harness import spdistal_spmm, spdistal_spmv
+from repro.bench.models import default_config
 from repro.core import cache as _cache
 from repro.core import clear_caches
 from repro.data.matrices import striped, uniform_random
@@ -133,6 +135,54 @@ class TestStrategySelection:
                        for c in r.candidates)
             winner = next(c for c in r.candidates if c.strategy == r.strategy)
             assert winner.ok
+
+
+class TestTunedMatchesHandWritten:
+    """The tuner matches or beats the paper's schedules: on the figure
+    workloads the tuned statement's steady trial costs at most 5% more
+    simulated seconds than the best of the hand-written ``rows`` /
+    ``nonzeros`` schedules (the ``repro.bench.harness`` runners).
+
+    Priced at the paper's rate balance (``rate_scale=1.0``): the scaled
+    model keeps per-event costs at Lassen values while shrinking the
+    data-proportional terms, which shifts marginal crossovers on the small
+    stand-in datasets.  Tuned and hand runs share the model either way.
+    """
+
+    CASES = {
+        "fig10-spmv-cpu": ("spmv", lambda: load_matrix("arabic-2005", 0.2), None),
+        "fig10-spmm-cpu": ("spmm", lambda: load_matrix("kmer_A2a", 0.2), None),
+        "fig11-spmm-gpu": ("spmm", lambda: load_matrix("twitter7", 0.2), 4),
+        "striped-spmm-grid": (
+            "spmm", lambda: striped(2000, 30_000, heavy_frac=0.9, seed=9), None),
+    }
+
+    @pytest.mark.parametrize("label", CASES)
+    def test_tuned_within_5pct_of_best_hand_schedule(self, label):
+        kind, load, gpus = self.CASES[label]
+        M = load()
+        cfg = default_config(rate_scale=1.0, dataset_scale=0.2)
+        rng = np.random.default_rng(3)
+        if kind == "spmv":
+            hand_runner, build = spdistal_spmv, _spmv
+            dense = rng.random(M.shape[1])
+        else:
+            hand_runner, build = spdistal_spmm, _spmm
+            dense = rng.random((M.shape[1], 32))
+        hand = [
+            r.seconds
+            for r in (hand_runner(M, dense, 4, cfg, gpus=gpus, strategy=st)
+                      for st in ("rows", "nonzeros"))
+            if r.ok
+        ]
+        assert hand, "every hand-written strategy OOMed"
+        clear_caches()
+        machine = cfg.gpu_machine(gpus) if gpus else cfg.cpu_machine(4)
+        with repro.Session(machine=machine, network=cfg.legion_network()) as s:
+            out, *_ = build(s, M)
+            s.autotune(out, trials=1)
+            tuned = s.execute(out).simulated_seconds  # steady: trace replays
+        assert tuned <= 1.05 * min(hand)
 
 
 class TestDecisionReplay:

@@ -7,7 +7,11 @@ recompiled everything.  Operands are now packed through the session's
 content-keyed memo — a second identical call compiles zero new kernels.
 """
 import importlib
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,26 @@ class TestPackingMemo:
             r = repro.einsum("ij,j->i", B, x, session=s)
             assert isinstance(B, Tensor)
             assert np.allclose(r.vals.data, M @ x)
+
+    def test_library_does_not_import_the_bench_package(self):
+        # The raw-SciPy operand digest lives in the library
+        # (core/store_index.py); a fresh process must reach it without
+        # pulling repro.bench in.
+        code = (
+            "import sys, numpy as np, scipy.sparse as sp, repro\n"
+            "M = sp.random(30, 30, density=0.1, format='csr', random_state=0)\n"
+            "r = repro.einsum('ij,j->i', M, np.ones(30))\n"
+            "assert np.allclose(r.vals.data, M @ np.ones(30))\n"
+            "bad = sorted(m for m in sys.modules if m.startswith('repro.bench'))\n"
+            "assert not bad, bad\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        ))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestAdditiveSpecs:

@@ -4,6 +4,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.bench import warmstore
+from repro.bench.figures import fig10
+from repro.bench.models import default_config
 from repro.core import clear_caches
 from repro.taco import CSR, Tensor
 
@@ -74,3 +76,30 @@ def test_content_key_distinguishes_name_and_format():
     k3 = warmstore.content_key("B", CSR, mat(seed=3))
     assert len({k1, k2, k3}) == 3
     assert warmstore.content_key("B", CSR, A.copy()) == k1
+
+
+def test_warm_started_figure_series_equals_rebuilt_series(tmp_path):
+    """One fig10 sweep run with operands re-packed per trial (the seed
+    behavior) and again with operands loaded from the warm store gives the
+    identical series, and the store stays intact through a compaction."""
+    cfg = default_config(dataset_scale=0.1)
+
+    def series():
+        clear_caches()
+        return fig10("spmv", cfg, node_counts=(1, 2),
+                     datasets=["arabic-2005"]).data["series"]
+
+    warmstore.set_warm_memo_enabled(False)
+    rebuilt = series()
+
+    warmstore.set_warm_memo_enabled(True)
+    store = warmstore.set_warm_store(tmp_path / "store")
+    series()  # prime: publishes the packed operands
+    warmstore.clear_warm_memo()  # the fresh-process stand-in
+    warm = series()
+
+    assert store.entries()  # the sweep's operands went through the store
+    assert warm == rebuilt
+    assert store.verify() == []
+    store.gc(keep_latest=1)
+    assert store.verify() == []

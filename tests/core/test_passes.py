@@ -139,6 +139,28 @@ class TestFusionDifferential:
         compile_program(scheds, machine, fuse=False).execute(Runtime(machine))
         assert inter.vals.data.size > 0  # the unfused chain assembles it
 
+    def test_fusion_deletes_warm_traffic_and_shrinks_footprint(self):
+        """Under the row split the unfused chain redistributes the
+        intermediate from the producer's non-zero pieces to the consumer's
+        row pieces on every trial; the fused statement has no intermediate
+        region to move or keep resident."""
+        machine = Machine.cpu(4)
+
+        def warm_trial(fuse):
+            clear_caches()
+            scheds, _, _ = _chain(machine, consumer_strategy="rows")
+            cp = compile_program(scheds, machine, fuse=fuse)
+            rt = Runtime(machine)
+            cp.execute(rt)  # cold: first-touch placement
+            warm = cp.execute(rt)
+            return (warm.total_comm_bytes(),
+                    max(rt.resident_bytes_per_proc().values()))
+
+        comm_fused, peak_fused = warm_trial(True)
+        comm_unfused, peak_unfused = warm_trial(False)
+        assert comm_fused < comm_unfused
+        assert peak_fused < peak_unfused
+
 
 class TestFusionLegality:
     def _base(self, machine, n=24, rank=4, fcols=3, seed=7):

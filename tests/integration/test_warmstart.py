@@ -5,8 +5,9 @@ metrics and numerics bit-identical to the in-process cached path.
 
 This drives the real three-actor scenario (parent + two subprocess
 children) from :mod:`repro.bench.warmstart` at test scale; the wall-clock
-speedup itself is benchmarked (and regression-gated) separately in
-``benchmarks/bench_warmstart.py`` / ``tools/bench_check.py``.
+a warm start saves is measured separately by ``perfbench`` (``warmstart_s``
+and the ``core.store.*`` rows of ``python3 perfbench/run.py --workload
+spmv_large``).
 """
 import pytest
 
