@@ -27,6 +27,7 @@ from .errors import (
     FormatError,
     IllegalCSE,
     OOMError,
+    PackError,
     ReproError,
     SanitizerError,
     ScheduleError,
@@ -108,6 +109,7 @@ __all__ = [
     "FormatError",
     "IllegalCSE",
     "OOMError",
+    "PackError",
     "ReproError",
     "SanitizerError",
     "ScheduleError",

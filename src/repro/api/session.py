@@ -214,7 +214,10 @@ class Session:
     # ------------------------------------------------------------------ #
     def tensor(self, name: str, data, format: Optional[Format] = None) -> Tensor:
         """Pack ``data`` into a named tensor: accepts a SciPy sparse
-        matrix or a NumPy array / array-like.  An already packed
+        matrix or a NumPy array / array-like.  With no ``format`` a SciPy
+        sparse matrix packs sparse (CSC for ``csc_matrix``, CSR otherwise
+        — :meth:`Tensor.scipy_format`) and an array packs dense.  An
+        already packed
         :class:`Tensor` passes through unchanged (its existing name is
         kept); asking for a *different* format than the packed one is an
         error rather than a silent no-op — repack explicitly via
@@ -262,10 +265,12 @@ class Session:
         """A content digest of a raw operand, or None when undigestable.
 
         SciPy matrices use the store index's operand digest (name +
-        format + CSR arrays); dense arrays hash name + format +
-        shape + dtype + bytes.
+        the format they pack into + CSR arrays); dense arrays hash name +
+        format + shape + dtype + bytes.
         """
         if hasattr(data, "tocoo"):  # scipy sparse
+            if format is None:
+                format = Tensor.scipy_format(data)
             return "sp:" + content_key(name, format, data)
         try:
             arr = np.asarray(data)

@@ -141,16 +141,20 @@ def _level_class(tensor: Tensor) -> Optional[str]:
     return None
 
 
+def _mode_ordered(tensor: Tensor) -> bool:
+    """Levels are stored in tensor-mode order (CSR, not CSC)."""
+    return tensor.format.mode_ordering == tuple(range(tensor.order))
+
+
 def format_class(tensor: Tensor) -> Optional[str]:
     """The lowering format class of a sparse operand, or None.
 
-    Templates index levels positionally as row-major storage, so permuted
-    layouts (e.g. CSC's ``(1, 0)``) have no class and take the
-    interpreter leaf.
+    Templates and reference kernels index levels positionally as
+    row-major storage, so permuted layouts (e.g. CSC's ``(1, 0)``) have no
+    class — :func:`classify` sends statements over them to the generic
+    engine.
     """
-    if tensor.format.mode_ordering != tuple(range(tensor.order)):
-        return None
-    return _level_class(tensor)
+    return _level_class(tensor) if _mode_ordered(tensor) else None
 
 
 # --------------------------------------------------------------------------- #
@@ -742,7 +746,10 @@ def classify(asg: Assignment) -> KernelClass:
     operands = list(asg.rhs.operands) if isinstance(asg.rhs, Mul) else [asg.rhs]
     if all(isinstance(o, Access) for o in operands):
         sparse = [o for o in operands if o.tensor.format.has_compressed()]
-        if len(sparse) == 1:
+        # The specialized kernels read the sparse operand's levels as
+        # tensor-mode-order storage; a permuted layout (CSC) would run them
+        # on the transpose, so it takes the generic engine.
+        if len(sparse) == 1 and _mode_ordered(sparse[0].tensor):
             dense = [o for o in operands if o is not sparse[0]]
             for spec in SPECS.values():
                 roles = spec.match(asg.lhs, sparse[0], dense)

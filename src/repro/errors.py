@@ -3,6 +3,7 @@ from __future__ import annotations
 
 __all__ = [
     "ReproError", "OOMError", "CompileError", "ScheduleError", "FormatError",
+    "PackError",
     "StoreError", "StoreFormatError", "ServingError", "TenantBudgetError",
     "AnalysisError", "WriteHazard", "IllegalCSE", "UnsupportedEinsum",
     "RedundantCommunicate", "MissingCommunicate", "IncoherentDistribution",
@@ -37,6 +38,24 @@ class ScheduleError(ReproError):
 
 class FormatError(ReproError):
     """An invalid tensor format or format/operation combination."""
+
+
+class PackError(ReproError, ValueError):
+    """Coordinates/values handed to a tensor constructor cannot be packed:
+    the wrong number of coordinate arrays, a coordinate array whose length
+    differs from the values', or a coordinate outside the tensor's shape.
+    Carries the tensor name and, where they apply, the offending ``mode``,
+    the first offending ``position`` in the input and the ``value`` found
+    there.  Also a ``ValueError``, so callers that catch bad arguments
+    generically need not know this type."""
+
+    def __init__(self, tensor: str, message: str, *, mode=None,
+                 position=None, value=None):
+        self.tensor = tensor
+        self.mode = mode
+        self.position = position
+        self.value = value
+        super().__init__(f"cannot pack tensor {tensor!r}: {message}")
 
 
 class StoreError(ReproError):

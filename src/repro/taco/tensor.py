@@ -18,11 +18,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import FormatError, PackError
 from ..legion.index_space import IndexSpace
 from ..legion.region import RectRegion, Region, make_pos_region
 from .expr import Access, Add, Assignment, IndexExpr
-from .formats import Compressed, Dense, Format, dense_format
+from .formats import CSC, CSR, Format, dense_format
 from .index_vars import IndexVar
 
 __all__ = ["DenseLevel", "CompressedLevel", "Tensor"]
@@ -77,6 +77,51 @@ class CompressedLevel:
 
     def __repr__(self) -> str:
         return f"CompressedLevel(parents={self.pos.ispace.volume}, nnz={self.num_positions})"
+
+
+def _check_coo(name: str, shape: Tuple[int, ...], coords, vals: np.ndarray) -> None:
+    """Reject COO input that cannot be packed into a tensor of ``shape``
+    (see :class:`repro.errors.PackError`) — run on every pack, whatever
+    order the entries arrive in."""
+    if len(coords) != len(shape):
+        raise PackError(
+            name, f"expected {len(shape)} coordinate arrays, got {len(coords)}"
+        )
+    for mode, (c, size) in enumerate(zip(coords, shape)):
+        if c.size != vals.size:
+            raise PackError(
+                name,
+                f"mode {mode} has {c.size} coordinates for {vals.size} values",
+                mode=mode,
+            )
+        if c.size and (c.min() < 0 or c.max() >= size):
+            at = int(np.flatnonzero((c < 0) | (c >= size))[0])
+            raise PackError(
+                name,
+                f"mode-{mode} coordinate {int(c[at])} at position {at} is "
+                f"out of bounds for extent {size}",
+                mode=mode, position=at, value=int(c[at]),
+            )
+
+
+def _adjacent_same(stored: List[np.ndarray]) -> Optional[List[np.ndarray]]:
+    """One scan over consecutive entries of the storage-ordered coordinate
+    columns ``stored``: ``same[l][k]`` says entries ``k`` and ``k + 1``
+    agree on levels ``0..l`` (so ``same[-1]`` marks duplicates and
+    ``~same[l]`` the segment starts of level ``l``), or ``None`` when
+    some entry sorts before its predecessor."""
+    same: List[np.ndarray] = []
+    for c in stored:
+        before, after = c[:-1], c[1:]
+        descends = before > after
+        equal = before == after
+        if same:
+            descends &= same[-1]
+            equal &= same[-1]
+        if descends.any():
+            return None
+        same.append(equal)
+    return same
 
 
 class Tensor:
@@ -156,15 +201,24 @@ class Tensor:
         return t
 
     @staticmethod
+    def scipy_format(mat) -> Format:
+        """The format a SciPy sparse ``mat`` packs into when none is asked
+        for: CSC for a ``csc_matrix``/``csc_array``, CSR for every other
+        SciPy sparse type — never the all-dense default of
+        :class:`Tensor`, whose size is the product of the extents."""
+        return CSC if mat.format == "csc" else CSR
+
+    @staticmethod
     def from_scipy(name: str, mat, format: Optional[Format] = None) -> "Tensor":
+        """Pack a SciPy sparse matrix (as ``format``, default
+        :meth:`scipy_format`).  Unsorted indices and duplicate entries are
+        handled like any other COO input: sorted, and summed."""
+        if format is None:
+            format = Tensor.scipy_format(mat)
         coo = mat.tocoo()
-        return Tensor.from_coo(
-            name,
-            [coo.row.astype(np.int64), coo.col.astype(np.int64)],
-            coo.data,
-            coo.shape,
-            format,
-        )
+        t = Tensor(name, coo.shape, format)
+        t._pack([coo.row, coo.col], np.asarray(coo.data, dtype=t.dtype))
+        return t
 
     @staticmethod
     def zeros(
@@ -328,42 +382,50 @@ class Tensor:
         self.vals.data[...] = np.ascontiguousarray(stored).astype(self.dtype)
 
     def _pack(self, coords: List[np.ndarray], vals: np.ndarray) -> None:
+        """Build the level regions from COO ``coords`` (one integer array
+        per tensor mode) and ``vals``.
+
+        Entries end up in lexicographic storage order with duplicates
+        summed.  Whether the input already has those two properties is
+        observed, not declared: after the bounds checks one scan over
+        consecutive entries (:func:`_adjacent_same`) says whether they are
+        ordered and where neighbours coincide, and only an input that
+        lacks a property pays to establish it (``np.lexsort``, the
+        duplicate fold).  The regions own their memory on every path.
+        """
+        _check_coo(self.name, self.shape, coords, vals)
         if self.format.is_all_dense():
             dense = np.zeros(self.shape, dtype=self.dtype)
             if vals.size:
-                np.add.at(dense, tuple(np.asarray(c, dtype=np.int64) for c in coords), vals)
+                np.add.at(dense, tuple(coords), vals)
             self._set_dense_values(dense)
             return
-        order = self.order
-        if len(coords) != order:
-            raise ValueError(f"expected {order} coordinate arrays, got {len(coords)}")
         nnz = vals.size
-        for mode, c in enumerate(coords):
-            if c.size != nnz:
-                raise ValueError("coordinate/value length mismatch")
-            if c.size and (c.min() < 0 or c.max() >= self.shape[mode]):
-                raise ValueError(f"mode-{mode} coordinates out of bounds")
         stored = [coords[m] for m in self.format.mode_ordering]
         sizes = self.stored_shape()
 
-        if nnz:
-            # Lexicographic sort by storage order, then fold duplicates.
+        owned = False  # stored[*] are still the caller's arrays
+        same = _adjacent_same(stored)
+        if same is None:
             sort = np.lexsort(tuple(reversed(stored)))
             stored = [c[sort] for c in stored]
             vals = vals[sort]
-            if nnz > 1:
-                dup = np.ones(nnz, dtype=bool)
-                same = np.ones(nnz - 1, dtype=bool)
-                for c in stored:
-                    same &= c[1:] == c[:-1]
-                dup[1:] = ~same
-                if not dup.all():
-                    group = np.cumsum(dup) - 1
-                    vals = np.bincount(group, weights=vals, minlength=group[-1] + 1).astype(
-                        self.dtype
-                    )
-                    stored = [c[dup] for c in stored]
-                    nnz = vals.size
+            owned = True
+            same = _adjacent_same(stored)
+        if same[-1].any():
+            # Fold each run of equal entries onto its first member.
+            first = np.ones(nnz, dtype=bool)
+            first[1:] = ~same[-1]
+            group = np.cumsum(first) - 1
+            vals = np.bincount(group, weights=vals, minlength=group[-1] + 1).astype(
+                self.dtype
+            )
+            stored = [c[first] for c in stored]
+            owned = True
+            # The neighbour before a surviving entry was a copy of the
+            # previous survivor, so its comparison carries over.
+            same = [s[first[1:]] for s in same]
+            nnz = vals.size
 
         self.levels = []
         parent_ids = np.zeros(nnz, dtype=np.int64)
@@ -374,36 +436,41 @@ class Tensor:
                 parent_ids = parent_ids * size + stored[l]
                 num_parents *= size
                 self.levels.append(DenseLevel(size, num_parents))
+                continue
+            if same[l].any():
+                # Entries that agree on levels 0..l share one crd entry.
+                head = np.ones(nnz, dtype=bool)
+                head[1:] = ~same[l]
+                crd_vals = stored[l][head].astype(np.int64, copy=False)
+                counts = np.bincount(parent_ids[head], minlength=num_parents)
+                parent_ids = np.cumsum(head) - 1
             else:
-                if nnz:
-                    change = np.ones(nnz, dtype=bool)
-                    change[1:] = (parent_ids[1:] != parent_ids[:-1]) | (
-                        stored[l][1:] != stored[l][:-1]
-                    )
-                    entry_ids = np.cumsum(change) - 1
-                    crd_vals = stored[l][change]
-                    parents_of_entries = parent_ids[change]
-                    counts = np.bincount(parents_of_entries, minlength=num_parents)
-                else:
-                    entry_ids = parent_ids
-                    crd_vals = np.empty(0, dtype=np.int64)
-                    counts = np.zeros(num_parents, dtype=np.int64)
-                pos = make_pos_region(counts, name=f"{self.name}.pos{l}")
-                crd = Region(
-                    IndexSpace(crd_vals.size, name=f"{self.name}_crd{l}"),
-                    np.int64,
-                    data=crd_vals,
-                    name=f"{self.name}.crd{l}",
-                )
-                self.levels.append(CompressedLevel(pos, crd))
-                parent_ids = entry_ids
-                num_parents = crd_vals.size
+                # Every entry opens its own segment (always so at the last
+                # level): crd is the coordinate column itself, copied here
+                # unless a gather above already made it ours.
+                crd_vals = stored[l].astype(np.int64, copy=not owned)
+                counts = np.bincount(parent_ids, minlength=num_parents)
+                parent_ids = np.arange(nnz, dtype=np.int64)
+            pos = make_pos_region(counts, name=f"{self.name}.pos{l}")
+            crd = Region(
+                IndexSpace(crd_vals.size, name=f"{self.name}_crd{l}"),
+                np.int64,
+                data=crd_vals,
+                name=f"{self.name}.crd{l}",
+            )
+            self.levels.append(CompressedLevel(pos, crd))
+            num_parents = crd_vals.size
         self.vals = Region(
             IndexSpace(num_parents, name=f"{self.name}_vals"), self.dtype,
             name=f"{self.name}.vals",
         )
-        if nnz:
-            np.add.at(self.vals.data, parent_ids, vals)
+        # Entries are distinct by now, so each has a value slot to itself
+        # (its own position, under a compressed last level) and a buffered
+        # ``+=`` is safe.  Adding into the zeroed region rather than
+        # assigning stores ``0 + v`` — what a folded entry holds too, so a
+        # ``-0.0`` packs to the same bytes whether or not it had duplicates.
+        slots = parent_ids if self.format.levels[-1].is_dense else slice(None)
+        self.vals.data[slots] += vals
         self._bump_pattern_version()
 
     # ------------------------------------------------------------------ #

@@ -54,6 +54,40 @@ class TestSpMVAcceptance:
                 == hand.metrics.total_comm_bytes())
 
 
+class TestRawSciPyOperands:
+    def test_sparse_operand_runs_as_spmv_not_as_a_dense_matrix(self):
+        from repro.core import classify
+
+        M = sp.random(300, 300, density=0.02, format="csr",
+                      random_state=np.random.default_rng(0))
+        x = np.random.default_rng(1).random(300)
+        with repro.session(nodes=4) as s:
+            out = repro.einsum("ij,j->i", M, x, session=s)
+            cls = classify(out.assignment)
+            B = cls.roles["B"].tensor
+            kernel = s.compile_kernel(out.assignment)
+        assert cls.kind == "spmv" and kernel.kind == "spmv"
+        assert B.format is repro.CSR and B.nnz == M.nnz
+        assert B.nbytes < 300 * 300 * 8 / 10
+        assert np.allclose(out.vals.data, M @ x)
+
+    def test_csc_operand_packs_csc_and_computes_the_untransposed_product(self):
+        from repro.core import classify
+
+        M = sp.random(40, 40, density=0.2, format="csc",
+                      random_state=np.random.default_rng(2))
+        x = np.random.default_rng(3).random(40)
+        with repro.session(nodes=2) as s:
+            out = repro.einsum("ij,j->i", M, x, session=s)
+            # The row kernels read levels as row-major storage; on CSC's
+            # column-major levels they would compute M.T @ x.
+            assert classify(out.assignment).kind == "generic"
+            B = out.assignment.rhs.operands[0].tensor
+        assert B.format is repro.CSC
+        assert np.allclose(out.vals.data, M @ x)
+        assert not np.allclose(out.vals.data, M.T @ x)
+
+
 class TestSemantics:
     def test_matmul(self):
         A = np.random.default_rng(2).random((6, 4))

@@ -81,6 +81,47 @@ class TestTensorSugar:
             z = s.zeros("z", (3, 3), repro.CSR)
             assert z.nnz == 0
 
+    def test_scipy_sparse_without_a_format_packs_sparse(self):
+        M = sp.random(30, 20, density=0.2, format="csr",
+                      random_state=np.random.default_rng(0))
+        with repro.session() as s:
+            assert s.tensor("B", M).format is repro.CSR
+            assert s.tensor("B", M.tocsc()).format is repro.CSC
+            for other in (M.tocoo(), M.tolil(), sp.csr_array(M)):
+                assert s.tensor("B", other).format is repro.CSR
+            # an explicit format still wins, the dense one included
+            assert s.tensor("B", M.tocsc(), repro.CSR).format is repro.CSR
+            assert s.tensor("B", M, repro.DENSE_MATRIX).format.is_all_dense()
+            # the content-keyed memo follows the format the operand packs
+            # into: equal content stored CSR and CSC is two tensors
+            assert s.packed_operand("B", M) is s.packed_operand("B", M.copy())
+            assert s.packed_operand("B", M.tocsc()).format is repro.CSC
+            assert s.packed_operand("B", M, repro.CSR) is s.packed_operand("B", M)
+            for t in (s.tensor("B", M), s.tensor("B", M.tocsc())):
+                assert np.array_equal(t.to_dense(), M.toarray())
+
+    def test_large_scipy_operand_packs_in_bounded_memory(self):
+        # 200 000 x 200 000 with 2 M non-zeros: the all-dense default would
+        # be a 320 GB np.zeros; packed sparse it is a few tens of MB.
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        n, nnz = 200_000, 2_000_000
+        M = sp.csr_matrix(
+            (rng.random(nnz), (rng.integers(0, n, nnz), rng.integers(0, n, nnz))),
+            shape=(n, n),
+        )
+        with repro.session() as s:
+            tracemalloc.start()
+            try:
+                B = s.packed_operand("B", M)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert B.format is repro.CSR and B.nnz == M.nnz
+        assert B.nbytes < 64 << 20
+        assert peak < 4 * B.nbytes  # transients included
+
     def test_from_coo(self):
         with repro.session() as s:
             t = s.from_coo("t", [np.array([0, 1]), np.array([1, 0])],

@@ -90,8 +90,21 @@ def test_list_names_every_plugin():
             "aot-sanitizer", "commplan", "examples"} <= names
     # the commplan planner coherence sweep runs in the fast (tier-1) set
     assert "commplan" in {p.name for p in check.PLUGINS if not p.slow}
-    # exactly one slow plugin today: the examples subprocess runner
-    assert [p.name for p in check.PLUGINS if p.slow] == ["examples"]
+    # the slow plugins are the two subprocess runners
+    assert [p.name for p in check.PLUGINS if p.slow] == ["examples", "hypothesis"]
+
+
+def test_hypothesis_profiles_make_the_verdict_run_and_host_independent():
+    """tests/conftest.py registers them; ``check.py --all`` selects the
+    larger one through the ``hypothesis`` plugin."""
+    from hypothesis import settings
+
+    tier1, thorough = settings.get_profile("tier1"), settings.get_profile("thorough")
+    assert tier1.derandomize and tier1.deadline is None and tier1.database is None
+    assert thorough.deadline is None and thorough.database is None
+    assert thorough.max_examples == 10 * tier1.max_examples
+    # whichever of the two this run was started with is in force
+    assert settings().deadline is None and settings().database is None
 
 
 class TestNondetScanner:

@@ -41,6 +41,7 @@ REQUIRED_EXPORTS = [
     "DENSE_MATRIX", "DENSE_VECTOR", "SPARSE_VECTOR",
     # errors
     "ReproError", "CompileError", "ScheduleError", "FormatError", "OOMError",
+    "PackError",
     "AnalysisError", "WriteHazard", "IllegalCSE", "UnsupportedEinsum",
     "SanitizerError",
 ]
@@ -79,13 +80,19 @@ def export_problems() -> list:
     return problems
 
 
-def example_failures() -> list:
-    """(script name, failure detail) for every example that does not run
-    clean under ``PYTHONPATH=src`` (empty = all clean)."""
+def src_env() -> dict:
+    """The environment of a subprocess that imports ``repro`` from ``src/``."""
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def example_failures() -> list:
+    """(script name, failure detail) for every example that does not run
+    clean under ``PYTHONPATH=src`` (empty = all clean)."""
+    env = src_env()
     failures = []
     for script in sorted(EXAMPLES.glob("*.py")):
         proc = subprocess.run(

@@ -34,6 +34,9 @@ codebase passes defined here:
   missing-``communicate`` duplicate transfers;
 * **fusion** — the seeded SDDMM→SpMM chain must fuse, and the fused
   statement must plan coherently under each of its legal strategies.
+* **hypothesis** (slow) — every test module that uses Hypothesis, re-run
+  under the larger-budget ``thorough`` profile of ``tests/conftest.py``
+  (tier-1 itself runs them derandomised).
 
 Every finding is ``file:line: message``; plugins report a one-line
 summary when clean.  Usage::
@@ -203,6 +206,33 @@ def _run_examples(cache: SourceCache) -> CheckResult:
     n = len(list(api_check.EXAMPLES.glob("*.py")))
     return CheckResult(
         "examples", findings, f"{n} examples ran clean under PYTHONPATH=src"
+    )
+
+
+def _run_hypothesis(cache: SourceCache) -> CheckResult:
+    """Every test module that uses Hypothesis, under the ``thorough``
+    profile of ``tests/conftest.py`` (fresh seeds, ten times the tier-1
+    example budget wherever a test leaves the budget to the profile)."""
+    import subprocess
+
+    import api_check
+
+    modules = sorted(
+        str(p.relative_to(REPO)) for p in (REPO / "tests").rglob("test_*.py")
+        if "from hypothesis import" in p.read_text()
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-profile=thorough", *modules],
+        cwd=REPO, env=api_check.src_env(), capture_output=True, text=True,
+        timeout=3600,
+    )
+    findings = [] if proc.returncode == 0 else [
+        Finding("tests", None, f"pytest exited {proc.returncode}:\n{proc.stdout}")
+    ]
+    return CheckResult(
+        "hypothesis", findings,
+        f"{len(modules)} Hypothesis test modules pass under the thorough profile",
     )
 
 
@@ -676,6 +706,8 @@ PLUGINS: List[Plugin] = [
            "plans", _run_fusion),
     Plugin("examples", "every examples/*.py runs clean (subprocesses)",
            _run_examples, slow=True),
+    Plugin("hypothesis", "the property tests pass under the larger-budget "
+           "Hypothesis profile (subprocess)", _run_hypothesis, slow=True),
 ]
 
 
@@ -705,7 +737,8 @@ def main(argv=None) -> int:
     ap.add_argument("--only", type=str, default=None,
                     help="comma-separated plugin names to run")
     ap.add_argument("--all", action="store_true",
-                    help="include slow plugins (examples subprocesses)")
+                    help="include slow plugins (examples and thorough-profile "
+                         "Hypothesis subprocesses)")
     ap.add_argument("--json", action="store_true", dest="as_json",
                     help="emit results as a stable JSON document")
     args = ap.parse_args(argv)
