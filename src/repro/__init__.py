@@ -51,7 +51,7 @@ from .taco import (
 )
 from .legion import Machine
 from .core import compile_kernel, compile_program
-from .codegen import codegen_backend, codegen_stats, set_codegen_backend
+from .codegen import codegen_stats
 from .analysis import AnalysisReport, analyze_program, predict_metrics
 from .api import (
     AutotuneResult,
@@ -90,9 +90,7 @@ __all__ = [
     "analyze_program",
     "AnalysisReport",
     "predict_metrics",
-    # codegen backend knobs
-    "set_codegen_backend",
-    "codegen_backend",
+    # codegen lifecycle counters
     "codegen_stats",
     # formats
     "Format",

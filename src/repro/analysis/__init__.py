@@ -9,8 +9,8 @@ Three coordinated layers (see ``docs/analysis.md``):
 * **cse** — proven-safe common-subexpression collapse: the reuse map
   ``compile_program(cse=True)`` executes, plus ``IllegalCSE``
   diagnostics explaining every blocked collapse;
-* **sanitizer** — the AST allowlist that guards every exec-load of
-  store-seeded AOT kernel source.
+* **sanitizer** — the AST allowlist every generated kernel module must
+  fit: the lowering emitter's lint.
 
 :func:`analyze_program` is the one-call entry; the high-level
 ``repro.Program.analyze()`` wraps it.
@@ -35,9 +35,7 @@ from .privileges import (
     StatementPrivileges, TensorUse, program_privileges, statement_privileges,
 )
 from .report import AnalysisReport, Diagnostic, Provenance
-from .sanitizer import (
-    ALLOWED_IMPORT_ROOTS, FORBIDDEN_NAMES, aot_trusted, verify_aot_source,
-)
+from .sanitizer import ALLOWED_IMPORT_ROOTS, FORBIDDEN_NAMES, verify_aot_source
 
 __all__ = [
     "AnalysisReport", "Diagnostic", "Provenance",
@@ -49,7 +47,7 @@ __all__ = [
     "CommPlan", "MetricsSignature", "predict_metrics", "communication_plan",
     "measured_signature", "commplan_diagnostics",
     "CostEstimate", "kernel_work_model", "predict_cost",
-    "aot_trusted", "verify_aot_source",
+    "verify_aot_source",
     "ALLOWED_IMPORT_ROOTS", "FORBIDDEN_NAMES",
     "AnalysisError", "WriteHazard", "IllegalCSE", "UnsupportedEinsum",
     "RedundantCommunicate", "MissingCommunicate", "IncoherentDistribution",

@@ -1,11 +1,12 @@
-"""AST allowlist sanitizer for store-seeded AOT kernel modules.
+"""AST allowlist for generated kernel modules: the emitter's lint.
 
-Artifacts unpacked from an :class:`~repro.core.store.ArtifactStore`
-carry generated Python source (``aot/<fingerprint>.py``) that the
-codegen registry ``exec``-loads on warm start.  A tampered artifact
-would therefore be arbitrary code execution at *load* time.  This
-module verifies, before every such exec, that the source still looks
-like what :mod:`repro.codegen.lowering` emits:
+:mod:`repro.codegen.registry` ``exec``-loads exactly one kind of source —
+what :func:`repro.codegen.lowering.emit_source` returns, in the process
+that asked for it.  This module states, as a checkable allowlist, what
+that source may look like, so a template edit that reaches for I/O, a
+dynamic import or module-level side effects fails ``tools/check.py``
+(the ``aot-sanitizer`` plugin runs every declared template through it)
+instead of shipping:
 
 * imports restricted to ``numpy`` / ``scipy`` / ``math`` — at module
   scope only;
@@ -17,24 +18,17 @@ like what :mod:`repro.codegen.lowering` emits:
   of which must be ``bind``.
 
 Violations raise a typed :class:`~repro.errors.SanitizerError` naming
-the offending path and source line.  ``REPRO_AOT_TRUST=1`` is the
-escape hatch for callers that explicitly trust their store.
-
-Kept dependency-light (``ast``/``os``/``errors`` only) so both the
-codegen registry and the store can import it without cycles.
+the offending path and source line.  It is a lint, not a load-time gate:
+no artifact carries code, so there is no untrusted source to guard.
 """
 from __future__ import annotations
 
 import ast
-import os
 from typing import Optional
 
 from ..errors import SanitizerError
 
-__all__ = [
-    "ALLOWED_IMPORT_ROOTS", "FORBIDDEN_NAMES", "aot_trusted",
-    "verify_aot_source",
-]
+__all__ = ["ALLOWED_IMPORT_ROOTS", "FORBIDDEN_NAMES", "verify_aot_source"]
 
 #: Top-level modules generated kernels may import (numpy, scipy.sparse
 #: and the stdlib math module — nothing with I/O or process reach).
@@ -47,15 +41,6 @@ FORBIDDEN_NAMES = frozenset({
     "breakpoint", "globals", "locals", "vars", "getattr", "setattr",
     "delattr", "exit", "quit", "memoryview", "__builtins__",
 })
-
-_TRUST_ENV = "REPRO_AOT_TRUST"
-
-
-def aot_trusted() -> bool:
-    """Whether ``REPRO_AOT_TRUST`` disables sanitizing (escape hatch)."""
-    return os.environ.get(_TRUST_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
 
 
 def _fail(path, message: str, node: Optional[ast.AST] = None) -> None:

@@ -6,8 +6,8 @@ A single :class:`~repro.api.session.Session` reaps that for one caller;
 this module multiplexes *many* callers — logical tenants issuing
 einsum-style requests concurrently — over a pool of pre-warmed runtimes
 that share the process-wide kernel cache, partition memo, decision table
-and AOT module registry (all thread-safe; see the thread-safety notes in
-:mod:`repro.core.cache` and :mod:`repro.codegen.registry`)::
+and generated-module table (all thread-safe; see the thread-safety notes
+in :mod:`repro.core.cache` and :mod:`repro.codegen.registry`)::
 
     import repro
 
@@ -25,8 +25,8 @@ Three mechanisms make the multiplexing safe and cheap:
   (and, in tuned mode, runs the full :meth:`Session.autotune` search)
   exactly once while every concurrent identical request waits on the
   leader's event and then shares the built entry.  N tenants asking for
-  the same SpMV lower and tune **once** — the dedup the serving bench
-  gate asserts via cache and AotEntry counters.
+  the same SpMV compile and tune **once** — the dedup the stress suite
+  asserts via ``Server.compiles`` and the cache counters.
 
 * **Per-entry execution serialization** — each distinct request signature
   owns one output tensor and one compiled kernel; executions of that
@@ -37,8 +37,10 @@ Three mechanisms make the multiplexing safe and cheap:
 
 * **Tenant byte budgets with admission control** — every tenant carries a
   compile-cache budget; the build leader's tenant is charged the
-  estimated bytes its new kernel (and generated AOT source) pin in the
-  shared caches.  A tenant at or over budget is refused at admission
+  estimated bytes its new kernel pins in the shared caches
+  (:func:`repro.core.cache.kernel_entry_nbytes` — a function of that
+  kernel alone, so concurrent builds by other tenants never leak into
+  the charge).  A tenant at or over budget is refused at admission
   (:class:`~repro.errors.TenantBudgetError`) until the operator raises
   its budget — cache hits cost nothing, so steady-state tenants keep
   flowing while a tenant flooding distinct compiles is shed.
@@ -114,7 +116,6 @@ class _Entry:
     assignment: Assignment
     out: Tensor
     kernel: Any
-    compile_bytes: int
     strategy: Optional[str] = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     executions: int = 0
@@ -482,27 +483,26 @@ class Server:
             error=ServingError,
         )
 
-        aot_before = _cache.cache_stats()["aot_bytes"]
         strategy = None
         if req.tune:
             res = session.autotune(asg, trials=self.trials, warm=False)
             kernel, strategy = res.kernel, res.strategy
         else:
             kernel = session.compile_kernel(asg)
-        aot_after = _cache.cache_stats()["aot_bytes"]
-        compile_bytes = (_cache.kernel_entry_nbytes(kernel)
-                         + max(0, aot_after - aot_before))
         return _Entry(
             key=req.key, assignment=asg, out=asg.lhs.tensor, kernel=kernel,
-            compile_bytes=compile_bytes, strategy=strategy,
+            strategy=strategy,
         )
 
     def _charge(self, tenant: str, entry: _Entry) -> None:
         # Caller holds self._lock.  Only the build leader's tenant pays:
         # under single-flight the work happened once, so the charge lands
         # once — followers (and later hits) ride free, which is exactly
-        # the cross-tenant amortization the serving layer sells.
-        self.tenant(tenant).charged_bytes += entry.compile_bytes
+        # the cross-tenant amortization the serving layer sells.  The charge
+        # is a function of the built kernel alone, never a process-global
+        # counter's delta (another tenant's concurrent build would land in it).
+        self.tenant(tenant).charged_bytes += _cache.kernel_entry_nbytes(
+            entry.kernel)
 
     # ------------------------------------------------------------------ #
     # observability

@@ -171,10 +171,10 @@ class Session:
         if kernel_cache_bytes is not None or partition_cache_bytes is not None:
             self._saved_budgets = _cache.cache_budgets()
             _cache.set_cache_budget(kernel_cache_bytes, partition_cache_bytes)
-        #: Leaf-execution backend for this session's compiles: "interp",
-        #: "codegen", or None to follow the process-wide codegen default.
-        #: Validated eagerly so a typo fails at session construction.
-        self.backend = _codegen.resolve_backend(backend) if backend is not None else None
+        #: Leaf-execution backend for this session's compiles: "codegen"
+        #: (the default) or "interp".  Validated eagerly so a typo fails at
+        #: session construction.
+        self.backend = _codegen.resolve_backend(backend)
         self._pending = None  # implicit Program fed by define()
         #: Content-keyed packing memo (see :meth:`packed_operand`): digest
         #: of the raw operand → the packed Tensor, so repeated calls over

@@ -17,9 +17,9 @@ bit-identical to the interpreter — only the per-call Python scaffolding
 disappears.
 
 The emitted source is self-contained (imports ``numpy`` and, where the
-template needs it, ``scipy.sparse``) and carries a ``META`` dict so a
-module dumped via ``REPRO_CODEGEN_DUMP`` or persisted in the
-:class:`~repro.core.store_index.ArtifactStore` is self-describing.
+template needs it, ``scipy.sparse``) and carries a ``META`` dict, so a
+module printed with ``emit_source(kind, fmt, strategy)`` is
+self-describing.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ import numpy as np
 {extra_imports}
 META = {{
     "generator": "repro.codegen",
-    "version": 2,
     "kind": "{kind}",
     "format": "{fmt}",
     "strategy": "{strategy}",
@@ -498,9 +497,6 @@ TEMPLATES: Dict[Tuple[str, str, str], str] = {
     ("spmttkrp", "csf3", "nonzeros"): _mttkrp(_MTTKRP_CSF, "nonzeros"),
     ("spmttkrp", "ddc", "nonzeros"): _mttkrp(_MTTKRP_DDC, "nonzeros"),
 }
-
-#: the full lowering support matrix.
-SUPPORTED = frozenset(TEMPLATES)
 
 
 def emit_source(kind: str, fmt: str, strategy: str) -> str:

@@ -34,14 +34,20 @@ runtime-side mapping-trace replay lives in
   strategy without a search, and because the keys carry no process-local
   ids the table persists verbatim through :mod:`repro.core.store`.
 
+* **Generated-module table** — one generated leaf module per lowering
+  template ``(kind, format class, strategy)``, built by :mod:`repro.codegen`
+  through :func:`aot_entry`.  Code depends on nothing else, so the table
+  holds at most the 17 templates the kernel table declares: a plain dict
+  under a lock — no budget, no eviction, no persistence.
+
 Invalidation
 ------------
 Keys embed ``Tensor.pattern_version``; a pattern bump self-invalidates all
 dependent entries.  Explicit hooks are also provided: call
 :func:`invalidate_tensor` after out-of-band structural surgery on a
 tensor, or :func:`clear_caches` to drop everything (tests use this for
-isolation).  Both caches are *size-aware* LRUs: every entry is charged an
-estimated byte cost (the partition subsets and plan statements it pins,
+isolation).  The three caches are *size-aware* LRUs: every entry is charged
+an estimated byte cost (the partition subsets and plan statements it pins,
 plus, for kernels, the pieces and partitions of the compiled artifact) and
 the least-recently-used entries are evicted once the cache's byte budget
 (:func:`set_cache_budget`) is exceeded.  Entries hold strong references to
@@ -67,7 +73,7 @@ Every cache tier is safe for concurrent in-process use: each
 :class:`_SizedLRU` serializes its own map/accounting mutations behind a
 per-instance ``RLock`` (the in-process mirror of the cross-process
 advisory ``flock`` the artifact store holds over ``index.json``), and the
-machine-signature memo holds a module lock.  The discipline — every
+generated-module table holds a module lock.  The discipline — every
 mutation of a shared cache structure happens lexically inside a ``with
 <lock>:`` block — is enforced statically by ``tools/lock_check.py``,
 which runs in the tier-1 suite.  Cross-call races (two threads compiling
@@ -82,8 +88,7 @@ import contextlib
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import astuple
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,8 +107,7 @@ __all__ = [
     "decision_fingerprint",
     "lookup_decision",
     "store_decision",
-    "lookup_aot",
-    "store_aot",
+    "aot_entry",
     "iter_aot_entries",
     "iter_kernel_entries",
     "iter_partition_entries",
@@ -126,14 +130,11 @@ _KERNEL_CACHE_BUDGET = 64 * MiB
 _PARTITION_CACHE_BUDGET = 128 * MiB
 #: Autotune decisions are a few hundred bytes each; 1 MiB holds thousands.
 _DECISION_CACHE_BUDGET = 1 * MiB
-#: Generated AOT modules are a few KiB of source plus one exec'd module.
-_AOT_CACHE_BUDGET = 8 * MiB
 #: Entry-count backstops so a flood of tiny entries cannot balloon the
 #: key/bookkeeping overhead past the byte accounting.
 _KERNEL_CACHE_MAX_ENTRIES = 512
 _PARTITION_CACHE_MAX_ENTRIES = 4096
 _DECISION_CACHE_MAX_ENTRIES = 4096
-_AOT_CACHE_MAX_ENTRIES = 512
 
 _enabled = True
 
@@ -229,7 +230,12 @@ class _SizedLRU:
 _kernel_cache = _SizedLRU(_KERNEL_CACHE_BUDGET, _KERNEL_CACHE_MAX_ENTRIES)
 _partition_cache = _SizedLRU(_PARTITION_CACHE_BUDGET, _PARTITION_CACHE_MAX_ENTRIES)
 _decision_cache = _SizedLRU(_DECISION_CACHE_BUDGET, _DECISION_CACHE_MAX_ENTRIES)
-_aot_cache = _SizedLRU(_AOT_CACHE_BUDGET, _AOT_CACHE_MAX_ENTRIES)
+
+#: The generated-module table: template key -> entry.  ``_AOT_LOCK`` guards
+#: it and its hit/miss counters; ``clear_caches`` drops it with the LRUs.
+_AOT_LOCK = threading.RLock()
+_aot_table: Dict[Tuple[str, str, str], Any] = {}
+_aot_counters: Dict[str, int] = {"hits": 0, "misses": 0}
 
 
 # --------------------------------------------------------------------------- #
@@ -403,24 +409,6 @@ def is_assembled_output(asg: Assignment) -> bool:
     )
 
 
-_machine_sigs: Dict[int, Tuple[Any, Tuple]] = {}
-_SIG_LOCK = threading.RLock()
-
-
-def _machine_signature(machine) -> Tuple:
-    # Machines are immutable after construction; memoize per object (the
-    # strong reference keeps the id unambiguous while cached).
-    hit = _machine_sigs.get(id(machine))
-    if hit is not None and hit[0] is machine:
-        return hit[1]
-    sig = (machine.kind.value, machine.grid.dims, astuple(machine.node))
-    with _SIG_LOCK:
-        if len(_machine_sigs) > 64:
-            _machine_sigs.clear()
-        _machine_sigs[id(machine)] = (machine, sig)
-    return sig
-
-
 def kernel_fingerprint(schedule: Schedule, machine) -> Tuple:
     """The canonical cache key of ``compile_kernel(schedule, machine)``.
 
@@ -480,7 +468,7 @@ def kernel_fingerprint(schedule: Schedule, machine) -> Tuple:
         _assembled_output_state(t) if t is assembled else _tensor_state(t)
         for t in canon.tensors
     )
-    return (sched_sig, tensor_ids, tensor_states, _machine_signature(machine))
+    return (sched_sig, tensor_ids, tensor_states, machine.signature)
 
 
 # --------------------------------------------------------------------------- #
@@ -616,7 +604,7 @@ def decision_fingerprint(assignment: Assignment, machine) -> str:
         assignment.accumulate,
     )
     stats = tuple(_pattern_stats(t) for t in canon.tensors)
-    blob = repr((stmt, stats, _machine_signature(machine))).encode()
+    blob = repr((stmt, stats, machine.signature)).encode()
     return "dt:" + hashlib.sha256(blob).hexdigest()
 
 
@@ -656,31 +644,30 @@ def iter_decision_entries() -> Iterator[Tuple[str, Dict[str, Any]]]:
 
 
 # --------------------------------------------------------------------------- #
-# AOT generated-module cache
+# generated-module table
 # --------------------------------------------------------------------------- #
-def lookup_aot(key: str):
-    """The cached :class:`~repro.codegen.registry.AotEntry` for a stable
-    fingerprint digest, or None."""
-    if not _enabled:
-        return None
-    return _aot_cache.get(key)
+def aot_entry(key: Tuple[str, str, str], build: Callable[[Tuple], Any]):
+    """The :class:`~repro.codegen.registry.AotEntry` of template ``key``,
+    calling ``build(key)`` on a miss.  The build runs under the table lock, so
+    a herd missing on one key builds it exactly once and every thread gets
+    the same entry.  Not gated on :func:`caches_enabled`: a module is code,
+    not an amortized analysis, and is the same however often it is built."""
+    with _AOT_LOCK:
+        entry = _aot_table.get(key)
+        if entry is None:
+            _aot_counters["misses"] += 1
+            entry = _aot_table[key] = build(key)
+        else:
+            _aot_counters["hits"] += 1
+        return entry
 
 
-def store_aot(key: str, entry, nbytes: Optional[int] = None) -> None:
-    """Cache one generated AOT module entry under its stable fingerprint."""
-    if not _enabled:
-        return
-    if nbytes is None:
-        nbytes = len(getattr(entry, "source", "")) + 512
-    _aot_cache.put(key, entry, nbytes)
-
-
-def iter_aot_entries() -> Iterator[Tuple[str, Any]]:
-    """Yield every live AOT entry as ``(fingerprint, entry)`` (LRU order).
-    Keys are process-independent digests, so :mod:`repro.core.store`
-    persists the generated source verbatim — no re-keying on load."""
-    for key, entry in _aot_cache.items():
-        yield key, entry
+def iter_aot_entries() -> Iterator[Tuple[Tuple[str, str, str], Any]]:
+    """Yield every generated module built so far as ``(template key,
+    entry)``; ``entry.source`` is the module's text."""
+    with _AOT_LOCK:
+        snapshot = list(_aot_table.items())
+    return iter(snapshot)
 
 
 # --------------------------------------------------------------------------- #
@@ -700,11 +687,13 @@ def invalidate_tensor(tensor) -> int:
 
 
 def clear_caches() -> None:
-    """Drop all kernel, partition and decision entries (e.g. between tests)."""
+    """Drop all kernel, partition and decision entries and every generated
+    module (e.g. between tests)."""
     _kernel_cache.clear()
     _partition_cache.clear()
     _decision_cache.clear()
-    _aot_cache.clear()
+    with _AOT_LOCK:
+        _aot_table.clear()
 
 
 def cache_stats() -> Dict[str, int]:
@@ -724,9 +713,7 @@ def cache_stats() -> Dict[str, int]:
         "decision_misses": _decision_cache.misses,
         "decision_bytes": _decision_cache.total_bytes,
         "decision_evictions": _decision_cache.evictions,
-        "aot_entries": len(_aot_cache),
-        "aot_hits": _aot_cache.hits,
-        "aot_misses": _aot_cache.misses,
-        "aot_bytes": _aot_cache.total_bytes,
-        "aot_evictions": _aot_cache.evictions,
+        "aot_entries": len(_aot_table),
+        "aot_hits": _aot_counters["hits"],
+        "aot_misses": _aot_counters["misses"],
     }

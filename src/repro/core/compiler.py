@@ -143,9 +143,6 @@ class CompiledKernel:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Kernels pickled before the codegen backend existed lack the knob.
-        self.__dict__.setdefault("backend", "interp")
-        self.__dict__.setdefault("_leaf_backend", None)
         # ``parts``/``privileges``/``_streamed`` key on id(tensor); ids
         # changed across the pickle boundary.  Every partition carries its
         # tensor, so re-key from the old ids to the unpickled identities.

@@ -24,7 +24,6 @@ from ..legion.machine import Machine
 from ..legion.metrics import ExecutionMetrics
 from ..legion.runtime import Runtime
 from ..taco.schedule import Schedule
-from . import cache as _cache
 from .compiler import CompiledKernel, ExecutionResult, compile_statement
 from .passes import PassRecord, pipeline_plan
 
@@ -127,10 +126,7 @@ class CompiledProgram:
         self, runtime: Optional[Runtime], *, adopt: bool = True
     ) -> Runtime:
         if runtime is not None:
-            if runtime.machine is not self.machine and (
-                _cache._machine_signature(runtime.machine)
-                != _cache._machine_signature(self.machine)
-            ):
+            if runtime.machine.signature != self.machine.signature:
                 raise ValueError(
                     "runtime machine "
                     f"({runtime.machine.kind.value}, grid "
@@ -250,8 +246,8 @@ def compile_program(
     passes fired — with statement provenance — is reported by
     ``CompiledProgram.passes`` and :meth:`CompiledProgram.describe`.
     An empty program is an error — there is nothing to compile.
-    ``backend`` is forwarded to every statement compile (None picks the
-    process-wide codegen default; see :mod:`repro.codegen`).
+    ``backend`` is forwarded to every statement compile (None means
+    ``"codegen"``; see :mod:`repro.codegen`).
     """
     if not schedules:
         raise ValueError("compile_program needs at least one scheduled statement")

@@ -44,7 +44,14 @@ An artifact is a directory:
     SHA-256 of the payload and of every sidecar, which is what the
     content-addressed index (:mod:`repro.core.store_index`) dedups on.
     Read this to inspect an artifact without unpickling it;
-    :func:`load_packed` validates it against the payload.
+    :func:`load_packed` checks the payload's digest against it before a
+    byte is unpickled; sidecars stay unhashed on load (so mapping them
+    stays lazy) and are re-hashed offline by
+    :meth:`repro.core.store_index.ArtifactStore.verify`.
+
+An artifact carries data and analyses, never code: generated leaf modules
+are rebuilt from their lowering templates by whichever process binds them
+(:mod:`repro.codegen`), so nothing read from an artifact is compiled.
 
 ``load_packed`` re-seeds the process-local caches under the *new* object
 identities (fingerprints are recomputed over the unpickled tensors, trace
@@ -72,7 +79,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..errors import SanitizerError, StoreError, StoreFormatError
+from ..errors import StoreError, StoreFormatError
 from ..legion.index_space import IndexSpace
 from ..legion.region import Region
 from ..legion.runtime import Privilege
@@ -86,18 +93,15 @@ __all__ = [
     "load_packed",
     "read_manifest",
     "stable_fingerprint",
-    "machine_signature",
     "file_sha256",
 ]
 
-#: v3: persisted AOT modules take per-piece Work in their ``bind`` piece
-#: tuples (generated-module META version 2); older artifacts are refused
+#: v4: artifacts carry no generated code.  Any other version is refused
 #: with :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 3
+STORE_FORMAT_VERSION = 4
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"
-AOT_DIR = "aot"
 #: Level arrays at or above this many bytes leave the pickle for ``.npy``
 #: sidecars (mmap-able on load); smaller ones stay inline.
 SIDECAR_THRESHOLD = 4096
@@ -108,6 +112,7 @@ _MANIFEST_SCHEMA = {
     "format_version": int,
     "payload": str,
     "payload_bytes": int,
+    "payload_sha256": str,
     "tensor": dict,
     "companions": list,
     "kernels": list,
@@ -136,11 +141,6 @@ class _SidecarRef:
 
     def __setstate__(self, state):
         self.file = state
-
-
-def machine_signature(machine) -> Tuple:
-    """The structural (process-independent) signature of a machine."""
-    return _cache._machine_signature(machine)
 
 
 def stable_fingerprint(schedule, machine) -> str:
@@ -376,44 +376,13 @@ def save_packed(
                 "kind": kernel.kind,
                 "strategy": kernel.strategy,
                 "pieces": len(kernel.pieces),
-                "machine": list(machine_signature(kernel.machine)),
+                "machine": list(kernel.machine.signature),
                 "tensors": [t.name for t in tensors],
             }
         )
-    # AOT codegen modules: persist the generated source of every saved
-    # kernel whose fingerprint has a lowered module in the AOT cache, so a
-    # fresh process exec-loads ready-to-run leaves with zero lowering work.
-    aot_meta: List[Dict[str, Any]] = []
-    if include_caches:
-        seen_fps = set()
-        for meta in kernels_meta:
-            fp = meta["fingerprint"]
-            if fp is None or fp in seen_fps:
-                continue
-            seen_fps.add(fp)
-            entry = _cache.lookup_aot(fp)
-            if entry is None or not getattr(entry, "source", None):
-                continue
-            aot_dir = path / AOT_DIR
-            aot_dir.mkdir(exist_ok=True)
-            fname = f"{AOT_DIR}/{fp[:32]}.py"
-            (path / fname).write_text(entry.source)
-            aot_meta.append(
-                {
-                    "file": fname,
-                    "fingerprint": fp,
-                    "kind": entry.kind,
-                    "format": entry.fmt,
-                    "strategy": entry.strategy,
-                    "bytes": int((path / fname).stat().st_size),
-                    "sha256": file_sha256(path / fname),
-                }
-            )
     payload_sha = file_sha256(payload_path)
     content = hashlib.sha256(payload_sha.encode())
     for meta in sorted(regions_meta, key=lambda m: m["file"]):
-        content.update(meta["sha256"].encode())
-    for meta in sorted(aot_meta, key=lambda m: m["file"]):
         content.update(meta["sha256"].encode())
     manifest = {
         "format_version": STORE_FORMAT_VERSION,
@@ -426,7 +395,6 @@ def save_packed(
         "companions": [_tensor_meta(t) for t in tensor_set if t is not tensor],
         "kernels": kernels_meta,
         "regions": regions_meta,
-        "aot_modules": aot_meta,
         "partition_entries": len(partition_entries),
         "decision_entries": len(decision_entries),
         "runtimes": len(runtimes),
@@ -538,6 +506,12 @@ def load_packed(
     payload_path = path / manifest["payload"]
     if not payload_path.exists():
         raise StoreError(f"{payload_path}: manifest names a missing payload")
+    found = file_sha256(payload_path)
+    if found != manifest["payload_sha256"]:
+        raise StoreError(
+            f"{payload_path}: corrupt payload: sha256 {found} does not match "
+            f"the {manifest['payload_sha256']} its manifest declares"
+        )
     try:
         with open(payload_path, "rb") as f:
             payload = pickle.load(f)
@@ -602,39 +576,6 @@ def load_packed(
 
     kernels = []
     if restore_caches and _cache.caches_enabled():
-        # AOT generated modules re-seed first (keys are stable digests, no
-        # re-anchoring): the first execute of a re-seeded kernel then binds
-        # a ready-to-run generated leaf with zero lowering work.
-        aot_modules = manifest.get("aot_modules", ())
-        if aot_modules:
-            from ..codegen import registry as _codegen_registry
-
-            from ..analysis import sanitizer as _sanitizer
-
-            for meta in aot_modules:
-                src_path = path / meta["file"]
-                if not src_path.exists():
-                    raise StoreError(
-                        f"{path}: manifest names a missing AOT module "
-                        f"{meta['file']}"
-                    )
-                # Refuse tampered source before it reaches the exec-loading
-                # registry: the manifest's per-module sha256 must match the
-                # bytes on disk (REPRO_AOT_TRUST skips, like the sanitizer).
-                declared = meta.get("sha256")
-                if declared and not _sanitizer.aot_trusted():
-                    actual = file_sha256(src_path)
-                    if actual != declared:
-                        raise SanitizerError(
-                            src_path,
-                            "AOT module content does not match its manifest "
-                            f"sha256 (declared {declared[:12]}…, found "
-                            f"{actual[:12]}… — tampered or stale artifact)",
-                        )
-                _codegen_registry.seed_from_store(
-                    meta["fingerprint"], meta, src_path.read_text(),
-                    origin=src_path,
-                )
         for key, decision in payload.get("decisions", ()):
             _cache.store_decision(key, decision)
         for owner, key_tail, part, stmts in payload.get("partitions", ()):

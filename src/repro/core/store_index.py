@@ -69,8 +69,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 import numpy as np
 
-from ..analysis.sanitizer import verify_aot_source
-from ..errors import SanitizerError, StoreError, StoreFormatError
+from ..errors import StoreError, StoreFormatError
 from .store import (
     MANIFEST_NAME,
     PackedArtifact,
@@ -324,10 +323,6 @@ class ArtifactStore:
         for rmeta in manifest["regions"]:
             files.append((art_dir / rmeta["file"], rmeta["sha256"],
                           rmeta["bytes"]))
-        aot_modules = manifest.get("aot_modules", [])
-        for ameta in aot_modules:
-            files.append((art_dir / ameta["file"], ameta["sha256"],
-                          ameta["bytes"]))
         objects = []
         for path, sha, nbytes in files:
             self._dedup_file(idx, path, sha, nbytes)
@@ -344,9 +339,6 @@ class ArtifactStore:
             "content_hash": content_hash,
             "keys": all_keys,
             "objects": objects,
-            # AOT generated-module count: gc pins the newest holder of a
-            # live fp: key when it carries generated source (see _gc_locked).
-            "aot": len(aot_modules),
         }
         for key in all_keys:
             idx["keys"].setdefault(key, []).append(aid)
@@ -458,24 +450,9 @@ class ArtifactStore:
                 key=lambda a: idx["artifacts"][a]["seq"],
                 default=None,
             )
-            # Pin the newest surviving holder of every live fp: key that
-            # carries AOT generated modules: that artifact is what resolves
-            # the fingerprint, and evicting it would pull the generated
-            # source out from under a persisted kernel-cache entry.
-            pinned: set = set()
-            for key, entries in idx["keys"].items():
-                if not key.startswith("fp:"):
-                    continue
-                holder = next(
-                    (a for a in reversed(entries) if a not in doomed), None
-                )
-                if holder is not None and int(
-                    idx["artifacts"][holder].get("aot", 0)
-                ):
-                    pinned.add(holder)
             by_lru = sorted(
                 (a for a in idx["artifacts"]
-                 if a not in doomed and a != newest and a not in pinned),
+                 if a not in doomed and a != newest),
                 key=lambda a: (idx["artifacts"][a]["last_used"],
                                idx["artifacts"][a]["seq"]),
             )
@@ -567,13 +544,12 @@ class ArtifactStore:
         """Check store integrity; returns a list of problems (empty = OK).
 
         Every key entry must resolve to an indexed artifact; every indexed
-        artifact must exist on disk with a valid manifest, its payload, and
-        its declared content hash; every AOT module sidecar must match its
-        manifest sha256 *and* pass the generated-module AST sanitizer
-        (:func:`repro.analysis.sanitizer.verify_aot_source`); every object
-        reference must resolve to a blob of the declared size with an
-        accurate reference count; and no orphaned blobs or artifact
-        directories may remain.
+        artifact must exist on disk with a valid manifest and its declared
+        content hash; its payload and every region sidecar are re-hashed
+        and must match the SHA-256 the manifest records (sizes alone would
+        miss a flipped byte); every object reference must resolve to a blob
+        of the declared size with an accurate reference count; and no
+        orphaned blobs or artifact directories may remain.
         """
         problems: List[str] = []
         try:
@@ -594,34 +570,16 @@ class ArtifactStore:
                 continue
             if manifest["content_hash"] != meta["content_hash"]:
                 problems.append(f"artifact {aid}: content hash drifted")
-            payload = art_dir / manifest["payload"]
-            if not payload.exists():
-                problems.append(f"artifact {aid}: missing payload")
-            elif payload.stat().st_size != manifest["payload_bytes"]:
-                problems.append(f"artifact {aid}: payload size mismatch")
-            for rmeta in manifest["regions"]:
-                sidecar = art_dir / rmeta["file"]
-                if not sidecar.exists():
-                    problems.append(f"artifact {aid}: missing sidecar {rmeta['file']}")
-            for ameta in manifest.get("aot_modules", ()):
-                module = art_dir / ameta["file"]
-                if not module.exists():
+            files = [("payload", manifest["payload"], manifest["payload_sha256"])]
+            files += [("sidecar", r["file"], r["sha256"])
+                      for r in manifest["regions"]]
+            for what, fname, declared in files:
+                if not (art_dir / fname).exists():
+                    problems.append(f"artifact {aid}: missing {what} {fname}")
+                elif file_sha256(art_dir / fname) != declared:
                     problems.append(
-                        f"artifact {aid}: missing aot module {ameta['file']}"
-                    )
-                    continue
-                declared = ameta.get("sha256")
-                if declared and file_sha256(module) != declared:
-                    problems.append(
-                        f"artifact {aid}: aot module {ameta['file']} content "
-                        "does not match its manifest sha256 (tampered?)"
-                    )
-                    continue
-                try:
-                    verify_aot_source(module.read_text(), filename=module)
-                except SanitizerError as e:
-                    problems.append(
-                        f"artifact {aid}: aot module failed sanitizing: {e}"
+                        f"artifact {aid}: {what} {fname} does not match its "
+                        "manifest sha256"
                     )
             for sha in meta["objects"]:
                 counted[sha] = counted.get(sha, 0) + 1

@@ -152,12 +152,11 @@ class IncoherentDistribution(AnalysisError):
     (:mod:`repro.analysis.commplan`)."""
 
 
-class SanitizerError(StoreError):
-    """Store-seeded AOT module source failed verification and was refused
-    before ``exec`` — a hash mismatch against the manifest, or source
-    outside the generated-module allowlist (smuggled imports, dunder
-    access, I/O, module-level mutation).  Carries the offending path and,
-    for AST findings, the exact source line."""
+class SanitizerError(ReproError):
+    """Generated-module source is outside the allowlist of
+    :func:`repro.analysis.sanitizer.verify_aot_source` (smuggled imports,
+    dunder access, I/O, module-level mutation, no ``bind``).  Carries the
+    offending path and the exact source line."""
 
     def __init__(self, path, message: str, *, line=None):
         self.path = str(path)

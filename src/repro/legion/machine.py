@@ -14,7 +14,7 @@ Sparse kernels are memory bound, so the roofline in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -130,6 +130,9 @@ class Machine:
         self.kind = kind
         self.node = node
         self.name = name
+        #: the structural (process-independent) identity every cache key and
+        #: stable fingerprint embeds; machines are immutable once built.
+        self.signature: Tuple = (kind.value, grid.dims, astuple(node))
         self.processors: List[Processor] = []
         per_node = self._ranks_per_node(kind, node)
         for idx, color in enumerate(grid.points()):

@@ -9,9 +9,7 @@ the exact line.
 """
 import pytest
 
-from repro.analysis.sanitizer import (
-    ALLOWED_IMPORT_ROOTS, aot_trusted, verify_aot_source,
-)
+from repro.analysis.sanitizer import ALLOWED_IMPORT_ROOTS, verify_aot_source
 from repro.codegen import lowering
 from repro.errors import SanitizerError
 
@@ -120,16 +118,3 @@ class TestRejections:
         with pytest.raises(SanitizerError) as exc:
             verify_aot_source("def broken(:\n", filename="bad.py")
         assert "parseable" in str(exc.value)
-
-
-class TestTrustEnv:
-    def test_default_is_untrusted(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AOT_TRUST", raising=False)
-        assert not aot_trusted()
-        monkeypatch.setenv("REPRO_AOT_TRUST", "0")
-        assert not aot_trusted()
-
-    def test_truthy_values_trust(self, monkeypatch):
-        for v in ("1", "true", "YES", " on "):
-            monkeypatch.setenv("REPRO_AOT_TRUST", v)
-            assert aot_trusted(), v

@@ -1,4 +1,4 @@
-"""Codegen backend knobs, fallbacks, and generated-module plumbing."""
+"""The ``backend=`` argument, interpreter fallbacks, backend agreement."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,15 +6,9 @@ import scipy.sparse as sp
 import repro
 from repro import codegen
 from repro.api.autoschedule import auto_schedule
-from repro.codegen import (
-    BACKENDS,
-    codegen_backend,
-    codegen_stats,
-    reset_codegen_stats,
-    set_codegen_backend,
-)
-from repro.core import cache as _cache
+from repro.codegen import BACKENDS, codegen_stats, reset_codegen_stats
 from repro.core import clear_caches, compile_kernel
+from repro.core.cache import iter_aot_entries
 from repro.legion import Machine, Runtime
 from repro.taco import CSR, Tensor, index_vars
 
@@ -25,9 +19,7 @@ N, M, PIECES = 48, 40, 4
 def isolated():
     clear_caches()
     reset_codegen_stats()
-    prev = codegen_backend()
     yield
-    set_codegen_backend(prev)
     clear_caches()
     reset_codegen_stats()
 
@@ -46,22 +38,16 @@ def spmv_workload(seed=11):
 
 
 class TestKnobs:
-    def test_set_backend_returns_previous(self):
-        prev = set_codegen_backend("interp")
-        assert prev in BACKENDS
-        assert codegen_backend() == "interp"
-        assert set_codegen_backend("codegen") == "interp"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_codegen_backend("llvm")
+    def test_backend_argument_is_the_only_knob(self, monkeypatch):
+        # no process-wide default to flip: None always means codegen,
+        # whatever the environment says
+        monkeypatch.setenv("REPRO_CODEGEN", "0")
+        assert codegen.resolve_backend(None) == "codegen"
+        assert [codegen.resolve_backend(b) for b in BACKENDS] == list(BACKENDS)
         with pytest.raises(ValueError, match="unknown backend"):
             codegen.resolve_backend("llvm")
-
-    def test_resolve_none_uses_default(self):
-        set_codegen_backend("interp")
-        assert codegen.resolve_backend(None) == "interp"
-        assert codegen.resolve_backend("codegen") == "codegen"
+        for gone in ("set_codegen_backend", "codegen_backend"):
+            assert not hasattr(codegen, gone) and not hasattr(repro, gone)
 
     def test_session_validates_backend_eagerly(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -104,16 +90,6 @@ class TestFallbacks:
         assert stats["binds"] == 0
         np.testing.assert_array_equal(a1.to_dense(), a2.to_dense())
 
-    def test_caches_disabled_falls_back(self):
-        a, sched = spmv_workload()
-        machine = Machine.cpu(PIECES)
-        with _cache.caches_disabled():
-            ck = compile_kernel(sched, machine, backend="codegen")
-            ck.execute(Runtime(machine))
-        stats = codegen_stats()
-        assert stats["fallbacks"] >= 1
-        assert stats["lowered"] == 0
-
 
 class TestGeneratedModules:
     def test_backends_agree_exactly(self):
@@ -128,28 +104,12 @@ class TestGeneratedModules:
         assert codegen_stats()["binds"] >= 1
         np.testing.assert_array_equal(a1.to_dense(), a2.to_dense())
 
-    def test_dump_env_writes_generated_source(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN_DUMP", str(tmp_path / "dump"))
-        a, sched = spmv_workload()
-        machine = Machine.cpu(PIECES)
-        ck = compile_kernel(sched, machine, backend="codegen")
-        ck.execute(Runtime(machine))
-        dumped = list((tmp_path / "dump").glob("spmv_csr_*.py"))
-        assert len(dumped) == 1
-        text = dumped[0].read_text()
-        assert "Generated by repro.codegen" in text
-        assert "def bind(" in text
-
     def test_generated_module_carries_meta(self):
         a, sched = spmv_workload()
         machine = Machine.cpu(PIECES)
-        ck = compile_kernel(sched, machine, backend="codegen")
-        ck.execute(Runtime(machine))
-        from repro.core.store import stable_fingerprint
-
-        entry = _cache.lookup_aot(stable_fingerprint(sched, machine))
-        assert entry is not None and entry.module is not None
+        compile_kernel(sched, machine, backend="codegen").execute(Runtime(machine))
+        ((key, entry),) = iter_aot_entries()
+        assert key == ("spmv", "csr", "rows")
         meta = entry.module.META
         assert meta["generator"] == "repro.codegen"
-        assert (meta["kind"], meta["format"]) == ("spmv", "csr")
-        assert entry.module.__aot_key__ == entry.key
+        assert (meta["kind"], meta["format"], meta["strategy"]) == key

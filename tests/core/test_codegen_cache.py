@@ -1,25 +1,35 @@
-"""AOT module cache keying: fingerprint stability and invalidation.
+"""Generated-module keying: one module per lowering template, none stored.
 
-Generated modules are keyed by the stable schedule fingerprint (schedule
-signature + tensor pattern versions + machine signature).  Editing any
-fingerprint input must force a re-lowering; an unchanged fingerprint must
-resolve to the *same* exec-loaded module object with zero lowering work.
-The warm-start contract (artifact store round trip re-seeds the cache
-without lowering) is asserted here too.
+A generated leaf module depends on its template key ``(kind, format class,
+strategy)`` and on nothing else, so every kernel of one template — whatever
+its tensors, pattern versions, machine or piece count — must bind from the
+*same* module object, lowered and exec-loaded once per process.  Disabling
+the caches must not disable generated leaves, and a store round trip must
+restore kernels and traces while the artifact carries no code at all.
 """
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from repro.codegen import codegen_stats, reset_codegen_stats
-from repro.core import cache as _cache
-from repro.core import clear_caches, compile_kernel
-from repro.core.store import stable_fingerprint
+from repro.analysis import verify_aot_source
+from repro.api.autoschedule import auto_schedule
+from repro.codegen import codegen_stats, lowering, reset_codegen_stats
+from repro.core import (
+    SPECS, cache_stats, caches_disabled, clear_caches, compile_kernel,
+    set_cache_enabled,
+)
+from repro.core.cache import iter_aot_entries
+from repro.core.passes import FUSED_SDDMM_SPMM, pipeline_plan
 from repro.core.store_index import ArtifactStore
 from repro.legion import Machine, Runtime
-from repro.taco import CSR, Tensor, index_vars
 
-N, M, PIECES = 60, 48, 4
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+import check  # noqa: E402 - the seeded one-statement-per-kind builders
+
+KEYS = [key for spec in SPECS.values() for key in spec.template_keys()]
 
 
 @pytest.fixture(autouse=True)
@@ -27,104 +37,100 @@ def isolated():
     clear_caches()
     reset_codegen_stats()
     yield
+    set_cache_enabled(True)
     clear_caches()
     reset_codegen_stats()
 
 
-def make_workload(seed=7):
-    rng = np.random.default_rng(seed)
-    A = sp.random(N, M, density=0.1, random_state=rng, format="csr")
-    B = Tensor.from_scipy("B", A, CSR)
-    c = Tensor.from_dense("c", np.random.default_rng(3).random(M))
-    a = Tensor.zeros("a", (N,))
-    return B, c, a
+def schedule_for(key, machine, n=18):
+    """A fresh auto-scheduled statement of template ``key`` on ``machine``."""
+    kind, fmt, strategy = key
+    if kind == FUSED_SDDMM_SPMM:  # no user-written statement: fuse the chain
+        chain = check._fusable_chain(machine)
+        target = pipeline_plan(chain, machine).schedules[0].assignment
+    else:
+        target = check._commplan_workload(kind, fmt, n=n).assignment
+    return auto_schedule(target, machine, strategy=strategy)
 
 
-def spmv_schedule(B, c, a, pieces=PIECES):
-    i, j, io, ii = index_vars("i j io ii")
-    a[i] = B[i, j] * c[j]
-    return (a.schedule().divide(i, io, ii, pieces).distribute(io)
-            .communicate([a, B, c], io))
-
-
-def compile_and_run(sched, machine):
-    ck = compile_kernel(sched, machine, backend="codegen")
+def run(sched, machine, backend="codegen"):
+    ck = compile_kernel(sched, machine, backend=backend)
     ck.execute(Runtime(machine))
     return ck
 
 
-class TestFingerprintKeying:
-    def test_unchanged_fingerprint_reuses_module_object(self):
-        machine = Machine.cpu(PIECES)
-        B, c, a = make_workload()
-        s1 = spmv_schedule(B, c, a)
-        compile_and_run(s1, machine)
-        assert codegen_stats()["lowered"] == 1
-        key = stable_fingerprint(s1, machine)
-        entry1 = _cache.lookup_aot(key)
-        assert entry1 is not None and entry1.module is not None
+@pytest.mark.parametrize("key", KEYS, ids="-".join)
+def test_one_module_per_template(key):
+    """Two kernels differing in tensors, pattern_version, machine kind and
+    piece count bind from one module, lowered and loaded once."""
+    cpu, gpu = Machine.cpu(4), Machine.gpu(9)
+    ck1 = run(schedule_for(key, cpu, n=18), cpu)
+    s2 = schedule_for(key, gpu, n=27)
+    for t in s2.assignment.tensors():
+        t._bump_pattern_version()
+    ck2 = run(s2, gpu)
+    assert len(ck1.pieces) != len(ck2.pieces)
 
-        B2, c2, a2 = make_workload()  # identical content, fresh tensors
-        s2 = spmv_schedule(B2, c2, a2)
-        assert stable_fingerprint(s2, machine) == key
-        compile_and_run(s2, machine)
-        entry2 = _cache.lookup_aot(key)
-        assert entry2.module is entry1.module  # identity, not equality
-        assert codegen_stats()["lowered"] == 1  # no re-lowering
-
-    def test_pattern_version_bump_forces_relowering(self):
-        machine = Machine.cpu(PIECES)
-        B, c, a = make_workload()
-        compile_and_run(spmv_schedule(B, c, a), machine)
-        assert codegen_stats()["lowered"] == 1
-        B._bump_pattern_version()
-        B2, c2, a2 = make_workload()
-        B2.pattern_version = B.pattern_version  # same bumped state
-        compile_and_run(spmv_schedule(B2, c2, a2), machine)
-        assert codegen_stats()["lowered"] == 2
-
-    def test_machine_signature_change_forces_relowering(self):
-        B, c, a = make_workload()
-        compile_and_run(spmv_schedule(B, c, a), Machine.cpu(PIECES))
-        assert codegen_stats()["lowered"] == 1
-        B2, c2, a2 = make_workload()
-        compile_and_run(spmv_schedule(B2, c2, a2), Machine.gpu(PIECES))
-        assert codegen_stats()["lowered"] == 2
-
-    def test_schedule_edit_forces_relowering(self):
-        machine = Machine.cpu(PIECES)
-        B, c, a = make_workload()
-        compile_and_run(spmv_schedule(B, c, a), machine)
-        assert codegen_stats()["lowered"] == 1
-        B2, c2, a2 = make_workload()
-        compile_and_run(spmv_schedule(B2, c2, a2, pieces=2), machine)
-        assert codegen_stats()["lowered"] == 2
+    stats = codegen_stats()
+    assert (stats["lowered"], stats["loaded"]) == (1, 1)
+    assert (stats["binds"], stats["fallbacks"]) == (2, 0)
+    ((got_key, entry),) = iter_aot_entries()
+    assert got_key == key
+    assert entry.source == lowering.emit_source(*key)
+    verify_aot_source(entry.source, filename="/".join(key))
+    # identity, not equality: every thunk of both kernels is a function of
+    # the one exec-loaded module
+    for ck in (ck1, ck2):
+        thunks = ck._leaf.__defaults__[0]
+        assert set(thunks) == {p.color for p in ck.pieces}
+        assert all(t.__globals__ is entry.module.__dict__
+                   for t in thunks.values())
 
 
-class TestStoreWarmStart:
-    def test_round_trip_loads_with_zero_lowering(self, tmp_path):
-        machine = Machine.cpu(PIECES)
-        B, c, a = make_workload()
-        sched = spmv_schedule(B, c, a)
-        ck = compile_and_run(sched, machine)
-        expected = np.array(a.to_dense(), copy=True)
-        store = ArtifactStore(tmp_path / "store")
-        store.put(B)  # persists the generated module under aot/
+@pytest.mark.parametrize("disable", ["context", "setter"])
+def test_disabled_caches_still_run_the_generated_leaf(disable):
+    key = ("spmv", "csr", "rows")
+    machine = Machine.cpu(4)
+    ref = run(schedule_for(key, machine), machine, backend="interp")
+    assert codegen_stats()["binds"] == 0
+    entries = cache_stats()["kernel_entries"]
+    if disable == "setter":
+        set_cache_enabled(False)
+        ck = run(schedule_for(key, machine), machine)
+    else:
+        with caches_disabled():
+            ck = run(schedule_for(key, machine), machine)
+    stats = codegen_stats()
+    assert stats["binds"] == 1 and stats["fallbacks"] == 0
+    assert cache_stats()["kernel_entries"] == entries  # really were off
+    assert ck.out.vals.data.tobytes() == ref.out.vals.data.tobytes()
 
-        clear_caches()
-        reset_codegen_stats()
-        B2, c2, a2 = make_workload()
-        s2 = spmv_schedule(B2, c2, a2)
-        store.load_latest(s2, machine)
-        assert codegen_stats()["store_seeded"] == 1
-        key = stable_fingerprint(s2, machine)
-        entry = _cache.lookup_aot(key)
-        assert entry is not None and entry.from_store
-        ck2 = compile_kernel(s2, machine, backend="codegen")
-        ck2.execute(Runtime(machine))
-        stats = codegen_stats()
-        assert stats["lowered"] == 0  # warm start: zero lowering work
-        assert stats["binds"] >= 1  # ...but the generated leaf did run
-        out = ck2.out.to_dense() if hasattr(ck2, "out") else a2.to_dense()
-        np.testing.assert_array_equal(np.asarray(out).reshape(-1),
-                                      expected.reshape(-1))
+
+def test_store_warm_start_restores_everything_but_code(tmp_path):
+    key = ("spmv", "csr", "rows")
+    machine = Machine.cpu(4)
+    sched = schedule_for(key, machine)
+    rt = Runtime(machine)
+    ck = compile_kernel(sched, machine, backend="codegen")
+    ck.execute(rt)
+    expected = ck.out.vals.data.copy()
+    store = ArtifactStore(tmp_path / "store")
+    store.put(ck.roles["B"].tensor)
+    assert not list((tmp_path / "store").rglob("*.py"))  # no code on disk
+
+    clear_caches()  # a fresh process: no kernels, no modules
+    reset_codegen_stats()
+    art = store.load_latest(sched, machine)
+    by_name = {t.name: t for t in art.all_tensors()}
+    before = cache_stats()
+    s2 = auto_schedule(by_name[ck.out.name].assignment, machine,
+                       strategy="rows")
+    ck2 = compile_kernel(s2, machine, backend="codegen")
+    assert cache_stats()["kernel_hits"] - before["kernel_hits"] == 1
+    ck2.out.vals.fill(np.nan)
+    rt2 = art.runtime()
+    ck2.execute(rt2)
+    assert rt2.trace_hits == 1 and rt2.trace_records == 0
+    stats = codegen_stats()
+    assert stats["fallbacks"] == 0 and stats["binds"] >= 1
+    assert ck2.out.vals.data.tobytes() == expected.tobytes()

@@ -1,4 +1,5 @@
 """Persistent artifact store: manifest, round trip, cache re-seeding."""
+import hashlib
 import json
 import pickle
 
@@ -15,7 +16,7 @@ from repro.core import (
     save_packed,
 )
 from repro.core.store import MANIFEST_NAME, STORE_FORMAT_VERSION
-from repro.errors import StoreError
+from repro.errors import StoreError, StoreFormatError
 from repro.legion import IndexSpace, Machine, Region, Runtime
 from repro.taco import CSR, Tensor, index_vars
 
@@ -100,14 +101,16 @@ class TestManifest:
         with pytest.raises(StoreError, match="no manifest"):
             read_manifest(tmp_path / "nowhere")
 
-    def test_unsupported_version_raises(self, tmp_path):
+    @pytest.mark.parametrize("found", [99, 3])  # 3: the last code-carrying one
+    def test_unsupported_version_raises(self, tmp_path, found):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
         m = json.loads((path / MANIFEST_NAME).read_text())
-        m["format_version"] = 99
+        m["format_version"] = found
         (path / MANIFEST_NAME).write_text(json.dumps(m))
-        with pytest.raises(StoreError, match="version"):
+        with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
+        assert (exc.value.expected, exc.value.found) == (4, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -118,15 +121,27 @@ class TestManifest:
         with pytest.raises(StoreError, match="pattern_version"):
             load_packed(path)
 
-    def test_corrupt_payload_raises_store_error(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["truncated", "one flipped bit"])
+    def test_corrupt_payload_raises_store_error(self, tmp_path, damage):
         from repro.core.store import PAYLOAD_NAME
 
         _, B, _, _ = make_workload()
-        path = save_packed(tmp_path / "art", B, include_caches=False)
+        path = save_packed(tmp_path / "art", B, include_caches=False,
+                           sidecar_threshold=-1)  # values inline in the pickle
         payload = path / PAYLOAD_NAME
-        payload.write_bytes(payload.read_bytes()[: payload.stat().st_size // 2])
-        with pytest.raises(StoreError, match="corrupt payload"):
+        data = bytearray(payload.read_bytes())
+        if damage == "truncated":
+            data = data[: len(data) // 2]
+        else:
+            # the lowest mantissa bit of one stored value: still a valid
+            # pickle of a valid tensor — only the digest can tell
+            data[data.index(B.vals.data.tobytes())] ^= 1
+        payload.write_bytes(data)
+        with pytest.raises(StoreError, match="corrupt payload") as exc:
             load_packed(path)
+        declared = read_manifest(path)["payload_sha256"]
+        assert str(payload) in str(exc.value) and declared in str(exc.value)
+        assert hashlib.sha256(data).hexdigest() in str(exc.value)
 
 
 class TestRoundTrip:

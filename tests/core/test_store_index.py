@@ -199,37 +199,6 @@ class TestGC:
         with pytest.raises(StoreError, match="keep_latest"):
             store.gc(keep_latest=0)
 
-    def test_max_bytes_pins_aot_holder(self, tmp_path):
-        """Regression: max_bytes eviction must not evict the artifact that
-        resolves a live ``fp:`` key when it carries AOT generated modules —
-        only the single globally-newest artifact used to be protected."""
-        store = ArtifactStore(tmp_path / "store")
-        B = make_tensor()
-        rng = np.random.default_rng(3)
-        c = Tensor.from_dense("c", rng.random(M))
-        a = Tensor.zeros("a", (N,))
-        machine = Machine.cpu(PIECES)
-        ck = compile_kernel(spmv_schedule(B, c, a), machine,
-                            backend="codegen")
-        ck.execute(Runtime(machine))
-        holder = store.put(B)  # carries fp: key + aot/<fp>.py module
-        fpkey = fingerprint_key(spmv_schedule(B, c, a), machine)
-        assert store.resolve(fpkey) == holder
-        idx = store.read_index()
-        aid = holder.name
-        assert idx["artifacts"][aid].get("aot", 0) >= 1
-        # Newer cache-free churn makes the aot holder the LRU victim.
-        for s in range(5):
-            big = sp.random(200, 200, density=0.2,
-                            random_state=np.random.default_rng(100 + s),
-                            format="csr")
-            store.put(Tensor.from_scipy("X", big, CSR),
-                      include_caches=False, keys=["churn"])
-        store.gc(max_bytes=1)
-        assert store.resolve(fpkey) is not None
-        assert holder.exists()
-        assert store.verify() == []
-
 
 class TestVerify:
     def test_verify_detects_missing_blob(self, tmp_path):
@@ -240,6 +209,19 @@ class TestVerify:
         problems = store.verify()
         assert any("blob missing" in p or "missing sidecar" in p
                    or "missing payload" in p for p in problems)
+
+    @pytest.mark.parametrize("victim", ["payload.pkl", "regions/*.npy"])
+    def test_verify_detects_one_flipped_byte(self, tmp_path, victim):
+        """Same size, same pickle/npy validity — only a re-hash can tell."""
+        store = ArtifactStore(tmp_path / "store")
+        art_dir = store.put(make_tensor(), include_caches=False,
+                            sidecar_threshold=0)
+        target = sorted(art_dir.glob(victim))[0]
+        data = bytearray(target.read_bytes())
+        data[-1] ^= 1
+        target.write_bytes(data)
+        (problem,) = store.verify()
+        assert target.name in problem and "manifest sha256" in problem
 
     def test_verify_detects_orphan_blob(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")

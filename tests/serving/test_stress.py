@@ -2,14 +2,15 @@
 
 Barrier-released thread herds hammer the three layers tenants contend on:
 
-* the AOT registry's single-flight lowering (``aot_entry_for``) — no
-  double-lowering under a simultaneous miss herd, every thread gets the
-  same :class:`AotEntry` object;
+* the generated-module table (``registry.module_for``) — a simultaneous
+  miss herd over every template lowers and loads each exactly once, and
+  every thread gets the same module object;
 * the byte-budgeted LRU tiers (``_SizedLRU``) — no lost entries and exact
   byte/counter accounting after an interleaved put/get herd;
 * the full ``repro.serve`` request path — compile/execute/autotune from
   many tenants at once, deduplicated to one build per signature with
-  responses bit-identical to serial execution.
+  responses bit-identical to serial execution, each build leader charged
+  exactly its own kernel's bytes.
 
 Each herd lines up on a :class:`threading.Barrier` so every thread
 releases into the critical section together — the schedule most likely to
@@ -17,6 +18,7 @@ expose a lost update or a duplicated build.  Single-iteration smoke herds
 run unmarked in the fast tier-1 loop; the 50-iteration no-flake sweeps
 (the acceptance criterion) are marked ``serving`` + ``slow``.
 """
+import sys
 import threading
 
 import numpy as np
@@ -24,8 +26,8 @@ import pytest
 
 import repro
 from repro.codegen import codegen_stats, registry, reset_codegen_stats
-from repro.core import clear_caches
-from repro.core.cache import _SizedLRU
+from repro.core import SPECS, clear_caches
+from repro.core.cache import _SizedLRU, iter_aot_entries, kernel_entry_nbytes
 
 pytestmark = []  # smoke herds below stay unmarked (tier-1)
 
@@ -66,60 +68,46 @@ def run_herd(n_threads, worker):
 
 
 # --------------------------------------------------------------------- #
-# layer 1: single-flight lowering in the AOT registry
+# layer 1: one generated module per template under a miss herd
 # --------------------------------------------------------------------- #
-def _registry_herd(iteration: int) -> None:
+KEYS = [key for spec in SPECS.values() for key in spec.template_keys()]
+
+
+def _module_herd(iteration: int) -> None:
+    # 16 threads x every template key, all colliding, half in reverse order
     clear_caches()
     reset_codegen_stats()
-    key = f"stress_key_{iteration}"
     got = [None] * 16
 
     def worker(tid):
-        got[tid] = registry.aot_entry_for(key, "spmv", "csr", "rows")
+        order = KEYS if tid % 2 else KEYS[::-1]
+        got[tid] = {k: registry.module_for(k) for k in order}
 
-    run_herd(16, worker)
-    entries = {id(e) for e in got}
-    assert None not in got
-    assert len(entries) == 1, "herd observed distinct AotEntry objects"
-    assert codegen_stats()["lowered"] == 1, (
-        f"double-lowering: {codegen_stats()['lowered']} for one key"
-    )
-
-
-def test_registry_single_flight_smoke():
-    _registry_herd(0)
-
-
-@pytest.mark.serving
-@pytest.mark.slow
-def test_registry_single_flight_sweep():
-    for i in range(SWEEP):
-        _registry_herd(i)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside the build, too
+    try:
+        run_herd(16, worker)
+    finally:
+        sys.setswitchinterval(interval)
+    table = {k: e.module for k, e in iter_aot_entries()}
+    assert set(table) == set(KEYS)
+    for mods in got:
+        assert all(mods[k] is table[k] for k in KEYS), (
+            "herd observed distinct module objects for one template"
+        )
+    stats = codegen_stats()
+    assert stats["lowered"] == stats["loaded"] == len(KEYS) == 17
 
 
-def _registry_many_keys_herd(iteration: int) -> None:
-    # 16 threads x 8 distinct keys, all colliding: lowered == distinct keys.
-    clear_caches()
-    reset_codegen_stats()
-    keys = [f"stress_mk_{iteration}_{k}" for k in range(8)]
-
-    def worker(tid):
-        for k in (keys if tid % 2 else reversed(keys)):
-            registry.aot_entry_for(k, "spmv", "csr", "nonzeros")
-
-    run_herd(16, worker)
-    assert codegen_stats()["lowered"] == len(keys)
-
-
-def test_registry_many_keys_smoke():
-    _registry_many_keys_herd(0)
+def test_one_module_per_template_herd_smoke():
+    _module_herd(0)
 
 
 @pytest.mark.serving
 @pytest.mark.slow
-def test_registry_many_keys_sweep():
+def test_one_module_per_template_herd_sweep():
     for i in range(SWEEP):
-        _registry_many_keys_herd(i)
+        _module_herd(i)
 
 
 # --------------------------------------------------------------------- #
@@ -244,6 +232,45 @@ def _serving_herd(iteration: int, tune: bool) -> None:
             assert np.array_equal(r.value, ref[r.key[0]]), (
                 f"response diverged from serial for {r.key[0]}"
             )
+
+
+def _charge_herd(iteration: int) -> None:
+    # Two tenants lead builds of two different signatures at once (tuned, so
+    # both lower and execute inside their build windows): each is charged
+    # its own kernel's bytes — nothing process-global leaks into the charge.
+    B, x, C = _make_data(iteration)
+    clear_caches()
+    requests = {"alice": ("ij,j->i", ("B", "x")),
+                "bob": ("ij,jk->ik", ("B", "C"))}
+    results = {}
+    with repro.serve(nodes=2, workers=4, tune=True) as srv:
+        srv.put_tensor("B", B, repro.CSR)
+        srv.put_tensor("x", x)
+        srv.put_tensor("C", C)
+
+        def worker(tid):
+            tenant = sorted(requests)[tid]
+            spec, names = requests[tenant]
+            results[tenant] = srv.submit(
+                spec, *names, tenant=tenant).result(timeout=120)
+
+        run_herd(2, worker)
+        tenants = srv.stats()["tenants"]
+        for tenant, r in results.items():
+            assert r.compiled
+            kernel = srv._entries[r.key].kernel
+            assert tenants[tenant]["charged_bytes"] == kernel_entry_nbytes(kernel)
+
+
+def test_serving_charge_is_the_kernels_bytes_smoke():
+    _charge_herd(0)
+
+
+@pytest.mark.serving
+@pytest.mark.slow
+def test_serving_charge_is_the_kernels_bytes_sweep():
+    for i in range(SWEEP):
+        _charge_herd(i)
 
 
 def test_serving_compile_execute_herd_smoke():

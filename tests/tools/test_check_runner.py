@@ -235,3 +235,40 @@ class TestKindCompareScanner:
         assert self._scan(ok) == []
         (finding,) = self._scan("x = ck.kind == 'spmv'  # kind: ok\n")
         assert "without a reason" in finding.message
+
+
+class TestGeneratedCodeBoundary:
+    """The two static assertions of the ``aot-sanitizer`` plugin."""
+
+    def test_store_importing_an_exec_surface_is_flagged(self):
+        src = (
+            "import json\n"
+            "from ..errors import StoreError\n"
+            "from . import cache as _cache\n"
+            "from ..analysis.sanitizer import verify_aot_source\n"   # line 4
+            "def load(path):\n"
+            "    from ..codegen import registry\n"                   # line 6
+            "    from .. import analysis\n"                          # line 7
+            "    import repro.codegen.lowering\n"                    # line 8
+        )
+        findings = check._scan_imports(
+            "src/repro/core/store.py", ast.parse(src),
+            check.STORE_FORBIDDEN_IMPORTS,
+        )
+        assert [f.line for f in findings] == [4, 6, 7, 8]
+        assert "repro.analysis.sanitizer.verify_aot_source" in findings[0].message
+        assert "repro.codegen.registry" in findings[1].message
+
+    def test_environment_reads_are_flagged(self):
+        src = (
+            "import os\n"
+            "from os import getenv\n"                                # line 2
+            "def backend(explicit=None):\n"
+            "    if os.environ.get('REPRO_CODEGEN') == '0':\n"       # line 4
+            "        return 'interp'\n"
+            "    return explicit or os.getenv('X', 'codegen')\n"     # line 6
+            "def clean(path):\n"
+            "    return os.path.join(path, 'environ')\n"
+        )
+        findings = check._scan_environ_reads("fake.py", ast.parse(src))
+        assert sorted(f.line for f in findings) == [2, 4, 6]

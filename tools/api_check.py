@@ -32,8 +32,8 @@ REQUIRED_EXPORTS = [
     # building blocks
     "Tensor", "Schedule", "Machine", "index_vars",
     "compile_kernel", "compile_program",
-    # codegen backend knobs
-    "set_codegen_backend", "codegen_backend", "codegen_stats",
+    # codegen lifecycle counters
+    "codegen_stats",
     # static analysis
     "analyze_program", "AnalysisReport", "predict_metrics",
     # formats

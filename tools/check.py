@@ -23,10 +23,14 @@ codebase passes defined here:
   a ``.kind`` against a string literal naming a kernel kind — per-kind
   behaviour is a lookup in the table.  Same waiver convention:
   ``# kind: ok <reason>``;
-* **aot-sanitizer** — every lowering template the kernel table declares
-  must emit and pass the generated-module AST allowlist
-  (:mod:`repro.analysis.sanitizer`), so the verifier that guards store
-  exec-loads can never drift out of sync with what the emitter produces;
+* **aot-sanitizer** — generated code comes from the templates and from
+  nowhere else: every lowering template the kernel table declares must
+  emit and pass the generated-module AST allowlist
+  (:mod:`repro.analysis.sanitizer`); the artifact load path
+  (``core/store.py``, ``core/store_index.py``) imports neither
+  :mod:`repro.codegen` nor :mod:`repro.analysis`, so nothing read from
+  disk can reach ``exec``; and nothing under ``src/repro/codegen`` or in
+  the sanitizer reads the process environment;
 * **commplan** — every (kernel × format × strategy × machine kind) the
   kernel table declares must yield a coherent static communication plan
   (:mod:`repro.analysis.commplan`): the plan derives without error and
@@ -421,17 +425,79 @@ def _run_kernelspec(cache: SourceCache) -> CheckResult:
 
 
 # --------------------------------------------------------------------- #
-# AOT sanitizer self-consistency (new)
+# generated code: templates pass the allowlist, no other way in
 # --------------------------------------------------------------------- #
+#: the artifact load path, and the packages it must not import — the ones
+#: that can ``exec`` (the sanitizer is re-exported by ``repro.analysis``,
+#: so the whole package is off limits).
+STORE_MODULES = ("src/repro/core/store.py", "src/repro/core/store_index.py")
+STORE_FORBIDDEN_IMPORTS = ("repro.codegen", "repro.analysis")
+
+
+def _scan_imports(
+    relpath: str, tree: ast.Module, forbidden: Tuple[str, ...]
+) -> List[Finding]:
+    """Imports in ``relpath`` (anywhere, relative ones resolved against its
+    package) of a ``forbidden`` module or anything inside one."""
+    package = relpath[len("src/"):-len(".py")].split("/")[:-1]
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names = [f"{module}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in names:
+            if any(name == f or name.startswith(f + ".") for f in forbidden):
+                findings.append(Finding(
+                    relpath, node.lineno,
+                    f"imports {name}: the artifact load path must not be "
+                    "able to reach exec",
+                ))
+    return findings
+
+
+def _scan_environ_reads(relpath: str, tree: ast.Module) -> List[Finding]:
+    """``os.environ`` / ``os.getenv`` uses: which code is generated and
+    whether it runs is decided by arguments, never by the environment."""
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (_dotted(node) or ())[-2:] in (("os", "environ"), ("os", "getenv"))
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "os" and any(
+                a.name in ("environ", "getenv") for a in node.names)
+        else:
+            continue
+        if hit:
+            findings.append(Finding(
+                relpath, node.lineno,
+                "reads the process environment — pass an argument instead",
+            ))
+    return findings
+
+
 def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
     """Every template the kernel table declares must emit and pass the
-    exec-load allowlist."""
+    allowlist; the store cannot import an ``exec`` surface; codegen and
+    the sanitizer take no orders from the environment."""
     from repro.analysis.sanitizer import verify_aot_source
     from repro.codegen import lowering
     from repro.core.kernelspec import SPECS
     from repro.errors import SanitizerError
 
     findings = []
+    for relpath in STORE_MODULES:
+        findings.extend(_scan_imports(
+            relpath, cache.get(relpath)[1], STORE_FORBIDDEN_IMPORTS))
+    env_free = sorted(
+        str(p.relative_to(REPO)) for p in (SRC / "repro/codegen").rglob("*.py")
+    ) + ["src/repro/analysis/sanitizer.py"]
+    for relpath in env_free:
+        findings.extend(_scan_environ_reads(relpath, cache.get(relpath)[1]))
     checked = 0
     for spec in SPECS.values():
         for kind, fmt, strategy in spec.template_keys():
@@ -452,7 +518,9 @@ def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
             ))
     return CheckResult(
         "aot-sanitizer", findings,
-        f"{checked} generated templates pass the exec-load allowlist",
+        f"{checked} generated templates pass the exec-load allowlist; "
+        f"{len(STORE_MODULES)} store modules import no exec surface; "
+        f"{len(env_free)} codegen modules read no environment",
     )
 
 
@@ -698,7 +766,8 @@ PLUGINS: List[Plugin] = [
            "unwaived wall-clock reads", _run_nondet),
     Plugin("kernelspec", "no .kind compared against a kernel-kind literal "
            "outside the kernel table", _run_kernelspec),
-    Plugin("aot-sanitizer", "lowering templates pass the exec-load allowlist",
+    Plugin("aot-sanitizer", "templates pass the exec-load allowlist; the "
+           "store imports no exec surface; codegen reads no environment",
            _run_aot_sanitizer),
     Plugin("commplan", "auto-synthesized schedules yield coherent static "
            "communication plans", _run_commplan),

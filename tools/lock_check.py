@@ -1,8 +1,8 @@
 """Static lock-discipline check for the shared cache state.
 
-The process-wide cache tiers (:mod:`repro.core.cache`) and the AOT module
-registry (:mod:`repro.codegen.registry`) are mutated concurrently by every
-session in the process — the multi-tenant serving layer
+The process-wide cache tiers (:mod:`repro.core.cache`) and the codegen
+lifecycle counters (:mod:`repro.codegen.registry`) are mutated
+concurrently by every session in the process — the multi-tenant serving layer
 (:mod:`repro.api.serving`) multiplexes tenant threads over exactly this
 state.  Their thread-safety contract is lexical: **every mutation of a
 watched structure happens inside a ``with <designated lock>:`` block**.
@@ -80,10 +80,11 @@ WATCH = {
             scope="_SizedLRU",
             exempt=("__init__",),
         ),
-        Rule(targets=("_machine_sigs",), lock="_SIG_LOCK"),
+        # the generated-module table (one entry per lowering template)
+        Rule(targets=("_aot_table", "_aot_counters"), lock="_AOT_LOCK"),
     ),
     "src/repro/codegen/registry.py": (
-        Rule(targets=("_counters", "_inflight"), lock="_LOCK"),
+        Rule(targets=("_counters",), lock="_LOCK"),
     ),
     # The multi-tenant server: tensor catalog, pre-warmed session entries,
     # the single-flight map, per-tenant budget/stat records and the compile
