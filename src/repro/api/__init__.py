@@ -6,8 +6,8 @@ this package makes the *defaults* of each synthesizable so a statement
 runs with exactly as much ceremony as the user wants to spend:
 
 * :class:`Session` (``repro.session(...)``) — owns the machine, the
-  runtime, cache budgets and the optional artifact store; one context
-  manager instead of five imports.
+  runtime and the optional artifact store; one context manager instead
+  of four imports.
 * :class:`Program` — a lazy multi-statement graph compiled together, so
   partitions of shared operands are derived once and mapping traces span
   the statement chain.

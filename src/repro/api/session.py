@@ -1,8 +1,8 @@
 """The Session: one object that owns the whole SpDISTAL execution context.
 
 The low-level API asks every caller to assemble a ``Machine``, a
-``Runtime``, cache budgets and (optionally) an ``ArtifactStore`` by hand —
-five imports of ceremony per statement.  A :class:`Session` folds all of
+``Runtime`` and (optionally) an ``ArtifactStore`` by hand — four imports
+of ceremony per statement.  A :class:`Session` folds all of
 that behind one context manager::
 
     import repro
@@ -14,8 +14,9 @@ that behind one context manager::
 
 The session owns the machine (built from ``nodes=``/``gpus=`` or passed
 in), the runtime (mapping traces accumulate across every statement the
-session executes), the kernel/partition cache budgets (restored on exit),
-and an optional persistent artifact store for cross-process warm starts.
+session executes) and an optional persistent artifact store for
+cross-process warm starts.  The compilation caches are process-wide and
+no session resizes them (``repro.core.set_cache_budget`` does).
 Explicit schedules remain a per-statement *override* — anywhere the
 session accepts a statement it also accepts a hand-built
 :class:`~repro.taco.schedule.Schedule`.
@@ -103,13 +104,15 @@ class AutotuneResult:
 
 
 class Session:
-    """Owns machine, runtime, cache budgets and the optional artifact store.
+    """Owns machine, runtime and the optional artifact store.
 
     Usable as a context manager (``with repro.session(nodes=4) as s:``);
-    entering is cheap and exiting restores any cache budgets the session
-    changed.  All work submitted through one session executes on one
-    runtime, so mapping traces recorded by statement N replay for
-    statement N+k — the compile-once / run-many layers span the session.
+    entering and exiting are cheap.  The compilation caches are
+    process-wide and a session changes nothing about them — size them
+    with :func:`repro.core.set_cache_budget`.  All work submitted through
+    one session executes on one runtime, so mapping traces recorded by
+    statement N replay for statement N+k — the compile-once / run-many
+    layers span the session.
     """
 
     def __init__(
@@ -122,8 +125,6 @@ class Session:
         network: Optional[Network] = None,
         runtime: Optional[Runtime] = None,
         store: Optional[Union[str, Path, ArtifactStore]] = None,
-        kernel_cache_bytes: Optional[int] = None,
-        partition_cache_bytes: Optional[int] = None,
         trace_replay: Optional[bool] = None,
         metrics_limit: Optional[int] = None,
         backend: Optional[str] = None,
@@ -167,10 +168,6 @@ class Session:
             self.store: Optional[ArtifactStore] = store
         else:
             self.store = ArtifactStore(store)
-        self._saved_budgets: Optional[Dict[str, int]] = None
-        if kernel_cache_bytes is not None or partition_cache_bytes is not None:
-            self._saved_budgets = _cache.cache_budgets()
-            _cache.set_cache_budget(kernel_cache_bytes, partition_cache_bytes)
         #: Leaf-execution backend for this session's compiles: "codegen"
         #: (the default) or "interp".  Validated eagerly so a typo fails at
         #: session construction.
@@ -200,14 +197,9 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        """Restore cache budgets the session changed (idempotent)."""
-        if self._saved_budgets is not None:
-            _cache.set_cache_budget(
-                self._saved_budgets["kernel_bytes"],
-                self._saved_budgets["partition_bytes"],
-                self._saved_budgets.get("decision_bytes"),
-            )
-            self._saved_budgets = None
+        """End the session (idempotent).  A session holds no process-wide
+        state, so there is nothing to undo; ``with`` blocks and
+        ``Server.close()`` end their sessions here."""
 
     # ------------------------------------------------------------------ #
     # tensor construction sugar
@@ -697,6 +689,5 @@ def session(
     API.  ``repro.session(nodes=4)`` builds a 4-node CPU machine;
     ``repro.session(gpus=8)`` a GPU machine; pass ``machine=`` for full
     control and ``store=<dir>`` to enable the persistent artifact store.
-    Designed for ``with`` use, but valid without (``close()`` restores the
-    cache budgets a long-lived session changed)."""
+    Designed for ``with`` use, but valid without."""
     return Session(machine, nodes=nodes, gpus=gpus, **kw)

@@ -2,16 +2,17 @@
 
 This package lowers a :class:`~repro.core.compiler.CompiledKernel` to a
 standalone generated Python module — one specialized function per
-(kernel × format × strategy) — and binds it into a flat ``{color: thunk}``
+(iteration shape × strategy) — and binds it into a flat ``{color: thunk}``
 leaf with every piece of index scaffolding hoisted out of the execution
 path.  Which kernels lower, the arrays ``bind`` receives and each piece's
 frozen :class:`~repro.legion.machine.Work` all come from the kernel table
-(:mod:`repro.core.kernelspec`); this package holds no per-kind logic.
+(:mod:`repro.core.kernelspec`); this package holds no per-kind and no
+per-format logic.
 Generated modules are keyed by what they depend on — the lowering template
-key ``(kind, format class, strategy)`` of
+key ``(iteration shape, strategy)`` of
 :func:`repro.core.kernelspec.template_key` — so a process lowers and
-``exec``-loads each of the (at most 17) templates once, however many
-kernels, tensors, pattern versions and machines bind leaves from it
+``exec``-loads each of the (at most 11) templates once, however many
+kinds, kernels, tensors, pattern versions and machines bind leaves from it
 (:mod:`repro.codegen.registry`).  Modules never leave the process: no
 artifact carries code.  Generated leaves produce bit-identical values
 *and* simulated :class:`~repro.legion.machine.Work` costs relative to the
@@ -21,7 +22,7 @@ distributed schedule does.
 The one knob is the explicit ``backend=`` argument of ``compile_kernel`` /
 ``compile_program`` / ``Session`` / ``Server``: ``"codegen"`` (the default)
 or ``"interp"``.  To read a generated module, call
-``lowering.emit_source(kind, fmt, strategy)`` or walk
+``lowering.emit_source(shape, strategy)`` or walk
 :func:`repro.core.cache.iter_aot_entries`.
 """
 from __future__ import annotations
@@ -71,7 +72,7 @@ def supported(ck) -> bool:
 def leaf_for(ck) -> Optional[Callable]:
     """A bound generated leaf for ``ck``, or None (interpreter fallback,
     bumping the ``fallbacks`` counter) when the kernel table declares no
-    template for its kind, format and strategy."""
+    template for its kind and strategy."""
     tkey = template_key(ck)
     if tkey is None:
         registry.bump("fallbacks")

@@ -1,6 +1,6 @@
 """Lowering templates: emit specialized NumPy kernel modules as source.
 
-Each supported (kernel × format × strategy) combination lowers to a
+Each (iteration shape × strategy) the kernel table declares lowers to a
 standalone Python module whose ``bind(...)`` function hoists every piece
 of index scaffolding — position slices, ``searchsorted`` row maps,
 ``repeat`` segment ids, local CSR blocks — out of the execution path at
@@ -9,7 +9,13 @@ array kernels.  ``bind`` takes what the kernel table
 (:meth:`repro.core.kernelspec.KernelSpec.bind_args`) hands it: the raw
 operand arrays, then one ``(color, *range arguments, Work)`` tuple per
 piece.  The :class:`~repro.legion.machine.Work` each thunk returns is the
-table's, frozen into that tuple — templates carry no cost formulas.  The
+table's, frozen into that tuple — templates carry no cost formulas, and
+they name no format: a template is keyed by how its leaf iterates
+(:attr:`repro.core.kernelspec.KernelSpec.shape`), so kinds that iterate
+alike (SpMV over rows, SpTTV over fibers: both ``"segdot"``) share one
+body and one module object, and how a level is walked reaches a body only
+as ranges the table resolved, or as the ``coords`` callable built from the
+level functions of :mod:`repro.taco.tensor`.  The
 thunks intentionally use the *identical* accumulation primitives as the
 interpreter leaves in ``repro.kernels`` (``np.bincount`` segment sums,
 scipy CSR ``@``, ``np.einsum`` row dots), so generated results are
@@ -18,7 +24,7 @@ disappears.
 
 The emitted source is self-contained (imports ``numpy`` and, where the
 template needs it, ``scipy.sparse``) and carries a ``META`` dict, so a
-module printed with ``emit_source(kind, fmt, strategy)`` is
+module printed with ``emit_source(shape, strategy)`` is
 self-describing.
 """
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 _HEADER = '''\
-"""Generated by repro.codegen — specialized {kind} leaf ({fmt}, {strategy}).
+"""Generated by repro.codegen — specialized {shape} leaf ({strategy}).
 
 Auto-generated module; do not edit.  ``bind(...)`` hoists index
 scaffolding at bind time and returns ``{{color: thunk}}`` flat kernels
@@ -36,8 +42,7 @@ import numpy as np
 {extra_imports}
 META = {{
     "generator": "repro.codegen",
-    "kind": "{kind}",
-    "format": "{fmt}",
+    "shape": "{shape}",
     "strategy": "{strategy}",
 }}
 
@@ -56,9 +61,11 @@ def _fill_zero(ov, w):
 
 '''
 
-_SPMV_ROWS = '''
+#: one dot product per segment of B's last level — a row for SpMV, an
+#: (i, j) fiber for SpTTV; the table resolved the piece to its segments.
+_SEGDOT_ROWS = '''
 def bind(pos, crd, vals, c, out, pieces):
-    """Hoist per-piece row scaffolding; return {color: thunk}."""
+    """Hoist per-piece segment scaffolding; return {color: thunk}."""
     thunks = {}
     for color, r0, r1, w in pieces:
         if r1 < r0:
@@ -87,7 +94,7 @@ def _rows_thunk(v, cc, c, rows, nr, ov, w):
     return thunk
 '''
 
-_SPMV_NONZEROS = '''
+_SEGDOT_NONZEROS = '''
 def bind(pos, crd, vals, c, out, pieces):
     """Hoist per-piece position scaffolding; return {color: thunk}."""
     thunks = {}
@@ -330,71 +337,11 @@ def _rows_thunk(chunks, C, Dt, sv, sidx, indptr, nr, ncols, F, ov, w):
     return thunk
 '''
 
-#: the table resolves a row range to its fiber range (CSF3 through
-#: ``pos1``, DDC arithmetically), so both formats share this body.
-_SPTTV_FIBERS = '''
-def bind(pos2, crd2, vals, c, out_vals, pieces):
-    """Hoist per-piece fiber scaffolding; return {color: thunk}."""
-    thunks = {}
-    for color, f0, f1, w in pieces:
-        if f1 < f0:
-            thunks[color] = _const(w)
-            continue
-        nf = f1 - f0 + 1
-        lo = pos2[f0 : f1 + 1, 0]
-        hi = pos2[f0 : f1 + 1, 1]
-        lens = np.maximum(hi - lo + 1, 0)
-        nnz = int(lens.sum())
-        ov = out_vals[f0 : f1 + 1]
-        if nnz == 0:
-            thunks[color] = _fill_zero(ov, w)
-            continue
-        s = int(lo[0])
-        v = vals[s : s + nnz]
-        cc = crd2[s : s + nnz]
-        fibers = np.repeat(np.arange(nf, dtype=np.int64), lens)
-        thunks[color] = _fiber_thunk(v, cc, c, fibers, nf, ov, w)
-    return thunks
-
-
-def _fiber_thunk(v, cc, c, fibers, nf, ov, w):
-    def thunk():
-        ov[:] = np.bincount(fibers, weights=v * c[cc], minlength=nf)[:nf]
-        return w
-    return thunk
-'''
-
-_SPTTV_NONZEROS = '''
-def bind(pos2, crd2, vals, c, out_vals, pieces):
-    """Hoist fiber maps per position range; return {color: thunk}."""
-    thunks = {}
-    for color, p0, p1, w in pieces:
-        if p1 < p0:
-            thunks[color] = _const(w)
-            continue
-        v = vals[p0 : p1 + 1]
-        cc = crd2[p0 : p1 + 1]
-        fibers = np.searchsorted(
-            pos2[:, 0], np.arange(p0, p1 + 1, dtype=np.int64), side="right"
-        ) - 1
-        f0, f1 = int(fibers[0]), int(fibers[-1])
-        nf = f1 - f0 + 1
-        rel = fibers - f0
-        ov = out_vals[f0 : f1 + 1]
-        thunks[color] = _nz_thunk(v, cc, c, rel, nf, ov, w)
-    return thunks
-
-
-def _nz_thunk(v, cc, c, rel, nf, ov, w):
-    def thunk():
-        np.add(ov, np.bincount(rel, weights=v * c[cc], minlength=nf)[:nf], out=ov)
-        return w
-    return thunk
-'''
-
+#: ``coords`` is the sparse operand's level functions chained from the last
+#: level to the root (``Tensor.coords_of``): positions -> (i, j, k).
 #: ``ACCUMULATE`` is substituted per strategy: row pieces own their output
 #: rows and overwrite, non-zero pieces share rows and add.
-_MTTKRP_BODY = '''
+_MTTKRP = '''
 def _body_thunk(i_ids, j_ids, k_ids, v, C, D, out, w):
     l = C.shape[1]
     r0, r1 = int(i_ids[0]), int(i_ids[-1])
@@ -415,52 +362,16 @@ def _body_thunk(i_ids, j_ids, k_ids, v, C, D, out, w):
             ov[:, :] = acc
         return w
     return thunk
-'''
-
-_MTTKRP_CSF = _MTTKRP_BODY + '''
-
-def _ids(pos1, crd1, pos2, crd2, p0, p1):
-    positions = np.arange(p0, p1 + 1, dtype=np.int64)
-    fibers = np.searchsorted(pos2[:, 0], positions, side="right") - 1
-    i_ids = np.searchsorted(pos1[:, 0], fibers, side="right") - 1
-    j_ids = crd1[fibers]
-    k_ids = crd2[positions]
-    return i_ids, j_ids, k_ids
 
 
-def bind(pos1, crd1, pos2, crd2, vals, C, D, out, pieces):
+def bind(coords, vals, C, D, out, pieces):
     """Hoist coordinate gathers per position range; return {color: thunk}."""
     thunks = {}
     for color, p0, p1, w in pieces:
         if p1 < p0:
             thunks[color] = _const(w)
             continue
-        i_ids, j_ids, k_ids = _ids(pos1, crd1, pos2, crd2, p0, p1)
-        thunks[color] = _body_thunk(
-            i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out, w
-        )
-    return thunks
-'''
-
-_MTTKRP_DDC = _MTTKRP_BODY + '''
-
-def _ids(n1, pos2, crd2, p0, p1):
-    positions = np.arange(p0, p1 + 1, dtype=np.int64)
-    fibers = np.searchsorted(pos2[:, 0], positions, side="right") - 1
-    i_ids = fibers // n1
-    j_ids = fibers % n1
-    k_ids = crd2[positions]
-    return i_ids, j_ids, k_ids
-
-
-def bind(n1, pos2, crd2, vals, C, D, out, pieces):
-    """Hoist coordinate gathers per position range; return {color: thunk}."""
-    thunks = {}
-    for color, p0, p1, w in pieces:
-        if p1 < p0:
-            thunks[color] = _const(w)
-            continue
-        i_ids, j_ids, k_ids = _ids(n1, pos2, crd2, p0, p1)
+        i_ids, j_ids, k_ids = coords(np.arange(p0, p1 + 1, dtype=np.int64))
         thunks[color] = _body_thunk(
             i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out, w
         )
@@ -468,44 +379,36 @@ def bind(n1, pos2, crd2, vals, C, D, out, pieces):
 '''
 
 
-def _mttkrp(template: str, strategy: str) -> str:
-    return template.replace("ACCUMULATE", str(strategy == "nonzeros"))
+def _mttkrp(strategy: str) -> str:
+    return _MTTKRP.replace("ACCUMULATE", str(strategy == "nonzeros"))
 
 
-#: body template per (kind, format-class, strategy) — exactly the keys the
+#: body template per (iteration shape, strategy) — exactly the keys the
 #: kernel table declares (``KernelSpec.template_keys``; tier-1 checks the
-#: two agree).  Where the table already resolved a piece to the leaf's
-#: range arguments, keys share a body: "grid" rides the rows template
-#: with a column window in the piece tuple, SpTTV rows are fiber ranges
-#: for both formats, SpMTTKRP rows are position ranges.
-TEMPLATES: Dict[Tuple[str, str, str], str] = {
-    ("spmv", "csr", "rows"): _SPMV_ROWS,
-    ("spmv", "csr", "nonzeros"): _SPMV_NONZEROS,
-    ("spmm", "csr", "rows"): _SPMM_ROWS,
-    ("spmm", "csr", "grid"): _SPMM_ROWS,
-    ("spmm", "csr", "nonzeros"): _SPMM_NONZEROS,
-    ("sddmm", "csr", "rows"): _SDDMM_ROWS,
-    ("sddmm", "csr", "nonzeros"): _SDDMM_NONZEROS,
-    ("fused_sddmm_spmm", "csr", "rows"): _FUSED_SDDMM_SPMM_ROWS,
-    ("fused_sddmm_spmm", "csr", "nonzeros"): _FUSED_SDDMM_SPMM_NONZEROS,
-    ("spttv", "csf3", "rows"): _SPTTV_FIBERS,
-    ("spttv", "ddc", "rows"): _SPTTV_FIBERS,
-    ("spttv", "csf3", "nonzeros"): _SPTTV_NONZEROS,
-    ("spttv", "ddc", "nonzeros"): _SPTTV_NONZEROS,
-    ("spmttkrp", "csf3", "rows"): _mttkrp(_MTTKRP_CSF, "rows"),
-    ("spmttkrp", "ddc", "rows"): _mttkrp(_MTTKRP_DDC, "rows"),
-    ("spmttkrp", "csf3", "nonzeros"): _mttkrp(_MTTKRP_CSF, "nonzeros"),
-    ("spmttkrp", "ddc", "nonzeros"): _mttkrp(_MTTKRP_DDC, "nonzeros"),
+#: two agree).  "grid" rides the SpMM rows body with a column window in the
+#: piece tuple.
+TEMPLATES: Dict[Tuple[str, str], str] = {
+    ("segdot", "rows"): _SEGDOT_ROWS,
+    ("segdot", "nonzeros"): _SEGDOT_NONZEROS,
+    ("spmm", "rows"): _SPMM_ROWS,
+    ("spmm", "grid"): _SPMM_ROWS,
+    ("spmm", "nonzeros"): _SPMM_NONZEROS,
+    ("sddmm", "rows"): _SDDMM_ROWS,
+    ("sddmm", "nonzeros"): _SDDMM_NONZEROS,
+    ("fused_sddmm_spmm", "rows"): _FUSED_SDDMM_SPMM_ROWS,
+    ("fused_sddmm_spmm", "nonzeros"): _FUSED_SDDMM_SPMM_NONZEROS,
+    ("spmttkrp", "rows"): _mttkrp("rows"),
+    ("spmttkrp", "nonzeros"): _mttkrp("nonzeros"),
 }
 
 
-def emit_source(kind: str, fmt: str, strategy: str) -> str:
-    """The complete generated-module source for one supported combo."""
-    key = (kind, fmt, strategy)
+def emit_source(shape: str, strategy: str) -> str:
+    """The complete generated-module source for one declared template."""
+    key = (shape, strategy)
     body = TEMPLATES.get(key)
     if body is None:
         raise KeyError(f"no lowering template for {key}")
     extra = "import scipy.sparse as sp\n" if "sp.csr_matrix(" in body else ""
     return _HEADER.format(
-        kind=kind, fmt=fmt, strategy=strategy, extra_imports=extra
+        shape=shape, strategy=strategy, extra_imports=extra
     ) + body

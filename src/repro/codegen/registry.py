@@ -1,9 +1,9 @@
 """Generated-module registry: lower and ``exec``-load each template once.
 
 A generated leaf module is a function of its lowering template key
-``(kind, format class, strategy)`` and nothing else, so the process holds
+``(iteration shape, strategy)`` and nothing else, so the process holds
 one :class:`AotEntry` per key in the generated-module table of
-:mod:`repro.core.cache` (at most 17 — what the kernel table declares).
+:mod:`repro.core.cache` (at most 11 — what the kernel table declares).
 :func:`module_for` builds a missing entry — emit the source, ``exec`` it
 into a module object — under the table's lock, so a concurrent herd
 missing on one template lowers and loads it exactly once and every thread
@@ -63,7 +63,7 @@ def bump(*counters: str) -> None:
             _counters[k] += 1
 
 
-def _build(key: Tuple[str, str, str]) -> AotEntry:
+def _build(key: Tuple[str, str]) -> AotEntry:
     source = lowering.emit_source(*key)
     name = "repro_codegen_" + "_".join(key)
     module = types.ModuleType(name)
@@ -72,6 +72,6 @@ def _build(key: Tuple[str, str, str]) -> AotEntry:
     return AotEntry(source, module)
 
 
-def module_for(key: Tuple[str, str, str]) -> types.ModuleType:
+def module_for(key: Tuple[str, str]) -> types.ModuleType:
     """The generated module of template ``key``, built on first use."""
     return _cache.aot_entry(key, _build).module

@@ -35,9 +35,9 @@ runtime-side mapping-trace replay lives in
   ids the table persists verbatim through :mod:`repro.core.store`.
 
 * **Generated-module table** — one generated leaf module per lowering
-  template ``(kind, format class, strategy)``, built by :mod:`repro.codegen`
+  template ``(iteration shape, strategy)``, built by :mod:`repro.codegen`
   through :func:`aot_entry`.  Code depends on nothing else, so the table
-  holds at most the 17 templates the kernel table declares: a plain dict
+  holds at most the 11 templates the kernel table declares: a plain dict
   under a lock — no budget, no eviction, no persistence.
 
 Invalidation
@@ -63,9 +63,14 @@ live entries for export; on import the store re-keys them under the new
 process's object identities and calls :func:`store_kernel` /
 :func:`store_partition` as usual.
 
-Use :func:`set_cache_enabled` (or the :func:`caches_disabled` context
-manager) to force the uncached paths, e.g. when benchmarking the seed
-behavior.
+Use :func:`set_cache_enabled` to force the uncached paths process-wide
+(e.g. when benchmarking the seed behavior), or the :func:`caches_disabled`
+context manager to force them for the code the *calling thread* runs
+inside the block.  The context manager is thread-local — a nesting depth
+per thread, no shared flag to save and restore — because
+``compile_kernel(..., use_cache=False)`` enters it on whatever serving
+worker happens to compile: other threads keep hitting and storing, and
+overlapping blocks cannot leave the process disabled.
 
 Thread safety
 -------------
@@ -137,6 +142,8 @@ _PARTITION_CACHE_MAX_ENTRIES = 4096
 _DECISION_CACHE_MAX_ENTRIES = 4096
 
 _enabled = True
+#: per-thread nesting depth of :func:`caches_disabled` blocks.
+_disabled_here = threading.local()
 
 
 class Unfingerprintable(Exception):
@@ -234,7 +241,7 @@ _decision_cache = _SizedLRU(_DECISION_CACHE_BUDGET, _DECISION_CACHE_MAX_ENTRIES)
 #: The generated-module table: template key -> entry.  ``_AOT_LOCK`` guards
 #: it and its hit/miss counters; ``clear_caches`` drops it with the LRUs.
 _AOT_LOCK = threading.RLock()
-_aot_table: Dict[Tuple[str, str, str], Any] = {}
+_aot_table: Dict[Tuple[str, str], Any] = {}
 _aot_counters: Dict[str, int] = {"hits": 0, "misses": 0}
 
 
@@ -291,19 +298,19 @@ def set_cache_enabled(enabled: bool) -> None:
 
 
 def caches_enabled() -> bool:
-    return _enabled
+    """Whether lookups and stores on the calling thread reach the caches."""
+    return _enabled and not getattr(_disabled_here, "depth", 0)
 
 
 @contextlib.contextmanager
 def caches_disabled():
-    """Temporarily force uncached compilation/partitioning (seed behavior)."""
-    global _enabled
-    prev = _enabled
-    _enabled = False
+    """Force uncached compilation/partitioning (seed behavior) for what the
+    calling thread runs inside the block; other threads are unaffected."""
+    _disabled_here.depth = getattr(_disabled_here, "depth", 0) + 1
     try:
         yield
     finally:
-        _enabled = prev
+        _disabled_here.depth -= 1
 
 
 def set_cache_budget(
@@ -476,7 +483,7 @@ def kernel_fingerprint(schedule: Schedule, machine) -> Tuple:
 # --------------------------------------------------------------------------- #
 def lookup_kernel(key: Tuple):
     """Return the cached :class:`CompiledKernel` for ``key``, or None."""
-    if not _enabled:
+    if not caches_enabled():
         return None
     entry = _kernel_cache.get(key)
     return None if entry is None else entry[0]
@@ -484,7 +491,7 @@ def lookup_kernel(key: Tuple):
 
 def store_kernel(key: Tuple, kernel, tensors: List[Any]) -> None:
     """Store a compiled kernel; ``tensors`` pins the identities in the key."""
-    if not _enabled:
+    if not caches_enabled():
         return
     _kernel_cache.put(key, (kernel, tuple(tensors)), kernel_entry_nbytes(kernel))
 
@@ -531,14 +538,14 @@ def dense_partition_cache_key(tensor, mode_bounds) -> Tuple:
 
 def lookup_partition(key: Tuple):
     """Return ``(TensorPartition, plan_stmts)`` for ``key``, or None."""
-    if not _enabled:
+    if not caches_enabled():
         return None
     entry = _partition_cache.get(key)
     return None if entry is None else (entry[0], entry[1])
 
 
 def store_partition(key: Tuple, partition, plan_stmts) -> None:
-    if not _enabled:
+    if not caches_enabled():
         return
     stmts = tuple(plan_stmts)
     _partition_cache.put(
@@ -616,12 +623,12 @@ def has_decisions() -> bool:
     an iterative solver loop should not pay per statement when nothing
     was ever tuned (the common case).
     """
-    return _enabled and len(_decision_cache) > 0
+    return caches_enabled() and len(_decision_cache) > 0
 
 
 def lookup_decision(key: str) -> Optional[Dict[str, Any]]:
     """The recorded autotune decision for ``key``, or None."""
-    if not _enabled:
+    if not caches_enabled():
         return None
     return _decision_cache.get(key)
 
@@ -629,7 +636,7 @@ def lookup_decision(key: str) -> Optional[Dict[str, Any]]:
 def store_decision(key: str, decision: Dict[str, Any]) -> None:
     """Record one autotune decision (a small JSON-able dict; at least a
     ``"strategy"`` entry).  Sized into the decision table's byte budget."""
-    if not _enabled:
+    if not caches_enabled():
         return
     nbytes = len(key) + len(repr(decision)) + 64
     _decision_cache.put(key, dict(decision), nbytes)
@@ -646,7 +653,7 @@ def iter_decision_entries() -> Iterator[Tuple[str, Dict[str, Any]]]:
 # --------------------------------------------------------------------------- #
 # generated-module table
 # --------------------------------------------------------------------------- #
-def aot_entry(key: Tuple[str, str, str], build: Callable[[Tuple], Any]):
+def aot_entry(key: Tuple[str, str], build: Callable[[Tuple], Any]):
     """The :class:`~repro.codegen.registry.AotEntry` of template ``key``,
     calling ``build(key)`` on a miss.  The build runs under the table lock, so
     a herd missing on one key builds it exactly once and every thread gets
@@ -662,7 +669,7 @@ def aot_entry(key: Tuple[str, str, str], build: Callable[[Tuple], Any]):
         return entry
 
 
-def iter_aot_entries() -> Iterator[Tuple[Tuple[str, str, str], Any]]:
+def iter_aot_entries() -> Iterator[Tuple[Tuple[str, str], Any]]:
     """Yield every generated module built so far as ``(template key,
     entry)``; ``entry.source`` is the module's text."""
     with _AOT_LOCK:

@@ -21,30 +21,49 @@ consumer                     reads
 ``codegen``                  :func:`template_key`,
                              :meth:`KernelSpec.bind_args`
 ``analysis.costmodel``       :meth:`KernelSpec.work_model`, ``exact``
-``tools/check.py``           ``formats`` × ``strategies`` (the sweeps)
+``tools/check.py``           ``formats`` × ``strategies`` (the sweeps'
+                             workloads — never read by dispatch)
 ===========================  ==========================================
 
-A specialized kind states its leaf once: ``operands`` — the raw arrays,
-in the order both the reference kernel in :mod:`repro.kernels` and the
-generated module's ``bind`` take them; ``row_bounds`` — what a row piece
-hands the leaf when that is not its row range (a column window, the
-fibers or positions its rows cover); ``reference`` — the interpreter
-reference kernel per strategy; ``work`` — the
-:class:`~repro.legion.machine.Work` that kernel reports, from the
-operands' *pattern* alone (``pos`` rects and level sizes, never values);
-and, through ``formats`` × ``strategies``, the keys of its lowering
-templates in :data:`repro.codegen.lowering.TEMPLATES`.
+A format is a stack of level types, and nothing here names one: a
+specialized kind's ``match`` states, besides the statement pattern, a
+*predicate over level types* — what its leaf can walk (:func:`_walkable`:
+levels in tensor-mode order, a dense root, a compressed last level) **and
+where its output is indexed** (SpTTV writes one value per fiber position,
+so its output must share B's first two levels, or be the row-major dense
+matrix a dense level 1 makes the same positions).  Whatever fails the
+predicate is ``generic``, which computes every stack correctly.  What does
+match is resolved through the iteration level functions of
+:mod:`repro.taco.tensor` (``positions_under`` for the range a row piece
+covers, ``coords_of`` for coordinates), so adding a level type means
+adding a level class, not editing this table.
+
+A specialized kind states its leaf once: ``operands`` — the raw arrays
+(for SpMTTKRP also the ``coords`` resolver), in the order both the
+reference kernel in :mod:`repro.kernels` and the generated module's
+``bind`` take them; ``row_bounds`` — what a row piece hands the leaf when
+that is not its row range (a column window, the segments or positions its
+rows cover); ``reference`` — the interpreter reference kernel per
+strategy; ``work`` — the :class:`~repro.legion.machine.Work` that kernel
+reports, from the operands' *pattern* alone (``pos`` rects and level
+sizes, never values); and, through ``shape`` × ``strategies``, the keys
+of its lowering templates in :data:`repro.codegen.lowering.TEMPLATES`.
+``shape`` names how the leaf iterates; kinds that iterate alike (SpMV over
+rows, SpTTV over fibers) share one shape and with it the templates, the
+interpreter leaves and the loop-nest reference.
 The cost model prices ``work``; the binder freezes ``work`` into each
 piece tuple handed to ``bind``, so generated modules carry no formulas.
 Work formulas therefore live in exactly two places — the reference
 kernels (the differential oracle) and here.
 
-Adding a kind is one entry here, one template per (format × strategy)
-in ``codegen/lowering.py``, and tests; see ``docs/codegen.md``.
+Adding a kind is one entry here, one template per strategy in
+``codegen/lowering.py`` unless it reuses an existing shape, and tests;
+see ``docs/codegen.md``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,19 +72,17 @@ from .. import kernels as K
 from ..errors import CompileError
 from ..legion.machine import ProcKind, Work
 from ..taco.expr import Access, Assignment, Mul
+from ..taco.formats import CSF3, CSR, DDC, Format
 from ..taco.reference import var_sizes
-from ..taco.tensor import CompressedLevel, Tensor
+from ..taco.tensor import Tensor
 from . import cache as _cache
 from .assembly import pattern_source
 
 __all__ = [
-    "KernelClass", "KernelSpec", "SPECS", "classify", "format_class",
-    "template_key",
+    "KernelClass", "KernelSpec", "SPECS", "classify", "template_key",
 ]
 
 F8 = 8  # bytes per float64 / int64, as in repro.kernels
-Bounds = Tuple[int, int]
-_EMPTY: Bounds = (0, -1)
 #: a piece -> the leaf's range arguments (``(lo, hi)``, plus ``cols`` for
 #: the SpMM row leaf).
 PieceBounds = Callable[[object], tuple]
@@ -101,60 +118,24 @@ def _span(starts: np.ndarray, p0: int, p1: int) -> int:
     return _owner(starts, p1) - _owner(starts, p0) + 1
 
 
-def _segdot_work(pos: np.ndarray, strategy: str) -> Callable[[int, int], Work]:
-    """Segmented dot products — SpMV over rows, SpTTV over fibers: two
-    flops and three words per non-zero, two words per segment written."""
-
-    def formula(nnz: int, nseg: int) -> Work:
-        return Work(2.0 * nnz, float(nnz * 3 * F8 + nseg * 2 * F8))
-
-    if strategy == "nonzeros":
-        starts = np.ascontiguousarray(pos[:, 0])
-
-        def work(p0: int, p1: int) -> Work:
-            if p1 < p0:
-                return Work.zero()
-            return formula(p1 - p0 + 1, _span(starts, p0, p1))
-
-        return work
-
-    def work(s0: int, s1: int) -> Work:
-        if s1 < s0:
-            return Work.zero()
-        nnz = _rows_nnz(pos, s0, s1)
-        if nnz == 0:
-            return Work(0.0, (s1 - s0 + 1) * F8)  # the zero fill
-        return formula(nnz, s1 - s0 + 1)
-
-    return work
-
-
-def _level_class(tensor: Tensor) -> Optional[str]:
-    """csr / csf3 / ddc by level types alone (any mode ordering)."""
-    levels = getattr(tensor, "levels", None)
-    if not levels or not isinstance(levels[-1], CompressedLevel):
-        return None
-    if tensor.order == 2 and levels[0].is_dense:
-        return "csr"
-    if tensor.order == 3:
-        return "csf3" if isinstance(levels[1], CompressedLevel) else "ddc"
-    return None
-
-
 def _mode_ordered(tensor: Tensor) -> bool:
     """Levels are stored in tensor-mode order (CSR, not CSC)."""
     return tensor.format.mode_ordering == tuple(range(tensor.order))
 
 
-def format_class(tensor: Tensor) -> Optional[str]:
-    """The lowering format class of a sparse operand, or None.
-
-    Templates and reference kernels index levels positionally as
-    row-major storage, so permuted layouts (e.g. CSC's ``(1, 0)``) have no
-    class — :func:`classify` sends statements over them to the generic
-    engine.
-    """
-    return _level_class(tensor) if _mode_ordered(tensor) else None
+def _walkable(B: Tensor) -> bool:
+    """What every specialized leaf can walk, by level types alone: levels
+    stored in tensor-mode order, a dense root — a row piece's coordinate
+    range *is* its root position range — and a compressed last level whose
+    segments the leaf reduces.  Levels in between may be of either type;
+    the level functions walk them."""
+    levels = B.levels
+    return (
+        len(levels) > 1
+        and _mode_ordered(B)
+        and levels[0].is_dense
+        and not levels[-1].is_dense
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -169,9 +150,10 @@ class KernelSpec:
     #: the auto-scheduler's choice on GPU machines / on every other kind.
     cpu_default: str = "rows"
     gpu_default: str = "rows"
-    #: format classes of the sparse operand the leaf handles; with
-    #: ``strategies`` they key the lowering templates.
-    formats: Tuple[str, ...] = ()
+    #: formats the sweeps (``tools/check.py``, the differential oracles)
+    #: build this kind's workloads in.  Dispatch never reads it: what a
+    #: leaf serves is decided by ``match`` from level types.
+    formats: Tuple[Format, ...] = ()
     #: no generated template: the leaf always runs in the interpreter.
     interp_only: bool = False
     #: strategies whose pieces *add* into shared output rows, so the
@@ -192,18 +174,25 @@ class KernelSpec:
     def needs_zero(self, ck) -> bool:
         return ck.strategy in self.accumulating
 
-    def template_keys(self) -> List[Tuple[str, str, str]]:
+    @property
+    def shape(self) -> str:
+        """How the leaf iterates — with the strategy, the key of its
+        lowering template.  Kinds that iterate alike share one."""
+        return self.kind
+
+    def template_keys(self) -> List[Tuple[str, str]]:
         """The ``lowering.TEMPLATES`` keys this kind declares."""
         if self.interp_only:
             return []
-        return [(self.kind, f, s) for f in self.formats for s in self.strategies]
+        return [(self.shape, s) for s in self.strategies]
 
     # -- statement pattern ---------------------------------------------------
     def match(
         self, lhs: Access, B: Access, dense: Sequence[Access]
     ) -> Optional[Dict[str, Access]]:
         """Roles when ``lhs = B * dense...`` (one sparse operand ``B``) is
-        this kind, else None."""
+        this kind — the statement pattern, a level stack the leaf can
+        walk, an output indexed the way the leaf writes it — else None."""
         return None
 
     # -- the leaf, stated once -------------------------------------------------
@@ -211,52 +200,48 @@ class KernelSpec:
     #: ``fn(*operands, *range arguments)``.
     reference: Dict[str, Callable[..., Work]] = {}
 
-    def operands(self, ck, fmt: Optional[str]) -> tuple:
+    def operands(self, ck) -> tuple:
         """The raw arrays, in reference-kernel / ``bind`` order."""
         raise NotImplementedError
 
-    def bounds(self, ck, fmt: Optional[str]) -> PieceBounds:
+    def bounds(self, ck) -> PieceBounds:
         """Piece -> the leaf's range arguments: its non-zero position range
         under ``nonzeros``, what :meth:`row_bounds` says otherwise."""
         if ck.strategy == "nonzeros":
             return lambda p: p.pos
-        return self.row_bounds(ck, fmt)
+        return self.row_bounds(ck)
 
-    def row_bounds(self, ck, fmt: Optional[str]) -> PieceBounds:
+    def row_bounds(self, ck) -> PieceBounds:
         """What a row-distributed piece hands the leaf.  Default: its rows."""
         return lambda p: p.rows
 
-    def leaf(self, args: tuple, fmt, strategy: str) -> Callable[..., Work]:
+    def leaf(self, args: tuple, strategy: str) -> Callable[..., Work]:
         """The reference kernel over one piece's range arguments."""
         fn = self.reference[strategy]
         return lambda *rng: fn(*args, *rng)
 
-    def work(self, args: tuple, fmt, strategy: str) -> Callable[..., Work]:
+    def work(self, args: tuple, strategy: str) -> Callable[..., Work]:
         """The Work :meth:`leaf` reports, from the operands' pattern."""
         raise NotImplementedError
 
     # -- what the consumers call -------------------------------------------------
-    def _lower(self, ck):
-        fmt = _level_class(ck.roles["B"].tensor)
-        return self.operands(ck, fmt), self.bounds(ck, fmt), fmt
-
     def interp_leaf(self, ck) -> Callable[[object], Work]:
         """The interpreter leaf: piece -> Work, running the reference kernel."""
-        args, bounds, fmt = self._lower(ck)
-        run = self.leaf(args, fmt, ck.strategy)
+        bounds = self.bounds(ck)
+        run = self.leaf(self.operands(ck), ck.strategy)
         return lambda p: run(*bounds(p))
 
     def work_model(self, ck) -> Callable[[str, object], Work]:
         """(phase, piece) -> the Work the leaf task will report."""
-        args, bounds, fmt = self._lower(ck)
-        work = self.work(args, fmt, ck.strategy)
+        bounds = self.bounds(ck)
+        work = self.work(self.operands(ck), ck.strategy)
         return lambda _phase, p: work(*bounds(p))
 
     def bind_args(self, ck) -> Tuple[tuple, list]:
         """What a generated module's ``bind`` takes: the raw arrays and one
         ``(color, *range arguments, Work)`` tuple per piece."""
-        args, bounds, fmt = self._lower(ck)
-        work = self.work(args, fmt, ck.strategy)
+        args, bounds = self.operands(ck), self.bounds(ck)
+        work = self.work(args, ck.strategy)
         pieces = []
         for p in ck.pieces:
             b = bounds(p)
@@ -264,32 +249,77 @@ class KernelSpec:
         return args, pieces
 
 
-class _SpMV(KernelSpec):
-    """``a(i) = B(i,j) * c(j)``."""
+class _SegDot(KernelSpec):
+    """One dot product per segment of B's last level against a dense
+    vector ``c`` — the iteration shape SpMV (a segment is a row) and SpTTV
+    (a segment is an ``(i, j)`` fiber) share.  A row piece hands the leaf
+    the segments its rows cover; ``out`` is flat, one slot per segment."""
 
-    kind = "spmv"
+    shape = "segdot"
     strategies = ("rows", "nonzeros")
-    formats = ("csr",)
     accumulating = ("nonzeros",)
     reference = {"rows": K.spmv_rows, "nonzeros": K.spmv_nonzeros}
+
+    def operands(self, ck):
+        B = ck.roles["B"].tensor
+        last = B.levels[-1]
+        return (
+            last.pos.data, last.crd.data, B.vals.data,
+            ck.roles["c"].tensor.dense_array(),
+            ck.out.vals.data.reshape(-1),
+        )
+
+    def row_bounds(self, ck):
+        B = ck.roles["B"].tensor
+        return lambda p: B.positions_under(*p.rows, B.order - 2)
+
+    def work(self, args, strategy):
+        """Two flops and three words per non-zero, two words per segment
+        written."""
+        pos = args[0]
+
+        def formula(nnz: int, nseg: int) -> Work:
+            return Work(2.0 * nnz, float(nnz * 3 * F8 + nseg * 2 * F8))
+
+        if strategy == "nonzeros":
+            starts = np.ascontiguousarray(pos[:, 0])
+
+            def work(p0: int, p1: int) -> Work:
+                if p1 < p0:
+                    return Work.zero()
+                return formula(p1 - p0 + 1, _span(starts, p0, p1))
+
+            return work
+
+        def work(s0: int, s1: int) -> Work:
+            if s1 < s0:
+                return Work.zero()
+            nnz = _rows_nnz(pos, s0, s1)
+            if nnz == 0:
+                return Work(0.0, (s1 - s0 + 1) * F8)  # the zero fill
+            return formula(nnz, s1 - s0 + 1)
+
+        return work
+
+
+class _SpMV(_SegDot):
+    """``a(i) = B(i,j) * c(j)``, dense ``a``."""
+
+    kind = "spmv"
+    formats = (CSR,)
 
     def match(self, lhs, B, dense):
         if B.tensor.order != 2 or len(dense) != 1:
             return None
         d, bi = dense[0], B.indices
-        if d.tensor.order == 1 and lhs.indices == (bi[0],) and d.indices == (bi[1],):
+        if (
+            d.tensor.order == 1
+            and lhs.indices == (bi[0],)
+            and d.indices == (bi[1],)
+            and lhs.tensor.format.is_all_dense()
+        ):
             return {"B": B, "c": d}
         return None
-
-    def operands(self, ck, fmt):
-        return (
-            *ck.roles["B"].tensor.csr_arrays(),
-            ck.roles["c"].tensor.dense_array(),
-            ck.out.vals.data,
-        )
-
-    def work(self, args, fmt, strategy):
-        return _segdot_work(args[0], strategy)
 
 
 def _spmm_rows_window(pos, crd, vals, C, out, r0, r1, cols=None) -> Work:
@@ -306,7 +336,7 @@ class _SpMM(KernelSpec):
     kind = "spmm"
     strategies = ("rows", "nonzeros", "grid")
     gpu_default = "nonzeros"
-    formats = ("csr",)
+    formats = (CSR,)
     accumulating = ("nonzeros",)
     reference = {
         "rows": _spmm_rows_window, "grid": _spmm_rows_window,
@@ -327,17 +357,17 @@ class _SpMM(KernelSpec):
             return {"B": B, "C": d}
         return None
 
-    def operands(self, ck, fmt):
+    def operands(self, ck):
         return (
             *ck.roles["B"].tensor.csr_arrays(),
             ck.roles["C"].tensor.dense_array(),
             ck.out.dense_array(),
         )
 
-    def row_bounds(self, ck, fmt):
+    def row_bounds(self, ck):
         return lambda p: (*p.rows, p.cols)
 
-    def work(self, args, fmt, strategy):
+    def work(self, args, strategy):
         pos, full_k = args[0], args[3].shape[1]
 
         def formula(nnz: int, nr: int, k: int) -> Work:
@@ -369,7 +399,7 @@ class _SDDMM(KernelSpec):
     strategies = ("rows", "nonzeros")
     # Statically load balanced: the paper's choice on both processor kinds.
     cpu_default = gpu_default = "nonzeros"
-    formats = ("csr",)
+    formats = (CSR,)
     adopts_pattern = True
     reference = {"rows": K.sddmm_rows, "nonzeros": K.sddmm_nonzeros}
 
@@ -388,7 +418,7 @@ class _SDDMM(KernelSpec):
             return {"B": B, "C": C, "D": D}
         return None
 
-    def operands(self, ck, fmt):
+    def operands(self, ck):
         return (
             *ck.roles["B"].tensor.csr_arrays(),
             ck.roles["C"].tensor.dense_array(),
@@ -396,7 +426,7 @@ class _SDDMM(KernelSpec):
             ck.out.vals.data,
         )
 
-    def work(self, args, fmt, strategy):
+    def work(self, args, strategy):
         pos, k = args[0], args[3].shape[1]
 
         def positions(p0, p1):
@@ -428,10 +458,10 @@ class _FusedSDDMMSpMM(KernelSpec):
     kind = "fused_sddmm_spmm"
     strategies = ("rows", "nonzeros")
     cpu_default = gpu_default = "nonzeros"  # inherits SDDMM's balanced split
-    formats = ("csr",)
+    formats = (CSR,)
     accumulating = ("nonzeros",)
 
-    def operands(self, ck, fmt):
+    def operands(self, ck):
         roles = ck.roles
         return (
             *roles["B"].tensor.csr_arrays(),
@@ -444,82 +474,61 @@ class _FusedSDDMMSpMM(KernelSpec):
         pos, crd, vals, C, D, F, out = args
         return (pos, crd, vals, C, D, scratch), (pos, crd, scratch, F, out)
 
-    def leaf(self, args, fmt, strategy):
+    def leaf(self, args, strategy):
         sddmm, spmm = self._phases(args, np.zeros_like(args[2]))
-        first = SPECS["sddmm"].leaf(sddmm, fmt, strategy)
-        then = SPECS["spmm"].leaf(spmm, fmt, strategy)
+        first = SPECS["sddmm"].leaf(sddmm, strategy)
+        then = SPECS["spmm"].leaf(spmm, strategy)
         return lambda lo, hi: first(lo, hi) + then(lo, hi)
 
-    def work(self, args, fmt, strategy):
+    def work(self, args, strategy):
         sddmm, spmm = self._phases(args)
-        first = SPECS["sddmm"].work(sddmm, fmt, strategy)
-        then = SPECS["spmm"].work(spmm, fmt, strategy)
+        first = SPECS["sddmm"].work(sddmm, strategy)
+        then = SPECS["spmm"].work(spmm, strategy)
         return lambda lo, hi: first(lo, hi) + then(lo, hi)
 
 
-def _fibers_of_rows(B: Tensor, fmt: str) -> Callable[[int, int], Bounds]:
-    """Row range -> level-1 fiber range of a CSF3 or DDC 3-tensor."""
-    lvl1 = B.levels[1]
-    if fmt == "csf3":
-        pos1 = lvl1.pos.data
-        return lambda r0, r1: (int(pos1[r0, 0]), int(pos1[r1, 1]))
-    n1 = lvl1.size
-    return lambda r0, r1: (r0 * n1, (r1 + 1) * n1 - 1)
-
-
-def _leaf_level(B: Tensor, fmt: Optional[str]) -> CompressedLevel:
-    if fmt is None:
-        raise CompileError("3-tensor kernels need a compressed last level")
-    return B.levels[2]
-
-
-class _SpTTV(KernelSpec):
-    """``A(i,j) = B(i,j,k) * c(k)``; A keeps B's (i, j) pattern.  The row
-    leaf takes the fiber range its rows cover."""
+class _SpTTV(_SegDot):
+    """``A(i,j) = B(i,j,k) * c(k)``.  The leaf writes one value per
+    position of B's level 1 (a fiber), so A must be indexed by those
+    positions: a sparse A adopts B's first two levels before the leaf
+    runs, and a dense A is indexed ``i * n1 + j`` — the fiber position
+    exactly when level 1 is dense too and A is stored row-major."""
 
     kind = "spttv"
-    strategies = ("rows", "nonzeros")
     gpu_default = "nonzeros"
-    formats = ("csf3", "ddc")
-    accumulating = ("nonzeros",)
+    formats = (CSF3, DDC)
     adopts_pattern = True
-    reference = {"rows": K.spttv_fibers, "nonzeros": K.spttv_nonzeros}
 
     def match(self, lhs, B, dense):
         bi = B.indices
         if B.tensor.order != 3 or len(dense) != 1 or dense[0].tensor.order != 1:
             return None
-        if tuple(lhs.indices) == tuple(bi[:2]) and dense[0].indices == (bi[2],):
-            return {"B": B, "c": dense[0]}
-        return None
-
-    def operands(self, ck, fmt):
-        B = ck.roles["B"].tensor
-        lvl2 = _leaf_level(B, fmt)
-        return (
-            lvl2.pos.data, lvl2.crd.data, B.vals.data,
-            ck.roles["c"].tensor.dense_array(),
-            ck.out.vals.data.reshape(-1),
-        )
-
-    def row_bounds(self, ck, fmt):
-        fibers = _fibers_of_rows(ck.roles["B"].tensor, fmt)
-        return lambda p: fibers(*p.rows) if p.rows[0] <= p.rows[1] else _EMPTY
-
-    def work(self, args, fmt, strategy):
-        return _segdot_work(args[0], strategy)
+        if tuple(lhs.indices) != tuple(bi[:2]) or dense[0].indices != (bi[2],):
+            return None
+        A = lhs.tensor
+        if not _mode_ordered(A):
+            return None
+        if A.format.is_all_dense() and not B.tensor.levels[1].is_dense:
+            return None
+        return {"B": B, "c": dense[0]}
 
 
 class _SpMTTKRP(KernelSpec):
-    """``A(i,l) = B(i,j,k) * C(j,l) * D(k,l)``.  Both strategies hand the
-    leaf a range of leaf positions; ``rows`` owns its output rows and
-    overwrites, ``nonzeros`` splits rows across pieces and accumulates."""
+    """``A(i,l) = B(i,j,k) * C(j,l) * D(k,l)``, dense A.  Both strategies
+    hand the leaf a range of leaf positions, which it turns into
+    ``(i, j, k)`` through B's level functions; ``rows`` owns its output
+    rows and overwrites, ``nonzeros`` splits rows across pieces and
+    accumulates."""
 
     kind = "spmttkrp"
     strategies = ("rows", "nonzeros")
     gpu_default = "nonzeros"
-    formats = ("csf3", "ddc")
+    formats = (CSF3, DDC)
     accumulating = ("nonzeros",)
+    reference = {
+        "rows": partial(K.spmttkrp, accumulate=False),
+        "nonzeros": partial(K.spmttkrp, accumulate=True),
+    }
 
     def match(self, lhs, B, dense):
         bi = B.indices
@@ -529,6 +538,7 @@ class _SpMTTKRP(KernelSpec):
             or not all(d.tensor.order == 2 for d in dense)
             or len(lhs.indices) != 2
             or lhs.indices[0] != bi[0]
+            or not lhs.tensor.format.is_all_dense()
         ):
             return None
         l = lhs.indices[1]
@@ -538,56 +548,30 @@ class _SpMTTKRP(KernelSpec):
             return {"B": B, "C": C, "D": D}
         return None
 
-    def operands(self, ck, fmt):
+    def operands(self, ck):
         B = ck.roles["B"].tensor
-        lvl1, lvl2 = B.levels[1], _leaf_level(B, fmt)
         return (
-            *((lvl1.pos.data, lvl1.crd.data) if fmt == "csf3" else (lvl1.size,)),
-            lvl2.pos.data, lvl2.crd.data, B.vals.data,
+            B.coords_of, B.vals.data,
             ck.roles["C"].tensor.dense_array(),
             ck.roles["D"].tensor.dense_array(),
             ck.out.dense_array(),
         )
 
-    def row_bounds(self, ck, fmt):
+    def row_bounds(self, ck):
         B = ck.roles["B"].tensor
-        fibers, pos2 = _fibers_of_rows(B, fmt), B.levels[2].pos.data
+        return lambda p: B.positions_under(*p.rows, B.order - 1)
 
-        def positions_of_rows(p) -> Bounds:
-            if p.rows[1] < p.rows[0]:
-                return _EMPTY
-            f0, f1 = fibers(*p.rows)
-            if f1 < f0:
-                return _EMPTY
-            return int(pos2[f0, 0]), int(pos2[f1, 1])
-
-        return positions_of_rows
-
-    def leaf(self, args, fmt, strategy):
-        fn = K.spmttkrp_csf if fmt == "csf3" else K.spmttkrp_ddc
-        accumulate = strategy == "nonzeros"
-        return lambda p0, p1: fn(*args, p0, p1, accumulate=accumulate)
-
-    def work(self, args, fmt, strategy):
-        # level1 is (pos1, crd1) for CSF3 and (n1,) for DDC
-        *level1, pos2, _crd2, _vals, C, _D, _out = args
-        l = C.shape[1]
-        fiber_starts = np.ascontiguousarray(pos2[:, 0])
-        if fmt == "csf3":
-            row_starts = np.ascontiguousarray(level1[0][:, 0])
-            row_of = lambda f: _owner(row_starts, f)  # noqa: E731
-        else:
-            row_of = lambda f: f // level1[0]  # noqa: E731
+    def work(self, args, strategy):
+        coords, l = args[0], args[2].shape[1]
 
         def work(p0, p1):
             if p1 < p0:
                 return Work.zero()
             nnz = p1 - p0 + 1
-            i0 = row_of(_owner(fiber_starts, p0))
-            i1 = row_of(_owner(fiber_starts, p1))
+            i0, i1 = coords(np.array([p0, p1]))[0]
             return Work(
                 3.0 * nnz * l,
-                float(nnz * (2 * l + 3) * F8 + (i1 - i0 + 1) * l * F8),
+                float(nnz * (2 * l + 3) * F8 + (int(i1) - int(i0) + 1) * l * F8),
             )
 
         return work
@@ -599,7 +583,7 @@ class _SpAdd(KernelSpec):
     launches live in ``CompiledKernel._execute_spadd``."""
 
     kind = "spadd"
-    formats = ("csr",)
+    formats = (CSR,)
     interp_only = True
     assembles = True
 
@@ -746,10 +730,12 @@ def classify(asg: Assignment) -> KernelClass:
     operands = list(asg.rhs.operands) if isinstance(asg.rhs, Mul) else [asg.rhs]
     if all(isinstance(o, Access) for o in operands):
         sparse = [o for o in operands if o.tensor.format.has_compressed()]
-        # The specialized kernels read the sparse operand's levels as
-        # tensor-mode-order storage; a permuted layout (CSC) would run them
-        # on the transpose, so it takes the generic engine.
-        if len(sparse) == 1 and _mode_ordered(sparse[0].tensor):
+        # Every specialized leaf walks the same stacks today, so the walk
+        # half of the predicate is checked once here; each kind's ``match``
+        # adds where its output is indexed.  Anything else — a permuted
+        # layout (CSC would run on the transpose), a compressed root, a
+        # dense last level — takes the generic engine.
+        if len(sparse) == 1 and _walkable(sparse[0].tensor):
             dense = [o for o in operands if o is not sparse[0]]
             for spec in SPECS.values():
                 roles = spec.match(asg.lhs, sparse[0], dense)
@@ -758,11 +744,10 @@ def classify(asg: Assignment) -> KernelClass:
     return KernelClass(_Generic.kind)
 
 
-def template_key(ck) -> Optional[Tuple[str, str, str]]:
-    """The (kind, format-class, strategy) lowering key of ``ck``, or None
+def template_key(ck) -> Optional[Tuple[str, str]]:
+    """The (iteration shape, strategy) lowering key of ``ck``, or None
     when its leaf runs in the interpreter."""
     spec = SPECS[ck.kind]
     if spec.interp_only or ck.strategy not in spec.strategies:
         return None
-    fmt = format_class(ck.roles["B"].tensor)
-    return (ck.kind, fmt, ck.strategy) if fmt in spec.formats else None
+    return (spec.shape, ck.strategy)

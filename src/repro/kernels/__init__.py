@@ -2,9 +2,14 @@
 
 Each kernel has a vectorized implementation (the analogue of the
 generated C++/CUDA or vendor-library leaf in the paper) plus, for the core
-kernels, a straight loop-nest reference used for cross-validation.  The
-generic COO engine covers every tensor algebra expression the specialized
-kernels do not match.
+kernels, a straight loop-nest reference used for cross-validation.  A leaf
+is written per *iteration shape*, not per statement or format: the
+segmented dot (:mod:`.spmv`) serves SpMV over rows and SpTTV over fibers,
+and the one SpMTTKRP body takes its ``(i, j, k)`` from the level functions
+of whatever stack stores B.  The kernel table
+(:mod:`repro.core.kernelspec`) decides which statements a leaf can serve;
+the generic COO engine covers every tensor algebra expression — and every
+level stack — the specialized kernels do not.
 """
 from .segment import (
     expand_ranges,
@@ -17,8 +22,7 @@ from .spmv import spmv_nonzeros, spmv_rows, spmv_rows_reference
 from .spmm import spmm_nonzeros, spmm_rows, spmm_rows_reference
 from .sddmm import sddmm_nonzeros, sddmm_reference, sddmm_rows
 from .spadd import spadd3_fill, spadd3_symbolic
-from .spttv import spttv_fibers, spttv_nonzeros, spttv_reference
-from .spmttkrp import spmttkrp_csf, spmttkrp_ddc, spmttkrp_reference
+from .spmttkrp import spmttkrp, spmttkrp_reference
 from .generic_coo import CooData, coo_of_access, evaluate_generic, fits_int64, lex_ranks
 
 __all__ = [
@@ -28,7 +32,6 @@ __all__ = [
     "spmm_nonzeros", "spmm_rows", "spmm_rows_reference",
     "sddmm_nonzeros", "sddmm_reference", "sddmm_rows",
     "spadd3_fill", "spadd3_symbolic",
-    "spttv_fibers", "spttv_nonzeros", "spttv_reference",
-    "spmttkrp_csf", "spmttkrp_ddc", "spmttkrp_reference",
+    "spmttkrp", "spmttkrp_reference",
     "CooData", "coo_of_access", "evaluate_generic", "fits_int64", "lex_ranks",
 ]

@@ -1,42 +1,53 @@
-"""SpMTTKRP leaf kernels: ``A(i,l) = B(i,j,k) * C(j,l) * D(k,l)``.
+"""SpMTTKRP leaf kernel: ``A(i,l) = B(i,j,k) * C(j,l) * D(k,l)``.
 
-For CSF B the fiber level supplies ``j`` (via ``crd1``) and the leaf level
-``k`` (via ``crd2``); for the DDC "patents" format the (i, j) fiber space
-is dense, so ``j = fiber % n1`` and ``i = fiber // n1``.  The row-based
-variant owns disjoint ``i`` ranges; the non-zero-based variant splits leaf
-positions exactly and reduces aliased output rows (the GPU schedule in the
-paper, which wins through load balance).
+One body for every level stack: the kernel table
+(:mod:`repro.core.kernelspec`) hands it ``coords`` — B's level functions
+chained from the last level to the root
+(:meth:`repro.taco.tensor.Tensor.coords_of`) — which turns a range of leaf
+positions into the ``(i, j, k)`` of each non-zero, whether a level stores
+its coordinate in ``crd`` or implies it by position.  The row-based
+variant owns disjoint ``i`` ranges and overwrites; the non-zero-based
+variant splits leaf positions exactly and reduces aliased output rows (the
+GPU schedule in the paper, which wins through load balance).
 
 Index notation: ``A(i,l) = B(i,j,k) * C(j,l) * D(k,l)`` — paper §VI-A
 (higher-order kernels), Fig. 10/12 (evaluation).
 """
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 from ..legion.machine import Work
-from .segment import row_of_positions, segment_sum_matrix
+from .segment import segment_sum_matrix
 
-__all__ = ["spmttkrp_csf", "spmttkrp_ddc", "spmttkrp_reference"]
+__all__ = ["spmttkrp", "spmttkrp_reference"]
 
 F8 = 8
+#: positions -> per-level coordinate arrays, root first.
+Coords = Callable[[np.ndarray], Sequence[np.ndarray]]
 
 
-def _mttkrp_body(
-    i_ids: np.ndarray,
-    j_ids: np.ndarray,
-    k_ids: np.ndarray,
-    vals_piece: np.ndarray,
+def spmttkrp(
+    coords: Coords,
+    vals: np.ndarray,
     C: np.ndarray,
     D: np.ndarray,
     out: np.ndarray,
+    p0: int,
+    p1: int,
+    *,
     accumulate: bool,
 ) -> Work:
-    nnz = vals_piece.size
-    if nnz == 0:
+    """Process leaf positions ``[p0, p1]``; ``accumulate`` adds into output
+    rows other pieces share instead of overwriting rows this piece owns."""
+    if p1 < p0:
         return Work.zero()
+    nnz = p1 - p0 + 1
+    i_ids, j_ids, k_ids = coords(np.arange(p0, p1 + 1, dtype=np.int64))
     l = C.shape[1]
-    prods = vals_piece[:, None] * C[j_ids, :] * D[k_ids, :]
+    prods = vals[p0 : p1 + 1, None] * C[j_ids, :] * D[k_ids, :]
     r0, r1 = int(i_ids[0]), int(i_ids[-1])
     acc = segment_sum_matrix(prods, i_ids - r0, r1 - r0 + 1)
     if accumulate:
@@ -49,64 +60,11 @@ def _mttkrp_body(
     )
 
 
-def spmttkrp_csf(
-    pos1: np.ndarray,
-    crd1: np.ndarray,
-    pos2: np.ndarray,
-    crd2: np.ndarray,
-    vals: np.ndarray,
-    C: np.ndarray,
-    D: np.ndarray,
-    out: np.ndarray,
-    p0: int,
-    p1: int,
-    *,
-    accumulate: bool,
-) -> Work:
-    """Process leaf positions ``[p0, p1]`` of a CSF tensor."""
-    if p1 < p0:
-        return Work.zero()
-    positions = np.arange(p0, p1 + 1, dtype=np.int64)
-    fibers = row_of_positions(pos2[:, 0], positions)
-    i_ids = row_of_positions(pos1[:, 0], fibers)
-    j_ids = crd1[fibers]
-    k_ids = crd2[positions]
-    return _mttkrp_body(i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out, accumulate)
-
-
-def spmttkrp_ddc(
-    n1: int,
-    pos2: np.ndarray,
-    crd2: np.ndarray,
-    vals: np.ndarray,
-    C: np.ndarray,
-    D: np.ndarray,
-    out: np.ndarray,
-    p0: int,
-    p1: int,
-    *,
-    accumulate: bool,
-) -> Work:
-    """Process leaf positions of a {Dense, Dense, Compressed} tensor."""
-    if p1 < p0:
-        return Work.zero()
-    positions = np.arange(p0, p1 + 1, dtype=np.int64)
-    fibers = row_of_positions(pos2[:, 0], positions)
-    i_ids = fibers // n1
-    j_ids = fibers % n1
-    k_ids = crd2[positions]
-    return _mttkrp_body(i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out, accumulate)
-
-
-def spmttkrp_reference(pos1, crd1, pos2, crd2, vals, C, D, out, p0, p1) -> Work:
+def spmttkrp_reference(coords: Coords, vals, C, D, out, p0, p1) -> Work:
+    """The straight-line loop nest, accumulating one non-zero at a time."""
     nnz = 0
-    f_starts = pos2[:, 0]
-    i_starts = pos1[:, 0]
     for p in range(p0, p1 + 1):
-        f = int(np.searchsorted(f_starts, p, side="right") - 1)
-        i = int(np.searchsorted(i_starts, f, side="right") - 1)
-        j = int(crd1[f])
-        k = int(crd2[p])
+        i, j, k = (int(c) for c in coords(p))
         out[i, :] += vals[p] * C[j, :] * D[k, :]
         nnz += 1
     l = C.shape[1]

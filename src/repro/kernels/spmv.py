@@ -1,18 +1,27 @@
-"""SpMV leaf kernels: ``a(i) = B(i,j) * c(j)`` (paper §II-D).
+"""Segmented-dot leaf kernels: SpMV ``a(i) = B(i,j) * c(j)`` (paper §II-D)
+and SpTTV ``A(i,j) = B(i,j,k) * c(k)`` (§V-B, §VI-A).
 
-Two distributed algorithms from the paper:
+Both statements reduce each *segment* of B's last (compressed) level
+against a dense vector — ``out[s] = Σ_{p ∈ pos[s]} vals[p] · c[crd[p]]`` —
+so they share these bodies: for SpMV a segment is a row and ``out`` the
+output vector; for SpTTV it is an ``(i, j)`` fiber and ``out`` the flat
+values of an output that keeps B's (i, j) pattern.  The kernel table
+(:mod:`repro.core.kernelspec`) resolves a piece to its segment or position
+range through the level functions and hands over the last level's
+``pos``/``crd``.  Two distributed algorithms from the paper:
 
-* **row-based** — each piece owns a contiguous row range of B (universe
-  partition of level 0) plus all of ``c``; no reduction needed;
+* **row-based** — each piece owns a contiguous segment range (universe
+  partition of level 0, walked down) plus all of ``c``; no reduction
+  needed;
 * **non-zero-based** — each piece owns a contiguous range of B's non-zero
-  positions (non-zero partition of level 1); pieces that share a boundary
-  row reduce into the output.
+  positions (non-zero partition of the last level); pieces that share a
+  boundary segment reduce into the output.
 
 Both compute on the rect-``pos`` arrays with NumPy segment reductions and
 return the roofline :class:`~repro.legion.machine.Work` they performed.
 
-Index notation: ``a(i) = B(i,j) * c(j)`` — paper §II-D (schedules), §VI-A
-(CPU/GPU algorithm choice), Fig. 10/11/13 (evaluation).
+Paper: §II-D (schedules), §VI-A (CPU/GPU algorithm choice), Fig. 10–13
+(evaluation).
 """
 from __future__ import annotations
 
@@ -37,7 +46,8 @@ def spmv_rows(
     r0: int,
     r1: int,
 ) -> Work:
-    """Compute rows ``[r0, r1]`` of ``out = B @ c`` on one piece."""
+    """Reduce segments ``[r0, r1]`` (rows of a matrix, fibers of a
+    3-tensor) into ``out`` on one piece."""
     if r1 < r0:
         return Work.zero()
     lo = pos[r0 : r1 + 1, 0]
@@ -63,7 +73,8 @@ def spmv_nonzeros(
     p0: int,
     p1: int,
 ) -> Work:
-    """Accumulate positions ``[p0, p1]`` of B into ``out`` (may alias rows)."""
+    """Accumulate positions ``[p0, p1]`` of B into ``out`` (pieces may
+    share a boundary segment)."""
     if p1 < p0:
         return Work.zero()
     nnz = p1 - p0 + 1

@@ -114,6 +114,16 @@ class RegionReq:
         return self.partition[color]
 
 
+def _holds(pieces: Sequence[IndexSubset], subset: IndexSubset) -> bool:
+    """Whether ``subset`` is one of ``pieces``: identity first, then
+    same-type equality (cross-type equality would materialize rects as
+    index arrays)."""
+    for p in pieces:
+        if p is subset or (type(p) is type(subset) and p == subset):
+            return True
+    return False
+
+
 class _Residency:
     """Which subsets of one region are valid in each processor's memory."""
 
@@ -141,12 +151,9 @@ class _Residency:
             return
         pieces = self.by_proc.setdefault(proc, [])
         # Skip exact duplicates so steady-state launches leave residency at
-        # a fixpoint (same-type compare only: cross-type equality would
-        # materialize rects as index arrays).
-        for p in pieces:
-            if p is subset or (type(p) is type(subset) and p == subset):
-                return
-        pieces.append(subset)
+        # a fixpoint.
+        if not _holds(pieces, subset):
+            pieces.append(subset)
 
     def invalidate_others(self, writer: int, subset: IndexSubset) -> None:
         for proc, pieces in self.by_proc.items():
@@ -271,6 +278,16 @@ class Runtime:
             self._mark_dirty()
 
     # -- data placement -----------------------------------------------------
+    def _add_home(self, region: Region, subset: IndexSubset, proc: int) -> None:
+        """Record ``subset`` as homed on ``proc`` unless that pair already
+        is.  Every kernel placed on this runtime re-declares the homes of
+        its operands, and every reset, staging pass and owner lookup walks
+        the list; first occurrences keep their order, so owner
+        tie-breaking is that of the first placement."""
+        homes = self._home.setdefault(region.uid, [])
+        if not _holds([s for s, p in homes if p == proc], subset):
+            homes.append((subset, proc))
+
     def place(
         self,
         region: Region,
@@ -279,11 +296,10 @@ class Runtime:
     ) -> None:
         """Declare the initial distribution of a region (its home placement)."""
         res = self._residency.setdefault(region.uid, _Residency())
-        homes = self._home.setdefault(region.uid, [])
         for i, (color, subset) in enumerate(partition.items()):
             proc = proc_map(color) if proc_map else self._default_proc(color, i)
             res.add(proc, subset)
-            homes.append((subset, proc))
+            self._add_home(region, subset, proc)
         self._homes_changed()
         self._check_capacity_all(region)
 
@@ -291,10 +307,9 @@ class Runtime:
         """Place a full valid copy of the region on every processor."""
         res = self._residency.setdefault(region.uid, _Residency())
         full = region.ispace.full_subset()
-        homes = self._home.setdefault(region.uid, [])
         for p in range(self.machine.size):
             res.add(p, full)
-            homes.append((full, p))
+            self._add_home(region, full, p)
         self._homes_changed()
         self._check_capacity_all(region)
 
@@ -303,7 +318,7 @@ class Runtime:
         res = self._residency.setdefault(region.uid, _Residency())
         full = region.ispace.full_subset()
         res.add(proc, full)
-        self._home.setdefault(region.uid, []).append((full, proc))
+        self._add_home(region, full, proc)
         self._homes_changed()
 
     def _default_proc(self, color: Color, ordinal: int) -> int:

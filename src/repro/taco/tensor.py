@@ -11,6 +11,16 @@ Each storage level is either
 children in ``crd`` — the encoding SpDISTAL uses so that Legion's
 ``image``/``preimage`` can relate partitions of ``pos`` and ``crd``.
 Values live in a ``vals`` region over the last level's position space.
+
+Both level types implement the three *iteration* level functions of Chou
+et al.'s format abstraction — ``child_range`` (parent position range →
+position range), ``parent_of`` (position → parent position) and
+``coord_of`` (position → coordinate) — and :class:`Tensor` composes them
+over a level stack (:meth:`Tensor.positions_under`,
+:meth:`Tensor.coords_of`).  They are the only place that says how a level
+is walked: the kernel table (:mod:`repro.core.kernelspec`) resolves every
+piece through them instead of naming formats.  The *partitioning* level
+functions over the same levels live in :mod:`repro.core.levels`.
 """
 from __future__ import annotations
 
@@ -44,6 +54,18 @@ class DenseLevel:
     def nbytes(self) -> int:
         return 0  # implicit
 
+    def child_range(self, lo: int, hi: int) -> Tuple[int, int]:
+        """Parent positions ``[lo, hi]`` -> the positions of their slots."""
+        return lo * self.size, (hi + 1) * self.size - 1
+
+    def parent_of(self, positions):
+        """Position(s) -> the parent entry each slot belongs to."""
+        return positions // self.size
+
+    def coord_of(self, positions):
+        """Position(s) -> coordinate: the slot's offset under its parent."""
+        return positions % self.size
+
     def __repr__(self) -> str:
         return f"DenseLevel(size={self.size})"
 
@@ -74,6 +96,24 @@ class CompressedLevel:
     def counts(self) -> np.ndarray:
         """Children per parent entry (empty ranges count zero)."""
         return np.maximum(self.pos.hi - self.pos.lo + 1, 0)
+
+    def child_range(self, lo: int, hi: int) -> Tuple[int, int]:
+        """Parent positions ``[lo, hi]`` -> the ``crd`` positions they own.
+        ``pos`` is monotone, so the union of their ranges is one range."""
+        if hi < lo:
+            return 0, -1
+        pos = self.pos.data
+        return int(pos[lo, 0]), int(pos[hi, 1])
+
+    def parent_of(self, positions):
+        """Position(s) -> the owning parent entry.  Empty entries share
+        their successor's start, so the last entry with ``start <= p`` is
+        the non-empty owner of ``p``."""
+        return np.searchsorted(self.pos.data[:, 0], positions, side="right") - 1
+
+    def coord_of(self, positions):
+        """Position(s) -> the stored coordinate."""
+        return self.crd.data[positions]
 
     def __repr__(self) -> str:
         return f"CompressedLevel(parents={self.pos.ispace.volume}, nnz={self.num_positions})"
@@ -531,6 +571,27 @@ class Tensor:
             raise ValueError("to_scipy requires a matrix")
         coords, vals = self.to_coo()
         return sp.coo_matrix((vals, (coords[0], coords[1])), shape=self.shape).tocsr()
+
+    # ------------------------------------------------------------------ #
+    # walking the level stack (the iteration level functions, composed)
+    # ------------------------------------------------------------------ #
+    def positions_under(self, lo: int, hi: int, level: int) -> Tuple[int, int]:
+        """The positions of storage level ``level`` below root positions
+        ``[lo, hi]``: parent range -> child range, folded down the stack."""
+        for lvl in self.levels[1 : level + 1]:
+            lo, hi = lvl.child_range(lo, hi)
+        return lo, hi
+
+    def coords_of(self, positions) -> List[np.ndarray]:
+        """Storage-order coordinates of last-level ``positions``: position
+        -> coordinate and position -> parent, chained up to the root."""
+        coords = []
+        for depth in reversed(range(len(self.levels))):
+            lvl = self.levels[depth]
+            coords.append(lvl.coord_of(positions))
+            if depth:  # the root's parent is the single position 0
+                positions = lvl.parent_of(positions)
+        return coords[::-1]
 
     # ------------------------------------------------------------------ #
     # convenient raw views for leaf kernels

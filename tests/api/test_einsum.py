@@ -115,6 +115,25 @@ class TestSemantics:
         assert np.allclose(out.dense_array(),
                            np.einsum("ijk,jr,kr->ir", T, C, D))
 
+    @pytest.mark.parametrize("machine", [dict(nodes=4), dict(gpus=4)],
+                             ids=["nodes4", "gpus4"])
+    @pytest.mark.parametrize("backend", ["codegen", "interp"])
+    def test_spttv_into_the_default_dense_output(self, machine, backend):
+        """The SpTTV leaf writes one value per fiber position; the default
+        dense output is indexed ``i * n1 + j`` — the kernel table must see
+        the difference from level types, not bind by the name "CSF3"."""
+        rng = np.random.default_rng(11)
+        shape, nnz = (30, 8, 9), 120
+        idx = [rng.integers(0, n, nnz) for n in shape]
+        T = Tensor.from_coo("T", idx, rng.integers(1, 5, nnz).astype(float),
+                            shape, repro.CSF3)
+        c = rng.integers(1, 5, shape[2]).astype(float)
+        with repro.session(backend=backend, **machine) as s:
+            out = repro.einsum("ijk,k->ij", T, c, session=s)
+        assert out.format.is_all_dense()
+        assert np.array_equal(out.dense_array(),
+                              np.einsum("ijk,k->ij", T.to_dense(), c))
+
     def test_out_tensor_is_used(self):
         M = sp.random(20, 20, density=0.2, format="csr",
                       random_state=np.random.default_rng(7))

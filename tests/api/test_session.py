@@ -4,7 +4,6 @@ import pytest
 import scipy.sparse as sp
 
 import repro
-from repro.core import cache as _cache
 from repro.core import clear_caches
 from repro.legion import Machine, ProcKind
 
@@ -56,15 +55,6 @@ class TestConstruction:
     def test_default_is_one_cpu_node(self):
         with repro.session() as s:
             assert s.machine.size == 1
-
-    def test_cache_budgets_set_and_restored(self):
-        before = _cache.cache_budgets()
-        with repro.session(nodes=1, kernel_cache_bytes=1 << 20,
-                           partition_cache_bytes=2 << 20):
-            mid = _cache.cache_budgets()
-            assert mid["kernel_bytes"] == 1 << 20
-            assert mid["partition_bytes"] == 2 << 20
-        assert _cache.cache_budgets() == before
 
 
 class TestTensorSugar:

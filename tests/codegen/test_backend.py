@@ -109,7 +109,7 @@ class TestGeneratedModules:
         machine = Machine.cpu(PIECES)
         compile_kernel(sched, machine, backend="codegen").execute(Runtime(machine))
         ((key, entry),) = iter_aot_entries()
-        assert key == ("spmv", "csr", "rows")
+        assert key == ("segdot", "rows")
         meta = entry.module.META
         assert meta["generator"] == "repro.codegen"
-        assert (meta["kind"], meta["format"], meta["strategy"]) == key
+        assert (meta["shape"], meta["strategy"]) == key

@@ -1,5 +1,7 @@
 """Cache correctness: kernel cache, partition memo, invalidation rules,
 size-aware eviction."""
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from repro.core import (
     cache_budgets,
     cache_stats,
     caches_disabled,
+    caches_enabled,
     clear_caches,
     compile_kernel,
     invalidate_tensor,
@@ -277,3 +280,36 @@ class TestSeedPathBypass:
         # a true seed-path compile consults neither cache
         assert cache_stats()["partition_hits"] == hits
         assert cache_stats()["partition_misses"] == misses
+
+    def test_overlapping_disabled_blocks_leave_the_caches_enabled(self):
+        """Two threads whose ``with caches_disabled():`` blocks overlap
+        (A in, B in, A out, B out).  A shared flag that each block saves
+        and restores ends ``False`` forever: B restores the ``False`` it
+        saw A set.  The effect is per thread, so nothing is left behind."""
+        step = threading.Barrier(2, timeout=30)
+        seen = {}
+
+        def first():
+            with caches_disabled():
+                step.wait()  # A in
+                step.wait()  # B in
+            seen["first_after_exit"] = caches_enabled()
+            step.wait()      # A out
+
+        def second():
+            step.wait()      # A in
+            with caches_disabled():
+                seen["second_inside"] = caches_enabled()
+                step.wait()  # B in
+                step.wait()  # A out
+            seen["second_after_exit"] = caches_enabled()
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"second_inside": False, "first_after_exit": True,
+                        "second_after_exit": True}
+        assert caches_enabled()

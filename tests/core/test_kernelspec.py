@@ -2,11 +2,11 @@
 
 Every layer derives its per-kind behaviour from one :data:`SPECS` entry,
 so the table's internal consistency is what keeps them from drifting:
-defaults are legal, every declared (format × strategy) has a working
+defaults are legal, every declared (sweep format × strategy) has a working
 interpreter leaf and — unless the kind is marked interp-only — a lowering
-template, the template table holds exactly the declared keys, and
-``classify`` sends each differential-oracle statement to the spec that
-handles it.
+template, the template table holds exactly the declared (iteration shape,
+strategy) keys, and ``classify`` sends each differential-oracle statement
+to the spec that handles it — by level types, never by a format's name.
 """
 import sys
 from pathlib import Path
@@ -16,7 +16,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "integration"))
 
-from test_differential import _build, _combos  # noqa: E402
+from test_differential import _FORMATS, _build, _combos  # noqa: E402
 
 from repro.api.autoschedule import auto_schedule  # noqa: E402
 from repro.codegen import lowering, supported  # noqa: E402
@@ -46,9 +46,13 @@ def test_defaults_are_legal_strategies(spec):
 
 
 def test_template_table_is_exactly_what_the_specs_declare():
-    declared = [k for spec in SPECS.values() for k in spec.template_keys()]
-    assert len(declared) == len(set(declared))
-    assert set(lowering.TEMPLATES) == set(declared)
+    declared = {k for spec in SPECS.values() for k in spec.template_keys()}
+    assert set(lowering.TEMPLATES) == declared
+    # keyed by iteration shape: kinds that iterate alike share keys, and
+    # no key carries a format
+    assert SPECS["spmv"].template_keys() == SPECS["spttv"].template_keys()
+    assert len(lowering.TEMPLATES) == 11
+    assert len(set(lowering.TEMPLATES.values())) == 10  # grid rides rows
     for spec in SPECS.values():
         # interp-only is an explicit mark, never an accident of a missing
         # template: everything else declares at least one
@@ -62,7 +66,7 @@ def test_every_declared_combination_classifies_and_has_its_leaves(combo):
     spec = SPECS[kind]
     out = _build(builder, fmt, np.random.default_rng(5), 12, 0.3)
     assert classify(out.assignment).kind == kind
-    assert fmt in spec.formats and strategy in spec.strategies
+    assert _FORMATS[fmt] in spec.formats and strategy in spec.strategies
 
     machine = Machine.cpu(4)
     ck = compile_kernel(
@@ -80,7 +84,7 @@ def test_every_declared_combination_classifies_and_has_its_leaves(combo):
 
 def test_the_sweep_above_covers_every_declared_combination():
     swept = {
-        (_KIND_OF_BUILDER.get(k, k), f, s) for k, f, s in _combos()
+        (_KIND_OF_BUILDER.get(k, k), _FORMATS[f], s) for k, f, s in _combos()
     }
     declared = {
         (spec.kind, f, s)
@@ -89,6 +93,6 @@ def test_the_sweep_above_covers_every_declared_combination():
     }
     # the fused kind is reached only through the pass pipeline; its
     # leaves are exercised by tests/core/test_passes.py and the commplan
-    # oracle.  generic declares no sparse-operand format class.
+    # oracle.  generic declares no sweep format: it takes every stack.
     fused = {k for k in declared if k[0] == "fused_sddmm_spmm"}
     assert fused and declared - fused == swept

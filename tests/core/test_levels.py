@@ -1,11 +1,16 @@
-"""Table I level function tests: the format abstractions for partitioning."""
+"""Level function tests: Table I's format abstractions for partitioning
+(:mod:`repro.core.levels`) and the three iteration level functions every
+leaf is resolved through (:mod:`repro.taco.tensor`)."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import PartitioningPlan, level_functions_for, partition_tensor
 from repro.errors import CompileError
+from repro.kernels import piece_range
 from repro.legion import Partition, Rect, RectSubset
-from repro.taco import CSR, CSF3, DDC, Tensor
+from repro.taco import CSR, CSF3, DDC, Compressed, Format, Tensor
 
 
 def fig7_tensor():
@@ -137,3 +142,78 @@ class TestPlanIR:
         B = fig7_tensor()
         with pytest.raises(CompileError):
             partition_tensor(B, 5, "universe", {0: (0, 3)})
+
+
+CCC = Format([Compressed] * 3, name="CCC")
+
+
+@st.composite
+def packed_tensors(draw):
+    """A small COO input packed as CSR, CSF3, DDC or [C,C,C]: empty, one
+    entry, confined to a few rows (the rest all empty), or scattered."""
+    fmt = draw(st.sampled_from([CSR, CSF3, DDC, CCC]))
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(fmt.order))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    nnz = draw(st.sampled_from([0, 1, 4, 12]))
+    rows = draw(st.integers(1, shape[0]))  # entries only in the first rows
+    coords = [rng.integers(0, rows if m == 0 else n, nnz)
+              for m, n in enumerate(shape)]
+    vals = rng.integers(1, 9, nnz).astype(float)
+    return Tensor.from_coo("T", coords, vals, shape, fmt)
+
+
+class TestIterationLevelFunctions:
+    """position -> parent, position -> coordinate, parent range -> child
+    range, checked against ``Tensor.to_coo`` (an independent top-down walk)."""
+
+    @given(packed_tensors())
+    def test_chaining_up_from_the_last_level_reproduces_to_coo(self, T):
+        coords, vals = T.to_coo()
+        at = np.arange(T.nnz, dtype=np.int64)
+        # position -> coordinate / position -> parent, one level at a time
+        walked, positions = [], at
+        for lvl in reversed(T.levels):
+            walked.append(lvl.coord_of(positions))
+            positions = lvl.parent_of(positions)
+        assert np.array_equal(positions, np.zeros(T.nnz, dtype=np.int64))
+        for mode, got in enumerate(walked[::-1]):  # mode-ordered formats
+            assert np.array_equal(got, coords[mode])
+        assert all(
+            np.array_equal(a, b) for a, b in zip(T.coords_of(at), coords)
+        )
+        assert np.array_equal(T.vals.data[at], vals)
+
+    @given(packed_tensors(), st.integers(1, 9), st.data())
+    def test_folding_down_from_a_root_range_selects_its_leaves(
+        self, T, pieces, data
+    ):
+        root = T.levels[0]
+        root_coord = T.to_coo()[0][0]
+        last = T.order - 1
+        # every chunk of an even split (more pieces than rows leaves some
+        # empty), plus one arbitrary — possibly inverted — range
+        n = root.num_positions
+        ranges = [piece_range(n, pieces, c) for c in range(pieces)]
+        if n:
+            ranges.append((data.draw(st.integers(0, n - 1)),
+                           data.draw(st.integers(0, n - 1))))
+        for lo, hi in ranges:
+            p0, p1 = T.positions_under(lo, hi, last)
+            got = np.arange(p0, p1 + 1)
+            if hi < lo:
+                assert got.size == 0
+                continue
+            # a dense root's positions are its coordinates; a compressed
+            # root stores the (sorted) coordinates of its positions
+            at = np.array([lo, hi])
+            c_lo, c_hi = root.coord_of(at)
+            expected = np.flatnonzero((root_coord >= c_lo) & (root_coord <= c_hi))
+            assert np.array_equal(got, expected)
+            # and every level in between agrees with its own inverse
+            for level in range(1, T.order):
+                q0, q1 = T.positions_under(lo, hi, level)
+                if q1 >= q0:
+                    owners = np.arange(q0, q1 + 1)
+                    for lvl in T.levels[level:0:-1]:
+                        owners = lvl.parent_of(owners)
+                    assert owners.min() >= lo and owners.max() <= hi

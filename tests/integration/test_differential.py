@@ -14,6 +14,11 @@ Failures dump a minimal standalone repro script into ``repro_failures/``
 (and embed it in the assertion message), so a broken combination can be
 replayed outside pytest with one command.
 
+The same oracle also takes the level stacks and output layouts a
+specialized leaf can *not* walk or index (``LAYOUT_CASES``): the kernel
+table must hand those to the generic engine — which computes them — or,
+for an explicit non-zero split, refuse with a typed ``CompileError``.
+
 A small fixed-seed slice runs unmarked in the fast tier-1 loop; the full
 sweep carries the ``differential`` marker (``pytest -m differential``).
 """
@@ -25,14 +30,28 @@ import pytest
 import scipy.sparse as sp
 
 from repro.api.autoschedule import auto_schedule
-from repro.core import clear_caches, compile_kernel
+from repro.core import classify, clear_caches, compile_kernel
+from repro.errors import CompileError
 from repro.legion import Machine
-from repro.taco import CSF3, CSR, DDC, Tensor, index_vars
+from repro.taco import (
+    CSF3, CSR, DDC, SPARSE_VECTOR, Compressed, Dense, Format, Tensor,
+    index_vars,
+)
 from repro.taco.reference import evaluate
 
 PIECES = 4  # 4 = 2x2: every strategy including the square grid is buildable
 
-_FORMATS = {"csr": CSR, "csf3": CSF3, "ddc": DDC}
+_FORMATS = {
+    "csr": CSR, "csf3": CSF3, "ddc": DDC,
+    # order-3 stacks with a compressed root: no specialized leaf walks them
+    "ccc": Format([Compressed] * 3, name="CCC"),
+    "cdc": Format([Compressed, Dense, Compressed], name="CDC"),
+}
+#: output layouts a case can ask for as ``"<operand format>><output>"``.
+_OUTPUTS = {
+    "dense": None, "csr": CSR, "sparsevec": SPARSE_VECTOR,
+    "colmajor": Format([Dense, Dense], mode_ordering=(1, 0), name="ColMajor"),
+}
 
 #: Which strategies the auto-scheduler can emit per kernel kind.
 _STRATEGIES = {
@@ -84,12 +103,16 @@ def _int_tensor3(rng, shape, density, fmt):
 
 
 def _build(kind: str, fmt: str, rng, n: int, density: float) -> Tensor:
-    """The statement's output tensor (assignment attached)."""
+    """The statement's output tensor (assignment attached).  ``fmt`` names
+    the sparse operand's format and, after a ``>``, optionally the output
+    layout (default: what the kind's specialized leaf writes)."""
+    fmt, _, out_name = fmt.partition(">")
     fmt_obj = _FORMATS[fmt]
+    out_fmt = _OUTPUTS[out_name] if out_name else None
     if kind == "spmv":
         B = Tensor.from_scipy("B", _int_csr(rng, n, n, density), CSR)
         c = Tensor.from_dense("c", _int_dense(rng, (n,)))
-        a = Tensor.zeros("a", (n,))
+        a = Tensor.zeros("a", (n,), out_fmt)
         i, j = index_vars("i j")
         a[i] = B[i, j] * c[j]
         return a
@@ -114,7 +137,9 @@ def _build(kind: str, fmt: str, rng, n: int, density: float) -> Tensor:
         shape = (n, max(3, n // 2), max(3, n // 3))
         T = _int_tensor3(rng, shape, density, fmt_obj)
         c = Tensor.from_dense("c", _int_dense(rng, (shape[2],)))
-        out = Tensor.zeros("A", shape[:2], None if fmt_obj is DDC else CSR)
+        if not out_name:
+            out_fmt = None if fmt_obj is DDC else CSR
+        out = Tensor.zeros("A", shape[:2], out_fmt)
         i, j, kk = index_vars("i j k")
         out[i, j] = T[i, j, kk] * c[kk]
         return out
@@ -124,7 +149,7 @@ def _build(kind: str, fmt: str, rng, n: int, density: float) -> Tensor:
         T = _int_tensor3(rng, shape, density, fmt_obj)
         C = Tensor.from_dense("C", _int_dense(rng, (shape[1], l)))
         D = Tensor.from_dense("D", _int_dense(rng, (shape[2], l)))
-        out = Tensor.zeros("A", (n, l))
+        out = Tensor.zeros("A", (n, l), out_fmt)
         i, j, kk, ll = index_vars("i j k l")
         out[i, ll] = T[i, j, kk] * C[j, ll] * D[kk, ll]
         return out
@@ -151,6 +176,7 @@ def run_case(
     seed: int,
     n: int = 24,
     density: float = 0.2,
+    backend=None,
 ):
     """Build, auto-schedule, execute one combination and compare exactly.
 
@@ -165,7 +191,7 @@ def run_case(
         Machine.gpu(PIECES) if machine_kind == "gpu" else Machine.cpu(PIECES)
     )
     sched = auto_schedule(out, machine, strategy=strategy)
-    ck = compile_kernel(sched, machine)
+    ck = compile_kernel(sched, machine, backend=backend)
     ck.execute()
     actual = out.to_dense()
     if not np.array_equal(actual, expected):
@@ -183,7 +209,8 @@ def run_case(
     return actual, expected
 
 
-def _repro_script(kind, fmt, strategy, machine_kind, seed, n, density) -> str:
+def _repro_script(kind, fmt, strategy, machine_kind, seed, n, density,
+                  backend=None) -> str:
     src = str(Path(__file__).resolve().parents[2] / "src")
     here = str(Path(__file__).resolve().parent)
     return (
@@ -195,20 +222,24 @@ def _repro_script(kind, fmt, strategy, machine_kind, seed, n, density) -> str:
         "from test_differential import run_case\n"
         f"run_case(kind={kind!r}, fmt={fmt!r}, strategy={strategy!r},\n"
         f"         machine_kind={machine_kind!r}, seed={seed}, n={n},\n"
-        f"         density={density})\n"
+        f"         density={density}, backend={backend!r})\n"
         "print('reproduced OK: the combination now matches the reference')\n"
     )
 
 
-def _check(kind, fmt, strategy, machine_kind, seed, n=24, density=0.2):
+def _check(kind, fmt, strategy, machine_kind, seed, n=24, density=0.2,
+           backend=None):
     try:
-        run_case(kind, fmt, strategy, machine_kind, seed, n=n, density=density)
+        run_case(kind, fmt, strategy, machine_kind, seed, n=n, density=density,
+                 backend=backend)
     except AssertionError as e:
         dump_dir = Path(os.environ.get("REPRO_FAILURE_DIR", "repro_failures"))
         dump_dir.mkdir(parents=True, exist_ok=True)
-        script = _repro_script(kind, fmt, strategy, machine_kind, seed, n, density)
+        script = _repro_script(kind, fmt, strategy, machine_kind, seed, n,
+                               density, backend)
         path = dump_dir / (
-            f"repro_{kind}_{fmt}_{strategy}_{machine_kind}_s{seed}.py"
+            f"repro_{kind}_{fmt.replace('>', '-')}_{strategy}_{machine_kind}"
+            f"_s{seed}.py"
         )
         path.write_text(script)
         pytest.fail(
@@ -244,6 +275,48 @@ SMOKE_CASES = [(k, f, s, "cpu", 1234) for k, f, s in _combos()]
 def test_differential_smoke(case):
     kind, fmt, strategy, machine_kind, seed = case
     _check(kind, fmt, strategy, machine_kind, seed)
+
+
+# --------------------------------------------------------------------------- #
+# stacks and output layouts no specialized leaf serves: every one was a
+# wrong answer or a bare IndexError / ValueError while leaves dispatched on
+# format *names* ("csf3" matched, the output's layout did not)
+# --------------------------------------------------------------------------- #
+LAYOUTS = [
+    ("spmv", "csr>sparsevec"),  # the leaf writes out[row]; a stores no rows
+    ("spttv", "csf3>dense"),    # the leaf writes out[fiber]; A is i * n1 + j
+    ("spttv", "ddc>colmajor"),  # ... and a column-major A is j * n0 + i
+    ("spttv", "ccc>csr"), ("spttv", "ccc>dense"),
+    ("spttv", "cdc>csr"), ("spttv", "cdc>dense"),
+    ("spmttkrp", "ccc"), ("spmttkrp", "cdc"),
+]
+LAYOUT_CASES = [
+    (k, f, s, mk, 1234, backend)
+    for k, f in LAYOUTS
+    for s in (None, "rows")
+    for mk in ("cpu", "gpu")
+    for backend in ("codegen", "interp")
+]
+
+
+@pytest.mark.parametrize("case", LAYOUT_CASES, ids=_case_id)
+def test_unwalkable_layouts_run_generic_and_exact(case):
+    kind, fmt, strategy, machine_kind, seed, backend = case
+    out = _build(kind, fmt, np.random.default_rng(seed), 24, 0.2)
+    assert classify(out.assignment).kind == "generic"
+    _check(kind, fmt, strategy, machine_kind, seed, backend=backend)
+
+
+@pytest.mark.parametrize(
+    "kind,fmt", LAYOUTS + [("spmttkrp", "ccc>csr"), ("spmttkrp", "cdc>csr")],
+    ids=str,
+)
+@pytest.mark.parametrize("backend", ["codegen", "interp"])
+def test_nonzero_split_of_an_unwalkable_layout_is_a_compile_error(
+    kind, fmt, backend
+):
+    with pytest.raises(CompileError):
+        run_case(kind, fmt, "nonzeros", "gpu", 1234, backend=backend)
 
 
 # --------------------------------------------------------------------------- #

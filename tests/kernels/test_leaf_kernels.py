@@ -11,15 +11,11 @@ from repro.kernels import (
     spmm_nonzeros,
     spmm_rows,
     spmm_rows_reference,
-    spmttkrp_csf,
-    spmttkrp_ddc,
+    spmttkrp,
     spmttkrp_reference,
     spmv_nonzeros,
     spmv_rows,
     spmv_rows_reference,
-    spttv_fibers,
-    spttv_nonzeros,
-    spttv_reference,
 )
 from repro.legion import make_pos_region
 from repro.taco import CSF3, CSR, DDC, Tensor
@@ -42,38 +38,64 @@ def csr_case():
     return M, pos, crd, vals
 
 
-class TestSpMV:
-    def test_rows_match_scipy(self, csr_case):
-        M, pos, crd, vals = csr_case
-        x = rng.random(M.shape[1])
-        out = np.zeros(M.shape[0])
-        spmv_rows(pos, crd, vals, x, out, 0, M.shape[0] - 1)
-        assert np.allclose(out, M @ x)
+@pytest.fixture
+def csf_case():
+    shape = (8, 7, 6)
+    idx = [rng.integers(0, s, 120) for s in shape]
+    vals = rng.random(120) + 0.5
+    T = Tensor.from_coo("T", idx, vals, shape, CSF3)
+    return T, T.to_dense()
 
-    def test_rows_match_reference(self, csr_case):
+
+@pytest.fixture(params=["csr", "csf3"])
+def segments(request, csr_case, csf_case):
+    """The segmented dot's inputs — a last level's ``pos``/``crd``/``vals``
+    plus the expected per-segment result for a vector ``x``: the rows of a
+    CSR matrix (SpMV), and the (i, j) fibers of a CSF3 tensor (SpTTV)."""
+    if request.param == "csr":
         M, pos, crd, vals = csr_case
-        x = rng.random(M.shape[1])
-        out_v = np.zeros(M.shape[0])
-        out_r = np.zeros(M.shape[0])
+        return pos, crd, vals, M.shape[1], lambda x: M @ x
+    T, dense = csf_case
+    fibers, last = T.levels[1], T.levels[2]
+    at = np.arange(fibers.num_positions)
+    i, j = fibers.parent_of(at), fibers.coord_of(at)
+    return (last.pos.data, last.crd.data, T.vals.data, T.shape[2],
+            lambda x: np.einsum("ijk,k->ij", dense, x)[i, j])
+
+
+class TestSegmentedDot:
+    """SpMV over rows and SpTTV over fibers are the same leaf."""
+
+    def test_rows_match_oracle(self, segments):
+        pos, crd, vals, ncols, expected = segments
+        x = rng.random(ncols)
+        out = np.zeros(pos.shape[0])
+        spmv_rows(pos, crd, vals, x, out, 0, pos.shape[0] - 1)
+        assert np.allclose(out, expected(x))
+
+    def test_rows_match_reference(self, segments):
+        pos, crd, vals, ncols, _ = segments
+        x = rng.random(ncols)
+        out_v = np.zeros(pos.shape[0])
+        out_r = np.zeros(pos.shape[0])
         spmv_rows(pos, crd, vals, x, out_v, 5, 20)
         spmv_rows_reference(pos, crd, vals, x, out_r, 5, 20)
-        assert np.allclose(out_v, out_r)
+        assert out_r[5:21].any() and np.allclose(out_v, out_r)
 
-    def test_nonzeros_pieces_sum(self, csr_case):
-        M, pos, crd, vals = csr_case
-        x = rng.random(M.shape[1])
-        out = np.zeros(M.shape[0])
-        third = M.nnz // 3
+    def test_nonzeros_pieces_sum(self, segments):
+        pos, crd, vals, ncols, expected = segments
+        x = rng.random(ncols)
+        out = np.zeros(pos.shape[0])
+        third = vals.size // 3
         spmv_nonzeros(pos, crd, vals, x, out, 0, third)
         spmv_nonzeros(pos, crd, vals, x, out, third + 1, 2 * third)
-        spmv_nonzeros(pos, crd, vals, x, out, 2 * third + 1, M.nnz - 1)
-        assert np.allclose(out, M @ x)
+        spmv_nonzeros(pos, crd, vals, x, out, 2 * third + 1, vals.size - 1)
+        assert np.allclose(out, expected(x))
 
-    def test_empty_piece_zero_work(self, csr_case):
-        M, pos, crd, vals = csr_case
-        x = rng.random(M.shape[1])
-        out = np.zeros(M.shape[0])
-        w = spmv_rows(pos, crd, vals, x, out, 5, 4)
+    def test_empty_piece_zero_work(self, segments):
+        pos, crd, vals, ncols, _ = segments
+        out = np.zeros(pos.shape[0])
+        w = spmv_rows(pos, crd, vals, rng.random(ncols), out, 5, 4)
         assert w.flops == 0
 
     def test_empty_row_range(self, csr_case):
@@ -83,12 +105,11 @@ class TestSpMV:
         spmv_rows(pos, crd, vals, x, out, 3, 3)  # the empty row
         assert out[3] == 0.0
 
-    def test_work_counts_nnz(self, csr_case):
-        M, pos, crd, vals = csr_case
-        x = rng.random(M.shape[1])
-        out = np.zeros(M.shape[0])
-        w = spmv_rows(pos, crd, vals, x, out, 0, M.shape[0] - 1)
-        assert w.flops == 2.0 * M.nnz
+    def test_work_counts_nnz(self, segments):
+        pos, crd, vals, ncols, _ = segments
+        out = np.zeros(pos.shape[0])
+        w = spmv_rows(pos, crd, vals, rng.random(ncols), out, 0, pos.shape[0] - 1)
+        assert w.flops == 2.0 * vals.size
 
 
 class TestSpMM:
@@ -181,78 +202,33 @@ class TestSpAdd3:
         assert counts.tolist() == [0, 0, 0]
 
 
-@pytest.fixture
-def csf_case():
+@pytest.fixture(params=[CSF3, DDC], ids=repr)
+def tensor3_case(request):
     shape = (8, 7, 6)
     idx = [rng.integers(0, s, 120) for s in shape]
     vals = rng.random(120) + 0.5
-    T = Tensor.from_coo("T", idx, vals, shape, CSF3)
+    T = Tensor.from_coo("T", idx, vals, shape, request.param)
     return T, T.to_dense()
 
 
-class TestSpTTV:
-    def test_fibers(self, csf_case):
-        T, dense = csf_case
-        x = rng.random(6)
-        nf = T.levels[1].num_positions
-        ov = np.zeros(nf)
-        spttv_fibers(T.levels[2].pos.data, T.levels[2].crd.data, T.vals.data,
-                     x, ov, 0, nf - 1)
-        ref = np.zeros(nf)
-        spttv_reference(T.levels[2].pos.data, T.levels[2].crd.data, T.vals.data,
-                        x, ref, 0, nf - 1)
-        assert np.allclose(ov, ref)
-
-    def test_nonzeros_accumulate(self, csf_case):
-        T, dense = csf_case
-        x = rng.random(6)
-        nf = T.levels[1].num_positions
-        expected = np.zeros(nf)
-        spttv_fibers(T.levels[2].pos.data, T.levels[2].crd.data, T.vals.data,
-                     x, expected, 0, nf - 1)
-        got = np.zeros(nf)
-        half = T.nnz // 2
-        spttv_nonzeros(T.levels[2].pos.data, T.levels[2].crd.data, T.vals.data,
-                       x, got, 0, half)
-        spttv_nonzeros(T.levels[2].pos.data, T.levels[2].crd.data, T.vals.data,
-                       x, got, half + 1, T.nnz - 1)
-        assert np.allclose(got, expected)
-
-
 class TestSpMTTKRP:
-    def test_csf_matches_einsum(self, csf_case):
-        T, dense = csf_case
+    """One body for every level stack: ``coords`` is the tensor's own."""
+
+    def test_matches_einsum(self, tensor3_case):
+        T, dense = tensor3_case
         C = rng.random((7, 4))
         D = rng.random((6, 4))
         out = np.zeros((8, 4))
-        spmttkrp_csf(T.levels[1].pos.data, T.levels[1].crd.data,
-                     T.levels[2].pos.data, T.levels[2].crd.data, T.vals.data,
-                     C, D, out, 0, T.nnz - 1, accumulate=True)
+        spmttkrp(T.coords_of, T.vals.data, C, D, out, 0, T.nnz - 1,
+                 accumulate=True)
         assert np.allclose(out, np.einsum("ijk,jl,kl->il", dense, C, D))
 
-    def test_csf_matches_reference(self, csf_case):
-        T, dense = csf_case
+    def test_matches_reference(self, tensor3_case):
+        T, dense = tensor3_case
         C = rng.random((7, 3))
         D = rng.random((6, 3))
         a = np.zeros((8, 3))
         b = np.zeros((8, 3))
-        spmttkrp_csf(T.levels[1].pos.data, T.levels[1].crd.data,
-                     T.levels[2].pos.data, T.levels[2].crd.data, T.vals.data,
-                     C, D, a, 10, 60, accumulate=True)
-        spmttkrp_reference(T.levels[1].pos.data, T.levels[1].crd.data,
-                           T.levels[2].pos.data, T.levels[2].crd.data, T.vals.data,
-                           C, D, b, 10, 60)
-        assert np.allclose(a, b)
-
-    def test_ddc_variant(self):
-        shape = (3, 5, 6)
-        idx = [rng.integers(0, s, 60) for s in shape]
-        vals = rng.random(60) + 0.5
-        T = Tensor.from_coo("T", idx, vals, shape, DDC)
-        dense = T.to_dense()
-        C = rng.random((5, 4))
-        D = rng.random((6, 4))
-        out = np.zeros((3, 4))
-        spmttkrp_ddc(5, T.levels[2].pos.data, T.levels[2].crd.data, T.vals.data,
-                     C, D, out, 0, T.nnz - 1, accumulate=True)
-        assert np.allclose(out, np.einsum("ijk,jl,kl->il", dense, C, D))
+        spmttkrp(T.coords_of, T.vals.data, C, D, a, 10, 60, accumulate=True)
+        spmttkrp_reference(T.coords_of, T.vals.data, C, D, b, 10, 60)
+        assert b.any() and np.allclose(a, b)

@@ -74,6 +74,58 @@ class TestStaging:
         assert step.comm_bytes() == 0
 
 
+class TestHomePlacements:
+    """Homes are a set: every kernel placed on a runtime re-declares its
+    operands' homes, and resets, staging and owner lookups walk them."""
+
+    def test_re_placing_keeps_first_occurrences_in_order(self):
+        def launch(rt, r):
+            need = Partition(
+                r.ispace, {0: RectSubset(Rect(2, 7)), 1: RectSubset(Rect(0, 1))}
+            )
+            step = rt.index_launch("t", [0, 1], lambda c: Work(1, 1),
+                                   [RegionReq(r, need, Privilege.READ_ONLY)])
+            return [(e.src_proc, e.dst_proc, e.nbytes) for e in step.comm_events]
+
+        once, again = make_rt(), make_rt()
+        r = Region(IndexSpace(8))
+        p = equal_partition(r.ispace, 2)
+        once.place(r, p)
+        once.place_on(r, 1)
+        again.place(r, p)
+        again.place_on(r, 1)
+        first = list(again._home[r.uid])
+        again.place(r, equal_partition(r.ispace, 2))  # equal, not identical
+        again.place_on(r, 1)
+        again.place(r, p)
+        assert len(again._home[r.uid]) == 3
+        assert all(a is b for a, b in zip(again._home[r.uid], first))
+        again.reset_residency()
+        assert launch(again, r) == launch(once, r) != []
+
+    def test_homes_stop_growing_with_session_age(self):
+        import repro
+
+        rng = np.random.default_rng(0)
+        dense = rng.random((40, 40)) * (rng.random((40, 40)) < 0.2)
+        trials = []
+        with repro.session(nodes=4) as s:
+            B = s.tensor("B", dense, repro.CSR)
+            for _ in range(3):
+                events = []
+                for k in range(5):  # five fresh right-hand sides
+                    X = s.tensor(f"X{k}", rng.random((40, 3)))
+                    repro.einsum("ij,jk->ik", B, X, session=s)
+                    events.append([
+                        (e.src_proc, e.dst_proc, e.nbytes, e.reason)
+                        for step in s.last_result.metrics.steps
+                        for e in step.comm_events
+                    ])
+                trials.append(events)
+                assert len(s.runtime._home[B.vals.uid]) == 4
+        assert trials[1] == trials[0] and trials[2] == trials[0]
+
+
 class TestWriteCoherence:
     def test_write_invalidates_other_copies(self):
         rt = make_rt()

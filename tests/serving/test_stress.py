@@ -6,7 +6,8 @@ Barrier-released thread herds hammer the three layers tenants contend on:
   miss herd over every template lowers and loads each exactly once, and
   every thread gets the same module object;
 * the byte-budgeted LRU tiers (``_SizedLRU``) — no lost entries and exact
-  byte/counter accounting after an interleaved put/get herd;
+  byte/counter accounting after an interleaved put/get herd — and their
+  on/off switch: one thread compiling uncached blinds nobody else;
 * the full ``repro.serve`` request path — compile/execute/autotune from
   many tenants at once, deduplicated to one build per signature with
   responses bit-identical to serial execution, each build leader charged
@@ -26,8 +27,9 @@ import pytest
 
 import repro
 from repro.codegen import codegen_stats, registry, reset_codegen_stats
-from repro.core import SPECS, clear_caches
+from repro.core import SPECS, caches_disabled, clear_caches, compile_kernel
 from repro.core.cache import _SizedLRU, iter_aot_entries, kernel_entry_nbytes
+from repro.legion import Machine
 
 pytestmark = []  # smoke herds below stay unmarked (tier-1)
 
@@ -70,7 +72,8 @@ def run_herd(n_threads, worker):
 # --------------------------------------------------------------------- #
 # layer 1: one generated module per template under a miss herd
 # --------------------------------------------------------------------- #
-KEYS = [key for spec in SPECS.values() for key in spec.template_keys()]
+# kinds that iterate alike declare the same key: one module serves them
+KEYS = sorted({key for spec in SPECS.values() for key in spec.template_keys()})
 
 
 def _module_herd(iteration: int) -> None:
@@ -96,7 +99,7 @@ def _module_herd(iteration: int) -> None:
             "herd observed distinct module objects for one template"
         )
     stats = codegen_stats()
-    assert stats["lowered"] == stats["loaded"] == len(KEYS) == 17
+    assert stats["lowered"] == stats["loaded"] == len(KEYS) == 11
 
 
 def test_one_module_per_template_herd_smoke():
@@ -170,6 +173,42 @@ def test_lru_eviction_accounting_smoke():
 def test_lru_eviction_accounting_sweep():
     for i in range(SWEEP):
         _lru_eviction_herd(i)
+
+
+def test_an_uncached_compile_on_one_thread_does_not_blind_the_others():
+    """``compile_kernel(..., use_cache=False)`` runs inside
+    ``caches_disabled()``.  While one thread is in there, every other
+    thread — each ``repro.serve`` worker — must keep hitting and storing:
+    a process-wide flag made their lookups miss and their stores vanish."""
+    machine = Machine.cpu(2)
+    step = threading.Barrier(2, timeout=30)
+    got = {}
+
+    def schedule():
+        rng = np.random.default_rng(0)
+        B = repro.Tensor.from_dense(
+            "B", rng.random((16, 16)) * (rng.random((16, 16)) < 0.3), repro.CSR)
+        a = repro.Tensor.zeros("a", (16,))
+        i, j = repro.index_vars("i j")
+        a[i] = B[i, j] * repro.Tensor.from_dense("c", rng.random(16))[j]
+        return lambda: repro.auto_schedule(a, machine)
+
+    def worker(tid):
+        if tid == 0:
+            with caches_disabled():
+                step.wait()  # inside
+                step.wait()  # the other thread has compiled twice
+            return
+        fresh = schedule()
+        step.wait()
+        try:
+            got["first"] = compile_kernel(fresh(), machine)
+            got["again"] = compile_kernel(fresh(), machine)
+        finally:
+            step.wait()
+
+    run_herd(2, worker)
+    assert got["again"] is got["first"], "store dropped or lookup missed"
 
 
 # --------------------------------------------------------------------- #

@@ -237,6 +237,46 @@ class TestKindCompareScanner:
         assert "without a reason" in finding.message
 
 
+class TestFormatNameScanner:
+    """The other half of the ``kernelspec`` plugin: the dispatch layers
+    walk level types; none may name a format."""
+
+    def _scan(self, source):
+        return check._scan_format_names("fake.py", source, ast.parse(source))
+
+    def test_flags_format_name_literals_in_any_case(self):
+        src = (
+            "def f(fmt, key):\n"
+            "    if fmt == 'csf3':\n"                        # line 2
+            "        return ('spttv', \"DDC\", 'rows')\n"    # line 3
+            "    return {'csr': 1}.get(key, 'Csc')\n"         # line 4 (twice)
+        )
+        findings = sorted(self._scan(src), key=lambda f: f.line)
+        assert [f.line for f in findings] == [2, 3, 4, 4]
+        assert "'csf3'" in findings[0].message
+
+    def test_objects_substrings_and_docs_are_not_flagged(self):
+        src = (
+            '"""Walks CSR and CSF3 stacks alike."""\n'
+            "from repro.taco.formats import CSR, DDC\n"
+            "formats = (CSR, DDC)\n"
+            "x = t.csr_arrays()\n"
+            "name = 'csr_rows'\n"
+        )
+        assert self._scan(src) == []
+
+    def test_waiver_needs_a_reason(self):
+        ok = "x = m.format == 'csc'  # format: ok SciPy's own attribute\n"
+        assert self._scan(ok) == []
+        (finding,) = self._scan("x = m.format == 'csc'  # format: ok\n")
+        assert "without a reason" in finding.message
+
+    def test_only_the_dispatch_layers_are_scanned(self):
+        assert "src/repro/core/kernelspec.py".startswith(check.FORMAT_NAME_ROOTS)
+        assert "src/repro/codegen/lowering.py".startswith(check.FORMAT_NAME_ROOTS)
+        assert not "src/repro/taco/tensor.py".startswith(check.FORMAT_NAME_ROOTS)
+
+
 class TestGeneratedCodeBoundary:
     """The two static assertions of the ``aot-sanitizer`` plugin."""
 

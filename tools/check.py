@@ -22,7 +22,11 @@ codebase passes defined here:
   (``src/repro/core/passes.py``), no code under ``src/repro`` may compare
   a ``.kind`` against a string literal naming a kernel kind — per-kind
   behaviour is a lookup in the table.  Same waiver convention:
-  ``# kind: ok <reason>``;
+  ``# kind: ok <reason>``.  And no dispatch on a format's *name*: under
+  ``src/repro/{core,codegen,kernels,analysis,api}`` no string literal
+  may name a format (``csr``, ``csc``, ``csf3``, ``ddc``, any case) — a
+  format is a stack of level types, walked through the level functions
+  of ``repro.taco.tensor``.  Waiver: ``# format: ok <reason>``;
 * **aot-sanitizer** — generated code comes from the templates and from
   nowhere else: every lowering template the kernel table declares must
   emit and pass the generated-module AST allowlist
@@ -31,8 +35,8 @@ codebase passes defined here:
   :mod:`repro.codegen` nor :mod:`repro.analysis`, so nothing read from
   disk can reach ``exec``; and nothing under ``src/repro/codegen`` or in
   the sanitizer reads the process environment;
-* **commplan** — every (kernel × format × strategy × machine kind) the
-  kernel table declares must yield a coherent static communication plan
+* **commplan** — every (kernel × sweep format × strategy × machine kind)
+  the kernel table declares must yield a coherent static communication plan
   (:mod:`repro.analysis.commplan`): the plan derives without error and
   reports no privilege-incoherent distribution and no
   missing-``communicate`` duplicate transfers;
@@ -404,6 +408,33 @@ def _scan_kind_compares(
     return findings
 
 
+#: the layers that decide and generate what runs: none may name a format.
+FORMAT_NAME_ROOTS = tuple(
+    f"src/repro/{pkg}/" for pkg in ("core", "codegen", "kernels", "analysis", "api")
+)
+_FORMAT_NAMES = ("csr", "csc", "csf3", "ddc")
+
+
+def _scan_format_names(relpath: str, text: str, tree: ast.Module) -> List[Finding]:
+    """String literals that *are* a format name (``"csr"``, ``'DDC'``)."""
+    findings: List[Finding] = []
+    report = _reporter(relpath, text, "format", findings)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.lower() in _FORMAT_NAMES
+        ):
+            report(
+                node.lineno,
+                f"string literal {node.value!r} names a format — a format is "
+                "a stack of level types; state a predicate over them and "
+                "walk them through the level functions of repro.taco.tensor "
+                "(`# format: ok <reason>` waives an intentional name)",
+            )
+    return findings
+
+
 def _run_kernelspec(cache: SourceCache) -> CheckResult:
     from repro.core.kernelspec import SPECS
 
@@ -412,15 +443,18 @@ def _run_kernelspec(cache: SourceCache) -> CheckResult:
     kinds = set(SPECS)
     for path in sorted((SRC / "repro").rglob("*.py")):
         relpath = str(path.relative_to(REPO))
+        text, tree = cache.get(relpath)
+        if relpath.startswith(FORMAT_NAME_ROOTS):
+            findings.extend(_scan_format_names(relpath, text, tree))
         if relpath in KERNELSPEC_EXEMPT:
             continue
-        text, tree = cache.get(relpath)
         findings.extend(_scan_kind_compares(relpath, text, tree, kinds))
         scanned += 1
     return CheckResult(
         "kernelspec", findings,
         f"{scanned} modules under src/repro branch on no kernel kind by "
-        f"name; {len(SPECS)} kinds live in the kernel table",
+        f"name and the dispatch layers name no format; {len(SPECS)} kinds "
+        "live in the kernel table",
     )
 
 
@@ -499,23 +533,23 @@ def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
     for relpath in env_free:
         findings.extend(_scan_environ_reads(relpath, cache.get(relpath)[1]))
     checked = 0
-    for spec in SPECS.values():
-        for kind, fmt, strategy in spec.template_keys():
-            combo = f"{kind}/{fmt}/{strategy}"
-            try:
-                verify_aot_source(
-                    lowering.emit_source(kind, fmt, strategy), filename=combo
-                )
-            except KeyError:
-                problem = "is declared by the kernel table but has no template"
-            except SanitizerError as e:
-                problem = f"fails the sanitizer allowlist: {e}"
-            else:
-                checked += 1
-                continue
-            findings.append(Finding(
-                "src/repro/codegen/lowering.py", None, f"template {combo} {problem}"
-            ))
+    # kinds that iterate alike declare the same (shape, strategy) key
+    for shape, strategy in sorted(
+        {key for spec in SPECS.values() for key in spec.template_keys()}
+    ):
+        combo = f"{shape}/{strategy}"
+        try:
+            verify_aot_source(lowering.emit_source(shape, strategy), filename=combo)
+        except KeyError:
+            problem = "is declared by the kernel table but has no template"
+        except SanitizerError as e:
+            problem = f"fails the sanitizer allowlist: {e}"
+        else:
+            checked += 1
+            continue
+        findings.append(Finding(
+            "src/repro/codegen/lowering.py", None, f"template {combo} {problem}"
+        ))
     return CheckResult(
         "aot-sanitizer", findings,
         f"{checked} generated templates pass the exec-load allowlist; "
@@ -527,16 +561,16 @@ def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
 # --------------------------------------------------------------------- #
 # static communication-plan coherence (new)
 # --------------------------------------------------------------------- #
-def _commplan_workload(kind: str, fmt: str, n: int = 18, density: float = 0.25):
-    """A small seeded statement of one kind (output tensor with its
-    assignment attached), mirroring the differential oracle's builders."""
+def _commplan_workload(kind: str, fmt_obj, n: int = 18, density: float = 0.25):
+    """A small seeded statement of one kind over a sparse operand in
+    format ``fmt_obj`` (output tensor with its assignment attached),
+    mirroring the differential oracle's builders."""
     import numpy as np
     import scipy.sparse as sp
 
-    from repro.taco import CSF3, CSR, DDC, Tensor, index_vars
+    from repro.taco import CSR, DDC, Tensor, index_vars
 
     rng = np.random.default_rng(0)
-    fmt_obj = {"csr": CSR, "csf3": CSF3, "ddc": DDC}[fmt]
     vals = lambda size: rng.integers(1, 5, size).astype(float)
     dense = lambda shape: rng.integers(1, 5, shape).astype(float)
 
@@ -627,7 +661,7 @@ def _plan_findings(sched, machine, combo: str) -> List[Finding]:
 
 def _run_commplan(cache: SourceCache) -> CheckResult:
     """Every auto-synthesized schedule must yield a coherent static plan:
-    each (kernel × format × strategy) the kernel table declares, on cpu
+    each (kernel × sweep format × strategy) the kernel table declares, on cpu
     and gpu machines, over a small seeded workload.  The fused kind has
     no user-written statement; the ``fusion`` plugin covers it through
     the pass pipeline."""
@@ -655,7 +689,8 @@ def _run_commplan(cache: SourceCache) -> CheckResult:
                 except ScheduleError:
                     continue  # strategy not synthesizable on this machine
                 findings.extend(_plan_findings(
-                    sched, machine, f"{spec.kind}/{fmt}/{strategy}/{machine_kind}"
+                    sched, machine,
+                    f"{spec.kind}/{fmt.name}/{strategy}/{machine_kind}",
                 ))
                 checked += 1
     finally:
@@ -765,7 +800,8 @@ PLUGINS: List[Plugin] = [
     Plugin("nondet", "deterministic layers free of unseeded RNG and "
            "unwaived wall-clock reads", _run_nondet),
     Plugin("kernelspec", "no .kind compared against a kernel-kind literal "
-           "outside the kernel table", _run_kernelspec),
+           "outside the kernel table; no format named in the dispatch layers",
+           _run_kernelspec),
     Plugin("aot-sanitizer", "templates pass the exec-load allowlist; the "
            "store imports no exec surface; codegen reads no environment",
            _run_aot_sanitizer),
