@@ -32,15 +32,17 @@ __all__ = ["Program", "Statement"]
 class Statement:
     """One recorded statement of a :class:`Program`."""
 
-    def __init__(self, program: "Program", assignment: Assignment,
+    def __init__(self, assignment: Assignment,
                  schedule: Optional[Schedule] = None):
-        self.program = program
         self.assignment = assignment
         self.explicit_schedule = schedule
 
     def use_schedule(self, schedule: Schedule) -> "Statement":
         """Override the auto-scheduler with a hand-built schedule."""
-        if schedule.assignment is not self.assignment:
+        # Same statement, not same object: ``tensor.assignment`` (and so
+        # ``tensor.schedule()``) builds an equal Assignment on every read.
+        theirs, ours = schedule.assignment, self.assignment
+        if theirs.lhs.tensor is not ours.lhs.tensor or theirs.rhs is not ours.rhs:
             raise ValueError(
                 "the schedule must be built over this statement's assignment"
             )
@@ -83,13 +85,13 @@ class Program:
         that was just assigned, or an explicit :class:`Schedule` (which is
         both the statement and its mapping)."""
         if isinstance(target, Schedule):
-            stmt = Statement(self, target.assignment, target)
+            stmt = Statement(target.assignment, target)
         elif isinstance(target, Assignment):
-            stmt = Statement(self, target, schedule)
+            stmt = Statement(target, schedule)
         elif isinstance(target, Tensor):
             if target.assignment is None:
                 raise ValueError(f"no statement assigned to {target.name}")
-            stmt = Statement(self, target.assignment, schedule)
+            stmt = Statement(target.assignment, schedule)
         else:
             raise TypeError(
                 f"cannot define a statement from {type(target).__name__}"
@@ -106,7 +108,7 @@ class Program:
         pop_recorder(self._record)
 
     def _record(self, assignment: Assignment) -> None:
-        self.statements.append(Statement(self, assignment))
+        self.statements.append(Statement(assignment))
 
     def __len__(self) -> int:
         return len(self.statements)

@@ -162,7 +162,7 @@ class Session:
             self.runtime = Runtime(
                 machine, network,
                 trace_replay=True if trace_replay is None else trace_replay,
-                metrics_limit=10_000 if metrics_limit is None else metrics_limit,
+                metrics_limit=metrics_limit,
             )
         if store is None or isinstance(store, ArtifactStore):
             self.store: Optional[ArtifactStore] = store

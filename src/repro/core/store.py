@@ -96,9 +96,10 @@ __all__ = [
     "file_sha256",
 ]
 
-#: v4: artifacts carry no generated code.  Any other version is refused
+#: v4: artifacts carry no generated code.  v5: a tensor pickles the parts
+#: of its statement, not an ``Assignment``.  Any other version is refused
 #: with :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 4
+STORE_FORMAT_VERSION = 5
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"

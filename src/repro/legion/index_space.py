@@ -25,6 +25,7 @@ __all__ = [
     "EMPTY",
     "union_subsets",
     "intersect_subsets",
+    "subsets_overlap",
     "subset_from_indices",
 ]
 
@@ -92,7 +93,13 @@ class Rect:
         return Rect(lo, hi)
 
     def overlaps(self, other: "Rect") -> bool:
-        return not self.intersection(other).empty
+        """``not self.intersection(other).empty``, without building the rect."""
+        if self.ndim != other.ndim:
+            raise ValueError("rank mismatch in rect intersection")
+        for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi):
+            if sh < sl or oh < ol or oh < sl or sh < ol:  # empty, or apart
+                return False
+        return True
 
     def points(self) -> Iterable[Tuple[int, ...]]:
         """Iterate every point (row-major).  Intended for small rects/tests."""
@@ -416,3 +423,11 @@ def intersect_subsets(a: IndexSubset, b: IndexSubset) -> IndexSubset:
             return _from_sorted_unique(idx[i0:i1])
     ia, ib = a.indices(), b.indices()
     return subset_from_indices(np.intersect1d(ia, ib, assume_unique=True))
+
+
+def subsets_overlap(a: IndexSubset, b: IndexSubset) -> bool:
+    """``not intersect_subsets(a, b).empty``; allocation-free for two rects
+    (the output-coherence test of every written piece of every launch)."""
+    if isinstance(a, RectSubset) and isinstance(b, RectSubset):
+        return a.rect.overlaps(b.rect)
+    return not intersect_subsets(a, b).empty

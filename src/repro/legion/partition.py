@@ -21,6 +21,7 @@ from .index_space import (
     Rect,
     RectSubset,
     intersect_subsets,
+    subsets_overlap,
     union_subsets,
 )
 
@@ -95,14 +96,14 @@ class Partition:
             for a, b in zip(ordered, ordered[1:]):
                 if a.rect.ndim == 1 and b.rect.lo[0] <= a.rect.hi[0]:
                     return False
-                if a.rect.ndim > 1 and a.rect.overlaps(b.rect):
+                if a.rect.ndim > 1 and subsets_overlap(a, b):
                     return False
             if all(r.rect.ndim == 1 for r in rects):
                 return True
             # N-D: pairwise check (small color counts in practice)
             for i, a in enumerate(rects):
                 for b in rects[i + 1 :]:
-                    if a.rect.overlaps(b.rect):
+                    if subsets_overlap(a, b):
                         return False
             return True
         total = sum(s.volume for s in subsets)

@@ -22,9 +22,9 @@ logic emitted, and a snapshot of the residency state the launch left
 behind.  A later launch with the same *launch signature* (name, colors,
 region requirements, processor assignment, scratch demands) from the same
 residency state replays the trace: the recorded communication events are
-re-charged to the network model and the residency snapshot is restored,
-but none of the per-color Python subset intersection/subtraction algebra
-re-runs.  Task bodies always execute (values may have changed) and compute
+re-charged to the network model and the recorded residency table is
+installed, but none of the per-color Python subset intersection/subtraction
+algebra re-runs.  Task bodies always execute (values may have changed) and compute
 time is re-derived from the returned :class:`Work`, so replayed metrics
 are bit-identical to what a fresh analysis would produce.
 
@@ -35,6 +35,17 @@ solver replay.  Any out-of-band mutation (``place*``) moves to a fresh
 unique state, so stale traces can never fire, and ``invalidate_caches``
 additionally drops all recorded traces (the hook to use after writing
 region data behind the runtime's back).
+
+The tables behind those states are held as shared values.  A recording
+launch or copy hands the table it leaves behind to its trace; a replay and
+``reset_residency`` *install* a table — the trace's, or the homes-only one
+memoised until the next ``place*`` — as the live one without copying it,
+so a warm step's bookkeeping does not grow with regions × processors.  A
+table some trace or the memo holds is never written: one ownership bit
+says whether the live table is such a value, and every writer — a
+recording launch, an uncached copy, ``place*`` — takes a private copy
+first (:meth:`Runtime._unshare_residency`).  Readers (capacity checks,
+``resident_bytes_per_proc``) read whichever table is live.
 
 Explicit copies (the ``communicate``-lowered :meth:`Runtime.copy_subset`)
 are traced the same way: the first copy of a given ``(region, subset,
@@ -70,6 +81,7 @@ from .index_space import (
     IndexSubset,
     RectSubset,
     intersect_subsets,
+    subsets_overlap,
     subtract_subsets,
     union_subsets,
 )
@@ -127,8 +139,13 @@ def _holds(pieces: Sequence[IndexSubset], subset: IndexSubset) -> bool:
 class _Residency:
     """Which subsets of one region are valid in each processor's memory."""
 
-    def __init__(self):
-        self.by_proc: Dict[int, List[IndexSubset]] = {}
+    def __init__(self, by_proc: Optional[Dict[int, List[IndexSubset]]] = None):
+        #: Never holds an empty list, so two tables with the same pieces
+        #: compare equal whatever launches produced them.
+        self.by_proc: Dict[int, List[IndexSubset]] = {} if by_proc is None else by_proc
+
+    def copy(self) -> "_Residency":
+        return _Residency({proc: list(pieces) for proc, pieces in self.by_proc.items()})
 
     def covered_volume(self, proc: int, needed: IndexSubset) -> int:
         pieces = self.by_proc.get(proc, [])
@@ -156,11 +173,14 @@ class _Residency:
             pieces.append(subset)
 
     def invalidate_others(self, writer: int, subset: IndexSubset) -> None:
-        for proc, pieces in self.by_proc.items():
-            if proc == writer:
+        for proc, pieces in list(self.by_proc.items()):
+            if proc == writer or not any(subsets_overlap(p, subset) for p in pieces):
                 continue
-            kept = [p for p in pieces if intersect_subsets(p, subset).empty]
-            self.by_proc[proc] = kept
+            kept = [p for p in pieces if not subsets_overlap(p, subset)]
+            if kept:
+                self.by_proc[proc] = kept
+            else:
+                del self.by_proc[proc]
 
     def resident_bytes(self, proc: int, itemsize: int, row_width: int) -> float:
         pieces = self.by_proc.get(proc, [])
@@ -175,15 +195,16 @@ class MappingTrace:
 
     ``events_per_color`` holds, per launch point, the communication events
     the staging and output-coherence analysis emitted (in order);
-    ``residency_after`` snapshots the residency the launch left behind so a
-    replay restores the identical state; ``post_state`` is the symbolic
+    ``residency_after`` is the residency table the launch left behind — a
+    shared value a replay installs as the live table and nothing writes;
+    ``post_state`` is the symbolic
     state token the runtime transitions to, which lets a *chain* of
     launches replay end-to-end.
     """
 
     procs: List[int]
     events_per_color: List[Tuple[CommEvent, ...]]
-    residency_after: Dict[int, Dict[int, List[IndexSubset]]]
+    residency_after: Dict[int, _Residency]
     post_state: Tuple
     #: Strong references to the partitions named in the trace key (one per
     #: region requirement, ``None`` for broadcasts).  Keys embed
@@ -199,7 +220,7 @@ class _CopyTrace:
     """Memoized staging decision of one explicit :meth:`Runtime.copy_subset`."""
 
     events: Tuple[CommEvent, ...]
-    residency_after: Dict[int, Dict[int, List[IndexSubset]]]
+    residency_after: Dict[int, _Residency]
     post_state: Tuple
     #: ``(region, subset)`` — pins the subset whose ``id`` the key embeds.
     pinned: Tuple = ()
@@ -243,7 +264,7 @@ class Runtime:
         network: Optional[Network] = None,
         *,
         trace_replay: bool = True,
-        metrics_limit: int = 10_000,
+        metrics_limit: Optional[int] = None,
     ):
         self.machine = machine
         self.network = network if network is not None else Network.legion()
@@ -251,11 +272,19 @@ class Runtime:
         self.trace_replay = trace_replay
         #: Auto-trim threshold: once ``metrics.steps`` exceeds this between
         #: trials, the oldest steps are folded into exact scalar totals
-        #: (see :meth:`trim_metrics`).  ``0`` disables auto-trimming.
-        self.metrics_limit = metrics_limit
+        #: (see :meth:`trim_metrics`).  ``0`` disables auto-trimming; the
+        #: default keeps a 64-processor history (~4 KB a step) near 4 MB.
+        self.metrics_limit = 1_000 if metrics_limit is None else metrics_limit
         self.trace_hits = 0
         self.trace_records = 0
         self._residency: Dict[int, _Residency] = {}
+        #: The ownership bit: ``_residency`` is also a trace's snapshot or
+        #: the homes memo, so whoever writes next copies it first
+        #: (:meth:`_unshare_residency`).
+        self._residency_shared = False
+        #: The homes-only table :meth:`reset_residency` installs, built on
+        #: the first reset after a ``place*`` (``_homes_changed`` drops it).
+        self._homes_table: Optional[Dict[int, _Residency]] = None
         self._home: Dict[int, List[Tuple[IndexSubset, int]]] = {}
         self._traces: Dict[Tuple, MappingTrace] = {}
         self._copy_traces: Dict[Tuple, _CopyTrace] = {}
@@ -272,6 +301,7 @@ class Runtime:
         a ``place*`` keeps residency == homes, so the result is the *new*
         clean state; from any other state the result is unknown."""
         self._homes_version += 1
+        self._homes_table = None
         if self._state[0] == "clean":
             self._state = ("clean", self._homes_version)
         else:
@@ -295,6 +325,7 @@ class Runtime:
         proc_map: Optional[Callable[[Color], int]] = None,
     ) -> None:
         """Declare the initial distribution of a region (its home placement)."""
+        self._unshare_residency()
         res = self._residency.setdefault(region.uid, _Residency())
         for i, (color, subset) in enumerate(partition.items()):
             proc = proc_map(color) if proc_map else self._default_proc(color, i)
@@ -305,6 +336,7 @@ class Runtime:
 
     def place_replicated(self, region: Region) -> None:
         """Place a full valid copy of the region on every processor."""
+        self._unshare_residency()
         res = self._residency.setdefault(region.uid, _Residency())
         full = region.ispace.full_subset()
         for p in range(self.machine.size):
@@ -315,6 +347,7 @@ class Runtime:
 
     def place_on(self, region: Region, proc: int) -> None:
         """Place the whole region on a single processor."""
+        self._unshare_residency()
         res = self._residency.setdefault(region.uid, _Residency())
         full = region.ispace.full_subset()
         res.add(proc, full)
@@ -393,7 +426,7 @@ class Runtime:
 
         step = self.metrics.new_step(name)
         events_per_color: List[Tuple[CommEvent, ...]] = []
-        before = self._snapshot_residency() if trace_key is not None else None
+        before = self._unshare_residency(keep=trace_key is not None)
         try:
             for ordinal, color in enumerate(colors):
                 proc = procs[ordinal]
@@ -412,7 +445,8 @@ class Runtime:
             self._mark_dirty()
             raise
         if trace_key is not None:
-            after = self._snapshot_residency()
+            after = self._residency
+            self._residency_shared = True  # the trace holds it from here on
             if self._snapshots_equal(before, after):
                 # The launch left residency unchanged (a steady-state loop
                 # with resident data): self-loop so the next identical
@@ -460,11 +494,11 @@ class Runtime:
         element compare; cross-type subset equality is never attempted)."""
         if a.keys() != b.keys():
             return False
-        for uid, procs_a in a.items():
-            procs_b = b[uid]
-            if procs_a.keys() != procs_b.keys():
+        for uid, res_a in a.items():
+            procs_b = b[uid].by_proc
+            if res_a.by_proc.keys() != procs_b.keys():
                 return False
-            for proc, la in procs_a.items():
+            for proc, la in res_a.by_proc.items():
                 lb = procs_b[proc]
                 if len(la) != len(lb):
                     return False
@@ -473,20 +507,23 @@ class Runtime:
                         return False
         return True
 
-    def _snapshot_residency(self) -> Dict[int, Dict[int, List[IndexSubset]]]:
-        return {
-            uid: {proc: list(pieces) for proc, pieces in res.by_proc.items() if pieces}
-            for uid, res in self._residency.items()
-        }
+    def _restore_residency(self, snapshot: Dict[int, _Residency]) -> None:
+        """Install a recorded table as the live one.  It stays the
+        recorder's, so it is marked shared and never written."""
+        self._residency = snapshot
+        self._residency_shared = True
 
-    def _restore_residency(
-        self, snapshot: Dict[int, Dict[int, List[IndexSubset]]]
-    ) -> None:
-        self._residency = {}
-        for uid, by_proc in snapshot.items():
-            res = _Residency()
-            res.by_proc = {proc: list(pieces) for proc, pieces in by_proc.items()}
-            self._residency[uid] = res
+    def _unshare_residency(self, keep: bool = False) -> Dict[int, _Residency]:
+        """Called before any write to the live table; returns the table as
+        it stood.  A shared table (a trace's snapshot, the homes memo) is
+        left as it is and the writer gets a private copy; ``keep`` does the
+        same for a private one, so the caller may hold on to the returned
+        table as the "before" value of the write."""
+        before = self._residency
+        if keep or self._residency_shared:
+            self._residency = {uid: res.copy() for uid, res in before.items()}
+            self._residency_shared = False
+        return before
 
     # -- staging ---------------------------------------------------------------
     def _stage_inputs(
@@ -616,14 +653,15 @@ class Runtime:
             self._state = trace.post_state
             self.trace_hits += 1
             return
-        before = self._snapshot_residency()
+        before = self._unshare_residency(keep=True)
         mark = len(step.comm_events)
         try:
             self._copy_uncached(step, region, subset, dst_proc, reason)
         except BaseException:
             self._mark_dirty()  # partial copy (e.g. OOM): unknown residency
             raise
-        after = self._snapshot_residency()
+        after = self._residency
+        self._residency_shared = True  # the trace holds it from here on
         if self._snapshots_equal(before, after):
             post_state = self._state  # already covered: a self-loop
         else:
@@ -647,6 +685,7 @@ class Runtime:
         dst_proc: int,
         reason: str,
     ) -> None:
+        self._unshare_residency()
         res = self._residency.setdefault(region.uid, _Residency())
         covered = res.covered_volume(dst_proc, subset)
         missing = subset.volume - covered
@@ -713,7 +752,9 @@ class Runtime:
         but copies created by staging (broadcasts, halo pulls) are dropped so
         each trial pays the communication its algorithm inherently performs.
         Recorded mapping traces are kept — they were recorded from exactly
-        this "homes only" state, so repeat trials replay them.
+        this "homes only" state, so repeat trials replay them.  The
+        homes-only table is built once per set of homes and installed as a
+        shared value, so a warm reset costs the same on 4 or 64 processors.
 
         Also the auto-trim point for long loops: once ``metrics.steps``
         exceeds ``metrics_limit``, the oldest steps are folded into exact
@@ -723,11 +764,12 @@ class Runtime:
         """
         if self.metrics_limit and len(self.metrics.steps) > self.metrics_limit:
             self.trim_metrics()
-        self._residency = {}
-        for uid, homes in self._home.items():
-            res = self._residency.setdefault(uid, _Residency())
-            for subset, proc in homes:
-                res.add(proc, subset)
+        if self._homes_table is None:
+            self._homes_table = {uid: _Residency() for uid in self._home}
+            for uid, homes in self._home.items():
+                for subset, proc in homes:
+                    self._homes_table[uid].add(proc, subset)
+        self._restore_residency(self._homes_table)
         self._state = ("clean", self._homes_version)
 
     def trim_metrics(self, keep: Optional[int] = None) -> int:

@@ -188,7 +188,11 @@ class Tensor:
         self.dtype = np.dtype(dtype)
         self.levels: List[Union[DenseLevel, CompressedLevel]] = []
         self.vals: Optional[Region] = None
-        self.assignment: Optional[Assignment] = None
+        #: ``(indices, rhs, accumulate)`` of the statement last assigned to
+        #: this tensor — its parts, not an :class:`Assignment`, whose
+        #: ``lhs.tensor`` would close a reference cycle through ``self``
+        #: and leave the packed level arrays to the cyclic collector.
+        self._statement: Optional[Tuple] = None
         #: Monotone counter identifying this tensor's *sparsity pattern*.
         #: Bumped whenever the level structure (pos/crd metadata, region
         #: identity) changes — packing, assembly, pattern adoption — but NOT
@@ -320,6 +324,21 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # index notation
     # ------------------------------------------------------------------ #
+    @property
+    def assignment(self) -> Optional[Assignment]:
+        """The statement last assigned to this tensor, built afresh (equal,
+        not identical) on every read; keep the object if identity matters."""
+        if self._statement is None:
+            return None
+        indices, rhs, accumulate = self._statement
+        return Assignment(Access(self, indices), rhs, accumulate=accumulate)
+
+    @assignment.setter
+    def assignment(self, asg: Optional[Assignment]) -> None:
+        self._statement = (
+            None if asg is None else (asg.lhs.indices, asg.rhs, asg.accumulate)
+        )
+
     def __getitem__(self, indices) -> Access:
         if isinstance(indices, IndexVar):
             indices = (indices,)
@@ -340,12 +359,13 @@ class Tensor:
                 accumulate = True
                 rest = expr.operands[1:]
                 expr = rest[0] if len(rest) == 1 else Add(rest)
-        self.assignment = Assignment(lhs, expr, accumulate=accumulate)
+        asg = Assignment(lhs, expr, accumulate=accumulate)
+        self.assignment = asg
         # Lazy programs (repro.api) capture assignments written inside a
         # ``with session.program()`` block; a no-op when none is active.
         from .capture import notify_assignment
 
-        notify_assignment(self.assignment)
+        notify_assignment(asg)
 
     def schedule(self):
         """Start scheduling the statement last assigned to this tensor."""

@@ -116,6 +116,25 @@ class TestCaptureAndChaining:
             assert res[0].plan is not None
             assert stmt.explicit_schedule is sched
 
+    def test_use_schedule_takes_a_schedule_built_from_the_tensor(self):
+        """``a.assignment`` is rebuilt per read, so ``a.schedule()`` is over
+        an equal statement, not the identical object: still accepted; a
+        schedule of another statement is still refused."""
+        with repro.session(nodes=2) as s:
+            M, B, c, x, a, y = _workload(s, n=60)
+            i, j, i2, j2, io, ii = repro.index_vars("i j i2 j2 io ii")
+            a[i] = B[i, j] * c[j]
+            y[i2] = B[i2, j2] * x[j2]
+            assert a.assignment is not a.assignment
+            stmt = s.define(a)
+            sched = (a.schedule().divide(i, io, ii, 2).distribute(io)
+                     .communicate([a, B, c], io))
+            assert stmt.use_schedule(sched).explicit_schedule is sched
+            with pytest.raises(ValueError, match="this statement's assignment"):
+                stmt.use_schedule(y.schedule())
+            s.run()
+            assert np.allclose(a.vals.data, M @ c.dense_array())
+
     def test_nested_programs_capture_innermost_only(self):
         with repro.session(nodes=2) as s:
             M, B, c, x, a, y = _workload(s, n=60)

@@ -147,6 +147,41 @@ class TestExecution:
             s.execute(a)  # same statement: the mapping trace must replay
             assert s.stats()["trace_hits"] > hits0
 
+    def test_replaced_setups_are_freed_without_a_collection(self):
+        """open → pack → execute → replace, ten times over with the cyclic
+        collector off: each set-up's tensors (a 200 k-nnz operand among
+        them) are dead the moment it is replaced, so the process never
+        holds more than one set-up beyond the first."""
+        import gc
+        import weakref
+
+        rng = np.random.default_rng(0)
+        n, nnz = 50_000, 200_000
+        M = sp.csr_matrix(
+            (rng.random(nnz), (rng.integers(0, n, nnz), rng.integers(0, n, nnz))),
+            shape=(n, n),
+        )
+        x = rng.random(n)
+
+        def setup():
+            with repro.session(nodes=4) as s:
+                B, c, a = s.tensor("B", M, repro.CSR), s.tensor("c", x), s.zeros("a", (n,))
+                i, j = repro.index_vars("i j")
+                a[i] = B[i, j] * c[j]
+                s.execute(a)
+                s.execute(a)
+                assert B.nnz == M.nnz and np.allclose(a.vals.data, M @ x)
+                return [weakref.ref(t) for t in (B, c, a)]
+
+        gc.disable()
+        try:
+            for _ in range(10):
+                refs = setup()
+                clear_caches()  # the replaced set-up's kernels and partitions
+                assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
     def test_stats_merges_cache_and_runtime_counters(self):
         with repro.session() as s:
             st = s.stats()

@@ -101,16 +101,20 @@ class TestManifest:
         with pytest.raises(StoreError, match="no manifest"):
             read_manifest(tmp_path / "nowhere")
 
-    @pytest.mark.parametrize("found", [99, 3])  # 3: the last code-carrying one
-    def test_unsupported_version_raises(self, tmp_path, found):
+    # 3: the last code-carrying one; 4: tensors pickled a whole Assignment
+    @pytest.mark.parametrize("found", [99, 3, 4])
+    def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
         m = json.loads((path / MANIFEST_NAME).read_text())
         m["format_version"] = found
         (path / MANIFEST_NAME).write_text(json.dumps(m))
+        # refused from the manifest alone: the payload is never unpickled
+        monkeypatch.setattr("pickle.loads", None)
+        monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (4, found)
+        assert (exc.value.expected, exc.value.found) == (5, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()

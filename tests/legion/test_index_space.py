@@ -1,7 +1,7 @@
 """Unit tests for index spaces, rects and subsets."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.legion import (
@@ -14,7 +14,7 @@ from repro.legion import (
     subset_from_indices,
     union_subsets,
 )
-from repro.legion.index_space import subtract_subsets
+from repro.legion.index_space import subsets_overlap, subtract_subsets
 
 
 class TestRect:
@@ -56,6 +56,8 @@ class TestRect:
             Rect((0, 0), (1,))
         with pytest.raises(ValueError):
             Rect(0, 1).intersection(Rect((0, 0), (1, 1)))
+        with pytest.raises(ValueError):
+            Rect(0, 1).overlaps(Rect((0, 0), (1, 1)))
 
 
 class TestIndexSpace:
@@ -158,7 +160,35 @@ def subsets(draw):
     return ArraySubset(np.array(idx))
 
 
+@st.composite
+def rect_pairs(draw):
+    """Two rects of one rank (1-D or 2-D) over a range small enough that
+    empty (``hi < lo``), touching, nested and disjoint pairs all turn up."""
+    def rect(ndim):
+        lo = [draw(st.integers(0, 8)) for _ in range(ndim)]
+        return Rect(lo, [draw(st.integers(l - 2, l + 5)) for l in lo])
+
+    ndim = draw(st.integers(1, 2))
+    return rect(ndim), rect(ndim)
+
+
 class TestSubsetProperties:
+    @given(rect_pairs())
+    @example((Rect(3, 2), Rect(0, 9)))  # empty: its bounds alone would "overlap"
+    @example((Rect(0, 4), Rect(4, 6)))  # touching
+    @example((Rect((0, 0), (9, 9)), Rect((2, 3), (4, 4))))  # nested
+    @example((Rect((0, 0), (3, 3)), Rect((0, 4), (3, 6))))  # disjoint in one axis
+    def test_rect_overlaps_is_a_nonempty_intersection(self, pair):
+        a, b = pair
+        expected = not a.intersection(b).empty
+        assert a.overlaps(b) == b.overlaps(a) == expected
+        sa, sb = RectSubset(a), RectSubset(b)
+        assert subsets_overlap(sa, sb) == (not intersect_subsets(sa, sb).empty) == expected
+
+    @given(subsets(), subsets())
+    def test_subsets_overlap_is_a_nonempty_intersection(self, a, b):
+        assert subsets_overlap(a, b) == (not intersect_subsets(a, b).empty)
+
     @given(subsets(), subsets())
     @settings(max_examples=80, deadline=None)
     def test_union_volume_bounds(self, a, b):

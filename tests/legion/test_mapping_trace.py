@@ -433,13 +433,33 @@ class TestMetricsAutotrim:
             ref.metrics.total_compute_seconds(), rel=1e-12)
 
     def test_trim_disabled_by_default_at_small_scale(self):
-        rt = make_rt()  # default limit 10k: nothing trims in normal tests
+        rt = make_rt()  # default limit 1 000: nothing trims in normal tests
         r, reqs = mismatched(rt)
         for _ in range(30):
             rt.reset_residency()
             rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
         assert len(rt.metrics.steps) == 30
         assert rt.metrics.folded_steps == 0
+
+    def test_default_history_is_bounded_with_exact_totals(self):
+        """Runtime states the default once (1 000 steps) and Session passes
+        it through; a loop far past it keeps exact totals."""
+        import repro
+
+        default, in_session = make_rt(), repro.session(nodes=2).runtime
+        ref = make_rt(metrics_limit=0)  # never trims
+        for rt in (default, in_session, ref):
+            r, reqs = mismatched(rt)
+            for _ in range(2500):
+                rt.reset_residency()
+                rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        assert len(ref.metrics.steps) == 2500
+        for rt in (default, in_session):
+            assert rt.metrics_limit == 1000
+            assert len(rt.metrics.steps) <= 1001  # the limit + the trial in flight
+            assert rt.simulated_seconds() == pytest.approx(
+                ref.simulated_seconds(), rel=1e-12)
+            assert rt.metrics.total_comm_bytes() == ref.metrics.total_comm_bytes()
 
     def test_explicit_trim_metrics(self):
         rt = make_rt()
@@ -466,3 +486,187 @@ class TestMetricsAutotrim:
             rt.index_launch("b", [0, 1], lambda c: Work(1, 1), reqs)
             trial = rt.metrics.steps[before:]
             assert [s.name for s in trial] == ["a", "b"]
+
+
+def equal_tables(a, b):
+    """Piece-for-piece equality of two residency tables."""
+    return Runtime._snapshots_equal(a, b)
+
+
+def copy_table(table):
+    return {uid: res.copy() for uid, res in table.items()}
+
+
+class CopyingRuntime(Runtime):
+    """The protocol this runtime replaced, as the reference: every restore
+    copies the recorded table, so no two holders ever share one."""
+
+    def _restore_residency(self, snapshot):
+        self._residency = copy_table(snapshot)
+        self._residency_shared = False
+
+
+class TestSharedResidencyTables:
+    """A table a trace or the homes memo holds is installed, not copied,
+    and never written: the next writer takes a private copy first."""
+
+    @pytest.mark.parametrize("pieces", [8, 64])
+    def test_warm_reset_and_replay_do_no_per_piece_work(self, pieces, monkeypatch):
+        from collections import Counter
+
+        from repro.legion import runtime as runtime_mod
+
+        rt = make_rt(pieces)
+        src, out = Region(IndexSpace(4 * pieces)), Region(IndexSpace(4 * pieces))
+        part = equal_partition(out.ispace, pieces)
+        rt.place(src, part)
+        rt.place(out, part)
+        reqs = [RegionReq(src, None, Privilege.READ_ONLY),  # a broadcast
+                RegionReq(out, part, Privilege.WRITE_DISCARD)]
+
+        def trial():
+            rt.reset_residency()
+            return rt.index_launch("t", range(pieces), lambda c: Work(1, 1), reqs)
+
+        cold, warm = trial(), trial()
+        assert (rt.trace_records, rt.trace_hits) == (1, 1)
+
+        calls = Counter()
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("_holds", "intersect_subsets", "union_subsets",
+                     "subtract_subsets", "subsets_overlap"):
+            counted(runtime_mod, name)
+        for name in ("add", "copy", "invalidate_others", "missing_subset"):
+            counted(runtime_mod._Residency, name)
+        again = trial()
+        assert rt.trace_hits == 2
+        assert calls == {}  # whatever the piece count
+        assert again.comm_events == warm.comm_events == cold.comm_events
+        assert again.comm_bytes() > 0
+
+    def test_shared_tables_are_never_written(self):
+        from repro.errors import OOMError
+        from repro.legion import NodeSpec
+
+        machine = Machine.cpu(2, NodeSpec(dram_bytes=400.0))
+        rt, twin = Runtime(machine), CopyingRuntime(machine)
+        r, r2, big = (Region(IndexSpace(n)) for n in (8, 8, 100))
+        home = Partition(r.ispace, {0: RectSubset(Rect(0, 5)),
+                                    1: RectSubset(Rect(6, 7))})
+        halves = equal_partition(r.ispace, 2)
+        reqs = [RegionReq(r, halves, Privilege.READ_WRITE)]
+        saved = []  # (shared table, the copy taken when it was first seen)
+
+        def launch(x, name="t", reqs=reqs):
+            return x.index_launch(name, [0, 1], lambda c: Work(1, 1), reqs)
+
+        def untraced(x):
+            x.trace_replay = False
+            launch(x)
+            x.trace_replay = True
+
+        def oom(x):
+            x.place_on(big, 0)
+            x.reset_residency()  # the live table is the memo again
+            with pytest.raises(OOMError):  # aborts after staging `big` on proc 1
+                launch(x, "big", [RegionReq(big, None, Privilege.READ_ONLY)])
+
+        steps = [
+            lambda x: x.place(r, home),
+            launch,                                       # records
+            lambda x: (x.reset_residency(), launch(x)),   # replays
+            lambda x: x.place(r2, halves),                # live table is the trace's
+            launch,                                       # records from a dirty state
+            lambda x: x.copy_subset(x.metrics.new_step("c"), r, RectSubset(Rect(0, 3)), 1),
+            lambda x: x.reset_residency(),
+            untraced,                                     # live table is the memo
+            lambda x: x.place_replicated(r2),
+            oom,
+            lambda x: x.reset_residency(),
+        ]
+        for step in steps:
+            step(rt), step(twin)
+            assert rt.resident_bytes_per_proc() == twin.resident_bytes_per_proc()
+            assert rt._state == twin._state
+            assert equal_tables(rt._residency, twin._residency)
+            shared = [t.residency_after for t in rt._traces.values()]
+            shared += [t.residency_after for t in rt._copy_traces.values()]
+            if rt._homes_table is not None:
+                shared.append(rt._homes_table)
+            for table in shared:
+                if not any(table is seen for seen, _ in saved):
+                    saved.append((table, copy_table(table)))
+            for table, copy in saved:
+                assert equal_tables(table, copy)
+        assert (rt.trace_records, rt.trace_hits) == (3, 1)
+        assert (twin.trace_records, twin.trace_hits) == (3, 1)
+        assert len(saved) >= 6  # 2 launch traces, 1 copy trace, ≥ 3 memos
+        assert [s.comm_events for s in rt.metrics.steps] == \
+               [s.comm_events for s in twin.metrics.steps]
+
+    @pytest.mark.parametrize("place", [
+        lambda rt, r: rt.place(r, equal_partition(r.ispace, 2)),
+        lambda rt, r: rt.place_replicated(r),
+        lambda rt, r: rt.place_on(r, 1),
+    ], ids=["place", "place_replicated", "place_on"])
+    def test_place_after_reset_changes_what_the_next_reset_installs(self, place):
+        rt = make_rt()
+        r, reqs = mismatched(rt)
+        rt.reset_residency()
+        first = rt._residency
+        rt.reset_residency()
+        assert rt._residency is first  # installed from the memo, not rebuilt
+        r2 = Region(IndexSpace(4))
+        place(rt, r2)
+        assert r2.uid in rt._residency and r2.uid not in first
+        rt.reset_residency()
+        assert r2.uid in rt._residency and rt._residency is not first
+        assert rt._state == ("clean", rt._homes_version)
+        assert rt.resident_bytes_per_proc() == {
+            p: 8.0 * sum(s.volume for u in rt._home for s, q in rt._home[u] if q == p)
+            for p in (0, 1)
+        }
+
+    def test_invalidate_caches_still_resets(self):
+        rt = make_rt()
+        r, reqs = mismatched(rt)
+        homes_only = rt.resident_bytes_per_proc()
+        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        assert rt.resident_bytes_per_proc() != homes_only
+        rt.invalidate_caches()
+        assert rt.resident_bytes_per_proc() == homes_only
+        assert not rt._traces and rt._state == ("clean", rt._homes_version)
+
+    def test_pickled_while_the_live_table_is_a_traces_snapshot(self):
+        import pickle
+
+        rt = make_rt()
+        r, reqs = mismatched(rt)
+        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        (trace,) = rt._traces.values()
+        assert rt._residency is trace.residency_after
+
+        rt2, reqs2 = pickle.loads(pickle.dumps((rt, reqs)))
+        (trace2,) = rt2._traces.values()
+        assert rt2._residency is trace2.residency_after and rt2._residency_shared
+        before = copy_table(trace2.residency_after)
+        # a new launch records straight from the loaded state ...
+        write = [RegionReq(reqs2[0].region, reqs2[0].partition, Privilege.WRITE_DISCARD)]
+        rt2.index_launch("w", [0, 1], lambda c: Work(1, 1), write)
+        assert rt2.trace_records == 1
+        assert not equal_tables(rt2._residency, before)  # it invalidated copies
+        # ... without altering the loaded trace, which still replays
+        assert equal_tables(trace2.residency_after, before)
+        rt2.reset_residency()
+        rt2.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs2)
+        assert rt2.trace_hits == 1
+        assert rt2._residency is trace2.residency_after

@@ -87,11 +87,34 @@ def test_cli_only_unknown_exits_two_listing_names():
 def test_list_names_every_plugin():
     names = {p.name for p in check.PLUGINS}
     assert {"lock", "docs", "exports", "nondet", "kernelspec",
-            "aot-sanitizer", "commplan", "examples"} <= names
+            "aot-sanitizer", "commplan", "release", "examples"} <= names
     # the commplan planner coherence sweep runs in the fast (tier-1) set
     assert "commplan" in {p.name for p in check.PLUGINS if not p.slow}
     # the slow plugins are the two subprocess runners
     assert [p.name for p in check.PLUGINS if p.slow] == ["examples", "hypothesis"]
+
+
+def test_release_sweep_names_a_statement_that_keeps_a_back_reference(monkeypatch):
+    """Seeded violation: an output that holds its own ``Assignment`` (whose
+    ``lhs.tensor`` is the output again) survives until a collection, and
+    drags its operands along; the sweep must name the statement and them."""
+    workload = check._commplan_workload
+
+    def cyclic_spmv(kind, fmt):
+        out = workload(kind, fmt)
+        if kind == "spmv":
+            out.kept = out.assignment
+        return out
+
+    monkeypatch.setattr(check, "_commplan_workload", cyclic_spmv)
+    (result,) = check.run_checks(["release"])
+    assert not result.ok
+    messages = [f.message for f in result.findings]
+    assert all("statement spmv/" in m for m in messages)
+    assert any("spmv/CSR/rows/cpu/codegen leaves a, B, c" in m for m in messages)
+    import gc
+
+    assert gc.isenabled()  # the sweep restores the collector
 
 
 def test_hypothesis_profiles_make_the_verdict_run_and_host_independent():

@@ -42,6 +42,14 @@ codebase passes defined here:
   missing-``communicate`` duplicate transfers;
 * **fusion** — the seeded SDDMM→SpMM chain must fuse, and the fused
   statement must plan coherently under each of its legal strategies.
+* **release** — no statement keeps its operands for the cyclic
+  collector: with ``gc`` disabled, every (kernel × sweep format ×
+  strategy × machine kind × backend) the kernel table declares, and the
+  captured SDDMM→SpMM program, is run twice on a fresh session; once the
+  session, the statement and the process caches are dropped, every
+  operand and the output must already be dead (``weakref``).  A
+  reference cycle through a packed tensor pins its level arrays until a
+  generation-2 collection, which makes ``peak_rss_mb`` a coin flip;
 * **hypothesis** (slow) — every test module that uses Hypothesis, re-run
   under the larger-budget ``thorough`` profile of ``tests/conftest.py``
   (tier-1 itself runs them derandomised).
@@ -788,6 +796,102 @@ def _run_fusion(cache: SourceCache) -> CheckResult:
 
 
 # --------------------------------------------------------------------- #
+# operands are released by reference counting alone (new)
+# --------------------------------------------------------------------- #
+def _unreleased(build, machine, backend: str, strategy: Optional[str] = None):
+    """Run the statements ``build()`` writes twice on a fresh session, drop
+    the session, the statements and the process caches, and return the
+    names of their tensors that are still alive — call with the cyclic
+    collector disabled, so a survivor is a reference cycle.  The statements
+    run as the program the session captures, the first under ``strategy``
+    when one is named.  ``None`` when nothing ran (no statement written, or
+    the strategy is not synthesizable here)."""
+    import weakref
+
+    import repro
+    from repro.api.autoschedule import auto_schedule
+    from repro.core import clear_caches
+    from repro.errors import ScheduleError
+
+    def run():
+        with repro.session(machine=machine, backend=backend) as s:
+            with s.program() as p:
+                build()
+            if not len(p):
+                return None
+            if strategy is not None:
+                try:
+                    p[0].use_schedule(
+                        auto_schedule(p[0].assignment, machine, strategy=strategy))
+                except ScheduleError:
+                    return None
+            p.run()
+            p.run()
+            return {
+                t.name: weakref.ref(t)
+                for stmt in p.statements for t in stmt.assignment.tensors()
+            }
+
+    refs = run()
+    clear_caches()
+    if refs is None:
+        return None
+    return [name for name, ref in refs.items() if ref() is not None]
+
+
+def _run_release(cache: SourceCache) -> CheckResult:
+    """Every auto-synthesized statement, and the captured fusable program,
+    frees its operands and output without a collection (see the module
+    docstring); enumerated from the kernel table like ``commplan``."""
+    import gc
+    import itertools
+
+    from repro.core import SPECS
+    from repro.legion import Machine
+
+    findings: List[Finding] = []
+    checked = 0
+
+    def check_one(combo, *args):
+        nonlocal checked
+        alive = _unreleased(*args)
+        if alive is None:
+            return
+        checked += 1
+        if alive:
+            findings.append(Finding(
+                "src/repro/taco/tensor.py", None,
+                f"statement {combo} leaves {', '.join(alive)} to the cyclic "
+                "collector: something it ran holds them in a reference cycle",
+            ))
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for machine_kind, backend in itertools.product(
+            ("cpu", "gpu"), ("codegen", "interp")
+        ):
+            machine = Machine.gpu(4) if machine_kind == "gpu" else Machine.cpu(4)
+            where = f"{machine_kind}/{backend}"
+            for spec in SPECS.values():
+                for fmt, strategy in itertools.product(spec.formats, spec.strategies):
+                    check_one(
+                        f"{spec.kind}/{fmt.name}/{strategy}/{where}",
+                        lambda: _commplan_workload(spec.kind, fmt),
+                        machine, backend, strategy,
+                    )
+            check_one(f"program/{where}", lambda: _fusable_chain(machine),
+                      machine, backend)
+    finally:
+        if was_enabled:
+            gc.enable()
+    return CheckResult(
+        "release", findings,
+        f"{checked} statements free their operands without a collection",
+    )
+
+
+# --------------------------------------------------------------------- #
 # registry + CLI
 # --------------------------------------------------------------------- #
 PLUGINS: List[Plugin] = [
@@ -809,6 +913,8 @@ PLUGINS: List[Plugin] = [
            "communication plans", _run_commplan),
     Plugin("fusion", "fusable SDDMM→SpMM chains fuse into coherent static "
            "plans", _run_fusion),
+    Plugin("release", "statements free their operands without the cyclic "
+           "collector", _run_release),
     Plugin("examples", "every examples/*.py runs clean (subprocesses)",
            _run_examples, slow=True),
     Plugin("hypothesis", "the property tests pass under the larger-budget "
