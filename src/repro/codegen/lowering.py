@@ -2,10 +2,11 @@
 
 Each (iteration shape × strategy) the kernel table declares lowers to a
 standalone Python module whose ``bind(...)`` function hoists every piece
-of index scaffolding — position slices, ``searchsorted`` row maps,
-``repeat`` segment ids, local CSR blocks — out of the execution path at
-bind time and returns a ``{color: thunk}`` dict of flat, zero-argument
-array kernels.  ``bind`` takes what the kernel table
+of index scaffolding — the level's segment boundaries and the per-piece
+views or clipped copies of them, ``searchsorted`` row maps and chunked
+gathers for the sampled dot, coordinate gathers for SpMTTKRP — out of the
+execution path at bind time and returns a ``{color: thunk}`` dict of flat,
+zero-argument array kernels.  ``bind`` takes what the kernel table
 (:meth:`repro.core.kernelspec.KernelSpec.bind_args`) hands it: the raw
 operand arrays, then one ``(color, *range arguments, Work)`` tuple per
 piece.  The :class:`~repro.legion.machine.Work` each thunk returns is the
@@ -15,16 +16,21 @@ they name no format: a template is keyed by how its leaf iterates
 alike (SpMV over rows, SpTTV over fibers: both ``"segdot"``) share one
 body and one module object, and how a level is walked reaches a body only
 as ranges the table resolved, or as the ``coords`` callable built from the
-level functions of :mod:`repro.taco.tensor`.  The
-thunks intentionally use the *identical* accumulation primitives as the
-interpreter leaves in ``repro.kernels`` (``np.bincount`` segment sums,
-scipy CSR ``@``, ``np.einsum`` row dots), so generated results are
-bit-identical to the interpreter — only the per-call Python scaffolding
-disappears.
+level functions of :mod:`repro.taco.tensor`.
+
+Every template that reduces does so the way the interpreter leaves in
+``repro.kernels`` do — SciPy's compiled ``csr_matvec`` / ``csr_matvecs``
+over the piece's segment boundaries, the whole ``crd`` / ``vals`` arrays
+and the output slice (:mod:`repro.kernels.segment` states the primitive) —
+and the sampled dot keeps their ``np.einsum`` row dots, so generated
+results are bit-identical to the interpreter: each segment is summed from
+0.0 left to right, a non-zero piece's partial is formed from 0.0 and then
+added in.  Only the per-call Python scaffolding disappears.
 
 The emitted source is self-contained (imports ``numpy`` and, where the
-template needs it, ``scipy.sparse``) and carries a ``META`` dict, so a
-module printed with ``emit_source(shape, strategy)`` is
+template reduces, the two ``scipy.sparse._sparsetools`` entry points — on
+the one import line :func:`emit_source` adds) and carries a ``META``
+dict, so a module printed with ``emit_source(shape, strategy)`` is
 self-describing.
 """
 from __future__ import annotations
@@ -52,137 +58,120 @@ def _const(w):
         return w
     return thunk
 
+'''
 
-def _fill_zero(ov, w):
-    def thunk():
+#: the one line that names the private SciPy surface in generated code
+#: (``repro.kernels.segment`` is the checked site; tier-1 pins both).
+_SPARSETOOLS_IMPORT = (
+    "from scipy.sparse._sparsetools import csr_matvec, csr_matvecs\n"
+)
+
+#: the segment boundaries a piece reduces over.  ``ACCUMULATE`` is
+#: substituted per strategy (:func:`_for_strategy`): a row piece owns its
+#: output block, a non-zero piece shares rows with its neighbours.
+#: ``indptr`` is derived once per bind (every ``lo`` plus a final
+#: ``hi[-1] + 1``; the kernel table verified the level is packed before
+#: handing ``pos`` over); a row piece takes a *view* of it, a non-zero piece
+#: a copy of the boundaries of the segments it touches, the first and last
+#: clipped to its positions — ``crd`` / ``vals`` are passed whole, so a
+#: bind builds nothing proportional to the non-zeros.
+_BOUNDARIES = '''
+def _indptr(pos):
+    return np.append(pos[:, 0], pos[-1:, 1] + 1)
+
+
+def _segments_of(indptr, lo, hi):
+    if not ACCUMULATE:
+        return lo, indptr[lo : hi + 2]
+    r0, r1 = np.searchsorted(indptr, (lo, hi), side="right") - 1
+    ip = indptr[r0 : r1 + 2].copy()
+    ip[0], ip[-1] = lo, hi + 1
+    return int(r0), ip
+'''
+
+#: ``csr_matvec(s)`` accumulates, so it is handed a zeroed target: the
+#: output block itself where it can be written in place, else (a ``grid``
+#: column window, a permuted layout, another dtype, and always for a
+#: non-zero piece, whose partial is formed from 0.0 and *then* added in) a
+#: fresh array.
+_TARGET = '''
+def _target(ov):
+    if not ACCUMULATE and ov.flags.c_contiguous and ov.dtype == np.float64:
         ov[...] = 0.0
-        return w
-    return thunk
+        return ov
+    return np.zeros(ov.shape)
 
+
+def _deliver(acc, ov):
+    if ACCUMULATE:
+        np.add(ov, acc, out=ov)
+    elif acc is not ov:
+        ov[...] = acc
 '''
 
 #: one dot product per segment of B's last level — a row for SpMV, an
-#: (i, j) fiber for SpTTV; the table resolved the piece to its segments.
-_SEGDOT_ROWS = '''
+#: (i, j) fiber for SpTTV; the table resolved the piece to its segments
+#: (``rows``) or hands over its position range (``nonzeros``).
+_SEGDOT = _BOUNDARIES + _TARGET + '''
 def bind(pos, crd, vals, c, out, pieces):
-    """Hoist per-piece segment scaffolding; return {color: thunk}."""
+    """Resolve each piece to its segment boundaries; return {color: thunk}."""
     thunks = {}
-    for color, r0, r1, w in pieces:
-        if r1 < r0:
+    indptr = _indptr(pos)
+    for color, lo, hi, w in pieces:
+        if hi < lo:
             thunks[color] = _const(w)
             continue
-        nr = r1 - r0 + 1
-        lo = pos[r0 : r1 + 1, 0]
-        hi = pos[r0 : r1 + 1, 1]
-        lens = np.maximum(hi - lo + 1, 0)
-        ov = out[r0 : r1 + 1]
-        if int(lens.sum()) == 0:
-            thunks[color] = _fill_zero(ov, w)
-            continue
-        s, e = int(lo[0]), int(hi[-1])
-        v = vals[s : e + 1]
-        cc = crd[s : e + 1]
-        rows = np.repeat(np.arange(nr, dtype=np.int64), lens)
-        thunks[color] = _rows_thunk(v, cc, c, rows, nr, ov, w)
+        r0, ip = _segments_of(indptr, lo, hi)
+        thunks[color] = _thunk(ip, crd, vals, c, out[r0 : r0 + ip.size - 1], w)
     return thunks
 
 
-def _rows_thunk(v, cc, c, rows, nr, ov, w):
+def _thunk(ip, crd, vals, c, ov, w):
+    nr, m = ip.size - 1, c.shape[0]
+
     def thunk():
-        ov[:] = np.bincount(rows, weights=v * c[cc], minlength=nr)[:nr]
+        acc = _target(ov)
+        csr_matvec(nr, m, ip, crd, vals, c, acc)
+        _deliver(acc, ov)
         return w
     return thunk
 '''
 
-_SEGDOT_NONZEROS = '''
-def bind(pos, crd, vals, c, out, pieces):
-    """Hoist per-piece position scaffolding; return {color: thunk}."""
-    thunks = {}
-    for color, p0, p1, w in pieces:
-        if p1 < p0:
-            thunks[color] = _const(w)
-            continue
-        v = vals[p0 : p1 + 1]
-        cc = crd[p0 : p1 + 1]
-        rows = np.searchsorted(
-            pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64), side="right"
-        ) - 1
-        r0, r1 = int(rows[0]), int(rows[-1])
-        nr = r1 - r0 + 1
-        rel = rows - r0
-        ov = out[r0 : r1 + 1]
-        thunks[color] = _nz_thunk(v, cc, c, rel, nr, ov, w)
-    return thunks
-
-
-def _nz_thunk(v, cc, c, rel, nr, ov, w):
-    def thunk():
-        np.add(ov, np.bincount(rel, weights=v * c[cc], minlength=nr)[:nr], out=ov)
-        return w
-    return thunk
+#: the SpMM reduce, shared by the standalone and the fused templates: one
+#: ``csr_matvecs`` over the piece's row boundaries.
+_SPMM_REDUCE = _TARGET + '''
+def _reduce(ip, crd, vals, X, ov):
+    m, k = X.shape
+    acc = _target(ov)
+    csr_matvecs(ip.size - 1, m, k, ip, crd, vals, X.reshape(-1), acc.reshape(-1))
+    _deliver(acc, ov)
 '''
 
-_SPMM_ROWS = '''
+#: ``rows`` / ``grid`` piece tuples carry a column window (``None``: all
+#: of C and A, as for ``nonzeros`` tuples, which have none); a full-width
+#: window of a row-major array is still contiguous, so only ``grid`` pays
+#: for the contiguous copies.
+_SPMM = _BOUNDARIES + _SPMM_REDUCE + '''
 def bind(pos, crd, vals, C, out, pieces):
-    """Hoist local CSR blocks per piece; return {color: thunk}."""
+    """Resolve each piece to its row boundaries; return {color: thunk}."""
     thunks = {}
-    ncols = C.shape[0]
-    for color, r0, r1, cols, w in pieces:
-        if r1 < r0:
+    indptr = _indptr(pos)
+    for color, lo, hi, *window, w in pieces:
+        if hi < lo:
             thunks[color] = _const(w)
             continue
-        Cv = C if cols is None else C[:, cols[0] : cols[1] + 1]
-        Ov = out if cols is None else out[:, cols[0] : cols[1] + 1]
-        s, e = int(pos[r0, 0]), int(pos[r1, 1])
-        indptr = np.empty(r1 - r0 + 2, dtype=np.int64)
-        indptr[:-1] = pos[r0 : r1 + 1, 0] - s
-        indptr[-1] = e + 1 - s
-        block = sp.csr_matrix(
-            (vals[s : e + 1], crd[s : e + 1], indptr),
-            shape=(r1 - r0 + 1, ncols),
+        c0, c1 = window[0] if window and window[0] else (0, C.shape[1] - 1)
+        r0, ip = _segments_of(indptr, lo, hi)
+        thunks[color] = _thunk(
+            ip, crd, vals, C[:, c0 : c1 + 1],
+            out[r0 : r0 + ip.size - 1, c0 : c1 + 1], w,
         )
-        thunks[color] = _rows_thunk(block, Cv, Ov[r0 : r1 + 1, :], w)
     return thunks
 
 
-def _rows_thunk(block, Cv, ov, w):
+def _thunk(ip, crd, vals, Cv, ov, w):
     def thunk():
-        ov[:, :] = block @ Cv
-        return w
-    return thunk
-'''
-
-_SPMM_NONZEROS = '''
-def bind(pos, crd, vals, C, out, pieces):
-    """Hoist position/row scaffolding per piece; return {color: thunk}."""
-    thunks = {}
-    k = C.shape[1]
-    for color, p0, p1, w in pieces:
-        if p1 < p0:
-            thunks[color] = _const(w)
-            continue
-        cols = crd[p0 : p1 + 1]
-        v = vals[p0 : p1 + 1]
-        rows = np.searchsorted(
-            pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64), side="right"
-        ) - 1
-        r0, r1 = int(rows[0]), int(rows[-1])
-        nr = r1 - r0 + 1
-        rel = rows - r0
-        ov = out[r0 : r1 + 1, :]
-        thunks[color] = _nz_thunk(v, cols, C, rel, nr, k, ov, w)
-    return thunks
-
-
-def _nz_thunk(v, cols, C, rel, nr, k, ov, w):
-    def thunk():
-        prods = v[:, None] * C[cols, :]
-        acc = np.empty((nr, k), dtype=prods.dtype)
-        for col in range(k):
-            acc[:, col] = np.bincount(
-                rel, weights=prods[:, col], minlength=nr
-            )[:nr]
-        np.add(ov, acc, out=ov)
+        _reduce(ip, crd, vals, Cv, ov)
         return w
     return thunk
 '''
@@ -208,7 +197,7 @@ def _sddmm_chunks(pos, crd, vals, out_vals, p0, p1):
             vals[p0 + s : p0 + e],
             out_vals[p0 + s : p0 + e],
         ))
-    return rows, chunks
+    return chunks
 
 
 def _run_sddmm(chunks, C, Dt):
@@ -222,7 +211,7 @@ _SDDMM_COMMON = _SDDMM_CHUNKS + '''
 def _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, w):
     if p1 < p0:
         return _const(w)
-    _rows, chunks = _sddmm_chunks(pos, crd, vals, out_vals, p0, p1)
+    chunks = _sddmm_chunks(pos, crd, vals, out_vals, p0, p1)
 
     def thunk():
         _run_sddmm(chunks, C, Dt)
@@ -256,110 +245,51 @@ def bind(pos, crd, vals, C, D, out_vals, pieces):
     return thunks
 '''
 
-_FUSED_SDDMM_SPMM_NONZEROS = _SDDMM_CHUNKS + '''
-
+#: the SDDMM phase runs into a scratch values array private to the binding
+#: — never a region — over the positions the piece's boundaries span (none
+#: when its rows are empty: the reduce then zero-fills); the SpMM phase
+#: reduces the *whole* scratch array over those boundaries.
+_FUSED_SDDMM_SPMM = _SDDMM_CHUNKS + _BOUNDARIES + _SPMM_REDUCE + '''
 def bind(pos, crd, vals, C, D, F, out, pieces):
-    """Hoist both phases' scaffolding; the SDDMM product lives in a scratch
-    values array private to this binding — never a region."""
+    """Hoist both phases' scaffolding per piece; return {color: thunk}."""
     thunks = {}
     scratch = np.zeros_like(vals)
+    indptr = _indptr(pos)
     Dt = D.T
-    kf = F.shape[1]
-    for color, p0, p1, w in pieces:
-        if p1 < p0:
+    for color, lo, hi, w in pieces:
+        if hi < lo:
             thunks[color] = _const(w)
             continue
-        rows, chunks = _sddmm_chunks(pos, crd, vals, scratch, p0, p1)
-        sv = scratch[p0 : p1 + 1]
-        cols = crd[p0 : p1 + 1]
-        r0, r1 = int(rows[0]), int(rows[-1])
-        nr = r1 - r0 + 1
-        rel = rows - r0
-        ov = out[r0 : r1 + 1, :]
-        thunks[color] = _nz_thunk(chunks, C, Dt, sv, cols, F, rel, nr, kf, ov, w)
-    return thunks
-
-
-def _nz_thunk(chunks, C, Dt, sv, cols, F, rel, nr, kf, ov, w):
-    def thunk():
-        _run_sddmm(chunks, C, Dt)
-        prods = sv[:, None] * F[cols, :]
-        acc = np.empty((nr, kf), dtype=prods.dtype)
-        for col in range(kf):
-            acc[:, col] = np.bincount(
-                rel, weights=prods[:, col], minlength=nr
-            )[:nr]
-        np.add(ov, acc, out=ov)
-        return w
-    return thunk
-'''
-
-_FUSED_SDDMM_SPMM_ROWS = _SDDMM_CHUNKS + '''
-
-def bind(pos, crd, vals, C, D, F, out, pieces):
-    """Convert row bounds to position ranges at bind; return {color: thunk}."""
-    thunks = {}
-    scratch = np.zeros_like(vals)
-    Dt = D.T
-    ncols = F.shape[0]
-    for color, r0, r1, w in pieces:
-        if r1 < r0:
-            thunks[color] = _const(w)
-            continue
-        nr = r1 - r0 + 1
-        ov = out[r0 : r1 + 1, :]
-        p0, p1 = int(pos[r0, 0]), int(pos[r1, 1])
-        if p1 < p0:
-            # No non-zeros in these rows: the SDDMM phase is empty and the
-            # SpMM phase overwrites the output block with zeros.
-            thunks[color] = _fill_zero(ov, w)
-            continue
-        _rows, chunks = _sddmm_chunks(pos, crd, vals, scratch, p0, p1)
-        indptr = np.empty(nr + 1, dtype=np.int64)
-        indptr[:-1] = pos[r0 : r1 + 1, 0] - p0
-        indptr[-1] = p1 + 1 - p0
-        sv = scratch[p0 : p1 + 1]
-        sidx = crd[p0 : p1 + 1]
-        thunks[color] = _rows_thunk(
-            chunks, C, Dt, sv, sidx, indptr, nr, ncols, F, ov, w
+        r0, ip = _segments_of(indptr, lo, hi)
+        chunks = _sddmm_chunks(pos, crd, vals, scratch, int(ip[0]), int(ip[-1]) - 1)
+        thunks[color] = _thunk(
+            chunks, C, Dt, ip, crd, scratch, F, out[r0 : r0 + ip.size - 1, :], w
         )
     return thunks
 
 
-def _rows_thunk(chunks, C, Dt, sv, sidx, indptr, nr, ncols, F, ov, w):
+def _thunk(chunks, C, Dt, ip, crd, scratch, F, ov, w):
     def thunk():
         _run_sddmm(chunks, C, Dt)
-        # The CSR block is rebuilt per execution: its data array is the
-        # scratch slice the SDDMM phase just refreshed.
-        block = sp.csr_matrix((sv, sidx, indptr), shape=(nr, ncols))
-        ov[:, :] = block @ F
+        _reduce(ip, crd, scratch, F, ov)
         return w
     return thunk
 '''
 
 #: ``coords`` is the sparse operand's level functions chained from the last
-#: level to the root (``Tensor.coords_of``): positions -> (i, j, k).
-#: ``ACCUMULATE`` is substituted per strategy: row pieces own their output
-#: rows and overwrite, non-zero pieces share rows and add.
-_MTTKRP = '''
-def _body_thunk(i_ids, j_ids, k_ids, v, C, D, out, w):
-    l = C.shape[1]
+#: level to the root (``Tensor.coords_of``): positions -> (i, j, k).  The
+#: per-non-zero products are formed first and then summed per output row by
+#: ``csr_matvecs`` over an identity column index and unit data (one shared
+#: pair per bind, sliced per piece), which adds them in position order.
+_MTTKRP = _SPMM_REDUCE + '''
+def _body_thunk(i_ids, j_ids, k_ids, v, C, D, out, ident, ones, w):
     r0, r1 = int(i_ids[0]), int(i_ids[-1])
-    nr = r1 - r0 + 1
-    rel = i_ids - r0
+    ip = np.searchsorted(i_ids, np.arange(r0, r1 + 2))
     ov = out[r0 : r1 + 1, :]
 
     def thunk():
         prods = v[:, None] * C[j_ids, :] * D[k_ids, :]
-        acc = np.empty((nr, l), dtype=prods.dtype)
-        for col in range(l):
-            acc[:, col] = np.bincount(
-                rel, weights=prods[:, col], minlength=nr
-            )[:nr]
-        if ACCUMULATE:
-            np.add(ov, acc, out=ov)
-        else:
-            ov[:, :] = acc
+        _reduce(ip, ident, ones, prods, ov)
         return w
     return thunk
 
@@ -367,20 +297,27 @@ def _body_thunk(i_ids, j_ids, k_ids, v, C, D, out, w):
 def bind(coords, vals, C, D, out, pieces):
     """Hoist coordinate gathers per position range; return {color: thunk}."""
     thunks = {}
+    longest = max((p1 - p0 + 1 for _color, p0, p1, _w in pieces), default=0)
+    ident, ones = np.arange(longest), np.ones(longest)
     for color, p0, p1, w in pieces:
         if p1 < p0:
             thunks[color] = _const(w)
             continue
+        n = p1 - p0 + 1
         i_ids, j_ids, k_ids = coords(np.arange(p0, p1 + 1, dtype=np.int64))
         thunks[color] = _body_thunk(
-            i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out, w
+            i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out,
+            ident[:n], ones[:n], w,
         )
     return thunks
 '''
 
 
-def _mttkrp(strategy: str) -> str:
-    return _MTTKRP.replace("ACCUMULATE", str(strategy == "nonzeros"))
+def _for_strategy(body: str, strategy: str) -> str:
+    """``ACCUMULATE`` is the one thing a strategy changes in a reducing
+    body: row pieces own their output rows and overwrite, non-zero pieces
+    share rows and add."""
+    return body.replace("ACCUMULATE", str(strategy == "nonzeros"))
 
 
 #: body template per (iteration shape, strategy) — exactly the keys the
@@ -388,17 +325,17 @@ def _mttkrp(strategy: str) -> str:
 #: two agree).  "grid" rides the SpMM rows body with a column window in the
 #: piece tuple.
 TEMPLATES: Dict[Tuple[str, str], str] = {
-    ("segdot", "rows"): _SEGDOT_ROWS,
-    ("segdot", "nonzeros"): _SEGDOT_NONZEROS,
-    ("spmm", "rows"): _SPMM_ROWS,
-    ("spmm", "grid"): _SPMM_ROWS,
-    ("spmm", "nonzeros"): _SPMM_NONZEROS,
+    ("segdot", "rows"): _for_strategy(_SEGDOT, "rows"),
+    ("segdot", "nonzeros"): _for_strategy(_SEGDOT, "nonzeros"),
+    ("spmm", "rows"): _for_strategy(_SPMM, "rows"),
+    ("spmm", "grid"): _for_strategy(_SPMM, "rows"),
+    ("spmm", "nonzeros"): _for_strategy(_SPMM, "nonzeros"),
     ("sddmm", "rows"): _SDDMM_ROWS,
     ("sddmm", "nonzeros"): _SDDMM_NONZEROS,
-    ("fused_sddmm_spmm", "rows"): _FUSED_SDDMM_SPMM_ROWS,
-    ("fused_sddmm_spmm", "nonzeros"): _FUSED_SDDMM_SPMM_NONZEROS,
-    ("spmttkrp", "rows"): _mttkrp("rows"),
-    ("spmttkrp", "nonzeros"): _mttkrp("nonzeros"),
+    ("fused_sddmm_spmm", "rows"): _for_strategy(_FUSED_SDDMM_SPMM, "rows"),
+    ("fused_sddmm_spmm", "nonzeros"): _for_strategy(_FUSED_SDDMM_SPMM, "nonzeros"),
+    ("spmttkrp", "rows"): _for_strategy(_MTTKRP, "rows"),
+    ("spmttkrp", "nonzeros"): _for_strategy(_MTTKRP, "nonzeros"),
 }
 
 
@@ -408,7 +345,7 @@ def emit_source(shape: str, strategy: str) -> str:
     body = TEMPLATES.get(key)
     if body is None:
         raise KeyError(f"no lowering template for {key}")
-    extra = "import scipy.sparse as sp\n" if "sp.csr_matrix(" in body else ""
+    extra = _SPARSETOOLS_IMPORT if "csr_matvec" in body else ""
     return _HEADER.format(
         shape=shape, strategy=strategy, extra_imports=extra
     ) + body

@@ -123,6 +123,16 @@ def _mode_ordered(tensor: Tensor) -> bool:
     return tensor.format.mode_ordering == tuple(range(tensor.order))
 
 
+def _segments(B: Tensor) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(pos, crd, vals)`` of B's last level for a leaf that reduces its
+    segments.  Those leaves read a segment's end off its successor's
+    start, so the level must be packed — checked here, where the region
+    has a name, before either backend derives its ``indptr``."""
+    last = B.levels[-1]
+    K.check_packed(last.pos.data, last.pos.name)
+    return last.pos.data, last.crd.data, B.vals.data
+
+
 def _walkable(B: Tensor) -> bool:
     """What every specialized leaf can walk, by level types alone: levels
     stored in tensor-mode order, a dense root — a row piece's coordinate
@@ -261,10 +271,8 @@ class _SegDot(KernelSpec):
     reference = {"rows": K.spmv_rows, "nonzeros": K.spmv_nonzeros}
 
     def operands(self, ck):
-        B = ck.roles["B"].tensor
-        last = B.levels[-1]
         return (
-            last.pos.data, last.crd.data, B.vals.data,
+            *_segments(ck.roles["B"].tensor),
             ck.roles["c"].tensor.dense_array(),
             ck.out.vals.data.reshape(-1),
         )
@@ -359,7 +367,7 @@ class _SpMM(KernelSpec):
 
     def operands(self, ck):
         return (
-            *ck.roles["B"].tensor.csr_arrays(),
+            *_segments(ck.roles["B"].tensor),
             ck.roles["C"].tensor.dense_array(),
             ck.out.dense_array(),
         )
@@ -464,7 +472,7 @@ class _FusedSDDMMSpMM(KernelSpec):
     def operands(self, ck):
         roles = ck.roles
         return (
-            *roles["B"].tensor.csr_arrays(),
+            *_segments(roles["B"].tensor),
             *(roles[r].tensor.dense_array() for r in "CDF"),
             ck.out.dense_array(),
         )

@@ -1,10 +1,12 @@
 """SpMM leaf kernels: ``A(i,j) = B(i,k) * C(k,j)`` with sparse B, dense C.
 
 The row-based piece uses the schedule of Senanayake et al. for the leaf
-(tight CSR traversal — realized here as a per-piece SciPy CSR matmul, the
-moral equivalent of the vendor kernel the paper calls at the leaves).  The
-non-zero-based piece (the GPU schedule) balances positions exactly but
-replicates C and reduces aliased output rows.
+(tight CSR traversal — realized here as the compiled segment reduce of
+:mod:`.segment` on a row-range view of the level, the moral equivalent of
+the vendor kernel the paper calls at the leaves).  The non-zero-based
+piece (the GPU schedule) balances positions exactly but replicates C and
+reduces aliased output rows: the same reduce over the piece's clipped
+segment boundaries, its partial formed from 0.0 and then added in.
 
 Index notation: ``A(i,j) = B(i,k) * C(k,j)`` — paper §VI-A (algorithms,
 including the memory-conserving "SpDISTAL-Batched" variant), Fig. 10/11
@@ -13,27 +15,13 @@ including the memory-conserving "SpDISTAL-Batched" variant), Fig. 10/11
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..legion.machine import Work
-from .segment import row_of_positions, segment_sum_matrix
+from .segment import packed_indptr, piece_indptr, segment_matmul
 
 __all__ = ["spmm_rows", "spmm_nonzeros", "spmm_rows_reference"]
 
 F8 = 8
-
-
-def _local_csr(pos: np.ndarray, crd: np.ndarray, vals: np.ndarray, r0: int, r1: int, ncols: int):
-    """View rows [r0, r1] of the rect-pos CSR as a SciPy CSR block."""
-    s = int(pos[r0, 0])
-    e = int(pos[r1, 1])
-    indptr = np.empty(r1 - r0 + 2, dtype=np.int64)
-    indptr[:-1] = pos[r0 : r1 + 1, 0] - s
-    indptr[-1] = e + 1 - s
-    return sp.csr_matrix(
-        (vals[s : e + 1], crd[s : e + 1], indptr),
-        shape=(r1 - r0 + 1, ncols),
-    ), e + 1 - s
 
 
 def spmm_rows(
@@ -49,8 +37,9 @@ def spmm_rows(
     if r1 < r0:
         return Work.zero()
     k = C.shape[1]
-    block, nnz = _local_csr(pos, crd, vals, r0, r1, C.shape[0])
-    out[r0 : r1 + 1, :] = block @ C
+    indptr = packed_indptr(pos[r0 : r1 + 1])
+    out[r0 : r1 + 1, :] = segment_matmul(indptr, crd, vals, C)
+    nnz = int(indptr[-1] - indptr[0])
     return Work(
         flops=2.0 * nnz * k,
         bytes=float(nnz * (2 * F8 + F8 * k) + (r1 - r0 + 1) * k * F8),
@@ -71,14 +60,12 @@ def spmm_nonzeros(
         return Work.zero()
     k = C.shape[1]
     nnz = p1 - p0 + 1
-    cols = crd[p0 : p1 + 1]
-    prods = vals[p0 : p1 + 1, None] * C[cols, :]
-    rows = row_of_positions(pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64))
-    r0, r1 = int(rows[0]), int(rows[-1])
-    out[r0 : r1 + 1, :] += segment_sum_matrix(prods, rows - r0, r1 - r0 + 1)
+    r0, indptr = piece_indptr(pos, p0, p1)
+    nr = indptr.size - 1
+    out[r0 : r0 + nr, :] += segment_matmul(indptr, crd, vals, C)
     return Work(
         flops=2.0 * nnz * k,
-        bytes=float(nnz * (2 * F8 + F8 * k) + (r1 - r0 + 1) * k * F8),
+        bytes=float(nnz * (2 * F8 + F8 * k) + nr * k * F8),
     )
 
 

@@ -8,7 +8,9 @@ positions into the ``(i, j, k)`` of each non-zero, whether a level stores
 its coordinate in ``crd`` or implies it by position.  The row-based
 variant owns disjoint ``i`` ranges and overwrites; the non-zero-based
 variant splits leaf positions exactly and reduces aliased output rows (the
-GPU schedule in the paper, which wins through load balance).
+GPU schedule in the paper, which wins through load balance).  Either way
+the per-non-zero products are formed first and then summed per output row
+by the segment reduce of :mod:`.segment`, in position order from 0.0.
 
 Index notation: ``A(i,l) = B(i,j,k) * C(j,l) * D(k,l)`` — paper §VI-A
 (higher-order kernels), Fig. 10/12 (evaluation).

@@ -17,8 +17,10 @@ range through the level functions and hands over the last level's
   positions (non-zero partition of the last level); pieces that share a
   boundary segment reduce into the output.
 
-Both compute on the rect-``pos`` arrays with NumPy segment reductions and
-return the roofline :class:`~repro.legion.machine.Work` they performed.
+Both run the compiled segment reduce of :mod:`.segment` on views of the
+level's arrays — each segment's sum formed from 0.0 left to right, a
+non-zero piece's partial formed from 0.0 and then added into the output —
+and return the roofline :class:`~repro.legion.machine.Work` they performed.
 
 Paper: §II-D (schedules), §VI-A (CPU/GPU algorithm choice), Fig. 10–13
 (evaluation).
@@ -30,7 +32,7 @@ from typing import Tuple
 import numpy as np
 
 from ..legion.machine import Work
-from .segment import row_of_positions, segment_sum
+from .segment import packed_indptr, piece_indptr, segment_dot
 
 __all__ = ["spmv_rows", "spmv_nonzeros", "spmv_rows_reference"]
 
@@ -50,17 +52,11 @@ def spmv_rows(
     3-tensor) into ``out`` on one piece."""
     if r1 < r0:
         return Work.zero()
-    lo = pos[r0 : r1 + 1, 0]
-    hi = pos[r0 : r1 + 1, 1]
-    lens = np.maximum(hi - lo + 1, 0)
-    nnz = int(lens.sum())
+    indptr = packed_indptr(pos[r0 : r1 + 1])
+    out[r0 : r1 + 1] = segment_dot(indptr, crd, vals, c)
+    nnz = int(indptr[-1] - indptr[0])
     if nnz == 0:
-        out[r0 : r1 + 1] = 0.0
-        return Work(0.0, (r1 - r0 + 1) * F8)
-    s, e = int(lo[0]), int(hi[-1])
-    prods = vals[s : e + 1] * c[crd[s : e + 1]]
-    rows = np.repeat(np.arange(r1 - r0 + 1, dtype=np.int64), lens)
-    out[r0 : r1 + 1] = segment_sum(prods, rows, r1 - r0 + 1)
+        return Work(0.0, (r1 - r0 + 1) * F8)  # the zero fill
     return Work(flops=2.0 * nnz, bytes=float(nnz * 3 * F8 + (r1 - r0 + 1) * 2 * F8))
 
 
@@ -78,11 +74,10 @@ def spmv_nonzeros(
     if p1 < p0:
         return Work.zero()
     nnz = p1 - p0 + 1
-    prods = vals[p0 : p1 + 1] * c[crd[p0 : p1 + 1]]
-    rows = row_of_positions(pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64))
-    r0, r1 = int(rows[0]), int(rows[-1])
-    out[r0 : r1 + 1] += segment_sum(prods, rows - r0, r1 - r0 + 1)
-    return Work(flops=2.0 * nnz, bytes=float(nnz * 3 * F8 + (r1 - r0 + 1) * 2 * F8))
+    r0, indptr = piece_indptr(pos, p0, p1)
+    nr = indptr.size - 1
+    out[r0 : r0 + nr] += segment_dot(indptr, crd, vals, c)
+    return Work(flops=2.0 * nnz, bytes=float(nnz * 3 * F8 + nr * 2 * F8))
 
 
 def spmv_rows_reference(

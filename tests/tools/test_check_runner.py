@@ -301,7 +301,7 @@ class TestFormatNameScanner:
 
 
 class TestGeneratedCodeBoundary:
-    """The two static assertions of the ``aot-sanitizer`` plugin."""
+    """The static assertions of the ``aot-sanitizer`` plugin."""
 
     def test_store_importing_an_exec_surface_is_flagged(self):
         src = (
@@ -335,3 +335,49 @@ class TestGeneratedCodeBoundary:
         )
         findings = check._scan_environ_reads("fake.py", ast.parse(src))
         assert sorted(f.line for f in findings) == [2, 4, 6]
+
+    def test_sparsetools_named_outside_its_two_sites_is_flagged(self):
+        src = (
+            '"""Prose may say scipy.sparse._sparsetools freely."""\n'
+            "import scipy.sparse._sparsetools as st\n"              # line 2
+            "from scipy.sparse import _sparsetools\n"               # line 3
+            "from scipy.sparse._sparsetools import csr_matvec\n"    # line 4
+            "def f(sp):\n"
+            "    return sp.sparse._sparsetools.csr_matvecs\n"       # line 6
+            "LINE = 'from scipy.sparse._sparsetools import coo_tocsr\\n'\n"  # 7
+            "NOTE = 'see _sparsetools'\n"
+        )
+        tree = ast.parse(src)
+        findings = check._scan_sparsetools("src/repro/kernels/spmm.py", tree)
+        assert sorted(f.line for f in findings) == [2, 3, 4, 6, 7]
+        assert "src/repro/kernels/segment.py" in findings[0].message
+        # each site may hold its own form, and only that one
+        at_import_site = check._scan_sparsetools(check.SPARSETOOLS_IMPORT_SITE, tree)
+        assert [f.line for f in at_import_site] == [7]
+        at_emit_site = check._scan_sparsetools(check.SPARSETOOLS_EMIT_SITE, tree)
+        assert sorted(f.line for f in at_emit_site) == [2, 3, 4, 6]
+
+    def test_generated_module_importing_more_of_scipy_is_flagged(self):
+        src = (
+            "import numpy as np\n"
+            "from scipy.sparse._sparsetools import csr_matvec, csr_matvecs\n"
+            "import scipy.sparse as sp\n"
+            "from scipy.sparse import csr_matrix\n"
+            "from scipy.sparse._sparsetools import coo_tocsr\n"
+        )
+        findings = check._scan_generated_scipy_imports("spmm/rows", ast.parse(src))
+        assert [f.message.split()[3].rstrip(":") for f in findings] == [
+            "scipy.sparse", "scipy.sparse.csr_matrix",
+            "scipy.sparse._sparsetools.coo_tocsr",
+        ]
+        assert all("spmm/rows" in f.message for f in findings)
+
+    def test_bincount_in_a_template_is_flagged(self):
+        text = (
+            "_BODY = \'\'\'\n"
+            "def thunk():\n"
+            "    ov[:] = np.bincount(rows, weights=v * c[cc], minlength=nr)\n"
+            "\'\'\'\n"
+        )
+        findings = check._scan_bincount("src/repro/codegen/lowering.py", text)
+        assert [f.line for f in findings] == [3]

@@ -33,8 +33,14 @@ codebase passes defined here:
   (:mod:`repro.analysis.sanitizer`); the artifact load path
   (``core/store.py``, ``core/store_index.py``) imports neither
   :mod:`repro.codegen` nor :mod:`repro.analysis`, so nothing read from
-  disk can reach ``exec``; and nothing under ``src/repro/codegen`` or in
-  the sanitizer reads the process environment;
+  disk can reach ``exec``; nothing under ``src/repro/codegen`` or in
+  the sanitizer reads the process environment; and the private SciPy
+  surface the leaves run on stays pinned in one place —
+  ``scipy.sparse._sparsetools`` is named by code only in
+  ``kernels/segment.py`` (the checked import) and on the one import line
+  ``codegen/lowering.py`` writes into generated modules, a generated
+  module imports from SciPy nothing but ``csr_matvec`` / ``csr_matvecs``,
+  and no template reduces with ``np.bincount``;
 * **commplan** — every (kernel × sweep format × strategy × machine kind)
   the kernel table declares must yield a coherent static communication plan
   (:mod:`repro.analysis.commplan`): the plan derives without error and
@@ -522,6 +528,82 @@ def _scan_environ_reads(relpath: str, tree: ast.Module) -> List[Finding]:
     return findings
 
 
+#: where code may name ``scipy.sparse._sparsetools``: the checked import,
+#: and the import line the emitter writes into generated modules.
+SPARSETOOLS_IMPORT_SITE = "src/repro/kernels/segment.py"
+SPARSETOOLS_EMIT_SITE = "src/repro/codegen/lowering.py"
+SPARSETOOLS_NAMES = ("csr_matvec", "csr_matvecs")
+
+
+def _scan_sparsetools(relpath: str, tree: ast.Module) -> List[Finding]:
+    """Code that names ``_sparsetools`` — an import, an attribute access,
+    or a string that is an import line for generated source — outside the
+    site that may (docstrings and prose are not code)."""
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named = any("_sparsetools" in a.name for a in node.names)
+            site = SPARSETOOLS_IMPORT_SITE
+        elif isinstance(node, ast.ImportFrom):
+            named = "_sparsetools" in (node.module or "") or any(
+                a.name == "_sparsetools" for a in node.names)
+            site = SPARSETOOLS_IMPORT_SITE
+        elif isinstance(node, ast.Attribute):
+            named, site = node.attr == "_sparsetools", SPARSETOOLS_IMPORT_SITE
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named = any(
+                "_sparsetools" in line and line.split()[:1] in (["from"], ["import"])
+                for line in node.value.splitlines()
+            )
+            site = SPARSETOOLS_EMIT_SITE
+        else:
+            continue
+        if named and relpath != site:
+            findings.append(Finding(
+                relpath, node.lineno,
+                "names scipy.sparse._sparsetools: the private SciPy surface "
+                f"is pinned at {SPARSETOOLS_IMPORT_SITE} (import the "
+                "primitive from there) and on the one import line "
+                f"{SPARSETOOLS_EMIT_SITE} emits",
+            ))
+    return findings
+
+
+def _scan_generated_scipy_imports(combo: str, tree: ast.Module) -> List[Finding]:
+    """A generated module's SciPy imports: ``from
+    scipy.sparse._sparsetools import`` the two pinned names, nothing else."""
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bad = [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            bad = [
+                f"{node.module}.{a.name}" for a in node.names
+                if node.module != "scipy.sparse._sparsetools"
+                or a.name not in SPARSETOOLS_NAMES
+            ]
+        else:
+            continue
+        for name in bad:
+            findings.append(Finding(
+                SPARSETOOLS_EMIT_SITE, None,
+                f"template {combo} imports {name}: generated modules take "
+                f"from SciPy only {' / '.join(SPARSETOOLS_NAMES)}",
+            ))
+    return findings
+
+
+def _scan_bincount(relpath: str, text: str) -> List[Finding]:
+    """``bincount`` anywhere in the emitter, template strings included: every
+    reducing template runs on the segment-reduce primitive."""
+    return [
+        Finding(relpath, n, "np.bincount in a lowering template — reduce "
+                "with csr_matvec / csr_matvecs over the segment boundaries, "
+                "as the interpreter leaves do (repro.kernels.segment)")
+        for n, line in enumerate(text.splitlines(), 1) if "bincount" in line
+    ]
+
+
 def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
     """Every template the kernel table declares must emit and pass the
     allowlist; the store cannot import an ``exec`` surface; codegen and
@@ -540,6 +622,11 @@ def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
     ) + ["src/repro/analysis/sanitizer.py"]
     for relpath in env_free:
         findings.extend(_scan_environ_reads(relpath, cache.get(relpath)[1]))
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        relpath = str(path.relative_to(REPO))
+        findings.extend(_scan_sparsetools(relpath, cache.get(relpath)[1]))
+    findings.extend(_scan_bincount(
+        SPARSETOOLS_EMIT_SITE, cache.get(SPARSETOOLS_EMIT_SITE)[0]))
     checked = 0
     # kinds that iterate alike declare the same (shape, strategy) key
     for shape, strategy in sorted(
@@ -547,7 +634,9 @@ def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
     ):
         combo = f"{shape}/{strategy}"
         try:
-            verify_aot_source(lowering.emit_source(shape, strategy), filename=combo)
+            tree = verify_aot_source(
+                lowering.emit_source(shape, strategy), filename=combo)
+            findings.extend(_scan_generated_scipy_imports(combo, tree))
         except KeyError:
             problem = "is declared by the kernel table but has no template"
         except SanitizerError as e:
@@ -562,7 +651,8 @@ def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
         "aot-sanitizer", findings,
         f"{checked} generated templates pass the exec-load allowlist; "
         f"{len(STORE_MODULES)} store modules import no exec surface; "
-        f"{len(env_free)} codegen modules read no environment",
+        f"{len(env_free)} codegen modules read no environment; "
+        "scipy.sparse._sparsetools is named at its two sites only",
     )
 
 
