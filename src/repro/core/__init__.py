@@ -17,13 +17,7 @@ from .cache import (
     set_cache_budget,
     set_cache_enabled,
 )
-from .levels import (
-    CompressedLevelFunctions,
-    DenseLevelFunctions,
-    LevelFunctions,
-    level_functions_for,
-    shrink_dense_partition,
-)
+from .levels import LevelFunctions, level_functions_for
 from .partitioner import (
     TensorPartition,
     partition_dense_tensor,
@@ -54,8 +48,7 @@ __all__ = [
     "cache_budgets", "cache_stats", "caches_disabled", "caches_enabled",
     "clear_caches", "invalidate_tensor", "kernel_fingerprint",
     "set_cache_budget", "set_cache_enabled",
-    "CompressedLevelFunctions", "DenseLevelFunctions", "LevelFunctions",
-    "level_functions_for", "shrink_dense_partition",
+    "LevelFunctions", "level_functions_for",
     "TensorPartition", "partition_dense_tensor", "partition_tensor",
     "replicated_partition",
     "adopt_pattern", "install_assembled_output", "pattern_source", "scan_counts",

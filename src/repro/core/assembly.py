@@ -91,30 +91,18 @@ def install_assembled_output(
     same SpAdd statement hits the kernel cache and replays its mapping
     traces instead of re-recording every iteration.
     """
-    if len(out.levels) != 2 or not isinstance(out.levels[1], CompressedLevel):
-        # (Re)build the level structure of a CSR output from scratch.
-        nrows = counts.size
-        pos = scan_counts(counts, name=f"{out.name}.pos1")
-        total = int(np.maximum(counts, 0).sum())
-        crd = Region(
-            IndexSpace(total, name=f"{out.name}_crd1"),
-            np.int64,
-            name=f"{out.name}.crd1",
-        )
-        out.levels = [DenseLevel(nrows, nrows), CompressedLevel(pos, crd)]
-        out.vals = Region(
-            IndexSpace(total, name=f"{out.name}_vals"), out.dtype, name=f"{out.name}.vals"
-        )
-    else:
-        pos = scan_counts(counts, name=f"{out.name}.pos1")
-        total = int(np.maximum(counts, 0).sum())
-        crd = Region(
-            IndexSpace(total, name=f"{out.name}_crd1"), np.int64, name=f"{out.name}.crd1"
-        )
-        out.levels = [out.levels[0], CompressedLevel(pos, crd)]
-        out.vals = Region(
-            IndexSpace(total, name=f"{out.name}_vals"), out.dtype, name=f"{out.name}.vals"
-        )
+    nrows = counts.size
+    pos = scan_counts(counts, name=f"{out.name}.pos1")
+    total = int(np.maximum(counts, 0).sum())
+    crd = Region(
+        IndexSpace(total, name=f"{out.name}_crd1"), np.int64, name=f"{out.name}.crd1"
+    )
+    # A two-level output keeps its root; any other is built as CSR from scratch.
+    root = out.levels[0] if len(out.levels) == 2 else DenseLevel(nrows, nrows)
+    out.levels = [root, CompressedLevel(pos, crd)]
+    out.vals = Region(
+        IndexSpace(total, name=f"{out.name}_vals"), out.dtype, name=f"{out.name}.vals"
+    )
     out._bump_pattern_version()
     out._bump_assembly_version()
     lvl = out.levels[1]

@@ -298,10 +298,7 @@ class CompiledKernel:
         # the tensor after install would see the freshly-sized empty output
         # instead — the seed bug that crashed or dropped the aliased operand.
         operand_tensors = SPECS[self.kind].operand_tensors(self)
-        snaps = [
-            (t.levels[1].pos.data, t.levels[1].crd.data, t.vals.data)
-            for t in operand_tensors
-        ]
+        snaps = [t.csr_arrays() for t in operand_tensors]
         ops_meta = [(pos, crd) for pos, crd, _vals in snaps]
         counts = np.zeros(nrows, dtype=np.int64)
         # The launch requirements are frozen on first execute, while the
@@ -635,13 +632,12 @@ def _inferred_windows(
             lvl = other.tensor.levels[level]
             if lvl.is_dense or part.level_positions[level] is None:
                 continue
-            crd = lvl.crd.data
             for c in colors:
                 subset = part.level_positions[level][c]
                 if subset.empty:
                     windows[c][mode] = (0, -1)
                     continue
-                vals = crd[subset.indices()]
+                vals = lvl.coord_of(subset.indices())
                 windows[c][mode] = (int(vals.min()), int(vals.max()))
             found = True
             break

@@ -606,10 +606,7 @@ class _SpAdd(KernelSpec):
 
     def work_model(self, ck):
         ncols = ck.out.shape[1]
-        metas = [
-            (t.levels[1].pos.data, t.levels[1].crd.data)
-            for t in self.operand_tensors(ck)
-        ]
+        metas = [t.csr_arrays()[:2] for t in self.operand_tensors(ck)]
 
         def work(phase, p) -> Work:
             r0, r1 = p.rows

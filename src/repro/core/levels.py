@@ -1,261 +1,69 @@
-"""Format abstractions for sparse tensor partitioning (paper §IV-B, Table I).
+"""The site a level's partitioning functions run at (paper §IV-B, Table I).
 
-Each storage level implements two groups of *level functions*:
-
-* initial partitioning — ``init/create/finalizeUniversePartition`` and the
-  non-zero counterparts — which build a partition of one coordinate-tree
-  level from per-color coordinate (universe) or position (non-zero) bounds;
-* derived partitioning — ``partitionFromParent``/``partitionFromChild`` —
-  which propagate a level partition down/up the coordinate tree.
-
-``finalize*`` returns ``(parent_part, child_part)``: a partition to use for
-partitioning the level above and one for the level below, exactly as in the
-paper.  Every function records the IR fragment it represents into the
-:class:`~repro.core.plan.PartitioningPlan` while executing the operation
-against the Legion substrate.
+The Table I functions themselves live on the level classes
+(:mod:`repro.taco.levels`), one class per format.  They *execute* their
+partitioning operation against the Legion substrate and record the IR
+statement the paper's compiler would have emitted; :class:`LevelFunctions`
+is what they record through: it binds one level of a packed tensor to a
+:class:`~repro.core.plan.PartitioningPlan`, names the level in the emitted
+text, and keeps the partition of the level's ``pos`` region for
+:class:`~repro.core.partitioner.TensorPartition`.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
-import numpy as np
-
-from ..errors import CompileError
-from ..legion.dependent import (
-    image,
-    partition_by_bounds,
-    partition_by_value_ranges,
-    preimage,
-)
-from ..legion.index_space import ArraySubset, EMPTY, Rect, RectSubset
-from ..legion.partition import Coloring, Partition
-from ..taco.tensor import CompressedLevel, DenseLevel, Tensor
+from ..legion.partition import Partition
+from ..taco.tensor import Tensor
 from .plan import PartitioningPlan
 
-__all__ = [
-    "LevelFunctions",
-    "DenseLevelFunctions",
-    "CompressedLevelFunctions",
-    "level_functions_for",
-    "shrink_dense_partition",
-]
-
-
-def shrink_dense_partition(part: Partition, size: int, parent_volume: int) -> Partition:
-    """Map a partition of ``parent*size + k`` positions back to parents."""
-    from ..legion.index_space import IndexSpace, subset_from_indices
-
-    parent_space = IndexSpace(parent_volume, name=f"{part.parent.name}/ {size}")
-    subsets = {}
-    for c, s in part.items():
-        if s.empty:
-            subsets[c] = EMPTY
-        elif isinstance(s, RectSubset):
-            subsets[c] = RectSubset(
-                Rect(s.rect.lo[0] // size, s.rect.hi[0] // size)
-            )
-        else:
-            subsets[c] = subset_from_indices(s.indices() // size)
-    return Partition(parent_space, subsets, name=f"{part.name}//{size}")
+__all__ = ["LevelFunctions", "level_functions_for"]
 
 
 class LevelFunctions:
-    """Base class binding a level of a packed tensor to its level functions."""
+    """Level ``level_index`` of ``tensor`` bound to ``plan``: call a Table I
+    function on it without the ``site`` argument."""
 
     def __init__(self, tensor: Tensor, level_index: int, plan: PartitioningPlan):
         self.tensor = tensor
         self.level_index = level_index
         self.level = tensor.levels[level_index]
         self.plan = plan
-        # Populated as the functions run:
-        self.positions_part: Optional[Partition] = None
-        self.pos_part: Optional[Partition] = None  # Compressed levels only
+        self.tag = f"{tensor.name}{level_index + 1}"  # B2: a partition's name
+        self.ref = f"{tensor.name}[{level_index}]"  # B[1]: the level's regions
+        #: Partition of the level's ``pos`` region, set by the functions of
+        #: a level that stores one.
+        self.pos_part: Optional[Partition] = None
 
-    def _emit(self, op: str, text: str) -> None:
+    def emit(self, op: str, text: str) -> None:
         self.plan.emit(op, text, tensor=self.tensor.name, level=self.level_index)
 
-    @property
-    def _tag(self) -> str:
-        return f"{self.tensor.name}{self.level_index + 1}"
-
-    # The six initial-partition functions + two derived ones; subclasses
-    # implement the behaviour of Table I.
-    def init_universe_partition(self) -> Coloring:
-        raise NotImplementedError
+    def init_universe_partition(self):
+        return self.level.init_universe_partition(self)
 
     def create_universe_partition_entry(self, coloring, color, bounds) -> None:
-        raise NotImplementedError
-
-    def finalize_universe_partition(self, coloring) -> Tuple[Optional[Partition], Partition]:
-        raise NotImplementedError
-
-    def init_nonzero_partition(self) -> Coloring:
-        raise NotImplementedError
-
-    def create_nonzero_partition_entry(self, coloring, color, bounds) -> None:
-        raise NotImplementedError
-
-    def finalize_nonzero_partition(self, coloring) -> Tuple[Optional[Partition], Partition]:
-        raise NotImplementedError
-
-    def partition_from_parent(self, parent_part: Partition) -> Partition:
-        raise NotImplementedError
-
-    def partition_from_child(self, child_part: Partition) -> Optional[Partition]:
-        raise NotImplementedError
-
-
-class DenseLevelFunctions(LevelFunctions):
-    """Dense levels: positions *are* coordinates (scaled by parent entries).
-
-    Universe and non-zero partitions coincide — every coordinate of a dense
-    level is materialized, so bounds on coordinates and on positions name
-    the same sets (Table I gives both groups the same bodies).
-    """
-
-    level: DenseLevel
-
-    # -- initial partitions -------------------------------------------------
-    def init_universe_partition(self) -> Coloring:
-        self._emit("init", f"C_{self._tag} = {{}}")
-        return Coloring()
-
-    def create_universe_partition_entry(self, coloring, color, bounds) -> None:
-        coloring[color] = bounds
-        self._emit("entry", f"C_{self._tag}[{color}] = {bounds}")
+        self.level.create_universe_partition_entry(self, coloring, color, bounds)
 
     def finalize_universe_partition(self, coloring):
-        if self.level.num_positions != self.level.size and self.level_index > 0:
-            raise CompileError(
-                "initial universe partitions of non-root Dense levels are not "
-                "supported; distribute an outer dimension instead"
-            )
-        part = partition_by_bounds(self.level.pos_ispace, coloring,
-                                   name=f"{self._tag}Part")
-        self._emit(
-            "partitionByBounds",
-            f"{self._tag}Part = partitionByBounds(C_{self._tag}, {self._tag}.dom)",
-        )
-        self.positions_part = part
-        return part, part
+        return self.level.finalize_universe_partition(self, coloring)
 
-    init_nonzero_partition = init_universe_partition
-    create_nonzero_partition_entry = create_universe_partition_entry
-    finalize_nonzero_partition = finalize_universe_partition
-
-    # -- derived partitions ---------------------------------------------------
-    def partition_from_parent(self, parent_part: Partition) -> Partition:
-        part = parent_part.scale_dense(self.level.size)
-        self._emit("copy", f"{self._tag}Part = copy(parentPart)")
-        self.positions_part = part
-        return part
-
-    def partition_from_child(self, child_part: Partition) -> Optional[Partition]:
-        self.positions_part = child_part
-        self._emit("copy", f"{self._tag}ParentPart = copy(childPart)")
-        if self.level_index == 0:
-            return None
-        parents = self.level.num_positions // self.level.size
-        return shrink_dense_partition(child_part, self.level.size, parents)
-
-
-class CompressedLevelFunctions(LevelFunctions):
-    """Compressed levels: partition ``crd`` then recover ``pos`` by preimage."""
-
-    level: CompressedLevel
-
-    # -- universe -----------------------------------------------------------
-    def init_universe_partition(self) -> Coloring:
-        self._emit("init", f"C_{self._tag}_crd = {{}}")
-        return Coloring()
-
-    def create_universe_partition_entry(self, coloring, color, bounds) -> None:
-        coloring[color] = bounds
-        self._emit("entry", f"C_{self._tag}_crd[{color}] = {bounds}")
-
-    def finalize_universe_partition(self, coloring):
-        crd_part = partition_by_value_ranges(
-            self.level.crd, coloring, name=f"{self._tag}CrdPart"
-        )
-        self._emit(
-            "partitionByValueRanges",
-            f"P_{self._tag}_crd = partitionByValueRanges(C_{self._tag}_crd, "
-            f"{self.tensor.name}[{self.level_index}].crd)",
-        )
-        pos_part = preimage(self.level.pos, crd_part, self.level.crd,
-                            name=f"{self._tag}PosPart")
-        self._emit(
-            "preimage",
-            f"P_{self._tag}_pos = preimage({self.tensor.name}[{self.level_index}].pos, "
-            f"P_{self._tag}_crd, crd)",
-        )
-        self.positions_part = crd_part
-        self.pos_part = pos_part
-        return pos_part, crd_part
-
-    # -- non-zero ----------------------------------------------------------
-    def init_nonzero_partition(self) -> Coloring:
-        self._emit("init", f"C_{self._tag}_crd = {{}}")
-        return Coloring()
+    def init_nonzero_partition(self):
+        return self.level.init_nonzero_partition(self)
 
     def create_nonzero_partition_entry(self, coloring, color, bounds) -> None:
-        coloring[color] = bounds
-        self._emit("entry", f"C_{self._tag}_crd[{color}] = {bounds}  // position bounds")
+        self.level.create_nonzero_partition_entry(self, coloring, color, bounds)
 
     def finalize_nonzero_partition(self, coloring):
-        crd_part = partition_by_bounds(
-            self.level.crd.ispace, coloring, name=f"{self._tag}CrdPart"
-        )
-        self._emit(
-            "partitionByBounds",
-            f"P_{self._tag}_crd = partitionByBounds(C_{self._tag}_crd, "
-            f"{self.tensor.name}[{self.level_index}].crd)",
-        )
-        pos_part = preimage(self.level.pos, crd_part, self.level.crd,
-                            name=f"{self._tag}PosPart")
-        self._emit(
-            "preimage",
-            f"P_{self._tag}_pos = preimage({self.tensor.name}[{self.level_index}].pos, "
-            f"P_{self._tag}_crd, crd)",
-        )
-        self.positions_part = crd_part
-        self.pos_part = pos_part
-        return pos_part, crd_part
+        return self.level.finalize_nonzero_partition(self, coloring)
 
-    # -- derived -------------------------------------------------------------
     def partition_from_parent(self, parent_part: Partition) -> Partition:
-        pos_part = parent_part.copy(name=f"{self._tag}PosPart")
-        self._emit("copy", f"P_{self._tag}_pos = copy(parentPart)")
-        crd_part = image(self.level.pos, pos_part, self.level.crd,
-                         name=f"{self._tag}CrdPart")
-        self._emit(
-            "image",
-            f"P_{self._tag}_crd = image({self.tensor.name}[{self.level_index}].pos, "
-            f"P_{self._tag}_pos, crd)",
-        )
-        self.pos_part = pos_part
-        self.positions_part = crd_part
-        return crd_part
+        return self.level.partition_from_parent(self, parent_part)
 
-    def partition_from_child(self, child_part: Partition) -> Optional[Partition]:
-        crd_part = child_part.copy(name=f"{self._tag}CrdPart")
-        self._emit("copy", f"P_{self._tag}_crd = copy(childPart)")
-        pos_part = preimage(self.level.pos, crd_part, self.level.crd,
-                            name=f"{self._tag}PosPart")
-        self._emit(
-            "preimage",
-            f"P_{self._tag}_pos = preimage({self.tensor.name}[{self.level_index}].pos, "
-            f"P_{self._tag}_crd, crd)",
-        )
-        self.positions_part = crd_part
-        self.pos_part = pos_part
-        return pos_part
+    def partition_from_child(self, child_part: Partition) -> Partition:
+        return self.level.partition_from_child(self, child_part)
 
 
 def level_functions_for(
     tensor: Tensor, level_index: int, plan: PartitioningPlan
 ) -> LevelFunctions:
-    lvl = tensor.levels[level_index]
-    if isinstance(lvl, DenseLevel):
-        return DenseLevelFunctions(tensor, level_index, plan)
-    return CompressedLevelFunctions(tensor, level_index, plan)
+    return LevelFunctions(tensor, level_index, plan)

@@ -31,9 +31,9 @@ from ..errors import CompileError
 from ..legion.index_space import EMPTY, Rect, RectSubset
 from ..legion.partition import Partition
 from ..legion.runtime import Privilege, RegionReq
-from ..taco.tensor import CompressedLevel, Tensor
+from ..taco.tensor import Tensor
 from . import cache as _cache
-from .levels import LevelFunctions, level_functions_for
+from .levels import LevelFunctions
 from .plan import PartitioningPlan
 
 __all__ = [
@@ -65,22 +65,15 @@ class TensorPartition:
         the requested privilege.
         """
         reqs: List[RegionReq] = []
-        if not self.replicated:
-            for lvl, positions, pos_part in zip(
-                self.tensor.levels, self.level_positions, self.level_pos_parts
-            ):
-                if isinstance(lvl, CompressedLevel):
-                    if pos_part is not None:
-                        reqs.append(RegionReq(lvl.pos, pos_part, Privilege.READ_ONLY))
-                    if positions is not None:
-                        reqs.append(RegionReq(lvl.crd, positions, Privilege.READ_ONLY))
-            reqs.append(RegionReq(self.tensor.vals, self.vals_part, privilege))
-        else:
-            for lvl in self.tensor.levels:
-                if isinstance(lvl, CompressedLevel):
-                    reqs.append(RegionReq(lvl.pos, None, Privilege.READ_ONLY))
-                    reqs.append(RegionReq(lvl.crd, None, Privilege.READ_ONLY))
-            reqs.append(RegionReq(self.tensor.vals, None, privilege))
+        for lvl, positions, pos_part in zip(
+            self.tensor.levels, self.level_positions, self.level_pos_parts
+        ):
+            for region, part in lvl.piece_regions(pos_part, positions):
+                # No partition: the whole region when replicated, else none of it.
+                if part is not None or self.replicated:
+                    reqs.append(RegionReq(region, part, Privilege.READ_ONLY))
+        vals_part = None if self.replicated else self.vals_part
+        reqs.append(RegionReq(self.tensor.vals, vals_part, privilege))
         return reqs
 
     def vals_subset(self, color: Color):
@@ -97,24 +90,17 @@ class TensorPartition:
         partitions of the other tensors in the statement.
         """
         out: Dict[Color, Bounds] = {}
-        top = self.level_positions[0]
-        lvl0 = self.tensor.levels[0]
-        for c, s in top.items():
+        coord_of = self.tensor.levels[0].coord_of
+        for c, s in self.level_positions[0].items():
             if s.empty:
                 out[c] = (0, -1)
-            elif isinstance(s, RectSubset):
+                continue
+            if isinstance(s, RectSubset):
                 lo, hi = s.rect.lo[0], s.rect.hi[0]
-                if not lvl0.is_dense:
-                    crd = lvl0.crd.data
-                    lo, hi = int(crd[lo]), int(crd[hi])
-                out[c] = (lo, hi)
             else:
                 idx = s.indices()
-                lo, hi = int(idx[0]), int(idx[-1])
-                if not lvl0.is_dense:
-                    crd = lvl0.crd.data
-                    lo, hi = int(crd[lo]), int(crd[hi])
-                out[c] = (lo, hi)
+                lo, hi = idx[0], idx[-1]
+            out[c] = (int(coord_of(lo)), int(coord_of(hi)))
         return out
 
     def nbytes_for(self, color: Color) -> int:
@@ -151,40 +137,33 @@ def partition_tensor(
         plan.stmts.extend(stmts)
         return part
     emitted_from = len(plan.stmts)
-    funcs: List[LevelFunctions] = [
-        level_functions_for(tensor, l, plan) for l in range(nlevels)
-    ]
-    init = funcs[initial_level]
-    colors = list(bounds.keys())
-
+    sites = [LevelFunctions(tensor, l, plan) for l in range(nlevels)]
+    site = sites[initial_level]
     if kind == "universe":
-        coloring = init.init_universe_partition()
-        for c in colors:
-            init.create_universe_partition_entry(coloring, c, bounds[c])
-        up, down = init.finalize_universe_partition(coloring)
+        init, entry, finalize = (site.init_universe_partition,
+                                 site.create_universe_partition_entry,
+                                 site.finalize_universe_partition)
     elif kind == "nonzero":
-        coloring = init.init_nonzero_partition()
-        for c in colors:
-            init.create_nonzero_partition_entry(coloring, c, bounds[c])
-        up, down = init.finalize_nonzero_partition(coloring)
+        init, entry, finalize = (site.init_nonzero_partition,
+                                 site.create_nonzero_partition_entry,
+                                 site.finalize_nonzero_partition)
     else:
         raise CompileError(f"unknown partition kind {kind!r}")
+    colors = list(bounds.keys())
+    coloring = init()
+    for c in colors:
+        entry(coloring, c, bounds[c])
+    up, down = finalize(coloring)
 
     positions: List[Optional[Partition]] = [None] * nlevels
     positions[initial_level] = down
     # Downward: children inherit their parent's colors.
-    cur = down
     for l in range(initial_level + 1, nlevels):
-        cur = funcs[l].partition_from_parent(cur)
-        positions[l] = cur
+        down = positions[l] = sites[l].partition_from_parent(down)
     # Upward: parents take the union of their children's colors.
-    if initial_level > 0:
-        positions[initial_level - 1] = up
-        for l in range(initial_level - 1, 0, -1):
-            parent = funcs[l].partition_from_child(positions[l])
-            positions[l - 1] = parent
-        if positions[0] is not None:
-            funcs[0].partition_from_child(positions[0])
+    for l in range(initial_level - 1, -1, -1):
+        positions[l] = up
+        up = sites[l].partition_from_child(up)
 
     vals_src = positions[nlevels - 1]
     vals_part = Partition(tensor.vals.ispace, dict(vals_src.subsets),
@@ -192,7 +171,7 @@ def partition_tensor(
     result = TensorPartition(
         tensor,
         level_positions=positions,
-        level_pos_parts=[f.pos_part for f in funcs],
+        level_pos_parts=[s.pos_part for s in sites],
         vals_part=vals_part,
         colors=colors,
     )

@@ -83,7 +83,7 @@ from ..errors import StoreError, StoreFormatError
 from ..legion.index_space import IndexSpace
 from ..legion.region import Region
 from ..legion.runtime import Privilege
-from ..taco.tensor import CompressedLevel, Tensor
+from ..taco.tensor import Tensor
 from . import cache as _cache
 
 __all__ = [
@@ -97,9 +97,10 @@ __all__ = [
 ]
 
 #: v4: artifacts carry no generated code.  v5: a tensor pickles the parts
-#: of its statement, not an ``Assignment``.  Any other version is refused
-#: with :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 5
+#: of its statement, not an ``Assignment``.  v6: a ``LevelFormat`` pickles
+#: the level class it names, not a ``compressed`` flag.  Any other version
+#: is refused with :class:`~repro.errors.StoreFormatError`, never migrated.
+STORE_FORMAT_VERSION = 6
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"
@@ -202,10 +203,6 @@ class PackedArtifact:
 # --------------------------------------------------------------------------- #
 # save
 # --------------------------------------------------------------------------- #
-def _tensor_regions(tensor: Tensor):
-    return tensor.regions()
-
-
 def _tensor_meta(tensor: Tensor) -> Dict[str, Any]:
     return {
         "name": tensor.name,
@@ -284,7 +281,7 @@ def save_packed(
     max_region_uid = -1
     max_ispace_uid = -1
     for t in tensor_set:
-        for region in _tensor_regions(t):
+        for region in t.regions():
             max_region_uid = max(max_region_uid, region.uid)
             max_ispace_uid = max(max_ispace_uid, region.ispace.uid)
     for rt in runtimes:
@@ -334,7 +331,7 @@ def save_packed(
         seen = set()
         regions_dir = path / REGIONS_DIR
         for t in tensor_set:
-            for region in _tensor_regions(t):
+            for region in t.regions():
                 if id(region) in seen:
                     continue
                 seen.add(id(region))
@@ -460,7 +457,7 @@ def _resolve_sidecars(path: Path, tensors: List[Tensor], mmap: bool) -> None:
     its array — eagerly loaded, or a read-only memory map with ``mmap``.
     Shared regions resolve once (pickle preserved the sharing)."""
     for t in tensors:
-        for region in _tensor_regions(t):
+        for region in t.regions():
             ref = region.data
             if not isinstance(ref, _SidecarRef):
                 continue
@@ -555,7 +552,7 @@ def load_packed(
         # owning tensors' pattern_version, invalidating any cache entry
         # whose leaf captured the mapped buffer.
         for t in all_tensors:
-            for region in _tensor_regions(t):
+            for region in t.regions():
                 if region.is_mapped:
                     region.add_promote_hook(t._bump_pattern_version)
         # Promote known write targets *before* re-seeding the caches, so

@@ -42,12 +42,6 @@ __all__ = [
 ]
 
 
-def _coloring_items(coloring: Union[Coloring, Dict]):
-    if isinstance(coloring, Coloring):
-        return coloring.items()
-    return coloring.items()
-
-
 def partition_by_bounds(
     ispace: IndexSpace, coloring: Union[Coloring, Dict], *, name: str = ""
 ) -> Partition:
@@ -60,7 +54,7 @@ def partition_by_bounds(
         raise ValueError("partition_by_bounds requires a 1-D index space")
     b_lo, b_hi = ispace.bounds.lo[0], ispace.bounds.hi[0]
     subsets: Dict = {}
-    for color, (lo, hi) in _coloring_items(coloring):
+    for color, (lo, hi) in coloring.items():
         lo, hi = max(lo, b_lo), min(hi, b_hi)
         subsets[color] = RectSubset(Rect(lo, hi)) if hi >= lo else EMPTY
     return Partition(ispace, subsets, name=name or f"byBounds({ispace.name})")
@@ -77,7 +71,7 @@ def partition_by_value_ranges(
     """
     values = crd.data
     subsets: Dict = {}
-    for color, (lo, hi) in _coloring_items(coloring):
+    for color, (lo, hi) in coloring.items():
         mask = (values >= lo) & (values <= hi)
         subsets[color] = subset_from_indices(np.nonzero(mask)[0])
     return Partition(crd.ispace, subsets, name=name or f"byValues({crd.name})")

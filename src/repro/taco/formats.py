@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from ..errors import FormatError
+from .levels import CompressedLevel, DenseLevel
 
 __all__ = [
     "LevelFormat",
@@ -33,26 +34,35 @@ __all__ = [
 
 
 class LevelFormat:
-    """One coordinate-tree level's physical encoding."""
+    """One coordinate-tree level's physical encoding: a name for the format
+    language and the level class (:mod:`repro.taco.levels`) that implements
+    it.  Two level formats are equal when they name the same class, so a
+    format that went through pickle equals the one it was made from."""
 
-    def __init__(self, name: str, *, compressed: bool):
+    def __init__(self, name: str, level):
         self.name = name
-        self.compressed = compressed
+        self.level = level
 
     @property
     def is_dense(self) -> bool:
-        return not self.compressed
+        return self.level.is_dense
 
     @property
     def is_compressed(self) -> bool:
-        return self.compressed
+        return not self.level.is_dense
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LevelFormat) and self.level is other.level
+
+    def __hash__(self) -> int:
+        return hash(self.level)
 
     def __repr__(self) -> str:
         return self.name
 
 
-Dense = LevelFormat("Dense", compressed=False)
-Compressed = LevelFormat("Compressed", compressed=True)
+Dense = LevelFormat("Dense", DenseLevel)
+Compressed = LevelFormat("Compressed", CompressedLevel)
 
 
 class Format:

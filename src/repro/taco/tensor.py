@@ -1,26 +1,16 @@
 """Tensors stored in SpDISTAL's distributed sparse encoding (paper Fig. 7).
 
-Each storage level is either
+A tensor is a stack of storage levels — :class:`DenseLevel` or
+:class:`CompressedLevel`, one per stored dimension
+(:mod:`repro.taco.levels`) — and a ``vals`` region over the last level's
+position space.
 
-* :class:`DenseLevel` — an implicit level of ``size`` slots per parent
-  entry (its position space is ``P_parent * size``), or
-* :class:`CompressedLevel` — a rect-valued ``pos`` region over the parent's
-  position space and a ``crd`` region holding the non-zero coordinates.
-
-``pos[i] = [lo, hi]`` (inclusive) names the positions of entry ``i``'s
-children in ``crd`` — the encoding SpDISTAL uses so that Legion's
-``image``/``preimage`` can relate partitions of ``pos`` and ``crd``.
-Values live in a ``vals`` region over the last level's position space.
-
-Both level types implement the three *iteration* level functions of Chou
-et al.'s format abstraction — ``child_range`` (parent position range →
-position range), ``parent_of`` (position → parent position) and
-``coord_of`` (position → coordinate) — and :class:`Tensor` composes them
-over a level stack (:meth:`Tensor.positions_under`,
-:meth:`Tensor.coords_of`).  They are the only place that says how a level
-is walked: the kernel table (:mod:`repro.core.kernelspec`) resolves every
-piece through them instead of naming formats.  The *partitioning* level
-functions over the same levels live in :mod:`repro.core.levels`.
+:class:`Tensor` composes the levels' three *iteration* functions over the
+stack (:meth:`Tensor.positions_under`, :meth:`Tensor.coords_of`); they
+are the only place that says how a level is walked: the kernel table
+(:mod:`repro.core.kernelspec`) resolves every piece through them instead of
+naming formats.  Storage, packing and the *partitioning* level functions
+(Table I) live on the same level classes.
 """
 from __future__ import annotations
 
@@ -30,93 +20,13 @@ import numpy as np
 
 from ..errors import FormatError, PackError
 from ..legion.index_space import IndexSpace
-from ..legion.region import RectRegion, Region, make_pos_region
+from ..legion.region import Region
 from .expr import Access, Add, Assignment, IndexExpr
 from .formats import CSC, CSR, Format, dense_format
 from .index_vars import IndexVar
+from .levels import CompressedLevel, DenseLevel
 
 __all__ = ["DenseLevel", "CompressedLevel", "Tensor"]
-
-
-class DenseLevel:
-    """A dense storage level: ``size`` implicit slots per parent entry."""
-
-    def __init__(self, size: int, num_positions: int):
-        self.size = int(size)
-        self.num_positions = int(num_positions)  # P_l = P_{l-1} * size
-        self.pos_ispace = IndexSpace(self.num_positions, name="dense_dom")
-
-    @property
-    def is_dense(self) -> bool:
-        return True
-
-    @property
-    def nbytes(self) -> int:
-        return 0  # implicit
-
-    def child_range(self, lo: int, hi: int) -> Tuple[int, int]:
-        """Parent positions ``[lo, hi]`` -> the positions of their slots."""
-        return lo * self.size, (hi + 1) * self.size - 1
-
-    def parent_of(self, positions):
-        """Position(s) -> the parent entry each slot belongs to."""
-        return positions // self.size
-
-    def coord_of(self, positions):
-        """Position(s) -> coordinate: the slot's offset under its parent."""
-        return positions % self.size
-
-    def __repr__(self) -> str:
-        return f"DenseLevel(size={self.size})"
-
-
-class CompressedLevel:
-    """A compressed level: rect ``pos`` over the parent positions + ``crd``."""
-
-    def __init__(self, pos: RectRegion, crd: Region):
-        self.pos = pos
-        self.crd = crd
-
-    @property
-    def is_dense(self) -> bool:
-        return False
-
-    @property
-    def num_positions(self) -> int:
-        return self.crd.ispace.volume
-
-    @property
-    def pos_ispace(self) -> IndexSpace:
-        return self.crd.ispace
-
-    @property
-    def nbytes(self) -> int:
-        return self.pos.nbytes + self.crd.nbytes
-
-    def counts(self) -> np.ndarray:
-        """Children per parent entry (empty ranges count zero)."""
-        return np.maximum(self.pos.hi - self.pos.lo + 1, 0)
-
-    def child_range(self, lo: int, hi: int) -> Tuple[int, int]:
-        """Parent positions ``[lo, hi]`` -> the ``crd`` positions they own.
-        ``pos`` is monotone, so the union of their ranges is one range."""
-        if hi < lo:
-            return 0, -1
-        pos = self.pos.data
-        return int(pos[lo, 0]), int(pos[hi, 1])
-
-    def parent_of(self, positions):
-        """Position(s) -> the owning parent entry.  Empty entries share
-        their successor's start, so the last entry with ``start <= p`` is
-        the non-empty owner of ``p``."""
-        return np.searchsorted(self.pos.data[:, 0], positions, side="right") - 1
-
-    def coord_of(self, positions):
-        """Position(s) -> the stored coordinate."""
-        return self.crd.data[positions]
-
-    def __repr__(self) -> str:
-        return f"CompressedLevel(parents={self.pos.ispace.volume}, nnz={self.num_positions})"
 
 
 def _check_coo(name: str, shape: Tuple[int, ...], coords, vals: np.ndarray) -> None:
@@ -301,11 +211,10 @@ class Tensor:
         ``adopt_pattern`` shares level regions between tensors."""
         seen = set()
         for lvl in self.levels:
-            if isinstance(lvl, CompressedLevel):
-                for region in (lvl.pos, lvl.crd):
-                    if id(region) not in seen:
-                        seen.add(id(region))
-                        yield region
+            for region in lvl.regions():
+                if id(region) not in seen:
+                    seen.add(id(region))
+                    yield region
         if self.vals is not None and id(self.vals) not in seen:
             yield self.vals
 
@@ -491,45 +400,22 @@ class Tensor:
         parent_ids = np.zeros(nnz, dtype=np.int64)
         num_parents = 1
         for l, lf in enumerate(self.format.levels):
-            size = sizes[l]
-            if lf.is_dense:
-                parent_ids = parent_ids * size + stored[l]
-                num_parents *= size
-                self.levels.append(DenseLevel(size, num_parents))
-                continue
-            if same[l].any():
-                # Entries that agree on levels 0..l share one crd entry.
-                head = np.ones(nnz, dtype=bool)
-                head[1:] = ~same[l]
-                crd_vals = stored[l][head].astype(np.int64, copy=False)
-                counts = np.bincount(parent_ids[head], minlength=num_parents)
-                parent_ids = np.cumsum(head) - 1
-            else:
-                # Every entry opens its own segment (always so at the last
-                # level): crd is the coordinate column itself, copied here
-                # unless a gather above already made it ours.
-                crd_vals = stored[l].astype(np.int64, copy=not owned)
-                counts = np.bincount(parent_ids, minlength=num_parents)
-                parent_ids = np.arange(nnz, dtype=np.int64)
-            pos = make_pos_region(counts, name=f"{self.name}.pos{l}")
-            crd = Region(
-                IndexSpace(crd_vals.size, name=f"{self.name}_crd{l}"),
-                np.int64,
-                data=crd_vals,
-                name=f"{self.name}.crd{l}",
+            level, parent_ids = lf.level.pack(
+                self.name, l, sizes[l], stored[l], same[l], owned, parent_ids, num_parents
             )
-            self.levels.append(CompressedLevel(pos, crd))
-            num_parents = crd_vals.size
+            self.levels.append(level)
+            num_parents = level.num_positions
         self.vals = Region(
             IndexSpace(num_parents, name=f"{self.name}_vals"), self.dtype,
             name=f"{self.name}.vals",
         )
         # Entries are distinct by now, so each has a value slot to itself
-        # (its own position, under a compressed last level) and a buffered
-        # ``+=`` is safe.  Adding into the zeroed region rather than
-        # assigning stores ``0 + v`` — what a folded entry holds too, so a
-        # ``-0.0`` packs to the same bytes whether or not it had duplicates.
-        slots = parent_ids if self.format.levels[-1].is_dense else slice(None)
+        # (its position in the last level; as many entries as positions
+        # fill them in order) and a buffered ``+=`` is safe.  Adding into
+        # the zeroed region rather than assigning stores ``0 + v`` — what a
+        # folded entry holds too, so a ``-0.0`` packs to the same bytes
+        # whether or not it had duplicates.
+        slots = slice(None) if nnz == num_parents else parent_ids
         self.vals.data[slots] += vals
         self._bump_pattern_version()
 
@@ -629,9 +515,6 @@ class Tensor:
             raise FormatError(f"{self.name} is not in a {{Dense, Compressed}} format")
         lvl = self.levels[1]
         return lvl.pos.data, lvl.crd.data, self.vals.data
-
-    def level(self, l: int) -> Union[DenseLevel, CompressedLevel]:
-        return self.levels[l]
 
     def __repr__(self) -> str:
         return (

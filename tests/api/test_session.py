@@ -200,6 +200,10 @@ class TestStore:
             art = s.load("op:B")
             assert art.tensor.nnz == B.nnz
             assert s.store.verify() == []
+            # a loaded tensor passes through under the format it was saved in
+            assert s.tensor("B", art.tensor, repro.CSR) is art.tensor
+            with pytest.raises(ValueError, match="repack"):
+                s.tensor("B", art.tensor, repro.CSC)
 
     def test_no_store_is_a_clear_error(self):
         with repro.session() as s:

@@ -101,8 +101,9 @@ class TestManifest:
         with pytest.raises(StoreError, match="no manifest"):
             read_manifest(tmp_path / "nowhere")
 
-    # 3: the last code-carrying one; 4: tensors pickled a whole Assignment
-    @pytest.mark.parametrize("found", [99, 3, 4])
+    # 3: the last code-carrying one; 4: tensors pickled a whole Assignment;
+    # 5: level formats pickled a ``compressed`` flag, not their level class
+    @pytest.mark.parametrize("found", [99, 3, 4, 5])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -114,7 +115,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (5, found)
+        assert (exc.value.expected, exc.value.found) == (6, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -156,6 +157,12 @@ class TestRoundTrip:
         assert t is not B
         assert t.shape == B.shape and t.nnz == B.nnz
         assert np.array_equal(t.to_dense(), A.toarray())
+
+    def test_loaded_format_equals_the_one_saved(self, tmp_path):
+        _, B, _, _ = make_workload()
+        t = load_packed(save_packed(tmp_path / "art", B, include_caches=False)).tensor
+        assert t.format is not CSR  # pickle made new objects ...
+        assert t.format == CSR and hash(t.format) == hash(CSR)  # ... of equal value
 
     def test_warm_start_hits_all_layers(self, tmp_path):
         """After load (fresh caches, fresh objects) the first compile hits

@@ -13,6 +13,7 @@ from repro.taco import (
     Compressed,
     Dense,
     Format,
+    LevelFormat,
     dense_format,
 )
 
@@ -53,6 +54,23 @@ class TestFormat:
     def test_equality_and_hash(self):
         assert Format([Dense, Compressed]) == CSR
         assert hash(Format([Dense, Compressed])) == hash(CSR)
+
+    def test_a_format_that_went_through_pickle_equals_itself(self):
+        import pickle
+
+        import repro.taco
+
+        formats = {
+            name: obj for name, obj in vars(repro.taco).items()
+            if name in repro.taco.__all__ and isinstance(obj, (Format, LevelFormat))
+        }
+        assert {"CSR", "CSC", "CSF3", "DDC", "SPARSE_VECTOR", "Dense"} <= set(formats)
+        for name, fmt in formats.items():
+            back = pickle.loads(pickle.dumps(fmt))
+            assert back == fmt and hash(back) == hash(fmt), name
+            assert back in {fmt: name}
+        assert pickle.loads(pickle.dumps(CSC)) != CSR
+        assert pickle.loads(pickle.dumps(Dense)) != Compressed
 
     def test_dense_format_builder(self):
         f = dense_format(3)

@@ -300,6 +300,45 @@ class TestFormatNameScanner:
         assert not "src/repro/taco/tensor.py".startswith(check.FORMAT_NAME_ROOTS)
 
 
+class TestLevelSwitchScanner:
+    """The third part of the ``kernelspec`` plugin: only ``repro/taco`` may
+    ask what type a storage level is."""
+
+    def _scan(self, source):
+        return check._scan_level_switches("fake.py", source, ast.parse(source))
+
+    def test_flags_isinstance_on_a_level_class_bare_dotted_or_in_a_tuple(self):
+        src = (
+            "def f(lvl, t):\n"
+            "    if isinstance(lvl, CompressedLevel):\n"                 # line 2
+            "        return 1\n"
+            "    if not isinstance(lvl, tensor.DenseLevel):\n"           # line 4
+            "        return 2\n"
+            "    return isinstance(t.levels[1], (int, DenseLevel))\n"    # line 6
+        )
+        findings = sorted(self._scan(src), key=lambda f: f.line)
+        assert [f.line for f in findings] == [2, 4, 6]
+        assert "fake.py:2: level-type switch outside the level classes" in str(findings[0])
+
+    def test_constructing_and_other_isinstance_are_not_flagged(self):
+        src = (
+            "from ..taco.tensor import CompressedLevel, DenseLevel\n"
+            "out.levels = [DenseLevel(n, n), CompressedLevel(pos, crd)]\n"
+            "ok = isinstance(s, RectSubset) and lvl.is_dense\n"
+        )
+        assert self._scan(src) == []
+
+    def test_waiver_needs_a_reason(self):
+        ok = "x = isinstance(l, DenseLevel)  # level: ok a debugging repr\n"
+        assert self._scan(ok) == []
+        (finding,) = self._scan("x = isinstance(l, DenseLevel)  # level: ok\n")
+        assert "without a reason" in finding.message
+
+    def test_everything_but_the_taco_package_is_scanned(self):
+        assert "src/repro/taco/levels.py".startswith(check.LEVEL_CLASS_HOME)
+        assert not "src/repro/core/assembly.py".startswith(check.LEVEL_CLASS_HOME)
+
+
 class TestGeneratedCodeBoundary:
     """The static assertions of the ``aot-sanitizer`` plugin."""
 

@@ -26,7 +26,10 @@ codebase passes defined here:
   ``src/repro/{core,codegen,kernels,analysis,api}`` no string literal
   may name a format (``csr``, ``csc``, ``csf3``, ``ddc``, any case) — a
   format is a stack of level types, walked through the level functions
-  of ``repro.taco.tensor``.  Waiver: ``# format: ok <reason>``;
+  of ``repro.taco.levels``.  Waiver: ``# format: ok <reason>``.  And no
+  level-type switch: outside ``src/repro/taco/`` no ``isinstance`` may
+  name ``DenseLevel`` or ``CompressedLevel`` — what depends on a level's
+  format is a method of its class.  Waiver: ``# level: ok <reason>``;
 * **aot-sanitizer** — generated code comes from the templates and from
   nowhere else: every lowering template the kernel table declares must
   emit and pass the generated-module AST allowlist
@@ -443,8 +446,41 @@ def _scan_format_names(relpath: str, text: str, tree: ast.Module) -> List[Findin
                 node.lineno,
                 f"string literal {node.value!r} names a format — a format is "
                 "a stack of level types; state a predicate over them and "
-                "walk them through the level functions of repro.taco.tensor "
+                "walk them through the level functions of repro.taco.levels "
                 "(`# format: ok <reason>` waives an intentional name)",
+            )
+    return findings
+
+
+#: the one package that may ask what type a storage level is.
+LEVEL_CLASS_HOME = "src/repro/taco/"
+_LEVEL_CLASSES = ("DenseLevel", "CompressedLevel")
+
+
+def _scan_level_switches(relpath: str, text: str, tree: ast.Module) -> List[Finding]:
+    """``isinstance(x, CompressedLevel)`` — bare, dotted or in a tuple."""
+    findings: List[Finding] = []
+    report = _reporter(relpath, text, "level", findings)
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            continue
+        named = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node.args[1])
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        if named.intersection(_LEVEL_CLASSES):
+            report(
+                node.lineno,
+                "level-type switch outside the level classes — what depends "
+                "on a level's format is a method of its class in "
+                "repro.taco.levels (`# level: ok <reason>` waives an "
+                "intentional test)",
             )
     return findings
 
@@ -460,6 +496,8 @@ def _run_kernelspec(cache: SourceCache) -> CheckResult:
         text, tree = cache.get(relpath)
         if relpath.startswith(FORMAT_NAME_ROOTS):
             findings.extend(_scan_format_names(relpath, text, tree))
+        if not relpath.startswith(LEVEL_CLASS_HOME):
+            findings.extend(_scan_level_switches(relpath, text, tree))
         if relpath in KERNELSPEC_EXEMPT:
             continue
         findings.extend(_scan_kind_compares(relpath, text, tree, kinds))
@@ -467,8 +505,9 @@ def _run_kernelspec(cache: SourceCache) -> CheckResult:
     return CheckResult(
         "kernelspec", findings,
         f"{scanned} modules under src/repro branch on no kernel kind by "
-        f"name and the dispatch layers name no format; {len(SPECS)} kinds "
-        "live in the kernel table",
+        f"name, the dispatch layers name no format and no module outside "
+        f"repro/taco switches on a level class; {len(SPECS)} kinds live in "
+        "the kernel table",
     )
 
 
@@ -994,8 +1033,8 @@ PLUGINS: List[Plugin] = [
     Plugin("nondet", "deterministic layers free of unseeded RNG and "
            "unwaived wall-clock reads", _run_nondet),
     Plugin("kernelspec", "no .kind compared against a kernel-kind literal "
-           "outside the kernel table; no format named in the dispatch layers",
-           _run_kernelspec),
+           "outside the kernel table; no format named in the dispatch layers; "
+           "no level-type switch outside repro/taco", _run_kernelspec),
     Plugin("aot-sanitizer", "templates pass the exec-load allowlist; the "
            "store imports no exec surface; codegen reads no environment",
            _run_aot_sanitizer),
