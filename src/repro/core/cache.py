@@ -286,6 +286,9 @@ def kernel_entry_nbytes(kernel) -> int:
     total += 256 * len(getattr(kernel, "pieces", ()))
     for part in getattr(kernel, "parts", {}).values():
         total += partition_entry_nbytes(part)
+    # An assembling kernel's plan (built on its first execute): a scatter
+    # index per summed entry and at most as many merged coordinates.
+    total += 16 * sum(a.tensor.nnz for a in getattr(kernel, "operands", ()))
     return total
 
 
@@ -389,11 +392,13 @@ def _tensor_state(t) -> Tuple:
 def _assembled_output_state(t) -> Tuple:
     """Tensor state of an *assembled* output (SpAdd-style unknown pattern).
 
-    Executing such a statement rebuilds the output's level structure from
-    scratch and bumps its ``pattern_version`` — the version the kernel
-    *produces*, not one it consumes.  Keying the fingerprint on it would
-    make every iteration of ``A = B + C + D`` recompile (and re-record its
-    mapping traces); the output pattern is versioned separately
+    Executing such a statement installs a new level structure, and bumps
+    the output's ``pattern_version``, whenever the merged pattern is not the
+    one it holds — the version the kernel *produces*, not one it consumes.
+    Keying the fingerprint on it would make ``A = B + C + D`` recompile (and
+    re-record its mapping traces) after every such install — each
+    iteration of ``A = B + A`` while A grows; the output pattern is
+    versioned separately
     (``Tensor.assembly_version``) and excluded here.  Shape, format and
     dtype still participate: those the compiled kernel does assume.
     """
@@ -401,8 +406,8 @@ def _assembled_output_state(t) -> Tuple:
 
 
 def is_assembled_output(asg: Assignment) -> bool:
-    """True when the statement assembles its sparse output's pattern anew:
-    a sum of accesses aligned with a sparse LHS.  This is the single
+    """True when the statement assembles its sparse output's pattern from
+    its operands': a sum of accesses aligned with a sparse LHS.  This is the single
     source of truth for the SpAdd shape — ``repro.core.kernelspec.classify``
     calls it to pick the spadd lowering, and :func:`kernel_fingerprint`
     calls it to exclude the LHS pattern version, so the two can never
@@ -466,10 +471,11 @@ def kernel_fingerprint(schedule: Schedule, machine) -> Tuple:
     if is_assembled_output(asg):
         # The LHS pattern version is excluded for every assembled statement,
         # including the aliased forms (``A = B + A``, and the ``accumulate``
-        # sugar): execution snapshots the aliased operand's pre-install
-        # arrays (see ``CompiledKernel._execute_spadd``), so the compiled
-        # kernel never reads through the stale structure and each
-        # re-assembly can reuse the kernel and replay its mapping traces.
+        # sugar): the assembly plan re-merges whenever the aliased operand's
+        # version moved, and execution takes its values before an install
+        # (see ``CompiledKernel._execute_spadd``), so the compiled kernel
+        # never reads through a stale structure and each re-assembly can
+        # reuse the kernel and replay its mapping traces.
         assembled = asg.lhs.tensor
     tensor_states = tuple(
         _assembled_output_state(t) if t is assembled else _tensor_state(t)

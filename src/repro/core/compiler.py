@@ -39,7 +39,10 @@ from ..taco.schedule import Schedule
 from ..taco.tensor import Tensor
 from .. import kernels as K
 from . import cache as _cache
-from .assembly import adopt_pattern, install_assembled_output, pattern_source
+from .assembly import (
+    AssemblyPlan, adopt_pattern, install_assembled_output, merge_operands,
+    pattern_source,
+)
 from .kernelspec import SPECS, KernelClass, classify
 from .partitioner import (
     TensorPartition,
@@ -92,6 +95,10 @@ class ExecutionResult:
 class CompiledKernel:
     """A compiled distributed sparse tensor kernel."""
 
+    #: SpAdd's assembly plan (see :meth:`assembly_plan`).  A class default,
+    #: so kernels unpickled from artifacts written before it existed have it.
+    _spadd_plan: Optional[AssemblyPlan] = None
+
     def __init__(
         self,
         schedule: Schedule,
@@ -135,10 +142,12 @@ class CompiledKernel:
     # -- persistence (repro.core.store) ---------------------------------------
     def __getstate__(self):
         """Compiled kernels are picklable minus the leaf closure (it binds
-        raw NumPy views and is rebuilt lazily on the first execute)."""
+        raw NumPy views) and the assembly plan (index arrays derived from
+        the operands); both are rebuilt lazily on the first execute."""
         state = self.__dict__.copy()
         state["_leaf"] = None
         state["_leaf_backend"] = None
+        state["_spadd_plan"] = None
         return state
 
     def __setstate__(self, state):
@@ -287,20 +296,29 @@ class CompiledKernel:
                     CommEvent(0, p.proc, n * 16.0, rt.machine.same_node(0, p.proc), "pos")
                 )
 
+    def assembly_plan(self) -> AssemblyPlan:
+        """The statement's :class:`~repro.core.assembly.AssemblyPlan`,
+        re-merged when an operand's ``pattern_version`` moved.  The kernel
+        fingerprint covers every operand but the aliased one (``A = B + A``
+        reads the output it re-structures), so the plan checks them all."""
+        tensors = SPECS[self.kind].operand_tensors(self)
+        plan = self._spadd_plan
+        if plan is None or plan.versions != tuple(t.pattern_version for t in tensors):
+            plan = self._spadd_plan = merge_operands(tensors, self.pieces, self.out.shape)
+        return plan
+
     def _execute_spadd(self, rt: Runtime) -> None:
         out = self.out
-        nrows, ncols = out.shape
-        # Operand array snapshot, taken BEFORE install_assembled_output
-        # replaces the output's structure: an aliased operand (``A = B + A``,
-        # or the ``accumulate`` sugar, which strips A from the operand list
-        # but still reads it) shares that structure, and the pre-install
-        # arrays are the values the statement consumes.  Re-reading through
-        # the tensor after install would see the freshly-sized empty output
-        # instead — the seed bug that crashed or dropped the aliased operand.
+        plan = self.assembly_plan()
         operand_tensors = SPECS[self.kind].operand_tensors(self)
-        snaps = [t.csr_arrays() for t in operand_tensors]
-        ops_meta = [(pos, crd) for pos, crd, _vals in snaps]
-        counts = np.zeros(nrows, dtype=np.int64)
+        # Operand values, taken BEFORE install_assembled_output may replace
+        # the output's regions: an aliased operand (``A = B + A``, or the
+        # ``accumulate`` sugar, which strips A from the operand list but
+        # still reads it) shares them, and the pre-install array holds the
+        # values the statement consumes.  Re-reading through the tensor
+        # after an install would see the freshly-sized empty output instead
+        # — the seed bug that crashed or dropped the aliased operand.
+        vals = [t.vals.data for t in operand_tensors]
         # The launch requirements are frozen on first execute, while the
         # aliased operand's structure still matches its compile-time
         # partitions.  Rebuilding them per iteration would pair the stale
@@ -313,39 +331,31 @@ class CompiledKernel:
                 for req in self.parts[id(t)].region_reqs(Privilege.READ_ONLY)
             ]
         read_reqs = self._spadd_reqs
-        by_color = {p.color: p for p in self.pieces}
-
-        def proc_of(color):
-            return by_color[color].proc
-
-        def symbolic(color):
-            p = by_color[color]
-            r0, r1 = p.rows
-            piece_counts, work = K.spadd3_symbolic(ops_meta, ncols, r0, r1)
-            if r1 >= r0:
-                counts[r0 : r1 + 1] = piece_counts
-            return work
+        colors = [p.color for p in self.pieces]
+        proc_of = {p.color: p.proc for p in self.pieces}.__getitem__
 
         rt.index_launch(
             "spadd:symbolic",
-            [p.color for p in self.pieces],
-            symbolic,
+            colors,
+            lambda color: K.spadd3_symbolic(plan.pieces[color])[1],
             read_reqs,
             proc_map=proc_of,
         )
 
         self._spadd_scan_step(rt)
-        out_pos, out_crd, out_vals = install_assembled_output(out, counts, ncols)
-
-        def fill(color):
-            p = by_color[color]
-            r0, r1 = p.rows
-            return K.spadd3_fill(snaps, ncols, out_pos, out_crd, out_vals, r0, r1)
+        # Checked once per new plan, and again whenever another statement
+        # re-structured the output in between (its version moved).
+        if plan.installed != out.pattern_version:
+            install_assembled_output(out, plan.counts, plan.crd)
+            plan.installed = out.pattern_version
+        out_vals = out.vals.data
 
         rt.index_launch(
             "spadd:fill",
-            [p.color for p in self.pieces],
-            fill,
+            colors,
+            lambda color: K.spadd3_fill(
+                plan.pieces[color], vals, out_vals[plan.spans[color]]
+            ),
             read_reqs,
             proc_map=proc_of,
         )
@@ -444,6 +454,16 @@ def _compile_uncached(schedule: Schedule, machine: Machine) -> CompiledKernel:
     asg = schedule.assignment
     sizes = var_sizes(asg)
     kc = classify(asg)
+    if SPECS[kc.kind].assembles:
+        out, fmt = asg.lhs.tensor, asg.lhs.tensor.format
+        if (fmt.mode_ordering, [lf.is_compressed for lf in fmt.levels]) != (
+            (0, 1), [False, True]
+        ):
+            raise CompileError(
+                f"cannot assemble {out.name}, stored as {fmt.name}: two-phase "
+                "assembly writes a row-major {Dense, Compressed} matrix only "
+                "(no other format has assembly level functions yet)"
+            )
     plan = PartitioningPlan(f"{kc.kind}")
 
     dvars = list(schedule.distributed)

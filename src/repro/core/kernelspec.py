@@ -172,8 +172,8 @@ class KernelSpec:
     #: a sparse output takes its pattern from the operand
     #: :func:`~repro.core.assembly.pattern_source` names.
     adopts_pattern: bool = False
-    #: the output's pattern is assembled anew each execute (symbolic →
-    #: scan → fill) instead of one compute launch.
+    #: the output's pattern is assembled (symbolic → scan → fill launches
+    #: each execute) instead of written by one compute launch.
     assembles: bool = False
     #: the Work model mirrors the leaf's own accounting.
     exact: bool = True
@@ -587,8 +587,10 @@ class _SpMTTKRP(KernelSpec):
 
 class _SpAdd(KernelSpec):
     """``A(i,j) = B(i,j) + C(i,j) + ...`` into a sparse A whose pattern is
-    assembled anew each execute (paper §V-B); the symbolic and fill
-    launches live in ``CompiledKernel._execute_spadd``."""
+    unknown until the operands are merged (paper §V-B).  The merge is the
+    kernel's assembly plan, redone only when an operand's pattern changes;
+    the symbolic and fill launches that read it live in
+    ``CompiledKernel._execute_spadd``."""
 
     kind = "spadd"
     formats = (CSR,)
@@ -605,29 +607,14 @@ class _SpAdd(KernelSpec):
         return tensors
 
     def work_model(self, ck):
-        ncols = ck.out.shape[1]
-        metas = [t.csr_arrays()[:2] for t in self.operand_tensors(ck)]
+        pieces = ck.assembly_plan().pieces
 
         def work(phase, p) -> Work:
-            r0, r1 = p.rows
-            if r1 < r0:
-                return Work.zero()
-            keys, touched = [], 0
-            for pos, crd in metas:
-                lo = pos[r0 : r1 + 1, 0]
-                lens = np.maximum(pos[r0 : r1 + 1, 1] - lo + 1, 0)
-                n = int(lens.sum())
-                if n:
-                    s = int(lo[0])
-                    rows = np.repeat(np.arange(r0, r1 + 1, dtype=np.int64), lens)
-                    keys.append(rows * ncols + crd[s : s + n])
-                    touched += n
-            if not keys:
-                return Work.zero()
+            piece = pieces[p.color]
+            touched, merged = piece.inverse.size, piece.crd.size
             if phase == "spadd:symbolic":
                 return Work(float(touched), float(touched * 2 * F8))
-            uniq = int(np.unique(np.concatenate(keys)).size)
-            return Work(float(touched), float(touched * 3 * F8 + uniq * 2 * F8))
+            return Work(float(touched), float(touched * 3 * F8 + merged * 2 * F8))
 
         return work
 

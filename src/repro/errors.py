@@ -105,8 +105,9 @@ class WriteHazard(AnalysisError):
     """A statement reads a tensor it also writes (an intra-statement
     RAW/WAR conflict the runtime would execute with undefined results) —
     e.g. ``a(i) += B(i, j) * a(j)``.  SpAdd-assembled statements are
-    exempt: their execution snapshots operand arrays before the output's
-    pattern is installed (see ``CompiledKernel._execute_spadd``)."""
+    exempt: their execution takes the operands' value arrays before a new
+    output pattern is installed, and each piece gathers them before it
+    writes (see ``CompiledKernel._execute_spadd``)."""
 
 
 class IllegalCSE(AnalysisError):

@@ -24,7 +24,7 @@ from .segment import (
 from .spmv import spmv_nonzeros, spmv_rows, spmv_rows_reference
 from .spmm import spmm_nonzeros, spmm_rows, spmm_rows_reference
 from .sddmm import sddmm_nonzeros, sddmm_reference, sddmm_rows
-from .spadd import spadd3_fill, spadd3_symbolic
+from .spadd import PiecePlan, spadd3_fill, spadd3_plan, spadd3_symbolic
 from .spmttkrp import spmttkrp, spmttkrp_reference
 from .generic_coo import CooData, coo_of_access, evaluate_generic, fits_int64, lex_ranks
 
@@ -34,7 +34,7 @@ __all__ = [
     "spmv_nonzeros", "spmv_rows", "spmv_rows_reference",
     "spmm_nonzeros", "spmm_rows", "spmm_rows_reference",
     "sddmm_nonzeros", "sddmm_reference", "sddmm_rows",
-    "spadd3_fill", "spadd3_symbolic",
+    "PiecePlan", "spadd3_fill", "spadd3_plan", "spadd3_symbolic",
     "spmttkrp", "spmttkrp_reference",
     "CooData", "coo_of_access", "evaluate_generic", "fits_int64", "lex_ranks",
 ]

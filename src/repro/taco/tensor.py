@@ -105,13 +105,15 @@ class Tensor:
         self._statement: Optional[Tuple] = None
         #: Monotone counter identifying this tensor's *sparsity pattern*.
         #: Bumped whenever the level structure (pos/crd metadata, region
-        #: identity) changes — packing, assembly, pattern adoption — but NOT
-        #: by in-place writes to ``vals.data``.  Caches key on it so that
+        #: identity) changes — packing, pattern adoption, an assembly that
+        #: finds a new pattern — but NOT by in-place writes to ``vals.data``
+        #: or by a re-assembly into the pattern already held.  Caches key on it so that
         #: value updates reuse partitions while structural changes miss.
         self.pattern_version: int = 0
-        #: How many times this tensor's pattern has been rebuilt *as the
+        #: How many times this tensor's pattern has been installed *as the
         #: assembled output* of an unknown-pattern statement (SpAdd's
-        #: two-phase assembly).  An observability counter, not a cache
+        #: two-phase assembly); an execute that re-derives the pattern the
+        #: tensor already holds installs nothing.  An observability counter, not a cache
         #: key: the mechanism that keeps iterative SpAdd from recompiling
         #: is that kernel fingerprints *exclude* the LHS pattern version
         #: for assembled statements (an output pattern is what the kernel
@@ -294,8 +296,8 @@ class Tensor:
         self.pattern_version += 1
 
     def _bump_assembly_version(self) -> None:
-        """Record one re-assembly of this tensor as an unknown-pattern
-        output (see ``assembly_version``).  Always paired with a
+        """Record one install of a new pattern into this tensor as an
+        unknown-pattern output (see ``assembly_version``).  Always paired with a
         ``_bump_pattern_version`` by the assembly code — input-side caches
         must still see the structural change."""
         self.assembly_version += 1

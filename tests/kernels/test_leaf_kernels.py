@@ -7,6 +7,7 @@ from repro.kernels import (
     sddmm_nonzeros,
     sddmm_reference,
     spadd3_fill,
+    spadd3_plan,
     spadd3_symbolic,
     spmm_nonzeros,
     spmm_rows,
@@ -18,6 +19,7 @@ from repro.kernels import (
     spmv_rows_reference,
 )
 from repro.legion import make_pos_region
+from repro.legion.machine import Work
 from repro.taco import CSF3, CSR, DDC, Tensor
 
 rng = np.random.default_rng(11)
@@ -172,34 +174,62 @@ class TestSpAdd3:
         ]
         tensors = [Tensor.from_scipy(f"T{i}", M, CSR) for i, M in enumerate(mats)]
         meta = [(t.levels[1].pos.data, t.levels[1].crd.data) for t in tensors]
-        counts, _ = spadd3_symbolic(meta, m, 0, n - 1)
+        plan = spadd3_plan(meta, m, 0, n - 1)
+        counts, _ = spadd3_symbolic(plan)
         pos = make_pos_region(counts)
-        total = int(counts.sum())
-        crd = np.zeros(total, dtype=np.int64)
-        vals = np.zeros(total)
-        full = [
-            (t.levels[1].pos.data, t.levels[1].crd.data, t.vals.data) for t in tensors
-        ]
-        spadd3_fill(full, m, pos.data, crd, vals, 0, n - 1)
+        vals = np.zeros(int(counts.sum()))
+        spadd3_fill(plan, [t.vals.data for t in tensors], vals)
         expected = (mats[0] + mats[1] + mats[2]).toarray()
         got = np.zeros((n, m))
         for r in range(n):
             for p in range(pos.data[r, 0], pos.data[r, 1] + 1):
-                got[r, crd[p]] = vals[p]
+                got[r, plan.crd[p]] = vals[p]
         assert np.allclose(got, expected)
+
+    def test_plan_is_structural_and_refills(self):
+        """A value-only change needs no new plan: the same plan fills the
+        new values, and a row window of it slices each operand."""
+        a = Tensor.from_dense("a", np.array([[1.0, 0, 2.0], [0, 3.0, 0], [4.0, 0, 0]]), CSR)
+        b = Tensor.from_dense("b", np.array([[0, 5.0, 6.0], [0, 0, 0], [7.0, 0, 8.0]]), CSR)
+        meta = [(t.levels[1].pos.data, t.levels[1].crd.data) for t in (a, b)]
+        plan = spadd3_plan(meta, 3, 1, 2)
+        assert plan.slices == (slice(2, 4), slice(2, 4))
+        assert plan.counts.tolist() == [1, 2] and plan.crd.tolist() == [1, 0, 2]
+        assert plan.inverse.tolist() == [0, 1, 1, 2]
+        out = np.zeros(3)
+        spadd3_fill(plan, [a.vals.data, b.vals.data], out)
+        assert out.tolist() == [3.0, 11.0, 8.0]
+        a.vals.data[3] = 40.0
+        spadd3_fill(plan, [a.vals.data, b.vals.data], out)
+        assert out.tolist() == [3.0, 47.0, 8.0]
+
+    def test_fill_gathers_before_it_writes(self):
+        """The output slice may alias an operand's values (``A = B + A``
+        with a stable pattern)."""
+        a = Tensor.from_dense("a", np.array([[1.0, 2.0], [0, 3.0]]), CSR)
+        b = Tensor.from_dense("b", np.array([[0, 5.0], [0, 7.0]]), CSR)
+        meta = [(t.levels[1].pos.data, t.levels[1].crd.data) for t in (b, a)]
+        plan = spadd3_plan(meta, 2, 0, 1)
+        spadd3_fill(plan, [b.vals.data, a.vals.data], a.vals.data)
+        assert a.vals.data.tolist() == [1.0, 7.0, 10.0]
 
     def test_symbolic_counts_union(self):
         a = Tensor.from_dense("a", np.array([[1.0, 0], [0, 2.0]]), CSR)
         b = Tensor.from_dense("b", np.array([[1.0, 3.0], [0, 0]]), CSR)
         meta = [(t.levels[1].pos.data, t.levels[1].crd.data) for t in (a, b)]
-        counts, _ = spadd3_symbolic(meta, 2, 0, 1)
+        counts, work = spadd3_symbolic(spadd3_plan(meta, 2, 0, 1))
         assert counts.tolist() == [2, 1]
+        assert (work.flops, work.bytes) == (4.0, 64.0)  # 4 entries touched
 
     def test_empty_operands(self):
         a = Tensor.zeros("a", (3, 3), CSR)
-        meta = [(a.levels[1].pos.data, a.levels[1].crd.data)]
-        counts, _ = spadd3_symbolic(meta, 3, 0, 2)
-        assert counts.tolist() == [0, 0, 0]
+        meta = [(a.levels[1].pos.data, a.levels[1].crd.data)] * 2
+        plan = spadd3_plan(meta, 3, 0, 2)
+        counts, work = spadd3_symbolic(plan)
+        assert counts.tolist() == [0, 0, 0] and work == Work.zero()
+        assert spadd3_fill(plan, [a.vals.data] * 2, np.zeros(0)) == Work.zero()
+        # a piece past the last row (more pieces than rows)
+        assert spadd3_plan(meta, 3, 4, 2).counts.size == 0
 
 
 @pytest.fixture(params=[CSF3, DDC], ids=repr)

@@ -54,7 +54,9 @@ codebase passes defined here:
 * **release** — no statement keeps its operands for the cyclic
   collector: with ``gc`` disabled, every (kernel × sweep format ×
   strategy × machine kind × backend) the kernel table declares, and the
-  captured SDDMM→SpMM program, is run twice on a fresh session; once the
+  captured SDDMM→SpMM program, is run twice on a fresh session (the
+  assembled ``A = B + C + D; y = A c`` chain, whose SpAdd kernel keeps an
+  assembly plan and whose output keeps its regions, three times); once the
   session, the statement and the process caches are dropped, every
   operand and the output must already be dead (``weakref``).  A
   reference cycle through a packed tensor pins its level arrays until a
@@ -927,8 +929,23 @@ def _run_fusion(cache: SourceCache) -> CheckResult:
 # --------------------------------------------------------------------- #
 # operands are released by reference counting alone (new)
 # --------------------------------------------------------------------- #
-def _unreleased(build, machine, backend: str, strategy: Optional[str] = None):
-    """Run the statements ``build()`` writes twice on a fresh session, drop
+def _assembled_chain():
+    """``A = B + C + D; y(i) = A(i,j) * c(j)``: an assembled output and a
+    kernel that consumes it (which stays cached across runs, holding A)."""
+    import numpy as np
+
+    from repro.taco import Tensor, index_vars
+
+    A = _commplan_workload("spadd", None)
+    c = Tensor.from_dense("c", np.arange(1.0, A.shape[1] + 1))
+    y = Tensor.zeros("y", (A.shape[0],))
+    i, j = index_vars("i j")
+    y[i] = A[i, j] * c[j]
+
+
+def _unreleased(build, machine, backend: str, strategy: Optional[str] = None,
+                runs: int = 2):
+    """Run the statements ``build()`` writes ``runs`` times on a fresh session, drop
     the session, the statements and the process caches, and return the
     names of their tensors that are still alive — call with the cyclic
     collector disabled, so a survivor is a reference cycle.  The statements
@@ -954,8 +971,8 @@ def _unreleased(build, machine, backend: str, strategy: Optional[str] = None):
                         auto_schedule(p[0].assignment, machine, strategy=strategy))
                 except ScheduleError:
                     return None
-            p.run()
-            p.run()
+            for _ in range(runs):
+                p.run()
             return {
                 t.name: weakref.ref(t)
                 for stmt in p.statements for t in stmt.assignment.tensors()
@@ -1011,6 +1028,8 @@ def _run_release(cache: SourceCache) -> CheckResult:
                     )
             check_one(f"program/{where}", lambda: _fusable_chain(machine),
                       machine, backend)
+            check_one(f"assembled-chain/{where}", _assembled_chain,
+                      machine, backend, None, 3)
     finally:
         if was_enabled:
             gc.enable()
