@@ -14,7 +14,7 @@ instead of shipping:
   getattr-family names, no dunder attribute access, no ``global`` /
   ``nonlocal`` statements;
 * the module body is docstring + imports + literal constant assignments
-  (``META = {...}``, ``_CHUNK = 1 << 18``) + function definitions, one
+  (``META = {...}``, ``_BLOCK_BYTES = 1 << 17``) + function definitions, one
   of which must be ``bind``.
 
 Violations raise a typed :class:`~repro.errors.SanitizerError` naming

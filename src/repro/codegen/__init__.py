@@ -4,8 +4,10 @@ This package lowers a :class:`~repro.core.compiler.CompiledKernel` to a
 standalone generated Python module — one specialized function per
 (iteration shape × strategy) — and binds it into a flat ``{color: thunk}``
 leaf with every piece of index scaffolding hoisted out of the execution
-path.  Which kernels lower, the arrays ``bind`` receives and each piece's
-frozen :class:`~repro.legion.machine.Work` all come from the kernel table
+path, plus, where the template declares one, a launch thunk that computes
+every piece in one call (:func:`bind_leaf`).  Which kernels lower, the
+arrays ``bind`` receives and each piece's frozen
+:class:`~repro.legion.machine.Work` all come from the kernel table
 (:mod:`repro.core.kernelspec`); this package holds no per-kind and no
 per-format logic.
 Generated modules are keyed by what they depend on — the lowering template
@@ -27,13 +29,15 @@ or ``"interp"``.  To read a generated module, call
 """
 from __future__ import annotations
 
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Optional, Tuple
 
 from ..core.kernelspec import SPECS, template_key
 from . import lowering, registry
 
 __all__ = [
     "BACKENDS",
+    "bind_leaf",
     "codegen_stats",
     "leaf_for",
     "reset_codegen_stats",
@@ -69,10 +73,14 @@ def supported(ck) -> bool:
     return template_key(ck) is not None
 
 
-def leaf_for(ck) -> Optional[Callable]:
-    """A bound generated leaf for ``ck``, or None (interpreter fallback,
-    bumping the ``fallbacks`` counter) when the kernel table declares no
-    template for its kind and strategy."""
+def bind_leaf(ck) -> Optional[Tuple[Callable, Optional[Callable]]]:
+    """``(leaf, bind_launch)`` for ``ck``: the bound generated leaf (piece
+    -> Work) and, where the template returns an ``over``, a zero-argument
+    callable that binds the launch thunk over every piece (``() ->`` each
+    piece's Work in piece order; None when the pieces do not tile one
+    range) — only a launch that may run as one call builds it — or None
+    (interpreter fallback, bumping the ``fallbacks`` counter) when the
+    kernel table declares no template for its kind and strategy."""
     tkey = template_key(ck)
     if tkey is None:
         registry.bump("fallbacks")
@@ -81,10 +89,29 @@ def leaf_for(ck) -> Optional[Callable]:
     # The table extracts the raw arrays once and freezes each piece's Work
     # into its tuple; the generated module hoists the index scaffolding.
     args, pieces = SPECS[ck.kind].bind_args(ck)
-    thunks = module.bind(*args, pieces)
+    thunks, over = module.bind(*args, pieces)
     registry.bump("binds")
 
     def leaf(piece, _thunks=thunks):
         return _thunks[piece.color]()
 
-    return leaf
+    return leaf, None if over is None else partial(_launch_thunk, pieces, over)
+
+
+def _launch_thunk(pieces, over) -> Optional[Callable]:
+    """``over`` across the range the pieces' ``(lo, hi)`` range arguments
+    tile in piece order, returning every piece's frozen Work in piece
+    order; None when they leave a gap or overlap."""
+    works = tuple(p[-1] for p in pieces)
+    live = [p[1:3] for p in pieces if p[1] <= p[2]]
+    if any(b[0] != a[1] + 1 for a, b in zip(live, live[1:])):
+        return None
+    if not live:
+        return lambda: works
+    return over(live[0][0], live[-1][1], works)
+
+
+def leaf_for(ck) -> Optional[Callable]:
+    """The bound generated leaf of :func:`bind_leaf` alone, or None."""
+    bound = bind_leaf(ck)
+    return None if bound is None else bound[0]

@@ -3,10 +3,14 @@
 Each (iteration shape × strategy) the kernel table declares lowers to a
 standalone Python module whose ``bind(...)`` function hoists every piece
 of index scaffolding — the level's segment boundaries and the per-piece
-views or clipped copies of them, ``searchsorted`` row maps and chunked
-gathers for the sampled dot, coordinate gathers for SpMTTKRP — out of the
-execution path at bind time and returns a ``{color: thunk}`` dict of flat,
-zero-argument array kernels.  ``bind`` takes what the kernel table
+views or clipped copies of them, a ``searchsorted`` position -> row map
+for the sampled dot, coordinate gathers for SpMTTKRP — out of the
+execution path at bind time and returns a pair: a ``{color: thunk}`` dict
+of flat, zero-argument array kernels, and ``over`` or ``None``.
+``over(lo, hi, works)`` binds the same body over a whole range of the
+pieces' range arguments, returning ``works``;
+:func:`repro.codegen.bind_leaf` makes it the **launch thunk** over every
+piece.  ``bind`` takes what the kernel table
 (:meth:`repro.core.kernelspec.KernelSpec.bind_args`) hands it: the raw
 operand arrays, then one ``(color, *range arguments, Work)`` tuple per
 piece.  The :class:`~repro.legion.machine.Work` each thunk returns is the
@@ -27,6 +31,15 @@ results are bit-identical to the interpreter: each segment is summed from
 0.0 left to right, a non-zero piece's partial is formed from 0.0 and then
 added in.  Only the per-call Python scaffolding disappears.
 
+Templates whose body can run over one longer range — ``segdot``, ``spmm``
+but for ``grid``'s column windows, ``sddmm`` — return an ``over``: the
+same body over a longer range's boundaries, which forms every output value
+a piece owns outright exactly as that piece does.  Whether a launch *may*
+run it is the compiler's call alone (a write-disjoint output:
+:meth:`repro.core.compiler.CompiledKernel._bind`); the runtime calls it
+only when it replays a recorded launch.  ``over`` is the closure that
+builds the per-piece thunks, so it holds nothing they do not share.
+
 The emitted source is self-contained (imports ``numpy`` and, where the
 template reduces, the two ``scipy.sparse._sparsetools`` entry points — on
 the one import line :func:`emit_source` adds) and carries a ``META``
@@ -41,8 +54,8 @@ _HEADER = '''\
 """Generated by repro.codegen — specialized {shape} leaf ({strategy}).
 
 Auto-generated module; do not edit.  ``bind(...)`` hoists index
-scaffolding at bind time and returns ``{{color: thunk}}`` flat kernels
-whose accumulation ops match the interpreter leaves bit-for-bit.
+scaffolding at bind time and returns ``({{color: thunk}}, over)``, flat
+kernels whose accumulation ops match the interpreter leaves bit-for-bit.
 """
 import numpy as np
 {extra_imports}
@@ -111,19 +124,21 @@ def _deliver(acc, ov):
 
 #: one dot product per segment of B's last level — a row for SpMV, an
 #: (i, j) fiber for SpTTV; the table resolved the piece to its segments
-#: (``rows``) or hands over its position range (``nonzeros``).
+#: (``rows``) or hands over its position range (``nonzeros``).  The same
+#: body over a longer range is the launch thunk's.
 _SEGDOT = _BOUNDARIES + _TARGET + '''
 def bind(pos, crd, vals, c, out, pieces):
-    """Resolve each piece to its segment boundaries; return {color: thunk}."""
-    thunks = {}
+    """Resolve each piece to its segment boundaries; return (thunks, over)."""
     indptr = _indptr(pos)
-    for color, lo, hi, w in pieces:
-        if hi < lo:
-            thunks[color] = _const(w)
-            continue
+
+    def over(lo, hi, w):
         r0, ip = _segments_of(indptr, lo, hi)
-        thunks[color] = _thunk(ip, crd, vals, c, out[r0 : r0 + ip.size - 1], w)
-    return thunks
+        return _thunk(ip, crd, vals, c, out[r0 : r0 + ip.size - 1], w)
+
+    thunks = {}
+    for color, lo, hi, w in pieces:
+        thunks[color] = over(lo, hi, w) if lo <= hi else _const(w)
+    return thunks, over
 
 
 def _thunk(ip, crd, vals, c, ov, w):
@@ -150,23 +165,27 @@ def _reduce(ip, crd, vals, X, ov):
 #: ``rows`` / ``grid`` piece tuples carry a column window (``None``: all
 #: of C and A, as for ``nonzeros`` tuples, which have none); a full-width
 #: window of a row-major array is still contiguous, so only ``grid`` pays
-#: for the contiguous copies.
+#: for the contiguous copies.  The same body over a longer range is the
+#: launch thunk's, except under ``grid``, whose pieces' column windows one
+#: row range cannot express.
 _SPMM = _BOUNDARIES + _SPMM_REDUCE + '''
 def bind(pos, crd, vals, C, out, pieces):
-    """Resolve each piece to its row boundaries; return {color: thunk}."""
-    thunks = {}
+    """Resolve each piece to its row boundaries; return (thunks, over)."""
     indptr = _indptr(pos)
-    for color, lo, hi, *window, w in pieces:
-        if hi < lo:
-            thunks[color] = _const(w)
-            continue
-        c0, c1 = window[0] if window and window[0] else (0, C.shape[1] - 1)
+
+    def over(lo, hi, w, cols=None):
+        c0, c1 = cols or (0, C.shape[1] - 1)
         r0, ip = _segments_of(indptr, lo, hi)
-        thunks[color] = _thunk(
+        return _thunk(
             ip, crd, vals, C[:, c0 : c1 + 1],
             out[r0 : r0 + ip.size - 1, c0 : c1 + 1], w,
         )
-    return thunks
+
+    thunks, windowed = {}, False
+    for color, lo, hi, *window, w in pieces:
+        thunks[color] = over(lo, hi, w, *window) if lo <= hi else _const(w)
+        windowed = windowed or any(window)  # a ``grid`` piece's columns
+    return thunks, None if windowed else over
 
 
 def _thunk(ip, crd, vals, Cv, ov, w):
@@ -176,101 +195,112 @@ def _thunk(ip, crd, vals, Cv, ov, w):
     return thunk
 '''
 
-#: the SDDMM phase, shared by the standalone and the fused templates:
-#: chunked (row-gather, col-gather, vals, out-slice) tuples per position
-#: range, bounding the nnz * k intermediate.
-_SDDMM_CHUNKS = '''
-_CHUNK = 1 << 18
+#: the SDDMM phase, shared by the standalone and the fused templates: the
+#: sampled row dots of positions ``p0 .. p0 + rows.size - 1`` (``rows``:
+#: each position's row), in blocks whose (block, k) gathers fit in 128 KiB
+#: of cache.  Rows of C are gathered with ``np.take``.  ``D.T`` of a
+#: row-major D is a strided view — each of its rows is k elements n apart,
+#: k cache lines — so its rows are gathered by fancy indexing (``np.take``
+#: from the view is several times slower), or with ``np.take`` from a
+#: contiguous copy of ``D.T`` made once per call (D's values may change
+#: between calls) when the call covers at least ``_COPY_AT`` positions per
+#: column of D: below that the copy costs more than it saves.  Every
+#: position's value is formed alone, whatever the block or gather.
+_SDDMM = '''
+_BLOCK_BYTES = 1 << 17
+_COPY_AT = 2
 
 
-def _sddmm_chunks(pos, crd, vals, out_vals, p0, p1):
-    nnz = p1 - p0 + 1
-    rows = np.searchsorted(
+def _rows_of(pos, p0, p1):
+    return np.searchsorted(
         pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64), side="right"
     ) - 1
-    chunks = []
-    for s in range(0, nnz, _CHUNK):
-        e = min(s + _CHUNK, nnz)
-        chunks.append((
-            rows[s:e],
-            crd[p0 + s : p0 + e],
-            vals[p0 + s : p0 + e],
-            out_vals[p0 + s : p0 + e],
-        ))
-    return chunks
 
 
-def _run_sddmm(chunks, C, Dt):
-    for rr, cc, vv, oo in chunks:
-        dots = np.einsum("ij,ij->i", C[rr, :], Dt[cc, :])
-        oo[:] = vv * dots
+def _sddmm(rows, crd, vals, C, D, out_vals, p0):
+    copy = rows.size >= _COPY_AT * D.shape[1]
+    Dt = np.ascontiguousarray(D.T) if copy else D.T
+    block = max(1, _BLOCK_BYTES // (8 * max(C.shape[1], 1)))
+    for s in range(0, rows.size, block):
+        e = min(s + block, rows.size)
+        cc = crd[p0 + s : p0 + e]
+        dots = np.einsum(
+            "ij,ij->i", np.take(C, rows[s:e], axis=0),
+            np.take(Dt, cc, axis=0) if copy else Dt[cc],
+        )
+        out_vals[p0 + s : p0 + e] = vals[p0 + s : p0 + e] * dots
 '''
 
-_SDDMM_COMMON = _SDDMM_CHUNKS + '''
+#: ``positions`` maps a piece's range arguments to the positions it owns;
+#: every thunk of a bind slices one position -> row array, and ``over``
+#: runs the same body over a longer range.
+_SDDMM_COMMON = _SDDMM + '''
 
-def _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, w):
-    if p1 < p0:
-        return _const(w)
-    chunks = _sddmm_chunks(pos, crd, vals, out_vals, p0, p1)
+def _bind_ranges(pos, crd, vals, C, D, out_vals, pieces, positions):
+    rows = _rows_of(pos, 0, crd.size - 1)
 
-    def thunk():
-        _run_sddmm(chunks, C, Dt)
-        return w
-    return thunk
+    def over(lo, hi, w):
+        p0, p1 = positions(lo, hi)
+        if p1 < p0:
+            return _const(w)
+        rr = rows[p0 : p1 + 1]
+
+        def thunk():
+            _sddmm(rr, crd, vals, C, D, out_vals, p0)
+            return w
+        return thunk
+
+    thunks = {}
+    for color, lo, hi, w in pieces:
+        thunks[color] = over(lo, hi, w)
+    return thunks, over
 '''
 
 _SDDMM_ROWS = _SDDMM_COMMON + '''
 
 def bind(pos, crd, vals, C, D, out_vals, pieces):
-    """Convert row bounds to position ranges at bind; return {color: thunk}."""
-    thunks = {}
-    Dt = D.T
-    for color, r0, r1, w in pieces:
-        if r1 < r0:
-            thunks[color] = _const(w)
-            continue
-        p0, p1 = int(pos[r0, 0]), int(pos[r1, 1])
-        thunks[color] = _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, w)
-    return thunks
+    """Convert row bounds to position ranges; return (thunks, over)."""
+    return _bind_ranges(pos, crd, vals, C, D, out_vals, pieces, lambda r0, r1: (
+        (int(pos[r0, 0]), int(pos[r1, 1])) if r0 <= r1 else (0, -1)
+    ))
 '''
 
 _SDDMM_NONZEROS = _SDDMM_COMMON + '''
 
 def bind(pos, crd, vals, C, D, out_vals, pieces):
-    """Hoist chunked row/col gathers per piece; return {color: thunk}."""
-    thunks = {}
-    Dt = D.T
-    for color, p0, p1, w in pieces:
-        thunks[color] = _range_thunk(pos, crd, vals, C, Dt, out_vals, p0, p1, w)
-    return thunks
+    """Hoist row gathers per piece; return (thunks, over)."""
+    return _bind_ranges(
+        pos, crd, vals, C, D, out_vals, pieces, lambda p0, p1: (p0, p1)
+    )
 '''
 
 #: the SDDMM phase runs into a scratch values array private to the binding
 #: — never a region — over the positions the piece's boundaries span (none
 #: when its rows are empty: the reduce then zero-fills); the SpMM phase
 #: reduces the *whole* scratch array over those boundaries.
-_FUSED_SDDMM_SPMM = _SDDMM_CHUNKS + _BOUNDARIES + _SPMM_REDUCE + '''
+_FUSED_SDDMM_SPMM = _SDDMM + _BOUNDARIES + _SPMM_REDUCE + '''
 def bind(pos, crd, vals, C, D, F, out, pieces):
-    """Hoist both phases' scaffolding per piece; return {color: thunk}."""
+    """Hoist both phases' scaffolding per piece; return (thunks, None)."""
     thunks = {}
     scratch = np.zeros_like(vals)
     indptr = _indptr(pos)
-    Dt = D.T
     for color, lo, hi, w in pieces:
         if hi < lo:
             thunks[color] = _const(w)
             continue
         r0, ip = _segments_of(indptr, lo, hi)
-        chunks = _sddmm_chunks(pos, crd, vals, scratch, int(ip[0]), int(ip[-1]) - 1)
+        p0 = int(ip[0])
+        rows = _rows_of(pos, p0, int(ip[-1]) - 1)
         thunks[color] = _thunk(
-            chunks, C, Dt, ip, crd, scratch, F, out[r0 : r0 + ip.size - 1, :], w
+            rows, p0, crd, vals, C, D, ip, scratch, F,
+            out[r0 : r0 + ip.size - 1, :], w,
         )
-    return thunks
+    return thunks, None
 
 
-def _thunk(chunks, C, Dt, ip, crd, scratch, F, ov, w):
+def _thunk(rows, p0, crd, vals, C, D, ip, scratch, F, ov, w):
     def thunk():
-        _run_sddmm(chunks, C, Dt)
+        _sddmm(rows, crd, vals, C, D, scratch, p0)
         _reduce(ip, crd, scratch, F, ov)
         return w
     return thunk
@@ -295,7 +325,7 @@ def _body_thunk(i_ids, j_ids, k_ids, v, C, D, out, ident, ones, w):
 
 
 def bind(coords, vals, C, D, out, pieces):
-    """Hoist coordinate gathers per position range; return {color: thunk}."""
+    """Hoist coordinate gathers per position range; return (thunks, None)."""
     thunks = {}
     longest = max((p1 - p0 + 1 for _color, p0, p1, _w in pieces), default=0)
     ident, ones = np.arange(longest), np.ones(longest)
@@ -309,7 +339,7 @@ def bind(coords, vals, C, D, out, pieces):
             i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out,
             ident[:n], ones[:n], w,
         )
-    return thunks
+    return thunks, None
 '''
 
 

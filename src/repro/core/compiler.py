@@ -131,6 +131,8 @@ class CompiledKernel:
         self._leaf: Optional[Callable[[Piece], Work]] = None
         #: backend the current ``_leaf`` was built for (rebuild on change).
         self._leaf_backend: Optional[str] = None
+        #: ``index_launch``'s arguments, frozen with the leaf by :meth:`_bind`.
+        self._launch_args: Optional[tuple] = None
         self._streamed: set = set()
         self._spadd_reqs: Optional[List[RegionReq]] = None
 
@@ -138,15 +140,17 @@ class CompiledKernel:
         """Communicate this tensor's sub-regions in memory-sized rounds
         instead of keeping them resident (the "SpDISTAL-Batched" strategy)."""
         self._streamed.add(id(tensor))
+        self._leaf = None  # re-freeze the launch's requirements at next execute
 
     # -- persistence (repro.core.store) ---------------------------------------
     def __getstate__(self):
-        """Compiled kernels are picklable minus the leaf closure (it binds
+        """Compiled kernels are picklable minus the leaf closures (they bind
         raw NumPy views) and the assembly plan (index arrays derived from
         the operands); both are rebuilt lazily on the first execute."""
         state = self.__dict__.copy()
         state["_leaf"] = None
         state["_leaf_backend"] = None
+        state["_launch_args"] = None
         state["_spadd_plan"] = None
         return state
 
@@ -248,31 +252,48 @@ class CompiledKernel:
 
     def _execute_compute(self, rt: Runtime) -> None:
         if self._leaf is None or self._leaf_backend != self.backend:
-            # Write targets must be promoted before the leaf captures their
-            # arrays: a leaf closure over a read-only mmap-backed region
-            # (load_packed(..., mmap=True)) would crash on its first write,
-            # and a later promotion could not reach the captured buffer.
-            for t_id, part in self.parts.items():
-                if self.privileges.get(t_id, Privilege.READ_ONLY) != Privilege.READ_ONLY:
-                    part.tensor.ensure_writable()
-            leaf = None
-            if self.backend == "codegen":
-                from .. import codegen as _codegen  # lazy: avoids import cycle
-
-                leaf = _codegen.leaf_for(self)
-            if leaf is None:
-                leaf = SPECS[self.kind].interp_leaf(self)
-            self._leaf = leaf
-            self._leaf_backend = self.backend
+            self._bind()
         if self._needs_zero():
             self.out.vals.fill(0.0)
+        name, colors, task, reqs, proc_of, launch = self._launch_args
+        rt.index_launch(name, colors, task, reqs, proc_map=proc_of, launch=launch)
+
+    def _bind(self) -> None:
+        """Bind the leaf, and freeze what every launch of it hands the
+        runtime (the pieces, requirements and leaf fixed per kernel)."""
+        # Write targets must be promoted before the leaf captures their
+        # arrays: a leaf closure over a read-only mmap-backed region
+        # (load_packed(..., mmap=True)) would crash on its first write,
+        # and a later promotion could not reach the captured buffer.
+        for t_id, part in self.parts.items():
+            if self.privileges.get(t_id, Privilege.READ_ONLY) != Privilege.READ_ONLY:
+                part.tensor.ensure_writable()
+        leaf = bind_launch = launch = None
+        if self.backend == "codegen":
+            from .. import codegen as _codegen  # lazy: avoids import cycle
+
+            leaf, bind_launch = _codegen.bind_leaf(self) or (None, None)
+        if leaf is None:
+            leaf = SPECS[self.kind].interp_leaf(self)
+        # A replay may compute the launch in one call only when no output
+        # value depends on where pieces split: an output written disjointly
+        # (a reduced one sums partials in piece order), and every operand
+        # resident rather than streamed in rounds.  This is the one place
+        # that decides; a template declines only what its body cannot run,
+        # and a launch refused here binds nothing for the one-call path.
+        if (bind_launch is not None and not self._streamed
+                and self.privileges.get(id(self.out)) == Privilege.WRITE_DISCARD):
+            launch = bind_launch()
         by_color = {p.color: p for p in self.pieces}
-        rt.index_launch(
+        self._leaf = leaf
+        self._leaf_backend = self.backend
+        self._launch_args = (
             f"{self.kind}:{self.strategy}",
-            [p.color for p in self.pieces],
-            lambda color: self._leaf(by_color[color]),
+            list(by_color),
+            lambda color: leaf(by_color[color]),
             self._reqs(),
-            proc_map=lambda color: by_color[color].proc,
+            {p.color: p.proc for p in self.pieces}.__getitem__,
+            launch,
         )
 
     def _needs_zero(self) -> bool:

@@ -38,7 +38,9 @@ def sddmm_nonzeros(
     k = C.shape[1]
     nnz = p1 - p0 + 1
     rows = row_of_positions(pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64))
-    Dt = D.T  # (j, k) layout so each chunk gathers contiguous rows
+    # (j, k) indexing of D; a strided view, not a copy: on a row-major D
+    # each gathered row is k elements n apart, k cache lines
+    Dt = D.T
     for s in range(0, nnz, _CHUNK):
         e = min(s + _CHUNK, nnz)
         cols = crd[p0 + s : p0 + e]

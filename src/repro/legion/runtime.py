@@ -24,9 +24,15 @@ region requirements, processor assignment, scratch demands) from the same
 residency state replays the trace: the recorded communication events are
 re-charged to the network model and the recorded residency table is
 installed, but none of the per-color Python subset intersection/subtraction
-algebra re-runs.  Task bodies always execute (values may have changed) and compute
-time is re-derived from the returned :class:`Work`, so replayed metrics
-are bit-identical to what a fresh analysis would produce.
+algebra re-runs.  The computation always executes (values may have
+changed) and compute time is derived from the returned :class:`Work`, so
+replayed metrics are bit-identical to what a fresh analysis would produce.
+How many host calls compute it is not simulated: a replay handed a
+*launch thunk* (the compiler passes one for a write-disjoint output whose
+generated leaf has one) calls it once and books the per-color ``Work`` it
+returns in color order, priced once per trace.  A recording launch
+always runs the task bodies one by one, between their staging and
+coherence steps.
 
 Residency states are tracked symbolically: ``reset_residency`` (called
 between trials) returns to the canonical "homes only" state *without*
@@ -213,6 +219,17 @@ class MappingTrace:
     #: otherwise be recycled by an unrelated one).  Unpickling re-anchors
     #: the keys on the pinned objects' new ids (:meth:`Runtime.__setstate__`).
     pinned: Tuple = ()
+    #: ``(works, compute_seconds, events)``: what a one-call replay last
+    #: booked, reused while its launch thunk returns that same ``works``
+    #: object (it holds ``works``, so the identity cannot be recycled); any
+    #: other object is priced afresh.  It spares a replay pricing every
+    #: color's Work and extending its events color by color (measured in
+    #: docs/codegen.md, "The exactness contract").  Process-local: dropped
+    #: on pickling.
+    booked: Optional[Tuple] = field(default=None, compare=False, repr=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "booked": None}
 
 
 @dataclass
@@ -378,6 +395,7 @@ class Runtime:
         *,
         proc_map: Optional[Callable[[Color], int]] = None,
         scratch_bytes: Optional[Callable[[Color], float]] = None,
+        launch: Optional[Callable[[], Sequence[Work]]] = None,
     ) -> StepMetrics:
         """Launch one task per color; returns per-step metrics.
 
@@ -391,7 +409,14 @@ class Runtime:
         When ``trace_replay`` is enabled and an identical launch already ran
         from the current residency state, steps (1), (2) and (4) are
         replayed from the recorded :class:`MappingTrace` instead of
-        re-running the subset algebra; step (3) always executes.
+        re-running the subset algebra; step (3) always executes — as one
+        ``launch()`` call when the caller passes ``launch``, a thunk that
+        runs every color's task at once and returns their :class:`Work` in
+        color order (the caller vouches that doing so computes exactly what
+        the tasks would).  A ``launch`` that returns the same sequence
+        object on every call is priced once per trace
+        (:attr:`MappingTrace.booked`).  A recording launch always runs the
+        tasks one by one, interleaved with their staging.
         """
         procs = [
             proc_map(color) if proc_map else self._default_proc(color, ordinal)
@@ -422,7 +447,7 @@ class Runtime:
             )
             trace = self._traces.get(trace_key)
             if trace is not None:
-                return self._replay_launch(name, colors, task, trace)
+                return self._replay_launch(name, colors, task, trace, launch)
 
         step = self.metrics.new_step(name)
         events_per_color: List[Tuple[CommEvent, ...]] = []
@@ -473,16 +498,33 @@ class Runtime:
         colors: Sequence[Color],
         task: Callable[[Color], Union[Work, Tuple[Work, float]]],
         trace: MappingTrace,
+        launch: Optional[Callable[[], Sequence[Work]]] = None,
     ) -> StepMetrics:
         """Re-charge a recorded launch's communication and run the tasks."""
         step = self.metrics.new_step(name)
-        for ordinal, color in enumerate(colors):
-            proc = trace.procs[ordinal]
-            step.comm_events.extend(trace.events_per_color[ordinal])
-            result = task(color)
-            work = result[0] if isinstance(result, tuple) else result
-            step.add_compute(proc, self.machine.proc(proc).seconds_for(work))
-            step.tasks_launched += 1
+        if launch is None:
+            for ordinal, color in enumerate(colors):
+                proc = trace.procs[ordinal]
+                step.comm_events.extend(trace.events_per_color[ordinal])
+                result = task(color)
+                work = result[0] if isinstance(result, tuple) else result
+                step.add_compute(proc, self.machine.proc(proc).seconds_for(work))
+                step.tasks_launched += 1
+        else:
+            works = launch()
+            booked = trace.booked
+            if booked is None or booked[0] is not works:
+                # A bound launch returns the Work frozen at bind — the same
+                # object every call — so it is priced once, in color order
+                # as the per-task loop adds it.
+                priced = StepMetrics(name)
+                for proc, work in zip(trace.procs, works):
+                    priced.add_compute(proc, self.machine.proc(proc).seconds_for(work))
+                events = [e for per_color in trace.events_per_color for e in per_color]
+                booked = trace.booked = (works, priced.compute_seconds, events)
+            step.compute_seconds.update(booked[1])
+            step.comm_events.extend(booked[2])
+            step.tasks_launched = len(works)
         self._restore_residency(trace.residency_after)
         self._state = trace.post_state
         self.trace_hits += 1

@@ -15,9 +15,17 @@ segment split across every non-zero piece, more pieces than rows, NaN /
   draws only: against dense NumPy the summation order differs);
 * the ``Work`` every leaf reports per piece ≡ the kernel table's.
 
+SDDMM's sampled dot rides along in the same draws.  A replayed launch
+whose output is written disjointly runs as one call of the template's
+launch thunk; the same inputs check that one call ≡ the recording launch's
+per-piece thunks ≡ the interpreter as output bytes, with the simulated
+step of a per-piece replay, and — observed by counting calls, never looked
+up by kind — which launches may take the one call at all.
+
 Plus a host-independent structure check: a bind hoists nothing
-proportional to the non-zeros, and an unpacked level is refused by name on
-both backends instead of being mis-sliced.
+proportional to the non-zeros (SDDMM: one position → row array), a launch
+thunk nothing beyond what the per-piece thunks share, and an unpacked
+level is refused by name on both backends instead of being mis-sliced.
 """
 import numpy as np
 import pytest
@@ -27,12 +35,17 @@ from hypothesis import strategies as st
 from repro import codegen
 from repro.api.autoschedule import auto_schedule
 from repro.core import SPECS, clear_caches, compile_kernel, compile_program
+from repro.core.kernelspec import template_key
 from repro.core.passes import FUSED_SDDMM_SPMM
-from repro.errors import FormatError
-from repro.legion import Machine, Runtime, make_pos_region
+from repro.errors import FormatError, OOMError
+from repro.legion import (
+    IndexSpace, Machine, NodeSpec, Privilege, Region, RegionReq, Runtime, Work,
+    make_pos_region,
+)
 from repro.taco import CSF3, CSR, DDC, Dense, Format, Tensor, index_vars
 from repro.taco.reference import evaluate
 from repro.taco.tensor import CompressedLevel
+from test_differential import _KIND_FORMATS, _STRATEGIES, _build
 
 #: (kind, sparse operand format, strategy); "fused" is the SDDMM→SpMM chain.
 CASES = [
@@ -40,9 +53,15 @@ CASES = [
     ("spttv", CSF3, "rows"), ("spttv", CSF3, "nonzeros"),
     ("spttv", DDC, "rows"), ("spttv", DDC, "nonzeros"),
     ("spmm", CSR, "rows"), ("spmm", CSR, "grid"), ("spmm", CSR, "nonzeros"),
+    ("sddmm", CSR, "rows"), ("sddmm", CSR, "nonzeros"),
     ("fused", CSR, "rows"), ("fused", CSR, "nonzeros"),
     ("spmttkrp", CSF3, "rows"), ("spmttkrp", CSF3, "nonzeros"),
     ("spmttkrp", DDC, "rows"), ("spmttkrp", DDC, "nonzeros"),
+]
+#: the cases whose template returns a launch thunk.
+ONE_CALL = [
+    ("spmv", CSR, "rows"), ("spttv", CSF3, "rows"), ("spttv", DDC, "rows"),
+    ("spmm", CSR, "rows"), ("sddmm", CSR, "rows"), ("sddmm", CSR, "nonzeros"),
 ]
 #: one piece, an odd split, more pieces than rows (rows <= 6); ``grid``
 #: needs a square, so its odd split is 2 x 2.
@@ -110,6 +129,9 @@ def _statements(case, n, structure, hostile, seed):
     elif kind == "spmm":
         out = Tensor.zeros("A", (n, 4))
         out[i, j] = B[i, k] * dense("C", WIDE, 4)[k, j]
+    elif kind == "sddmm":
+        out = Tensor.zeros("A", shape, CSR)
+        out[i, j] = B[i, j] * dense("C", n, 3)[i, k] * dense("D", 3, WIDE)[k, j]
     elif kind == "spmttkrp":
         out = Tensor.zeros("A", (n, 4))
         out[i, l] = B[i, j, k] * dense("C", 3, 4)[j, l] * dense("D", WIDE, 4)[k, l]
@@ -232,6 +254,148 @@ def test_outputs_the_reduce_cannot_write_in_place(strategy, out_dtype, out_fmt, 
 
 
 # --------------------------------------------------------------------------- #
+# a replayed write-disjoint launch is one call
+# --------------------------------------------------------------------------- #
+class CountingRuntime(Runtime):
+    """Counts per-piece task calls and launch-thunk calls.  With
+    ``one_call=False`` it withholds every launch thunk, so its replays run
+    the per-piece thunks."""
+
+    def __init__(self, machine, one_call=True):
+        super().__init__(machine)
+        self.one_call = one_call
+        self.calls = {"piece": 0, "launch": 0}
+
+    def index_launch(self, name, colors, task, reqs=(), *, launch=None, **kw):
+        def piece(color):
+            self.calls["piece"] += 1
+            return task(color)
+
+        def one():
+            self.calls["launch"] += 1
+            return launch()
+
+        use = one if launch is not None and self.one_call else None
+        return super().index_launch(name, colors, piece, reqs, launch=use, **kw)
+
+    def count(self):
+        calls, self.calls = self.calls, {"piece": 0, "launch": 0}
+        return calls
+
+
+@given(
+    case=st.sampled_from(ONE_CALL),
+    pieces=st.sampled_from(PIECES + (64,)),
+    n=st.integers(1, 6),
+    structure=st.sampled_from(STRUCTURES),
+    hostile=st.booleans(),
+    seed=st.integers(0, 2**16),
+    block_bytes=st.sampled_from((8, 48, 120, 1 << 18)),
+    copy_at=st.sampled_from((0, 2, 1 << 60)),
+)
+@settings(max_examples=60)
+def test_one_call_replay_writes_what_the_pieces_write(
+    case, pieces, n, structure, hostile, seed, block_bytes, copy_at
+):
+    """A replay through the launch thunk rewrites (over a poisoned output)
+    the bytes its recording wrote piece by piece and the interpreter
+    writes, and books the step a per-piece replay books: per-processor
+    compute seconds, communication events and task count.  A template that
+    gathers in blocks is bound with blocks of 1 to all positions, and
+    gathers rows of ``D.T`` from a contiguous copy always, by its own rule,
+    or never (the interpreter gathers the strided view)."""
+    clear_caches()
+    machine = Machine.cpu(pieces)
+    steps = {}
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        (out,), _ = _statements(case, n, structure, hostile, seed)
+        ck = compile_kernel(
+            auto_schedule(out.assignment, machine, strategy=case[2]), machine)
+        module = codegen.registry.module_for(template_key(ck))
+        if hasattr(module, "_BLOCK_BYTES"):
+            mp.setattr(module, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(module, "_COPY_AT", copy_at)
+        for one_call in (True, False):
+            rt = CountingRuntime(machine, one_call)
+            ck.execute(rt)
+            assert rt.count() == {"piece": len(ck.pieces), "launch": 0}
+            recorded = out.vals.data.copy()
+            out.vals.data[...] = 7.0
+            (steps[one_call],) = ck.execute(rt).metrics.steps
+            assert rt.count() == (
+                {"piece": 0, "launch": 1} if one_call
+                else {"piece": len(ck.pieces), "launch": 0}
+            )
+            assert _same_bits(out.vals.data, recorded)
+        interp, _, _ = _run(case, pieces, n, structure, hostile, seed, "interp")
+    assert _same_bits(out.to_dense(), interp)
+    assert steps[True] == steps[False]
+    assert steps[True].tasks_launched == len(ck.pieces)
+
+
+def _oracle_statements():
+    """Every (kind, format, strategy) the differential oracle builds."""
+    for kind, formats in _KIND_FORMATS.items():
+        for fmt in formats:
+            for strategy in _STRATEGIES[kind]:
+                yield kind, fmt, strategy
+
+
+@pytest.mark.parametrize("backend", ["codegen", "interp"])
+def test_one_call_only_where_no_value_depends_on_the_split(backend):
+    """Observed over every statement the oracle builds, never looked up by
+    kind: a recording launch runs its pieces; a replay takes the one call
+    only under the codegen backend, for a write-disjoint output (a
+    ``REDUCE`` one sums partials in piece order) whose pieces own whole
+    rows (a ``grid`` piece owns a column window), and never once an
+    operand is streamed in rounds."""
+    machine = Machine.cpu(4)
+    one_call = 0
+    for combo in _oracle_statements():
+        for streamed in (False, True):
+            clear_caches()
+            out = _build(*combo[:2], np.random.default_rng(3), 24, 0.2)
+            ck = compile_kernel(
+                auto_schedule(out, machine, strategy=combo[2]), machine,
+                backend=backend)
+            if streamed:
+                for part in ck.parts.values():
+                    if part.tensor is not ck.out:
+                        ck.stream_tensor(part.tensor)
+            rt = CountingRuntime(machine)
+            ck.execute(rt)
+            assert rt.count()["launch"] == 0, combo
+            ck.execute(rt)
+            calls = rt.count()
+            if not calls["launch"]:
+                continue
+            assert calls == {"piece": 0, "launch": 1}, combo
+            assert ck.privileges[id(ck.out)] is Privilege.WRITE_DISCARD, combo
+            assert all(p.cols is None for p in ck.pieces), combo
+            assert not streamed, combo
+            one_call += 1
+    assert (one_call > 0) == (backend == "codegen")
+
+
+def test_an_oom_in_a_recording_launch_leaves_the_runtime_dirty():
+    """The launch thunk is never called while recording: an OOM part-way
+    through the pieces leaves a partial launch, an unknown residency state
+    and no trace to replay."""
+    machine = Machine.cpu(2, NodeSpec(dram_bytes=400.0))
+    big = Region(IndexSpace(100))
+    rt = CountingRuntime(machine)
+    rt.place_on(big, 0)
+    reqs = [RegionReq(big, None, Privilege.READ_ONLY)]
+    for _ in range(2):  # the second launch from the same state records too
+        rt.reset_residency()
+        with pytest.raises(OOMError):  # staging `big` on proc 1
+            rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs,
+                            launch=lambda: (Work(1, 1),) * 2)
+        assert rt.count() == {"piece": 1, "launch": 0}
+        assert rt._state[0] == "dirty" and not rt._traces and not rt.trace_hits
+
+
+# --------------------------------------------------------------------------- #
 # structure: what a bind hoists
 # --------------------------------------------------------------------------- #
 def _root(a):
@@ -269,6 +433,10 @@ def _bound(kind, fmt, strategy, pieces, n=40):
         if kind == "spmv":
             out = Tensor.zeros("a", (n,))
             out[i] = B[i, j] * Tensor.from_dense("c", rng.random(n))[j]
+        elif kind == "sddmm":
+            out = Tensor.zeros("A", (n, n), CSR)
+            out[i, j] = (B[i, j] * Tensor.from_dense("C", rng.random((n, 4)))[i, k]
+                         * Tensor.from_dense("D", rng.random((4, n)))[k, j])
         else:
             out = Tensor.zeros("A", (n, 4))
             out[i, j] = B[i, k] * Tensor.from_dense("C", rng.random((n, 4)))[k, j]
@@ -281,14 +449,28 @@ def _bound(kind, fmt, strategy, pieces, n=40):
 @pytest.mark.parametrize("kind,strategy", [
     ("spmv", "rows"), ("spmv", "nonzeros"),
     ("spmm", "rows"), ("spmm", "grid"), ("spmm", "nonzeros"),
+    ("sddmm", "rows"), ("sddmm", "nonzeros"),
 ])
-def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy):
+def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy, monkeypatch):
     """Arrays the thunks close over that are not views of an operand are
     the segment boundaries and nothing else: one ``indptr`` for row pieces,
     a clipped copy per non-zero piece — O(rows + pieces), however many
-    non-zeros the level holds (the bincount bodies hoisted 8 bytes each)."""
+    non-zeros the level holds (the bincount bodies hoisted 8 bytes each).
+    SDDMM's gathers index by row, so its thunks slice one position → row
+    array (8 bytes per position) and hold nothing else.  The launch thunk
+    holds nothing the per-piece thunks do not already share — no array of
+    its own, no gather buffers (it allocates those per call) — and is
+    built only for a launch that may run as one call."""
+    built = []
+    build = codegen._launch_thunk
+    monkeypatch.setattr(codegen, "_launch_thunk",
+                        lambda *a: built.append(1) or build(*a))
     pieces = 4
     ck, B = _bound(kind, CSR, strategy, pieces)
+    assert len(built) == (ck._launch_args[-1] is not None)
+    before = len(built)
+    codegen.leaf_for(ck)
+    assert len(built) == before
     operands = {id(_root(a)) for a in SPECS[ck.kind].operands(ck)}
     thunks = ck._leaf.__defaults__[0]
     hoisted = {}
@@ -296,10 +478,19 @@ def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy):
         for arr in _closed_over(thunk).values():
             root = _root(arr)
             if id(root) not in operands:
-                hoisted[id(root)] = root.nbytes
+                hoisted[id(root)] = root
     rows = B.shape[0]
     assert B.nnz > 4 * (rows + 2 * pieces)  # so the bound below means something
-    assert 0 < sum(hoisted.values()) <= 8 * (rows + 2 * pieces)
+    if kind == "sddmm":
+        (rows_of,) = hoisted.values()
+        assert rows_of.dtype == np.int64 and rows_of.size == B.nnz
+    else:
+        assert 0 < sum(a.nbytes for a in hoisted.values()) <= 8 * (rows + 2 * pieces)
+    launch = ck._launch_args[-1]
+    assert (launch is not None) == (strategy == "rows" or kind == "sddmm")
+    if launch is not None:
+        held = {id(_root(a)) for a in _closed_over(launch).values()}
+        assert held and held <= operands | set(hoisted)
 
 
 @pytest.mark.parametrize("fmt", [CSF3, DDC], ids=lambda f: f.name)

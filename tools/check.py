@@ -53,10 +53,12 @@ codebase passes defined here:
   statement must plan coherently under each of its legal strategies.
 * **release** — no statement keeps its operands for the cyclic
   collector: with ``gc`` disabled, every (kernel × sweep format ×
-  strategy × machine kind × backend) the kernel table declares, and the
-  captured SDDMM→SpMM program, is run twice on a fresh session (the
-  assembled ``A = B + C + D; y = A c`` chain, whose SpAdd kernel keeps an
-  assembly plan and whose output keeps its regions, three times); once the
+  strategy × machine kind × backend) the kernel table declares is run four
+  times on a fresh session — a recording launch and three replays, which
+  a write-disjoint codegen launch takes as one call of its launch thunk —
+  the captured SDDMM→SpMM program twice, and the assembled
+  ``A = B + C + D; y = A c`` chain (whose SpAdd kernel keeps an assembly
+  plan and whose output keeps its regions) three times; once the
   session, the statement and the process caches are dropped, every
   operand and the output must already be dead (``weakref``).  A
   reference cycle through a packed tensor pins its level arrays until a
@@ -1024,7 +1026,7 @@ def _run_release(cache: SourceCache) -> CheckResult:
                     check_one(
                         f"{spec.kind}/{fmt.name}/{strategy}/{where}",
                         lambda: _commplan_workload(spec.kind, fmt),
-                        machine, backend, strategy,
+                        machine, backend, strategy, 4,
                     )
             check_one(f"program/{where}", lambda: _fusable_chain(machine),
                       machine, backend)
