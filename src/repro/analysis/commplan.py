@@ -260,14 +260,12 @@ def _seed_tdn_homes(ck, rt: Runtime, source: Optional[Runtime]) -> None:
     """
     if source is None:
         return
-    for part in ck.parts.values():
-        if not getattr(part.tensor, "_placed_by_tdn", False):
-            continue
-        for req in part.region_reqs(Privilege.READ_ONLY):
-            homes = source._home.get(req.region.uid)
-            if homes:
-                rt._home.setdefault(req.region.uid, []).extend(homes)
-    rt._homes_changed()
+    rt.copy_homes(source, [
+        req.region
+        for part in ck.parts.values()
+        if getattr(part.tensor, "_placed_by_tdn", False)
+        for req in part.region_reqs(Privilege.READ_ONLY)
+    ])
 
 
 def _mirror_kernel(ck, rt: Runtime, work: WorkModel) -> List[StepMetrics]:

@@ -98,9 +98,11 @@ __all__ = [
 
 #: v4: artifacts carry no generated code.  v5: a tensor pickles the parts
 #: of its statement, not an ``Assignment``.  v6: a ``LevelFormat`` pickles
-#: the level class it names, not a ``compressed`` flag.  Any other version
-#: is refused with :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 6
+#: the level class it names, not a ``compressed`` flag.  v7: a runtime's
+#: residency tables carry their piece index and volume totals, and its homes
+#: their dedup set.  Any other version is refused with
+#: :class:`~repro.errors.StoreFormatError`, never migrated.
+STORE_FORMAT_VERSION = 7
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"

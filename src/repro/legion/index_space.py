@@ -11,6 +11,7 @@ one dimensional, which is where irregular subsets arise.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -33,7 +34,7 @@ __all__ = [
 def _as_point(p: Union[int, Sequence[int]]) -> Tuple[int, ...]:
     if isinstance(p, (int, np.integer)):
         return (int(p),)
-    return tuple(int(x) for x in p)
+    return tuple(map(int, p))
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class Rect:
 
     @property
     def empty(self) -> bool:
-        return any(h < l for l, h in zip(self.lo, self.hi))
+        return any(map(operator.lt, self.hi, self.lo))
 
     @property
     def volume(self) -> int:
@@ -297,27 +298,74 @@ def _from_sorted_unique(idx: np.ndarray) -> IndexSubset:
     return ArraySubset(idx, assume_sorted_unique=True)
 
 
-def _span_1d(s: IndexSubset) -> Tuple[int, int]:
-    """(first, last) index of a non-empty 1-D subset."""
+def leading_extent(s: IndexSubset) -> Tuple[int, int]:
+    """(first, last) coordinate of a non-empty subset on its leading axis."""
     if isinstance(s, RectSubset):
         return int(s.rect.lo[0]), int(s.rect.hi[0])
     idx = s.indices()
     return int(idx[0]), int(idx[-1])
 
 
+def _merged(a: Rect, b: Rect):
+    """``a ∪ b`` when that union is itself a rect, else ``None``."""
+    if a.contains_rect(b):
+        return a
+    if b.contains_rect(a):
+        return b
+    differ = [d for d in range(a.ndim) if (a.lo[d], a.hi[d]) != (b.lo[d], b.hi[d])]
+    d = differ[0]
+    if len(differ) > 1 or a.lo[d] > b.hi[d] + 1 or b.lo[d] > a.hi[d] + 1:
+        return None
+    lo, hi = list(a.lo), list(a.hi)
+    lo[d], hi[d] = min(a.lo[d], b.lo[d]), max(a.hi[d], b.hi[d])
+    return Rect(tuple(lo), tuple(hi))
+
+
+def _union_rects_nd(subsets: Sequence[IndexSubset]) -> RectSubset:
+    """Union of N-D rects: merge pairs whose union is a rect until none is
+    left (sorted first, so the answer does not depend on argument order).
+    Exact when that ends in one rect — two row blocks of one column window
+    that touch, or two column windows of one row block.  Otherwise (a gap,
+    or windows that do not line up) the union is no rect and the largest
+    merged rect stands for it: an under-approximation, so
+    :func:`subtract_subsets` keeps what it cannot prove covered."""
+    ndim = max(s.rect.ndim for s in subsets if isinstance(s, RectSubset))
+    if not all(isinstance(s, RectSubset) and s.rect.ndim == ndim for s in subsets):
+        raise ValueError("rank mismatch in subset union")
+    rects = sorted((s.rect for s in subsets), key=lambda r: (r.lo, r.hi))
+    i = 0
+    while i < len(rects):
+        for j in range(i + 1, len(rects)):
+            m = _merged(rects[i], rects[j])
+            if m is not None:
+                rects[i] = m
+                del rects[j]
+                i = -1  # a grown rect may now merge with an earlier one
+                break
+        i += 1
+    return RectSubset(max(rects, key=lambda r: r.volume))
+
+
 def union_subsets(subsets: Sequence[IndexSubset]) -> IndexSubset:
-    """Union 1-D subsets, collapsing to a rect when the result is contiguous."""
+    """Union subsets, collapsing 1-D results to a rect when contiguous.
+
+    Exact for 1-D subsets.  N-D subsets are rects; their union is exact
+    when it is a rect and under-approximated otherwise
+    (:func:`_union_rects_nd`).
+    """
     subsets = [s for s in subsets if not s.empty]
     if not subsets:
         return EMPTY
     if len(subsets) == 1:
         return subsets[0]
+    if any(isinstance(s, RectSubset) and s.rect.ndim > 1 for s in subsets):
+        return _union_rects_nd(subsets)
     if all(isinstance(s, RectSubset) and s.rect.ndim == 1 or isinstance(s, ArraySubset)
            for s in subsets):
         # A rect spanning every subset's range contains the whole union —
         # return it without materializing anything (the common case of a
         # replicated full copy unioned with staged pieces).
-        spans = [_span_1d(s) for s in subsets]
+        spans = [leading_extent(s) for s in subsets]
         lo = min(a for a, _ in spans)
         hi = max(b for _, b in spans)
         for s, (a, b) in zip(subsets, spans):
@@ -343,7 +391,10 @@ def subtract_subsets(a: IndexSubset, b: IndexSubset) -> IndexSubset:
 
     Exact for 1-D subsets; for multi-dimensional rects the result is ``a``
     unless ``b`` fully covers it (a conservative approximation — N-D rect
-    differences are not representable as a single subset).
+    differences are not representable as a single subset).  The ``b`` a
+    caller builds with :func:`union_subsets` errs the same way: an N-D
+    union that is no rect is under-approximated by its largest merged
+    rect, so the pair never reports a point covered that is not.
 
     The 1-D cases are fully vectorized and avoid materializing rects as
     index arrays wherever the result is expressible in bounds arithmetic —

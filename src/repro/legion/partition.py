@@ -98,9 +98,11 @@ class Partition:
                     return False
                 if a.rect.ndim > 1 and subsets_overlap(a, b):
                     return False
-            if all(r.rect.ndim == 1 for r in rects):
+            # Rects sharing their trailing extents (1-D ones, row blocks) can
+            # only meet on the leading axis, which the sweep above checked.
+            if len({(r.rect.lo[1:], r.rect.hi[1:]) for r in rects}) <= 1:
                 return True
-            # N-D: pairwise check (small color counts in practice)
+            # N-D windows: pairwise check (small color counts in practice)
             for i, a in enumerate(rects):
                 for b in rects[i + 1 :]:
                     if subsets_overlap(a, b):

@@ -51,7 +51,11 @@ table some trace or the memo holds is never written: one ownership bit
 says whether the live table is such a value, and every writer — a
 recording launch, an uncached copy, ``place*`` — takes a private copy
 first (:meth:`Runtime._unshare_residency`).  Readers (capacity checks,
-``resident_bytes_per_proc``) read whichever table is live.
+``resident_bytes_per_proc``) read whichever table is live.  Within a
+table, each region indexes its pieces by their extent on the leading axis
+and keeps a running volume total per processor (:class:`_Residency`), so
+staging, write invalidation and capacity checks touch only the pieces
+involved: a recording launch grows with its pieces, not pieces².
 
 Explicit copies (the ``communicate``-lowered :meth:`Runtime.copy_subset`)
 are traced the same way: the first copy of a given ``(region, subset,
@@ -75,6 +79,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -87,11 +92,12 @@ from .index_space import (
     IndexSubset,
     RectSubset,
     intersect_subsets,
+    leading_extent,
     subsets_overlap,
     subtract_subsets,
     union_subsets,
 )
-from .machine import Machine, Processor, Work
+from .machine import Machine, Work
 from .metrics import CommEvent, ExecutionMetrics, StepMetrics
 from .network import Network
 from .partition import Partition
@@ -132,67 +138,111 @@ class RegionReq:
         return self.partition[color]
 
 
-def _holds(pieces: Sequence[IndexSubset], subset: IndexSubset) -> bool:
-    """Whether ``subset`` is one of ``pieces``: identity first, then
-    same-type equality (cross-type equality would materialize rects as
-    index arrays)."""
-    for p in pieces:
-        if p is subset or (type(p) is type(subset) and p == subset):
-            return True
-    return False
+def _same(x: IndexSubset, y: IndexSubset) -> bool:
+    """Piece equality: identity first, then same-type equality (cross-type
+    equality would materialize rects as index arrays)."""
+    return x is y or type(x) is type(y) and x == y
 
 
 class _Residency:
-    """Which subsets of one region are valid in each processor's memory."""
+    """Which subsets of one region are valid in each processor's memory.
 
-    def __init__(self, by_proc: Optional[Dict[int, List[IndexSubset]]] = None):
+    ``by_proc`` holds each processor's pieces in arrival order — pieces,
+    never their union, are the unit: a write drops an overlapped piece
+    whole and ``add`` skips exact duplicates — and ``vol`` their summed
+    volume, the running total the capacity model charges.  Beside them
+    every piece is indexed by ``keys[i] = (start, proc)`` on the leading
+    axis, sorted, with ``ents[i] = (end, piece)``; ``span`` bounds ``end -
+    start`` (``None``: recompute), so a piece overlapping ``[a, b]``
+    starts in ``[a - span, b]`` and a query bisects to the pieces near it
+    instead of scanning every processor.  The index only proposes pieces;
+    the subset algebra decides.
+    """
+
+    def __init__(self):
         #: Never holds an empty list, so two tables with the same pieces
         #: compare equal whatever launches produced them.
-        self.by_proc: Dict[int, List[IndexSubset]] = {} if by_proc is None else by_proc
+        self.by_proc: Dict[int, List[IndexSubset]] = {}
+        self.vol: Dict[int, int] = {}
+        self.keys: List[Tuple[int, int]] = []
+        self.ents: List[Tuple[int, IndexSubset]] = []
+        self.span: Optional[int] = 0
 
     def copy(self) -> "_Residency":
-        return _Residency({proc: list(pieces) for proc, pieces in self.by_proc.items()})
+        new = _Residency()
+        new.by_proc = {proc: list(pieces) for proc, pieces in self.by_proc.items()}
+        new.vol, new.keys, new.ents = dict(self.vol), list(self.keys), list(self.ents)
+        new.span = self.span
+        return new
+
+    def _window(self, subset: IndexSubset) -> Tuple[int, int, int]:
+        """``(i, j, a)``: ``keys[i:j]`` holds every piece overlapping
+        ``subset``'s leading extent ``[a, b]`` — those with ``end >= a``."""
+        a, b = leading_extent(subset)
+        if self.span is None:
+            self.span = max((e - k[0] for k, (e, _) in zip(self.keys, self.ents)), default=0)
+        return bisect_left(self.keys, (a - self.span,)), bisect_left(self.keys, (b + 1,)), a
+
+    def _on(self, proc: int, needed: IndexSubset) -> List[IndexSubset]:
+        """``proc``'s pieces that may overlap ``needed``: its own list or
+        the index window, whichever is shorter."""
+        pieces = self.by_proc.get(proc, [])
+        i, j, a = self._window(needed)
+        if j - i >= len(pieces):
+            return pieces
+        return [e[1] for k, e in zip(self.keys[i:j], self.ents[i:j]) if k[1] == proc and e[0] >= a]
 
     def covered_volume(self, proc: int, needed: IndexSubset) -> int:
-        pieces = self.by_proc.get(proc, [])
-        if not pieces or needed.empty:
+        if needed.empty:
             return 0
-        overlaps = [intersect_subsets(p, needed) for p in pieces]
+        overlaps = [intersect_subsets(p, needed) for p in self._on(proc, needed)]
         return union_subsets(overlaps).volume
 
     def missing_subset(self, proc: int, needed: IndexSubset) -> IndexSubset:
-        pieces = self.by_proc.get(proc, [])
         if needed.empty:
             return EMPTY
-        if not pieces:
-            return needed
+        pieces = self._on(proc, needed)
+        if any(p is needed or isinstance(p, RectSubset) and isinstance(needed, RectSubset)
+               and p.rect.contains_rect(needed.rect) for p in pieces):
+            return EMPTY  # held whole: what the algebra below would conclude
         covered = union_subsets([intersect_subsets(p, needed) for p in pieces])
         return subtract_subsets(needed, covered)
 
     def add(self, proc: int, subset: IndexSubset) -> None:
-        if subset.empty:
+        vol = subset.volume
+        if not vol:
             return
-        pieces = self.by_proc.setdefault(proc, [])
+        start, end = leading_extent(subset)
+        key = (start, proc)
+        i, j = bisect_left(self.keys, key), bisect_right(self.keys, key)
         # Skip exact duplicates so steady-state launches leave residency at
-        # a fixpoint.
-        if not _holds(pieces, subset):
-            pieces.append(subset)
+        # a fixpoint; an equal piece has the same key.
+        if any(_same(p, subset) for _, p in self.ents[i:j]):
+            return
+        self.keys.insert(j, key)
+        self.ents.insert(j, (end, subset))
+        self.by_proc.setdefault(proc, []).append(subset)
+        self.vol[proc] = self.vol.get(proc, 0) + vol
+        if self.span is not None and end - start > self.span:
+            self.span = end - start
 
     def invalidate_others(self, writer: int, subset: IndexSubset) -> None:
-        for proc, pieces in list(self.by_proc.items()):
-            if proc == writer or not any(subsets_overlap(p, subset) for p in pieces):
-                continue
-            kept = [p for p in pieces if not subsets_overlap(p, subset)]
+        i, j, a = self._window(subset)
+        drop = [n for n in range(i, j) if self.keys[n][1] != writer
+                and self.ents[n][0] >= a and subsets_overlap(self.ents[n][1], subset)]
+        gone: Dict[int, set] = {}
+        for n in reversed(drop):
+            (start, proc), (end, piece) = self.keys.pop(n), self.ents.pop(n)
+            gone.setdefault(proc, set()).add(id(piece))
+            self.vol[proc] -= piece.volume
+            if end - start == self.span:
+                self.span = None
+        for proc, ids in gone.items():
+            kept = [p for p in self.by_proc[proc] if id(p) not in ids]
             if kept:
                 self.by_proc[proc] = kept
             else:
-                del self.by_proc[proc]
-
-    def resident_bytes(self, proc: int, itemsize: int, row_width: int) -> float:
-        pieces = self.by_proc.get(proc, [])
-        if not pieces:
-            return 0.0
-        return float(union_subsets(pieces).volume) * itemsize * row_width
+                del self.by_proc[proc], self.vol[proc]
 
 
 @dataclass
@@ -203,9 +253,8 @@ class MappingTrace:
     the staging and output-coherence analysis emitted (in order);
     ``residency_after`` is the residency table the launch left behind — a
     shared value a replay installs as the live table and nothing writes;
-    ``post_state`` is the symbolic
-    state token the runtime transitions to, which lets a *chain* of
-    launches replay end-to-end.
+    ``post_state`` is the symbolic state token the runtime transitions to,
+    which lets a *chain* of launches replay end-to-end.
     """
 
     procs: List[int]
@@ -303,6 +352,8 @@ class Runtime:
         #: the first reset after a ``place*`` (``_homes_changed`` drops it).
         self._homes_table: Optional[Dict[int, _Residency]] = None
         self._home: Dict[int, List[Tuple[IndexSubset, int]]] = {}
+        #: ``(uid, proc, type, subset)`` of every entry in ``_home``.
+        self._homed: set = set()
         self._traces: Dict[Tuple, MappingTrace] = {}
         self._copy_traces: Dict[Tuple, _CopyTrace] = {}
         self._homes_version = 0
@@ -325,15 +376,32 @@ class Runtime:
             self._mark_dirty()
 
     # -- data placement -----------------------------------------------------
-    def _add_home(self, region: Region, subset: IndexSubset, proc: int) -> None:
+    def _add_home(self, uid: int, subset: IndexSubset, proc: int) -> None:
         """Record ``subset`` as homed on ``proc`` unless that pair already
-        is.  Every kernel placed on this runtime re-declares the homes of
-        its operands, and every reset, staging pass and owner lookup walks
-        the list; first occurrences keep their order, so owner
-        tie-breaking is that of the first placement."""
-        homes = self._home.setdefault(region.uid, [])
-        if not _holds([s for s, p in homes if p == proc], subset):
-            homes.append((subset, proc))
+        is (same-type equality, looked up in ``_homed``).  Every kernel
+        placed on this runtime re-declares the homes of its operands, and
+        every reset, staging pass and owner lookup walks the list; first
+        occurrences keep their order, so owner tie-breaking is that of the
+        first placement."""
+        key = (uid, proc, type(subset), subset)
+        if key not in self._homed:
+            self._homed.add(key)
+            self._home.setdefault(uid, []).append((subset, proc))
+
+    def copy_homes(self, source: "Runtime", regions: Sequence[Region]) -> None:
+        """Declare ``regions`` homed as ``source`` has them, in its order
+        (so owner tie-breaking is ``source``'s) — how a scratch runtime
+        sees operands another runtime placed."""
+        for region in regions:
+            for subset, proc in source._home.get(region.uid, ()):
+                self._add_home(region.uid, subset, proc)
+        self._homes_changed()
+
+    def _res(self, uid: int) -> _Residency:
+        res = self._residency.get(uid)
+        if res is None:
+            res = self._residency[uid] = _Residency()
+        return res
 
     def place(
         self,
@@ -342,34 +410,30 @@ class Runtime:
         proc_map: Optional[Callable[[Color], int]] = None,
     ) -> None:
         """Declare the initial distribution of a region (its home placement)."""
-        self._unshare_residency()
-        res = self._residency.setdefault(region.uid, _Residency())
-        for i, (color, subset) in enumerate(partition.items()):
-            proc = proc_map(color) if proc_map else self._default_proc(color, i)
-            res.add(proc, subset)
-            self._add_home(region, subset, proc)
-        self._homes_changed()
-        self._check_capacity_all(region)
+        self._place_pieces(region, [
+            (subset, proc_map(color) if proc_map else self._default_proc(color, i))
+            for i, (color, subset) in enumerate(partition.items())
+        ])
 
     def place_replicated(self, region: Region) -> None:
         """Place a full valid copy of the region on every processor."""
-        self._unshare_residency()
-        res = self._residency.setdefault(region.uid, _Residency())
         full = region.ispace.full_subset()
-        for p in range(self.machine.size):
-            res.add(p, full)
-            self._add_home(region, full, p)
-        self._homes_changed()
-        self._check_capacity_all(region)
+        self._place_pieces(region, [(full, p) for p in range(self.machine.size)])
 
     def place_on(self, region: Region, proc: int) -> None:
         """Place the whole region on a single processor."""
+        self._place_pieces(region, [(region.ispace.full_subset(), proc)], check=False)
+
+    def _place_pieces(self, region: Region, pieces, check: bool = True) -> None:
+        """Make each ``(subset, proc)`` resident and a home of ``region``."""
         self._unshare_residency()
-        res = self._residency.setdefault(region.uid, _Residency())
-        full = region.ispace.full_subset()
-        res.add(proc, full)
-        self._add_home(region, full, proc)
+        res = self._res(region.uid)
+        for subset, proc in pieces:
+            res.add(proc, subset)
+            self._add_home(region.uid, subset, proc)
         self._homes_changed()
+        if check:
+            self._check_capacity_all(region)
 
     def _default_proc(self, color: Color, ordinal: int) -> int:
         if isinstance(color, (int, np.integer, tuple)):
@@ -377,13 +441,10 @@ class Runtime:
         return ordinal % self.machine.size
 
     def _owner_of(self, region: Region, needed: IndexSubset, requester: int) -> int:
-        homes = self._home.get(region.uid, [])
-        best, best_overlap = 0, -1
-        for subset, proc in homes:
-            ov = intersect_subsets(subset, needed).volume
-            if ov > best_overlap:
-                best, best_overlap = proc, ov
-        return best
+        """The first home with the largest overlap (processor 0 if none)."""
+        homes = self._home.get(region.uid, ())
+        return max(homes, key=lambda h: intersect_subsets(h[0], needed).volume,
+                   default=(None, 0))[1]
 
     # -- launches -------------------------------------------------------------
     def index_launch(
@@ -430,18 +491,9 @@ class Runtime:
             self._mark_dirty()
         else:
             trace_key = (
-                self._state,
-                name,
-                tuple(colors),
-                tuple(
-                    (
-                        req.region.uid,
-                        id(req.partition) if req.partition is not None else None,
-                        req.privilege.value,
-                        req.streamed,
-                    )
-                    for req in reqs
-                ),
+                self._state, name, tuple(colors),
+                tuple(_req_sig(r.region.uid, r.partition, r.privilege.value, r.streamed)
+                      for r in reqs),
                 tuple(procs),
                 tuple(scratch_bytes(c) for c in colors) if scratch_bytes else None,
             )
@@ -470,27 +522,27 @@ class Runtime:
             self._mark_dirty()
             raise
         if trace_key is not None:
-            after = self._residency
-            self._residency_shared = True  # the trace holds it from here on
-            if self._snapshots_equal(before, after):
-                # The launch left residency unchanged (a steady-state loop
-                # with resident data): self-loop so the next identical
-                # launch replays instead of recording forever.
-                post_state = self._state
-            else:
-                post_state = ("post", next(self._state_counter))
-            if len(self._traces) >= 512:  # runaway-recording backstop
-                self._traces.clear()
-            self._traces[trace_key] = MappingTrace(
-                procs=procs,
-                events_per_color=events_per_color,
-                residency_after=after,
-                post_state=post_state,
-                pinned=tuple(req.partition for req in reqs),
-            )
-            self._state = post_state
-            self.trace_records += 1
+            self._record(self._traces, trace_key, before, lambda after, post: MappingTrace(
+                procs, events_per_color, after, post, tuple(req.partition for req in reqs)))
         return step
+
+    def _record(self, traces: Dict, key: Tuple, before, make: Callable) -> None:
+        """File the trace ``make(after, post_state)`` of the write that
+        turned ``before`` into the live table, which the trace holds from
+        here on.  A write that changed nothing (a steady-state loop over
+        resident data) self-loops, so its repeat replays instead of
+        recording forever."""
+        after = self._residency
+        self._residency_shared = True
+        if self._snapshots_equal(before, after):
+            post_state = self._state
+        else:
+            post_state = ("post", next(self._state_counter))
+        if len(traces) >= 512:  # runaway-recording backstop
+            traces.clear()
+        traces[key] = make(after, post_state)
+        self._state = post_state
+        self.trace_records += 1
 
     def _replay_launch(
         self,
@@ -534,20 +586,11 @@ class Runtime:
     def _snapshots_equal(a, b) -> bool:
         """Structural equality of two residency snapshots (identity-first
         element compare; cross-type subset equality is never attempted)."""
-        if a.keys() != b.keys():
-            return False
-        for uid, res_a in a.items():
-            procs_b = b[uid].by_proc
-            if res_a.by_proc.keys() != procs_b.keys():
-                return False
-            for proc, la in res_a.by_proc.items():
-                lb = procs_b[proc]
-                if len(la) != len(lb):
-                    return False
-                for x, y in zip(la, lb):
-                    if x is not y and not (type(x) is type(y) and x == y):
-                        return False
-        return True
+        def same_lists(pa, pb):
+            return pa.keys() == pb.keys() and all(
+                len(la) == len(pb[p]) and all(map(_same, la, pb[p])) for p, la in pa.items())
+
+        return a.keys() == b.keys() and all(same_lists(a[u].by_proc, b[u].by_proc) for u in a)
 
     def _restore_residency(self, snapshot: Dict[int, _Residency]) -> None:
         """Install a recorded table as the live one.  It stays the
@@ -577,16 +620,12 @@ class Runtime:
             needed = req.subset_for(color)
             if needed.empty:
                 continue
-            res = self._residency.setdefault(req.region.uid, _Residency())
+            res = self._res(req.region.uid)
             if req.streamed:
                 # Stream in rounds sized to a fraction of device memory;
                 # nothing stays resident, so the full volume is re-sent on
                 # every trial (extra messages vs a one-shot gather).
-                nbytes = (
-                    needed.volume
-                    * req.region.data.dtype.itemsize
-                    * req.region._row_width()
-                )
+                nbytes = req.region.subset_nbytes(needed)
                 chunk = 0.2 * self.machine.proc(proc).mem_bytes
                 rounds = max(1, int(np.ceil(nbytes / max(chunk, 1.0))))
                 src = self._owner_of(req.region, needed, proc)
@@ -596,10 +635,8 @@ class Runtime:
                               f"stream {req.region.name}")
                     )
                 continue
-            missing = res.missing_subset(proc, needed)
-            if not missing.empty:
-                itembytes = req.region.data.dtype.itemsize * req.region._row_width()
-                remaining = missing
+            remaining = res.missing_subset(proc, needed)
+            if not remaining.empty:
                 homes = self._home.get(req.region.uid, [])
                 for subset, home_proc in homes:
                     if home_proc == proc or remaining.empty:
@@ -608,7 +645,7 @@ class Runtime:
                     if got.empty:
                         continue
                     step.comm_events.append(
-                        _comm(home_proc, proc, got.volume * itembytes,
+                        _comm(home_proc, proc, req.region.subset_nbytes(got),
                               self.machine, f"stage {req.region.name}")
                     )
                     remaining = subtract_subsets(remaining, got)
@@ -618,7 +655,7 @@ class Runtime:
                     src = self._owner_of(req.region, needed, proc)
                     if src != proc:
                         step.comm_events.append(
-                            _comm(src, proc, remaining.volume * itembytes,
+                            _comm(src, proc, req.region.subset_nbytes(remaining),
                                   self.machine, f"stage {req.region.name}")
                         )
                 res.add(proc, needed)
@@ -628,10 +665,12 @@ class Runtime:
         self, step: StepMetrics, color: Color, proc: int, reqs: Sequence[RegionReq]
     ) -> None:
         for req in reqs:
+            if req.privilege is Privilege.READ_ONLY:
+                continue  # staging made its table; a read changes nothing
             needed = req.subset_for(color)
             if needed.empty:
                 continue
-            res = self._residency.setdefault(req.region.uid, _Residency())
+            res = self._res(req.region.uid)
             if req.privilege in (Privilege.WRITE_DISCARD, Privilege.READ_WRITE):
                 res.invalidate_others(proc, needed)
                 res.add(proc, needed)
@@ -648,11 +687,7 @@ class Runtime:
                     overlap = intersect_subsets(subset, needed)
                     if overlap.empty:
                         continue
-                    nbytes = (
-                        overlap.volume
-                        * req.region.data.dtype.itemsize
-                        * req.region._row_width()
-                    )
+                    nbytes = req.region.subset_nbytes(overlap)
                     sent[home_proc] = max(sent.get(home_proc, 0.0), nbytes)
                 for home_proc, nbytes in sent.items():
                     step.comm_events.append(
@@ -702,33 +737,13 @@ class Runtime:
         except BaseException:
             self._mark_dirty()  # partial copy (e.g. OOM): unknown residency
             raise
-        after = self._residency
-        self._residency_shared = True  # the trace holds it from here on
-        if self._snapshots_equal(before, after):
-            post_state = self._state  # already covered: a self-loop
-        else:
-            post_state = ("post", next(self._state_counter))
-        if len(self._copy_traces) >= 512:  # runaway-recording backstop
-            self._copy_traces.clear()
-        self._copy_traces[key] = _CopyTrace(
-            events=tuple(step.comm_events[mark:]),
-            residency_after=after,
-            post_state=post_state,
-            pinned=(region, subset),
-        )
-        self._state = post_state
-        self.trace_records += 1
+        self._record(self._copy_traces, key, before, lambda after, post: _CopyTrace(
+            tuple(step.comm_events[mark:]), after, post, (region, subset)))
 
-    def _copy_uncached(
-        self,
-        step: StepMetrics,
-        region: Region,
-        subset: IndexSubset,
-        dst_proc: int,
-        reason: str,
-    ) -> None:
+    def _copy_uncached(self, step: StepMetrics, region: Region, subset: IndexSubset,
+                       dst_proc: int, reason: str) -> None:
         self._unshare_residency()
-        res = self._residency.setdefault(region.uid, _Residency())
+        res = self._res(region.uid)
         covered = res.covered_volume(dst_proc, subset)
         missing = subset.volume - covered
         if missing <= 0:
@@ -740,19 +755,21 @@ class Runtime:
         self._check_capacity(region, dst_proc)
 
     # -- capacity ---------------------------------------------------------------
-    def _check_capacity(self, region: Region, proc: int) -> None:
+    def _check_capacity(self, region: Region, proc: int,
+                        total: Optional[float] = None) -> None:
+        """Raise :class:`OOMError` if ``proc`` holds more than its memory:
+        8 bytes (approx itemsize) per element of every resident piece, read
+        from the regions' running totals (``total``: already summed)."""
+        if total is None:
+            total = sum(res.vol.get(proc, 0) * 8.0 for res in self._residency.values())
         p = self.machine.proc(proc)
-        total = 0.0
-        for uid, res in self._residency.items():
-            pieces = res.by_proc.get(proc)
-            if pieces:
-                total += sum(s.volume for s in pieces) * 8.0  # approx itemsize
         if total > p.mem_bytes:
             raise OOMError(proc, total, p.mem_bytes, what=f"staging {region.name}")
 
     def _check_capacity_all(self, region: Region) -> None:
+        totals = self.resident_bytes_per_proc()
         for proc in {pr for res in self._residency.values() for pr in res.by_proc}:
-            self._check_capacity(region, proc)
+            self._check_capacity(region, proc, totals[proc])
 
     def resident_bytes_per_proc(self) -> Dict[int, float]:
         """Resident bytes per processor, under the capacity model's
@@ -765,24 +782,15 @@ class Runtime:
         """
         out: Dict[int, float] = {}
         for res in self._residency.values():
-            for proc, pieces in res.by_proc.items():
-                if pieces:
-                    out[proc] = (
-                        out.get(proc, 0.0)
-                        + sum(s.volume for s in pieces) * 8.0
-                    )
+            for proc, vol in res.vol.items():
+                out[proc] = out.get(proc, 0.0) + vol * 8.0
         return out
 
     def _check_scratch(
         self, proc: int, scratch: float, reqs: Sequence[RegionReq], color: Color
     ) -> None:
         p = self.machine.proc(proc)
-        resident = sum(
-            req.subset_for(color).volume
-            * req.region.data.dtype.itemsize
-            * req.region._row_width()
-            for req in reqs
-        )
+        resident = sum(req.region.subset_nbytes(req.subset_for(color)) for req in reqs)
         if resident + scratch > p.mem_bytes:
             raise OOMError(proc, resident + scratch, p.mem_bytes, what="task scratch")
 
@@ -806,11 +814,18 @@ class Runtime:
         """
         if self.metrics_limit and len(self.metrics.steps) > self.metrics_limit:
             self.trim_metrics()
+        if self._homes_table is None and self._state[0] == "clean" \
+                and self._residency.keys() == self._home.keys():
+            # A clean state stands for "residency == homes" (its traces
+            # replay from the memo), so the live table is the memo.
+            self._homes_table = self._residency
         if self._homes_table is None:
-            self._homes_table = {uid: _Residency() for uid in self._home}
+            self._residency = {}  # a new table, built in place
             for uid, homes in self._home.items():
+                res = self._res(uid)
                 for subset, proc in homes:
-                    self._homes_table[uid].add(proc, subset)
+                    res.add(proc, subset)
+            self._homes_table = self._residency
         self._restore_residency(self._homes_table)
         self._state = ("clean", self._homes_version)
 
@@ -874,12 +889,8 @@ class Runtime:
         counts.  :meth:`repro.api.session.Session.stats` folds these into
         the session-wide amortization report next to the compiler caches.
         """
-        return {
-            "trace_hits": self.trace_hits,
-            "trace_records": self.trace_records,
-            "traces": len(self._traces),
-            "copy_traces": len(self._copy_traces),
-        }
+        return {"trace_hits": self.trace_hits, "trace_records": self.trace_records,
+                "traces": len(self._traces), "copy_traces": len(self._copy_traces)}
 
     def reset_metrics(self) -> ExecutionMetrics:
         out = self.metrics
@@ -892,11 +903,8 @@ class Runtime:
         symbolic state and recorded traces.  Metrics and hit counters start
         fresh in the loading process — a warm-started run measures its own
         executions, not the saving process's history."""
-        state = self.__dict__.copy()
-        state["metrics"] = ExecutionMetrics()
-        state["trace_hits"] = 0
-        state["trace_records"] = 0
-        return state
+        return {**self.__dict__, "metrics": ExecutionMetrics(),
+                "trace_hits": 0, "trace_records": 0}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
@@ -909,32 +917,26 @@ class Runtime:
 
     @staticmethod
     def _rekeyed_traces(traces: Dict[Tuple, MappingTrace]) -> Dict[Tuple, MappingTrace]:
-        out: Dict[Tuple, MappingTrace] = {}
-        for key, trace in traces.items():
-            st, name, colors, reqsigs, procs, scratch = key
-            if len(trace.pinned) != len(reqsigs):
-                continue  # cannot re-anchor: drop (the launch re-records)
-            new_sigs = tuple(
-                (
-                    uid,
-                    id(part) if pid is not None and part is not None else None,
-                    priv,
-                    streamed,
-                )
-                for (uid, pid, priv, streamed), part in zip(reqsigs, trace.pinned)
-            )
-            out[(st, name, colors, new_sigs, procs, scratch)] = trace
-        return out
+        # A trace whose pins do not match its key cannot be re-anchored: it
+        # is dropped, and the launch re-records.
+        return {
+            (st, name, colors, tuple(
+                _req_sig(uid, part if pid is not None else None, priv, streamed)
+                for (uid, pid, priv, streamed), part in zip(sigs, trace.pinned)
+            ), procs, scratch): trace
+            for (st, name, colors, sigs, procs, scratch), trace in traces.items()
+            if len(trace.pinned) == len(sigs)
+        }
 
     @staticmethod
     def _rekeyed_copy_traces(traces: Dict[Tuple, _CopyTrace]) -> Dict[Tuple, _CopyTrace]:
-        out: Dict[Tuple, _CopyTrace] = {}
-        for key, trace in traces.items():
-            st, uid, _old_sig, dst = key
-            if len(trace.pinned) != 2:
-                continue
-            out[(st, uid, _subset_sig(trace.pinned[1]), dst)] = trace
-        return out
+        return {(st, uid, _subset_sig(trace.pinned[1]), dst): trace
+                for (st, uid, _, dst), trace in traces.items() if len(trace.pinned) == 2}
+
+
+def _req_sig(uid: int, partition: Optional[Partition], priv: str, streamed: bool) -> Tuple:
+    """A region requirement as a trace key holds it (partitions by ``id``)."""
+    return (uid, None if partition is None else id(partition), priv, streamed)
 
 
 def _subset_sig(subset: IndexSubset) -> Tuple:
@@ -948,8 +950,5 @@ def _subset_sig(subset: IndexSubset) -> Tuple:
 
 
 def _comm(src: int, dst: int, nbytes: float, machine: Machine, reason: str):
-    from .metrics import CommEvent
-
-    if src == dst:
-        nbytes = 0.0
-    return CommEvent(src, dst, nbytes, machine.same_node(src, dst), reason)
+    return CommEvent(src, dst, 0.0 if src == dst else nbytes,
+                     machine.same_node(src, dst), reason)

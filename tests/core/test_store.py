@@ -102,8 +102,9 @@ class TestManifest:
             read_manifest(tmp_path / "nowhere")
 
     # 3: the last code-carrying one; 4: tensors pickled a whole Assignment;
-    # 5: level formats pickled a ``compressed`` flag, not their level class
-    @pytest.mark.parametrize("found", [99, 3, 4, 5])
+    # 5: level formats pickled a ``compressed`` flag, not their level class;
+    # 6: residency tables pickled without their piece index
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -115,7 +116,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (6, found)
+        assert (exc.value.expected, exc.value.found) == (7, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()

@@ -107,6 +107,41 @@ class TestPlacement:
         assert B.vals.uid in rt._home
         assert len(rt._home[B.vals.uid]) == 4
 
+    def test_prediction_is_exact_for_a_tdn_placed_operand(self):
+        """The planner's scratch runtime takes B's homes from the session
+        runtime (``Runtime.copy_homes``): a two-statement program over a
+        non-zero-split B predicts every staging event exactly, and seeding
+        B's homes once per statement does not duplicate them."""
+        from repro.analysis import predict_metrics
+        from repro.analysis.commplan import _seed_tdn_homes, measured_signature
+        from repro.api.autoschedule import auto_schedule
+        from repro.core import compile_program
+        from repro.legion.metrics import ExecutionMetrics
+        from repro.taco import index_vars
+
+        m = Machine.cpu(4)
+        B = Tensor.from_scipy("B", sp.random(40, 40, density=0.15, format="csr",
+                                             random_state=3), CSR)
+        x = Tensor.from_dense("x", rng.random(40))
+        y, z = Tensor.zeros("y", (40,)), Tensor.zeros("z", (40,))
+        rt = Runtime(m)
+        place_tensor(B, parse_tdn("B(x, y) [x y -> f] -> M(~f)"), m, rt)
+        i, j, i2, j2 = index_vars("i j i2 j2")
+        y[i] = B[i, j] * x[j]
+        z[i2] = B[i2, j2] * y[j2]
+        prog = compile_program(
+            [auto_schedule(t.assignment, m) for t in (y, z)], m)
+        predicted = predict_metrics(prog, runtime=rt)
+        res = prog.execute(rt)
+        steps = [s for r in res.results for s in r.metrics.steps]
+        measured = measured_signature(ExecutionMetrics(steps=steps), rt)
+        assert predicted == measured
+        assert sum(len(s.comm_events) for s in steps) > 0  # B really moves
+        scratch = Runtime(m)
+        for ck in prog.kernels:
+            _seed_tdn_homes(ck, scratch, rt)
+        assert scratch._home[B.vals.uid] == rt._home[B.vals.uid]
+
     def test_nbytes_per_piece(self):
         B = skewed_matrix()
         d = distribute(B, "B(x, y) -> M(x)", Machine.cpu(4))

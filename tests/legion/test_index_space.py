@@ -146,6 +146,41 @@ class TestSubsets:
         assert subtract_subsets(a, cover).empty
         assert subtract_subsets(a, partial) is a  # conservative
 
+    def test_union_nd_touching_row_blocks_is_an_nd_rect(self):
+        # Two row blocks of one column window: the union is exactly a rect,
+        # of the operands' rank (not a 1-D rect over rows only).
+        top = RectSubset(Rect((0, 0), (4, 3)))
+        bottom = RectSubset(Rect((5, 0), (9, 3)))
+        for order in ([top, bottom], [bottom, top]):
+            u = union_subsets(order)
+            assert isinstance(u, RectSubset) and u.rect == Rect((0, 0), (9, 3))
+        # ... so a subtraction compares every axis, not just rows
+        wide = RectSubset(Rect((0, 0), (9, 7)))
+        assert subtract_subsets(wide, union_subsets([top, bottom])) is wide
+        assert subtract_subsets(RectSubset(Rect((2, 1), (8, 3))),
+                                union_subsets([top, bottom])).empty
+        # two column windows of one row block merge the same way
+        left, right = RectSubset(Rect((0, 0), (4, 3))), RectSubset(Rect((0, 4), (4, 7)))
+        assert union_subsets([right, left]).rect == Rect((0, 0), (4, 7))
+
+    def test_union_nd_with_a_gap_under_approximates(self):
+        # Row blocks with a gap are no rect: the largest merged block stands
+        # for the union (no bare ValueError), so a subtraction never treats
+        # the gap as covered.
+        a = RectSubset(Rect((0, 0), (2, 3)))
+        b = RectSubset(Rect((6, 0), (9, 3)))
+        u = union_subsets([a, b])
+        assert isinstance(u, RectSubset) and u.rect == b.rect
+        assert union_subsets([b, a]).rect == b.rect  # order-independent
+        whole = RectSubset(Rect((0, 0), (9, 3)))
+        assert subtract_subsets(whole, u) is whole
+        # windows that do not line up: also under-approximated
+        skew = union_subsets([RectSubset(Rect((0, 0), (4, 1))),
+                              RectSubset(Rect((5, 2), (9, 3)))])
+        assert skew.volume == 10 and skew.rect.ndim == 2
+        with pytest.raises(ValueError, match="rank mismatch"):
+            union_subsets([a, RectSubset(Rect(0, 3))])
+
 
 @st.composite
 def subsets(draw):

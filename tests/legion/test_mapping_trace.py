@@ -542,7 +542,7 @@ class TestSharedResidencyTables:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("_holds", "intersect_subsets", "union_subsets",
+        for name in ("_same", "intersect_subsets", "union_subsets",
                      "subtract_subsets", "subsets_overlap"):
             counted(runtime_mod, name)
         for name in ("add", "copy", "invalidate_others", "missing_subset"):

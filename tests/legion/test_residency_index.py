@@ -1,0 +1,333 @@
+"""The residency piece index against the list-scan table it replaced.
+
+``ListRuntime`` keeps the per-processor list semantics the index must
+reproduce: every query scans every piece of every processor, capacity
+re-sums every piece, homes deduplicate by scanning their list.  Generated
+call sequences drive it and a :class:`Runtime` side by side and compare,
+after every call, the communication, the resident bytes, the OOM point, the
+trace counters and the tables piece for piece.
+"""
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import OOMError
+from repro.legion import (
+    ArraySubset,
+    IndexSpace,
+    Machine,
+    NodeSpec,
+    Partition,
+    Privilege,
+    Rect,
+    RectSubset,
+    Region,
+    RegionReq,
+    Runtime,
+    Work,
+    equal_partition,
+)
+from repro.legion import runtime as runtime_mod
+from repro.legion.index_space import (
+    EMPTY,
+    intersect_subsets,
+    leading_extent,
+    subsets_overlap,
+    subtract_subsets,
+    union_subsets,
+)
+
+
+def _holds(pieces, subset):
+    for p in pieces:
+        if p is subset or (type(p) is type(subset) and p == subset):
+            return True
+    return False
+
+
+class ListResidency:
+    """The list-scan residency table, as it was before the piece index."""
+
+    def __init__(self, by_proc=None):
+        self.by_proc = {} if by_proc is None else by_proc
+
+    def copy(self):
+        return ListResidency({proc: list(pieces) for proc, pieces in self.by_proc.items()})
+
+    def covered_volume(self, proc, needed):
+        pieces = self.by_proc.get(proc, [])
+        if not pieces or needed.empty:
+            return 0
+        return union_subsets([intersect_subsets(p, needed) for p in pieces]).volume
+
+    def missing_subset(self, proc, needed):
+        pieces = self.by_proc.get(proc, [])
+        if needed.empty:
+            return EMPTY
+        if not pieces:
+            return needed
+        covered = union_subsets([intersect_subsets(p, needed) for p in pieces])
+        return subtract_subsets(needed, covered)
+
+    def add(self, proc, subset):
+        if subset.empty:
+            return
+        pieces = self.by_proc.setdefault(proc, [])
+        if not _holds(pieces, subset):
+            pieces.append(subset)
+
+    def invalidate_others(self, writer, subset):
+        for proc, pieces in list(self.by_proc.items()):
+            if proc == writer or not any(subsets_overlap(p, subset) for p in pieces):
+                continue
+            kept = [p for p in pieces if not subsets_overlap(p, subset)]
+            if kept:
+                self.by_proc[proc] = kept
+            else:
+                del self.by_proc[proc]
+
+
+class ListRuntime(Runtime):
+    """A :class:`Runtime` over :class:`ListResidency`, summing capacity from
+    the pieces and deduplicating homes by scanning them."""
+
+    def _res(self, uid):
+        return self._residency.setdefault(uid, ListResidency())
+
+    def _add_home(self, uid, subset, proc):
+        homes = self._home.setdefault(uid, [])
+        if not _holds([s for s, p in homes if p == proc], subset):
+            homes.append((subset, proc))
+
+    def _check_capacity(self, region, proc, total=None):
+        p = self.machine.proc(proc)
+        total = 0.0
+        for res in self._residency.values():
+            pieces = res.by_proc.get(proc)
+            if pieces:
+                total += sum(s.volume for s in pieces) * 8.0
+        if total > p.mem_bytes:
+            raise OOMError(proc, total, p.mem_bytes, what=f"staging {region.name}")
+
+    def _check_capacity_all(self, region):
+        for proc in {pr for res in self._residency.values() for pr in res.by_proc}:
+            self._check_capacity(region, proc)
+
+    def resident_bytes_per_proc(self):
+        out = {}
+        for res in self._residency.values():
+            for proc, pieces in res.by_proc.items():
+                if pieces:
+                    out[proc] = out.get(proc, 0.0) + sum(s.volume for s in pieces) * 8.0
+        return out
+
+
+def assert_index_consistent(res):
+    """The index, the running totals and the lists hold the same pieces."""
+    listed = sorted((leading_extent(p)[0], proc, id(p))
+                    for proc, pieces in res.by_proc.items() for p in pieces)
+    indexed = sorted((k[0], k[1], id(e[1])) for k, e in zip(res.keys, res.ents))
+    assert listed == indexed and res.keys == sorted(res.keys)
+    assert all(e[0] == leading_extent(e[1])[1] for e in res.ents)
+    assert res.vol == {proc: sum(p.volume for p in pieces)
+                       for proc, pieces in res.by_proc.items()}
+    assert list(res.vol) == list(res.by_proc)
+    if res.span is not None:
+        assert all(e[0] - k[0] <= res.span for k, e in zip(res.keys, res.ents))
+
+
+def homes_only(rt):
+    """The table a reset must install, rebuilt from the homes."""
+    table = {uid: ListResidency() for uid in rt._home}
+    for uid, pieces in rt._home.items():
+        for subset, proc in pieces:
+            table[uid].add(proc, subset)
+    return table
+
+
+def homes(rt):
+    return {u: [(type(s), s, p) for s, p in h] for u, h in rt._home.items()}
+
+
+# --------------------------------------------------------------------------- #
+# generated call sequences
+# --------------------------------------------------------------------------- #
+COLORS = 6
+
+
+def _cuts(draw, n):
+    """COLORS contiguous blocks of [0, n) at drawn cut points (some empty)."""
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=COLORS - 1,
+                                max_size=COLORS - 1)))
+    return list(zip([0] + cuts, cuts + [n]))
+
+
+@st.composite
+def partition_of(draw, region):
+    shape = region.ispace.shape()
+    kind = draw(st.sampled_from(
+        ["equal", "uneven", "array"] if len(shape) == 1 else ["rows", "uneven", "windows"]))
+    if kind == "equal":
+        return equal_partition(region.ispace, COLORS)
+    if kind == "array":
+        subsets = {c: ArraySubset(np.array(draw(st.lists(
+            st.integers(0, shape[0] - 1), min_size=1, max_size=6))))
+            for c in range(COLORS)}
+        return Partition(region.ispace, subsets)
+    blocks = _cuts(draw, shape[0]) if kind == "uneven" else \
+        [(c * shape[0] // COLORS, (c + 1) * shape[0] // COLORS) for c in range(COLORS)]
+    subsets = {}
+    for c, (lo, hi) in enumerate(blocks):
+        if len(shape) == 1:
+            subsets[c] = RectSubset(Rect(lo, hi - 1)) if hi > lo else EMPTY
+            continue
+        # row blocks span every column; "windows" is the grid strategy's
+        # column-windowed pieces (a drawn window per color)
+        c0, c1 = (0, shape[1] - 1)
+        if kind == "windows":
+            c0 = draw(st.integers(0, shape[1] - 1))
+            c1 = draw(st.integers(c0, shape[1] - 1))
+            lo, hi = draw(st.sampled_from([(lo, hi), (0, shape[0])]))
+        subsets[c] = RectSubset(Rect((lo, c0), (hi - 1, c1))) if hi > lo else EMPTY
+    return Partition(region.ispace, subsets)
+
+
+PRIVILEGES = [Privilege.READ_ONLY, Privilege.READ_WRITE,
+              Privilege.WRITE_DISCARD, Privilege.REDUCE]
+
+
+@st.composite
+def scenarios(draw):
+    procs = draw(st.integers(2, 4))
+    dram = draw(st.sampled_from([60.0 * 8, 1e9]))  # tight enough to OOM, or not
+    shapes = draw(st.lists(st.sampled_from([(9,), (20,), (7, 4), (12, 3)]),
+                           min_size=1, max_size=3))
+    regions = [Region(IndexSpace(s)) for s in shapes]
+    parts = [draw(st.lists(partition_of(r), min_size=1, max_size=2)) for r in regions]
+    calls = []
+    for _ in range(draw(st.integers(1, 14))):
+        op = draw(st.sampled_from(
+            ["place", "place_on", "place_replicated", "launch", "launch",
+             "launch", "copy", "reset"]))
+        r = draw(st.integers(0, len(regions) - 1))
+        if op == "place":
+            calls.append((op, r, draw(st.sampled_from(parts[r]))))
+        elif op == "place_on":
+            calls.append((op, r, draw(st.integers(0, procs - 1))))
+        elif op == "launch":
+            reqs = []
+            for ri in draw(st.lists(st.integers(0, len(regions) - 1),
+                                    min_size=1, max_size=3)):
+                part = draw(st.sampled_from(parts[ri] + [None]))
+                priv = draw(st.sampled_from(
+                    PRIVILEGES if part is not None else PRIVILEGES[:1]))
+                reqs.append((ri, part, priv))
+            calls.append((op, reqs, draw(st.integers(0, 2))))
+            if draw(st.booleans()):  # the next trial: a replay
+                calls += [("reset", r), calls[-1]]
+        elif op == "copy":
+            part = draw(st.sampled_from(parts[r]))
+            calls.append((op, r, part[draw(st.integers(0, COLORS - 1))],
+                          draw(st.integers(0, procs - 1))))
+        else:
+            calls.append((op, r))
+    return procs, dram, regions, calls
+
+
+def _run(rt, regions, call):
+    op = call[0]
+    if op == "place":
+        return rt.place(regions[call[1]], call[2])
+    if op == "place_on":
+        return rt.place_on(regions[call[1]], call[2])
+    if op == "place_replicated":
+        return rt.place_replicated(regions[call[1]])
+    if op == "reset":
+        return rt.reset_residency()
+    if op == "copy":
+        step = rt.metrics.new_step("c")
+        rt.copy_subset(step, regions[call[1]], call[2], call[3])
+        return step.comm_events
+    _, reqs, name = call
+    step = rt.index_launch(
+        f"t{name}", range(COLORS), lambda c: Work(1, 1),
+        [RegionReq(regions[ri], part, priv) for ri, part, priv in reqs])
+    return step.comm_events
+
+
+def _outcome(rt, regions, call):
+    try:
+        return ("ok", _run(rt, regions, call))
+    except OOMError as e:
+        return ("oom", e.proc, e.needed, e.capacity, str(e))
+
+
+class TestTwinResidency:
+    @given(scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_index_matches_the_list_scan(self, scenario):
+        procs, dram, regions, calls = scenario
+        machine = Machine.cpu(procs, NodeSpec(dram_bytes=dram))
+        rt, twin = Runtime(machine), ListRuntime(machine)
+        for call in calls:
+            assert _outcome(rt, regions, call) == _outcome(twin, regions, call)
+            assert rt.resident_bytes_per_proc() == twin.resident_bytes_per_proc()
+            assert (rt.trace_records, rt.trace_hits, rt._state) == \
+                   (twin.trace_records, twin.trace_hits, twin._state)
+            assert Runtime._snapshots_equal(rt._residency, twin._residency)
+            assert homes(rt) == homes(twin)
+            for res in rt._residency.values():
+                assert_index_consistent(res)
+            if call[0] == "reset":  # whether built or the live table reused
+                for x in (rt, twin):
+                    assert list(x._residency) == list(x._home)
+                    assert Runtime._snapshots_equal(x._residency, homes_only(x))
+
+
+class TestLaunchGrowsWithPieces:
+    @pytest.mark.parametrize("pieces", [8, 64])
+    def test_recording_write_disjoint_launch(self, pieces, monkeypatch):
+        """A recording launch that reads a partitioned and a replicated
+        region and writes a third disjointly makes O(pieces) overlap tests
+        (the list scan made O(pieces²)), and placing compares a piece only
+        with its duplicate."""
+        rt = Runtime(Machine.cpu(pieces))
+        src, rep, out = (Region(IndexSpace(4 * pieces)) for _ in range(3))
+        part = equal_partition(out.ispace, pieces)
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(runtime_mod, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(runtime_mod, name, wrapper)
+
+        counted("subsets_overlap")
+        counted("_same")
+        rt.place(src, part)
+        rt.place_replicated(rep)
+        rt.place(out, part)
+        rt.place(out, equal_partition(out.ispace, pieces))  # re-declared, equal
+        rt.reset_residency()
+        # each re-declared piece is compared with its duplicate, nothing else
+        assert calls == {"_same": pieces}
+        assert len(rt._home[out.uid]) == pieces
+        reqs = [RegionReq(src, part, Privilege.READ_ONLY),
+                RegionReq(rep, None, Privilege.READ_ONLY),
+                RegionReq(out, part, Privilege.WRITE_DISCARD)]
+        rt.index_launch("w", range(pieces), lambda c: Work(1, 1), reqs)
+        assert rt.trace_records == 1
+        assert calls["subsets_overlap"] <= 2 * pieces
+        # a write that overlaps every replica drops them: still one test per
+        # piece it touches
+        calls.clear()
+        rt.index_launch("r", range(pieces), lambda c: Work(1, 1),
+                        [RegionReq(rep, part, Privilege.WRITE_DISCARD)])
+        assert calls["subsets_overlap"] <= 2 * pieces
+        assert len(rt._residency[rep.uid].by_proc) == pieces
