@@ -253,7 +253,7 @@ def _subset_nbytes(subset) -> int:
     if subset is None:
         return 0
     if isinstance(subset, ArraySubset):
-        return int(subset.indices().nbytes) + 64
+        return int(subset.indices().nbytes) + 64  # nnz: ok the array it holds, no copy
     return 64  # RectSubset / EMPTY: a handful of ints
 
 

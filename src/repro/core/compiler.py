@@ -674,12 +674,7 @@ def _inferred_windows(
             if lvl.is_dense or part.level_positions[level] is None:
                 continue
             for c in colors:
-                subset = part.level_positions[level][c]
-                if subset.empty:
-                    windows[c][mode] = (0, -1)
-                    continue
-                vals = lvl.coord_of(subset.indices())
-                windows[c][mode] = (int(vals.min()), int(vals.max()))
+                windows[c][mode] = lvl.coord_bounds(part.level_positions[level][c])
             found = True
             break
     return windows if found else None

@@ -101,10 +101,9 @@ class KernelClass:
 # pattern helpers shared by the Work models
 # --------------------------------------------------------------------------- #
 def _rows_nnz(pos: np.ndarray, r0: int, r1: int) -> int:
-    """nnz of entries [r0, r1] the way the row-based leaves count it."""
-    lo = pos[r0 : r1 + 1, 0]
-    hi = pos[r0 : r1 + 1, 1]
-    return int(np.maximum(hi - lo + 1, 0).sum())
+    """nnz of entries [r0, r1] of a level :func:`_segments` has checked
+    packed: their lengths (none negative) telescope to one difference."""
+    return int(pos[r1, 1] - pos[r0, 0] + 1)
 
 
 def _owner(starts: np.ndarray, p: int) -> int:
@@ -395,7 +394,7 @@ class _SpMM(KernelSpec):
             if r1 < r0:
                 return Work.zero()
             k = full_k if cols is None else cols[1] - cols[0] + 1
-            return formula(int(pos[r1, 1]) + 1 - int(pos[r0, 0]), r1 - r0 + 1, k)
+            return formula(_rows_nnz(pos, r0, r1), r1 - r0 + 1, k)
 
         return work
 

@@ -98,7 +98,7 @@ class TensorPartition:
             if isinstance(s, RectSubset):
                 lo, hi = s.rect.lo[0], s.rect.hi[0]
             else:
-                idx = s.indices()
+                idx = s.indices()  # nnz: ok an ArraySubset's own array, no copy
                 lo, hi = idx[0], idx[-1]
             out[c] = (int(coord_of(lo)), int(coord_of(hi)))
         return out

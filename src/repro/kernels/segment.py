@@ -58,16 +58,25 @@ def row_of_positions(starts: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 def check_packed(pos: np.ndarray, name: str = "pos") -> None:
     """Raise :class:`~repro.errors.FormatError` unless rect ``pos`` is
-    *packed* — ``hi[k] + 1 == lo[k + 1]``, as ``make_pos_region(counts)``
-    builds it.  The leaves read a segment's end off its successor's start
-    and would mis-slice a hand-built bounds region that leaves a gap."""
-    bad = np.flatnonzero(pos[:-1, 1] + 1 != pos[1:, 0])
-    if bad.size:
-        k = int(bad[0])
+    *packed* — ``hi[k] + 1 == lo[k + 1]`` and no entry of negative length
+    (``hi[k] >= lo[k] - 1``), as ``make_pos_region(counts)`` builds it.
+    The leaves read a segment's end off its successor's start and would
+    mis-slice a hand-built bounds region that leaves a gap or steps back."""
+    lo, hi = pos[:, 0], pos[:, 1]
+    ends = hi + 1
+    gap = ends[:-1] != lo[1:]
+    if gap.any():
+        k = int(gap.argmax())
         raise FormatError(
             f"region {name!r} is not a packed level: entry {k} ends at "
-            f"position {int(pos[k, 1])} but entry {k + 1} starts at "
-            f"{int(pos[k + 1, 0])}"
+            f"position {int(hi[k])} but entry {k + 1} starts at {int(lo[k + 1])}"
+        )
+    short = ends < lo
+    if short.any():
+        k = int(short.argmax())
+        raise FormatError(
+            f"region {name!r} is not a packed level: entry {k} has negative "
+            f"length (starts at {int(lo[k])}, ends at {int(hi[k])})"
         )
 
 

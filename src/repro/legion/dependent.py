@@ -21,16 +21,7 @@ from typing import Dict, Union
 
 import numpy as np
 
-from .index_space import (
-    EMPTY,
-    ArraySubset,
-    IndexSpace,
-    IndexSubset,
-    Rect,
-    RectSubset,
-    subset_from_indices,
-    union_subsets,
-)
+from .index_space import EMPTY, IndexSpace, Rect, RectSubset, _from_sorted_unique
 from .partition import Coloring, Partition
 from .region import RectRegion, Region
 
@@ -73,7 +64,7 @@ def partition_by_value_ranges(
     subsets: Dict = {}
     for color, (lo, hi) in coloring.items():
         mask = (values >= lo) & (values <= hi)
-        subsets[color] = subset_from_indices(np.nonzero(mask)[0])
+        subsets[color] = _from_sorted_unique(np.flatnonzero(mask))
     return Partition(crd.ispace, subsets, name=name or f"byValues({crd.name})")
 
 
@@ -83,6 +74,9 @@ def image(
     """Partition ``dst`` so each color covers the ranges its sources point at.
 
     ``image(S, P_S, D)[c] = union of S[i] for i in P_S[c]`` (paper §III-A).
+    Reads ``S`` only — a colour of a packed ``pos`` costs one check over its
+    rows (:meth:`~repro.legion.region.RectRegion.destination_subset`), never
+    a pass over ``D``.
     """
     dst_ispace = dst.ispace if isinstance(dst, Region) else dst
     subsets: Dict = {}
@@ -106,7 +100,9 @@ def preimage(
 
     ``preimage(S, P_D, D)[c] = { i : S[i] ∩ P_D[c] ≠ ∅ }``.  The result may
     alias (Fig. 6b): a source whose range straddles two colors appears in
-    both, and the runtime keeps the shared copies coherent.
+    both, and the runtime keeps the shared copies coherent.  Reads ``S``
+    (plus an irregular colour's index list); each colour is one mask over
+    ``S``'s entries, whose ascending non-zeros need no sort.
     """
     lo, hi = src.lo, src.hi
     nonempty = hi >= lo
@@ -123,5 +119,5 @@ def preimage(
             left = np.searchsorted(targets, lo, side="left")
             right = np.searchsorted(targets, hi, side="right")
             mask = nonempty & (right > left)
-        subsets[color] = subset_from_indices(np.nonzero(mask)[0])
+        subsets[color] = _from_sorted_unique(np.flatnonzero(mask))
     return Partition(src.ispace, subsets, name=name or f"preimage({src.name})")

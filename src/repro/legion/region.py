@@ -20,11 +20,13 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .index_space import (
+    EMPTY,
     ArraySubset,
     IndexSpace,
     IndexSubset,
     Rect,
     RectSubset,
+    subset_from_indices,
 )
 
 __all__ = ["Region", "RectRegion", "make_pos_region"]
@@ -225,27 +227,30 @@ class RectRegion(Region):
             self.data[subset.indices()] = values
 
     def destination_subset(self, subset: IndexSubset) -> IndexSubset:
-        """Union of the ranges stored at ``subset`` — i.e. ``image`` payload."""
+        """Union of the ranges stored at ``subset`` — ``image``'s payload.
+
+        Rows that tile one run — each ends where the next starts and none
+        has negative length, as any run of a packed ``pos`` does — cover
+        their first start to their last end: one check over the rows, then
+        two reads.  Other rows union their non-empty ranges.
+        """
         rows = self.subset_view(subset)
         if rows.size == 0:
-            from .index_space import EMPTY
-
             return EMPTY
         los, his = rows[:, 0], rows[:, 1]
+        ends = his + 1
+        if (ends[:-1] == los[1:]).all() and (ends >= los).all():
+            lo, hi = int(los[0]), int(his[-1])
+            return RectSubset(Rect(lo, hi)) if hi >= lo else EMPTY
         nonempty = his >= los
         if not nonempty.any():
-            from .index_space import EMPTY
-
             return EMPTY
         los, his = los[nonempty], his[nonempty]
-        # Fast path: for monotone pos arrays (CSR) the union is one run.
         lo, hi = int(los.min()), int(his.max())
         covered = int((his - los + 1).sum())
         if covered >= hi - lo + 1:
             return RectSubset(Rect(lo, hi))
         pieces = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(los, his)]
-        from .index_space import subset_from_indices
-
         return subset_from_indices(np.concatenate(pieces))
 
     def __repr__(self) -> str:  # pragma: no cover

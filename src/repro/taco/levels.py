@@ -104,6 +104,20 @@ class DenseLevel:
         """Position(s) -> coordinate: the slot's offset under its parent."""
         return positions % self.size
 
+    def coord_bounds(self, subset) -> Tuple[int, int]:
+        """``(min, max)`` coordinate over a subset of positions, ``(0, -1)``
+        when it is empty; a run of positions is bounded arithmetically."""
+        if subset.empty:
+            return 0, -1
+        key = subset.as_slice()
+        if key is None:
+            coords = self.coord_of(subset.indices())
+            return int(coords.min()), int(coords.max())
+        lo, hi = key.start % self.size, (key.stop - 1) % self.size
+        if key.stop - key.start >= self.size or hi < lo:  # wraps a parent
+            return 0, self.size - 1
+        return lo, hi
+
     # -- partitioning (Table I) -------------------------------------------------
     def init_universe_partition(self, site) -> Coloring:
         site.emit("init", f"C_{site.tag} = {{}}")
@@ -248,6 +262,16 @@ class CompressedLevel:
     def coord_of(self, positions):
         """Position(s) -> the stored coordinate."""
         return self.crd.data[positions]
+
+    def coord_bounds(self, subset) -> Tuple[int, int]:
+        """``(min, max)`` coordinate stored over a subset of positions,
+        ``(0, -1)`` when it is empty.  A run of positions is reduced as a
+        view of ``crd`` — nothing is gathered or built beside it."""
+        if subset.empty:
+            return 0, -1
+        key = subset.as_slice()
+        coords = self.crd.data[key] if key is not None else self.coord_of(subset.indices())
+        return int(coords.min()), int(coords.max())
 
     # -- partitioning (Table I) -------------------------------------------------
     def init_universe_partition(self, site) -> Coloring:

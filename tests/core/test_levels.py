@@ -8,10 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import PartitioningPlan, level_functions_for, partition_tensor
+from repro.core.compiler import _inferred_windows
 from repro.errors import CompileError
 from repro.kernels import piece_range
 from repro.legion import Partition, Privilege, Rect, RectSubset
-from repro.taco import CSC, CSR, CSF3, DDC, Compressed, Dense, Format, Tensor
+from repro.legion.index_space import EMPTY, ArraySubset, subset_from_indices
+from repro.taco import (
+    CSC, CSR, CSF3, DDC, Assignment, Compressed, Dense, Format, Tensor, index_vars,
+)
 
 
 def fig7_tensor():
@@ -271,13 +275,10 @@ def brute_force_colours(coord, parent, level, kind, bounds):
     return out
 
 
-def partition_disagreements(T):
-    """Every way ``partition_tensor(T, ...)`` differs from the brute force,
-    over every initial level x {universe, nonzero} x pieces in {1, 3, more
-    than there are positions}."""
-    coord, parent = coordinate_tree(T)
+def partition_cases(T, coord):
+    """``(where, level, kind, bounds, legal)`` for every initial level x
+    {universe, nonzero} x pieces in {1, 3, more than there are positions}."""
     sizes = T.stored_shape()
-    found = []
     for level, lf in enumerate(T.format.levels):
         legal = lf.is_compressed or level == 0 or coord[level - 1].size == 1
         for kind in ("universe", "nonzero"):
@@ -285,30 +286,87 @@ def partition_disagreements(T):
             for pieces in (1, 3, coord[level].size + 2):
                 where = f"{T.format.name}{T.shape} level {level} {kind} / {pieces}"
                 bounds = {c: piece_range(extent, pieces, c) for c in range(pieces)}
-                if not legal:
-                    with pytest.raises(CompileError):
-                        partition_tensor(T, level, kind, bounds)
+                yield where, level, kind, bounds, legal
+
+
+def partition_disagreements(T):
+    """Every way ``partition_tensor(T, ...)`` differs from the brute force,
+    over every :func:`partition_cases` case."""
+    coord, parent = coordinate_tree(T)
+    found = []
+    for where, level, kind, bounds, legal in partition_cases(T, coord):
+        if not legal:
+            with pytest.raises(CompileError):
+                partition_tensor(T, level, kind, bounds)
+            continue
+        part = partition_tensor(T, level, kind, bounds)
+        expected = brute_force_colours(coord, parent, level, kind, bounds)
+        for c, masks in expected.items():
+            for l, mask in enumerate(masks):
+                got = part.level_positions[l][c].indices()
+                if got.tolist() != np.flatnonzero(mask).tolist():
+                    found.append(f"{where}: positions[{l}][{c}] = {got}")
+                if T.format.levels[l].is_dense:
                     continue
-                part = partition_tensor(T, level, kind, bounds)
-                expected = brute_force_colours(coord, parent, level, kind, bounds)
-                for c, masks in expected.items():
-                    for l, mask in enumerate(masks):
-                        got = part.level_positions[l][c].indices()
-                        if got.tolist() != np.flatnonzero(mask).tolist():
-                            found.append(f"{where}: positions[{l}][{c}] = {got}")
-                        if T.format.levels[l].is_dense:
-                            continue
-                        above = masks[l - 1] if l else np.array([mask.any()])
-                        got = part.level_pos_parts[l][c].indices()
-                        if got.tolist() != np.flatnonzero(above).tolist():
-                            found.append(f"{where}: pos_parts[{l}][{c}] = {got}")
-                    if part.vals_part[c] != part.level_positions[-1][c]:
-                        found.append(f"{where}: vals_part[{c}]")
-                    for req in part.region_reqs(Privilege.READ_ONLY):
-                        idx = req.subset_for(c).indices()
-                        if idx.size and not 0 <= idx[0] <= idx[-1] < req.region.ispace.volume:
-                            found.append(f"{where}: {req.region.name}[{c}] needs {idx} "
-                                         f"of {req.region.ispace.volume}")
+                above = masks[l - 1] if l else np.array([mask.any()])
+                got = part.level_pos_parts[l][c].indices()
+                if got.tolist() != np.flatnonzero(above).tolist():
+                    found.append(f"{where}: pos_parts[{l}][{c}] = {got}")
+            if part.vals_part[c] != part.level_positions[-1][c]:
+                found.append(f"{where}: vals_part[{c}]")
+            for req in part.region_reqs(Privilege.READ_ONLY):
+                idx = req.subset_for(c).indices()
+                if idx.size and not 0 <= idx[0] <= idx[-1] < req.region.ispace.volume:
+                    found.append(f"{where}: {req.region.name}[{c}] needs {idx} "
+                                 f"of {req.region.ispace.volume}")
+    return found
+
+
+def _bounds_of(coords):
+    """The brute-force ``coord_bounds``: ``(min, max)``, ``(0, -1)`` if none."""
+    return (int(coords.min()), int(coords.max())) if coords.size else (0, -1)
+
+
+def window_disagreements(T):
+    """Every way a level's ``coord_bounds`` — or the window compile infers
+    for a dense operand indexed like a compressed level of ``T`` — differs
+    from the least and greatest coordinate the coordinate tree puts under
+    the same positions.  ``coord_bounds`` runs over each chunk of every
+    level split into 1, 3 and more pieces than positions (a rect, or empty)
+    and over every other position of it (a gathered subset once it holds
+    two); the windows over every legal :func:`partition_cases` case, whose
+    universe splits of a compressed level are gathered subsets too."""
+    coord, parent = coordinate_tree(T)
+    found = []
+    for level, lvl in enumerate(T.levels):
+        n = coord[level].size
+        for pieces in (1, 3, n + 2):
+            for c in range(pieces):
+                lo, hi = piece_range(n, pieces, c)
+                at = np.arange(lo, hi + 1)
+                rect = RectSubset(Rect(lo, hi)) if hi >= lo else EMPTY
+                for subset, idx in ((rect, at), (subset_from_indices(at[::2]), at[::2])):
+                    got, want = lvl.coord_bounds(subset), _bounds_of(coord[level][idx])
+                    if got != want:
+                        found.append(f"{T.format.name}{T.shape} level {level} "
+                                     f"coord_bounds({subset}) = {got}, not {want}")
+    i = index_vars(" ".join(f"v{m}" for m in range(T.order)))
+    out = Tensor.zeros("y", T.shape)
+    for where, level, kind, bounds, legal in partition_cases(T, coord):
+        if not legal:
+            continue
+        part = partition_tensor(T, level, kind, bounds)
+        expected = brute_force_colours(coord, parent, level, kind, bounds)
+        for l, mode in enumerate(T.format.mode_ordering):
+            if T.format.levels[l].is_dense:
+                continue
+            x = Tensor.from_dense("x", np.zeros(T.shape[mode]))
+            asg = Assignment(out[i], T[i] * x[i[mode]])
+            windows = _inferred_windows(asg, asg.accesses()[-1], {id(T): part}, list(bounds))
+            for c, masks in expected.items():
+                got, want = windows[c][0], _bounds_of(coord[l][masks[l]])
+                if got != want:
+                    found.append(f"{where}: window of level {l} [{c}] = {got}, not {want}")
     return found
 
 
@@ -319,6 +377,20 @@ class TestPartitionOracle:
     @given(packed_tensors())
     def test_partitions_match_the_coordinate_tree(self, T):
         assert partition_disagreements(T) == []
+
+    @given(packed_tensors())
+    def test_windows_match_the_coordinate_tree(self, T):
+        assert window_disagreements(T) == []
+
+    def test_windows_cover_gathered_and_empty_subsets(self):
+        """The draws reach both non-rect paths: a gathered subset of a
+        compressed level (universe split), and a colour with no positions."""
+        B = fig7_tensor()
+        part = partition_tensor(B, 1, "universe", {0: (0, 1), 1: (2, 3), 2: (4, 9)})
+        subsets = [part.level_positions[1][c] for c in range(3)]
+        assert isinstance(subsets[0], ArraySubset) and subsets[2].empty
+        assert [B.levels[1].coord_bounds(s) for s in subsets] == [(0, 1), (3, 3), (0, -1)]
+        assert window_disagreements(B) == []
 
     @pytest.mark.parametrize("fmt, shape", [(CDC, (6, 3, 5)), (DDC, (1, 3, 5))])
     def test_non_root_dense_level_hands_its_parents_partition_up(self, fmt, shape):

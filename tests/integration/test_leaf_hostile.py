@@ -24,9 +24,13 @@ up by kind — which launches may take the one call at all.
 
 Plus a host-independent structure check: a bind hoists nothing
 proportional to the non-zeros (SDDMM: one position → row array), a launch
-thunk nothing beyond what the per-piece thunks share, and an unpacked
-level is refused by name on both backends instead of being mis-sliced.
+thunk nothing beyond what the per-piece thunks share, a cold compile and
+first execute allocate nothing per non-zero (traced peak), and an unpacked
+level — a gap, or an entry of negative length — is refused by name on both
+backends instead of being mis-sliced.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +38,9 @@ from hypothesis import strategies as st
 
 from repro import codegen
 from repro.api.autoschedule import auto_schedule
-from repro.core import SPECS, clear_caches, compile_kernel, compile_program
+from repro.core import (
+    SPECS, caches_disabled, classify, clear_caches, compile_kernel, compile_program,
+)
 from repro.core.kernelspec import template_key
 from repro.core.passes import FUSED_SDDMM_SPMM
 from repro.errors import FormatError, OOMError
@@ -493,6 +499,63 @@ def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy, monkeypatch):
         assert held and held <= operands | set(hoisted)
 
 
+def _segments_of_width(kind, per_segment, n=400, m=4, width=200):
+    """A rows statement whose sparse operand holds ``per_segment``
+    non-zeros in every segment of its last level (n rows, or n x m DDC
+    fibers for SpTTV), and how many segments that is."""
+    rng = np.random.default_rng(11)
+    lead = (n, m) if kind == "spttv" else (n,)
+    nseg = int(np.prod(lead))
+    seg = np.repeat(np.arange(nseg), per_segment)
+    last = np.concatenate([rng.choice(width, per_segment, replace=False)
+                           for _ in range(nseg)])
+    B = Tensor.from_coo("B", [*np.unravel_index(seg, lead), last], rng.random(seg.size),
+                        (*lead, width), DDC if kind == "spttv" else CSR)
+    i, j, k = index_vars("i j k")
+    if kind == "spmv":
+        out = Tensor.zeros("a", (n,))
+        out[i] = B[i, j] * Tensor.from_dense("c", rng.random(width))[j]
+    elif kind == "spmm":
+        out = Tensor.zeros("A", (n, 4))
+        out[i, j] = B[i, k] * Tensor.from_dense("C", rng.random((width, 4)))[k, j]
+    else:
+        out = Tensor.zeros("A", lead)
+        out[i, j] = B[i, j, k] * Tensor.from_dense("c", rng.random(width))[k]
+    return out.assignment, nseg
+
+
+@pytest.mark.parametrize("kind", ["spmv", "spmm", "spttv"])
+def test_cold_launch_allocates_nothing_proportional_to_nnz(kind):
+    """Compile and first execute of a rows launch, traced: with 50
+    non-zeros per segment the peak exceeds that of the same launch over
+    one per segment — the fixed overhead: plan, pieces, closures — by at
+    most 4 words per segment and piece.  Partitioning reads ``pos``, each
+    window of the dense operand reduces a view of its piece's ``crd``, the
+    Work model counts a piece in O(1) and the leaf reduces in place, so
+    only the leaf passes over the non-zeros and it allocates nothing for
+    them.  (Gathering a piece's positions to bound its window costs 16
+    bytes per non-zero.)"""
+    pieces = 4
+    machine = Machine.cpu(pieces)
+
+    def peak(per_segment):
+        asg, nseg = _segments_of_width(kind, per_segment)
+        sched = auto_schedule(asg, machine, strategy="rows")
+        assert classify(asg).kind == kind
+        tracemalloc.start()
+        try:
+            with caches_disabled():  # a cold compile; the module stays built
+                compile_kernel(sched, machine).execute(Runtime(machine))
+            return tracemalloc.get_traced_memory()[1], nseg
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # build the generated module outside the traced runs
+    fixed, nseg = peak(1)
+    dense, _ = peak(50)
+    assert dense - fixed <= 4 * 8 * (nseg + pieces), (fixed, dense)
+
+
 @pytest.mark.parametrize("fmt", [CSF3, DDC], ids=lambda f: f.name)
 @pytest.mark.parametrize("strategy", ["rows", "nonzeros"])
 def test_spmttkrp_shares_one_identity_pair_per_bind(fmt, strategy):
@@ -516,29 +579,51 @@ def test_spmttkrp_shares_one_identity_pair_per_bind(fmt, strategy):
 # --------------------------------------------------------------------------- #
 # the packed-level invariant
 # --------------------------------------------------------------------------- #
-def _unpack_last_level(B):
+def _unpack_last_level(B, defect):
     """Swap B's last level for a hand-built bounds region that leaves a
-    gap: entry 0 gives up its last position, which no entry then owns."""
+    ``gap`` — entry 0 gives up its last position, which no entry then owns
+    — or whose entry 0 has ``negative`` length: it starts two past its end,
+    so it still ends one before entry 1 starts."""
     last = B.levels[-1]
     bounds = last.pos.data.copy()
-    first = int(np.flatnonzero(bounds[:, 1] >= bounds[:, 0])[0])
-    bounds[first, 1] -= 1
+    if defect == "gap":
+        first = int(np.flatnonzero(bounds[:, 1] >= bounds[:, 0])[0])
+        bounds[first, 1] -= 1
+    else:
+        bounds[0, 0] = bounds[0, 1] + 2
     B.levels[-1] = CompressedLevel(
         make_pos_region(bounds, name="B_handbuilt_pos"), last.crd)
 
 
-@pytest.mark.parametrize("backend", ["interp", "codegen"])
-@pytest.mark.parametrize("case", [
-    ("spmv", CSR, "rows"), ("spmv", CSR, "nonzeros"),
-    ("spttv", CSF3, "rows"), ("spmm", CSR, "rows"), ("spmm", CSR, "nonzeros"),
-], ids=lambda c: "-".join(map(str, (c[0], c[1].name, c[2]))))
-def test_unpacked_level_is_refused_by_name(case, backend):
+def _assert_refused(case, backend, defect):
     machine = Machine.cpu(2)
     (out,), _ = _statements(case, 6, "random", False, seed=3)
     B = next(t for t in out.assignment.tensors() if t.name == "B")
-    _unpack_last_level(B)
-    with pytest.raises(FormatError, match="'B_handbuilt_pos' is not a packed level"):
+    _unpack_last_level(B, defect)
+    what = "ends at position" if defect == "gap" else "has negative length"
+    with pytest.raises(FormatError,
+                       match=f"'B_handbuilt_pos' is not a packed level: entry .* {what}"):
         ck = compile_kernel(
             auto_schedule(out.assignment, machine, strategy=case[2]),
             machine, backend=backend)
         ck.execute(Runtime(machine))
+
+
+UNPACKED = pytest.mark.parametrize("case", [
+    ("spmv", CSR, "rows"), ("spmv", CSR, "nonzeros"),
+    ("spttv", CSF3, "rows"), ("spmm", CSR, "rows"), ("spmm", CSR, "nonzeros"),
+], ids=lambda c: "-".join(map(str, (c[0], c[1].name, c[2]))))
+
+
+@pytest.mark.parametrize("backend", ["interp", "codegen"])
+@UNPACKED
+def test_unpacked_level_is_refused_by_name(case, backend):
+    _assert_refused(case, backend, "gap")
+
+
+@pytest.mark.parametrize("backend", ["interp", "codegen"])
+@UNPACKED
+def test_negative_length_level_is_refused_by_name(case, backend):
+    """Packed boundaries around an entry of length -1: without the length
+    check the leaves read a falling ``indptr`` and drop its positions."""
+    _assert_refused(case, backend, "negative")

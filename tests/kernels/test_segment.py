@@ -236,6 +236,29 @@ class TestPackedIndptr:
         with pytest.raises(FormatError, match="not a packed level"):
             check_packed(np.array([[0, 2], [2, 3]]))
 
+    @pytest.mark.parametrize("pos, k", [
+        ([[5, 3], [4, 10]], 0),          # ends where the next starts, length -1
+        ([[0, 1], [2, 4], [5, 2]], 2),   # the last entry steps back
+        ([[7, 2]], 0),
+    ])
+    def test_negative_length_is_refused(self, pos, k):
+        """Each entry ends one before its successor starts, yet one has
+        negative length: a leaf would read a falling ``indptr``, and the
+        telescoped count ``hi[r1] - lo[r0] + 1`` would be wrong."""
+        with pytest.raises(FormatError, match=rf"'B_pos1' is not a packed level: "
+                                              rf"entry {k} has negative length"):
+            check_packed(np.array(pos), "B_pos1")
+
+    @pytest.mark.parametrize("counts", [[0], [3], [0, 2, 0, 0, 5, 0]])
+    def test_packed_counts_telescope(self, counts):
+        """What the Work models rely on: over any run of a packed level the
+        lengths sum to its last end minus its first start, plus one."""
+        pos = make_pos_region(np.array(counts, dtype=np.int64)).data
+        check_packed(pos)
+        for r0 in range(len(counts)):
+            for r1 in range(r0, len(counts)):
+                assert pos[r1, 1] - pos[r0, 0] + 1 == sum(counts[r0 : r1 + 1])
+
     def test_piece_indptr_clips_first_and_last_segment(self):
         pos = make_pos_region(np.array([3, 0, 4, 2])).data  # [0,3,3,7,9]
         assert piece_indptr(pos, 1, 7)[0] == 0

@@ -339,6 +339,46 @@ class TestLevelSwitchScanner:
         assert not "src/repro/core/assembly.py".startswith(check.LEVEL_CLASS_HOME)
 
 
+class TestIndexListScanner:
+    """The fourth part of the ``kernelspec`` plugin: the compiler's cold
+    path reads level structure, so ``core/`` materializes no subset's
+    index list."""
+
+    def _scan(self, source):
+        return check._scan_index_lists("fake.py", source, ast.parse(source))
+
+    def test_flags_indices_calls_with_lines(self):
+        src = (
+            "def windows(lvl, part, c):\n"
+            "    vals = lvl.coord_of(part[c].indices())\n"           # line 2
+            "    idx = subset.indices()\n"                           # line 3
+            "    return vals.min(), idx[-1], part.level_positions[0][c].indices()\n"  # 4
+        )
+        findings = sorted(self._scan(src), key=lambda f: f.line)
+        assert [f.line for f in findings] == [2, 3, 4]
+        assert "fake.py:2: .indices() materializes a subset's index list" in str(findings[0])
+
+    def test_views_bounds_and_other_indices_are_not_flagged(self):
+        src = (
+            "key = subset.as_slice()\n"
+            "lo, hi = lvl.coord_bounds(subset)\n"
+            "n = len(out.indices)\n"                 # an attribute, not a call
+            "i = acc.indices.index(var)\n"
+            "rows = np.indices((2, 3))\n"            # takes arguments
+        )
+        assert self._scan(src) == []
+
+    def test_waiver_needs_a_reason(self):
+        ok = "idx = s.indices()  # nnz: ok an ArraySubset's own array\n"
+        assert self._scan(ok) == []
+        (finding,) = self._scan("idx = s.indices()  # nnz: ok\n")
+        assert "nnz waiver without a reason" in finding.message
+
+    def test_only_the_compiler_is_scanned(self):
+        assert "src/repro/core/compiler.py".startswith(check.INDEX_LIST_ROOT)
+        assert not "src/repro/legion/region.py".startswith(check.INDEX_LIST_ROOT)
+
+
 class TestGeneratedCodeBoundary:
     """The static assertions of the ``aot-sanitizer`` plugin."""
 

@@ -29,7 +29,11 @@ codebase passes defined here:
   of ``repro.taco.levels``.  Waiver: ``# format: ok <reason>``.  And no
   level-type switch: outside ``src/repro/taco/`` no ``isinstance`` may
   name ``DenseLevel`` or ``CompressedLevel`` — what depends on a level's
-  format is a method of its class.  Waiver: ``# level: ok <reason>``;
+  format is a method of its class.  Waiver: ``# level: ok <reason>``.
+  And no index list on the compiler's cold path: under
+  ``src/repro/core/`` no ``.indices()`` call may materialize a subset's
+  positions — compile and bind read level structure, and only the leaf
+  passes over the non-zeros.  Waiver: ``# nnz: ok <reason>``;
 * **aot-sanitizer** — generated code comes from the templates and from
   nowhere else: every lowering template the kernel table declares must
   emit and pass the generated-module AST allowlist
@@ -275,8 +279,8 @@ NONDET_ROOTS = (
 )
 
 #: inline waiver for an intentional finding: the flagged line carries
-#: ``# <tag>: ok <reason>`` (tags: ``nondet``, ``kind``); the reason is
-#: mandatory.
+#: ``# <tag>: ok <reason>`` (tags: ``nondet``, ``kind``, ``format``,
+#: ``level``, ``nnz``); the reason is mandatory.
 _WAIVER_RE = r"#\s*%s:\s*ok\b[ \t]*(.*)"
 
 #: attribute chains whose *call* (or use) injects nondeterminism.
@@ -489,6 +493,31 @@ def _scan_level_switches(relpath: str, text: str, tree: ast.Module) -> List[Find
     return findings
 
 
+#: the compiler, whose cold path reads level structure, not the non-zeros.
+INDEX_LIST_ROOT = "src/repro/core/"
+
+
+def _scan_index_lists(relpath: str, text: str, tree: ast.Module) -> List[Finding]:
+    """``subset.indices()`` — a subset's positions materialized as a list."""
+    findings: List[Finding] = []
+    report = _reporter(relpath, text, "nnz", findings)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "indices"
+            and not node.args
+        ):
+            report(
+                node.lineno,
+                ".indices() materializes a subset's index list — under "
+                "core/ bound it through the level functions (coord_bounds, "
+                "child_range) or slice a view with as_slice() "
+                "(`# nnz: ok <reason>` waives an intentional list)",
+            )
+    return findings
+
+
 def _run_kernelspec(cache: SourceCache) -> CheckResult:
     from repro.core.kernelspec import SPECS
 
@@ -502,6 +531,8 @@ def _run_kernelspec(cache: SourceCache) -> CheckResult:
             findings.extend(_scan_format_names(relpath, text, tree))
         if not relpath.startswith(LEVEL_CLASS_HOME):
             findings.extend(_scan_level_switches(relpath, text, tree))
+        if relpath.startswith(INDEX_LIST_ROOT):
+            findings.extend(_scan_index_lists(relpath, text, tree))
         if relpath in KERNELSPEC_EXEMPT:
             continue
         findings.extend(_scan_kind_compares(relpath, text, tree, kinds))
@@ -509,9 +540,9 @@ def _run_kernelspec(cache: SourceCache) -> CheckResult:
     return CheckResult(
         "kernelspec", findings,
         f"{scanned} modules under src/repro branch on no kernel kind by "
-        f"name, the dispatch layers name no format and no module outside "
-        f"repro/taco switches on a level class; {len(SPECS)} kinds live in "
-        "the kernel table",
+        f"name, the dispatch layers name no format, no module outside "
+        f"repro/taco switches on a level class and core/ materializes no "
+        f"unwaived index list; {len(SPECS)} kinds live in the kernel table",
     )
 
 
@@ -1055,7 +1086,8 @@ PLUGINS: List[Plugin] = [
            "unwaived wall-clock reads", _run_nondet),
     Plugin("kernelspec", "no .kind compared against a kernel-kind literal "
            "outside the kernel table; no format named in the dispatch layers; "
-           "no level-type switch outside repro/taco", _run_kernelspec),
+           "no level-type switch outside repro/taco; no unwaived index list "
+           "under core/", _run_kernelspec),
     Plugin("aot-sanitizer", "templates pass the exec-load allowlist; the "
            "store imports no exec surface; codegen reads no environment",
            _run_aot_sanitizer),
