@@ -3,9 +3,8 @@
 SpDISTAL's compile-once / run-many amortization usually serves one
 session; ``repro.serve`` multiplexes *tenants* — concurrent callers
 issuing einsum requests — over a pool of pre-warmed runtimes that share
-the process-wide kernel cache, partition memo, decision table and
-generated-module table.  Identical requests from different tenants
-single-flight to one
+the process-wide kernel cache, partition memo and decision table.
+Identical requests from different tenants single-flight to one
 compile (and one autotune search); per-tenant byte budgets shed a tenant
 flooding distinct compiles while cache hits stay free.
 

@@ -9,8 +9,8 @@ Three coordinated layers (see ``docs/analysis.md``):
 * **cse** — proven-safe common-subexpression collapse: the reuse map
   ``compile_program(cse=True)`` executes, plus ``IllegalCSE``
   diagnostics explaining every blocked collapse;
-* **sanitizer** — the AST allowlist every generated kernel module must
-  fit: the lowering emitter's lint.
+* **sanitizer** — an AST allowlist for kernel-module source (kept for
+  perfbench's ``analysis.sanitizer.verify_s`` row).
 
 :func:`analyze_program` is the one-call entry; the high-level
 ``repro.Program.analyze()`` wraps it.

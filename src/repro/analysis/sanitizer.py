@@ -1,12 +1,10 @@
-"""AST allowlist for generated kernel modules: the emitter's lint.
+"""AST allowlist for kernel-module source: what a leaf module may look like.
 
-:mod:`repro.codegen.registry` ``exec``-loads exactly one kind of source —
-what :func:`repro.codegen.lowering.emit_source` returns, in the process
-that asked for it.  This module states, as a checkable allowlist, what
-that source may look like, so a template edit that reaches for I/O, a
-dynamic import or module-level side effects fails ``tools/check.py``
-(the ``aot-sanitizer`` plugin runs every declared template through it)
-instead of shipping:
+No source is generated or ``exec``'d anywhere in the package (bound leaves
+are plain functions; ``tools/check.py``'s ``no-exec`` plugin keeps it so).
+This allowlist is kept because perfbench's ``analysis.sanitizer.verify_s``
+row times it; retiring that row deletes this module.  It states what a
+kernel module's source may look like:
 
 * imports restricted to ``numpy`` / ``scipy`` / ``math`` — at module
   scope only;
@@ -18,8 +16,7 @@ instead of shipping:
   of which must be ``bind``.
 
 Violations raise a typed :class:`~repro.errors.SanitizerError` naming
-the offending path and source line.  It is a lint, not a load-time gate:
-no artifact carries code, so there is no untrusted source to guard.
+the offending path and source line.
 """
 from __future__ import annotations
 

@@ -5,9 +5,9 @@ synthesis, autotuning and mapping-trace replay amortize across executions.
 A single :class:`~repro.api.session.Session` reaps that for one caller;
 this module multiplexes *many* callers — logical tenants issuing
 einsum-style requests concurrently — over a pool of pre-warmed runtimes
-that share the process-wide kernel cache, partition memo, decision table
-and generated-module table (all thread-safe; see the thread-safety notes
-in :mod:`repro.core.cache` and :mod:`repro.codegen.registry`)::
+that share the process-wide kernel cache, partition memo and decision
+table and the bind counters (all thread-safe; see the thread-safety notes
+in :mod:`repro.core.cache` and :mod:`repro.codegen`)::
 
     import repro
 

@@ -34,12 +34,6 @@ runtime-side mapping-trace replay lives in
   strategy without a search, and because the keys carry no process-local
   ids the table persists verbatim through :mod:`repro.core.store`.
 
-* **Generated-module table** — one generated leaf module per lowering
-  template ``(iteration shape, strategy)``, built by :mod:`repro.codegen`
-  through :func:`aot_entry`.  Code depends on nothing else, so the table
-  holds at most the 11 templates the kernel table declares: a plain dict
-  under a lock — no budget, no eviction, no persistence.
-
 Invalidation
 ------------
 Keys embed ``Tensor.pattern_version``; a pattern bump self-invalidates all
@@ -77,11 +71,10 @@ Thread safety
 Every cache tier is safe for concurrent in-process use: each
 :class:`_SizedLRU` serializes its own map/accounting mutations behind a
 per-instance ``RLock`` (the in-process mirror of the cross-process
-advisory ``flock`` the artifact store holds over ``index.json``), and the
-generated-module table holds a module lock.  The discipline — every
-mutation of a shared cache structure happens lexically inside a ``with
-<lock>:`` block — is enforced statically by ``tools/lock_check.py``,
-which runs in the tier-1 suite.  Cross-call races (two threads compiling
+advisory ``flock`` the artifact store holds over ``index.json``).  The
+discipline — every mutation of a shared cache structure happens
+lexically inside a ``with <lock>:`` block — is enforced statically by
+``tools/lock_check.py``, which runs in the tier-1 suite.  Cross-call races (two threads compiling
 the same schedule and both storing) stay benign: puts are idempotent for
 equal keys and byte accounting is exact either way.  *Deduplicating* that
 duplicate work is the serving layer's job (:mod:`repro.api.serving`
@@ -93,7 +86,7 @@ import contextlib
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -112,7 +105,6 @@ __all__ = [
     "decision_fingerprint",
     "lookup_decision",
     "store_decision",
-    "aot_entry",
     "iter_aot_entries",
     "iter_kernel_entries",
     "iter_partition_entries",
@@ -237,12 +229,6 @@ class _SizedLRU:
 _kernel_cache = _SizedLRU(_KERNEL_CACHE_BUDGET, _KERNEL_CACHE_MAX_ENTRIES)
 _partition_cache = _SizedLRU(_PARTITION_CACHE_BUDGET, _PARTITION_CACHE_MAX_ENTRIES)
 _decision_cache = _SizedLRU(_DECISION_CACHE_BUDGET, _DECISION_CACHE_MAX_ENTRIES)
-
-#: The generated-module table: template key -> entry.  ``_AOT_LOCK`` guards
-#: it and its hit/miss counters; ``clear_caches`` drops it with the LRUs.
-_AOT_LOCK = threading.RLock()
-_aot_table: Dict[Tuple[str, str], Any] = {}
-_aot_counters: Dict[str, int] = {"hits": 0, "misses": 0}
 
 
 # --------------------------------------------------------------------------- #
@@ -656,31 +642,11 @@ def iter_decision_entries() -> Iterator[Tuple[str, Dict[str, Any]]]:
         yield key, dict(decision)
 
 
-# --------------------------------------------------------------------------- #
-# generated-module table
-# --------------------------------------------------------------------------- #
-def aot_entry(key: Tuple[str, str], build: Callable[[Tuple], Any]):
-    """The :class:`~repro.codegen.registry.AotEntry` of template ``key``,
-    calling ``build(key)`` on a miss.  The build runs under the table lock, so
-    a herd missing on one key builds it exactly once and every thread gets
-    the same entry.  Not gated on :func:`caches_enabled`: a module is code,
-    not an amortized analysis, and is the same however often it is built."""
-    with _AOT_LOCK:
-        entry = _aot_table.get(key)
-        if entry is None:
-            _aot_counters["misses"] += 1
-            entry = _aot_table[key] = build(key)
-        else:
-            _aot_counters["hits"] += 1
-        return entry
-
-
 def iter_aot_entries() -> Iterator[Tuple[Tuple[str, str], Any]]:
-    """Yield every generated module built so far as ``(template key,
-    entry)``; ``entry.source`` is the module's text."""
-    with _AOT_LOCK:
-        snapshot = list(_aot_table.items())
-    return iter(snapshot)
+    """Yields nothing: no leaf is generated.  perfbench's
+    ``codegen.aot_source_bytes`` and ``analysis.sanitizer.verify_s`` rows
+    walk it; retiring them deletes it."""
+    return iter(())
 
 
 # --------------------------------------------------------------------------- #
@@ -700,13 +666,11 @@ def invalidate_tensor(tensor) -> int:
 
 
 def clear_caches() -> None:
-    """Drop all kernel, partition and decision entries and every generated
-    module (e.g. between tests)."""
+    """Drop all kernel, partition and decision entries (e.g. between
+    tests)."""
     _kernel_cache.clear()
     _partition_cache.clear()
     _decision_cache.clear()
-    with _AOT_LOCK:
-        _aot_table.clear()
 
 
 def cache_stats() -> Dict[str, int]:
@@ -726,7 +690,9 @@ def cache_stats() -> Dict[str, int]:
         "decision_misses": _decision_cache.misses,
         "decision_bytes": _decision_cache.total_bytes,
         "decision_evictions": _decision_cache.evictions,
-        "aot_entries": len(_aot_table),
-        "aot_hits": _aot_counters["hits"],
-        "aot_misses": _aot_counters["misses"],
+        # read 0: perfbench's core.cache.aot_hit_ratio row reads them, and
+        # retiring it deletes them
+        "aot_entries": 0,
+        "aot_hits": 0,
+        "aot_misses": 0,
     }

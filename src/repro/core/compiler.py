@@ -125,8 +125,8 @@ class CompiledKernel:
         self.out = schedule.assignment.lhs.tensor
         self._runtime: Optional[Runtime] = None
         #: execution backend: "interp" (closure leaves over repro.kernels)
-        #: or "codegen" (AOT-generated flat thunks, interpreter fallback
-        #: where unsupported).  Set by ``compile_statement``.
+        #: or "codegen" (bound flat thunks, interpreter fallback where the
+        #: table names no bind function).  Set by ``compile_statement``.
         self.backend: str = "interp"
         self._leaf: Optional[Callable[[Piece], Work]] = None
         #: backend the current ``_leaf`` was built for (rebuild on change).
@@ -279,8 +279,8 @@ class CompiledKernel:
         # value depends on where pieces split: an output written disjointly
         # (a reduced one sums partials in piece order), and every operand
         # resident rather than streamed in rounds.  This is the one place
-        # that decides; a template declines only what its body cannot run,
-        # and a launch refused here binds nothing for the one-call path.
+        # that decides; a bind function declines only what its body cannot
+        # run, and a launch refused here binds nothing for the one-call path.
         if (bind_launch is not None and not self._streamed
                 and self.privileges.get(id(self.out)) == Privilege.WRITE_DISCARD):
             launch = bind_launch()
@@ -427,8 +427,8 @@ def compile_statement(
     :func:`repro.core.program.compile_program`).
 
     ``backend`` selects how leaves execute: ``"codegen"`` (the default,
-    via :mod:`repro.codegen`) runs AOT-generated flat thunks where a
-    lowering template exists and falls back to the interpreter elsewhere;
+    via :mod:`repro.codegen`) runs the bound flat thunks where the kernel
+    table names a bind function and falls back to the interpreter elsewhere;
     ``"interp"`` forces the closure leaves.  The knob only retargets the
     kernel's leaf — partitions, launches and simulated metrics are
     identical either way.
@@ -458,13 +458,16 @@ def compile_statement(
             if hit is not None and not hit._streamed:
                 hit.backend = backend
                 return hit
+            tensors = schedule.assignment.tensors()
+            versions = [t.pattern_version for t in tensors]
             ck = _compile_uncached(schedule, machine)
             ck.backend = backend
             # Compilation may adopt an input's pattern into the output
-            # (bumping its version), so store under the post-compile
+            # (bumping its version); then store under the post-compile
             # fingerprint — the one the next lookup will compute.
-            post = _cache.kernel_fingerprint(schedule, machine)
-            _cache.store_kernel(post, ck, schedule.assignment.tensors())
+            if versions != [t.pattern_version for t in tensors]:
+                key = _cache.kernel_fingerprint(schedule, machine)
+            _cache.store_kernel(key, ck, tensors)
             return ck
     ck = _compile_uncached(schedule, machine)
     ck.backend = backend

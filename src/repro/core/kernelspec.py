@@ -18,8 +18,7 @@ consumer                     reads
 ``core.compiler``            ``accumulating`` (zero the output before
                              launch), ``adopts_pattern``, ``assembles``,
                              :meth:`KernelSpec.interp_leaf`
-``codegen``                  :func:`template_key`,
-                             :meth:`KernelSpec.bind_args`
+``codegen``                  ``bound``, :meth:`KernelSpec.bind_args`
 ``analysis.costmodel``       :meth:`KernelSpec.work_model`, ``exact``
 ``tools/check.py``           ``formats`` × ``strategies`` (the sweeps'
                              workloads — never read by dispatch)
@@ -40,25 +39,25 @@ adding a level class, not editing this table.
 
 A specialized kind states its leaf once: ``operands`` — the raw arrays
 (for SpMTTKRP also the ``coords`` resolver), in the order both the
-reference kernel in :mod:`repro.kernels` and the generated module's
-``bind`` take them; ``row_bounds`` — what a row piece hands the leaf when
-that is not its row range (a column window, the segments or positions its
-rows cover); ``reference`` — the interpreter reference kernel per
-strategy; ``work`` — the :class:`~repro.legion.machine.Work` that kernel
-reports, from the operands' *pattern* alone (``pos`` rects and level
-sizes, never values); and, through ``shape`` × ``strategies``, the keys
-of its lowering templates in :data:`repro.codegen.lowering.TEMPLATES`.
+reference kernel and the bind function in :mod:`repro.kernels` take them;
+``row_bounds`` — what a row piece hands the leaf when that is not its row
+range (a column window, the segments or positions its rows cover);
+``reference`` — the interpreter reference kernel per strategy; ``bound``
+— the bind function per strategy (the bound leaf: one call that hoists a
+kernel's scaffolding into flat per-piece thunks); ``work`` — the
+:class:`~repro.legion.machine.Work` that kernel reports, from the
+operands' *pattern* alone (``pos`` rects and level sizes, never values).
 ``shape`` names how the leaf iterates; kinds that iterate alike (SpMV over
-rows, SpTTV over fibers) share one shape and with it the templates, the
-interpreter leaves and the loop-nest reference.
+rows, SpTTV over fibers) share one shape and with it the bind function,
+the interpreter leaves and the loop-nest reference.  A kind with no
+``bound`` entry (SpAdd's assembly, ``generic``) runs its interpreter leaf.
 The cost model prices ``work``; the binder freezes ``work`` into each
-piece tuple handed to ``bind``, so generated modules carry no formulas.
-Work formulas therefore live in exactly two places — the reference
-kernels (the differential oracle) and here.
+piece tuple handed to the bind function, so bound leaves carry no
+formulas.  Work formulas therefore live in exactly two places — the
+reference kernels (the differential oracle) and here.
 
-Adding a kind is one entry here, one template per strategy in
-``codegen/lowering.py`` unless it reuses an existing shape, and tests;
-see ``docs/codegen.md``.
+Adding a kind is one entry here, a bind function in ``repro.kernels``
+unless it reuses an existing shape, and tests; see ``docs/codegen.md``.
 """
 from __future__ import annotations
 
@@ -69,7 +68,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import kernels as K
-from ..errors import CompileError
+from ..errors import CompileError, FormatError
 from ..legion.machine import ProcKind, Work
 from ..taco.expr import Access, Assignment, Mul
 from ..taco.formats import CSF3, CSR, DDC, Format
@@ -163,8 +162,6 @@ class KernelSpec:
     #: build this kind's workloads in.  Dispatch never reads it: what a
     #: leaf serves is decided by ``match`` from level types.
     formats: Tuple[Format, ...] = ()
-    #: no generated template: the leaf always runs in the interpreter.
-    interp_only: bool = False
     #: strategies whose pieces *add* into shared output rows, so the
     #: output is zeroed before every launch.
     accumulating: Tuple[str, ...] = ()
@@ -185,15 +182,13 @@ class KernelSpec:
 
     @property
     def shape(self) -> str:
-        """How the leaf iterates — with the strategy, the key of its
-        lowering template.  Kinds that iterate alike share one."""
+        """How the leaf iterates — with the strategy, the key of its bound
+        leaf.  Kinds that iterate alike share one."""
         return self.kind
 
     def template_keys(self) -> List[Tuple[str, str]]:
-        """The ``lowering.TEMPLATES`` keys this kind declares."""
-        if self.interp_only:
-            return []
-        return [(self.shape, s) for s in self.strategies]
+        """The ``(shape, strategy)`` keys of this kind's bound leaves."""
+        return [(self.shape, s) for s in self.bound]
 
     # -- statement pattern ---------------------------------------------------
     def match(
@@ -208,6 +203,10 @@ class KernelSpec:
     #: strategy -> the reference kernel in :mod:`repro.kernels`, called as
     #: ``fn(*operands, *range arguments)``.
     reference: Dict[str, Callable[..., Work]] = {}
+    #: strategy -> the bind function in :mod:`repro.kernels`, called as
+    #: ``fn(*operands, pieces, accumulate)`` (:meth:`bind_args`; whether the
+    #: strategy is ``accumulating``); empty: the leaf runs in the interpreter.
+    bound: Dict[str, Callable] = {}
 
     def operands(self, ck) -> tuple:
         """The raw arrays, in reference-kernel / ``bind`` order."""
@@ -247,8 +246,8 @@ class KernelSpec:
         return lambda _phase, p: work(*bounds(p))
 
     def bind_args(self, ck) -> Tuple[tuple, list]:
-        """What a generated module's ``bind`` takes: the raw arrays and one
-        ``(color, *range arguments, Work)`` tuple per piece."""
+        """What a bind function takes: the raw arrays and one ``(color,
+        *range arguments, Work)`` tuple per piece."""
         args, bounds = self.operands(ck), self.bounds(ck)
         work = self.work(args, ck.strategy)
         pieces = []
@@ -268,6 +267,7 @@ class _SegDot(KernelSpec):
     strategies = ("rows", "nonzeros")
     accumulating = ("nonzeros",)
     reference = {"rows": K.spmv_rows, "nonzeros": K.spmv_nonzeros}
+    bound = {"rows": K.segdot_bind, "nonzeros": K.segdot_bind}
 
     def operands(self, ck):
         return (
@@ -349,6 +349,7 @@ class _SpMM(KernelSpec):
         "rows": _spmm_rows_window, "grid": _spmm_rows_window,
         "nonzeros": K.spmm_nonzeros,
     }
+    bound = {"rows": K.spmm_bind, "grid": K.spmm_bind, "nonzeros": K.spmm_bind}
 
     def match(self, lhs, B, dense):
         if B.tensor.order != 2 or len(dense) != 1:
@@ -409,6 +410,7 @@ class _SDDMM(KernelSpec):
     formats = (CSR,)
     adopts_pattern = True
     reference = {"rows": K.sddmm_rows, "nonzeros": K.sddmm_nonzeros}
+    bound = {"rows": K.sddmm_rows_bind, "nonzeros": K.sddmm_nonzeros_bind}
 
     def match(self, lhs, B, dense):
         bi = B.indices
@@ -467,6 +469,7 @@ class _FusedSDDMMSpMM(KernelSpec):
     cpu_default = gpu_default = "nonzeros"  # inherits SDDMM's balanced split
     formats = (CSR,)
     accumulating = ("nonzeros",)
+    bound = {"rows": K.fused_sddmm_spmm_bind, "nonzeros": K.fused_sddmm_spmm_bind}
 
     def operands(self, ck):
         roles = ck.roles
@@ -536,6 +539,7 @@ class _SpMTTKRP(KernelSpec):
         "rows": partial(K.spmttkrp, accumulate=False),
         "nonzeros": partial(K.spmttkrp, accumulate=True),
     }
+    bound = {"rows": K.spmttkrp_bind, "nonzeros": K.spmttkrp_bind}
 
     def match(self, lhs, B, dense):
         bi = B.indices
@@ -593,7 +597,6 @@ class _SpAdd(KernelSpec):
 
     kind = "spadd"
     formats = (CSR,)
-    interp_only = True
     assembles = True
 
     def operand_tensors(self, ck) -> List[Tensor]:
@@ -624,7 +627,6 @@ class _Generic(KernelSpec):
     the Work model is an estimate."""
 
     kind = "generic"
-    interp_only = True
     adopts_pattern = True
     exact = False
 
@@ -663,6 +665,16 @@ class _Generic(KernelSpec):
         restrict_var = ck.schedule.underlying_vars(dvars[0])[0] if dvars else None
         dense_out = out.format.is_all_dense()
         o = out.dense_array() if dense_out else None
+        flat = K.fits_int64(out.shape)
+        # the stored pattern — (pattern_version, coordinates, sorted flat
+        # keys) — read once per bind, again only when the version moves
+        stored = [None, None, None]
+
+        def flatten(coords) -> np.ndarray:
+            key = np.zeros(len(coords[0]), dtype=np.int64)
+            for d in range(out.order):
+                key = key * out.shape[d] + coords[d]
+            return key
 
         def piece(p) -> Work:
             restrict = {restrict_var: p.rows} if restrict_var is not None else None
@@ -672,22 +684,28 @@ class _Generic(KernelSpec):
                     np.add.at(o, tuple(result.coords), result.vals)
                 return work
             # pattern-preserving sparse output: scatter into stored positions
-            coords, _ = out.to_coo()
-            if K.fits_int64(out.shape):
-                key_stored = np.zeros(out.nnz, dtype=np.int64)
-                key_new = np.zeros(result.nnz, dtype=np.int64)
-                for d in range(out.order):
-                    key_stored = key_stored * out.shape[d] + coords[d]
-                    key_new = key_new * out.shape[d] + result.coords[d]
+            if stored[0] != out.pattern_version:
+                coords = np.stack(out.to_coo()[0])
+                keys = flatten(coords) if flat else None
+                stored[:] = out.pattern_version, coords, keys
+            _, coords, key_stored = stored
+            if flat:
+                key_new = flatten(result.coords)
             else:
                 # Huge dimension products overflow the flattened key; rank
                 # stored and new coordinates jointly instead.
-                both = np.concatenate(
-                    [np.stack(coords), np.asarray(result.coords)], axis=1
-                )
-                ranks = K.lex_ranks(both)
+                ranks = K.lex_ranks(
+                    np.concatenate([coords, np.asarray(result.coords)], axis=1))
                 key_stored, key_new = ranks[: out.nnz], ranks[out.nnz :]
             idx = np.searchsorted(key_stored, key_new)
+            held = idx < key_stored.size
+            held[held] = key_stored[idx[held]] == key_new[held]
+            if not held.all():
+                miss = [int(c[~held][0]) for c in result.coords]
+                raise FormatError(
+                    f"statement {asg} writes {out.name}{miss}, which "
+                    f"{out.name}'s stored pattern does not hold"
+                )
             out.vals.data.reshape(-1)[idx] += result.vals
             return work
 
@@ -736,9 +754,9 @@ def classify(asg: Assignment) -> KernelClass:
 
 
 def template_key(ck) -> Optional[Tuple[str, str]]:
-    """The (iteration shape, strategy) lowering key of ``ck``, or None
+    """The (iteration shape, strategy) key of ``ck``'s bound leaf, or None
     when its leaf runs in the interpreter."""
     spec = SPECS[ck.kind]
-    if spec.interp_only or ck.strategy not in spec.strategies:
+    if ck.strategy not in spec.bound:
         return None
     return (spec.shape, ck.strategy)

@@ -49,9 +49,9 @@ An artifact is a directory:
     stays lazy) and are re-hashed offline by
     :meth:`repro.core.store_index.ArtifactStore.verify`.
 
-An artifact carries data and analyses, never code: generated leaf modules
-are rebuilt from their lowering templates by whichever process binds them
-(:mod:`repro.codegen`), so nothing read from an artifact is compiled.
+An artifact carries data and analyses, never code: a leaf is bound by
+calling the bind function its kernel-table entry names, in whichever
+process executes it (:mod:`repro.codegen`), so nothing is compiled.
 
 ``load_packed`` re-seeds the process-local caches under the *new* object
 identities (fingerprints are recomputed over the unpickled tensors, trace

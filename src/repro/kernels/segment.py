@@ -7,13 +7,18 @@ against the rows of a matrix.  It is SciPy's ``csr_matvec`` /
 ``csr_matvecs`` called on views: a range of the level's segment boundaries
 (:func:`packed_indptr`; :func:`piece_indptr` clips it to a non-zero piece)
 and the *whole* ``crd`` / ``vals`` arrays, so nothing proportional to the
-non-zeros is built beside the level.  The generated modules
-(:mod:`repro.codegen.lowering`) call the same entry points with the same
-arguments, which is why both backends agree bit for bit.
+non-zeros is built beside the level.
+
+The bind functions beside each reference kernel (``segdot_bind`` and
+friends) call the same entry points with the same arguments, which is why
+the interpreter leaves and the bound leaves agree bit for bit; the helpers
+they share — segment boundaries, the accumulation target and the SpMM
+reduce, each taking the strategy's ``accumulate`` flag — are written once
+below.
 
 ``scipy.sparse._sparsetools`` is private SciPy surface: it is imported by
-name here and on the one import line ``lowering.emit_source`` writes, and
-``tests/kernels/test_segment.py`` pins what both rely on.
+name here only, and ``tests/kernels/test_segment.py`` pins what the
+leaves rely on.
 """
 from __future__ import annotations
 
@@ -126,3 +131,61 @@ def segment_sum_matrix(values: np.ndarray, seg_ids: np.ndarray, nseg: int) -> np
     n = len(values)
     indptr = np.searchsorted(seg_ids, np.arange(nseg + 1))
     return segment_matmul(indptr, np.arange(n), np.ones(n), values)
+
+
+# --------------------------------------------------------------------------- #
+# what the bind functions share
+# --------------------------------------------------------------------------- #
+def _const(w):
+    """The thunk of an empty piece: it returns the piece's frozen Work."""
+    def thunk():
+        return w
+    return thunk
+
+
+def _indptr(pos: np.ndarray) -> np.ndarray:
+    """Every ``lo`` of ``pos`` plus a final ``hi[-1] + 1``, derived once per
+    bind: the kernel table checked the level packed before handing it over."""
+    return np.append(pos[:, 0], pos[-1:, 1] + 1)
+
+
+def _segments_of(indptr: np.ndarray, lo: int, hi: int, accumulate: bool):
+    """``(r0, boundaries)`` of a piece: a row piece's segments ``[lo, hi]``
+    as a *view* of ``indptr``; a non-zero piece's positions ``[lo, hi]`` as
+    a copy of the boundaries of the segments it touches, the first and last
+    clipped to its positions."""
+    if not accumulate:
+        return lo, indptr[lo : hi + 2]
+    r0, r1 = np.searchsorted(indptr, (lo, hi), side="right") - 1
+    ip = indptr[r0 : r1 + 2].copy()
+    ip[0], ip[-1] = lo, hi + 1
+    return int(r0), ip
+
+
+def _target(ov: np.ndarray, accumulate: bool) -> np.ndarray:
+    """The zeroed array ``csr_matvec(s)`` accumulates into: the output block
+    itself where a row piece can write it in place, else (a ``grid`` column
+    window, a permuted layout, another dtype, and always a non-zero piece,
+    whose partial is formed from 0.0 and *then* added in) a fresh array."""
+    if not accumulate and ov.flags.c_contiguous and ov.dtype == np.float64:
+        ov[...] = 0.0
+        return ov
+    return np.zeros(ov.shape)
+
+
+def _deliver(acc: np.ndarray, ov: np.ndarray, accumulate: bool) -> None:
+    """Add a non-zero piece's partial into its rows; copy a row piece's
+    result into a block it could not write in place."""
+    if accumulate:
+        np.add(ov, acc, out=ov)
+    elif acc is not ov:
+        ov[...] = acc
+
+
+def _reduce(ip, crd, vals, X, ov, accumulate: bool) -> None:
+    """The SpMM reduce: one ``csr_matvecs`` over a piece's boundaries into
+    its output rows ``ov``."""
+    m, k = X.shape
+    acc = _target(ov, accumulate)
+    csr_matvecs(ip.size - 1, m, k, ip, crd, vals, X.reshape(-1), acc.reshape(-1))
+    _deliver(acc, ov, accumulate)

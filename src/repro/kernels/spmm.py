@@ -7,6 +7,8 @@ the vendor kernel the paper calls at the leaves).  The non-zero-based
 piece (the GPU schedule) balances positions exactly but replicates C and
 reduces aliased output rows: the same reduce over the piece's clipped
 segment boundaries, its partial formed from 0.0 and then added in.
+:func:`spmm_bind` binds that reduce once per kernel for every strategy;
+``grid`` rides its row body with a column window.
 
 Index notation: ``A(i,j) = B(i,k) * C(k,j)`` — paper §VI-A (algorithms,
 including the memory-conserving "SpDISTAL-Batched" variant), Fig. 10/11
@@ -17,9 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..legion.machine import Work
-from .segment import packed_indptr, piece_indptr, segment_matmul
+from .segment import (
+    _const, _indptr, _reduce, _segments_of, packed_indptr, piece_indptr,
+    segment_matmul,
+)
 
-__all__ = ["spmm_rows", "spmm_nonzeros", "spmm_rows_reference"]
+__all__ = ["spmm_bind", "spmm_rows", "spmm_nonzeros", "spmm_rows_reference"]
 
 F8 = 8
 
@@ -80,3 +85,34 @@ def spmm_rows_reference(pos, crd, vals, C, out, r0, r1) -> Work:
             nnz += 1
         out[i, :] = acc
     return Work(flops=2.0 * nnz * k, bytes=float(nnz * (2 + k) * F8))
+
+
+def spmm_bind(pos, crd, vals, C, out, pieces, accumulate):
+    """Resolve each piece to its row boundaries once; return ``({color:
+    thunk}, over)``.  ``rows`` / ``grid`` piece tuples carry a column window
+    (``None``: all of C and A, as for ``nonzeros`` tuples, which have none);
+    a full-width window of a row-major array is still contiguous, so only
+    ``grid`` pays for contiguous copies.  ``over`` is None under ``grid``,
+    whose column windows one row range cannot express."""
+    indptr = _indptr(pos)
+
+    def over(lo, hi, w, cols=None):
+        c0, c1 = cols or (0, C.shape[1] - 1)
+        r0, ip = _segments_of(indptr, lo, hi, accumulate)
+        return _spmm_thunk(
+            ip, crd, vals, C[:, c0 : c1 + 1],
+            out[r0 : r0 + ip.size - 1, c0 : c1 + 1], w, accumulate,
+        )
+
+    thunks, windowed = {}, False
+    for color, lo, hi, *window, w in pieces:
+        thunks[color] = over(lo, hi, w, *window) if lo <= hi else _const(w)
+        windowed = windowed or any(window)  # a ``grid`` piece's columns
+    return thunks, None if windowed else over
+
+
+def _spmm_thunk(ip, crd, vals, Cv, ov, w, accumulate):
+    def thunk():
+        _reduce(ip, crd, vals, Cv, ov, accumulate)
+        return w
+    return thunk

@@ -11,6 +11,7 @@ variant splits leaf positions exactly and reduces aliased output rows (the
 GPU schedule in the paper, which wins through load balance).  Either way
 the per-non-zero products are formed first and then summed per output row
 by the segment reduce of :mod:`.segment`, in position order from 0.0.
+:func:`spmttkrp_bind` is the same body bound once per kernel.
 
 Index notation: ``A(i,l) = B(i,j,k) * C(j,l) * D(k,l)`` — paper §VI-A
 (higher-order kernels), Fig. 10/12 (evaluation).
@@ -22,9 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..legion.machine import Work
-from .segment import segment_sum_matrix
+from .segment import _const, _reduce, segment_sum_matrix
 
-__all__ = ["spmttkrp", "spmttkrp_reference"]
+__all__ = ["spmttkrp", "spmttkrp_bind", "spmttkrp_reference"]
 
 F8 = 8
 #: positions -> per-level coordinate arrays, root first.
@@ -71,3 +72,37 @@ def spmttkrp_reference(coords: Coords, vals, C, D, out, p0, p1) -> Work:
         nnz += 1
     l = C.shape[1]
     return Work(flops=3.0 * nnz * l, bytes=float(nnz * (2 * l + 3) * F8))
+
+
+def spmttkrp_bind(coords: Coords, vals, C, D, out, pieces, accumulate):
+    """Hoist coordinate gathers per position range; return ``({color:
+    thunk}, None)``.  The per-non-zero products are summed per output row
+    by ``csr_matvecs`` over an identity column index and unit data (one
+    shared pair per bind, sliced per piece), which adds them in position
+    order."""
+    thunks = {}
+    longest = max((p1 - p0 + 1 for _color, p0, p1, _w in pieces), default=0)
+    ident, ones = np.arange(longest), np.ones(longest)
+    for color, p0, p1, w in pieces:
+        if p1 < p0:
+            thunks[color] = _const(w)
+            continue
+        n = p1 - p0 + 1
+        i_ids, j_ids, k_ids = coords(np.arange(p0, p1 + 1, dtype=np.int64))
+        thunks[color] = _body_thunk(
+            i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out,
+            ident[:n], ones[:n], w, accumulate,
+        )
+    return thunks, None
+
+
+def _body_thunk(i_ids, j_ids, k_ids, v, C, D, out, ident, ones, w, accumulate):
+    r0, r1 = int(i_ids[0]), int(i_ids[-1])
+    ip = np.searchsorted(i_ids, np.arange(r0, r1 + 2))
+    ov = out[r0 : r1 + 1, :]
+
+    def thunk():
+        prods = v[:, None] * C[j_ids, :] * D[k_ids, :]
+        _reduce(ip, ident, ones, prods, ov, accumulate)
+        return w
+    return thunk

@@ -21,20 +21,23 @@ Both run the compiled segment reduce of :mod:`.segment` on views of the
 level's arrays — each segment's sum formed from 0.0 left to right, a
 non-zero piece's partial formed from 0.0 and then added into the output —
 and return the roofline :class:`~repro.legion.machine.Work` they performed.
+:func:`segdot_bind` is the same body bound once per kernel: the bound
+leaf of both strategies.
 
 Paper: §II-D (schedules), §VI-A (CPU/GPU algorithm choice), Fig. 10–13
 (evaluation).
 """
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..legion.machine import Work
-from .segment import packed_indptr, piece_indptr, segment_dot
+from .segment import (
+    _const, _deliver, _indptr, _segments_of, _target, csr_matvec,
+    packed_indptr, piece_indptr, segment_dot,
+)
 
-__all__ = ["spmv_rows", "spmv_nonzeros", "spmv_rows_reference"]
+__all__ = ["segdot_bind", "spmv_rows", "spmv_nonzeros", "spmv_rows_reference"]
 
 F8 = 8  # bytes per float64 / int64
 
@@ -101,3 +104,31 @@ def spmv_rows_reference(
             nnz += 1
         out[i] = acc
     return Work(flops=2.0 * nnz, bytes=float(nnz * 3 * F8))
+
+
+def segdot_bind(pos, crd, vals, c, out, pieces, accumulate):
+    """Resolve each ``(color, lo, hi, Work)`` piece to its segment
+    boundaries once; return ``({color: thunk}, over)``.  ``over(lo, hi,
+    w)`` is the same body over a longer range (the launch thunk's)."""
+    indptr = _indptr(pos)
+
+    def over(lo, hi, w):
+        r0, ip = _segments_of(indptr, lo, hi, accumulate)
+        return _segdot_thunk(
+            ip, crd, vals, c, out[r0 : r0 + ip.size - 1], w, accumulate)
+
+    thunks = {}
+    for color, lo, hi, w in pieces:
+        thunks[color] = over(lo, hi, w) if lo <= hi else _const(w)
+    return thunks, over
+
+
+def _segdot_thunk(ip, crd, vals, c, ov, w, accumulate):
+    nr, m = ip.size - 1, c.shape[0]
+
+    def thunk():
+        acc = _target(ov, accumulate)
+        csr_matvec(nr, m, ip, crd, vals, c, acc)
+        _deliver(acc, ov, accumulate)
+        return w
+    return thunk

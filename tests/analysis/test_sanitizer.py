@@ -1,8 +1,9 @@
-"""AST allowlist sanitizer: what generated modules may and may not do.
+"""AST allowlist sanitizer: what a kernel module's source may and may not do.
 
-Positive side: every source :mod:`repro.codegen.lowering` can emit must
-pass (the allowlist is defined *by* the emitter's shape, so a divergence
-is a bug in one of the two).  Negative side: each forbidden construct —
+Positive side: hand-written module sources of the shapes the allowlist
+admits — a reducing body on the two ``_sparsetools`` entry points, a
+blocked gather with module constants — must pass.  Negative side: each
+forbidden construct —
 smuggled imports, dunder access, exec/eval/open, global mutation,
 missing ``bind`` — is rejected with a :class:`SanitizerError` carrying
 the exact line.
@@ -10,7 +11,6 @@ the exact line.
 import pytest
 
 from repro.analysis.sanitizer import ALLOWED_IMPORT_ROOTS, verify_aot_source
-from repro.codegen import lowering
 from repro.errors import SanitizerError
 
 GOOD = '''"""Generated by repro.codegen — test module."""
@@ -32,6 +32,52 @@ def bind(vals, out, pieces, Work, jit=None):
     return {0: thunk}
 '''
 
+#: hand-written sources of the shapes a bound leaf takes
+REDUCING = '''"""A segmented dot over the two pinned SciPy entry points."""
+import numpy as np
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+
+
+def bind(pos, crd, vals, c, out, pieces, accumulate):
+    indptr = np.append(pos[:, 0], pos[-1:, 1] + 1)
+
+    def over(lo, hi, w):
+        ip = indptr[lo : hi + 2]
+
+        def thunk():
+            csr_matvec(ip.size - 1, c.shape[0], ip, crd, vals, c, out[lo : hi + 1])
+            return w
+        return thunk
+
+    return {color: over(lo, hi, w) for color, lo, hi, w in pieces}, over
+'''
+
+BLOCKED = '''"""A blocked sampled dot with module constants."""
+import math
+
+import numpy as np
+
+_BLOCK_BYTES = 1 << 17
+_COPY_AT = 2
+
+
+def _rows_of(starts, p0, p1):
+    return np.searchsorted(starts, np.arange(p0, p1 + 1), side="right") - 1
+
+
+def bind(pos, crd, vals, C, D, out_vals, pieces, accumulate):
+    block = max(1, _BLOCK_BYTES // (8 * max(C.shape[1], 1)))
+
+    def thunk():
+        rows = _rows_of(pos[:, 0], 0, crd.size - 1)
+        for s in range(0, rows.size, block):
+            e = min(s + block, rows.size)
+            dots = np.einsum("ij,ij->i", C[rows[s:e]], D.T[crd[s:e]])
+            out_vals[s:e] = vals[s:e] * dots
+        return math.nan
+    return {0: thunk}, None
+'''
+
 
 def _line_of(source: str, needle: str) -> int:
     for n, line in enumerate(source.splitlines(), start=1):
@@ -45,11 +91,10 @@ class TestAllowedShapes:
         tree = verify_aot_source(GOOD, filename="good.py")
         assert tree is not None
 
-    def test_every_emittable_template_passes(self):
-        assert len(lowering.TEMPLATES) == 11  # the matrix, not a vacuous loop
-        for shape, strategy in lowering.TEMPLATES:
-            source = lowering.emit_source(shape, strategy)
-            verify_aot_source(source, filename=f"{shape}/{strategy}")
+    @pytest.mark.parametrize("source", [REDUCING, BLOCKED], ids=["reducing", "blocked"])
+    def test_hand_written_kernel_modules_pass(self, source):
+        tree = verify_aot_source(source, filename="kernel.py")
+        assert any(f.name == "bind" for f in tree.body if hasattr(f, "name"))
 
     def test_scipy_sparse_import_allowed(self):
         src = GOOD.replace(

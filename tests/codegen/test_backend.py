@@ -1,4 +1,6 @@
 """The ``backend=`` argument, interpreter fallbacks, backend agreement."""
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ import repro
 from repro import codegen
 from repro.api.autoschedule import auto_schedule
 from repro.codegen import BACKENDS, codegen_stats, reset_codegen_stats
-from repro.core import clear_caches, compile_kernel
+from repro.core import SPECS, clear_caches, compile_kernel
 from repro.core.cache import iter_aot_entries
 from repro.legion import Machine, Runtime
 from repro.taco import CSR, Tensor, index_vars
@@ -61,8 +63,8 @@ class TestKnobs:
 
 class TestFallbacks:
     def test_unsupported_format_falls_back_to_interpreter(self):
-        # CSC stores levels column-major (mode_ordering (1, 0)); no lowering
-        # template indexes permuted layouts, so codegen must route the
+        # CSC stores levels column-major (mode_ordering (1, 0)); no bind
+        # function indexes permuted layouts, so codegen must route the
         # kernel back to the interpreter leaf and match it exactly.
         def build(seed=5):
             rng = np.random.default_rng(seed)
@@ -91,7 +93,7 @@ class TestFallbacks:
         np.testing.assert_array_equal(a1.to_dense(), a2.to_dense())
 
 
-class TestGeneratedModules:
+class TestBoundLeaves:
     def test_backends_agree_exactly(self):
         machine = Machine.cpu(PIECES)
         a1, s1 = spmv_workload(seed=21)
@@ -104,12 +106,16 @@ class TestGeneratedModules:
         assert codegen_stats()["binds"] >= 1
         np.testing.assert_array_equal(a1.to_dense(), a2.to_dense())
 
-    def test_generated_module_carries_meta(self):
+    def test_leaf_binds_through_the_table(self):
         a, sched = spmv_workload()
         machine = Machine.cpu(PIECES)
-        compile_kernel(sched, machine, backend="codegen").execute(Runtime(machine))
-        ((key, entry),) = iter_aot_entries()
-        assert key == ("segdot", "rows")
-        meta = entry.module.META
-        assert meta["generator"] == "repro.codegen"
-        assert (meta["shape"], meta["strategy"]) == key
+        ck = compile_kernel(sched, machine, backend="codegen")
+        ck.execute(Runtime(machine))
+        assert codegen.supported(ck) and ck.strategy == "rows"
+        bind = SPECS["spmv"].bound["rows"]
+        assert bind.__name__ == "segdot_bind"
+        for thunk in ck._leaf.__defaults__[0].values():
+            assert thunk.__globals__ is vars(sys.modules[bind.__module__])
+        stats = codegen_stats()
+        assert (stats["lowered"], stats["loaded"], stats["binds"]) == (0, 0, 1)
+        assert list(iter_aot_entries()) == []

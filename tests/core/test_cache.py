@@ -1,6 +1,8 @@
 """Cache correctness: kernel cache, partition memo, invalidation rules,
 size-aware eviction."""
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +21,16 @@ from repro.core import (
     partition_tensor,
     set_cache_budget,
 )
+from repro.api.autoschedule import auto_schedule
+from repro.core import SPECS
+from repro.core import cache as _cache
+from repro.core.passes import FUSED_SDDMM_SPMM, pipeline_plan
 from repro.legion import Machine, Runtime
 from repro.taco import CSR, Tensor, index_vars
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+import check  # noqa: E402 - the seeded one-statement-per-kind builders
 
 rng = np.random.default_rng(11)
 N, M = 60, 48
@@ -138,6 +148,66 @@ class TestKernelCache:
         assert invalidate_tensor(B) > 0
         ck2 = compile_kernel(spmv_schedule(B, c, a), machine)
         assert ck2 is not ck1
+
+
+def _sweep_schedules(machine):
+    """A fresh auto-scheduled statement per kind x sweep format x strategy."""
+    for spec in SPECS.values():
+        for fmt in spec.formats:
+            for strategy in spec.strategies:
+                if spec.kind == FUSED_SDDMM_SPMM:
+                    chain = check._fusable_chain(machine)
+                    target = pipeline_plan(chain, machine).schedules[0].assignment
+                else:
+                    target = check._commplan_workload(spec.kind, fmt).assignment
+                yield auto_schedule(target, machine, strategy=strategy)
+
+
+class TestOneFingerprintPerMiss:
+    def test_post_compile_key_only_when_a_version_moved(self, monkeypatch):
+        """A miss fingerprints the schedule once, and again only when
+        compiling moved a statement tensor's ``pattern_version`` (an
+        adopted pattern); the key it stores under is what the next lookup
+        computes, so the second compile of every statement hits."""
+        machine = Machine.cpu(4)
+        calls = []
+        fingerprint = _cache.kernel_fingerprint
+
+        def counting(schedule, m):
+            key = fingerprint(schedule, m)
+            calls.append(key)
+            return key
+
+        moved = kept = 0
+        for sched in _sweep_schedules(machine):
+            tensors = sched.assignment.tensors()
+            versions = [t.pattern_version for t in tensors]
+            calls.clear()
+            monkeypatch.setattr(_cache, "kernel_fingerprint", counting)
+            ck = compile_kernel(sched, machine)
+            monkeypatch.undo()
+            post = kernel_fingerprint(sched, machine)
+            if versions == [t.pattern_version for t in tensors]:
+                kept += 1
+                assert calls == [post]
+            else:
+                moved += 1
+                assert len(calls) == 2 and calls[0] != post == calls[1]
+            assert compile_kernel(sched, machine) is ck
+        assert moved and kept  # both branches swept
+
+    def test_cold_sweep_hits_and_misses(self):
+        """Each statement of a cold sweep misses once and hits once."""
+        machine = Machine.cpu(4)
+        before = cache_stats()
+        n = 0
+        for sched in _sweep_schedules(machine):
+            assert compile_kernel(sched, machine) is compile_kernel(sched, machine)
+            n += 1
+        after = cache_stats()
+        assert n == 18  # 16 user statements + the fused kind's two strategies
+        assert after["kernel_misses"] - before["kernel_misses"] == n
+        assert after["kernel_hits"] - before["kernel_hits"] == n
 
 
 class TestPartitionMemo:

@@ -1,12 +1,13 @@
-"""Generated-module keying: one module per lowering template, none stored.
+"""Bound-leaf keying: one bind function per template key, no source anywhere.
 
-A generated leaf module depends on its template key ``(iteration shape,
-strategy)`` and on nothing else, so every kernel of one template — whatever
-its kind, format, tensors, pattern versions, machine or piece count — must
-bind from the *same* module object, lowered and exec-loaded once per
-process.  Disabling
-the caches must not disable generated leaves, and a store round trip must
-restore kernels and traces while the artifact carries no code at all.
+A bound leaf depends on its key ``(iteration shape, strategy)`` and on
+nothing else, so every kernel of one key — whatever its kind, format,
+tensors, pattern versions, machine or piece count — must bind through the
+*same* function the kernel table names, and nothing is rendered, compiled
+or ``exec``'d on the way: a cold launch compiles no source (an audit hook
+watches the builtins).  Disabling the caches must not disable bound
+leaves, and a store round trip must restore kernels and traces while the
+artifact carries no code at all.
 """
 import sys
 from pathlib import Path
@@ -14,9 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis import verify_aot_source
 from repro.api.autoschedule import auto_schedule
-from repro.codegen import codegen_stats, lowering, reset_codegen_stats
+from repro.codegen import codegen_stats, reset_codegen_stats
 from repro.core import (
     SPECS, cache_stats, caches_disabled, clear_caches, compile_kernel,
     set_cache_enabled,
@@ -25,19 +25,22 @@ from repro.core.kernelspec import template_key
 from repro.core.cache import iter_aot_entries
 from repro.core.passes import FUSED_SDDMM_SPMM, pipeline_plan
 from repro.core.store_index import ArtifactStore
+from repro.kernels.segment import _const
 from repro.legion import Machine, Runtime
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
 import check  # noqa: E402 - the seeded one-statement-per-kind builders
 
-#: every (kind, sweep format, strategy) with a generated leaf
+#: every (kind, sweep format, strategy) with a bound leaf
 CASES = [
     (spec.kind, fmt, strategy)
-    for spec in SPECS.values() if not spec.interp_only
-    for fmt in spec.formats for strategy in spec.strategies
+    for spec in SPECS.values()
+    for fmt in spec.formats for strategy in spec.bound
 ]
 SPMV_ROWS = ("spmv", SPECS["spmv"].formats[0], "rows")
+#: what an empty piece binds to, whatever the key
+CONST_CODE = _const(None).__code__
 
 
 def case_id(case):
@@ -71,10 +74,18 @@ def run(sched, machine, backend="codegen"):
     return ck
 
 
+def body_codes(ck):
+    """The code objects of ``ck``'s non-empty piece thunks."""
+    thunks = ck._leaf.__defaults__[0]
+    assert set(thunks) == {p.color for p in ck.pieces}
+    return {t.__code__ for t in thunks.values()} - {CONST_CODE}
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
-def test_one_module_per_template(case):
+def test_one_bind_function_per_template(case):
     """Two kernels differing in tensors, pattern_version, machine kind and
-    piece count bind from one module, lowered and loaded once."""
+    piece count bind through the one function the table names: their
+    thunks run one body, defined in that function's module."""
     cpu, gpu = Machine.cpu(4), Machine.gpu(9)
     ck1 = run(schedule_for(case, cpu, n=18), cpu)
     key = template_key(ck1)
@@ -86,39 +97,77 @@ def test_one_module_per_template(case):
     assert len(ck1.pieces) != len(ck2.pieces)
 
     stats = codegen_stats()
-    assert (stats["lowered"], stats["loaded"]) == (1, 1)
+    assert (stats["lowered"], stats["loaded"]) == (0, 0)
     assert (stats["binds"], stats["fallbacks"]) == (2, 0)
-    ((got_key, entry),) = iter_aot_entries()
-    assert got_key == key
-    assert entry.source == lowering.emit_source(*key)
-    verify_aot_source(entry.source, filename=case_id(case))
-    # identity, not equality: every thunk of both kernels is a function of
-    # the one exec-loaded module
-    for ck in (ck1, ck2):
-        thunks = ck._leaf.__defaults__[0]
-        assert set(thunks) == {p.color for p in ck.pieces}
-        assert all(t.__globals__ is entry.module.__dict__
-                   for t in thunks.values())
+    assert list(iter_aot_entries()) == []
+    bind = SPECS[case[0]].bound[case[2]]
+    (code,) = body_codes(ck1)
+    assert body_codes(ck2) == {code}
+    for t in ck1._leaf.__defaults__[0].values():
+        assert t.__globals__ is vars(sys.modules[bind.__module__])
 
 
-def test_kinds_that_iterate_alike_share_one_module():
+def test_kinds_that_iterate_alike_share_one_bind_function():
     """SpMV over rows and SpTTV over fibers (either stack) are the same
-    segmented dot: three kernels, one module."""
+    segmented dot: three kernels, one bind function, one body."""
     machine = Machine.cpu(4)
     cases = [c for c in CASES if c[0] in ("spmv", "spttv") and c[2] == "rows"]
     assert len(cases) == 3
     kernels = [run(schedule_for(c, machine), machine) for c in cases]
     stats = codegen_stats()
-    assert (stats["lowered"], stats["loaded"], stats["binds"]) == (1, 1, 3)
-    ((key, entry),) = iter_aot_entries()
-    assert key == ("segdot", "rows")
-    for ck in kernels:
-        assert all(t.__globals__ is entry.module.__dict__
-                   for t in ck._leaf.__defaults__[0].values())
+    assert (stats["lowered"], stats["loaded"], stats["binds"]) == (0, 0, 3)
+    assert {template_key(ck) for ck in kernels} == {("segdot", "rows")}
+    assert SPECS["spmv"].bound["rows"] is SPECS["spttv"].bound["rows"]
+    assert len(set.union(*(body_codes(ck) for ck in kernels))) == 1
+
+
+#: one case per (shape, strategy) the table declares
+ONE_PER_KEY = list({(SPECS[c[0]].shape, c[2]): c for c in CASES}.values())
+_AUDIT = {"on": False, "events": []}
+
+
+def _audit(event, args):
+    if _AUDIT["on"] and event in ("compile", "exec"):
+        _AUDIT["events"].append((event, args[0] if args else None))
+
+
+@pytest.fixture(scope="module")
+def audited():
+    """The one process-wide audit hook (it cannot be removed), switched on
+    only inside the block a test watches."""
+    sys.addaudithook(_audit)
+    return _AUDIT
+
+
+@pytest.mark.parametrize("machine", [Machine.cpu(4), Machine.gpu(4)], ids=["cpu", "gpu"])
+def test_a_cold_launch_compiles_nothing(machine, audited):
+    """From cleared caches, compile and execute (record, then replay) one
+    kernel of every (shape, strategy) the table declares: no ``compile``
+    and no ``exec`` audit event fires.  The statements are built and every
+    module imported beforehand — an import ``exec``s its module."""
+    assert len(ONE_PER_KEY) == 11
+    for case in ONE_PER_KEY:  # imports and first-use setup, unwatched
+        run(schedule_for(case, machine), machine)
+    scheds = [schedule_for(case, machine) for case in ONE_PER_KEY]
+    clear_caches()
+    reset_codegen_stats()
+    audited["events"].clear()
+    audited["on"] = True
+    try:
+        for sched in scheds:
+            ck = compile_kernel(sched, machine)
+            rt = Runtime(machine)
+            ck.execute(rt)
+            ck.execute(rt)
+    finally:
+        audited["on"] = False
+    assert audited["events"] == []
+    stats = codegen_stats()
+    assert (stats["binds"], stats["fallbacks"]) == (11, 0)
 
 
 @pytest.mark.parametrize("disable", ["context", "setter"])
-def test_disabled_caches_still_run_the_generated_leaf(disable):
+def test_disabled_caches_still_run_the_bound_leaf(disable):
     key = SPMV_ROWS
     machine = Machine.cpu(4)
     ref = run(schedule_for(key, machine), machine, backend="interp")
@@ -147,7 +196,7 @@ def test_store_warm_start_restores_everything_but_code(tmp_path):
     store.put(ck.roles["B"].tensor)
     assert not list((tmp_path / "store").rglob("*.py"))  # no code on disk
 
-    clear_caches()  # a fresh process: no kernels, no modules
+    clear_caches()  # a fresh process: no kernels
     reset_codegen_stats()
     art = store.load_latest(sched, machine)
     by_name = {t.name: t for t in art.all_tensors()}

@@ -4,9 +4,11 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core import classify, compile_kernel, pattern_source
-from repro.errors import CompileError
-from repro.legion import Machine, Privilege
-from repro.taco import CSF3, CSR, DDC, Tensor, index_vars
+from repro.errors import CompileError, FormatError
+from repro.legion import Machine, Privilege, Region
+from repro.taco import CSF3, CSR, DDC, Format, Tensor, index_vars
+from repro.taco.formats import Compressed
+from repro.taco.tensor import CompressedLevel
 
 rng = np.random.default_rng(7)
 
@@ -306,3 +308,66 @@ class TestCompileErrors:
         s = a.schedule().divide(i, io, ii, 2).distribute(io)
         ck = compile_kernel(s, Machine.cpu(2))
         assert "distributed for" in ck.plan.describe()
+
+
+class TestGenericSparseOutput:
+    """A pattern-preserving sparse output on the generic engine scatters
+    each piece's result into the stored pattern, read once per bind."""
+
+    def _statement(self, pieces=16):
+        B, MB = rand_csr(n=64, m=48, density=0.2, name="B")
+        D = rng.random((64, 48))
+        A = Tensor.zeros("A", (64, 48), CSR)
+        i, j, io, ii = index_vars("i j io ii")
+        A[i, j] = B[i, j] * Tensor.from_dense("D", D)[i, j]
+        s = A.schedule().divide(i, io, ii, pieces).distribute(io)
+        ck = compile_kernel(s, Machine.cpu(pieces), backend="codegen")
+        assert ck.kind == "generic" and len(ck.pieces) == pieces
+        return A, MB.toarray() * D, ck
+
+    def test_sixteen_pieces_read_the_pattern_once(self, monkeypatch):
+        A, expected, ck = self._statement()
+        calls = []
+        to_coo = Tensor.to_coo
+
+        def counting(self, *a, **kw):
+            if self is A:
+                calls.append(1)
+            return to_coo(self, *a, **kw)
+
+        monkeypatch.setattr(Tensor, "to_coo", counting)
+        ck.execute()
+        ck.execute()  # the replay reuses the bound leaf and its pattern
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert np.array_equal(A.to_dense(), expected)  # one product per value
+
+    def test_a_corrupted_output_pattern_is_refused(self):
+        A, _, ck = self._statement()
+        last = A.levels[-1]  # shared with B: corrupt a copy
+        crd = last.crd.data.copy()
+        pos = last.pos.data
+        row = next(r for r in range(len(pos)) if pos[r, 1] >= pos[r, 0]
+                   and crd[pos[r, 1]] + 1 < A.shape[1])
+        crd[pos[row, 1]] += 1  # B's last entry of that row leaves A's pattern
+        A.levels[-1] = CompressedLevel(
+            last.pos, Region(last.crd.ispace, data=crd, name="A_handbuilt_crd"))
+        with pytest.raises(
+                FormatError, match=r"writes A\[.*\], which A's stored pattern"):
+            ck.execute()
+
+    def test_huge_shapes_rank_stored_and_new_jointly(self):
+        """An output whose shape product overflows int64 matches coordinates
+        by joint ranks instead of flattened keys, with the same result."""
+        huge, fmt = 2**40, Format([Compressed] * 3)
+        coords = [rng.integers(0, 1000, 50) * (huge // 1000) for _ in range(3)]
+        B, C = (Tensor.from_coo(n, coords, rng.random(50), (huge,) * 3, fmt)
+                for n in "BC")
+        A = Tensor.zeros("A", (huge,) * 3, fmt)
+        i, j, k, io, ii = index_vars("i j k io ii")
+        A[i, j, k] = B[i, j, k] * C[i, j, k]
+        ck = compile_kernel(A.schedule().divide(i, io, ii, 4).distribute(io),
+                            Machine.cpu(4))
+        assert ck.kind == "generic"
+        ck.execute()
+        assert np.array_equal(A.vals.data, B.vals.data * C.vals.data)

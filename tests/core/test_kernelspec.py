@@ -3,8 +3,8 @@
 Every layer derives its per-kind behaviour from one :data:`SPECS` entry,
 so the table's internal consistency is what keeps them from drifting:
 defaults are legal, every declared (sweep format × strategy) has a working
-interpreter leaf and — unless the kind is marked interp-only — a lowering
-template, the template table holds exactly the declared (iteration shape,
+interpreter leaf and — unless the kind names no bind function — a bound
+leaf, the ``bound`` tables cover exactly the declared (iteration shape,
 strategy) keys, and ``classify`` sends each differential-oracle statement
 to the spec that handles it — by level types, never by a format's name.
 """
@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "integration"))
 from test_differential import _FORMATS, _build, _combos  # noqa: E402
 
 from repro.api.autoschedule import auto_schedule  # noqa: E402
-from repro.codegen import lowering, supported  # noqa: E402
+from repro.codegen import supported  # noqa: E402
 from repro.core import (  # noqa: E402
     SPECS, classify, clear_caches, compile_kernel,
 )
@@ -45,18 +45,28 @@ def test_defaults_are_legal_strategies(spec):
     assert set(spec.accumulating) <= set(spec.strategies)
 
 
-def test_template_table_is_exactly_what_the_specs_declare():
+def test_bound_tables_are_exactly_what_the_specs_declare():
+    bodies = {
+        (spec.shape, s): (fn, s in spec.accumulating)
+        for spec in SPECS.values() for s, fn in spec.bound.items()
+    }
     declared = {k for spec in SPECS.values() for k in spec.template_keys()}
-    assert set(lowering.TEMPLATES) == declared
-    # keyed by iteration shape: kinds that iterate alike share keys, and
-    # no key carries a format
+    assert set(bodies) == declared
+    # keyed by iteration shape: kinds that iterate alike share keys and
+    # one table, and no key carries a format
     assert SPECS["spmv"].template_keys() == SPECS["spttv"].template_keys()
-    assert len(lowering.TEMPLATES) == 11
-    assert len(set(lowering.TEMPLATES.values())) == 10  # grid rides rows
+    assert SPECS["spmv"].bound is SPECS["spttv"].bound
+    assert len(bodies) == 11
+    # a body is a bind function and its accumulate flag: grid rides rows
+    assert len(set(bodies.values())) == 10
+    assert bodies[("spmm", "grid")] == bodies[("spmm", "rows")]
     for spec in SPECS.values():
-        # interp-only is an explicit mark, never an accident of a missing
-        # template: everything else declares at least one
-        assert spec.interp_only == (not spec.template_keys())
+        # a specialized kind binds every strategy it declares; SpAdd and
+        # generic bind none and run their interpreter leaves
+        assert set(spec.bound) in (set(), set(spec.strategies))
+        assert (not spec.bound) == (spec.assembles or spec.kind == "generic")
+        for fn in spec.bound.values():
+            assert fn.__module__.startswith("repro.kernels.")
 
 
 @pytest.mark.parametrize("combo", list(_combos()), ids="-".join)
@@ -74,7 +84,7 @@ def test_every_declared_combination_classifies_and_has_its_leaves(combo):
         backend="interp",
     )
     assert (ck.kind, ck.strategy) == (kind, strategy)
-    assert supported(ck) == (not spec.interp_only)
+    assert supported(ck) == bool(spec.bound)
     if spec.assembles:
         ck.execute()  # the assembly executor is this kind's leaf
     else:

@@ -25,11 +25,9 @@ from test_differential import LAYOUTS, _KIND_FORMATS, _STRATEGIES, _build
 
 PIECES = 4
 
-#: compute kernels with lowering templates (spadd3 never reaches the
-#: compute leaf path — it runs the two-phase assembly pipeline).
-_CODEGEN_KINDS = tuple(
-    k for k in _KIND_FORMATS if k in SPECS and not SPECS[k].interp_only
-)
+#: compute kernels with bound leaves (spadd3 never reaches the compute
+#: leaf path — it runs the two-phase assembly pipeline).
+_CODEGEN_KINDS = tuple(k for k in _KIND_FORMATS if k in SPECS and SPECS[k].bound)
 
 
 def _metrics_signature(rt: Runtime):
@@ -130,7 +128,7 @@ def test_codegen_backend_smoke(case):
 def test_unwalkable_layouts_fall_back_and_say_so(layout, machine_kind):
     """A stack or output layout no leaf serves runs the interpreter's
     generic engine under both backends — counted as a fallback, never
-    bound to a template whose name merely matched."""
+    bound to a leaf whose name merely matched."""
     _check(*layout, None, machine_kind, 4321, generated=False)
 
 

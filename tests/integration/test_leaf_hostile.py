@@ -3,7 +3,7 @@
 Every leaf that reduces — the segmented dot (SpMV, SpTTV), SpMM, the SpMM
 phase of the fused SDDMM→SpMM and SpMTTKRP's row sum — runs on one compiled
 segment-reduce primitive (:mod:`repro.kernels.segment`), called with the
-same arguments by the interpreter leaves and the generated modules.  This
+same arguments by the interpreter leaves and the bound leaves.  This
 module draws the inputs that primitive is most likely to get wrong — an
 empty tensor, all-empty rows, leading / trailing empty rows, one heavy
 segment split across every non-zero piece, more pieces than rows, NaN /
@@ -16,8 +16,8 @@ segment split across every non-zero piece, more pieces than rows, NaN /
 * the ``Work`` every leaf reports per piece ≡ the kernel table's.
 
 SDDMM's sampled dot rides along in the same draws.  A replayed launch
-whose output is written disjointly runs as one call of the template's
-launch thunk; the same inputs check that one call ≡ the recording launch's
+whose output is written disjointly runs as one call of the bound launch
+thunk; the same inputs check that one call ≡ the recording launch's
 per-piece thunks ≡ the interpreter as output bytes, with the simulated
 step of a per-piece replay, and — observed by counting calls, never looked
 up by kind — which launches may take the one call at all.
@@ -29,6 +29,7 @@ first execute allocate nothing per non-zero (traced peak), and an unpacked
 level — a gap, or an entry of negative length — is refused by name on both
 backends instead of being mis-sliced.
 """
+import sys
 import tracemalloc
 
 import numpy as np
@@ -41,7 +42,6 @@ from repro.api.autoschedule import auto_schedule
 from repro.core import (
     SPECS, caches_disabled, classify, clear_caches, compile_kernel, compile_program,
 )
-from repro.core.kernelspec import template_key
 from repro.core.passes import FUSED_SDDMM_SPMM
 from repro.errors import FormatError, OOMError
 from repro.legion import (
@@ -64,7 +64,7 @@ CASES = [
     ("spmttkrp", CSF3, "rows"), ("spmttkrp", CSF3, "nonzeros"),
     ("spmttkrp", DDC, "rows"), ("spmttkrp", DDC, "nonzeros"),
 ]
-#: the cases whose template returns a launch thunk.
+#: the cases whose bind function returns a launch thunk.
 ONE_CALL = [
     ("spmv", CSR, "rows"), ("spttv", CSF3, "rows"), ("spttv", DDC, "rows"),
     ("spmm", CSR, "rows"), ("sddmm", CSR, "rows"), ("sddmm", CSR, "nonzeros"),
@@ -306,8 +306,8 @@ def test_one_call_replay_writes_what_the_pieces_write(
     """A replay through the launch thunk rewrites (over a poisoned output)
     the bytes its recording wrote piece by piece and the interpreter
     writes, and books the step a per-piece replay books: per-processor
-    compute seconds, communication events and task count.  A template that
-    gathers in blocks is bound with blocks of 1 to all positions, and
+    compute seconds, communication events and task count.  A bind function
+    that gathers in blocks is bound with blocks of 1 to all positions, and
     gathers rows of ``D.T`` from a contiguous copy always, by its own rule,
     or never (the interpreter gathers the strided view)."""
     clear_caches()
@@ -317,7 +317,7 @@ def test_one_call_replay_writes_what_the_pieces_write(
         (out,), _ = _statements(case, n, structure, hostile, seed)
         ck = compile_kernel(
             auto_schedule(out.assignment, machine, strategy=case[2]), machine)
-        module = codegen.registry.module_for(template_key(ck))
+        module = sys.modules[SPECS[ck.kind].bound[ck.strategy].__module__]
         if hasattr(module, "_BLOCK_BYTES"):
             mp.setattr(module, "_BLOCK_BYTES", block_bytes)
             mp.setattr(module, "_COPY_AT", copy_at)
@@ -544,13 +544,13 @@ def test_cold_launch_allocates_nothing_proportional_to_nnz(kind):
         assert classify(asg).kind == kind
         tracemalloc.start()
         try:
-            with caches_disabled():  # a cold compile; the module stays built
+            with caches_disabled():  # a cold compile
                 compile_kernel(sched, machine).execute(Runtime(machine))
             return tracemalloc.get_traced_memory()[1], nseg
         finally:
             tracemalloc.stop()
 
-    peak(1)  # build the generated module outside the traced runs
+    peak(1)  # first-use setup outside the traced runs
     fixed, nseg = peak(1)
     dense, _ = peak(50)
     assert dense - fixed <= 4 * 8 * (nseg + pieces), (fixed, dense)

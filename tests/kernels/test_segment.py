@@ -54,7 +54,7 @@ class TestRowOfPositions:
 
 
 class TestSparsetoolsPin:
-    """What ``repro.kernels.segment`` and the generated modules rely on in
+    """What ``repro.kernels.segment`` and the bind functions rely on in
     ``scipy.sparse._sparsetools`` — private surface, so pinned here: a
     SciPy that changes any of it fails these, not a leaf's values."""
 

@@ -2,9 +2,9 @@
 
 Barrier-released thread herds hammer the three layers tenants contend on:
 
-* the generated-module table (``registry.module_for``) — a simultaneous
-  miss herd over every template lowers and loads each exactly once, and
-  every thread gets the same module object;
+* the bind path (``codegen.leaf_for``) — a herd binding one kernel of
+  every template key at once counts every bind exactly, and each thread's
+  leaves write bit-equal values;
 * the byte-budgeted LRU tiers (``_SizedLRU``) — no lost entries and exact
   byte/counter accounting after an interleaved put/get herd — and their
   on/off switch: one thread compiling uncached blinds nobody else;
@@ -21,15 +21,23 @@ run unmarked in the fast tier-1 loop; the 50-iteration no-flake sweeps
 """
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
-from repro.codegen import codegen_stats, registry, reset_codegen_stats
+from repro import codegen
+from repro.api.autoschedule import auto_schedule
+from repro.codegen import codegen_stats, reset_codegen_stats
 from repro.core import SPECS, caches_disabled, clear_caches, compile_kernel
-from repro.core.cache import _SizedLRU, iter_aot_entries, kernel_entry_nbytes
+from repro.core.cache import _SizedLRU, kernel_entry_nbytes
+from repro.core.passes import FUSED_SDDMM_SPMM, pipeline_plan
 from repro.legion import Machine
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+import check  # noqa: E402 - the seeded one-statement-per-kind builders
 
 pytestmark = []  # smoke herds below stay unmarked (tier-1)
 
@@ -70,47 +78,76 @@ def run_herd(n_threads, worker):
 
 
 # --------------------------------------------------------------------- #
-# layer 1: one generated module per template under a miss herd
+# layer 1: binds under a herd
 # --------------------------------------------------------------------- #
-# kinds that iterate alike declare the same key: one module serves them
-KEYS = sorted({key for spec in SPECS.values() for key in spec.template_keys()})
+def _kernels():
+    """One compiled kernel per template key (kinds that iterate alike
+    declare the same key) and the output bytes a serial run writes."""
+    machine = Machine.cpu(4)
+    kernels = {}
+    for spec in SPECS.values():
+        for strategy in spec.bound:
+            key = (spec.shape, strategy)
+            if key in kernels:
+                continue
+            if spec.kind == FUSED_SDDMM_SPMM:  # no user-written statement
+                target = pipeline_plan(
+                    check._fusable_chain(machine), machine).schedules[0].assignment
+            else:
+                target = check._commplan_workload(spec.kind, spec.formats[0]).assignment
+            sched = auto_schedule(target, machine, strategy=strategy)
+            ck = compile_kernel(sched, machine)
+            kernels[key] = (ck, _run_leaf(codegen.leaf_for(ck), ck))
+    return kernels
 
 
-def _module_herd(iteration: int) -> None:
-    # 16 threads x every template key, all colliding, half in reverse order
-    clear_caches()
+def _run_leaf(leaf, ck):
+    ck.out.vals.fill(0.0)
+    for p in ck.pieces:
+        leaf(p)
+    return ck.out.vals.data.tobytes()
+
+
+def _bind_herd(kernels, keys) -> None:
+    # 16 threads x every kernel of ``keys``, half in reverse order
     reset_codegen_stats()
     got = [None] * 16
 
     def worker(tid):
-        order = KEYS if tid % 2 else KEYS[::-1]
-        got[tid] = {k: registry.module_for(k) for k in order}
+        order = keys if tid % 2 else keys[::-1]
+        got[tid] = {k: codegen.leaf_for(kernels[k][0]) for k in order}
 
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads inside the build, too
+    sys.setswitchinterval(1e-5)  # switch threads inside the binds, too
     try:
         run_herd(16, worker)
     finally:
         sys.setswitchinterval(interval)
-    table = {k: e.module for k, e in iter_aot_entries()}
-    assert set(table) == set(KEYS)
-    for mods in got:
-        assert all(mods[k] is table[k] for k in KEYS), (
-            "herd observed distinct module objects for one template"
-        )
     stats = codegen_stats()
-    assert stats["lowered"] == stats["loaded"] == len(KEYS) == 11
+    assert stats == {"lowered": 0, "loaded": 0, "binds": 16 * len(keys),
+                     "fallbacks": 0}
+    for leaves in got:
+        for k in keys:
+            ck, expected = kernels[k]
+            assert _run_leaf(leaves[k], ck) == expected, (
+                f"a leaf bound under the herd diverged for {k}"
+            )
 
 
-def test_one_module_per_template_herd_smoke():
-    _module_herd(0)
+def test_bind_herd_smoke():
+    kernels = _kernels()
+    assert len(kernels) == 11
+    _bind_herd(kernels, sorted(kernels))
 
 
 @pytest.mark.serving
 @pytest.mark.slow
-def test_one_module_per_template_herd_sweep():
+def test_bind_herd_sweep():
+    """One key per iteration, every key in turn."""
+    kernels = _kernels()
+    keys = sorted(kernels)
     for i in range(SWEEP):
-        _module_herd(i)
+        _bind_herd(kernels, [keys[i % len(keys)]])
 
 
 # --------------------------------------------------------------------- #
@@ -262,9 +299,10 @@ def _serving_herd(iteration: int, tune: bool) -> None:
                 per_sig_leaders.setdefault(r.key, 0)
                 per_sig_leaders[r.key] += bool(r.compiled)
         assert all(v == 1 for v in per_sig_leaders.values()), per_sig_leaders
-    # no double-lowering under the herd: at most one per (kernel, strategy)
+    # nothing is generated under the herd, and every kernel binds its leaf
     stats = codegen_stats()
-    assert stats["lowered"] <= 2 * (3 if tune else 1)
+    assert (stats["lowered"], stats["loaded"], stats["fallbacks"]) == (0, 0, 0)
+    assert stats["binds"] >= len(requests)
     # bit-identical to serial — same spec, same answer, every response
     for row in results:
         for r in row:

@@ -2,10 +2,10 @@
 
 Running every fast plugin clean here wires the whole invariant set —
 lock discipline, docstring coverage, the exported API surface, the
-nondeterminism lint, the one-kernel-table lint and the AOT
-template/sanitizer agreement — into the plain ``pytest`` loop.  The
-self-tests pin the runner's own semantics (plugin selection, JSON schema
-stability, exact-line findings from the nondet and kind-compare scanners)
+nondeterminism lint, the one-kernel-table lint and the no-exec scan —
+into the plain ``pytest`` loop.  The self-tests pin the runner's own
+semantics (plugin selection, JSON schema stability, exact-line findings
+from every scanner)
 so the enforcement cannot rot into a vacuous pass.
 """
 import ast
@@ -54,7 +54,7 @@ def test_json_schema_is_stable():
         "checks": [r.to_json() for r in results],
     }
     doc = json.loads(json.dumps(doc))  # round-trips as plain JSON
-    assert doc["version"] == 2  # v2: commplan plugin + nondet waivers
+    assert doc["version"] == 3  # v3: no-exec replaces aot-sanitizer
     assert set(doc) == {"version", "ok", "checks"}
     for entry in doc["checks"]:
         assert set(entry) == {"name", "ok", "summary", "findings"}
@@ -87,7 +87,8 @@ def test_cli_only_unknown_exits_two_listing_names():
 def test_list_names_every_plugin():
     names = {p.name for p in check.PLUGINS}
     assert {"lock", "docs", "exports", "nondet", "kernelspec",
-            "aot-sanitizer", "commplan", "release", "examples"} <= names
+            "no-exec", "commplan", "release", "examples"} <= names
+    assert "aot-sanitizer" not in names
     # the commplan planner coherence sweep runs in the fast (tier-1) set
     assert "commplan" in {p.name for p in check.PLUGINS if not p.slow}
     # the slow plugins are the two subprocess runners
@@ -296,7 +297,7 @@ class TestFormatNameScanner:
 
     def test_only_the_dispatch_layers_are_scanned(self):
         assert "src/repro/core/kernelspec.py".startswith(check.FORMAT_NAME_ROOTS)
-        assert "src/repro/codegen/lowering.py".startswith(check.FORMAT_NAME_ROOTS)
+        assert "src/repro/codegen/__init__.py".startswith(check.FORMAT_NAME_ROOTS)
         assert not "src/repro/taco/tensor.py".startswith(check.FORMAT_NAME_ROOTS)
 
 
@@ -379,27 +380,26 @@ class TestIndexListScanner:
         assert not "src/repro/legion/region.py".startswith(check.INDEX_LIST_ROOT)
 
 
-class TestGeneratedCodeBoundary:
-    """The static assertions of the ``aot-sanitizer`` plugin."""
+class TestNoExecScanners:
+    """The static assertions of the ``no-exec`` plugin."""
 
-    def test_store_importing_an_exec_surface_is_flagged(self):
+    def test_exec_eval_and_compile_calls_are_flagged(self):
         src = (
-            "import json\n"
-            "from ..errors import StoreError\n"
-            "from . import cache as _cache\n"
-            "from ..analysis.sanitizer import verify_aot_source\n"   # line 4
-            "def load(path):\n"
-            "    from ..codegen import registry\n"                   # line 6
-            "    from .. import analysis\n"                          # line 7
-            "    import repro.codegen.lowering\n"                    # line 8
+            "import builtins, re\n"
+            "def load(text, session):\n"
+            "    code = compile(text, '<leaf>', 'exec')\n"            # line 3
+            "    exec(code, {})\n"                                    # line 4
+            "    x = eval('1 + 1')\n"                                 # line 5
+            "    builtins.exec(text)\n"                               # line 6
+            "    pat = re.compile('x')\n"                             # a method
+            "    kernel = session.compile()\n"                        # a method
+            "    run = exec\n"                                        # no call
+            "    return 'exec(text)'\n"                               # a string
         )
-        findings = check._scan_imports(
-            "src/repro/core/store.py", ast.parse(src),
-            check.STORE_FORBIDDEN_IMPORTS,
-        )
-        assert [f.line for f in findings] == [4, 6, 7, 8]
-        assert "repro.analysis.sanitizer.verify_aot_source" in findings[0].message
-        assert "repro.codegen.registry" in findings[1].message
+        findings = check._scan_exec_calls("src/repro/x.py", ast.parse(src))
+        assert [f.line for f in findings] == [3, 4, 5, 6]
+        assert "calls builtins.exec()" in findings[3].message
+        assert str(findings[0]).startswith("src/repro/x.py:3: calls compile()")
 
     def test_environment_reads_are_flagged(self):
         src = (
@@ -415,7 +415,7 @@ class TestGeneratedCodeBoundary:
         findings = check._scan_environ_reads("fake.py", ast.parse(src))
         assert sorted(f.line for f in findings) == [2, 4, 6]
 
-    def test_sparsetools_named_outside_its_two_sites_is_flagged(self):
+    def test_sparsetools_named_outside_its_site_is_flagged(self):
         src = (
             '"""Prose may say scipy.sparse._sparsetools freely."""\n'
             "import scipy.sparse._sparsetools as st\n"              # line 2
@@ -423,40 +423,30 @@ class TestGeneratedCodeBoundary:
             "from scipy.sparse._sparsetools import csr_matvec\n"    # line 4
             "def f(sp):\n"
             "    return sp.sparse._sparsetools.csr_matvecs\n"       # line 6
-            "LINE = 'from scipy.sparse._sparsetools import coo_tocsr\\n'\n"  # 7
-            "NOTE = 'see _sparsetools'\n"
+            "LINE = 'from scipy.sparse._sparsetools import coo_tocsr'\n"
+            "from .segment import csr_matvec\n"                    # the fix
         )
         tree = ast.parse(src)
         findings = check._scan_sparsetools("src/repro/kernels/spmm.py", tree)
-        assert sorted(f.line for f in findings) == [2, 3, 4, 6, 7]
+        assert sorted(f.line for f in findings) == [2, 3, 4, 6]
         assert "src/repro/kernels/segment.py" in findings[0].message
-        # each site may hold its own form, and only that one
-        at_import_site = check._scan_sparsetools(check.SPARSETOOLS_IMPORT_SITE, tree)
-        assert [f.line for f in at_import_site] == [7]
-        at_emit_site = check._scan_sparsetools(check.SPARSETOOLS_EMIT_SITE, tree)
-        assert sorted(f.line for f in at_emit_site) == [2, 3, 4, 6]
+        assert check._scan_sparsetools(check.SPARSETOOLS_IMPORT_SITE, tree) == []
 
-    def test_generated_module_importing_more_of_scipy_is_flagged(self):
+    def test_bincount_beside_a_bind_function_is_flagged(self):
         src = (
+            '"""No bincount here, in prose."""\n'
             "import numpy as np\n"
-            "from scipy.sparse._sparsetools import csr_matvec, csr_matvecs\n"
-            "import scipy.sparse as sp\n"
-            "from scipy.sparse import csr_matrix\n"
-            "from scipy.sparse._sparsetools import coo_tocsr\n"
+            "from numpy import bincount\n"
+            "def segdot_bind(pos, crd, vals, c, out, pieces, accumulate):\n"
+            "    rows = np.repeat(np.arange(len(pos)), 2)\n"
+            "    out[:] = np.bincount(rows, weights=vals)\n"         # line 6
+            "    return bincount(rows)\n"                            # line 7
         )
-        findings = check._scan_generated_scipy_imports("spmm/rows", ast.parse(src))
-        assert [f.message.split()[3].rstrip(":") for f in findings] == [
-            "scipy.sparse", "scipy.sparse.csr_matrix",
-            "scipy.sparse._sparsetools.coo_tocsr",
-        ]
-        assert all("spmm/rows" in f.message for f in findings)
+        findings = check._scan_bincount("src/repro/kernels/spmv.py", ast.parse(src))
+        assert [f.line for f in findings] == [6, 7]
 
-    def test_bincount_in_a_template_is_flagged(self):
-        text = (
-            "_BODY = \'\'\'\n"
-            "def thunk():\n"
-            "    ov[:] = np.bincount(rows, weights=v * c[cc], minlength=nr)\n"
-            "\'\'\'\n"
-        )
-        findings = check._scan_bincount("src/repro/codegen/lowering.py", text)
-        assert [f.line for f in findings] == [3]
+    def test_the_bind_modules_are_the_tables(self):
+        assert check._bind_modules() == [
+            "src/repro/kernels/sddmm.py", "src/repro/kernels/spmm.py",
+            "src/repro/kernels/spmttkrp.py", "src/repro/kernels/spmv.py",
+        ]

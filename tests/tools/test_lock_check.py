@@ -2,7 +2,7 @@
 
 ``tools/lock_check.py`` (the ``lock`` plugin of ``tools/check.py``)
 asserts that every mutation of the shared cache
-structures (:mod:`repro.core.cache`, :mod:`repro.codegen.registry`)
+structures (:mod:`repro.core.cache`, :mod:`repro.codegen`)
 happens under the designated lock — the invariant the multi-tenant
 serving layer leans on.  Running it here wires the check into the fast
 tier-1 loop: an unlocked mutation introduced anywhere in the watched

@@ -12,8 +12,8 @@ codebase passes defined here:
   ``src/repro/distal``, ``src/repro/bench``): unseeded
   ``np.random`` / ``random`` usage and wall-clock reads
   (``time.time``/``perf_counter``, ``datetime.now``) are flagged with
-  exact lines, because generated kernels, their templates and the static
-  analyzers must be reproducible functions of their inputs.  An
+  exact lines, because the leaf kernels, their bind functions and the
+  static analyzers must be reproducible functions of their inputs.  An
   intentional read (the bench harness timing its own host overhead)
   carries an inline waiver ``# nondet: ok <reason>`` on the flagged
   line — a waiver without a reason is itself a finding;
@@ -34,20 +34,16 @@ codebase passes defined here:
   ``src/repro/core/`` no ``.indices()`` call may materialize a subset's
   positions — compile and bind read level structure, and only the leaf
   passes over the non-zeros.  Waiver: ``# nnz: ok <reason>``;
-* **aot-sanitizer** — generated code comes from the templates and from
-  nowhere else: every lowering template the kernel table declares must
-  emit and pass the generated-module AST allowlist
-  (:mod:`repro.analysis.sanitizer`); the artifact load path
-  (``core/store.py``, ``core/store_index.py``) imports neither
-  :mod:`repro.codegen` nor :mod:`repro.analysis`, so nothing read from
-  disk can reach ``exec``; nothing under ``src/repro/codegen`` or in
-  the sanitizer reads the process environment; and the private SciPy
-  surface the leaves run on stays pinned in one place —
-  ``scipy.sparse._sparsetools`` is named by code only in
-  ``kernels/segment.py`` (the checked import) and on the one import line
-  ``codegen/lowering.py`` writes into generated modules, a generated
-  module imports from SciPy nothing but ``csr_matvec`` / ``csr_matvecs``,
-  and no template reduces with ``np.bincount``;
+* **no-exec** — no source is ever compiled: nowhere under ``src/repro``
+  does code call the builtins ``exec``, ``eval`` or ``compile`` (bare or
+  through ``builtins``), so no leaf, artifact or request can become
+  running code; a leaf is bound by calling a bind function
+  (``KernelSpec.bound``).  The private SciPy surface the leaves run on
+  stays pinned in one place — ``scipy.sparse._sparsetools`` is named by
+  code only in ``kernels/segment.py`` (the checked import) — no module
+  holding a bind function reduces with ``np.bincount``, and nothing under
+  ``src/repro/codegen`` or ``src/repro/kernels`` reads the process
+  environment;
 * **commplan** — every (kernel × sweep format × strategy × machine kind)
   the kernel table declares must yield a coherent static communication plan
   (:mod:`repro.analysis.commplan`): the plan derives without error and
@@ -101,7 +97,7 @@ if str(TOOLS) not in sys.path:
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 __all__ = [
     "Finding", "CheckResult", "Plugin", "PLUGINS", "SourceCache",
@@ -547,44 +543,35 @@ def _run_kernelspec(cache: SourceCache) -> CheckResult:
 
 
 # --------------------------------------------------------------------- #
-# generated code: templates pass the allowlist, no other way in
+# no source is compiled: no exec surface, one sparsetools site
 # --------------------------------------------------------------------- #
-#: the artifact load path, and the packages it must not import — the ones
-#: that can ``exec`` (the sanitizer is re-exported by ``repro.analysis``,
-#: so the whole package is off limits).
-STORE_MODULES = ("src/repro/core/store.py", "src/repro/core/store_index.py")
-STORE_FORBIDDEN_IMPORTS = ("repro.codegen", "repro.analysis")
+#: the builtins that turn text into running code, called bare or through
+#: ``builtins``.
+EXEC_BUILTINS = ("exec", "eval", "compile")
+_EXEC_CALLS = {(n,) for n in EXEC_BUILTINS} | {("builtins", n) for n in EXEC_BUILTINS}
 
 
-def _scan_imports(
-    relpath: str, tree: ast.Module, forbidden: Tuple[str, ...]
-) -> List[Finding]:
-    """Imports in ``relpath`` (anywhere, relative ones resolved against its
-    package) of a ``forbidden`` module or anything inside one."""
-    package = relpath[len("src/"):-len(".py")].split("/")[:-1]
+def _scan_exec_calls(relpath: str, tree: ast.Module) -> List[Finding]:
+    """Calls of the builtins ``exec`` / ``eval`` / ``compile``, bare or as
+    ``builtins.<name>`` (a method of the same name — ``re.compile``,
+    ``session.compile`` — is not one)."""
     findings: List[Finding] = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            base = package[: len(package) - node.level + 1] if node.level else []
-            module = ".".join(base + ([node.module] if node.module else []))
-            names = [f"{module}.{a.name}" for a in node.names]
-        else:
+        if not isinstance(node, ast.Call):
             continue
-        for name in names:
-            if any(name == f or name.startswith(f + ".") for f in forbidden):
-                findings.append(Finding(
-                    relpath, node.lineno,
-                    f"imports {name}: the artifact load path must not be "
-                    "able to reach exec",
-                ))
+        dotted = _dotted(node.func)
+        if dotted in _EXEC_CALLS:
+            findings.append(Finding(
+                relpath, node.lineno,
+                f"calls {'.'.join(dotted)}(): nothing under src/repro turns "
+                "text into code — bind a leaf by calling a bind function",
+            ))
     return findings
 
 
 def _scan_environ_reads(relpath: str, tree: ast.Module) -> List[Finding]:
-    """``os.environ`` / ``os.getenv`` uses: which code is generated and
-    whether it runs is decided by arguments, never by the environment."""
+    """``os.environ`` / ``os.getenv`` uses: which leaf runs is decided by
+    arguments, never by the environment."""
     findings: List[Finding] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -602,131 +589,75 @@ def _scan_environ_reads(relpath: str, tree: ast.Module) -> List[Finding]:
     return findings
 
 
-#: where code may name ``scipy.sparse._sparsetools``: the checked import,
-#: and the import line the emitter writes into generated modules.
+#: the one module that may name ``scipy.sparse._sparsetools``.
 SPARSETOOLS_IMPORT_SITE = "src/repro/kernels/segment.py"
-SPARSETOOLS_EMIT_SITE = "src/repro/codegen/lowering.py"
-SPARSETOOLS_NAMES = ("csr_matvec", "csr_matvecs")
 
 
 def _scan_sparsetools(relpath: str, tree: ast.Module) -> List[Finding]:
-    """Code that names ``_sparsetools`` — an import, an attribute access,
-    or a string that is an import line for generated source — outside the
-    site that may (docstrings and prose are not code)."""
+    """Code that names ``_sparsetools`` — an import or an attribute access
+    — outside the site that may (docstrings and prose are not code)."""
     findings: List[Finding] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             named = any("_sparsetools" in a.name for a in node.names)
-            site = SPARSETOOLS_IMPORT_SITE
         elif isinstance(node, ast.ImportFrom):
             named = "_sparsetools" in (node.module or "") or any(
                 a.name == "_sparsetools" for a in node.names)
-            site = SPARSETOOLS_IMPORT_SITE
         elif isinstance(node, ast.Attribute):
-            named, site = node.attr == "_sparsetools", SPARSETOOLS_IMPORT_SITE
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            named = any(
-                "_sparsetools" in line and line.split()[:1] in (["from"], ["import"])
-                for line in node.value.splitlines()
-            )
-            site = SPARSETOOLS_EMIT_SITE
+            named = node.attr == "_sparsetools"
         else:
             continue
-        if named and relpath != site:
+        if named and relpath != SPARSETOOLS_IMPORT_SITE:
             findings.append(Finding(
                 relpath, node.lineno,
                 "names scipy.sparse._sparsetools: the private SciPy surface "
                 f"is pinned at {SPARSETOOLS_IMPORT_SITE} (import the "
-                "primitive from there) and on the one import line "
-                f"{SPARSETOOLS_EMIT_SITE} emits",
+                "primitive from there)",
             ))
     return findings
 
 
-def _scan_generated_scipy_imports(combo: str, tree: ast.Module) -> List[Finding]:
-    """A generated module's SciPy imports: ``from
-    scipy.sparse._sparsetools import`` the two pinned names, nothing else."""
-    findings: List[Finding] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            bad = [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
-            bad = [
-                f"{node.module}.{a.name}" for a in node.names
-                if node.module != "scipy.sparse._sparsetools"
-                or a.name not in SPARSETOOLS_NAMES
-            ]
-        else:
-            continue
-        for name in bad:
-            findings.append(Finding(
-                SPARSETOOLS_EMIT_SITE, None,
-                f"template {combo} imports {name}: generated modules take "
-                f"from SciPy only {' / '.join(SPARSETOOLS_NAMES)}",
-            ))
-    return findings
-
-
-def _scan_bincount(relpath: str, text: str) -> List[Finding]:
-    """``bincount`` anywhere in the emitter, template strings included: every
-    reducing template runs on the segment-reduce primitive."""
+def _scan_bincount(relpath: str, tree: ast.Module) -> List[Finding]:
+    """``bincount`` named in a module that holds a bind function: every
+    bound leaf that reduces runs on the segment-reduce primitive."""
     return [
-        Finding(relpath, n, "np.bincount in a lowering template — reduce "
-                "with csr_matvec / csr_matvecs over the segment boundaries, "
-                "as the interpreter leaves do (repro.kernels.segment)")
-        for n, line in enumerate(text.splitlines(), 1) if "bincount" in line
+        Finding(relpath, node.lineno, "np.bincount beside a bind function — "
+                "reduce with csr_matvec / csr_matvecs over the segment "
+                "boundaries (repro.kernels.segment)")
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "bincount")
+        or (isinstance(node, ast.Name) and node.id == "bincount")
     ]
 
 
-def _run_aot_sanitizer(cache: SourceCache) -> CheckResult:
-    """Every template the kernel table declares must emit and pass the
-    allowlist; the store cannot import an ``exec`` surface; codegen and
-    the sanitizer take no orders from the environment."""
-    from repro.analysis.sanitizer import verify_aot_source
-    from repro.codegen import lowering
+def _bind_modules() -> List[str]:
+    """The modules holding a bind function the kernel table names."""
     from repro.core.kernelspec import SPECS
-    from repro.errors import SanitizerError
 
-    findings = []
-    for relpath in STORE_MODULES:
-        findings.extend(_scan_imports(
-            relpath, cache.get(relpath)[1], STORE_FORBIDDEN_IMPORTS))
-    env_free = sorted(
-        str(p.relative_to(REPO)) for p in (SRC / "repro/codegen").rglob("*.py")
-    ) + ["src/repro/analysis/sanitizer.py"]
-    for relpath in env_free:
-        findings.extend(_scan_environ_reads(relpath, cache.get(relpath)[1]))
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        relpath = str(path.relative_to(REPO))
-        findings.extend(_scan_sparsetools(relpath, cache.get(relpath)[1]))
-    findings.extend(_scan_bincount(
-        SPARSETOOLS_EMIT_SITE, cache.get(SPARSETOOLS_EMIT_SITE)[0]))
-    checked = 0
-    # kinds that iterate alike declare the same (shape, strategy) key
-    for shape, strategy in sorted(
-        {key for spec in SPECS.values() for key in spec.template_keys()}
-    ):
-        combo = f"{shape}/{strategy}"
-        try:
-            tree = verify_aot_source(
-                lowering.emit_source(shape, strategy), filename=combo)
-            findings.extend(_scan_generated_scipy_imports(combo, tree))
-        except KeyError:
-            problem = "is declared by the kernel table but has no template"
-        except SanitizerError as e:
-            problem = f"fails the sanitizer allowlist: {e}"
-        else:
-            checked += 1
-            continue
-        findings.append(Finding(
-            "src/repro/codegen/lowering.py", None, f"template {combo} {problem}"
-        ))
+    names = {fn.__module__ for spec in SPECS.values() for fn in spec.bound.values()}
+    return sorted(f"src/{n.replace('.', '/')}.py" for n in names)
+
+
+def _run_no_exec(cache: SourceCache) -> CheckResult:
+    """No exec surface anywhere under ``src/repro``; the private SciPy
+    surface at one site; no ``bincount`` beside a bind function; codegen
+    and the kernels take no orders from the environment."""
+    findings: List[Finding] = []
+    modules = sorted(str(p.relative_to(REPO)) for p in (SRC / "repro").rglob("*.py"))
+    for relpath in modules:
+        tree = cache.get(relpath)[1]
+        findings.extend(_scan_exec_calls(relpath, tree))
+        findings.extend(_scan_sparsetools(relpath, tree))
+        if relpath.startswith(("src/repro/codegen/", "src/repro/kernels/")):
+            findings.extend(_scan_environ_reads(relpath, tree))
+    binders = _bind_modules()
+    for relpath in binders:
+        findings.extend(_scan_bincount(relpath, cache.get(relpath)[1]))
     return CheckResult(
-        "aot-sanitizer", findings,
-        f"{checked} generated templates pass the exec-load allowlist; "
-        f"{len(STORE_MODULES)} store modules import no exec surface; "
-        f"{len(env_free)} codegen modules read no environment; "
-        "scipy.sparse._sparsetools is named at its two sites only",
+        "no-exec", findings,
+        f"{len(modules)} modules under src/repro call no exec / eval / "
+        f"compile; scipy.sparse._sparsetools is named at one site; "
+        f"{len(binders)} bind-function modules reduce without bincount",
     )
 
 
@@ -1088,9 +1019,9 @@ PLUGINS: List[Plugin] = [
            "outside the kernel table; no format named in the dispatch layers; "
            "no level-type switch outside repro/taco; no unwaived index list "
            "under core/", _run_kernelspec),
-    Plugin("aot-sanitizer", "templates pass the exec-load allowlist; the "
-           "store imports no exec surface; codegen reads no environment",
-           _run_aot_sanitizer),
+    Plugin("no-exec", "no exec / eval / compile under src/repro; the private "
+           "SciPy surface at one site; codegen and kernels read no "
+           "environment", _run_no_exec),
     Plugin("commplan", "auto-synthesized schedules yield coherent static "
            "communication plans", _run_commplan),
     Plugin("fusion", "fusable SDDMM→SpMM chains fuse into coherent static "

@@ -1,7 +1,7 @@
 """Static lock-discipline check for the shared cache state.
 
 The process-wide cache tiers (:mod:`repro.core.cache`) and the codegen
-lifecycle counters (:mod:`repro.codegen.registry`) are mutated
+lifecycle counters (:mod:`repro.codegen`) are mutated
 concurrently by every session in the process — the multi-tenant serving layer
 (:mod:`repro.api.serving`) multiplexes tenant threads over exactly this
 state.  Their thread-safety contract is lexical: **every mutation of a
@@ -80,10 +80,9 @@ WATCH = {
             scope="_SizedLRU",
             exempt=("__init__",),
         ),
-        # the generated-module table (one entry per lowering template)
-        Rule(targets=("_aot_table", "_aot_counters"), lock="_AOT_LOCK"),
     ),
-    "src/repro/codegen/registry.py": (
+    # the bind lifecycle counters (codegen_stats)
+    "src/repro/codegen/__init__.py": (
         Rule(targets=("_counters",), lock="_LOCK"),
     ),
     # The multi-tenant server: tensor catalog, pre-warmed session entries,
