@@ -37,13 +37,30 @@ def _as_point(p: Union[int, Sequence[int]]) -> Tuple[int, ...]:
     return tuple(map(int, p))
 
 
+class _once:
+    """A value of an immutable object, computed on first read and kept in
+    the instance ``__dict__`` — beside the dataclass fields, so it takes no
+    part in ``__eq__`` or ``__hash__`` (and ``Rect.__getstate__`` leaves it
+    out of the pickled state)."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Rect:
     """An inclusive hyper-rectangle ``[lo, hi]`` of integer points.
 
     ``lo`` and ``hi`` are tuples with one entry per dimension.  A rect is
     *empty* when any ``hi[d] < lo[d]``; empty rects have zero volume and
-    compare equal in emptiness but not structurally.
+    compare equal in emptiness but not structurally.  ``empty`` and
+    ``volume`` are computed once per rect.
     """
 
     lo: Tuple[int, ...]
@@ -55,15 +72,18 @@ class Rect:
         if len(self.lo) != len(self.hi):
             raise ValueError(f"rect lo/hi rank mismatch: {self.lo} vs {self.hi}")
 
+    def __getstate__(self):
+        return {"lo": self.lo, "hi": self.hi}
+
     @property
     def ndim(self) -> int:
         return len(self.lo)
 
-    @property
+    @_once
     def empty(self) -> bool:
         return any(map(operator.lt, self.hi, self.lo))
 
-    @property
+    @_once
     def volume(self) -> int:
         if self.empty:
             return 0

@@ -5,75 +5,61 @@ sub-regions its region requirements name, and the runtime performs the same
 bookkeeping Legion's mapper would — tracking which processor memories hold
 valid copies of which sub-regions, moving missing data (and charging the
 network model for it), applying reduction privileges, and enforcing memory
-capacities (GPU OOM → DNC entries in the paper's Fig. 11).
-
-The numerical work itself happens inside the task body on NumPy views; the
-task returns a :class:`~repro.legion.machine.Work` record from which the
-roofline model derives per-processor compute time.
+capacities (GPU OOM → DNC entries in the paper's Fig. 11).  The numerical
+work happens inside the task body on NumPy views; the task returns a
+:class:`~repro.legion.machine.Work` record from which the roofline model
+derives per-processor compute time.
 
 Mapping-trace replay
 --------------------
 Legion's *dynamic tracing* memoizes the mapper's decisions for a repeated
-launch and replays them, skipping the dependence/mapping analysis.  This
-runtime reproduces that amortization: the first ``index_launch`` from a
-given residency state records a :class:`MappingTrace` — the per-color
-target processor, every communication event the staging and coherence
-logic emitted, and a snapshot of the residency state the launch left
-behind.  A later launch with the same *launch signature* (name, colors,
-region requirements, processor assignment, scratch demands) from the same
-residency state replays the trace: the recorded communication events are
-re-charged to the network model and the recorded residency table is
-installed, but none of the per-color Python subset intersection/subtraction
-algebra re-runs.  The computation always executes (values may have
-changed) and compute time is derived from the returned :class:`Work`, so
-replayed metrics are bit-identical to what a fresh analysis would produce.
-How many host calls compute it is not simulated: a replay handed a
-*launch thunk* (the compiler passes one for a write-disjoint output whose
-generated leaf has one) calls it once and books the per-color ``Work`` it
-returns in color order, priced once per trace.  A recording launch
-always runs the task bodies one by one, between their staging and
-coherence steps.
+launch and replays them.  Here the first ``index_launch`` from a given
+residency state records a :class:`MappingTrace` — the per-color target
+processor, every communication event staging and coherence emitted, and
+the residency table the launch left behind.  A later launch with the same
+*launch signature* (name, colors, region requirements, processor
+assignment, scratch demands) from the same state replays it: the events
+are re-charged and the table installed, but no per-color subset algebra
+re-runs.  The computation always executes and compute time comes from the
+returned :class:`Work`, so replayed metrics are bit-identical to a fresh
+analysis.  How many host calls compute it is not simulated: a launch
+handed a *launch thunk* (the compiler passes one for a write-disjoint
+output whose bound leaf has one) calls it once and books the per-color
+``Work`` in color order.  A replay always may.  A recording may only when
+every requirement is *at home* — the facts ``place*`` recorded about whole
+partitions already say that staging and coherence do nothing, as on a
+first launch over the placement (:meth:`Runtime._at_home`); otherwise it
+runs the tasks one by one, between their staging and coherence steps.
 
 Residency states are tracked symbolically: ``reset_residency`` (called
 between trials) returns to the canonical "homes only" state *without*
-dropping traces — this is what makes iterations 2..N of an iterative
-solver replay.  Any out-of-band mutation (``place*``) moves to a fresh
-unique state, so stale traces can never fire, and ``invalidate_caches``
-additionally drops all recorded traces (the hook to use after writing
-region data behind the runtime's back).
+dropping traces, so iterations 2..N of a solver replay.  Any out-of-band
+mutation (``place*``) moves to a fresh state, so stale traces never fire;
+``invalidate_caches`` also drops every trace (the hook to use after
+writing region data behind the runtime's back).
 
-The tables behind those states are held as shared values.  A recording
-launch or copy hands the table it leaves behind to its trace; a replay and
-``reset_residency`` *install* a table — the trace's, or the homes-only one
-memoised until the next ``place*`` — as the live one without copying it,
-so a warm step's bookkeeping does not grow with regions × processors.  A
-table some trace or the memo holds is never written: one ownership bit
-says whether the live table is such a value, and every writer — a
+The tables behind those states are shared values.  A recording hands the
+table it leaves behind to its trace; a replay and ``reset_residency``
+*install* a table — the trace's, or the homes-only one memoised until the
+next ``place*`` — without copying it, so a warm step's bookkeeping does
+not grow with regions × processors.  Such a table is never written: one
+ownership bit says whether the live table is shared, and every writer — a
 recording launch, an uncached copy, ``place*`` — takes a private copy
-first (:meth:`Runtime._unshare_residency`).  Readers (capacity checks,
-``resident_bytes_per_proc``) read whichever table is live.  Within a
-table, each region indexes its pieces by their extent on the leading axis
-and keeps a running volume total per processor (:class:`_Residency`), so
-staging, write invalidation and capacity checks touch only the pieces
-involved: a recording launch grows with its pieces, not pieces².
+first (:meth:`Runtime._unshare_residency`).  Within a table each region
+indexes its pieces by their leading-axis extent and keeps a running volume
+total per processor (:class:`_Residency`), so staging, write invalidation
+and capacity checks touch only the pieces involved, and a first placement
+loads a region's pieces in one pass.
 
 Explicit copies (the ``communicate``-lowered :meth:`Runtime.copy_subset`)
-are traced the same way: the first copy of a given ``(region, subset,
-destination)`` from a residency state records its staging decision and
-the state it leads to; repeats replay it.  A chain of launches and copies
-therefore replays end-to-end, which is what covers the SpAdd assembly
-sequence (symbolic launch → scan → fill launch) and TDN-style placement
-copies.
-
-Two housekeeping facilities round this out.  ``metrics_limit`` bounds
-:attr:`Runtime.metrics` for very long solver loops: between trials the
-runtime folds the oldest :class:`~repro.legion.metrics.StepMetrics` into
-exact scalar totals (see :meth:`ExecutionMetrics.fold_oldest`), so a 100k
-iteration loop holds a bounded step list while ``simulated_seconds`` stays
-exact.  And runtimes are *picklable*: :mod:`repro.core.store` persists a
-runtime (with its recorded traces, homes and symbolic state — metrics and
-hit counters start fresh) next to packed tensors so a new process replays
-from its first launch.
+are traced the same way, so a chain of launches and copies — the SpAdd
+assembly sequence, TDN-style placement copies — replays end-to-end.
+``metrics_limit`` bounds :attr:`Runtime.metrics` for long solver loops by
+folding the oldest steps into exact scalar totals between trials
+(:meth:`ExecutionMetrics.fold_oldest`).  Runtimes are *picklable*:
+:mod:`repro.core.store` persists one (traces, homes and symbolic state;
+metrics and hit counters start fresh) so a new process replays from its
+first launch.
 """
 from __future__ import annotations
 
@@ -157,6 +143,12 @@ class _Residency:
     starts in ``[a - span, b]`` and a query bisects to the pieces near it
     instead of scanning every processor.  The index only proposes pieces;
     the subset algebra decides.
+
+    ``whole`` holds facts about whole partitions, which ``place*`` records:
+    ``whole[id(p)] = (p, {color: proc})``, each non-empty piece of ``p`` (or
+    an equal one) is held on its color's processor; ``whole[None] = (None,
+    procs)``, the whole region is held on each of ``procs``.  A write that
+    drops a piece clears them; pickling drops them (they hold ids).
     """
 
     def __init__(self):
@@ -167,13 +159,57 @@ class _Residency:
         self.keys: List[Tuple[int, int]] = []
         self.ents: List[Tuple[int, IndexSubset]] = []
         self.span: Optional[int] = 0
+        self.whole: Dict[Optional[int], Tuple] = {}
 
     def copy(self) -> "_Residency":
         new = _Residency()
         new.by_proc = {proc: list(pieces) for proc, pieces in self.by_proc.items()}
         new.vol, new.keys, new.ents = dict(self.vol), list(self.keys), list(self.ents)
-        new.span = self.span
+        new.span, new.whole = self.span, dict(self.whole)
         return new
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "whole"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, whole={})
+
+    def load(self, pieces, facts: Optional["_Residency"] = None) -> None:
+        """Fill this empty table with ``pieces`` (``(subset, proc)``, none
+        equal on one processor) in one pass and one sort, as ``add`` of each
+        in turn would; ``facts``: a table whose facts hold of them too."""
+        index = []
+        for subset, proc in pieces:
+            vol = subset.volume
+            if not vol:
+                continue
+            start, end = leading_extent(subset)
+            index.append(((start, proc), (end, subset)))
+            if proc in self.vol:
+                self.by_proc[proc].append(subset)
+                self.vol[proc] += vol
+            else:
+                self.by_proc[proc], self.vol[proc] = [subset], vol
+            self.span = max(self.span or 0, end - start)
+        index.sort(key=lambda kv: kv[0])  # stable: equal keys keep arrival order
+        self.keys, self.ents = [k for k, _ in index], [e for _, e in index]
+        self.whole = dict(facts.whole) if facts is not None else {}
+
+    def hold_whole(self, key: Optional[int], partition, holders) -> None:
+        self.whole[key] = (partition, holders)
+
+    def held(self, partition: Optional[Partition], colors, procs, replicas: bool) -> bool:
+        """Whether a fact says each color's non-empty piece of ``partition``
+        is held where it launches (``replicas``: a replicated region says so)."""
+        rep = self.whole.get(None)
+        if replicas and rep is not None and rep[1].issuperset(procs):
+            return True
+        fact = partition is not None and self.whole.get(id(partition))
+        return bool(fact) and all(fact[1].get(c, p) == p for c, p in zip(colors, procs))
+
+    def apart(self) -> bool:
+        """No two pieces meet on the leading axis, so none overlaps another."""
+        return all(e[0] < k[0] for e, k in zip(self.ents, itertools.islice(self.keys, 1, None)))
 
     def _window(self, subset: IndexSubset) -> Tuple[int, int, int]:
         """``(i, j, a)``: ``keys[i:j]`` holds every piece overlapping
@@ -231,6 +267,8 @@ class _Residency:
         drop = [n for n in range(i, j) if self.keys[n][1] != writer
                 and self.ents[n][0] >= a and subsets_overlap(self.ents[n][1], subset)]
         gone: Dict[int, set] = {}
+        if drop:
+            self.whole = {}
         for n in reversed(drop):
             (start, proc), (end, piece) = self.keys.pop(n), self.ents.pop(n)
             gone.setdefault(proc, set()).add(id(piece))
@@ -261,20 +299,14 @@ class MappingTrace:
     events_per_color: List[Tuple[CommEvent, ...]]
     residency_after: Dict[int, _Residency]
     post_state: Tuple
-    #: Strong references to the partitions named in the trace key (one per
-    #: region requirement, ``None`` for broadcasts).  Keys embed
-    #: ``id(partition)``; pinning the objects keeps those ids unambiguous
-    #: for the trace's lifetime (a freed partition's address could
-    #: otherwise be recycled by an unrelated one).  Unpickling re-anchors
-    #: the keys on the pinned objects' new ids (:meth:`Runtime.__setstate__`).
+    #: The partitions the trace key names by ``id`` (one per requirement,
+    #: ``None`` for broadcasts), pinned so no freed one's address is
+    #: recycled; unpickling re-anchors the keys on them (``__setstate__``).
     pinned: Tuple = ()
-    #: ``(works, compute_seconds, events)``: what a one-call replay last
-    #: booked, reused while its launch thunk returns that same ``works``
-    #: object (it holds ``works``, so the identity cannot be recycled); any
-    #: other object is priced afresh.  It spares a replay pricing every
-    #: color's Work and extending its events color by color (measured in
-    #: docs/codegen.md, "The exactness contract").  Process-local: dropped
-    #: on pickling.
+    #: ``(works, compute_seconds, events)`` a one-call launch last booked,
+    #: reused while its thunk returns that same ``works`` object (held, so
+    #: the identity is not recycled) — docs/codegen.md, "The exactness
+    #: contract".  Process-local: dropped on pickling.
     booked: Optional[Tuple] = field(default=None, compare=False, repr=False)
 
     def __getstate__(self):
@@ -378,11 +410,8 @@ class Runtime:
     # -- data placement -----------------------------------------------------
     def _add_home(self, uid: int, subset: IndexSubset, proc: int) -> None:
         """Record ``subset`` as homed on ``proc`` unless that pair already
-        is (same-type equality, looked up in ``_homed``).  Every kernel
-        placed on this runtime re-declares the homes of its operands, and
-        every reset, staging pass and owner lookup walks the list; first
-        occurrences keep their order, so owner tie-breaking is that of the
-        first placement."""
+        is (same-type equality, looked up in ``_homed``); first occurrences
+        keep their order, so owner tie-breaking is the first placement's."""
         key = (uid, proc, type(subset), subset)
         if key not in self._homed:
             self._homed.add(key)
@@ -410,30 +439,40 @@ class Runtime:
         proc_map: Optional[Callable[[Color], int]] = None,
     ) -> None:
         """Declare the initial distribution of a region (its home placement)."""
-        self._place_pieces(region, [
-            (subset, proc_map(color) if proc_map else self._default_proc(color, i))
-            for i, (color, subset) in enumerate(partition.items())
-        ])
+        pieces, holders = [], {}
+        for i, (color, subset) in enumerate(partition.items()):
+            proc = proc_map(color) if proc_map else self._default_proc(color, i)
+            pieces.append((subset, proc))
+            if not subset.empty:
+                holders[color] = proc
+        self._place_pieces(region, pieces, (id(partition), partition, holders))
 
     def place_replicated(self, region: Region) -> None:
         """Place a full valid copy of the region on every processor."""
-        full = region.ispace.full_subset()
-        self._place_pieces(region, [(full, p) for p in range(self.machine.size)])
+        full, procs = region.ispace.full_subset(), range(self.machine.size)
+        self._place_pieces(region, [(full, p) for p in procs], (None, None, frozenset(procs)))
 
     def place_on(self, region: Region, proc: int) -> None:
         """Place the whole region on a single processor."""
         self._place_pieces(region, [(region.ispace.full_subset(), proc)], check=False)
 
-    def _place_pieces(self, region: Region, pieces, check: bool = True) -> None:
-        """Make each ``(subset, proc)`` resident and a home of ``region``."""
+    def _place_pieces(self, region: Region, pieces, whole=None, check: bool = True) -> None:
+        """Make each ``(subset, proc)`` resident and a home of ``region``, and
+        record ``whole``, the fact it establishes (:class:`_Residency`)."""
         self._unshare_residency()
-        res = self._res(region.uid)
+        uid, res = region.uid, self._res(region.uid)
+        first = not res.keys and uid not in self._home
         for subset, proc in pieces:
-            res.add(proc, subset)
-            self._add_home(region.uid, subset, proc)
+            if not first:
+                res.add(proc, subset)
+            self._add_home(uid, subset, proc)
+        if first:  # its homes are the pieces, deduplicated: one pass, one sort
+            res.load(self._home.get(uid, ()))
+        if whole is not None:
+            res.hold_whole(*whole)
         self._homes_changed()
         if check:
-            self._check_capacity_all(region)
+            self._check_placed(region)
 
     def _default_proc(self, color: Color, ordinal: int) -> int:
         if isinstance(color, (int, np.integer, tuple)):
@@ -469,15 +508,14 @@ class Runtime:
 
         When ``trace_replay`` is enabled and an identical launch already ran
         from the current residency state, steps (1), (2) and (4) are
-        replayed from the recorded :class:`MappingTrace` instead of
-        re-running the subset algebra; step (3) always executes — as one
-        ``launch()`` call when the caller passes ``launch``, a thunk that
-        runs every color's task at once and returns their :class:`Work` in
-        color order (the caller vouches that doing so computes exactly what
-        the tasks would).  A ``launch`` that returns the same sequence
-        object on every call is priced once per trace
-        (:attr:`MappingTrace.booked`).  A recording launch always runs the
-        tasks one by one, interleaved with their staging.
+        replayed from the recorded :class:`MappingTrace`; step (3) always
+        executes — as one ``launch()`` call when the caller passes
+        ``launch``, a thunk that runs every color's task at once and returns
+        their :class:`Work` in color order (the caller vouches that it
+        computes exactly what the tasks would).  A recording takes that one
+        call only when every requirement is at home (:meth:`_at_home`) and
+        there is no ``scratch_bytes``; otherwise it runs the tasks one by
+        one, interleaved with the staging of the requirements that are not.
         """
         procs = [
             proc_map(color) if proc_map else self._default_proc(color, ordinal)
@@ -503,28 +541,71 @@ class Runtime:
 
         step = self.metrics.new_step(name)
         events_per_color: List[Tuple[CommEvent, ...]] = []
+        staged = [req for req, home in zip(reqs, self._at_home(reqs, colors, procs)) if not home]
         before = self._unshare_residency(keep=trace_key is not None)
+        booked = None
         try:
-            for ordinal, color in enumerate(colors):
-                proc = procs[ordinal]
-                mark = len(step.comm_events)
-                self._stage_inputs(step, color, proc, reqs)
-                if scratch_bytes is not None:
-                    self._check_scratch(proc, scratch_bytes(color), reqs, color)
-                result = task(color)
-                work = result[0] if isinstance(result, tuple) else result
-                step.add_compute(proc, self.machine.proc(proc).seconds_for(work))
-                step.tasks_launched += 1
-                self._apply_outputs(step, color, proc, reqs)
-                events_per_color.append(tuple(step.comm_events[mark:]))
+            if not staged and launch is not None and scratch_bytes is None:
+                events_per_color = [()] * len(procs)
+                booked = self._book(step, procs, launch(), events_per_color)
+            else:
+                for ordinal, color in enumerate(colors):
+                    proc = procs[ordinal]
+                    mark = len(step.comm_events)
+                    self._stage_inputs(step, color, proc, staged)
+                    if scratch_bytes is not None:
+                        self._check_scratch(proc, scratch_bytes(color), reqs, color)
+                    result = task(color)
+                    work = result[0] if isinstance(result, tuple) else result
+                    step.add_compute(proc, self.machine.proc(proc).seconds_for(work))
+                    step.tasks_launched += 1
+                    self._apply_outputs(step, color, proc, staged)
+                    events_per_color.append(tuple(step.comm_events[mark:]))
         except BaseException:
             # A partial launch (e.g. OOM) leaves an unknown residency state.
             self._mark_dirty()
             raise
         if trace_key is not None:
             self._record(self._traces, trace_key, before, lambda after, post: MappingTrace(
-                procs, events_per_color, after, post, tuple(req.partition for req in reqs)))
+                procs, events_per_color, after, post, tuple(req.partition for req in reqs),
+                booked))
         return step
+
+    def _at_home(self, reqs: Sequence[RegionReq], colors, procs) -> List[bool]:
+        """Per requirement: whether recorded facts (:class:`_Residency`)
+        decide that staging and coherence leave it as it is.  A read is, if
+        its partition is held whole where each color launches and nothing in
+        the launch writes, reduces or streams its region; a discard-write,
+        if it is its region's only requirement, held whole likewise, over
+        pieces no two of which meet (it drops none, and adds a duplicate)."""
+        reads: Dict[int, List[bool]] = {}
+        for req in reqs:
+            reads.setdefault(req.region.uid, []).append(
+                req.privilege is Privilege.READ_ONLY and not req.streamed)
+        home = []
+        for req in reqs:
+            res, on = self._residency.get(req.region.uid), reads[req.region.uid]
+            home.append(res is not None and bool(res.whole) and (
+                res.held(req.partition, colors, procs, True) if all(on) else
+                on == [False] and req.privilege is Privilege.WRITE_DISCARD
+                and res.held(req.partition, colors, procs, False) and res.apart()))
+        return home
+
+    def _book(self, step: StepMetrics, procs: List[int], works: Sequence[Work],
+              events_per_color, booked: Optional[Tuple] = None) -> Tuple:
+        """Book a one-call launch's per-color ``works`` in color order, as the
+        per-task loop adds them, and its events; returns what it booked,
+        ``booked`` itself while ``works`` is the object it priced."""
+        if booked is None or booked[0] is not works:
+            priced = StepMetrics(step.name)
+            for proc, work in zip(procs, works):
+                priced.add_compute(proc, self.machine.proc(proc).seconds_for(work))
+            events = [e for per_color in events_per_color for e in per_color]
+            booked = (works, priced.compute_seconds, events)
+        step.compute_seconds.update(booked[1])
+        step.comm_events.extend(booked[2])
+        step.tasks_launched = len(works)
+        return booked
 
     def _record(self, traces: Dict, key: Tuple, before, make: Callable) -> None:
         """File the trace ``make(after, post_state)`` of the write that
@@ -563,20 +644,8 @@ class Runtime:
                 step.add_compute(proc, self.machine.proc(proc).seconds_for(work))
                 step.tasks_launched += 1
         else:
-            works = launch()
-            booked = trace.booked
-            if booked is None or booked[0] is not works:
-                # A bound launch returns the Work frozen at bind — the same
-                # object every call — so it is priced once, in color order
-                # as the per-task loop adds it.
-                priced = StepMetrics(name)
-                for proc, work in zip(trace.procs, works):
-                    priced.add_compute(proc, self.machine.proc(proc).seconds_for(work))
-                events = [e for per_color in trace.events_per_color for e in per_color]
-                booked = trace.booked = (works, priced.compute_seconds, events)
-            step.compute_seconds.update(booked[1])
-            step.comm_events.extend(booked[2])
-            step.tasks_launched = len(works)
+            trace.booked = self._book(step, trace.procs, launch(), trace.events_per_color,
+                                      trace.booked)
         self._restore_residency(trace.residency_after)
         self._state = trace.post_state
         self.trace_hits += 1
@@ -709,12 +778,10 @@ class Runtime:
     ) -> None:
         """Stage ``subset`` of ``region`` into ``dst_proc``'s memory.
 
-        Traced like a launch when ``trace_replay`` is on: the first copy of
-        a given ``(region, subset, destination)`` from the current
-        residency state records its communication and the state it leads
-        to; a repeat replays both, so copy sequences chain with launches
-        into end-to-end replayed iterations.  With replay disabled the copy
-        moves to a fresh unique state (no stale trace can fire afterwards).
+        Traced like a launch: the first copy of a ``(region, subset,
+        destination)`` from a residency state records its communication and
+        the state it leads to, and a repeat replays both.  With replay
+        disabled the copy moves to a fresh unique state.
         """
         if subset.empty:
             return
@@ -766,20 +833,20 @@ class Runtime:
         if total > p.mem_bytes:
             raise OOMError(proc, total, p.mem_bytes, what=f"staging {region.name}")
 
-    def _check_capacity_all(self, region: Region) -> None:
-        totals = self.resident_bytes_per_proc()
-        for proc in {pr for res in self._residency.values() for pr in res.by_proc}:
-            self._check_capacity(region, proc, totals[proc])
+    def _check_placed(self, region: Region) -> None:
+        """After a ``place*``, check every processor (a ``place_on`` does not
+        check): none is over when all resident bytes fit the smallest
+        memory; else the walk raises for the first one over, in its order."""
+        resident = sum(sum(res.vol.values()) for res in self._residency.values()) * 8.0
+        if resident > min(p.mem_bytes for p in self.machine.processors):
+            totals = self.resident_bytes_per_proc()
+            for proc in {pr for res in self._residency.values() for pr in res.by_proc}:
+                self._check_capacity(region, proc, totals[proc])
 
     def resident_bytes_per_proc(self) -> Dict[int, float]:
-        """Resident bytes per processor, under the capacity model's
-        accounting (8 bytes per resident element, summed over every
-        region's residency pieces — exactly what :meth:`_check_capacity`
-        charges against ``mem_bytes``).  Procs with nothing resident are
-        omitted.  This is the footprint the static communication planner
-        (:mod:`repro.analysis.commplan`) predicts, so both sides of the
-        differential oracle read the same definition.
-        """
+        """Resident bytes per processor with any, as :meth:`_check_capacity`
+        charges them (8 bytes per resident element) — the footprint the
+        static planner (:mod:`repro.analysis.commplan`) predicts."""
         out: Dict[int, float] = {}
         for res in self._residency.values():
             for proc, vol in res.vol.items():
@@ -798,19 +865,13 @@ class Runtime:
     def reset_residency(self) -> None:
         """Drop every staged copy, keeping only home placements.
 
-        Called between timed trials: data that was *distributed* stays put,
-        but copies created by staging (broadcasts, halo pulls) are dropped so
-        each trial pays the communication its algorithm inherently performs.
-        Recorded mapping traces are kept — they were recorded from exactly
-        this "homes only" state, so repeat trials replay them.  The
-        homes-only table is built once per set of homes and installed as a
-        shared value, so a warm reset costs the same on 4 or 64 processors.
-
-        Also the auto-trim point for long loops: once ``metrics.steps``
-        exceeds ``metrics_limit``, the oldest steps are folded into exact
-        scalar totals (:meth:`trim_metrics`).  Trimming happens only here,
-        between trials, so per-trial step slices taken by callers (e.g.
-        :meth:`CompiledKernel.execute`) never shift mid-trial.
+        Called between timed trials, so each pays the communication its
+        algorithm inherently performs; traces are kept (they were recorded
+        from this "homes only" state).  The homes-only table is built once
+        per set of homes and installed as a shared value, so a warm reset
+        costs the same on 4 or 64 processors.  Also the auto-trim point
+        (:meth:`trim_metrics`) — only here, between trials, so per-trial
+        step slices taken by callers never shift mid-trial.
         """
         if self.metrics_limit and len(self.metrics.steps) > self.metrics_limit:
             self.trim_metrics()
@@ -820,23 +881,18 @@ class Runtime:
             # replay from the memo), so the live table is the memo.
             self._homes_table = self._residency
         if self._homes_table is None:
-            self._residency = {}  # a new table, built in place
+            # Facts name homes only: each the live table holds is true here.
+            live, self._residency = self._residency, {}
             for uid, homes in self._home.items():
-                res = self._res(uid)
-                for subset, proc in homes:
-                    res.add(proc, subset)
+                self._res(uid).load(homes, live.get(uid))
             self._homes_table = self._residency
         self._restore_residency(self._homes_table)
         self._state = ("clean", self._homes_version)
 
     def trim_metrics(self, keep: Optional[int] = None) -> int:
-        """Fold all but the newest ``keep`` steps into exact scalar totals.
-
-        ``keep`` defaults to half of ``metrics_limit`` so trims amortize
-        (each trim buys another ``metrics_limit / 2`` trials of headroom).
-        Totals are preserved for this runtime's network; per-step detail of
-        the folded prefix is lost.  Returns the number of steps folded.
-        """
+        """Fold all but the newest ``keep`` steps (default: half of
+        ``metrics_limit``, so trims amortize) into exact scalar totals for
+        this runtime's network; returns the number of steps folded."""
         if keep is None:
             keep = (self.metrics_limit or 0) // 2
         return self.metrics.fold_oldest(
@@ -845,16 +901,11 @@ class Runtime:
 
     @contextlib.contextmanager
     def fresh_trial(self):
-        """One isolated timed trial over this runtime.
-
-        Residency returns to the canonical "homes only" state on entry
-        (recorded traces are kept — :meth:`reset_residency` — so repeat
-        trials replay), and the :class:`TrialMetrics` yielded exposes
-        exactly the steps the body launched once the block exits.  This is
-        the per-candidate isolation ``Session.autotune`` times strategies
-        with: every trial of every candidate starts from the same residency
-        state and is charged only its own launches, so candidate costs are
-        comparable and deterministic.
+        """One isolated timed trial: residency returns to the "homes only"
+        state on entry (:meth:`reset_residency`; traces are kept), and the
+        :class:`TrialMetrics` yielded holds exactly the steps the body
+        launched once the block exits — how ``Session.autotune`` compares
+        candidates from one residency state, each charged its own launches.
         """
         self.reset_residency()
         start = len(self.metrics.steps)
@@ -865,14 +916,9 @@ class Runtime:
             trial.metrics = ExecutionMetrics(steps=list(self.metrics.steps[start:]))
 
     def invalidate_caches(self) -> None:
-        """Reset residency to home placements AND drop all mapping traces.
-
-        The conservative hook for out-of-band changes (region data written
-        behind the runtime's back, external repartitioning): replaying a
-        trace recorded before such a change could reuse stale residency, so
-        every trace (launch and copy) is dropped and the next launches
-        re-record.
-        """
+        """Reset residency to home placements AND drop every launch and copy
+        trace — the hook for out-of-band changes (region data written
+        behind the runtime's back), after which launches re-record."""
         self._traces.clear()
         self._copy_traces.clear()
         self.reset_residency()
@@ -882,13 +928,8 @@ class Runtime:
         return self.metrics.simulated_seconds(self.network)
 
     def stats(self) -> Dict[str, int]:
-        """Mapping-trace amortization counters for this runtime.
-
-        ``trace_hits``/``trace_records`` count launch-trace replays vs
-        fresh recordings; ``traces``/``copy_traces`` are the live trace
-        counts.  :meth:`repro.api.session.Session.stats` folds these into
-        the session-wide amortization report next to the compiler caches.
-        """
+        """Trace replays vs recordings and live trace counts, which
+        :meth:`repro.api.session.Session.stats` folds into its report."""
         return {"trace_hits": self.trace_hits, "trace_records": self.trace_records,
                 "traces": len(self._traces), "copy_traces": len(self._copy_traces)}
 
@@ -899,10 +940,8 @@ class Runtime:
 
     # -- persistence (repro.core.store) ---------------------------------------
     def __getstate__(self):
-        """Pickle the runtime's *replayable* state: homes, residency,
-        symbolic state and recorded traces.  Metrics and hit counters start
-        fresh in the loading process — a warm-started run measures its own
-        executions, not the saving process's history."""
+        """Pickle the *replayable* state (homes, residency, symbolic state,
+        traces); metrics and hit counters start fresh where it loads."""
         return {**self.__dict__, "metrics": ExecutionMetrics(),
                 "trace_hits": 0, "trace_records": 0}
 

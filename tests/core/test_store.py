@@ -270,3 +270,68 @@ class TestRoundTrip:
         blocker.write_text("not a directory")
         with pytest.raises(StoreError, match="not a directory"):
             save_packed(blocker, B)
+
+
+class TestTheStoreSeesNoFacts:
+    """What a runtime knows about whole partitions (``_Residency.whole``)
+    and what a rect computed once (``volume``, ``empty``) stay in the
+    process: the pickled bytes, and so the store format, are what they are
+    without them."""
+
+    def test_a_placed_runtime_pickles_the_same_with_or_without_facts(self):
+        from repro.legion import equal_partition
+
+        rt = Runtime(Machine.cpu(PIECES))
+        r, s = Region(IndexSpace(16)), Region(IndexSpace(16))
+        rt.place(r, equal_partition(r.ispace, PIECES))
+        rt.place_replicated(s)
+        rt.reset_residency()
+        assert all(res.whole for res in rt._residency.values())
+        with_facts = pickle.dumps(rt)
+        for res in rt._residency.values():
+            res.whole = {}
+        assert pickle.dumps(rt) == with_facts
+        loaded = pickle.loads(with_facts)
+        assert not any(res.whole for res in loaded._residency.values())
+        assert STORE_FORMAT_VERSION == 7
+
+    def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
+        from repro.legion import Rect
+
+        fresh = pickle.dumps(Rect((0, 2), (5, 7)))
+        r = Rect((0, 2), (5, 7))
+        assert (r.volume, r.empty) == (36, False) and "volume" in vars(r)
+        assert pickle.dumps(r) == fresh
+        back = pickle.loads(fresh)
+        assert back == r and hash(back) == hash(r) and "volume" not in vars(back)
+
+    def test_a_loaded_runtime_replays_then_records_piece_by_piece(
+            self, tmp_path, monkeypatch):
+        """The first recording over the placement is at home; a loaded
+        runtime has no facts, so after its replay the next recording stages
+        piece by piece — and finds nothing to move, as the first did."""
+        from repro.legion import runtime as runtime_mod
+
+        _, B, c, a = make_workload()
+        machine = Machine.cpu(PIECES)
+        rt = Runtime(machine)
+        recorded = compile_kernel(spmv_schedule(B, c, a), machine).execute(rt)
+        path = save_packed(tmp_path / "art", B)
+        clear_caches()
+        art = load_packed(path)
+        B2, c2, a2 = art.tensor, art.companions["c"], art.companions["a"]
+        rt2 = art.runtime()
+        ck = compile_kernel(spmv_schedule(B2, c2, a2), machine)
+        staged = []
+        real = runtime_mod._Residency.missing_subset
+        monkeypatch.setattr(runtime_mod._Residency, "missing_subset",
+                            lambda *args: staged.append(1) or real(*args))
+        replayed = ck.execute(rt2)
+        assert rt2.trace_hits == 1 and not staged
+        rt2.invalidate_caches()
+        again = ck.execute(rt2)
+        assert rt2.trace_records == 1 and staged
+        for res in (replayed, again):
+            assert [s.comm_events for s in res.metrics.steps] == \
+                   [s.comm_events for s in recorded.metrics.steps]
+            assert res.simulated_seconds == recorded.simulated_seconds

@@ -303,16 +303,19 @@ class CountingRuntime(Runtime):
 def test_one_call_replay_writes_what_the_pieces_write(
     case, pieces, n, structure, hostile, seed, block_bytes, copy_at
 ):
-    """A replay through the launch thunk rewrites (over a poisoned output)
-    the bytes its recording wrote piece by piece and the interpreter
-    writes, and books the step a per-piece replay books: per-processor
-    compute seconds, communication events and task count.  A bind function
-    that gathers in blocks is bound with blocks of 1 to all positions, and
-    gathers rows of ``D.T`` from a contiguous copy always, by its own rule,
-    or never (the interpreter gathers the strided view)."""
+    """A launch through the launch thunk writes (over a poisoned output)
+    the bytes the per-piece thunks write and the interpreter writes, and
+    books the step a per-piece launch books: per-processor compute seconds,
+    communication events and task count.  A recording takes the one call
+    exactly when every requirement is at home — over the kernel's own
+    placement — and runs piece by piece when it stages, under a processor
+    map other than the placement's; a replay takes it either way.  A bind
+    function that gathers in blocks is bound with blocks of 1 to all
+    positions, and gathers rows of ``D.T`` from a contiguous copy always,
+    by its own rule, or never (the interpreter gathers the strided view)."""
     clear_caches()
     machine = Machine.cpu(pieces)
-    steps = {}
+    steps, written = {}, []
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
         (out,), _ = _statements(case, n, structure, hostile, seed)
         ck = compile_kernel(
@@ -321,22 +324,45 @@ def test_one_call_replay_writes_what_the_pieces_write(
         if hasattr(module, "_BLOCK_BYTES"):
             mp.setattr(module, "_BLOCK_BYTES", block_bytes)
             mp.setattr(module, "_COPY_AT", copy_at)
+        per_piece = {"piece": len(ck.pieces), "launch": 0}
         for one_call in (True, False):
+            one = {"piece": 0, "launch": 1} if one_call else per_piece
             rt = CountingRuntime(machine, one_call)
-            ck.execute(rt)
-            assert rt.count() == {"piece": len(ck.pieces), "launch": 0}
-            recorded = out.vals.data.copy()
-            out.vals.data[...] = 7.0
-            (steps[one_call],) = ck.execute(rt).metrics.steps
-            assert rt.count() == (
-                {"piece": 0, "launch": 1} if one_call
-                else {"piece": len(ck.pieces), "launch": 0}
-            )
-            assert _same_bits(out.vals.data, recorded)
+            steps[one_call] = []
+            for launch, taken in (
+                (lambda: ck.execute(rt).metrics.steps[0], one),    # records at home
+                (lambda: ck.execute(rt).metrics.steps[0], one),    # replays
+                (lambda: _shifted_launch(rt, ck), per_piece if _moves(ck) else one),
+                (lambda: _shifted_launch(rt, ck), one),            # replays
+            ):
+                out.vals.data[...] = 7.0
+                steps[one_call].append(launch())
+                assert rt.count() == taken
+                written.append(out.vals.data.copy())
         interp, _, _ = _run(case, pieces, n, structure, hostile, seed, "interp")
+    assert all(_same_bits(w, written[0]) for w in written)
     assert _same_bits(out.to_dense(), interp)
     assert steps[True] == steps[False]
-    assert steps[True].tasks_launched == len(ck.pieces)
+    assert all(s.tasks_launched == len(ck.pieces) for s in steps[True])
+
+
+def _shifted_launch(rt, ck):
+    """``ck``'s bound launch from the homes-only state, each color on the
+    processor after the one it is placed on (so, on two or more, it
+    stages)."""
+    name, colors, task, reqs, proc_of, launch = ck._launch_args
+    rt.reset_residency()
+    return rt.index_launch(name, colors, task, reqs, launch=launch,
+                           proc_map=lambda c: (proc_of(c) + 1) % rt.machine.size)
+
+
+def _moves(ck):
+    """Whether the shifted launch leaves some requirement away from home:
+    on two or more processors, any partitioned requirement with a
+    non-empty piece (a replicated operand is home everywhere)."""
+    return ck.machine.size > 1 and any(
+        not s.empty for r in ck._reqs() if r.partition is not None
+        for s in r.partition.subsets.values())
 
 
 def _oracle_statements():
@@ -350,11 +376,12 @@ def _oracle_statements():
 @pytest.mark.parametrize("backend", ["codegen", "interp"])
 def test_one_call_only_where_no_value_depends_on_the_split(backend):
     """Observed over every statement the oracle builds, never looked up by
-    kind: a recording launch runs its pieces; a replay takes the one call
-    only under the codegen backend, for a write-disjoint output (a
-    ``REDUCE`` one sums partials in piece order) whose pieces own whole
-    rows (a ``grid`` piece owns a column window), and never once an
-    operand is streamed in rounds."""
+    kind: a launch takes the one call only under the codegen backend, for a
+    write-disjoint output (a ``REDUCE`` one sums partials in piece order)
+    whose pieces own whole rows (a ``grid`` piece owns a column window),
+    and never once an operand is streamed in rounds.  The recording runs
+    over the kernel's own placement, where every requirement is at home,
+    so it takes the one call exactly when its replay does."""
     machine = Machine.cpu(4)
     one_call = 0
     for combo in _oracle_statements():
@@ -370,9 +397,10 @@ def test_one_call_only_where_no_value_depends_on_the_split(backend):
                         ck.stream_tensor(part.tensor)
             rt = CountingRuntime(machine)
             ck.execute(rt)
-            assert rt.count()["launch"] == 0, combo
+            recorded = rt.count()
             ck.execute(rt)
             calls = rt.count()
+            assert recorded == calls, combo
             if not calls["launch"]:
                 continue
             assert calls == {"piece": 0, "launch": 1}, combo

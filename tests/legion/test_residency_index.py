@@ -79,6 +79,10 @@ class ListResidency:
         if not _holds(pieces, subset):
             pieces.append(subset)
 
+    def load(self, pieces, facts=None):
+        for subset, proc in pieces:
+            self.add(proc, subset)
+
     def invalidate_others(self, writer, subset):
         for proc, pieces in list(self.by_proc.items()):
             if proc == writer or not any(subsets_overlap(p, subset) for p in pieces):
@@ -92,7 +96,10 @@ class ListResidency:
 
 class ListRuntime(Runtime):
     """A :class:`Runtime` over :class:`ListResidency`, summing capacity from
-    the pieces and deduplicating homes by scanning them."""
+    the pieces, deduplicating homes by scanning them, placing piece by
+    piece and checking every processor after each ``place*``.  It records
+    no facts about whole partitions, so every launch stages and writes
+    piece by piece and a recording never takes the one call."""
 
     def _res(self, uid):
         return self._residency.setdefault(uid, ListResidency())
@@ -101,6 +108,19 @@ class ListRuntime(Runtime):
         homes = self._home.setdefault(uid, [])
         if not _holds([s for s, p in homes if p == proc], subset):
             homes.append((subset, proc))
+
+    def _place_pieces(self, region, pieces, whole=None, check=True):
+        self._unshare_residency()
+        res = self._res(region.uid)
+        for subset, proc in pieces:
+            res.add(proc, subset)
+            self._add_home(region.uid, subset, proc)
+        self._homes_changed()
+        if check:
+            self._check_placed(region)
+
+    def _at_home(self, reqs, colors, procs):
+        return [False] * len(reqs)
 
     def _check_capacity(self, region, proc, total=None):
         p = self.machine.proc(proc)
@@ -112,7 +132,7 @@ class ListRuntime(Runtime):
         if total > p.mem_bytes:
             raise OOMError(proc, total, p.mem_bytes, what=f"staging {region.name}")
 
-    def _check_capacity_all(self, region):
+    def _check_placed(self, region):
         for proc in {pr for res in self._residency.values() for pr in res.by_proc}:
             self._check_capacity(region, proc)
 
@@ -125,8 +145,10 @@ class ListRuntime(Runtime):
         return out
 
 
-def assert_index_consistent(res):
-    """The index, the running totals and the lists hold the same pieces."""
+def assert_index_consistent(res, region=None):
+    """The index, the running totals and the lists hold the same pieces,
+    and every recorded fact about a whole partition (of ``region``) is
+    true of them."""
     listed = sorted((leading_extent(p)[0], proc, id(p))
                     for proc, pieces in res.by_proc.items() for p in pieces)
     indexed = sorted((k[0], k[1], id(e[1])) for k, e in zip(res.keys, res.ents))
@@ -137,6 +159,14 @@ def assert_index_consistent(res):
     assert list(res.vol) == list(res.by_proc)
     if res.span is not None:
         assert all(e[0] - k[0] <= res.span for k, e in zip(res.keys, res.ents))
+    for key, (part, holders) in res.whole.items():
+        if key is None:
+            held = [(region.ispace.full_subset(), proc) for proc in holders]
+        else:
+            assert key == id(part)
+            held = [(part[color], proc) for color, proc in holders.items()]
+        for piece, proc in held:
+            assert _holds(res.by_proc.get(proc, []), piece)
 
 
 def homes_only(rt):
@@ -201,20 +231,31 @@ PRIVILEGES = [Privilege.READ_ONLY, Privilege.READ_WRITE,
 
 @st.composite
 def scenarios(draw):
-    procs = draw(st.integers(2, 4))
-    dram = draw(st.sampled_from([60.0 * 8, 1e9]))  # tight enough to OOM, or not
+    procs = draw(st.integers(1, 4))
+    dram = draw(st.sampled_from([30.0 * 8, 60.0 * 8, 1e9]))  # tight enough to OOM, or not
     shapes = draw(st.lists(st.sampled_from([(9,), (20,), (7, 4), (12, 3)]),
                            min_size=1, max_size=3))
     regions = [Region(IndexSpace(s)) for s in shapes]
     parts = [draw(st.lists(partition_of(r), min_size=1, max_size=2)) for r in regions]
     calls = []
+    # a processor map other than the default: placed or launched there, a
+    # whole partition is no longer at home for a launch on the other map
+    shift = lambda: draw(st.sampled_from([0, 0, 1]))  # noqa: E731
     for _ in range(draw(st.integers(1, 14))):
         op = draw(st.sampled_from(
-            ["place", "place_on", "place_replicated", "launch", "launch",
-             "launch", "copy", "reset"]))
+            ["place", "place", "place_on", "place_replicated", "launch", "launch",
+             "launch", "launch", "copy", "reset"]))
         r = draw(st.integers(0, len(regions) - 1))
         if op == "place":
-            calls.append((op, r, draw(st.sampled_from(parts[r]))))
+            if draw(st.booleans()):  # a whole region first, unchecked
+                calls.append(("place_on", draw(st.integers(0, len(regions) - 1)),
+                              draw(st.integers(0, procs - 1))))
+            # by one partition, then perhaps by another or the same again
+            for part in draw(st.lists(st.sampled_from(parts[r]), min_size=1, max_size=2)):
+                calls.append((op, r, part, shift()))
+            if draw(st.booleans()):  # then a write over the last placement
+                calls.append(("launch", [(r, part, Privilege.WRITE_DISCARD)], 4,
+                              calls[-1][3], draw(st.booleans())))
         elif op == "place_on":
             calls.append((op, r, draw(st.integers(0, procs - 1))))
         elif op == "launch":
@@ -225,7 +266,15 @@ def scenarios(draw):
                 priv = draw(st.sampled_from(
                     PRIVILEGES if part is not None else PRIVILEGES[:1]))
                 reqs.append((ri, part, priv))
-            calls.append((op, reqs, draw(st.integers(0, 2))))
+            if draw(st.booleans()):  # a second read of the first region
+                ri = reqs[0][0]
+                reqs.append((ri, draw(st.sampled_from(parts[ri] + [None])),
+                             Privilege.READ_ONLY))
+            calls.append((op, reqs, draw(st.integers(0, 2)), shift(), draw(st.booleans())))
+            if draw(st.booleans()):  # then a read of what it wrote
+                ri, part, _ = reqs[0]
+                calls.append((op, [(ri, part, Privilege.READ_ONLY)], 3, shift(),
+                              draw(st.booleans())))
             if draw(st.booleans()):  # the next trial: a replay
                 calls += [("reset", r), calls[-1]]
         elif op == "copy":
@@ -237,10 +286,14 @@ def scenarios(draw):
     return procs, dram, regions, calls
 
 
+def _shifted(rt, shift):
+    return (lambda c: (c + shift) % rt.machine.size) if shift else None
+
+
 def _run(rt, regions, call):
     op = call[0]
     if op == "place":
-        return rt.place(regions[call[1]], call[2])
+        return rt.place(regions[call[1]], call[2], _shifted(rt, call[3]))
     if op == "place_on":
         return rt.place_on(regions[call[1]], call[2])
     if op == "place_replicated":
@@ -251,11 +304,13 @@ def _run(rt, regions, call):
         step = rt.metrics.new_step("c")
         rt.copy_subset(step, regions[call[1]], call[2], call[3])
         return step.comm_events
-    _, reqs, name = call
+    _, reqs, name, shift, thunk = call
     step = rt.index_launch(
-        f"t{name}", range(COLORS), lambda c: Work(1, 1),
-        [RegionReq(regions[ri], part, priv) for ri, part, priv in reqs])
-    return step.comm_events
+        f"t{name}", range(COLORS), lambda c: Work(c + 1, 1),
+        [RegionReq(regions[ri], part, priv) for ri, part, priv in reqs],
+        proc_map=_shifted(rt, shift),
+        launch=(lambda: [Work(c + 1, 1) for c in range(COLORS)]) if thunk else None)
+    return step.comm_events, step.compute_seconds, step.tasks_launched
 
 
 def _outcome(rt, regions, call):
@@ -279,37 +334,68 @@ class TestTwinResidency:
                    (twin.trace_records, twin.trace_hits, twin._state)
             assert Runtime._snapshots_equal(rt._residency, twin._residency)
             assert homes(rt) == homes(twin)
-            for res in rt._residency.values():
-                assert_index_consistent(res)
+            by_uid = {r.uid: r for r in regions}
+            for uid, res in rt._residency.items():
+                assert_index_consistent(res, by_uid[uid])
             if call[0] == "reset":  # whether built or the live table reused
                 for x in (rt, twin):
                     assert list(x._residency) == list(x._home)
                     assert Runtime._snapshots_equal(x._residency, homes_only(x))
 
+    def test_a_place_checks_processors_it_did_not_touch(self):
+        """``place_on`` does not check capacity, so it can leave a processor
+        over its memory; the next ``place`` raises for that processor even
+        though it placed nothing there."""
+        machine = Machine.cpu(2, NodeSpec(dram_bytes=60.0 * 8))
+        wide, tall, small = Region(IndexSpace((12, 3))), Region(IndexSpace((7, 4))), \
+            Region(IndexSpace(9))
+        elsewhere = Partition(small.ispace, {1: RectSubset(Rect(0, 8))})  # on proc 1
+        outcomes = []
+        for rt in (Runtime(machine), ListRuntime(machine)):
+            rt.place_on(wide, 0)
+            rt.place_on(tall, 0)  # 64 elements on proc 0, unchecked
+            outcomes.append(_outcome(rt, [small], ("place", 0, elsewhere, 0)))
+        assert outcomes[0] == outcomes[1] and outcomes[0][:2] == ("oom", 0)
+
+    def test_a_replica_does_not_make_a_write_at_home(self):
+        """On one processor a replicated region is held everywhere, yet a
+        discard-write of its pieces adds each of them beside the replica."""
+        r = Region(IndexSpace(12))
+        write = ("launch", [(0, equal_partition(r.ispace, COLORS),
+                             Privilege.WRITE_DISCARD)], 0, 0, True)
+        rt, twin = Runtime(Machine.cpu(1)), ListRuntime(Machine.cpu(1))
+        for x in (rt, twin):
+            x.place_replicated(r)
+            _run(x, [r], write)
+        assert Runtime._snapshots_equal(rt._residency, twin._residency)
+        assert len(rt._residency[r.uid].by_proc[0]) == 1 + COLORS
+
+
+def _counting(monkeypatch, calls, owner, *names):
+    """Count calls of ``owner``'s ``names`` into ``calls``."""
+    for name in names:
+        fn = getattr(owner, name)
+
+        def wrapper(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
 
 class TestLaunchGrowsWithPieces:
     @pytest.mark.parametrize("pieces", [8, 64])
     def test_recording_write_disjoint_launch(self, pieces, monkeypatch):
-        """A recording launch that reads a partitioned and a replicated
-        region and writes a third disjointly makes O(pieces) overlap tests
-        (the list scan made O(pieces²)), and placing compares a piece only
-        with its duplicate."""
+        """A recording launch that stages — each color one processor along
+        from its placement — reads a partitioned and a replicated region
+        and writes a third disjointly, and makes O(pieces) overlap tests
+        (the list scan made O(pieces²)); placing compares a piece only with
+        its duplicate."""
         rt = Runtime(Machine.cpu(pieces))
         src, rep, out = (Region(IndexSpace(4 * pieces)) for _ in range(3))
         part = equal_partition(out.ispace, pieces)
         calls = Counter()
-
-        def counted(name):
-            fn = getattr(runtime_mod, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            monkeypatch.setattr(runtime_mod, name, wrapper)
-
-        counted("subsets_overlap")
-        counted("_same")
+        _counting(monkeypatch, calls, runtime_mod, "subsets_overlap", "_same")
         rt.place(src, part)
         rt.place_replicated(rep)
         rt.place(out, part)
@@ -321,8 +407,9 @@ class TestLaunchGrowsWithPieces:
         reqs = [RegionReq(src, part, Privilege.READ_ONLY),
                 RegionReq(rep, None, Privilege.READ_ONLY),
                 RegionReq(out, part, Privilege.WRITE_DISCARD)]
-        rt.index_launch("w", range(pieces), lambda c: Work(1, 1), reqs)
-        assert rt.trace_records == 1
+        step = rt.index_launch("w", range(pieces), lambda c: Work(1, 1), reqs,
+                               proc_map=lambda c: (c + 1) % pieces)
+        assert rt.trace_records == 1 and step.comm_events
         assert calls["subsets_overlap"] <= 2 * pieces
         # a write that overlaps every replica drops them: still one test per
         # piece it touches
@@ -331,3 +418,74 @@ class TestLaunchGrowsWithPieces:
                         [RegionReq(rep, part, Privilege.WRITE_DISCARD)])
         assert calls["subsets_overlap"] <= 2 * pieces
         assert len(rt._residency[rep.uid].by_proc) == pieces
+
+    def test_a_first_launch_over_home_partitions_runs_no_subset_algebra(
+            self, monkeypatch):
+        """Placing into empty regions adds no piece one by one, and a
+        recording over the placed partitions — two reads of one region, a
+        broadcast of a replicated one, a discard-write of a third — stages
+        nothing, writes nothing and takes the launch thunk's one call."""
+        pieces = 64
+        rt = Runtime(Machine.cpu(pieces))
+        src, rep, out = (Region(IndexSpace(4 * pieces)) for _ in range(3))
+        part = equal_partition(out.ispace, pieces)
+        calls = Counter()
+        _counting(monkeypatch, calls, runtime_mod._Residency,
+                  "add", "missing_subset", "invalidate_others")
+        _counting(monkeypatch, calls, runtime_mod, "subsets_overlap")
+        rt.place(src, part)
+        rt.place(out, part)
+        rt.place_replicated(rep)
+        rt.reset_residency()
+        assert calls == {}
+        thunk = Counter()
+
+        def launch():
+            thunk["calls"] += 1
+            return [Work(c + 1, 1) for c in range(pieces)]
+
+        reqs = [RegionReq(src, part, Privilege.READ_ONLY),
+                RegionReq(src, part, Privilege.READ_ONLY),
+                RegionReq(rep, None, Privilege.READ_ONLY),
+                RegionReq(out, part, Privilege.WRITE_DISCARD)]
+        before = rt._residency
+        step = rt.index_launch("w", range(pieces), lambda c: pytest.fail("per piece"),
+                               reqs, launch=launch)
+        assert calls == {} and thunk == {"calls": 1} and rt.trace_records == 1
+        assert step.comm_events == [] and step.tasks_launched == pieces
+        assert Runtime._snapshots_equal(rt._residency, before)
+        assert rt._state == ("clean", rt._homes_version)  # it self-loops
+        # an equal partition of src that was never placed is no fact: its
+        # read stages (finding nothing missing), so the launch runs per piece
+        reqs[1] = RegionReq(src, equal_partition(src.ispace, pieces), Privilege.READ_ONLY)
+        rt.index_launch("v", range(pieces), lambda c: Work(1, 1), reqs, launch=launch)
+        assert calls == {"missing_subset": pieces} and thunk == {"calls": 1}
+
+    def test_an_sddmm_sharing_its_pattern_regions_is_at_home(self, monkeypatch):
+        """SDDMM's output reads the pattern regions of its sparse operand
+        through a second partition of each; several reads of one region are
+        at home together, so the recording runs no subset algebra."""
+        from repro.api.autoschedule import auto_schedule
+        from repro.core import clear_caches, compile_kernel
+        from repro.taco import CSR, Tensor, index_vars
+
+        clear_caches()
+        machine = Machine.cpu(64)
+        rng = np.random.default_rng(1)
+        n = 256
+        coords = [rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)]
+        B = Tensor.from_coo("B", coords, rng.random(4 * n), (n, n), CSR)
+        C, D = Tensor.from_dense("C", rng.random((n, 3))), Tensor.from_dense(
+            "D", rng.random((3, n)))
+        P = Tensor.zeros("P", (n, n), CSR)
+        i, j, k = index_vars("i j k")
+        P[i, j] = B[i, j] * C[i, k] * D[k, j]
+        ck = compile_kernel(auto_schedule(P.assignment, machine, strategy="rows"), machine)
+        shared = {r.uid for r in P.regions()} & {r.uid for r in B.regions()}
+        assert shared  # P's pos / crd are B's
+        calls = Counter()
+        _counting(monkeypatch, calls, runtime_mod._Residency,
+                  "missing_subset", "invalidate_others")
+        ck.execute(Runtime(machine))
+        assert calls == {}
+        clear_caches()

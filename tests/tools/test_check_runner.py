@@ -2,7 +2,8 @@
 
 Running every fast plugin clean here wires the whole invariant set —
 lock discipline, docstring coverage, the exported API surface, the
-nondeterminism lint, the one-kernel-table lint and the no-exec scan —
+nondeterminism lint, the one-kernel-table lint, the no-exec scan and the
+residency-writer scan —
 into the plain ``pytest`` loop.  The self-tests pin the runner's own
 semantics (plugin selection, JSON schema stability, exact-line findings
 from every scanner)
@@ -54,7 +55,7 @@ def test_json_schema_is_stable():
         "checks": [r.to_json() for r in results],
     }
     doc = json.loads(json.dumps(doc))  # round-trips as plain JSON
-    assert doc["version"] == 3  # v3: no-exec replaces aot-sanitizer
+    assert doc["version"] == 4  # v3: no-exec replaces aot-sanitizer; v4: residency
     assert set(doc) == {"version", "ok", "checks"}
     for entry in doc["checks"]:
         assert set(entry) == {"name", "ok", "summary", "findings"}
@@ -87,7 +88,7 @@ def test_cli_only_unknown_exits_two_listing_names():
 def test_list_names_every_plugin():
     names = {p.name for p in check.PLUGINS}
     assert {"lock", "docs", "exports", "nondet", "kernelspec",
-            "no-exec", "commplan", "release", "examples"} <= names
+            "no-exec", "residency", "commplan", "release", "examples"} <= names
     assert "aot-sanitizer" not in names
     # the commplan planner coherence sweep runs in the fast (tier-1) set
     assert "commplan" in {p.name for p in check.PLUGINS if not p.slow}
@@ -450,3 +451,40 @@ class TestNoExecScanners:
             "src/repro/kernels/sddmm.py", "src/repro/kernels/spmm.py",
             "src/repro/kernels/spmttkrp.py", "src/repro/kernels/spmv.py",
         ]
+
+
+class TestResidencyScanner:
+    """The ``residency`` plugin: only the table's class writes its fields."""
+
+    SRC = (
+        "class _Residency:\n"
+        "    def add(self, proc, piece):\n"
+        "        self.by_proc.setdefault(proc, []).append(piece)\n"   # line 3
+        "        self.whole = {}\n"                                   # line 4
+        "class Runtime:\n"
+        "    def place(self, res, proc, piece, d):\n"
+        "        res.by_proc[proc] = [piece]\n"                       # line 7
+        "        res.vol[proc] += 8\n"                                # line 8
+        "        res.keys.insert(0, (0, proc))\n"                     # line 9
+        "        res.span, res.ents = None, []\n"                     # line 10
+        "        del res.by_proc[proc]\n"                             # line 11
+        "        res.by_proc[proc].append(piece)\n"                   # line 12
+        "        res.whole[id(d)]: tuple = (d, {})\n"                 # line 13
+        "        res.add(proc, piece)\n"                              # the fix
+        "        d.keys = list(d.keys())\n"                           # line 15
+        "        total = sum(res.vol.values()) + len(res.keys)\n"     # reads
+        "        return res.whole.get(None), d.keys(), res.by_proc\n"
+    )
+
+    def test_writes_outside_the_class_are_flagged_with_lines(self):
+        findings = check._scan_residency_writes(
+            check.RESIDENCY_HOME[0], ast.parse(self.SRC))
+        assert [f.line for f in findings] == [7, 8, 9, 10, 11, 12, 13, 15]
+        assert "residency field 'span'" in findings[3].message
+        assert str(findings[0]).startswith(
+            "src/repro/legion/runtime.py:7: writes the residency field 'by_proc'")
+
+    def test_the_class_is_exempt_only_in_its_own_module(self):
+        findings = check._scan_residency_writes("src/repro/core/x.py", ast.parse(self.SRC))
+        assert [f.line for f in findings][:2] == [3, 4]
+        assert check.RESIDENCY_HOME == ("src/repro/legion/runtime.py", "_Residency")

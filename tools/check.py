@@ -44,6 +44,13 @@ codebase passes defined here:
   holding a bind function reduces with ``np.bincount``, and nothing under
   ``src/repro/codegen`` or ``src/repro/kernels`` reads the process
   environment;
+* **residency** — a region's residency table is written only by its class
+  (``_Residency`` in ``src/repro/legion/runtime.py``): nowhere else under
+  ``src/repro`` does code assign, augment or delete ``by_proc``,
+  ``keys``, ``ents``, ``vol``, ``span`` or ``whole`` (or an item of one),
+  or call an in-place mutator on them.  The facts the table records
+  about whole partitions, which let a launch skip staging, stay true
+  only while every writer goes through the class;
 * **commplan** — every (kernel × sweep format × strategy × machine kind)
   the kernel table declares must yield a coherent static communication plan
   (:mod:`repro.analysis.commplan`): the plan derives without error and
@@ -97,7 +104,7 @@ if str(TOOLS) not in sys.path:
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-JSON_SCHEMA_VERSION = 3
+JSON_SCHEMA_VERSION = 4
 
 __all__ = [
     "Finding", "CheckResult", "Plugin", "PLUGINS", "SourceCache",
@@ -662,6 +669,80 @@ def _run_no_exec(cache: SourceCache) -> CheckResult:
 
 
 # --------------------------------------------------------------------- #
+# a residency table changes only through its class
+# --------------------------------------------------------------------- #
+#: ``(module, class)`` of the residency table, the one writer of its fields.
+RESIDENCY_HOME = ("src/repro/legion/runtime.py", "_Residency")
+#: the table's fields: its pieces, their index and totals, and the facts
+#: about whole partitions that are true only while every write goes
+#: through the class.
+RESIDENCY_FIELDS = ("by_proc", "keys", "ents", "vol", "span", "whole")
+#: methods that mutate a list, dict or set in place.
+_MUTATORS = frozenset((
+    "append", "insert", "extend", "pop", "popitem", "remove", "clear",
+    "update", "setdefault", "sort", "reverse", "add", "discard",
+))
+
+
+def _residency_field(node: ast.AST) -> Optional[str]:
+    """The residency field ``node`` writes through — ``x.<field>`` or an
+    item of it, at any depth — if any."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute) and node.attr in RESIDENCY_FIELDS:
+        return node.attr
+    return None
+
+
+def _scan_residency_writes(relpath: str, tree: ast.Module) -> List[Finding]:
+    """Assignments (plain, augmented, ``del``) to a residency field or an
+    item of one, and in-place mutator calls on them, outside the class
+    that owns the table."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if (relpath, getattr(node, "name", None)) == RESIDENCY_HOME \
+                and isinstance(node, ast.ClassDef):
+            exempt = {id(n) for n in ast.walk(node)}
+    findings: List[Finding] = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS):
+            targets = [node.func.value]
+        else:
+            continue
+        flat = [e for t in targets
+                for e in (t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t])]
+        fields = [f for f in map(_residency_field, flat) if f]
+        if fields:
+            findings.append(Finding(
+                relpath, node.lineno,
+                f"writes the residency field {fields[0]!r} outside "
+                f"{RESIDENCY_HOME[1]}: go through its methods (add, "
+                "invalidate_others, load, hold_whole), or a recorded fact "
+                "about a whole partition can turn false",
+            ))
+    return sorted(findings, key=lambda f: f.line)
+
+
+def _run_residency(cache: SourceCache) -> CheckResult:
+    modules = sorted(str(p.relative_to(REPO)) for p in (SRC / "repro").rglob("*.py"))
+    findings: List[Finding] = []
+    for relpath in modules:
+        findings.extend(_scan_residency_writes(relpath, cache.get(relpath)[1]))
+    return CheckResult(
+        "residency", findings,
+        f"{len(modules)} modules under src/repro write the residency fields "
+        f"only inside {RESIDENCY_HOME[1]}",
+    )
+
+
+# --------------------------------------------------------------------- #
 # static communication-plan coherence (new)
 # --------------------------------------------------------------------- #
 def _commplan_workload(kind: str, fmt_obj, n: int = 18, density: float = 0.25):
@@ -1022,6 +1103,8 @@ PLUGINS: List[Plugin] = [
     Plugin("no-exec", "no exec / eval / compile under src/repro; the private "
            "SciPy surface at one site; codegen and kernels read no "
            "environment", _run_no_exec),
+    Plugin("residency", "a region's residency table is written only through "
+           "its class", _run_residency),
     Plugin("commplan", "auto-synthesized schedules yield coherent static "
            "communication plans", _run_commplan),
     Plugin("fusion", "fusable SDDMM→SpMM chains fuse into coherent static "
