@@ -28,9 +28,11 @@ Synthesis rules (see ``docs/api.md`` for the user-facing table):
   operand's position space, divided into ``machine.size`` pieces,
   distributed, and every tensor is communicated at the piece loop.
 
-The synthesized schedule is bit-identical in effect to the hand-written
-schedules of ``examples/`` and ``repro.bench.harness`` — values *and*
-simulated metrics match (``tests/api/test_autoschedule.py`` asserts it).
+The synthesized schedule is bit-identical in effect to the paper's
+hand-written schedules — values *and* simulated metrics match for every
+kernel × strategy the evaluation runs, on CPU and GPU machines (the
+reference table in ``tests/api/test_autoschedule.py``).  The figure
+runner :func:`repro.bench.spdistal_run` schedules through this module.
 """
 from __future__ import annotations
 

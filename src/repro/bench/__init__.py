@@ -1,15 +1,6 @@
 """Benchmark harness: scaled machine model, kernel runners, figure drivers."""
 from .models import BenchConfig, RATE_SCALE, default_config
-from .harness import (
-    SimResult,
-    shifted,
-    spdistal_sddmm,
-    spdistal_spadd3,
-    spdistal_spmm,
-    spdistal_spmttkrp,
-    spdistal_spmv,
-    spdistal_spttv,
-)
+from .harness import SimResult, shifted, spdistal_run
 from .baseline_runners import ctf_run, petsc_run, trilinos_run
 from .iterative import IterativeResult, run_iterative_spmv
 from .warmstart import WarmstartParams, WarmstartResult, run_warmstart
@@ -18,9 +9,7 @@ from . import figures
 
 __all__ = [
     "BenchConfig", "RATE_SCALE", "default_config",
-    "SimResult", "shifted",
-    "spdistal_sddmm", "spdistal_spadd3", "spdistal_spmm",
-    "spdistal_spmttkrp", "spdistal_spmv", "spdistal_spttv",
+    "SimResult", "shifted", "spdistal_run",
     "ctf_run", "petsc_run", "trilinos_run",
     "IterativeResult", "run_iterative_spmv",
     "WarmstartParams", "WarmstartResult", "run_warmstart",

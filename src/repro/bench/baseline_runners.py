@@ -3,9 +3,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-import scipy.sparse as sp
-
 from ..baselines import ctf as ctf_mod
 from ..baselines import petsc as petsc_mod
 from ..baselines import trilinos as trilinos_mod
@@ -14,7 +11,6 @@ from ..baselines.ctf import CtfConfig
 from ..baselines.petsc import PetscConfig
 from ..baselines.trilinos import TrilinosConfig
 from ..errors import OOMError
-from ..taco.tensor import Tensor
 from .harness import SimResult
 from .models import BenchConfig, default_config
 
@@ -45,79 +41,42 @@ def _ctf_cfg(nodes: int, cfg: BenchConfig) -> CtfConfig:
     return CtfConfig(nodes, node=cfg.node, network=cfg.mpi_network(nodes * cfg.node.cores))
 
 
+def _dispatch(system: str, module, kernel: str, args, config) -> SimResult:
+    """Run ``module.<kernel>(*args, config)``; a kernel the system does not
+    implement does not complete, like one that runs out of memory."""
+    fn = getattr(module, kernel, None)
+    if fn is None:
+        return SimResult(system, float("inf"), oom=True)
+    try:
+        return _to_sim(system, fn(*args, config))
+    except OOMError:
+        return SimResult(system, float("inf"), oom=True)
+
+
 def petsc_run(kernel: str, args, nodes: int, cfg: Optional[BenchConfig] = None,
               *, gpus: Optional[int] = None) -> SimResult:
     cfg = cfg or default_config()
-    pc = _petsc_cfg(nodes, gpus, cfg)
-    try:
-        if kernel == "spmv":
-            return _to_sim("PETSc", petsc_mod.spmv(args[0], args[1], pc))
-        if kernel == "spmm":
-            return _to_sim("PETSc", petsc_mod.spmm(args[0], args[1], pc))
-        if kernel == "spadd3":
-            return _to_sim("PETSc", petsc_mod.spadd3(args[0], args[1], args[2], pc))
-    except OOMError:
-        return SimResult("PETSc", float("inf"), oom=True)
-    return SimResult("PETSc", float("inf"), oom=True)  # unsupported kernel
+    return _dispatch("PETSc", petsc_mod, kernel, args, _petsc_cfg(nodes, gpus, cfg))
 
 
 def trilinos_run(kernel: str, args, nodes: int, cfg: Optional[BenchConfig] = None,
                  *, gpus: Optional[int] = None) -> SimResult:
     cfg = cfg or default_config()
-    tc = _trilinos_cfg(nodes, gpus, cfg)
-    try:
-        if kernel == "spmv":
-            return _to_sim("Trilinos", trilinos_mod.spmv(args[0], args[1], tc))
-        if kernel == "spmm":
-            return _to_sim("Trilinos", trilinos_mod.spmm(args[0], args[1], tc))
-        if kernel == "spadd3":
-            return _to_sim("Trilinos", trilinos_mod.spadd3(args[0], args[1], args[2], tc))
-    except OOMError:
-        return SimResult("Trilinos", float("inf"), oom=True)
-    return SimResult("Trilinos", float("inf"), oom=True)
+    return _dispatch("Trilinos", trilinos_mod, kernel, args,
+                     _trilinos_cfg(nodes, gpus, cfg))
+
+
+#: CTF prices the higher-order kernels from the tensor's shape and non-zero
+#: count.  Its processor-grid decomposition splits hot slices across ranks,
+#: so the special MTTKRP kernel is essentially balanced.
+_CTF_ARGS = {
+    "spttv": lambda T, c: (None, T.shape, T.nnz, c),
+    "spmttkrp": lambda T, C, D: (T.shape, T.nnz, C.shape[1]),
+}
 
 
 def ctf_run(kernel: str, args, nodes: int, cfg: Optional[BenchConfig] = None) -> SimResult:
     cfg = cfg or default_config()
-    cc = _ctf_cfg(nodes, cfg)
-    try:
-        if kernel == "spmv":
-            return _to_sim("CTF", ctf_mod.spmv(args[0], args[1], cc))
-        if kernel == "spmm":
-            return _to_sim("CTF", ctf_mod.spmm(args[0], args[1], cc))
-        if kernel == "spadd3":
-            return _to_sim("CTF", ctf_mod.spadd3(args[0], args[1], args[2], cc))
-        if kernel == "sddmm":
-            return _to_sim("CTF", ctf_mod.sddmm(args[0], args[1], args[2], cc))
-        if kernel == "spttv":
-            tensor: Tensor = args[0]
-            return _to_sim(
-                "CTF",
-                ctf_mod.spttv(None, tensor.shape, tensor.nnz, args[1], cc),
-            )
-        if kernel == "spmttkrp":
-            tensor = args[0]
-            l = args[1].shape[1]
-            # CTF's processor-grid decomposition splits hot slices across
-            # ranks, so the special MTTKRP kernel is essentially balanced.
-            return _to_sim(
-                "CTF",
-                ctf_mod.spmttkrp(tensor.shape, tensor.nnz, l, cc),
-            )
-    except OOMError:
-        return SimResult("CTF", float("inf"), oom=True)
-    return SimResult("CTF", float("inf"), oom=True)
-
-
-def _slice_weights(tensor: Tensor, ranks: int) -> np.ndarray:
-    """Per-rank work shares under CTF's *cyclic* slice decomposition.
-
-    Cyclic layouts scatter hub slices across ranks (that is the point of
-    Cyclops), so skew only bites when single slices exceed the mean load.
-    """
-    n0 = tensor.shape[0]
-    coords, _ = tensor.to_coo()
-    counts = np.bincount(coords[0], minlength=n0).astype(float)
-    per = np.array([counts[r::ranks].sum() for r in range(ranks)])
-    total = max(per.sum(), 1.0)
-    return per / total
+    if kernel in _CTF_ARGS:
+        args = _CTF_ARGS[kernel](*args)
+    return _dispatch("CTF", ctf_mod, kernel, args, _ctf_cfg(nodes, cfg))

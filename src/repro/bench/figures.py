@@ -16,16 +16,7 @@ from ..data.matrices import banded
 from ..data.suite import SUITE_MATRICES, SUITE_TENSORS, load_matrix, load_tensor, table2
 from ..taco.tensor import Tensor
 from .baseline_runners import ctf_run, petsc_run, trilinos_run
-from .harness import (
-    SimResult,
-    shifted,
-    spdistal_sddmm,
-    spdistal_spadd3,
-    spdistal_spmm,
-    spdistal_spmttkrp,
-    spdistal_spmv,
-    spdistal_spttv,
-)
+from .harness import SimResult, shifted, spdistal_run
 from .models import BenchConfig, default_config
 from .reporting import format_heatmap, format_scaling, format_table, geomean
 
@@ -109,36 +100,17 @@ def _tensor_args(kernel: str, T: Tensor, seed: int = 3):
     raise ValueError(kernel)
 
 
-def _spdistal_cpu(kernel: str, args, nodes: int, cfg: BenchConfig) -> SimResult:
-    if kernel == "spmv":
-        return spdistal_spmv(args[0], args[1], nodes, cfg, strategy="rows")
-    if kernel == "spmm":
-        return spdistal_spmm(args[0], args[1], nodes, cfg, strategy="rows")
-    if kernel == "spadd3":
-        return spdistal_spadd3(args[0], args[1], args[2], nodes, cfg)
-    if kernel == "sddmm":
-        return spdistal_sddmm(args[0], args[1], args[2], nodes, cfg, strategy="nonzeros")
-    if kernel == "spttv":
-        return spdistal_spttv(args[0], args[1], nodes, cfg, strategy="rows")
-    if kernel == "spmttkrp":
-        return spdistal_spmttkrp(args[0], args[1], args[2], nodes, cfg, strategy="rows")
-    raise ValueError(kernel)
+#: Fig. 10's systems, each run as ``run(kernel, args, nodes, cfg)``.
+_CPU_RUNNERS: Dict[str, Callable[..., SimResult]] = {
+    "SpDISTAL": spdistal_run, "PETSc": petsc_run,
+    "Trilinos": trilinos_run, "CTF": ctf_run,
+}
 
 
 def _fig10_systems(kernel: str) -> List[str]:
     if kernel in ("spmv", "spmm", "spadd3"):
         return ["SpDISTAL", "PETSc", "Trilinos", "CTF"]
     return ["SpDISTAL", "CTF"]  # PETSc/Trilinos do not support these kernels
-
-
-def _baseline_cpu(system: str, kernel: str, args, nodes: int, cfg: BenchConfig) -> SimResult:
-    if system == "PETSc":
-        return petsc_run(kernel, args, nodes, cfg)
-    if system == "Trilinos":
-        return trilinos_run(kernel, args, nodes, cfg)
-    if system == "CTF":
-        return ctf_run(kernel, args, nodes, cfg)
-    raise ValueError(system)
 
 
 def fig10(
@@ -163,15 +135,15 @@ def fig10(
         else:
             A = load_matrix(ds, cfg.dataset_scale, cfg.seed)
             args = _matrix_args(kernel, A, cfg)
-        base = _spdistal_cpu(kernel, args, 1, cfg)
+        base = spdistal_run(kernel, args, 1, cfg)
         detail[ds] = {}
         for system in systems:
             speeds = []
             for nodes in node_counts:
-                if system == "SpDISTAL":
-                    r = base if nodes == 1 else _spdistal_cpu(kernel, args, nodes, cfg)
+                if system == "SpDISTAL" and nodes == 1:
+                    r = base
                 else:
-                    r = _baseline_cpu(system, kernel, args, nodes, cfg)
+                    r = _CPU_RUNNERS[system](kernel, args, nodes, cfg)
                 speeds.append(base.seconds / r.seconds if r.ok else float("nan"))
             per_system[system].append(speeds)
             detail[ds][system] = speeds
@@ -189,6 +161,27 @@ def fig10(
 # --------------------------------------------------------------------------- #
 # Fig. 11: GPU strong scaling heatmaps
 # --------------------------------------------------------------------------- #
+#: Fig. 11's systems, each run as ``run(kernel, args, g, cfg)`` on ``g``
+#: GPUs; SpDISTAL-CPU uses every CPU of the nodes holding them.
+_GPU_RUNNERS: Dict[str, Callable[..., SimResult]] = {
+    "SpDISTAL": lambda k, a, g, cfg: spdistal_run(k, a, 0, cfg, gpus=g),
+    "SpDISTAL-Batched": lambda k, a, g, cfg: spdistal_run(
+        k, a, 0, cfg, gpus=g, strategy="batched"),
+    "SpDISTAL-CPU": lambda k, a, g, cfg: spdistal_run(
+        k, a, max(1, g // cfg.node.gpus), cfg),
+    "PETSc": lambda k, a, g, cfg: petsc_run(k, a, 0, cfg, gpus=g),
+    "Trilinos": lambda k, a, g, cfg: trilinos_run(k, a, 0, cfg, gpus=g),
+}
+
+#: The systems Fig. 11 compares per kernel.
+_FIG11_SYSTEMS: Dict[str, Tuple[str, ...]] = {
+    "spmv": ("SpDISTAL", "PETSc", "Trilinos"),
+    "spmm": ("SpDISTAL", "SpDISTAL-Batched", "PETSc", "Trilinos"),
+    "spadd3": ("SpDISTAL", "Trilinos"),
+    "sddmm": ("SpDISTAL", "SpDISTAL-CPU"),
+}
+
+
 def fig11(
     kernel: str,
     cfg: Optional[BenchConfig] = None,
@@ -198,6 +191,7 @@ def fig11(
 ) -> FigureResult:
     """Fastest system per (tensor, GPU count); OOM/unsupported → DNC."""
     cfg = cfg or default_config()
+    systems = _FIG11_SYSTEMS[kernel]
     datasets = list(datasets or DEFAULT_MATRICES)
     cells: Dict[tuple, str] = {}
     times: Dict[tuple, Dict[str, float]] = {}
@@ -205,30 +199,9 @@ def fig11(
         A = load_matrix(ds, cfg.dataset_scale, cfg.seed)
         args = _matrix_args(kernel, A, cfg)
         for g in gpu_counts:
-            entries: Dict[str, float] = {}
-            if kernel == "spmv":
-                entries["SpDISTAL"] = spdistal_spmv(args[0], args[1], 0, cfg,
-                                                    gpus=g, strategy="rows").seconds
-                entries["PETSc"] = petsc_run(kernel, args, 0, cfg, gpus=g).seconds
-                entries["Trilinos"] = trilinos_run(kernel, args, 0, cfg, gpus=g).seconds
-            elif kernel == "spmm":
-                entries["SpDISTAL"] = spdistal_spmm(args[0], args[1], 0, cfg,
-                                                    gpus=g, strategy="nonzeros").seconds
-                entries["SpDISTAL-Batched"] = spdistal_spmm(
-                    args[0], args[1], 0, cfg, gpus=g, strategy="batched").seconds
-                entries["PETSc"] = petsc_run(kernel, args, 0, cfg, gpus=g).seconds
-                entries["Trilinos"] = trilinos_run(kernel, args, 0, cfg, gpus=g).seconds
-            elif kernel == "spadd3":
-                entries["SpDISTAL"] = spdistal_spadd3(*args, 0, cfg, gpus=g).seconds
-                entries["Trilinos"] = trilinos_run(kernel, args, 0, cfg, gpus=g).seconds
-            elif kernel == "sddmm":
-                entries["SpDISTAL"] = spdistal_sddmm(*args, 0, cfg, gpus=g,
-                                                     strategy="nonzeros").seconds
-                cpu_nodes = max(1, g // 4)
-                entries["SpDISTAL-CPU"] = spdistal_sddmm(
-                    *args, cpu_nodes, cfg, strategy="nonzeros").seconds
-            else:
-                raise ValueError(kernel)
+            entries = {
+                s: _GPU_RUNNERS[s](kernel, args, g, cfg).seconds for s in systems
+            }
             finite = {k: v for k, v in entries.items() if np.isfinite(v)}
             cells[(ds, g)] = min(finite, key=finite.get) if finite else "DNC"
             times[(ds, g)] = entries
@@ -260,12 +233,8 @@ def fig12(
         args = _tensor_args(kernel, T)
         for g in gpu_counts:
             nodes = max(1, g // cfg.node.gpus)
-            if kernel == "spttv":
-                gpu = spdistal_spttv(args[0], args[1], 0, cfg, gpus=g, strategy="nonzeros")
-                cpu = spdistal_spttv(args[0], args[1], nodes, cfg, strategy="rows")
-            else:
-                gpu = spdistal_spmttkrp(*args, 0, cfg, gpus=g, strategy="nonzeros")
-                cpu = spdistal_spmttkrp(*args, nodes, cfg, strategy="rows")
+            gpu = spdistal_run(kernel, args, 0, cfg, gpus=g)
+            cpu = spdistal_run(kernel, args, nodes, cfg)
             if not gpu.ok:
                 cells[(ds, g)] = "DNC"
                 continue
@@ -309,13 +278,13 @@ def fig13(
         n = rows_per_unit * nodes
         A = banded(n, bandwidth, seed=cfg.seed)
         x = rng.random(n)
-        sd = spdistal_spmv(A, x, nodes, cfg, strategy="rows")
+        sd = spdistal_run("spmv", (A, x), nodes, cfg)
         pe = petsc_run("spmv", (A, x), nodes, cfg)
         gpus = nodes * cfg.node.gpus
         ng = rows_per_unit * gpus
         Ag = banded(ng, bandwidth, seed=cfg.seed)
         xg = rng.random(ng)
-        sg = spdistal_spmv(Ag, xg, 0, cfg, gpus=gpus, strategy="rows")
+        sg = spdistal_run("spmv", (Ag, xg), 0, cfg, gpus=gpus)
         pg = petsc_run("spmv", (Ag, xg), 0, cfg, gpus=gpus)
         for name, r in [("SpDISTAL", sd), ("PETSc", pe),
                         ("SpDISTAL-GPU", sg), ("PETSc-GPU", pg)]:
@@ -350,8 +319,8 @@ def ablation_row_vs_nonzero(
         A = load_matrix(ds, cfg.dataset_scale, cfg.seed)
         rng = np.random.default_rng(3)
         x = rng.random(A.shape[1])
-        r_rows = spdistal_spmv(A, x, nodes, cfg, strategy="rows")
-        r_nz = spdistal_spmv(A, x, nodes, cfg, strategy="nonzeros")
+        r_rows = spdistal_run("spmv", (A, x), nodes, cfg, strategy="rows")
+        r_nz = spdistal_run("spmv", (A, x), nodes, cfg, strategy="nonzeros")
         rows.append([ds, f"{r_rows.seconds:.3e}", f"{r_nz.seconds:.3e}",
                      f"{r_nz.comm_bytes:,.0f}"])
         data[ds] = {"rows": r_rows.seconds, "nonzeros": r_nz.seconds,
@@ -369,15 +338,13 @@ def ablation_partition_tradeoff(
     """Universe vs non-zero data partitions (§II-B): balance vs output cost."""
     from ..distal import distribute
     from ..legion.machine import Machine
+    from ..taco.formats import CSR
 
     cfg = cfg or default_config()
     rows = []
     data = {}
     for ds in ["arabic-2005", "nlpkkt240"]:
         A = load_matrix(ds, cfg.dataset_scale, cfg.seed)
-        B = Tensor.from_scipy("B", A, None)  # CSR default
-        from ..taco.formats import CSR
-
         B = Tensor.from_scipy("B", A, CSR)
         mach = Machine.cpu(pieces, cfg.node)
         uni = distribute(B, "B(x,y) -> M(x)", mach)
@@ -400,11 +367,11 @@ def ablation_fusion(
     cfg = cfg or default_config()
     A = load_matrix("nlpkkt240", cfg.dataset_scale, cfg.seed)
     B, C, D = A, shifted(A, 1), shifted(A, 2)
-    fused = spdistal_spadd3(B, C, D, nodes, cfg)
+    fused = spdistal_run("spadd3", (B, C, D), nodes, cfg)
     # Pairwise: tmp = B + C; out = tmp + D (two compiled kernels).
-    t1 = spdistal_spadd3(B, C, C - C, nodes, cfg)  # B + C (+ empty)
+    t1 = spdistal_run("spadd3", (B, C, C - C), nodes, cfg)  # B + C (+ empty)
     tmp = t1.value.to_scipy()
-    t2 = spdistal_spadd3(tmp, D, D - D, nodes, cfg)
+    t2 = spdistal_run("spadd3", (tmp, D, D - D), nodes, cfg)
     pairwise = t1.seconds + t2.seconds
     text = format_table(
         ["variant", "seconds"],
@@ -422,11 +389,12 @@ def ablation_distribution_mismatch(
 ) -> FigureResult:
     """Row-based schedule with matched vs non-zero data distribution (§II-D):
     valid, but pays reshaping communication every trial."""
+    from ..api.autoschedule import auto_schedule
+    from ..core.compiler import compile_kernel
     from ..distal import place_tensor, parse_tdn
     from ..legion.runtime import Runtime
     from ..taco.formats import CSR
     from ..taco.index_vars import index_vars
-    from ..core.compiler import compile_kernel
 
     cfg = cfg or default_config()
     A = load_matrix("arabic-2005", cfg.dataset_scale, cfg.seed)
@@ -438,10 +406,9 @@ def ablation_distribution_mismatch(
         B = Tensor.from_scipy("B", A, CSR)
         c = Tensor.from_dense("c", x)
         a = Tensor.zeros("a", (A.shape[0],))
-        i, j, io, ii = index_vars("i j io ii")
+        i, j = index_vars("i j")
         a[i] = B[i, j] * c[j]
-        s = (a.schedule().divide(i, io, ii, machine.size).distribute(io)
-             .communicate([a, B, c], io))
+        s = auto_schedule(a, machine, strategy="rows")
         rt = Runtime(machine, cfg.legion_network())
         if mismatch:
             place_tensor(B, parse_tdn("B(x,y) [x y -> f] -> M(~f)"), machine, rt)

@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ..api.autoschedule import auto_schedule
 from ..api.session import Session
 from ..core import cache as _cache
 from ..core.compiler import compile_kernel
@@ -90,11 +91,11 @@ def load_spmv_workload(source, *, mmap: bool = False):
 
 def spmv_iteration_schedule(B: Tensor, c: Tensor, a: Tensor, pieces: int):
     """One solver step's schedule, rebuilt from fresh index variables the
-    way a solver library re-enters the compiler."""
-    i, j, io, ii = index_vars("i j io ii")
+    way a solver library re-enters the compiler: the row-based mapping
+    over ``pieces`` CPU pieces."""
+    i, j = index_vars("i j")
     a[i] = B[i, j] * c[j]
-    return (a.schedule().divide(i, io, ii, pieces).distribute(io)
-            .communicate([a, B, c], io).parallelize(ii))
+    return auto_schedule(a, pieces=pieces, strategy="rows")
 
 
 @dataclass

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 import repro
 from repro.api.session import AutotuneResult
-from repro.bench.harness import spdistal_spmm, spdistal_spmv
+from repro.bench.harness import spdistal_run
 from repro.bench.models import default_config
 from repro.core import cache as _cache
 from repro.core import clear_caches
@@ -140,8 +140,10 @@ class TestStrategySelection:
 class TestTunedMatchesHandWritten:
     """The tuner matches or beats the paper's schedules: on the figure
     workloads the tuned statement's steady trial costs at most 5% more
-    simulated seconds than the best of the hand-written ``rows`` /
-    ``nonzeros`` schedules (the ``repro.bench.harness`` runners).
+    simulated seconds than the best of the paper's ``rows`` / ``nonzeros``
+    schedules, as the benchmark runner (``repro.bench.spdistal_run``) runs
+    them.  That those synthesized schedules are the hand-written ones is
+    pinned by ``tests/api/test_autoschedule.py``'s reference table.
 
     Priced at the paper's rate balance (``rate_scale=1.0``): the scaled
     model keeps per-event costs at Lassen values while shrinking the
@@ -164,14 +166,12 @@ class TestTunedMatchesHandWritten:
         cfg = default_config(rate_scale=1.0, dataset_scale=0.2)
         rng = np.random.default_rng(3)
         if kind == "spmv":
-            hand_runner, build = spdistal_spmv, _spmv
-            dense = rng.random(M.shape[1])
+            build, dense = _spmv, rng.random(M.shape[1])
         else:
-            hand_runner, build = spdistal_spmm, _spmm
-            dense = rng.random((M.shape[1], 32))
+            build, dense = _spmm, rng.random((M.shape[1], 32))
         hand = [
             r.seconds
-            for r in (hand_runner(M, dense, 4, cfg, gpus=gpus, strategy=st)
+            for r in (spdistal_run(kind, (M, dense), 4, cfg, gpus=gpus, strategy=st)
                       for st in ("rows", "nonzeros"))
             if r.ok
         ]

@@ -1,5 +1,6 @@
-"""Harness tests: every kernel runner computes the right answer and the
-scaled machine model behaves sanely."""
+"""Harness tests: the kernel runner computes the right answer for every
+kernel × strategy the figures run, picks the kernel table's strategy by
+default, and the scaled machine model behaves sanely."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,16 +10,14 @@ from repro.bench import (
     ctf_run,
     default_config,
     geomean,
+    harness,
     petsc_run,
     shifted,
-    spdistal_sddmm,
-    spdistal_spadd3,
-    spdistal_spmm,
-    spdistal_spmttkrp,
-    spdistal_spmv,
-    spdistal_spttv,
+    spdistal_run,
     trilinos_run,
 )
+from repro.core import compile_kernel
+from repro.core.kernelspec import SPECS
 from repro.data import load_tensor
 from repro.data.matrices import banded
 
@@ -47,63 +46,85 @@ class TestModels:
         assert np.isnan(geomean([float("nan")]))
 
 
-class TestSpdistalRunners:
-    def test_spmv_correct(self, mat):
-        x = rng.random(400)
-        r = spdistal_spmv(mat, x, 4, CFG)
-        assert r.ok
-        assert np.allclose(r.value, mat @ x)
+def _matrix_case(kind, M):
+    """(operands, reference) of one matrix kernel over ``M``."""
+    r = np.random.default_rng(6)
+    if kind == "spmv":
+        x = r.random(400)
+        return (M, x), M @ x
+    if kind == "spmm":
+        C = r.random((400, 8))
+        return (M, C), M @ C
+    if kind == "spadd3":
+        B, C, D = M, shifted(M, 1), shifted(M, 2)
+        return (B, C, D), (B + C + D).toarray()
+    C, D = r.random((400, 8)), r.random((8, 400))
+    return (M, C, D), M.multiply(C @ D).toarray()
 
-    def test_spmv_nonzero_strategy(self, mat):
-        x = rng.random(400)
-        r = spdistal_spmv(mat, x, 4, CFG, strategy="nonzeros")
-        assert np.allclose(r.value, mat @ x)
 
-    def test_spmv_gpu(self, mat):
-        x = rng.random(400)
-        r = spdistal_spmv(mat, x, 0, CFG, gpus=4)
-        assert r.ok and np.allclose(r.value, mat @ x)
+def _tensor_case(kind, dataset):
+    T = load_tensor(dataset, 0.15, CFG.seed)
+    r = np.random.default_rng(7)
+    dense = T.to_dense()
+    if kind == "spttv":
+        x = r.random(T.shape[2])
+        return (T, x), np.einsum("ijk,k->ij", dense, x)
+    C, D = r.random((T.shape[1], 5)), r.random((T.shape[2], 5))
+    return (T, C, D), np.einsum("ijk,jl,kl->il", dense, C, D)
 
-    def test_spmm_all_strategies(self, mat):
-        C = rng.random((400, 8))
-        for strat in ("rows", "nonzeros", "batched"):
-            r = spdistal_spmm(mat, C, 2, CFG, strategy=strat) if strat == "rows" \
-                else spdistal_spmm(mat, C, 0, CFG, gpus=4, strategy=strat)
-            if r.ok:
-                assert np.allclose(r.value, mat @ C), strat
 
-    def test_spadd3_correct(self, mat):
-        B, C, D = mat, shifted(mat, 1), shifted(mat, 2)
-        r = spdistal_spadd3(B, C, D, 2, CFG)
-        assert np.allclose(r.value.to_dense(), (B + C + D).toarray())
+def _case(kind, dataset, mat):
+    return _tensor_case(kind, dataset) if dataset else _matrix_case(kind, mat)
 
-    def test_sddmm_correct(self, mat):
-        C = rng.random((400, 8))
-        D = rng.random((8, 400))
-        r = spdistal_sddmm(mat, C, D, 2, CFG)
-        assert np.allclose(r.value.to_dense(), mat.multiply(C @ D).toarray())
 
-    def test_spttv_correct(self):
-        T = load_tensor("nell-2", 0.15, CFG.seed)
-        x = rng.random(T.shape[2])
-        r = spdistal_spttv(T, x, 2, CFG)
-        expected = np.einsum("ijk,k->ij", T.to_dense(), x)
+#: every (kernel, strategy) the figures run, with the dataset of the
+#: higher-order kernels (nell-2 is CSF3, patents DDC).
+RUNS = [
+    ("spmv", "rows", None), ("spmv", "nonzeros", None),
+    ("spmm", "rows", None), ("spmm", "nonzeros", None), ("spmm", "batched", None),
+    ("spadd3", "rows", None),
+    ("sddmm", "rows", None), ("sddmm", "nonzeros", None),
+    ("spttv", "rows", "nell-2"), ("spttv", "nonzeros", "nell-2"),
+    ("spttv", "rows", "patents"), ("spttv", "nonzeros", "patents"),
+    ("spmttkrp", "rows", "nell-2"), ("spmttkrp", "nonzeros", "nell-2"),
+]
+
+
+class TestSpdistalRun:
+    @pytest.mark.parametrize("gpus", [None, 4], ids=["cpu", "gpu"])
+    @pytest.mark.parametrize(
+        "kind,strategy,dataset", RUNS,
+        ids=["-".join(filter(None, r)) for r in RUNS],
+    )
+    def test_matches_reference(self, kind, strategy, dataset, gpus, mat):
+        operands, expected = _case(kind, dataset, mat)
+        r = spdistal_run(kind, operands, 2, CFG, gpus=gpus, strategy=strategy)
+        assert r.ok and r.system == "SpDISTAL"
         assert np.allclose(r.value.to_dense(), expected)
 
-    def test_spttv_patents_ddc(self):
-        T = load_tensor("patents", 0.15, CFG.seed)
-        x = rng.random(T.shape[2])
-        r = spdistal_spttv(T, x, 2, CFG)
-        expected = np.einsum("ijk,k->ij", T.to_dense(), x)
-        assert np.allclose(np.asarray(r.value.to_dense()), expected)
+    @pytest.mark.parametrize("gpus", [None, 4], ids=["cpu", "gpu"])
+    @pytest.mark.parametrize(
+        "kind,dataset,spec_kind",
+        [("spmv", None, "spmv"), ("spmm", None, "spmm"), ("spadd3", None, "spadd"),
+         ("sddmm", None, "sddmm"), ("spttv", "nell-2", "spttv"),
+         ("spttv", "patents", "spttv"), ("spmttkrp", "nell-2", "spmttkrp")],
+    )
+    def test_default_strategy_is_the_kernel_tables(
+        self, kind, dataset, spec_kind, gpus, mat, monkeypatch
+    ):
+        compiled = []
 
-    def test_spmttkrp_correct(self):
-        T = load_tensor("nell-2", 0.15, CFG.seed)
-        C = rng.random((T.shape[1], 5))
-        D = rng.random((T.shape[2], 5))
-        r = spdistal_spmttkrp(T, C, D, 2, CFG)
-        expected = np.einsum("ijk,jl,kl->il", T.to_dense(), C, D)
-        assert np.allclose(r.value, expected)
+        def spy(s, machine):
+            ck = compile_kernel(s, machine)
+            compiled.append((ck.kind, ck.strategy, machine.kind))
+            return ck
+
+        monkeypatch.setattr(harness, "compile_kernel", spy)
+        operands, _ = _case(kind, dataset, mat)
+        assert spdistal_run(kind, operands, 2, CFG, gpus=gpus).ok
+        ((ck_kind, strategy, proc_kind),) = compiled
+        assert ck_kind == spec_kind
+        assert strategy == SPECS[spec_kind].default_strategy(proc_kind)
 
     def test_shifted_preserves_nnz(self, mat):
         assert shifted(mat, 3).nnz == mat.nnz
@@ -112,28 +133,28 @@ class TestSpdistalRunners:
 class TestCrossSystemAgreement:
     def test_all_systems_same_spmv_answer(self, mat):
         x = rng.random(400)
-        sd = spdistal_spmv(mat, x, 2, CFG)
+        sd = spdistal_run("spmv", (mat, x), 2, CFG)
         pe = petsc_run("spmv", (mat, x), 2, CFG)
         tr = trilinos_run("spmv", (mat, x), 2, CFG)
         cf = ctf_run("spmv", (mat, x), 2, CFG)
         for r in (pe, tr, cf):
-            assert np.allclose(r.value, sd.value)
+            assert np.allclose(r.value, sd.value.to_dense())
 
     def test_ctf_interpretation_much_slower(self, mat):
         x = rng.random(400)
-        sd = spdistal_spmv(mat, x, 2, CFG)
+        sd = spdistal_run("spmv", (mat, x), 2, CFG)
         cf = ctf_run("spmv", (mat, x), 2, CFG)
         assert cf.seconds > 10 * sd.seconds  # 1-2 orders in the paper
 
     def test_petsc_competitive_on_spmv(self, mat):
         x = rng.random(400)
-        sd = spdistal_spmv(mat, x, 2, CFG)
+        sd = spdistal_run("spmv", (mat, x), 2, CFG)
         pe = petsc_run("spmv", (mat, x), 2, CFG)
         assert pe.seconds < 10 * sd.seconds  # same ballpark
 
     def test_fused_add_beats_baselines(self, mat):
         B, C, D = mat, shifted(mat, 1), shifted(mat, 2)
-        sd = spdistal_spadd3(B, C, D, 2, CFG)
+        sd = spdistal_run("spadd3", (B, C, D), 2, CFG)
         pe = petsc_run("spadd3", (B, C, D), 2, CFG)
         tr = trilinos_run("spadd3", (B, C, D), 2, CFG)
         assert sd.seconds < pe.seconds < tr.seconds
@@ -142,8 +163,8 @@ class TestCrossSystemAgreement:
 class TestScalingShape:
     def test_strong_scaling_improves(self, mat):
         x = rng.random(400)
-        t1 = spdistal_spmv(mat, x, 1, CFG).seconds
-        t4 = spdistal_spmv(mat, x, 4, CFG).seconds
+        t1 = spdistal_run("spmv", (mat, x), 1, CFG).seconds
+        t4 = spdistal_run("spmv", (mat, x), 4, CFG).seconds
         assert t4 < t1
 
     def test_weak_scaling_flat(self):
@@ -152,11 +173,11 @@ class TestScalingShape:
         for nodes in (1, 4):
             A = banded(unit * nodes, 5, seed=1)
             x = np.ones(unit * nodes)
-            times.append(spdistal_spmv(A, x, nodes, CFG).seconds)
+            times.append(spdistal_run("spmv", (A, x), nodes, CFG).seconds)
         assert times[1] == pytest.approx(times[0], rel=0.25)
 
     def test_gpu_oom_reports_dnc(self, mat):
         tiny = BenchConfig(rate_scale=1e-7, dataset_scale=0.15)
-        r = spdistal_spmm(mat, rng.random((400, 8)), 0, tiny, gpus=1,
-                          strategy="nonzeros")
+        r = spdistal_run("spmm", (mat, rng.random((400, 8))), 0, tiny, gpus=1,
+                         strategy="nonzeros")
         assert r.oom and not r.ok

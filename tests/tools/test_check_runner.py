@@ -381,6 +381,48 @@ class TestIndexListScanner:
         assert not "src/repro/legion/region.py".startswith(check.INDEX_LIST_ROOT)
 
 
+class TestScheduleCallScanner:
+    """The fifth part of the ``kernelspec`` plugin: the benchmarks run the
+    schedules ``auto_schedule`` synthesizes, so ``bench/`` builds none."""
+
+    def _scan(self, source):
+        return check._scan_schedule_calls("fake.py", source, ast.parse(source))
+
+    def test_flags_schedule_building_calls_with_lines(self):
+        src = (
+            "def run(a, i, io, ii, n):\n"
+            "    s = a.schedule().divide(i, io, ii, n)\n"               # line 2
+            "    s = s.distribute(io)\n"                                # line 3
+            "    return (a.schedule().fuse(i, j, f)\n"                  # line 4
+            "            .pos(f, fp, B[i, j]))\n"                       # line 5
+        )
+        findings = sorted(self._scan(src), key=lambda f: f.line)
+        assert [f.line for f in findings] == [2, 3, 4, 5]
+        assert "fake.py:2: .divide() builds a schedule by hand" in str(findings[0])
+        assert ".distribute()" in findings[1].message
+
+    def test_synthesized_schedules_and_other_calls_are_not_flagged(self):
+        src = (
+            "s = auto_schedule(a, machine, strategy='rows')\n"
+            "uni = distribute(B, 'B(x,y) -> M(x)', mach)\n"     # a function
+            "q = x.divide\n"                                    # no call
+            "ck.stream_tensor(C)\n"
+            "s.communicate([a, B], io).parallelize(ii)\n"
+        )
+        assert self._scan(src) == []
+
+    def test_waiver_needs_a_reason(self):
+        ok = "s = s.divide(i, io, ii, 2)  # schedule: ok a one-off grid probe\n"
+        assert self._scan(ok) == []
+        (finding,) = self._scan("s = s.divide(i, io, ii, 2)  # schedule: ok\n")
+        assert "schedule waiver without a reason" in finding.message
+
+    def test_only_the_benchmarks_are_scanned(self):
+        assert "src/repro/bench/figures.py".startswith(check.SCHEDULE_FREE_ROOT)
+        assert not "src/repro/api/autoschedule.py".startswith(
+            check.SCHEDULE_FREE_ROOT)
+
+
 class TestNoExecScanners:
     """The static assertions of the ``no-exec`` plugin."""
 

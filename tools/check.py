@@ -33,7 +33,11 @@ codebase passes defined here:
   And no index list on the compiler's cold path: under
   ``src/repro/core/`` no ``.indices()`` call may materialize a subset's
   positions — compile and bind read level structure, and only the leaf
-  passes over the non-zeros.  Waiver: ``# nnz: ok <reason>``;
+  passes over the non-zeros.  Waiver: ``# nnz: ok <reason>``.  And no
+  hand-built schedule in the benchmarks: under ``src/repro/bench/`` no
+  ``.divide(`` / ``.pos(`` / ``.fuse(`` / ``.distribute(`` call may build
+  a mapping — the figures run what ``repro.api.auto_schedule`` synthesizes
+  from the kernel table.  Waiver: ``# schedule: ok <reason>``;
 * **no-exec** — no source is ever compiled: nowhere under ``src/repro``
   does code call the builtins ``exec``, ``eval`` or ``compile`` (bare or
   through ``builtins``), so no leaf, artifact or request can become
@@ -521,6 +525,32 @@ def _scan_index_lists(relpath: str, text: str, tree: ast.Module) -> List[Finding
     return findings
 
 
+#: the benchmarks, which run the schedules the front door synthesizes.
+SCHEDULE_FREE_ROOT = "src/repro/bench/"
+_SCHEDULE_CALLS = ("divide", "pos", "fuse", "distribute")
+
+
+def _scan_schedule_calls(relpath: str, text: str, tree: ast.Module) -> List[Finding]:
+    """``s.divide(...)`` / ``.pos(`` / ``.fuse(`` / ``.distribute(`` — a
+    mapping built by hand."""
+    findings: List[Finding] = []
+    report = _reporter(relpath, text, "schedule", findings)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _SCHEDULE_CALLS
+        ):
+            report(
+                node.func.end_lineno,  # the method's own line in a chain
+                f".{node.func.attr}() builds a schedule by hand — the "
+                "benchmarks run what repro.api.auto_schedule synthesizes "
+                "from the kernel table; pass strategy= instead "
+                "(`# schedule: ok <reason>` waives an intentional mapping)",
+            )
+    return findings
+
+
 def _run_kernelspec(cache: SourceCache) -> CheckResult:
     from repro.core.kernelspec import SPECS
 
@@ -536,6 +566,8 @@ def _run_kernelspec(cache: SourceCache) -> CheckResult:
             findings.extend(_scan_level_switches(relpath, text, tree))
         if relpath.startswith(INDEX_LIST_ROOT):
             findings.extend(_scan_index_lists(relpath, text, tree))
+        if relpath.startswith(SCHEDULE_FREE_ROOT):
+            findings.extend(_scan_schedule_calls(relpath, text, tree))
         if relpath in KERNELSPEC_EXEMPT:
             continue
         findings.extend(_scan_kind_compares(relpath, text, tree, kinds))
@@ -544,8 +576,9 @@ def _run_kernelspec(cache: SourceCache) -> CheckResult:
         "kernelspec", findings,
         f"{scanned} modules under src/repro branch on no kernel kind by "
         f"name, the dispatch layers name no format, no module outside "
-        f"repro/taco switches on a level class and core/ materializes no "
-        f"unwaived index list; {len(SPECS)} kinds live in the kernel table",
+        f"repro/taco switches on a level class, core/ materializes no "
+        f"unwaived index list and bench/ builds no schedule by hand; "
+        f"{len(SPECS)} kinds live in the kernel table",
     )
 
 
@@ -1099,7 +1132,7 @@ PLUGINS: List[Plugin] = [
     Plugin("kernelspec", "no .kind compared against a kernel-kind literal "
            "outside the kernel table; no format named in the dispatch layers; "
            "no level-type switch outside repro/taco; no unwaived index list "
-           "under core/", _run_kernelspec),
+           "under core/; no hand-built schedule under bench/", _run_kernelspec),
     Plugin("no-exec", "no exec / eval / compile under src/repro; the private "
            "SciPy surface at one site; codegen and kernels read no "
            "environment", _run_no_exec),
