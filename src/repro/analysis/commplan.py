@@ -52,7 +52,7 @@ from ..errors import (
 )
 from ..legion.machine import Machine, Work
 from ..legion.metrics import CommEvent, ExecutionMetrics, StepMetrics
-from ..legion.runtime import Privilege, RegionReq, Runtime
+from ..legion.runtime import Privilege, Runtime
 from .hazards import _var_chain
 from .report import Diagnostic, Provenance
 
@@ -235,21 +235,6 @@ def measured_signature(
 # --------------------------------------------------------------------------- #
 # the mirror: the runtime's staging algebra minus the task bodies
 # --------------------------------------------------------------------------- #
-def _spadd_read_reqs(ck) -> List[RegionReq]:
-    """The READ_ONLY launch requirements SpAdd assembly freezes on first
-    execute (``CompiledKernel._execute_spadd``), derived the same way —
-    or the already-frozen list when the kernel has executed before."""
-    from ..core.kernelspec import SPECS
-
-    if ck._spadd_reqs is not None:
-        return ck._spadd_reqs
-    return [
-        req
-        for t in SPECS[ck.kind].operand_tensors(ck)
-        for req in ck.parts[id(t)].region_reqs(Privilege.READ_ONLY)
-    ]
-
-
 def _seed_tdn_homes(ck, rt: Runtime, source: Optional[Runtime]) -> None:
     """Copy home placements of TDN-placed tensors from the real runtime.
 
@@ -288,7 +273,7 @@ def _mirror_kernel(ck, rt: Runtime, work: WorkModel) -> List[StepMetrics]:
         return by_color[c].proc
 
     if SPECS[ck.kind].assembles:
-        reqs = _spadd_read_reqs(ck)
+        reqs = ck.spadd_read_reqs()
         rt.index_launch(
             "spadd:symbolic", colors,
             lambda c: work("spadd:symbolic", by_color[c]),

@@ -15,10 +15,10 @@ simulator uses.
 For the specialized kernels (SpMV/SpMM/SDDMM/SpTTV/SpMTTKRP, the fused
 SDDMM→SpMM and SpAdd assembly) the Work formulas are exact — a predicted
 cost equals the simulated seconds of a real isolated trial, which is what
-lets ``Session.autotune(prune=True)`` rank candidate strategies
-statically and trial-execute only the predicted best.  The generic COO engine's
-work depends on intermediate result sizes, so its estimate is
-approximate and :attr:`CostEstimate.exact` is False.
+lets ``Session.autotune`` pick a strategy as the model's argmin without
+executing any candidate.  The generic COO engine's work depends on
+intermediate result sizes, so its estimate is approximate and
+:attr:`CostEstimate.exact` is False.
 """
 from __future__ import annotations
 
@@ -87,7 +87,7 @@ def predict_cost(
     the simulator itself folds — compute, receiver-side communication
     serialization, task and sync overheads.  A plan that exceeds a
     processor's memory comes back with ``oom=True`` and infinite seconds
-    instead of raising, so autotune ranking can sink it.
+    instead of raising, so autotune never picks it.
     """
     work, exact = kernel_work_model(ck)
     rt = Runtime(ck.machine, network)

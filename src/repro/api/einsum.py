@@ -172,7 +172,6 @@ def einsum(
     out: Optional[Tensor] = None,
     schedule: Optional[Schedule] = None,
     autotune: bool = False,
-    trials: int = 2,
     name: str = "out",
 ) -> Tensor:
     """Evaluate ``spec`` over ``operands`` on the SpDISTAL pipeline.
@@ -183,12 +182,12 @@ def einsum(
     auto-synthesized mapping with a hand-built
     :class:`~repro.taco.schedule.Schedule`.
 
-    ``autotune=True`` searches the schedule-family candidates through
-    :meth:`~repro.api.session.Session.autotune` (``trials`` timed trials
-    per candidate) before executing — the first call pays the search, and
-    the recorded decision makes every later ``einsum`` of the same
-    statement family (this process or a warm-started one) synthesize the
-    winning strategy directly.
+    ``autotune=True`` picks the cost model's cheapest schedule-family
+    candidate through :meth:`~repro.api.session.Session.autotune` before
+    executing — the first call pays the search, and the recorded
+    decision makes every later ``einsum`` of the same statement family
+    (this process or a warm-started one) synthesize the winning strategy
+    directly.
     """
     if not operands:
         raise ValueError("einsum needs at least one operand")
@@ -233,7 +232,7 @@ def einsum(
         # warm=False: the execute below runs (and trace-records) the
         # winner on the session runtime anyway — a warm-up pass here
         # would launch the statement twice per call.
-        s.autotune(asg, trials=trials, warm=False)
+        s.autotune(asg, warm=False)
     if schedule is None:
         target = asg
     elif isinstance(schedule, Schedule):

@@ -169,7 +169,6 @@ class Server:
         workers: int = 4,
         backend: Optional[str] = None,
         tune: bool = False,
-        trials: int = 2,
         default_budget_bytes: Optional[int] = None,
         tenant_budgets: Optional[Dict[str, Optional[int]]] = None,
         store=None,
@@ -183,7 +182,6 @@ class Server:
             raise ValueError("pass either machine= or nodes=/gpus=, not both")
         self.machine = machine
         self.tune = bool(tune)
-        self.trials = int(trials)
         self.default_budget_bytes = default_budget_bytes
         self._lock = threading.RLock()
         self._catalog: Dict[str, Tensor] = {}
@@ -485,7 +483,7 @@ class Server:
 
         strategy = None
         if req.tune:
-            res = session.autotune(asg, trials=self.trials, warm=False)
+            res = session.autotune(asg, warm=False)
             kernel, strategy = res.kernel, res.strategy
         else:
             kernel = session.compile_kernel(asg)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,20 +52,13 @@ Schedulable = Union[Schedule, Assignment, Tensor]
 
 @dataclass
 class AutotuneCandidate:
-    """One strategy's timed trials inside a :meth:`Session.autotune` search.
-
-    Under ``autotune(prune=True)`` every candidate also carries the static
-    cost model's ``predicted_seconds``; candidates the predicted ranking
-    eliminated have ``pruned=True`` and NaN ``simulated_seconds`` — they
-    were never trial-executed.
-    """
+    """One strategy's predicted cost inside a :meth:`Session.autotune`
+    search (:func:`repro.analysis.predict_cost`)."""
 
     strategy: str
     simulated_seconds: float
     comm_bytes: float = 0.0
     oom: bool = False
-    predicted_seconds: Optional[float] = None
-    pruned: bool = False
 
     @property
     def ok(self) -> bool:
@@ -78,25 +71,19 @@ class AutotuneResult:
 
     ``strategy`` names the winning schedule family, ``kernel`` is its
     compiled form (also held by the kernel cache), ``candidates`` lists
-    every strategy tried with its trial cost (empty when the decision table
-    answered), ``trials_run`` counts timed trials actually executed (zero
-    on a decision-table or warm-start hit), and ``from_cache`` says whether
-    the search was skipped.
+    every strategy priced (empty when the decision table answered), and
+    ``from_cache`` says whether the search was skipped.
     """
 
     strategy: str
     kernel: CompiledKernel
     decision_key: Optional[str]
     candidates: List[AutotuneCandidate] = field(default_factory=list)
-    trials_run: int = 0
     from_cache: bool = False
-    #: True when the static cost model ranked the pool and only the
-    #: predicted best was trial-executed (``autotune(prune=True)``).
-    pruned: bool = False
 
     @property
     def simulated_seconds(self) -> float:
-        """The winner's best trial time (NaN on a from-cache replay)."""
+        """The winner's predicted seconds (NaN on a from-cache replay)."""
         for c in self.candidates:
             if c.strategy == self.strategy:
                 return c.simulated_seconds
@@ -300,7 +287,7 @@ class Session:
         statement's family (same statement shape, tensor pattern stats and
         machine signature), that strategy is synthesized instead of the
         paper's static default — tuned sessions, warm-started processes and
-        ``einsum`` all replay the tuned choice with zero search trials.
+        ``einsum`` all replay the tuned choice without searching again.
         """
         if isinstance(target, Schedule):
             return target
@@ -387,10 +374,8 @@ class Session:
         target,
         *,
         strategies: Optional[Sequence[str]] = None,
-        trials: int = 2,
         force: bool = False,
         warm: bool = True,
-        prune: bool = False,
     ):
         """Search the schedule-family space for ``target`` and keep the winner.
 
@@ -400,45 +385,36 @@ class Session:
         back).  Every candidate strategy — the paper's default for the
         statement's kind/machine, the alternative of rows/non-zeros, and
         the 2-D ``grid`` split for SpMM on square machine grids — is
-        compiled through the kernel cache and timed for ``trials``
-        isolated trials on a scratch runtime (:meth:`~repro.legion.runtime.Runtime.fresh_trial`: one
-        cold placement pass records the mapping trace, the timed trials
-        replay it), under the simulator's deterministic cost model.  Ties
-        keep the paper's default.
+        compiled through the kernel cache and priced by the static cost
+        model (:func:`repro.analysis.predict_cost`) under the session's
+        network, without executing.  The schedule and data distribution
+        fix every simulated second, and for the specialized kernels the
+        prediction equals an isolated trial's simulated seconds exactly,
+        so the search is the model's argmin: the first strictly cheaper
+        candidate that fits in memory, in pool order, so ties keep the
+        paper's default.
 
         The winner's :class:`CompiledKernel` stays in the kernel cache, and
         the decision is recorded in the decision table under the statement
         family's stable fingerprint — later :meth:`execute`/``einsum``
         calls synthesize the winning strategy directly, and an
         ``ArtifactStore`` warm start replays it in a fresh process with
-        **zero** search trials (``force=True`` re-searches anyway).
+        no search (``force=True`` re-searches anyway).
         ``strategies=`` restricts the pool for a one-off *measurement*:
         the constrained search bypasses (and never writes) the decision
-        table, so it cannot become family policy.
-
-        ``prune=True`` ranks the compiled candidates with the static cost
-        model (:func:`repro.analysis.predict_cost`) and trial-executes
-        them in predicted order only until one succeeds — normally just
-        the predicted best, so a pool of *n* strategies costs one
-        candidate's trials instead of *n*.  For the specialized kernels
-        the prediction is exact (it mirrors the simulator), so the pruned
-        search provably selects the same winner as the exhaustive one;
-        eliminated candidates appear in ``result.candidates`` with their
-        ``predicted_seconds`` and ``pruned=True``, and the recorded
-        decision keeps the predicted-vs-measured comparison.  With
-        ``warm`` (default)
+        table, so it cannot become family policy.  With ``warm`` (default)
         the winner executes once on the *session* runtime — searched or
         answered from the table — so its mapping trace is recorded (or
         replayed) where subsequent executions use it; the result lands in
-        :attr:`last_result`.
+        :attr:`last_result`.  Nothing else executes.
         """
         from .program import Program
 
         if isinstance(target, Program):
             return [
                 self.autotune(
-                    stmt.assignment, strategies=strategies, trials=trials,
-                    force=force, warm=warm, prune=prune,
+                    stmt.assignment, strategies=strategies, force=force,
+                    warm=warm,
                 )
                 for stmt in target.statements
                 if stmt.explicit_schedule is None
@@ -448,29 +424,33 @@ class Session:
         # An explicit strategies= pool is a one-off measurement: it
         # neither answers from the decision table (the recorded winner
         # may be a strategy the caller excluded) nor writes to it.
-        if not force and strategies is None and key is not None:
-            decision = _cache.lookup_decision(key)
-            if decision is not None:
-                sched = auto_schedule(
-                    asg, self.machine, strategy=decision["strategy"]
-                )
-                ck = compile_program([sched], self.machine).kernels[0]
-                if warm:
-                    # The warm contract holds on the cached path too: the
-                    # winner runs once on the session runtime (replaying
-                    # its stored trace when one was persisted) and the
-                    # result lands in last_result.
-                    self.last_result = ck.execute(self.runtime)
-                return AutotuneResult(
-                    strategy=decision["strategy"],
-                    kernel=ck,
-                    decision_key=key,
-                    trials_run=0,
-                    from_cache=True,
-                )
+        decision = (
+            _cache.lookup_decision(key)
+            if not force and strategies is None and key is not None
+            else None
+        )
+        if decision is not None:
+            sched = auto_schedule(asg, self.machine, strategy=decision["strategy"])
+            result = AutotuneResult(
+                strategy=decision["strategy"],
+                kernel=compile_program([sched], self.machine).kernels[0],
+                decision_key=key,
+                from_cache=True,
+            )
+        else:
+            result = self._search(asg, key, strategies)
+        if warm:
+            # Record the winner's mapping trace on the session runtime (or
+            # replay a stored one) so the next execute replays instead of
+            # re-analyzing.
+            self.last_result = result.kernel.execute(self.runtime)
+        return result
 
-        if trials < 1:
-            raise ValueError(f"autotune needs at least one trial, got {trials}")
+    def _search(self, asg: Assignment, key: Optional[str],
+                strategies: Optional[Sequence[str]]) -> AutotuneResult:
+        """Price every candidate of the pool and record the cheapest."""
+        from ..analysis.costmodel import predict_cost
+
         pool = (
             list(strategies)
             if strategies is not None
@@ -478,7 +458,9 @@ class Session:
         )
         if not pool:
             raise ValueError("autotune needs at least one candidate strategy")
-        compiled: List[Tuple[str, CompiledKernel]] = []
+        candidates: List[AutotuneCandidate] = []
+        best: Optional[AutotuneCandidate] = None
+        winner: Optional[CompiledKernel] = None
         for strategy in pool:
             try:
                 sched = auto_schedule(asg, self.machine, strategy=strategy)
@@ -487,123 +469,41 @@ class Session:
                 # An inapplicable candidate (e.g. 'nonzeros' with no single
                 # compressed operand) just drops out of the pool.
                 continue
-            compiled.append((strategy, ck))
-        predicted: Dict[str, object] = {}
-        order = compiled
-        if prune and compiled:
-            from ..analysis.costmodel import predict_cost
-
-            for strategy, ck in compiled:
-                predicted[strategy] = predict_cost(
-                    ck, network=self.runtime.network, runtime=self.runtime
-                )
-            # A stable sort keeps pool order (the paper's default first)
-            # on predicted ties — the same tie-break as the exhaustive
-            # search's strict-improvement rule.
-            order = sorted(
-                compiled, key=lambda sc: predicted[sc[0]].seconds
+            est = predict_cost(
+                ck, network=self.runtime.network, runtime=self.runtime
             )
-        candidates: List[AutotuneCandidate] = []
-        kernels: Dict[str, CompiledKernel] = {}
-        best: Optional[AutotuneCandidate] = None
-        trials_run = 0
-        for strategy, ck in order:
-            est = predicted.get(strategy)
-            if prune and best is not None:
-                # The predicted ranking already placed this candidate
-                # behind a measured winner: record it without executing.
-                candidates.append(AutotuneCandidate(
-                    strategy, float("nan"),
-                    oom=est.oom, predicted_seconds=est.seconds, pruned=True,
-                ))
-                kernels[strategy] = ck
-                continue
-            # Candidate isolation: a scratch runtime per strategy, priced
-            # under the session's network model.  Placements and traces of
-            # one candidate never touch the session runtime or each other.
-            rt = Runtime(self.machine, self.runtime.network)
-            try:
-                ck.execute(rt)  # cold: placement + staging + trace record
-                seconds = []
-                comm = 0.0
-                for _ in range(trials):
-                    with rt.fresh_trial() as trial:
-                        ck.execute(rt, fresh_trial=False)
-                    seconds.append(trial.simulated_seconds)
-                    comm = trial.comm_bytes
-                    trials_run += 1
-                cand = AutotuneCandidate(
-                    strategy, min(seconds), comm,
-                    predicted_seconds=est.seconds if est is not None else None,
-                )
-            except OOMError:
-                cand = AutotuneCandidate(
-                    strategy, float("inf"), oom=True,
-                    predicted_seconds=est.seconds if est is not None else None,
-                )
+            cand = AutotuneCandidate(strategy, est.seconds, est.comm_bytes, est.oom)
             candidates.append(cand)
-            kernels[strategy] = ck
             # Strict improvement only: a tie keeps the earlier candidate,
             # and the pool lists the paper's default first.
             if cand.ok and (
                 best is None or cand.simulated_seconds < best.simulated_seconds
             ):
-                best = cand
+                best, winner = cand, ck
         if best is None:
             raise OOMError(
                 0, float("inf"), 0.0,
-                what="autotune: every candidate strategy OOMed",
+                what="autotune: every candidate strategy is predicted to OOM",
             )
-        # Detach the throwaway trial runtimes: the candidates stay compiled
-        # (kernel cache), but a scratch runtime pinned on a kernel would be
-        # persisted by save_packed — and a warm-started process would adopt
-        # the wrong runtime's (empty) traces instead of the session's.
-        for ck in kernels.values():
-            ck._runtime = None
-        winner = kernels[best.strategy]
         # A restricted pool measures, it does not set family policy: only
         # a full-candidate search records into the decision table, so a
         # one-off ``strategies=['nonzeros']`` probe can neither overwrite
         # nor seed what later executes (and warm-started processes) replay.
-        record = key is not None and strategies is None
-        if record:
-            decision = {
+        if key is not None and strategies is None:
+            _cache.store_decision(key, {
                 "strategy": best.strategy,
                 "kind": winner.kind,
                 "pieces": len(winner.pieces),
                 "simulated_seconds": best.simulated_seconds,
-                "trials": int(trials),
                 "candidates": {
-                    c.strategy: (
-                        "oom" if c.oom else
-                        "pruned" if c.pruned else c.simulated_seconds
-                    )
+                    c.strategy: "oom" if c.oom else c.simulated_seconds
                     for c in candidates
                 },
-            }
-            if prune:
-                # Keep the predicted-vs-measured comparison auditable: the
-                # static ranking that stood in for the skipped trials.
-                decision["pruned"] = True
-                decision["predicted"] = {
-                    s: ("oom" if predicted[s].oom else predicted[s].seconds)
-                    for s, _ in compiled
-                }
-            _cache.store_decision(key, decision)
-        result = AutotuneResult(
-            strategy=best.strategy,
-            kernel=winner,
-            decision_key=key,
+            })
+        return AutotuneResult(
+            strategy=best.strategy, kernel=winner, decision_key=key,
             candidates=candidates,
-            trials_run=trials_run,
-            from_cache=False,
-            pruned=prune,
         )
-        if warm:
-            # Record the winner's mapping trace on the session runtime so
-            # the next execute replays instead of re-analyzing.
-            self.last_result = winner.execute(self.runtime)
-        return result
 
     # ------------------------------------------------------------------ #
     # lazy programs

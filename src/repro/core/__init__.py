@@ -15,7 +15,6 @@ from .cache import (
     invalidate_tensor,
     kernel_fingerprint,
     set_cache_budget,
-    set_cache_enabled,
 )
 from .levels import LevelFunctions, level_functions_for
 from .partitioner import (
@@ -47,7 +46,7 @@ __all__ = [
     "PartitioningPlan", "PlanStmt",
     "cache_budgets", "cache_stats", "caches_disabled", "caches_enabled",
     "clear_caches", "invalidate_tensor", "kernel_fingerprint",
-    "set_cache_budget", "set_cache_enabled",
+    "set_cache_budget",
     "LevelFunctions", "level_functions_for",
     "TensorPartition", "partition_dense_tensor", "partition_tensor",
     "replicated_partition",

@@ -57,11 +57,9 @@ live entries for export; on import the store re-keys them under the new
 process's object identities and calls :func:`store_kernel` /
 :func:`store_partition` as usual.
 
-Use :func:`set_cache_enabled` to force the uncached paths process-wide
-(e.g. when benchmarking the seed behavior), or the :func:`caches_disabled`
-context manager to force them for the code the *calling thread* runs
-inside the block.  The context manager is thread-local — a nesting depth
-per thread, no shared flag to save and restore — because
+The :func:`caches_disabled` context manager forces the uncached paths for
+the code the *calling thread* runs inside the block.  It is thread-local
+— a nesting depth per thread, no shared flag to save and restore — because
 ``compile_kernel(..., use_cache=False)`` enters it on whatever serving
 worker happens to compile: other threads keep hitting and storing, and
 overlapping blocks cannot leave the process disabled.
@@ -114,7 +112,6 @@ __all__ = [
     "cache_stats",
     "set_cache_budget",
     "cache_budgets",
-    "set_cache_enabled",
     "caches_enabled",
     "caches_disabled",
 ]
@@ -133,7 +130,6 @@ _KERNEL_CACHE_MAX_ENTRIES = 512
 _PARTITION_CACHE_MAX_ENTRIES = 4096
 _DECISION_CACHE_MAX_ENTRIES = 4096
 
-_enabled = True
 #: per-thread nesting depth of :func:`caches_disabled` blocks.
 _disabled_here = threading.local()
 
@@ -281,14 +277,9 @@ def kernel_entry_nbytes(kernel) -> int:
 # --------------------------------------------------------------------------- #
 # enable / disable
 # --------------------------------------------------------------------------- #
-def set_cache_enabled(enabled: bool) -> None:
-    global _enabled
-    _enabled = bool(enabled)
-
-
 def caches_enabled() -> bool:
     """Whether lookups and stores on the calling thread reach the caches."""
-    return _enabled and not getattr(_disabled_here, "depth", 0)
+    return not getattr(_disabled_here, "depth", 0)
 
 
 @contextlib.contextmanager

@@ -328,6 +328,23 @@ class CompiledKernel:
             plan = self._spadd_plan = merge_operands(tensors, self.pieces, self.out.shape)
         return plan
 
+    def spadd_read_reqs(self) -> List[RegionReq]:
+        """The READ_ONLY requirements of both assembly launches.
+
+        Frozen by the first execute, while the aliased operand's structure
+        still matches its compile-time partitions; until then derived the
+        same way.  Rebuilding them per iteration would pair the stale
+        partitions with the freshly installed regions — new uids every
+        time, so the assembly chain could never replay its traces.
+        """
+        if self._spadd_reqs is not None:
+            return self._spadd_reqs
+        return [
+            req
+            for t in SPECS[self.kind].operand_tensors(self)
+            for req in self.parts[id(t)].region_reqs(Privilege.READ_ONLY)
+        ]
+
     def _execute_spadd(self, rt: Runtime) -> None:
         out = self.out
         plan = self.assembly_plan()
@@ -340,18 +357,7 @@ class CompiledKernel:
         # after an install would see the freshly-sized empty output instead
         # — the seed bug that crashed or dropped the aliased operand.
         vals = [t.vals.data for t in operand_tensors]
-        # The launch requirements are frozen on first execute, while the
-        # aliased operand's structure still matches its compile-time
-        # partitions.  Rebuilding them per iteration would pair the stale
-        # partitions with the freshly installed regions — new uids every
-        # time, so the assembly chain could never replay its traces.
-        if self._spadd_reqs is None:
-            self._spadd_reqs = [
-                req
-                for t in operand_tensors
-                for req in self.parts[id(t)].region_reqs(Privilege.READ_ONLY)
-            ]
-        read_reqs = self._spadd_reqs
+        read_reqs = self._spadd_reqs = self.spadd_read_reqs()
         colors = [p.color for p in self.pieces]
         proc_of = {p.color: p.proc for p in self.pieces}.__getitem__
 

@@ -190,31 +190,6 @@ class CompiledProgram:
         return out
 
 
-def _cse_reuse_map(
-    schedules: Sequence[Schedule], machine: Machine
-) -> List[Optional[int]]:
-    """Which statements an earlier identical statement satisfies.
-
-    Two statements are common subexpressions when their kernel fingerprints
-    coincide — same canonical statement *and* schedule over the same tensor
-    identities, pattern versions and machine — and no statement in between
-    writes any tensor the earlier one touched.  Accumulating statements
-    (``+=`` changes the output per execution) and assembled outputs (SpAdd
-    rebuilds its pattern; the fingerprint deliberately ignores the LHS
-    version) are never reused.  Reuse indices always point at the root
-    occurrence, which is the one that executes.
-
-    The legality rules live in the static analyzer
-    (:func:`repro.analysis.cse.cse_reuse_map`) so the collapse decision is
-    derived from the same privilege/fingerprint facts ``Program.analyze()``
-    reports; this wrapper discards the blocked-collapse diagnostics.
-    """
-    from ..analysis.cse import cse_reuse_map
-
-    reuse, _diagnostics = cse_reuse_map(schedules, machine)
-    return reuse
-
-
 def compile_program(
     schedules: Sequence[Schedule],
     machine: Optional[Machine] = None,
@@ -242,9 +217,9 @@ def compile_program(
     additionally collapse: they compile to the same
     :class:`CompiledKernel` (the cache guarantees that part) and only the
     first occurrence executes per pass — later occurrences are satisfied
-    from it (see :func:`_cse_reuse_map` for the safety rules).  Which
-    passes fired — with statement provenance — is reported by
-    ``CompiledProgram.passes`` and :meth:`CompiledProgram.describe`.
+    from it (see :func:`repro.analysis.cse.cse_reuse_map` for the safety
+    rules).  Which passes fired — with statement provenance — is reported
+    by ``CompiledProgram.passes`` and :meth:`CompiledProgram.describe`.
     An empty program is an error — there is nothing to compile.
     ``backend`` is forwarded to every statement compile (None means
     ``"codegen"``; see :mod:`repro.codegen`).
@@ -260,11 +235,11 @@ def compile_program(
         compile_statement(s, machine, use_cache=use_cache, backend=backend)
         for s in plan.schedules
     ]
-    reused_from = (
-        _cse_reuse_map(plan.schedules, machine)
-        if cse and len(plan.schedules) > 1
-        else None
-    )
+    reused_from = None
+    if cse and len(plan.schedules) > 1:
+        from ..analysis.cse import cse_reuse_map
+
+        reused_from, _diagnostics = cse_reuse_map(plan.schedules, machine)
     records = list(plan.records)
     if not cse:
         records.append(PassRecord("cse", False, (), "disabled"))

@@ -100,9 +100,10 @@ __all__ = [
 #: of its statement, not an ``Assignment``.  v6: a ``LevelFormat`` pickles
 #: the level class it names, not a ``compressed`` flag.  v7: a runtime's
 #: residency tables carry their piece index and volume totals, and its homes
-#: their dedup set.  Any other version is refused with
+#: their dedup set.  v8: a runtime's launch-trace keys lose their scratch
+#: slot.  Any other version is refused with
 #: :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 7
+STORE_FORMAT_VERSION = 8
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"

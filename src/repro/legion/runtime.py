@@ -18,9 +18,8 @@ residency state records a :class:`MappingTrace` — the per-color target
 processor, every communication event staging and coherence emitted, and
 the residency table the launch left behind.  A later launch with the same
 *launch signature* (name, colors, region requirements, processor
-assignment, scratch demands) from the same state replays it: the events
-are re-charged and the table installed, but no per-color subset algebra
-re-runs.  The computation always executes and compute time comes from the
+assignment) from the same state replays it: the events are re-charged and
+the table installed, but no per-color subset algebra re-runs.  The computation always executes and compute time comes from the
 returned :class:`Work`, so replayed metrics are bit-identical to a fresh
 analysis.  How many host calls compute it is not simulated: a launch
 handed a *launch thunk* (the compiler passes one for a write-disjoint
@@ -494,7 +493,6 @@ class Runtime:
         reqs: Sequence[RegionReq] = (),
         *,
         proc_map: Optional[Callable[[Color], int]] = None,
-        scratch_bytes: Optional[Callable[[Color], float]] = None,
         launch: Optional[Callable[[], Sequence[Work]]] = None,
     ) -> StepMetrics:
         """Launch one task per color; returns per-step metrics.
@@ -513,9 +511,9 @@ class Runtime:
         ``launch``, a thunk that runs every color's task at once and returns
         their :class:`Work` in color order (the caller vouches that it
         computes exactly what the tasks would).  A recording takes that one
-        call only when every requirement is at home (:meth:`_at_home`) and
-        there is no ``scratch_bytes``; otherwise it runs the tasks one by
-        one, interleaved with the staging of the requirements that are not.
+        call only when every requirement is at home (:meth:`_at_home`);
+        otherwise it runs the tasks one by one, interleaved with the staging
+        of the requirements that are not.
         """
         procs = [
             proc_map(color) if proc_map else self._default_proc(color, ordinal)
@@ -533,7 +531,6 @@ class Runtime:
                 tuple(_req_sig(r.region.uid, r.partition, r.privilege.value, r.streamed)
                       for r in reqs),
                 tuple(procs),
-                tuple(scratch_bytes(c) for c in colors) if scratch_bytes else None,
             )
             trace = self._traces.get(trace_key)
             if trace is not None:
@@ -545,7 +542,7 @@ class Runtime:
         before = self._unshare_residency(keep=trace_key is not None)
         booked = None
         try:
-            if not staged and launch is not None and scratch_bytes is None:
+            if not staged and launch is not None:
                 events_per_color = [()] * len(procs)
                 booked = self._book(step, procs, launch(), events_per_color)
             else:
@@ -553,8 +550,6 @@ class Runtime:
                     proc = procs[ordinal]
                     mark = len(step.comm_events)
                     self._stage_inputs(step, color, proc, staged)
-                    if scratch_bytes is not None:
-                        self._check_scratch(proc, scratch_bytes(color), reqs, color)
                     result = task(color)
                     work = result[0] if isinstance(result, tuple) else result
                     step.add_compute(proc, self.machine.proc(proc).seconds_for(work))
@@ -853,14 +848,6 @@ class Runtime:
                 out[proc] = out.get(proc, 0.0) + vol * 8.0
         return out
 
-    def _check_scratch(
-        self, proc: int, scratch: float, reqs: Sequence[RegionReq], color: Color
-    ) -> None:
-        p = self.machine.proc(proc)
-        resident = sum(req.region.subset_nbytes(req.subset_for(color)) for req in reqs)
-        if resident + scratch > p.mem_bytes:
-            raise OOMError(proc, resident + scratch, p.mem_bytes, what="task scratch")
-
     # -- cache control --------------------------------------------------------
     def reset_residency(self) -> None:
         """Drop every staged copy, keeping only home placements.
@@ -904,8 +891,8 @@ class Runtime:
         """One isolated timed trial: residency returns to the "homes only"
         state on entry (:meth:`reset_residency`; traces are kept), and the
         :class:`TrialMetrics` yielded holds exactly the steps the body
-        launched once the block exits — how ``Session.autotune`` compares
-        candidates from one residency state, each charged its own launches.
+        launched once the block exits — how schedules are compared from one
+        residency state, each charged its own launches.
         """
         self.reset_residency()
         start = len(self.metrics.steps)
@@ -962,8 +949,8 @@ class Runtime:
             (st, name, colors, tuple(
                 _req_sig(uid, part if pid is not None else None, priv, streamed)
                 for (uid, pid, priv, streamed), part in zip(sigs, trace.pinned)
-            ), procs, scratch): trace
-            for (st, name, colors, sigs, procs, scratch), trace in traces.items()
+            ), procs): trace
+            for (st, name, colors, sigs, procs), trace in traces.items()
             if len(trace.pinned) == len(sigs)
         }
 

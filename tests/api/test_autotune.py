@@ -1,33 +1,50 @@
 """Session.autotune: search, decision replay, and warm-start persistence.
 
-Three contracts:
+Four contracts:
 
 * **selection** — on the paper's Figure-10/11 workload shapes the tuner
   picks the strategy the hand-written schedules use (rows for CPU SpMV /
   SpMM on balanced matrices, non-zeros for GPU SpMM on skewed ones), and
   the 2-D ``grid`` strategy wins a square-grid SpMM whose row stripes
   defeat the 1-D split (``repro.data.matrices.striped``);
+* **the search is the cost model's argmin** — ``autotune`` executes no
+  candidate; its winner and every candidate's seconds equal, bit for bit,
+  those of the exhaustive search it replaced (``exhaustive_twin``: cold
+  execute on a scratch runtime, then the best of two isolated trials);
 * **replay** — the decision table drives every later ``execute``/``einsum``
-  of the same statement family to the winning strategy with zero search
-  trials;
+  of the same statement family to the winning strategy with no search;
 * **persistence** — winner decision + compiled kernel + mapping trace
   round-trip through the :class:`~repro.core.store_index.ArtifactStore`,
   and a fresh process (simulated with ``clear_caches`` + reload, the
   ``tests/bench/test_mmap_drivers.py`` pattern) warm-starts straight to
-  the winning strategy: zero trials, kernel-cache hit, trace replay.
+  the winning strategy: no search, kernel-cache hit, trace replay.
 """
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import repro
-from repro.api.session import AutotuneResult
-from repro.bench.harness import spdistal_run
-from repro.bench.models import default_config
-from repro.core import cache as _cache
-from repro.core import clear_caches
-from repro.data.matrices import striped, uniform_random
-from repro.data.suite import load_matrix
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "integration"))
+
+from test_differential import _KIND_FORMATS, _build  # noqa: E402
+
+import repro  # noqa: E402
+from repro.api.autoschedule import auto_schedule, candidate_strategies  # noqa: E402
+from repro.api.session import AutotuneResult  # noqa: E402
+from repro.bench.harness import spdistal_run  # noqa: E402
+from repro.bench.models import default_config  # noqa: E402
+from repro.core import SPECS, clear_caches, compile_program  # noqa: E402
+from repro.core import cache as _cache  # noqa: E402
+from repro.core.compiler import CompiledKernel  # noqa: E402
+from repro.data.matrices import striped, uniform_random  # noqa: E402
+from repro.data.suite import load_matrix  # noqa: E402
+from repro.errors import OOMError, ScheduleError  # noqa: E402
+from repro.legion import Machine  # noqa: E402
+from repro.legion.machine import NodeSpec  # noqa: E402
+from repro.legion.network import Network  # noqa: E402
+from repro.legion.runtime import Runtime  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -63,13 +80,13 @@ class TestStrategySelection:
         M = load_matrix("arabic-2005", 0.2)
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, M)
-            r = s.autotune(a, trials=1)
+            r = s.autotune(a)
             assert r.strategy == "rows"
-            assert not r.from_cache and r.trials_run >= 2  # searched
+            assert not r.from_cache and len(r.candidates) >= 2  # searched
         clear_caches()
         with repro.session(nodes=4) as s:
             out, *_ = _spmm(s, load_matrix("kmer_A2a", 0.2))
-            r = s.autotune(out, trials=1)
+            r = s.autotune(out)
             assert r.strategy == "rows"
             tried = {c.strategy for c in r.candidates}
             assert tried == {"rows", "nonzeros", "grid"}
@@ -80,12 +97,12 @@ class TestStrategySelection:
         M = load_matrix("twitter7", 0.2)
         with repro.session(gpus=4) as s:
             out, *_ = _spmm(s, M)
-            r = s.autotune(out, trials=1)
+            r = s.autotune(out)
             assert r.strategy == "nonzeros"
         clear_caches()
         with repro.session(gpus=4) as s:
             a, *_ = _spmv(s, M)
-            r = s.autotune(a, trials=1)
+            r = s.autotune(a)
             assert r.strategy == "rows"
 
     def test_grid_wins_striped_square_spmm(self):
@@ -96,7 +113,7 @@ class TestStrategySelection:
         M = striped(2000, 30000, heavy_frac=0.9, seed=9)
         with repro.session(nodes=4) as s:
             out, B, C = _spmm(s, M, k=32)
-            r = s.autotune(out, trials=2)
+            r = s.autotune(out)
             assert r.strategy == "grid"
             by = {c.strategy: c.simulated_seconds for c in r.candidates}
             assert by["grid"] < by["rows"] and by["grid"] < by["nonzeros"]
@@ -130,7 +147,7 @@ class TestStrategySelection:
         M = uniform_random(400, 0.02, seed=3)
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, M)
-            r = s.autotune(a, trials=1)
+            r = s.autotune(a)
             assert all(np.isfinite(c.simulated_seconds) or c.oom
                        for c in r.candidates)
             winner = next(c for c in r.candidates if c.strategy == r.strategy)
@@ -180,7 +197,7 @@ class TestTunedMatchesHandWritten:
         machine = cfg.gpu_machine(gpus) if gpus else cfg.cpu_machine(4)
         with repro.Session(machine=machine, network=cfg.legion_network()) as s:
             out, *_ = build(s, M)
-            s.autotune(out, trials=1)
+            s.autotune(out)
             tuned = s.execute(out).simulated_seconds  # steady: trace replays
         assert tuned <= 1.05 * min(hand)
 
@@ -190,13 +207,13 @@ class TestDecisionReplay:
         M = uniform_random(600, 0.02, seed=4)
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, M)
-            r1 = s.autotune(a, trials=2)
+            r1 = s.autotune(a)
             r2 = s.autotune(a)
-            assert r2.from_cache and r2.trials_run == 0
+            assert r2.from_cache and r2.candidates == []
             assert r2.strategy == r1.strategy
             assert r2.kernel is r1.kernel  # the cached winner
             r3 = s.autotune(a, force=True)  # explicit re-search
-            assert not r3.from_cache and r3.trials_run > 0
+            assert not r3.from_cache and r3.candidates
 
     def test_restricted_pool_bypasses_cached_decision(self):
         """strategies= must be honored even when the decision table holds
@@ -205,8 +222,8 @@ class TestDecisionReplay:
         M = uniform_random(500, 0.02, seed=4)
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, M)
-            r1 = s.autotune(a, trials=1)
-            r2 = s.autotune(a, strategies=["nonzeros"], trials=1)
+            r1 = s.autotune(a)
+            r2 = s.autotune(a, strategies=["nonzeros"])
             assert r2.strategy == "nonzeros" and not r2.from_cache
             decision = _cache.lookup_decision(r1.decision_key)
             assert decision["strategy"] == r1.strategy
@@ -220,7 +237,7 @@ class TestDecisionReplay:
         M = uniform_random(500, 0.02, seed=4)
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, M)
-            r = s.autotune(a, strategies=["nonzeros"], trials=1)
+            r = s.autotune(a, strategies=["nonzeros"])
             assert r.strategy == "nonzeros"
             assert _cache.cache_stats()["decision_entries"] == 0
             assert s.compile_kernel(a.assignment).strategy == "rows"
@@ -232,7 +249,7 @@ class TestDecisionReplay:
         M = striped(1500, 20_000, heavy_frac=0.9, seed=2)
         with repro.session(nodes=4) as s:
             out, *_ = _spmm(s, M, k=16)
-            assert s.autotune(out, trials=1).strategy == "grid"
+            assert s.autotune(out).strategy == "grid"
             sched = s.schedule_for(out.assignment, pieces=6)
             assert sched.distributed  # built, not raised
 
@@ -242,7 +259,7 @@ class TestDecisionReplay:
         M = uniform_random(400, 0.02, seed=6)
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, M)
-            s.autotune(a, trials=1)
+            s.autotune(a)
             s.last_result = None
             r = s.autotune(a)
             assert r.from_cache and s.last_result is not None
@@ -269,7 +286,7 @@ class TestDecisionReplay:
         M = striped(1500, 20000, heavy_frac=0.9, seed=2)
         with repro.session(nodes=4) as s:
             out, B, C = _spmm(s, M)
-            r = s.autotune(out, trials=1)
+            r = s.autotune(out)
             assert r.strategy == "grid"
             # plain execute goes through the decision table: same kernel,
             # and the warm-up trace recorded by autotune replays
@@ -284,8 +301,7 @@ class TestDecisionReplay:
         with repro.session(nodes=4) as s:
             B = s.tensor("B", M, repro.CSR)
             c = s.tensor("c", np.random.default_rng(6).random(500))
-            a1 = repro.einsum("ij,j->i", B, c, session=s, autotune=True,
-                              trials=1)
+            a1 = repro.einsum("ij,j->i", B, c, session=s, autotune=True)
             assert np.allclose(a1.vals.data, M @ c.dense_array())
             assert _cache.cache_stats()["decision_entries"] == 1
             hits0 = _cache.cache_stats()["decision_hits"]
@@ -302,7 +318,7 @@ class TestDecisionReplay:
             with s.program() as p:
                 y[i2] = B[i2, j2] * c[j2]
             p.define(a.assignment)
-            results = s.autotune(p, trials=1)
+            results = s.autotune(p)
             assert len(results) == 2
             assert all(isinstance(r, AutotuneResult) for r in results)
 
@@ -321,7 +337,7 @@ class TestPersistenceRoundTrip:
         store_dir = tmp_path / "store"
         with repro.session(nodes=4, store=store_dir) as s:
             out, B, C = self._workload(s)
-            r = s.autotune(out, trials=2)
+            r = s.autotune(out)
             assert r.strategy == "grid" and not r.from_cache
             s.execute(out)  # a steady-state pass on the session runtime
             s.put(B, keys=["autotune:spmm"])
@@ -341,8 +357,8 @@ class TestPersistenceRoundTrip:
             out2[i, j] = B2[i, k] * C2[k, j]
             stats0 = _cache.cache_stats()
             r2 = s.autotune(out2)
-            # zero search trials: the decision table answered
-            assert r2.from_cache and r2.trials_run == 0
+            # no search: the decision table answered
+            assert r2.from_cache and r2.candidates == []
             assert r2.strategy == "grid"
             # the compile was a kernel-cache hit (no recompilation)
             stats1 = _cache.cache_stats()
@@ -363,7 +379,7 @@ class TestPersistenceRoundTrip:
 
         with repro.session(nodes=2) as s:
             a, B, c = _spmv(s, uniform_random(500, 0.02, seed=8))
-            r = s.autotune(a, trials=1)
+            r = s.autotune(a)
             key = r.decision_key
             assert _cache.lookup_decision(key) is not None
             save_packed(tmp_path / "art", B, runtime=s.runtime)
@@ -374,65 +390,182 @@ class TestPersistenceRoundTrip:
         assert decision is not None and decision["strategy"] == r.strategy
 
 
-class TestPrunedSearch:
-    """``autotune(prune=True)``: the static cost model stands in for trials.
+def exhaustive_twin(s, asg):
+    """The search ``autotune`` ran before it became the cost model's argmin.
 
-    The planner's differential oracle (``tests/analysis/test_commplan_oracle.py``)
-    proves predictions equal simulated metrics exactly for the specialized
-    kernels, so the pruned search must select the same winner as the
-    exhaustive one while executing strictly fewer scratch trials.
+    Every candidate compiles through the kernel cache, executes cold on its
+    own scratch runtime under the session's network (placement, staging,
+    trace record), then replays in two isolated trials; its cost is the
+    faster trial, an OOM is infinite.  The first strictly cheaper candidate
+    in pool order wins.  Returns ``(winner, {strategy: (seconds, comm
+    bytes)})``.
     """
+    best, costs = None, {}
+    for strategy in candidate_strategies(asg, s.machine):
+        try:
+            sched = auto_schedule(asg, s.machine, strategy=strategy)
+            ck = compile_program([sched], s.machine).kernels[0]
+        except ScheduleError:
+            continue
+        rt = Runtime(s.machine, s.runtime.network)
+        try:
+            ck.execute(rt)
+            trials = []
+            for _ in range(2):
+                with rt.fresh_trial() as trial:
+                    ck.execute(rt, fresh_trial=False)
+                trials.append((trial.simulated_seconds, trial.comm_bytes))
+            costs[strategy] = min(trials)
+        except OOMError:
+            costs[strategy] = (float("inf"), 0.0)
+        finally:
+            ck._runtime = None  # the scratch runtime must not stay pinned
+        seconds = costs[strategy][0]
+        if np.isfinite(seconds) and (best is None or seconds < costs[best][0]):
+            best = strategy
+    return best, costs
 
-    def test_same_winner_strictly_fewer_trials(self):
-        M = load_matrix("kmer_A2a", 0.2)
-        with repro.session(nodes=4) as s:
-            out, *_ = _spmm(s, M)
-            exhaustive = s.autotune(out, trials=1, force=True, warm=False)
-        clear_caches()
-        with repro.session(nodes=4) as s:
-            out, *_ = _spmm(s, M)
-            pruned = s.autotune(out, trials=1, force=True, warm=False,
-                                prune=True)
-        assert pruned.strategy == exhaustive.strategy
-        assert pruned.pruned and not exhaustive.pruned
-        assert 0 < pruned.trials_run < exhaustive.trials_run
-        # every candidate carries its prediction; only the winner measured
-        by = {c.strategy: c for c in pruned.candidates}
-        assert all(c.predicted_seconds is not None
-                   for c in pruned.candidates)
-        winner = by[pruned.strategy]
-        assert not winner.pruned and winner.ok
-        # the model is exact for specialized kernels: the measured winner's
-        # isolated trial equals its prediction to the last bit
-        assert winner.simulated_seconds == winner.predicted_seconds
-        skipped = [c for c in pruned.candidates if c.pruned]
-        assert skipped and all(np.isnan(c.simulated_seconds)
-                               for c in skipped)
 
-    def test_prune_selects_grid_where_exhaustive_does(self):
-        M = striped(2000, 30000, heavy_frac=0.9, seed=9)
-        with repro.session(nodes=4) as s:
-            out, B, C = _spmm(s, M, k=32)
-            r = s.autotune(out, trials=1, prune=True)
-            assert r.strategy == "grid"
-            # prediction ranked grid first: one candidate's trials only
-            assert r.trials_run == 1
-            assert np.allclose(out.dense_array(), M @ C.dense_array())
+@pytest.fixture
+def executions(monkeypatch):
+    """Counts every ``CompiledKernel.execute`` call."""
+    calls = []
+    real = CompiledKernel.execute
 
-    def test_pruned_decision_records_predicted_vs_measured(self):
+    def spy(self, *args, **kw):
+        calls.append(self.strategy)
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(CompiledKernel, "execute", spy)
+    return calls
+
+
+MACHINES = {
+    "cpu4": lambda: Machine.cpu(4), "gpu4": lambda: Machine.gpu(4),
+    "cpu16": lambda: Machine.cpu(16), "gpu16": lambda: Machine.gpu(16),
+}
+#: the default network, and one where communication outweighs the task
+#: overheads that dominate these small statements
+NETWORKS = {
+    "default": None,
+    "slowlink": Network(alpha=1e-5, inter_node_bw=1e8, intra_node_bw=1e9,
+                        task_overhead=1e-6),
+}
+STATEMENTS = [(kind, fmt) for kind, fmts in _KIND_FORMATS.items() for fmt in fmts]
+
+
+class TestStaticSearch:
+    """``autotune`` prices candidates with :func:`repro.analysis.predict_cost`
+    and executes none of them.  The planner's differential oracle
+    (``tests/analysis/test_commplan_oracle.py``) proves predictions equal
+    simulated metrics exactly for the specialized kernels; here the whole
+    search is held to the exhaustive one it replaced."""
+
+    def test_every_multi_strategy_kind_is_priced_exactly(self):
+        """The premise of the argmin: a kind with a choice to make has an
+        exact Work model (only single-strategy kinds may be inexact)."""
+        for kind, spec in SPECS.items():
+            if len(spec.strategies) > 1:
+                assert spec.exact, kind
+
+    @pytest.mark.parametrize("network", NETWORKS)
+    @pytest.mark.parametrize("machine", MACHINES)
+    @pytest.mark.parametrize("stmt", STATEMENTS, ids="-".join)
+    def test_winner_and_seconds_equal_the_exhaustive_twin(
+        self, stmt, machine, network
+    ):
+        kind, fmt = stmt
+        with repro.Session(machine=MACHINES[machine](),
+                           network=NETWORKS[network]) as s:
+            out = _build(kind, fmt, np.random.default_rng(7), 40, 0.2)
+            r = s.autotune(out, force=True, warm=False)
+            winner, costs = exhaustive_twin(s, out.assignment)
+        assert r.strategy == winner
+        assert {c.strategy: (c.simulated_seconds, c.comm_bytes)
+                for c in r.candidates} == costs
+
+    def test_a_tie_keeps_the_paper_default(self, monkeypatch):
+        from repro.analysis import costmodel
+
+        real = costmodel.predict_cost
+
+        def flat(ck, **kw):
+            est = real(ck, **kw)
+            est.seconds = 1.0
+            return est
+
+        monkeypatch.setattr(costmodel, "predict_cost", flat)
+        with repro.session(gpus=4) as s:
+            out, *_ = _spmm(s, uniform_random(200, 0.05, seed=2), k=8)
+            r = s.autotune(out, warm=False)
+            pool = candidate_strategies(out.assignment, s.machine)
+        assert pool == ["nonzeros", "rows", "grid"]
+        assert r.strategy == "nonzeros"
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_search_executes_only_the_warm_run(self, executions, warm):
+        M = striped(400, 6000, heavy_frac=0.9, seed=9)
+        with repro.session(nodes=4) as s:
+            out, *_ = _spmm(s, M, k=8)
+            r = s.autotune(out, warm=warm)
+            assert not r.from_cache and len(r.candidates) == 3
+            assert executions == ([r.strategy] if warm else [])
+            assert (s.last_result is not None) == warm
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_table_answer_executes_only_the_warm_run(self, executions, warm):
+        M = uniform_random(400, 0.02, seed=6)
+        with repro.session(nodes=4) as s:
+            a, *_ = _spmv(s, M)
+            s.autotune(a, warm=False)
+            assert executions == []
+            r = s.autotune(a, warm=warm)
+            assert r.from_cache
+            assert executions == ([r.strategy] if warm else [])
+
+    def test_decision_in_the_old_shape_replays_without_executing(
+        self, executions
+    ):
+        """A decision recorded by the trial-timing search (``trials``,
+        ``pruned`` and ``predicted`` keys included) still answers from the
+        table: the key of a decision is unchanged, only its payload
+        shrank."""
+        M = uniform_random(400, 0.02, seed=6)
+        with repro.session(nodes=4) as s:
+            a, *_ = _spmv(s, M)
+            key = s._decision_key(a.assignment)
+            _cache.store_decision(key, {
+                "strategy": "nonzeros", "kind": "spmv", "pieces": 4,
+                "simulated_seconds": 1e-3, "trials": 2,
+                "candidates": {"rows": 2e-3, "nonzeros": 1e-3},
+                "pruned": True, "predicted": {"rows": 2e-3, "nonzeros": 1e-3},
+            })
+            r = s.autotune(a, warm=False)
+            assert r.from_cache and r.strategy == "nonzeros"
+            assert r.kernel.strategy == "nonzeros" and r.candidates == []
+            assert executions == []
+            assert s.compile_kernel(a.assignment).strategy == "nonzeros"
+
+    def test_recorded_decision_is_the_priced_pool(self):
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, uniform_random(600, 0.02, seed=5))
-            r = s.autotune(a, trials=1, prune=True)
+            r = s.autotune(a)
         decision = _cache.lookup_decision(r.decision_key)
-        assert decision is not None and decision["pruned"] is True
-        # the static ranking that stood in for the skipped trials is
-        # auditable next to the measured winner
-        assert set(decision["predicted"]) == {
-            c.strategy for c in r.candidates
+        assert set(decision) == {
+            "strategy", "kind", "pieces", "simulated_seconds", "candidates",
         }
-        assert decision["candidates"][r.strategy] == r.simulated_seconds
-        for c in r.candidates:
-            if c.pruned:
-                assert decision["candidates"][c.strategy] == "pruned"
-        # drift visibility: predicted winner cost equals the measured one
-        assert decision["predicted"][r.strategy] == r.simulated_seconds
+        assert decision["strategy"] == r.strategy
+        assert decision["simulated_seconds"] == r.simulated_seconds
+        assert decision["candidates"] == {
+            c.strategy: c.simulated_seconds for c in r.candidates
+        }
+
+    def test_every_candidate_oom_raises(self):
+        """No candidate fits: the search raises instead of picking one."""
+        M = uniform_random(400, 0.02, seed=3)
+        tiny = NodeSpec(dram_bytes=64)
+        with repro.Session(nodes=4, node=tiny) as s:
+            a, *_ = _spmv(s, M)
+            with pytest.raises(OOMError, match="every candidate"):
+                s.autotune(a)
+            assert _cache.cache_stats()["decision_entries"] == 0

@@ -19,7 +19,6 @@ from repro.api.autoschedule import auto_schedule
 from repro.codegen import codegen_stats, reset_codegen_stats
 from repro.core import (
     SPECS, cache_stats, caches_disabled, clear_caches, compile_kernel,
-    set_cache_enabled,
 )
 from repro.core.kernelspec import template_key
 from repro.core.cache import iter_aot_entries
@@ -52,7 +51,6 @@ def isolated():
     clear_caches()
     reset_codegen_stats()
     yield
-    set_cache_enabled(True)
     clear_caches()
     reset_codegen_stats()
 
@@ -166,19 +164,14 @@ def test_a_cold_launch_compiles_nothing(machine, audited):
     assert (stats["binds"], stats["fallbacks"]) == (11, 0)
 
 
-@pytest.mark.parametrize("disable", ["context", "setter"])
-def test_disabled_caches_still_run_the_bound_leaf(disable):
+def test_disabled_caches_still_run_the_bound_leaf():
     key = SPMV_ROWS
     machine = Machine.cpu(4)
     ref = run(schedule_for(key, machine), machine, backend="interp")
     assert codegen_stats()["binds"] == 0
     entries = cache_stats()["kernel_entries"]
-    if disable == "setter":
-        set_cache_enabled(False)
+    with caches_disabled():
         ck = run(schedule_for(key, machine), machine)
-    else:
-        with caches_disabled():
-            ck = run(schedule_for(key, machine), machine)
     stats = codegen_stats()
     assert stats["binds"] == 1 and stats["fallbacks"] == 0
     assert cache_stats()["kernel_entries"] == entries  # really were off

@@ -103,8 +103,9 @@ class TestManifest:
 
     # 3: the last code-carrying one; 4: tensors pickled a whole Assignment;
     # 5: level formats pickled a ``compressed`` flag, not their level class;
-    # 6: residency tables pickled without their piece index
-    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6])
+    # 6: residency tables pickled without their piece index;
+    # 7: launch-trace keys carried a scratch slot
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -116,7 +117,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (7, found)
+        assert (exc.value.expected, exc.value.found) == (8, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -293,7 +294,7 @@ class TestTheStoreSeesNoFacts:
         assert pickle.dumps(rt) == with_facts
         loaded = pickle.loads(with_facts)
         assert not any(res.whole for res in loaded._residency.values())
-        assert STORE_FORMAT_VERSION == 7
+        assert STORE_FORMAT_VERSION == 8
 
     def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
         from repro.legion import Rect
