@@ -167,7 +167,8 @@ class Program:
         if not self.statements:
             raise ValueError("the program has no statements")
         return self.session.compile(
-            *self.schedules(), use_cache=use_cache, cse=cse,
+            *(s.explicit_schedule or s.assignment for s in self.statements),
+            use_cache=use_cache, cse=cse,
             fold=fold, dse=dse, fuse=fuse, keep=keep,
         )
 

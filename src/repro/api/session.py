@@ -32,7 +32,8 @@ import numpy as np
 
 from .. import codegen as _codegen
 from ..core import cache as _cache
-from ..core.compiler import CompiledKernel, ExecutionResult
+from ..core.compiler import CompiledKernel, ExecutionResult, compile_statement
+from ..core.passes import _keep_sets
 from ..core.program import CompiledProgram, ProgramResult, compile_program
 from ..core.store_index import ArtifactStore, content_key
 from ..errors import OOMError, ScheduleError
@@ -173,6 +174,9 @@ class Session:
         #: The :class:`ExecutionResult` of the session's most recent
         #: single-statement execution (``execute``/``einsum``).
         self.last_result: Optional[ExecutionResult] = None
+        #: :meth:`compile`'s front-door table (256 entries): key →
+        #: (kernel-cache keys, reused_from, passes, origin); pins no tensor.
+        self._frontdoor = _cache._SizedLRU(_cache.MiB, 256)
 
     # ------------------------------------------------------------------ #
     # context management
@@ -184,9 +188,10 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        """End the session (idempotent).  A session holds no process-wide
-        state, so there is nothing to undo; ``with`` blocks and
+        """End the session (idempotent): drop its front-door table.  A
+        session holds no process-wide state; ``with`` blocks and
         ``Server.close()`` end their sessions here."""
+        self._frontdoor.clear()
 
     # ------------------------------------------------------------------ #
     # tensor construction sugar
@@ -291,22 +296,22 @@ class Session:
         """
         if isinstance(target, Schedule):
             return target
-        if "strategy" not in kw:
-            decision = self._lookup_decision(_as_assignment(target))
-            if decision is not None:
-                try:
-                    return auto_schedule(
-                        target, self.machine,
-                        strategy=decision["strategy"], **kw,
-                    )
-                except ScheduleError:
-                    # The recorded winner cannot be built under these
-                    # options (e.g. a tuned 'grid' with a non-square
-                    # pieces= override): a tuned session must never turn
-                    # a previously valid call into an error — fall back
-                    # to the static default synthesis.
-                    pass
-        return auto_schedule(target, self.machine, **kw)
+        asg = _as_assignment(target)
+        tuned = None if "strategy" in kw else self._tuned_strategy(asg)
+        return self._synthesize(asg, tuned, **kw)
+
+    def _synthesize(self, asg: Assignment, tuned: Optional[str], **kw) -> Schedule:
+        if tuned is not None:
+            try:
+                return auto_schedule(asg, self.machine, strategy=tuned, **kw)
+            except ScheduleError:
+                # The recorded winner cannot be built under these
+                # options (e.g. a tuned 'grid' with a non-square
+                # pieces= override): a tuned session must never turn
+                # a previously valid call into an error — fall back
+                # to the static default synthesis.
+                pass
+        return auto_schedule(asg, self.machine, **kw)
 
     def _decision_key(self, asg: Assignment) -> Optional[str]:
         try:
@@ -314,11 +319,12 @@ class Session:
         except _cache.Unfingerprintable:
             return None
 
-    def _lookup_decision(self, asg: Assignment) -> Optional[Dict]:
+    def _tuned_strategy(self, asg: Assignment) -> Optional[str]:
         if not _cache.has_decisions():
             return None  # untuned process: skip the fingerprint walk
         key = self._decision_key(asg)
-        return _cache.lookup_decision(key) if key is not None else None
+        decision = _cache.lookup_decision(key) if key is not None else None
+        return None if decision is None else decision["strategy"]
 
     def compile(self, *targets: Schedulable, use_cache: bool = True,
                 cse: bool = True, fold: bool = True, dse: bool = True,
@@ -336,17 +342,78 @@ class Session:
         per pass (see :func:`repro.core.program.compile_program`).
         ``backend`` overrides the session's leaf-execution backend for
         this compile ("interp"/"codegen"; see :mod:`repro.codegen`).
+
+        A repeated call is one lookup in the session's front-door table
+        (``docs/caching.md``); an evicted or streamed kernel misses it.
         """
-        schedules = [self.schedule_for(t) for t in targets]
-        return compile_program(
-            schedules, self.machine, use_cache=use_cache, cse=cse,
-            fold=fold, dse=dse, fuse=fuse, keep=keep,
-            backend=backend if backend is not None else self.backend,
+        backend = backend if backend is not None else self.backend
+        flags = dict(cse=cse, fold=fold, dse=dse, fuse=fuse, keep=keep)
+        plans = []  # (target, assignment, tuned strategy or None)
+        for t in targets:
+            explicit = isinstance(t, Schedule)
+            asg = t.assignment if explicit else _as_assignment(t)
+            plans.append((t, asg, None if explicit else self._tuned_strategy(asg)))
+        key = use_cache and _cache.caches_enabled() and self._frontdoor_key(
+            plans, flags)
+        hit = key and self._frontdoor_hit(key, backend)
+        if hit:
+            return hit
+        tensors = [t for _, asg, _ in plans for t in asg.tensors()]
+        versions = [t.pattern_version for t in tensors]
+        cp = compile_program(
+            [t if isinstance(t, Schedule) else self._synthesize(asg, tuned)
+             for t, asg, tuned in plans],
+            self.machine, use_cache=use_cache, backend=backend, **flags,
+        )
+        primaries = tuple(ck.cache_key for ck in cp.kernels)
+        if key and None not in primaries:
+            # Compiling may adopt an input's pattern into an output (a
+            # version bump): record under the post-compile key.
+            if versions != [t.pattern_version for t in tensors]:
+                key = self._frontdoor_key(plans, flags)
+            self._frontdoor.put(key, (primaries, tuple(cp.reused_from), tuple(
+                cp.passes), tuple(cp.origin)), 256 * len(primaries))
+        return cp
+
+    def _frontdoor_key(self, plans, flags) -> Optional[tuple]:
+        try:
+            parts = tuple(
+                _cache.kernel_fingerprint(t, self.machine)
+                if isinstance(t, Schedule)
+                else (_cache.statement_key(asg, self.machine), tuned)
+                for t, asg, tuned in plans
+            )
+        except _cache.Unfingerprintable:
+            return None
+        # Pass records and keep= by name read tensor names.
+        names = () if len(plans) < 2 else tuple(
+            t.name for _, asg, _ in plans for t in asg.tensors())
+        keep = tuple(map(frozenset, _keep_sets(flags["keep"])))
+        return (parts, flags["cse"], flags["fold"], flags["dse"],
+                flags["fuse"], keep, names)
+
+    def _frontdoor_hit(self, key, backend: str) -> Optional[CompiledProgram]:
+        entry = self._frontdoor.get(key)
+        if entry is None:
+            return None
+        primaries, reused_from, passes, origin = entry
+        kernels = [_cache.peek_kernel(k) for k in primaries]
+        if any(ck is None or ck._streamed for ck in kernels):
+            return None
+        for k, ck in zip(primaries, kernels):
+            _cache.lookup_kernel(k)  # the hit compile_statement would count
+            ck.backend = backend
+        return CompiledProgram(
+            kernels, self.machine, reused_from, passes=passes, origin=origin
         )
 
     def compile_kernel(self, target: Schedulable, *, use_cache: bool = True,
                        backend: Optional[str] = None) -> CompiledKernel:
-        """Compile a single statement to its :class:`CompiledKernel`."""
+        """Compile a single statement to its :class:`CompiledKernel` (an
+        explicit :class:`Schedule` skips the multi-statement passes)."""
+        if isinstance(target, Schedule):
+            return compile_statement(target, self.machine, use_cache=use_cache,
+                                     backend=backend or self.backend)
         return self.compile(
             target, use_cache=use_cache, backend=backend
         ).kernels[0]

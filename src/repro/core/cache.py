@@ -94,6 +94,7 @@ from ..taco.schedule import FuseRel, PosRel, Schedule, SplitRel
 
 __all__ = [
     "kernel_fingerprint",
+    "statement_key",
     "lookup_kernel",
     "store_kernel",
     "lookup_partition",
@@ -398,51 +399,33 @@ def is_assembled_output(asg: Assignment) -> bool:
     )
 
 
+def statement_key(asg: Assignment, machine) -> Tuple:
+    """:func:`kernel_fingerprint` without the schedule (``Session.compile``'s
+    front-door key).  Raises :class:`Unfingerprintable` like it."""
+    return _fingerprint(asg, machine, None)
+
+
 def kernel_fingerprint(schedule: Schedule, machine) -> Tuple:
     """The canonical cache key of ``compile_kernel(schedule, machine)``.
 
     Raises :class:`Unfingerprintable` for schedule content outside the
     canonical forms (callers then compile uncached).
     """
+    return _fingerprint(schedule.assignment, machine, schedule)
+
+
+def _fingerprint(asg: Assignment, machine, schedule: Optional[Schedule]) -> Tuple:
     canon = _Canon()
-    asg: Assignment = schedule.assignment
     # A pipeline-synthesized statement carries an explicit kernel class
     # (repro.core.passes fusion); the marker keeps it from colliding with
     # a textually identical statement lowered through the generic engine.
     fused = getattr(asg, "fused_class", None)
-    stmt = (
+    sig = (
         "=", canon.expr(asg.lhs), canon.expr(asg.rhs), asg.accumulate,
         None if fused is None else fused.kind,
     )
-    rels = []
-    for rel in schedule.relations:
-        if isinstance(rel, SplitRel):
-            rels.append(("split", canon.var(rel.parent), canon.var(rel.outer),
-                         canon.var(rel.inner), rel.factor, rel.is_divide))
-        elif isinstance(rel, FuseRel):
-            rels.append(("fuse", canon.var(rel.a), canon.var(rel.b),
-                         canon.var(rel.fused)))
-        elif isinstance(rel, PosRel):
-            rels.append(("pos", canon.var(rel.coord_var), canon.var(rel.pos_var),
-                         canon.expr(rel.access)))
-        else:
-            raise Unfingerprintable(f"unknown relation {type(rel).__name__}")
-    sched_sig = (
-        stmt,
-        tuple(rels),
-        tuple(canon.var(v) for v in schedule.loop_order),
-        tuple(canon.var(v) for v in schedule.distributed),
-        tuple((canon.var(v), u.value) for v, u in schedule.parallelized.items()),
-        tuple(
-            (canon.var(v), tuple(canon.tensor(t) for t in ts))
-            for v, ts in schedule.communicated.items()
-        ),
-        tuple(
-            (canon.expr(e), canon.var(i), canon.var(iw),
-             canon.tensor(w) if w is not None else None)
-            for e, i, iw, w in schedule.precomputed
-        ),
-    )
+    if schedule is not None:
+        sig = _schedule_signature(canon, sig, schedule)
     tensor_ids = tuple(id(t) for t in canon.tensors)
     assembled = None
     if is_assembled_output(asg):
@@ -458,7 +441,39 @@ def kernel_fingerprint(schedule: Schedule, machine) -> Tuple:
         _assembled_output_state(t) if t is assembled else _tensor_state(t)
         for t in canon.tensors
     )
-    return (sched_sig, tensor_ids, tensor_states, machine.signature)
+    return (sig, tensor_ids, tensor_states, machine.signature)
+
+
+def _schedule_signature(canon: _Canon, stmt: Tuple, schedule: Schedule) -> Tuple:
+    rels = []
+    for rel in schedule.relations:
+        if isinstance(rel, SplitRel):
+            rels.append(("split", canon.var(rel.parent), canon.var(rel.outer),
+                         canon.var(rel.inner), rel.factor, rel.is_divide))
+        elif isinstance(rel, FuseRel):
+            rels.append(("fuse", canon.var(rel.a), canon.var(rel.b),
+                         canon.var(rel.fused)))
+        elif isinstance(rel, PosRel):
+            rels.append(("pos", canon.var(rel.coord_var), canon.var(rel.pos_var),
+                         canon.expr(rel.access)))
+        else:
+            raise Unfingerprintable(f"unknown relation {type(rel).__name__}")
+    return (
+        stmt,
+        tuple(rels),
+        tuple(canon.var(v) for v in schedule.loop_order),
+        tuple(canon.var(v) for v in schedule.distributed),
+        tuple((canon.var(v), u.value) for v, u in schedule.parallelized.items()),
+        tuple(
+            (canon.var(v), tuple(canon.tensor(t) for t in ts))
+            for v, ts in schedule.communicated.items()
+        ),
+        tuple(
+            (canon.expr(e), canon.var(i), canon.var(iw),
+             canon.tensor(w) if w is not None else None)
+            for e, i, iw, w in schedule.precomputed
+        ),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -472,10 +487,17 @@ def lookup_kernel(key: Tuple):
     return None if entry is None else entry[0]
 
 
+def peek_kernel(key: Tuple):
+    """:func:`lookup_kernel` without counting or LRU movement."""
+    entry = _kernel_cache._map.get(key) if caches_enabled() else None
+    return None if entry is None else entry[0][0]
+
+
 def store_kernel(key: Tuple, kernel, tensors: List[Any]) -> None:
     """Store a compiled kernel; ``tensors`` pins the identities in the key."""
     if not caches_enabled():
         return
+    kernel.cache_key = key
     _kernel_cache.put(key, (kernel, tuple(tensors)), kernel_entry_nbytes(kernel))
 
 

@@ -22,7 +22,8 @@ and the simulated distributed execution metrics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from ..errors import CompileError
 from ..legion.machine import Machine, Work
 from ..legion.metrics import CommEvent, ExecutionMetrics
+from ..legion.network import Network
 from ..legion.partition import Partition
 from ..legion.runtime import Privilege, RegionReq, Runtime
 from ..taco.expr import Access, Assignment
@@ -82,14 +84,20 @@ def _chunk_bounds(extent: int, pieces: int) -> List[Bounds]:
 
 @dataclass
 class ExecutionResult:
+    """One execution; ``simulated_seconds`` is priced on first read."""
+
     output: Tensor
     metrics: ExecutionMetrics
-    simulated_seconds: float
     plan: PartitioningPlan
     #: True when program-level common-subexpression reuse satisfied this
     #: statement from an earlier identical one in the same pass (no launch
     #: ran; the output already holds the values).
     reused: bool = False
+    network: Optional[Network] = field(default=None, repr=False)
+
+    @cached_property
+    def simulated_seconds(self) -> float:
+        return self.metrics.simulated_seconds(self.network)
 
 
 class CompiledKernel:
@@ -98,6 +106,9 @@ class CompiledKernel:
     #: SpAdd's assembly plan (see :meth:`assembly_plan`).  A class default,
     #: so kernels unpickled from artifacts written before it existed have it.
     _spadd_plan: Optional[AssemblyPlan] = None
+    #: The kernel-cache key ``store_kernel`` stored this kernel under (None
+    #: when uncached); its ids are process-local, so pickling drops it.
+    cache_key: Optional[Tuple] = None
 
     def __init__(
         self,
@@ -152,6 +163,7 @@ class CompiledKernel:
         state["_leaf_backend"] = None
         state["_launch_args"] = None
         state["_spadd_plan"] = None
+        state.pop("cache_key", None)
         return state
 
     def __setstate__(self, state):
@@ -242,12 +254,11 @@ class CompiledKernel:
         else:
             self._execute_compute(rt)
         new_steps = rt.metrics.steps[before:]
-        trial = ExecutionMetrics(steps=list(new_steps))
         return ExecutionResult(
             output=self.out,
-            metrics=trial,
-            simulated_seconds=trial.simulated_seconds(rt.network),
+            metrics=ExecutionMetrics(steps=list(new_steps)),
             plan=self.plan,
+            network=rt.network,
         )
 
     def _execute_compute(self, rt: Runtime) -> None:

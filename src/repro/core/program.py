@@ -181,7 +181,6 @@ class CompiledProgram:
                 out.results.append(ExecutionResult(
                     output=ck.out,
                     metrics=ExecutionMetrics(),
-                    simulated_seconds=0.0,
                     plan=ck.plan,
                     reused=True,
                 ))
