@@ -4,10 +4,10 @@ This package binds the leaf of a
 :class:`~repro.core.compiler.CompiledKernel` through the bind function its
 kernel-table entry names for its strategy (``KernelSpec.bound``; the
 functions sit beside the reference kernels in :mod:`repro.kernels`).  One
-call hoists every piece of index scaffolding out of the execution path
-and returns a flat ``{color: thunk}`` leaf, plus, where the bind function
-returns an ``over``, a launch thunk that computes every piece in one call
-(:func:`bind_leaf`).  Which kernels bind, the arrays a bind function
+call hoists the scaffolding the pieces share out of the execution path
+and returns a flat ``{color: thunk}`` leaf whose thunks are built on first
+use, plus, where the bind function returns an ``over``, a launch thunk
+that computes every piece in one call (:func:`bind_leaf`).  Which kernels bind, the arrays a bind function
 receives and each piece's frozen :class:`~repro.legion.machine.Work` all
 come from the kernel table (:mod:`repro.core.kernelspec`); this package
 holds no per-kind and no per-format logic.  Nothing is rendered, compiled
@@ -31,6 +31,7 @@ in the process and mutate only under ``_LOCK`` (enforced statically by
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
@@ -110,13 +111,36 @@ def bind_leaf(ck) -> Optional[Tuple[Callable, Optional[Callable]]]:
     # The table extracts the raw arrays once and freezes each piece's Work
     # into its tuple; the bind function hoists the index scaffolding.
     args, pieces = spec.bind_args(ck)
-    thunks, over = bind(*args, pieces, ck.strategy in spec.accumulating)
+    build, over = bind(*args, pieces, ck.strategy in spec.accumulating)
+    thunks = _Thunks(pieces, build)
     _bump("binds")
 
     def leaf(piece, _thunks=thunks):
         return _thunks[piece.color]()
 
     return leaf, None if over is None else partial(_launch_thunk, pieces, over)
+
+
+class _Thunks(Mapping):
+    """A bound leaf's ``{color: thunk}``: each piece's thunk is
+    ``build(*piece[1:])``, built on its first lookup and kept — a launch
+    that runs as one call (the launch thunk) builds none."""
+
+    def __init__(self, pieces, build):
+        self._tails = {p[0]: p[1:] for p in pieces}
+        self._build, self._built = build, {}
+
+    def __getitem__(self, color):
+        thunk = self._built.get(color)
+        if thunk is None:
+            thunk = self._built[color] = self._build(*self._tails[color])
+        return thunk
+
+    def __iter__(self):
+        return iter(self._tails)
+
+    def __len__(self):
+        return len(self._tails)
 
 
 def _launch_thunk(pieces, over) -> Optional[Callable]:

@@ -19,7 +19,7 @@ from .cache import (
 from .levels import LevelFunctions, level_functions_for
 from .partitioner import (
     TensorPartition,
-    partition_dense_tensor,
+    dense_partition,
     partition_tensor,
     replicated_partition,
 )
@@ -48,7 +48,7 @@ __all__ = [
     "clear_caches", "invalidate_tensor", "kernel_fingerprint",
     "set_cache_budget",
     "LevelFunctions", "level_functions_for",
-    "TensorPartition", "partition_dense_tensor", "partition_tensor",
+    "TensorPartition", "dense_partition", "partition_tensor",
     "replicated_partition",
     "adopt_pattern", "install_assembled_output", "pattern_source", "scan_counts",
     "CompiledKernel", "ExecutionResult", "KernelClass", "Piece",

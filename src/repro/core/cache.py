@@ -243,6 +243,8 @@ def _subset_nbytes(subset) -> int:
 def _legion_partition_nbytes(part) -> int:
     if part is None:
         return 0
+    if part.bounds is not None:  # every piece a rect
+        return 64 * part.n_colors + 64
     return sum(_subset_nbytes(s) for s in part.subsets.values()) + 64
 
 
@@ -532,13 +534,11 @@ def partition_cache_key(tensor, initial_level: int, kind: str, bounds) -> Tuple:
     )
 
 
-def dense_partition_cache_key(tensor, mode_bounds) -> Tuple:
-    return (
-        id(tensor),
-        tensor.pattern_version,
-        "dense",
-        _sorted_items({c: _sorted_items(pm) for c, pm in mode_bounds.items()}),
-    )
+def dense_partition_cache_key(tensor, colors, lo, hi) -> Tuple:
+    """Key of a dense partition: its colors and their clamped bounds
+    (``(colors × modes)`` arrays)."""
+    return (id(tensor), tensor.pattern_version, "dense", tuple(colors),
+            lo.shape, lo.tobytes(), hi.tobytes())
 
 
 def lookup_partition(key: Tuple):

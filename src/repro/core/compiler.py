@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from ..errors import CompileError
 from ..legion.machine import Machine, Work
 from ..legion.metrics import CommEvent, ExecutionMetrics
 from ..legion.network import Network
-from ..legion.partition import Partition
 from ..legion.runtime import Privilege, RegionReq, Runtime
 from ..taco.expr import Access, Assignment
 from ..taco.index_vars import IndexVar
@@ -48,7 +47,7 @@ from .assembly import (
 from .kernelspec import SPECS, KernelClass, classify
 from .partitioner import (
     TensorPartition,
-    partition_dense_tensor,
+    dense_partition,
     partition_tensor,
     replicated_partition,
 )
@@ -595,6 +594,11 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
         comp = color[k] if multi else color
         return infos[k][3][comp]
 
+    # each distributed variable's chunk bounds for every color, as arrays
+    comps = np.array(colors, dtype=np.int64).reshape(len(colors), -1)
+    chunk_arrays = [np.array(info[3], dtype=np.int64).reshape(-1, 2)[comps[:, k]]
+                    for k, info in enumerate(infos)]
+
     parts: Dict[int, TensorPartition] = {}
     privileges: Dict[int, Privilege] = {}
     primary_u = infos[0][1]
@@ -606,11 +610,10 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
                 matched[k] = acc.indices.index(u)
         is_out = tensor is asg.lhs.tensor
         if tensor.format.is_all_dense():
-            mode_bounds = {
-                c: {matched[k]: bounds_of(c, k) for k in matched} for c in colors
-            }
+            mode_bounds = {matched[k]: (chunk_arrays[k][:, 0], chunk_arrays[k][:, 1])
+                           for k in matched}
             if not matched and not is_out:
-                windows = _inferred_windows(asg, acc, parts, colors)
+                windows = _inferred_windows(asg, acc, parts)
                 if windows is not None:
                     mode_bounds = windows
                     plan.emit(
@@ -618,7 +621,7 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
                         f"// {tensor.name} windows inferred from crd images",
                         tensor=tensor.name,
                     )
-            parts[id(tensor)] = partition_dense_tensor(tensor, mode_bounds, plan)
+            parts[id(tensor)] = dense_partition(tensor, colors, mode_bounds, plan)
         elif matched:
             sparse_ks = list(matched.keys())
             if len(sparse_ks) > 1:
@@ -669,19 +672,19 @@ def _inferred_windows(
     asg: Assignment,
     acc: Access,
     parts: Dict[int, TensorPartition],
-    colors: Sequence[Color],
-) -> Optional[Dict[Color, Dict[int, Bounds]]]:
+) -> Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]]:
     """Infer per-piece windows of an unpartitioned dense operand.
 
     DISTAL's ``communicate`` infers *what data to communicate* (paper
     §II-C): a dense operand indexed by a variable that names a Compressed
     level of an already-partitioned sparse tensor only needs the coordinate
     range its piece's ``crd`` values actually touch — e.g. the halo window
-    of the SpMV vector on a banded matrix.  Returns None when no indexing
+    of the SpMV vector on a banded matrix.  Returns ``{mode: (lo, hi)}``,
+    each colour's window on that mode in colour order (one
+    ``coord_bounds`` over the level's partition), or None when no indexing
     variable can be related to a partitioned compressed level.
     """
-    windows: Dict[Color, Dict[int, Bounds]] = {c: {} for c in colors}
-    found = False
+    windows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for mode, var in enumerate(acc.indices):
         for other in asg.accesses():
             part = parts.get(id(other.tensor))
@@ -693,11 +696,9 @@ def _inferred_windows(
             lvl = other.tensor.levels[level]
             if lvl.is_dense or part.level_positions[level] is None:
                 continue
-            for c in colors:
-                windows[c][mode] = lvl.coord_bounds(part.level_positions[level][c])
-            found = True
+            windows[mode] = lvl.coord_bounds(part.level_positions[level])
             break
-    return windows if found else None
+    return windows or None
 
 
 def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel:
@@ -751,8 +752,7 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
                 tensor,
                 level_positions=list(split_part.level_positions[: lvl + 1]),
                 level_pos_parts=list(split_part.level_pos_parts[: lvl + 1]),
-                vals_part=Partition(tensor.vals.ispace, dict(src.subsets),
-                                    name=f"{tensor.name}ValsPart"),
+                vals_part=src.copy(f"{tensor.name}ValsPart", tensor.vals.ispace),
                 colors=colors,
             )
             plan.emit("copy", f"// {tensor.name} adopts {split_tensor.name}'s partition",
@@ -760,19 +760,20 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
         elif top_u is not None and top_u in acc.indices:
             mode = acc.indices.index(top_u)
             if tensor.format.is_all_dense():
-                mode_bounds = {c: {mode: top_bounds[c]} for c in colors}
-                parts[id(tensor)] = partition_dense_tensor(tensor, mode_bounds, plan)
+                b = np.array(list(top_bounds.values()), dtype=np.int64).reshape(-1, 2)
+                parts[id(tensor)] = dense_partition(
+                    tensor, colors, {mode: (b[:, 0], b[:, 1])}, plan)
             else:
                 level = tensor.format.level_of_mode(mode)
                 parts[id(tensor)] = partition_tensor(
                     tensor, level, "universe", top_bounds, plan
                 )
         elif tensor.format.is_all_dense() and not is_out:
-            windows = _inferred_windows(asg, acc, parts, colors)
+            windows = _inferred_windows(asg, acc, parts)
             if windows is not None:
                 plan.emit("image", f"// {tensor.name} windows inferred from crd images",
                           tensor=tensor.name)
-                parts[id(tensor)] = partition_dense_tensor(tensor, windows, plan)
+                parts[id(tensor)] = dense_partition(tensor, colors, windows, plan)
             else:
                 parts[id(tensor)] = replicated_partition(tensor, colors)
                 plan.emit("replicate", f"// {tensor.name} replicated onto all pieces",

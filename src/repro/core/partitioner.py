@@ -28,7 +28,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CompileError
-from ..legion.index_space import EMPTY, Rect, RectSubset
 from ..legion.partition import Partition
 from ..legion.runtime import Privilege, RegionReq
 from ..taco.tensor import Tensor
@@ -39,7 +38,7 @@ from .plan import PartitioningPlan
 __all__ = [
     "TensorPartition",
     "partition_tensor",
-    "partition_dense_tensor",
+    "dense_partition",
     "replicated_partition",
 ]
 
@@ -89,19 +88,18 @@ class TensorPartition:
         Used by ``partitionRemainingCoordinateTrees`` to derive universe
         partitions of the other tensors in the statement.
         """
-        out: Dict[Color, Bounds] = {}
-        coord_of = self.tensor.levels[0].coord_of
-        for c, s in self.level_positions[0].items():
-            if s.empty:
-                out[c] = (0, -1)
-                continue
-            if isinstance(s, RectSubset):
-                lo, hi = s.rect.lo[0], s.rect.hi[0]
-            else:
-                idx = s.indices()  # nnz: ok an ArraySubset's own array, no copy
-                lo, hi = idx[0], idx[-1]
-            out[c] = (int(coord_of(lo)), int(coord_of(hi)))
-        return out
+        part, coord_of = self.level_positions[0], self.tensor.levels[0].coord_of
+        lo, hi = np.zeros(part.n_colors, np.int64), np.full(part.n_colors, -1, np.int64)
+        if part.bounds is not None:
+            a, b = part.bounds[0][:, 0], part.bounds[1][:, 0]
+            live = b >= a
+            lo[live], hi[live] = coord_of(a[live]), coord_of(b[live])
+        else:
+            for k, s in enumerate(part.subsets.values()):
+                if not s.empty:
+                    idx = s.indices()  # nnz: ok an ArraySubset's own array, no copy
+                    lo[k], hi[k] = coord_of(idx[0]), coord_of(idx[-1])
+        return dict(zip(part.colors(), zip(lo.tolist(), hi.tolist())))
 
     def nbytes_for(self, color: Color) -> int:
         total = 0
@@ -126,7 +124,7 @@ def partition_tensor(
     if plan is None:
         plan = PartitioningPlan(f"partition_{tensor.name}")
     if tensor.format.is_all_dense():
-        raise CompileError("use partition_dense_tensor for all-dense tensors")
+        raise CompileError("use dense_partition for all-dense tensors")
     nlevels = len(tensor.levels)
     if not (0 <= initial_level < nlevels):
         raise CompileError(f"initial level {initial_level} out of range")
@@ -165,9 +163,7 @@ def partition_tensor(
         positions[l] = up
         up = sites[l].partition_from_child(up)
 
-    vals_src = positions[nlevels - 1]
-    vals_part = Partition(tensor.vals.ispace, dict(vals_src.subsets),
-                          name=f"{tensor.name}ValsPart")
+    vals_part = positions[nlevels - 1].copy(f"{tensor.name}ValsPart", tensor.vals.ispace)
     result = TensorPartition(
         tensor,
         level_positions=positions,
@@ -179,53 +175,54 @@ def partition_tensor(
     return result
 
 
-def partition_dense_tensor(
+def dense_partition(
     tensor: Tensor,
-    mode_bounds: Dict[Color, Dict[int, Bounds]],
+    colors: Sequence[Color],
+    per_mode: Dict[int, Tuple[np.ndarray, np.ndarray]],
     plan: Optional[PartitioningPlan] = None,
 ) -> TensorPartition:
     """Partition an all-dense tensor by per-mode coordinate bounds.
 
-    ``mode_bounds[color]`` maps tensor modes to inclusive coordinate ranges;
-    unmentioned modes span their full extent (this is DISTAL's dense tensor
-    distribution).  The partition is over the tensor's N-D values region.
-    """
+    ``per_mode[mode]`` is ``(lo, hi)``, inclusive coordinate ranges as
+    arrays over ``colors``, clamped to the mode's extent; unmentioned modes
+    span their full extent (this is DISTAL's dense tensor distribution).
+    The partition is over the tensor's N-D values region, built in one
+    pass, and memoized on the clamped bounds."""
     if plan is None:
         plan = PartitioningPlan(f"partition_{tensor.name}")
     if not tensor.format.is_all_dense():
-        raise CompileError("partition_dense_tensor requires an all-dense tensor")
-    key = _cache.dense_partition_cache_key(tensor, mode_bounds)
+        raise CompileError("dense_partition requires an all-dense tensor")
+    stored_modes = tensor.format.mode_ordering
+    lo = np.zeros((len(colors), len(stored_modes)), dtype=np.int64)
+    hi = np.empty_like(lo)
+    for level, mode in enumerate(stored_modes):
+        size = tensor.shape[mode]
+        hi[:, level] = size - 1
+        if mode in per_mode:
+            np.maximum(per_mode[mode][0], 0, out=lo[:, level])
+            np.minimum(per_mode[mode][1], size - 1, out=hi[:, level])
+    key = _cache.dense_partition_cache_key(tensor, colors, lo, hi)
     hit = _cache.lookup_partition(key)
     if hit is not None:
         part, stmts = hit
         plan.stmts.extend(stmts)
         return part
     emitted_from = len(plan.stmts)
-    subsets = {}
-    stored_modes = tensor.format.mode_ordering
-    for color, per_mode in mode_bounds.items():
-        lo, hi = [], []
-        for level, mode in enumerate(stored_modes):
-            size = tensor.shape[mode]
-            b = per_mode.get(mode, (0, size - 1))
-            lo.append(max(0, b[0]))
-            hi.append(min(size - 1, b[1]))
-        r = Rect(tuple(lo), tuple(hi))
-        subsets[color] = EMPTY if r.empty else RectSubset(r)
     plan.emit(
         "partitionByBounds",
         f"{tensor.name}ValsPart = partitionByBounds(C_{tensor.name}, {tensor.name}.dom)",
         tensor=tensor.name,
         level=0,
     )
-    part = Partition(tensor.vals.ispace, subsets, name=f"{tensor.name}ValsPart")
+    part = Partition.from_bounds(tensor.vals.ispace, colors, lo, hi,
+                                 name=f"{tensor.name}ValsPart")
     nlevels = len(tensor.levels)
     result = TensorPartition(
         tensor,
         level_positions=[None] * nlevels,
         level_pos_parts=[None] * nlevels,
         vals_part=part,
-        colors=list(mode_bounds.keys()),
+        colors=list(colors),
     )
     _cache.store_partition(key, result, plan.stmts[emitted_from:])
     return result

@@ -101,9 +101,11 @@ __all__ = [
 #: the level class it names, not a ``compressed`` flag.  v7: a runtime's
 #: residency tables carry their piece index and volume totals, and its homes
 #: their dedup set.  v8: a runtime's launch-trace keys lose their scratch
-#: slot.  Any other version is refused with
+#: slot.  v9: a partition of rects carries their bounds arrays, and a
+#: runtime's homes pickle without their dedup sets (rebuilt per region when
+#: a placement first needs one).  Any other version is refused with
 #: :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 8
+STORE_FORMAT_VERSION = 9
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"

@@ -22,7 +22,7 @@ from ..legion.runtime import Privilege, Runtime
 from ..taco.tensor import Tensor
 from ..core.partitioner import (
     TensorPartition,
-    partition_dense_tensor,
+    dense_partition,
     partition_tensor,
     replicated_partition,
 )
@@ -96,20 +96,17 @@ def partition_for_tdn(
             # Non-zero partitions of dense tensors fall back to universe
             # partitions (every coordinate is stored).
             nz_free = matched
-        mode_bounds: Dict[Color, Dict[int, Tuple[int, int]]] = {}
-        for c in colors:
-            per_mode: Dict[int, Tuple[int, int]] = {}
-            for g, ref, modes in nz_free:
-                if len(modes) != 1:
-                    raise CompileError(
-                        "fused distributions of dense tensors are not supported"
-                    )
-                mode = modes[0]
-                per_mode[mode] = piece_range(
-                    tensor.shape[mode], machine.grid.dims[g], _component(c, g, ndim)
+        per_mode: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        for g, ref, modes in nz_free:
+            if len(modes) != 1:
+                raise CompileError(
+                    "fused distributions of dense tensors are not supported"
                 )
-            mode_bounds[c] = per_mode
-        return partition_dense_tensor(tensor, mode_bounds, plan), plan
+            b = np.array([piece_range(tensor.shape[modes[0]], machine.grid.dims[g],
+                                      _component(c, g, ndim)) for c in colors],
+                         dtype=np.int64).reshape(-1, 2)
+            per_mode[modes[0]] = b[:, 0], b[:, 1]
+        return dense_partition(tensor, colors, per_mode, plan), plan
 
     if len(matched) > 1:
         raise CompileError(

@@ -143,22 +143,18 @@ def _bind_ranges(pos, crd, vals, C, D, out_vals, pieces, positions):
             return w
         return thunk
 
-    thunks = {}
-    for color, lo, hi, w in pieces:
-        thunks[color] = over(lo, hi, w)
-    return thunks, over
+    return over, over
 
 
 def sddmm_rows_bind(pos, crd, vals, C, D, out_vals, pieces, accumulate):
-    """Convert row bounds to position ranges; return ``({color: thunk},
-    over)``.  Each position is written once, so ``accumulate`` is unused."""
+    """Convert row bounds to position ranges; return ``(build, over)``.  Each position is written once, so ``accumulate`` is unused."""
     return _bind_ranges(pos, crd, vals, C, D, out_vals, pieces, lambda r0, r1: (
         (int(pos[r0, 0]), int(pos[r1, 1])) if r0 <= r1 else (0, -1)
     ))
 
 
 def sddmm_nonzeros_bind(pos, crd, vals, C, D, out_vals, pieces, accumulate):
-    """Bind position ranges as they are; return ``({color: thunk}, over)``.
+    """Bind position ranges as they are; return ``(build, over)``.
     Each position is written once, so ``accumulate`` is unused."""
     return _bind_ranges(
         pos, crd, vals, C, D, out_vals, pieces, lambda p0, p1: (p0, p1)
@@ -166,27 +162,26 @@ def sddmm_nonzeros_bind(pos, crd, vals, C, D, out_vals, pieces, accumulate):
 
 
 def fused_sddmm_spmm_bind(pos, crd, vals, C, D, F, out, pieces, accumulate):
-    """Hoist both phases' scaffolding per piece; return ``({color: thunk},
-    None)``.  The SDDMM phase runs into a scratch values array private to
+    """Hoist both phases' shared scaffolding; return ``(build, None)``,
+    ``build(lo, hi, w)`` resolving a piece's rows and positions.  The SDDMM phase runs into a scratch values array private to
     the binding — never a region — over the positions the piece's
     boundaries span (none when its rows are empty: the reduce then
     zero-fills); the SpMM phase reduces the *whole* scratch array over
     those boundaries."""
-    thunks = {}
     scratch = np.zeros_like(vals)
     indptr = _indptr(pos)
-    for color, lo, hi, w in pieces:
+
+    def build(lo, hi, w):
         if hi < lo:
-            thunks[color] = _const(w)
-            continue
+            return _const(w)
         r0, ip = _segments_of(indptr, lo, hi, accumulate)
         p0 = int(ip[0])
         rows = _rows_of(pos, p0, int(ip[-1]) - 1)
-        thunks[color] = _fused_thunk(
+        return _fused_thunk(
             rows, p0, crd, vals, C, D, ip, scratch, F,
             out[r0 : r0 + ip.size - 1, :], w, accumulate,
         )
-    return thunks, None
+    return build, None
 
 
 def _fused_thunk(rows, p0, crd, vals, C, D, ip, scratch, F, ov, w, accumulate):

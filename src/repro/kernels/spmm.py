@@ -88,8 +88,8 @@ def spmm_rows_reference(pos, crd, vals, C, out, r0, r1) -> Work:
 
 
 def spmm_bind(pos, crd, vals, C, out, pieces, accumulate):
-    """Resolve each piece to its row boundaries once; return ``({color:
-    thunk}, over)``.  ``rows`` / ``grid`` piece tuples carry a column window
+    """Derive the row boundaries once; return ``(build, over)``, where
+    ``build(*piece[1:])`` is one piece's thunk.  ``rows`` / ``grid`` piece tuples carry a column window
     (``None``: all of C and A, as for ``nonzeros`` tuples, which have none);
     a full-width window of a row-major array is still contiguous, so only
     ``grid`` pays for contiguous copies.  ``over`` is None under ``grid``,
@@ -104,11 +104,12 @@ def spmm_bind(pos, crd, vals, C, out, pieces, accumulate):
             out[r0 : r0 + ip.size - 1, c0 : c1 + 1], w, accumulate,
         )
 
-    thunks, windowed = {}, False
-    for color, lo, hi, *window, w in pieces:
-        thunks[color] = over(lo, hi, w, *window) if lo <= hi else _const(w)
-        windowed = windowed or any(window)  # a ``grid`` piece's columns
-    return thunks, None if windowed else over
+    def build(lo, hi, *window_w):
+        *window, w = window_w
+        return over(lo, hi, w, *window) if lo <= hi else _const(w)
+
+    windowed = any(any(p[3:-1]) for p in pieces)  # a ``grid`` piece's columns
+    return build, None if windowed else over
 
 
 def _spmm_thunk(ip, crd, vals, Cv, ov, w, accumulate):

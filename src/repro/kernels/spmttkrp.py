@@ -75,25 +75,24 @@ def spmttkrp_reference(coords: Coords, vals, C, D, out, p0, p1) -> Work:
 
 
 def spmttkrp_bind(coords: Coords, vals, C, D, out, pieces, accumulate):
-    """Hoist coordinate gathers per position range; return ``({color:
-    thunk}, None)``.  The per-non-zero products are summed per output row
+    """Return ``(build, None)``: ``build(p0, p1, w)`` hoists one position
+    range's coordinate gathers into its thunk.  The per-non-zero products are summed per output row
     by ``csr_matvecs`` over an identity column index and unit data (one
     shared pair per bind, sliced per piece), which adds them in position
     order."""
-    thunks = {}
     longest = max((p1 - p0 + 1 for _color, p0, p1, _w in pieces), default=0)
     ident, ones = np.arange(longest), np.ones(longest)
-    for color, p0, p1, w in pieces:
+
+    def build(p0, p1, w):
         if p1 < p0:
-            thunks[color] = _const(w)
-            continue
+            return _const(w)
         n = p1 - p0 + 1
         i_ids, j_ids, k_ids = coords(np.arange(p0, p1 + 1, dtype=np.int64))
-        thunks[color] = _body_thunk(
+        return _body_thunk(
             i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out,
             ident[:n], ones[:n], w, accumulate,
         )
-    return thunks, None
+    return build, None
 
 
 def _body_thunk(i_ids, j_ids, k_ids, v, C, D, out, ident, ones, w, accumulate):

@@ -107,9 +107,10 @@ def spmv_rows_reference(
 
 
 def segdot_bind(pos, crd, vals, c, out, pieces, accumulate):
-    """Resolve each ``(color, lo, hi, Work)`` piece to its segment
-    boundaries once; return ``({color: thunk}, over)``.  ``over(lo, hi,
-    w)`` is the same body over a longer range (the launch thunk's)."""
+    """Derive the segment boundaries once; return ``(build, over)``:
+    ``build(lo, hi, w)`` is the thunk of a ``(color, lo, hi, Work)`` piece,
+    ``over(lo, hi, w)`` the same body over a longer range (the launch
+    thunk's)."""
     indptr = _indptr(pos)
 
     def over(lo, hi, w):
@@ -117,10 +118,7 @@ def segdot_bind(pos, crd, vals, c, out, pieces, accumulate):
         return _segdot_thunk(
             ip, crd, vals, c, out[r0 : r0 + ip.size - 1], w, accumulate)
 
-    thunks = {}
-    for color, lo, hi, w in pieces:
-        thunks[color] = over(lo, hi, w) if lo <= hi else _const(w)
-    return thunks, over
+    return (lambda lo, hi, w: over(lo, hi, w) if lo <= hi else _const(w)), over
 
 
 def _segdot_thunk(ip, crd, vals, c, ov, w, accumulate):

@@ -20,8 +20,9 @@ from .index_space import (
     IndexSubset,
     Rect,
     RectSubset,
+    _once,
     intersect_subsets,
-    subsets_overlap,
+    rect_subsets,
     union_subsets,
 )
 
@@ -59,7 +60,15 @@ class Coloring:
 
 
 class Partition:
-    """A partition of ``parent`` into per-color subsets."""
+    """A partition of ``parent`` into per-color subsets.
+
+    A partition whose pieces are all rects also has them as arrays:
+    :attr:`bounds` is ``(lo, hi)``, ``(colors × ndim)`` int64 in color order,
+    an empty color a row ``(0, -1)`` on every axis.  The dependent
+    partitioning operations compute those arrays in one pass and build the
+    pieces from them (:meth:`from_bounds`); a partition built from pieces
+    derives them on first read.
+    """
 
     def __init__(
         self,
@@ -71,6 +80,26 @@ class Partition:
         self.parent = parent
         self.subsets = dict(subsets)
         self.name = name or f"part_of_{parent.name}"
+
+    @classmethod
+    def from_bounds(cls, parent: IndexSpace, colors: Sequence[Color], lo: np.ndarray,
+                    hi: np.ndarray, *, name: str = "") -> "Partition":
+        """Color ``colors[k]`` gets the rect ``[lo[k], hi[k]]`` (``EMPTY``
+        where any ``hi < lo``)."""
+        volumes = np.maximum(hi - lo + 1, 0).prod(axis=1)
+        if not volumes.all():
+            live = volumes[:, None] > 0
+            lo, hi = np.where(live, lo, 0), np.where(live, hi, -1)
+        part = cls(parent, dict(zip(colors, rect_subsets(lo, hi, volumes))), name=name)
+        part.__dict__["bounds"] = lo, hi
+        return part
+
+    @_once
+    def bounds(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(lo, hi)`` of every color's rect, or None when a piece is an
+        index list (:class:`ArraySubset`).  Kept once read or built; a
+        pickle taken before then carries none and derives it on load."""
+        return _bounds_of(self.parent.ndim, self.subsets.values())
 
     # -- access ----------------------------------------------------------
     def __getitem__(self, color: Color) -> IndexSubset:
@@ -90,24 +119,14 @@ class Partition:
     def is_disjoint(self) -> bool:
         """True when no index is assigned to two colors."""
         subsets = [s for s in self.subsets.values() if not s.empty]
-        rects = [s for s in subsets if isinstance(s, RectSubset)]
-        if len(rects) == len(subsets):
-            ordered = sorted(rects, key=lambda s: s.rect.lo)
-            for a, b in zip(ordered, ordered[1:]):
-                if a.rect.ndim == 1 and b.rect.lo[0] <= a.rect.hi[0]:
-                    return False
-                if a.rect.ndim > 1 and subsets_overlap(a, b):
-                    return False
+        if all(isinstance(s, RectSubset) for s in subsets):
+            rects = sorted((s.rect for s in subsets), key=lambda r: r.lo)
             # Rects sharing their trailing extents (1-D ones, row blocks) can
-            # only meet on the leading axis, which the sweep above checked.
-            if len({(r.rect.lo[1:], r.rect.hi[1:]) for r in rects}) <= 1:
-                return True
+            # only meet on the leading axis: compare neighbours.
+            if len({(r.lo[1:], r.hi[1:]) for r in rects}) <= 1:
+                return all(a.hi[0] < b.lo[0] for a, b in zip(rects, rects[1:]))
             # N-D windows: pairwise check (small color counts in practice)
-            for i, a in enumerate(rects):
-                for b in rects[i + 1 :]:
-                    if subsets_overlap(a, b):
-                        return False
-            return True
+            return not any(a.overlaps(b) for i, a in enumerate(rects) for b in rects[i + 1 :])
         total = sum(s.volume for s in subsets)
         merged = union_subsets(subsets)
         return merged.volume == total
@@ -146,8 +165,13 @@ class Partition:
     def volumes(self) -> Dict[Color, int]:
         return {c: s.volume for c, s in self.subsets.items()}
 
-    def copy(self, name: Optional[str] = None) -> "Partition":
-        return Partition(self.parent, dict(self.subsets), name=name or self.name)
+    def copy(self, name: Optional[str] = None,
+             parent: Optional[IndexSpace] = None) -> "Partition":
+        """The same pieces under another name (and index space)."""
+        out = Partition(parent or self.parent, self.subsets, name=name or self.name)
+        if "bounds" in self.__dict__:
+            out.__dict__["bounds"] = self.bounds
+        return out
 
     def scale_dense(self, width: int) -> "Partition":
         """Expand each 1-D subset by a dense inner level of ``width`` entries.
@@ -155,8 +179,13 @@ class Partition:
         Used when a Dense level sits below another level: positions of the
         lower level are ``parent_position * width + [0, width)``.
         """
-        out: Dict[Color, IndexSubset] = {}
         new_parent = IndexSpace(self.parent.volume * width, name=f"{self.parent.name}x{width}")
+        name = f"{self.name}*{width}"
+        if self.bounds is not None:
+            lo, hi = self.bounds
+            return Partition.from_bounds(new_parent, self.colors(), lo * width,
+                                         (hi + 1) * width - 1, name=name)
+        out: Dict[Color, IndexSubset] = {}
         for c, s in self.subsets.items():
             if s.empty:
                 out[c] = EMPTY
@@ -168,10 +197,31 @@ class Partition:
                 idx = s.indices()
                 expanded = (idx[:, None] * width + np.arange(width, dtype=np.int64)).ravel()
                 out[c] = ArraySubset(expanded, assume_sorted_unique=True)
-        return Partition(new_parent, out, name=f"{self.name}*{width}")
+        return Partition(new_parent, out, name=name)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Partition({self.name}, colors={self.n_colors})"
+
+
+def _bounds_of(ndim: int, subsets) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """:attr:`Partition.bounds` of ``subsets``: None unless every one is a
+    rect of the space's rank or :data:`EMPTY`."""
+    lo, hi = [], []
+    for s in subsets:
+        if type(s) is not RectSubset:
+            return None
+        if s.rect.empty:
+            if s != EMPTY:  # an empty rect other than EMPTY is a piece of its own
+                return None
+            lo.append((0,) * ndim)
+            hi.append((-1,) * ndim)
+        elif s.rect.ndim != ndim:
+            return None
+        else:
+            lo.append(s.rect.lo)
+            hi.append(s.rect.hi)
+    return (np.array(lo, dtype=np.int64).reshape(-1, ndim),
+            np.array(hi, dtype=np.int64).reshape(-1, ndim))
 
 
 def equal_partition(ispace: IndexSpace, pieces: int, *, name: str = "") -> Partition:

@@ -19,16 +19,17 @@ processor, every communication event staging and coherence emitted, and
 the residency table the launch left behind.  A later launch with the same
 *launch signature* (name, colors, region requirements, processor
 assignment) from the same state replays it: the events are re-charged and
-the table installed, but no per-color subset algebra re-runs.  The computation always executes and compute time comes from the
-returned :class:`Work`, so replayed metrics are bit-identical to a fresh
-analysis.  How many host calls compute it is not simulated: a launch
-handed a *launch thunk* (the compiler passes one for a write-disjoint
-output whose bound leaf has one) calls it once and books the per-color
-``Work`` in color order.  A replay always may.  A recording may only when
-every requirement is *at home* — the facts ``place*`` recorded about whole
-partitions already say that staging and coherence do nothing, as on a
-first launch over the placement (:meth:`Runtime._at_home`); otherwise it
-runs the tasks one by one, between their staging and coherence steps.
+the table installed, but no per-color subset algebra re-runs.  The
+computation always executes and compute time comes from the returned
+:class:`Work`, so replayed metrics are bit-identical to a fresh analysis.
+A launch handed a *launch thunk* (the compiler passes one for a
+write-disjoint output whose bound leaf has one) calls it once and books the
+per-color ``Work`` in color order.  A replay always may; a recording only
+when every requirement is *at home* — the facts ``place*`` recorded about
+whole partitions say staging and coherence do nothing, as on a first
+launch over the placement (:meth:`Runtime._at_home`), and such a recording
+writes, and so copies, no table.  Otherwise it runs the tasks one by one,
+between their staging and coherence steps.
 
 Residency states are tracked symbolically: ``reset_residency`` (called
 between trials) returns to the canonical "homes only" state *without*
@@ -40,22 +41,20 @@ writing region data behind the runtime's back).
 The tables behind those states are shared values.  A recording hands the
 table it leaves behind to its trace; a replay and ``reset_residency``
 *install* a table — the trace's, or the homes-only one memoised until the
-next ``place*`` — without copying it, so a warm step's bookkeeping does
-not grow with regions × processors.  Such a table is never written: one
+next ``place*`` — without copying it.  Such a table is never written: one
 ownership bit says whether the live table is shared, and every writer — a
 recording launch, an uncached copy, ``place*`` — takes a private copy
 first (:meth:`Runtime._unshare_residency`).  Within a table each region
 indexes its pieces by their leading-axis extent and keeps a running volume
 total per processor (:class:`_Residency`), so staging, write invalidation
-and capacity checks touch only the pieces involved, and a first placement
-loads a region's pieces in one pass.
+and capacity checks touch only the pieces involved; a first placement of
+a partition of rects loads a region's table from its bounds arrays.
 
 Explicit copies (the ``communicate``-lowered :meth:`Runtime.copy_subset`)
 are traced the same way, so a chain of launches and copies — the SpAdd
 assembly sequence, TDN-style placement copies — replays end-to-end.
-``metrics_limit`` bounds :attr:`Runtime.metrics` for long solver loops by
-folding the oldest steps into exact scalar totals between trials
-(:meth:`ExecutionMetrics.fold_oldest`).  Runtimes are *picklable*:
+``metrics_limit`` bounds :attr:`Runtime.metrics` by folding the oldest
+steps into exact scalar totals between trials.  Runtimes are *picklable*:
 :mod:`repro.core.store` persists one (traces, homes and symbolic state;
 metrics and hit counters start fresh) so a new process replays from its
 first launch.
@@ -173,38 +172,43 @@ class _Residency:
     def __setstate__(self, state):
         self.__dict__.update(state, whole={})
 
-    def load(self, pieces, facts: Optional["_Residency"] = None) -> None:
+    def load(self, pieces, facts: Optional["_Residency"] = None, bounds=None) -> None:
         """Fill this empty table with ``pieces`` (``(subset, proc)``, none
         equal on one processor) in one pass and one sort, as ``add`` of each
-        in turn would; ``facts``: a table whose facts hold of them too."""
+        in turn would; ``facts``: a table whose facts hold of them too;
+        ``bounds``: the pieces' rects as ``(lo, hi)`` arrays, which give
+        every volume and leading extent at once."""
+        if bounds is None:
+            rows = [(s.volume, *leading_extent(s)) if s.volume else (0, 0, -1)
+                    for s, _ in pieces]
+        else:
+            lo, hi = bounds
+            rows = zip(np.maximum(hi - lo + 1, 0).prod(axis=1).tolist(),
+                       lo[:, 0].tolist(), hi[:, 0].tolist())
         index = []
-        for subset, proc in pieces:
-            vol = subset.volume
-            if not vol:
-                continue
-            start, end = leading_extent(subset)
-            index.append(((start, proc), (end, subset)))
-            if proc in self.vol:
-                self.by_proc[proc].append(subset)
-                self.vol[proc] += vol
-            else:
-                self.by_proc[proc], self.vol[proc] = [subset], vol
-            self.span = max(self.span or 0, end - start)
+        for (subset, proc), (vol, start, end) in zip(pieces, rows):
+            if vol:
+                index.append(((start, proc), (end, subset)))
+                self.by_proc.setdefault(proc, []).append(subset)
+                self.vol[proc] = self.vol.get(proc, 0) + vol
         index.sort(key=lambda kv: kv[0])  # stable: equal keys keep arrival order
         self.keys, self.ents = [k for k, _ in index], [e for _, e in index]
+        self.span = max((e[0] - k[0] for k, e in index), default=0)
         self.whole = dict(facts.whole) if facts is not None else {}
 
     def hold_whole(self, key: Optional[int], partition, holders) -> None:
         self.whole[key] = (partition, holders)
 
-    def held(self, partition: Optional[Partition], colors, procs, replicas: bool) -> bool:
+    def held(self, partition: Optional[Partition], launch: Dict, replicas: bool) -> bool:
         """Whether a fact says each color's non-empty piece of ``partition``
-        is held where it launches (``replicas``: a replicated region says so)."""
+        is held where it launches (``launch``: each color's processor;
+        ``replicas``: a replicated region says so)."""
         rep = self.whole.get(None)
-        if replicas and rep is not None and rep[1].issuperset(procs):
+        if replicas and rep is not None and rep[1].issuperset(launch.values()):
             return True
         fact = partition is not None and self.whole.get(id(partition))
-        return bool(fact) and all(fact[1].get(c, p) == p for c, p in zip(colors, procs))
+        return bool(fact) and (fact[1].items() <= launch.items() or all(
+            launch.get(c, p) == p for c, p in fact[1].items()))
 
     def apart(self) -> bool:
         """No two pieces meet on the leading axis, so none overlaps another."""
@@ -367,10 +371,8 @@ class Runtime:
         self.network = network if network is not None else Network.legion()
         self.metrics = ExecutionMetrics()
         self.trace_replay = trace_replay
-        #: Auto-trim threshold: once ``metrics.steps`` exceeds this between
-        #: trials, the oldest steps are folded into exact scalar totals
-        #: (see :meth:`trim_metrics`).  ``0`` disables auto-trimming; the
-        #: default keeps a 64-processor history (~4 KB a step) near 4 MB.
+        #: Auto-trim threshold of ``metrics.steps`` between trials
+        #: (:meth:`trim_metrics`; ``0``: never): ~4 MB of 64-processor steps.
         self.metrics_limit = 1_000 if metrics_limit is None else metrics_limit
         self.trace_hits = 0
         self.trace_records = 0
@@ -383,8 +385,9 @@ class Runtime:
         #: the first reset after a ``place*`` (``_homes_changed`` drops it).
         self._homes_table: Optional[Dict[int, _Residency]] = None
         self._home: Dict[int, List[Tuple[IndexSubset, int]]] = {}
-        #: ``(uid, proc, type, subset)`` of every entry in ``_home``.
-        self._homed: set = set()
+        #: Per region, ``(proc, type, subset)`` of every entry in ``_home`` —
+        #: built when a second placement or ``copy_homes`` first reaches it.
+        self._homed: Dict[int, set] = {}
         self._traces: Dict[Tuple, MappingTrace] = {}
         self._copy_traces: Dict[Tuple, _CopyTrace] = {}
         self._homes_version = 0
@@ -411,9 +414,12 @@ class Runtime:
         """Record ``subset`` as homed on ``proc`` unless that pair already
         is (same-type equality, looked up in ``_homed``); first occurrences
         keep their order, so owner tie-breaking is the first placement's."""
-        key = (uid, proc, type(subset), subset)
-        if key not in self._homed:
-            self._homed.add(key)
+        seen = self._homed.get(uid)
+        if seen is None:
+            seen = self._homed[uid] = {(p, type(s), s) for s, p in self._home.get(uid, ())}
+        key = (proc, type(subset), subset)
+        if key not in seen:
+            seen.add(key)
             self._home.setdefault(uid, []).append((subset, proc))
 
     def copy_homes(self, source: "Runtime", regions: Sequence[Region]) -> None:
@@ -421,7 +427,11 @@ class Runtime:
         (so owner tie-breaking is ``source``'s) — how a scratch runtime
         sees operands another runtime placed."""
         for region in regions:
-            for subset, proc in source._home.get(region.uid, ()):
+            homes = source._home.get(region.uid, ())
+            if region.uid not in self._home and homes:
+                self._home[region.uid] = list(homes)  # distinct already
+                continue
+            for subset, proc in homes:
                 self._add_home(region.uid, subset, proc)
         self._homes_changed()
 
@@ -438,13 +448,13 @@ class Runtime:
         proc_map: Optional[Callable[[Color], int]] = None,
     ) -> None:
         """Declare the initial distribution of a region (its home placement)."""
-        pieces, holders = [], {}
-        for i, (color, subset) in enumerate(partition.items()):
-            proc = proc_map(color) if proc_map else self._default_proc(color, i)
-            pieces.append((subset, proc))
-            if not subset.empty:
-                holders[color] = proc
-        self._place_pieces(region, pieces, (id(partition), partition, holders))
+        colors, subsets, bounds = partition.colors(), list(partition.subsets.values()), \
+            partition.bounds
+        procs = self._procs(colors, proc_map)
+        live = (bounds[1] >= bounds[0]).all(axis=1).tolist() if bounds is not None else [
+            not s.empty for s in subsets]
+        self._place_pieces(region, list(zip(subsets, procs)), (
+            id(partition), partition, dict(itertools.compress(zip(colors, procs), live))))
 
     def place_replicated(self, region: Region) -> None:
         """Place a full valid copy of the region on every processor."""
@@ -457,26 +467,33 @@ class Runtime:
 
     def _place_pieces(self, region: Region, pieces, whole=None, check: bool = True) -> None:
         """Make each ``(subset, proc)`` resident and a home of ``region``, and
-        record ``whole``, the fact it establishes (:class:`_Residency`)."""
+        record ``whole``, the fact it establishes (:class:`_Residency`).  Into
+        an empty region the distinct pieces are the homes and load the table
+        at once, from a partition's bounds arrays when it has them."""
         self._unshare_residency()
         uid, res = region.uid, self._res(region.uid)
-        first = not res.keys and uid not in self._home
-        for subset, proc in pieces:
-            if not first:
+        if not res.keys and uid not in self._home:
+            part = whole[1] if whole is not None else None
+            homes, bounds = _distinct(pieces, part.bounds if part is not None else None)
+            res.load(homes, bounds=bounds)
+            self._home[uid] = homes
+        else:
+            for subset, proc in pieces:
                 res.add(proc, subset)
-            self._add_home(uid, subset, proc)
-        if first:  # its homes are the pieces, deduplicated: one pass, one sort
-            res.load(self._home.get(uid, ()))
+                self._add_home(uid, subset, proc)
         if whole is not None:
             res.hold_whole(*whole)
         self._homes_changed()
         if check:
             self._check_placed(region)
 
-    def _default_proc(self, color: Color, ordinal: int) -> int:
-        if isinstance(color, (int, np.integer, tuple)):
-            return self.machine.proc_of_color(color)
-        return ordinal % self.machine.size
+    def _procs(self, colors: Sequence[Color], proc_map) -> List[int]:
+        """Each color's processor: ``proc_map``'s, else the machine's."""
+        if proc_map:
+            return list(map(proc_map, colors))
+        return [self.machine.proc_of_color(color)
+                if isinstance(color, (int, np.integer, tuple)) else i % self.machine.size
+                for i, color in enumerate(colors)]
 
     def _owner_of(self, region: Region, needed: IndexSubset, requester: int) -> int:
         """The first home with the largest overlap (processor 0 if none)."""
@@ -504,21 +521,14 @@ class Runtime:
         coherence.  Reduction requirements additionally charge the cost of
         sending each non-owner's partial back to the sub-region's home.
 
-        When ``trace_replay`` is enabled and an identical launch already ran
-        from the current residency state, steps (1), (2) and (4) are
-        replayed from the recorded :class:`MappingTrace`; step (3) always
-        executes — as one ``launch()`` call when the caller passes
-        ``launch``, a thunk that runs every color's task at once and returns
-        their :class:`Work` in color order (the caller vouches that it
-        computes exactly what the tasks would).  A recording takes that one
-        call only when every requirement is at home (:meth:`_at_home`);
-        otherwise it runs the tasks one by one, interleaved with the staging
-        of the requirements that are not.
+        A launch that already ran from the current residency state replays
+        steps (1), (2) and (4) from its :class:`MappingTrace`; step (3) always
+        executes — as one call of ``launch``, a thunk returning every
+        color's :class:`Work` in color order (the caller vouches that it
+        computes what the tasks would), when a replay or a recording at home
+        (:meth:`_at_home`) has one; else task by task.
         """
-        procs = [
-            proc_map(color) if proc_map else self._default_proc(color, ordinal)
-            for ordinal, color in enumerate(colors)
-        ]
+        procs = self._procs(colors, proc_map)
         trace_key = None
         if not self.trace_replay:
             # Untracked launches still mutate residency: advance the state so
@@ -526,12 +536,9 @@ class Runtime:
             # replay against) a state token that no longer matches reality.
             self._mark_dirty()
         else:
-            trace_key = (
-                self._state, name, tuple(colors),
-                tuple(_req_sig(r.region.uid, r.partition, r.privilege.value, r.streamed)
-                      for r in reqs),
-                tuple(procs),
-            )
+            trace_key = (self._state, name, tuple(colors), tuple(
+                _req_sig(r.region.uid, r.partition, r.privilege.value, r.streamed)
+                for r in reqs), tuple(procs))
             trace = self._traces.get(trace_key)
             if trace is not None:
                 return self._replay_launch(name, colors, task, trace, launch)
@@ -539,7 +546,8 @@ class Runtime:
         step = self.metrics.new_step(name)
         events_per_color: List[Tuple[CommEvent, ...]] = []
         staged = [req for req, home in zip(reqs, self._at_home(reqs, colors, procs)) if not home]
-        before = self._unshare_residency(keep=trace_key is not None)
+        # at home, nothing writes the table: no "before" copy to compare
+        before = self._unshare_residency(keep=trace_key is not None) if staged else None
         booked = None
         try:
             if not staged and launch is not None:
@@ -577,13 +585,13 @@ class Runtime:
         for req in reqs:
             reads.setdefault(req.region.uid, []).append(
                 req.privilege is Privilege.READ_ONLY and not req.streamed)
-        home = []
+        home, launch = [], dict(zip(colors, procs))
         for req in reqs:
             res, on = self._residency.get(req.region.uid), reads[req.region.uid]
             home.append(res is not None and bool(res.whole) and (
-                res.held(req.partition, colors, procs, True) if all(on) else
+                res.held(req.partition, launch, True) if all(on) else
                 on == [False] and req.privilege is Privilege.WRITE_DISCARD
-                and res.held(req.partition, colors, procs, False) and res.apart()))
+                and res.held(req.partition, launch, False) and res.apart()))
         return home
 
     def _book(self, step: StepMetrics, procs: List[int], works: Sequence[Work],
@@ -604,13 +612,13 @@ class Runtime:
 
     def _record(self, traces: Dict, key: Tuple, before, make: Callable) -> None:
         """File the trace ``make(after, post_state)`` of the write that
-        turned ``before`` into the live table, which the trace holds from
-        here on.  A write that changed nothing (a steady-state loop over
-        resident data) self-loops, so its repeat replays instead of
-        recording forever."""
+        turned ``before`` into the live table (None: nothing wrote it), which
+        the trace holds from here on.  A write that changed nothing (a
+        steady-state loop over resident data) self-loops, so its repeat
+        replays instead of recording forever."""
         after = self._residency
         self._residency_shared = True
-        if self._snapshots_equal(before, after):
+        if before is None or self._snapshots_equal(before, after):
             post_state = self._state
         else:
             post_state = ("post", next(self._state_counter))
@@ -664,10 +672,9 @@ class Runtime:
 
     def _unshare_residency(self, keep: bool = False) -> Dict[int, _Residency]:
         """Called before any write to the live table; returns the table as
-        it stood.  A shared table (a trace's snapshot, the homes memo) is
-        left as it is and the writer gets a private copy; ``keep`` does the
-        same for a private one, so the caller may hold on to the returned
-        table as the "before" value of the write."""
+        it stood.  A shared table (a trace's snapshot, the homes memo) — or
+        any, with ``keep``: the caller holds the "before" — is left as it is
+        and the writer gets a private copy."""
         before = self._residency
         if keep or self._residency_shared:
             self._residency = {uid: res.copy() for uid, res in before.items()}
@@ -930,7 +937,7 @@ class Runtime:
         """Pickle the *replayable* state (homes, residency, symbolic state,
         traces); metrics and hit counters start fresh where it loads."""
         return {**self.__dict__, "metrics": ExecutionMetrics(),
-                "trace_hits": 0, "trace_records": 0}
+                "trace_hits": 0, "trace_records": 0, "_homed": {}}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
@@ -958,6 +965,17 @@ class Runtime:
     def _rekeyed_copy_traces(traces: Dict[Tuple, _CopyTrace]) -> Dict[Tuple, _CopyTrace]:
         return {(st, uid, _subset_sig(trace.pinned[1]), dst): trace
                 for (st, uid, _, dst), trace in traces.items() if len(trace.pinned) == 2}
+
+
+def _distinct(pieces, bounds):
+    """``pieces`` less each one equal to an earlier one on its processor,
+    and ``bounds`` (``(lo, hi)`` of their rects, or None) cut to match."""
+    keys = [(p, type(s), s) for s, p in pieces] if bounds is None else list(zip(
+        [p for _, p in pieces], *(map(tuple, b.tolist()) for b in bounds)))
+    if len(set(keys)) == len(keys):
+        return pieces, bounds
+    keep = sorted({key: k for k, key in reversed(list(enumerate(keys)))}.values())  # firsts
+    return [pieces[k] for k in keep], bounds and (bounds[0][keep], bounds[1][keep])
 
 
 def _req_sig(uid: int, partition: Optional[Partition], priv: str, streamed: bool) -> Tuple:

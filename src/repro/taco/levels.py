@@ -52,6 +52,16 @@ from ..legion.region import RectRegion, Region, make_pos_region
 __all__ = ["DenseLevel", "CompressedLevel"]
 
 
+def _per_colour(part: Partition, bounds_of) -> Tuple[np.ndarray, np.ndarray]:
+    """``coord_bounds`` of a partition with an irregular piece: ``bounds_of``
+    each non-empty colour's subset in turn."""
+    lo, hi = np.zeros(part.n_colors, np.int64), np.full(part.n_colors, -1, np.int64)
+    for k, subset in enumerate(part.subsets.values()):
+        if not subset.empty:
+            lo[k], hi[k] = bounds_of(subset)
+    return lo, hi
+
+
 class DenseLevel:
     """A dense storage level: ``size`` implicit slots per parent entry.
 
@@ -104,11 +114,22 @@ class DenseLevel:
         """Position(s) -> coordinate: the slot's offset under its parent."""
         return positions % self.size
 
-    def coord_bounds(self, subset) -> Tuple[int, int]:
-        """``(min, max)`` coordinate over a subset of positions, ``(0, -1)``
-        when it is empty; a run of positions is bounded arithmetically."""
-        if subset.empty:
-            return 0, -1
+    def coord_bounds(self, part: Partition) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``: each colour's least and greatest coordinate over its
+        positions in ``part``, ``(0, -1)`` where it has none.  A run of
+        positions is bounded arithmetically."""
+        if part.bounds is None:
+            return _per_colour(part, self._subset_coord_bounds)
+        a, b = part.bounds[0][:, 0], part.bounds[1][:, 0]
+        live = b >= a
+        if not live.any():  # nothing to bound (and a level of size 0 takes no ``%``)
+            return np.zeros_like(a), np.full_like(a, -1)
+        lo, hi = a % self.size, b % self.size
+        wraps = (b - a + 1 >= self.size) | (hi < lo)  # spans a parent's last slot
+        return (np.where(live & ~wraps, lo, 0),
+                np.where(live, np.where(wraps, self.size - 1, hi), -1))
+
+    def _subset_coord_bounds(self, subset) -> Tuple[int, int]:
         key = subset.as_slice()
         if key is None:
             coords = self.coord_of(subset.indices())
@@ -161,6 +182,11 @@ class DenseLevel:
         size = self.size
         parent_space = IndexSpace(self.num_positions // size,
                                   name=f"{part.parent.name}/ {size}")
+        name = f"{part.name}//{size}"
+        if part.bounds is not None:
+            lo, hi = part.bounds
+            return Partition.from_bounds(parent_space, part.colors(), lo // size, hi // size,
+                                         name=name)
         subsets = {}
         for c, s in part.items():
             if s.empty:
@@ -169,7 +195,7 @@ class DenseLevel:
                 subsets[c] = RectSubset(Rect(s.rect.lo[0] // size, s.rect.hi[0] // size))
             else:
                 subsets[c] = subset_from_indices(s.indices() // size)
-        return Partition(parent_space, subsets, name=f"{part.name}//{size}")
+        return Partition(parent_space, subsets, name=name)
 
     def __repr__(self) -> str:
         return f"DenseLevel(size={self.size})"
@@ -263,12 +289,33 @@ class CompressedLevel:
         """Position(s) -> the stored coordinate."""
         return self.crd.data[positions]
 
-    def coord_bounds(self, subset) -> Tuple[int, int]:
-        """``(min, max)`` coordinate stored over a subset of positions,
-        ``(0, -1)`` when it is empty.  A run of positions is reduced as a
-        view of ``crd`` — nothing is gathered or built beside it."""
-        if subset.empty:
-            return 0, -1
+    def coord_bounds(self, part: Partition) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``: each colour's least and greatest coordinate stored
+        over its positions in ``part``, ``(0, -1)`` where it has none.  Rect
+        colours reduce ``crd`` with one ``minimum`` / ``maximum.reduceat``
+        for all of them — nothing is gathered or built beside it."""
+        crd = self.crd.data
+        n = len(crd)
+        if part.bounds is None:
+            return _per_colour(part, self._subset_coord_bounds)
+        a, b = part.bounds[0][:, 0], part.bounds[1][:, 0]  # an empty colour is (0, -1)
+        if (a < 0).any() or (b >= n).any():  # past the level's ends
+            return _per_colour(part, self._subset_coord_bounds)
+        if not n:  # no positions: every colour is empty
+            return a, b
+        # reduceat(crd, [a, e])[::2] reduces crd[a:e]; the end index of a
+        # colour that runs to the last position stays in range as n - 1, and
+        # that position joins it after the reduction.
+        end = b + 1
+        at = np.stack([a, np.minimum(end, n - 1)], axis=1).ravel()
+        live, tail = b >= a, end == n
+        out = []
+        for ufunc, empty in ((np.minimum, 0), (np.maximum, -1)):
+            red = ufunc.reduceat(crd, at)[::2]
+            out.append(np.where(live, np.where(tail, ufunc(red, crd[-1]), red), empty))
+        return out[0], out[1]
+
+    def _subset_coord_bounds(self, subset) -> Tuple[int, int]:
         key = subset.as_slice()
         coords = self.crd.data[key] if key is not None else self.coord_of(subset.indices())
         return int(coords.min()), int(coords.max())

@@ -119,3 +119,16 @@ class TestBoundLeaves:
         stats = codegen_stats()
         assert (stats["lowered"], stats["loaded"], stats["binds"]) == (0, 0, 1)
         assert list(iter_aot_entries()) == []
+
+    def test_thunks_are_built_on_first_use(self):
+        """A launch that runs as one call builds no piece's thunk; the
+        table still lists every piece and builds each one once."""
+        a, sched = spmv_workload()
+        machine = Machine.cpu(PIECES)
+        ck = compile_kernel(sched, machine, backend="codegen")
+        ck.execute(Runtime(machine))
+        thunks = ck._leaf.__defaults__[0]
+        assert ck._launch_args[-1] is not None and thunks._built == {}
+        assert set(thunks) == {p.color for p in ck.pieces} and len(thunks) == PIECES
+        first = dict(thunks)
+        assert len(thunks._built) == PIECES and dict(thunks) == first

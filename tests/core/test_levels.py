@@ -11,8 +11,8 @@ from repro.core import PartitioningPlan, level_functions_for, partition_tensor
 from repro.core.compiler import _inferred_windows
 from repro.errors import CompileError
 from repro.kernels import piece_range
-from repro.legion import Partition, Privilege, Rect, RectSubset
-from repro.legion.index_space import EMPTY, ArraySubset, subset_from_indices
+from repro.legion import Partition, Privilege, Rect, RectSubset, partition_by_bounds
+from repro.legion.index_space import ArraySubset, subset_from_indices
 from repro.taco import (
     CSC, CSR, CSF3, DDC, Assignment, Compressed, Dense, Format, Tensor, index_vars,
 )
@@ -331,22 +331,26 @@ def window_disagreements(T):
     """Every way a level's ``coord_bounds`` — or the window compile infers
     for a dense operand indexed like a compressed level of ``T`` — differs
     from the least and greatest coordinate the coordinate tree puts under
-    the same positions.  ``coord_bounds`` runs over each chunk of every
-    level split into 1, 3 and more pieces than positions (a rect, or empty)
-    and over every other position of it (a gathered subset once it holds
-    two); the windows over every legal :func:`partition_cases` case, whose
-    universe splits of a compressed level are gathered subsets too."""
+    the same positions.  ``coord_bounds`` runs over every level split into
+    1, 3 and more pieces than positions, as rects (empty ones too) and as
+    every other position of each (a gathered subset once it holds two); the
+    windows over every legal :func:`partition_cases` case, whose universe
+    splits of a compressed level are gathered subsets too."""
     coord, parent = coordinate_tree(T)
     found = []
     for level, lvl in enumerate(T.levels):
         n = coord[level].size
         for pieces in (1, 3, n + 2):
-            for c in range(pieces):
-                lo, hi = piece_range(n, pieces, c)
-                at = np.arange(lo, hi + 1)
-                rect = RectSubset(Rect(lo, hi)) if hi >= lo else EMPTY
-                for subset, idx in ((rect, at), (subset_from_indices(at[::2]), at[::2])):
-                    got, want = lvl.coord_bounds(subset), _bounds_of(coord[level][idx])
+            chunks = {c: piece_range(n, pieces, c) for c in range(pieces)}
+            rects = partition_by_bounds(lvl.pos_ispace, chunks)
+            every_other = Partition(lvl.pos_ispace, {
+                c: subset_from_indices(np.arange(lo, hi + 1)[::2])
+                for c, (lo, hi) in chunks.items()})
+            for part in (rects, every_other):
+                lo, hi = lvl.coord_bounds(part)
+                for k, subset in enumerate(part.subsets.values()):
+                    got = (int(lo[k]), int(hi[k]))
+                    want = _bounds_of(coord[level][subset.indices()])
                     if got != want:
                         found.append(f"{T.format.name}{T.shape} level {level} "
                                      f"coord_bounds({subset}) = {got}, not {want}")
@@ -362,9 +366,9 @@ def window_disagreements(T):
                 continue
             x = Tensor.from_dense("x", np.zeros(T.shape[mode]))
             asg = Assignment(out[i], T[i] * x[i[mode]])
-            windows = _inferred_windows(asg, asg.accesses()[-1], {id(T): part}, list(bounds))
-            for c, masks in expected.items():
-                got, want = windows[c][0], _bounds_of(coord[l][masks[l]])
+            (lo, hi), = _inferred_windows(asg, asg.accesses()[-1], {id(T): part}).values()
+            for k, (c, masks) in enumerate(expected.items()):
+                got, want = (int(lo[k]), int(hi[k])), _bounds_of(coord[l][masks[l]])
                 if got != want:
                     found.append(f"{where}: window of level {l} [{c}] = {got}, not {want}")
     return found
@@ -389,7 +393,8 @@ class TestPartitionOracle:
         part = partition_tensor(B, 1, "universe", {0: (0, 1), 1: (2, 3), 2: (4, 9)})
         subsets = [part.level_positions[1][c] for c in range(3)]
         assert isinstance(subsets[0], ArraySubset) and subsets[2].empty
-        assert [B.levels[1].coord_bounds(s) for s in subsets] == [(0, 1), (3, 3), (0, -1)]
+        lo, hi = B.levels[1].coord_bounds(part.level_positions[1])
+        assert list(zip(lo.tolist(), hi.tolist())) == [(0, 1), (3, 3), (0, -1)]
         assert window_disagreements(B) == []
 
     @pytest.mark.parametrize("fmt, shape", [(CDC, (6, 3, 5)), (DDC, (1, 3, 5))])

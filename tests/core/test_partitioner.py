@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    partition_dense_tensor,
+    dense_partition,
     partition_tensor,
     replicated_partition,
 )
@@ -109,16 +109,14 @@ class TestHelpers:
 
     def test_dense_tensor_partition(self):
         D = Tensor.from_dense("D", np.arange(24.0).reshape(4, 6))
-        part = partition_dense_tensor(
-            D, {0: {0: (0, 1)}, 1: {0: (2, 3)}}
-        )
+        part = dense_partition(D, [0, 1], {0: (np.array([0, 2]), np.array([1, 3]))})
         assert part.vals_part[0].volume == 12
         assert part.vals_part.is_disjoint()
 
     def test_dense_tensor_requires_dense(self):
         B = fig7_tensor()
         with pytest.raises(CompileError):
-            partition_dense_tensor(B, {0: {0: (0, 1)}})
+            dense_partition(B, [0], {0: (np.array([0]), np.array([1]))})
 
     def test_sparse_requires_partition_tensor(self):
         D = Tensor.from_dense("D", np.arange(4.0))

@@ -104,8 +104,9 @@ class TestManifest:
     # 3: the last code-carrying one; 4: tensors pickled a whole Assignment;
     # 5: level formats pickled a ``compressed`` flag, not their level class;
     # 6: residency tables pickled without their piece index;
-    # 7: launch-trace keys carried a scratch slot
-    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7])
+    # 7: launch-trace keys carried a scratch slot;
+    # 8: homes pickled one dedup set, partitions no bounds arrays
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -117,7 +118,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (8, found)
+        assert (exc.value.expected, exc.value.found) == (9, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -294,7 +295,7 @@ class TestTheStoreSeesNoFacts:
         assert pickle.dumps(rt) == with_facts
         loaded = pickle.loads(with_facts)
         assert not any(res.whole for res in loaded._residency.values())
-        assert STORE_FORMAT_VERSION == 8
+        assert STORE_FORMAT_VERSION == 9
 
     def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
         from repro.legion import Rect
@@ -305,6 +306,28 @@ class TestTheStoreSeesNoFacts:
         assert pickle.dumps(r) == fresh
         back = pickle.loads(fresh)
         assert back == r and hash(back) == hash(r) and "volume" not in vars(back)
+
+    def test_homes_pickle_without_their_dedup_sets(self):
+        """A first placement keeps no dedup set; a second one builds its
+        region's, and pickling drops it: the loaded runtime rebuilds it
+        when a placement next reaches the region, deduplicating the same."""
+        from repro.legion import equal_partition
+
+        rt = Runtime(Machine.cpu(PIECES))
+        r, s = Region(IndexSpace(16)), Region(IndexSpace(16))
+        part = equal_partition(r.ispace, PIECES)
+        rt.place(r, part)
+        rt.place(s, part)
+        assert rt._homed == {}
+        rt.place(r, equal_partition(r.ispace, PIECES))  # equal pieces: no new home
+        assert list(rt._homed) == [r.uid] and len(rt._home[r.uid]) == PIECES
+        loaded = pickle.loads(pickle.dumps(rt))
+        assert loaded._homed == {} and loaded._home.keys() == rt._home.keys()
+        for x in (rt, loaded):
+            x.place(s, equal_partition(s.ispace, 2 * PIECES))
+        assert [(type(h), h, p) for h, p in loaded._home[s.uid]] == \
+               [(type(h), h, p) for h, p in rt._home[s.uid]]
+        assert len(rt._home[s.uid]) == 3 * PIECES
 
     def test_a_loaded_runtime_replays_then_records_piece_by_piece(
             self, tmp_path, monkeypatch):

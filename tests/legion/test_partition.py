@@ -1,4 +1,7 @@
 """Unit tests for partitions and colorings."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -108,3 +111,42 @@ class TestPartitionProperties:
         p = Partition(isp, {0: ArraySubset(np.array([0, 2]))})
         scaled = p.scale_dense(2)
         assert scaled[0].indices().tolist() == [0, 1, 4, 5]
+
+    def test_nd_windows_disjointness(self):
+        isp = IndexSpace((4, 4))
+        tiles = {c: RectSubset(Rect((r, k), (r + 1, k + 1)))
+                 for c, (r, k) in enumerate([(0, 0), (0, 2), (2, 0), (2, 2)])}
+        assert Partition(isp, tiles).is_disjoint()
+        # the overlapping pair is not adjacent in ``lo`` order
+        tiles[4] = RectSubset(Rect((1, 1), (1, 1)))
+        assert not Partition(isp, tiles).is_disjoint()
+
+
+class TestPartitionBounds:
+    def test_bounds_of_rect_pieces(self):
+        p = Partition(IndexSpace(10), {0: RectSubset(Rect(0, 3)), 1: RectSubset(Rect(0, -1)),
+                                       2: RectSubset(Rect(6, 9))})
+        lo, hi = p.bounds
+        assert lo.tolist() == [[0], [0], [6]] and hi.tolist() == [[3], [-1], [9]]
+
+    def test_no_bounds_for_index_lists(self):
+        p = Partition(IndexSpace(4), {0: ArraySubset(np.array([0, 2]))})
+        assert p.bounds is None
+
+    @pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_unread_bounds_survive_a_copy(self, clone):
+        """A partition copied before its bounds were read derives them
+        after the copy."""
+        q = clone(equal_partition(IndexSpace(9), 3))
+        assert "bounds" not in q.__dict__
+        lo, hi = q.bounds
+        assert lo.tolist() == [[0], [3], [6]] and hi.tolist() == [[2], [5], [8]]
+        assert q.is_disjoint() and q.is_complete()
+
+    def test_built_bounds_survive_a_pickle(self):
+        p = Partition.from_bounds(IndexSpace(9), ["a", "b"], np.array([[0], [5]]),
+                                  np.array([[4], [3]]))
+        q = pickle.loads(pickle.dumps(p))
+        assert q["b"].empty and q["a"].volume == 5
+        assert [b.tolist() for b in q.bounds] == [[[0], [0]], [[4], [-1]]]

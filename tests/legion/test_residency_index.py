@@ -489,3 +489,81 @@ class TestLaunchGrowsWithPieces:
         ck.execute(Runtime(machine))
         assert calls == {}
         clear_caches()
+
+
+def _statement(kind, n=2_000, nnz=20_000):
+    """A rows-split statement over one packed CSR operand (2 000 rows over
+    64 pieces leaves the last color empty)."""
+    from repro.taco import CSR, Tensor, index_vars
+
+    rng = np.random.default_rng(0)
+    B = Tensor.from_coo("B", [rng.integers(0, n, nnz), rng.integers(0, n, nnz)],
+                        rng.random(nnz), (n, n), CSR)
+    if kind == "spmv":
+        x, y = Tensor.from_dense("x", rng.random(n)), Tensor.zeros("y", (n,))
+        i, j = index_vars("i j")
+        y[i] = B[i, j] * x[j]
+        return y
+    C = Tensor.from_dense("C", rng.random((n, 8)))
+    if kind == "spmm":
+        A = Tensor.zeros("A", (n, 8))
+        i, k, j = index_vars("i k j")
+        A[i, j] = B[i, k] * C[k, j]
+        return A
+    D, P = Tensor.from_dense("D", rng.random((8, n))), Tensor.zeros("P", (n, n), CSR)
+    i, j, k = index_vars("i j k")
+    P[i, j] = B[i, j] * C[i, k] * D[k, j]
+    return P
+
+
+class TestColdPathIsPerRegion:
+    """A cold statement — compile, place, the recording launch — handles
+    each region's pieces as arrays: the per-piece calls below do not grow
+    with the piece count, and an all-at-home recording copies no table and
+    compares none."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.legion import region as region_mod
+        from repro.taco import levels as levels_mod
+
+        calls = Counter()
+        _counting(monkeypatch, calls, region_mod.RectRegion, "destination_subset")
+        _counting(monkeypatch, calls, levels_mod.CompressedLevel, "coord_bounds")
+        _counting(monkeypatch, calls, levels_mod.DenseLevel, "coord_bounds")
+        _counting(monkeypatch, calls, Runtime, "_add_home")
+        _counting(monkeypatch, calls, runtime_mod._Residency, "add", "copy")
+        equal = Runtime._snapshots_equal
+        monkeypatch.setattr(Runtime, "_snapshots_equal", staticmethod(
+            lambda a, b: calls.update(["_snapshots_equal"]) or equal(a, b)))
+        return calls
+
+    def _cold(self, kind, pieces, calls):
+        """The spied calls and plan statements of one cold statement."""
+        from repro.api.autoschedule import auto_schedule
+        from repro.core import clear_caches, compile_kernel
+
+        clear_caches()
+        out, machine = _statement(kind), Machine.cpu(pieces)
+        calls.clear()
+        ck = compile_kernel(auto_schedule(out.assignment, machine, strategy="rows"), machine)
+        ck.execute(Runtime(machine))
+        clear_caches()
+        return dict(calls), len(ck.plan.stmts)
+
+    @pytest.mark.parametrize("kind", ["spmv", "spmm"])
+    def test_rows_spmv_and_spmm(self, kind, calls):
+        seen = {p: self._cold(kind, p, calls) for p in (4, 16, 64)}
+        # one window of the dense operand over the whole crd partition
+        assert all(calls == {"coord_bounds": 1} for calls, _ in seen.values())
+        # Table I still emits one entry statement per color
+        assert [stmts for _, stmts in seen.values()] == [12, 24, 72]
+
+    def test_sddmm_places_its_pattern_regions_twice(self, calls):
+        """The output shares the operand's pos / crd and places them again
+        by its own partitions: the one per-piece remainder, two regions'
+        pieces each added and homed one by one."""
+        for pieces in (4, 16, 64):
+            seen, stmts = self._cold("sddmm", pieces, calls)
+            assert seen == {"coord_bounds": 1, "add": 2 * pieces, "_add_home": 2 * pieces}
+            assert stmts == 2 * pieces + 12

@@ -376,9 +376,22 @@ class TestIndexListScanner:
         (finding,) = self._scan("idx = s.indices()  # nnz: ok\n")
         assert "nnz waiver without a reason" in finding.message
 
-    def test_only_the_compiler_is_scanned(self):
+    def test_only_the_compiler_and_dependent_partitioning_are_scanned(self):
         assert "src/repro/core/compiler.py".startswith(check.INDEX_LIST_ROOT)
+        assert "src/repro/legion/dependent.py".startswith(check.INDEX_LIST_ROOT)
         assert not "src/repro/legion/region.py".startswith(check.INDEX_LIST_ROOT)
+
+    def test_dependent_partitioning_lists_only_an_index_list_colour(self):
+        """The array paths build no index list: the one ``.indices()`` in
+        dependent partitioning is ``preimage``'s colour that already is
+        one, and it carries the only waiver."""
+        relpath = "src/repro/legion/dependent.py"
+        text = (REPO / relpath).read_text()
+        assert check._scan_index_lists(relpath, text, ast.parse(text)) == []
+        bare = text.replace("  # nnz: ok", "  #")
+        lines = [f.line for f in check._scan_index_lists(relpath, bare, ast.parse(bare))]
+        assert lines == [199]
+        assert text.splitlines()[198].strip().startswith("targets = subset.indices()")
 
 
 class TestScheduleCallScanner:

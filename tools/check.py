@@ -31,9 +31,11 @@ codebase passes defined here:
   name ``DenseLevel`` or ``CompressedLevel`` — what depends on a level's
   format is a method of its class.  Waiver: ``# level: ok <reason>``.
   And no index list on the compiler's cold path: under
-  ``src/repro/core/`` no ``.indices()`` call may materialize a subset's
-  positions — compile and bind read level structure, and only the leaf
-  passes over the non-zeros.  Waiver: ``# nnz: ok <reason>``.  And no
+  ``src/repro/core/`` and in ``src/repro/legion/dependent.py`` no
+  ``.indices()`` call may materialize a subset's positions — compile and
+  bind read level structure, dependent partitioning computes bounds
+  arrays, and only the leaf passes over the non-zeros.  Waiver:
+  ``# nnz: ok <reason>``.  And no
   hand-built schedule in the benchmarks: under ``src/repro/bench/`` no
   ``.divide(`` / ``.pos(`` / ``.fuse(`` / ``.distribute(`` call may build
   a mapping — the figures run what ``repro.api.auto_schedule`` synthesizes
@@ -500,8 +502,9 @@ def _scan_level_switches(relpath: str, text: str, tree: ast.Module) -> List[Find
     return findings
 
 
-#: the compiler, whose cold path reads level structure, not the non-zeros.
-INDEX_LIST_ROOT = "src/repro/core/"
+#: the compiler, whose cold path reads level structure, not the non-zeros,
+#: and dependent partitioning, which computes every colour's bounds as arrays.
+INDEX_LIST_ROOT = ("src/repro/core/", "src/repro/legion/dependent.py")
 
 
 def _scan_index_lists(relpath: str, text: str, tree: ast.Module) -> List[Finding]:
@@ -519,7 +522,8 @@ def _scan_index_lists(relpath: str, text: str, tree: ast.Module) -> List[Finding
                 node.lineno,
                 ".indices() materializes a subset's index list — under "
                 "core/ bound it through the level functions (coord_bounds, "
-                "child_range) or slice a view with as_slice() "
+                "child_range), in dependent partitioning compute the "
+                "partition's bounds arrays, or slice a view with as_slice() "
                 "(`# nnz: ok <reason>` waives an intentional list)",
             )
     return findings
@@ -576,7 +580,7 @@ def _run_kernelspec(cache: SourceCache) -> CheckResult:
         "kernelspec", findings,
         f"{scanned} modules under src/repro branch on no kernel kind by "
         f"name, the dispatch layers name no format, no module outside "
-        f"repro/taco switches on a level class, core/ materializes no "
+        f"repro/taco switches on a level class, core/ and dependent.py materialize no "
         f"unwaived index list and bench/ builds no schedule by hand; "
         f"{len(SPECS)} kinds live in the kernel table",
     )
