@@ -62,7 +62,6 @@ unless it reuses an existing shape, and tests; see ``docs/codegen.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -525,20 +524,17 @@ class _SpTTV(_SegDot):
 
 class _SpMTTKRP(KernelSpec):
     """``A(i,l) = B(i,j,k) * C(j,l) * D(k,l)``, dense A.  Both strategies
-    hand the leaf a range of leaf positions, which it turns into
-    ``(i, j, k)`` through B's level functions; ``rows`` owns its output
-    rows and overwrites, ``nonzeros`` splits rows across pieces and
-    accumulates."""
+    hand the leaf a range of leaf positions, whose fibers' ``(i, j)`` it
+    finds through B's level functions; ``rows`` also hands it the row
+    block it owns and overwrites, ``nonzeros`` splits rows across pieces
+    and accumulates."""
 
     kind = "spmttkrp"
     strategies = ("rows", "nonzeros")
     gpu_default = "nonzeros"
     formats = (CSF3, DDC)
     accumulating = ("nonzeros",)
-    reference = {
-        "rows": partial(K.spmttkrp, accumulate=False),
-        "nonzeros": partial(K.spmttkrp, accumulate=True),
-    }
+    reference = {"rows": K.spmttkrp, "nonzeros": K.spmttkrp}
     bound = {"rows": K.spmttkrp_bind, "nonzeros": K.spmttkrp_bind}
 
     def match(self, lhs, B, dense):
@@ -562,20 +558,27 @@ class _SpMTTKRP(KernelSpec):
     def operands(self, ck):
         B = ck.roles["B"].tensor
         return (
-            B.coords_of, B.vals.data,
+            *_segments(B), B.coords_of,
             ck.roles["C"].tensor.dense_array(),
             ck.roles["D"].tensor.dense_array(),
             ck.out.dense_array(),
         )
 
-    def row_bounds(self, ck):
+    def bounds(self, ck):
+        """Piece -> ``(p0, p1, rows)``: its leaf positions and the row
+        block a row piece owns (None for a non-zero piece)."""
+        if ck.strategy == "nonzeros":
+            return lambda p: (*p.pos, None)
         B = ck.roles["B"].tensor
-        return lambda p: B.positions_under(*p.rows, B.order - 1)
+        return lambda p: (*B.positions_under(*p.rows, B.order - 1), p.rows)
 
     def work(self, args, strategy):
-        coords, l = args[0], args[2].shape[1]
+        """The per-non-zero loop nest's Work: three flops and ``2l + 3``
+        words per non-zero, plus ``l`` words per row from its first
+        non-zero's row to its last's."""
+        coords, l = args[3], args[4].shape[1]
 
-        def work(p0, p1):
+        def work(p0, p1, _rows):
             if p1 < p0:
                 return Work.zero()
             nnz = p1 - p0 + 1

@@ -21,7 +21,6 @@ from .segment import (
     row_of_positions,
     segment_dot,
     segment_matmul,
-    segment_sum_matrix,
 )
 from .spmv import segdot_bind, spmv_nonzeros, spmv_rows, spmv_rows_reference
 from .spmm import spmm_bind, spmm_nonzeros, spmm_rows, spmm_rows_reference
@@ -35,7 +34,7 @@ from .generic_coo import CooData, coo_of_access, evaluate_generic, fits_int64, l
 
 __all__ = [
     "check_packed", "piece_range", "row_of_positions", "segment_dot",
-    "segment_matmul", "segment_sum_matrix",
+    "segment_matmul",
     "segdot_bind", "spmv_nonzeros", "spmv_rows", "spmv_rows_reference",
     "spmm_bind", "spmm_nonzeros", "spmm_rows", "spmm_rows_reference",
     "fused_sddmm_spmm_bind", "sddmm_nonzeros", "sddmm_nonzeros_bind",

@@ -39,7 +39,7 @@ except ImportError as e:  # pragma: no cover - depends on the SciPy build
 
 __all__ = [
     "check_packed", "packed_indptr", "piece_indptr", "piece_range",
-    "row_of_positions", "segment_dot", "segment_matmul", "segment_sum_matrix",
+    "row_of_positions", "segment_dot", "segment_matmul",
 ]
 
 
@@ -122,15 +122,6 @@ def segment_matmul(indptr: np.ndarray, crd: np.ndarray, vals: np.ndarray,
     acc = np.zeros((indptr.size - 1, k))
     csr_matvecs(len(acc), m, k, indptr, crd, vals, X.reshape(-1), acc.reshape(-1))
     return acc
-
-
-def segment_sum_matrix(values: np.ndarray, seg_ids: np.ndarray, nseg: int) -> np.ndarray:
-    """Row-wise segmented sum of an ``(n, k)`` matrix into ``(nseg, k)``,
-    for **ascending** ``seg_ids``: the segment reduce over an identity
-    column index and unit data, which adds the rows in order."""
-    n = len(values)
-    indptr = np.searchsorted(seg_ids, np.arange(nseg + 1))
-    return segment_matmul(indptr, np.arange(n), np.ones(n), values)
 
 
 # --------------------------------------------------------------------------- #

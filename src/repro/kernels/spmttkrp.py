@@ -1,65 +1,73 @@
 """SpMTTKRP leaf kernel: ``A(i,l) = B(i,j,k) * C(j,l) * D(k,l)``.
 
-One body for every level stack: the kernel table
-(:mod:`repro.core.kernelspec`) hands it ``coords`` — B's level functions
-chained from the last level to the root
-(:meth:`repro.taco.tensor.Tensor.coords_of`) — which turns a range of leaf
-positions into the ``(i, j, k)`` of each non-zero, whether a level stores
-its coordinate in ``crd`` or implies it by position.  The row-based
-variant owns disjoint ``i`` ranges and overwrites; the non-zero-based
-variant splits leaf positions exactly and reduces aliased output rows (the
-GPU schedule in the paper, which wins through load balance).  Either way
-the per-non-zero products are formed first and then summed per output row
-by the segment reduce of :mod:`.segment`, in position order from 0.0.
-:func:`spmttkrp_bind` is the same body bound once per kernel.
+One body for every level stack, contracting each ``(i, j)`` fiber once:
+``A(i,l) = Σ_j C(j,l) · (Σ_k B(i,j,k) · D(k,l))``.  A fiber is a segment
+of B's last (compressed) level, so its sum against ``D`` is the segment
+reduce of :mod:`.segment` over the fiber boundaries and the whole ``crd``
+/ ``vals``; each sum is scaled by its row of ``C`` and the fibers are
+summed per output row, in order, by the same reduce over an identity
+column index and unit data.  Nothing per non-zero is formed.  Each fiber's
+``(i, j)`` comes from ``coords`` — B's level functions chained from the
+fiber's level-1 position to the root
+(:meth:`repro.taco.tensor.Tensor.coords_of`) — so a level may store its
+coordinate in ``crd`` or imply it by position.
+
+A row piece owns its whole row block and overwrites it; a non-zero piece
+splits leaf positions exactly, clipping the fibers its ends cut, and adds
+into output rows other pieces share (the GPU schedule in the paper, which
+wins through load balance).  :func:`spmttkrp_bind` is the same body bound
+once per kernel.  Both report the :class:`~repro.legion.machine.Work` of
+the per-non-zero loop nest the kernel table models.
 
 Index notation: ``A(i,l) = B(i,j,k) * C(j,l) * D(k,l)`` — paper §VI-A
 (higher-order kernels), Fig. 10/12 (evaluation).
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..legion.machine import Work
-from .segment import _const, _reduce, segment_sum_matrix
+from .segment import _const, _indptr, _reduce, piece_indptr
 
 __all__ = ["spmttkrp", "spmttkrp_bind", "spmttkrp_reference"]
 
 F8 = 8
-#: positions -> per-level coordinate arrays, root first.
-Coords = Callable[[np.ndarray], Sequence[np.ndarray]]
+#: (positions of a storage level, default the last) -> per-level
+#: coordinate arrays, root first.
+Coords = Callable[..., Sequence[np.ndarray]]
 
 
 def spmttkrp(
-    coords: Coords,
+    pos: np.ndarray,
+    crd: np.ndarray,
     vals: np.ndarray,
+    coords: Coords,
     C: np.ndarray,
     D: np.ndarray,
     out: np.ndarray,
     p0: int,
     p1: int,
-    *,
-    accumulate: bool,
+    rows: Optional[Tuple[int, int]] = None,
 ) -> Work:
-    """Process leaf positions ``[p0, p1]``; ``accumulate`` adds into output
-    rows other pieces share instead of overwriting rows this piece owns."""
+    """Process leaf positions ``[p0, p1]``: a row piece overwrites
+    ``rows``, the block it owns; a non-zero piece (``rows`` None) adds
+    into the rows its positions touch, which other pieces share."""
     if p1 < p0:
+        if rows is not None:
+            out[rows[0] : rows[1] + 1, :] = 0.0
         return Work.zero()
-    nnz = p1 - p0 + 1
-    i_ids, j_ids, k_ids = coords(np.arange(p0, p1 + 1, dtype=np.int64))
-    l = C.shape[1]
-    prods = vals[p0 : p1 + 1, None] * C[j_ids, :] * D[k_ids, :]
-    r0, r1 = int(i_ids[0]), int(i_ids[-1])
-    acc = segment_sum_matrix(prods, i_ids - r0, r1 - r0 + 1)
-    if accumulate:
-        out[r0 : r1 + 1, :] += acc
-    else:
-        out[r0 : r1 + 1, :] = acc
+    fp, fi, fj = _fibers(*piece_indptr(pos, p0, p1), coords)
+    r0, r1 = rows or (int(fi[0]), int(fi[-1]))
+    n = fj.size
+    rp = np.searchsorted(fi, np.arange(r0, r1 + 2))
+    _contract(fp, crd, vals, C, D, fj, rp, np.arange(n), np.ones(n),
+              out[r0 : r1 + 1, :], rows is None)
+    nnz, l = p1 - p0 + 1, C.shape[1]
     return Work(
         flops=3.0 * nnz * l,
-        bytes=float(nnz * (2 * l + 3) * F8 + (r1 - r0 + 1) * l * F8),
+        bytes=float(nnz * (2 * l + 3) * F8 + (int(fi[-1]) - int(fi[0]) + 1) * l * F8),
     )
 
 
@@ -74,34 +82,79 @@ def spmttkrp_reference(coords: Coords, vals, C, D, out, p0, p1) -> Work:
     return Work(flops=3.0 * nnz * l, bytes=float(nnz * (2 * l + 3) * F8))
 
 
-def spmttkrp_bind(coords: Coords, vals, C, D, out, pieces, accumulate):
-    """Return ``(build, None)``: ``build(p0, p1, w)`` hoists one position
-    range's coordinate gathers into its thunk.  The per-non-zero products are summed per output row
-    by ``csr_matvecs`` over an identity column index and unit data (one
-    shared pair per bind, sliced per piece), which adds them in position
-    order."""
-    longest = max((p1 - p0 + 1 for _color, p0, p1, _w in pieces), default=0)
+def spmttkrp_bind(pos, crd, vals, coords, C, D, out, pieces, accumulate):
+    """Find every non-empty fiber's boundaries and ``(i, j)`` once; return
+    ``(build, None)``, where ``build(p0, p1, rows, w)`` slices a piece's
+    fibers, clips the ones a non-zero piece cuts and finds its row
+    boundaries over fibers.  The row sums share one identity column index
+    and one unit data array per bind, sized to the longest piece's fiber
+    count and sliced per piece."""
+    fptr, fi, fj = _fibers(0, _indptr(pos), coords)
+    starts = fptr[:-1]
+
+    def span(p0, p1):
+        """The piece's fibers ``[a, b)`` in the non-empty fiber list."""
+        a, b = np.searchsorted(starts, (p0, p1), side="right")
+        return int(a) - 1, int(b)
+
+    longest = max(
+        (b - a for a, b in (span(p[1], p[2]) for p in pieces if p[1] <= p[2])),
+        default=0,
+    )
     ident, ones = np.arange(longest), np.ones(longest)
 
-    def build(p0, p1, w):
+    def build(p0, p1, rows, w):
         if p1 < p0:
-            return _const(w)
-        n = p1 - p0 + 1
-        i_ids, j_ids, k_ids = coords(np.arange(p0, p1 + 1, dtype=np.int64))
+            return _const(w) if rows is None else _zero_thunk(out, rows, w)
+        a, b = span(p0, p1)
+        fp = fptr[a : b + 1]
+        if fp[0] != p0 or fp[-1] != p1 + 1:  # the piece cuts an end fiber
+            fp = fp.copy()
+            fp[0], fp[-1] = p0, p1 + 1
+        pfi = fi[a:b]
+        r0, r1 = rows or (int(pfi[0]), int(pfi[-1]))
+        rp = np.searchsorted(pfi, np.arange(r0, r1 + 2))  # rows over fibers
         return _body_thunk(
-            i_ids, j_ids, k_ids, vals[p0 : p1 + 1], C, D, out,
-            ident[:n], ones[:n], w, accumulate,
+            fp, crd, vals, C, D, fj[a:b], rp, ident[: b - a], ones[: b - a],
+            out[r0 : r1 + 1, :], w, accumulate,
         )
+
     return build, None
 
 
-def _body_thunk(i_ids, j_ids, k_ids, v, C, D, out, ident, ones, w, accumulate):
-    r0, r1 = int(i_ids[0]), int(i_ids[-1])
-    ip = np.searchsorted(i_ids, np.arange(r0, r1 + 2))
-    ov = out[r0 : r1 + 1, :]
+def _fibers(f0: int, ip: np.ndarray, coords: Coords):
+    """``(boundaries, i, j)`` of the non-empty fibers among fibers ``f0,
+    f0 + 1, ...``, whose boundaries are ``ip`` (absolute positions): an
+    empty fiber of a dense level 1 would scale a 0.0 row by ``C``, so it is
+    dropped.  ``(i, j)`` are the coordinates of the fiber's level-1
+    position."""
+    keep = ip[1:] > ip[:-1]
+    fp = np.append(ip[:-1][keep], ip[-1:])
+    fi, fj = coords(f0 + np.flatnonzero(keep), 1)
+    return fp, fi, fj
+
+
+def _contract(fp, crd, vals, C, D, fj, rp, ident, ones, ov, accumulate) -> None:
+    """The body: each fiber's sum against ``D`` from 0.0, scaled by the
+    fiber's row of ``C``, then the fibers summed into their rows ``ov``."""
+    Y = np.empty((fj.size, D.shape[1]))
+    _reduce(fp, crd, vals, D, Y, False)
+    Y *= np.take(C, fj, axis=0)
+    _reduce(rp, ident, ones, Y, ov, accumulate)
+
+
+def _body_thunk(fp, crd, vals, C, D, fj, rp, ident, ones, ov, w, accumulate):
+    def thunk():
+        _contract(fp, crd, vals, C, D, fj, rp, ident, ones, ov, accumulate)
+        return w
+    return thunk
+
+
+def _zero_thunk(out, rows, w):
+    """An empty row piece's thunk: its block holds no fiber."""
+    ov = out[rows[0] : rows[1] + 1, :]
 
     def thunk():
-        prods = v[:, None] * C[j_ids, :] * D[k_ids, :]
-        _reduce(ip, ident, ones, prods, ov, accumulate)
+        ov[...] = 0.0
         return w
     return thunk

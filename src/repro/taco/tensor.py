@@ -490,11 +490,13 @@ class Tensor:
             lo, hi = lvl.child_range(lo, hi)
         return lo, hi
 
-    def coords_of(self, positions) -> List[np.ndarray]:
-        """Storage-order coordinates of last-level ``positions``: position
-        -> coordinate and position -> parent, chained up to the root."""
+    def coords_of(self, positions, level: Optional[int] = None) -> List[np.ndarray]:
+        """Storage-order coordinates of ``positions`` of storage level
+        ``level`` (default: the last), root first: position -> coordinate
+        and position -> parent, chained up to the root."""
         coords = []
-        for depth in reversed(range(len(self.levels))):
+        last = len(self.levels) - 1 if level is None else level
+        for depth in range(last, -1, -1):
             lvl = self.levels[depth]
             coords.append(lvl.coord_of(positions))
             if depth:  # the root's parent is the single position 0

@@ -185,8 +185,9 @@ class TestIterationLevelFunctions:
         coords, vals = stored_coo(T)
         at = np.arange(T.nnz, dtype=np.int64)
         # position -> coordinate / position -> parent, one level at a time
-        walked, positions = [], at
+        walked, ancestors, positions = [], [], at
         for lvl in reversed(T.levels):
+            ancestors.append(positions)
             walked.append(lvl.coord_of(positions))
             positions = lvl.parent_of(positions)
         assert np.array_equal(positions, np.zeros(T.nnz, dtype=np.int64))
@@ -195,6 +196,12 @@ class TestIterationLevelFunctions:
         assert all(
             np.array_equal(a, b) for a, b in zip(T.coords_of(at), coords)
         )
+        # chaining up from any level: each leaf's ancestor there carries
+        # the leaf's leading coordinates
+        for level, up in enumerate(ancestors[::-1]):
+            got = T.coords_of(up, level)
+            assert len(got) == level + 1
+            assert all(np.array_equal(a, b) for a, b in zip(got, coords))
         assert np.array_equal(T.vals.data[at], vals)
 
     @given(packed_tensors(), st.integers(1, 9), st.data())

@@ -1,13 +1,13 @@
 """Hostile-input differential for the reducing leaves.
 
 Every leaf that reduces — the segmented dot (SpMV, SpTTV), SpMM, the SpMM
-phase of the fused SDDMM→SpMM and SpMTTKRP's row sum — runs on one compiled
-segment-reduce primitive (:mod:`repro.kernels.segment`), called with the
-same arguments by the interpreter leaves and the bound leaves.  This
-module draws the inputs that primitive is most likely to get wrong — an
-empty tensor, all-empty rows, leading / trailing empty rows, one heavy
-segment split across every non-zero piece, more pieces than rows, NaN /
-±inf / ``-0.0`` values — and checks, per draw:
+phase of the fused SDDMM→SpMM and SpMTTKRP's fiber and row sums — runs on
+one compiled segment-reduce primitive (:mod:`repro.kernels.segment`),
+called with the same arguments by the interpreter leaves and the bound
+leaves.  This module draws the inputs that primitive is most likely to get
+wrong — an empty tensor, all-empty rows, leading / trailing empty rows,
+one heavy segment split across every non-zero piece, more pieces than
+rows, NaN / ±inf / ``-0.0`` values — and checks, per draw:
 
 * interp ≡ codegen **bitwise** (NaN positions and the sign of zero too);
 * fused ≡ unfused bitwise;
@@ -25,7 +25,8 @@ up by kind — which launches may take the one call at all.
 Plus a host-independent structure check: a bind hoists nothing
 proportional to the non-zeros (SDDMM: one position → row array), a launch
 thunk nothing beyond what the per-piece thunks share, a cold compile and
-first execute allocate nothing per non-zero (traced peak), and an unpacked
+first execute allocate nothing per non-zero (traced peak), a warm
+SpMTTKRP thunk allocates per fiber, not per non-zero, and an unpacked
 level — a gap, or an entry of negative length — is refused by name on both
 backends instead of being mis-sliced.
 """
@@ -587,21 +588,71 @@ def test_cold_launch_allocates_nothing_proportional_to_nnz(kind):
 @pytest.mark.parametrize("fmt", [CSF3, DDC], ids=lambda f: f.name)
 @pytest.mark.parametrize("strategy", ["rows", "nonzeros"])
 def test_spmttkrp_shares_one_identity_pair_per_bind(fmt, strategy):
-    ck, _ = _bound("spmttkrp", fmt, strategy, pieces=4)
+    """The fibers' row sums run over one identity column index and one
+    unit data array per bind, sliced to each piece's fiber count and sized
+    to the most fibers one piece's positions touch."""
+    ck, B = _bound("spmttkrp", fmt, strategy, pieces=4)
     closures = [_closed_over(t) for t in ck._leaf.__defaults__[0].values()]
-    closures = [c for c in closures if c]  # empty pieces close over nothing
+    closures = [c for c in closures if "ident" in c]  # empty pieces: no sums
     assert len(closures) > 1
-    longest = max(p.pos[1] - p.pos[0] + 1 if strategy == "nonzeros" else 0
-                  for p in ck.pieces)
+    bounds = SPECS["spmttkrp"].bounds(ck)
+
+    def fibers(p):
+        p0, p1, _ = bounds(p)
+        i, j, _ = B.coords_of(np.arange(p0, p1 + 1))
+        return len(set(zip(i.tolist(), j.tolist())))
+
+    longest = max(fibers(p) for p in ck.pieces)
     for name, dtype in (("ident", np.int64), ("ones", np.float64)):
         roots = {id(_root(c[name])) for c in closures}
         assert len(roots) == 1
         root = _root(closures[0][name])
-        assert root.dtype == dtype
-        assert all(c[name].size == c["v"].size for c in closures)
-        assert root.size == max(c["v"].size for c in closures)
-        if strategy == "nonzeros":
-            assert root.size == longest
+        assert root.dtype == dtype and root.size == longest
+        assert all(c[name].size == c["fj"].size for c in closures)
+
+
+def _fibers_of_depth(per_fiber, n=100, m=4, width=200, rank=8):
+    """A SpMTTKRP statement whose CSF3 operand holds ``per_fiber``
+    non-zeros in every one of its n x m fibers, and how many fibers that is."""
+    rng = np.random.default_rng(13)
+    nfib = n * m
+    fib = np.repeat(np.arange(nfib), per_fiber)
+    last = np.concatenate([rng.choice(width, per_fiber, replace=False)
+                           for _ in range(nfib)])
+    B = Tensor.from_coo("B", [*np.unravel_index(fib, (n, m)), last],
+                        rng.random(fib.size), (n, m, width), CSF3)
+    out = Tensor.zeros("A", (n, rank))
+    i, j, k, l = index_vars("i j k l")
+    out[i, l] = (B[i, j, k] * Tensor.from_dense("C", rng.random((m, rank)))[j, l]
+                 * Tensor.from_dense("D", rng.random((width, rank)))[k, l])
+    return out.assignment, nfib
+
+
+@pytest.mark.parametrize("strategy", ["rows", "nonzeros"])
+def test_warm_spmttkrp_allocates_per_fiber_not_per_nonzero(strategy):
+    """A warm bound SpMTTKRP thunk, traced: with 50 non-zeros per fiber its
+    peak exceeds that over one per fiber — the same fibers and rows — by
+    at most a word per fiber.  A thunk allocates a fibers x rank sum and
+    the rows of C it scales by, never a non-zeros x rank product."""
+    machine = Machine.cpu(4)
+
+    def peak(per_fiber):
+        asg, nfib = _fibers_of_depth(per_fiber)
+        ck = compile_kernel(auto_schedule(asg, machine, strategy=strategy), machine)
+        ck.execute(Runtime(machine))  # binds and builds every thunk
+        thunks = list(ck._leaf.__defaults__[0].values())
+        tracemalloc.start()
+        try:
+            for thunk in thunks:
+                thunk()
+            return tracemalloc.get_traced_memory()[1], nfib
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-use setup outside the traced runs
+    sparse, nfib = peak(1)
+    dense, _ = peak(50)
+    assert dense - sparse <= 8 * nfib, (sparse, dense)
 
 
 # --------------------------------------------------------------------------- #
@@ -640,6 +691,7 @@ def _assert_refused(case, backend, defect):
 UNPACKED = pytest.mark.parametrize("case", [
     ("spmv", CSR, "rows"), ("spmv", CSR, "nonzeros"),
     ("spttv", CSF3, "rows"), ("spmm", CSR, "rows"), ("spmm", CSR, "nonzeros"),
+    ("spmttkrp", CSF3, "rows"), ("spmttkrp", DDC, "nonzeros"),
 ], ids=lambda c: "-".join(map(str, (c[0], c[1].name, c[2]))))
 
 

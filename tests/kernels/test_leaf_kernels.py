@@ -18,9 +18,11 @@ from repro.kernels import (
     spmv_rows,
     spmv_rows_reference,
 )
-from repro.legion import make_pos_region
+from repro.api.autoschedule import auto_schedule
+from repro.core import clear_caches, compile_kernel
+from repro.legion import Machine, Runtime, make_pos_region
 from repro.legion.machine import Work
-from repro.taco import CSF3, CSR, DDC, Tensor
+from repro.taco import CSF3, CSR, DDC, Tensor, index_vars
 
 rng = np.random.default_rng(11)
 
@@ -232,33 +234,87 @@ class TestSpAdd3:
         assert spadd3_plan(meta, 3, 4, 2).counts.size == 0
 
 
-@pytest.fixture(params=[CSF3, DDC], ids=repr)
+@pytest.fixture(params=["CSF3", "DDC", "DDC-empty-fibers"])
 def tensor3_case(request):
+    """A random 8 x 7 x 6 tensor; the last case leaves every odd ``j``
+    fiber of its dense level 1 empty."""
     shape = (8, 7, 6)
     idx = [rng.integers(0, s, 120) for s in shape]
+    if request.param == "DDC-empty-fibers":
+        idx[1] = 2 * rng.integers(0, 4, 120)
     vals = rng.random(120) + 0.5
-    T = Tensor.from_coo("T", idx, vals, shape, request.param)
+    T = Tensor.from_coo("T", idx, vals, shape, CSF3 if request.param == "CSF3" else DDC)
+    if request.param == "DDC-empty-fibers":
+        ends = T.levels[-1].pos.data
+        assert (ends[:, 1] < ends[:, 0]).any()
     return T, T.to_dense()
+
+
+def _mttkrp_operands(T):
+    """What the kernel table hands the leaf: the last level's ``pos`` /
+    ``crd``, the values and B's level functions."""
+    last = T.levels[-1]
+    return last.pos.data, last.crd.data, T.vals.data, T.coords_of
+
+
+def _nonzero_piece(T, piece):
+    """``[p0, p1]`` of a non-zero piece: every position, one that cuts a
+    fiber at both ends, or a single non-zero."""
+    if piece == "all":
+        return 0, T.nnz - 1
+    fp = T.levels[-1].pos.data
+    long = np.flatnonzero(fp[:, 1] > fp[:, 0])  # fibers of 2+ non-zeros
+    if piece == "cuts-fibers":
+        return int(fp[long[0], 0]) + 1, int(fp[long[-1], 1]) - 1
+    return T.nnz // 2, T.nnz // 2
 
 
 class TestSpMTTKRP:
     """One body for every level stack: ``coords`` is the tensor's own."""
 
-    def test_matches_einsum(self, tensor3_case):
+    @pytest.mark.parametrize("rows", [None, (0, 7)], ids=["nonzeros", "rows"])
+    def test_matches_einsum(self, tensor3_case, rows):
+        """A non-zero piece adds into the output; a row piece overwrites
+        the whole block it owns, rows without a fiber included."""
         T, dense = tensor3_case
         C = rng.random((7, 4))
         D = rng.random((6, 4))
-        out = np.zeros((8, 4))
-        spmttkrp(T.coords_of, T.vals.data, C, D, out, 0, T.nnz - 1,
-                 accumulate=True)
+        out = np.zeros((8, 4)) if rows is None else np.full((8, 4), 5.0)
+        spmttkrp(*_mttkrp_operands(T), C, D, out, 0, T.nnz - 1, rows)
         assert np.allclose(out, np.einsum("ijk,jl,kl->il", dense, C, D))
 
-    def test_matches_reference(self, tensor3_case):
+    @pytest.mark.parametrize("piece", ["all", "cuts-fibers", "one-nonzero"])
+    def test_matches_reference(self, tensor3_case, piece):
         T, dense = tensor3_case
         C = rng.random((7, 3))
         D = rng.random((6, 3))
         a = np.zeros((8, 3))
         b = np.zeros((8, 3))
-        spmttkrp(T.coords_of, T.vals.data, C, D, a, 10, 60, accumulate=True)
-        spmttkrp_reference(T.coords_of, T.vals.data, C, D, b, 10, 60)
+        p0, p1 = _nonzero_piece(T, piece)
+        got = spmttkrp(*_mttkrp_operands(T), C, D, a, p0, p1)
+        spmttkrp_reference(T.coords_of, T.vals.data, C, D, b, p0, p1)
         assert b.any() and np.allclose(a, b)
+        assert got.flops == 3.0 * (p1 - p0 + 1) * 3
+
+    @pytest.mark.parametrize("backend", ["interp", "codegen"])
+    @pytest.mark.parametrize("fmt", [CSF3, DDC], ids=repr)
+    def test_row_split_zeroes_rows_without_fibers(self, fmt, backend):
+        """A row piece owns its whole row block: rows its non-zeros miss,
+        and every row of a piece with none, come back 0.0 — not whatever
+        the output held before."""
+        coords = [np.array([0, 0, 7, 7]), np.array([0, 2, 1, 2]), np.array([1, 3, 0, 2])]
+        B = Tensor.from_coo("B", coords, rng.random(4), (8, 3, 4), fmt)
+        C = Tensor.from_dense("C", rng.random((3, 2)))
+        D = Tensor.from_dense("D", rng.random((4, 2)))
+        A = Tensor.from_dense("A", np.full((8, 2), 5.0))
+        i, j, k, l = index_vars("i j k l")
+        A[i, l] = B[i, j, k] * C[j, l] * D[k, l]
+        machine = Machine.cpu(4)
+        clear_caches()
+        ck = compile_kernel(
+            auto_schedule(A.assignment, machine, strategy="rows"), machine,
+            backend=backend)
+        ck.execute(Runtime(machine))
+        expected = np.einsum("ijk,jl,kl->il", B.to_dense(), C.to_dense(), D.to_dense())
+        assert not expected[1:7].any()
+        assert np.allclose(A.to_dense(), expected)

@@ -12,7 +12,6 @@ from repro.kernels import (
     row_of_positions,
     segment_dot,
     segment_matmul,
-    segment_sum_matrix,
 )
 from repro.kernels.segment import packed_indptr, piece_indptr
 from repro.legion import make_pos_region
@@ -192,24 +191,6 @@ class TestSegmentReduce:
             assert got[:, col].tobytes() == expected.tobytes()
             assert (segment_dot(indptr, crd, vals, np.ascontiguousarray(X[:, col])).tobytes()
                     == expected.tobytes())
-
-
-class TestSegmentSums:
-    def test_segment_sum_matrix(self):
-        vals = np.arange(8.0).reshape(4, 2)
-        got = segment_sum_matrix(vals, np.array([0, 0, 2, 2]), 3)
-        assert got.tolist() == [[2.0, 4.0], [0.0, 0.0], [10.0, 12.0]]
-
-    @given(st.integers(1, 6), st.integers(0, 40), st.integers(1, 5))
-    @settings(max_examples=50, deadline=None)
-    def test_matrix_matches_loop(self, nseg, n, k):
-        rng = np.random.default_rng(0)
-        vals = rng.random((n, k))
-        ids = np.sort(rng.integers(0, nseg, n))
-        expected = np.zeros((nseg, k))
-        for t in range(n):
-            expected[ids[t]] += vals[t]
-        assert segment_sum_matrix(vals, ids, nseg).tobytes() == expected.tobytes()
 
 
 class TestPackedIndptr:
