@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import (
     IncoherentDistribution, MissingCommunicate, RedundantCommunicate,
 )
-from ..legion.machine import Machine, Work
+from ..legion.machine import Machine, Works
 from ..legion.metrics import CommEvent, ExecutionMetrics, StepMetrics
 from ..legion.runtime import Privilege, Runtime
 from .hazards import _var_chain
@@ -62,12 +62,9 @@ __all__ = [
     "commplan_diagnostics",
 ]
 
-#: a Work model: maps (phase name, piece) to the Work the leaf will report.
-WorkModel = Callable[[str, object], Work]
-
-
-def _zero_work(_phase: str, _piece: object) -> Work:
-    return Work.zero()
+#: a Work model: maps a launch's phase name to the Work every piece's leaf
+#: will report, as columns in piece order.
+WorkModel = Callable[[str], Works]
 
 
 # --------------------------------------------------------------------------- #
@@ -253,12 +250,14 @@ def _seed_tdn_homes(ck, rt: Runtime, source: Optional[Runtime]) -> None:
     ])
 
 
-def _mirror_kernel(ck, rt: Runtime, work: WorkModel) -> List[StepMetrics]:
+def _mirror_kernel(ck, rt: Runtime, work: Optional[WorkModel]) -> List[StepMetrics]:
     """Replay one cold kernel execution's *mapping* on ``rt``.
 
     Identical calls to the same runtime entry points a real
     ``execute()`` makes — placement, then the index launch(es) — with the
-    leaf bodies replaced by the Work model.  Returns the freshly
+    leaf bodies replaced by the Work model (None: no work), handed to the
+    runtime both per piece and as the launch's columns, so a launch at
+    home books in one call as ``execute``'s does.  Returns the freshly
     appended steps.  Raises :class:`repro.errors.OOMError` exactly where
     the real execution would.
     """
@@ -266,31 +265,22 @@ def _mirror_kernel(ck, rt: Runtime, work: WorkModel) -> List[StepMetrics]:
 
     before = len(rt.metrics.steps)
     ck._place(rt)
-    by_color = {p.color: p for p in ck.pieces}
     colors = [p.color for p in ck.pieces]
+    at = dict(zip(colors, range(len(colors))))
+    proc_of = dict(zip(colors, (p.proc for p in ck.pieces))).__getitem__
 
-    def proc_of(c):
-        return by_color[c].proc
+    def launch(name: str, phase: str, reqs) -> None:
+        works = work(phase) if work is not None else Works.zeros(len(colors))
+        rt.index_launch(name, colors, lambda c: works[at[c]], reqs, proc_map=proc_of,
+                        launch=lambda: works)
 
     if SPECS[ck.kind].assembles:
         reqs = ck.spadd_read_reqs()
-        rt.index_launch(
-            "spadd:symbolic", colors,
-            lambda c: work("spadd:symbolic", by_color[c]),
-            reqs, proc_map=proc_of,
-        )
+        launch("spadd:symbolic", "spadd:symbolic", reqs)
         ck._spadd_scan_step(rt)
-        rt.index_launch(
-            "spadd:fill", colors,
-            lambda c: work("spadd:fill", by_color[c]),
-            reqs, proc_map=proc_of,
-        )
+        launch("spadd:fill", "spadd:fill", reqs)
     else:
-        rt.index_launch(
-            f"{ck.kind}:{ck.strategy}", colors,
-            lambda c: work("compute", by_color[c]),
-            ck._reqs(), proc_map=proc_of,
-        )
+        launch(f"{ck.kind}:{ck.strategy}", "compute", ck._reqs())
     return rt.metrics.steps[before:]
 
 
@@ -364,7 +354,7 @@ def _predict_one(
 ) -> CommPlan:
     rt = Runtime(ck.machine)
     _seed_tdn_homes(ck, rt, runtime)
-    steps = _mirror_kernel(ck, rt, work or _zero_work)
+    steps = _mirror_kernel(ck, rt, work)
     return _plan_of(ck, steps, rt)
 
 
@@ -461,7 +451,7 @@ def predict_metrics(
             if program.reused_from[n] is not None:
                 continue
             _seed_tdn_homes(ck, rt, runtime)
-            steps.extend(_mirror_kernel(ck, rt, work or _zero_work))
+            steps.extend(_mirror_kernel(ck, rt, work))
         return MetricsSignature(
             steps=_fold_steps(steps),
             node_footprint=_node_footprint(

@@ -62,9 +62,9 @@ def kernel_work_model(ck) -> Tuple[WorkModel, bool]:
     """A (work model, exact?) pair for a compiled kernel, from its entry
     in the kernel table (:mod:`repro.core.kernelspec`).
 
-    The model maps ``(phase, piece)`` to the :class:`Work` the leaf task
-    for that piece will return, derived purely from the operands' packed
-    pattern.  ``exact`` is True when the formulas mirror the leaf
+    The model maps a launch's phase to the :class:`Work` every piece's
+    leaf task will return, as :class:`~repro.legion.machine.Works` columns
+    in piece order, derived purely from the operands' packed pattern.  ``exact`` is True when the formulas mirror the leaf
     kernel's own accounting.
     """
     from ..core.kernelspec import SPECS

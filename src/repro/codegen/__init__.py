@@ -108,46 +108,47 @@ def bind_leaf(ck) -> Optional[Tuple[Callable, Optional[Callable]]]:
     if bind is None:
         _bump("fallbacks")
         return None
-    # The table extracts the raw arrays once and freezes each piece's Work
-    # into its tuple; the bind function hoists the index scaffolding.
-    args, pieces = spec.bind_args(ck)
+    # The table extracts the raw arrays once and freezes every piece's Work
+    # as columns; the bind function hoists the index scaffolding.
+    args, pieces, works = spec.bind_args(ck)
     build, over = bind(*args, pieces, ck.strategy in spec.accumulating)
-    thunks = _Thunks(pieces, build)
+    thunks = _Thunks(pieces, works, build)
     _bump("binds")
 
     def leaf(piece, _thunks=thunks):
         return _thunks[piece.color]()
 
-    return leaf, None if over is None else partial(_launch_thunk, pieces, over)
+    return leaf, None if over is None else partial(_launch_thunk, pieces, works, over)
 
 
 class _Thunks(Mapping):
-    """A bound leaf's ``{color: thunk}``: each piece's thunk is
-    ``build(*piece[1:])``, built on its first lookup and kept — a launch
-    that runs as one call (the launch thunk) builds none."""
+    """A bound leaf's ``{color: thunk}``: the ``k``-th piece's thunk is
+    ``build(*piece[1:], works[k])``, built on its first lookup and kept — a
+    launch that runs as one call (the launch thunk) builds none."""
 
-    def __init__(self, pieces, build):
-        self._tails = {p[0]: p[1:] for p in pieces}
+    def __init__(self, pieces, works, build):
+        self._at = {p[0]: k for k, p in enumerate(pieces)}
+        self._pieces, self._works = pieces, works
         self._build, self._built = build, {}
 
     def __getitem__(self, color):
         thunk = self._built.get(color)
         if thunk is None:
-            thunk = self._built[color] = self._build(*self._tails[color])
+            k = self._at[color]
+            thunk = self._built[color] = self._build(*self._pieces[k][1:], self._works[k])
         return thunk
 
     def __iter__(self):
-        return iter(self._tails)
+        return iter(self._at)
 
     def __len__(self):
-        return len(self._tails)
+        return len(self._at)
 
 
-def _launch_thunk(pieces, over) -> Optional[Callable]:
+def _launch_thunk(pieces, works, over) -> Optional[Callable]:
     """``over`` across the range the pieces' ``(lo, hi)`` range arguments
-    tile in piece order, returning every piece's frozen Work in piece
-    order; None when they leave a gap or overlap."""
-    works = tuple(p[-1] for p in pieces)
+    tile in piece order, returning every piece's frozen Work (``works``,
+    the columns); None when they leave a gap or overlap."""
     live = [p[1:3] for p in pieces if p[1] <= p[2]]
     if any(b[0] != a[1] + 1 for a, b in zip(live, live[1:])):
         return None

@@ -514,24 +514,11 @@ def iter_kernel_entries() -> Iterator[Tuple[Tuple, Any, Tuple]]:
 # --------------------------------------------------------------------------- #
 # partition memo
 # --------------------------------------------------------------------------- #
-def _sorted_items(d) -> Tuple:
-    """Order-insensitive dict signature (falls back to insertion order for
-    incomparable keys, which never occurs for homogeneous color dicts)."""
-    try:
-        return tuple(sorted(d.items()))
-    except TypeError:
-        return tuple(d.items())
-
-
-def partition_cache_key(tensor, initial_level: int, kind: str, bounds) -> Tuple:
-    return (
-        id(tensor),
-        tensor.pattern_version,
-        "tree",
-        initial_level,
-        kind,
-        _sorted_items(bounds),
-    )
+def partition_cache_key(tensor, initial_level: int, kind: str, coloring) -> Tuple:
+    """Key of a coordinate-tree partition: its initial level and kind, and
+    the colors and bounds of its :class:`~repro.legion.partition.Coloring`."""
+    return (id(tensor), tensor.pattern_version, "tree", initial_level, kind,
+            tuple(coloring.colors()), coloring.bounds.tobytes())
 
 
 def dense_partition_cache_key(tensor, colors, lo, hi) -> Tuple:

@@ -24,17 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..errors import CompileError
 from ..legion.machine import Machine, Work
+from ..legion.partition import Coloring
 from ..legion.metrics import CommEvent, ExecutionMetrics
 from ..legion.network import Network
 from ..legion.runtime import Privilege, RegionReq, Runtime
 from ..taco.expr import Access, Assignment
-from ..taco.index_vars import IndexVar
 from ..taco.reference import var_sizes
 from ..taco.schedule import Schedule
 from ..taco.tensor import Tensor
@@ -65,20 +65,22 @@ Color = Hashable
 # --------------------------------------------------------------------------- #
 # distribution spec
 # --------------------------------------------------------------------------- #
-@dataclass
-class Piece:
+class Piece(NamedTuple):
     """One point of the distributed launch domain."""
 
     color: Color
     proc: int
-    var_bounds: Dict[IndexVar, Bounds]
     rows: Bounds  # top-level coordinate bounds of this piece
     pos: Optional[Bounds] = None  # non-zero position bounds (non-zero strategy)
     cols: Optional[Bounds] = None  # secondary universe bounds (batched SpMM)
 
 
-def _chunk_bounds(extent: int, pieces: int) -> List[Bounds]:
-    return [K.piece_range(extent, pieces, c) for c in range(pieces)]
+def _chunk_bounds(extent: int, pieces: int) -> np.ndarray:
+    """Every color's ``K.piece_range(extent, pieces, color)``, as ``(pieces
+    × 2)`` rows."""
+    chunk = -(-extent // pieces) if extent else 0
+    lo = np.arange(pieces, dtype=np.int64) * chunk
+    return np.stack([lo, np.minimum(lo + chunk, extent) - 1], axis=1)
 
 
 @dataclass
@@ -558,7 +560,7 @@ def _compile_single(schedule, machine, kc, plan, sizes) -> CompiledKernel:
     if sparse_in is not None:
         last = sparse_in.tensor.levels[-1]
         pos_bounds = (0, last.num_positions - 1)
-    pieces = [Piece(color=0, proc=0, var_bounds={}, rows=kind_rows, pos=pos_bounds)]
+    pieces = [Piece(color=0, proc=0, rows=kind_rows, pos=pos_bounds)]
     plan.emit("single", "// single-piece execution (no distributed loops)")
     return CompiledKernel(
         schedule, machine, kc.kind, "rows", pieces, parts, privileges, plan,
@@ -590,14 +592,9 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
     else:
         colors = list(range(infos[0][2]))
 
-    def bounds_of(color: Color, k: int) -> Bounds:
-        comp = color[k] if multi else color
-        return infos[k][3][comp]
-
     # each distributed variable's chunk bounds for every color, as arrays
     comps = np.array(colors, dtype=np.int64).reshape(len(colors), -1)
-    chunk_arrays = [np.array(info[3], dtype=np.int64).reshape(-1, 2)[comps[:, k]]
-                    for k, info in enumerate(infos)]
+    chunk_arrays = [info[3][comps[:, k]] for k, info in enumerate(infos)]
 
     parts: Dict[int, TensorPartition] = {}
     privileges: Dict[int, Privilege] = {}
@@ -630,10 +627,9 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
                     "universe variables is not supported"
                 )
             k = sparse_ks[0]
-            mode = matched[k]
-            level = tensor.format.level_of_mode(mode)
-            bounds = {c: bounds_of(c, k) for c in colors}
-            parts[id(tensor)] = partition_tensor(tensor, level, "universe", bounds, plan)
+            level = tensor.format.level_of_mode(matched[k])
+            parts[id(tensor)] = partition_tensor(
+                tensor, level, "universe", Coloring(colors, chunk_arrays[k]), plan)
         else:
             parts[id(tensor)] = replicated_partition(tensor, colors)
             plan.emit("replicate", f"// {tensor.name} replicated onto all pieces",
@@ -647,17 +643,13 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
         else:
             privileges[id(tensor)] = Privilege.READ_ONLY
 
-    pieces = []
-    for i, c in enumerate(colors):
-        var_bounds = {infos[k][0]: bounds_of(c, k) for k in range(len(infos))}
-        rows = bounds_of(c, 0)
-        cols = bounds_of(c, 1) if multi else None
-        pieces.append(
-            # colors enumerate the launch grid row-major, so the ordinal is
-            # the linearized grid index.
-            Piece(color=c, proc=i % machine.size,
-                  var_bounds=var_bounds, rows=rows, cols=cols)
-        )
+    rows = map(tuple, chunk_arrays[0].tolist())
+    cols = map(tuple, chunk_arrays[1].tolist()) if multi else [None] * len(colors)
+    # colors enumerate the launch grid row-major, so the ordinal is the
+    # linearized grid index.
+    size = machine.size
+    pieces = [Piece(c, i % size, r, cols=window)
+              for i, (c, r, window) in enumerate(zip(colors, rows, cols))]
     plan.emit("launch", f"distributed for io in {{0 ... {len(colors)}}} {{ ... }}")
     # A multi-variable universe distribution is the 2-D (or N-D) grid
     # mapping — reported as its own strategy so callers (autotune, the
@@ -717,9 +709,8 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
     )
     npieces = schedule.pieces_of(dvar)
     npos = split_tensor.levels[split_level].num_positions
-    chunks = _chunk_bounds(npos, npieces)
     colors = list(range(npieces))
-    bounds = {c: chunks[c] for c in colors}
+    bounds = Coloring(colors, _chunk_bounds(npos, npieces))
 
     parts: Dict[int, TensorPartition] = {}
     privileges: Dict[int, Privilege] = {}
@@ -760,7 +751,7 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
         elif top_u is not None and top_u in acc.indices:
             mode = acc.indices.index(top_u)
             if tensor.format.is_all_dense():
-                b = np.array(list(top_bounds.values()), dtype=np.int64).reshape(-1, 2)
+                b = top_bounds.bounds
                 parts[id(tensor)] = dense_partition(
                     tensor, colors, {mode: (b[:, 0], b[:, 1])}, plan)
             else:
@@ -791,17 +782,10 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
         else:
             privileges[id(tensor)] = Privilege.READ_ONLY
 
-    pieces = []
-    for c in colors:
-        pieces.append(
-            Piece(
-                color=c,
-                proc=c % machine.size,
-                var_bounds={dvar: bounds[c]},
-                rows=top_bounds[c],
-                pos=bounds[c],
-            )
-        )
+    size = machine.size
+    pieces = [Piece(c, c % size, rows, pos)
+              for c, pos, rows in zip(colors, map(tuple, bounds.bounds.tolist()),
+                                      map(tuple, top_bounds.bounds.tolist()))]
     plan.emit("launch", f"distributed for fo in {{0 ... {npieces}}} {{ ... }}")
     return CompiledKernel(
         schedule, machine, kc.kind, "nonzeros", pieces, parts, privileges, plan,

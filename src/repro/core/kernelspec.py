@@ -40,20 +40,24 @@ adding a level class, not editing this table.
 A specialized kind states its leaf once: ``operands`` — the raw arrays
 (for SpMTTKRP also the ``coords`` resolver), in the order both the
 reference kernel and the bind function in :mod:`repro.kernels` take them;
-``row_bounds`` — what a row piece hands the leaf when that is not its row
-range (a column window, the segments or positions its rows cover);
-``reference`` — the interpreter reference kernel per strategy; ``bound``
-— the bind function per strategy (the bound leaf: one call that hoists a
-kernel's scaffolding into flat per-piece thunks); ``work`` — the
+``row_columns`` — what the row pieces hand the leaf when that is not
+their row ranges (a column window, the segments or positions their rows
+cover), as columns over the pieces; ``reference`` — the interpreter
+reference kernel per strategy; ``bound`` — the bind function per
+strategy (the bound leaf: one call that hoists a kernel's scaffolding
+into flat per-piece thunks); ``work`` — the
 :class:`~repro.legion.machine.Work` that kernel reports, from the
-operands' *pattern* alone (``pos`` rects and level sizes, never values).
+operands' *pattern* alone (``pos`` rects and level sizes, never values),
+computed for every piece at once as :class:`~repro.legion.machine.Works`
+columns.
 ``shape`` names how the leaf iterates; kinds that iterate alike (SpMV over
 rows, SpTTV over fibers) share one shape and with it the bind function,
 the interpreter leaves and the loop-nest reference.  A kind with no
 ``bound`` entry (SpAdd's assembly, ``generic``) runs its interpreter leaf.
-The cost model prices ``work``; the binder freezes ``work`` into each
-piece tuple handed to the bind function, so bound leaves carry no
-formulas.  Work formulas therefore live in exactly two places — the
+The cost model prices ``work``; the binder freezes it as columns beside
+the piece tuples handed to the bind function (a piece's thunk returns its
+row, the launch thunk the columns), so bound leaves carry no formulas.
+Work formulas therefore live in exactly two places — the
 reference kernels (the differential oracle) and here.
 
 Adding a kind is one entry here, a bind function in ``repro.kernels``
@@ -68,7 +72,7 @@ import numpy as np
 
 from .. import kernels as K
 from ..errors import CompileError, FormatError
-from ..legion.machine import ProcKind, Work
+from ..legion.machine import ProcKind, Work, Works
 from ..taco.expr import Access, Assignment, Mul
 from ..taco.formats import CSF3, CSR, DDC, Format
 from ..taco.reference import var_sizes
@@ -81,9 +85,6 @@ __all__ = [
 ]
 
 F8 = 8  # bytes per float64 / int64, as in repro.kernels
-#: a piece -> the leaf's range arguments (``(lo, hi)``, plus ``cols`` for
-#: the SpMM row leaf).
-PieceBounds = Callable[[object], tuple]
 
 
 @dataclass
@@ -98,21 +99,26 @@ class KernelClass:
 # --------------------------------------------------------------------------- #
 # pattern helpers shared by the Work models
 # --------------------------------------------------------------------------- #
-def _rows_nnz(pos: np.ndarray, r0: int, r1: int) -> int:
-    """nnz of entries [r0, r1] of a level :func:`_segments` has checked
-    packed: their lengths (none negative) telescope to one difference."""
-    return int(pos[r1, 1] - pos[r0, 0] + 1)
+def _pairs(pieces, attr: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Every piece's ``(lo, hi)`` ``attr`` as two int64 columns."""
+    b = np.array([getattr(p, attr) for p in pieces], dtype=np.int64).reshape(-1, 2)
+    return b[:, 0], b[:, 1]
 
 
-def _owner(starts: np.ndarray, p: int) -> int:
-    """The parent entry owning position ``p`` (scalar
-    :func:`repro.kernels.row_of_positions`)."""
-    return int(starts.searchsorted(p, side="right")) - 1
+def _rows_nnz(pos: np.ndarray, r0: np.ndarray, r1: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """nnz of each live piece's entries [r0, r1] (0 elsewhere) of a level
+    :func:`_segments` has checked packed: their lengths (none negative)
+    telescope to one difference."""
+    if not live.any():
+        return np.zeros(len(live), dtype=np.int64)
+    return np.where(live, pos[np.where(live, r1, 0), 1] - pos[np.where(live, r0, 0), 0] + 1, 0)
 
 
-def _span(starts: np.ndarray, p0: int, p1: int) -> int:
-    """How many parent entries positions ``[p0, p1]`` touch."""
-    return _owner(starts, p1) - _owner(starts, p0) + 1
+def _span(starts: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """How many parent entries each position range ``[p0, p1]`` touches:
+    from the owner of ``p0`` to the owner of ``p1``
+    (:func:`repro.kernels.row_of_positions`)."""
+    return starts.searchsorted(p1, side="right") - starts.searchsorted(p0, side="right") + 1
 
 
 def _mode_ordered(tensor: Tensor) -> bool:
@@ -211,49 +217,55 @@ class KernelSpec:
         """The raw arrays, in reference-kernel / ``bind`` order."""
         raise NotImplementedError
 
-    def bounds(self, ck) -> PieceBounds:
-        """Piece -> the leaf's range arguments: its non-zero position range
-        under ``nonzeros``, what :meth:`row_bounds` says otherwise."""
+    def columns(self, ck) -> tuple:
+        """Every piece's range arguments as columns, in piece order: its
+        non-zero position range under ``nonzeros``, what
+        :meth:`row_columns` says otherwise.  A column is an int64 array, or
+        a list where the argument is no number (a ``grid`` column window)."""
         if ck.strategy == "nonzeros":
-            return lambda p: p.pos
-        return self.row_bounds(ck)
+            return _pairs(ck.pieces, "pos")
+        return self.row_columns(ck)
 
-    def row_bounds(self, ck) -> PieceBounds:
-        """What a row-distributed piece hands the leaf.  Default: its rows."""
-        return lambda p: p.rows
+    def row_columns(self, ck) -> tuple:
+        """What the row-distributed pieces hand the leaf.  Default: their rows."""
+        return _pairs(ck.pieces, "rows")
+
+    def piece_args(self, ck, columns: Optional[tuple] = None) -> List[tuple]:
+        """Every piece's ``(color, *range arguments)`` (of ``columns``,
+        default :meth:`columns`)."""
+        columns = self.columns(ck) if columns is None else columns
+        return list(zip([p.color for p in ck.pieces],
+                        *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
 
     def leaf(self, args: tuple, strategy: str) -> Callable[..., Work]:
         """The reference kernel over one piece's range arguments."""
         fn = self.reference[strategy]
         return lambda *rng: fn(*args, *rng)
 
-    def work(self, args: tuple, strategy: str) -> Callable[..., Work]:
-        """The Work :meth:`leaf` reports, from the operands' pattern."""
+    def work(self, args: tuple, strategy: str) -> Callable[..., Works]:
+        """The Work :meth:`leaf` reports, from the operands' pattern: range
+        argument columns -> every piece's Work, as columns."""
         raise NotImplementedError
 
     # -- what the consumers call -------------------------------------------------
     def interp_leaf(self, ck) -> Callable[[object], Work]:
         """The interpreter leaf: piece -> Work, running the reference kernel."""
-        bounds = self.bounds(ck)
         run = self.leaf(self.operands(ck), ck.strategy)
-        return lambda p: run(*bounds(p))
+        args_of = {a[0]: a[1:] for a in self.piece_args(ck)}
+        return lambda p: run(*args_of[p.color])
 
-    def work_model(self, ck) -> Callable[[str, object], Work]:
-        """(phase, piece) -> the Work the leaf task will report."""
-        bounds = self.bounds(ck)
-        work = self.work(self.operands(ck), ck.strategy)
-        return lambda _phase, p: work(*bounds(p))
+    def work_model(self, ck) -> Callable[[str], Works]:
+        """phase -> the Work every piece's leaf task will report, in piece
+        order."""
+        works = self.work(self.operands(ck), ck.strategy)(*self.columns(ck))
+        return lambda _phase: works
 
-    def bind_args(self, ck) -> Tuple[tuple, list]:
-        """What a bind function takes: the raw arrays and one ``(color,
-        *range arguments, Work)`` tuple per piece."""
-        args, bounds = self.operands(ck), self.bounds(ck)
-        work = self.work(args, ck.strategy)
-        pieces = []
-        for p in ck.pieces:
-            b = bounds(p)
-            pieces.append((p.color, *b, work(*b)))
-        return args, pieces
+    def bind_args(self, ck) -> Tuple[tuple, list, Works]:
+        """What a bind function takes — the raw arrays and one ``(color,
+        *range arguments)`` tuple per piece — and every piece's Work, frozen
+        as columns."""
+        args, columns = self.operands(ck), self.columns(ck)
+        return args, self.piece_args(ck, columns), self.work(args, ck.strategy)(*columns)
 
 
 class _SegDot(KernelSpec):
@@ -275,35 +287,31 @@ class _SegDot(KernelSpec):
             ck.out.vals.data.reshape(-1),
         )
 
-    def row_bounds(self, ck):
+    def row_columns(self, ck):
         B = ck.roles["B"].tensor
-        return lambda p: B.positions_under(*p.rows, B.order - 2)
+        return B.positions_under(*_pairs(ck.pieces, "rows"), B.order - 2)
 
     def work(self, args, strategy):
         """Two flops and three words per non-zero, two words per segment
-        written."""
+        written; a row piece with no non-zero writes its zero fill."""
         pos = args[0]
-
-        def formula(nnz: int, nseg: int) -> Work:
-            return Work(2.0 * nnz, float(nnz * 3 * F8 + nseg * 2 * F8))
 
         if strategy == "nonzeros":
             starts = np.ascontiguousarray(pos[:, 0])
 
-            def work(p0: int, p1: int) -> Work:
-                if p1 < p0:
-                    return Work.zero()
-                return formula(p1 - p0 + 1, _span(starts, p0, p1))
+            def work(p0, p1):
+                live = p1 >= p0
+                nnz = np.where(live, p1 - p0 + 1, 0)
+                nseg = np.where(live, _span(starts, p0, p1), 0)
+                return Works(2.0 * nnz, nnz * 3 * F8 + nseg * 2 * F8)
 
             return work
 
-        def work(s0: int, s1: int) -> Work:
-            if s1 < s0:
-                return Work.zero()
-            nnz = _rows_nnz(pos, s0, s1)
-            if nnz == 0:
-                return Work(0.0, (s1 - s0 + 1) * F8)  # the zero fill
-            return formula(nnz, s1 - s0 + 1)
+        def work(s0, s1):
+            live = s1 >= s0
+            nnz, nseg = _rows_nnz(pos, s0, s1, live), s1 - s0 + 1
+            return Works(2.0 * nnz, np.where(
+                nnz > 0, nnz * 3 * F8 + nseg * 2 * F8, np.where(live, nseg * F8, 0)))
 
         return work
 
@@ -371,30 +379,30 @@ class _SpMM(KernelSpec):
             ck.out.dense_array(),
         )
 
-    def row_bounds(self, ck):
-        return lambda p: (*p.rows, p.cols)
+    def row_columns(self, ck):
+        return (*_pairs(ck.pieces, "rows"), [p.cols for p in ck.pieces])
 
     def work(self, args, strategy):
         pos, full_k = args[0], args[3].shape[1]
 
-        def formula(nnz: int, nr: int, k: int) -> Work:
-            return Work(2.0 * nnz * k, float(nnz * (2 * F8 + F8 * k) + nr * k * F8))
+        def formula(nnz, nr, k) -> Works:
+            return Works(2.0 * nnz * k, nnz * (2 * F8 + F8 * k) + nr * k * F8)
 
         if strategy == "nonzeros":
             starts = np.ascontiguousarray(pos[:, 0])
 
             def work(p0, p1):
-                if p1 < p0:
-                    return Work.zero()
-                return formula(p1 - p0 + 1, _span(starts, p0, p1), full_k)
+                live = p1 >= p0
+                return formula(np.where(live, p1 - p0 + 1, 0),
+                               np.where(live, _span(starts, p0, p1), 0), full_k)
 
             return work
 
         def work(r0, r1, cols=None):
-            if r1 < r0:
-                return Work.zero()
-            k = full_k if cols is None else cols[1] - cols[0] + 1
-            return formula(_rows_nnz(pos, r0, r1), r1 - r0 + 1, k)
+            live = r1 >= r0
+            k = full_k if cols is None else np.array(
+                [full_k if c is None else c[1] - c[0] + 1 for c in cols], dtype=np.int64)
+            return formula(_rows_nnz(pos, r0, r1, live), np.where(live, r1 - r0 + 1, 0), k)
 
         return work
 
@@ -438,18 +446,18 @@ class _SDDMM(KernelSpec):
         pos, k = args[0], args[3].shape[1]
 
         def positions(p0, p1):
-            if p1 < p0:
-                return Work.zero()
-            nnz = p1 - p0 + 1
-            return Work(2.0 * nnz * k + nnz, float(nnz * (2 * k + 4) * F8))
+            nnz = np.where(p1 >= p0, p1 - p0 + 1, 0)
+            return Works(2.0 * nnz * k + nnz, nnz * (2 * k + 4) * F8)
 
         if strategy == "nonzeros":
             return positions
 
         def rows(r0, r1):
-            if r1 < r0:
-                return Work.zero()
-            return positions(int(pos[r0, 0]), int(pos[r1, 1]))
+            live = r1 >= r0
+            if not live.any():
+                return positions(r0, r1)
+            return positions(np.where(live, pos[np.where(live, r0, 0), 0], 0),
+                             np.where(live, pos[np.where(live, r1, 0), 1], -1))
 
         return rows
 
@@ -564,13 +572,14 @@ class _SpMTTKRP(KernelSpec):
             ck.out.dense_array(),
         )
 
-    def bounds(self, ck):
-        """Piece -> ``(p0, p1, rows)``: its leaf positions and the row
-        block a row piece owns (None for a non-zero piece)."""
+    def columns(self, ck):
+        """``(p0, p1, rows)``: each piece's leaf positions and the row block
+        a row piece owns (None for a non-zero piece)."""
         if ck.strategy == "nonzeros":
-            return lambda p: (*p.pos, None)
+            return (*_pairs(ck.pieces, "pos"), [None] * len(ck.pieces))
         B = ck.roles["B"].tensor
-        return lambda p: (*B.positions_under(*p.rows, B.order - 1), p.rows)
+        return (*B.positions_under(*_pairs(ck.pieces, "rows"), B.order - 1),
+                [p.rows for p in ck.pieces])
 
     def work(self, args, strategy):
         """The per-non-zero loop nest's Work: three flops and ``2l + 3``
@@ -579,14 +588,12 @@ class _SpMTTKRP(KernelSpec):
         coords, l = args[3], args[4].shape[1]
 
         def work(p0, p1, _rows):
-            if p1 < p0:
-                return Work.zero()
-            nnz = p1 - p0 + 1
-            i0, i1 = coords(np.array([p0, p1]))[0]
-            return Work(
-                3.0 * nnz * l,
-                float(nnz * (2 * l + 3) * F8 + (int(i1) - int(i0) + 1) * l * F8),
-            )
+            live = p1 >= p0
+            nnz, nrows = np.where(live, p1 - p0 + 1, 0), np.zeros(len(live), dtype=np.int64)
+            if live.any():
+                i = coords(np.concatenate([p0[live], p1[live]]))[0]
+                nrows[live] = i[live.sum():] - i[:live.sum()] + 1
+            return Works(3.0 * nnz * l, nnz * (2 * l + 3) * F8 + nrows * l * F8)
 
         return work
 
@@ -613,15 +620,11 @@ class _SpAdd(KernelSpec):
 
     def work_model(self, ck):
         pieces = ck.assembly_plan().pieces
-
-        def work(phase, p) -> Work:
-            piece = pieces[p.color]
-            touched, merged = piece.inverse.size, piece.crd.size
-            if phase == "spadd:symbolic":
-                return Work(float(touched), float(touched * 2 * F8))
-            return Work(float(touched), float(touched * 3 * F8 + merged * 2 * F8))
-
-        return work
+        touched, merged = (np.array([size(pieces[p.color]) for p in ck.pieces], dtype=np.int64)
+                           for size in (lambda q: q.inverse.size, lambda q: q.crd.size))
+        symbolic = Works(touched, touched * 2 * F8)
+        fill = Works(touched, touched * 3 * F8 + merged * 2 * F8)
+        return lambda phase: symbolic if phase == "spadd:symbolic" else fill
 
 
 class _Generic(KernelSpec):
@@ -647,8 +650,10 @@ class _Generic(KernelSpec):
             if t is ck.out:
                 continue
             touched += t.nnz if not t.format.is_all_dense() else int(np.prod(t.shape))
-        per_piece = float(touched) / max(1, len(ck.pieces))
-        return lambda _phase, _p: Work(2.0 * per_piece, per_piece * 24.0)
+        n = len(ck.pieces)
+        per_piece = float(touched) / max(1, n)
+        works = Works(np.full(n, 2.0 * per_piece), np.full(n, per_piece * 24.0))
+        return lambda _phase: works
 
     def interp_leaf(self, ck):
         asg = ck.schedule.assignment

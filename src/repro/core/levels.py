@@ -41,8 +41,8 @@ class LevelFunctions:
     def init_universe_partition(self):
         return self.level.init_universe_partition(self)
 
-    def create_universe_partition_entry(self, coloring, color, bounds) -> None:
-        self.level.create_universe_partition_entry(self, coloring, color, bounds)
+    def create_universe_partition_entry(self, coloring, colors, bounds) -> None:
+        self.level.create_universe_partition_entry(self, coloring, colors, bounds)
 
     def finalize_universe_partition(self, coloring):
         return self.level.finalize_universe_partition(self, coloring)
@@ -50,8 +50,8 @@ class LevelFunctions:
     def init_nonzero_partition(self):
         return self.level.init_nonzero_partition(self)
 
-    def create_nonzero_partition_entry(self, coloring, color, bounds) -> None:
-        self.level.create_nonzero_partition_entry(self, coloring, color, bounds)
+    def create_nonzero_partition_entry(self, coloring, colors, bounds) -> None:
+        self.level.create_nonzero_partition_entry(self, coloring, colors, bounds)
 
     def finalize_nonzero_partition(self, coloring):
         return self.level.finalize_nonzero_partition(self, coloring)

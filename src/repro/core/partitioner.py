@@ -23,12 +23,12 @@ pattern version and therefore does not invalidate these entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import CompileError
-from ..legion.partition import Partition
+from ..legion.partition import Coloring, Partition
 from ..legion.runtime import Privilege, RegionReq
 from ..taco.tensor import Tensor
 from . import cache as _cache
@@ -82,7 +82,7 @@ class TensorPartition:
         """True when the values partition overlaps (requires reduction)."""
         return not self.vals_part.is_disjoint()
 
-    def top_level_bounds(self) -> Dict[Color, Bounds]:
+    def top_level_bounds(self) -> Coloring:
         """Per-color [lo, hi] coordinate bounds at the root level.
 
         Used by ``partitionRemainingCoordinateTrees`` to derive universe
@@ -99,7 +99,7 @@ class TensorPartition:
                 if not s.empty:
                     idx = s.indices()  # nnz: ok an ArraySubset's own array, no copy
                     lo[k], hi[k] = coord_of(idx[0]), coord_of(idx[-1])
-        return dict(zip(part.colors(), zip(lo.tolist(), hi.tolist())))
+        return Coloring(part.colors(), np.stack([lo, hi], axis=1))
 
     def nbytes_for(self, color: Color) -> int:
         total = 0
@@ -112,15 +112,18 @@ def partition_tensor(
     tensor: Tensor,
     initial_level: int,
     kind: str,  # "universe" | "nonzero"
-    bounds: Dict[Color, Bounds],
+    bounds: Union[Coloring, Dict[Color, Bounds]],
     plan: Optional[PartitioningPlan] = None,
 ) -> TensorPartition:
     """Run the Table I level functions to partition one tensor's tree.
 
+    ``bounds`` gives each color's initial ``(lo, hi)``: a :class:`Coloring`
+    (columns) or a ``{color: (lo, hi)}`` mapping, read in its order.
     Memoized: a repeat call over the same pattern version, level, kind and
     bounds returns the cached :class:`TensorPartition` (shared, read-only)
     and re-emits the originally recorded plan statements into ``plan``.
     """
+    bounds = Coloring.of(bounds)
     if plan is None:
         plan = PartitioningPlan(f"partition_{tensor.name}")
     if tensor.format.is_all_dense():
@@ -147,10 +150,9 @@ def partition_tensor(
                                  site.finalize_nonzero_partition)
     else:
         raise CompileError(f"unknown partition kind {kind!r}")
-    colors = list(bounds.keys())
+    colors = bounds.colors()
     coloring = init()
-    for c in colors:
-        entry(coloring, c, bounds[c])
+    entry(coloring, colors, bounds.bounds)
     up, down = finalize(coloring)
 
     positions: List[Optional[Partition]] = [None] * nlevels

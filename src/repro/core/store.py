@@ -103,9 +103,12 @@ __all__ = [
 #: their dedup set.  v8: a runtime's launch-trace keys lose their scratch
 #: slot.  v9: a partition of rects carries their bounds arrays, and a
 #: runtime's homes pickle without their dedup sets (rebuilt per region when
-#: a placement first needs one).  Any other version is refused with
-#: :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 9
+#: a placement first needs one).  v10: a partition of rects pickles its
+#: bounds columns and the pieces made so far, a residency table its index
+#: as columns (with the placement it has not made into pieces yet), and a
+#: compiled kernel's pieces lose their ``var_bounds``.  Any other version is
+#: refused with :class:`~repro.errors.StoreFormatError`, never migrated.
+STORE_FORMAT_VERSION = 10
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"

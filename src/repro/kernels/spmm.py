@@ -108,7 +108,7 @@ def spmm_bind(pos, crd, vals, C, out, pieces, accumulate):
         *window, w = window_w
         return over(lo, hi, w, *window) if lo <= hi else _const(w)
 
-    windowed = any(any(p[3:-1]) for p in pieces)  # a ``grid`` piece's columns
+    windowed = any(any(p[3:]) for p in pieces)  # a ``grid`` piece's columns
     return build, None if windowed else over
 
 

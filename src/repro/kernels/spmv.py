@@ -108,9 +108,9 @@ def spmv_rows_reference(
 
 def segdot_bind(pos, crd, vals, c, out, pieces, accumulate):
     """Derive the segment boundaries once; return ``(build, over)``:
-    ``build(lo, hi, w)`` is the thunk of a ``(color, lo, hi, Work)`` piece,
-    ``over(lo, hi, w)`` the same body over a longer range (the launch
-    thunk's)."""
+    ``build(lo, hi, w)`` is the thunk of a ``(color, lo, hi)`` piece whose
+    Work is ``w``, ``over(lo, hi, w)`` the same body over a longer range
+    (the launch thunk's, ``w`` every piece's Work as columns)."""
     indptr = _indptr(pos)
 
     def over(lo, hi, w):

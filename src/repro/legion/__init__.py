@@ -20,7 +20,7 @@ from .index_space import (
 from .region import Region, RectRegion, make_pos_region
 from .partition import Coloring, Partition, equal_partition, equal_partition_nd
 from .dependent import image, partition_by_bounds, partition_by_value_ranges, preimage
-from .machine import Grid, Machine, NodeSpec, ProcKind, Processor, Work
+from .machine import Grid, Machine, NodeSpec, ProcKind, Processor, Work, Works
 from .network import Network
 from .metrics import CommEvent, ExecutionMetrics, StepMetrics
 from .runtime import MappingTrace, Privilege, RegionReq, Runtime
@@ -52,6 +52,7 @@ __all__ = [
     "ProcKind",
     "Processor",
     "Work",
+    "Works",
     "Network",
     "CommEvent",
     "ExecutionMetrics",

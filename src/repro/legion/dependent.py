@@ -39,9 +39,8 @@ __all__ = [
 
 def _coloring(coloring: Union[Coloring, Dict]) -> Tuple[list, np.ndarray]:
     """A coloring's colors and its ``(colors × 2)`` inclusive bounds."""
-    items = list(coloring.items())
-    b = np.array([bounds for _, bounds in items], dtype=np.int64).reshape(-1, 2)
-    return [c for c, _ in items], b
+    coloring = Coloring.of(coloring)
+    return coloring.colors(), coloring.bounds
 
 
 def partition_by_bounds(

@@ -296,23 +296,18 @@ class ArraySubset(IndexSubset):
 EMPTY = RectSubset(Rect(0, -1))
 
 
-def rect_subsets(lo: np.ndarray, hi: np.ndarray, volumes: np.ndarray) -> list:
-    """One subset per row of the ``(n × ndim)`` int64 bounds ``lo`` /
-    ``hi`` of ``volumes`` points: :data:`EMPTY` where that is 0, else the
-    row's rect.  The rects are trusted — their points come from the arrays,
-    so no argument is checked — and carry ``empty`` / ``volume``."""
-    out = []
-    new = object.__new__
-    for l, h, v in zip(map(tuple, lo.tolist()), map(tuple, hi.tolist()), volumes.tolist()):
-        if not v:
-            out.append(EMPTY)
-            continue
-        r = new(Rect)
-        r.__dict__.update(lo=l, hi=h, empty=False, volume=v)
-        s = new(RectSubset)
-        s.__dict__["rect"] = r
-        out.append(s)
-    return out
+def rect_piece(lo: Tuple[int, ...], hi: Tuple[int, ...], volume: int) -> IndexSubset:
+    """The subset of a partition colour whose bounds row is ``lo`` / ``hi``
+    (tuples) of ``volume`` points: :data:`EMPTY` when that is 0, else the
+    rect.  The rect is trusted — its points come from a partition's bounds
+    arrays, so no argument is checked — and carries ``empty`` / ``volume``."""
+    if not volume:
+        return EMPTY
+    r = object.__new__(Rect)
+    r.__dict__.update(lo=lo, hi=hi, empty=False, volume=volume)
+    s = object.__new__(RectSubset)
+    s.__dict__["rect"] = r
+    return s
 
 
 def subset_from_indices(idx: np.ndarray) -> IndexSubset:

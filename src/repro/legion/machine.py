@@ -14,11 +14,15 @@ Sparse kernels are memory bound, so the roofline in
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import astuple, dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["ProcKind", "NodeSpec", "Grid", "Processor", "Machine", "Work"]
+import numpy as np
+
+__all__ = ["ProcKind", "NodeSpec", "Grid", "Processor", "Machine", "Work", "Works"]
 
 GB = 1024.0**3
 
@@ -68,6 +72,43 @@ class Work:
         return Work(0.0, 0.0)
 
 
+class Works:
+    """Every piece's :class:`Work` in one launch, as columns: ``flops`` and
+    ``bytes``, float64 arrays in piece order.  ``works[k]`` is piece
+    ``k``'s Work; the runtime books a launch from the columns at once
+    (:meth:`repro.legion.runtime.Runtime._book`)."""
+
+    __slots__ = ("flops", "bytes")
+
+    def __init__(self, flops, bytes):
+        self.flops = np.asarray(flops, dtype=np.float64)
+        self.bytes = np.asarray(bytes, dtype=np.float64)
+
+    @classmethod
+    def of(cls, works) -> "Works":
+        """``works`` as columns: a sequence of :class:`Work`, or columns."""
+        if isinstance(works, Works):
+            return works
+        works = list(works)
+        return cls([w.flops for w in works], [w.bytes for w in works])
+
+    @classmethod
+    def zeros(cls, n: int) -> "Works":
+        return cls(np.zeros(n), np.zeros(n))
+
+    def __len__(self) -> int:
+        return len(self.flops)
+
+    def __getitem__(self, k: int) -> Work:
+        return Work(float(self.flops[k]), float(self.bytes[k]))
+
+    def __iter__(self):
+        return map(Work, self.flops.tolist(), self.bytes.tolist())
+
+    def __add__(self, other: "Works") -> "Works":
+        return Works(self.flops + other.flops, self.bytes + other.bytes)
+
+
 class Grid:
     """An N-D grid extent, e.g. ``Grid(4)`` or ``Grid(2, 2)``."""
 
@@ -77,17 +118,11 @@ class Grid:
         self.dims: Tuple[int, ...] = tuple(int(d) for d in dims)
         if any(d <= 0 for d in self.dims):
             raise ValueError(f"grid dims must be positive: {self.dims}")
+        self.size: int = math.prod(self.dims)
 
     @property
     def ndim(self) -> int:
         return len(self.dims)
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
 
     def points(self) -> Iterable[Tuple[int, ...]]:
         ranges = [range(d) for d in self.dims]
@@ -198,6 +233,17 @@ class Machine:
         )
 
     # -- grid structure -----------------------------------------------------
+    @cached_property
+    def smallest_memory(self) -> float:
+        """The least memory of any processor (a machine is immutable)."""
+        return min(p.mem_bytes for p in self.processors)
+
+    @cached_property
+    def rates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every processor's roofline rates as columns, ``(flops, membw)``."""
+        return (np.array([p.flops for p in self.processors]),
+                np.array([p.membw for p in self.processors]))
+
     @property
     def size(self) -> int:
         return self.grid.size

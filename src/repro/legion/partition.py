@@ -9,7 +9,7 @@ memory.
 """
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .index_space import (
     RectSubset,
     _once,
     intersect_subsets,
-    rect_subsets,
+    rect_piece,
     union_subsets,
 )
 
@@ -32,42 +32,66 @@ Color = Hashable
 
 
 class Coloring:
-    """A staging map from colors to coordinate/position bounds.
+    """Colors and their inclusive ``(lo, hi)`` bounds, as columns.
 
-    This is the object the generated partitioning code builds up entry by
-    entry (``C[color] = bounds`` in Table I) before it is finalized into a
-    :class:`Partition`.
+    This is the object the generated partitioning code fills (``C[color] =
+    bounds`` in Table I, inside the loop over the launch domain of Fig. 9b)
+    before it is finalized into a :class:`Partition`: ``bounds[k]`` is the
+    ``(lo, hi)`` row of the ``k``-th color, an ``(n × 2)`` int64 array.
     """
 
-    def __init__(self):
-        self.entries: Dict[Color, Tuple[int, int]] = {}
+    def __init__(self, colors: Sequence[Color] = (), bounds=None):
+        self.fill(colors, () if bounds is None else bounds)
+
+    @classmethod
+    def of(cls, entries: Mapping[Color, Tuple[int, int]]) -> "Coloring":
+        """The coloring of a ``{color: (lo, hi)}`` mapping, in its order."""
+        return entries if isinstance(entries, Coloring) else cls(
+            list(entries), list(entries.values()))
+
+    def fill(self, colors: Sequence[Color], bounds) -> None:
+        """Every color's bounds at once: ``bounds`` in ``colors`` order."""
+        self._colors = list(colors)
+        self.bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 2)
+        if len(self.bounds) != len(self._colors):
+            raise ValueError(f"{len(self._colors)} colors, {len(self.bounds)} bounds")
 
     def __setitem__(self, color: Color, bounds: Tuple[int, int]) -> None:
-        lo, hi = int(bounds[0]), int(bounds[1])
-        self.entries[color] = (lo, hi)
+        row = [int(bounds[0]), int(bounds[1])]
+        if color in self._colors:
+            self.bounds = self.bounds.copy()
+            self.bounds[self._colors.index(color)] = row
+        else:
+            self.fill([*self._colors, color], [*self.bounds.tolist(), row])
 
     def __getitem__(self, color: Color) -> Tuple[int, int]:
-        return self.entries[color]
+        lo, hi = self.bounds[self._colors.index(color)].tolist()
+        return lo, hi
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._colors)
 
-    def items(self):
-        return self.entries.items()
+    def items(self) -> List[Tuple[Color, Tuple[int, int]]]:
+        return list(zip(self._colors, map(tuple, self.bounds.tolist())))
 
     def colors(self) -> List[Color]:
-        return list(self.entries.keys())
+        return list(self._colors)
 
 
 class Partition:
     """A partition of ``parent`` into per-color subsets.
 
-    A partition whose pieces are all rects also has them as arrays:
+    A partition whose pieces are all rects also has them as columns:
     :attr:`bounds` is ``(lo, hi)``, ``(colors × ndim)`` int64 in color order,
     an empty color a row ``(0, -1)`` on every axis.  The dependent
-    partitioning operations compute those arrays in one pass and build the
-    pieces from them (:meth:`from_bounds`); a partition built from pieces
-    derives them on first read.
+    partitioning operations compute those arrays in one pass and keep them
+    (:meth:`from_bounds`): such a partition builds no subset until a caller
+    asks for one — ``partition[color]`` makes that color's rect (once,
+    shared with every :meth:`copy`), :attr:`subsets` / :meth:`items` make
+    them all — and :meth:`is_disjoint` (and a 1-D :meth:`is_complete`)
+    read the columns.  A partition built from pieces (an :class:`ArraySubset`
+    colour, a hand-built dict) keeps them, and derives its bounds on first
+    read.
     """
 
     def __init__(
@@ -78,20 +102,30 @@ class Partition:
         name: str = "",
     ):
         self.parent = parent
-        self.subsets = dict(subsets)
         self.name = name or f"part_of_{parent.name}"
+        self.__dict__["subsets"] = dict(subsets)
+        self._colors = list(self.subsets)
+        #: a partition built from its bounds: the pieces made so far (None:
+        #: not yet), in color order.
+        self._made: Optional[list] = None
 
     @classmethod
     def from_bounds(cls, parent: IndexSpace, colors: Sequence[Color], lo: np.ndarray,
                     hi: np.ndarray, *, name: str = "") -> "Partition":
         """Color ``colors[k]`` gets the rect ``[lo[k], hi[k]]`` (``EMPTY``
-        where any ``hi < lo``)."""
+        where any ``hi < lo``); no subset is built here."""
         volumes = np.maximum(hi - lo + 1, 0).prod(axis=1)
         if not volumes.all():
             live = volumes[:, None] > 0
             lo, hi = np.where(live, lo, 0), np.where(live, hi, -1)
-        part = cls(parent, dict(zip(colors, rect_subsets(lo, hi, volumes))), name=name)
-        part.__dict__["bounds"] = lo, hi
+        return cls._of_columns(parent, list(colors), (lo, hi), volumes, None, name)
+
+    @classmethod
+    def _of_columns(cls, parent, colors, bounds, volumes, made, name) -> "Partition":
+        part = cls.__new__(cls)
+        part.parent, part.name, part._colors = parent, name or f"part_of_{parent.name}", colors
+        part._made = [None] * len(colors) if made is None else made
+        part.__dict__.update(bounds=bounds, sizes=volumes)
         return part
 
     @_once
@@ -101,38 +135,76 @@ class Partition:
         pickle taken before then carries none and derives it on load."""
         return _bounds_of(self.parent.ndim, self.subsets.values())
 
+    @_once
+    def sizes(self) -> np.ndarray:
+        """Every color's volume, in color order."""
+        return np.array([s.volume for s in self.subsets.values()], dtype=np.int64)
+
+    @_once
+    def subsets(self) -> Dict[Color, IndexSubset]:
+        """Every color's subset, in color order (a partition built from its
+        bounds makes the ones no caller has asked for yet)."""
+        return dict(zip(self._colors, map(self.piece, range(len(self._colors)))))
+
+    @_once
+    def _rows(self) -> Tuple[list, list, list]:
+        """The bounds and volumes as lists, read once for every piece made."""
+        return self.bounds[0].tolist(), self.bounds[1].tolist(), self.sizes.tolist()
+
+    @_once
+    def _index(self) -> Dict[Color, int]:
+        return dict(zip(self._colors, range(len(self._colors))))
+
     # -- access ----------------------------------------------------------
     def __getitem__(self, color: Color) -> IndexSubset:
-        return self.subsets.get(color, EMPTY)
+        subsets = self.__dict__.get("subsets")
+        if subsets is not None:
+            return subsets.get(color, EMPTY)
+        k = self._index.get(color)
+        return EMPTY if k is None else self.piece(k)
+
+    def piece(self, k: int) -> IndexSubset:
+        """The subset of the ``k``-th color (in :meth:`colors` order)."""
+        if self._made is None:
+            return self.subsets[self._colors[k]]
+        piece = self._made[k]
+        if piece is None:
+            lo, hi, volumes = self._rows
+            piece = self._made[k] = rect_piece(tuple(lo[k]), tuple(hi[k]), volumes[k])
+        return piece
 
     def colors(self) -> List[Color]:
-        return list(self.subsets.keys())
+        return list(self._colors)
 
     @property
     def n_colors(self) -> int:
-        return len(self.subsets)
+        return len(self._colors)
 
     def items(self):
         return self.subsets.items()
 
+    def live(self) -> np.ndarray:
+        """Per color in order: whether its subset is non-empty."""
+        return self.sizes > 0
+
     # -- structural properties -------------------------------------------
     def is_disjoint(self) -> bool:
         """True when no index is assigned to two colors."""
+        if self.bounds is not None:
+            return _rects_disjoint(*self.bounds)
         subsets = [s for s in self.subsets.values() if not s.empty]
-        if all(isinstance(s, RectSubset) for s in subsets):
-            rects = sorted((s.rect for s in subsets), key=lambda r: r.lo)
-            # Rects sharing their trailing extents (1-D ones, row blocks) can
-            # only meet on the leading axis: compare neighbours.
-            if len({(r.lo[1:], r.hi[1:]) for r in rects}) <= 1:
-                return all(a.hi[0] < b.lo[0] for a, b in zip(rects, rects[1:]))
-            # N-D windows: pairwise check (small color counts in practice)
-            return not any(a.overlaps(b) for i, a in enumerate(rects) for b in rects[i + 1 :])
+        if subsets and all(isinstance(s, RectSubset) for s in subsets):
+            return _rects_disjoint(np.array([s.rect.lo for s in subsets], dtype=np.int64),
+                                   np.array([s.rect.hi for s in subsets], dtype=np.int64))
         total = sum(s.volume for s in subsets)
         merged = union_subsets(subsets)
         return merged.volume == total
 
     def is_complete(self) -> bool:
         """True when the subsets cover every index of the parent space."""
+        if self.bounds is not None and self.bounds[0].shape[1] == 1:
+            lo, hi = self.bounds[0][:, 0], self.bounds[1][:, 0]
+            return _covered(lo[hi >= lo], hi[hi >= lo]) == self.parent.volume
         subsets = [s for s in self.subsets.values() if not s.empty]
         if any(isinstance(s, RectSubset) and s.rect.ndim > 1 for s in subsets):
             # N-D partitions produced here are disjoint rect tilings, so
@@ -140,8 +212,7 @@ class Partition:
             if self.is_disjoint():
                 return sum(s.volume for s in subsets) == self.parent.volume
             raise NotImplementedError("completeness of aliased N-D partitions")
-        merged = union_subsets(subsets)
-        return merged.volume == self.parent.volume
+        return union_subsets(subsets).volume == self.parent.volume
 
     def color_of_point(self, p) -> List[Color]:
         return [c for c, s in self.subsets.items() if s.contains_point(p)]
@@ -163,11 +234,15 @@ class Partition:
         return Partition(self.parent, out, name=f"({self.name}&{other.name})")
 
     def volumes(self) -> Dict[Color, int]:
-        return {c: s.volume for c, s in self.subsets.items()}
+        return dict(zip(self._colors, self.sizes.tolist()))
 
     def copy(self, name: Optional[str] = None,
              parent: Optional[IndexSpace] = None) -> "Partition":
-        """The same pieces under another name (and index space)."""
+        """The same pieces under another name (and index space); a
+        partition built from its bounds shares them, made or not."""
+        if self._made is not None:
+            return Partition._of_columns(parent or self.parent, self._colors, self.bounds,
+                                         self.sizes, self._made, name or self.name)
         out = Partition(parent or self.parent, self.subsets, name=name or self.name)
         if "bounds" in self.__dict__:
             out.__dict__["bounds"] = self.bounds
@@ -201,6 +276,33 @@ class Partition:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Partition({self.name}, colors={self.n_colors})"
+
+
+def _rects_disjoint(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """No two non-empty rows of the bounds ``lo`` / ``hi`` share a point."""
+    live = (hi >= lo).all(axis=1)
+    lo, hi = lo[live], hi[live]
+    if len(lo) < 2:
+        return True
+    # Rects sharing their trailing extents (1-D ones, row blocks) can only
+    # meet on the leading axis: compare neighbours.
+    if (lo[1:, 1:] == lo[0, 1:]).all() and (hi[1:, 1:] == hi[0, 1:]).all():
+        order = np.argsort(lo[:, 0], kind="stable")
+        return bool((hi[order[:-1], 0] < lo[order[1:], 0]).all())
+    # N-D windows: pairwise (small color counts in practice)
+    meet = ((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None])).all(axis=2)
+    return not np.triu(meet, 1).any()
+
+
+def _covered(lo: np.ndarray, hi: np.ndarray) -> int:
+    """How many points the 1-D ranges ``[lo[k], hi[k]]`` (none empty) cover."""
+    if not len(lo):
+        return 0
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)  # the furthest point covered so far
+    start = np.maximum(lo, np.concatenate(([lo[0]], reach[:-1] + 1)))
+    return int(np.maximum(hi - start + 1, 0).sum())
 
 
 def _bounds_of(ndim: int, subsets) -> Optional[Tuple[np.ndarray, np.ndarray]]:

@@ -24,7 +24,7 @@ computation always executes and compute time comes from the returned
 :class:`Work`, so replayed metrics are bit-identical to a fresh analysis.
 A launch handed a *launch thunk* (the compiler passes one for a
 write-disjoint output whose bound leaf has one) calls it once and books the
-per-color ``Work`` in color order.  A replay always may; a recording only
+per-color ``Work`` columns at once, summed per processor in color order.  A replay always may; a recording only
 when every requirement is *at home* — the facts ``place*`` recorded about
 whole partitions say staging and coherence do nothing, as on a first
 launch over the placement (:meth:`Runtime._at_home`), and such a recording
@@ -46,9 +46,10 @@ ownership bit says whether the live table is shared, and every writer — a
 recording launch, an uncached copy, ``place*`` — takes a private copy
 first (:meth:`Runtime._unshare_residency`).  Within a table each region
 indexes its pieces by their leading-axis extent and keeps a running volume
-total per processor (:class:`_Residency`), so staging, write invalidation
-and capacity checks touch only the pieces involved; a first placement of
-a partition of rects loads a region's table from its bounds arrays.
+total per processor (:class:`~repro.legion.residency._Residency`), so
+staging, write invalidation and capacity checks touch only the pieces
+involved; a first placement of a partition of rects loads a region's table
+from its bounds as columns and makes no piece until a query needs one.
 
 Explicit copies (the ``communicate``-lowered :meth:`Runtime.copy_subset`)
 are traced the same way, so a chain of launches and copies — the SpAdd
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -71,21 +71,13 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from ..errors import OOMError
-from .index_space import (
-    EMPTY,
-    IndexSubset,
-    RectSubset,
-    intersect_subsets,
-    leading_extent,
-    subsets_overlap,
-    subtract_subsets,
-    union_subsets,
-)
-from .machine import Machine, Work
+from .index_space import IndexSubset, RectSubset, intersect_subsets, subtract_subsets
+from .machine import Machine, Work, Works
 from .metrics import CommEvent, ExecutionMetrics, StepMetrics
 from .network import Network
 from .partition import Partition
 from .region import Region
+from .residency import _Pieces, _Residency, _distinct, _same
 
 __all__ = ["Privilege", "RegionReq", "Runtime", "MappingTrace", "TrialMetrics"]
 
@@ -120,170 +112,6 @@ class RegionReq:
         if self.partition is None:
             return self.region.ispace.full_subset()
         return self.partition[color]
-
-
-def _same(x: IndexSubset, y: IndexSubset) -> bool:
-    """Piece equality: identity first, then same-type equality (cross-type
-    equality would materialize rects as index arrays)."""
-    return x is y or type(x) is type(y) and x == y
-
-
-class _Residency:
-    """Which subsets of one region are valid in each processor's memory.
-
-    ``by_proc`` holds each processor's pieces in arrival order — pieces,
-    never their union, are the unit: a write drops an overlapped piece
-    whole and ``add`` skips exact duplicates — and ``vol`` their summed
-    volume, the running total the capacity model charges.  Beside them
-    every piece is indexed by ``keys[i] = (start, proc)`` on the leading
-    axis, sorted, with ``ents[i] = (end, piece)``; ``span`` bounds ``end -
-    start`` (``None``: recompute), so a piece overlapping ``[a, b]``
-    starts in ``[a - span, b]`` and a query bisects to the pieces near it
-    instead of scanning every processor.  The index only proposes pieces;
-    the subset algebra decides.
-
-    ``whole`` holds facts about whole partitions, which ``place*`` records:
-    ``whole[id(p)] = (p, {color: proc})``, each non-empty piece of ``p`` (or
-    an equal one) is held on its color's processor; ``whole[None] = (None,
-    procs)``, the whole region is held on each of ``procs``.  A write that
-    drops a piece clears them; pickling drops them (they hold ids).
-    """
-
-    def __init__(self):
-        #: Never holds an empty list, so two tables with the same pieces
-        #: compare equal whatever launches produced them.
-        self.by_proc: Dict[int, List[IndexSubset]] = {}
-        self.vol: Dict[int, int] = {}
-        self.keys: List[Tuple[int, int]] = []
-        self.ents: List[Tuple[int, IndexSubset]] = []
-        self.span: Optional[int] = 0
-        self.whole: Dict[Optional[int], Tuple] = {}
-
-    def copy(self) -> "_Residency":
-        new = _Residency()
-        new.by_proc = {proc: list(pieces) for proc, pieces in self.by_proc.items()}
-        new.vol, new.keys, new.ents = dict(self.vol), list(self.keys), list(self.ents)
-        new.span, new.whole = self.span, dict(self.whole)
-        return new
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "whole"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state, whole={})
-
-    def load(self, pieces, facts: Optional["_Residency"] = None, bounds=None) -> None:
-        """Fill this empty table with ``pieces`` (``(subset, proc)``, none
-        equal on one processor) in one pass and one sort, as ``add`` of each
-        in turn would; ``facts``: a table whose facts hold of them too;
-        ``bounds``: the pieces' rects as ``(lo, hi)`` arrays, which give
-        every volume and leading extent at once."""
-        if bounds is None:
-            rows = [(s.volume, *leading_extent(s)) if s.volume else (0, 0, -1)
-                    for s, _ in pieces]
-        else:
-            lo, hi = bounds
-            rows = zip(np.maximum(hi - lo + 1, 0).prod(axis=1).tolist(),
-                       lo[:, 0].tolist(), hi[:, 0].tolist())
-        index = []
-        for (subset, proc), (vol, start, end) in zip(pieces, rows):
-            if vol:
-                index.append(((start, proc), (end, subset)))
-                self.by_proc.setdefault(proc, []).append(subset)
-                self.vol[proc] = self.vol.get(proc, 0) + vol
-        index.sort(key=lambda kv: kv[0])  # stable: equal keys keep arrival order
-        self.keys, self.ents = [k for k, _ in index], [e for _, e in index]
-        self.span = max((e[0] - k[0] for k, e in index), default=0)
-        self.whole = dict(facts.whole) if facts is not None else {}
-
-    def hold_whole(self, key: Optional[int], partition, holders) -> None:
-        self.whole[key] = (partition, holders)
-
-    def held(self, partition: Optional[Partition], launch: Dict, replicas: bool) -> bool:
-        """Whether a fact says each color's non-empty piece of ``partition``
-        is held where it launches (``launch``: each color's processor;
-        ``replicas``: a replicated region says so)."""
-        rep = self.whole.get(None)
-        if replicas and rep is not None and rep[1].issuperset(launch.values()):
-            return True
-        fact = partition is not None and self.whole.get(id(partition))
-        return bool(fact) and (fact[1].items() <= launch.items() or all(
-            launch.get(c, p) == p for c, p in fact[1].items()))
-
-    def apart(self) -> bool:
-        """No two pieces meet on the leading axis, so none overlaps another."""
-        return all(e[0] < k[0] for e, k in zip(self.ents, itertools.islice(self.keys, 1, None)))
-
-    def _window(self, subset: IndexSubset) -> Tuple[int, int, int]:
-        """``(i, j, a)``: ``keys[i:j]`` holds every piece overlapping
-        ``subset``'s leading extent ``[a, b]`` — those with ``end >= a``."""
-        a, b = leading_extent(subset)
-        if self.span is None:
-            self.span = max((e - k[0] for k, (e, _) in zip(self.keys, self.ents)), default=0)
-        return bisect_left(self.keys, (a - self.span,)), bisect_left(self.keys, (b + 1,)), a
-
-    def _on(self, proc: int, needed: IndexSubset) -> List[IndexSubset]:
-        """``proc``'s pieces that may overlap ``needed``: its own list or
-        the index window, whichever is shorter."""
-        pieces = self.by_proc.get(proc, [])
-        i, j, a = self._window(needed)
-        if j - i >= len(pieces):
-            return pieces
-        return [e[1] for k, e in zip(self.keys[i:j], self.ents[i:j]) if k[1] == proc and e[0] >= a]
-
-    def covered_volume(self, proc: int, needed: IndexSubset) -> int:
-        if needed.empty:
-            return 0
-        overlaps = [intersect_subsets(p, needed) for p in self._on(proc, needed)]
-        return union_subsets(overlaps).volume
-
-    def missing_subset(self, proc: int, needed: IndexSubset) -> IndexSubset:
-        if needed.empty:
-            return EMPTY
-        pieces = self._on(proc, needed)
-        if any(p is needed or isinstance(p, RectSubset) and isinstance(needed, RectSubset)
-               and p.rect.contains_rect(needed.rect) for p in pieces):
-            return EMPTY  # held whole: what the algebra below would conclude
-        covered = union_subsets([intersect_subsets(p, needed) for p in pieces])
-        return subtract_subsets(needed, covered)
-
-    def add(self, proc: int, subset: IndexSubset) -> None:
-        vol = subset.volume
-        if not vol:
-            return
-        start, end = leading_extent(subset)
-        key = (start, proc)
-        i, j = bisect_left(self.keys, key), bisect_right(self.keys, key)
-        # Skip exact duplicates so steady-state launches leave residency at
-        # a fixpoint; an equal piece has the same key.
-        if any(_same(p, subset) for _, p in self.ents[i:j]):
-            return
-        self.keys.insert(j, key)
-        self.ents.insert(j, (end, subset))
-        self.by_proc.setdefault(proc, []).append(subset)
-        self.vol[proc] = self.vol.get(proc, 0) + vol
-        if self.span is not None and end - start > self.span:
-            self.span = end - start
-
-    def invalidate_others(self, writer: int, subset: IndexSubset) -> None:
-        i, j, a = self._window(subset)
-        drop = [n for n in range(i, j) if self.keys[n][1] != writer
-                and self.ents[n][0] >= a and subsets_overlap(self.ents[n][1], subset)]
-        gone: Dict[int, set] = {}
-        if drop:
-            self.whole = {}
-        for n in reversed(drop):
-            (start, proc), (end, piece) = self.keys.pop(n), self.ents.pop(n)
-            gone.setdefault(proc, set()).add(id(piece))
-            self.vol[proc] -= piece.volume
-            if end - start == self.span:
-                self.span = None
-        for proc, ids in gone.items():
-            kept = [p for p in self.by_proc[proc] if id(p) not in ids]
-            if kept:
-                self.by_proc[proc] = kept
-            else:
-                del self.by_proc[proc], self.vol[proc]
 
 
 @dataclass
@@ -420,7 +248,10 @@ class Runtime:
         key = (proc, type(subset), subset)
         if key not in seen:
             seen.add(key)
-            self._home.setdefault(uid, []).append((subset, proc))
+            homes = self._home.get(uid, ())
+            if not isinstance(homes, list):  # a placement's column: never written
+                homes = self._home[uid] = list(homes)
+            homes.append((subset, proc))
 
     def copy_homes(self, source: "Runtime", regions: Sequence[Region]) -> None:
         """Declare ``regions`` homed as ``source`` has them, in its order
@@ -429,7 +260,8 @@ class Runtime:
         for region in regions:
             homes = source._home.get(region.uid, ())
             if region.uid not in self._home and homes:
-                self._home[region.uid] = list(homes)  # distinct already
+                # distinct already; a placement's column is shared, a list copied
+                self._home[region.uid] = homes if isinstance(homes, _Pieces) else list(homes)
                 continue
             for subset, proc in homes:
                 self._add_home(region.uid, subset, proc)
@@ -448,13 +280,9 @@ class Runtime:
         proc_map: Optional[Callable[[Color], int]] = None,
     ) -> None:
         """Declare the initial distribution of a region (its home placement)."""
-        colors, subsets, bounds = partition.colors(), list(partition.subsets.values()), \
-            partition.bounds
-        procs = self._procs(colors, proc_map)
-        live = (bounds[1] >= bounds[0]).all(axis=1).tolist() if bounds is not None else [
-            not s.empty for s in subsets]
-        self._place_pieces(region, list(zip(subsets, procs)), (
-            id(partition), partition, dict(itertools.compress(zip(colors, procs), live))))
+        procs = self._procs(partition._colors, proc_map)
+        self._place_pieces(region, _Pieces(partition, np.array(procs, dtype=np.int64)),
+                           (id(partition), partition, procs))
 
     def place_replicated(self, region: Region) -> None:
         """Place a full valid copy of the region on every processor."""
@@ -469,15 +297,16 @@ class Runtime:
         """Make each ``(subset, proc)`` resident and a home of ``region``, and
         record ``whole``, the fact it establishes (:class:`_Residency`).  Into
         an empty region the distinct pieces are the homes and load the table
-        at once, from a partition's bounds arrays when it has them."""
+        at once, from a placement's bounds when it has them; a partition
+        placed as one a fact already names (equal bounds, same processors)
+        adds and homes nothing."""
         self._unshare_residency()
         uid, res = region.uid, self._res(region.uid)
-        if not res.keys and uid not in self._home:
-            part = whole[1] if whole is not None else None
-            homes, bounds = _distinct(pieces, part.bounds if part is not None else None)
-            res.load(homes, bounds=bounds)
+        if not len(res.starts) and uid not in self._home:
+            homes = _distinct(pieces)
+            res.load(homes)
             self._home[uid] = homes
-        else:
+        elif not (whole and whole[0] is not None and res.holds_placed(whole[1], whole[2])):
             for subset, proc in pieces:
                 res.add(proc, subset)
                 self._add_home(uid, subset, proc)
@@ -585,29 +414,36 @@ class Runtime:
         for req in reqs:
             reads.setdefault(req.region.uid, []).append(
                 req.privilege is Privilege.READ_ONLY and not req.streamed)
-        home, launch = [], dict(zip(colors, procs))
+        home = []
         for req in reqs:
             res, on = self._residency.get(req.region.uid), reads[req.region.uid]
             home.append(res is not None and bool(res.whole) and (
-                res.held(req.partition, launch, True) if all(on) else
+                res.held(req.partition, colors, procs, True) if all(on) else
                 on == [False] and req.privilege is Privilege.WRITE_DISCARD
-                and res.held(req.partition, launch, False) and res.apart()))
+                and res.held(req.partition, colors, procs, False) and res.apart()))
         return home
 
-    def _book(self, step: StepMetrics, procs: List[int], works: Sequence[Work],
-              events_per_color, booked: Optional[Tuple] = None) -> Tuple:
-        """Book a one-call launch's per-color ``works`` in color order, as the
-        per-task loop adds them, and its events; returns what it booked,
-        ``booked`` itself while ``works`` is the object it priced."""
+    def _book(self, step: StepMetrics, procs: List[int], works, events_per_color,
+              booked: Optional[Tuple] = None) -> Tuple:
+        """Book a one-call launch's per-color ``works`` (:class:`Works`
+        columns, or one :class:`Work` per color) and its events, as the
+        per-task loop adds them: each color's roofline seconds, summed per
+        processor in color order.  Returns what it booked, ``booked`` itself
+        while ``works`` is the object it priced."""
         if booked is None or booked[0] is not works:
-            priced = StepMetrics(step.name)
-            for proc, work in zip(procs, works):
-                priced.add_compute(proc, self.machine.proc(proc).seconds_for(work))
+            cols, (flops, membw) = Works.of(works), self.machine.rates
+            seconds = np.maximum(cols.flops / flops[procs], cols.bytes / membw[procs]).tolist()
+            if len(set(procs)) == len(procs):
+                compute = dict(zip(procs, seconds))
+            else:
+                compute = {}
+                for proc, sec in zip(procs, seconds):
+                    compute[proc] = compute.get(proc, 0.0) + sec
             events = [e for per_color in events_per_color for e in per_color]
-            booked = (works, priced.compute_seconds, events)
+            booked = (works, compute, events)
         step.compute_seconds.update(booked[1])
         step.comm_events.extend(booked[2])
-        step.tasks_launched = len(works)
+        step.tasks_launched = len(booked[0])
         return booked
 
     def _record(self, traces: Dict, key: Tuple, before, make: Callable) -> None:
@@ -658,11 +494,15 @@ class Runtime:
     def _snapshots_equal(a, b) -> bool:
         """Structural equality of two residency snapshots (identity-first
         element compare; cross-type subset equality is never attempted)."""
-        def same_lists(pa, pb):
+        def same(ra, rb):
+            unmade = getattr(ra, "_unmade", None)  # one load neither copy has written
+            if ra is rb or unmade is not None and unmade is getattr(rb, "_unmade", None):
+                return True
+            pa, pb = ra.by_proc, rb.by_proc
             return pa.keys() == pb.keys() and all(
                 len(la) == len(pb[p]) and all(map(_same, la, pb[p])) for p, la in pa.items())
 
-        return a.keys() == b.keys() and all(same_lists(a[u].by_proc, b[u].by_proc) for u in a)
+        return a.keys() == b.keys() and all(same(a[u], b[u]) for u in a)
 
     def _restore_residency(self, snapshot: Dict[int, _Residency]) -> None:
         """Install a recorded table as the live one.  It stays the
@@ -840,9 +680,9 @@ class Runtime:
         check): none is over when all resident bytes fit the smallest
         memory; else the walk raises for the first one over, in its order."""
         resident = sum(sum(res.vol.values()) for res in self._residency.values()) * 8.0
-        if resident > min(p.mem_bytes for p in self.machine.processors):
+        if resident > self.machine.smallest_memory:
             totals = self.resident_bytes_per_proc()
-            for proc in {pr for res in self._residency.values() for pr in res.by_proc}:
+            for proc in {pr for res in self._residency.values() for pr in res.vol}:
                 self._check_capacity(region, proc, totals[proc])
 
     def resident_bytes_per_proc(self) -> Dict[int, float]:
@@ -965,17 +805,6 @@ class Runtime:
     def _rekeyed_copy_traces(traces: Dict[Tuple, _CopyTrace]) -> Dict[Tuple, _CopyTrace]:
         return {(st, uid, _subset_sig(trace.pinned[1]), dst): trace
                 for (st, uid, _, dst), trace in traces.items() if len(trace.pinned) == 2}
-
-
-def _distinct(pieces, bounds):
-    """``pieces`` less each one equal to an earlier one on its processor,
-    and ``bounds`` (``(lo, hi)`` of their rects, or None) cut to match."""
-    keys = [(p, type(s), s) for s, p in pieces] if bounds is None else list(zip(
-        [p for _, p in pieces], *(map(tuple, b.tolist()) for b in bounds)))
-    if len(set(keys)) == len(keys):
-        return pieces, bounds
-    keep = sorted({key: k for k, key in reversed(list(enumerate(keys)))}.values())  # firsts
-    return [pieces[k] for k in keep], bounds and (bounds[0][keep], bounds[1][keep])
 
 
 def _req_sig(uid: int, partition: Optional[Partition], priv: str, streamed: bool) -> Tuple:

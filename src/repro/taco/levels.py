@@ -21,7 +21,9 @@ Each class carries everything that depends on the format:
   coordinate);
 * **partitioning** — SpDISTAL's Table I (paper §IV-B): the initial
   partition functions ``init`` / ``create...Entry`` / ``finalize`` x
-  {universe: coordinate bounds, non-zero: position bounds} and the derived
+  {universe: coordinate bounds, non-zero: position bounds} — the entry
+  function fills every color at once from a bounds column, and emits the
+  loop over the colors Fig. 9b's generated code runs — and the derived
   ``partition_from_parent`` / ``partition_from_child``.  ``finalize*``
   returns ``(parent_part, child_part)``: a partition of the level above's
   positions and one of this level's own, exactly as in the paper.  Every
@@ -50,6 +52,11 @@ from ..legion.partition import Coloring, Partition
 from ..legion.region import RectRegion, Region, make_pos_region
 
 __all__ = ["DenseLevel", "CompressedLevel"]
+
+
+#: How a ``create...Entry`` statement reads: one loop over the launch
+#: domain filling every color's bounds (Fig. 9b), whatever the color count.
+_LOOP = "for c in colors:"
 
 
 def _per_colour(part: Partition, bounds_of) -> Tuple[np.ndarray, np.ndarray]:
@@ -102,8 +109,9 @@ class DenseLevel:
         return ()
 
     # -- iteration ------------------------------------------------------------
-    def child_range(self, lo: int, hi: int) -> Tuple[int, int]:
-        """Parent positions ``[lo, hi]`` -> the positions of their slots."""
+    def child_range(self, lo, hi):
+        """Parent positions ``[lo, hi]`` -> the positions of their slots
+        (elementwise over arrays of ranges)."""
         return lo * self.size, (hi + 1) * self.size - 1
 
     def parent_of(self, positions):
@@ -144,9 +152,9 @@ class DenseLevel:
         site.emit("init", f"C_{site.tag} = {{}}")
         return Coloring()
 
-    def create_universe_partition_entry(self, site, coloring, color, bounds) -> None:
-        coloring[color] = bounds
-        site.emit("entry", f"C_{site.tag}[{color}] = {bounds}")
+    def create_universe_partition_entry(self, site, coloring, colors, bounds) -> None:
+        coloring.fill(colors, bounds)
+        site.emit("entry", f"{_LOOP} C_{site.tag}[c] = (lo[c], hi[c])")
 
     def finalize_universe_partition(self, site, coloring):
         if self.num_positions != self.size and site.level_index > 0:
@@ -271,13 +279,16 @@ class CompressedLevel:
         return np.maximum(self.pos.hi - self.pos.lo + 1, 0)
 
     # -- iteration ------------------------------------------------------------
-    def child_range(self, lo: int, hi: int) -> Tuple[int, int]:
-        """Parent positions ``[lo, hi]`` -> the ``crd`` positions they own.
+    def child_range(self, lo, hi):
+        """Parent positions ``[lo, hi]`` -> the ``crd`` positions they own,
+        ``(0, -1)`` where ``hi < lo`` (elementwise over arrays of ranges).
         ``pos`` is monotone, so the union of their ranges is one range."""
-        if hi < lo:
-            return 0, -1
+        live = np.asarray(hi >= lo)
+        if not live.any():
+            return np.zeros_like(lo), np.full_like(hi, -1)
         pos = self.pos.data
-        return int(pos[lo, 0]), int(pos[hi, 1])
+        return (np.where(live, pos[np.where(live, lo, 0), 0], 0),
+                np.where(live, pos[np.where(live, hi, 0), 1], -1))
 
     def parent_of(self, positions):
         """Position(s) -> the owning parent entry.  Empty entries share
@@ -327,13 +338,13 @@ class CompressedLevel:
 
     init_nonzero_partition = init_universe_partition
 
-    def create_universe_partition_entry(self, site, coloring, color, bounds) -> None:
-        coloring[color] = bounds
-        site.emit("entry", f"C_{site.tag}_crd[{color}] = {bounds}")
+    def create_universe_partition_entry(self, site, coloring, colors, bounds) -> None:
+        coloring.fill(colors, bounds)
+        site.emit("entry", f"{_LOOP} C_{site.tag}_crd[c] = (lo[c], hi[c])")
 
-    def create_nonzero_partition_entry(self, site, coloring, color, bounds) -> None:
-        coloring[color] = bounds
-        site.emit("entry", f"C_{site.tag}_crd[{color}] = {bounds}  // position bounds")
+    def create_nonzero_partition_entry(self, site, coloring, colors, bounds) -> None:
+        coloring.fill(colors, bounds)
+        site.emit("entry", f"{_LOOP} C_{site.tag}_crd[c] = (lo[c], hi[c])  // position bounds")
 
     def finalize_universe_partition(self, site, coloring):
         """Bucket ``crd`` by the coordinates it stores."""

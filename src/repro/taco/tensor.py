@@ -483,9 +483,10 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # walking the level stack (the iteration level functions, composed)
     # ------------------------------------------------------------------ #
-    def positions_under(self, lo: int, hi: int, level: int) -> Tuple[int, int]:
+    def positions_under(self, lo, hi, level: int):
         """The positions of storage level ``level`` below root positions
-        ``[lo, hi]``: parent range -> child range, folded down the stack."""
+        ``[lo, hi]``: parent range -> child range, folded down the stack
+        (elementwise over arrays of ranges)."""
         for lvl in self.levels[1 : level + 1]:
             lo, hi = lvl.child_range(lo, hi)
         return lo, hi

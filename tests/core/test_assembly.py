@@ -93,7 +93,7 @@ class TestScanAndInstall:
 
     def test_merge_operands_plans_every_piece(self):
         B, C = rand_csr(name="B"), rand_csr(name="C")
-        pieces = [Piece(c, c, {}, rows) for c, rows in enumerate([(0, 3), (4, 7), (8, 9), (10, 9)])]
+        pieces = [Piece(c, c, rows) for c, rows in enumerate([(0, 3), (4, 7), (8, 9), (10, 9)])]
         plan = merge_operands([B, C], pieces, (10, 8))
         merged = sp.csr_matrix(B.to_dense() != 0) + sp.csr_matrix(C.to_dense() != 0)
         merged.sort_indices()

@@ -30,8 +30,7 @@ class TestDenseLevelFunctions:
         plan = PartitioningPlan()
         f = level_functions_for(B, 0, plan)
         col = f.init_universe_partition()
-        f.create_universe_partition_entry(col, 0, (0, 1))
-        f.create_universe_partition_entry(col, 1, (2, 3))
+        f.create_universe_partition_entry(col, [0, 1], [(0, 1), (2, 3)])
         up, down = f.finalize_universe_partition(col)
         assert up is down  # Table I: same partition both ways for Dense
         assert down[0].indices().tolist() == [0, 1]
@@ -42,7 +41,7 @@ class TestDenseLevelFunctions:
         plan = PartitioningPlan()
         f = level_functions_for(B, 0, plan)
         col = f.init_nonzero_partition()
-        f.create_nonzero_partition_entry(col, 0, (0, 3))
+        f.create_nonzero_partition_entry(col, [0], [(0, 3)])
         up, down = f.finalize_nonzero_partition(col)
         assert down[0].volume == 4
 
@@ -71,8 +70,7 @@ class TestCompressedLevelFunctions:
         plan = PartitioningPlan()
         f = level_functions_for(B, 1, plan)
         col = f.init_universe_partition()
-        f.create_universe_partition_entry(col, 0, (0, 1))  # columns 0-1
-        f.create_universe_partition_entry(col, 1, (2, 3))  # columns 2-3
+        f.create_universe_partition_entry(col, [0, 1], [(0, 1), (2, 3)])  # columns 0-1, 2-3
         pos_part, crd_part = f.finalize_universe_partition(col)
         # crd = [0,1,3,1,3,0,0,3]: cols 0-1 at positions 0,1,3,5,6
         assert crd_part[0].indices().tolist() == [0, 1, 3, 5, 6]
@@ -88,8 +86,7 @@ class TestCompressedLevelFunctions:
         plan = PartitioningPlan()
         f = level_functions_for(B, 1, plan)
         col = f.init_nonzero_partition()
-        f.create_nonzero_partition_entry(col, 0, (0, 3))
-        f.create_nonzero_partition_entry(col, 1, (4, 7))
+        f.create_nonzero_partition_entry(col, [0, 1], [(0, 3), (4, 7)])
         pos_part, crd_part = f.finalize_nonzero_partition(col)
         assert crd_part[0].volume == 4 and crd_part[1].volume == 4
         # row 1 (positions 3,4) straddles -> aliased in pos partition
@@ -418,7 +415,8 @@ class TestPartitionOracle:
 
 class TestPlanTextSnapshot:
     """The emitted plan (Fig. 9b) as literal text, per format x initial
-    level x kind."""
+    level x kind: the entry statement is one loop over the colors,
+    whatever their count."""
 
     def plan_text(self, T, level, kind, bounds):
         plan = PartitioningPlan()
@@ -428,8 +426,7 @@ class TestPlanTextSnapshot:
     def test_csr_universe_at_the_root(self):
         assert self.plan_text(fig7_tensor(), 0, "universe", {0: (0, 1), 1: (2, 3)}) == [
             "C_B1 = {}",
-            "C_B1[0] = (0, 1)",
-            "C_B1[1] = (2, 3)",
+            "for c in colors: C_B1[c] = (lo[c], hi[c])",
             "B1Part = partitionByBounds(C_B1, B1.dom)",
             "P_B2_pos = copy(parentPart)",
             "P_B2_crd = image(B[1].pos, P_B2_pos, crd)",
@@ -438,8 +435,7 @@ class TestPlanTextSnapshot:
     def test_csr_nonzero_at_the_leaves(self):
         assert self.plan_text(fig7_tensor(), 1, "nonzero", {0: (0, 3), 1: (4, 7)}) == [
             "C_B2_crd = {}",
-            "C_B2_crd[0] = (0, 3)  // position bounds",
-            "C_B2_crd[1] = (4, 7)  // position bounds",
+            "for c in colors: C_B2_crd[c] = (lo[c], hi[c])  // position bounds",
             "P_B2_crd = partitionByBounds(C_B2_crd, B[1].crd)",
             "P_B2_pos = preimage(B[1].pos, P_B2_crd, crd)",
             "B1ParentPart = copy(childPart)",
@@ -450,8 +446,7 @@ class TestPlanTextSnapshot:
         T = Tensor.from_coo("T", idx, np.ones(4), (3, 3, 4), CSF3)
         assert self.plan_text(T, 2, "nonzero", {0: (0, 1), 1: (2, 3)}) == [
             "C_T3_crd = {}",
-            "C_T3_crd[0] = (0, 1)  // position bounds",
-            "C_T3_crd[1] = (2, 3)  // position bounds",
+            "for c in colors: C_T3_crd[c] = (lo[c], hi[c])  // position bounds",
             "P_T3_crd = partitionByBounds(C_T3_crd, T[2].crd)",
             "P_T3_pos = preimage(T[2].pos, P_T3_crd, crd)",
             "P_T2_crd = copy(childPart)",
@@ -464,8 +459,7 @@ class TestPlanTextSnapshot:
         T = Tensor.from_coo("T", idx, np.ones(2), (2, 3, 4), DDC)
         assert self.plan_text(T, 2, "nonzero", {0: (0, 0), 1: (1, 1)}) == [
             "C_T3_crd = {}",
-            "C_T3_crd[0] = (0, 0)  // position bounds",
-            "C_T3_crd[1] = (1, 1)  // position bounds",
+            "for c in colors: C_T3_crd[c] = (lo[c], hi[c])  // position bounds",
             "P_T3_crd = partitionByBounds(C_T3_crd, T[2].crd)",
             "P_T3_pos = preimage(T[2].pos, P_T3_crd, crd)",
             "T2ParentPart = copy(childPart)",

@@ -105,8 +105,9 @@ class TestManifest:
     # 5: level formats pickled a ``compressed`` flag, not their level class;
     # 6: residency tables pickled without their piece index;
     # 7: launch-trace keys carried a scratch slot;
-    # 8: homes pickled one dedup set, partitions no bounds arrays
-    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8])
+    # 8: homes pickled one dedup set, partitions no bounds arrays;
+    # 9: partitions pickled every piece, residency indexes lists of keys
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -118,7 +119,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (9, found)
+        assert (exc.value.expected, exc.value.found) == (10, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -295,7 +296,7 @@ class TestTheStoreSeesNoFacts:
         assert pickle.dumps(rt) == with_facts
         loaded = pickle.loads(with_facts)
         assert not any(res.whole for res in loaded._residency.values())
-        assert STORE_FORMAT_VERSION == 9
+        assert STORE_FORMAT_VERSION == 10
 
     def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
         from repro.legion import Rect
@@ -319,8 +320,10 @@ class TestTheStoreSeesNoFacts:
         rt.place(r, part)
         rt.place(s, part)
         assert rt._homed == {}
-        rt.place(r, equal_partition(r.ispace, PIECES))  # equal pieces: no new home
-        assert list(rt._homed) == [r.uid] and len(rt._home[r.uid]) == PIECES
+        rt.place(r, equal_partition(r.ispace, PIECES))  # the same bounds: recognized whole
+        assert rt._homed == {} and len(rt._home[r.uid]) == PIECES
+        rt.place(r, equal_partition(r.ispace, 2 * PIECES))  # new pieces, homed one by one
+        assert list(rt._homed) == [r.uid] and len(rt._home[r.uid]) == 3 * PIECES
         loaded = pickle.loads(pickle.dumps(rt))
         assert loaded._homed == {} and loaded._home.keys() == rt._home.keys()
         for x in (rt, loaded):

@@ -190,10 +190,9 @@ def _same_bits(a, b):
 def _assert_work_matches_table(ck):
     """Both leaves report, piece by piece, the Work the table predicts."""
     spec = SPECS[ck.kind]
-    model = spec.work_model(ck)
+    works = spec.work_model(ck)("")
     interp, generated = spec.interp_leaf(ck), codegen.leaf_for(ck)
-    for p in ck.pieces:
-        expected = model("", p)
+    for p, expected in zip(ck.pieces, works):
         assert interp(p) == expected, (ck.kind, ck.strategy, p.color)
         assert generated(p) == expected, (ck.kind, ck.strategy, p.color)
 
@@ -595,14 +594,11 @@ def test_spmttkrp_shares_one_identity_pair_per_bind(fmt, strategy):
     closures = [_closed_over(t) for t in ck._leaf.__defaults__[0].values()]
     closures = [c for c in closures if "ident" in c]  # empty pieces: no sums
     assert len(closures) > 1
-    bounds = SPECS["spmttkrp"].bounds(ck)
-
-    def fibers(p):
-        p0, p1, _ = bounds(p)
+    def fibers(p0, p1):
         i, j, _ = B.coords_of(np.arange(p0, p1 + 1))
         return len(set(zip(i.tolist(), j.tolist())))
 
-    longest = max(fibers(p) for p in ck.pieces)
+    longest = max(fibers(p0, p1) for _, p0, p1, _ in SPECS["spmttkrp"].piece_args(ck))
     for name, dtype in (("ident", np.int64), ("ones", np.float64)):
         roots = {id(_root(c[name])) for c in closures}
         assert len(roots) == 1

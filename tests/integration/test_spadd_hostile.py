@@ -210,11 +210,11 @@ def test_planned_assembly_equals_the_two_sort_twin(
             est = predict_cost(ck)  # static, from the kernel table's Work
             model = SPECS[ck.kind].work_model(ck)
             plan = ck.assembly_plan()
-            for p in ck.pieces:
+            for k, p in enumerate(ck.pieces):
                 piece = plan.pieces[p.color]
                 sym, fill = works["spadd:symbolic", p.rows], works["spadd:fill", p.rows]
-                assert model("spadd:symbolic", p) == sym
-                assert model("spadd:fill", p) == fill
+                assert model("spadd:symbolic")[k] == sym
+                assert model("spadd:fill")[k] == fill
                 assert K.spadd3_symbolic(piece)[1] == sym
                 scratch = np.zeros(piece.crd.size)
                 assert K.spadd3_fill(piece, [t.vals.data for t in reads], scratch) == fill

@@ -514,6 +514,7 @@ class TestSharedResidencyTables:
     def test_warm_reset_and_replay_do_no_per_piece_work(self, pieces, monkeypatch):
         from collections import Counter
 
+        from repro.legion import residency as residency_mod
         from repro.legion import runtime as runtime_mod
 
         rt = make_rt(pieces)
@@ -542,9 +543,11 @@ class TestSharedResidencyTables:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("_same", "intersect_subsets", "union_subsets",
-                     "subtract_subsets", "subsets_overlap"):
-            counted(runtime_mod, name)
+        for module in (runtime_mod, residency_mod):  # the runtime and its tables
+            for name in ("_same", "intersect_subsets", "union_subsets",
+                         "subtract_subsets", "subsets_overlap"):
+                if hasattr(module, name):
+                    counted(module, name)
         for name in ("add", "copy", "invalidate_others", "missing_subset"):
             counted(runtime_mod._Residency, name)
         again = trial()

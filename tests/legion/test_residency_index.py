@@ -30,6 +30,7 @@ from repro.legion import (
     Work,
     equal_partition,
 )
+from repro.legion import residency as residency_mod
 from repro.legion import runtime as runtime_mod
 from repro.legion.index_space import (
     EMPTY,
@@ -149,24 +150,28 @@ def assert_index_consistent(res, region=None):
     """The index, the running totals and the lists hold the same pieces,
     and every recorded fact about a whole partition (of ``region``) is
     true of them."""
+    by_proc = res.by_proc  # makes the pieces a load left as columns
+    rows = res._row_pieces
     listed = sorted((leading_extent(p)[0], proc, id(p))
-                    for proc, pieces in res.by_proc.items() for p in pieces)
-    indexed = sorted((k[0], k[1], id(e[1])) for k, e in zip(res.keys, res.ents))
-    assert listed == indexed and res.keys == sorted(res.keys)
-    assert all(e[0] == leading_extent(e[1])[1] for e in res.ents)
+                    for proc, pieces in by_proc.items() for p in pieces)
+    keys = list(zip(res.starts.tolist(), res.owners.tolist()))
+    indexed = sorted((start, proc, id(p)) for (start, proc), p in zip(keys, rows))
+    assert len(res.starts) == len(res.ends) == len(res.owners) == len(rows)
+    assert listed == indexed and keys == sorted(keys)
+    assert all(e == leading_extent(p)[1] for e, p in zip(res.ends.tolist(), rows))
     assert res.vol == {proc: sum(p.volume for p in pieces)
-                       for proc, pieces in res.by_proc.items()}
-    assert list(res.vol) == list(res.by_proc)
+                       for proc, pieces in by_proc.items()}
+    assert list(res.vol) == list(by_proc)
     if res.span is not None:
-        assert all(e[0] - k[0] <= res.span for k, e in zip(res.keys, res.ents))
+        assert all(e - a <= res.span for a, e in zip(res.starts.tolist(), res.ends.tolist()))
     for key, (part, holders) in res.whole.items():
         if key is None:
             held = [(region.ispace.full_subset(), proc) for proc in holders]
         else:
             assert key == id(part)
-            held = [(part[color], proc) for color, proc in holders.items()]
+            held = [(part[color], proc) for color, proc in zip(part.colors(), holders)]
         for piece, proc in held:
-            assert _holds(res.by_proc.get(proc, []), piece)
+            assert piece.empty or _holds(by_proc.get(proc, []), piece)
 
 
 def homes_only(rt):
@@ -389,20 +394,22 @@ class TestLaunchGrowsWithPieces:
         """A recording launch that stages — each color one processor along
         from its placement — reads a partitioned and a replicated region
         and writes a third disjointly, and makes O(pieces) overlap tests
-        (the list scan made O(pieces²)); placing compares a piece only with
-        its duplicate."""
+        (the list scan made O(pieces²)); re-placing an equal partition
+        compares no piece."""
         rt = Runtime(Machine.cpu(pieces))
         src, rep, out = (Region(IndexSpace(4 * pieces)) for _ in range(3))
         part = equal_partition(out.ispace, pieces)
         calls = Counter()
-        _counting(monkeypatch, calls, runtime_mod, "subsets_overlap", "_same")
+        _counting(monkeypatch, calls, residency_mod, "subsets_overlap", "_same")
+        _counting(monkeypatch, calls, runtime_mod, "_same")
         rt.place(src, part)
         rt.place_replicated(rep)
         rt.place(out, part)
         rt.place(out, equal_partition(out.ispace, pieces))  # re-declared, equal
         rt.reset_residency()
-        # each re-declared piece is compared with its duplicate, nothing else
-        assert calls == {"_same": pieces}
+        # the re-declared partition has the placed one's bounds on the same
+        # processors: it is recognized whole, and no piece is compared
+        assert calls == {}
         assert len(rt._home[out.uid]) == pieces
         reqs = [RegionReq(src, part, Privilege.READ_ONLY),
                 RegionReq(rep, None, Privilege.READ_ONLY),
@@ -432,7 +439,7 @@ class TestLaunchGrowsWithPieces:
         calls = Counter()
         _counting(monkeypatch, calls, runtime_mod._Residency,
                   "add", "missing_subset", "invalidate_others")
-        _counting(monkeypatch, calls, runtime_mod, "subsets_overlap")
+        _counting(monkeypatch, calls, residency_mod, "subsets_overlap")
         rt.place(src, part)
         rt.place(out, part)
         rt.place_replicated(rep)
@@ -518,12 +525,14 @@ def _statement(kind, n=2_000, nnz=20_000):
 
 class TestColdPathIsPerRegion:
     """A cold statement — compile, place, the recording launch — handles
-    each region's pieces as arrays: the per-piece calls below do not grow
-    with the piece count, and an all-at-home recording copies no table and
-    compares none."""
+    each region's pieces as columns: the per-piece calls below do not grow
+    with the piece count, no color's rect is made when nobody reads it, an
+    all-at-home recording copies no table and compares none, and the plan
+    has the same statements at every piece count."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        from repro.legion import partition as partition_mod
         from repro.legion import region as region_mod
         from repro.taco import levels as levels_mod
 
@@ -533,6 +542,7 @@ class TestColdPathIsPerRegion:
         _counting(monkeypatch, calls, levels_mod.DenseLevel, "coord_bounds")
         _counting(monkeypatch, calls, Runtime, "_add_home")
         _counting(monkeypatch, calls, runtime_mod._Residency, "add", "copy")
+        _counting(monkeypatch, calls, partition_mod, "rect_piece")
         equal = Runtime._snapshots_equal
         monkeypatch.setattr(Runtime, "_snapshots_equal", staticmethod(
             lambda a, b: calls.update(["_snapshots_equal"]) or equal(a, b)))
@@ -551,19 +561,25 @@ class TestColdPathIsPerRegion:
         clear_caches()
         return dict(calls), len(ck.plan.stmts)
 
-    @pytest.mark.parametrize("kind", ["spmv", "spmm"])
-    def test_rows_spmv_and_spmm(self, kind, calls):
-        seen = {p: self._cold(kind, p, calls) for p in (4, 16, 64)}
-        # one window of the dense operand over the whole crd partition
+    @pytest.mark.parametrize("kind", ["spmv", "spmm", "sddmm"])
+    def test_nothing_grows_with_pieces(self, kind, calls):
+        seen = {p: self._cold(kind, p, calls) for p in (4, 16, 64, 256)}
+        # one window of the dense operand over the whole crd partition;
+        # nothing else per piece — SDDMM's output places the pos / crd it
+        # shares with its operand by partitions a fact already names, so
+        # no piece is added or homed one by one
         assert all(calls == {"coord_bounds": 1} for calls, _ in seen.values())
-        # Table I still emits one entry statement per color
-        assert [stmts for _, stmts in seen.values()] == [12, 24, 72]
+        # Table I emits one entry statement, a loop over the colors, per
+        # initial partition
+        assert len({stmts for _, stmts in seen.values()}) == 1
 
-    def test_sddmm_places_its_pattern_regions_twice(self, calls):
-        """The output shares the operand's pos / crd and places them again
-        by its own partitions: the one per-piece remainder, two regions'
-        pieces each added and homed one by one."""
-        for pieces in (4, 16, 64):
-            seen, stmts = self._cold("sddmm", pieces, calls)
-            assert seen == {"coord_bounds": 1, "add": 2 * pieces, "_add_home": 2 * pieces}
-            assert stmts == 2 * pieces + 12
+
+def test_a_load_keeps_the_pairs_it_was_given():
+    """A table loads its pieces as columns and makes them later; a list it
+    loaded from (a region's homes) may grow meanwhile, and the table must
+    still hold only what it was given."""
+    res, pairs = runtime_mod._Residency(), [(RectSubset(Rect(0, 3)), 0)]
+    res.load(pairs)
+    pairs.append((RectSubset(Rect(4, 7)), 1))
+    assert res.by_proc == {0: [pairs[0][0]]} and res.vol == {0: 4}
+    assert_index_consistent(res)

@@ -390,8 +390,8 @@ class TestIndexListScanner:
         assert check._scan_index_lists(relpath, text, ast.parse(text)) == []
         bare = text.replace("  # nnz: ok", "  #")
         lines = [f.line for f in check._scan_index_lists(relpath, bare, ast.parse(bare))]
-        assert lines == [199]
-        assert text.splitlines()[198].strip().startswith("targets = subset.indices()")
+        assert lines == [198]
+        assert text.splitlines()[197].strip().startswith("targets = subset.indices()")
 
 
 class TestScheduleCallScanner:
@@ -520,15 +520,15 @@ class TestResidencyScanner:
         "    def place(self, res, proc, piece, d):\n"
         "        res.by_proc[proc] = [piece]\n"                       # line 7
         "        res.vol[proc] += 8\n"                                # line 8
-        "        res.keys.insert(0, (0, proc))\n"                     # line 9
-        "        res.span, res.ents = None, []\n"                     # line 10
+        "        res._row_pieces.insert(0, piece)\n"                  # line 9
+        "        res.span, res.starts = None, []\n"                   # line 10
         "        del res.by_proc[proc]\n"                             # line 11
         "        res.by_proc[proc].append(piece)\n"                   # line 12
         "        res.whole[id(d)]: tuple = (d, {})\n"                 # line 13
         "        res.add(proc, piece)\n"                              # the fix
-        "        d.keys = list(d.keys())\n"                           # line 15
-        "        total = sum(res.vol.values()) + len(res.keys)\n"     # reads
-        "        return res.whole.get(None), d.keys(), res.by_proc\n"
+        "        d.owners = list(d.owners())\n"                       # line 15
+        "        total = sum(res.vol.values()) + len(res.starts)\n"   # reads
+        "        return res.whole.get(None), d.owners(), res.by_proc\n"
     )
 
     def test_writes_outside_the_class_are_flagged_with_lines(self):
@@ -537,9 +537,21 @@ class TestResidencyScanner:
         assert [f.line for f in findings] == [7, 8, 9, 10, 11, 12, 13, 15]
         assert "residency field 'span'" in findings[3].message
         assert str(findings[0]).startswith(
-            "src/repro/legion/runtime.py:7: writes the residency field 'by_proc'")
+            "src/repro/legion/residency.py:7: writes the residency field 'by_proc'")
+
+    @pytest.mark.parametrize("field", check.RESIDENCY_FIELDS)
+    def test_every_field_is_flagged(self, field):
+        """Each field of the table — the index columns and the piece
+        column among them — assigned, augmented, deleted, written by item
+        or mutated in place outside the class."""
+        src = "".join(f"def f(res, x):\n    {stmt}\n" for stmt in (
+            f"res.{field} = x", f"res.{field} += x", f"del res.{field}",
+            f"res.{field}[0] = x", f"res.{field}.append(x)"))
+        findings = check._scan_residency_writes("src/repro/core/x.py", ast.parse(src))
+        assert [f.line for f in findings] == [2, 4, 6, 8, 10]
+        assert all(f"residency field {field!r}" in f.message for f in findings)
 
     def test_the_class_is_exempt_only_in_its_own_module(self):
         findings = check._scan_residency_writes("src/repro/core/x.py", ast.parse(self.SRC))
         assert [f.line for f in findings][:2] == [3, 4]
-        assert check.RESIDENCY_HOME == ("src/repro/legion/runtime.py", "_Residency")
+        assert check.RESIDENCY_HOME == ("src/repro/legion/residency.py", "_Residency")

@@ -51,10 +51,12 @@ codebase passes defined here:
   ``src/repro/codegen`` or ``src/repro/kernels`` reads the process
   environment;
 * **residency** — a region's residency table is written only by its class
-  (``_Residency`` in ``src/repro/legion/runtime.py``): nowhere else under
-  ``src/repro`` does code assign, augment or delete ``by_proc``,
-  ``keys``, ``ents``, ``vol``, ``span`` or ``whole`` (or an item of one),
-  or call an in-place mutator on them.  The facts the table records
+  (``_Residency`` in ``src/repro/legion/residency.py``): nowhere else under
+  ``src/repro`` does code assign, augment or delete ``by_proc`` (or the
+  ``_proc_pieces`` behind it), the index columns ``starts`` / ``ends`` /
+  ``owners``, the piece column ``_row_pieces``, the unmade load
+  ``_unmade``, ``vol``, ``span`` or ``whole`` (or an item of one), or call
+  an in-place mutator on them.  The facts the table records
   about whole partitions, which let a launch skip staging, stay true
   only while every writer goes through the class;
 * **commplan** — every (kernel × sweep format × strategy × machine kind)
@@ -709,11 +711,12 @@ def _run_no_exec(cache: SourceCache) -> CheckResult:
 # a residency table changes only through its class
 # --------------------------------------------------------------------- #
 #: ``(module, class)`` of the residency table, the one writer of its fields.
-RESIDENCY_HOME = ("src/repro/legion/runtime.py", "_Residency")
+RESIDENCY_HOME = ("src/repro/legion/residency.py", "_Residency")
 #: the table's fields: its pieces, their index and totals, and the facts
 #: about whole partitions that are true only while every write goes
 #: through the class.
-RESIDENCY_FIELDS = ("by_proc", "keys", "ents", "vol", "span", "whole")
+RESIDENCY_FIELDS = ("by_proc", "_proc_pieces", "_row_pieces", "_unmade", "starts", "ends",
+                    "owners", "vol", "span", "whole")
 #: methods that mutate a list, dict or set in place.
 _MUTATORS = frozenset((
     "append", "insert", "extend", "pop", "popitem", "remove", "clear",
