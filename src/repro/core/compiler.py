@@ -78,9 +78,7 @@ class Piece(NamedTuple):
 def _chunk_bounds(extent: int, pieces: int) -> np.ndarray:
     """Every color's ``K.piece_range(extent, pieces, color)``, as ``(pieces
     × 2)`` rows."""
-    chunk = -(-extent // pieces) if extent else 0
-    lo = np.arange(pieces, dtype=np.int64) * chunk
-    return np.stack([lo, np.minimum(lo + chunk, extent) - 1], axis=1)
+    return np.stack(K.piece_range(extent, pieces, np.arange(pieces, dtype=np.int64)), axis=1)
 
 
 @dataclass

@@ -44,11 +44,11 @@ __all__ = [
 
 
 def piece_range(extent: int, pieces: int, color: int) -> Tuple[int, int]:
-    """Inclusive [lo, hi] chunk bounds used by divide (Fig. 9b convention)."""
+    """Inclusive [lo, hi] chunk bounds used by divide (Fig. 9b convention).
+    Elementwise: ``color`` may be an int array, giving arrays of bounds."""
     chunk = -(-extent // pieces) if extent else 0
     lo = color * chunk
-    hi = min((color + 1) * chunk, extent) - 1
-    return lo, hi
+    return lo, np.minimum(lo + chunk, extent) - 1
 
 
 def row_of_positions(starts: np.ndarray, positions: np.ndarray) -> np.ndarray:

@@ -35,9 +35,10 @@ class Coloring:
     """Colors and their inclusive ``(lo, hi)`` bounds, as columns.
 
     This is the object the generated partitioning code fills (``C[color] =
-    bounds`` in Table I, inside the loop over the launch domain of Fig. 9b)
-    before it is finalized into a :class:`Partition`: ``bounds[k]`` is the
-    ``(lo, hi)`` row of the ``k``-th color, an ``(n × 2)`` int64 array.
+    bounds`` in Table I, inside the loop over the launch domain of Fig. 9b;
+    here one :meth:`fill` of every color) before it is finalized into a
+    :class:`Partition`: ``bounds[k]`` is the ``(lo, hi)`` row of the
+    ``k``-th color, an ``(n × 2)`` int64 array.
     """
 
     def __init__(self, colors: Sequence[Color] = (), bounds=None):
@@ -55,18 +56,6 @@ class Coloring:
         self.bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 2)
         if len(self.bounds) != len(self._colors):
             raise ValueError(f"{len(self._colors)} colors, {len(self.bounds)} bounds")
-
-    def __setitem__(self, color: Color, bounds: Tuple[int, int]) -> None:
-        row = [int(bounds[0]), int(bounds[1])]
-        if color in self._colors:
-            self.bounds = self.bounds.copy()
-            self.bounds[self._colors.index(color)] = row
-        else:
-            self.fill([*self._colors, color], [*self.bounds.tolist(), row])
-
-    def __getitem__(self, color: Color) -> Tuple[int, int]:
-        lo, hi = self.bounds[self._colors.index(color)].tolist()
-        return lo, hi
 
     def __len__(self) -> int:
         return len(self._colors)

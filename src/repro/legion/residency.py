@@ -168,13 +168,9 @@ class _Residency:
         live = None if vols.all() else np.flatnonzero(vols)
         if live is not None:
             starts, ends, procs, vols = starts[live], ends[live], procs[live], vols[live]
-        arrived, volumes = procs.tolist(), vols.tolist()
-        if len(set(arrived)) == len(arrived):
-            self.vol = dict(zip(arrived, volumes))
-        else:
-            self.vol = {}
-            for proc, vol in zip(arrived, volumes):
-                self.vol[proc] = self.vol.get(proc, 0) + vol
+        self.vol = {}
+        for proc, vol in zip(procs.tolist(), vols.tolist()):
+            self.vol[proc] = self.vol.get(proc, 0) + vol
         a, b, order = starts[:-1], starts[1:], None
         if not (a < b).all() and not ((a < b) | (a == b) & (procs[:-1] < procs[1:])).all():
             order = np.lexsort((procs, starts))  # stable: equal keys keep arrival order
@@ -184,6 +180,17 @@ class _Residency:
         # a column is never written; a list (a region's homes) may grow
         self._unmade = (pieces if cols is not None else list(pieces), live, order)
         self.whole = dict(facts.whole) if facts is not None else {}
+
+    def same_pieces(self, other: "_Residency") -> bool:
+        """Whether both tables hold the same pieces on each processor, in
+        the same order (identity first; two copies of one load neither has
+        written are equal without making a piece)."""
+        unmade = self._unmade
+        if self is other or unmade is not None and unmade is getattr(other, "_unmade", None):
+            return True
+        pa, pb = self.by_proc, other.by_proc
+        return pa.keys() == pb.keys() and all(
+            len(la) == len(pb[p]) and all(map(_same, la, pb[p])) for p, la in pa.items())
 
     def hold_whole(self, key: Optional[int], partition, holders) -> None:
         self.whole[key] = (partition, holders)
@@ -210,11 +217,12 @@ class _Residency:
         fact = partition is not None and self.whole.get(id(partition))
         if not fact:
             return False
-        if fact[1] == procs and colors == partition._colors:
+        own = partition.colors()
+        if fact[1] == procs and colors == own:
             return True
         launch = dict(zip(colors, procs))
         return all(launch.get(c, p) == p for c, p, here in zip(
-            partition._colors, fact[1], partition.live().tolist()) if here)
+            own, fact[1], partition.live().tolist()) if here)
 
     def apart(self) -> bool:
         """No two pieces meet on the leading axis, so none overlaps another."""

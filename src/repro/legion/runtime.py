@@ -77,7 +77,7 @@ from .metrics import CommEvent, ExecutionMetrics, StepMetrics
 from .network import Network
 from .partition import Partition
 from .region import Region
-from .residency import _Pieces, _Residency, _distinct, _same
+from .residency import _Pieces, _Residency, _distinct
 
 __all__ = ["Privilege", "RegionReq", "Runtime", "MappingTrace", "TrialMetrics"]
 
@@ -280,7 +280,7 @@ class Runtime:
         proc_map: Optional[Callable[[Color], int]] = None,
     ) -> None:
         """Declare the initial distribution of a region (its home placement)."""
-        procs = self._procs(partition._colors, proc_map)
+        procs = self._procs(partition.colors(), proc_map)
         self._place_pieces(region, _Pieces(partition, np.array(procs, dtype=np.int64)),
                            (id(partition), partition, procs))
 
@@ -433,12 +433,9 @@ class Runtime:
         if booked is None or booked[0] is not works:
             cols, (flops, membw) = Works.of(works), self.machine.rates
             seconds = np.maximum(cols.flops / flops[procs], cols.bytes / membw[procs]).tolist()
-            if len(set(procs)) == len(procs):
-                compute = dict(zip(procs, seconds))
-            else:
-                compute = {}
-                for proc, sec in zip(procs, seconds):
-                    compute[proc] = compute.get(proc, 0.0) + sec
+            compute = {}
+            for proc, sec in zip(procs, seconds):
+                compute[proc] = compute.get(proc, 0.0) + sec
             events = [e for per_color in events_per_color for e in per_color]
             booked = (works, compute, events)
         step.compute_seconds.update(booked[1])
@@ -494,15 +491,7 @@ class Runtime:
     def _snapshots_equal(a, b) -> bool:
         """Structural equality of two residency snapshots (identity-first
         element compare; cross-type subset equality is never attempted)."""
-        def same(ra, rb):
-            unmade = getattr(ra, "_unmade", None)  # one load neither copy has written
-            if ra is rb or unmade is not None and unmade is getattr(rb, "_unmade", None):
-                return True
-            pa, pb = ra.by_proc, rb.by_proc
-            return pa.keys() == pb.keys() and all(
-                len(la) == len(pb[p]) and all(map(_same, la, pb[p])) for p, la in pa.items())
-
-        return a.keys() == b.keys() and all(same(a[u], b[u]) for u in a)
+        return a.keys() == b.keys() and all(a[u].same_pieces(b[u]) for u in a)
 
     def _restore_residency(self, snapshot: Dict[int, _Residency]) -> None:
         """Install a recorded table as the live one.  It stays the

@@ -18,13 +18,18 @@ from repro.legion import (
 
 
 class TestColoring:
-    def test_set_get(self):
-        c = Coloring()
-        c[0] = (0, 4)
-        c[1] = (5, 9)
-        assert c[0] == (0, 4)
+    def test_columns(self):
+        c = Coloring([0, 1], [(0, 4), (5, 9)])
+        assert c.items() == [(0, (0, 4)), (1, (5, 9))]
         assert len(c) == 2
         assert c.colors() == [0, 1]
+        c.fill([2], [(3, 3)])
+        assert c.items() == [(2, (3, 3))]
+        assert Coloring.of({0: (1, 2)}).items() == [(0, (1, 2))]
+
+    def test_colors_and_bounds_must_agree(self):
+        with pytest.raises(ValueError):
+            Coloring([0, 1], [(0, 4)])
 
 
 class TestEqualPartition:

@@ -58,6 +58,13 @@ class ListResidency:
     def copy(self):
         return ListResidency({proc: list(pieces) for proc, pieces in self.by_proc.items()})
 
+    def same_pieces(self, other):
+        pa, pb = self.by_proc, other.by_proc
+        return pa.keys() == pb.keys() and all(
+            len(la) == len(pb[p]) and all(x is y or type(x) is type(y) and x == y
+                                          for x, y in zip(la, pb[p]))
+            for p, la in pa.items())
+
     def covered_volume(self, proc, needed):
         pieces = self.by_proc.get(proc, [])
         if not pieces or needed.empty:
@@ -401,7 +408,6 @@ class TestLaunchGrowsWithPieces:
         part = equal_partition(out.ispace, pieces)
         calls = Counter()
         _counting(monkeypatch, calls, residency_mod, "subsets_overlap", "_same")
-        _counting(monkeypatch, calls, runtime_mod, "_same")
         rt.place(src, part)
         rt.place_replicated(rep)
         rt.place(out, part)
@@ -425,6 +431,29 @@ class TestLaunchGrowsWithPieces:
                         [RegionReq(rep, part, Privilege.WRITE_DISCARD)])
         assert calls["subsets_overlap"] <= 2 * pieces
         assert len(rt._residency[rep.uid].by_proc) == pieces
+
+    @pytest.mark.parametrize("pieces", [8, 64])
+    def test_re_placing_after_a_write_compares_a_piece_only_with_its_duplicate(
+            self, pieces, monkeypatch):
+        """A write that drops a piece clears the facts, so re-placing an
+        equal partition adds its pieces one by one; each is compared only
+        with the piece of its key (O(pieces), not O(pieces²))."""
+        rt = Runtime(Machine.cpu(pieces))
+        out = Region(IndexSpace(4 * pieces))
+        part = equal_partition(out.ispace, pieces)
+        rt.place(out, part)
+        # color 0 written on processor 1 drops processor 0's piece
+        rt.index_launch("w", [0], lambda c: Work(1, 1),
+                        [RegionReq(out, part, Privilege.WRITE_DISCARD)], proc_map=lambda c: 1)
+        assert rt._residency[out.uid].whole == {}
+        assert 0 not in rt._residency[out.uid].by_proc
+        calls = Counter()
+        _counting(monkeypatch, calls, residency_mod, "_same")
+        _counting(monkeypatch, calls, runtime_mod._Residency, "add")
+        rt.place(out, equal_partition(out.ispace, pieces))
+        # every color but the dropped one meets its duplicate, once
+        assert calls == {"add": pieces, "_same": pieces - 1}
+        assert_index_consistent(rt._residency[out.uid], out)
 
     def test_a_first_launch_over_home_partitions_runs_no_subset_algebra(
             self, monkeypatch):
