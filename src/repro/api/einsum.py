@@ -220,9 +220,8 @@ def einsum(
         )
         memo = s._einsum_out_memo.get(out_key)
         if memo is None:
-            memo = s._einsum_out_memo[out_key] = (
-                tuple(tensors), Tensor.zeros(name, out_shape)
-            )
+            memo = (tuple(tensors), Tensor.zeros(name, out_shape))
+            s._einsum_out_memo.put(out_key, memo, 1)
         return memo[1]
 
     asg = build_assignment(parsed, tensors, output)

@@ -165,12 +165,13 @@ class Session:
         #: of the raw operand → the packed Tensor, so repeated calls over
         #: equal raw data reuse one tensor *identity* and every
         #: identity-keyed layer downstream (kernel fingerprints, partition
-        #: memo, mapping traces) hits.
-        self._packed_memo: Dict[str, Tensor] = {}
+        #: memo, mapping traces) hits.  An LRU of 256 entries, like the
+        #: front-door table below, cleared by :meth:`close`.
+        self._packed_memo = _cache._SizedLRU(_cache.MiB, 256)
         #: einsum output-tensor memo: statement signature → (operand
         #: tensors, output tensor).  Holding the operands pins their ids
-        #: so a recycled id can never alias a stale key.
-        self._einsum_out_memo: Dict[tuple, tuple] = {}
+        #: so a recycled id can never alias a stale key; 256 entries too.
+        self._einsum_out_memo = _cache._SizedLRU(_cache.MiB, 256)
         #: The :class:`ExecutionResult` of the session's most recent
         #: single-statement execution (``execute``/``einsum``).
         self.last_result: Optional[ExecutionResult] = None
@@ -188,10 +189,11 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        """End the session (idempotent): drop its front-door table.  A
-        session holds no process-wide state; ``with`` blocks and
-        ``Server.close()`` end their sessions here."""
-        self._frontdoor.clear()
+        """End the session (idempotent): drop its front-door table and its
+        einsum memos.  A session holds no process-wide state; ``with``
+        blocks and ``Server.close()`` end their sessions here."""
+        for table in (self._frontdoor, self._packed_memo, self._einsum_out_memo):
+            table.clear()
 
     # ------------------------------------------------------------------ #
     # tensor construction sugar
@@ -241,7 +243,7 @@ class Session:
         if hit is not None:
             return hit
         t = self.tensor(name, data, format)
-        self._packed_memo[key] = t
+        self._packed_memo.put(key, t, 1)
         return t
 
     @staticmethod

@@ -34,14 +34,12 @@ from ..taco.tensor import Tensor
 __all__ = [
     "set_warm_store",
     "warm_store",
-    "set_warm_memo_enabled",
     "clear_warm_memo",
     "content_key",
     "packed_operand",
 ]
 
 _memo: Dict[str, Tensor] = {}
-_memo_enabled = True
 _store: Optional[ArtifactStore] = None
 _store_initialized = False
 
@@ -63,12 +61,6 @@ def warm_store() -> Optional[ArtifactStore]:
     return _store
 
 
-def set_warm_memo_enabled(enabled: bool) -> None:
-    """Disable to force the seed behavior (re-pack every trial)."""
-    global _memo_enabled
-    _memo_enabled = bool(enabled)
-
-
 def clear_warm_memo() -> None:
     _memo.clear()
 
@@ -83,8 +75,6 @@ def packed_operand(name: str, obj, fmt: Optional[Format] = CSR) -> Tensor:
     """
     if isinstance(obj, Tensor):
         return obj
-    if not _memo_enabled:
-        return Tensor.from_scipy(name, obj, fmt)
     key = "operand:" + content_key(name, fmt, obj)
     hit = _memo.get(key)
     if hit is not None:

@@ -106,9 +106,11 @@ __all__ = [
 #: a placement first needs one).  v10: a partition of rects pickles its
 #: bounds columns and the pieces made so far, a residency table its index
 #: as columns (with the placement it has not made into pieces yet), and a
-#: compiled kernel's pieces lose their ``var_bounds``.  Any other version is
+#: compiled kernel's pieces lose their ``var_bounds``.  v11: a runtime's
+#: homes are a residency table per region, and a table keeps each piece
+#: once (an arrival column, no per-processor lists).  Any other version is
 #: refused with :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 10
+STORE_FORMAT_VERSION = 11
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"

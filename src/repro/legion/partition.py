@@ -79,8 +79,8 @@ class Partition:
     shared with every :meth:`copy`), :attr:`subsets` / :meth:`items` make
     them all — and :meth:`is_disjoint` (and a 1-D :meth:`is_complete`)
     read the columns.  A partition built from pieces (an :class:`ArraySubset`
-    colour, a hand-built dict) keeps them, and derives its bounds on first
-    read.
+    colour, a hand-built dict) has them all made, and derives its bounds on
+    first read.
     """
 
     def __init__(
@@ -92,11 +92,10 @@ class Partition:
     ):
         self.parent = parent
         self.name = name or f"part_of_{parent.name}"
-        self.__dict__["subsets"] = dict(subsets)
-        self._colors = list(self.subsets)
-        #: a partition built from its bounds: the pieces made so far (None:
-        #: not yet), in color order.
-        self._made: Optional[list] = None
+        self._colors = list(subsets)
+        #: every color's piece in color order, None where not made yet (a
+        #: partition built from its bounds makes one when it is first read)
+        self._made: list = list(subsets.values())
 
     @classmethod
     def from_bounds(cls, parent: IndexSpace, colors: Sequence[Color], lo: np.ndarray,
@@ -107,14 +106,10 @@ class Partition:
         if not volumes.all():
             live = volumes[:, None] > 0
             lo, hi = np.where(live, lo, 0), np.where(live, hi, -1)
-        return cls._of_columns(parent, list(colors), (lo, hi), volumes, None, name)
-
-    @classmethod
-    def _of_columns(cls, parent, colors, bounds, volumes, made, name) -> "Partition":
         part = cls.__new__(cls)
-        part.parent, part.name, part._colors = parent, name or f"part_of_{parent.name}", colors
-        part._made = [None] * len(colors) if made is None else made
-        part.__dict__.update(bounds=bounds, sizes=volumes)
+        part.parent, part.name = parent, name or f"part_of_{parent.name}"
+        part._colors, part._made = list(colors), [None] * len(colors)
+        part.__dict__.update(bounds=(lo, hi), sizes=volumes)
         return part
 
     @_once
@@ -146,16 +141,11 @@ class Partition:
 
     # -- access ----------------------------------------------------------
     def __getitem__(self, color: Color) -> IndexSubset:
-        subsets = self.__dict__.get("subsets")
-        if subsets is not None:
-            return subsets.get(color, EMPTY)
         k = self._index.get(color)
         return EMPTY if k is None else self.piece(k)
 
     def piece(self, k: int) -> IndexSubset:
         """The subset of the ``k``-th color (in :meth:`colors` order)."""
-        if self._made is None:
-            return self.subsets[self._colors[k]]
         piece = self._made[k]
         if piece is None:
             lo, hi, volumes = self._rows
@@ -227,14 +217,12 @@ class Partition:
 
     def copy(self, name: Optional[str] = None,
              parent: Optional[IndexSpace] = None) -> "Partition":
-        """The same pieces under another name (and index space); a
-        partition built from its bounds shares them, made or not."""
-        if self._made is not None:
-            return Partition._of_columns(parent or self.parent, self._colors, self.bounds,
-                                         self.sizes, self._made, name or self.name)
-        out = Partition(parent or self.parent, self.subsets, name=name or self.name)
-        if "bounds" in self.__dict__:
-            out.__dict__["bounds"] = self.bounds
+        """The same pieces under another name (and index space), shared,
+        made or not, with the columns read so far."""
+        out = Partition.__new__(Partition)
+        out.parent, out.name = parent or self.parent, name or self.name
+        out._colors, out._made = self._colors, self._made
+        out.__dict__.update((k, v) for k, v in self.__dict__.items() if k in ("bounds", "sizes"))
         return out
 
     def scale_dense(self, width: int) -> "Partition":
@@ -324,15 +312,7 @@ def equal_partition(ispace: IndexSpace, pieces: int, *, name: str = "") -> Parti
     """
     if ispace.ndim != 1:
         raise ValueError("equal_partition requires a 1-D index space")
-    n = ispace.volume
-    lo0 = ispace.bounds.lo[0]
-    chunk = -(-n // pieces) if n else 0
-    subsets: Dict[Color, IndexSubset] = {}
-    for c in range(pieces):
-        lo = lo0 + c * chunk
-        hi = min(lo0 + (c + 1) * chunk, lo0 + n) - 1
-        subsets[c] = RectSubset(Rect(lo, hi)) if hi >= lo else EMPTY
-    return Partition(ispace, subsets, name=name or f"equal({ispace.name},{pieces})")
+    return _blocks(ispace, (pieces,), name or f"equal({ispace.name},{pieces})")
 
 
 def equal_partition_nd(ispace: IndexSpace, grid: Sequence[int], *, name: str = "") -> Partition:
@@ -340,19 +320,19 @@ def equal_partition_nd(ispace: IndexSpace, grid: Sequence[int], *, name: str = "
     grid = tuple(int(g) for g in grid)
     if len(grid) != ispace.ndim:
         raise ValueError(f"grid rank {len(grid)} != space rank {ispace.ndim}")
-    shape = ispace.shape()
-    chunks = [-(-s // g) if s else 0 for s, g in zip(shape, grid)]
-    subsets: Dict[Color, IndexSubset] = {}
-    for color in np.ndindex(*grid):
-        lo = tuple(
-            ispace.bounds.lo[d] + color[d] * chunks[d] for d in range(len(grid))
-        )
-        hi = tuple(
-            min(ispace.bounds.lo[d] + (color[d] + 1) * chunks[d], ispace.bounds.lo[d] + shape[d])
-            - 1
-            for d in range(len(grid))
-        )
-        r = Rect(lo, hi)
-        key: Color = color if len(grid) > 1 else color[0]
-        subsets[key] = EMPTY if r.empty else RectSubset(r)
-    return Partition(ispace, subsets, name=name or f"equal_nd({ispace.name},{grid})")
+    return _blocks(ispace, grid, name or f"equal_nd({ispace.name},{grid})")
+
+
+def _blocks(ispace: IndexSpace, grid: Tuple[int, ...], name: str) -> Partition:
+    """Block ``c`` (a grid index, C order; its color, an int on one axis)
+    covers ``[lo + c * chunk, min(lo + (c + 1) * chunk, lo + shape) - 1]``
+    on each axis, ``chunk`` the ceiling of ``shape / grid``."""
+    shape = np.array(ispace.shape(), dtype=np.int64)
+    base = np.array(ispace.bounds.lo, dtype=np.int64)
+    chunks = np.array([-(-s // g) if s else 0 for s, g in zip(shape.tolist(), grid)],
+                      dtype=np.int64)
+    index = np.indices(grid, dtype=np.int64).reshape(len(grid), -1).T
+    lo = base + index * chunks
+    hi = np.minimum(lo + chunks, base + shape) - 1
+    colors = index[:, 0].tolist() if len(grid) == 1 else list(map(tuple, index.tolist()))
+    return Partition.from_bounds(ispace, colors, lo, hi, name=name)

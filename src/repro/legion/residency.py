@@ -1,13 +1,17 @@
 """Residency tables: which pieces of a region each processor's memory holds.
 
-The simulated runtime (:mod:`repro.legion.runtime`) keeps one table per
-region (:class:`_Residency`): the pieces every processor holds, indexed by
-their leading-axis extent as three int64 columns, a running volume total
-per processor, and facts about whole partitions that let a launch over its
-own placement skip staging.  A placement hands its pieces over as columns
-(:class:`_Pieces`): a partition's bounds and each color's processor, its
-subsets made only when a query first needs one.  Every write goes through
-the table's methods (``tools/check.py --only residency``).
+The simulated runtime (:mod:`repro.legion.runtime`) keeps two tables per
+region, both a :class:`_Residency`: its *homes*, every piece a placement put
+in a memory, which only ever grow, and the live table staging and writes
+change, which starts as a copy of the homes and which
+``Runtime.reset_residency`` replaces with one.  A table holds each piece
+once, a row of an index on its leading-axis extent (int64 columns), beside
+a running volume total per processor and facts about whole partitions that
+let a launch over its own placement skip staging.  A placement hands its
+pieces over as columns: a partition's bounds and each color's processor,
+its subsets made only when a query first needs one.
+Every write goes through the table's methods (``tools/check.py --only
+residency``).
 """
 from __future__ import annotations
 
@@ -34,37 +38,6 @@ def _same(x: IndexSubset, y: IndexSubset) -> bool:
     return x is y or type(x) is type(y) and x == y
 
 
-class _Pieces:
-    """A partition's colors on their processors, as columns: the ``(subset,
-    proc)`` pair of each of ``rows`` (None: every color, in order), the
-    subset made only when a caller iterates.  It stands for the list of
-    those pairs — a placement's pieces, a region's homes — and is never
-    written: a writer takes a list (:meth:`Runtime._add_home`)."""
-
-    __slots__ = ("partition", "procs", "rows")
-
-    def __init__(self, partition: Partition, procs: np.ndarray,
-                 rows: Optional[np.ndarray] = None):
-        self.partition, self.procs, self.rows = partition, procs, rows
-
-    def __len__(self) -> int:
-        return len(self.procs if self.rows is None else self.rows)
-
-    def __iter__(self):
-        piece, procs = self.partition.piece, self.procs.tolist()
-        keys = range(len(procs)) if self.rows is None else self.rows.tolist()
-        return ((piece(k), procs[k]) for k in keys)
-
-    def columns(self) -> Optional[Tuple[np.ndarray, ...]]:
-        """``(lo, hi, volumes, procs)`` of the pairs, or None when a piece
-        is no rect."""
-        part = self.partition
-        if part.bounds is None:
-            return None
-        cols = (*part.bounds, part.sizes, self.procs)
-        return cols if self.rows is None else tuple(c[self.rows] for c in cols)
-
-
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
@@ -77,23 +50,27 @@ def _put(column: np.ndarray, k: int, value: int) -> np.ndarray:
 class _Residency:
     """Which subsets of one region are valid in each processor's memory.
 
-    :attr:`by_proc` holds each processor's pieces in arrival order — pieces,
-    never their union, are the unit: a write drops an overlapped piece
-    whole and ``add`` skips exact duplicates — and ``vol`` their summed
-    volume, the running total the capacity model charges.  Beside them
-    every piece is a row of the index, three int64 columns sorted by
-    ``(start, proc)`` on the leading axis — ``starts``, ``ends``,
-    ``owners`` — equal keys in arrival order, with ``_row_pieces[i]`` the
-    piece of row ``i``; ``span`` bounds ``end - start`` (``None``:
-    recompute), so a piece overlapping ``[a, b]`` starts in ``[a - span,
-    b]`` and a query ``searchsorted``-s to the rows near it instead of
-    scanning every processor.  The index only proposes pieces; the subset
-    algebra decides.  The columns are never written in place — ``add`` and
+    Pieces, never their union, are the unit: a write drops an overlapped
+    piece whole and ``add`` skips exact duplicates.  Each piece is one row
+    of the index, four int64 columns sorted by ``(start, proc)`` on the
+    leading axis — ``starts``, ``ends``, ``owners`` and ``arrivals``, the
+    rank each piece arrived with, so equal keys keep arrival order — with
+    ``_row_pieces[i]`` the piece of row ``i``.  ``vol`` sums each
+    processor's volumes, the running total the capacity model charges;
+    ``span`` bounds ``end - start`` (``None``: recompute), so a piece
+    overlapping ``[a, b]`` starts in ``[a - span, b]`` and a query
+    ``searchsorted``-s to the rows near it instead of scanning them all.
+    The index only proposes pieces; the subset algebra decides.  The
+    columns and the piece list are never written in place — ``add`` and
     ``invalidate_others`` build new ones — so copies share them.
 
-    :meth:`load` fills the columns from a placement's bounds and makes no
-    piece: ``_unmade`` keeps the pairs it loaded until a query first needs
-    a piece, which makes ``by_proc`` and ``_row_pieces`` from them.
+    :meth:`load` into an empty table fills the columns from a placement's
+    bounds and makes no piece: ``_unmade`` keeps its partition, each row's
+    arrival its color, until a query first needs a piece; into a table that
+    holds pieces it merges them in with one sort.  ``first_home``
+    is the processor of the first color ever loaded, even one with no
+    elements (None: none yet) — as a region's homes, the owner of what no
+    home meets.
 
     ``whole`` holds facts about whole partitions, which ``place*`` records:
     ``whole[id(p)] = (p, procs)``, each non-empty piece of ``p`` (or an
@@ -104,24 +81,20 @@ class _Residency:
     """
 
     def __init__(self):
-        #: Never holds an empty list, so two tables with the same pieces
-        #: compare equal whatever launches produced them.
-        self._proc_pieces: Dict[int, List[IndexSubset]] = {}
+        self.starts = self.ends = self.owners = self.arrivals = _NO_ROWS
         self._row_pieces: List[IndexSubset] = []
-        self._unmade: Optional[Tuple] = None
+        self._unmade: Optional[Partition] = None
         self.vol: Dict[int, int] = {}
-        self.starts = self.ends = self.owners = _NO_ROWS
         self.span: Optional[int] = 0
         self.whole: Dict[Optional[int], Tuple] = {}
+        self.first_home: Optional[int] = None
 
-    def copy(self) -> "_Residency":
-        new = _Residency()
-        new._unmade = self._unmade  # a load is never written: shared
-        if self._unmade is None:
-            new._proc_pieces = {proc: list(pieces) for proc, pieces in self._proc_pieces.items()}
-            new._row_pieces = list(self._row_pieces)
-        new.vol, new.span, new.whole = dict(self.vol), self.span, dict(self.whole)
-        new.starts, new.ends, new.owners = self.starts, self.ends, self.owners
+    def copy(self, facts: Optional["_Residency"] = None) -> "_Residency":
+        """These pieces (the columns shared), with ``facts``'s facts
+        (default: these)."""
+        new = object.__new__(_Residency)
+        new.__dict__.update(self.__dict__, vol=dict(self.vol),
+                            whole=dict((facts or self).whole))
         return new
 
     def __getstate__(self):
@@ -130,67 +103,87 @@ class _Residency:
     def __setstate__(self, state):
         self.__dict__.update(state, whole={})
 
-    @property
-    def by_proc(self) -> Dict[int, List[IndexSubset]]:
-        self._make()
-        return self._proc_pieces
-
     def _make(self) -> None:
         """Make the pieces :meth:`load` left as columns."""
-        if self._unmade is None:
-            return
-        pairs, live, order = self._unmade
-        pairs = list(pairs)  # one pass: a column makes each piece once
-        if live is not None:
-            pairs = [pairs[i] for i in live.tolist()]
-        self._proc_pieces = {proc: [] for proc in self.vol}
-        for subset, proc in pairs:  # in arrival order
-            self._proc_pieces[proc].append(subset)
-        self._row_pieces = [subset for subset, _ in pairs] if order is None else [
-            pairs[i][0] for i in order.tolist()]
-        self._unmade = None
+        if self._unmade is not None:
+            self._row_pieces = list(map(self._unmade.piece, self.arrivals.tolist()))
+            self._unmade = None
 
-    def load(self, pieces, facts: Optional["_Residency"] = None) -> None:
-        """Fill this empty table with ``pieces`` (``(subset, proc)`` pairs,
-        none equal on one processor: a list, or a :class:`_Pieces` whose
-        bounds give every volume and leading extent at once) in one pass
-        and at most one sort, as ``add`` of each in turn would; ``facts``: a
-        table whose facts hold of them too."""
-        cols = pieces.columns() if isinstance(pieces, _Pieces) else None
-        if cols is None:
-            rows = [(s.volume, *leading_extent(s)) if s.volume else (0, 0, -1)
-                    for s, _ in pieces]
-            vols, starts, ends = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-            procs = np.array([p for _, p in pieces], dtype=np.int64)
-        else:
-            lo, hi, vols, procs = cols
-            starts, ends = lo[:, 0], hi[:, 0]
-        live = None if vols.all() else np.flatnonzero(vols)
-        if live is not None:
-            starts, ends, procs, vols = starts[live], ends[live], procs[live], vols[live]
-        self.vol = {}
-        for proc, vol in zip(procs.tolist(), vols.tolist()):
+    def load(self, part: Partition, procs: Sequence[int]) -> None:
+        """Add each color's piece of ``part`` on its processor (``procs``,
+        in color order) as ``add`` of each in turn would: pieces that are
+        all rects at once, from their bounds, with at most one sort — into
+        an empty table making none of them."""
+        if self.first_home is None and len(procs):
+            self.first_home = int(procs[0])
+        if part.bounds is None:
+            for k, proc in enumerate(procs):
+                self.add(proc, part.piece(k))
+            return
+        (lo, hi), procs = part.bounds, np.array(procs, dtype=np.int64)
+        rows = part.sizes.nonzero()[0]  # the non-empty colors
+        owners = procs[rows].tolist()
+        if len(set(owners)) < len(rows):
+            # a processor gets two: keep the first of each equal pair
+            keys = np.column_stack((procs, lo, hi))[rows]
+            rows = rows[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
+        made = None
+        if len(self.starts):  # skip each piece held already (its key is held)
+            self._make()
+            keys = set(zip(self.starts.tolist(), self.owners.tolist()))
+            rows = np.array([k for k, key in zip(rows.tolist(), zip(
+                lo[rows, 0].tolist(), procs[rows].tolist())) if key not in keys
+                or self._slot(*key, part.piece(k)) is not None], dtype=np.int64)
+            made = self._row_pieces + list(map(part.piece, rows.tolist()))
+        starts, ends, owners, arrivals = lo[rows, 0], hi[rows, 0], procs[rows], rows
+        for proc, vol in zip(owners.tolist(), part.sizes[rows].tolist()):
             self.vol[proc] = self.vol.get(proc, 0) + vol
+        if made is not None:  # after the held rows, arriving after them
+            starts, ends, owners, arrivals = (np.concatenate(c) for c in zip(
+                (self.starts, self.ends, self.owners, self.arrivals),
+                (starts, ends, owners, arrivals + int(self.arrivals.max()) + 1)))
         a, b, order = starts[:-1], starts[1:], None
-        if not (a < b).all() and not ((a < b) | (a == b) & (procs[:-1] < procs[1:])).all():
-            order = np.lexsort((procs, starts))  # stable: equal keys keep arrival order
-            starts, ends, procs = starts[order], ends[order], procs[order]
-        self.starts, self.ends, self.owners = starts, ends, procs
+        if not (a < b).all() and not ((a < b) | (a == b) & (owners[:-1] < owners[1:])).all():
+            order = np.lexsort((owners, starts))  # stable: equal keys keep arrival order
+            starts, ends, owners, arrivals = starts[order], ends[order], owners[order], arrivals[order]
+        self.starts, self.ends, self.owners, self.arrivals = starts, ends, owners, arrivals
         self.span = int((ends - starts).max()) if len(starts) else 0
-        # a column is never written; a list (a region's homes) may grow
-        self._unmade = (pieces if cols is not None else list(pieces), live, order)
-        self.whole = dict(facts.whole) if facts is not None else {}
+        if made is None:
+            self._unmade = part
+        else:
+            self._row_pieces = made if order is None else [made[i] for i in order.tolist()]
+
+    def pieces(self, near: Optional[IndexSubset] = None) -> List[Tuple[IndexSubset, int]]:
+        """``(piece, proc)`` of every row in arrival order, or only of the
+        rows whose leading extent meets ``near``'s (every piece that may
+        overlap it)."""
+        if near is None:
+            rows = self.arrivals.argsort()
+        else:
+            i, j, a = self._window(near)
+            rows = i + (self.ends[i:j] >= a).nonzero()[0]
+            rows = rows[self.arrivals[rows].argsort()]
+        self._make()
+        return [(self._row_pieces[r], proc)
+                for r, proc in zip(rows.tolist(), self.owners[rows].tolist())]
+
+    def owner(self, needed: IndexSubset) -> int:
+        """The processor of the first piece to arrive with the largest
+        overlap with ``needed``; if none meets it, ``first_home`` (processor
+        0 if None)."""
+        vol, proc = max(((intersect_subsets(p, needed).volume, proc) for p, proc in self.pieces()),
+                        key=lambda h: h[0], default=(0, None))
+        return proc if vol else self.first_home or 0
 
     def same_pieces(self, other: "_Residency") -> bool:
         """Whether both tables hold the same pieces on each processor, in
-        the same order (identity first; two copies of one load neither has
-        written are equal without making a piece)."""
-        unmade = self._unmade
-        if self is other or unmade is not None and unmade is getattr(other, "_unmade", None):
+        the same arrival order (identity first; two copies no write has
+        parted share their columns and are equal without making a piece)."""
+        if self.arrivals is other.arrivals:
             return True
-        pa, pb = self.by_proc, other.by_proc
-        return pa.keys() == pb.keys() and all(
-            len(la) == len(pb[p]) and all(map(_same, la, pb[p])) for p, la in pa.items())
+        mine, theirs = (sorted(t.pieces(), key=lambda h: h[1]) for t in (self, other))
+        return len(mine) == len(theirs) and all(
+            p == q and _same(a, b) for (a, p), (b, q) in zip(mine, theirs))
 
     def hold_whole(self, key: Optional[int], partition, holders) -> None:
         self.whole[key] = (partition, holders)
@@ -238,13 +231,10 @@ class _Residency:
                 int(self.starts.searchsorted(b + 1)), a)
 
     def _on(self, proc: int, needed: IndexSubset) -> List[IndexSubset]:
-        """``proc``'s pieces that may overlap ``needed``: its own list or
-        the index window, whichever is shorter."""
-        pieces = self.by_proc.get(proc, [])
+        """``proc``'s pieces that may overlap ``needed``."""
         i, j, a = self._window(needed)
-        if j - i >= len(pieces):
-            return pieces
-        rows = i + np.flatnonzero((self.owners[i:j] == proc) & (self.ends[i:j] >= a))
+        rows = i + ((self.owners[i:j] == proc) & (self.ends[i:j] >= a)).nonzero()[0]
+        self._make()
         return [self._row_pieces[r] for r in rows.tolist()]
 
     def covered_volume(self, proc: int, needed: IndexSubset) -> int:
@@ -269,64 +259,44 @@ class _Residency:
             return
         self._make()
         start, end = leading_extent(subset)
-        i, j = self.starts.searchsorted(start), self.starts.searchsorted(start, "right")
-        owners = self.owners[i:j]  # sorted: the rows starting at ``start``
-        i, j = i + int(owners.searchsorted(proc)), i + int(owners.searchsorted(proc, "right"))
         # Skip exact duplicates so steady-state launches leave residency at
-        # a fixpoint; an equal piece has the same key.
-        if any(_same(p, subset) for p in self._row_pieces[i:j]):
+        # a fixpoint.
+        j = self._slot(start, proc, subset)
+        if j is None:
             return
+        arrival = int(self.arrivals.max()) + 1 if len(self.arrivals) else 0
         self.starts, self.ends = _put(self.starts, j, start), _put(self.ends, j, end)
-        self.owners = _put(self.owners, j, proc)
-        self._row_pieces.insert(j, subset)
-        self._proc_pieces.setdefault(proc, []).append(subset)
+        self.owners, self.arrivals = _put(self.owners, j, proc), _put(self.arrivals, j, arrival)
+        self._row_pieces = [*self._row_pieces[:j], subset, *self._row_pieces[j:]]
         self.vol[proc] = self.vol.get(proc, 0) + vol
         if self.span is not None and end - start > self.span:
             self.span = end - start
 
+    def _slot(self, start: int, proc: int, subset: IndexSubset) -> Optional[int]:
+        """The row ``subset`` (starting at ``start``) goes before on
+        ``proc`` — after the rows of its key — or None when ``proc`` holds
+        an equal piece (an equal piece has the same key)."""
+        i, j = self.starts.searchsorted(start), self.starts.searchsorted(start, "right")
+        owners = self.owners[i:j]  # sorted: the rows starting at ``start``
+        i, j = i + int(owners.searchsorted(proc)), i + int(owners.searchsorted(proc, "right"))
+        return None if any(_same(p, subset) for p in self._row_pieces[i:j]) else j
+
     def invalidate_others(self, writer: int, subset: IndexSubset) -> None:
         i, j, a = self._window(subset)
         self._make()
-        near = i + np.flatnonzero((self.owners[i:j] != writer) & (self.ends[i:j] >= a))
+        near = i + ((self.owners[i:j] != writer) & (self.ends[i:j] >= a)).nonzero()[0]
         drop = [n for n in near.tolist() if subsets_overlap(self._row_pieces[n], subset)]
         if not drop:
             return
         self.whole = {}
-        gone: Dict[int, set] = {}
         for n in drop:
-            piece, proc = self._row_pieces[n], int(self.owners[n])
-            gone.setdefault(proc, set()).add(id(piece))
-            self.vol[proc] -= piece.volume
+            proc = int(self.owners[n])
+            self.vol[proc] -= self._row_pieces[n].volume
+            if not self.vol[proc]:  # its last piece: every piece has a volume
+                del self.vol[proc]
             if self.ends[n] - self.starts[n] == self.span:
                 self.span = None
         dropped = set(drop)
         self._row_pieces = [p for n, p in enumerate(self._row_pieces) if n not in dropped]
-        self.starts, self.ends, self.owners = (np.delete(c, drop) for c in (
-            self.starts, self.ends, self.owners))
-        for proc, ids in gone.items():
-            kept = [p for p in self._proc_pieces[proc] if id(p) not in ids]
-            if kept:
-                self._proc_pieces[proc] = kept
-            else:
-                del self._proc_pieces[proc], self.vol[proc]
-
-
-def _distinct(pieces):
-    """``pieces`` less each one equal to an earlier one on its processor: a
-    placement's column compares bounds rows, which differ wherever the
-    processors do."""
-    cols = pieces.columns() if isinstance(pieces, _Pieces) else None
-    if cols is not None:
-        lo, hi, _, procs = cols
-        if len(set(procs.tolist())) == len(procs):
-            return pieces
-        keys = np.column_stack((procs, lo, hi))
-        _, first = np.unique(keys, axis=0, return_index=True)
-        return pieces if len(first) == len(keys) else _Pieces(
-            pieces.partition, pieces.procs, np.sort(first) if pieces.rows is None
-            else pieces.rows[np.sort(first)])
-    keys = [(p, type(s), s) for s, p in pieces]
-    if len(set(keys)) == len(keys):
-        return pieces
-    keep = sorted({key: k for k, key in reversed(list(enumerate(keys)))}.values())  # firsts
-    return [pieces[k] for k in keep]
+        self.starts, self.ends, self.owners, self.arrivals = (np.delete(c, drop) for c in (
+            self.starts, self.ends, self.owners, self.arrivals))

@@ -38,18 +38,21 @@ mutation (``place*``) moves to a fresh state, so stale traces never fire;
 ``invalidate_caches`` also drops every trace (the hook to use after
 writing region data behind the runtime's back).
 
-The tables behind those states are shared values.  A recording hands the
-table it leaves behind to its trace; a replay and ``reset_residency``
-*install* a table — the trace's, or the homes-only one memoised until the
-next ``place*`` — without copying it.  Such a table is never written: one
-ownership bit says whether the live table is shared, and every writer — a
-recording launch, an uncached copy, ``place*`` — takes a private copy
-first (:meth:`Runtime._unshare_residency`).  Within a table each region
-indexes its pieces by their leading-axis extent and keeps a running volume
-total per processor (:class:`~repro.legion.residency._Residency`), so
-staging, write invalidation and capacity checks touch only the pieces
-involved; a first placement of a partition of rects loads a region's table
-from its bounds as columns and makes no piece until a query needs one.
+The tables behind those states are shared values.  Each region's homes
+are a residency table too, one that only grows (:attr:`Runtime._home`):
+a recording hands the table it leaves behind to its trace; a replay and
+``reset_residency`` *install* a table — the trace's, or copies of the
+homes memoised until the next ``place*`` — without copying it.  Such a
+table is never written: one ownership bit says whether the live table is
+shared, and every writer — a recording launch, an uncached copy,
+``place*`` — takes a private copy first
+(:meth:`Runtime._unshare_residency`).  Within a table each region holds
+each piece once, indexed by its leading-axis extent, with a running
+volume total per processor (:class:`~repro.legion.residency._Residency`),
+so staging, write invalidation and capacity checks touch only the pieces
+involved; a first placement of a partition of rects loads a region's homes
+from its bounds as columns, its live table a copy of them, and makes no
+piece until a query needs one.
 
 Explicit copies (the ``communicate``-lowered :meth:`Runtime.copy_subset`)
 are traced the same way, so a chain of launches and copies — the SpAdd
@@ -77,9 +80,12 @@ from .metrics import CommEvent, ExecutionMetrics, StepMetrics
 from .network import Network
 from .partition import Partition
 from .region import Region
-from .residency import _Pieces, _Residency, _distinct
+from .residency import _Residency
 
 __all__ = ["Privilege", "RegionReq", "Runtime", "MappingTrace", "TrialMetrics"]
+
+#: The homes of a region nothing placed (read, never written).
+_NO_HOMES = _Residency()
 
 Color = Hashable
 
@@ -209,13 +215,12 @@ class Runtime:
         #: the homes memo, so whoever writes next copies it first
         #: (:meth:`_unshare_residency`).
         self._residency_shared = False
-        #: The homes-only table :meth:`reset_residency` installs, built on
-        #: the first reset after a ``place*`` (``_homes_changed`` drops it).
+        #: Per region, its homes: a table that only grows (``place*``,
+        #: :meth:`copy_homes`), in placement order.
+        self._home: Dict[int, _Residency] = {}
+        #: The copies of ``_home`` :meth:`reset_residency` installs, made on
+        #: the first reset after a ``place*`` (``_homes_changed`` drops them).
         self._homes_table: Optional[Dict[int, _Residency]] = None
-        self._home: Dict[int, List[Tuple[IndexSubset, int]]] = {}
-        #: Per region, ``(proc, type, subset)`` of every entry in ``_home`` —
-        #: built when a second placement or ``copy_homes`` first reaches it.
-        self._homed: Dict[int, set] = {}
         self._traces: Dict[Tuple, MappingTrace] = {}
         self._copy_traces: Dict[Tuple, _CopyTrace] = {}
         self._homes_version = 0
@@ -238,33 +243,17 @@ class Runtime:
             self._mark_dirty()
 
     # -- data placement -----------------------------------------------------
-    def _add_home(self, uid: int, subset: IndexSubset, proc: int) -> None:
-        """Record ``subset`` as homed on ``proc`` unless that pair already
-        is (same-type equality, looked up in ``_homed``); first occurrences
-        keep their order, so owner tie-breaking is the first placement's."""
-        seen = self._homed.get(uid)
-        if seen is None:
-            seen = self._homed[uid] = {(p, type(s), s) for s, p in self._home.get(uid, ())}
-        key = (proc, type(subset), subset)
-        if key not in seen:
-            seen.add(key)
-            homes = self._home.get(uid, ())
-            if not isinstance(homes, list):  # a placement's column: never written
-                homes = self._home[uid] = list(homes)
-            homes.append((subset, proc))
-
     def copy_homes(self, source: "Runtime", regions: Sequence[Region]) -> None:
         """Declare ``regions`` homed as ``source`` has them, in its order
         (so owner tie-breaking is ``source``'s) — how a scratch runtime
         sees operands another runtime placed."""
         for region in regions:
-            homes = source._home.get(region.uid, ())
-            if region.uid not in self._home and homes:
-                # distinct already; a placement's column is shared, a list copied
-                self._home[region.uid] = homes if isinstance(homes, _Pieces) else list(homes)
-                continue
-            for subset, proc in homes:
-                self._add_home(region.uid, subset, proc)
+            homes, mine = source._home.get(region.uid, _NO_HOMES), self._home.get(region.uid)
+            if mine is not None and mine.first_home is not None:
+                for subset, proc in homes.pieces():
+                    mine.add(proc, subset)
+            elif homes.first_home is not None:
+                self._home[region.uid] = homes.copy()
         self._homes_changed()
 
     def _res(self, uid: int) -> _Residency:
@@ -281,35 +270,36 @@ class Runtime:
     ) -> None:
         """Declare the initial distribution of a region (its home placement)."""
         procs = self._procs(partition.colors(), proc_map)
-        self._place_pieces(region, _Pieces(partition, np.array(procs, dtype=np.int64)),
-                           (id(partition), partition, procs))
+        self._place_pieces(region, partition, procs, (id(partition), partition, procs))
 
     def place_replicated(self, region: Region) -> None:
         """Place a full valid copy of the region on every processor."""
-        full, procs = region.ispace.full_subset(), range(self.machine.size)
-        self._place_pieces(region, [(full, p) for p in procs], (None, None, frozenset(procs)))
+        procs = range(self.machine.size)
+        self._place_pieces(region, _whole_on(region, procs), procs,
+                           (None, None, frozenset(procs)))
 
     def place_on(self, region: Region, proc: int) -> None:
         """Place the whole region on a single processor."""
-        self._place_pieces(region, [(region.ispace.full_subset(), proc)], check=False)
+        self._place_pieces(region, _whole_on(region, [proc]), [proc], check=False)
 
-    def _place_pieces(self, region: Region, pieces, whole=None, check: bool = True) -> None:
-        """Make each ``(subset, proc)`` resident and a home of ``region``, and
-        record ``whole``, the fact it establishes (:class:`_Residency`).  Into
-        an empty region the distinct pieces are the homes and load the table
-        at once, from a placement's bounds when it has them; a partition
-        placed as one a fact already names (equal bounds, same processors)
-        adds and homes nothing."""
+    def _place_pieces(self, region: Region, partition: Partition, procs: Sequence[int],
+                      whole=None, check: bool = True) -> None:
+        """Make each color's piece resident on its processor (``procs``)
+        and a home of ``region``, and record ``whole``, the fact it
+        establishes (:class:`_Residency`).  An empty region's homes load at
+        once, from the partition's bounds when it has them, and its live
+        table starts as their copy; a partition placed as one a fact
+        already names (equal bounds, same processors) adds and homes
+        nothing."""
         self._unshare_residency()
         uid, res = region.uid, self._res(region.uid)
         if not len(res.starts) and uid not in self._home:
-            homes = _distinct(pieces)
-            res.load(homes)
-            self._home[uid] = homes
+            homes = self._home[uid] = _Residency()
+            homes.load(partition, procs)
+            res = self._residency[uid] = homes.copy()
         elif not (whole and whole[0] is not None and res.holds_placed(whole[1], whole[2])):
-            for subset, proc in pieces:
-                res.add(proc, subset)
-                self._add_home(uid, subset, proc)
+            res.load(partition, procs)
+            self._home.setdefault(uid, _Residency()).load(partition, procs)
         if whole is not None:
             res.hold_whole(*whole)
         self._homes_changed()
@@ -324,11 +314,11 @@ class Runtime:
                 if isinstance(color, (int, np.integer, tuple)) else i % self.machine.size
                 for i, color in enumerate(colors)]
 
-    def _owner_of(self, region: Region, needed: IndexSubset, requester: int) -> int:
-        """The first home with the largest overlap (processor 0 if none)."""
-        homes = self._home.get(region.uid, ())
-        return max(homes, key=lambda h: intersect_subsets(h[0], needed).volume,
-                   default=(None, 0))[1]
+    def _owner_of(self, region: Region, needed: IndexSubset) -> int:
+        """The processor of the first home with the largest overlap, or of
+        the first home if none meets ``needed`` (:meth:`_Residency.owner`;
+        processor 0 if there is no home)."""
+        return self._home.get(region.uid, _NO_HOMES).owner(needed)
 
     # -- launches -------------------------------------------------------------
     def index_launch(
@@ -528,7 +518,7 @@ class Runtime:
                 nbytes = req.region.subset_nbytes(needed)
                 chunk = 0.2 * self.machine.proc(proc).mem_bytes
                 rounds = max(1, int(np.ceil(nbytes / max(chunk, 1.0))))
-                src = self._owner_of(req.region, needed, proc)
+                src = self._owner_of(req.region, needed)
                 for _ in range(rounds):
                     step.comm_events.append(
                         _comm(src, proc, nbytes / rounds, self.machine,
@@ -536,30 +526,31 @@ class Runtime:
                     )
                 continue
             remaining = res.missing_subset(proc, needed)
-            if not remaining.empty:
-                homes = self._home.get(req.region.uid, [])
-                for subset, home_proc in homes:
-                    if home_proc == proc or remaining.empty:
-                        continue
-                    got = intersect_subsets(subset, remaining)
-                    if got.empty:
-                        continue
+            if remaining.empty:
+                continue
+            homes = self._home.get(req.region.uid, _NO_HOMES)
+            for subset, home_proc in homes.pieces(remaining):
+                if home_proc == proc or remaining.empty:
+                    continue
+                got = intersect_subsets(subset, remaining)
+                if got.empty:
+                    continue
+                step.comm_events.append(
+                    _comm(home_proc, proc, req.region.subset_nbytes(got),
+                          self.machine, f"stage {req.region.name}")
+                )
+                remaining = subtract_subsets(remaining, got)
+            if not remaining.empty and homes.first_home is not None:
+                # No registered home covers it (e.g. freshly written
+                # data) — pull from the best-overlap owner.
+                src = homes.owner(needed)
+                if src != proc:
                     step.comm_events.append(
-                        _comm(home_proc, proc, req.region.subset_nbytes(got),
+                        _comm(src, proc, req.region.subset_nbytes(remaining),
                               self.machine, f"stage {req.region.name}")
                     )
-                    remaining = subtract_subsets(remaining, got)
-                if not remaining.empty and homes:
-                    # No registered home covers it (e.g. freshly written
-                    # data) — pull from the best-overlap owner.
-                    src = self._owner_of(req.region, needed, proc)
-                    if src != proc:
-                        step.comm_events.append(
-                            _comm(src, proc, req.region.subset_nbytes(remaining),
-                                  self.machine, f"stage {req.region.name}")
-                        )
-                res.add(proc, needed)
-                self._check_capacity(req.region, proc)
+            res.add(proc, needed)
+            self._check_capacity(req.region, proc)
 
     def _apply_outputs(
         self, step: StepMetrics, color: Color, proc: int, reqs: Sequence[RegionReq]
@@ -579,9 +570,8 @@ class Runtime:
                 # sub-regions homed on *other* processors crosses the network
                 # (Legion applies reductions where the data lives; interior
                 # rows of a non-zero split never move).
-                homes = self._home.get(req.region.uid, [])
                 sent: Dict[int, float] = {}
-                for subset, home_proc in homes:
+                for subset, home_proc in self._home.get(req.region.uid, _NO_HOMES).pieces(needed):
                     if home_proc == proc:
                         continue
                     overlap = intersect_subsets(subset, needed)
@@ -646,7 +636,7 @@ class Runtime:
         missing = subset.volume - covered
         if missing <= 0:
             return
-        src = self._owner_of(region, subset, dst_proc)
+        src = self._owner_of(region, subset)
         nbytes = missing * region.data.dtype.itemsize * region._row_width()
         step.comm_events.append(_comm(src, dst_proc, nbytes, self.machine, reason))
         res.add(dst_proc, subset)
@@ -690,11 +680,13 @@ class Runtime:
 
         Called between timed trials, so each pays the communication its
         algorithm inherently performs; traces are kept (they were recorded
-        from this "homes only" state).  The homes-only table is built once
-        per set of homes and installed as a shared value, so a warm reset
-        costs the same on 4 or 64 processors.  Also the auto-trim point
-        (:meth:`trim_metrics`) — only here, between trials, so per-trial
-        step slices taken by callers never shift mid-trial.
+        from this "homes only" state).  The live table becomes copies of the
+        homes tables (sharing their columns) — or stays as it is, in a clean
+        state, where it holds just the homes — made once per set of homes
+        and installed as a shared value, so a warm reset costs the same on 4
+        or 64 processors.  Also the auto-trim point (:meth:`trim_metrics`) —
+        only here, between trials, so per-trial step slices taken by callers
+        never shift mid-trial.
         """
         if self.metrics_limit and len(self.metrics.steps) > self.metrics_limit:
             self.trim_metrics()
@@ -705,10 +697,9 @@ class Runtime:
             self._homes_table = self._residency
         if self._homes_table is None:
             # Facts name homes only: each the live table holds is true here.
-            live, self._residency = self._residency, {}
-            for uid, homes in self._home.items():
-                self._res(uid).load(homes, live.get(uid))
-            self._homes_table = self._residency
+            live = self._residency
+            self._homes_table = {uid: homes.copy(live.get(uid))
+                                 for uid, homes in self._home.items()}
         self._restore_residency(self._homes_table)
         self._state = ("clean", self._homes_version)
 
@@ -766,7 +757,7 @@ class Runtime:
         """Pickle the *replayable* state (homes, residency, symbolic state,
         traces); metrics and hit counters start fresh where it loads."""
         return {**self.__dict__, "metrics": ExecutionMetrics(),
-                "trace_hits": 0, "trace_records": 0, "_homed": {}}
+                "trace_hits": 0, "trace_records": 0}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
@@ -809,6 +800,11 @@ def _subset_sig(subset: IndexSubset) -> Tuple:
     if isinstance(subset, RectSubset):
         return ("rect", subset.rect.lo, subset.rect.hi)
     return ("obj", id(subset))
+
+
+def _whole_on(region: Region, procs: Sequence[int]) -> Partition:
+    """The whole region once per processor of ``procs``, as a partition."""
+    return Partition(region.ispace, dict.fromkeys(procs, region.ispace.full_subset()))
 
 
 def _comm(src: int, dst: int, nbytes: float, machine: Machine, reason: str):

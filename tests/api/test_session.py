@@ -209,3 +209,22 @@ class TestStore:
         with repro.session() as s:
             with pytest.raises(ValueError, match="no artifact store"):
                 s.put(s.zeros("z", (2,)))
+
+
+class TestEinsumMemos:
+    def test_a_fresh_vector_loop_keeps_the_memos_bounded(self):
+        """Each step's fresh vector packs a new operand and needs a new
+        output: both einsum memos are LRUs of 256 entries, and ``close``
+        empties them."""
+        M = sp.random(200, 200, density=0.05, format="csr",
+                      random_state=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        with repro.session(nodes=2) as s:
+            for _ in range(300):
+                x = rng.random(200)
+                out = repro.einsum("ij,j->i", M, x, session=s)
+            assert np.allclose(out.vals.data, M @ x)
+            assert len(s._packed_memo) <= 256 and len(s._einsum_out_memo) <= 256
+            again = repro.einsum("ij,j->i", M, x, session=s)  # the newest entries held
+            assert again is out
+        assert len(s._packed_memo) == len(s._einsum_out_memo) == 0

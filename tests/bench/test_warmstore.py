@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.bench import warmstore
+from repro.bench import harness, warmstore
 from repro.bench.figures import fig10
 from repro.bench.models import default_config
 from repro.core import clear_caches
@@ -13,12 +13,10 @@ from repro.taco import CSR, Tensor
 @pytest.fixture(autouse=True)
 def isolated_warmstore():
     warmstore.set_warm_store(None)
-    warmstore.set_warm_memo_enabled(True)
     warmstore.clear_warm_memo()
     clear_caches()
     yield
     warmstore.set_warm_store(None)
-    warmstore.set_warm_memo_enabled(True)
     warmstore.clear_warm_memo()
     clear_caches()
 
@@ -40,14 +38,6 @@ def test_memo_reuses_one_packed_tensor_per_content():
 def test_tensor_passthrough():
     t = Tensor.from_scipy("B", mat(), CSR)
     assert warmstore.packed_operand("B", t, CSR) is t
-
-
-def test_memo_disabled_repacks_every_call():
-    warmstore.set_warm_memo_enabled(False)
-    A = mat()
-    t1 = warmstore.packed_operand("B", A, CSR)
-    t2 = warmstore.packed_operand("B", A, CSR)
-    assert t1 is not t2
 
 
 def test_store_round_trip_across_simulated_processes(tmp_path):
@@ -78,7 +68,7 @@ def test_content_key_distinguishes_name_and_format():
     assert warmstore.content_key("B", CSR, A.copy()) == k1
 
 
-def test_warm_started_figure_series_equals_rebuilt_series(tmp_path):
+def test_warm_started_figure_series_equals_rebuilt_series(tmp_path, monkeypatch):
     """One fig10 sweep run with operands re-packed per trial (the seed
     behavior) and again with operands loaded from the warm store gives the
     identical series, and the store stays intact through a compaction."""
@@ -89,10 +79,14 @@ def test_warm_started_figure_series_equals_rebuilt_series(tmp_path):
         return fig10("spmv", cfg, node_counts=(1, 2),
                      datasets=["arabic-2005"]).data["series"]
 
-    warmstore.set_warm_memo_enabled(False)
-    rebuilt = series()
+    def fresh_pack(name, obj, fmt=CSR):
+        warmstore.clear_warm_memo()  # and no store: a pack from scratch
+        return warmstore.packed_operand(name, obj, fmt)
 
-    warmstore.set_warm_memo_enabled(True)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "packed_operand", fresh_pack)
+        rebuilt = series()
+
     store = warmstore.set_warm_store(tmp_path / "store")
     series()  # prime: publishes the packed operands
     warmstore.clear_warm_memo()  # the fresh-process stand-in

@@ -106,8 +106,9 @@ class TestManifest:
     # 6: residency tables pickled without their piece index;
     # 7: launch-trace keys carried a scratch slot;
     # 8: homes pickled one dedup set, partitions no bounds arrays;
-    # 9: partitions pickled every piece, residency indexes lists of keys
-    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9])
+    # 9: partitions pickled every piece, residency indexes lists of keys;
+    # 10: homes pickled as lists or placement columns, tables per-processor lists
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -119,7 +120,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (10, found)
+        assert (exc.value.expected, exc.value.found) == (11, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -296,7 +297,7 @@ class TestTheStoreSeesNoFacts:
         assert pickle.dumps(rt) == with_facts
         loaded = pickle.loads(with_facts)
         assert not any(res.whole for res in loaded._residency.values())
-        assert STORE_FORMAT_VERSION == 10
+        assert STORE_FORMAT_VERSION == 11
 
     def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
         from repro.legion import Rect
@@ -308,10 +309,10 @@ class TestTheStoreSeesNoFacts:
         back = pickle.loads(fresh)
         assert back == r and hash(back) == hash(r) and "volume" not in vars(back)
 
-    def test_homes_pickle_without_their_dedup_sets(self):
-        """A first placement keeps no dedup set; a second one builds its
-        region's, and pickling drops it: the loaded runtime rebuilds it
-        when a placement next reaches the region, deduplicating the same."""
+    def test_homes_pickle_as_their_table(self):
+        """A region's homes are a residency table that pickles with its
+        runtime, a first placement's still as columns: the loaded runtime
+        deduplicates a later placement against them as the saving one does."""
         from repro.legion import equal_partition
 
         rt = Runtime(Machine.cpu(PIECES))
@@ -319,18 +320,19 @@ class TestTheStoreSeesNoFacts:
         part = equal_partition(r.ispace, PIECES)
         rt.place(r, part)
         rt.place(s, part)
-        assert rt._homed == {}
         rt.place(r, equal_partition(r.ispace, PIECES))  # the same bounds: recognized whole
-        assert rt._homed == {} and len(rt._home[r.uid]) == PIECES
+        assert len(rt._home[r.uid].pieces()) == PIECES
         rt.place(r, equal_partition(r.ispace, 2 * PIECES))  # new pieces, homed one by one
-        assert list(rt._homed) == [r.uid] and len(rt._home[r.uid]) == 3 * PIECES
+        assert len(rt._home[r.uid].pieces()) == 3 * PIECES
+        assert rt._home[s.uid]._unmade is part
         loaded = pickle.loads(pickle.dumps(rt))
-        assert loaded._homed == {} and loaded._home.keys() == rt._home.keys()
+        assert loaded._home.keys() == rt._home.keys()
+        assert loaded._home[s.uid]._unmade is not None  # pickled unmade
         for x in (rt, loaded):
             x.place(s, equal_partition(s.ispace, 2 * PIECES))
-        assert [(type(h), h, p) for h, p in loaded._home[s.uid]] == \
-               [(type(h), h, p) for h, p in rt._home[s.uid]]
-        assert len(rt._home[s.uid]) == 3 * PIECES
+        assert [(type(h), h, p) for h, p in loaded._home[s.uid].pieces()] == \
+               [(type(h), h, p) for h, p in rt._home[s.uid].pieces()]
+        assert len(rt._home[s.uid].pieces()) == 3 * PIECES
 
     def test_a_loaded_runtime_replays_then_records_piece_by_piece(
             self, tmp_path, monkeypatch):

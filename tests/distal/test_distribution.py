@@ -105,7 +105,7 @@ class TestPlacement:
         assert getattr(B, "_placed_by_tdn", False)
         # homes registered for pos/crd/vals regions
         assert B.vals.uid in rt._home
-        assert len(rt._home[B.vals.uid]) == 4
+        assert len(rt._home[B.vals.uid].pieces()) == 4
 
     def test_prediction_is_exact_for_a_tdn_placed_operand(self):
         """The planner's scratch runtime takes B's homes from the session
@@ -140,7 +140,7 @@ class TestPlacement:
         scratch = Runtime(m)
         for ck in prog.kernels:
             _seed_tdn_homes(ck, scratch, rt)
-        assert scratch._home[B.vals.uid] == rt._home[B.vals.uid]
+        assert scratch._home[B.vals.uid].pieces() == rt._home[B.vals.uid].pieces()
 
     def test_nbytes_per_piece(self):
         B = skewed_matrix()

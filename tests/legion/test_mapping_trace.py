@@ -197,9 +197,9 @@ class TestSteadyStateLoops:
         r = Region(IndexSpace(8))
         rt.place_on(r, 0)
         res = rt._residency[r.uid]
-        n = len(res.by_proc[0])
+        n = len(res.pieces())
         res.add(0, r.ispace.full_subset())
-        assert len(res.by_proc[0]) == n  # structurally equal: not re-added
+        assert len(res.pieces()) == n  # structurally equal: not re-added
 
     def test_reenabling_replay_after_untracked_launch_is_safe(self):
         """Launches with trace_replay off mutate residency; flipping the
@@ -635,7 +635,7 @@ class TestSharedResidencyTables:
         assert r2.uid in rt._residency and rt._residency is not first
         assert rt._state == ("clean", rt._homes_version)
         assert rt.resident_bytes_per_proc() == {
-            p: 8.0 * sum(s.volume for u in rt._home for s, q in rt._home[u] if q == p)
+            p: 8.0 * sum(s.volume for u in rt._home for s, q in rt._home[u].pieces() if q == p)
             for p in (0, 1)
         }
 

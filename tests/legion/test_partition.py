@@ -143,7 +143,8 @@ class TestPartitionBounds:
     def test_unread_bounds_survive_a_copy(self, clone):
         """A partition copied before its bounds were read derives them
         after the copy."""
-        q = clone(equal_partition(IndexSpace(9), 3))
+        pieces = {c: RectSubset(Rect(3 * c, 3 * c + 2)) for c in range(3)}
+        q = clone(Partition(IndexSpace(9), pieces))  # built from pieces
         assert "bounds" not in q.__dict__
         lo, hi = q.bounds
         assert lo.tolist() == [[0], [3], [6]] and hi.tolist() == [[2], [5], [8]]

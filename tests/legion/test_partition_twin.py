@@ -10,6 +10,12 @@ empty colours, N-D windows, grid colours) drive both, with a pickle or deep
 copy taken before or after some colours are read; every colour, the
 colour order, the bounds and both properties must agree in type and
 content, and no colour nobody read has a rect.
+
+A partition built from a dict of pieces keeps them in the same per-colour
+store, and ``equal_partition`` / ``equal_partition_nd`` build through
+``from_bounds``; the twins of their per-colour ``Rect`` loops
+(``twin_equal_partition`` / ``twin_equal_partition_nd``) and the dict
+itself are the references for those two constructors.
 """
 import copy
 import pickle
@@ -19,7 +25,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.legion import IndexSpace, Partition, Rect, RectSubset
+from repro.legion import (
+    ArraySubset,
+    IndexSpace,
+    Partition,
+    Rect,
+    RectSubset,
+    equal_partition,
+    equal_partition_nd,
+)
 from repro.legion.index_space import EMPTY, union_subsets
 
 
@@ -68,6 +82,31 @@ def twin_bounds(ndim, subsets):
             np.array(hi, dtype=np.int64).reshape(-1, ndim))
 
 
+def twin_equal_partition(ispace, pieces):
+    n = ispace.volume
+    lo0 = ispace.bounds.lo[0]
+    chunk = -(-n // pieces) if n else 0
+    subsets = {}
+    for c in range(pieces):
+        lo = lo0 + c * chunk
+        hi = min(lo0 + (c + 1) * chunk, lo0 + n) - 1
+        subsets[c] = RectSubset(Rect(lo, hi)) if hi >= lo else EMPTY
+    return subsets
+
+
+def twin_equal_partition_nd(ispace, grid):
+    shape = ispace.shape()
+    chunks = [-(-s // g) if s else 0 for s, g in zip(shape, grid)]
+    subsets = {}
+    for color in np.ndindex(*grid):
+        lo = tuple(ispace.bounds.lo[d] + color[d] * chunks[d] for d in range(len(grid)))
+        hi = tuple(min(ispace.bounds.lo[d] + (color[d] + 1) * chunks[d],
+                       ispace.bounds.lo[d] + shape[d]) - 1 for d in range(len(grid)))
+        r = Rect(lo, hi)
+        subsets[color if len(grid) > 1 else color[0]] = EMPTY if r.empty else RectSubset(r)
+    return subsets
+
+
 def twin_is_disjoint(subsets):
     subsets = [s for s in subsets.values() if not s.empty]
     rects = sorted((s.rect for s in subsets), key=lambda r: r.lo)
@@ -95,6 +134,9 @@ def _outcome(fn):
 def disagreements(got: Partition, want: dict, parent):
     """Every way ``got`` differs from the twin's pieces."""
     found = []
+    if list(got.subsets) != list(want) or any(
+            g is not got[c] for c, g in got.subsets.items()):
+        found.append("subsets is not the pieces, in colour order")
     if got.colors() != list(want) or got.n_colors != len(want):
         found.append(f"colours {got.colors()} != {list(want)}")
     for color, w in want.items():
@@ -105,10 +147,12 @@ def disagreements(got: Partition, want: dict, parent):
     if [c for c, _ in items] != list(want) or any(
             type(g) is not type(w) or g != w for (_, g), w in zip(items, want.values())):
         found.append("items() differ")
-    lo, hi = got.bounds
-    want_lo, want_hi = twin_bounds(parent.ndim, want.values())
-    if not (np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)):
-        found.append(f"bounds {lo.tolist()}..{hi.tolist()} != {want_lo.tolist()}..{want_hi.tolist()}")
+    bounds, want_bounds = got.bounds, twin_bounds(parent.ndim, want.values())
+    if (bounds is None) != (want_bounds is None) or bounds is not None and not all(
+            np.array_equal(a, b) for a, b in zip(bounds, want_bounds)):
+        found.append(f"bounds {bounds} != {want_bounds}")
+    if any(not isinstance(s, RectSubset) for s in want.values()):
+        return found  # the properties' index-list bodies are the partition's own
     if got.is_disjoint() != twin_is_disjoint(want):
         found.append(f"is_disjoint {got.is_disjoint()}")
     if _outcome(got.is_complete) != _outcome(lambda: twin_is_complete(parent, want)):
@@ -167,8 +211,10 @@ class TestPartitionTwin:
         part = Partition.from_bounds(parent, colors, lo.copy(), hi.copy())
         if when == "before":
             part = _clone(part, clone)
+        early = part.copy(name="early")  # copied before any read
         for c in reads:
             assert part[c] is part[c]  # made once, then kept
+        assert all(early[c] is part[c] for c in reads)  # ... and shared
         if when == "after":
             part = _clone(part, clone)
         made = {c for c, piece in zip(part.colors(), part._made) if piece is not None}
@@ -190,6 +236,73 @@ class TestPartitionTwin:
         assert part.is_disjoint() and part.is_complete() and part.n_colors == 64
         assert made == []
         assert part[5] == RectSubset(Rect(20, 23)) and len(made) == 1
+
+
+@st.composite
+def pieces_partitions(draw):
+    """``(parent, pieces, reads, clone, when)``: a dict of rect, ``EMPTY``
+    and (on one axis) index-list pieces, and the reads around a clone."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
+    parent = IndexSpace(shape[0]) if len(shape) == 1 else IndexSpace(shape)
+    kinds = ["rect", "empty"] + ["array"] * (len(shape) == 1)
+    pieces = {}
+    for c in draw(st.lists(st.integers(-9, 9), max_size=6, unique=True)):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "empty":
+            pieces[c] = EMPTY
+        elif kind == "array":
+            pieces[c] = ArraySubset(np.array(sorted(draw(st.sets(
+                st.integers(0, shape[0] - 1), min_size=1)))))
+        else:
+            lo = [draw(st.integers(0, n - 1)) for n in shape]
+            hi = [draw(st.integers(a, n - 1)) for a, n in zip(lo, shape)]
+            pieces[c] = RectSubset(Rect(tuple(lo), tuple(hi)))
+    reads = draw(st.lists(st.sampled_from(list(pieces)), max_size=3)) if pieces else []
+    clone = draw(st.sampled_from([None, "pickle", "deepcopy"]))
+    return parent, pieces, reads, clone, draw(st.sampled_from(["before", "after"]))
+
+
+class TestOtherConstructors:
+    @settings(max_examples=200, deadline=None)
+    @given(pieces_partitions())
+    def test_a_dict_keeps_its_pieces(self, case):
+        """The pieces a dict hands over are the partition's, colour for
+        colour, through every reader, a clone and a copy."""
+        parent, pieces, reads, clone, when = case
+        part = Partition(parent, pieces)
+        if when == "before":
+            part = _clone(part, clone)
+        for c in reads:
+            assert part[c] is part[c]
+        if when == "after":
+            part = _clone(part, clone)
+        if clone is None:
+            assert all(part[c] is p for c, p in pieces.items())
+        assert [part.piece(k) for k in range(part.n_colors)] == list(pieces.values())
+        assert part["absent"] is EMPTY
+        assert disagreements(part, pieces, parent) == []
+        twin = part.copy(name="twin")
+        assert all(twin[c] is part[c] for c in pieces) and twin.name == "twin"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-5, 5), st.integers(0, 40), st.integers(1, 12))
+    def test_equal_partition_matches_its_loop(self, lo, n, pieces):
+        parent = IndexSpace(Rect(lo, lo + n - 1))
+        part = equal_partition(parent, pieces)
+        assert part.name == f"equal({parent.name},{pieces})"
+        assert disagreements(part, twin_equal_partition(parent, pieces), parent) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 9), st.integers(1, 4)),
+                    min_size=1, max_size=3))
+    def test_equal_partition_nd_matches_its_loop(self, axes):
+        lo = tuple(a for a, _, _ in axes)
+        hi = tuple(a + n - 1 for a, n, _ in axes)
+        grid = [g for _, _, g in axes]
+        parent = IndexSpace(Rect(lo, hi))
+        part = equal_partition_nd(parent, grid)
+        assert part.name == f"equal_nd({parent.name},{tuple(grid)})"
+        assert disagreements(part, twin_equal_partition_nd(parent, grid), parent) == []
 
 
 @pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],

@@ -2,10 +2,11 @@
 
 ``ListRuntime`` keeps the per-processor list semantics the index must
 reproduce: every query scans every piece of every processor, capacity
-re-sums every piece, homes deduplicate by scanning their list.  Generated
-call sequences drive it and a :class:`Runtime` side by side and compare,
-after every call, the communication, the resident bytes, the OOM point, the
-trace counters and the tables piece for piece.
+re-sums every piece, homes are lists deduplicated by scanning them
+(``test_homes_twin.ListHomesRuntime``).  Generated call sequences drive it
+and a :class:`Runtime` side by side and compare, after every call, the
+communication, the resident bytes per processor (in order), the OOM point,
+the trace counters and the tables piece for piece.
 """
 from collections import Counter
 
@@ -40,6 +41,7 @@ from repro.legion.index_space import (
     subtract_subsets,
     union_subsets,
 )
+from test_homes_twin import ListHomes, ListHomesRuntime, homes
 
 
 def _holds(pieces, subset):
@@ -49,17 +51,28 @@ def _holds(pieces, subset):
     return False
 
 
+def by_proc(res):
+    """A table's pieces per processor, in arrival order."""
+    if isinstance(res, ListResidency):
+        return res.by_proc
+    out = {}
+    for piece, proc in res.pieces():
+        out.setdefault(proc, []).append(piece)
+    return out
+
+
 class ListResidency:
     """The list-scan residency table, as it was before the piece index."""
 
     def __init__(self, by_proc=None):
         self.by_proc = {} if by_proc is None else by_proc
 
-    def copy(self):
+    def copy(self, facts=None):
         return ListResidency({proc: list(pieces) for proc, pieces in self.by_proc.items()})
 
     def same_pieces(self, other):
-        pa, pb = self.by_proc, other.by_proc
+        pa = self.by_proc
+        pb = by_proc(other)
         return pa.keys() == pb.keys() and all(
             len(la) == len(pb[p]) and all(x is y or type(x) is type(y) and x == y
                                           for x, y in zip(la, pb[p]))
@@ -87,10 +100,6 @@ class ListResidency:
         if not _holds(pieces, subset):
             pieces.append(subset)
 
-    def load(self, pieces, facts=None):
-        for subset, proc in pieces:
-            self.add(proc, subset)
-
     def invalidate_others(self, writer, subset):
         for proc, pieces in list(self.by_proc.items()):
             if proc == writer or not any(subsets_overlap(p, subset) for p in pieces):
@@ -102,25 +111,27 @@ class ListResidency:
                 del self.by_proc[proc]
 
 
-class ListRuntime(Runtime):
+class ListRuntime(ListHomesRuntime):
     """A :class:`Runtime` over :class:`ListResidency`, summing capacity from
     the pieces, deduplicating homes by scanning them, placing piece by
     piece and checking every processor after each ``place*``.  It records
     no facts about whole partitions, so every launch stages and writes
     piece by piece and a recording never takes the one call."""
 
+    TABLE = ListResidency
+
     def _res(self, uid):
         return self._residency.setdefault(uid, ListResidency())
 
     def _add_home(self, uid, subset, proc):
-        homes = self._home.setdefault(uid, [])
+        homes = self._home.setdefault(uid, ListHomes())
         if not _holds([s for s, p in homes if p == proc], subset):
             homes.append((subset, proc))
 
-    def _place_pieces(self, region, pieces, whole=None, check=True):
+    def _place_pieces(self, region, partition, procs, whole=None, check=True):
         self._unshare_residency()
         res = self._res(region.uid)
-        for subset, proc in pieces:
+        for subset, proc in zip(partition.subsets.values(), procs):
             res.add(proc, subset)
             self._add_home(region.uid, subset, proc)
         self._homes_changed()
@@ -154,21 +165,17 @@ class ListRuntime(Runtime):
 
 
 def assert_index_consistent(res, region=None):
-    """The index, the running totals and the lists hold the same pieces,
-    and every recorded fact about a whole partition (of ``region``) is
-    true of them."""
-    by_proc = res.by_proc  # makes the pieces a load left as columns
+    """The index columns, the piece list and the running totals hold the
+    same pieces, and every recorded fact about a whole partition (of
+    ``region``) is true of them."""
+    lists = by_proc(res)  # makes the pieces a load left as columns
     rows = res._row_pieces
-    listed = sorted((leading_extent(p)[0], proc, id(p))
-                    for proc, pieces in by_proc.items() for p in pieces)
-    keys = list(zip(res.starts.tolist(), res.owners.tolist()))
-    indexed = sorted((start, proc, id(p)) for (start, proc), p in zip(keys, rows))
-    assert len(res.starts) == len(res.ends) == len(res.owners) == len(rows)
-    assert listed == indexed and keys == sorted(keys)
-    assert all(e == leading_extent(p)[1] for e, p in zip(res.ends.tolist(), rows))
-    assert res.vol == {proc: sum(p.volume for p in pieces)
-                       for proc, pieces in by_proc.items()}
-    assert list(res.vol) == list(by_proc)
+    keys = list(zip(res.starts.tolist(), res.owners.tolist(), res.arrivals.tolist()))
+    assert len(res.starts) == len(res.ends) == len(res.owners) == len(res.arrivals) == len(rows)
+    assert len(set(res.arrivals.tolist())) == len(rows) and keys == sorted(keys)
+    assert all(p.volume and (s, e) == leading_extent(p)
+               for s, e, p in zip(res.starts.tolist(), res.ends.tolist(), rows))
+    assert res.vol == {proc: sum(p.volume for p in pieces) for proc, pieces in lists.items()}
     if res.span is not None:
         assert all(e - a <= res.span for a, e in zip(res.starts.tolist(), res.ends.tolist()))
     for key, (part, holders) in res.whole.items():
@@ -178,20 +185,16 @@ def assert_index_consistent(res, region=None):
             assert key == id(part)
             held = [(part[color], proc) for color, proc in zip(part.colors(), holders)]
         for piece, proc in held:
-            assert piece.empty or _holds(by_proc.get(proc, []), piece)
+            assert piece.empty or _holds(lists.get(proc, []), piece)
 
 
 def homes_only(rt):
     """The table a reset must install, rebuilt from the homes."""
     table = {uid: ListResidency() for uid in rt._home}
     for uid, pieces in rt._home.items():
-        for subset, proc in pieces:
+        for subset, proc in pieces.pieces():
             table[uid].add(proc, subset)
     return table
-
-
-def homes(rt):
-    return {u: [(type(s), s, p) for s, p in h] for u, h in rt._home.items()}
 
 
 # --------------------------------------------------------------------------- #
@@ -341,10 +344,11 @@ class TestTwinResidency:
         rt, twin = Runtime(machine), ListRuntime(machine)
         for call in calls:
             assert _outcome(rt, regions, call) == _outcome(twin, regions, call)
-            assert rt.resident_bytes_per_proc() == twin.resident_bytes_per_proc()
+            assert list(rt.resident_bytes_per_proc().items()) == \
+                   list(twin.resident_bytes_per_proc().items())
             assert (rt.trace_records, rt.trace_hits, rt._state) == \
                    (twin.trace_records, twin.trace_hits, twin._state)
-            assert Runtime._snapshots_equal(rt._residency, twin._residency)
+            assert Runtime._snapshots_equal(twin._residency, rt._residency)
             assert homes(rt) == homes(twin)
             by_uid = {r.uid: r for r in regions}
             for uid, res in rt._residency.items():
@@ -352,7 +356,7 @@ class TestTwinResidency:
             if call[0] == "reset":  # whether built or the live table reused
                 for x in (rt, twin):
                     assert list(x._residency) == list(x._home)
-                    assert Runtime._snapshots_equal(x._residency, homes_only(x))
+                    assert Runtime._snapshots_equal(homes_only(x), x._residency)
 
     def test_a_place_checks_processors_it_did_not_touch(self):
         """``place_on`` does not check capacity, so it can leave a processor
@@ -369,6 +373,28 @@ class TestTwinResidency:
             outcomes.append(_outcome(rt, [small], ("place", 0, elsewhere, 0)))
         assert outcomes[0] == outcomes[1] and outcomes[0][:2] == ("oom", 0)
 
+    def test_a_launch_that_reorders_pieces_leaves_its_state(self):
+        """Processor 0 holds [A, B]; a launch drops its A (written on 1) and
+        stages it back, so it holds [B, A]: the same pieces in another
+        order are another table, so the launch moves to a new state and its
+        repeat records (then self-loops) rather than replays."""
+        r = Region(IndexSpace(8))
+        a, b = RectSubset(Rect(0, 3)), RectSubset(Rect(4, 7))
+        write = Partition(r.ispace, {0: a, 1: EMPTY})
+        read = Partition(r.ispace, {0: EMPTY, 1: a})
+        reqs = [RegionReq(r, write, Privilege.WRITE_DISCARD),
+                RegionReq(r, read, Privilege.READ_ONLY)]
+        counters = []
+        for rt in (Runtime(Machine.cpu(2)), ListRuntime(Machine.cpu(2))):
+            rt.place(r, Partition(r.ispace, {0: a, 1: b}), lambda c: 0)
+            rt.copy_subset(rt.metrics.new_step("c"), r, a, 1)
+            for _ in range(3):
+                rt.index_launch("w", [0, 1], lambda c: Work(1, 1), reqs,
+                                proc_map=lambda c: 1 - c)
+            assert by_proc(rt._residency[r.uid]) == {0: [b, a], 1: [a]}
+            counters.append((rt.trace_records, rt.trace_hits))
+        assert counters == [(3, 1), (3, 1)]
+
     def test_a_replica_does_not_make_a_write_at_home(self):
         """On one processor a replicated region is held everywhere, yet a
         discard-write of its pieces adds each of them beside the replica."""
@@ -379,8 +405,8 @@ class TestTwinResidency:
         for x in (rt, twin):
             x.place_replicated(r)
             _run(x, [r], write)
-        assert Runtime._snapshots_equal(rt._residency, twin._residency)
-        assert len(rt._residency[r.uid].by_proc[0]) == 1 + COLORS
+        assert Runtime._snapshots_equal(twin._residency, rt._residency)
+        assert len(by_proc(rt._residency[r.uid])[0]) == 1 + COLORS
 
 
 def _counting(monkeypatch, calls, owner, *names):
@@ -416,7 +442,7 @@ class TestLaunchGrowsWithPieces:
         # the re-declared partition has the placed one's bounds on the same
         # processors: it is recognized whole, and no piece is compared
         assert calls == {}
-        assert len(rt._home[out.uid]) == pieces
+        assert len(rt._home[out.uid].pieces()) == pieces
         reqs = [RegionReq(src, part, Privilege.READ_ONLY),
                 RegionReq(rep, None, Privilege.READ_ONLY),
                 RegionReq(out, part, Privilege.WRITE_DISCARD)]
@@ -430,14 +456,15 @@ class TestLaunchGrowsWithPieces:
         rt.index_launch("r", range(pieces), lambda c: Work(1, 1),
                         [RegionReq(rep, part, Privilege.WRITE_DISCARD)])
         assert calls["subsets_overlap"] <= 2 * pieces
-        assert len(rt._residency[rep.uid].by_proc) == pieces
+        assert len(by_proc(rt._residency[rep.uid])) == pieces
 
     @pytest.mark.parametrize("pieces", [8, 64])
     def test_re_placing_after_a_write_compares_a_piece_only_with_its_duplicate(
             self, pieces, monkeypatch):
         """A write that drops a piece clears the facts, so re-placing an
-        equal partition adds its pieces one by one; each is compared only
-        with the piece of its key (O(pieces), not O(pieces²))."""
+        equal partition loads its pieces into the live table and the homes
+        as adds would, not one by one; each is compared only with the piece
+        of its key (O(pieces), not O(pieces²))."""
         rt = Runtime(Machine.cpu(pieces))
         out = Region(IndexSpace(4 * pieces))
         part = equal_partition(out.ispace, pieces)
@@ -446,13 +473,16 @@ class TestLaunchGrowsWithPieces:
         rt.index_launch("w", [0], lambda c: Work(1, 1),
                         [RegionReq(out, part, Privilege.WRITE_DISCARD)], proc_map=lambda c: 1)
         assert rt._residency[out.uid].whole == {}
-        assert 0 not in rt._residency[out.uid].by_proc
+        assert 0 not in by_proc(rt._residency[out.uid])
         calls = Counter()
         _counting(monkeypatch, calls, residency_mod, "_same")
-        _counting(monkeypatch, calls, runtime_mod._Residency, "add")
+        _counting(monkeypatch, calls, runtime_mod._Residency, "add", "load")
         rt.place(out, equal_partition(out.ispace, pieces))
-        # every color but the dropped one meets its duplicate, once
-        assert calls == {"add": pieces, "_same": pieces - 1}
+        # live, every color but the dropped one meets its duplicate, once;
+        # among the homes, every color does
+        assert calls == {"load": 2, "_same": 2 * pieces - 1}
+        assert [p for p, q in rt._residency[out.uid].pieces() if q == 0] == [
+            rt._home[out.uid].pieces()[0][0]]  # the dropped piece is back
         assert_index_consistent(rt._residency[out.uid], out)
 
     def test_a_first_launch_over_home_partitions_runs_no_subset_algebra(
@@ -569,7 +599,6 @@ class TestColdPathIsPerRegion:
         _counting(monkeypatch, calls, region_mod.RectRegion, "destination_subset")
         _counting(monkeypatch, calls, levels_mod.CompressedLevel, "coord_bounds")
         _counting(monkeypatch, calls, levels_mod.DenseLevel, "coord_bounds")
-        _counting(monkeypatch, calls, Runtime, "_add_home")
         _counting(monkeypatch, calls, runtime_mod._Residency, "add", "copy")
         _counting(monkeypatch, calls, partition_mod, "rect_piece")
         equal = Runtime._snapshots_equal
@@ -586,9 +615,10 @@ class TestColdPathIsPerRegion:
         out, machine = _statement(kind), Machine.cpu(pieces)
         calls.clear()
         ck = compile_kernel(auto_schedule(out.assignment, machine, strategy="rows"), machine)
-        ck.execute(Runtime(machine))
+        rt = Runtime(machine)
+        ck.execute(rt)
         clear_caches()
-        return dict(calls), len(ck.plan.stmts)
+        return dict(calls), len(ck.plan.stmts), len(rt._home)
 
     @pytest.mark.parametrize("kind", ["spmv", "spmm", "sddmm"])
     def test_nothing_grows_with_pieces(self, kind, calls):
@@ -596,19 +626,49 @@ class TestColdPathIsPerRegion:
         # one window of the dense operand over the whole crd partition;
         # nothing else per piece — SDDMM's output places the pos / crd it
         # shares with its operand by partitions a fact already names, so
-        # no piece is added or homed one by one
-        assert all(calls == {"coord_bounds": 1} for calls, _ in seen.values())
+        # no piece is added or homed one by one.  Each placed region's
+        # homes are copied once, into the live table the placement starts
+        # (the execute's reset, from a clean state, keeps that table).
+        assert all(calls == {"coord_bounds": 1, "copy": placed}
+                   for calls, _, placed in seen.values())
         # Table I emits one entry statement, a loop over the colors, per
         # initial partition
-        assert len({stmts for _, stmts in seen.values()}) == 1
+        assert len({stmts for _, stmts, _ in seen.values()}) == 1
 
 
-def test_a_load_keeps_the_pairs_it_was_given():
-    """A table loads its pieces as columns and makes them later; a list it
-    loaded from (a region's homes) may grow meanwhile, and the table must
-    still hold only what it was given."""
-    res, pairs = runtime_mod._Residency(), [(RectSubset(Rect(0, 3)), 0)]
-    res.load(pairs)
-    pairs.append((RectSubset(Rect(4, 7)), 1))
-    assert res.by_proc == {0: [pairs[0][0]]} and res.vol == {0: 4}
-    assert_index_consistent(res)
+def test_a_load_holds_what_adds_would():
+    """A table loads a placement of rects as columns — into an empty table
+    making no piece until a query needs one — and holds what ``add`` of
+    each piece in turn holds: an empty color nowhere (its processor the
+    first home still), a piece equal to an earlier or a held one on its
+    processor once, pieces out of key order sorted, equal keys in arrival
+    order."""
+    space = IndexSpace(12)
+    pieces = [EMPTY, RectSubset(Rect(6, 11)), RectSubset(Rect(0, 5)),
+              RectSubset(Rect(6, 11)), RectSubset(Rect(6, 8)), RectSubset(Rect(0, 5))]
+    part, procs = Partition(space, dict(enumerate(pieces))), [2, 1, 0, 1, 1, 1]
+    loaded, added = runtime_mod._Residency(), runtime_mod._Residency()
+    loaded.load(part, procs)
+    assert loaded._unmade is part
+    for subset, proc in zip(pieces, procs):
+        added.add(proc, subset)
+    assert loaded.pieces() == added.pieces() == [
+        (pieces[1], 1), (pieces[2], 0), (pieces[4], 1), (pieces[5], 1)]
+    assert loaded.vol == added.vol == {1: 15, 0: 6}
+    assert loaded.first_home == 2
+    assert Runtime._snapshots_equal({0: loaded}, {0: added})
+    # into a table that holds pieces: an equal one held (an equal object
+    # or the same), a new start, a held start on another processor, a new
+    # piece at a held key
+    more = [RectSubset(Rect(0, 5)), RectSubset(Rect(3, 4)), pieces[1], RectSubset(Rect(6, 7)),
+            RectSubset(Rect(0, 5))]
+    procs = [0, 2, 1, 1, 2]
+    loaded.load(Partition(space, dict(enumerate(more))), procs)
+    for subset, proc in zip(more, procs):
+        added.add(proc, subset)
+    assert loaded.pieces() == added.pieces() and loaded.pieces()[4:] == [
+        (more[1], 2), (more[3], 1), (more[4], 2)]
+    assert loaded.vol == added.vol == {1: 17, 0: 6, 2: 8}
+    assert loaded.first_home == 2
+    for res in (loaded, added):
+        assert_index_consistent(res)

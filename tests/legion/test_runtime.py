@@ -94,12 +94,13 @@ class TestHomePlacements:
         once.place_on(r, 1)
         again.place(r, p)
         again.place_on(r, 1)
-        first = list(again._home[r.uid])
+        first = again._home[r.uid].pieces()
         again.place(r, equal_partition(r.ispace, 2))  # equal, not identical
         again.place_on(r, 1)
         again.place(r, p)
-        assert len(again._home[r.uid]) == 3
-        assert all(a is b for a, b in zip(again._home[r.uid], first))
+        homes = again._home[r.uid].pieces()
+        assert len(homes) == 3
+        assert all(a is b and p == q for (a, p), (b, q) in zip(homes, first))
         again.reset_residency()
         assert launch(again, r) == launch(once, r) != []
 
@@ -122,7 +123,7 @@ class TestHomePlacements:
                         for e in step.comm_events
                     ])
                 trials.append(events)
-                assert len(s.runtime._home[B.vals.uid]) == 4
+                assert len(s.runtime._home[B.vals.uid].pieces()) == 4
         assert trials[1] == trials[0] and trials[2] == trials[0]
 
 

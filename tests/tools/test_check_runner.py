@@ -514,21 +514,21 @@ class TestResidencyScanner:
     SRC = (
         "class _Residency:\n"
         "    def add(self, proc, piece):\n"
-        "        self.by_proc.setdefault(proc, []).append(piece)\n"   # line 3
-        "        self.whole = {}\n"                                   # line 4
+        "        self._row_pieces.append(piece)\n"                   # line 3
+        "        self.whole = {}\n"                                  # line 4
         "class Runtime:\n"
         "    def place(self, res, proc, piece, d):\n"
-        "        res.by_proc[proc] = [piece]\n"                       # line 7
-        "        res.vol[proc] += 8\n"                                # line 8
-        "        res._row_pieces.insert(0, piece)\n"                  # line 9
-        "        res.span, res.starts = None, []\n"                   # line 10
-        "        del res.by_proc[proc]\n"                             # line 11
-        "        res.by_proc[proc].append(piece)\n"                   # line 12
-        "        res.whole[id(d)]: tuple = (d, {})\n"                 # line 13
-        "        res.add(proc, piece)\n"                              # the fix
-        "        d.owners = list(d.owners())\n"                       # line 15
-        "        total = sum(res.vol.values()) + len(res.starts)\n"   # reads
-        "        return res.whole.get(None), d.owners(), res.by_proc\n"
+        "        res.arrivals[proc] = 0\n"                           # line 7
+        "        res.vol[proc] += 8\n"                               # line 8
+        "        res._row_pieces.insert(0, piece)\n"                 # line 9
+        "        res.span, res.starts = None, []\n"                  # line 10
+        "        del res.owners[proc]\n"                             # line 11
+        "        res._row_pieces.append(piece)\n"                    # line 12
+        "        res.whole[id(d)]: tuple = (d, {})\n"                # line 13
+        "        res.add(proc, piece)\n"                             # the fix
+        "        d.owners = list(d.owners())\n"                      # line 15
+        "        total = sum(res.vol.values()) + len(res.starts)\n"  # reads
+        "        return res.whole.get(None), d.owners(), res.arrivals\n"
     )
 
     def test_writes_outside_the_class_are_flagged_with_lines(self):
@@ -537,7 +537,27 @@ class TestResidencyScanner:
         assert [f.line for f in findings] == [7, 8, 9, 10, 11, 12, 13, 15]
         assert "residency field 'span'" in findings[3].message
         assert str(findings[0]).startswith(
-            "src/repro/legion/residency.py:7: writes the residency field 'by_proc'")
+            "src/repro/legion/residency.py:7: writes the residency field 'arrivals'")
+
+    def test_a_write_to_a_homes_table_is_flagged(self):
+        """A region's homes are a residency table too: writing one's
+        fields from the runtime is flagged like writing the live table's,
+        reading it (``pieces``, ``owner``) is not."""
+        src = (
+            "def place(rt, uid, k, subset):\n"
+            "    rt._home[uid].arrivals = k\n"                          # line 2
+            "    homes = rt._home[uid]\n"
+            "    homes.arrivals[0] = k\n"                               # line 4
+            "    rt._home[uid].starts = rt._home[uid].starts[:k]\n"     # line 5
+            "    rt._home[uid]._row_pieces.append(subset)\n"            # line 6
+            "    del homes.vol[k]\n"                                    # line 7
+            "    homes.first_home = k\n"                                # line 8
+            "    homes.add(k, subset)\n"                                # the fix
+            "    return homes.pieces(subset), homes.owner(subset)\n"
+        )
+        findings = check._scan_residency_writes("src/repro/legion/runtime.py", ast.parse(src))
+        assert [f.line for f in findings] == [2, 4, 5, 6, 7, 8]
+        assert "residency field 'arrivals'" in findings[0].message
 
     @pytest.mark.parametrize("field", check.RESIDENCY_FIELDS)
     def test_every_field_is_flagged(self, field):

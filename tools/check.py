@@ -50,15 +50,15 @@ codebase passes defined here:
   holding a bind function reduces with ``np.bincount``, and nothing under
   ``src/repro/codegen`` or ``src/repro/kernels`` reads the process
   environment;
-* **residency** — a region's residency table is written only by its class
-  (``_Residency`` in ``src/repro/legion/residency.py``): nowhere else under
-  ``src/repro`` does code assign, augment or delete ``by_proc`` (or the
-  ``_proc_pieces`` behind it), the index columns ``starts`` / ``ends`` /
-  ``owners``, the piece column ``_row_pieces``, the unmade load
-  ``_unmade``, ``vol``, ``span`` or ``whole`` (or an item of one), or call
-  an in-place mutator on them.  The facts the table records
-  about whole partitions, which let a launch skip staging, stay true
-  only while every writer goes through the class;
+* **residency** — a residency table (a region's live table or its homes)
+  is written only by its class (``_Residency`` in
+  ``src/repro/legion/residency.py``): nowhere else under ``src/repro``
+  does code assign, augment or delete the index columns ``starts`` /
+  ``ends`` / ``owners`` / ``arrivals``, the piece column ``_row_pieces``,
+  the unmade load ``_unmade``, ``vol``, ``span``, ``whole`` or
+  ``first_home`` (or an item of one), or call an in-place mutator on them.  The facts the table
+  records about whole partitions, which let a launch skip staging, stay
+  true only while every writer goes through the class;
 * **commplan** — every (kernel × sweep format × strategy × machine kind)
   the kernel table declares must yield a coherent static communication plan
   (:mod:`repro.analysis.commplan`): the plan derives without error and
@@ -715,8 +715,8 @@ RESIDENCY_HOME = ("src/repro/legion/residency.py", "_Residency")
 #: the table's fields: its pieces, their index and totals, and the facts
 #: about whole partitions that are true only while every write goes
 #: through the class.
-RESIDENCY_FIELDS = ("by_proc", "_proc_pieces", "_row_pieces", "_unmade", "starts", "ends",
-                    "owners", "vol", "span", "whole")
+RESIDENCY_FIELDS = ("_row_pieces", "_unmade", "starts", "ends", "owners", "arrivals",
+                    "vol", "span", "whole", "first_home")
 #: methods that mutate a list, dict or set in place.
 _MUTATORS = frozenset((
     "append", "insert", "extend", "pop", "popitem", "remove", "clear",
