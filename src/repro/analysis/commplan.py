@@ -257,31 +257,28 @@ def _mirror_kernel(ck, rt: Runtime, work: Optional[WorkModel]) -> List[StepMetri
     ``execute()`` makes — placement, then the index launch(es) — with the
     leaf bodies replaced by the Work model (None: no work), handed to the
     runtime both per piece and as the launch's columns, so a launch at
-    home books in one call as ``execute``'s does.  Returns the freshly
-    appended steps.  Raises :class:`repro.errors.OOMError` exactly where
+    home books in one call as ``execute``'s does.  Returns the steps the
+    launches returned.  Raises :class:`repro.errors.OOMError` exactly where
     the real execution would.
     """
     from ..core.kernelspec import SPECS
 
-    before = len(rt.metrics.steps)
     ck._place(rt)
     colors = [p.color for p in ck.pieces]
     at = dict(zip(colors, range(len(colors))))
     proc_of = dict(zip(colors, (p.proc for p in ck.pieces))).__getitem__
 
-    def launch(name: str, phase: str, reqs) -> None:
+    def launch(name: str, phase: str, reqs) -> StepMetrics:
         works = work(phase) if work is not None else Works.zeros(len(colors))
-        rt.index_launch(name, colors, lambda c: works[at[c]], reqs, proc_map=proc_of,
-                        launch=lambda: works)
+        return rt.index_launch(name, colors, lambda c: works[at[c]], reqs,
+                               proc_map=proc_of, launch=lambda: works)
 
     if SPECS[ck.kind].assembles:
         reqs = ck.spadd_read_reqs()
-        launch("spadd:symbolic", "spadd:symbolic", reqs)
-        ck._spadd_scan_step(rt)
-        launch("spadd:fill", "spadd:fill", reqs)
-    else:
-        launch(f"{ck.kind}:{ck.strategy}", "compute", ck._reqs())
-    return rt.metrics.steps[before:]
+        return [launch("spadd:symbolic", "spadd:symbolic", reqs),
+                ck._spadd_scan_step(rt),
+                launch("spadd:fill", "spadd:fill", reqs)]
+    return [launch(f"{ck.kind}:{ck.strategy}", "compute", ck._reqs())]
 
 
 def _channel_of(e: CommEvent) -> str:

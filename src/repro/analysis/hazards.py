@@ -56,17 +56,6 @@ class DependenceGraph:
     n_statements: int
     edges: List[Dependence] = field(default_factory=list)
 
-    def predecessors(self, n: int) -> List[int]:
-        """Statements that must execute before statement ``n``."""
-        return sorted({e.src for e in self.edges if e.dst == n})
-
-    def successors(self, n: int) -> List[int]:
-        """Statements that must execute after statement ``n``."""
-        return sorted({e.dst for e in self.edges if e.src == n})
-
-    def edges_between(self, src: int, dst: int) -> List[Dependence]:
-        return [e for e in self.edges if e.src == src and e.dst == dst]
-
     def topological_order(self) -> List[int]:
         """A valid execution order.  Program order always qualifies —
         every edge points forward — and it is what the runtime uses."""

@@ -84,14 +84,6 @@ class StatementPrivileges:
                 out.append(u.tensor)
         return out
 
-    def touched_tensors(self) -> List:
-        seen, out = set(), []
-        for u in self.reads + self.writes:
-            if id(u.tensor) not in seen:
-                seen.add(id(u.tensor))
-                out.append(u.tensor)
-        return out
-
     def aliased_tensors(self) -> List:
         """Tensors this statement both reads and writes (by identity)."""
         written = {id(t) for t in self.written_tensors}

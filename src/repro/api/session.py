@@ -113,21 +113,17 @@ class Session:
         network: Optional[Network] = None,
         runtime: Optional[Runtime] = None,
         store: Optional[Union[str, Path, ArtifactStore]] = None,
-        trace_replay: Optional[bool] = None,
-        metrics_limit: Optional[int] = None,
         backend: Optional[str] = None,
     ):
         if runtime is not None:
             # Adopt an existing runtime (e.g. one restored from the
             # artifact store, mapping traces included); the session's
-            # machine is the runtime's, and the runtime keeps the network,
-            # trace_replay and metrics_limit it was built with — passing
-            # any of them here would be silently ignored, so it is an
-            # error, like the machine-family conflict.
+            # machine is the runtime's, and the runtime keeps the network
+            # it was built with — passing either here would be silently
+            # ignored, so it is an error, like the machine-family conflict.
             conflicts = {
                 "machine": machine, "nodes": nodes, "gpus": gpus,
                 "node": node, "network": network,
-                "trace_replay": trace_replay, "metrics_limit": metrics_limit,
             }
             clashing = [k for k, v in conflicts.items() if v is not None]
             if clashing:
@@ -147,11 +143,7 @@ class Session:
                 else:
                     machine = Machine.cpu(nodes if nodes is not None else 1, spec)
             self.machine = machine
-            self.runtime = Runtime(
-                machine, network,
-                trace_replay=True if trace_replay is None else trace_replay,
-                metrics_limit=metrics_limit,
-            )
+            self.runtime = Runtime(machine, network)
         if store is None or isinstance(store, ArtifactStore):
             self.store: Optional[ArtifactStore] = store
         else:

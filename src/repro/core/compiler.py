@@ -31,7 +31,7 @@ import numpy as np
 from ..errors import CompileError
 from ..legion.machine import Machine, Work
 from ..legion.partition import Coloring
-from ..legion.metrics import CommEvent, ExecutionMetrics
+from ..legion.metrics import CommEvent, ExecutionMetrics, StepMetrics
 from ..legion.network import Network
 from ..legion.runtime import Privilege, RegionReq, Runtime
 from ..taco.expr import Access, Assignment
@@ -247,26 +247,21 @@ class CompiledKernel:
         rt = self._ensure_runtime(runtime)
         if fresh_trial:
             rt.reset_residency()
-        before = len(rt.metrics.steps)
-        if SPECS[self.kind].assembles:
-            self._execute_spadd(rt)
-        else:
-            self._execute_compute(rt)
-        new_steps = rt.metrics.steps[before:]
+        run = self._execute_spadd if SPECS[self.kind].assembles else self._execute_compute
         return ExecutionResult(
             output=self.out,
-            metrics=ExecutionMetrics(steps=list(new_steps)),
+            metrics=ExecutionMetrics(steps=run(rt)),
             plan=self.plan,
             network=rt.network,
         )
 
-    def _execute_compute(self, rt: Runtime) -> None:
+    def _execute_compute(self, rt: Runtime) -> List[StepMetrics]:
         if self._leaf is None or self._leaf_backend != self.backend:
             self._bind()
         if self._needs_zero():
             self.out.vals.fill(0.0)
         name, colors, task, reqs, proc_of, launch = self._launch_args
-        rt.index_launch(name, colors, task, reqs, proc_map=proc_of, launch=launch)
+        return [rt.index_launch(name, colors, task, reqs, proc_map=proc_of, launch=launch)]
 
     def _bind(self) -> None:
         """Bind the leaf, and freeze what every launch of it hands the
@@ -313,10 +308,10 @@ class CompiledKernel:
         )
 
     # -- SpAdd: two-phase assembly (paper §V-B) --------------------------------
-    def _spadd_scan_step(self, rt: Runtime) -> None:
+    def _spadd_scan_step(self, rt: Runtime) -> StepMetrics:
         """The scan between the phases: per-row counts travel to the
         launching node and the scanned ``pos`` scatters back."""
-        scan = rt.metrics.new_step("spadd:scan")
+        scan = StepMetrics("spadd:scan")
         for p in self.pieces:
             n = max(0, p.rows[1] - p.rows[0] + 1)
             if p.proc != 0 and n:
@@ -326,6 +321,7 @@ class CompiledKernel:
                 scan.comm_events.append(
                     CommEvent(0, p.proc, n * 16.0, rt.machine.same_node(0, p.proc), "pos")
                 )
+        return scan
 
     def assembly_plan(self) -> AssemblyPlan:
         """The statement's :class:`~repro.core.assembly.AssemblyPlan`,
@@ -355,7 +351,7 @@ class CompiledKernel:
             for req in self.parts[id(t)].region_reqs(Privilege.READ_ONLY)
         ]
 
-    def _execute_spadd(self, rt: Runtime) -> None:
+    def _execute_spadd(self, rt: Runtime) -> List[StepMetrics]:
         out = self.out
         plan = self.assembly_plan()
         operand_tensors = SPECS[self.kind].operand_tensors(self)
@@ -371,7 +367,7 @@ class CompiledKernel:
         colors = [p.color for p in self.pieces]
         proc_of = {p.color: p.proc for p in self.pieces}.__getitem__
 
-        rt.index_launch(
+        symbolic = rt.index_launch(
             "spadd:symbolic",
             colors,
             lambda color: K.spadd3_symbolic(plan.pieces[color])[1],
@@ -379,7 +375,7 @@ class CompiledKernel:
             proc_map=proc_of,
         )
 
-        self._spadd_scan_step(rt)
+        scan = self._spadd_scan_step(rt)
         # Checked once per new plan, and again whenever another statement
         # re-structured the output in between (its version moved).
         if plan.installed != out.pattern_version:
@@ -387,7 +383,7 @@ class CompiledKernel:
             plan.installed = out.pattern_version
         out_vals = out.vals.data
 
-        rt.index_launch(
+        fill = rt.index_launch(
             "spadd:fill",
             colors,
             lambda color: K.spadd3_fill(
@@ -396,6 +392,7 @@ class CompiledKernel:
             read_reqs,
             proc_map=proc_of,
         )
+        return [symbolic, scan, fill]
 
 
 # --------------------------------------------------------------------------- #

@@ -108,9 +108,10 @@ __all__ = [
 #: as columns (with the placement it has not made into pieces yet), and a
 #: compiled kernel's pieces lose their ``var_bounds``.  v11: a runtime's
 #: homes are a residency table per region, and a table keeps each piece
-#: once (an arrival column, no per-processor lists).  Any other version is
+#: once (an arrival column, no per-processor lists).  v12: a runtime
+#: pickles no step log, replay switch or copy traces.  Any other version is
 #: refused with :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 11
+STORE_FORMAT_VERSION = 12
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"
@@ -284,9 +285,8 @@ def save_packed(
 
     # Advance-counter watermark: every region uid the payload can mention
     # must be covered, or a fresh region in the loading process could
-    # collide with a pickled one.  Beyond the tensors' own regions, copy
-    # traces can reference regions that were only ever staged via
-    # copy_subset (and later dropped from residency), so trace keys and
+    # collide with a pickled one.  Beyond the tensors' own regions, launch
+    # traces can reference regions no longer resident, so trace keys and
     # residency snapshots are scanned too.
     max_region_uid = -1
     max_ispace_uid = -1
@@ -303,14 +303,6 @@ def save_packed(
                 max_region_uid = max(max_region_uid, reqsig[0])
             for uid in trace.residency_after:
                 max_region_uid = max(max_region_uid, uid)
-        for key, trace in rt._copy_traces.items():
-            max_region_uid = max(max_region_uid, key[1])
-            for uid in trace.residency_after:
-                max_region_uid = max(max_region_uid, uid)
-            if trace.pinned:
-                region = trace.pinned[0]
-                max_region_uid = max(max_region_uid, region.uid)
-                max_ispace_uid = max(max_ispace_uid, region.ispace.uid)
 
     # Autotune decisions travel whole: keys are process-independent digests
     # (no tensor ids to re-anchor) and entries are a few hundred bytes, so
@@ -406,9 +398,7 @@ def save_packed(
         "partition_entries": len(partition_entries),
         "decision_entries": len(decision_entries),
         "runtimes": len(runtimes),
-        "trace_count": sum(
-            len(rt._traces) + len(rt._copy_traces) for rt in runtimes
-        ),
+        "trace_count": sum(len(rt._traces) for rt in runtimes),
     }
     (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
     return path

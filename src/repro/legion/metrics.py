@@ -10,7 +10,7 @@ standard BSP-style bound that determines strong/weak scaling shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 __all__ = ["CommEvent", "StepMetrics", "ExecutionMetrics"]
 
@@ -72,81 +72,15 @@ class StepMetrics:
 
 @dataclass
 class ExecutionMetrics:
-    """Accumulated metrics across all steps of one kernel execution.
-
-    Long solver loops (10k+ iterations on one runtime) would otherwise
-    accumulate one :class:`StepMetrics` per launch forever;
-    :meth:`fold_oldest` collapses the oldest steps into scalar accumulators
-    so memory stays bounded while every total stays exact.
-    :class:`~repro.legion.runtime.Runtime` calls it automatically between
-    trials once ``metrics_limit`` is exceeded.
-    """
+    """The steps of one kernel execution, as its launches returned them."""
 
     steps: List[StepMetrics] = field(default_factory=list)
-    #: Scalars of steps folded away by :meth:`fold_oldest`.  The simulated
-    #: seconds were computed with the network passed at fold time (the
-    #: runtime's own network); querying totals with a *different* network
-    #: afterwards mixes models.
-    folded_steps: int = 0
-    folded_seconds: float = 0.0
-    folded_comm_bytes: float = 0.0
-    folded_tasks: int = 0
-    folded_compute_seconds: float = 0.0
-
-    def new_step(self, name: str) -> StepMetrics:
-        step = StepMetrics(name)
-        self.steps.append(step)
-        return step
-
-    def fold_oldest(self, count: int, network) -> int:
-        """Fold the ``count`` oldest steps into the scalar accumulators.
-
-        Returns the number of steps folded.  Totals (simulated seconds,
-        communication bytes, tasks, compute seconds) are preserved for the
-        given ``network`` — the same per-step terms, re-associated, so
-        float sums agree to summation order; only per-step detail is lost.
-        """
-        count = max(0, min(count, len(self.steps)))
-        if not count:
-            return 0
-        doomed = self.steps[:count]
-        del self.steps[:count]
-        for s in doomed:
-            self.folded_seconds += s.simulated_seconds(network)
-            self.folded_comm_bytes += s.comm_bytes()
-            self.folded_tasks += s.tasks_launched
-            self.folded_compute_seconds += sum(s.compute_seconds.values())
-        self.folded_steps += count
-        return count
 
     def simulated_seconds(self, network) -> float:
-        return self.folded_seconds + sum(
-            s.simulated_seconds(network) for s in self.steps
-        )
+        return sum((s.simulated_seconds(network) for s in self.steps), 0.0)
 
     def total_comm_bytes(self) -> float:
-        return self.folded_comm_bytes + sum(s.comm_bytes() for s in self.steps)
+        return sum((s.comm_bytes() for s in self.steps), 0.0)
 
     def total_tasks(self) -> int:
-        return self.folded_tasks + sum(s.tasks_launched for s in self.steps)
-
-    def total_compute_seconds(self) -> float:
-        return self.folded_compute_seconds + sum(
-            sum(s.compute_seconds.values()) for s in self.steps
-        )
-
-    def merge(self, other: "ExecutionMetrics") -> None:
-        self.steps.extend(other.steps)
-        self.folded_steps += other.folded_steps
-        self.folded_seconds += other.folded_seconds
-        self.folded_comm_bytes += other.folded_comm_bytes
-        self.folded_tasks += other.folded_tasks
-        self.folded_compute_seconds += other.folded_compute_seconds
-
-    def summary(self, network) -> Dict[str, float]:
-        return {
-            "simulated_seconds": self.simulated_seconds(network),
-            "comm_bytes": self.total_comm_bytes(),
-            "tasks": float(self.total_tasks()),
-            "compute_seconds": self.total_compute_seconds(),
-        }
+        return sum(s.tasks_launched for s in self.steps)

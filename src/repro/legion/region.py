@@ -207,11 +207,6 @@ class RectRegion(Region):
     def range_at(self, i: int) -> Tuple[int, int]:
         return int(self.data[i, 0]), int(self.data[i, 1])
 
-    def set_range(self, i: int, lo: int, hi: int) -> None:
-        self._ensure_writable()
-        self.data[i, 0] = lo
-        self.data[i, 1] = hi
-
     def subset_view(self, subset: IndexSubset) -> np.ndarray:
         key = subset.as_slice()
         if key is not None:

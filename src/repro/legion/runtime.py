@@ -44,28 +44,27 @@ a recording hands the table it leaves behind to its trace; a replay and
 ``reset_residency`` *install* a table — the trace's, or copies of the
 homes memoised until the next ``place*`` — without copying it.  Such a
 table is never written: one ownership bit says whether the live table is
-shared, and every writer — a recording launch, an uncached copy,
-``place*`` — takes a private copy first
-(:meth:`Runtime._unshare_residency`).  Within a table each region holds
-each piece once, indexed by its leading-axis extent, with a running
-volume total per processor (:class:`~repro.legion.residency._Residency`),
-so staging, write invalidation and capacity checks touch only the pieces
-involved; a first placement of a partition of rects loads a region's homes
-from its bounds as columns, its live table a copy of them, and makes no
-piece until a query needs one.
+shared, and every writer — a recording launch, ``place*`` — takes a
+private copy first (:meth:`Runtime._unshare_residency`).  Within a table
+each region holds each piece once, indexed by its leading-axis extent,
+with a running volume total per processor
+(:class:`~repro.legion.residency._Residency`), so staging, write
+invalidation and capacity checks touch only the pieces involved; a first
+placement of a partition of rects loads a region's homes from its bounds
+as columns, its live table a copy of them, and makes no piece until a
+query needs one.
 
-Explicit copies (the ``communicate``-lowered :meth:`Runtime.copy_subset`)
-are traced the same way, so a chain of launches and copies — the SpAdd
-assembly sequence, TDN-style placement copies — replays end-to-end.
-``metrics_limit`` bounds :attr:`Runtime.metrics` by folding the oldest
-steps into exact scalar totals between trials.  Runtimes are *picklable*:
-:mod:`repro.core.store` persists one (traces, homes and symbolic state;
-metrics and hit counters start fresh) so a new process replays from its
-first launch.
+A chain of launches — SpAdd's symbolic and fill launches, the statements
+of a program — replays end to end, each from the state the one before left.
+A launch returns its :class:`StepMetrics` and the runtime keeps no log of
+them: whoever launches (:meth:`CompiledKernel.execute
+<repro.core.compiler.CompiledKernel.execute>`, the static planner's mirror)
+collects the steps of its own call.  Runtimes are *picklable*:
+:mod:`repro.core.store` persists one (traces, homes and symbolic state; hit
+counters start fresh) so a new process replays from its first launch.
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -74,15 +73,15 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from ..errors import OOMError
-from .index_space import IndexSubset, RectSubset, intersect_subsets, subtract_subsets
+from .index_space import IndexSubset, intersect_subsets, subtract_subsets
 from .machine import Machine, Work, Works
-from .metrics import CommEvent, ExecutionMetrics, StepMetrics
+from .metrics import CommEvent, StepMetrics
 from .network import Network
 from .partition import Partition
 from .region import Region
 from .residency import _Residency
 
-__all__ = ["Privilege", "RegionReq", "Runtime", "MappingTrace", "TrialMetrics"]
+__all__ = ["Privilege", "RegionReq", "Runtime", "MappingTrace"]
 
 #: The homes of a region nothing placed (read, never written).
 _NO_HOMES = _Residency()
@@ -150,64 +149,13 @@ class MappingTrace:
         return {**self.__dict__, "booked": None}
 
 
-@dataclass
-class _CopyTrace:
-    """Memoized staging decision of one explicit :meth:`Runtime.copy_subset`."""
-
-    events: Tuple[CommEvent, ...]
-    residency_after: Dict[int, _Residency]
-    post_state: Tuple
-    #: ``(region, subset)`` — pins the subset whose ``id`` the key embeds.
-    pinned: Tuple = ()
-
-
-@dataclass
-class TrialMetrics:
-    """The metrics slice of one :meth:`Runtime.fresh_trial` block.
-
-    ``metrics`` holds exactly the steps launched inside the block (filled
-    in when the block exits); :attr:`simulated_seconds` prices them under
-    the runtime's own network model.
-    """
-
-    runtime: "Runtime"
-    metrics: Optional[ExecutionMetrics] = None
-
-    @property
-    def simulated_seconds(self) -> float:
-        if self.metrics is None:
-            raise RuntimeError("the fresh_trial block has not exited yet")
-        return self.metrics.simulated_seconds(self.runtime.network)
-
-    @property
-    def comm_bytes(self) -> float:
-        if self.metrics is None:
-            raise RuntimeError("the fresh_trial block has not exited yet")
-        return self.metrics.total_comm_bytes()
-
-
 class Runtime:
-    """Launches index tasks over a :class:`Machine` and accounts their cost.
+    """Launches index tasks over a :class:`Machine` and accounts their cost;
+    every launch records or replays a mapping trace (module docstring)."""
 
-    ``trace_replay`` (default on) enables mapping-trace recording/replay
-    for repeated launches; see the module docstring for the protocol.
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        network: Optional[Network] = None,
-        *,
-        trace_replay: bool = True,
-        metrics_limit: Optional[int] = None,
-    ):
+    def __init__(self, machine: Machine, network: Optional[Network] = None):
         self.machine = machine
         self.network = network if network is not None else Network.legion()
-        self.metrics = ExecutionMetrics()
-        self.trace_replay = trace_replay
-        #: Auto-trim threshold of ``metrics.steps`` between trials
-        #: (:meth:`trim_metrics`; ``0``: never): ~4 MB of 64-processor steps.
-        self.metrics_limit = 1_000 if metrics_limit is None else metrics_limit
         self.trace_hits = 0
         self.trace_records = 0
         self._residency: Dict[int, _Residency] = {}
@@ -222,7 +170,6 @@ class Runtime:
         #: the first reset after a ``place*`` (``_homes_changed`` drops them).
         self._homes_table: Optional[Dict[int, _Residency]] = None
         self._traces: Dict[Tuple, MappingTrace] = {}
-        self._copy_traces: Dict[Tuple, _CopyTrace] = {}
         self._homes_version = 0
         self._state_counter = itertools.count(1)
         self._state: Tuple = ("clean", 0)
@@ -331,7 +278,8 @@ class Runtime:
         proc_map: Optional[Callable[[Color], int]] = None,
         launch: Optional[Callable[[], Sequence[Work]]] = None,
     ) -> StepMetrics:
-        """Launch one task per color; returns per-step metrics.
+        """Launch one task per color; returns the launch's metrics, which
+        the runtime keeps no copy of.
 
         For every color the runtime (1) resolves each region requirement to a
         sub-region, (2) moves any part not valid in the target memory,
@@ -348,25 +296,18 @@ class Runtime:
         (:meth:`_at_home`) has one; else task by task.
         """
         procs = self._procs(colors, proc_map)
-        trace_key = None
-        if not self.trace_replay:
-            # Untracked launches still mutate residency: advance the state so
-            # a later re-enable of trace_replay cannot record from (and then
-            # replay against) a state token that no longer matches reality.
-            self._mark_dirty()
-        else:
-            trace_key = (self._state, name, tuple(colors), tuple(
-                _req_sig(r.region.uid, r.partition, r.privilege.value, r.streamed)
-                for r in reqs), tuple(procs))
-            trace = self._traces.get(trace_key)
-            if trace is not None:
-                return self._replay_launch(name, colors, task, trace, launch)
+        trace_key = (self._state, name, tuple(colors), tuple(
+            _req_sig(r.region.uid, r.partition, r.privilege.value, r.streamed)
+            for r in reqs), tuple(procs))
+        trace = self._traces.get(trace_key)
+        if trace is not None:
+            return self._replay_launch(name, colors, task, trace, launch)
 
-        step = self.metrics.new_step(name)
+        step = StepMetrics(name)
         events_per_color: List[Tuple[CommEvent, ...]] = []
         staged = [req for req, home in zip(reqs, self._at_home(reqs, colors, procs)) if not home]
         # at home, nothing writes the table: no "before" copy to compare
-        before = self._unshare_residency(keep=trace_key is not None) if staged else None
+        before = self._unshare_residency(keep=True) if staged else None
         booked = None
         try:
             if not staged and launch is not None:
@@ -387,10 +328,22 @@ class Runtime:
             # A partial launch (e.g. OOM) leaves an unknown residency state.
             self._mark_dirty()
             raise
-        if trace_key is not None:
-            self._record(self._traces, trace_key, before, lambda after, post: MappingTrace(
-                procs, events_per_color, after, post, tuple(req.partition for req in reqs),
-                booked))
+        # The trace holds the table the launch left behind from here on.  A
+        # launch that changed nothing (a steady-state loop over resident
+        # data) self-loops, so its repeat replays instead of recording forever.
+        after = self._residency
+        self._residency_shared = True
+        if before is None or self._snapshots_equal(before, after):
+            post_state = self._state
+        else:
+            post_state = ("post", next(self._state_counter))
+        if len(self._traces) >= 512:  # runaway-recording backstop
+            self._traces.clear()
+        self._traces[trace_key] = MappingTrace(
+            procs, events_per_color, after, post_state,
+            tuple(req.partition for req in reqs), booked)
+        self._state = post_state
+        self.trace_records += 1
         return step
 
     def _at_home(self, reqs: Sequence[RegionReq], colors, procs) -> List[bool]:
@@ -433,24 +386,6 @@ class Runtime:
         step.tasks_launched = len(booked[0])
         return booked
 
-    def _record(self, traces: Dict, key: Tuple, before, make: Callable) -> None:
-        """File the trace ``make(after, post_state)`` of the write that
-        turned ``before`` into the live table (None: nothing wrote it), which
-        the trace holds from here on.  A write that changed nothing (a
-        steady-state loop over resident data) self-loops, so its repeat
-        replays instead of recording forever."""
-        after = self._residency
-        self._residency_shared = True
-        if before is None or self._snapshots_equal(before, after):
-            post_state = self._state
-        else:
-            post_state = ("post", next(self._state_counter))
-        if len(traces) >= 512:  # runaway-recording backstop
-            traces.clear()
-        traces[key] = make(after, post_state)
-        self._state = post_state
-        self.trace_records += 1
-
     def _replay_launch(
         self,
         name: str,
@@ -460,7 +395,7 @@ class Runtime:
         launch: Optional[Callable[[], Sequence[Work]]] = None,
     ) -> StepMetrics:
         """Re-charge a recorded launch's communication and run the tasks."""
-        step = self.metrics.new_step(name)
+        step = StepMetrics(name)
         if launch is None:
             for ordinal, color in enumerate(colors):
                 proc = trace.procs[ordinal]
@@ -587,61 +522,6 @@ class Runtime:
                         )
                     )
 
-    # -- explicit copies (the `communicate` command lowers to these) -----------
-    def copy_subset(
-        self,
-        step: StepMetrics,
-        region: Region,
-        subset: IndexSubset,
-        dst_proc: int,
-        *,
-        reason: str = "copy",
-    ) -> None:
-        """Stage ``subset`` of ``region`` into ``dst_proc``'s memory.
-
-        Traced like a launch: the first copy of a ``(region, subset,
-        destination)`` from a residency state records its communication and
-        the state it leads to, and a repeat replays both.  With replay
-        disabled the copy moves to a fresh unique state.
-        """
-        if subset.empty:
-            return
-        if not self.trace_replay:
-            self._copy_uncached(step, region, subset, dst_proc, reason)
-            self._mark_dirty()
-            return
-        key = (self._state, region.uid, _subset_sig(subset), dst_proc)
-        trace = self._copy_traces.get(key)
-        if trace is not None:
-            step.comm_events.extend(trace.events)
-            self._restore_residency(trace.residency_after)
-            self._state = trace.post_state
-            self.trace_hits += 1
-            return
-        before = self._unshare_residency(keep=True)
-        mark = len(step.comm_events)
-        try:
-            self._copy_uncached(step, region, subset, dst_proc, reason)
-        except BaseException:
-            self._mark_dirty()  # partial copy (e.g. OOM): unknown residency
-            raise
-        self._record(self._copy_traces, key, before, lambda after, post: _CopyTrace(
-            tuple(step.comm_events[mark:]), after, post, (region, subset)))
-
-    def _copy_uncached(self, step: StepMetrics, region: Region, subset: IndexSubset,
-                       dst_proc: int, reason: str) -> None:
-        self._unshare_residency()
-        res = self._res(region.uid)
-        covered = res.covered_volume(dst_proc, subset)
-        missing = subset.volume - covered
-        if missing <= 0:
-            return
-        src = self._owner_of(region, subset)
-        nbytes = missing * region.data.dtype.itemsize * region._row_width()
-        step.comm_events.append(_comm(src, dst_proc, nbytes, self.machine, reason))
-        res.add(dst_proc, subset)
-        self._check_capacity(region, dst_proc)
-
     # -- capacity ---------------------------------------------------------------
     def _check_capacity(self, region: Region, proc: int,
                         total: Optional[float] = None) -> None:
@@ -684,12 +564,8 @@ class Runtime:
         homes tables (sharing their columns) — or stays as it is, in a clean
         state, where it holds just the homes — made once per set of homes
         and installed as a shared value, so a warm reset costs the same on 4
-        or 64 processors.  Also the auto-trim point (:meth:`trim_metrics`) —
-        only here, between trials, so per-trial step slices taken by callers
-        never shift mid-trial.
+        or 64 processors.
         """
-        if self.metrics_limit and len(self.metrics.steps) > self.metrics_limit:
-            self.trim_metrics()
         if self._homes_table is None and self._state[0] == "clean" \
                 and self._residency.keys() == self._home.keys():
             # A clean state stands for "residency == homes" (its traces
@@ -703,70 +579,33 @@ class Runtime:
         self._restore_residency(self._homes_table)
         self._state = ("clean", self._homes_version)
 
-    def trim_metrics(self, keep: Optional[int] = None) -> int:
-        """Fold all but the newest ``keep`` steps (default: half of
-        ``metrics_limit``, so trims amortize) into exact scalar totals for
-        this runtime's network; returns the number of steps folded."""
-        if keep is None:
-            keep = (self.metrics_limit or 0) // 2
-        return self.metrics.fold_oldest(
-            len(self.metrics.steps) - keep, self.network
-        )
-
-    @contextlib.contextmanager
-    def fresh_trial(self):
-        """One isolated timed trial: residency returns to the "homes only"
-        state on entry (:meth:`reset_residency`; traces are kept), and the
-        :class:`TrialMetrics` yielded holds exactly the steps the body
-        launched once the block exits — how schedules are compared from one
-        residency state, each charged its own launches.
-        """
-        self.reset_residency()
-        start = len(self.metrics.steps)
-        trial = TrialMetrics(runtime=self)
-        try:
-            yield trial
-        finally:
-            trial.metrics = ExecutionMetrics(steps=list(self.metrics.steps[start:]))
-
     def invalidate_caches(self) -> None:
-        """Reset residency to home placements AND drop every launch and copy
-        trace — the hook for out-of-band changes (region data written
-        behind the runtime's back), after which launches re-record."""
+        """Reset residency to home placements AND drop every trace — the
+        hook for out-of-band changes (region data written behind the
+        runtime's back), after which launches re-record."""
         self._traces.clear()
-        self._copy_traces.clear()
         self.reset_residency()
 
     # -- results ------------------------------------------------------------------
-    def simulated_seconds(self) -> float:
-        return self.metrics.simulated_seconds(self.network)
-
     def stats(self) -> Dict[str, int]:
-        """Trace replays vs recordings and live trace counts, which
+        """Trace replays vs recordings and the live trace count, which
         :meth:`repro.api.session.Session.stats` folds into its report."""
         return {"trace_hits": self.trace_hits, "trace_records": self.trace_records,
-                "traces": len(self._traces), "copy_traces": len(self._copy_traces)}
-
-    def reset_metrics(self) -> ExecutionMetrics:
-        out = self.metrics
-        self.metrics = ExecutionMetrics()
-        return out
+                "traces": len(self._traces)}
 
     # -- persistence (repro.core.store) ---------------------------------------
     def __getstate__(self):
         """Pickle the *replayable* state (homes, residency, symbolic state,
-        traces); metrics and hit counters start fresh where it loads."""
-        return {**self.__dict__, "metrics": ExecutionMetrics(),
-                "trace_hits": 0, "trace_records": 0}
+        traces); hit counters start fresh where it loads."""
+        return {**self.__dict__, "trace_hits": 0, "trace_records": 0}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Trace keys embed id()s of partitions/subsets from the saving
-        # process; re-anchor them on the unpickled objects (pinned in each
-        # trace).  Region uids are stable instance attributes and survive
-        # pickling unchanged.
+        # Trace keys embed id()s of partitions from the saving process;
+        # re-anchor them on the unpickled objects (pinned in each trace).
+        # Region uids are stable instance attributes and survive pickling
+        # unchanged.
         self._traces = self._rekeyed_traces(self._traces)
-        self._copy_traces = self._rekeyed_copy_traces(self._copy_traces)
 
     @staticmethod
     def _rekeyed_traces(traces: Dict[Tuple, MappingTrace]) -> Dict[Tuple, MappingTrace]:
@@ -781,25 +620,10 @@ class Runtime:
             if len(trace.pinned) == len(sigs)
         }
 
-    @staticmethod
-    def _rekeyed_copy_traces(traces: Dict[Tuple, _CopyTrace]) -> Dict[Tuple, _CopyTrace]:
-        return {(st, uid, _subset_sig(trace.pinned[1]), dst): trace
-                for (st, uid, _, dst), trace in traces.items() if len(trace.pinned) == 2}
-
 
 def _req_sig(uid: int, partition: Optional[Partition], priv: str, streamed: bool) -> Tuple:
     """A region requirement as a trace key holds it (partitions by ``id``)."""
     return (uid, None if partition is None else id(partition), priv, streamed)
-
-
-def _subset_sig(subset: IndexSubset) -> Tuple:
-    """Cheap signature of a copy target: rect subsets compare structurally
-    (they are tiny frozen values, and callers often rebuild them), irregular
-    subsets by identity (hashing their index arrays would cost more than the
-    algebra the trace skips — the trace pins them so the id stays valid)."""
-    if isinstance(subset, RectSubset):
-        return ("rect", subset.rect.lo, subset.rect.hi)
-    return ("obj", id(subset))
 
 
 def _whole_on(region: Region, procs: Sequence[int]) -> Partition:

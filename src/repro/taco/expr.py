@@ -151,10 +151,6 @@ class Assignment:
         self.accumulate = accumulate
 
     @property
-    def result_vars(self) -> Tuple[IndexVar, ...]:
-        return self.lhs.indices
-
-    @property
     def reduction_vars(self) -> List[IndexVar]:
         """RHS-only variables, which are sum-reduced (paper §II-A)."""
         lhs = set(self.lhs.indices)

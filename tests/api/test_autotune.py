@@ -412,9 +412,8 @@ def exhaustive_twin(s, asg):
             ck.execute(rt)
             trials = []
             for _ in range(2):
-                with rt.fresh_trial() as trial:
-                    ck.execute(rt, fresh_trial=False)
-                trials.append((trial.simulated_seconds, trial.comm_bytes))
+                res = ck.execute(rt)
+                trials.append((res.simulated_seconds, res.metrics.total_comm_bytes()))
             costs[strategy] = min(trials)
         except OOMError:
             costs[strategy] = (float("inf"), 0.0)

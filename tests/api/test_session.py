@@ -45,12 +45,10 @@ class TestConstruction:
             assert s.machine is rt.machine
         with pytest.raises(ValueError, match="not both"):
             repro.session(machine=Machine.cpu(2), runtime=rt)
-        # Options the adopted runtime already carries cannot be passed
-        # alongside it — they would be silently ignored otherwise.
-        with pytest.raises(ValueError, match="trace_replay"):
-            repro.session(runtime=rt, trace_replay=False)
-        with pytest.raises(ValueError, match="metrics_limit"):
-            repro.session(runtime=rt, metrics_limit=5)
+        # The network the adopted runtime already carries cannot be passed
+        # alongside it — it would be silently ignored otherwise.
+        with pytest.raises(ValueError, match="network"):
+            repro.session(runtime=rt, network=rt.network)
 
     def test_default_is_one_cpu_node(self):
         with repro.session() as s:

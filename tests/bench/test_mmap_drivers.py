@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import clear_caches, compile_kernel
 from repro.core.store import save_packed
-from repro.bench.iterative import (
+from scenario_iterative import (
     build_spmv_workload,
     load_spmv_workload,
     run_iterative_spmv,
@@ -81,7 +81,7 @@ class TestIterativeFromArtifact:
 class TestWarmstartMmapChild:
     @pytest.mark.slow
     def test_warm_child_contract_holds_under_mmap(self, tmp_path):
-        from repro.bench.warmstart import run_warmstart
+        from scenario_warmstart import run_warmstart
 
         clear_caches()
         result = run_warmstart(

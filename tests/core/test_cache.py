@@ -100,7 +100,7 @@ class TestKernelCache:
         clear_caches()
         with caches_disabled():
             ck_u = compile_kernel(spmv_schedule(B, c, a), machine, use_cache=False)
-            r2 = ck_u.execute(Runtime(machine, trace_replay=False))
+            r2 = ck_u.execute(Runtime(machine))
         out2 = a.vals.data.copy()
         m2 = [(s.name, s.tasks_launched, s.comm_bytes()) for s in r2.metrics.steps]
 

@@ -107,8 +107,9 @@ class TestManifest:
     # 7: launch-trace keys carried a scratch slot;
     # 8: homes pickled one dedup set, partitions no bounds arrays;
     # 9: partitions pickled every piece, residency indexes lists of keys;
-    # 10: homes pickled as lists or placement columns, tables per-processor lists
-    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10])
+    # 10: homes pickled as lists or placement columns, tables per-processor lists;
+    # 11: runtimes pickled a step log, a replay switch and copy traces
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -120,7 +121,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (11, found)
+        assert (exc.value.expected, exc.value.found) == (12, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -239,35 +240,6 @@ class TestRoundTrip:
         assert rt2.trace_hits == 1 and rt2.trace_records == 0
         assert s2.comm_bytes() == s1.comm_bytes() > 0
 
-    def test_copy_trace_only_regions_counted_in_uid_watermark(self, tmp_path):
-        """A region staged only via copy_subset (never placed as a tensor
-        home) still advances the uid counter on load — a fresh region must
-        not collide with a stale copy-trace key."""
-        from repro.legion import Rect, RectSubset
-
-        _, B, c, a = make_workload()
-        machine = Machine.cpu(PIECES)
-        rt = Runtime(machine)
-        warm(B, c, a, machine, rt)
-        scratch = Region(IndexSpace(16), name="scratch")  # never place()-d
-        step = rt.metrics.new_step("copy")
-        rt.copy_subset(step, scratch, RectSubset(Rect(0, 7)), 1)
-        rt.reset_residency()  # scratch leaves _residency; only the trace
-        assert rt._copy_traces  # ...still references it
-        assert scratch.uid not in rt._home and scratch.uid not in rt._residency
-        path = save_packed(tmp_path / "art", B, runtime=rt)
-        # The saved watermark must cover the trace-only region: a fresh
-        # process advances its uid counter past it on load, so no new
-        # region can collide with the stale copy-trace key.
-        from repro.core.store import PAYLOAD_NAME
-
-        payload = pickle.loads((path / PAYLOAD_NAME).read_bytes())
-        assert payload["max_region_uid"] >= scratch.uid
-        clear_caches()
-        load_packed(path)
-        fresh = Region(IndexSpace(4))
-        assert fresh.uid > scratch.uid
-
     def test_save_over_file_path_raises(self, tmp_path):
         _, B, _, _ = make_workload()
         blocker = tmp_path / "art"
@@ -297,7 +269,7 @@ class TestTheStoreSeesNoFacts:
         assert pickle.dumps(rt) == with_facts
         loaded = pickle.loads(with_facts)
         assert not any(res.whole for res in loaded._residency.values())
-        assert STORE_FORMAT_VERSION == 11
+        assert STORE_FORMAT_VERSION == 12
 
     def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
         from repro.legion import Rect

@@ -30,10 +30,10 @@ PIECES = 4
 _CODEGEN_KINDS = tuple(k for k in _KIND_FORMATS if k in SPECS and SPECS[k].bound)
 
 
-def _metrics_signature(rt: Runtime):
-    """An exact, comparable rendering of every recorded step metric."""
+def _metrics_signature(steps):
+    """An exact, comparable rendering of every step an execution returned."""
     sig = []
-    for step in rt.metrics.steps:
+    for step in steps:
         sig.append((
             step.name,
             step.tasks_launched,
@@ -53,9 +53,8 @@ def _run(kind, fmt, strategy, machine_kind, seed, backend, n, density):
     )
     sched = auto_schedule(out, machine, strategy=strategy)
     ck = compile_kernel(sched, machine, backend=backend)
-    rt = Runtime(machine)
-    ck.execute(rt)
-    return out.to_dense(), _metrics_signature(rt)
+    steps = ck.execute(Runtime(machine)).metrics.steps
+    return out.to_dense(), _metrics_signature(steps)
 
 
 def _check(kind, fmt, strategy, machine_kind, seed, n=24, density=0.2,

@@ -5,7 +5,7 @@ optimization of the simulator, never a change to what it simulates."""
 import numpy as np
 import pytest
 
-from repro.bench import run_iterative_spmv
+from scenario_iterative import run_iterative_spmv
 from repro.core import clear_caches
 
 ITERS = 8

@@ -4,14 +4,14 @@ cache hit, zero partition misses, mapping-trace replay — with simulated
 metrics and numerics bit-identical to the in-process cached path.
 
 This drives the real three-actor scenario (parent + two subprocess
-children) from :mod:`repro.bench.warmstart` at test scale; the wall-clock
+children) from ``tests/scenario_warmstart.py`` at test scale; the wall-clock
 a warm start saves is measured separately by ``perfbench`` (``warmstart_s``
 and the ``core.store.*`` rows of ``python3 perfbench/run.py --workload
 spmv_large``).
 """
 import pytest
 
-from repro.bench.warmstart import run_warmstart
+from scenario_warmstart import run_warmstart
 from repro.core import clear_caches
 
 KW = dict(n=600, density=5e-3, pieces=4, warm_iterations=2, iterations=4)

@@ -191,7 +191,7 @@ def scenarios(draw):
     for _ in range(draw(st.integers(1, 14))):
         op = draw(st.sampled_from(
             ["place", "place", "place_equal", "place_on", "place_replicated", "read",
-             "read", "reduce", "write", "copy", "reset", "source", "copy_homes"]))
+             "read", "reduce", "write", "reset", "source", "copy_homes"]))
         r = draw(st.integers(0, len(regions) - 1))
         part, pmap = draw(st.sampled_from(parts[r])), draw(st.sampled_from(MAPS))
         if op in ("place", "place_equal", "source"):
@@ -204,9 +204,6 @@ def scenarios(draw):
             calls.append((op, r, part, pmap))
             if op == "write" and draw(st.booleans()):  # re-placed after the write
                 calls.append(("place", r, part, draw(st.sampled_from(MAPS))))
-        elif op == "copy":
-            calls.append((op, r, part.piece(draw(st.integers(0, COLORS - 1))),
-                          draw(st.integers(0, procs - 1))))
         elif op == "copy_homes":
             calls.append((op, sorted(set(draw(st.lists(
                 st.integers(0, len(regions) - 1), min_size=1, max_size=3))))))
@@ -242,10 +239,6 @@ def _run(rt, source, regions, call):
         return rt.copy_homes(source, [regions[r] for r in call[1]])
     if op == "reset":
         return rt.reset_residency()
-    if op == "copy":
-        step = rt.metrics.new_step("c")
-        rt.copy_subset(step, regions[call[1]], call[2], call[3])
-        return step.comm_events
     _, r, part, pmap = call
     step = rt.index_launch(op, range(COLORS), lambda c: Work(c + 1, 1),
                            [RegionReq(regions[r], part, PRIVILEGE[op])],

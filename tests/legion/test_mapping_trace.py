@@ -1,5 +1,5 @@
-"""Mapping-trace replay: record, replay, state tracking, invalidation,
-copy-sequence replay, the SpAdd assembly chain, and metrics auto-trim."""
+"""Mapping-trace replay: record, replay, state tracking, invalidation, the
+SpAdd assembly chain, and launches that leave no step log behind."""
 import contextlib
 
 import numpy as np
@@ -22,6 +22,15 @@ from repro.legion import (
 
 def make_rt(nodes=2, **kw):
     return Runtime(Machine.cpu(nodes), **kw)
+
+
+class RederivingRuntime(Runtime):
+    """The re-derive side of the replay oracle: no launch finds a trace, so
+    every one runs the staging and coherence analysis afresh."""
+
+    def index_launch(self, *args, **kw):
+        self._traces.clear()
+        return super().index_launch(*args, **kw)
 
 
 def mismatched(rt, n=8):
@@ -51,10 +60,9 @@ class TestRecordReplay:
         assert s1.compute_seconds == s2.compute_seconds
 
     def test_replay_matches_unreplayed_runtime(self):
-        """Replayed metrics are bit-identical to a replay-disabled runtime."""
+        """Replayed metrics are bit-identical to re-derived ones."""
         results = []
-        for replay in (True, False):
-            rt = make_rt(trace_replay=replay)
+        for rt in (make_rt(), RederivingRuntime(Machine.cpu(2))):
             r, reqs = mismatched(rt)
             steps = []
             for _ in range(3):
@@ -118,16 +126,6 @@ class TestStateTracking:
         rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
         assert rt.trace_hits == 0 and rt.trace_records == 2
 
-    def test_copy_subset_prevents_replay(self):
-        rt = make_rt()
-        r, reqs = mismatched(rt)
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
-        rt.reset_residency()
-        step = rt.metrics.new_step("copy")
-        rt.copy_subset(step, r, RectSubset(Rect(0, 3)), 1)
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
-        assert rt.trace_hits == 0
-
     def test_invalidate_caches_drops_traces(self):
         rt = make_rt()
         r, reqs = mismatched(rt)
@@ -143,15 +141,6 @@ class TestStateTracking:
         rt.reset_residency()
         rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
         assert rt.trace_hits == 1
-
-    def test_disabled_replay_never_records(self):
-        rt = make_rt(trace_replay=False)
-        r, reqs = mismatched(rt)
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
-        rt.reset_residency()
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
-        assert rt.trace_records == 0 and rt.trace_hits == 0
-
 
 class TestReductionReplay:
     def test_reduce_comm_replayed(self):
@@ -200,87 +189,6 @@ class TestSteadyStateLoops:
         n = len(res.pieces())
         res.add(0, r.ispace.full_subset())
         assert len(res.pieces()) == n  # structurally equal: not re-added
-
-    def test_reenabling_replay_after_untracked_launch_is_safe(self):
-        """Launches with trace_replay off mutate residency; flipping the
-        flag back on must not record from (and replay against) a stale
-        'clean' state token."""
-        rt = make_rt()
-        r, reqs = mismatched(rt)
-        rt.trace_replay = False
-        s_warm = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
-        rt.trace_replay = True
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)  # records (warm)
-        rt.reset_residency()  # true homes-only state
-        s_cold = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
-        # the cold launch must re-pay staging, not replay the warm trace
-        assert s_cold.comm_bytes() == s_warm.comm_bytes() > 0
-
-
-class TestCopyReplay:
-    """`communicate`-lowered copy_subset sequences record and replay."""
-
-    def test_repeated_copy_launch_chain_replays(self):
-        rt = make_rt()
-        r, reqs = mismatched(rt)
-        subset = RectSubset(Rect(0, 3))
-
-        def trial():
-            rt.reset_residency()
-            step = rt.metrics.new_step("copy")
-            rt.copy_subset(step, r, subset, 1)
-            launch = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
-            return step.comm_bytes(), launch.comm_bytes()
-
-        first = trial()
-        assert rt.trace_records == 2 and rt.trace_hits == 0
-        second = trial()
-        assert rt.trace_hits == 2 and rt.trace_records == 2
-        assert second == first
-        assert first[0] > 0
-
-    def test_copy_of_resident_subset_self_loops(self):
-        """A copy that moves nothing leaves the state unchanged, so the
-        surrounding launch chain keeps replaying."""
-        rt = make_rt()
-        r = Region(IndexSpace(8))
-        rt.place_on(r, 1)  # already fully resident on proc 1
-        for _ in range(3):
-            step = rt.metrics.new_step("copy")
-            rt.copy_subset(step, r, RectSubset(Rect(0, 3)), 1)
-            assert step.comm_bytes() == 0
-        assert rt.trace_records == 1 and rt.trace_hits == 2
-
-    def test_different_subset_records_fresh(self):
-        rt = make_rt()
-        r, reqs = mismatched(rt)
-        step = rt.metrics.new_step("copy")
-        rt.copy_subset(step, r, RectSubset(Rect(0, 3)), 1)
-        rt.reset_residency()
-        step = rt.metrics.new_step("copy")
-        rt.copy_subset(step, r, RectSubset(Rect(0, 5)), 1)
-        assert rt.trace_hits == 0 and rt.trace_records == 2
-
-    def test_invalidate_caches_drops_copy_traces(self):
-        rt = make_rt()
-        r, reqs = mismatched(rt)
-        subset = RectSubset(Rect(0, 3))
-        step = rt.metrics.new_step("copy")
-        rt.copy_subset(step, r, subset, 1)
-        rt.invalidate_caches()
-        step = rt.metrics.new_step("copy")
-        rt.copy_subset(step, r, subset, 1)
-        assert rt.trace_hits == 0 and rt.trace_records == 2
-
-    def test_disabled_replay_copies_mark_dirty(self):
-        rt = make_rt(trace_replay=False)
-        r, reqs = mismatched(rt)
-        state = rt._state
-        step = rt.metrics.new_step("copy")
-        rt.copy_subset(step, r, RectSubset(Rect(0, 3)), 1)
-        assert rt.trace_records == 0
-        assert rt._state != state
-
 
 class TestSpAddReplay:
     """The SpAdd assembly chain (symbolic -> scan -> fill) replays across
@@ -404,88 +312,67 @@ class TestSpAddReplay:
         clear_caches()
         sims_c, _, ok_c = self.iterate(make_rt(), 4, cached=True)
         clear_caches()
-        sims_u, _, ok_u = self.iterate(make_rt(trace_replay=False), 4,
+        sims_u, _, ok_u = self.iterate(RederivingRuntime(Machine.cpu(2)), 4,
                                        cached=False)
         clear_caches()
         assert ok_c and ok_u
         assert sims_c == pytest.approx(sims_u)
 
 
-class TestMetricsAutotrim:
-    def test_long_loop_keeps_bounded_steps_and_exact_totals(self):
-        rt = make_rt(metrics_limit=20)
-        ref = make_rt(metrics_limit=0)  # never trims
-        for rt_ in (rt, ref):
-            r, reqs = mismatched(rt_)
-            for _ in range(100):
-                rt_.reset_residency()
-                rt_.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
-        assert len(rt.metrics.steps) <= 21  # trimmed between trials
-        assert len(ref.metrics.steps) == 100
-        assert rt.metrics.folded_steps > 0
-        # totals are preserved (to float summation order: folding
-        # re-associates the same per-step terms)
-        assert rt.metrics.simulated_seconds(rt.network) == pytest.approx(
-            ref.metrics.simulated_seconds(ref.network), rel=1e-12)
-        assert rt.metrics.total_comm_bytes() == ref.metrics.total_comm_bytes()
-        assert rt.metrics.total_tasks() == ref.metrics.total_tasks()
-        assert rt.metrics.total_compute_seconds() == pytest.approx(
-            ref.metrics.total_compute_seconds(), rel=1e-12)
+class TestNoStepLog:
+    """A launch returns its step; the runtime keeps none of them."""
 
-    def test_trim_disabled_by_default_at_small_scale(self):
-        rt = make_rt()  # default limit 1 000: nothing trims in normal tests
-        r, reqs = mismatched(rt)
-        for _ in range(30):
-            rt.reset_residency()
-            rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
-        assert len(rt.metrics.steps) == 30
-        assert rt.metrics.folded_steps == 0
+    def test_the_runtime_keeps_no_step(self):
+        import weakref
 
-    def test_default_history_is_bounded_with_exact_totals(self):
-        """Runtime states the default once (1 000 steps) and Session passes
-        it through; a loop far past it keeps exact totals."""
-        import repro
-
-        default, in_session = make_rt(), repro.session(nodes=2).runtime
-        ref = make_rt(metrics_limit=0)  # never trims
-        for rt in (default, in_session, ref):
-            r, reqs = mismatched(rt)
-            for _ in range(2500):
-                rt.reset_residency()
-                rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
-        assert len(ref.metrics.steps) == 2500
-        for rt in (default, in_session):
-            assert rt.metrics_limit == 1000
-            assert len(rt.metrics.steps) <= 1001  # the limit + the trial in flight
-            assert rt.simulated_seconds() == pytest.approx(
-                ref.simulated_seconds(), rel=1e-12)
-            assert rt.metrics.total_comm_bytes() == ref.metrics.total_comm_bytes()
-
-    def test_explicit_trim_metrics(self):
         rt = make_rt()
         r, reqs = mismatched(rt)
-        for _ in range(10):
+        refs = []
+        for _ in range(3):
             rt.reset_residency()
-            rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
-        total = rt.metrics.simulated_seconds(rt.network)
-        folded = rt.trim_metrics(keep=2)
-        assert folded == 8
-        assert len(rt.metrics.steps) == 2
-        assert rt.metrics.simulated_seconds(rt.network) == pytest.approx(
-            total, rel=1e-12)
+            refs.append(weakref.ref(
+                rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)))
+        assert not hasattr(rt, "metrics")
+        assert [ref() for ref in refs] == [None] * 3
+        assert (rt.trace_records, rt.trace_hits) == (1, 2)
 
-    def test_trim_never_shifts_a_trial_slice(self):
-        """Auto-trim fires in reset_residency (before a trial's steps are
-        sliced), so per-trial metrics stay intact mid-execution."""
-        rt = make_rt(metrics_limit=4)
-        r, reqs = mismatched(rt)
-        for _ in range(12):
-            rt.reset_residency()
-            before = len(rt.metrics.steps)
-            rt.index_launch("a", [0, 1], lambda c: Work(1, 1), reqs)
-            rt.index_launch("b", [0, 1], lambda c: Work(1, 1), reqs)
-            trial = rt.metrics.steps[before:]
-            assert [s.name for s in trial] == ["a", "b"]
+    def test_warm_executes_leave_no_history(self):
+        """After 300 warm executes of one SpMV no more memory is held than
+        after 10, give or take a bound far below one step per launch."""
+        import gc
+        import tracemalloc
+
+        import scipy.sparse as sp
+
+        import repro
+        from repro.api.autoschedule import auto_schedule
+        from repro.taco import CSR, Tensor, index_vars
+
+        rng = np.random.default_rng(0)
+        A = sp.random(512, 512, density=0.02, random_state=rng, format="csr")
+        with repro.session(nodes=4) as s:
+            B = Tensor.from_scipy("B", A, CSR)
+            x = Tensor.from_dense("x", rng.random(512))
+            y = Tensor.zeros("y", (512,))
+            i, j = index_vars("i j")
+            y[i] = B[i, j] * x[j]
+            sched = auto_schedule(y, pieces=4)
+            for _ in range(10):
+                s.execute(sched)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in range(290):
+                    s.execute(sched)
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert s.runtime.trace_hits == 299
+            assert np.allclose(y.vals.data, A @ x.vals.data)
+        # a step log would hold ~400 B per launch here: ~115 KB
+        assert grown < 32 * 1024
 
 
 def equal_tables(a, b):
@@ -568,14 +455,15 @@ class TestSharedResidencyTables:
         halves = equal_partition(r.ispace, 2)
         reqs = [RegionReq(r, halves, Privilege.READ_WRITE)]
         saved = []  # (shared table, the copy taken when it was first seen)
+        events = {rt: [], twin: []}  # each runtime's launches, as they returned
 
         def launch(x, name="t", reqs=reqs):
-            return x.index_launch(name, [0, 1], lambda c: Work(1, 1), reqs)
+            step = x.index_launch(name, [0, 1], lambda c: Work(1, 1), reqs)
+            events[x].append(step.comm_events)
 
-        def untraced(x):
-            x.trace_replay = False
+        def rederived(x):  # records from the memo, a trace on file or not
+            x._traces.clear()
             launch(x)
-            x.trace_replay = True
 
         def oom(x):
             x.place_on(big, 0)
@@ -589,9 +477,8 @@ class TestSharedResidencyTables:
             lambda x: (x.reset_residency(), launch(x)),   # replays
             lambda x: x.place(r2, halves),                # live table is the trace's
             launch,                                       # records from a dirty state
-            lambda x: x.copy_subset(x.metrics.new_step("c"), r, RectSubset(Rect(0, 3)), 1),
             lambda x: x.reset_residency(),
-            untraced,                                     # live table is the memo
+            rederived,                                    # live table is the memo
             lambda x: x.place_replicated(r2),
             oom,
             lambda x: x.reset_residency(),
@@ -602,7 +489,6 @@ class TestSharedResidencyTables:
             assert rt._state == twin._state
             assert equal_tables(rt._residency, twin._residency)
             shared = [t.residency_after for t in rt._traces.values()]
-            shared += [t.residency_after for t in rt._copy_traces.values()]
             if rt._homes_table is not None:
                 shared.append(rt._homes_table)
             for table in shared:
@@ -612,9 +498,8 @@ class TestSharedResidencyTables:
                 assert equal_tables(table, copy)
         assert (rt.trace_records, rt.trace_hits) == (3, 1)
         assert (twin.trace_records, twin.trace_hits) == (3, 1)
-        assert len(saved) >= 6  # 2 launch traces, 1 copy trace, ≥ 3 memos
-        assert [s.comm_events for s in rt.metrics.steps] == \
-               [s.comm_events for s in twin.metrics.steps]
+        assert len(saved) >= 6  # 3 launch traces, ≥ 3 memos
+        assert len(events[rt]) == 4 and events[rt] == events[twin]
 
     @pytest.mark.parametrize("place", [
         lambda rt, r: rt.place(r, equal_partition(r.ispace, 2)),

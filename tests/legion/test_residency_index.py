@@ -259,7 +259,7 @@ def scenarios(draw):
     for _ in range(draw(st.integers(1, 14))):
         op = draw(st.sampled_from(
             ["place", "place", "place_on", "place_replicated", "launch", "launch",
-             "launch", "launch", "copy", "reset"]))
+             "launch", "launch", "reset"]))
         r = draw(st.integers(0, len(regions) - 1))
         if op == "place":
             if draw(st.booleans()):  # a whole region first, unchecked
@@ -292,10 +292,6 @@ def scenarios(draw):
                               draw(st.booleans())))
             if draw(st.booleans()):  # the next trial: a replay
                 calls += [("reset", r), calls[-1]]
-        elif op == "copy":
-            part = draw(st.sampled_from(parts[r]))
-            calls.append((op, r, part[draw(st.integers(0, COLORS - 1))],
-                          draw(st.integers(0, procs - 1))))
         else:
             calls.append((op, r))
     return procs, dram, regions, calls
@@ -315,10 +311,6 @@ def _run(rt, regions, call):
         return rt.place_replicated(regions[call[1]])
     if op == "reset":
         return rt.reset_residency()
-    if op == "copy":
-        step = rt.metrics.new_step("c")
-        rt.copy_subset(step, regions[call[1]], call[2], call[3])
-        return step.comm_events
     _, reqs, name, shift, thunk = call
     step = rt.index_launch(
         f"t{name}", range(COLORS), lambda c: Work(c + 1, 1),
@@ -387,7 +379,9 @@ class TestTwinResidency:
         counters = []
         for rt in (Runtime(Machine.cpu(2)), ListRuntime(Machine.cpu(2))):
             rt.place(r, Partition(r.ispace, {0: a, 1: b}), lambda c: 0)
-            rt.copy_subset(rt.metrics.new_step("c"), r, a, 1)
+            rt.index_launch("c", [1], lambda c: Work(1, 1),  # stages A on 1
+                            [RegionReq(r, Partition(r.ispace, {1: a}), Privilege.READ_ONLY)],
+                            proc_map=lambda c: 1)
             for _ in range(3):
                 rt.index_launch("w", [0, 1], lambda c: Work(1, 1), reqs,
                                 proc_map=lambda c: 1 - c)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import OOMError
 from repro.legion import (
+    ExecutionMetrics,
     IndexSpace,
     Machine,
     Network,
@@ -214,19 +215,12 @@ class TestMetricsRollup:
         r = Region(IndexSpace(8))
         p = equal_partition(r.ispace, 2)
         rt.place(r, p)
-        rt.index_launch("a", [0, 1], lambda c: Work(1e6, 1e6),
-                        [RegionReq(r, p, Privilege.READ_ONLY)])
-        t1 = rt.simulated_seconds()
-        rt.index_launch("b", [0, 1], lambda c: Work(1e6, 1e6),
-                        [RegionReq(r, p, Privilege.READ_ONLY)])
-        assert rt.simulated_seconds() > t1 > 0
-
-    def test_reset_metrics(self):
-        rt = make_rt()
-        rt.index_launch("a", [0], lambda c: Work(1, 1), [])
-        old = rt.reset_metrics()
-        assert len(old.steps) == 1
-        assert len(rt.metrics.steps) == 0
+        a = rt.index_launch("a", [0, 1], lambda c: Work(1e6, 1e6),
+                            [RegionReq(r, p, Privilege.READ_ONLY)])
+        b = rt.index_launch("b", [0, 1], lambda c: Work(1e6, 1e6),
+                            [RegionReq(r, p, Privilege.READ_ONLY)])
+        t1 = ExecutionMetrics([a]).simulated_seconds(rt.network)
+        assert ExecutionMetrics([a, b]).simulated_seconds(rt.network) > t1 > 0
 
     def test_load_imbalance_measure(self):
         rt = make_rt()

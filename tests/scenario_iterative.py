@@ -33,17 +33,17 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..api.autoschedule import auto_schedule
-from ..api.session import Session
-from ..core import cache as _cache
-from ..core.compiler import compile_kernel
-from ..core.store import load_packed
-from ..legion.metrics import ExecutionMetrics
-from ..legion.runtime import Runtime
-from ..taco.formats import CSR
-from ..taco.index_vars import index_vars
-from ..taco.tensor import Tensor
-from .models import BenchConfig, default_config
+from repro.api.autoschedule import auto_schedule
+from repro.api.session import Session
+from repro.bench.models import BenchConfig, default_config
+from repro.core import cache as _cache
+from repro.core.compiler import compile_kernel
+from repro.core.store import load_packed
+from repro.legion.metrics import ExecutionMetrics
+from repro.legion.runtime import Runtime
+from repro.taco.formats import CSR
+from repro.taco.index_vars import index_vars
+from repro.taco.tensor import Tensor
 
 __all__ = [
     "IterativeResult",
@@ -122,7 +122,6 @@ class IterativeResult:
     #: ``PackedArtifact.region_residency()`` after the loop (``source=``
     #: runs only): bytes still memory-mapped vs materialized.
     region_residency: Dict[str, int] = field(default_factory=dict)
-    metrics: List[ExecutionMetrics] = field(default_factory=list)
 
 
 def power_iterate(
@@ -134,15 +133,13 @@ def power_iterate(
     network,
     step: Callable[..., ExecutionMetrics],
     rt: Optional[Runtime] = None,
-    *,
-    keep_metrics: bool = False,
 ) -> IterativeResult:
     """The scenario's one loop: ``iterations`` steps of normalized power
     iteration, rebuilding the schedule per step.  ``step(schedule)``
     compiles and executes it and returns the execution's metrics; ``rt``
     is the runtime whose trace counters the result reports (None on the
     seed path, which builds a runtime per step)."""
-    sims, nevents, nbytes, mets = [], [], [], []
+    sims, nevents, nbytes = [], [], []
     stats0 = _cache.cache_stats()
     first: Dict[str, int] = {}
     for it in range(iterations):
@@ -150,8 +147,6 @@ def power_iterate(
         sims.append(m.simulated_seconds(network))
         nevents.append(sum(len(st.comm_events) for st in m.steps))
         nbytes.append(m.total_comm_bytes())
-        if keep_metrics:
-            mets.append(m)
         if it == 0:
             stats = _cache.cache_stats()
             first = {
@@ -176,7 +171,6 @@ def power_iterate(
         checksum=float(np.linalg.norm(a.vals.data)),
         trace_hits=rt.trace_hits if rt is not None else 0,
         kernel_cache_hits=_cache.cache_stats()["kernel_hits"] - stats0["kernel_hits"],
-        metrics=mets,
         **first,
     )
 
@@ -190,13 +184,13 @@ def run_iterative_spmv(
     *,
     cached: bool = True,
     seed: int = 43,
-    keep_metrics: bool = False,
     source=None,
     mmap: bool = False,
 ) -> IterativeResult:
     """Run ``iterations`` steps of normalized power iteration on a random CSR
     matrix, rebuilding the schedule per step.  ``cached=False`` forces the
-    seed path (no kernel/partition caches, no mapping-trace replay).
+    seed path (no kernel/partition caches, a fresh runtime per step, so
+    no mapping trace replays).
 
     ``source`` points the scenario at a packed artifact directory instead
     of building the tensors in-process; with ``mmap`` the matrix's level
@@ -231,18 +225,14 @@ def run_iterative_spmv(
         result = power_iterate(
             B, c, a, pieces, iterations, network,
             lambda s: sess.execute(s).metrics, sess.runtime,
-            keep_metrics=keep_metrics,
         )
     else:
         def seed_step(s) -> ExecutionMetrics:
             ck = compile_kernel(s, machine, use_cache=False)
-            return ck.execute(Runtime(machine, network, trace_replay=False)).metrics
+            return ck.execute(Runtime(machine, network)).metrics
 
         with _cache.caches_disabled():
-            result = power_iterate(
-                B, c, a, pieces, iterations, network, seed_step,
-                keep_metrics=keep_metrics,
-            )
+            result = power_iterate(B, c, a, pieces, iterations, network, seed_step)
     if art is not None:
         result.region_residency = art.region_residency()
     return result

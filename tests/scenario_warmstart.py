@@ -1,10 +1,10 @@
 """Cold-start vs warm-start: cross-process compile-once / run-many.
 
-PR 1's amortization (kernel cache, partition memo, mapping-trace replay)
-reaches steady state only *within* a process; the artifact store
+The amortization layers (kernel cache, partition memo, mapping-trace
+replay) reach steady state only *within* a process; the artifact store
 (:mod:`repro.core.store`) extends it across processes.  This scenario
 checks that boundary with three actors, all running the iterative-SpMV
-loop of :mod:`repro.bench.iterative`:
+loop of ``scenario_iterative``:
 
 * the **parent** packs the tensors, runs a few iterations to populate
   every cache layer, saves the artifact, then keeps iterating in-process —
@@ -25,9 +25,11 @@ wall-clock the store removes from a fresh process is ``perfbench``'s
 ``warmstart_s`` / ``core.store.*`` rows
 (``python3 perfbench/run.py --workload spmv_large``).
 
-Children are real subprocesses (``python -m repro.bench.warmstart``);
-results travel as JSON, which round-trips floats exactly, so equality
-checks on simulated seconds are genuinely bit-level.
+Children are real subprocesses running this file as a script
+(``python tests/scenario_warmstart.py --role warm ...``, with ``src`` and
+``tests`` on ``PYTHONPATH``); results travel as JSON, which round-trips
+floats exactly, so equality checks on simulated seconds are genuinely
+bit-level.
 """
 from __future__ import annotations
 
@@ -41,10 +43,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..api.session import Session
-from ..core.store import save_packed
-from .iterative import build_spmv_workload, power_iterate, run_iterative_spmv
-from .models import default_config
+from repro.api.session import Session
+from repro.bench.models import default_config
+from repro.core.store import save_packed
+from scenario_iterative import build_spmv_workload, power_iterate, run_iterative_spmv
 
 __all__ = [
     "WarmstartParams",
@@ -74,8 +76,8 @@ class WarmstartParams:
 @dataclass
 class WarmstartResult:
     """Everything the warm-start contract tests assert on.  ``cold`` and
-    ``warm`` are the children's :class:`~repro.bench.iterative.IterativeResult`
-    fields as they crossed the process boundary."""
+    ``warm`` are the children's ``IterativeResult`` fields as they crossed
+    the process boundary."""
 
     params: WarmstartParams
     #: The artifact directory — empty when the scenario ran in a temporary
@@ -86,7 +88,7 @@ class WarmstartResult:
     cold: Dict = field(default_factory=dict)
     warm: Dict = field(default_factory=dict)
 
-    # -- the warm-start contract (acceptance criteria) ----------------------
+    # -- the warm-start contract ---------------------------------------------
     @property
     def warm_first_hit_kernel_cache(self) -> bool:
         return self.warm["first_kernel_hits"] >= 1
@@ -116,13 +118,15 @@ class WarmstartResult:
 
 def _spawn_child(role: str, p: WarmstartParams, store_dir: str,
                  out_path: Path) -> Dict:
-    src_dir = Path(__file__).resolve().parents[2]  # .../src
+    script = Path(__file__).resolve()
+    src_dir = script.parents[1] / "src"
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(src_dir)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        [str(src_dir), str(script.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     cmd = [
-        sys.executable, "-m", "repro.bench.warmstart",
+        sys.executable, str(script),
         "--role", role, "--store", store_dir,
         "--params", json.dumps(asdict(p)), "--out", str(out_path),
     ]
@@ -188,7 +192,7 @@ def run_warmstart(
 
 
 def main(argv=None) -> int:
-    """Child-process entry point (``python -m repro.bench.warmstart``)."""
+    """Child-process entry point (this file run as a script)."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--role", choices=("cold", "warm"), required=True)
     ap.add_argument("--store", required=True)
