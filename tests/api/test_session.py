@@ -50,6 +50,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="network"):
             repro.session(runtime=rt, network=rt.network)
 
+    @pytest.mark.parametrize("owner", ["Runtime", "Session"])
+    @pytest.mark.parametrize("knob", ["trace_replay", "metrics_limit"])
+    def test_removed_knobs_are_refused(self, owner, knob):
+        """Every launch records or replays and no step log is kept, so
+        neither class takes a replay switch or a log bound."""
+        from repro.legion import Runtime
+
+        build = {"Runtime": Runtime, "Session": repro.Session}[owner]
+        with pytest.raises(TypeError, match=knob):
+            build(Machine.cpu(2), **{knob: 5})
+
     def test_default_is_one_cpu_node(self):
         with repro.session() as s:
             assert s.machine.size == 1

@@ -240,6 +240,60 @@ class TestRoundTrip:
         assert rt2.trace_hits == 1 and rt2.trace_records == 0
         assert s2.comm_bytes() == s1.comm_bytes() > 0
 
+    def test_trace_regions_counted_in_uid_watermark(self, tmp_path):
+        """A region only a launch trace names (written, never placed) still
+        advances the uid counter on load: a fresh region must not collide
+        with a stale trace key."""
+        from repro.core.store import PAYLOAD_NAME
+        from repro.legion import Privilege, RegionReq, Work, equal_partition
+
+        _, B, c, a = make_workload()
+        machine = Machine.cpu(PIECES)
+        rt = Runtime(machine)
+        warm(B, c, a, machine, rt)
+        scratch = Region(IndexSpace(16), name="scratch")  # never place()-d
+        rt.index_launch("t", list(range(PIECES)), lambda c: Work(1, 1),
+                        [RegionReq(scratch, equal_partition(scratch.ispace, PIECES),
+                                   Privilege.WRITE_DISCARD)])
+        rt.reset_residency()  # scratch leaves _residency; only the trace names it
+        assert scratch.uid not in rt._home and scratch.uid not in rt._residency
+        named = {sig[0] for key in rt._traces for sig in key[3]}
+        named |= {uid for t in rt._traces.values() for uid in t.residency_after}
+        assert scratch.uid in named
+        path = save_packed(tmp_path / "art", B, runtime=rt)
+        payload = pickle.loads((path / PAYLOAD_NAME).read_bytes())
+        assert payload["max_region_uid"] >= max(named)
+        clear_caches()
+        load_packed(path)
+        assert Region(IndexSpace(4)).uid > max(named)
+
+    def test_a_runtime_pickles_no_step_log(self, tmp_path):
+        """A saved runtime carries its traces and residency, no step log,
+        replay switch or copy traces, and its loaded launches return their
+        steps as a fresh runtime's do."""
+        from repro.core.store import PAYLOAD_NAME
+
+        _, B, c, a = make_workload()
+        machine = Machine.cpu(PIECES)
+        rt = Runtime(machine)
+        sims = warm(B, c, a, machine, rt)
+        path = save_packed(tmp_path / "art", B, runtime=rt)
+        payload = pickle.loads((path / PAYLOAD_NAME).read_bytes())
+        (saved,) = payload["runtimes"]
+        state = saved.__dict__
+        for gone in ("metrics", "metrics_limit", "trace_replay", "_copy_traces"):
+            assert gone not in state
+        assert state["_traces"]
+        clear_caches()
+        art = load_packed(path)
+        rt2 = art.runtime()
+        ck = compile_kernel(spmv_schedule(art.tensor, art.companions["c"],
+                                          art.companions["a"]), machine)
+        res = ck.execute(rt2)
+        assert not hasattr(rt2, "metrics")
+        assert rt2.trace_hits == 1
+        assert res.metrics.simulated_seconds(rt2.network) == sims[-1]
+
     def test_save_over_file_path_raises(self, tmp_path):
         _, B, _, _ = make_workload()
         blocker = tmp_path / "art"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.legion import (
+    CommEvent,
+    ExecutionMetrics,
     IndexSpace,
     Machine,
     Partition,
@@ -96,6 +98,34 @@ class TestRecordReplay:
         rt.index_launch("b", [0, 1], lambda c: Work(1, 1), reqs)
         assert rt.trace_hits == 2
 
+    @pytest.mark.parametrize("one_call", [False, True], ids=["per_task", "one_call"])
+    def test_a_returned_step_shares_nothing_with_its_trace(self, one_call):
+        """A caller may keep or change the step a launch returned: the next
+        replay books what was recorded, whether it books task by task or
+        reuses what a one-call launch booked last."""
+        rt = make_rt()
+        r, reqs = mismatched(rt)
+        works = [Work(1, 1), Work(1, 1)]
+        launch = (lambda: works) if one_call else None
+
+        def trial():
+            rt.reset_residency()
+            return rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs,
+                                   launch=launch)
+
+        first = trial()
+        recorded = (list(first.comm_events), dict(first.compute_seconds),
+                    first.tasks_launched)
+        for step in (first, trial()):
+            step.comm_events.append(CommEvent(0, 1, 1e9, False))
+            step.add_compute(0, 5.0)
+            step.tasks_launched += 7
+        again = trial()
+        assert rt.trace_hits == 2
+        assert (again.comm_events, again.compute_seconds,
+                again.tasks_launched) == recorded
+        assert recorded[0] and recorded[2] == 2
+
     def test_residency_restored_after_replay(self):
         rt = make_rt()
         r, reqs = mismatched(rt)
@@ -133,6 +163,19 @@ class TestStateTracking:
         rt.invalidate_caches()  # out-of-band write hook
         rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
         assert rt.trace_hits == 0 and rt.trace_records == 2
+
+    def test_a_rederiving_runtime_records_every_launch(self):
+        """The oracle's re-derive side never replays, so the replay oracle
+        compares replay against analysis, not against another replay."""
+        rt = RederivingRuntime(Machine.cpu(2))
+        r, reqs = mismatched(rt)
+        steps = []
+        for _ in range(3):
+            rt.reset_residency()
+            steps.append(rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs))
+        assert rt.trace_records == 3 and rt.trace_hits == 0
+        assert len({s.comm_bytes() for s in steps}) == 1
+        assert steps[0].comm_bytes() > 0
 
     def test_reset_residency_keeps_traces(self):
         rt = make_rt()
@@ -180,6 +223,21 @@ class TestSteadyStateLoops:
         for _ in range(6):
             rt.index_launch("w", [0, 1], lambda c: Work(1, 1), reqs)
         assert rt.trace_hits >= 4  # steady state replays
+
+    def test_a_cold_launch_after_a_rederived_warm_one_restages(self):
+        """A launch re-derived from a warm state records under that state's
+        token; the cold launch after a reset must re-pay staging, not replay
+        the warm trace."""
+        rt = make_rt()
+        r, reqs = mismatched(rt)
+        s_first = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt._traces.clear()
+        s_warm = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.reset_residency()  # true homes-only state
+        s_cold = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        assert (rt.trace_records, rt.trace_hits) == (3, 0)
+        assert s_warm.comm_bytes() == 0
+        assert s_cold.comm_bytes() == s_first.comm_bytes() > 0
 
     def test_duplicate_residency_adds_are_skipped(self):
         rt = make_rt()
@@ -335,6 +393,89 @@ class TestNoStepLog:
         assert not hasattr(rt, "metrics")
         assert [ref() for ref in refs] == [None] * 3
         assert (rt.trace_records, rt.trace_hits) == (1, 2)
+
+    def test_a_long_loop_totals_what_rederiving_totals(self):
+        """The steps 100 replayed launches returned total exactly what 100
+        re-derived launches return."""
+        totals = []
+        for rt in (make_rt(), RederivingRuntime(Machine.cpu(2))):
+            r, reqs = mismatched(rt)
+            steps = []
+            for _ in range(100):
+                rt.reset_residency()
+                steps.append(rt.index_launch("t", [0, 1], lambda c: Work(3, 7), reqs))
+            m = ExecutionMetrics(steps)
+            totals.append((m.simulated_seconds(rt.network),
+                           m.total_comm_bytes(), m.total_tasks()))
+            assert rt.trace_records + rt.trace_hits == 100
+        assert totals[0] == totals[1]
+        assert totals[0][1] > 0 and totals[0][2] == 200
+
+    def test_interleaved_kernels_return_what_each_returns_alone(self):
+        """Two kernels alternating on one runtime: every execute returns
+        the steps of its own launches only, equal to a solo run's."""
+        import scipy.sparse as sp
+
+        from repro.core import compile_kernel
+        from repro.taco import CSR, Tensor, index_vars
+
+        rng = np.random.default_rng(3)
+        mats = [sp.random(50, 40, density=0.08, random_state=rng, format="csr")
+                for _ in range(2)]
+        B, C = (Tensor.from_scipy(n, m, CSR) for n, m in zip("BC", mats))
+        A = Tensor.zeros("A", (50, 40), CSR)
+        x, y = Tensor.from_dense("x", rng.random(40)), Tensor.zeros("y", (50,))
+        machine = Machine.cpu(2)
+        i, j, io, ii = index_vars("i j io ii")
+        A[i, j] = B[i, j] + C[i, j]
+        spadd = compile_kernel(A.schedule().divide(i, io, ii, 2).distribute(io), machine)
+        y[i] = B[i, j] * x[j]
+        spmv = compile_kernel(y.schedule().divide(i, io, ii, 2).distribute(io), machine)
+
+        def signed(res):
+            return ([(s.name, s.tasks_launched, s.comm_events,
+                      s.compute_seconds) for s in res.metrics.steps],
+                    res.simulated_seconds)
+
+        rt = make_rt()
+        together = {spadd: [], spmv: []}
+        for _ in range(3):
+            for ck in (spadd, spmv):
+                together[ck].append(signed(ck.execute(rt)))
+        for ck, names in ((spadd, ["spadd:symbolic", "spadd:scan", "spadd:fill"]),
+                          (spmv, ["spmv:rows"])):
+            solo = make_rt()
+            assert together[ck] == [signed(ck.execute(solo)) for _ in range(3)]
+            assert [name for name, *_ in together[ck][0][0]] == names
+
+    def test_a_result_keeps_its_steps_through_later_executes(self):
+        """Later executes neither change an earlier result's steps nor
+        share a step object with it."""
+        import scipy.sparse as sp
+
+        from repro.core import compile_kernel
+        from repro.taco import CSR, Tensor, index_vars
+
+        rng = np.random.default_rng(4)
+        B = Tensor.from_scipy("B", sp.random(40, 40, density=0.1,
+                                             random_state=rng, format="csr"), CSR)
+        x, y = Tensor.from_dense("x", rng.random(40)), Tensor.zeros("y", (40,))
+        i, j, io, ii = index_vars("i j io ii")
+        y[i] = B[i, j] * x[j]
+        ck = compile_kernel(y.schedule().divide(i, io, ii, 2).distribute(io),
+                            Machine.cpu(2))
+        rt = make_rt()
+        first = ck.execute(rt, fresh_trial=False)
+        kept = [(s.name, list(s.comm_events), dict(s.compute_seconds),
+                 s.tasks_launched) for s in first.metrics.steps]
+        later = [ck.execute(rt, fresh_trial=False) for _ in range(4)]
+        assert [(s.name, s.comm_events, s.compute_seconds, s.tasks_launched)
+                for s in first.metrics.steps] == kept
+        seen = {id(s) for s in first.metrics.steps}
+        for res in later:
+            assert len(res.metrics.steps) == len(kept)
+            assert not seen & {id(s) for s in res.metrics.steps}
+            seen |= {id(s) for s in res.metrics.steps}
 
     def test_warm_executes_leave_no_history(self):
         """After 300 warm executes of one SpMV no more memory is held than

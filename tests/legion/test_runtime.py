@@ -222,6 +222,30 @@ class TestMetricsRollup:
         t1 = ExecutionMetrics([a]).simulated_seconds(rt.network)
         assert ExecutionMetrics([a, b]).simulated_seconds(rt.network) > t1 > 0
 
+    def test_a_launch_returns_its_own_step(self):
+        """Each launch returns a step of its own; a later launch leaves an
+        earlier one as it was returned."""
+        rt = make_rt()
+        r = Region(IndexSpace(8))
+        p = equal_partition(r.ispace, 2)
+        rt.place(r, p)
+        reqs = [RegionReq(r, p, Privilege.READ_ONLY)]
+        a = rt.index_launch("a", [0, 1], lambda c: Work(1e6, 1e6), reqs)
+        kept = (dict(a.compute_seconds), list(a.comm_events), a.tasks_launched)
+        b = rt.index_launch("b", [0, 1], lambda c: Work(2e6, 2e6), reqs)
+        assert (a.name, b.name) == ("a", "b")
+        assert (dict(a.compute_seconds), list(a.comm_events), a.tasks_launched) == kept
+        assert a.tasks_launched == b.tasks_launched == 2
+        assert set(a.compute_seconds) == set(b.compute_seconds) == {0, 1}
+        assert b.max_compute() > a.max_compute() > 0
+
+    def test_an_execution_without_steps_prices_zero(self):
+        m = ExecutionMetrics()
+        seconds = m.simulated_seconds(Network.legion())
+        assert seconds == 0.0 and isinstance(seconds, float)
+        assert m.total_comm_bytes() == 0.0 and isinstance(m.total_comm_bytes(), float)
+        assert m.total_tasks() == 0
+
     def test_load_imbalance_measure(self):
         rt = make_rt()
         works = {0: Work(4e6, 0), 1: Work(1e6, 0)}
