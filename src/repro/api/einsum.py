@@ -3,8 +3,8 @@
 ``repro.einsum("ij,j->i", B, c)`` builds the tensor-index-notation
 statement the subscripts describe, synthesizes the canonical distributed
 schedule for the session's machine (:mod:`repro.api.autoschedule`),
-compiles through the same kernel cache / partition memo / mapping-trace
-layers as every other statement, and executes on the session runtime.
+compiles through the same kernel cache / mapping-trace layers as every
+other statement, and executes on the session runtime.
 Operands may be packed :class:`~repro.taco.tensor.Tensor` objects, SciPy
 sparse matrices, or NumPy arrays (the latter two are packed on the fly).
 

@@ -2,9 +2,9 @@
 
 A :class:`Program` records tensor-index-notation statements without
 compiling them, then compiles the whole set together through
-:func:`repro.core.program.compile_program` — so partitions of operands
-shared between statements are derived once, and the session runtime's
-mapping traces span the statement chain.  Statements are recorded three
+:func:`repro.core.program.compile_program` — so an operand shared between
+statements is placed once, and the session runtime's mapping traces span
+the statement chain.  Statements are recorded three
 ways, all equivalent:
 
 * explicitly: ``p.define(a)`` after ``a[i] = B[i, j] * c[j]``;
@@ -158,9 +158,9 @@ class Program:
     def compile(self, *, use_cache: bool = True, cse: bool = True,
                 fold: bool = True, dse: bool = True, fuse: bool = True,
                 keep=None) -> CompiledProgram:
-        """Compile all recorded statements together (shared operands'
-        partitions are derived once, repeated identical statements collapse
-        to one execution — the program-level amortizations).  The pass
+        """Compile all recorded statements together (shared operands are
+        placed once, repeated identical statements collapse to one
+        execution — the program-level amortizations).  The pass
         pipeline's knobs pass through: ``fold``/``dse``/``fuse`` disable
         individual passes, ``keep=`` pins tensors (objects or names) that
         must stay materialized (see :mod:`repro.core.passes`)."""

@@ -219,8 +219,7 @@ class Session:
         Two calls with equal raw operands — same name, format, shape,
         dtype and bytes — return the *same* packed :class:`Tensor`
         object.  Every amortization layer downstream keys on tensor
-        identity (kernel fingerprints, the partition memo, mapping
-        traces), so this is what lets a repeated ``einsum`` over the same
+        identity (kernel fingerprints, mapping traces), so this is what lets a repeated ``einsum`` over the same
         raw arrays compile **zero** new kernels.  Operands whose content
         cannot be digested (already packed tensors pass through; exotic
         array-likes fall back) just pack fresh, exactly as

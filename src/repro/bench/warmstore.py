@@ -8,7 +8,7 @@ operand content:
 
 * an **in-process memo** keyed on a content digest of the source arrays,
   so per-node-count trials within one campaign reuse the packed level
-  structure (and its partition-memo entries — the memoized tensor keeps a
+  structure (and its kernel-cache entries — the memoized tensor keeps a
   stable ``id``), and
 * optionally a persistent **artifact store**
   (:class:`repro.core.store_index.ArtifactStore`), so re-runs in fresh

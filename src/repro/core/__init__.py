@@ -16,7 +16,7 @@ from .cache import (
     kernel_fingerprint,
     set_cache_budget,
 )
-from .levels import LevelFunctions, level_functions_for
+from .levels import LevelFunctions
 from .partitioner import (
     TensorPartition,
     dense_partition,
@@ -47,7 +47,7 @@ __all__ = [
     "cache_budgets", "cache_stats", "caches_disabled", "caches_enabled",
     "clear_caches", "invalidate_tensor", "kernel_fingerprint",
     "set_cache_budget",
-    "LevelFunctions", "level_functions_for",
+    "LevelFunctions",
     "TensorPartition", "dense_partition", "partition_tensor",
     "replicated_partition",
     "adopt_pattern", "install_assembled_output", "pattern_source", "scan_counts",

@@ -17,13 +17,9 @@ runtime-side mapping-trace replay lives in
   even with fresh :class:`~repro.taco.index_vars.IndexVar` objects —
   therefore hits.
 
-* **Partition memo** — coordinate-tree partitions
-  (:func:`repro.core.partitioner.partition_tensor`) and dense bound
-  partitions are memoized per ``(tensor, pattern_version, level, kind,
-  bounds)``.  Mutating a tensor's *values* does not change its
-  ``pattern_version``, so re-compiles and re-executes over updated values
-  reuse the partitions; re-packing (a structural change) bumps the version
-  and the stale entries simply never hit again.
+  A compiled kernel keeps the coordinate-tree partitions it derived
+  (:func:`repro.core.partitioner.partition_tensor`), so a hit reuses them
+  and nothing else caches partitions.
 
 * **Decision table** — :meth:`repro.api.session.Session.autotune` records
   which schedule family won for a statement under
@@ -40,29 +36,27 @@ Keys embed ``Tensor.pattern_version``; a pattern bump self-invalidates all
 dependent entries.  Explicit hooks are also provided: call
 :func:`invalidate_tensor` after out-of-band structural surgery on a
 tensor, or :func:`clear_caches` to drop everything (tests use this for
-isolation).  The three caches are *size-aware* LRUs: every entry is charged
-an estimated byte cost (the partition subsets and plan statements it pins,
-plus, for kernels, the pieces and partitions of the compiled artifact) and
-the least-recently-used entries are evicted once the cache's byte budget
-(:func:`set_cache_budget`) is exceeded.  Entries hold strong references to
-their tensors, which keeps ``id``-based keys unambiguous (an id can only
-be reused after the entry — and thus the reference — is evicted).
+isolation).  The two caches are *size-aware* LRUs: every entry is charged
+an estimated byte cost (for kernels, the pieces and partition subsets of
+the compiled artifact) and the least-recently-used entries are evicted once
+the cache's byte budget (:func:`set_cache_budget`) is exceeded.  Entries
+hold strong references to their tensors, which keeps ``id``-based keys
+unambiguous (an id can only be reused after the entry — and thus the
+reference — is evicted).
 
 Persistence
 -----------
 :mod:`repro.core.store` serializes cache entries next to packed tensors so
 a fresh process warm-starts to the amortized regime.
-:func:`iter_kernel_entries` / :func:`iter_partition_entries` expose the
-live entries for export; on import the store re-keys them under the new
-process's object identities and calls :func:`store_kernel` /
-:func:`store_partition` as usual.
+:func:`iter_kernel_entries` exposes the live kernel entries for export;
+on import the store re-keys them under the new process's object identities
+and calls :func:`store_kernel` as usual.
 
 The :func:`caches_disabled` context manager forces the uncached paths for
 the code the *calling thread* runs inside the block.  It is thread-local
-— a nesting depth per thread, no shared flag to save and restore — because
-``compile_kernel(..., use_cache=False)`` enters it on whatever serving
-worker happens to compile: other threads keep hitting and storing, and
-overlapping blocks cannot leave the process disabled.
+— a nesting depth per thread, no shared flag to save and restore — so a
+serving worker inside one leaves the other threads hitting and storing,
+and overlapping blocks cannot leave the process disabled.
 
 Thread safety
 -------------
@@ -97,16 +91,11 @@ __all__ = [
     "statement_key",
     "lookup_kernel",
     "store_kernel",
-    "lookup_partition",
-    "store_partition",
-    "partition_cache_key",
-    "dense_partition_cache_key",
     "decision_fingerprint",
     "lookup_decision",
     "store_decision",
     "iter_aot_entries",
     "iter_kernel_entries",
-    "iter_partition_entries",
     "iter_decision_entries",
     "invalidate_tensor",
     "clear_caches",
@@ -119,16 +108,14 @@ __all__ = [
 
 MiB = 1024 * 1024
 #: Default byte budgets.  These bound what the *caches* pin beyond the
-#: tensors the user already holds: partition subsets (index arrays for
-#: irregular colors), plan statements and compiled-kernel scaffolding.
+#: tensors the user already holds: compiled-kernel scaffolding and the
+#: partition subsets (index arrays for irregular colors) a kernel keeps.
 _KERNEL_CACHE_BUDGET = 64 * MiB
-_PARTITION_CACHE_BUDGET = 128 * MiB
 #: Autotune decisions are a few hundred bytes each; 1 MiB holds thousands.
 _DECISION_CACHE_BUDGET = 1 * MiB
 #: Entry-count backstops so a flood of tiny entries cannot balloon the
 #: key/bookkeeping overhead past the byte accounting.
 _KERNEL_CACHE_MAX_ENTRIES = 512
-_PARTITION_CACHE_MAX_ENTRIES = 4096
 _DECISION_CACHE_MAX_ENTRIES = 4096
 
 #: per-thread nesting depth of :func:`caches_disabled` blocks.
@@ -224,7 +211,6 @@ class _SizedLRU:
 
 
 _kernel_cache = _SizedLRU(_KERNEL_CACHE_BUDGET, _KERNEL_CACHE_MAX_ENTRIES)
-_partition_cache = _SizedLRU(_PARTITION_CACHE_BUDGET, _PARTITION_CACHE_MAX_ENTRIES)
 _decision_cache = _SizedLRU(_DECISION_CACHE_BUDGET, _DECISION_CACHE_MAX_ENTRIES)
 
 
@@ -248,29 +234,15 @@ def _legion_partition_nbytes(part) -> int:
     return sum(_subset_nbytes(s) for s in part.subsets.values()) + 64
 
 
-def partition_entry_nbytes(partition, plan_stmts=()) -> int:
-    """Estimated bytes a :class:`TensorPartition` memo entry holds."""
-    total = 256  # dataclass scaffolding, colors list
-    for p in partition.level_positions:
-        total += _legion_partition_nbytes(p)
-    for p in partition.level_pos_parts:
-        total += _legion_partition_nbytes(p)
-    total += _legion_partition_nbytes(partition.vals_part)
-    total += 128 * len(tuple(plan_stmts))
-    return total
-
-
 def kernel_entry_nbytes(kernel) -> int:
-    """Estimated bytes a compiled-kernel cache entry holds.
-
-    Partitions shared with the partition memo are charged to both caches;
-    the double count is deliberate — either cache must stay within its own
-    budget even if the other is cleared.
-    """
+    """Estimated bytes a compiled-kernel cache entry holds: its scaffolding,
+    its pieces and the partitions it derived."""
     total = 1024  # schedule, plan, roles, closures
     total += 256 * len(getattr(kernel, "pieces", ()))
     for part in getattr(kernel, "parts", {}).values():
-        total += partition_entry_nbytes(part)
+        total += 256  # dataclass scaffolding, colors list
+        for p in (*part.level_positions, *part.level_pos_parts, part.vals_part):
+            total += _legion_partition_nbytes(p)
     # An assembling kernel's plan (built on its first execute): a scatter
     # index per summed entry and at most as many merged coordinates.
     total += 16 * sum(a.tensor.nnz for a in getattr(kernel, "operands", ()))
@@ -287,8 +259,8 @@ def caches_enabled() -> bool:
 
 @contextlib.contextmanager
 def caches_disabled():
-    """Force uncached compilation/partitioning (seed behavior) for what the
-    calling thread runs inside the block; other threads are unaffected."""
+    """Force uncached compilation (seed behavior) for what the calling
+    thread runs inside the block; other threads are unaffected."""
     _disabled_here.depth = getattr(_disabled_here, "depth", 0) + 1
     try:
         yield
@@ -298,18 +270,15 @@ def caches_disabled():
 
 def set_cache_budget(
     kernel_bytes: Optional[int] = None,
-    partition_bytes: Optional[int] = None,
     decision_bytes: Optional[int] = None,
 ) -> None:
-    """Set the byte budgets of the kernel / partition / decision caches.
+    """Set the byte budgets of the kernel / decision caches.
 
     Shrinking a budget evicts LRU entries immediately.  Pass ``None`` to
     leave a budget unchanged.  See ``docs/caching.md`` for tuning guidance.
     """
     if kernel_bytes is not None:
         _kernel_cache.resize(kernel_bytes)
-    if partition_bytes is not None:
-        _partition_cache.resize(partition_bytes)
     if decision_bytes is not None:
         _decision_cache.resize(decision_bytes)
 
@@ -317,7 +286,6 @@ def set_cache_budget(
 def cache_budgets() -> Dict[str, int]:
     return {
         "kernel_bytes": _kernel_cache.budget_bytes,
-        "partition_bytes": _partition_cache.budget_bytes,
         "decision_bytes": _decision_cache.budget_bytes,
     }
 
@@ -512,47 +480,6 @@ def iter_kernel_entries() -> Iterator[Tuple[Tuple, Any, Tuple]]:
 
 
 # --------------------------------------------------------------------------- #
-# partition memo
-# --------------------------------------------------------------------------- #
-def partition_cache_key(tensor, initial_level: int, kind: str, coloring) -> Tuple:
-    """Key of a coordinate-tree partition: its initial level and kind, and
-    the colors and bounds of its :class:`~repro.legion.partition.Coloring`."""
-    return (id(tensor), tensor.pattern_version, "tree", initial_level, kind,
-            tuple(coloring.colors()), coloring.bounds.tobytes())
-
-
-def dense_partition_cache_key(tensor, colors, lo, hi) -> Tuple:
-    """Key of a dense partition: its colors and their clamped bounds
-    (``(colors × modes)`` arrays)."""
-    return (id(tensor), tensor.pattern_version, "dense", tuple(colors),
-            lo.shape, lo.tobytes(), hi.tobytes())
-
-
-def lookup_partition(key: Tuple):
-    """Return ``(TensorPartition, plan_stmts)`` for ``key``, or None."""
-    if not caches_enabled():
-        return None
-    entry = _partition_cache.get(key)
-    return None if entry is None else (entry[0], entry[1])
-
-
-def store_partition(key: Tuple, partition, plan_stmts) -> None:
-    if not caches_enabled():
-        return
-    stmts = tuple(plan_stmts)
-    _partition_cache.put(
-        key, (partition, stmts), partition_entry_nbytes(partition, stmts)
-    )
-
-
-def iter_partition_entries() -> Iterator[Tuple[Tuple, Any, Tuple]]:
-    """Yield every live partition-memo entry as ``(key, partition,
-    plan_stmts)`` (LRU order, oldest first)."""
-    for key, (partition, stmts) in _partition_cache.items():
-        yield key, partition, stmts
-
-
-# --------------------------------------------------------------------------- #
 # autotune decision table
 # --------------------------------------------------------------------------- #
 def _pattern_stats(t) -> Tuple:
@@ -660,16 +587,12 @@ def invalidate_tensor(tensor) -> int:
     number of entries dropped.
     """
     tid = id(tensor)
-    n = _partition_cache.drop_if(lambda k, v: k[0] == tid)
-    n += _kernel_cache.drop_if(lambda k, v: tid in k[1])
-    return n
+    return _kernel_cache.drop_if(lambda k, v: tid in k[1])
 
 
 def clear_caches() -> None:
-    """Drop all kernel, partition and decision entries (e.g. between
-    tests)."""
+    """Drop all kernel and decision entries (e.g. between tests)."""
     _kernel_cache.clear()
-    _partition_cache.clear()
     _decision_cache.clear()
 
 
@@ -680,18 +603,15 @@ def cache_stats() -> Dict[str, int]:
         "kernel_misses": _kernel_cache.misses,
         "kernel_bytes": _kernel_cache.total_bytes,
         "kernel_evictions": _kernel_cache.evictions,
-        "partition_entries": len(_partition_cache),
-        "partition_hits": _partition_cache.hits,
-        "partition_misses": _partition_cache.misses,
-        "partition_bytes": _partition_cache.total_bytes,
-        "partition_evictions": _partition_cache.evictions,
         "decision_entries": len(_decision_cache),
         "decision_hits": _decision_cache.hits,
         "decision_misses": _decision_cache.misses,
         "decision_bytes": _decision_cache.total_bytes,
         "decision_evictions": _decision_cache.evictions,
-        # read 0: perfbench's core.cache.aot_hit_ratio row reads them, and
-        # retiring it deletes them
+        # read 0: perfbench's core.cache.partition_hit_ratio and
+        # aot_hit_ratio rows read them, and retiring those deletes them
+        "partition_hits": 0,
+        "partition_misses": 0,
         "aot_entries": 0,
         "aot_hits": 0,
         "aot_misses": 0,

@@ -413,8 +413,9 @@ def compile_kernel(
     attached runtime — so iterative workloads pay compilation once.  The
     cache key embeds every tensor's ``pattern_version``; structural
     mutations miss while value-only updates hit (see
-    :mod:`repro.core.cache`).  Pass ``use_cache=False`` (or disable caches
-    globally) to force a fresh compile.
+    :mod:`repro.core.cache`).  Pass ``use_cache=False`` (or compile inside
+    :func:`~repro.core.cache.caches_disabled`, which holds for the calling
+    thread only) to force a fresh compile.
 
     This entry point is a thin wrapper over a one-statement program (see
     :func:`repro.core.program.compile_program`); multi-statement callers
@@ -451,14 +452,7 @@ def compile_statement(
     backend = _codegen.resolve_backend(backend)
     if machine is None:
         machine = Machine.cpu(1)
-    if not use_cache:
-        # The full seed path: bypass the partition memo too, so measured
-        # uncached compiles really re-derive every coordinate-tree partition.
-        with _cache.caches_disabled():
-            ck = _compile_uncached(schedule, machine)
-            ck.backend = backend
-            return ck
-    if _cache.caches_enabled():
+    if use_cache and _cache.caches_enabled():
         try:
             key = _cache.kernel_fingerprint(schedule, machine)
         except _cache.Unfingerprintable:

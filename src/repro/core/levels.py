@@ -17,17 +17,16 @@ from ..legion.partition import Partition
 from ..taco.tensor import Tensor
 from .plan import PartitioningPlan
 
-__all__ = ["LevelFunctions", "level_functions_for"]
+__all__ = ["LevelFunctions"]
 
 
 class LevelFunctions:
-    """Level ``level_index`` of ``tensor`` bound to ``plan``: call a Table I
-    function on it without the ``site`` argument."""
+    """Level ``level_index`` of ``tensor`` bound to ``plan``: the ``site``
+    argument of each Table I function on ``tensor.levels[level_index]``."""
 
     def __init__(self, tensor: Tensor, level_index: int, plan: PartitioningPlan):
         self.tensor = tensor
         self.level_index = level_index
-        self.level = tensor.levels[level_index]
         self.plan = plan
         self.tag = f"{tensor.name}{level_index + 1}"  # B2: a partition's name
         self.ref = f"{tensor.name}[{level_index}]"  # B[1]: the level's regions
@@ -37,33 +36,3 @@ class LevelFunctions:
 
     def emit(self, op: str, text: str) -> None:
         self.plan.emit(op, text, tensor=self.tensor.name, level=self.level_index)
-
-    def init_universe_partition(self):
-        return self.level.init_universe_partition(self)
-
-    def create_universe_partition_entry(self, coloring, colors, bounds) -> None:
-        self.level.create_universe_partition_entry(self, coloring, colors, bounds)
-
-    def finalize_universe_partition(self, coloring):
-        return self.level.finalize_universe_partition(self, coloring)
-
-    def init_nonzero_partition(self):
-        return self.level.init_nonzero_partition(self)
-
-    def create_nonzero_partition_entry(self, coloring, colors, bounds) -> None:
-        self.level.create_nonzero_partition_entry(self, coloring, colors, bounds)
-
-    def finalize_nonzero_partition(self, coloring):
-        return self.level.finalize_nonzero_partition(self, coloring)
-
-    def partition_from_parent(self, parent_part: Partition) -> Partition:
-        return self.level.partition_from_parent(self, parent_part)
-
-    def partition_from_child(self, child_part: Partition) -> Partition:
-        return self.level.partition_from_child(self, child_part)
-
-
-def level_functions_for(
-    tensor: Tensor, level_index: int, plan: PartitioningPlan
-) -> LevelFunctions:
-    return LevelFunctions(tensor, level_index, plan)

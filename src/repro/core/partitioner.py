@@ -13,12 +13,9 @@ The result is a :class:`TensorPartition`: one positions-partition per level
 (plus the ``pos``-region partitions of compressed levels) and the values
 partition, ready to be turned into Legion region requirements.
 
-Partitions are memoized per ``(tensor pattern version, level, kind,
-bounds)`` in :mod:`repro.core.cache`: re-deriving the same coordinate-tree
-partition for the same data (a recompile, or another statement splitting
-the same tensor the same way) returns the cached object and replays the
-recorded plan statements.  Mutating a tensor's values does not bump its
-pattern version and therefore does not invalidate these entries.
+Nothing here is memoized: each compile derives its own partitions and
+emits its own plan statements, and the compiled kernel keeps them (the
+kernel cache in :mod:`repro.core.cache` is what a recompile reuses).
 """
 from __future__ import annotations
 
@@ -31,7 +28,6 @@ from ..errors import CompileError
 from ..legion.partition import Coloring, Partition
 from ..legion.runtime import Privilege, RegionReq
 from ..taco.tensor import Tensor
-from . import cache as _cache
 from .levels import LevelFunctions
 from .plan import PartitioningPlan
 
@@ -119,9 +115,6 @@ def partition_tensor(
 
     ``bounds`` gives each color's initial ``(lo, hi)``: a :class:`Coloring`
     (columns) or a ``{color: (lo, hi)}`` mapping, read in its order.
-    Memoized: a repeat call over the same pattern version, level, kind and
-    bounds returns the cached :class:`TensorPartition` (shared, read-only)
-    and re-emits the originally recorded plan statements into ``plan``.
     """
     bounds = Coloring.of(bounds)
     if plan is None:
@@ -131,50 +124,41 @@ def partition_tensor(
     nlevels = len(tensor.levels)
     if not (0 <= initial_level < nlevels):
         raise CompileError(f"initial level {initial_level} out of range")
-    key = _cache.partition_cache_key(tensor, initial_level, kind, bounds)
-    hit = _cache.lookup_partition(key)
-    if hit is not None:
-        part, stmts = hit
-        plan.stmts.extend(stmts)
-        return part
-    emitted_from = len(plan.stmts)
     sites = [LevelFunctions(tensor, l, plan) for l in range(nlevels)]
-    site = sites[initial_level]
+    site, level = sites[initial_level], tensor.levels[initial_level]
     if kind == "universe":
-        init, entry, finalize = (site.init_universe_partition,
-                                 site.create_universe_partition_entry,
-                                 site.finalize_universe_partition)
+        init, entry, finalize = (level.init_universe_partition,
+                                 level.create_universe_partition_entry,
+                                 level.finalize_universe_partition)
     elif kind == "nonzero":
-        init, entry, finalize = (site.init_nonzero_partition,
-                                 site.create_nonzero_partition_entry,
-                                 site.finalize_nonzero_partition)
+        init, entry, finalize = (level.init_nonzero_partition,
+                                 level.create_nonzero_partition_entry,
+                                 level.finalize_nonzero_partition)
     else:
         raise CompileError(f"unknown partition kind {kind!r}")
     colors = bounds.colors()
-    coloring = init()
-    entry(coloring, colors, bounds.bounds)
-    up, down = finalize(coloring)
+    coloring = init(site)
+    entry(site, coloring, colors, bounds.bounds)
+    up, down = finalize(site, coloring)
 
     positions: List[Optional[Partition]] = [None] * nlevels
     positions[initial_level] = down
     # Downward: children inherit their parent's colors.
     for l in range(initial_level + 1, nlevels):
-        down = positions[l] = sites[l].partition_from_parent(down)
+        down = positions[l] = tensor.levels[l].partition_from_parent(sites[l], down)
     # Upward: parents take the union of their children's colors.
     for l in range(initial_level - 1, -1, -1):
         positions[l] = up
-        up = sites[l].partition_from_child(up)
+        up = tensor.levels[l].partition_from_child(sites[l], up)
 
     vals_part = positions[nlevels - 1].copy(f"{tensor.name}ValsPart", tensor.vals.ispace)
-    result = TensorPartition(
+    return TensorPartition(
         tensor,
         level_positions=positions,
         level_pos_parts=[s.pos_part for s in sites],
         vals_part=vals_part,
         colors=colors,
     )
-    _cache.store_partition(key, result, plan.stmts[emitted_from:])
-    return result
 
 
 def dense_partition(
@@ -189,7 +173,7 @@ def dense_partition(
     arrays over ``colors``, clamped to the mode's extent; unmentioned modes
     span their full extent (this is DISTAL's dense tensor distribution).
     The partition is over the tensor's N-D values region, built in one
-    pass, and memoized on the clamped bounds."""
+    pass."""
     if plan is None:
         plan = PartitioningPlan(f"partition_{tensor.name}")
     if not tensor.format.is_all_dense():
@@ -203,13 +187,6 @@ def dense_partition(
         if mode in per_mode:
             np.maximum(per_mode[mode][0], 0, out=lo[:, level])
             np.minimum(per_mode[mode][1], size - 1, out=hi[:, level])
-    key = _cache.dense_partition_cache_key(tensor, colors, lo, hi)
-    hit = _cache.lookup_partition(key)
-    if hit is not None:
-        part, stmts = hit
-        plan.stmts.extend(stmts)
-        return part
-    emitted_from = len(plan.stmts)
     plan.emit(
         "partitionByBounds",
         f"{tensor.name}ValsPart = partitionByBounds(C_{tensor.name}, {tensor.name}.dom)",
@@ -219,15 +196,13 @@ def dense_partition(
     part = Partition.from_bounds(tensor.vals.ispace, colors, lo, hi,
                                  name=f"{tensor.name}ValsPart")
     nlevels = len(tensor.levels)
-    result = TensorPartition(
+    return TensorPartition(
         tensor,
         level_positions=[None] * nlevels,
         level_pos_parts=[None] * nlevels,
         vals_part=part,
         colors=list(colors),
     )
-    _cache.store_partition(key, result, plan.stmts[emitted_from:])
-    return result
 
 
 def replicated_partition(tensor: Tensor, colors: Sequence[Color]) -> TensorPartition:

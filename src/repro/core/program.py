@@ -5,11 +5,10 @@ step is an SpMV plus vector updates, a CP-ALS sweep is three MTTKRPs, a
 graph pipeline chains SpMM into SDDMM.  Compiling those statements
 *together* lets the amortization layers work across the program instead of
 per ``compile_kernel`` call: every statement's compile goes through the
-same kernel cache and partition memo, so a tensor partitioned by one
-statement is *not* re-partitioned by the next statement that splits it the
-same way (the memo key — tensor identity, pattern version, level, kind,
-bounds — hits), and communicate plans recorded by the runtime replay
-across the whole statement sequence.
+same kernel cache, a statement placing an operand the way an earlier one
+placed it adds no residency (the runtime shares the placement's fact),
+and communicate plans recorded by the runtime replay across the whole
+statement sequence.
 
 :func:`compile_program` is the entry; :func:`repro.core.compiler.compile_kernel`
 is a thin wrapper over a one-statement program, and the high-level
@@ -208,10 +207,8 @@ def compile_program(
     SDDMM→SpMM fusion (``fuse``), each individually disableable, with
     ``keep=`` pinning tensors (objects or names) that must stay
     materialized.  Each surviving statement then compiles through the
-    cache-aware single-statement engine; because all statements share the
-    process-wide kernel cache and partition memo, operands appearing in
-    several statements have their coordinate-tree partitions derived once
-    and replayed for every later statement that splits them identically.
+    cache-aware single-statement engine, which derives each statement's
+    coordinate-tree partitions (the compiled kernel keeps them).
     With ``cse`` (the default) *identical* repeated statements
     additionally collapse: they compile to the same
     :class:`CompiledKernel` (the cache guarantees that part) and only the

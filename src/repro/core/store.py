@@ -12,10 +12,9 @@ packed tensor:
 * the **companion tensors** of every cached kernel over it (cache keys
   embed object identities, so the whole statement's tensors travel
   together),
-* the **kernel-cache entries** (the compiled kernels themselves, minus
-  their leaf closures, which rebuild lazily),
-* the **partition-memo entries** (coordinate-tree partitions + recorded
-  plan statements), and
+* the **kernel-cache entries** (the compiled kernels themselves, with the
+  coordinate-tree partitions they derived, minus their leaf closures,
+  which rebuild lazily), and
 * the **runtimes** those kernels executed on, with their recorded mapping
   traces, home placements and symbolic residency state.
 
@@ -109,9 +108,11 @@ __all__ = [
 #: compiled kernel's pieces lose their ``var_bounds``.  v11: a runtime's
 #: homes are a residency table per region, and a table keeps each piece
 #: once (an arrival column, no per-processor lists).  v12: a runtime
-#: pickles no step log, replay switch or copy traces.  Any other version is
-#: refused with :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 12
+#: pickles no step log, replay switch or copy traces.  v13: an artifact
+#: carries no partition-memo entries (a kernel keeps its own partitions).
+#: Any other version is refused with
+#: :class:`~repro.errors.StoreFormatError`, never migrated.
+STORE_FORMAT_VERSION = 13
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"
@@ -240,8 +241,7 @@ def save_packed(
 
     With ``include_caches`` every live kernel-cache entry whose statement
     involves ``tensor`` is exported, together with the companion tensors it
-    pins, the partition-memo entries of all those tensors, and the
-    runtimes the kernels executed on (traces included).  Pass an explicit
+    pins, and the runtimes the kernels executed on (traces included).  Pass an explicit
     ``runtime`` to persist one that is not attached to any cached kernel.
 
     Level arrays at or above ``sidecar_threshold`` bytes are written as raw
@@ -266,14 +266,6 @@ def save_packed(
         for t in tensors:
             if not any(t is s for s in tensor_set):
                 tensor_set.append(t)
-
-    partition_entries: List[Tuple[Tensor, Tuple, Any, Tuple]] = []
-    if include_caches:
-        for key, part, stmts in _cache.iter_partition_entries():
-            owner = part.tensor
-            if any(owner is t for t in tensor_set):
-                # key[0] is id(owner); store the tail and re-key on load.
-                partition_entries.append((owner, key[1:], part, stmts))
 
     runtimes: List[Any] = []
     for kernel, _tensors in kernel_entries:
@@ -317,7 +309,6 @@ def save_packed(
         "tensor": tensor,
         "companions": [t for t in tensor_set if t is not tensor],
         "kernels": kernel_entries,
-        "partitions": partition_entries,
         "decisions": decision_entries,
         "runtimes": runtimes,
         "max_region_uid": max_region_uid,
@@ -395,7 +386,6 @@ def save_packed(
         "companions": [_tensor_meta(t) for t in tensor_set if t is not tensor],
         "kernels": kernels_meta,
         "regions": regions_meta,
-        "partition_entries": len(partition_entries),
         "decision_entries": len(decision_entries),
         "runtimes": len(runtimes),
         "trace_count": sum(len(rt._traces) for rt in runtimes),
@@ -481,9 +471,9 @@ def load_packed(
 ) -> PackedArtifact:
     """Load an artifact directory written by :func:`save_packed`.
 
-    Re-seeds the kernel cache and partition memo under the loaded objects'
-    identities (skipped when ``restore_caches`` is false or caching is
-    globally disabled), advances the region/index-space uid counters past
+    Re-seeds the kernel cache and the decision table under the loaded
+    objects' identities (skipped when ``restore_caches`` is false or caches
+    are disabled on the calling thread), advances the region/index-space uid counters past
     the loaded uids, and returns a :class:`PackedArtifact`.  A fresh
     process that rebuilds the saved schedule over the returned tensors
     compiles to a cache hit and replays the stored mapping traces on its
@@ -576,8 +566,6 @@ def load_packed(
     if restore_caches and _cache.caches_enabled():
         for key, decision in payload.get("decisions", ()):
             _cache.store_decision(key, decision)
-        for owner, key_tail, part, stmts in payload.get("partitions", ()):
-            _cache.store_partition((id(owner),) + tuple(key_tail), part, stmts)
         for kernel, tensors in payload.get("kernels", ()):
             try:
                 key = _cache.kernel_fingerprint(kernel.schedule, kernel.machine)

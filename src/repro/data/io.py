@@ -8,8 +8,8 @@ the synthetic stand-ins).
 Text formats exchange *coordinates* — loading one re-packs from scratch
 and re-derives every partition.  :func:`save_packed` / :func:`load_packed`
 are the warm path: they persist the packed level structure together with
-the compile-once / run-many state (partition memo, kernel cache, mapping
-traces; see :mod:`repro.core.store`), so a fresh process skips packing
+the compile-once / run-many state (kernel cache, mapping traces; see
+:mod:`repro.core.store`), so a fresh process skips packing
 *and* reaches cached steady-state on its first execute.
 """
 from __future__ import annotations

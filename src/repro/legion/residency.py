@@ -15,7 +15,7 @@ residency``).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,13 @@ def _same(x: IndexSubset, y: IndexSubset) -> bool:
 
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
+def _same_rects(bounds: Tuple[np.ndarray, np.ndarray], lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether ``bounds`` are ``(lo, hi)``: the same rect per color (int64
+    arrays, compared as bytes)."""
+    return bounds[0].shape == lo.shape and bounds[0].tobytes() == lo.tobytes() \
+        and bounds[1].tobytes() == hi.tobytes()
 
 
 def _put(column: np.ndarray, k: int, value: int) -> np.ndarray:
@@ -76,8 +83,10 @@ class _Residency:
     ``whole[id(p)] = (p, procs)``, each non-empty piece of ``p`` (or an
     equal one) is held on its color's processor (``procs``, a list, one
     per color in order); ``whole[None] = (None, procs)``, the whole region
-    is held on each of ``procs``.  A write that drops a piece clears them;
-    pickling drops them (they hold ids).
+    is held on each of ``procs``.  A fact about a partition of rects also
+    speaks for every partition with its bounds, so placing one of those
+    where the fact says records nothing new.  A write that drops a piece
+    clears them; pickling drops them (they hold ids).
     """
 
     def __init__(self):
@@ -188,16 +197,30 @@ class _Residency:
     def hold_whole(self, key: Optional[int], partition, holders) -> None:
         self.whole[key] = (partition, holders)
 
+    def _facts(self, partition: Partition, procs: Optional[List[int]] = None
+               ) -> Iterator[List[int]]:
+        """The processors of each fact about ``partition``'s pieces (only
+        of those on ``procs``, when given): the fact naming it first, then,
+        for a partition of rects, each naming another with its bounds
+        (color for color, equal pieces)."""
+        fact = self.whole.get(id(partition))
+        if fact is not None and procs in (None, fact[1]):
+            yield fact[1]
+        if partition.bounds is None:
+            return
+        lo, hi = partition.bounds
+        for part, on in self.whole.values():
+            if part is not None and part is not partition and procs in (None, on) \
+                    and part.bounds is not None and _same_rects(part.bounds, lo, hi):
+                yield on
+
     def holds_placed(self, partition: Partition, procs: List[int]) -> bool:
-        """Whether a fact names a partition whose bounds are ``partition``'s
-        on the same processors, color for color: then each of its pieces
-        equals a held piece, homed on its processor by that placement."""
-        bounds = partition.bounds
-        return bounds is not None and any(
-            key is not None and on == procs and part.bounds is not None
-            and np.array_equal(part.bounds[0], bounds[0])
-            and np.array_equal(part.bounds[1], bounds[1])
-            for key, (part, on) in self.whole.items())
+        """Whether a fact says ``partition``'s pieces (rects) are held on
+        ``procs``, color for color: then each equals a held piece, homed on
+        its processor by an earlier placement, and placing ``partition``
+        there shares that fact."""
+        return partition.bounds is not None and \
+            next(self._facts(partition, procs), None) is not None
 
     def held(self, partition: Optional[Partition], colors: Sequence[Color],
              procs: List[int], replicas: bool) -> bool:
@@ -207,15 +230,17 @@ class _Residency:
         rep = self.whole.get(None)
         if replicas and rep is not None and rep[1].issuperset(procs):
             return True
-        fact = partition is not None and self.whole.get(id(partition))
-        if not fact:
+        if partition is None:
             return False
-        own = partition.colors()
-        if fact[1] == procs and colors == own:
-            return True
-        launch = dict(zip(colors, procs))
-        return all(launch.get(c, p) == p for c, p, here in zip(
-            own, fact[1], partition.live().tolist()) if here)
+        own, launch = partition.colors(), None
+        for on in self._facts(partition):
+            if on == procs and colors == own:
+                return True
+            if launch is None:
+                launch, live = dict(zip(colors, procs)), partition.live().tolist()
+            if all(launch.get(c, p) == p for c, p, here in zip(own, on, live) if here):
+                return True
+        return False
 
     def apart(self) -> bool:
         """No two pieces meet on the leading axis, so none overlaps another."""

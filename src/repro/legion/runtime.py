@@ -236,15 +236,17 @@ class Runtime:
         establishes (:class:`_Residency`).  An empty region's homes load at
         once, from the partition's bounds when it has them, and its live
         table starts as their copy; a partition placed as one a fact
-        already names (equal bounds, same processors) adds and homes
-        nothing."""
+        already names (equal bounds, same processors) shares that fact:
+        it adds, homes and records nothing."""
         self._unshare_residency()
         uid, res = region.uid, self._res(region.uid)
         if not len(res.starts) and uid not in self._home:
             homes = self._home[uid] = _Residency()
             homes.load(partition, procs)
             res = self._residency[uid] = homes.copy()
-        elif not (whole and whole[0] is not None and res.holds_placed(whole[1], whole[2])):
+        elif whole and whole[0] is not None and res.holds_placed(whole[1], whole[2]):
+            whole = None  # the fact that says so stands for this placement
+        else:
             res.load(partition, procs)
             self._home.setdefault(uid, _Residency()).load(partition, procs)
         if whole is not None:

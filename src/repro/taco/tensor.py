@@ -308,9 +308,9 @@ class Tensor:
     def save(self, path, *, include_caches: bool = True, runtime=None):
         """Persist this packed tensor (pickle + JSON manifest) to ``path``.
 
-        With ``include_caches`` (the default) every kernel-cache and
-        partition-memo entry referencing this tensor is stored alongside —
-        including the companion tensors and runtimes those entries pin — so
+        With ``include_caches`` (the default) every kernel-cache entry
+        referencing this tensor is stored alongside — including the
+        companion tensors and runtimes those entries pin — so
         :meth:`load` in a fresh process warm-starts straight to the cached
         steady state.  Delegates to :func:`repro.core.store.save_packed`.
         """
@@ -322,7 +322,7 @@ class Tensor:
     @staticmethod
     def load(path) -> "Tensor":
         """Load the primary tensor of an artifact saved by :meth:`save`,
-        re-seeding the kernel cache and partition memo as a side effect.
+        re-seeding the kernel cache as a side effect.
         Use :func:`repro.core.store.load_packed` to also reach the
         companion tensors and the restored runtime."""
         from ..core.store import load_packed

@@ -34,7 +34,7 @@ def _fresh_caches():
     budgets = _cache.cache_budgets()
     clear_caches()
     yield
-    set_cache_budget(budgets["kernel_bytes"], budgets["partition_bytes"])
+    set_cache_budget(budgets["kernel_bytes"])
     clear_caches()
 
 
@@ -271,7 +271,7 @@ class TestInvalidation:
         # Tiny budgets let evictions free each output, so a fresh output
         # lands at a dead one's id with the same state: its key matches a
         # stale table entry whose kernel is gone.
-        set_cache_budget(kernel_bytes=1, partition_bytes=1)
+        set_cache_budget(kernel_bytes=1)
         B, c, _ = _spmv_world()
         seen, recycled = set(), 0
         with repro.session(nodes=4) as s:

@@ -1,15 +1,14 @@
 """Lazy multi-statement programs: capture, compile-together, run-in-order.
 
-The program-level acceptance property: statements sharing an operand have
-its partitions derived *once* — the second statement's compile hits the
-partition memo and reuses the very same ``TensorPartition`` object.
+The program-level acceptance property: statements sharing an operand split
+it the same way, and the runtime places it once — the second statement's
+placement of equal partitions shares the first one's residency facts.
 """
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import repro
-from repro.core import cache as _cache
 from repro.core import clear_caches
 
 
@@ -32,24 +31,23 @@ def _workload(s, n=300):
 
 
 class TestSharedOperandPartitions:
-    def test_partition_memo_hits_for_shared_operand(self):
-        """Two SpMVs over one matrix: the second statement's compile must
-        hit the partition memo for B instead of re-deriving it."""
+    def test_shared_operand_is_placed_once(self):
+        """Two SpMVs over one matrix: each kernel derives its own partitions
+        of B, equal color for color, and each of B's regions keeps one
+        fact about them, which both statements launch at home under."""
         with repro.session(nodes=4) as s:
             M, B, c, x, a, y = _workload(s)
             i, j, i2, j2 = repro.index_vars("i j i2 j2")
             a[i] = B[i, j] * c[j]
             y[i2] = B[i2, j2] * x[j2]
 
-            before = _cache.cache_stats()
             prog = s.compile(a, y)
-            after = _cache.cache_stats()
-
-            # B is partitioned by statement 1 (a miss) and *hit* by
-            # statement 2 — at least one memo hit, and the two kernels
-            # share the identical partition object.
-            assert after["partition_hits"] - before["partition_hits"] >= 1
-            assert prog[0].parts[id(B)] is prog[1].parts[id(B)]
+            first, second = (k.parts[id(B)] for k in prog)
+            assert first is not second
+            assert all(p.bounds is not None and q.bounds is not None
+                       and np.array_equal(p.bounds, q.bounds)
+                       for p, q in zip(first.level_positions, second.level_positions)
+                       if p is not None)
 
             res = prog.execute(s.runtime)
             assert np.allclose(a.vals.data, M @ c.dense_array())
@@ -58,20 +56,8 @@ class TestSharedOperandPartitions:
             assert res.simulated_seconds == sum(
                 r.simulated_seconds for r in res.results
             )
-
-    def test_separate_compiles_also_share_via_memo(self):
-        """compile_kernel is a one-statement program: two separate calls
-        still share partitions through the process-wide memo."""
-        with repro.session(nodes=4) as s:
-            M, B, c, x, a, y = _workload(s)
-            i, j, i2, j2 = repro.index_vars("i j i2 j2")
-            a[i] = B[i, j] * c[j]
-            ck1 = s.compile_kernel(a)
-            y[i2] = B[i2, j2] * x[j2]
-            before = _cache.cache_stats()["partition_hits"]
-            ck2 = s.compile_kernel(y)
-            assert _cache.cache_stats()["partition_hits"] - before >= 1
-            assert ck1.parts[id(B)] is ck2.parts[id(B)]
+            for region in B.regions():
+                assert len(s.runtime._residency[region.uid].whole) == 1
 
 
 class TestCaptureAndChaining:

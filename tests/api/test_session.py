@@ -194,7 +194,7 @@ class TestExecution:
     def test_stats_merges_cache_and_runtime_counters(self):
         with repro.session() as s:
             st = s.stats()
-            for key in ("kernel_hits", "partition_hits", "trace_hits",
+            for key in ("kernel_hits", "decision_hits", "trace_hits",
                         "trace_records"):
                 assert key in st
 

@@ -93,7 +93,6 @@ class TestWarmstartMmapChild:
             mmap=True,
         )
         assert result.warm_first_hit_kernel_cache
-        assert result.warm_first_partition_misses == 0
         assert result.warm_first_trace_records == 0
         assert result.metrics_bit_identical
         assert result.checksum_bit_identical

@@ -174,7 +174,7 @@ class TestConsumerStaysHot:
         return ck
 
     def consume(self):
-        """Run the consumer; returns its (kernel, partition) misses."""
+        """Run the consumer; returns its kernel misses."""
         i, j, io, ii = index_vars("i j io ii")
         self.y[i] = self.A[i, j] * self.c[j]
         before = cache_stats()
@@ -183,7 +183,7 @@ class TestConsumerStaysHot:
         after = cache_stats()
         expect = sum(t.to_dense() for t in self.ops) @ self.c.to_dense()
         assert np.allclose(self.y.to_dense(), expect)
-        return tuple(after[k] - before[k] for k in ("kernel_misses", "partition_misses"))
+        return after["kernel_misses"] - before["kernel_misses"]
 
     def identity(self):
         A = self.A
@@ -193,16 +193,15 @@ class TestConsumerStaysHot:
     def test_four_iterations_miss_only_on_the_first(self):
         self.setup_loop()
         self.produce()
-        assert self.consume() == (1, 3)  # A, c and y partitioned once
+        assert self.consume() == 1
         held = self.identity()
         for _ in range(3):
             before = cache_stats()
             self.produce()
             misses = self.consume()
             after = cache_stats()
-            assert misses == (0, 0)
+            assert misses == 0
             assert after["kernel_misses"] == before["kernel_misses"]
-            assert after["partition_misses"] == before["partition_misses"]
             assert self.identity() == held
 
     def test_value_only_update_changes_only_values(self):
@@ -212,7 +211,7 @@ class TestConsumerStaysHot:
         held, plan = self.identity(), ck.assembly_plan()
         self.ops[0].vals.data[:] *= 3.0
         assert self.produce() is ck and ck.assembly_plan() is plan
-        assert self.consume() == (0, 0)
+        assert self.consume() == 0
         assert self.identity() == held
         assert np.allclose(self.A.to_dense(), sum(t.to_dense() for t in self.ops))
 
@@ -224,12 +223,12 @@ class TestConsumerStaysHot:
         (Dm,) = self.mats(5, k=1)
         self.ops[2]._pack(*Tensor.from_scipy("D", Dm, CSR).to_coo())
         self.produce()
-        assert self.consume() == (1, 1)
+        assert self.consume() == 1
         now = self.identity()
         assert now[:2] == (held[0] + 1, held[1] + 1)
         assert all(new is not old for new, old in zip(now[2:], held[2:]))
         self.produce()
-        assert self.consume() == (0, 0) and self.identity() == now
+        assert self.consume() == 0 and self.identity() == now
 
     def test_equal_repack_rebuilds_plan_but_keeps_output(self):
         self.setup_loop()
@@ -243,7 +242,7 @@ class TestConsumerStaysHot:
         ck2 = self.produce()
         assert ck2.assembly_plan() is not plan
         assert np.array_equal(ck2.assembly_plan().crd, plan.crd)
-        assert self.consume() == (0, 0)
+        assert self.consume() == 0
         assert self.identity() == held
 
     def test_restructured_output_is_reinstalled(self):
@@ -258,7 +257,7 @@ class TestConsumerStaysHot:
         assert self.A.nnz == 0
         assert self.produce() is ck
         assert np.array_equal(self.A.to_dense(), expect)
-        assert self.consume() == (1, 1)
+        assert self.consume() == 1
 
     def test_aliased_reaches_a_constant_version(self):
         self.setup_loop()

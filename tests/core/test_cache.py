@@ -1,5 +1,5 @@
-"""Cache correctness: kernel cache, partition memo, invalidation rules,
-size-aware eviction."""
+"""Cache correctness: kernel cache, invalidation rules, size-aware
+eviction, and partitions derived afresh by every compile."""
 import sys
 import threading
 from pathlib import Path
@@ -16,6 +16,7 @@ from repro.core import (
     caches_enabled,
     clear_caches,
     compile_kernel,
+    dense_partition,
     invalidate_tensor,
     kernel_fingerprint,
     partition_tensor,
@@ -130,7 +131,7 @@ class TestKernelCache:
         B.vals.data *= 2.0  # value write: pattern unchanged
         c.vals.data[...] = rng.random(M)
         ck2 = compile_kernel(spmv_schedule(B, c, a), machine)
-        assert ck2 is ck1  # partition + kernel caches still hot
+        assert ck2 is ck1  # kernel cache still hot
         ck2.execute()
         assert np.allclose(a.vals.data, (2.0 * A) @ c.vals.data)
 
@@ -210,18 +211,32 @@ class TestOneFingerprintPerMiss:
         assert after["kernel_hits"] - before["kernel_hits"] == n
 
 
-class TestPartitionMemo:
+class TestPartitionDerivation:
+    """Nothing caches partitions: each derivation is fresh, and derivations
+    of one tree agree in bounds and emitted plan text."""
+
     def bounds(self, pieces=4):
         chunk = -(-N // pieces)
         return {p: (p * chunk, min((p + 1) * chunk, N) - 1) for p in range(pieces)}
 
-    def test_repeat_partition_returns_cached_object(self):
+    def test_repeat_partition_is_fresh_and_equal(self):
         _, B, _, _ = make_tensors()
-        p1 = partition_tensor(B, 1, "universe", self.bounds())
-        p2 = partition_tensor(B, 1, "universe", self.bounds())
-        assert p1 is p2
+        p1 = partition_tensor(B, 0, "universe", self.bounds())
+        p2 = partition_tensor(B, 0, "universe", self.bounds())
+        assert p1 is not p2
+        for a, b in zip(p1.level_positions, p2.level_positions):
+            assert a is not b and np.array_equal(a.bounds, b.bounds)
 
-    def test_plan_statements_replayed_on_hit(self):
+    def test_repeat_dense_partition_is_fresh_and_equal(self):
+        _, _, c, _ = make_tensors()
+        lo, hi = np.array([0, 24]), np.array([23, M - 1])
+        plans = [PartitioningPlan("first"), PartitioningPlan("second")]
+        p1, p2 = (dense_partition(c, [0, 1], {0: (lo, hi)}, plan) for plan in plans)
+        assert p1 is not p2 and p1.vals_part is not p2.vals_part
+        assert np.array_equal(p1.vals_part.bounds, p2.vals_part.bounds)
+        assert plans[0].describe() == plans[1].describe()
+
+    def test_repeat_partition_emits_the_same_plan(self):
         _, B, _, _ = make_tensors()
         plan1 = PartitioningPlan("first")
         partition_tensor(B, 1, "universe", self.bounds(), plan1)
@@ -229,27 +244,6 @@ class TestPartitionMemo:
         partition_tensor(B, 1, "universe", self.bounds(), plan2)
         assert plan1.ops() == plan2.ops()
         assert plan1.describe() == plan2.describe()
-
-    def test_different_bounds_miss(self):
-        _, B, _, _ = make_tensors()
-        p1 = partition_tensor(B, 1, "universe", self.bounds(4))
-        p2 = partition_tensor(B, 1, "universe", self.bounds(2))
-        assert p1 is not p2
-
-    def test_pattern_bump_misses_value_write_hits(self):
-        _, B, _, _ = make_tensors()
-        p1 = partition_tensor(B, 1, "universe", self.bounds())
-        B.vals.data += 1.0
-        assert partition_tensor(B, 1, "universe", self.bounds()) is p1
-        B._bump_pattern_version()
-        assert partition_tensor(B, 1, "universe", self.bounds()) is not p1
-
-    def test_stats_count_hits(self):
-        _, B, _, _ = make_tensors()
-        before = cache_stats()["partition_hits"]
-        partition_tensor(B, 1, "universe", self.bounds())
-        partition_tensor(B, 1, "universe", self.bounds())
-        assert cache_stats()["partition_hits"] == before + 1
 
 
 class TestPostCompileMutation:
@@ -273,50 +267,7 @@ class TestSizeAwareEviction:
     def restore_budgets(self):
         before = cache_budgets()
         yield
-        set_cache_budget(kernel_bytes=before["kernel_bytes"],
-                         partition_bytes=before["partition_bytes"])
-
-    def bounds(self, pieces=4):
-        chunk = -(-N // pieces)
-        return {p: (p * chunk, min((p + 1) * chunk, N) - 1) for p in range(pieces)}
-
-    def test_entries_are_byte_accounted(self):
-        _, B, _, _ = make_tensors()
-        partition_tensor(B, 1, "universe", self.bounds())
-        stats = cache_stats()
-        assert stats["partition_entries"] == 1
-        assert stats["partition_bytes"] > 0
-
-    def test_lru_evicted_when_budget_exceeded(self):
-        _, B, _, _ = make_tensors()
-        p4 = partition_tensor(B, 1, "universe", self.bounds(4))
-        one_entry = cache_stats()["partition_bytes"]
-        # Room for roughly one entry: adding a second evicts the older.
-        set_cache_budget(partition_bytes=int(one_entry * 1.5))
-        p2 = partition_tensor(B, 1, "universe", self.bounds(2))
-        stats = cache_stats()
-        assert stats["partition_evictions"] >= 1
-        assert stats["partition_bytes"] <= int(one_entry * 1.5)
-        # The newer entry survived, the older was dropped.
-        assert partition_tensor(B, 1, "universe", self.bounds(2)) is p2
-        assert partition_tensor(B, 1, "universe", self.bounds(4)) is not p4
-
-    def test_oversized_entry_still_caches(self):
-        """A single entry above the whole budget is kept (run-many over one
-        huge tensor must not lose its only entry)."""
-        _, B, _, _ = make_tensors()
-        set_cache_budget(partition_bytes=1)
-        p = partition_tensor(B, 1, "universe", self.bounds())
-        assert partition_tensor(B, 1, "universe", self.bounds()) is p
-        assert cache_stats()["partition_entries"] == 1
-
-    def test_shrinking_budget_evicts_immediately(self):
-        _, B, _, _ = make_tensors()
-        partition_tensor(B, 1, "universe", self.bounds(4))
-        partition_tensor(B, 1, "universe", self.bounds(2))
-        assert cache_stats()["partition_entries"] == 2
-        set_cache_budget(partition_bytes=1)
-        assert cache_stats()["partition_entries"] == 1  # newest kept
+        set_cache_budget(kernel_bytes=before["kernel_bytes"])
 
     def test_kernel_entries_accounted_and_evicted(self):
         _, B, c, a = make_tensors()
@@ -331,25 +282,48 @@ class TestSizeAwareEviction:
         assert compile_kernel(spmv_schedule(B, c, a, pieces=2), machine) is ck2
         assert compile_kernel(spmv_schedule(B, c, a, pieces=4), machine) is not ck4
 
+    def test_shrinking_budget_evicts_immediately(self):
+        _, B, c, a = make_tensors()
+        machine = Machine.cpu(4)
+        compile_kernel(spmv_schedule(B, c, a, pieces=4), machine)
+        newest = compile_kernel(spmv_schedule(B, c, a, pieces=2), machine)
+        assert cache_stats()["kernel_entries"] == 2
+        set_cache_budget(kernel_bytes=1)
+        assert cache_stats()["kernel_entries"] == 1
+        assert compile_kernel(spmv_schedule(B, c, a, pieces=2), machine) is newest
+
     def test_invalidate_tensor_releases_bytes(self):
-        _, B, _, _ = make_tensors()
-        partition_tensor(B, 1, "universe", self.bounds())
-        assert cache_stats()["partition_bytes"] > 0
+        _, B, c, a = make_tensors()
+        compile_kernel(spmv_schedule(B, c, a), Machine.cpu(4))
+        assert cache_stats()["kernel_bytes"] > 0
         invalidate_tensor(B)
-        assert cache_stats()["partition_bytes"] == 0
+        assert cache_stats()["kernel_bytes"] == 0
 
 
 class TestSeedPathBypass:
-    def test_use_cache_false_bypasses_partition_memo(self):
+    def test_partition_counters_read_zero(self):
+        """Nothing caches partitions: the two partition counters
+        ``cache_stats()`` keeps for perfbench's ledger read 0 whatever
+        compiles, and no other partition counter is reported."""
         _, B, c, a = make_tensors()
         machine = Machine.cpu(4)
-        compile_kernel(spmv_schedule(B, c, a), machine)  # warm the memo
-        misses = cache_stats()["partition_misses"]
-        hits = cache_stats()["partition_hits"]
+        for pieces in (4, 4, 2):
+            compile_kernel(spmv_schedule(B, c, a, pieces), machine, use_cache=False)
+            compile_kernel(spmv_schedule(B, c, a, pieces), machine)
+        stats = cache_stats()
+        assert stats["partition_hits"] == stats["partition_misses"] == 0
+        assert sorted(k for k in stats if k.startswith("partition")) == [
+            "partition_hits", "partition_misses"]
+        assert set(cache_budgets()) == {"kernel_bytes", "decision_bytes"}
+
+    def test_use_cache_false_consults_no_cache(self):
+        _, B, c, a = make_tensors()
+        machine = Machine.cpu(4)
+        compile_kernel(spmv_schedule(B, c, a), machine)  # warm the cache
+        before = cache_stats()
         compile_kernel(spmv_schedule(B, c, a), machine, use_cache=False)
-        # a true seed-path compile consults neither cache
-        assert cache_stats()["partition_hits"] == hits
-        assert cache_stats()["partition_misses"] == misses
+        # a true seed-path compile neither looks up nor stores
+        assert cache_stats() == before
 
     def test_overlapping_disabled_blocks_leave_the_caches_enabled(self):
         """Two threads whose ``with caches_disabled():`` blocks overlap

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import PartitioningPlan, level_functions_for, partition_tensor
+from repro.core import LevelFunctions, PartitioningPlan, partition_tensor
 from repro.core.compiler import _inferred_windows
 from repro.errors import CompileError
 from repro.kernels import piece_range
@@ -28,10 +28,10 @@ class TestDenseLevelFunctions:
     def test_universe_partition_by_coordinate_bounds(self):
         B = fig7_tensor()
         plan = PartitioningPlan()
-        f = level_functions_for(B, 0, plan)
-        col = f.init_universe_partition()
-        f.create_universe_partition_entry(col, [0, 1], [(0, 1), (2, 3)])
-        up, down = f.finalize_universe_partition(col)
+        site, lvl = LevelFunctions(B, 0, plan), B.levels[0]
+        col = lvl.init_universe_partition(site)
+        lvl.create_universe_partition_entry(site, col, [0, 1], [(0, 1), (2, 3)])
+        up, down = lvl.finalize_universe_partition(site, col)
         assert up is down  # Table I: same partition both ways for Dense
         assert down[0].indices().tolist() == [0, 1]
         assert "partitionByBounds" in plan.ops()
@@ -39,28 +39,28 @@ class TestDenseLevelFunctions:
     def test_nonzero_same_as_universe_for_dense(self):
         B = fig7_tensor()
         plan = PartitioningPlan()
-        f = level_functions_for(B, 0, plan)
-        col = f.init_nonzero_partition()
-        f.create_nonzero_partition_entry(col, [0], [(0, 3)])
-        up, down = f.finalize_nonzero_partition(col)
+        site, lvl = LevelFunctions(B, 0, plan), B.levels[0]
+        col = lvl.init_nonzero_partition(site)
+        lvl.create_nonzero_partition_entry(site, col, [0], [(0, 3)])
+        up, down = lvl.finalize_nonzero_partition(site, col)
         assert down[0].volume == 4
 
     def test_from_parent_scales_by_level_size(self):
         idx = [np.array([0, 1]), np.array([1, 0]), np.array([0, 0])]
         T = Tensor.from_coo("T", idx, np.ones(2), (2, 3, 4), DDC)
         plan = PartitioningPlan()
-        f1 = level_functions_for(T, 1, plan)  # dense level of size 3
+        site, lvl = LevelFunctions(T, 1, plan), T.levels[1]  # dense level of size 3
         parent = Partition(T.levels[0].pos_ispace, {0: RectSubset(Rect(0, 0))})
-        got = f1.partition_from_parent(parent)
+        got = lvl.partition_from_parent(site, parent)
         assert got[0].indices().tolist() == [0, 1, 2]
 
     def test_from_child_shrinks(self):
         idx = [np.array([0, 1]), np.array([1, 0]), np.array([0, 0])]
         T = Tensor.from_coo("T", idx, np.ones(2), (2, 3, 4), DDC)
         plan = PartitioningPlan()
-        f1 = level_functions_for(T, 1, plan)
+        site, lvl = LevelFunctions(T, 1, plan), T.levels[1]
         child = Partition(T.levels[1].pos_ispace, {0: RectSubset(Rect(3, 5))})
-        parent = f1.partition_from_child(child)
+        parent = lvl.partition_from_child(site, child)
         assert parent[0].indices().tolist() == [1]
 
 
@@ -68,10 +68,10 @@ class TestCompressedLevelFunctions:
     def test_universe_buckets_by_coordinate_values(self):
         B = fig7_tensor()
         plan = PartitioningPlan()
-        f = level_functions_for(B, 1, plan)
-        col = f.init_universe_partition()
-        f.create_universe_partition_entry(col, [0, 1], [(0, 1), (2, 3)])  # columns 0-1, 2-3
-        pos_part, crd_part = f.finalize_universe_partition(col)
+        site, lvl = LevelFunctions(B, 1, plan), B.levels[1]
+        col = lvl.init_universe_partition(site)
+        lvl.create_universe_partition_entry(site, col, [0, 1], [(0, 1), (2, 3)])  # columns 0-1, 2-3
+        pos_part, crd_part = lvl.finalize_universe_partition(site, col)
         # crd = [0,1,3,1,3,0,0,3]: cols 0-1 at positions 0,1,3,5,6
         assert crd_part[0].indices().tolist() == [0, 1, 3, 5, 6]
         assert crd_part[1].indices().tolist() == [2, 4, 7]
@@ -84,10 +84,10 @@ class TestCompressedLevelFunctions:
     def test_nonzero_partitions_positions_directly(self):
         B = fig7_tensor()
         plan = PartitioningPlan()
-        f = level_functions_for(B, 1, plan)
-        col = f.init_nonzero_partition()
-        f.create_nonzero_partition_entry(col, [0, 1], [(0, 3), (4, 7)])
-        pos_part, crd_part = f.finalize_nonzero_partition(col)
+        site, lvl = LevelFunctions(B, 1, plan), B.levels[1]
+        col = lvl.init_nonzero_partition(site)
+        lvl.create_nonzero_partition_entry(site, col, [0, 1], [(0, 3), (4, 7)])
+        pos_part, crd_part = lvl.finalize_nonzero_partition(site, col)
         assert crd_part[0].volume == 4 and crd_part[1].volume == 4
         # row 1 (positions 3,4) straddles -> aliased in pos partition
         assert pos_part[0].indices().tolist() == [0, 1]
@@ -97,12 +97,12 @@ class TestCompressedLevelFunctions:
     def test_from_parent_emits_copy_then_image(self):
         B = fig7_tensor()
         plan = PartitioningPlan()
-        f = level_functions_for(B, 1, plan)
+        site, lvl = LevelFunctions(B, 1, plan), B.levels[1]
         parent = Partition(
             B.levels[0].pos_ispace,
             {0: RectSubset(Rect(0, 1)), 1: RectSubset(Rect(2, 3))},
         )
-        crd_part = f.partition_from_parent(parent)
+        crd_part = lvl.partition_from_parent(site, parent)
         assert plan.ops() == ["copy", "image"]
         assert crd_part[0].indices().tolist() == [0, 1, 2, 3, 4]
         assert crd_part[1].indices().tolist() == [5, 6, 7]
@@ -110,12 +110,12 @@ class TestCompressedLevelFunctions:
     def test_from_child_emits_copy_then_preimage(self):
         B = fig7_tensor()
         plan = PartitioningPlan()
-        f = level_functions_for(B, 1, plan)
+        site, lvl = LevelFunctions(B, 1, plan), B.levels[1]
         child = Partition(
             B.levels[1].pos_ispace,
             {0: RectSubset(Rect(0, 3)), 1: RectSubset(Rect(4, 7))},
         )
-        pos_part = f.partition_from_child(child)
+        pos_part = lvl.partition_from_child(site, child)
         assert plan.ops() == ["copy", "preimage"]
         assert pos_part[0].indices().tolist() == [0, 1]
         assert pos_part[1].indices().tolist() == [1, 2, 3]

@@ -72,7 +72,7 @@ class TestManifest:
         k = m["kernels"][0]
         assert k["kind"] == "spmv" and k["pieces"] == PIECES
         assert isinstance(k["fingerprint"], str) and len(k["fingerprint"]) == 64
-        assert m["partition_entries"] > 0
+        assert "partition_entries" not in m
         assert m["runtimes"] == 1 and m["trace_count"] >= 1
 
     def test_stable_fingerprint_is_process_independent_shape(self, tmp_path):
@@ -92,7 +92,7 @@ class TestManifest:
         warm(B, c, a, machine, Runtime(machine))
         path = save_packed(tmp_path / "bare", B, include_caches=False)
         m = read_manifest(path)
-        assert m["kernels"] == [] and m["partition_entries"] == 0
+        assert m["kernels"] == []
         clear_caches()
         art = load_packed(path)
         assert art.tensor.name == "B" and art.kernels == []
@@ -108,8 +108,9 @@ class TestManifest:
     # 8: homes pickled one dedup set, partitions no bounds arrays;
     # 9: partitions pickled every piece, residency indexes lists of keys;
     # 10: homes pickled as lists or placement columns, tables per-processor lists;
-    # 11: runtimes pickled a step log, a replay switch and copy traces
-    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+    # 11: runtimes pickled a step log, a replay switch and copy traces;
+    # 12: artifacts carried partition-memo entries
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -121,7 +122,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (12, found)
+        assert (exc.value.expected, exc.value.found) == (13, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -190,11 +191,33 @@ class TestRoundTrip:
         ck = compile_kernel(spmv_schedule(B2, c2, a2), machine)
         after = cache_stats()
         assert after["kernel_hits"] - before["kernel_hits"] == 1
-        assert after["partition_misses"] == before["partition_misses"]
         res = ck.execute(rt2)
         assert rt2.trace_hits == 1 and rt2.trace_records == 0
         assert res.metrics.simulated_seconds(rt2.network) == sims[-1]
         assert np.array_equal(a2.vals.data, a.vals.data)
+
+    def test_a_stored_kernel_carries_its_own_partitions(self, tmp_path, monkeypatch):
+        """The payload holds no partition entries: each stored kernel keeps
+        the partitions it derived, over the loaded tensors, and the warm
+        compile that hits it derives none."""
+        from repro.core import partitioner
+        from repro.core.store import PAYLOAD_NAME
+
+        _, B, c, a = make_workload()
+        machine = Machine.cpu(PIECES)
+        warm(B, c, a, machine, Runtime(machine), iterations=1)
+        path = save_packed(tmp_path / "art", B)
+        assert "partitions" not in pickle.loads((path / PAYLOAD_NAME).read_bytes())
+        clear_caches()
+        art = load_packed(path)
+        (kernel,) = art.kernels
+        B2 = art.tensor
+        assert kernel.parts[id(B2)].tensor is B2
+        monkeypatch.setattr(partitioner, "partition_tensor",
+                            lambda *a, **k: pytest.fail("re-derived"))
+        ck = compile_kernel(spmv_schedule(B2, art.companions["c"], art.companions["a"]),
+                            machine)
+        assert ck is kernel
 
     def test_loaded_regions_do_not_collide_with_fresh_ones(self, tmp_path):
         _, B, c, a = make_workload()
@@ -323,7 +346,7 @@ class TestTheStoreSeesNoFacts:
         assert pickle.dumps(rt) == with_facts
         loaded = pickle.loads(with_facts)
         assert not any(res.whole for res in loaded._residency.values())
-        assert STORE_FORMAT_VERSION == 12
+        assert STORE_FORMAT_VERSION == 13
 
     def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
         from repro.legion import Rect

@@ -195,7 +195,6 @@ class TestMmapWarmStart:
         ck = compile_kernel(spmv_schedule(B2, c2, a2), machine)
         after = cache_stats()
         assert after["kernel_hits"] - before["kernel_hits"] == 1
-        assert after["partition_misses"] == before["partition_misses"]
         res = ck.execute(rt2)
         assert rt2.trace_hits >= 1 and rt2.trace_records == 0
         assert res.metrics.simulated_seconds(rt2.network) == sims[-1]

@@ -1,6 +1,6 @@
 """Cross-process warm start: a fresh Python process loading a stored
 artifact must reach cached steady-state on its *first* execution — kernel
-cache hit, zero partition misses, mapping-trace replay — with simulated
+cache hit (so no partitioning), mapping-trace replay — with simulated
 metrics and numerics bit-identical to the in-process cached path.
 
 This drives the real three-actor scenario (parent + two subprocess
@@ -32,7 +32,6 @@ def result():
 
 def test_warm_process_first_compile_hits_kernel_cache(result):
     assert result.warm_first_hit_kernel_cache
-    assert result.warm_first_partition_misses == 0
 
 
 def test_warm_process_first_execute_replays_not_records(result):
@@ -56,4 +55,3 @@ def test_cold_process_pays_the_cold_start(result):
     records traces and misses the kernel cache."""
     assert result.cold["first_kernel_hits"] == 0
     assert result.cold["trace_records_after_first"] >= 1
-    assert result.cold["first_partition_misses"] > 0

@@ -100,7 +100,9 @@ class ListHomesRuntime(Runtime):
             homes = self._home[uid] = _distinct(pieces)
             for subset, proc in homes:
                 res.add(proc, subset)
-        elif not (whole and whole[0] is not None and res.holds_placed(whole[1], whole[2])):
+        elif whole and whole[0] is not None and res.holds_placed(whole[1], whole[2]):
+            whole = None
+        else:
             for subset, proc in pieces:
                 res.add(proc, subset)
                 self._add_home(uid, subset, proc)

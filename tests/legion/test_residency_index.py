@@ -515,11 +515,16 @@ class TestLaunchGrowsWithPieces:
         assert step.comm_events == [] and step.tasks_launched == pieces
         assert Runtime._snapshots_equal(rt._residency, before)
         assert rt._state == ("clean", rt._homes_version)  # it self-loops
-        # an equal partition of src that was never placed is no fact: its
-        # read stages (finding nothing missing), so the launch runs per piece
+        # a fact about rects speaks for every partition with their bounds:
+        # an equal partition of src, never placed, is at home too
         reqs[1] = RegionReq(src, equal_partition(src.ispace, pieces), Privilege.READ_ONLY)
-        rt.index_launch("v", range(pieces), lambda c: Work(1, 1), reqs, launch=launch)
-        assert calls == {"missing_subset": pieces} and thunk == {"calls": 1}
+        rt.index_launch("v", range(pieces), lambda c: pytest.fail("per piece"), reqs,
+                        launch=launch)
+        assert calls == {} and thunk == {"calls": 2}
+        # a partition no fact speaks for stages, so the launch runs per piece
+        reqs[1] = RegionReq(src, equal_partition(src.ispace, pieces // 2), Privilege.READ_ONLY)
+        rt.index_launch("u", range(pieces), lambda c: Work(1, 1), reqs, launch=launch)
+        assert calls["missing_subset"] == pieces // 2 and thunk == {"calls": 2}
 
     def test_an_sddmm_sharing_its_pattern_regions_is_at_home(self, monkeypatch):
         """SDDMM's output reads the pattern regions of its sparse operand

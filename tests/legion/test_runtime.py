@@ -128,6 +128,55 @@ class TestHomePlacements:
         assert trials[1] == trials[0] and trials[2] == trials[0]
 
 
+class TestPlacementFacts:
+    """A placement records a fact about a whole partition (``place``); one
+    equal to a fact already held (bounds and processors) shares it."""
+
+    def test_an_equal_placement_shares_the_fact(self):
+        rt, r = make_rt(nodes=4), Region(IndexSpace(16))
+        first = equal_partition(r.ispace, 4)
+        rt.place(r, first)
+        homes = rt._home[r.uid].pieces()
+        for _ in range(5):
+            rt.place(r, equal_partition(r.ispace, 4))
+        res = rt._residency[r.uid]
+        assert [part for part, _ in res.whole.values()] == [first]
+        assert rt._home[r.uid].pieces() == homes
+        rt.reset_residency()
+        assert len(rt._residency[r.uid].whole) == 1
+
+    def test_an_equal_partition_on_other_processors_is_its_own_fact(self):
+        rt, r = make_rt(nodes=4), Region(IndexSpace(16))
+        rt.place(r, equal_partition(r.ispace, 4))
+        other = equal_partition(r.ispace, 4)
+        rt.place(r, other, lambda c: 3 - c)
+        res = rt._residency[r.uid]
+        assert len(res.whole) == 2 and res.whole[id(other)][1] == [3, 2, 1, 0]
+        rt.place(r, equal_partition(r.ispace, 4), lambda c: 3 - c)
+        assert len(res.whole) == 2
+
+    def test_an_equal_partition_launches_at_home_under_a_shared_fact(self):
+        rt, r = make_rt(nodes=4), Region(IndexSpace(16))
+        rt.place(r, equal_partition(r.ispace, 4))
+        twin = equal_partition(r.ispace, 4)
+        rt.place(r, twin)
+        rt.reset_residency()
+        calls = []
+
+        def launch():
+            calls.append(1)
+            return [Work(1, 1)] * 4
+
+        step = rt.index_launch("t", range(4), lambda c: pytest.fail("per piece"),
+                               [RegionReq(r, twin, Privilege.READ_ONLY)], launch=launch)
+        assert calls == [1] and step.comm_events == [] and step.tasks_launched == 4
+        # on other processors the same pieces must move
+        other = rt.index_launch("u", range(4), lambda c: Work(1, 1),
+                                [RegionReq(r, twin, Privilege.READ_ONLY)],
+                                proc_map=lambda c: (c + 1) % 4)
+        assert len(other.comm_events) == 4
+
+
 class TestWriteCoherence:
     def test_write_invalidates_other_copies(self):
         rt = make_rt()

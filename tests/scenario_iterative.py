@@ -11,11 +11,11 @@ solver, MTTKRP inside ALS).  This scenario reproduces that shape: ``x_{t+1}
 = normalize(A @ x_t)`` for ``iterations`` steps, rebuilding the schedule
 every step exactly the way a solver library would re-enter the compiler.
 
-With caching enabled (the default), step 2..N hits all three amortization
-layers — the kernel cache (no recompilation), the partition memo (no
-coordinate-tree re-partitioning) and the runtime's mapping-trace replay (no
-per-color subset algebra) — so the steady-state cost is the NumPy leaf
-kernel plus dictionary lookups.  With ``cached=False`` every step pays the
+With caching enabled (the default), step 2..N hits both amortization
+layers — the kernel cache (no recompilation, so no coordinate-tree
+re-partitioning) and the runtime's mapping-trace replay (no per-color
+subset algebra) — so the steady-state cost is the NumPy leaf kernel plus
+dictionary lookups.  With ``cached=False`` every step pays the
 full seed-path cost.
 
 The *simulated* metrics must be identical either way: caching is a
@@ -116,7 +116,6 @@ class IterativeResult:
     #: contract is about (a warm process hits, misses nothing, re-records
     #: nothing on its *first* execution).
     first_kernel_hits: int = 0
-    first_partition_misses: int = 0
     trace_hits_after_first: int = 0
     trace_records_after_first: int = 0
     #: ``PackedArtifact.region_residency()`` after the loop (``source=``
@@ -151,8 +150,6 @@ def power_iterate(
             stats = _cache.cache_stats()
             first = {
                 "first_kernel_hits": stats["kernel_hits"] - stats0["kernel_hits"],
-                "first_partition_misses":
-                    stats["partition_misses"] - stats0["partition_misses"],
                 "trace_hits_after_first": rt.trace_hits if rt is not None else 0,
                 "trace_records_after_first":
                     rt.trace_records if rt is not None else 0,
@@ -189,7 +186,7 @@ def run_iterative_spmv(
 ) -> IterativeResult:
     """Run ``iterations`` steps of normalized power iteration on a random CSR
     matrix, rebuilding the schedule per step.  ``cached=False`` forces the
-    seed path (no kernel/partition caches, a fresh runtime per step, so
+    seed path (no kernel cache, a fresh runtime per step, so
     no mapping trace replays).
 
     ``source`` points the scenario at a packed artifact directory instead

@@ -1,7 +1,6 @@
 """Cold-start vs warm-start: cross-process compile-once / run-many.
 
-The amortization layers (kernel cache, partition memo, mapping-trace
-replay) reach steady state only *within* a process; the artifact store
+The amortization layers (kernel cache, mapping-trace replay) reach steady state only *within* a process; the artifact store
 (:mod:`repro.core.store`) extends it across processes.  This scenario
 checks that boundary with three actors, all running the iterative-SpMV
 loop of ``scenario_iterative``:
@@ -15,8 +14,8 @@ loop of ``scenario_iterative``:
   compilation, partitioning and trace recording (the per-process cold
   start);
 * a **warm child** (fresh Python process) loads the artifact and iterates
-  — its *first* execution must hit the kernel cache (no compile), miss no
-  partitions, replay the stored mapping trace (no re-record), and produce
+  — its *first* execution must hit the kernel cache (no compile, so no
+  partitioning), replay the stored mapping trace (no re-record), and produce
   simulated metrics bit-identical to the parent's in-process cached path.
 
 ``tests/integration/test_warmstart.py`` and
@@ -92,10 +91,6 @@ class WarmstartResult:
     @property
     def warm_first_hit_kernel_cache(self) -> bool:
         return self.warm["first_kernel_hits"] >= 1
-
-    @property
-    def warm_first_partition_misses(self) -> int:
-        return self.warm["first_partition_misses"]
 
     @property
     def warm_first_trace_records(self) -> int:
