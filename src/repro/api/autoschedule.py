@@ -65,15 +65,16 @@ def _as_assignment(target: Union[Assignment, Tensor]) -> Assignment:
     )
 
 
-def _sparse_access(asg: Assignment, kind_roles) -> Optional[Access]:
-    """The single compressed operand to position-split, if there is one."""
-    b = kind_roles.get("B")
-    if b is not None and b.tensor.format.has_compressed():
-        return b
+def _sparse_access(asg: Assignment) -> Optional[Access]:
+    """The compressed operand to position-split: the only one, else the
+    kind's ``B`` role when that is compressed, else None."""
     candidates = [
         a for a in asg.rhs.accesses() if a.tensor.format.has_compressed()
     ]
-    return candidates[0] if len(candidates) == 1 else None
+    if len(candidates) == 1:
+        return candidates[0]  # a compressed ``B`` role could only be it
+    b = classify(asg).roles.get("B")
+    return b if b is not None and b.tensor.format.has_compressed() else None
 
 
 def auto_strategy(asg: Assignment, machine: Machine) -> str:
@@ -131,16 +132,29 @@ def auto_schedule(
 
     ``target`` is an :class:`~repro.taco.expr.Assignment` or a tensor that
     was just assigned (``a[i] = B[i, j] * c[j]``).  ``pieces`` defaults to
-    the machine's grid size; ``strategy`` (``"rows"``/``"nonzeros"``)
-    overrides the kind/machine-derived choice.  Statements with no index
-    variables come back unscheduled (single-piece execution).
+    the machine's grid size; ``strategy`` (``"rows"``/``"nonzeros"``/
+    ``"grid"``) overrides the kind/machine-derived choice.  Statements with
+    no index variables come back unscheduled (single-piece execution).
+
+    Synthesis is deferred: the returned schedule builds its loops and
+    relations (with :func:`_rows_schedule`, :func:`_nonzeros_schedule` or
+    :func:`_grid_schedule`) when a caller first reads them, and until a
+    builder call edits it, it carries a ``synthesis_key`` — the resolved
+    strategy, the piece count or grid dims and, for rows and grid, the
+    parallel unit — which the kernel cache keys it by instead of walking
+    its relations.  A warm compile of a synthesized schedule is therefore
+    a statement key and one kernel-cache lookup; a hand-built schedule of
+    the same structure is keyed by its structure and compiles its own
+    kernel.  Legality is decided here, eagerly: an unknown strategy, an
+    illegal ``grid`` and an explicit ``nonzeros`` with nothing to
+    position-split raise :class:`~repro.errors.ScheduleError` from this
+    call.
     """
     asg = _as_assignment(target)
     if machine is None:
         machine = Machine.cpu(1)
-    sched = Schedule(asg)
-    if not asg.index_vars():
-        return sched
+    if not (asg.lhs.indices or asg.rhs.index_vars()):
+        return Schedule(asg)
     npieces = int(pieces) if pieces is not None else machine.size
     explicit = strategy is not None
     if strategy is None:
@@ -150,6 +164,7 @@ def auto_schedule(
             f"unknown auto-schedule strategy {strategy!r} "
             "(expected 'rows', 'nonzeros' or 'grid')"
         )
+    unit = _parallel_unit(machine)
     if strategy == "grid":
         spec = SPECS[classify(asg).kind]
         if "grid" not in spec.strategies:
@@ -163,9 +178,18 @@ def auto_schedule(
                 f"strategy='grid' needs a square piece count; "
                 f"{npieces} pieces cannot form a 2-D grid"
             )
-        return _grid_schedule(sched, asg, machine, *dims)
+        if len(asg.lhs.indices) < 2:
+            raise ScheduleError(
+                "strategy='grid' needs a 2-D output to tile; "
+                f"{asg.lhs.tensor.name} has {len(asg.lhs.indices)} index "
+                "variable(s)"
+            )
+        gx, gy = dims
+        return Schedule.synthesized(
+            asg, ("grid", gx, gy, unit.value),
+            lambda s: _grid_schedule(s, asg, unit, gx, gy))
     if strategy == "nonzeros":
-        split = _sparse_access(asg, classify(asg).roles)
+        split = _sparse_access(asg)
         if split is None:
             # An explicitly requested non-zero split that cannot be built
             # must fail loudly — silently running rows would let strategy
@@ -179,8 +203,12 @@ def auto_schedule(
                 )
             strategy = "rows"
     if strategy == "rows":
-        return _rows_schedule(sched, asg, machine, npieces)
-    return _nonzeros_schedule(sched, asg, machine, npieces, split)
+        return Schedule.synthesized(
+            asg, ("rows", npieces, unit.value),
+            lambda s: _rows_schedule(s, asg, unit, npieces))
+    return Schedule.synthesized(
+        asg, ("nonzeros", npieces),
+        lambda s: _nonzeros_schedule(s, asg, npieces, split))
 
 
 def _parallel_unit(machine: Machine) -> ParallelUnit:
@@ -188,7 +216,7 @@ def _parallel_unit(machine: Machine) -> ParallelUnit:
 
 
 def _rows_schedule(
-    sched: Schedule, asg: Assignment, machine: Machine, npieces: int
+    sched: Schedule, asg: Assignment, unit: ParallelUnit, npieces: int
 ) -> Schedule:
     """divide → distribute → communicate → parallelize over the output's
     first dimension (the paper's row-based mapping)."""
@@ -197,12 +225,12 @@ def _rows_schedule(
     inner = IndexVar(f"{d.name}i")
     sched.divide(d, outer, inner, npieces).distribute(outer)
     sched.communicate(asg.tensors(), outer)
-    sched.parallelize(inner, _parallel_unit(machine))
+    sched.parallelize(inner, unit)
     return sched
 
 
 def _grid_schedule(
-    sched: Schedule, asg: Assignment, machine: Machine, gx: int, gy: int
+    sched: Schedule, asg: Assignment, unit: ParallelUnit, gx: int, gy: int
 ) -> Schedule:
     """divide × divide → distribute over a 2-D processor grid.
 
@@ -213,27 +241,21 @@ def _grid_schedule(
     1-D row split, this halves (at a 2×2 grid) both the widest piece's
     compute and the dense operand volume each piece keeps resident — the
     shape that wins when row skew concentrates non-zeros in few chunks.
+    The output has two index variables (:func:`auto_schedule` checks).
     """
-    li = asg.lhs.indices
-    if len(li) < 2:
-        raise ScheduleError(
-            "strategy='grid' needs a 2-D output to tile; "
-            f"{asg.lhs.tensor.name} has {len(li)} index variable(s)"
-        )
-    i, j = li[0], li[1]
+    i, j = asg.lhs.indices[0], asg.lhs.indices[1]
     io, ii = IndexVar(f"{i.name}o"), IndexVar(f"{i.name}i")
     jo, ji = IndexVar(f"{j.name}o"), IndexVar(f"{j.name}i")
     sched.divide(i, io, ii, gx).divide(j, jo, ji, gy)
     sched.distribute([io, jo])
     sched.communicate(asg.tensors(), io)
-    sched.parallelize(ii, _parallel_unit(machine))
+    sched.parallelize(ii, unit)
     return sched
 
 
 def _nonzeros_schedule(
     sched: Schedule,
     asg: Assignment,
-    machine: Machine,
     npieces: int,
     split: Access,
 ) -> Schedule:

@@ -15,7 +15,11 @@ runtime-side mapping-trace replay lives in
   each tensor's identity, shape, format, dtype and ``pattern_version``,
   plus a structural machine signature.  Rebuilding an identical schedule —
   even with fresh :class:`~repro.taco.index_vars.IndexVar` objects —
-  therefore hits.
+  therefore hits.  A schedule :func:`repro.api.auto_schedule` synthesized
+  (and no builder call edited since) is keyed by its ``synthesis_key`` in
+  place of the structure — the strategy, piece count or grid dims and
+  parallel unit it was built from — so its key walks no relation and a
+  warm compile never builds it.
 
   A compiled kernel keeps the coordinate-tree partitions it derived
   (:func:`repro.core.partitioner.partition_tensor`), so a hit reuses them
@@ -376,7 +380,10 @@ def statement_key(asg: Assignment, machine) -> Tuple:
 
 
 def kernel_fingerprint(schedule: Schedule, machine) -> Tuple:
-    """The canonical cache key of ``compile_kernel(schedule, machine)``.
+    """The canonical cache key of ``compile_kernel(schedule, machine)``:
+    the canonical statement with the schedule's structure — or, for a
+    synthesized schedule, its ``synthesis_key`` — the tensors' identities
+    and states, and the machine signature.
 
     Raises :class:`Unfingerprintable` for schedule content outside the
     canonical forms (callers then compile uncached).
@@ -395,7 +402,11 @@ def _fingerprint(asg: Assignment, machine, schedule: Optional[Schedule]) -> Tupl
         None if fused is None else fused.kind,
     )
     if schedule is not None:
-        sig = _schedule_signature(canon, sig, schedule)
+        # A synthesized schedule is keyed by what synthesized it: its
+        # structure is a function of the statement and that key alone.
+        synthesized = schedule.synthesis_key
+        sig = (sig, synthesized) if synthesized is not None else \
+            _schedule_signature(canon, sig, schedule)
     tensor_ids = tuple(id(t) for t in canon.tensors)
     assembled = None
     if is_assembled_output(asg):

@@ -46,8 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..taco.expr import Access, Add, Assignment, Mul
-from ..taco.schedule import FuseRel, PosRel, Schedule, SplitRel
+from ..taco.expr import Access, Assignment, Mul
+from ..taco.schedule import PosRel, Schedule
 from . import cache as _cache
 
 __all__ = ["PassRecord", "PipelinePlan", "pipeline_plan", "FUSED_SDDMM_SPMM"]
@@ -125,48 +125,6 @@ def _same_layout(a, b) -> bool:
     )
 
 
-def _subst_expr(expr, a, b):
-    if isinstance(expr, Access):
-        return Access(b, expr.indices) if expr.tensor is a else expr
-    if isinstance(expr, (Add, Mul)):
-        return type(expr)([_subst_expr(o, a, b) for o in expr.operands])
-    return expr
-
-
-def _forward_reads(old: Schedule, a, b) -> Schedule:
-    """Clone ``old`` with every read of tensor ``a`` forwarded to ``b``.
-
-    A structural clone, not a transform replay: the source schedule was
-    validated when it was built, and the substitution preserves every
-    index extent (the fold requires identical shapes), so relations,
-    loop order and directives carry over verbatim — only tensor
-    references are remapped.
-    """
-    asg = old.assignment
-    new_asg = Assignment(
-        asg.lhs, _subst_expr(asg.rhs, a, b), accumulate=asg.accumulate
-    )
-    sched = Schedule.__new__(Schedule)
-    sched.assignment = new_asg
-    sched.loop_order = list(old.loop_order)
-    sched.relations = [
-        PosRel(r.coord_var, r.pos_var, Access(b, r.access.indices))
-        if isinstance(r, PosRel) and r.access.tensor is a
-        else r
-        for r in old.relations
-    ]
-    sched.distributed = list(old.distributed)
-    sched.communicated = {
-        v: [b if t is a else t for t in ts]
-        for v, ts in old.communicated.items()
-    }
-    sched.parallelized = dict(old.parallelized)
-    sched.precomputed = [
-        (_subst_expr(e, a, b), i, iw, w) for e, i, iw, w in old.precomputed
-    ]
-    return sched
-
-
 def _fold_copies(entries: List[_Entry]) -> PassRecord:
     touched: List[int] = []
     details: List[str] = []
@@ -183,7 +141,7 @@ def _fold_copies(entries: List[_Entry]) -> PassRecord:
             if later.lhs.tensor is a or later.lhs.tensor is b:
                 break  # a redefined, or b no longer holds the copied values
             if any(acc.tensor is a for acc in later.rhs.accesses()):
-                entries[j].schedule = _forward_reads(entries[j].schedule, a, b)
+                entries[j].schedule = entries[j].schedule.forward_reads(a, b)
                 touched.extend(entries[j].orig)
                 details.append(
                     f"statement {entries[j].orig[0]} reads {b.name} "
@@ -334,8 +292,6 @@ def _consumer_strategy(schedule: Schedule) -> Optional[str]:
     the consumer was distributed keeps the output's per-piece accumulation
     order — fused and unfused programs then produce bit-identical values.
     """
-    from ..taco.schedule import PosRel
-
     if any(isinstance(r, PosRel) for r in schedule.relations):
         return "nonzeros"
     if len(schedule.distributed) == 1:

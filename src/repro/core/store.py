@@ -110,9 +110,11 @@ __all__ = [
 #: once (an arrival column, no per-processor lists).  v12: a runtime
 #: pickles no step log, replay switch or copy traces.  v13: an artifact
 #: carries no partition-memo entries (a kernel keeps its own partitions).
+#: v14: a schedule ``auto_schedule`` synthesized pickles its synthesis key,
+#: and its kernel's entry (and manifest fingerprint) is keyed by it.
 #: Any other version is refused with
 #: :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 13
+STORE_FORMAT_VERSION = 14
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"

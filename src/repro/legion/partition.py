@@ -109,7 +109,7 @@ class Partition:
         part = cls.__new__(cls)
         part.parent, part.name = parent, name or f"part_of_{parent.name}"
         part._colors, part._made = list(colors), [None] * len(colors)
-        part.__dict__.update(bounds=(lo, hi), sizes=volumes)
+        part.__dict__.update(bounds=(lo, hi), sizes=volumes, _from_bounds=True)
         return part
 
     @_once
@@ -118,6 +118,27 @@ class Partition:
         index list (:class:`ArraySubset`).  Kept once read or built; a
         pickle taken before then carries none and derives it on load."""
         return _bounds_of(self.parent.ndim, self.subsets.values())
+
+    #: Built from its bounds (:meth:`from_bounds`, or a copy of such a
+    #: partition) rather than from pieces.
+    _from_bounds = False
+
+    def __getstate__(self):
+        # the trace name is made again where the partition is loaded
+        return {k: v for k, v in self.__dict__.items() if k != "rects_key"}
+
+    @_once
+    def rects_key(self) -> Optional[bytes]:
+        """How a launch trace names a partition built from its bounds: its
+        colors and bounds as one bytes value, so equal partitions replay
+        each other's traces.  None for a partition built from pieces (a
+        replicated operand, an index-list colour, a hand-built one), which
+        a trace names by identity.  Made once, on the first launch over the
+        partition."""
+        if not self._from_bounds:
+            return None
+        lo, hi = self.bounds
+        return repr(self._colors).encode() + lo.tobytes() + hi.tobytes()
 
     @_once
     def sizes(self) -> np.ndarray:
@@ -222,7 +243,8 @@ class Partition:
         out = Partition.__new__(Partition)
         out.parent, out.name = parent or self.parent, name or self.name
         out._colors, out._made = self._colors, self._made
-        out.__dict__.update((k, v) for k, v in self.__dict__.items() if k in ("bounds", "sizes"))
+        out.__dict__.update((k, v) for k, v in self.__dict__.items()
+                            if k in ("bounds", "sizes", "_from_bounds"))
         return out
 
     def scale_dense(self, width: int) -> "Partition":

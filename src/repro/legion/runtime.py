@@ -135,9 +135,10 @@ class MappingTrace:
     events_per_color: List[Tuple[CommEvent, ...]]
     residency_after: Dict[int, _Residency]
     post_state: Tuple
-    #: The partitions the trace key names by ``id`` (one per requirement,
-    #: ``None`` for broadcasts), pinned so no freed one's address is
-    #: recycled; unpickling re-anchors the keys on them (``__setstate__``).
+    #: The partitions of the trace key's requirements (one per requirement,
+    #: ``None`` for broadcasts), pinned so no freed one the key names by
+    #: ``id`` has its address recycled; unpickling re-anchors those keys on
+    #: them (``__setstate__``).
     pinned: Tuple = ()
     #: ``(works, compute_seconds, events)`` a one-call launch last booked,
     #: reused while its thunk returns that same ``works`` object (held, so
@@ -624,8 +625,12 @@ class Runtime:
 
 
 def _req_sig(uid: int, partition: Optional[Partition], priv: str, streamed: bool) -> Tuple:
-    """A region requirement as a trace key holds it (partitions by ``id``)."""
-    return (uid, None if partition is None else id(partition), priv, streamed)
+    """A region requirement as a trace key holds it: a partition built
+    from its bounds by them (:attr:`Partition.rects_key`), any other by
+    ``id``."""
+    if partition is not None:
+        partition = partition.rects_key or id(partition)
+    return (uid, partition, priv, streamed)
 
 
 def _whole_on(region: Region, procs: Sequence[int]) -> Partition:

@@ -20,12 +20,13 @@ The non-zero-based SpMV from §II-D looks like::
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ScheduleError
-from .expr import Access, Assignment
+from .expr import Access, Add, Assignment, Mul
 from .index_vars import IndexVar
 
 __all__ = [
@@ -92,8 +93,38 @@ class PosRel:
 Relation = Union[SplitRel, FuseRel, PosRel]
 
 
+def _forward_expr(expr, a, b):
+    """``expr`` with every access of tensor ``a`` reading ``b`` instead."""
+    if isinstance(expr, Access):
+        return Access(b, expr.indices) if expr.tensor is a else expr
+    if isinstance(expr, (Add, Mul)):
+        return type(expr)([_forward_expr(o, a, b) for o in expr.operands])
+    return expr
+
+
+#: The fields a schedule's loops, relations and directives live in.
+_FIELDS = ("loop_order", "relations", "distributed", "communicated",
+           "parallelized", "precomputed")
+
+
 class Schedule:
-    """A scheduled tensor index notation statement."""
+    """A scheduled tensor index notation statement.
+
+    A *synthesized* schedule (:func:`repro.api.auto_schedule`) is built on
+    first read: it holds its statement, the function that builds its
+    fields and a :attr:`synthesis_key`, and the first read of any of the
+    six fields runs that function once and publishes all six together.
+    """
+
+    #: What built this schedule beyond its statement — the resolved
+    #: strategy, its piece count or grid dims and, where synthesis reads
+    #: it, the parallel unit — so the kernel cache can key it without
+    #: walking its relations (:func:`repro.core.cache.kernel_fingerprint`).
+    #: ``None`` for a hand-built schedule, and from the first builder call
+    #: made on a synthesized one.
+    synthesis_key: Optional[Tuple] = None
+    #: Fills a fresh schedule of the same statement; set until first read.
+    _synthesize: Optional[Callable[["Schedule"], object]] = None
 
     def __init__(self, assignment: Assignment):
         self.assignment = assignment
@@ -104,6 +135,90 @@ class Schedule:
         self.parallelized: Dict[IndexVar, ParallelUnit] = {}
         self.precomputed: List[Tuple] = []
 
+    @classmethod
+    def synthesized(cls, assignment: Assignment, synthesis_key: Tuple,
+                    synthesize: Callable[["Schedule"], object]) -> "Schedule":
+        """A schedule of ``assignment`` that ``synthesize`` builds, into a
+        fresh schedule of the same statement, on first read; keyed by
+        ``synthesis_key`` until a builder call edits it."""
+        sched = cls.__new__(cls)
+        sched.assignment = assignment
+        sched.synthesis_key = synthesis_key
+        sched._synthesize = synthesize
+        sched._lock = threading.Lock()
+        return sched
+
+    def __getattr__(self, name):
+        # Reached only for a name the instance does not hold: one of the
+        # six fields of a synthesized schedule not built when it was looked
+        # up (another thread may have published it since, hence no test of
+        # ``_synthesize`` here: ``_materialize`` decides under the lock).
+        if name in _FIELDS and "_lock" in self.__dict__:
+            self._materialize()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _materialize(self) -> None:
+        """Run the pending synthesis once and publish its six fields in one
+        ``__dict__`` update, so no reader sees a half-built schedule."""
+        with self._lock:
+            synthesize = self._synthesize
+            if synthesize is None:
+                return  # another thread published first
+            built = Schedule(self.assignment)
+            synthesize(built)
+            self.__dict__.update({f: built.__dict__[f] for f in _FIELDS})
+            self._synthesize = None
+
+    def _edit(self) -> None:
+        """Every builder call starts here: a synthesized schedule is built,
+        then keyed by its structure from now on."""
+        if self.synthesis_key is not None:
+            if self._synthesize is not None:
+                self._materialize()
+            self.synthesis_key = None
+
+    def __getstate__(self):
+        if self._synthesize is not None:
+            self._materialize()
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_lock", "_synthesize")}
+
+    def forward_reads(self, a, b) -> "Schedule":
+        """A clone of this schedule whose statement reads tensor ``b``
+        wherever this one reads ``a`` (copy folding,
+        :mod:`repro.core.passes`).
+
+        A structural clone, not a transform replay: this schedule was
+        validated when it was built, and the substitution preserves every
+        index extent (the fold requires identical shapes), so relations,
+        loop order and directives carry over verbatim — only tensor
+        references are remapped.  The clone is a different statement, so
+        it carries no synthesis key.
+        """
+        asg = self.assignment
+        clone = Schedule.__new__(Schedule)
+        clone.assignment = Assignment(
+            asg.lhs, _forward_expr(asg.rhs, a, b), accumulate=asg.accumulate)
+        clone.loop_order = list(self.loop_order)
+        clone.relations = [
+            PosRel(r.coord_var, r.pos_var, Access(b, r.access.indices))
+            if isinstance(r, PosRel) and r.access.tensor is a
+            else r
+            for r in self.relations
+        ]
+        clone.distributed = list(self.distributed)
+        clone.communicated = {
+            v: [b if t is a else t for t in ts]
+            for v, ts in self.communicated.items()
+        }
+        clone.parallelized = dict(self.parallelized)
+        clone.precomputed = [
+            (_forward_expr(e, a, b), i, iw, w) for e, i, iw, w in self.precomputed
+        ]
+        return clone
+
     # ------------------------------------------------------------------ #
     # transformations (all chainable)
     # ------------------------------------------------------------------ #
@@ -111,6 +226,7 @@ class Schedule:
         self, i: IndexVar, outer: IndexVar, inner: IndexVar, factor: int
     ) -> "Schedule":
         """Strip-mine ``i`` into ``outer`` and ``inner`` of extent ``factor``."""
+        self._edit()
         if factor <= 0:
             raise ScheduleError(f"split needs a positive factor, got {factor}")
         self._check_fresh(i, outer, inner)
@@ -122,6 +238,7 @@ class Schedule:
         self, i: IndexVar, outer: IndexVar, inner: IndexVar, pieces: int
     ) -> "Schedule":
         """Break ``i`` into ``pieces`` contiguous chunks (outer = chunk id)."""
+        self._edit()
         if pieces <= 0:
             raise ScheduleError(f"divide needs a positive piece count, got {pieces}")
         self._check_not_redivided(i)
@@ -132,6 +249,7 @@ class Schedule:
 
     def fuse(self, i: IndexVar, j: IndexVar, fused: IndexVar) -> "Schedule":
         """Collapse adjacent loops ``i`` (outer) and ``j`` into ``fused``."""
+        self._edit()
         pi, pj = self._position(i), self._position(j)
         if pj != pi + 1:
             raise ScheduleError(
@@ -145,6 +263,7 @@ class Schedule:
 
     def pos(self, i: IndexVar, pos_var: IndexVar, access: Access) -> "Schedule":
         """Iterate ``i`` over the non-zero positions of ``access``'s tensor."""
+        self._edit()
         if access.tensor.format.is_all_dense():
             raise ScheduleError(
                 f"pos({i.name}) requires a sparse access, {access.tensor.name} is dense"
@@ -156,6 +275,7 @@ class Schedule:
 
     def reorder(self, *vars: IndexVar) -> "Schedule":
         """Permute the given loops among the positions they occupy."""
+        self._edit()
         if len({id(v) for v in vars}) != len(vars):
             raise ScheduleError("reorder arguments must be distinct")
         positions = sorted(self._position(v) for v in vars)
@@ -165,6 +285,7 @@ class Schedule:
 
     def distribute(self, vars: Union[IndexVar, Sequence[IndexVar]]) -> "Schedule":
         """Execute iterations of the target loop(s) on different processors."""
+        self._edit()
         if isinstance(vars, IndexVar):
             vars = [vars]
         for v in vars:
@@ -176,6 +297,7 @@ class Schedule:
 
     def communicate(self, tensors, i: IndexVar) -> "Schedule":
         """Fetch each tensor's needed sub-tensor at iterations of loop ``i``."""
+        self._edit()
         self._position(i)
         if not isinstance(tensors, (list, tuple)):
             tensors = [tensors]
@@ -187,12 +309,14 @@ class Schedule:
         return self
 
     def parallelize(self, i: IndexVar, unit: ParallelUnit = CPUThread) -> "Schedule":
+        self._edit()
         self._position(i)
         self.parallelized[i] = unit
         return self
 
     def precompute(self, expr, i: IndexVar, iw: IndexVar, workspace=None) -> "Schedule":
         """Hoist ``expr`` into a workspace (recorded; leaves exploit it)."""
+        self._edit()
         self._position(i)
         self.precomputed.append((expr, i, iw, workspace))
         return self

@@ -145,6 +145,61 @@ class TestWarmHitIsOneLookup:
         w.check(res)
 
 
+def _spmm(A, B, C):
+    """Rebuild ``A[i, j] = B[i, k] * C[k, j]`` with fresh index variables."""
+    i, k, j = index_vars("i k j")
+    A[i, j] = B[i, k] * C[k, j]
+    return A
+
+
+class TestWarmScheduledHitIsOneLookup:
+    """``s.execute(repro.auto_schedule(stmt, m, strategy=...))`` in a loop:
+    the synthesized schedule is keyed by what synthesized it, so a warm
+    step builds no schedule and walks no relation — one kernel-cache hit
+    on the kernel the first call compiled."""
+
+    SYNTHESIS = ("_rows_schedule", "_nonzeros_schedule", "_grid_schedule")
+
+    def _spy(self, monkeypatch):
+        import repro.api.autoschedule as autoschedule
+
+        calls = dict.fromkeys((*self.SYNTHESIS, "_schedule_signature"), 0)
+        for mod, names in ((autoschedule, self.SYNTHESIS),
+                           (_cache, ("_schedule_signature",))):
+            for name in names:
+                def spy(*a, _real=getattr(mod, name), _name=name, **kw):
+                    calls[_name] += 1
+                    return _real(*a, **kw)
+
+                monkeypatch.setattr(mod, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("strategy", ["rows", "nonzeros", "grid"])
+    @pytest.mark.parametrize("machine", [dict(nodes=4), dict(gpus=4)],
+                             ids=["cpu4", "gpu4"])
+    def test_execute_auto_schedule(self, monkeypatch, machine, strategy):
+        rng = np.random.default_rng(3)
+        M, Cd = _csr(3), rng.random((N, 5))
+        B = Tensor.from_scipy("B", M, CSR)
+        C = Tensor.from_dense("C", Cd)
+        A = Tensor.zeros("A", (N, 5))
+        with repro.session(**machine) as s:
+            first = s.compile_kernel(
+                repro.auto_schedule(_spmm(A, B, C), s.machine, strategy=strategy))
+            assert first.strategy == strategy
+            s.execute(repro.auto_schedule(_spmm(A, B, C), s.machine, strategy=strategy))
+            calls = self._spy(monkeypatch)
+            hits, misses = _kernel_counts()
+            res = s.execute(
+                repro.auto_schedule(_spmm(A, B, C), s.machine, strategy=strategy))
+            assert calls == dict.fromkeys(calls, 0)
+            assert _kernel_counts() == (hits + 1, misses)
+            assert s.compile_kernel(repro.auto_schedule(
+                _spmm(A, B, C), s.machine, strategy=strategy)) is first
+            assert calls == dict.fromkeys(calls, 0)
+        assert np.allclose(res.output.vals.data.reshape(N, 5), M @ Cd)
+
+
 # --------------------------------------------------------------------------- #
 # what must miss (or return the schedule path's kernel)
 # --------------------------------------------------------------------------- #

@@ -109,8 +109,9 @@ class TestManifest:
     # 9: partitions pickled every piece, residency indexes lists of keys;
     # 10: homes pickled as lists or placement columns, tables per-processor lists;
     # 11: runtimes pickled a step log, a replay switch and copy traces;
-    # 12: artifacts carried partition-memo entries
-    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
+    # 12: artifacts carried partition-memo entries;
+    # 13: synthesized schedules' kernels were keyed by their structure
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -122,7 +123,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (13, found)
+        assert (exc.value.expected, exc.value.found) == (14, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -218,6 +219,40 @@ class TestRoundTrip:
         ck = compile_kernel(spmv_schedule(B2, art.companions["c"], art.companions["a"]),
                             machine)
         assert ck is kernel
+
+    @pytest.mark.parametrize("strategy,machine", [
+        ("rows", Machine.cpu(PIECES)), ("nonzeros", Machine.cpu(PIECES)),
+        ("rows", Machine.gpu(PIECES)),
+    ], ids=["rows-cpu", "nonzeros-cpu", "rows-gpu"])
+    def test_a_synthesized_kernel_keeps_its_synthesis_key(
+            self, tmp_path, strategy, machine):
+        """A kernel compiled from an ``auto_schedule`` schedule, saved and
+        loaded, re-keys to exactly the key a fresh ``auto_schedule`` over
+        the loaded tensors computes, and the manifest names it by that key:
+        the first warm compile is one hit on the stored kernel."""
+        from repro.api import auto_schedule
+        from repro.core import kernel_fingerprint, stable_fingerprint
+
+        def synthesized(B, c, a):
+            i, j = index_vars("i j")
+            a[i] = B[i, j] * c[j]
+            return auto_schedule(a, machine, strategy=strategy)
+
+        _, B, c, a = make_workload()
+        compile_kernel(synthesized(B, c, a), machine).execute(Runtime(machine))
+        path = save_packed(tmp_path / "art", B)
+        clear_caches()
+        art = load_packed(path)
+        (kernel,) = art.kernels
+        fresh = synthesized(art.tensor, art.companions["c"], art.companions["a"])
+        assert fresh.synthesis_key == kernel.schedule.synthesis_key
+        assert kernel.cache_key == kernel_fingerprint(fresh, machine)
+        assert read_manifest(path)["kernels"][0]["fingerprint"] == \
+            stable_fingerprint(fresh, machine)
+        before = cache_stats()
+        assert compile_kernel(fresh, machine) is kernel
+        assert cache_stats()["kernel_hits"] - before["kernel_hits"] == 1
+        assert "loop_order" not in vars(fresh)  # the hit built nothing
 
     def test_loaded_regions_do_not_collide_with_fresh_ones(self, tmp_path):
         _, B, c, a = make_workload()
@@ -346,7 +381,7 @@ class TestTheStoreSeesNoFacts:
         assert pickle.dumps(rt) == with_facts
         loaded = pickle.loads(with_facts)
         assert not any(res.whole for res in loaded._residency.values())
-        assert STORE_FORMAT_VERSION == 13
+        assert STORE_FORMAT_VERSION == 14
 
     def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
         from repro.legion import Rect

@@ -185,6 +185,88 @@ class TestStateTracking:
         rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
         assert rt.trace_hits == 1
 
+class TestEqualPartitionsShareTraces:
+    """A trace key names a partition built from its bounds by its colors
+    and bounds, so a launch over an equal partition replays the trace
+    another partition object recorded; a partition built from pieces is
+    still named by identity."""
+
+    def _pair(self, partition):
+        rt = make_rt()
+        r, reqs = mismatched(rt)
+        first = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.reset_residency()
+        other = [RegionReq(r, partition(r), Privilege.READ_ONLY)]
+        second = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), other)
+        return rt, first, second
+
+    def test_an_equal_partition_replays(self):
+        rt, first, second = self._pair(lambda r: equal_partition(r.ispace, 2))
+        assert (rt.trace_hits, rt.trace_records) == (1, 1)
+        assert second.comm_events == first.comm_events and first.comm_bytes() > 0
+
+    def test_other_bounds_record(self):
+        rt, _, _ = self._pair(lambda r: Partition(r.ispace, {
+            0: RectSubset(Rect(0, 2)), 1: RectSubset(Rect(3, 7))}))
+        assert (rt.trace_hits, rt.trace_records) == (0, 2)
+
+    @pytest.mark.parametrize("piece", ["rect", "index list"])
+    def test_a_partition_built_from_pieces_is_named_by_identity(self, piece):
+        from repro.legion import ArraySubset
+
+        def built(r):
+            return Partition(r.ispace, {
+                c: RectSubset(Rect(4 * c, 4 * c + 3)) if piece == "rect"
+                else ArraySubset(np.arange(4 * c, 4 * c + 4)) for c in (0, 1)})
+
+        rt = make_rt()
+        r, _ = mismatched(rt)
+        for _ in range(2):
+            rt.reset_residency()
+            rt.index_launch("t", [0, 1], lambda c: Work(1, 1),
+                            [RegionReq(r, built(r), Privilege.READ_ONLY)])
+        assert (rt.trace_hits, rt.trace_records) == (0, 2)
+
+    def test_a_copy_is_named_as_its_source(self):
+        rt, first, second = self._pair(lambda r: equal_partition(r.ispace, 2).copy("c"))
+        assert (rt.trace_hits, rt.trace_records) == (1, 1)
+
+    @pytest.mark.parametrize("strategy", ["rows", "nonzeros"])
+    def test_kernels_over_equal_partitions_share_traces(self, strategy):
+        """Two compiles of one statement (no kernel cache) derive equal,
+        distinct partitions; after the second kernel's launch, the first
+        kernel replays that trace, with the events re-derivation books."""
+        import scipy.sparse as sp
+
+        from repro.api import auto_schedule
+        from repro.core.compiler import compile_statement
+        from repro.taco import CSR, Tensor, index_vars
+
+        machine = Machine.cpu(4)
+        B = Tensor.from_scipy("B", sp.random(40, 40, density=0.1, format="csr",
+                                             random_state=1), CSR)
+        c, a = Tensor.from_dense("c", np.arange(40.0)), Tensor.zeros("a", (40,))
+
+        def kernel():
+            i, j = index_vars("i j")
+            a[i] = B[i, j] * c[j]
+            return compile_statement(auto_schedule(a, machine, strategy=strategy),
+                                     machine, use_cache=False)
+
+        ck1, ck2 = kernel(), kernel()
+        assert ck1.parts[id(B)].vals_part is not ck2.parts[id(B)].vals_part
+        steps = []
+        for rt in (Runtime(machine), RederivingRuntime(machine)):
+            ck1.execute(rt)
+            ck1.execute(rt)
+            ck2.execute(rt)
+            records = rt.trace_records
+            steps.append(ck1.execute(rt).metrics.steps)
+            if type(rt) is Runtime:
+                assert rt.trace_records == records  # replayed ck2's trace
+        assert steps[0] == steps[1]
+
+
 class TestReductionReplay:
     def test_reduce_comm_replayed(self):
         rt = make_rt()

@@ -2,8 +2,8 @@
 
 Running every fast plugin clean here wires the whole invariant set —
 lock discipline, docstring coverage, the exported API surface, the
-nondeterminism lint, the one-kernel-table lint, the no-exec scan and the
-residency-writer scan —
+nondeterminism lint, the one-kernel-table lint, the no-exec scan, the
+residency-writer scan and the schedule-writer scan —
 into the plain ``pytest`` loop.  The self-tests pin the runner's own
 semantics (plugin selection, JSON schema stability, exact-line findings
 from every scanner)
@@ -88,7 +88,8 @@ def test_cli_only_unknown_exits_two_listing_names():
 def test_list_names_every_plugin():
     names = {p.name for p in check.PLUGINS}
     assert {"lock", "docs", "exports", "nondet", "kernelspec",
-            "no-exec", "residency", "commplan", "release", "examples"} <= names
+            "no-exec", "residency", "schedule", "commplan", "release",
+            "examples"} <= names
     assert "aot-sanitizer" not in names
     # the commplan planner coherence sweep runs in the fast (tier-1) set
     assert "commplan" in {p.name for p in check.PLUGINS if not p.slow}
@@ -575,3 +576,47 @@ class TestResidencyScanner:
         findings = check._scan_residency_writes("src/repro/core/x.py", ast.parse(self.SRC))
         assert [f.line for f in findings][:2] == [3, 4]
         assert check.RESIDENCY_HOME == ("src/repro/legion/residency.py", "_Residency")
+
+
+class TestScheduleScanner:
+    """The ``schedule`` plugin: only ``taco/schedule.py`` writes a
+    schedule's fields — a synthesized schedule is keyed by what built them."""
+
+    # The copy-folding clone as it was written outside the class.
+    SRC = (
+        "def _forward_reads(old, a, b):\n"
+        "    sched = Schedule.__new__(Schedule)\n"
+        "    sched.assignment = old.assignment\n"                     # not a field
+        "    sched.loop_order = list(old.loop_order)\n"               # line 4
+        "    sched.relations = [r for r in old.relations]\n"          # line 5
+        "    sched.distributed, sched.precomputed = [], []\n"         # line 6
+        "    sched.communicated = dict(old.communicated)\n"           # line 7
+        "    sched.parallelized[a] = b\n"                             # line 8
+        "    sched.relations.append(a)\n"                             # line 9
+        "    sched.communicated.setdefault(a, []).extend([b])\n"      # line 10
+        "    del sched.loop_order[0]\n"                               # line 11
+        "    return old.forward_reads(a, b), len(old.relations)\n"    # the fix, a read
+    )
+
+    def test_writes_outside_the_module_are_flagged_with_lines(self):
+        findings = check._scan_schedule_writes("src/repro/core/passes.py",
+                                               ast.parse(self.SRC))
+        assert [f.line for f in findings] == [4, 5, 6, 7, 8, 9, 10, 11]
+        assert str(findings[0]).startswith(
+            "src/repro/core/passes.py:4: writes the schedule field 'loop_order'")
+        assert "schedule field 'distributed'" in findings[2].message
+
+    @pytest.mark.parametrize("field", check.SCHEDULE_FIELDS)
+    def test_every_field_is_flagged(self, field):
+        src = "".join(f"def f(s, x):\n    {stmt}\n" for stmt in (
+            f"s.{field} = x", f"s.{field} += x", f"del s.{field}",
+            f"s.{field}[0] = x", f"s.{field}.append(x)", f"s.{field}.update(x)"))
+        findings = check._scan_schedule_writes("src/repro/api/x.py", ast.parse(src))
+        assert [f.line for f in findings] == [2, 4, 6, 8, 10, 12]
+        assert all(f"schedule field {field!r}" in f.message for f in findings)
+
+    def test_only_the_schedule_module_is_exempt(self):
+        tree = ast.parse(self.SRC)
+        assert check._scan_schedule_writes(check.SCHEDULE_HOME, tree) == []
+        assert check.SCHEDULE_HOME == "src/repro/taco/schedule.py"
+        assert len(check._scan_schedule_writes("src/repro/taco/expr.py", tree)) == 8

@@ -59,6 +59,14 @@ codebase passes defined here:
   ``first_home`` (or an item of one), or call an in-place mutator on them.  The facts the table
   records about whole partitions, which let a launch skip staging, stay
   true only while every writer goes through the class;
+* **schedule** — a schedule's fields ``loop_order`` / ``relations`` /
+  ``distributed`` / ``communicated`` / ``parallelized`` /
+  ``precomputed`` are written only in ``src/repro/taco/schedule.py``:
+  nowhere else under ``src/repro`` does code assign, augment or delete
+  one (or an item of one), or call an in-place mutator on it.  A
+  synthesized schedule keys the kernel cache by what built those fields
+  (its ``synthesis_key``), which stays true only while every write goes
+  through a builder call, which drops the key;
 * **commplan** — every (kernel × sweep format × strategy × machine kind)
   the kernel table declares must yield a coherent static communication plan
   (:mod:`repro.analysis.commplan`): the plan derives without error and
@@ -724,26 +732,22 @@ _MUTATORS = frozenset((
 ))
 
 
-def _residency_field(node: ast.AST) -> Optional[str]:
-    """The residency field ``node`` writes through — ``x.<field>`` or an
-    item of it, at any depth — if any."""
+def _written_field(node: ast.AST, fields: Tuple[str, ...]) -> Optional[str]:
+    """The field of ``fields`` that ``node`` writes through — ``x.<field>``
+    or an item of it, at any depth — if any."""
     while isinstance(node, ast.Subscript):
         node = node.value
-    if isinstance(node, ast.Attribute) and node.attr in RESIDENCY_FIELDS:
+    if isinstance(node, ast.Attribute) and node.attr in fields:
         return node.attr
     return None
 
 
-def _scan_residency_writes(relpath: str, tree: ast.Module) -> List[Finding]:
-    """Assignments (plain, augmented, ``del``) to a residency field or an
-    item of one, and in-place mutator calls on them, outside the class
-    that owns the table."""
-    exempt = set()
-    for node in ast.walk(tree):
-        if (relpath, getattr(node, "name", None)) == RESIDENCY_HOME \
-                and isinstance(node, ast.ClassDef):
-            exempt = {id(n) for n in ast.walk(node)}
-    findings: List[Finding] = []
+def _field_writes(tree: ast.Module, fields: Tuple[str, ...],
+                  exempt=frozenset()) -> List[Tuple[int, str]]:
+    """``(line, field)`` of every assignment (plain, augmented, ``del``) to
+    one of ``fields`` or an item of one, and every in-place mutator call on
+    one, outside the nodes whose ids are in ``exempt``."""
+    writes = []
     for node in ast.walk(tree):
         if id(node) in exempt:
             continue
@@ -758,16 +762,29 @@ def _scan_residency_writes(relpath: str, tree: ast.Module) -> List[Finding]:
             continue
         flat = [e for t in targets
                 for e in (t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t])]
-        fields = [f for f in map(_residency_field, flat) if f]
-        if fields:
-            findings.append(Finding(
-                relpath, node.lineno,
-                f"writes the residency field {fields[0]!r} outside "
+        written = [f for f in (_written_field(e, fields) for e in flat) if f]
+        if written:
+            writes.append((node.lineno, written[0]))
+    return sorted(writes)
+
+
+def _scan_residency_writes(relpath: str, tree: ast.Module) -> List[Finding]:
+    """Assignments (plain, augmented, ``del``) to a residency field or an
+    item of one, and in-place mutator calls on them, outside the class
+    that owns the table."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if (relpath, getattr(node, "name", None)) == RESIDENCY_HOME \
+                and isinstance(node, ast.ClassDef):
+            exempt = {id(n) for n in ast.walk(node)}
+    return [
+        Finding(relpath, line,
+                f"writes the residency field {field!r} outside "
                 f"{RESIDENCY_HOME[1]}: go through its methods (add, "
                 "invalidate_others, load, hold_whole), or a recorded fact "
-                "about a whole partition can turn false",
-            ))
-    return sorted(findings, key=lambda f: f.line)
+                "about a whole partition can turn false")
+        for line, field in _field_writes(tree, RESIDENCY_FIELDS, exempt)
+    ]
 
 
 def _run_residency(cache: SourceCache) -> CheckResult:
@@ -779,6 +796,46 @@ def _run_residency(cache: SourceCache) -> CheckResult:
         "residency", findings,
         f"{len(modules)} modules under src/repro write the residency fields "
         f"only inside {RESIDENCY_HOME[1]}",
+    )
+
+
+# --------------------------------------------------------------------- #
+# a schedule's fields are written only by its module
+# --------------------------------------------------------------------- #
+#: The one module that writes a schedule's fields.
+SCHEDULE_HOME = "src/repro/taco/schedule.py"
+#: A schedule's loops, relations and directives: a synthesized schedule
+#: keys the kernel cache by what built them, which stays true only while
+#: every write goes through a builder call (which drops that key).
+SCHEDULE_FIELDS = ("loop_order", "relations", "distributed", "communicated",
+                   "parallelized", "precomputed")
+
+
+def _scan_schedule_writes(relpath: str, tree: ast.Module) -> List[Finding]:
+    """Assignments (plain, augmented, ``del``) to a schedule field or an
+    item of one, and in-place mutator calls on them, outside
+    :data:`SCHEDULE_HOME`."""
+    if relpath == SCHEDULE_HOME:
+        return []
+    return [
+        Finding(relpath, line,
+                f"writes the schedule field {field!r} outside "
+                f"{SCHEDULE_HOME}: go through a Schedule method (a builder "
+                "call, forward_reads), or a synthesized schedule can stay "
+                "keyed by a synthesis that no longer built it")
+        for line, field in _field_writes(tree, SCHEDULE_FIELDS)
+    ]
+
+
+def _run_schedule(cache: SourceCache) -> CheckResult:
+    modules = sorted(str(p.relative_to(REPO)) for p in (SRC / "repro").rglob("*.py"))
+    findings: List[Finding] = []
+    for relpath in modules:
+        findings.extend(_scan_schedule_writes(relpath, cache.get(relpath)[1]))
+    return CheckResult(
+        "schedule", findings,
+        f"{len(modules)} modules under src/repro write a schedule's fields "
+        f"only inside {SCHEDULE_HOME}",
     )
 
 
@@ -1145,6 +1202,8 @@ PLUGINS: List[Plugin] = [
            "environment", _run_no_exec),
     Plugin("residency", "a region's residency table is written only through "
            "its class", _run_residency),
+    Plugin("schedule", "a schedule's fields are written only by "
+           "taco/schedule.py", _run_schedule),
     Plugin("commplan", "auto-synthesized schedules yield coherent static "
            "communication plans", _run_commplan),
     Plugin("fusion", "fusable SDDMM→SpMM chains fuse into coherent static "
