@@ -6,8 +6,11 @@ kernel-table entry names for its strategy (``KernelSpec.bound``; the
 functions sit beside the reference kernels in :mod:`repro.kernels`).  One
 call hoists the scaffolding the pieces share out of the execution path
 and returns a flat ``{color: thunk}`` leaf whose thunks are built on first
-use, plus, where the bind function returns an ``over``, a launch thunk
-that computes every piece in one call (:func:`bind_leaf`).  Which kernels bind, the arrays a bind function
+use, plus, where the bind function returns an ``over`` — every strategy
+but ``grid`` — a launch thunk that computes every piece in one call, a
+reducing launch's too (:func:`bind_leaf`; the call adds the pieces'
+partials in piece order, so it writes what they write).  Which kernels
+bind, the arrays a bind function
 receives and each piece's frozen :class:`~repro.legion.machine.Work` all
 come from the kernel table (:mod:`repro.core.kernelspec`); this package
 holds no per-kind and no per-format logic.  Nothing is rendered, compiled
@@ -34,6 +37,8 @@ import threading
 from collections.abc import Mapping
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from ..core.kernelspec import SPECS, template_key
 
@@ -99,8 +104,9 @@ def bind_leaf(ck) -> Optional[Tuple[Callable, Optional[Callable]]]:
     """``(leaf, bind_launch)`` for ``ck``: the bound leaf (piece -> Work)
     and, where the bind function returns an ``over``, a zero-argument
     callable that binds the launch thunk over every piece (``() ->`` each
-    piece's Work in piece order; None when the pieces do not tile one
-    range) — only a launch that may run as one call builds it — or None
+    piece's Work in piece order, its scaffolding derived on its first
+    call; None when the pieces do not tile one range) — only a launch
+    that may run as one call binds it — or None
     (interpreter fallback, bumping the ``fallbacks`` counter) when the
     kernel table names no bind function for its kind and strategy."""
     spec = SPECS[ck.kind]
@@ -146,15 +152,21 @@ class _Thunks(Mapping):
 
 
 def _launch_thunk(pieces, works, over) -> Optional[Callable]:
-    """``over`` across the range the pieces' ``(lo, hi)`` range arguments
-    tile in piece order, returning every piece's frozen Work (``works``,
-    the columns); None when they leave a gap or overlap."""
-    live = [p[1:3] for p in pieces if p[1] <= p[2]]
-    if any(b[0] != a[1] + 1 for a, b in zip(live, live[1:])):
+    """``over`` across every live piece's ``(lo, hi)`` range arguments,
+    which must tile one range in piece order, returning every piece's
+    frozen Work (``works``, the columns); None when they leave a gap or
+    overlap.  ``over`` runs on the thunk's first call, so a launch that
+    never takes the one call derives none of its scaffolding."""
+    live = np.array([p[1:3] for p in pieces if p[1] <= p[2]], dtype=np.int64).reshape(-1, 2)
+    if (live[1:, 0] != live[:-1, 1] + 1).any():
         return None
-    if not live:
-        return lambda: works
-    return over(live[0][0], live[-1][1], works)
+    built = []
+
+    def launch():
+        if not built:
+            built.append(over(live, works))
+        return built[0]()
+    return launch
 
 
 def leaf_for(ck) -> Optional[Callable]:

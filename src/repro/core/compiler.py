@@ -280,14 +280,18 @@ class CompiledKernel:
             leaf, bind_launch = _codegen.bind_leaf(self) or (None, None)
         if leaf is None:
             leaf = SPECS[self.kind].interp_leaf(self)
-        # A replay may compute the launch in one call only when no output
-        # value depends on where pieces split: an output written disjointly
-        # (a reduced one sums partials in piece order), and every operand
-        # resident rather than streamed in rounds.  This is the one place
-        # that decides; a bind function declines only what its body cannot
-        # run, and a launch refused here binds nothing for the one-call path.
+        # A launch may compute every piece in one call when that call
+        # writes what the pieces write: an output written disjointly, or a
+        # reduced one (the one call reduces each piece's part of a shared
+        # row as a segment of its own, from 0.0, and adds the partials in
+        # piece order), and every operand resident rather than streamed in
+        # rounds.  This is the one place that decides; a bind function
+        # declines only what its body cannot run (``grid``'s column
+        # windows), and a launch refused here binds nothing for the
+        # one-call path.
         if (bind_launch is not None and not self._streamed
-                and self.privileges.get(id(self.out)) == Privilege.WRITE_DISCARD):
+                and self.privileges.get(id(self.out)) in (
+                    Privilege.WRITE_DISCARD, Privilege.REDUCE)):
             launch = bind_launch()
         by_color = {p.color: p for p in self.pieces}
         self._leaf = leaf

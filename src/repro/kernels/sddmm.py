@@ -10,6 +10,12 @@ The bound leaves (:func:`sddmm_rows_bind`, :func:`sddmm_nonzeros_bind`)
 hoist one position -> row array per bind and gather in cache-sized blocks
 (:func:`_sddmm`); :func:`fused_sddmm_spmm_bind` runs that phase into a
 scratch values array and reduces it with the SpMM reduce of :mod:`.segment`.
+Each binds a launch of every piece as one call: a position's value is
+formed alone (a NaN product is the one quiet NaN, whatever the call), and
+the fused kind's reduce adds the pieces' partials of shared rows in piece
+order, so the call writes what the pieces write; covering every position
+at once, it copies ``D.T`` contiguous where a piece alone would gather
+the strided view.
 
 Index notation: ``A(i,j) = B(i,j) * C(i,k) * D(k,j)`` — paper §V-B
 (pattern-preserving output), §VI-A (non-zero distribution), Fig. 10/11.
@@ -19,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..legion.machine import Work
-from .segment import _const, _indptr, _reduce, _segments_of, row_of_positions
+from .segment import _Span, _bounds, _const, _indptr, row_of_positions
 
 __all__ = [
     "fused_sddmm_spmm_bind", "sddmm_nonzeros", "sddmm_nonzeros_bind",
@@ -58,6 +64,7 @@ def sddmm_nonzeros(
         cols = crd[p0 + s : p0 + e]
         dots = np.einsum("ij,ij->i", C[rows[s:e], :], Dt[cols, :])
         out_vals[p0 + s : p0 + e] = vals[p0 + s : p0 + e] * dots
+    _one_nan(out_vals[p0 : p1 + 1])
     return Work(flops=2.0 * nnz * k + nnz, bytes=float(nnz * (2 * k + 4) * F8))
 
 
@@ -101,6 +108,15 @@ def _rows_of(pos, p0, p1):
     return row_of_positions(pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64))
 
 
+def _one_nan(vals: np.ndarray) -> None:
+    """Make every NaN in ``vals`` the one quiet NaN.  NumPy's loops give a
+    NaN times a NaN the sign of either operand, by where the pair falls in
+    the call, so without this a sampled product's NaN bits would depend on
+    how its positions were cut into calls and blocks; with it, every
+    position's value is formed alone, a NaN's bits included."""
+    vals[np.isnan(vals)] = np.nan
+
+
 def _sddmm(rows, crd, vals, C, D, out_vals, p0):
     """The sampled row dots of positions ``p0 .. p0 + rows.size - 1``
     (``rows``: each position's row), in blocks whose (block, k) gathers fit
@@ -112,7 +128,7 @@ def _sddmm(rows, crd, vals, C, D, out_vals, p0):
     values may change between calls) when the call covers at least
     ``_COPY_AT`` positions per column of D: below that the copy costs more
     than it saves.  Every position's value is formed alone, whatever the
-    block or gather."""
+    block or gather (:func:`_one_nan`)."""
     copy = rows.size >= _COPY_AT * D.shape[1]
     Dt = np.ascontiguousarray(D.T) if copy else D.T
     block = max(1, _BLOCK_BYTES // (8 * max(C.shape[1], 1)))
@@ -124,16 +140,17 @@ def _sddmm(rows, crd, vals, C, D, out_vals, p0):
             np.take(Dt, cc, axis=0) if copy else Dt[cc],
         )
         out_vals[p0 + s : p0 + e] = vals[p0 + s : p0 + e] * dots
+    _one_nan(out_vals[p0 : p0 + rows.size])
 
 
 def _bind_ranges(pos, crd, vals, C, D, out_vals, pieces, positions):
-    """``positions`` maps a piece's range arguments to the positions it
-    owns; every thunk slices one position -> row array, and ``over`` runs
-    the same body over a longer range."""
+    """``positions`` maps range arguments to the positions they own;
+    every thunk slices one position -> row array, and ``over`` runs the
+    same body over the range every live piece tiles."""
     rows = _rows_of(pos, 0, crd.size - 1)
 
-    def over(lo, hi, w):
-        p0, p1 = positions(lo, hi)
+    def over(bounds, w):
+        p0, p1 = positions(int(bounds[0, 0]), int(bounds[-1, 1])) if len(bounds) else (0, -1)
         if p1 < p0:
             return _const(w)
         rr = rows[p0 : p1 + 1]
@@ -143,7 +160,7 @@ def _bind_ranges(pos, crd, vals, C, D, out_vals, pieces, positions):
             return w
         return thunk
 
-    return over, over
+    return (lambda lo, hi, w: over(_bounds(lo, hi), w)), over
 
 
 def sddmm_rows_bind(pos, crd, vals, C, D, out_vals, pieces, accumulate):
@@ -162,31 +179,34 @@ def sddmm_nonzeros_bind(pos, crd, vals, C, D, out_vals, pieces, accumulate):
 
 
 def fused_sddmm_spmm_bind(pos, crd, vals, C, D, F, out, pieces, accumulate):
-    """Hoist both phases' shared scaffolding; return ``(build, None)``,
-    ``build(lo, hi, w)`` resolving a piece's rows and positions.  The SDDMM phase runs into a scratch values array private to
-    the binding — never a region — over the positions the piece's
-    boundaries span (none when its rows are empty: the reduce then
-    zero-fills); the SpMM phase reduces the *whole* scratch array over
-    those boundaries."""
+    """Hoist both phases' shared scaffolding; return ``(build, over)``:
+    ``build(lo, hi, w)`` is a piece's thunk, ``over(bounds, w)`` the same
+    body over every live piece at once.  The SDDMM phase runs into a
+    scratch values array private to the binding — never a region — over
+    the positions the call's boundaries span (none when its rows are
+    empty: the reduce then zero-fills); the SpMM phase reduces the *whole*
+    scratch array over those boundaries.  The position -> row array the
+    SDDMM phase gathers by is derived on first use, and shared by every
+    thunk."""
     scratch = np.zeros_like(vals)
     indptr = _indptr(pos)
+    rows_of = []
 
-    def build(lo, hi, w):
-        if hi < lo:
+    def over(bounds, w):
+        if not len(bounds):
             return _const(w)
-        r0, ip = _segments_of(indptr, lo, hi, accumulate)
-        p0 = int(ip[0])
-        rows = _rows_of(pos, p0, int(ip[-1]) - 1)
-        return _fused_thunk(
-            rows, p0, crd, vals, C, D, ip, scratch, F,
-            out[r0 : r0 + ip.size - 1, :], w, accumulate,
-        )
-    return build, None
+        span = _Span(indptr, bounds, accumulate, out)
+        if not rows_of:
+            rows_of.append(_rows_of(pos, 0, crd.size - 1))
+        p0, p1 = int(span.ip[0]), int(span.ip[-1])
+        return _fused_thunk(rows_of[0][p0:p1], p0, crd, vals, C, D, span, scratch, F, w)
+
+    return (lambda lo, hi, w: over(_bounds(lo, hi), w)), over
 
 
-def _fused_thunk(rows, p0, crd, vals, C, D, ip, scratch, F, ov, w, accumulate):
+def _fused_thunk(rows, p0, crd, vals, C, D, span, scratch, F, w):
     def thunk():
         _sddmm(rows, crd, vals, C, D, scratch, p0)
-        _reduce(ip, crd, scratch, F, ov, accumulate)
+        span.reduce(crd, scratch, F)
         return w
     return thunk

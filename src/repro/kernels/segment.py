@@ -11,10 +11,14 @@ non-zeros is built beside the level.
 
 The bind functions beside each reference kernel (``segdot_bind`` and
 friends) call the same entry points with the same arguments, which is why
-the interpreter leaves and the bound leaves agree bit for bit; the helpers
-they share — segment boundaries, the accumulation target and the SpMM
-reduce, each taking the strategy's ``accumulate`` flag — are written once
-below.
+the interpreter leaves and the bound leaves agree bit for bit; what they
+share is written once below: :class:`_Span`, the segments one call
+reduces and how its results reach the output — a piece's own, or every
+piece of a launch at once.  Non-zero pieces cut segments; one call over
+all of them reduces each piece's part of a cut segment as a *virtual*
+segment of its own, from 0.0 (the workspace of SparseLNR), and adds the
+partials into the output in piece order — the sums, and the order of
+the additions, that the pieces' own calls make.
 
 ``scipy.sparse._sparsetools`` is private SciPy surface: it is imported by
 name here only, and ``tests/kernels/test_segment.py`` pins what the
@@ -140,43 +144,74 @@ def _indptr(pos: np.ndarray) -> np.ndarray:
     return np.append(pos[:, 0], pos[-1:, 1] + 1)
 
 
-def _segments_of(indptr: np.ndarray, lo: int, hi: int, accumulate: bool):
-    """``(r0, boundaries)`` of a piece: a row piece's segments ``[lo, hi]``
-    as a *view* of ``indptr``; a non-zero piece's positions ``[lo, hi]`` as
-    a copy of the boundaries of the segments it touches, the first and last
-    clipped to its positions."""
-    if not accumulate:
-        return lo, indptr[lo : hi + 2]
-    r0, r1 = np.searchsorted(indptr, (lo, hi), side="right") - 1
-    ip = indptr[r0 : r1 + 2].copy()
-    ip[0], ip[-1] = lo, hi + 1
-    return int(r0), ip
+def _bounds(lo: int, hi: int) -> np.ndarray:
+    """One piece's range as the live bounds of a call: ``[[lo, hi]]``, or
+    no row when it is empty."""
+    return np.array([(lo, hi)] if lo <= hi else (), dtype=np.int64).reshape(-1, 2)
 
 
-def _target(ov: np.ndarray, accumulate: bool) -> np.ndarray:
-    """The zeroed array ``csr_matvec(s)`` accumulates into: the output block
-    itself where a row piece can write it in place, else (a ``grid`` column
-    window, a permuted layout, another dtype, and always a non-zero piece,
-    whose partial is formed from 0.0 and *then* added in) a fresh array."""
-    if not accumulate and ov.flags.c_contiguous and ov.dtype == np.float64:
-        ov[...] = 0.0
-        return ov
-    return np.zeros(ov.shape)
+class _Span:
+    """What one call of a bound reduce covers — a piece, or every live
+    piece of a launch (``bounds``: their ``(lo, hi)`` in piece order,
+    tiling one range) — and the block ``ov`` of ``out`` (rows, then
+    ``cols``) it writes.
 
+    Row pieces own whole segments ``[lo, hi]``: ``ip`` is a view of
+    ``indptr`` over them, and the call writes its output rows in place
+    (``runs`` is None).  Non-zero pieces own positions ``[p0, p1]``:
+    ``ip`` holds every piece's own segments, concatenated in piece order,
+    the first and last of each clipped to it — a segment cut by k piece
+    starts is k + 1 *virtual* segments, O(segments + pieces) — reduced
+    from 0.0 into a scratch, and ``runs`` adds each piece's partials into
+    its rows in piece order: the additions, over the same rows, that the
+    piece's own call makes (NumPy's loops give a NaN plus a NaN the sign
+    of either, by where it falls in the call, so a piece's additions are
+    never merged with its neighbour's)."""
 
-def _deliver(acc: np.ndarray, ov: np.ndarray, accumulate: bool) -> None:
-    """Add a non-zero piece's partial into its rows; copy a row piece's
-    result into a block it could not write in place."""
-    if accumulate:
-        np.add(ov, acc, out=ov)
-    elif acc is not ov:
-        ov[...] = acc
+    __slots__ = ("ip", "ov", "runs")
 
+    def __init__(self, indptr: np.ndarray, bounds: np.ndarray, accumulate: bool,
+                 out: np.ndarray, cols: slice = slice(None)):
+        lo, hi = int(bounds[0, 0]), int(bounds[-1, 1])
+        if not accumulate:
+            self.ip, self.ov, self.runs = indptr[lo : hi + 2], out[lo : hi + 1][..., cols], None
+            return
+        # each piece's first and last segment
+        segs = (np.searchsorted(indptr, bounds, side="right") - 1).tolist()
+        self.ip = np.concatenate([*(indptr[a : b + 1] for a, b in segs), bounds[-1:, 1] + 1])
+        r0 = segs[0][0]
+        self.ov = out[r0 : segs[-1][1] + 1][..., cols]
+        self.runs, f = [], 0  # f: the piece's first virtual segment
+        for (a, b), p0 in zip(segs, bounds[:, 0].tolist()):
+            self.ip[f] = p0
+            self.runs.append((self.ov[a - r0 : b - r0 + 1], slice(f, f + b - a + 1)))
+            f += b - a + 1
 
-def _reduce(ip, crd, vals, X, ov, accumulate: bool) -> None:
-    """The SpMM reduce: one ``csr_matvecs`` over a piece's boundaries into
-    its output rows ``ov``."""
-    m, k = X.shape
-    acc = _target(ov, accumulate)
-    csr_matvecs(ip.size - 1, m, k, ip, crd, vals, X.reshape(-1), acc.reshape(-1))
-    _deliver(acc, ov, accumulate)
+    def target(self) -> np.ndarray:
+        """The zeroed array ``csr_matvec(s)`` accumulates into: the output
+        block itself where a row call can write it in place, else (a
+        ``grid`` column window, a permuted layout, another dtype, and
+        always virtual segments, whose partials are formed from 0.0 and
+        *then* added in) a fresh array, one entry per segment."""
+        ov = self.ov
+        if self.runs is None and ov.flags.c_contiguous and ov.dtype == np.float64:
+            ov[...] = 0.0
+            return ov
+        return np.zeros((self.ip.size - 1, *ov.shape[1:]))
+
+    def deliver(self, acc: np.ndarray) -> None:
+        """Add each run of partials into its rows, in piece order; copy a
+        row call's result into a block it could not write in place."""
+        if self.runs is not None:
+            for rows, part in self.runs:
+                np.add(rows, acc[part], out=rows)
+        elif acc is not self.ov:
+            self.ov[...] = acc
+
+    def reduce(self, crd, vals, X: np.ndarray) -> None:
+        """The SpMM reduce: one ``csr_matvecs`` over the boundaries into
+        the output block."""
+        m, k = X.shape
+        acc = self.target()
+        csr_matvecs(self.ip.size - 1, m, k, self.ip, crd, vals, X.reshape(-1), acc.reshape(-1))
+        self.deliver(acc)

@@ -7,8 +7,10 @@ the vendor kernel the paper calls at the leaves).  The non-zero-based
 piece (the GPU schedule) balances positions exactly but replicates C and
 reduces aliased output rows: the same reduce over the piece's clipped
 segment boundaries, its partial formed from 0.0 and then added in.
-:func:`spmm_bind` binds that reduce once per kernel for every strategy;
-``grid`` rides its row body with a column window.
+:func:`spmm_bind` binds that reduce once per kernel for every strategy,
+and a launch of every piece as one call (a non-zero launch reduces each
+piece's part of a shared row on its own and adds the partials in piece
+order); ``grid`` rides its row body with a column window, piece by piece.
 
 Index notation: ``A(i,j) = B(i,k) * C(k,j)`` — paper §VI-A (algorithms,
 including the memory-conserving "SpDISTAL-Batched" variant), Fig. 10/11
@@ -20,8 +22,7 @@ import numpy as np
 
 from ..legion.machine import Work
 from .segment import (
-    _const, _indptr, _reduce, _segments_of, packed_indptr, piece_indptr,
-    segment_matmul,
+    _Span, _bounds, _const, _indptr, packed_indptr, piece_indptr, segment_matmul,
 )
 
 __all__ = ["spmm_bind", "spmm_rows", "spmm_nonzeros", "spmm_rows_reference"]
@@ -89,31 +90,32 @@ def spmm_rows_reference(pos, crd, vals, C, out, r0, r1) -> Work:
 
 def spmm_bind(pos, crd, vals, C, out, pieces, accumulate):
     """Derive the row boundaries once; return ``(build, over)``, where
-    ``build(*piece[1:])`` is one piece's thunk.  ``rows`` / ``grid`` piece tuples carry a column window
-    (``None``: all of C and A, as for ``nonzeros`` tuples, which have none);
-    a full-width window of a row-major array is still contiguous, so only
-    ``grid`` pays for contiguous copies.  ``over`` is None under ``grid``,
-    whose column windows one row range cannot express."""
+    ``build(*piece[1:])`` is one piece's thunk and ``over(bounds, w)`` the
+    same body over every live piece at once.  ``rows`` / ``grid`` piece
+    tuples carry a column window (``None``: all of C and A, as for
+    ``nonzeros`` tuples, which have none); a full-width window of a
+    row-major array is still contiguous, so only ``grid`` pays for
+    contiguous copies.  ``over`` is None under ``grid``, whose column
+    windows one row range cannot express."""
     indptr = _indptr(pos)
 
-    def over(lo, hi, w, cols=None):
-        c0, c1 = cols or (0, C.shape[1] - 1)
-        r0, ip = _segments_of(indptr, lo, hi, accumulate)
-        return _spmm_thunk(
-            ip, crd, vals, C[:, c0 : c1 + 1],
-            out[r0 : r0 + ip.size - 1, c0 : c1 + 1], w, accumulate,
-        )
+    def over(bounds, w, cols=None):
+        if not len(bounds):
+            return _const(w)
+        window = slice(cols[0], cols[1] + 1) if cols else slice(None)
+        span = _Span(indptr, bounds, accumulate, out, window)
+        return _spmm_thunk(span, crd, vals, C[:, window], w)
 
     def build(lo, hi, *window_w):
         *window, w = window_w
-        return over(lo, hi, w, *window) if lo <= hi else _const(w)
+        return over(_bounds(lo, hi), w, *window)
 
     windowed = any(any(p[3:]) for p in pieces)  # a ``grid`` piece's columns
     return build, None if windowed else over
 
 
-def _spmm_thunk(ip, crd, vals, Cv, ov, w, accumulate):
+def _spmm_thunk(span, crd, vals, Cv, w):
     def thunk():
-        _reduce(ip, crd, vals, Cv, ov, accumulate)
+        span.reduce(crd, vals, Cv)
         return w
     return thunk

@@ -16,20 +16,22 @@ A row piece owns its whole row block and overwrites it; a non-zero piece
 splits leaf positions exactly, clipping the fibers its ends cut, and adds
 into output rows other pieces share (the GPU schedule in the paper, which
 wins through load balance).  :func:`spmttkrp_bind` is the same body bound
-once per kernel.  Both report the :class:`~repro.legion.machine.Work` of
-the per-non-zero loop nest the kernel table models.
+once per kernel, and over every piece of a launch in one call.  Both
+report the :class:`~repro.legion.machine.Work` of the per-non-zero loop
+nest the kernel table models.
 
 Index notation: ``A(i,l) = B(i,j,k) * C(j,l) * D(k,l)`` — paper §VI-A
 (higher-order kernels), Fig. 10/12 (evaluation).
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..legion.machine import Work
-from .segment import _const, _indptr, _reduce, piece_indptr
+from .segment import _Span, _bounds, _const, _indptr, csr_matvecs, piece_indptr
 
 __all__ = ["spmttkrp", "spmttkrp_bind", "spmttkrp_reference"]
 
@@ -62,8 +64,10 @@ def spmttkrp(
     r0, r1 = rows or (int(fi[0]), int(fi[-1]))
     n = fj.size
     rp = np.searchsorted(fi, np.arange(r0, r1 + 2))
-    _contract(fp, crd, vals, C, D, fj, rp, np.arange(n), np.ones(n),
-              out[r0 : r1 + 1, :], rows is None)
+    block = out[r0 : r1 + 1, :]
+    span = _Span(rp, _bounds(0, n - 1), True, block) if rows is None else _Span(
+        rp, _bounds(0, r1 - r0), False, block)
+    _contract(fp, crd, vals, C, D, fj, span, np.arange(n), np.ones(n))
     nnz, l = p1 - p0 + 1, C.shape[1]
     return Work(
         flops=3.0 * nnz * l,
@@ -84,11 +88,19 @@ def spmttkrp_reference(coords: Coords, vals, C, D, out, p0, p1) -> Work:
 
 def spmttkrp_bind(pos, crd, vals, coords, C, D, out, pieces, accumulate):
     """Find every non-empty fiber's boundaries and ``(i, j)`` once; return
-    ``(build, None)``, where ``build(p0, p1, rows, w)`` slices a piece's
-    fibers, clips the ones a non-zero piece cuts and finds its row
-    boundaries over fibers.  The row sums share one identity column index
-    and one unit data array per bind, sized to the longest piece's fiber
-    count and sliced per piece."""
+    ``(build, over)``.  ``build(p0, p1, rows, w)`` is a piece's thunk: its
+    body slices the piece's fibers, clips the ones a non-zero piece cuts
+    and finds its row boundaries over fibers.  ``over(live, w)`` runs
+    every piece's body in piece order in one call, so a fiber or a row
+    that pieces cut stays cut where they cut it and the pieces' partials
+    add up in piece order.  It runs piece by piece because one pass over
+    every fiber needs a fibers x rank sum and product of its own, which at
+    ``program_mixed_gpu``'s sizes (32 MB each) the allocator maps afresh
+    on every call: that pass measured slower than the pieces.  Each
+    piece's body is derived once, shared by its thunk and the launch
+    thunk.  The row sums share one identity column index and one unit
+    data array per bind, sized to the longest piece's fiber count and
+    sliced per piece."""
     fptr, fi, fj = _fibers(0, _indptr(pos), coords)
     starts = fptr[:-1]
 
@@ -102,24 +114,45 @@ def spmttkrp_bind(pos, crd, vals, coords, C, D, out, pieces, accumulate):
         default=0,
     )
     ident, ones = np.arange(longest), np.ones(longest)
+    bodies = {}
+
+    def body(p0, p1, rows):
+        """The body of the piece ``(p0, p1, rows)``, None when it writes
+        nothing."""
+        key = (p0, p1, rows)
+        if key in bodies:
+            return bodies[key]
+        if p1 < p0:
+            fn = None if rows is None else partial(_zero, out[rows[0] : rows[1] + 1, :])
+        else:
+            a, b = span(p0, p1)
+            fp = fptr[a : b + 1]
+            if fp[0] != p0 or fp[-1] != p1 + 1:  # the piece cuts an end fiber
+                fp = fp.copy()
+                fp[0], fp[-1] = p0, p1 + 1
+            pfi = fi[a:b]
+            r0, r1 = rows or (int(pfi[0]), int(pfi[-1]))
+            rp = np.searchsorted(pfi, np.arange(r0, r1 + 2))  # rows over fibers
+            block = out[r0 : r1 + 1, :]
+            fn = partial(
+                _contract, fp, crd, vals, C, D, fj[a:b],
+                _Span(rp, _bounds(0, b - a - 1), True, block) if rows is None
+                else _Span(rp, _bounds(0, r1 - r0), False, block),
+                ident[: b - a], ones[: b - a],
+            )
+        bodies[key] = fn
+        return fn
 
     def build(p0, p1, rows, w):
-        if p1 < p0:
-            return _const(w) if rows is None else _zero_thunk(out, rows, w)
-        a, b = span(p0, p1)
-        fp = fptr[a : b + 1]
-        if fp[0] != p0 or fp[-1] != p1 + 1:  # the piece cuts an end fiber
-            fp = fp.copy()
-            fp[0], fp[-1] = p0, p1 + 1
-        pfi = fi[a:b]
-        r0, r1 = rows or (int(pfi[0]), int(pfi[-1]))
-        rp = np.searchsorted(pfi, np.arange(r0, r1 + 2))  # rows over fibers
-        return _body_thunk(
-            fp, crd, vals, C, D, fj[a:b], rp, ident[: b - a], ones[: b - a],
-            out[r0 : r1 + 1, :], w, accumulate,
-        )
+        fn = body(p0, p1, rows)
+        return _const(w) if fn is None else _body_thunk((fn,), w)
 
-    return build, None
+    def over(live, w):
+        """Every piece's body, the live pieces' and an empty row piece's,
+        which zeroes its block."""
+        return _body_thunk([fn for p in pieces if (fn := body(*p[1:])) is not None], w)
+
+    return build, over
 
 
 def _fibers(f0: int, ip: np.ndarray, coords: Coords):
@@ -134,27 +167,27 @@ def _fibers(f0: int, ip: np.ndarray, coords: Coords):
     return fp, fi, fj
 
 
-def _contract(fp, crd, vals, C, D, fj, rp, ident, ones, ov, accumulate) -> None:
+def _contract(fp, crd, vals, C, D, fj, span, ident, ones) -> None:
     """The body: each fiber's sum against ``D`` from 0.0, scaled by the
-    fiber's row of ``C``, then the fibers summed into their rows ``ov``."""
-    Y = np.empty((fj.size, D.shape[1]))
-    _reduce(fp, crd, vals, D, Y, False)
+    fiber's row of ``C``, then the fibers summed into their rows over
+    ``span``."""
+    m, k = D.shape
+    Y = np.empty((fj.size, k))
+    Y[...] = 0.0  # a reused heap block, where ``np.zeros`` may map fresh pages
+    csr_matvecs(fj.size, m, k, fp, crd, vals, D.reshape(-1), Y.reshape(-1))
     Y *= np.take(C, fj, axis=0)
-    _reduce(rp, ident, ones, Y, ov, accumulate)
+    span.reduce(ident, ones, Y)
 
 
-def _body_thunk(fp, crd, vals, C, D, fj, rp, ident, ones, ov, w, accumulate):
+def _zero(block) -> None:
+    """An empty row piece's body: its block holds no fiber."""
+    block[...] = 0.0
+
+
+def _body_thunk(fns, w):
+    """Run the bodies ``fns`` in order; return ``w``."""
     def thunk():
-        _contract(fp, crd, vals, C, D, fj, rp, ident, ones, ov, accumulate)
-        return w
-    return thunk
-
-
-def _zero_thunk(out, rows, w):
-    """An empty row piece's thunk: its block holds no fiber."""
-    ov = out[rows[0] : rows[1] + 1, :]
-
-    def thunk():
-        ov[...] = 0.0
+        for fn in fns:
+            fn()
         return w
     return thunk

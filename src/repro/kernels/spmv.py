@@ -22,7 +22,7 @@ level's arrays — each segment's sum formed from 0.0 left to right, a
 non-zero piece's partial formed from 0.0 and then added into the output —
 and return the roofline :class:`~repro.legion.machine.Work` they performed.
 :func:`segdot_bind` is the same body bound once per kernel: the bound
-leaf of both strategies.
+leaf of both strategies, and a launch of every piece in one call.
 
 Paper: §II-D (schedules), §VI-A (CPU/GPU algorithm choice), Fig. 10–13
 (evaluation).
@@ -33,8 +33,8 @@ import numpy as np
 
 from ..legion.machine import Work
 from .segment import (
-    _const, _deliver, _indptr, _segments_of, _target, csr_matvec,
-    packed_indptr, piece_indptr, segment_dot,
+    _Span, _bounds, _const, _indptr, csr_matvec, packed_indptr, piece_indptr,
+    segment_dot,
 )
 
 __all__ = ["segdot_bind", "spmv_rows", "spmv_nonzeros", "spmv_rows_reference"]
@@ -109,24 +109,25 @@ def spmv_rows_reference(
 def segdot_bind(pos, crd, vals, c, out, pieces, accumulate):
     """Derive the segment boundaries once; return ``(build, over)``:
     ``build(lo, hi, w)`` is the thunk of a ``(color, lo, hi)`` piece whose
-    Work is ``w``, ``over(lo, hi, w)`` the same body over a longer range
-    (the launch thunk's, ``w`` every piece's Work as columns)."""
+    Work is ``w``, ``over(bounds, w)`` the same body over every live
+    piece's ``(lo, hi)`` at once (the launch thunk's, ``w`` every piece's
+    Work as columns)."""
     indptr = _indptr(pos)
 
-    def over(lo, hi, w):
-        r0, ip = _segments_of(indptr, lo, hi, accumulate)
-        return _segdot_thunk(
-            ip, crd, vals, c, out[r0 : r0 + ip.size - 1], w, accumulate)
+    def over(bounds, w):
+        if not len(bounds):
+            return _const(w)
+        return _segdot_thunk(_Span(indptr, bounds, accumulate, out), crd, vals, c, w)
 
-    return (lambda lo, hi, w: over(lo, hi, w) if lo <= hi else _const(w)), over
+    return (lambda lo, hi, w: over(_bounds(lo, hi), w)), over
 
 
-def _segdot_thunk(ip, crd, vals, c, ov, w, accumulate):
-    nr, m = ip.size - 1, c.shape[0]
+def _segdot_thunk(span, crd, vals, c, w):
+    ip, nr, m = span.ip, span.ip.size - 1, c.shape[0]
 
     def thunk():
-        acc = _target(ov, accumulate)
+        acc = span.target()
         csr_matvec(nr, m, ip, crd, vals, c, acc)
-        _deliver(acc, ov, accumulate)
+        span.deliver(acc)
         return w
     return thunk

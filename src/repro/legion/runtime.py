@@ -295,8 +295,11 @@ class Runtime:
         steps (1), (2) and (4) from its :class:`MappingTrace`; step (3) always
         executes — as one call of ``launch``, a thunk returning every
         color's :class:`Work` in color order (the caller vouches that it
-        computes what the tasks would), when a replay or a recording at home
-        (:meth:`_at_home`) has one; else task by task.
+        computes what the tasks would, a reduction's partials included),
+        when a replay or a recording at home (:meth:`_at_home`) has one;
+        else task by task.  A reduction is never at home, so it records
+        task by task and its replays book its reduction events from the
+        trace.
         """
         procs = self._procs(colors, proc_map)
         trace_key = (self._state, name, tuple(colors), tuple(

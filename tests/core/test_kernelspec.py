@@ -5,8 +5,9 @@ so the table's internal consistency is what keeps them from drifting:
 defaults are legal, every declared (sweep format × strategy) has a working
 interpreter leaf and — unless the kind names no bind function — a bound
 leaf, the ``bound`` tables cover exactly the declared (iteration shape,
-strategy) keys, and ``classify`` sends each differential-oracle statement
-to the spec that handles it — by level types, never by a format's name.
+strategy) keys, every bound strategy but ``grid`` runs a launch as one
+call, and ``classify`` sends each differential-oracle statement to the
+spec that handles it — by level types, never by a format's name.
 """
 import sys
 from pathlib import Path
@@ -15,14 +16,18 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "integration"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
 from test_differential import _FORMATS, _build, _combos  # noqa: E402
 
+import check  # noqa: E402 - the seeded one-statement-per-kind builders
+
 from repro.api.autoschedule import auto_schedule  # noqa: E402
-from repro.codegen import supported  # noqa: E402
+from repro.codegen import bind_leaf, supported  # noqa: E402
 from repro.core import (  # noqa: E402
     SPECS, classify, clear_caches, compile_kernel,
 )
+from repro.core.passes import FUSED_SDDMM_SPMM, pipeline_plan  # noqa: E402
 from repro.legion import Machine, ProcKind  # noqa: E402
 from repro.legion.machine import Work  # noqa: E402
 
@@ -106,3 +111,26 @@ def test_the_sweep_above_covers_every_declared_combination():
     # oracle.  generic declares no sweep format: it takes every stack.
     fused = {k for k in declared if k[0] == "fused_sddmm_spmm"}
     assert fused and declared - fused == swept
+
+
+@pytest.mark.parametrize("case", [
+    (spec.kind, fmt, strategy)
+    for spec in SPECS.values() for fmt in spec.formats for strategy in spec.bound
+], ids=lambda c: "-".join(map(str, c)))
+def test_every_bound_strategy_but_grid_binds_a_launch_thunk(case):
+    """Bound on a small operand, every (kind, format, strategy) the table
+    binds returns a launch thunk — a new kind or strategy cannot fall back
+    to per-piece launches unnoticed — except ``grid``, whose pieces own
+    column windows one call over a row range cannot express."""
+    kind, fmt, strategy = case
+    machine = Machine.cpu(4)
+    if kind == FUSED_SDDMM_SPMM:  # no user-written statement: fuse the chain
+        target = pipeline_plan(check._fusable_chain(machine), machine).schedules[0].assignment
+    else:
+        target = check._commplan_workload(kind, fmt, n=12).assignment
+    ck = compile_kernel(auto_schedule(target, machine, strategy=strategy), machine)
+    assert (ck.kind, ck.strategy) == (kind, strategy)
+    _, bind_launch = bind_leaf(ck)
+    launch = bind_launch and bind_launch()
+    assert (launch is not None) == (strategy != "grid")
+

@@ -12,7 +12,9 @@ the same frozen :class:`~repro.legion.machine.Work` costs).
 Workloads are rebuilt from the same seed per backend (fresh tensors, same
 values) so neither run can warm the other's caches.  A fixed-seed smoke
 slice runs unmarked in the fast tier-1 loop; the full sweep carries the
-``codegen`` and ``slow`` markers (``pytest -m codegen``).
+``codegen`` and ``slow`` markers (``pytest -m codegen``), and so does the
+sweep of one-call launches against their per-piece launches, over
+operands laid out so that the pieces cut what one call reduces.
 """
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from repro.codegen import codegen_stats, reset_codegen_stats
 from repro.core import SPECS, clear_caches, compile_kernel
 from repro.legion import Machine, Runtime
 from test_differential import LAYOUTS, _KIND_FORMATS, _STRATEGIES, _build
+from test_leaf_hostile import (
+    FLAVORS, MACHINES, ONE_CALL, _layouts, check_one_call_is_per_piece,
+)
 
 PIECES = 4
 
@@ -153,3 +158,26 @@ SWEEP_CASES = [
 def test_codegen_backend_sweep(case):
     kind, fmt, strategy, machine_kind, seed, n, density = case
     _check(kind, fmt, strategy, machine_kind, seed, n=n, density=density)
+
+
+#: every case whose one call cuts what it reduces or newly runs as one
+#: (non-zero splits; the fused kind and SpMTTKRP by rows) x machine x
+#: operand layout, the value flavors taken in turn (each case meets each
+#: flavor on each machine)
+ONE_CALL_SWEEP = [
+    (case, machine, layout, FLAVORS[(m + k) % len(FLAVORS)], 21 + k)
+    for case in ONE_CALL if case[2] == "nonzeros" or case[0] in ("fused", "spmttkrp")
+    for m, machine in enumerate(MACHINES)
+    for k, layout in enumerate(_layouts(4, case[0] in ("spttv", "spmttkrp")))
+]
+
+
+@pytest.mark.codegen
+@pytest.mark.slow
+@pytest.mark.parametrize("case,machine,layout,hostile,seed", ONE_CALL_SWEEP,
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_one_call_is_per_piece_sweep(case, machine, layout, hostile, seed):
+    """One call ≡ per piece ≡ the interpreter, bytes and steps (the
+    hostile sweep; a slice runs unmarked in ``test_leaf_hostile.py``)."""
+    check_one_call_is_per_piece(case, machine, layout, hostile, seed)
+

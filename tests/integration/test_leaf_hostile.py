@@ -16,11 +16,14 @@ rows, NaN / ±inf / ``-0.0`` values — and checks, per draw:
 * the ``Work`` every leaf reports per piece ≡ the kernel table's.
 
 SDDMM's sampled dot rides along in the same draws.  A replayed launch
-whose output is written disjointly runs as one call of the bound launch
-thunk; the same inputs check that one call ≡ the recording launch's
-per-piece thunks ≡ the interpreter as output bytes, with the simulated
-step of a per-piece replay, and — observed by counting calls, never looked
-up by kind — which launches may take the one call at all.
+runs as one call of the bound launch thunk, a reducing one included; the
+same inputs check that one call ≡ the recording launch's per-piece
+thunks ≡ the interpreter as output bytes, with the simulated step of a
+per-piece replay, and — observed by counting calls, never looked up by
+kind — which launches may take the one call at all.  Operands laid out
+so that the non-zero split cuts rows and fibers where one call could go
+wrong, and bind functions driven with pieces of any size, check that a
+call over every piece adds what the pieces add, NaN signs included.
 
 Plus a host-independent structure check: a bind hoists nothing
 proportional to the non-zeros (SDDMM: one position → row array), a launch
@@ -30,6 +33,7 @@ SpMTTKRP thunk allocates per fiber, not per non-zero, and an unpacked
 level — a gap, or an entry of negative length — is refused by name on both
 backends instead of being mis-sliced.
 """
+import inspect
 import sys
 import tracemalloc
 
@@ -65,11 +69,8 @@ CASES = [
     ("spmttkrp", CSF3, "rows"), ("spmttkrp", CSF3, "nonzeros"),
     ("spmttkrp", DDC, "rows"), ("spmttkrp", DDC, "nonzeros"),
 ]
-#: the cases whose bind function returns a launch thunk.
-ONE_CALL = [
-    ("spmv", CSR, "rows"), ("spttv", CSF3, "rows"), ("spttv", DDC, "rows"),
-    ("spmm", CSR, "rows"), ("sddmm", CSR, "rows"), ("sddmm", CSR, "nonzeros"),
-]
+#: the cases whose bind function returns a launch thunk: all but ``grid``.
+ONE_CALL = [c for c in CASES if c[2] != "grid"]
 #: one piece, an odd split, more pieces than rows (rows <= 6); ``grid``
 #: needs a square, so its odd split is 2 x 2.
 PIECES = (1, 3, 9)
@@ -103,21 +104,45 @@ def _coords(rng, structure, shape):
 
 
 def _values(rng, size, hostile):
+    """Normal draws; ``hostile`` swaps 30 % for NaN / ±inf / -0.0,
+    ``"-0.0"`` half for -0.0 and ``"nan"`` half for NaNs of either sign."""
     vals = rng.standard_normal(size)
-    if hostile and vals.size:
+    if hostile in ("-0.0", "nan"):
+        hit = rng.random(vals.shape) < 0.5
+        vals[hit] = -0.0 if hostile == "-0.0" else rng.choice([np.nan, -np.nan], int(hit.sum()))
+    elif hostile and vals.size:
         hit = rng.random(vals.shape) < 0.3
         vals[hit] = rng.choice(SPECIALS, int(hit.sum()))
     return vals
 
 
+def _laid_out(rng, layout, order3):
+    """Coordinates and shape of a sparse operand whose row ``i`` holds
+    fibers of ``layout[i]`` non-zeros each (a matrix row: one segment of
+    ``layout[i][0]``), at distinct last coordinates."""
+    width = max([WIDE, *(n for row in layout for n in row)])
+    coords = [(i, j, k) for i, row in enumerate(layout)
+              for j, n in enumerate(row[: 3 if order3 else 1])
+              for k in np.sort(rng.permutation(width)[:n]).tolist()]
+    coords = np.array(coords, dtype=np.int64).reshape(-1, 3).T
+    shape = (len(layout), 3, width) if order3 else (len(layout), width)
+    return ([*coords] if order3 else [coords[0], coords[2]]), shape
+
+
 def _statements(case, n, structure, hostile, seed):
     """Fresh tensors and the statement(s) of one draw: ``(outputs, dense
-    reference or None)``.  The last output is the one compared."""
+    reference or None)``.  The last output is the one compared.  A
+    ``structure`` that is a list lays the sparse operand out row by row
+    (:func:`_laid_out`)."""
     kind, fmt, _ = case
     rng = np.random.default_rng(seed)
     order3 = kind in ("spttv", "spmttkrp")
-    shape = (n, 3, WIDE) if order3 else (n, WIDE)
-    coords = _coords(rng, structure, shape)
+    if isinstance(structure, list):
+        coords, shape = _laid_out(rng, structure, order3)
+        n, width = shape[0], shape[-1]
+    else:
+        shape = (n, 3, WIDE) if order3 else (n, WIDE)
+        coords, width = _coords(rng, structure, shape), WIDE
     # duplicates are summed by the pack; keep the hostile draws to distinct
     # coordinates so a NaN cannot be cancelled before it reaches a leaf
     flat = np.ravel_multi_index(coords, shape) if coords[0].size else coords[0]
@@ -129,21 +154,21 @@ def _statements(case, n, structure, hostile, seed):
     i, j, k, l = index_vars("i j k l")
     if kind == "spmv":
         out = Tensor.zeros("a", (n,))
-        out[i] = B[i, j] * dense("c", WIDE)[j]
+        out[i] = B[i, j] * dense("c", width)[j]
     elif kind == "spttv":
         out = Tensor.zeros("A", shape[:2], None if fmt is DDC else CSR)
-        out[i, j] = B[i, j, k] * dense("c", WIDE)[k]
+        out[i, j] = B[i, j, k] * dense("c", width)[k]
     elif kind == "spmm":
         out = Tensor.zeros("A", (n, 4))
-        out[i, j] = B[i, k] * dense("C", WIDE, 4)[k, j]
+        out[i, j] = B[i, k] * dense("C", width, 4)[k, j]
     elif kind == "sddmm":
         out = Tensor.zeros("A", shape, CSR)
-        out[i, j] = B[i, j] * dense("C", n, 3)[i, k] * dense("D", 3, WIDE)[k, j]
+        out[i, j] = B[i, j] * dense("C", n, 3)[i, k] * dense("D", 3, width)[k, j]
     elif kind == "spmttkrp":
         out = Tensor.zeros("A", (n, 4))
-        out[i, l] = B[i, j, k] * dense("C", 3, 4)[j, l] * dense("D", WIDE, 4)[k, l]
+        out[i, l] = B[i, j, k] * dense("C", 3, 4)[j, l] * dense("D", width, 4)[k, l]
     else:  # the fusable chain: H = (B .* (U V)) F
-        U, V, F = dense("U", n, 2), dense("V", 2, WIDE), dense("F", WIDE, 4)
+        U, V, F = dense("U", n, 2), dense("V", 2, width), dense("F", width, 4)
         E = Tensor.zeros("E", shape, CSR)
         out = Tensor.zeros("H", (n, 4))
         i2, j2, k2 = index_vars("i2 j2 k2")
@@ -260,7 +285,7 @@ def test_outputs_the_reduce_cannot_write_in_place(strategy, out_dtype, out_fmt, 
 
 
 # --------------------------------------------------------------------------- #
-# a replayed write-disjoint launch is one call
+# a replayed launch is one call
 # --------------------------------------------------------------------------- #
 class CountingRuntime(Runtime):
     """Counts per-piece task calls and launch-thunk calls.  With
@@ -304,46 +329,66 @@ def test_one_call_replay_writes_what_the_pieces_write(
     case, pieces, n, structure, hostile, seed, block_bytes, copy_at
 ):
     """A launch through the launch thunk writes (over a poisoned output)
-    the bytes the per-piece thunks write and the interpreter writes, and
-    books the step a per-piece launch books: per-processor compute seconds,
-    communication events and task count.  A recording takes the one call
-    exactly when every requirement is at home — over the kernel's own
-    placement — and runs piece by piece when it stages, under a processor
-    map other than the placement's; a replay takes it either way.  A bind
-    function that gathers in blocks is bound with blocks of 1 to all
-    positions, and gathers rows of ``D.T`` from a contiguous copy always,
-    by its own rule, or never (the interpreter gathers the strided view)."""
+    the bytes the per-piece thunks write, and books the step a per-piece
+    launch books: per-processor compute seconds, communication events and
+    task count.  A recording takes the one call exactly when every
+    requirement is at home — over the kernel's own placement, for an
+    output written disjointly (a reduction stages its partials home) —
+    and runs piece by piece when it stages, under a processor map other
+    than the placement's; a replay takes it either way.  An output whose
+    pieces add into it is zeroed by ``execute`` and taken as it is by a
+    bare launch, which adds into the poison.  A bind function that gathers
+    in blocks is bound with blocks of 1 to all positions, and gathers rows
+    of ``D.T`` from a contiguous copy always, by its own rule, or never
+    (the interpreter gathers the strided view)."""
     clear_caches()
     machine = Machine.cpu(pieces)
-    steps, written = {}, []
+    steps, written = {}, {}
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
-        (out,), _ = _statements(case, n, structure, hostile, seed)
-        ck = compile_kernel(
-            auto_schedule(out.assignment, machine, strategy=case[2]), machine)
+        ck, out = _kernel(case, machine, n, structure, hostile, seed)
         module = sys.modules[SPECS[ck.kind].bound[ck.strategy].__module__]
         if hasattr(module, "_BLOCK_BYTES"):
             mp.setattr(module, "_BLOCK_BYTES", block_bytes)
             mp.setattr(module, "_COPY_AT", copy_at)
         per_piece = {"piece": len(ck.pieces), "launch": 0}
+        reduced = ck.privileges[id(ck.out)] is Privilege.REDUCE
         for one_call in (True, False):
             one = {"piece": 0, "launch": 1} if one_call else per_piece
             rt = CountingRuntime(machine, one_call)
             steps[one_call] = []
-            for launch, taken in (
-                (lambda: ck.execute(rt).metrics.steps[0], one),    # records at home
-                (lambda: ck.execute(rt).metrics.steps[0], one),    # replays
-                (lambda: _shifted_launch(rt, ck), per_piece if _moves(ck) else one),
-                (lambda: _shifted_launch(rt, ck), one),            # replays
+            for how, launch, taken in (
+                ("execute", lambda: ck.execute(rt).metrics.steps[0],
+                 per_piece if reduced else one),                   # records at home
+                ("execute", lambda: ck.execute(rt).metrics.steps[0], one),  # replays
+                ("shifted", lambda: _shifted_launch(rt, ck),
+                 per_piece if reduced or _moves(ck) else one),
+                ("shifted", lambda: _shifted_launch(rt, ck), one),           # replays
             ):
                 out.vals.data[...] = 7.0
                 steps[one_call].append(launch())
                 assert rt.count() == taken
-                written.append(out.vals.data.copy())
+                written.setdefault(how, []).append(out.vals.data.copy())
+        ck.execute(rt)
+        executed = out.to_dense()
         interp, _, _ = _run(case, pieces, n, structure, hostile, seed, "interp")
-    assert all(_same_bits(w, written[0]) for w in written)
-    assert _same_bits(out.to_dense(), interp)
+    for ws in written.values():
+        assert all(_same_bits(w, ws[0]) for w in ws)
+    assert ck._needs_zero() or _same_bits(written["shifted"][0], written["execute"][0])
+    assert _same_bits(executed, interp)
     assert steps[True] == steps[False]
     assert all(s.tasks_launched == len(ck.pieces) for s in steps[True])
+
+
+def _kernel(case, machine, n, structure, hostile, seed, backend="codegen"):
+    """The one compiled kernel of a draw — the fused chain's through the
+    pass pipeline — and the output it writes."""
+    outs, _ = _statements(case, n, structure, hostile, seed)
+    scheds = [auto_schedule(o.assignment, machine) for o in outs[:-1]]
+    scheds.append(auto_schedule(outs[-1].assignment, machine, strategy=case[2]))
+    if len(scheds) == 1:
+        return compile_kernel(scheds[0], machine, backend=backend), outs[-1]
+    (ck,) = compile_program(scheds, machine, backend=backend).kernels
+    return ck, outs[-1]
 
 
 def _shifted_launch(rt, ck):
@@ -376,14 +421,16 @@ def _oracle_statements():
 @pytest.mark.parametrize("backend", ["codegen", "interp"])
 def test_one_call_only_where_no_value_depends_on_the_split(backend):
     """Observed over every statement the oracle builds, never looked up by
-    kind: a launch takes the one call only under the codegen backend, for a
-    write-disjoint output (a ``REDUCE`` one sums partials in piece order)
-    whose pieces own whole rows (a ``grid`` piece owns a column window),
-    and never once an operand is streamed in rounds.  The recording runs
-    over the kernel's own placement, where every requirement is at home,
-    so it takes the one call exactly when its replay does."""
+    kind: a replayed launch takes the one call if and only if it runs bound
+    leaves (the codegen backend), no operand is streamed in rounds and its
+    pieces own whole rows or positions (a ``grid`` piece owns a column
+    window) — a ``REDUCE`` output included, whose one call folds the
+    pieces' partials in piece order.  The recording runs over the kernel's
+    own placement: it takes the one call too when every requirement is at
+    home, which an output written disjointly is and a reduced one, whose
+    partials stage home, is not."""
     machine = Machine.cpu(4)
-    one_call = 0
+    one_call = {Privilege.WRITE_DISCARD: 0, Privilege.REDUCE: 0}
     for combo in _oracle_statements():
         for streamed in (False, True):
             clear_caches()
@@ -400,15 +447,159 @@ def test_one_call_only_where_no_value_depends_on_the_split(backend):
             recorded = rt.count()
             ck.execute(rt)
             calls = rt.count()
-            assert recorded == calls, combo
-            if not calls["launch"]:
+            privilege = ck.privileges[id(ck.out)]
+            expected = (backend == "codegen" and codegen.supported(ck) and not streamed
+                        and all(p.cols is None for p in ck.pieces))
+            assert bool(calls["launch"]) == expected, combo
+            if not expected:
+                assert recorded == calls, combo
                 continue
             assert calls == {"piece": 0, "launch": 1}, combo
-            assert ck.privileges[id(ck.out)] is Privilege.WRITE_DISCARD, combo
-            assert all(p.cols is None for p in ck.pieces), combo
-            assert not streamed, combo
-            one_call += 1
-    assert (one_call > 0) == (backend == "codegen")
+            at_home = privilege is Privilege.WRITE_DISCARD
+            assert recorded == (calls if at_home else
+                                {"piece": len(ck.pieces), "launch": 0}), combo
+            one_call[privilege] += 1
+    assert all(n > 0 for n in one_call.values()) == (backend == "codegen")
+    assert any(one_call.values()) == (backend == "codegen")
+
+
+# --------------------------------------------------------------------------- #
+# one call ≡ per piece where the pieces cut what the call reduces
+# --------------------------------------------------------------------------- #
+#: the machines a launch is split across
+MACHINES = {"cpu4": lambda: Machine.cpu(4), "gpu4": lambda: Machine.gpu(4),
+            "cpu64": lambda: Machine.cpu(64)}
+FLAVORS = (False, True, "-0.0")
+
+
+def _layouts(pieces, order3):
+    """Operand layouts (:func:`_laid_out`) that put the non-zero split's
+    piece starts — every ``ceil(nnz / pieces)`` positions — where one call
+    must cut what it reduces: inside a segment and at both of its ends,
+    on one segment every piece cuts, on empty segments between pieces,
+    with one-non-zero and empty pieces; for 3-tensors also inside a fiber
+    and on a fiber boundary inside a row.  Each holds ``2 * pieces``
+    non-zeros (two a piece) but ``sparse`` (one a piece, then empty)."""
+    p = pieces
+    if not order3:
+        return {
+            "inside": [[3]] * (2 * p // 3) + [[2 * p % 3]],
+            "ends": [[0]] + [[2], [0]] * p,
+            "one_row": [[0], [2 * p], [0]],
+            "sparse": [[0], [1], [0], [p // 2]],
+        }
+    third = -(-2 * p // 3)
+    return {
+        "fiber_inside": [[3, 3]] * (p // 3) + [[2 * p - 6 * (p // 3)]],
+        "fiber_edge": [[2, 0, 2]] * (p // 2) + [[2]] * (p % 2),
+        "ends": [[0]] + [[1, 1], [0]] * p,
+        "one_row": [[0], [third, third, 2 * p - 2 * third], [0]],
+        "sparse": [[0], [1], [0], [0, p // 2]],
+    }
+
+
+def _launched(case, machine, layout, hostile, seed, one_call, backend="codegen"):
+    """Three executes of a draw's kernel: each one's output bytes, step
+    and piece / launch calls."""
+    clear_caches()
+    ck, out = _kernel(case, machine, None, layout, hostile, seed, backend)
+    rt = CountingRuntime(machine, one_call)
+    runs = []
+    for _ in range(3):
+        steps = ck.execute(rt).metrics.steps
+        runs.append((out.vals.data.copy(), steps, rt.count()))
+    return runs
+
+
+def check_one_call_is_per_piece(case, machine, layout, hostile, seed):
+    """The launch thunk writes the bytes the per-piece thunks and the
+    interpreter write and books the same steps — compute seconds per
+    processor, communication events, task count — on every execute: the
+    recording (per piece for a reduction, whose partials stage home) and
+    the replays, which take the one call."""
+    machine = MACHINES[machine]()
+    order3 = case[0] in ("spttv", "spmttkrp")
+    with np.errstate(all="ignore"):
+        runs = [_launched(case, machine, _layouts(machine.size, order3)[layout],
+                          hostile, seed, one_call, backend)
+                for one_call, backend in ((True, "codegen"), (False, "codegen"),
+                                          (False, "interp"))]
+    for (one, steps, calls), *others in zip(*runs):
+        for other, other_steps, _ in others:
+            assert _same_bits(one, other)
+            assert steps == other_steps
+    assert runs[0][-1][2] == {"piece": 0, "launch": 1}
+    assert runs[1][-1][2] == {"piece": machine.size, "launch": 0}
+
+
+#: a tier-1 slice of the sweep in ``test_codegen_differential.py``: every
+#: case that reduces on some machine, and every 3-tensor layout once
+SMOKE = [
+    *((c, m, "one_row", True, 5) for c, m in zip(
+        [c for c in ONE_CALL if c[2] == "nonzeros" or c[0] == "fused"],
+        ["cpu4", "gpu4", "cpu64"] * 4)),
+    *((("spmttkrp", CSF3, "nonzeros"), "cpu4", lay, "-0.0", 6)
+      for lay in ("fiber_inside", "fiber_edge", "ends", "sparse")),
+    (("spmm", CSR, "nonzeros"), "cpu64", "sparse", True, 7),
+    (("spmv", CSR, "nonzeros"), "gpu4", "ends", "-0.0", 8),
+    (("fused", CSR, "nonzeros"), "cpu4", "inside", True, 9),
+]
+
+
+@pytest.mark.parametrize("case,machine,layout,hostile,seed", SMOKE,
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_one_call_is_per_piece_where_pieces_cut(case, machine, layout, hostile, seed):
+    check_one_call_is_per_piece(case, machine, layout, hostile, seed)
+
+
+@given(
+    case=st.sampled_from([c for c in ONE_CALL if c[2] == "nonzeros"]),
+    layout=st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=3),
+                    min_size=1, max_size=30),
+    sizes=st.lists(st.integers(0, 24), min_size=1, max_size=12),
+    block_bytes=st.sampled_from((48, 1 << 17)),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60)
+def test_one_call_adds_what_the_pieces_add_at_any_cut(
+    case, layout, sizes, block_bytes, seed
+):
+    """A bind function's launch thunk over non-zero pieces of any sizes —
+    empty ones, one-non-zero ones, cuts inside and at the ends of rows and
+    fibers — writes the bytes its per-piece thunks write one after another,
+    into an output that already holds NaNs of either sign, with half the
+    operands' values NaNs of either sign.  Rows run long enough that
+    NumPy's loops reach their remainder, where a NaN combined with a NaN
+    takes the other operand's sign: merging two pieces' additions,
+    products or SDDMM blocks shows there, and nowhere else."""
+    machine = Machine.cpu(1)
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        ck, _ = _kernel(case, machine, None, layout, "nan", seed)
+        spec = SPECS[ck.kind]
+        module = sys.modules[spec.bound["nonzeros"].__module__]
+        if hasattr(module, "_BLOCK_BYTES"):
+            mp.setattr(module, "_BLOCK_BYTES", block_bytes)
+        args, _, _ = spec.bind_args(ck)
+        nnz = int(args[1].size)
+        ends = np.minimum(np.cumsum(sizes), nnz)
+        starts = np.r_[0, ends[:-1]]
+        if ends[-1] < nnz:
+            starts, ends = np.r_[starts, ends[-1]], np.r_[ends, nnz]
+        pieces = [(c, int(a), int(b) - 1, *([None] * (ck.kind == "spmttkrp")))
+                  for c, (a, b) in enumerate(zip(starts, ends))]
+        out = args[-1]
+        poison = _values(np.random.default_rng(seed), out.shape, "nan")
+        build, over = spec.bound["nonzeros"](*args, pieces, True)
+        written = []
+        for one_call in (True, False):
+            out[...] = poison
+            if one_call:
+                codegen._launch_thunk(pieces, [None] * len(pieces), over)()
+            else:
+                for p in pieces:
+                    build(*p[1:], None)()
+            written.append(out.copy())
+    assert written[0].tobytes() == written[1].tobytes()
 
 
 def test_an_oom_in_a_recording_launch_leaves_the_runtime_dirty():
@@ -438,13 +629,23 @@ def _root(a):
     return a
 
 
-def _closed_over(thunk):
-    """name -> ndarray for every array a thunk's closure holds."""
-    cells = dict(zip(thunk.__code__.co_freevars, thunk.__closure__ or ()))
-    return {
-        name: cell.cell_contents for name, cell in cells.items()
-        if isinstance(cell.cell_contents, np.ndarray)
-    }
+def _held(obj, seen=None):
+    """Every ndarray a thunk holds: through its closure, the closures of
+    the functions it holds, and the lists, tuples and slotted objects (a
+    :class:`~repro.kernels.segment._Span`) in them."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if callable(obj) and hasattr(obj, "__code__"):
+        inner = [c.cell_contents for c in obj.__closure__ or ()]
+    elif isinstance(obj, (list, tuple)):
+        inner = obj
+    else:
+        inner = [getattr(obj, n) for n in getattr(type(obj), "__slots__", ())]
+    return [a for o in inner for a in _held(o, seen)]
 
 
 def _bound(kind, fmt, strategy, pieces, n=40):
@@ -486,15 +687,17 @@ def _bound(kind, fmt, strategy, pieces, n=40):
     ("sddmm", "rows"), ("sddmm", "nonzeros"),
 ])
 def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy, monkeypatch):
-    """Arrays the thunks close over that are not views of an operand are
-    the segment boundaries and nothing else: one ``indptr`` for row pieces,
-    a clipped copy per non-zero piece — O(rows + pieces), however many
+    """Arrays the thunks hold that are not views of an operand are the
+    segment boundaries and nothing else: one ``indptr`` for row pieces, a
+    clipped copy per non-zero piece — O(rows + pieces), however many
     non-zeros the level holds (the bincount bodies hoisted 8 bytes each).
     SDDMM's gathers index by row, so its thunks slice one position → row
-    array (8 bytes per position) and hold nothing else.  The launch thunk
-    holds nothing the per-piece thunks do not already share — no array of
-    its own, no gather buffers (it allocates those per call) — and is
-    built only for a launch that may run as one call."""
+    array (8 bytes per position) and hold nothing else.  Every launch but
+    ``grid``'s has a launch thunk, a non-zero one included; it derives its
+    boundaries on its first call — every piece's, concatenated, from the
+    bind's ``indptr``: O(rows + pieces) — holds no float array (it
+    allocates its scratch per call) and nothing else the per-piece thunks
+    do not already share."""
     built = []
     build = codegen._launch_thunk
     monkeypatch.setattr(codegen, "_launch_thunk",
@@ -506,25 +709,36 @@ def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy, monkeypatch):
     codegen.leaf_for(ck)
     assert len(built) == before
     operands = {id(_root(a)) for a in SPECS[ck.kind].operands(ck)}
-    thunks = ck._leaf.__defaults__[0]
-    hoisted = {}
-    for thunk in thunks.values():
-        for arr in _closed_over(thunk).values():
-            root = _root(arr)
-            if id(root) not in operands:
-                hoisted[id(root)] = root
+
+    def hoisted(thunks):
+        return {id(_root(a)): _root(a) for t in thunks for a in _held(t)
+                if id(_root(a)) not in operands}
+
+    shared = hoisted(ck._leaf.__defaults__[0].values())
     rows = B.shape[0]
     assert B.nnz > 4 * (rows + 2 * pieces)  # so the bound below means something
     if kind == "sddmm":
-        (rows_of,) = hoisted.values()
+        (rows_of,) = shared.values()
         assert rows_of.dtype == np.int64 and rows_of.size == B.nnz
     else:
-        assert 0 < sum(a.nbytes for a in hoisted.values()) <= 8 * (rows + 2 * pieces)
+        assert 0 < sum(a.nbytes for a in shared.values()) <= 8 * (rows + 2 * pieces)
     launch = ck._launch_args[-1]
-    assert (launch is not None) == (strategy == "rows" or kind == "sddmm")
+    assert (launch is not None) == (strategy != "grid")
     if launch is not None:
-        held = {id(_root(a)) for a in _closed_over(launch).values()}
-        assert held and held <= operands | set(hoisted)
+        # a recording at home took the one call; a reduction's ran per
+        # piece and left the launch thunk's scaffolding underived
+        cells = dict(zip(launch.__code__.co_freevars, launch.__closure__))
+        reduced = ck.privileges[id(ck.out)] is Privilege.REDUCE
+        assert bool(cells["built"].cell_contents) != reduced
+        works = launch()
+        assert launch() is works  # each piece's frozen Work, as columns
+        frozen = {id(_root(a)) for a in _held(works)}
+        own = {k: a for k, a in hoisted([launch]).items() if k not in shared.keys() | frozen}
+        assert all(a.dtype == np.int64 for a in own.values())
+        # its live pieces' bounds, and (SDDMM slices the shared rows)
+        # the bind's indptr and the virtual boundaries derived from it
+        held = sum(a.nbytes for a in own.values())
+        assert held <= 8 * 2 * pieces if kind == "sddmm" else held <= 8 * 2 * (rows + 2 * pieces)
 
 
 def _segments_of_width(kind, per_segment, n=400, m=4, width=200):
@@ -584,6 +798,14 @@ def test_cold_launch_allocates_nothing_proportional_to_nnz(kind):
     assert dense - fixed <= 4 * 8 * (nseg + pieces), (fixed, dense)
 
 
+def _bodies(thunk):
+    """The bodies a SpMTTKRP thunk runs, each as name -> the argument it
+    is bound with."""
+    cells = dict(zip(thunk.__code__.co_freevars, thunk.__closure__ or ()))
+    fns = cells["fns"].cell_contents if "fns" in cells else ()
+    return [dict(zip(inspect.signature(fn.func).parameters, fn.args)) for fn in fns]
+
+
 @pytest.mark.parametrize("fmt", [CSF3, DDC], ids=lambda f: f.name)
 @pytest.mark.parametrize("strategy", ["rows", "nonzeros"])
 def test_spmttkrp_shares_one_identity_pair_per_bind(fmt, strategy):
@@ -591,7 +813,7 @@ def test_spmttkrp_shares_one_identity_pair_per_bind(fmt, strategy):
     unit data array per bind, sliced to each piece's fiber count and sized
     to the most fibers one piece's positions touch."""
     ck, B = _bound("spmttkrp", fmt, strategy, pieces=4)
-    closures = [_closed_over(t) for t in ck._leaf.__defaults__[0].values()]
+    closures = [c for t in ck._leaf.__defaults__[0].values() for c in _bodies(t)]
     closures = [c for c in closures if "ident" in c]  # empty pieces: no sums
     assert len(closures) > 1
     def fibers(p0, p1):

@@ -246,3 +246,87 @@ class TestPackedIndptr:
         assert piece_indptr(pos, 1, 7)[1].tolist() == [1, 3, 3, 7, 8]
         r0, indptr = piece_indptr(pos, 4, 5)  # inside one heavy segment
         assert (r0, indptr.tolist()) == (2, [4, 6])
+
+
+class TestVirtualSegments:
+    """One call over every non-zero piece of a launch (``_Span``): each
+    piece's own segments, concatenated in piece order, reduced once and
+    added into the output piece by piece."""
+
+    # rows 0: [0, 3), 1: empty, 2: [3, 7), 3: [7, 8)
+    indptr = np.array([0, 3, 3, 7, 8], dtype=np.int64)
+
+    def test_a_cut_segment_is_one_virtual_segment_per_piece(self):
+        from repro.kernels.segment import _Span
+
+        out = np.arange(4.0)
+        span = _Span(self.indptr, np.array([[0, 1], [2, 4], [5, 5], [6, 7]]), True, out)
+        # rows 0 | 0, 1, 2 | 2 | 2, 3
+        assert span.ip.tolist() == [0, 2, 3, 3, 5, 6, 7, 8]
+        assert [(r.tolist(), p) for r, p in span.runs] == [
+            ([0.0], slice(0, 1)), ([0.0, 1.0, 2.0], slice(1, 4)),
+            ([2.0], slice(4, 5)), ([2.0, 3.0], slice(5, 7))]
+
+    def test_an_empty_row_between_pieces_is_no_segment(self):
+        """A piece ending where a row ends and the next starting after an
+        empty row: neither touches the empty row, so neither call does."""
+        from repro.kernels.segment import _Span
+
+        out = np.full(4, 7.0)
+        span = _Span(self.indptr, np.array([[0, 2], [3, 7]]), True, out)
+        assert span.ip.tolist() == [0, 3, 7, 8]
+        span.deliver(np.array([1.0, 2.0, 3.0]))
+        assert out.tolist() == [8.0, 7.0, 9.0, 10.0]
+
+    def test_pieces_that_share_no_row_still_add_apart(self):
+        """Ten one-non-zero rows a piece, over an output of -NaN: each
+        piece's additions are one call of their own, as its own thunk's
+        are.  (A NaN plus a NaN takes the sign of either operand by where
+        it falls in NumPy's loop, so one call over all twenty rows would
+        write other bytes.)"""
+        from repro.kernels.segment import _bounds, _Span
+
+        indptr = np.arange(21, dtype=np.int64)
+        crd, vals, X = np.zeros(20, dtype=np.int64), np.full(20, np.nan), np.ones((1, 1))
+        written = []
+        for calls in ([np.array([[0, 9], [10, 19]])], [_bounds(0, 9), _bounds(10, 19)]):
+            out = np.full((20, 1), -np.nan)
+            for bounds in calls:
+                _Span(indptr, bounds, True, out).reduce(crd, vals, X)
+            written.append(out.tobytes())
+        assert written[0] == written[1]
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=6),
+           st.lists(st.integers(0, 5), min_size=1, max_size=8),
+           st.integers(1, 3), st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_one_call_adds_what_the_pieces_add_bitwise(self, counts, sizes, k, seed):
+        """Pieces of ``sizes`` positions (empty ones included) over rows of
+        ``counts`` non-zeros, values NaN / ±inf / -0.0 among them, into
+        an output holding NaN and -0.0: the one call writes the bytes the
+        pieces' own calls, in piece order, write."""
+        from repro.kernels.segment import _bounds, _Span
+
+        rng = np.random.default_rng(seed)
+        indptr = np.r_[0, np.cumsum(counts)].astype(np.int64)
+        nnz = int(indptr[-1])
+        ends = np.minimum(np.cumsum(sizes), nnz)
+        starts = np.r_[0, ends[:-1]]
+        if ends[-1] < nnz:
+            starts, ends = np.r_[starts, ends[-1]], np.r_[ends, nnz]
+        special = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0]
+        hostile = lambda *shape: np.where(rng.random(shape) < 0.3,
+                                          rng.choice(special, shape), rng.standard_normal(shape))
+        crd, vals, X = rng.integers(0, 3, nnz), hostile(nnz), hostile(3, k)
+        start = hostile(len(counts), k)
+        live = [(a, b - 1) for a, b in zip(starts.tolist(), ends.tolist()) if a < b]
+        written = []
+        with np.errstate(all="ignore"):
+            for calls in ([np.array(live, dtype=np.int64).reshape(-1, 2)],
+                          [_bounds(a, b) for a, b in live]):
+                out = start.copy()
+                for bounds in calls:
+                    if len(bounds):
+                        _Span(indptr, bounds, True, out).reduce(crd, vals, X)
+                written.append(out)
+        assert written[0].tobytes() == written[1].tobytes()
