@@ -233,20 +233,21 @@ def measured_signature(
 # the mirror: the runtime's staging algebra minus the task bodies
 # --------------------------------------------------------------------------- #
 def _seed_tdn_homes(ck, rt: Runtime, source: Optional[Runtime]) -> None:
-    """Copy home placements of TDN-placed tensors from the real runtime.
+    """Copy home placements of the regions a TDN statement declared on the
+    real runtime (``source.declared``).
 
-    ``CompiledKernel._place`` skips tensors placed by ``repro.distal``
-    (their homes live on the session runtime), so a scratch mirror would
-    otherwise see them as homeless.  Copying the home lists *in order*
-    preserves the owner-selection tie-breaking of ``_owner_of``.
+    ``CompiledKernel._place`` leaves a runtime's declared regions where
+    they are, so the scratch mirror takes their homes — and declarations —
+    from ``source``.  Copying the home lists *in order* preserves the
+    owner-selection tie-breaking of ``_owner_of``.
     """
     if source is None:
         return
     rt.copy_homes(source, [
         req.region
         for part in ck.parts.values()
-        if getattr(part.tensor, "_placed_by_tdn", False)
         for req in part.region_reqs(Privilege.READ_ONLY)
+        if req.region.uid in source.declared
     ])
 
 

@@ -172,10 +172,10 @@ class Program:
             fold=fold, dse=dse, fuse=fuse, keep=keep,
         )
 
-    def run(self, *, fresh_trial: bool = True, fold: bool = True,
-            dse: bool = True, fuse: bool = True, keep=None) -> ProgramResult:
+    def run(self, *, fold: bool = True, dse: bool = True, fuse: bool = True,
+            keep=None) -> ProgramResult:
         """Compile (cached) and execute every statement in order on the
         session runtime; returns the per-statement results."""
         return self.compile(fold=fold, dse=dse, fuse=fuse, keep=keep).execute(
-            self.session.runtime, fresh_trial=fresh_trial
+            self.session.runtime
         )

@@ -182,8 +182,10 @@ class Session:
 
     def close(self) -> None:
         """End the session (idempotent): drop its front-door table and its
-        einsum memos.  A session holds no process-wide state; ``with``
-        blocks and ``Server.close()`` end their sessions here."""
+        einsum memos.  A session holds no process-wide state, and none
+        holds its runtime (a cached kernel remembers the runtimes it placed
+        on weakly), so the runtime goes with the session; ``with`` blocks
+        and ``Server.close()`` end their sessions here."""
         for table in (self._frontdoor, self._packed_memo, self._einsum_out_memo):
             table.clear()
 
@@ -411,7 +413,7 @@ class Session:
             target, use_cache=use_cache, backend=backend
         ).kernels[0]
 
-    def execute(self, target, *, fresh_trial: bool = True) -> ExecutionResult:
+    def execute(self, target) -> ExecutionResult:
         """Compile (if needed) and run one statement on the session runtime.
 
         ``target`` may be anything :meth:`compile` accepts, or an already
@@ -422,7 +424,7 @@ class Session:
             ck = target
         else:
             ck = self.compile_kernel(target)
-        res = ck.execute(self.runtime, fresh_trial=fresh_trial)
+        res = ck.execute(self.runtime)
         self.last_result = res
         return res
 
@@ -587,7 +589,7 @@ class Session:
             self._pending = self.program()
         return self._pending.define(target, schedule=schedule)
 
-    def run(self, program=None, *, fresh_trial: bool = True) -> ProgramResult:
+    def run(self, program=None) -> ProgramResult:
         """Compile and execute a program (default: the statements recorded
         by :meth:`define`, which are then cleared)."""
         if program is None:
@@ -595,7 +597,7 @@ class Session:
             self._pending = None
         if program is None:
             raise ValueError("no pending statements; call define() first")
-        return program.run(fresh_trial=fresh_trial)
+        return program.run()
 
     # ------------------------------------------------------------------ #
     # persistence (optional artifact store)

@@ -13,8 +13,7 @@ operand content:
 * optionally a persistent **artifact store**
   (:class:`repro.core.store_index.ArtifactStore`), so re-runs in fresh
   processes ``load_packed`` the packed structure instead of re-packing —
-  enable it with :func:`set_warm_store` or the ``REPRO_WARM_STORE``
-  environment variable (a store root directory).
+  enable it with :func:`set_warm_store` (a store root directory).
 
 The packed values are identical either way (packing is deterministic), so
 warm-started figure series are bit-identical to rebuilt-tensor series —
@@ -23,7 +22,6 @@ integrity after a GC pass.
 """
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -41,23 +39,17 @@ __all__ = [
 
 _memo: Dict[str, Tensor] = {}
 _store: Optional[ArtifactStore] = None
-_store_initialized = False
 
 
 def set_warm_store(root: Optional[Union[str, Path]]) -> Optional[ArtifactStore]:
     """Enable (or, with None, disable) the persistent packed-operand store."""
-    global _store, _store_initialized
+    global _store
     _store = ArtifactStore(root) if root is not None else None
-    _store_initialized = True
     return _store
 
 
 def warm_store() -> Optional[ArtifactStore]:
-    """The active store; first call honors ``REPRO_WARM_STORE``."""
-    global _store_initialized
-    if not _store_initialized:
-        env = os.environ.get("REPRO_WARM_STORE")
-        set_warm_store(env if env else None)
+    """The active store (None until :func:`set_warm_store` enables one)."""
     return _store
 
 

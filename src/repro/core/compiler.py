@@ -22,6 +22,7 @@ and the simulated distributed execution metrics.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
@@ -133,7 +134,10 @@ class CompiledKernel:
         self.roles = roles
         self.operands = operands
         self.out = schedule.assignment.lhs.tensor
-        self._runtime: Optional[Runtime] = None
+        #: The runtimes this kernel placed its operands on, as keys in
+        #: first-meeting order (weakly held: a cached kernel keeps no closed
+        #: session's runtime alive).
+        self._placed_on: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         #: execution backend: "interp" (closure leaves over repro.kernels)
         #: or "codegen" (bound flat thunks, interpreter fallback where the
         #: table names no bind function).  Set by ``compile_statement``.
@@ -163,10 +167,12 @@ class CompiledKernel:
         state["_launch_args"] = None
         state["_spadd_plan"] = None
         state.pop("cache_key", None)
+        state.pop("_placed_on")  # repro.core.store persists the pairing
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self._placed_on = weakref.WeakKeyDictionary()
         # ``parts``/``privileges``/``_streamed`` key on id(tensor); ids
         # changed across the pickle boundary.  Every partition carries its
         # tensor, so re-key from the old ids to the unpickled identities.
@@ -183,23 +189,27 @@ class CompiledKernel:
         }
 
     # -- data placement -----------------------------------------------------
-    def _ensure_runtime(self, runtime: Optional[Runtime]) -> Runtime:
-        if runtime is not None:
-            if runtime is not self._runtime:
-                self._runtime = runtime
-                self._place(runtime)
-            return runtime
-        if self._runtime is None:
-            self._runtime = Runtime(self.machine)
-            self._place(self._runtime)
-        return self._runtime
+    def _meet(self, rt: Runtime) -> None:
+        """On the first execute on ``rt``: check that it runs this kernel's
+        machine, then place every operand on it (:meth:`_place`)."""
+        if rt in self._placed_on:
+            return
+        if rt.machine.signature != self.machine.signature:
+            raise ValueError(
+                f"runtime machine ({rt.machine.kind.value}, grid "
+                f"{rt.machine.grid.dims}) does not match the kernel's machine "
+                f"({self.machine.kind.value}, grid {self.machine.grid.dims}); "
+                "the compiled plans would map to the wrong processors"
+            )
+        self._place(rt)
+        self._placed_on[rt] = None
 
     def _place(self, rt: Runtime) -> None:
         """Distribute every tensor according to its (computed) partition.
 
         Matches the paper's experiments where the declared data distribution
-        matches the computation distribution; mismatched TDN placements are
-        applied by ``repro.distal`` before execution instead.
+        matches the computation distribution; a tensor a TDN statement
+        declared on ``rt`` (``repro.distal``) stays where it was declared.
         """
         proc_of = {p.color: p.proc for p in self.pieces}.__getitem__
         placed = set()
@@ -208,13 +218,14 @@ class CompiledKernel:
             if id(tensor) in placed:
                 continue
             placed.add(id(tensor))
-            if getattr(tensor, "_placed_by_tdn", False):
+            reqs = part.region_reqs(Privilege.READ_ONLY)
+            if any(req.region.uid in rt.declared for req in reqs):
                 continue
             if id(tensor) in self._streamed:
-                for req in part.region_reqs(Privilege.READ_ONLY):
+                for req in reqs:
                     rt.place_on(req.region, 0)
                 continue
-            for req in part.region_reqs(Privilege.READ_ONLY):
+            for req in reqs:
                 if req.partition is None:
                     rt.place_replicated(req.region)
                 else:
@@ -233,26 +244,28 @@ class CompiledKernel:
         return reqs
 
     # -- execution ---------------------------------------------------------------
-    def execute(
-        self, runtime: Optional[Runtime] = None, *, fresh_trial: bool = True
-    ) -> ExecutionResult:
-        """Run the kernel once; returns the output and this trial's metrics.
+    def execute(self, runtime: Runtime, *, fresh_trial: bool = True) -> ExecutionResult:
+        """Run the kernel once on ``runtime``; returns the output and this
+        trial's metrics.
 
+        The first execute on a runtime checks that it runs the kernel's
+        machine (a :class:`ValueError` otherwise) and places the operands
+        there (:meth:`_place`); later ones on it place nothing.
         ``fresh_trial`` resets staged copies to home placements so each
         trial pays the communication its algorithm inherently performs; the
         runtime's recorded mapping traces survive the reset, so iterations
         2..N replay the first iteration's staging decisions instead of
         re-deriving them (see :class:`repro.legion.runtime.Runtime`).
         """
-        rt = self._ensure_runtime(runtime)
+        self._meet(runtime)
         if fresh_trial:
-            rt.reset_residency()
+            runtime.reset_residency()
         run = self._execute_spadd if SPECS[self.kind].assembles else self._execute_compute
         return ExecutionResult(
             output=self.out,
-            metrics=ExecutionMetrics(steps=run(rt)),
+            metrics=ExecutionMetrics(steps=run(runtime)),
             plan=self.plan,
-            network=rt.network,
+            network=runtime.network,
         )
 
     def _execute_compute(self, rt: Runtime) -> List[StepMetrics]:
@@ -413,8 +426,8 @@ def compile_kernel(
 
     Memoized (compile-once / run-many): an equivalent schedule over the
     same tensors and an equivalent machine returns the previously compiled
-    :class:`CompiledKernel` — including its partitions, leaf closure and
-    attached runtime — so iterative workloads pay compilation once.  The
+    :class:`CompiledKernel` — including its partitions and leaf closure —
+    so iterative workloads pay compilation once.  The
     cache key embeds every tensor's ``pattern_version``; structural
     mutations miss while value-only updates hit (see
     :mod:`repro.core.cache`).  Pass ``use_cache=False`` (or compile inside

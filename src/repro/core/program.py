@@ -99,7 +99,6 @@ class CompiledProgram:
             list(origin) if origin is not None
             else [(n,) for n in range(len(self.kernels))]
         )
-        self._runtime: Optional[Runtime] = None
 
     def __len__(self) -> int:
         return len(self.kernels)
@@ -121,54 +120,17 @@ class CompiledProgram:
             chunks.append(ck.plan.describe())
         return "\n".join(chunks)
 
-    def _ensure_runtime(
-        self, runtime: Optional[Runtime], *, adopt: bool = True
-    ) -> Runtime:
-        if runtime is not None:
-            if runtime.machine.signature != self.machine.signature:
-                raise ValueError(
-                    "runtime machine "
-                    f"({runtime.machine.kind.value}, grid "
-                    f"{runtime.machine.grid.dims}) does not match the "
-                    f"program's machine ({self.machine.kind.value}, grid "
-                    f"{self.machine.grid.dims}); the compiled plans would "
-                    "map to the wrong processors"
-                )
-            if adopt:
-                self._runtime = runtime
-            return runtime
-        if self._runtime is None:
-            self._runtime = Runtime(self.machine)
-        return self._runtime
+    def execute(self, runtime: Runtime) -> ProgramResult:
+        """Run every statement once, in order, on ``runtime``.
 
-    def reset_runtime(self) -> None:
-        """Forget the adopted runtime.  The next :meth:`execute` without an
-        explicit ``runtime`` builds a fresh one for ``self.machine``."""
-        self._runtime = None
-
-    def execute(
-        self,
-        runtime: Optional[Runtime] = None,
-        *,
-        fresh_trial: bool = True,
-        adopt: bool = True,
-    ) -> ProgramResult:
-        """Run every statement once, in order, on one shared runtime.
-
-        ``fresh_trial`` resets staged copies to home placements once for
-        the whole program (not per statement), so intermediate results
-        staged by one statement stay resident for its consumers within the
-        same trial — matching what a fused multi-statement task graph pays.
-
-        An explicit ``runtime`` must belong to a machine equivalent to
-        ``self.machine`` (a :class:`ValueError` otherwise) and — with
-        ``adopt`` (the default) — becomes this program's runtime for later
-        calls too; pass ``adopt=False`` to use it for this call only, or
-        call :meth:`reset_runtime` to drop a previously adopted one.
+        Staged copies reset to home placements once for the whole program
+        (not per statement), so intermediate results staged by one
+        statement stay resident for its consumers within the same trial —
+        matching what a fused multi-statement task graph pays.  Each
+        kernel checks on its first execute there that ``runtime`` runs the
+        program's machine (a :class:`ValueError` otherwise).
         """
-        rt = self._ensure_runtime(runtime, adopt=adopt)
-        if fresh_trial:
-            rt.reset_residency()
+        runtime.reset_residency()
         out = ProgramResult()
         for n, ck in enumerate(self.kernels):
             prior = self.reused_from[n]
@@ -184,7 +146,7 @@ class CompiledProgram:
                     reused=True,
                 ))
                 continue
-            out.results.append(ck.execute(rt, fresh_trial=False))
+            out.results.append(ck.execute(runtime, fresh_trial=False))
         return out
 
 

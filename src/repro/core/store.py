@@ -15,8 +15,10 @@ packed tensor:
 * the **kernel-cache entries** (the compiled kernels themselves, with the
   coordinate-tree partitions they derived, minus their leaf closures,
   which rebuild lazily), and
-* the **runtimes** those kernels executed on, with their recorded mapping
-  traces, home placements and symbolic residency state.
+* the **runtimes** those kernels placed their operands on, with their
+  recorded mapping traces, home placements and symbolic residency state,
+  and which kernel was placed on which runtime (so a loaded kernel does
+  not place again on its loaded runtime).
 
 An artifact is a directory:
 
@@ -112,9 +114,12 @@ __all__ = [
 #: carries no partition-memo entries (a kernel keeps its own partitions).
 #: v14: a schedule ``auto_schedule`` synthesized pickles its synthesis key,
 #: and its kernel's entry (and manifest fingerprint) is keyed by it.
+#: v15: a kernel pickles no runtime; the payload lists every runtime a
+#: saved kernel was placed on and the (kernel, runtime) placements, and a
+#: runtime pickles the regions declared on it.
 #: Any other version is refused with
 #: :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 14
+STORE_FORMAT_VERSION = 15
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"
@@ -243,8 +248,9 @@ def save_packed(
 
     With ``include_caches`` every live kernel-cache entry whose statement
     involves ``tensor`` is exported, together with the companion tensors it
-    pins, and the runtimes the kernels executed on (traces included).  Pass an explicit
-    ``runtime`` to persist one that is not attached to any cached kernel.
+    pins, every live runtime the kernels were placed on (traces included)
+    and which kernel was placed on which.  Pass an explicit ``runtime`` to
+    persist one no saved kernel was placed on.
 
     Level arrays at or above ``sidecar_threshold`` bytes are written as raw
     ``regions/r<uid>.npy`` sidecars instead of travelling inside the pickle
@@ -270,11 +276,15 @@ def save_packed(
                 tensor_set.append(t)
 
     runtimes: List[Any] = []
-    for kernel, _tensors in kernel_entries:
-        rt = getattr(kernel, "_runtime", None)
-        if rt is not None and not any(rt is r for r in runtimes):
-            runtimes.append(rt)
-    if runtime is not None and not any(runtime is r for r in runtimes):
+    at: Dict[int, int] = {}  # id(runtime) -> its index in ``runtimes``
+    placements: List[Tuple[int, int]] = []  # (kernel entry, runtime) indices
+    for k, (kernel, _tensors) in enumerate(kernel_entries):
+        for rt in list(kernel._placed_on):
+            if id(rt) not in at:
+                at[id(rt)] = len(runtimes)
+                runtimes.append(rt)
+            placements.append((k, at[id(rt)]))
+    if runtime is not None and id(runtime) not in at:
         runtimes.append(runtime)
 
     # Advance-counter watermark: every region uid the payload can mention
@@ -313,6 +323,7 @@ def save_packed(
         "kernels": kernel_entries,
         "decisions": decision_entries,
         "runtimes": runtimes,
+        "placements": placements,
         "max_region_uid": max_region_uid,
         "max_ispace_uid": max_ispace_uid,
     }
@@ -519,7 +530,7 @@ def load_packed(
             expected=manifest["format_version"],
             found=payload.get("format_version"),
         )
-    for key in ("tensor", "companions", "kernels", "runtimes"):
+    for key in ("tensor", "companions", "kernels", "runtimes", "placements"):
         if key not in payload:
             raise StoreError(f"{payload_path}: payload lacks the {key!r} entry")
 
@@ -564,6 +575,9 @@ def load_packed(
                 if priv is not None and priv != Privilege.READ_ONLY:
                     t.ensure_writable()
 
+    runtimes = list(payload["runtimes"])
+    for k, r in payload["placements"]:
+        payload["kernels"][k][0]._placed_on[runtimes[r]] = None
     kernels = []
     if restore_caches and _cache.caches_enabled():
         for key, decision in payload.get("decisions", ()):
@@ -582,6 +596,6 @@ def load_packed(
         tensor=tensor,
         companions={t.name: t for t in payload.get("companions", ())},
         kernels=kernels,
-        runtimes=list(payload.get("runtimes", ())),
+        runtimes=runtimes,
         manifest=manifest,
     )

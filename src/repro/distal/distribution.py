@@ -149,7 +149,7 @@ def place_tensor(
             runtime.place_replicated(req.region)
         else:
             runtime.place(req.region, req.partition, machine.proc_of_color)
-    tensor._placed_by_tdn = True  # the compiler will not re-place it
+        runtime.declared.add(req.region.uid)  # no kernel re-places it here
     return TensorDistribution(tensor, tdn, machine, part, plan)
 
 

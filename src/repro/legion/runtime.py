@@ -68,7 +68,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -171,6 +171,10 @@ class Runtime:
         #: the first reset after a ``place*`` (``_homes_changed`` drops them).
         self._homes_table: Optional[Dict[int, _Residency]] = None
         self._traces: Dict[Tuple, MappingTrace] = {}
+        #: Uids of the regions declared here from outside (a TDN statement,
+        #: ``repro.distal.place_tensor``, or :meth:`copy_homes`): a compiled
+        #: kernel's placement leaves them where they were declared.
+        self.declared: Set[int] = set()
         self._homes_version = 0
         self._state_counter = itertools.count(1)
         self._state: Tuple = ("clean", 0)
@@ -195,6 +199,7 @@ class Runtime:
         """Declare ``regions`` homed as ``source`` has them, in its order
         (so owner tie-breaking is ``source``'s) — how a scratch runtime
         sees operands another runtime placed."""
+        self.declared.update(region.uid for region in regions)
         for region in regions:
             homes, mine = source._home.get(region.uid, _NO_HOMES), self._home.get(region.uid)
             if mine is not None and mine.first_home is not None:

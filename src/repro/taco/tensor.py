@@ -309,10 +309,11 @@ class Tensor:
         """Persist this packed tensor (pickle + JSON manifest) to ``path``.
 
         With ``include_caches`` (the default) every kernel-cache entry
-        referencing this tensor is stored alongside — including the
-        companion tensors and runtimes those entries pin — so
-        :meth:`load` in a fresh process warm-starts straight to the cached
-        steady state.  Delegates to :func:`repro.core.store.save_packed`.
+        referencing this tensor is stored alongside — with the companion
+        tensors those entries pin and the live runtimes their kernels were
+        placed on, plus ``runtime`` — so :meth:`load` in a fresh process
+        warm-starts straight to the cached steady state.  Delegates to
+        :func:`repro.core.store.save_packed`.
         """
         from ..core.store import save_packed
 

@@ -123,7 +123,7 @@ class TestInterleavedWriteCSE:
         Bd = np.asarray(B.to_dense())
         prog = repro.compile_program(scheds, Machine.cpu(1), cse=True)
         assert prog.reused_from == [None, None, None]
-        result = prog.execute()
+        result = prog.execute(Runtime(prog.machine))
         assert result.reused == 0
         # statement 2 re-executed against the updated c — had the blocked
         # collapse happened, x would still hold B @ c0 from statement 0.
@@ -178,8 +178,8 @@ class TestPlantedCodeInArtifact:
                     .communicate([a, B, c], io))
 
         sched = schedule(a, B, c)
-        compile_kernel(sched, machine, backend="codegen").execute(
-            Runtime(machine))
+        rt = Runtime(machine)  # alive while saved: the artifact carries it
+        compile_kernel(sched, machine, backend="codegen").execute(rt)
         expected = a.vals.data.copy()
         store = ArtifactStore(tmp_path / "store")
         art_dir = store.put(B)

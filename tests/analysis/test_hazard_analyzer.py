@@ -25,7 +25,7 @@ from repro.analysis import (
 )
 from repro.core import clear_caches, compile_kernel
 from repro.errors import CompileError, UnsupportedEinsum
-from repro.legion import Machine
+from repro.legion import Machine, Runtime
 from repro.taco import CSR, Tensor, index_vars
 
 
@@ -177,7 +177,7 @@ class TestAnalyzerDrivesCSE:
         report = analyze_program(scheds, machine)
         prog = repro.compile_program(scheds, machine, cse=True)
         assert report.reuse_map == prog.reused_from == [None, 0, 0]
-        result = prog.execute()
+        result = prog.execute(Runtime(prog.machine))
         assert result.reused == 2
 
 

@@ -417,8 +417,6 @@ def exhaustive_twin(s, asg):
             costs[strategy] = min(trials)
         except OOMError:
             costs[strategy] = (float("inf"), 0.0)
-        finally:
-            ck._runtime = None  # the scratch runtime must not stay pinned
         seconds = costs[strategy][0]
         if np.isfinite(seconds) and (best is None or seconds < costs[best][0]):
             best = strategy

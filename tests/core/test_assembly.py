@@ -138,7 +138,7 @@ class TestAssembledFormatRefusal:
         A = Tensor.zeros("A", (10, 8), CSR)
         ck = compile_kernel(spadd_schedule(A, [rand_csr(name="B"), rand_csr(name="C")]),
                             Machine.cpu(4))
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert A.nnz > 0
 
 

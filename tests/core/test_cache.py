@@ -120,19 +120,20 @@ class TestKernelCache:
         B._pack([A2.row.astype(np.int64), A2.col.astype(np.int64)], A2.data)
         ck2 = compile_kernel(spmv_schedule(B, c, a), machine)
         assert ck2 is not ck1
-        ck2.execute()
+        ck2.execute(Runtime(ck2.machine))
         assert np.allclose(a.vals.data, A2.tocsr() @ c.vals.data)
 
     def test_mutated_values_only_hits(self):
         A, B, c, a = make_tensors()
         machine = Machine.cpu(4)
         ck1 = compile_kernel(spmv_schedule(B, c, a), machine)
-        ck1.execute()
+        rt = Runtime(machine)
+        ck1.execute(rt)
         B.vals.data *= 2.0  # value write: pattern unchanged
         c.vals.data[...] = rng.random(M)
         ck2 = compile_kernel(spmv_schedule(B, c, a), machine)
         assert ck2 is ck1  # kernel cache still hot
-        ck2.execute()
+        ck2.execute(rt)
         assert np.allclose(a.vals.data, (2.0 * A) @ c.vals.data)
 
     def test_use_cache_false_bypasses(self):

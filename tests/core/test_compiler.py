@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from repro.core import classify, compile_kernel, pattern_source
 from repro.errors import CompileError, FormatError
-from repro.legion import Machine, Privilege, Region
+from repro.legion import Machine, Privilege, Region, Runtime
 from repro.taco import CSF3, CSR, DDC, Format, Tensor, index_vars
 from repro.taco.formats import Compressed
 from repro.taco.tensor import CompressedLevel
@@ -119,7 +119,7 @@ class TestCompileExecute:
         a[i] = B[i, j] * c[j]
         s = a.schedule().divide(i, io, ii, pieces).distribute(io)
         ck = compile_kernel(s, Machine.cpu(max(pieces, 1)))
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.allclose(a.vals.data, M @ x)
 
     @pytest.mark.parametrize("pieces", [2, 5])
@@ -134,7 +134,7 @@ class TestCompileExecute:
              .divide(fp, fo, fi, pieces).distribute(fo))
         ck = compile_kernel(s, Machine.cpu(pieces))
         assert ck.privileges[id(a)] in (Privilege.REDUCE, Privilege.WRITE_DISCARD)
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.allclose(a.vals.data, M @ x)
 
     def test_repeated_execution_stable(self):
@@ -146,9 +146,10 @@ class TestCompileExecute:
         a[i] = B[i, j] * c[j]
         s = a.schedule().divide(i, io, ii, 2).distribute(io)
         ck = compile_kernel(s, Machine.cpu(2))
-        ck.execute()
+        rt = Runtime(ck.machine)
+        ck.execute(rt)
         first = a.vals.data.copy()
-        ck.execute()
+        ck.execute(rt)
         assert np.allclose(a.vals.data, first)
 
     def test_no_distribution_single_piece(self):
@@ -160,7 +161,7 @@ class TestCompileExecute:
         a[i] = B[i, j] * c[j]
         ck = compile_kernel(a.schedule(), Machine.cpu(1))
         assert len(ck.pieces) == 1
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.allclose(a.vals.data, M @ x)
 
     def test_spmm_rows(self):
@@ -171,7 +172,7 @@ class TestCompileExecute:
         A[i, j] = B[i, k] * C[k, j]
         s = A.schedule().divide(i, io, ii, 4).distribute(io)
         ck = compile_kernel(s, Machine.cpu(4))
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.allclose(A.dense_array(), M @ C.dense_array())
 
     def test_sddmm_nonzeros_pattern_preserved(self):
@@ -184,7 +185,7 @@ class TestCompileExecute:
         s = (A.schedule().fuse(i, j, f).pos(f, fp, B[i, j])
              .divide(fp, fo, fi, 4).distribute(fo))
         ck = compile_kernel(s, Machine.cpu(4))
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert A.levels[1] is B.levels[1]  # metadata shared (copied structure)
         assert np.allclose(A.to_dense(), M.toarray() * (Cd @ Dd))
 
@@ -197,7 +198,7 @@ class TestCompileExecute:
         A[i, j] = B[i, j] + C[i, j] + D[i, j]
         s = A.schedule().divide(i, io, ii, 4).distribute(io)
         ck = compile_kernel(s, Machine.cpu(4))
-        res = ck.execute()
+        res = ck.execute(Runtime(ck.machine))
         assert np.allclose(A.to_dense(), (MB + MC + MD).toarray())
         names = [st.name for st in res.metrics.steps]
         assert "spadd:symbolic" in names and "spadd:fill" in names
@@ -211,7 +212,7 @@ class TestCompileExecute:
         A[i, j] = T[i, j, k] * c[k]
         s = A.schedule().divide(i, io, ii, 3).distribute(io)
         ck = compile_kernel(s, Machine.cpu(3))
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.allclose(A.to_dense(), np.einsum("ijk,k->ij", T.to_dense(), x))
 
     def test_spttv_ddc_dense_output(self):
@@ -223,7 +224,7 @@ class TestCompileExecute:
         A[i, j] = T[i, j, k] * c[k]
         s = A.schedule().divide(i, io, ii, 2).distribute(io)
         ck = compile_kernel(s, Machine.cpu(2))
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.allclose(A.dense_array(), np.einsum("ijk,k->ij", T.to_dense(), x))
 
     def test_spmttkrp_rows_and_nonzeros(self):
@@ -244,7 +245,7 @@ class TestCompileExecute:
                      .fuse(g1, k, g2).pos(g2, gp, T[i, j, k])
                      .divide(gp, go, gi, 3).distribute(go))
             ck = compile_kernel(s, Machine.cpu(3))
-            ck.execute()
+            ck.execute(Runtime(ck.machine))
             assert np.allclose(A.dense_array(), expected), strategy
 
     def test_generic_fallback_distributed(self):
@@ -256,7 +257,7 @@ class TestCompileExecute:
         s = A.schedule().divide(i, io, ii, 4).distribute(io)
         ck = compile_kernel(s, Machine.cpu(4))
         assert ck.kind == "generic"
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.allclose(A.dense_array(), MB.toarray() @ MC.toarray().T)
 
     def test_batched_two_level_distribution(self):
@@ -269,7 +270,7 @@ class TestCompileExecute:
              .divide(j, jo, ji, 2).distribute([io, jo]))
         ck = compile_kernel(s, Machine.cpu(4))
         assert len(ck.pieces) == 4
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.allclose(A.dense_array(), M @ C.dense_array())
 
 
@@ -336,8 +337,9 @@ class TestGenericSparseOutput:
             return to_coo(self, *a, **kw)
 
         monkeypatch.setattr(Tensor, "to_coo", counting)
-        ck.execute()
-        ck.execute()  # the replay reuses the bound leaf and its pattern
+        rt = Runtime(ck.machine)
+        ck.execute(rt)
+        ck.execute(rt)  # the replay reuses the bound leaf and its pattern
         monkeypatch.undo()
         assert len(calls) == 1
         assert np.array_equal(A.to_dense(), expected)  # one product per value
@@ -354,7 +356,7 @@ class TestGenericSparseOutput:
             last.pos, Region(last.crd.ispace, data=crd, name="A_handbuilt_crd"))
         with pytest.raises(
                 FormatError, match=r"writes A\[.*\], which A's stored pattern"):
-            ck.execute()
+            ck.execute(Runtime(ck.machine))
 
     def test_huge_shapes_rank_stored_and_new_jointly(self):
         """An output whose shape product overflows int64 matches coordinates
@@ -369,5 +371,5 @@ class TestGenericSparseOutput:
         ck = compile_kernel(A.schedule().divide(i, io, ii, 4).distribute(io),
                             Machine.cpu(4))
         assert ck.kind == "generic"
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.array_equal(A.vals.data, B.vals.data * C.vals.data)

@@ -28,7 +28,7 @@ from repro.core import (  # noqa: E402
     SPECS, classify, clear_caches, compile_kernel,
 )
 from repro.core.passes import FUSED_SDDMM_SPMM, pipeline_plan  # noqa: E402
-from repro.legion import Machine, ProcKind  # noqa: E402
+from repro.legion import Machine, ProcKind, Runtime  # noqa: E402
 from repro.legion.machine import Work  # noqa: E402
 
 #: differential-oracle builder name -> the kind whose spec handles it.
@@ -91,7 +91,7 @@ def test_every_declared_combination_classifies_and_has_its_leaves(combo):
     assert (ck.kind, ck.strategy) == (kind, strategy)
     assert supported(ck) == bool(spec.bound)
     if spec.assembles:
-        ck.execute()  # the assembly executor is this kind's leaf
+        ck.execute(Runtime(ck.machine))  # the assembly executor is this kind's leaf
     else:
         leaf = spec.interp_leaf(ck)
         assert all(isinstance(leaf(p), Work) for p in ck.pieces)

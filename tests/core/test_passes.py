@@ -377,14 +377,20 @@ class TestRuntimeAdoption:
         with pytest.raises(ValueError, match="does not match"):
             cp.execute(Runtime(Machine.gpu(4)))
 
-    def test_adoption_is_explicit_and_resettable(self):
+    def test_the_runtime_is_required_and_not_kept(self):
         machine = Machine.cpu(4)
         cp = self._program(machine)
-        rt = Runtime(machine)
-        cp.execute(rt)  # adopt=True default
-        assert cp._runtime is rt
-        cp.reset_runtime()
-        assert cp._runtime is None
-        other = Runtime(machine)
-        cp.execute(other, adopt=False)
-        assert cp._runtime is None  # borrowed, not adopted
+        with pytest.raises(TypeError):
+            cp.execute()
+        rt, other = Runtime(machine), Runtime(machine)
+        first = cp.execute(rt)
+        assert not hasattr(cp, "_runtime")
+        # each runtime records once; going back to the first replays it
+        on_other = cp.execute(other)
+        assert other.stats()["trace_records"] == rt.stats()["trace_records"] > 0
+        records = rt.stats()["trace_records"]
+        again = cp.execute(rt)
+        assert rt.stats()["trace_records"] == records
+        assert rt.stats()["trace_hits"] > 0
+        assert first.simulated_seconds == on_other.simulated_seconds \
+            == again.simulated_seconds

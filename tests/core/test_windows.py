@@ -52,7 +52,7 @@ class TestWindowInference:
         machine = Machine.cpu(3)
         ck, B, c, a = compile_spmv(A, 3, machine)
         c.vals.data[:] = rng.random(60)
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.allclose(a.vals.data, A @ c.vals.data)
 
     def test_nonzero_path_windows_dense_operand(self):
@@ -71,6 +71,6 @@ class TestWindowInference:
         assert not part.replicated
         for color in range(4):
             assert part.vals_part[color].volume < 200 * 4  # windowed, not full
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         expected = A.multiply(np.ones((200, 4)) @ np.ones((4, 200)))
         assert np.allclose(S.to_dense(), expected.toarray())

@@ -97,12 +97,15 @@ class Test3TensorDistributions:
 
 
 class TestPlacement:
-    def test_place_tensor_marks_and_homes(self):
+    def test_place_tensor_declares_and_homes(self):
         B = skewed_matrix()
         m = Machine.cpu(4)
         rt = Runtime(m)
         d = place_tensor(B, parse_tdn("B(x, y) -> M(x)"), m, rt)
-        assert getattr(B, "_placed_by_tdn", False)
+        # the declaration is the runtime's, not the tensor's
+        assert {r.uid for r in B.regions()} <= rt.declared
+        assert not Runtime(m).declared
+        assert not hasattr(B, "_placed_by_tdn")
         # homes registered for pos/crd/vals regions
         assert B.vals.uid in rt._home
         assert len(rt._home[B.vals.uid].pieces()) == 4

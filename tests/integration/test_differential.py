@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from repro.api.autoschedule import auto_schedule
 from repro.core import classify, clear_caches, compile_kernel
 from repro.errors import CompileError
-from repro.legion import Machine
+from repro.legion import Machine, Runtime
 from repro.taco import (
     CSF3, CSR, DDC, SPARSE_VECTOR, Compressed, Dense, Format, Tensor,
     index_vars,
@@ -192,7 +192,7 @@ def run_case(
     )
     sched = auto_schedule(out, machine, strategy=strategy)
     ck = compile_kernel(sched, machine, backend=backend)
-    ck.execute()
+    ck.execute(Runtime(ck.machine))
     actual = out.to_dense()
     if not np.array_equal(actual, expected):
         bad = np.argwhere(actual != expected)

@@ -33,7 +33,7 @@ from repro.core import cache as _cache  # noqa: E402
 from repro.core import clear_caches  # noqa: E402
 from repro.core.compiler import compile_statement  # noqa: E402
 from repro.core.program import compile_program  # noqa: E402
-from repro.legion import Machine  # noqa: E402
+from repro.legion import Machine, Runtime  # noqa: E402
 from repro.taco.expr import Access, Assignment  # noqa: E402
 from repro.taco.index_vars import IndexVar  # noqa: E402
 
@@ -79,7 +79,8 @@ def _twin(kind, fmt, strategy, machine_key, seed):
     # through the decision table, in both worlds (equal stats, one key).
     for out in (front_out, back_out):
         compile_statement(
-            auto_schedule(out, machine, strategy=strategy), machine).execute()
+            auto_schedule(out, machine, strategy=strategy), machine).execute(
+                Runtime(machine))
     _cache.store_decision(
         _cache.decision_fingerprint(front_out.assignment, machine),
         {"strategy": strategy},

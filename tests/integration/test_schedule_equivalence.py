@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import compile_kernel
-from repro.legion import Machine
+from repro.legion import Machine, Runtime
 from repro.taco import CSR, Tensor, evaluate, index_vars
 
 
@@ -47,7 +47,7 @@ class TestSpMVScheduleEquivalence:
             s = (a.schedule().fuse(i, j, f).pos(f, fp, B[i, j])
                  .divide(fp, fo, fi, pieces).distribute(fo))
         ck = compile_kernel(s, Machine.cpu(max(1, min(pieces, 4))))
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.allclose(a.vals.data, expected)
 
 
@@ -79,7 +79,7 @@ class TestSpAddScheduleEquivalence:
         A[i, j] = B[i, j] + C[i, j] + D[i, j]
         s = A.schedule().divide(i, io, ii, pieces).distribute(io)
         ck = compile_kernel(s, Machine.cpu(max(1, min(pieces, 4))))
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         assert np.allclose(A.to_dense(), Bd + Cd + Dd)
 
 
@@ -120,6 +120,6 @@ class TestMTTKRPScheduleEquivalence:
                  .fuse(g1, k, g2).pos(g2, gp, T[i, j, k])
                  .divide(gp, go, gi, pieces).distribute(go))
         ck = compile_kernel(s, Machine.cpu(max(1, min(pieces, 4))))
-        ck.execute()
+        ck.execute(Runtime(ck.machine))
         expected = np.einsum("ijk,jl,kl->il", T.to_dense(), Cd, Dd)
         assert np.allclose(A.dense_array(), expected)

@@ -472,6 +472,14 @@ class TestNoExecScanners:
         findings = check._scan_environ_reads("fake.py", ast.parse(src))
         assert sorted(f.line for f in findings) == [2, 4, 6]
 
+    def test_environment_reads_are_flagged_anywhere_under_src(self):
+        planted = "import os\nROOT = os.environ.get('STORE_ROOT')\n"
+        cache = check.SourceCache()
+        cache._cache["src/repro/bench/warmstore.py"] = (planted, ast.parse(planted))
+        result = check._run_no_exec(cache)
+        assert [(f.file, f.line) for f in result.findings] == [
+            ("src/repro/bench/warmstore.py", 2)]
+
     def test_sparsetools_named_outside_its_site_is_flagged(self):
         src = (
             '"""Prose may say scipy.sparse._sparsetools freely."""\n'

@@ -48,8 +48,7 @@ codebase passes defined here:
   stays pinned in one place — ``scipy.sparse._sparsetools`` is named by
   code only in ``kernels/segment.py`` (the checked import) — no module
   holding a bind function reduces with ``np.bincount``, and nothing under
-  ``src/repro/codegen`` or ``src/repro/kernels`` reads the process
-  environment;
+  ``src/repro`` reads the process environment;
 * **residency** — a residency table (a region's live table or its homes)
   is written only by its class (``_Residency`` in
   ``src/repro/legion/residency.py``): nowhere else under ``src/repro``
@@ -624,7 +623,7 @@ def _scan_exec_calls(relpath: str, tree: ast.Module) -> List[Finding]:
 
 
 def _scan_environ_reads(relpath: str, tree: ast.Module) -> List[Finding]:
-    """``os.environ`` / ``os.getenv`` uses: which leaf runs is decided by
+    """``os.environ`` / ``os.getenv`` uses: what runs is decided by
     arguments, never by the environment."""
     findings: List[Finding] = []
     for node in ast.walk(tree):
@@ -694,23 +693,23 @@ def _bind_modules() -> List[str]:
 
 def _run_no_exec(cache: SourceCache) -> CheckResult:
     """No exec surface anywhere under ``src/repro``; the private SciPy
-    surface at one site; no ``bincount`` beside a bind function; codegen
-    and the kernels take no orders from the environment."""
+    surface at one site; no ``bincount`` beside a bind function; nothing
+    takes orders from the environment."""
     findings: List[Finding] = []
     modules = sorted(str(p.relative_to(REPO)) for p in (SRC / "repro").rglob("*.py"))
     for relpath in modules:
         tree = cache.get(relpath)[1]
         findings.extend(_scan_exec_calls(relpath, tree))
         findings.extend(_scan_sparsetools(relpath, tree))
-        if relpath.startswith(("src/repro/codegen/", "src/repro/kernels/")):
-            findings.extend(_scan_environ_reads(relpath, tree))
+        findings.extend(_scan_environ_reads(relpath, tree))
     binders = _bind_modules()
     for relpath in binders:
         findings.extend(_scan_bincount(relpath, cache.get(relpath)[1]))
     return CheckResult(
         "no-exec", findings,
         f"{len(modules)} modules under src/repro call no exec / eval / "
-        f"compile; scipy.sparse._sparsetools is named at one site; "
+        f"compile and read no environment; scipy.sparse._sparsetools is "
+        f"named at one site; "
         f"{len(binders)} bind-function modules reduce without bincount",
     )
 
