@@ -52,6 +52,7 @@ from ..errors import (
 )
 from ..legion.machine import Machine, Works
 from ..legion.metrics import CommEvent, ExecutionMetrics, StepMetrics
+from ..legion.network import Network
 from ..legion.runtime import Privilege, Runtime
 from .hazards import _var_chain
 from .report import Diagnostic, Provenance
@@ -232,54 +233,54 @@ def measured_signature(
 # --------------------------------------------------------------------------- #
 # the mirror: the runtime's staging algebra minus the task bodies
 # --------------------------------------------------------------------------- #
-def _seed_tdn_homes(ck, rt: Runtime, source: Optional[Runtime]) -> None:
-    """Copy home placements of the regions a TDN statement declared on the
-    real runtime (``source.declared``).
-
-    ``CompiledKernel._place`` leaves a runtime's declared regions where
-    they are, so the scratch mirror takes their homes — and declarations —
-    from ``source``.  Copying the home lists *in order* preserves the
-    owner-selection tie-breaking of ``_owner_of``.
-    """
-    if source is None:
-        return
-    rt.copy_homes(source, [
-        req.region
-        for part in ck.parts.values()
-        for req in part.region_reqs(Privilege.READ_ONLY)
-        if req.region.uid in source.declared
-    ])
-
-
-def _mirror_kernel(ck, rt: Runtime, work: Optional[WorkModel]) -> List[StepMetrics]:
-    """Replay one cold kernel execution's *mapping* on ``rt``.
-
-    Identical calls to the same runtime entry points a real
-    ``execute()`` makes — placement, then the index launch(es) — with the
-    leaf bodies replaced by the Work model (None: no work), handed to the
-    runtime both per piece and as the launch's columns, so a launch at
-    home books in one call as ``execute``'s does.  Returns the steps the
-    launches returned.  Raises :class:`repro.errors.OOMError` exactly where
-    the real execution would.
-    """
+def _mirror(
+    kernels: Sequence,
+    machine: Machine,
+    *,
+    runtime: Optional[Runtime] = None,
+    work: Optional[WorkModel] = None,
+    network: Optional[Network] = None,
+) -> Tuple[List[StepMetrics], Runtime]:
+    """Replay a cold run's *mapping* of ``kernels`` (one statement, or a
+    program's launching ones) on a scratch runtime, as a real run makes it:
+    the homes of the regions a TDN statement declared on ``runtime`` copied
+    in its order, every kernel placed, one reset, then each launch in order
+    with the leaf bodies replaced by the Work model (None: no work), per
+    piece and as the launch's columns.  Returns the launches' steps and the
+    scratch runtime; raises :class:`repro.errors.OOMError` where the run
+    would."""
     from ..core.kernelspec import SPECS
 
-    ck._place(rt)
-    colors = [p.color for p in ck.pieces]
-    at = dict(zip(colors, range(len(colors))))
-    proc_of = dict(zip(colors, (p.proc for p in ck.pieces))).__getitem__
+    rt = Runtime(machine, network)
+    if runtime is not None:
+        rt.copy_homes(runtime, list({
+            req.region.uid: req.region
+            for ck in kernels for part in ck.parts.values()
+            for req in part.region_reqs(Privilege.READ_ONLY)
+            if req.region.uid in runtime.declared
+        }.values()))
+    for ck in kernels:
+        ck._place(rt)
+    rt.reset_residency()
+    steps: List[StepMetrics] = []
+    for ck in kernels:
+        colors = [p.color for p in ck.pieces]
+        at = dict(zip(colors, range(len(colors))))
+        proc_of = dict(zip(colors, (p.proc for p in ck.pieces))).__getitem__
 
-    def launch(name: str, phase: str, reqs) -> StepMetrics:
-        works = work(phase) if work is not None else Works.zeros(len(colors))
-        return rt.index_launch(name, colors, lambda c: works[at[c]], reqs,
-                               proc_map=proc_of, launch=lambda: works)
+        def launch(name: str, phase: str, reqs) -> StepMetrics:
+            works = work(phase) if work is not None else Works.zeros(len(colors))
+            return rt.index_launch(name, colors, lambda c: works[at[c]], reqs,
+                                   proc_map=proc_of, launch=lambda: works)
 
-    if SPECS[ck.kind].assembles:
-        reqs = ck.spadd_read_reqs()
-        return [launch("spadd:symbolic", "spadd:symbolic", reqs),
-                ck._spadd_scan_step(rt),
-                launch("spadd:fill", "spadd:fill", reqs)]
-    return [launch(f"{ck.kind}:{ck.strategy}", "compute", ck._reqs())]
+        if SPECS[ck.kind].assembles:
+            reqs = ck.spadd_read_reqs()
+            steps += [launch("spadd:symbolic", "spadd:symbolic", reqs),
+                      ck._spadd_scan_step(rt),
+                      launch("spadd:fill", "spadd:fill", reqs)]
+        else:
+            steps.append(launch(f"{ck.kind}:{ck.strategy}", "compute", ck._reqs()))
+    return steps, rt
 
 
 def _channel_of(e: CommEvent) -> str:
@@ -350,9 +351,7 @@ def _predict_one(
     runtime: Optional[Runtime] = None,
     work: Optional[WorkModel] = None,
 ) -> CommPlan:
-    rt = Runtime(ck.machine)
-    _seed_tdn_homes(ck, rt, runtime)
-    steps = _mirror_kernel(ck, rt, work)
+    steps, rt = _mirror([ck], ck.machine, runtime=runtime, work=work)
     return _plan_of(ck, steps, rt)
 
 
@@ -443,13 +442,10 @@ def predict_metrics(
     """
     program = _as_compiled_program(target, machine)
     if program is not None:
-        rt = Runtime(program.machine)
-        steps: List[StepMetrics] = []
-        for n, ck in enumerate(program.kernels):
-            if program.reused_from[n] is not None:
-                continue
-            _seed_tdn_homes(ck, rt, runtime)
-            steps.extend(_mirror_kernel(ck, rt, work))
+        steps, rt = _mirror(
+            [ck for ck, prior in zip(program.kernels, program.reused_from)
+             if prior is None],
+            program.machine, runtime=runtime, work=work)
         return MetricsSignature(
             steps=_fold_steps(steps),
             node_footprint=_node_footprint(

@@ -32,8 +32,7 @@ from ..legion.metrics import ExecutionMetrics
 from ..legion.network import Network
 from ..legion.runtime import Runtime
 from .commplan import (
-    CommPlan, MetricsSignature, WorkModel, _mirror_kernel, _plan_of,
-    _seed_tdn_homes,
+    CommPlan, MetricsSignature, WorkModel, _mirror, _plan_of,
 )
 
 __all__ = ["CostEstimate", "kernel_work_model", "predict_cost"]
@@ -90,10 +89,9 @@ def predict_cost(
     instead of raising, so autotune never picks it.
     """
     work, exact = kernel_work_model(ck)
-    rt = Runtime(ck.machine, network)
-    _seed_tdn_homes(ck, rt, runtime)
     try:
-        steps = _mirror_kernel(ck, rt, work)
+        steps, rt = _mirror([ck], ck.machine, runtime=runtime, work=work,
+                            network=network)
     except OOMError:
         return CostEstimate(
             strategy=ck.strategy, seconds=float("inf"), comm_bytes=0.0,

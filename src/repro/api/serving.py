@@ -167,7 +167,6 @@ class Server:
         nodes: Optional[int] = None,
         gpus: Optional[int] = None,
         workers: int = 4,
-        backend: Optional[str] = None,
         tune: bool = False,
         default_budget_bytes: Optional[int] = None,
         tenant_budgets: Optional[Dict[str, Optional[int]]] = None,
@@ -196,7 +195,7 @@ class Server:
         # store handle) per worker, all over the same Machine object so
         # structural signatures — and therefore cache keys — coincide.
         self._sessions = [
-            Session(machine=self.machine, backend=backend, store=store)
+            Session(machine=self.machine, store=store)
             for _ in range(workers)
         ]
         # Key-affinity dispatch: every request key hashes to one owning

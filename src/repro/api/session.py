@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .. import codegen as _codegen
 from ..core import cache as _cache
 from ..core.compiler import CompiledKernel, ExecutionResult, compile_statement
 from ..core.passes import _keep_sets
@@ -113,7 +112,6 @@ class Session:
         network: Optional[Network] = None,
         runtime: Optional[Runtime] = None,
         store: Optional[Union[str, Path, ArtifactStore]] = None,
-        backend: Optional[str] = None,
     ):
         if runtime is not None:
             # Adopt an existing runtime (e.g. one restored from the
@@ -148,10 +146,6 @@ class Session:
             self.store: Optional[ArtifactStore] = store
         else:
             self.store = ArtifactStore(store)
-        #: Leaf-execution backend for this session's compiles: "codegen"
-        #: (the default) or "interp".  Validated eagerly so a typo fails at
-        #: session construction.
-        self.backend = _codegen.resolve_backend(backend)
         self._pending = None  # implicit Program fed by define()
         #: Content-keyed packing memo (see :meth:`packed_operand`): digest
         #: of the raw operand → the packed Tensor, so repeated calls over
@@ -323,8 +317,7 @@ class Session:
 
     def compile(self, *targets: Schedulable, use_cache: bool = True,
                 cse: bool = True, fold: bool = True, dse: bool = True,
-                fuse: bool = True, keep=None,
-                backend: Optional[str] = None) -> CompiledProgram:
+                fuse: bool = True, keep=None) -> CompiledProgram:
         """Compile one or more statements together as a program.
 
         Each target is a :class:`Schedule` (explicit mapping), an
@@ -335,13 +328,10 @@ class Session:
         operands' partitions are derived once across the program, and
         with ``cse`` (default) identical repeated statements execute once
         per pass (see :func:`repro.core.program.compile_program`).
-        ``backend`` overrides the session's leaf-execution backend for
-        this compile ("interp"/"codegen"; see :mod:`repro.codegen`).
 
         A repeated call is one lookup in the session's front-door table
         (``docs/caching.md``); an evicted or streamed kernel misses it.
         """
-        backend = backend if backend is not None else self.backend
         flags = dict(cse=cse, fold=fold, dse=dse, fuse=fuse, keep=keep)
         plans = []  # (target, assignment, tuned strategy or None)
         for t in targets:
@@ -350,7 +340,7 @@ class Session:
             plans.append((t, asg, None if explicit else self._tuned_strategy(asg)))
         key = use_cache and _cache.caches_enabled() and self._frontdoor_key(
             plans, flags)
-        hit = key and self._frontdoor_hit(key, backend)
+        hit = key and self._frontdoor_hit(key)
         if hit:
             return hit
         tensors = [t for _, asg, _ in plans for t in asg.tensors()]
@@ -358,7 +348,7 @@ class Session:
         cp = compile_program(
             [t if isinstance(t, Schedule) else self._synthesize(asg, tuned)
              for t, asg, tuned in plans],
-            self.machine, use_cache=use_cache, backend=backend, **flags,
+            self.machine, use_cache=use_cache, **flags,
         )
         primaries = tuple(ck.cache_key for ck in cp.kernels)
         if key and None not in primaries:
@@ -387,7 +377,7 @@ class Session:
         return (parts, flags["cse"], flags["fold"], flags["dse"],
                 flags["fuse"], keep, names)
 
-    def _frontdoor_hit(self, key, backend: str) -> Optional[CompiledProgram]:
+    def _frontdoor_hit(self, key) -> Optional[CompiledProgram]:
         entry = self._frontdoor.get(key)
         if entry is None:
             return None
@@ -395,23 +385,19 @@ class Session:
         kernels = [_cache.peek_kernel(k) for k in primaries]
         if any(ck is None or ck._streamed for ck in kernels):
             return None
-        for k, ck in zip(primaries, kernels):
+        for k in primaries:
             _cache.lookup_kernel(k)  # the hit compile_statement would count
-            ck.backend = backend
         return CompiledProgram(
             kernels, self.machine, reused_from, passes=passes, origin=origin
         )
 
-    def compile_kernel(self, target: Schedulable, *, use_cache: bool = True,
-                       backend: Optional[str] = None) -> CompiledKernel:
+    def compile_kernel(self, target: Schedulable, *,
+                       use_cache: bool = True) -> CompiledKernel:
         """Compile a single statement to its :class:`CompiledKernel` (an
         explicit :class:`Schedule` skips the multi-statement passes)."""
         if isinstance(target, Schedule):
-            return compile_statement(target, self.machine, use_cache=use_cache,
-                                     backend=backend or self.backend)
-        return self.compile(
-            target, use_cache=use_cache, backend=backend
-        ).kernels[0]
+            return compile_statement(target, self.machine, use_cache=use_cache)
+        return self.compile(target, use_cache=use_cache).kernels[0]
 
     def execute(self, target) -> ExecutionResult:
         """Compile (if needed) and run one statement on the session runtime.

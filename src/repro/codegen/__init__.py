@@ -22,8 +22,9 @@ leaves — binding changes how leaves compute, never what the distributed
 schedule does.
 
 The one knob is the explicit ``backend=`` argument of ``compile_kernel`` /
-``compile_program`` / ``Session`` / ``Server``: ``"codegen"`` (the default,
-the bound leaves) or ``"interp"`` (the per-call interpreter leaves, which
+``compile_program``, fixed when a kernel is compiled: ``"codegen"`` (the
+default, the bound leaves, and every cached kernel's) or ``"interp"`` (the
+per-call interpreter leaves, compiled outside the kernel cache, which
 perfbench's ``kernels.interp_step_s`` row times; retiring that row deletes
 the knob).
 

@@ -140,11 +140,9 @@ class CompiledKernel:
         self._placed_on: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         #: execution backend: "interp" (closure leaves over repro.kernels)
         #: or "codegen" (bound flat thunks, interpreter fallback where the
-        #: table names no bind function).  Set by ``compile_statement``.
+        #: table names no bind function).  Fixed by ``compile_statement``.
         self.backend: str = "interp"
         self._leaf: Optional[Callable[[Piece], Work]] = None
-        #: backend the current ``_leaf`` was built for (rebuild on change).
-        self._leaf_backend: Optional[str] = None
         #: ``index_launch``'s arguments, frozen with the leaf by :meth:`_bind`.
         self._launch_args: Optional[tuple] = None
         self._streamed: set = set()
@@ -163,11 +161,10 @@ class CompiledKernel:
         the operands); both are rebuilt lazily on the first execute."""
         state = self.__dict__.copy()
         state["_leaf"] = None
-        state["_leaf_backend"] = None
         state["_launch_args"] = None
         state["_spadd_plan"] = None
         state.pop("cache_key", None)
-        state.pop("_placed_on")  # repro.core.store persists the pairing
+        state.pop("_placed_on")  # a loaded kernel meets its runtimes anew
         return state
 
     def __setstate__(self, state):
@@ -210,18 +207,21 @@ class CompiledKernel:
         Matches the paper's experiments where the declared data distribution
         matches the computation distribution; a tensor a TDN statement
         declared on ``rt`` (``repro.distal``) stays where it was declared.
+        Nothing resets here: placement comes before a run.
         """
         proc_of = {p.color: p.proc for p in self.pieces}.__getitem__
-        placed = set()
-        for t_id, part in self.parts.items():
-            tensor = part.tensor
-            if id(tensor) in placed:
-                continue
-            placed.add(id(tensor))
-            reqs = part.region_reqs(Privilege.READ_ONLY)
+        reqs_of = {t_id: part.region_reqs(Privilege.READ_ONLY)
+                   for t_id, part in self.parts.items()}
+        if self._spadd_reqs is not None:
+            # the operand regions an assembly's launches read (re-installed
+            # ones included), as its first execute froze them
+            frozen = iter(self._spadd_reqs)
+            for t in SPECS[self.kind].operand_tensors(self):
+                reqs_of[id(t)] = [next(frozen) for _ in reqs_of[id(t)]]
+        for t_id, reqs in reqs_of.items():
             if any(req.region.uid in rt.declared for req in reqs):
                 continue
-            if id(tensor) in self._streamed:
+            if t_id in self._streamed:
                 for req in reqs:
                     rt.place_on(req.region, 0)
                 continue
@@ -230,7 +230,6 @@ class CompiledKernel:
                     rt.place_replicated(req.region)
                 else:
                     rt.place(req.region, req.partition, proc_of)
-        rt.invalidate_caches()
 
     # -- region requirements --------------------------------------------------
     def _reqs(self) -> List[RegionReq]:
@@ -250,7 +249,7 @@ class CompiledKernel:
 
         The first execute on a runtime checks that it runs the kernel's
         machine (a :class:`ValueError` otherwise) and places the operands
-        there (:meth:`_place`); later ones on it place nothing.
+        there (:meth:`_place`) before it runs; later ones place nothing.
         ``fresh_trial`` resets staged copies to home placements so each
         trial pays the communication its algorithm inherently performs; the
         runtime's recorded mapping traces survive the reset, so iterations
@@ -269,7 +268,7 @@ class CompiledKernel:
         )
 
     def _execute_compute(self, rt: Runtime) -> List[StepMetrics]:
-        if self._leaf is None or self._leaf_backend != self.backend:
+        if self._leaf is None:
             self._bind()
         if self._needs_zero():
             self.out.vals.fill(0.0)
@@ -308,7 +307,6 @@ class CompiledKernel:
             launch = bind_launch()
         by_color = {p.color: p for p in self.pieces}
         self._leaf = leaf
-        self._leaf_backend = self.backend
         self._launch_args = (
             f"{self.kind}:{self.strategy}",
             list(by_color),
@@ -457,11 +455,13 @@ def compile_statement(
     engine behind :func:`compile_kernel` and
     :func:`repro.core.program.compile_program`).
 
-    ``backend`` selects how leaves execute: ``"codegen"`` (the default,
-    via :mod:`repro.codegen`) runs the bound flat thunks where the kernel
-    table names a bind function and falls back to the interpreter elsewhere;
-    ``"interp"`` forces the closure leaves.  The knob only retargets the
-    kernel's leaf — partitions, launches and simulated metrics are
+    ``backend`` selects how leaves execute, fixed for the kernel's life:
+    ``"codegen"`` (the default, via :mod:`repro.codegen`) runs the bound
+    flat thunks where the kernel table names a bind function and falls
+    back to the interpreter elsewhere; ``"interp"`` forces the closure
+    leaves, on a kernel that neither comes from nor enters the kernel
+    cache (every cached kernel is a codegen one).  The knob only retargets
+    the kernel's leaf — partitions, launches and simulated metrics are
     identical either way.
     """
     from .. import codegen as _codegen  # lazy: avoids import cycle
@@ -469,7 +469,7 @@ def compile_statement(
     backend = _codegen.resolve_backend(backend)
     if machine is None:
         machine = Machine.cpu(1)
-    if use_cache and _cache.caches_enabled():
+    if use_cache and backend == "codegen" and _cache.caches_enabled():
         try:
             key = _cache.kernel_fingerprint(schedule, machine)
         except _cache.Unfingerprintable:
@@ -480,7 +480,6 @@ def compile_statement(
             # handed to a caller that didn't ask for streaming — recompile
             # (the fresh kernel then replaces the mutated entry).
             if hit is not None and not hit._streamed:
-                hit.backend = backend
                 return hit
             tensors = schedule.assignment.tensors()
             versions = [t.pattern_version for t in tensors]

@@ -5,10 +5,10 @@ step is an SpMV plus vector updates, a CP-ALS sweep is three MTTKRPs, a
 graph pipeline chains SpMM into SDDMM.  Compiling those statements
 *together* lets the amortization layers work across the program instead of
 per ``compile_kernel`` call: every statement's compile goes through the
-same kernel cache, a statement placing an operand the way an earlier one
-placed it adds no residency (the runtime shares the placement's fact),
-and communicate plans recorded by the runtime replay across the whole
-statement sequence.
+same kernel cache, every statement places its operands before the first
+runs (one placing an operand the way an earlier one placed it changes
+nothing), and communicate plans recorded by the runtime replay across the
+whole statement sequence.
 
 :func:`compile_program` is the entry; :func:`repro.core.compiler.compile_kernel`
 is a thin wrapper over a one-statement program, and the high-level
@@ -123,13 +123,17 @@ class CompiledProgram:
     def execute(self, runtime: Runtime) -> ProgramResult:
         """Run every statement once, in order, on ``runtime``.
 
-        Staged copies reset to home placements once for the whole program
-        (not per statement), so intermediate results staged by one
-        statement stay resident for its consumers within the same trial —
-        matching what a fused multi-statement task graph pays.  Each
-        kernel checks on its first execute there that ``runtime`` runs the
-        program's machine (a :class:`ValueError` otherwise).
+        Every kernel that will launch first meets ``runtime`` (a
+        :class:`ValueError` for another machine, before anything runs; its
+        operands placed the first time), then staged copies reset to home
+        placements once for the whole program, so intermediate results
+        staged by one statement stay resident for its consumers within the
+        same trial — matching what a fused multi-statement task graph pays
+        — and a first run books what every later one does.
         """
+        for ck, prior in zip(self.kernels, self.reused_from):
+            if prior is None:
+                ck._meet(runtime)
         runtime.reset_residency()
         out = ProgramResult()
         for n, ck in enumerate(self.kernels):

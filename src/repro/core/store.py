@@ -16,9 +16,9 @@ packed tensor:
   coordinate-tree partitions they derived, minus their leaf closures,
   which rebuild lazily), and
 * the **runtimes** those kernels placed their operands on, with their
-  recorded mapping traces, home placements and symbolic residency state,
-  and which kernel was placed on which runtime (so a loaded kernel does
-  not place again on its loaded runtime).
+  recorded mapping traces, home placements and symbolic residency state
+  (a loaded kernel's first execute on one places what it holds already,
+  which changes nothing there, and replays).
 
 An artifact is a directory:
 
@@ -116,10 +116,12 @@ __all__ = [
 #: and its kernel's entry (and manifest fingerprint) is keyed by it.
 #: v15: a kernel pickles no runtime; the payload lists every runtime a
 #: saved kernel was placed on and the (kernel, runtime) placements, and a
-#: runtime pickles the regions declared on it.
+#: runtime pickles the regions declared on it.  v16: the payload drops the
+#: (kernel, runtime) placements: a kernel meeting a runtime that holds its
+#: placement already changes nothing there.
 #: Any other version is refused with
 #: :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 15
+STORE_FORMAT_VERSION = 16
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"
@@ -248,9 +250,9 @@ def save_packed(
 
     With ``include_caches`` every live kernel-cache entry whose statement
     involves ``tensor`` is exported, together with the companion tensors it
-    pins, every live runtime the kernels were placed on (traces included)
-    and which kernel was placed on which.  Pass an explicit ``runtime`` to
-    persist one no saved kernel was placed on.
+    pins and every live runtime the kernels were placed on (traces
+    included).  Pass an explicit ``runtime`` to persist one no saved kernel
+    was placed on.
 
     Level arrays at or above ``sidecar_threshold`` bytes are written as raw
     ``regions/r<uid>.npy`` sidecars instead of travelling inside the pickle
@@ -275,17 +277,12 @@ def save_packed(
             if not any(t is s for s in tensor_set):
                 tensor_set.append(t)
 
-    runtimes: List[Any] = []
-    at: Dict[int, int] = {}  # id(runtime) -> its index in ``runtimes``
-    placements: List[Tuple[int, int]] = []  # (kernel entry, runtime) indices
-    for k, (kernel, _tensors) in enumerate(kernel_entries):
-        for rt in list(kernel._placed_on):
-            if id(rt) not in at:
-                at[id(rt)] = len(runtimes)
-                runtimes.append(rt)
-            placements.append((k, at[id(rt)]))
-    if runtime is not None and id(runtime) not in at:
-        runtimes.append(runtime)
+    # every runtime a saved kernel was placed on, in first-meeting order
+    placed_on = {id(rt): rt for kernel, _tensors in kernel_entries
+                 for rt in list(kernel._placed_on)}
+    if runtime is not None:
+        placed_on.setdefault(id(runtime), runtime)
+    runtimes: List[Any] = list(placed_on.values())
 
     # Advance-counter watermark: every region uid the payload can mention
     # must be covered, or a fresh region in the loading process could
@@ -323,7 +320,6 @@ def save_packed(
         "kernels": kernel_entries,
         "decisions": decision_entries,
         "runtimes": runtimes,
-        "placements": placements,
         "max_region_uid": max_region_uid,
         "max_ispace_uid": max_ispace_uid,
     }
@@ -530,7 +526,7 @@ def load_packed(
             expected=manifest["format_version"],
             found=payload.get("format_version"),
         )
-    for key in ("tensor", "companions", "kernels", "runtimes", "placements"):
+    for key in ("tensor", "companions", "kernels", "runtimes"):
         if key not in payload:
             raise StoreError(f"{payload_path}: payload lacks the {key!r} entry")
 
@@ -575,9 +571,6 @@ def load_packed(
                 if priv is not None and priv != Privilege.READ_ONLY:
                     t.ensure_writable()
 
-    runtimes = list(payload["runtimes"])
-    for k, r in payload["placements"]:
-        payload["kernels"][k][0]._placed_on[runtimes[r]] = None
     kernels = []
     if restore_caches and _cache.caches_enabled():
         for key, decision in payload.get("decisions", ()):
@@ -596,6 +589,6 @@ def load_packed(
         tensor=tensor,
         companions={t.name: t for t in payload.get("companions", ())},
         kernels=kernels,
-        runtimes=runtimes,
+        runtimes=list(payload["runtimes"]),
         manifest=manifest,
     )

@@ -162,6 +162,14 @@ class _Residency:
         else:
             self._row_pieces = made if order is None else [made[i] for i in order.tolist()]
 
+    def holds(self, part: Partition, procs: Sequence[int]) -> bool:
+        """Whether loading ``part`` on ``procs`` would add no piece (no
+        fact needed, so also on an unpickled table)."""
+        rows = part.sizes.nonzero()[0].tolist()
+        self._make()
+        return all(self._slot(leading_extent(piece)[0], int(procs[k]), piece) is None
+                   for k, piece in zip(rows, map(part.piece, rows)))
+
     def pieces(self, near: Optional[IndexSubset] = None) -> List[Tuple[IndexSubset, int]]:
         """``(piece, proc)`` of every row in arrival order, or only of the
         rows whose leading extent meets ``near``'s (every piece that may

@@ -33,10 +33,11 @@ between their staging and coherence steps.
 
 Residency states are tracked symbolically: ``reset_residency`` (called
 between trials) returns to the canonical "homes only" state *without*
-dropping traces, so iterations 2..N of a solver replay.  Any out-of-band
-mutation (``place*``) moves to a fresh state, so stale traces never fire;
-``invalidate_caches`` also drops every trace (the hook to use after
-writing region data behind the runtime's back).
+dropping traces, so iterations 2..N of a solver replay.  A ``place*`` that
+adds a home moves to a fresh state, so stale traces never fire (one the
+homes hold already changes nothing); ``invalidate_caches`` also drops
+every trace (the hook to use after writing region data behind the
+runtime's back).
 
 The tables behind those states are shared values.  Each region's homes
 are a residency table too, one that only grows (:attr:`Runtime._home`):
@@ -241,17 +242,22 @@ class Runtime:
         and a home of ``region``, and record ``whole``, the fact it
         establishes (:class:`_Residency`).  An empty region's homes load at
         once, from the partition's bounds when it has them, and its live
-        table starts as their copy; a partition placed as one a fact
-        already names (equal bounds, same processors) shares that fact:
-        it adds, homes and records nothing."""
+        table starts as their copy.  A placement the homes hold already —
+        one a fact names (equal bounds, same processors), or one whose
+        every piece is a home piece on its processor — changes nothing:
+        not the homes, the live table, the state nor its traces."""
+        uid, homes = region.uid, self._home.get(region.uid)
+        if homes is not None and (
+                whole and whole[0] is not None
+                and self._residency.get(uid, homes).holds_placed(whole[1], whole[2])
+                or homes.holds(partition, procs)):
+            return
         self._unshare_residency()
-        uid, res = region.uid, self._res(region.uid)
-        if not len(res.starts) and uid not in self._home:
+        res = self._res(uid)
+        if not len(res.starts) and homes is None:
             homes = self._home[uid] = _Residency()
             homes.load(partition, procs)
             res = self._residency[uid] = homes.copy()
-        elif whole and whole[0] is not None and res.holds_placed(whole[1], whole[2]):
-            whole = None  # the fact that says so stands for this placement
         else:
             res.load(partition, procs)
             self._home.setdefault(uid, _Residency()).load(partition, procs)

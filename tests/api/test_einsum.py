@@ -117,8 +117,7 @@ class TestSemantics:
 
     @pytest.mark.parametrize("machine", [dict(nodes=4), dict(gpus=4)],
                              ids=["nodes4", "gpus4"])
-    @pytest.mark.parametrize("backend", ["codegen", "interp"])
-    def test_spttv_into_the_default_dense_output(self, machine, backend):
+    def test_spttv_into_the_default_dense_output(self, machine):
         """The SpTTV leaf writes one value per fiber position; the default
         dense output is indexed ``i * n1 + j`` — the kernel table must see
         the difference from level types, not bind by the name "CSF3"."""
@@ -128,7 +127,7 @@ class TestSemantics:
         T = Tensor.from_coo("T", idx, rng.integers(1, 5, nnz).astype(float),
                             shape, repro.CSF3)
         c = rng.integers(1, 5, shape[2]).astype(float)
-        with repro.session(backend=backend, **machine) as s:
+        with repro.session(**machine) as s:
             out = repro.einsum("ijk,k->ij", T, c, session=s)
         assert out.format.is_all_dense()
         assert np.array_equal(out.dense_array(),

@@ -95,15 +95,15 @@ class _ScheduleFirst(Session):
     target, then compile the program (the reference for counters)."""
 
     def compile(self, *targets, use_cache=True, cse=True, fold=True,
-                dse=True, fuse=True, keep=None, backend=None):
+                dse=True, fuse=True, keep=None):
         return compile_program(
             [self.schedule_for(t) for t in targets], self.machine,
             use_cache=use_cache, cse=cse, fold=fold, dse=dse, fuse=fuse,
-            keep=keep, backend=backend if backend is not None else self.backend,
+            keep=keep,
         )
 
-    def compile_kernel(self, target, *, use_cache=True, backend=None):
-        return self.compile(target, use_cache=use_cache, backend=backend).kernels[0]
+    def compile_kernel(self, target, *, use_cache=True):
+        return self.compile(target, use_cache=use_cache).kernels[0]
 
 
 def _kernel_counts():

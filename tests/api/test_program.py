@@ -205,3 +205,97 @@ class TestCommonSubexpressionReuse:
             res = prog.execute(s.runtime)
             assert res.reused == 0
             assert res[1].simulated_seconds > 0.0
+
+
+def _shared(s, B, c, x, a, y, i, j):
+    a[i] = B[i, j] * c[j]
+    y[i] = B[i, j] * x[j]
+    return (a, y), {}
+
+
+def _chained(s, B, c, x, a, y, i, j):
+    """``a = B c; y = B a; z = B y``: each statement reads the output
+    before it, so what one writes is staged for the next."""
+    z = s.zeros("z", a.shape)
+    a[i] = B[i, j] * c[j]
+    y[i] = B[i, j] * a[j]
+    z[i] = B[i, j] * y[j]
+    return (a, y, z), {}
+
+
+def _duplicate(s, B, c, x, a, y, i, j):
+    a[i] = B[i, j] * c[j]
+    return (a, a.assignment), {}
+
+
+def _interleaved(s, B, c, x, a, y, i, j):
+    a[i] = B[i, j] * c[j]
+    first = a.assignment
+    c[i] = B[i, j] * x[j]
+    return (first, c.assignment, first), {}
+
+
+def _accumulate(s, B, c, x, a, y, i, j):
+    from repro.taco.expr import Assignment
+
+    a[i] = B[i, j] * c[j]
+    acc = Assignment(a.assignment.lhs, a.assignment.rhs, accumulate=True)
+    return (acc, acc), {}
+
+
+def _cse_off(s, B, c, x, a, y, i, j):
+    a[i] = B[i, j] * c[j]
+    return (a, a.assignment), {"cse": False}
+
+
+def _runs_agree(prog, runtime):
+    """Run ``prog`` three times: each run's events, footprint and simulated
+    seconds equal the first's, and ``predict_metrics`` predicts them.
+    Returns the first run's signature."""
+    from repro.analysis.commplan import measured_signature
+    from repro.legion import ExecutionMetrics
+
+    runs = []
+    for _ in range(3):
+        res = prog.execute(runtime)
+        steps = [st for r in res.results for st in r.metrics.steps]
+        runs.append((measured_signature(ExecutionMetrics(steps=steps), runtime),
+                     res.simulated_seconds))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert repro.predict_metrics(prog) == runs[0][0]
+    return runs[0][0]
+
+
+class TestPlacementBeforeTheRun:
+    """A program places every statement's operands before the first runs,
+    so its first run books what every later one does — also when a
+    statement reads what the one before it wrote — and the static
+    planner predicts exactly that."""
+
+    @pytest.mark.parametrize("build, machine", [
+        *((build, dict(nodes=4)) for build in (
+            _shared, _chained, _duplicate, _interleaved, _accumulate, _cse_off)),
+        (_chained, dict(gpus=4)),
+        (_chained, dict(nodes=64)),
+    ], ids=lambda p: p.__name__.strip("_") if callable(p) else
+        "".join(f"{k}{v}" for k, v in p.items()))
+    def test_every_run_books_what_the_first_does(self, build, machine):
+        with repro.session(**machine) as s:
+            M, B, c, x, a, y = _workload(s)
+            targets, flags = build(s, B, c, x, a, y, *repro.index_vars("i j"))
+            first = _runs_agree(s.compile(*targets, **flags), s.runtime)
+            if build is _chained:  # a and y are staged for their readers
+                assert any("stage" in e.reason for e in first.events())
+
+    @pytest.mark.parametrize("machine", [dict(nodes=4), dict(gpus=4), dict(nodes=64)],
+                             ids=["cpu4", "gpu4", "cpu64"])
+    @pytest.mark.parametrize("flags", [
+        {}, {"fuse": False}, {"dse": False}, {"cse": False}, {"fold": False},
+    ], ids=["all", "no-fuse", "no-dse", "no-cse", "no-fold"])
+    def test_the_pass_pipeline_program_books_what_its_first_run_does(
+            self, flags, machine):
+        """The fuse / dse / SpAdd3 / cse program under each pass-flag set."""
+        from test_frontdoor import _ProgramWorld
+
+        with repro.session(**machine) as s:
+            _runs_agree(_ProgramWorld(5).program(s).compile(**flags), s.runtime)

@@ -51,9 +51,37 @@ class TestKnobs:
         for gone in ("set_codegen_backend", "codegen_backend"):
             assert not hasattr(codegen, gone) and not hasattr(repro, gone)
 
-    def test_session_validates_backend_eagerly(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            repro.Session(machine=Machine.cpu(PIECES), backend="bogus")
+    def test_sessions_and_servers_take_no_backend(self):
+        """A kernel's backend is its compile's; nothing per session."""
+        with pytest.raises(TypeError, match="backend"):
+            repro.Session(machine=Machine.cpu(PIECES), backend="interp")
+        with pytest.raises(TypeError, match="backend"):
+            repro.Server(machine=Machine.cpu(PIECES), workers=1, backend="interp")
+        assert not hasattr(repro.Session(machine=Machine.cpu(PIECES)), "backend")
+
+    def test_the_backend_is_fixed_when_a_kernel_is_compiled(self):
+        """A session's compile and an interp ``compile_kernel`` of one
+        statement: the cached kernel stays codegen, the interp one neither
+        comes from nor enters the cache, and steps of the two interleaved
+        bind nothing after the first."""
+        a, sched = spmv_workload()
+        machine = Machine.cpu(PIECES)
+        s = repro.Session(machine=machine)
+        ck = s.compile(sched).kernels[0]
+        interp = compile_kernel(sched, machine, backend="interp")
+        assert interp is not ck and interp.backend == "interp"
+        assert interp.cache_key is None
+        assert s.compile(sched).kernels[0] is ck is s.compile_kernel(sched)
+        assert compile_kernel(sched, machine) is ck and ck.backend == "codegen"
+        rt = Runtime(machine)
+        first = (s.execute(ck).output.vals.data.copy(), interp.execute(rt))
+        binds, leaves = codegen_stats()["binds"], (ck._leaf, interp._leaf)
+        assert binds == 1
+        for _ in range(3):
+            np.testing.assert_array_equal(s.execute(ck).output.vals.data, first[0])
+            np.testing.assert_array_equal(interp.execute(rt).output.vals.data, first[0])
+        assert codegen_stats()["binds"] == binds
+        assert (ck._leaf, interp._leaf) == leaves and ck.backend == "codegen"
 
     def test_compile_statement_rejects_unknown_backend(self):
         a, sched = spmv_workload()

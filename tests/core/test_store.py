@@ -111,8 +111,9 @@ class TestManifest:
     # 11: runtimes pickled a step log, a replay switch and copy traces;
     # 12: artifacts carried partition-memo entries;
     # 13: synthesized schedules' kernels were keyed by their structure;
-    # 14: kernels pickled the runtime they last ran on
-    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14])
+    # 14: kernels pickled the runtime they last ran on;
+    # 15: payloads paired each saved kernel with the runtimes it was placed on
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -124,7 +125,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (15, found)
+        assert (exc.value.expected, exc.value.found) == (16, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -382,7 +383,7 @@ class TestTheStoreSeesNoFacts:
         assert pickle.dumps(rt) == with_facts
         loaded = pickle.loads(with_facts)
         assert not any(res.whole for res in loaded._residency.values())
-        assert STORE_FORMAT_VERSION == 15
+        assert STORE_FORMAT_VERSION == 16
 
     def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
         from repro.legion import Rect

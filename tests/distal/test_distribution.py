@@ -114,9 +114,9 @@ class TestPlacement:
         """The planner's scratch runtime takes B's homes from the session
         runtime (``Runtime.copy_homes``): a two-statement program over a
         non-zero-split B predicts every staging event exactly, and seeding
-        B's homes once per statement does not duplicate them."""
+        B's homes for both statements does not duplicate them."""
         from repro.analysis import predict_metrics
-        from repro.analysis.commplan import _seed_tdn_homes, measured_signature
+        from repro.analysis.commplan import _mirror, measured_signature
         from repro.api.autoschedule import auto_schedule
         from repro.core import compile_program
         from repro.legion.metrics import ExecutionMetrics
@@ -140,9 +140,7 @@ class TestPlacement:
         measured = measured_signature(ExecutionMetrics(steps=steps), rt)
         assert predicted == measured
         assert sum(len(s.comm_events) for s in steps) > 0  # B really moves
-        scratch = Runtime(m)
-        for ck in prog.kernels:
-            _seed_tdn_homes(ck, scratch, rt)
+        _, scratch = _mirror(prog.kernels, m, runtime=rt)
         assert scratch._home[B.vals.uid].pieces() == rt._home[B.vals.uid].pieces()
 
     def test_nbytes_per_piece(self):

@@ -146,10 +146,6 @@ def test_kernel_cache_eviction_mid_program_keeps_values_and_steps():
     assert _under_one_byte_kernel_budget(lambda: _program_runs(chained=False)) == reference
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a kernel's first execute on a runtime re-places its operands and "
-    "resets residency to the homes, so a recompiled statement stages "
-    "nothing of what the statement before it wrote"))
 def test_kernel_cache_eviction_mid_chain_keeps_steps():
     """As above, with each statement reading the output before it: the
     budgeted second run recompiles, and its reads of ``a`` and ``y`` book

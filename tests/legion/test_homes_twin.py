@@ -3,9 +3,10 @@
 ``ListHomesRuntime`` keeps each region's homes as a list of ``(subset,
 proc)`` pairs in placement order: a first placement's pieces deduplicated
 at once (``_distinct``), later ones one by one through a per-region set
-(``_add_home`` / ``_homed``), ``copy_homes`` taking another runtime's
-list, and ``reset_residency`` rebuilding a homes-only table from the lists
-(or, in a clean state, keeping the live one).
+(``_add_home`` / ``_homed``) — a placement whose every non-empty piece is
+a home already changing nothing (``_homes_hold``) — ``copy_homes`` taking
+another runtime's list, and ``reset_residency`` rebuilding a homes-only
+table from the lists (or, in a clean state, keeping the live one).
 Staging reads a list through the table's two queries, each a scan of every
 home.  Its live tables are :class:`_Residency` like the runtime's, so only
 the homes differ.  Generated call sequences drive it and a
@@ -92,16 +93,22 @@ class ListHomesRuntime(Runtime):
                 self._add_home(region.uid, subset, proc)
         self._homes_changed()
 
+    def _homes_hold(self, uid, pieces):
+        """Whether each non-empty piece is a home on its processor."""
+        held = {(p, type(s), s) for s, p in self._home.get(uid, ())}
+        return all(s.empty or (p, type(s), s) in held for s, p in pieces)
+
     def _place_pieces(self, region, partition, procs, whole=None, check=True):
         pieces = list(zip(partition.subsets.values(), procs))
+        uid = region.uid
+        if uid in self._home and self._homes_hold(uid, pieces):
+            return  # adds no home: nothing changes
         self._unshare_residency()
-        uid, res = region.uid, self._res(region.uid)
+        res = self._res(uid)
         if not len(res.starts) and uid not in self._home:
             homes = self._home[uid] = _distinct(pieces)
             for subset, proc in homes:
                 res.add(proc, subset)
-        elif whole and whole[0] is not None and res.holds_placed(whole[1], whole[2]):
-            whole = None
         else:
             for subset, proc in pieces:
                 res.add(proc, subset)

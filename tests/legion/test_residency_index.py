@@ -129,9 +129,12 @@ class ListRuntime(ListHomesRuntime):
             homes.append((subset, proc))
 
     def _place_pieces(self, region, partition, procs, whole=None, check=True):
+        pieces = list(zip(partition.subsets.values(), procs))
+        if region.uid in self._home and self._homes_hold(region.uid, pieces):
+            return  # adds no home: nothing changes
         self._unshare_residency()
         res = self._res(region.uid)
-        for subset, proc in zip(partition.subsets.values(), procs):
+        for subset, proc in pieces:
             res.add(proc, subset)
             self._add_home(region.uid, subset, proc)
         self._homes_changed()
@@ -456,9 +459,10 @@ class TestLaunchGrowsWithPieces:
     def test_re_placing_after_a_write_compares_a_piece_only_with_its_duplicate(
             self, pieces, monkeypatch):
         """A write that drops a piece clears the facts, so re-placing an
-        equal partition loads its pieces into the live table and the homes
-        as adds would, not one by one; each is compared only with the piece
-        of its key (O(pieces), not O(pieces²))."""
+        equal partition asks the homes: each piece is compared only with
+        the home of its key (O(pieces), not O(pieces²)), every one is held,
+        and nothing changes — nothing loads, and the live table still
+        lacks the dropped piece."""
         rt = Runtime(Machine.cpu(pieces))
         out = Region(IndexSpace(4 * pieces))
         part = equal_partition(out.ispace, pieces)
@@ -471,12 +475,12 @@ class TestLaunchGrowsWithPieces:
         calls = Counter()
         _counting(monkeypatch, calls, residency_mod, "_same")
         _counting(monkeypatch, calls, runtime_mod._Residency, "add", "load")
+        state, live = (rt._state, rt._homes_version), rt._residency
         rt.place(out, equal_partition(out.ispace, pieces))
-        # live, every color but the dropped one meets its duplicate, once;
-        # among the homes, every color does
-        assert calls == {"load": 2, "_same": 2 * pieces - 1}
-        assert [p for p, q in rt._residency[out.uid].pieces() if q == 0] == [
-            rt._home[out.uid].pieces()[0][0]]  # the dropped piece is back
+        # among the homes, every color meets its duplicate, once
+        assert calls == {"_same": pieces}
+        assert (rt._state, rt._homes_version) == state and rt._residency is live
+        assert 0 not in by_proc(rt._residency[out.uid])
         assert_index_consistent(rt._residency[out.uid], out)
 
     def test_a_first_launch_over_home_partitions_runs_no_subset_algebra(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import OOMError
 from repro.legion import (
+    ArraySubset,
     ExecutionMetrics,
     IndexSpace,
     Machine,
@@ -175,6 +176,62 @@ class TestPlacementFacts:
                                 [RegionReq(r, twin, Privilege.READ_ONLY)],
                                 proc_map=lambda c: (c + 1) % 4)
         assert len(other.comm_events) == 4
+
+
+class TestAHeldPlacementChangesNothing:
+    """Placing what the homes hold already — a partition a fact names, an
+    equal one, one whose every piece is a home, a replica — changes
+    nothing: not the state, the homes' version or rows, the traces, nor the
+    live table; also on a pickled runtime, which holds no facts."""
+
+    @staticmethod
+    def _placements(r):
+        """Per kind, a fresh equal placement of ``r`` on each call."""
+        rows = lambda: equal_partition(r.ispace, 4)  # noqa: E731
+        strided = lambda: Partition(r.ispace, {  # noqa: E731
+            c: ArraySubset(np.arange(c, 16, 4)) for c in range(4)})
+        return {
+            "rects": lambda rt: rt.place(r, rows()),
+            "index-list": lambda rt: rt.place(r, strided()),
+            "replicated": lambda rt: rt.place_replicated(r),
+        }
+
+    @staticmethod
+    def _held(rt, r):
+        homes = rt._home[r.uid]
+        return (rt._state, rt._homes_version,
+                {key: id(trace) for key, trace in rt._traces.items()},
+                id(rt._residency),
+                [col.tobytes() for col in (homes.starts, homes.ends,
+                                           homes.owners, homes.arrivals)])
+
+    @pytest.mark.parametrize("kind", ["rects", "index-list", "replicated"])
+    def test_re_placing_a_held_partition(self, kind):
+        import pickle
+
+        rt, r = make_rt(nodes=4), Region(IndexSpace(16))
+        place = self._placements(r)[kind]
+        place(rt)
+        rt.reset_residency()
+        # a launch that stages leaves a recorded trace and a post state
+        step = rt.index_launch("t", range(4), lambda c: Work(1, 1),
+                               [RegionReq(r, equal_partition(r.ispace, 4),
+                                          Privilege.READ_ONLY)],
+                               proc_map=lambda c: (c + 1) % 4)
+        assert rt._traces and (kind == "replicated") == (not step.comm_events)
+        for x in (rt, pickle.loads(pickle.dumps(rt))):
+            held = self._held(x, r)
+            place(x)
+            place(x)
+            assert self._held(x, r) == held
+
+    def test_a_placement_adding_a_home_moves_the_state(self):
+        rt, r = make_rt(nodes=4), Region(IndexSpace(16))
+        rt.place(r, equal_partition(r.ispace, 4))
+        state = rt._state, rt._homes_version
+        rt.place(r, equal_partition(r.ispace, 2))
+        assert (rt._state, rt._homes_version) != state
+        assert len(rt._home[r.uid].pieces()) == 6
 
 
 class TestWriteCoherence:

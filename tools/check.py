@@ -1090,18 +1090,18 @@ def _unreleased(build, machine, backend: str, strategy: Optional[str] = None,
     the session, the statements and the process caches, and return the
     names of their tensors that are still alive — call with the cyclic
     collector disabled, so a survivor is a reference cycle.  The statements
-    run as the program the session captures, the first under ``strategy``
-    when one is named.  ``None`` when nothing ran (no statement written, or
-    the strategy is not synthesizable here)."""
+    run as the program the session captures, compiled for ``backend``, the
+    first under ``strategy`` when one is named.  ``None`` when nothing ran
+    (no statement written, or the strategy is not synthesizable here)."""
     import weakref
 
     import repro
     from repro.api.autoschedule import auto_schedule
-    from repro.core import clear_caches
+    from repro.core import clear_caches, compile_program
     from repro.errors import ScheduleError
 
     def run():
-        with repro.session(machine=machine, backend=backend) as s:
+        with repro.session(machine=machine) as s:
             with s.program() as p:
                 build()
             if not len(p):
@@ -1112,8 +1112,9 @@ def _unreleased(build, machine, backend: str, strategy: Optional[str] = None,
                         auto_schedule(p[0].assignment, machine, strategy=strategy))
                 except ScheduleError:
                     return None
+            program = compile_program(p.schedules(), machine, backend=backend)
             for _ in range(runs):
-                p.run()
+                program.execute(s.runtime)
             return {
                 t.name: weakref.ref(t)
                 for stmt in p.statements for t in stmt.assignment.tensors()
