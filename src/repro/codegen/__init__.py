@@ -105,8 +105,8 @@ def bind_leaf(ck) -> Optional[Tuple[Callable, Optional[Callable]]]:
     """``(leaf, bind_launch)`` for ``ck``: the bound leaf (piece -> Work)
     and, where the bind function returns an ``over``, a zero-argument
     callable that binds the launch thunk over every piece (``() ->`` each
-    piece's Work in piece order, its scaffolding derived on its first
-    call; None when the pieces do not tile one range) — only a launch
+    piece's Work in piece order, its scaffolding derived as it binds;
+    None when the pieces do not tile one range) — only a launch
     that may run as one call binds it — or None
     (interpreter fallback, bumping the ``fallbacks`` counter) when the
     kernel table names no bind function for its kind and strategy."""
@@ -156,18 +156,12 @@ def _launch_thunk(pieces, works, over) -> Optional[Callable]:
     """``over`` across every live piece's ``(lo, hi)`` range arguments,
     which must tile one range in piece order, returning every piece's
     frozen Work (``works``, the columns); None when they leave a gap or
-    overlap.  ``over`` runs on the thunk's first call, so a launch that
-    never takes the one call derives none of its scaffolding."""
+    overlap.  It is bound on a kernel's first execute, whose launch calls
+    it at once, recording or replaying."""
     live = np.array([p[1:3] for p in pieces if p[1] <= p[2]], dtype=np.int64).reshape(-1, 2)
     if (live[1:, 0] != live[:-1, 1] + 1).any():
         return None
-    built = []
-
-    def launch():
-        if not built:
-            built.append(over(live, works))
-        return built[0]()
-    return launch
+    return over(live, works)
 
 
 def leaf_for(ck) -> Optional[Callable]:

@@ -333,12 +333,8 @@ class _Canon:
         raise Unfingerprintable(f"cannot fingerprint {type(e).__name__}")
 
 
-def _format_signature(fmt) -> Tuple:
-    return (tuple(lf.is_compressed for lf in fmt.levels), fmt.mode_ordering)
-
-
 def _tensor_state(t) -> Tuple:
-    return (t.pattern_version, t.shape, _format_signature(t.format), t.dtype.str)
+    return (t.pattern_version, t.shape, t.format.signature, t.dtype.str)
 
 
 def _assembled_output_state(t) -> Tuple:
@@ -354,7 +350,7 @@ def _assembled_output_state(t) -> Tuple:
     (``Tensor.assembly_version``) and excluded here.  Shape, format and
     dtype still participate: those the compiled kernel does assume.
     """
-    return ("out", t.shape, _format_signature(t.format), t.dtype.str)
+    return ("out", t.shape, t.format.signature, t.dtype.str)
 
 
 def is_assembled_output(asg: Assignment) -> bool:
@@ -506,7 +502,7 @@ def _pattern_stats(t) -> Tuple:
     rows-balanced from non-zeros-balanced mappings in the paper's Figs.
     10-12).
     """
-    base = (tuple(t.shape), _format_signature(t.format), t.dtype.str, int(t.nnz))
+    base = (tuple(t.shape), t.format.signature, t.dtype.str, int(t.nnz))
     skew_bucket = 0
     for lvl in getattr(t, "levels", ()):
         if getattr(lvl, "pos", None) is None:

@@ -121,7 +121,7 @@ def _same_layout(a, b) -> bool:
     return (
         a.shape == b.shape
         and a.dtype == b.dtype
-        and _cache._format_signature(a.format) == _cache._format_signature(b.format)
+        and a.format.signature == b.format.signature
     )
 
 

@@ -13,9 +13,10 @@ scratch values array and reduces it with the SpMM reduce of :mod:`.segment`.
 Each binds a launch of every piece as one call: a position's value is
 formed alone (a NaN product is the one quiet NaN, whatever the call), and
 the fused kind's reduce adds the pieces' partials of shared rows in piece
-order, so the call writes what the pieces write; covering every position
-at once, it copies ``D.T`` contiguous where a piece alone would gather
-the strided view.
+order, so the call writes what the pieces write.  The runtime makes that
+call on a launch's first execute as on its replays, so a launch copies
+``D.T`` contiguous once per call, covering every position, where a piece
+alone would gather the strided view.
 
 Index notation: ``A(i,j) = B(i,j) * C(i,k) * D(k,j)`` — paper §V-B
 (pattern-preserving output), §VI-A (non-zero distribution), Fig. 10/11.
@@ -36,7 +37,9 @@ F8 = 8
 _CHUNK = 1 << 18  # bound the nnz*k intermediate (be easy on memory)
 #: the bound leaves' gather block: (block, k) gathers fit in 128 KiB.
 _BLOCK_BYTES = 1 << 17
-#: a bound call copies ``D.T`` contiguous at this many positions per column.
+#: a bound call makes one contiguous copy of ``D.T`` when it covers this
+#: many positions per column of D: a launch's one call (its first execute
+#: and its replays alike) decides once over all its positions.
 _COPY_AT = 2
 
 

@@ -22,14 +22,16 @@ assignment) from the same state replays it: the events are re-charged and
 the table installed, but no per-color subset algebra re-runs.  The
 computation always executes and compute time comes from the returned
 :class:`Work`, so replayed metrics are bit-identical to a fresh analysis.
-A launch handed a *launch thunk* (the compiler passes one for a
-write-disjoint output whose bound leaf has one) calls it once and books the
-per-color ``Work`` columns at once, summed per processor in color order.  A replay always may; a recording only
-when every requirement is *at home* — the facts ``place*`` recorded about
-whole partitions say staging and coherence do nothing, as on a first
-launch over the placement (:meth:`Runtime._at_home`), and such a recording
-writes, and so copies, no table.  Otherwise it runs the tasks one by one,
-between their staging and coherence steps.
+A launch handed a *launch thunk* (the compiler passes one where
+``CompiledKernel._bind`` grants it) calls it once and books
+the per-color ``Work`` columns at once, summed per processor in color
+order — a replay, and a recording too: it stages and applies coherence
+color by color first, then makes the call.  A recording whose every
+requirement is *at home* — the facts ``place*`` recorded about whole
+partitions say staging and coherence do nothing, as on a first launch over
+the placement (:meth:`Runtime._at_home`) — writes, and so copies, no
+table.  A launch with no thunk runs the tasks one by one, between their
+staging and coherence steps.
 
 Residency states are tracked symbolically: ``reset_residency`` (called
 between trials) returns to the canonical "homes only" state *without*
@@ -307,17 +309,19 @@ class Runtime:
         executes — as one call of ``launch``, a thunk returning every
         color's :class:`Work` in color order (the caller vouches that it
         computes what the tasks would, a reduction's partials included),
-        when a replay or a recording at home (:meth:`_at_home`) has one;
-        else task by task.  A reduction is never at home, so it records
-        task by task and its replays book its reduction events from the
-        trace.
+        whenever there is one, recording or replaying; else task by task.
+        A recording with a thunk runs steps (1), (2) and (4) color by
+        color first — none for a requirement at home (:meth:`_at_home`) —
+        then makes the one call: a task writes no table, so staging decides
+        what moves and nothing about how the body runs.
         """
         procs = self._procs(colors, proc_map)
         trace_key = (self._state, name, tuple(colors), tuple(
             _req_sig(r.region.uid, r.partition, r.privilege.value, r.streamed)
             for r in reqs), tuple(procs))
-        trace = self._traces.get(trace_key)
+        trace = self._traces.pop(trace_key, None)
         if trace is not None:
+            self._traces[trace_key] = trace  # most recently used: last to go
             return self._replay_launch(name, colors, task, trace, launch)
 
         step = StepMetrics(name)
@@ -327,8 +331,9 @@ class Runtime:
         before = self._unshare_residency(keep=True) if staged else None
         booked = None
         try:
-            if not staged and launch is not None:
-                events_per_color = [()] * len(procs)
+            if launch is not None:
+                events_per_color = (self._map_colors(colors, procs, staged) if staged
+                                    else [()] * len(procs))
                 booked = self._book(step, procs, launch(), events_per_color)
             else:
                 for ordinal, color in enumerate(colors):
@@ -354,8 +359,8 @@ class Runtime:
             post_state = self._state
         else:
             post_state = ("post", next(self._state_counter))
-        if len(self._traces) >= 512:  # runaway-recording backstop
-            self._traces.clear()
+        if len(self._traces) >= 512:  # runaway-recording backstop: evict the LRU trace
+            del self._traces[next(iter(self._traces))]
         self._traces[trace_key] = MappingTrace(
             procs, events_per_color, after, post_state,
             tuple(req.partition for req in reqs), booked)
@@ -382,6 +387,20 @@ class Runtime:
                 on == [False] and req.privilege is Privilege.WRITE_DISCARD
                 and res.held(req.partition, colors, procs, False) and res.apart()))
         return home
+
+    def _map_colors(self, colors: Sequence[Color], procs: List[int],
+                    staged: Sequence[RegionReq]) -> List[Tuple[CommEvent, ...]]:
+        """Stage ``staged`` and apply its coherence color by color, as the
+        per-task loop does around each task (a task writes no table), and
+        return each color's events in order, for :meth:`_book`."""
+        mapped = StepMetrics("")
+        events_per_color = []
+        for color, proc in zip(colors, procs):
+            mark = len(mapped.comm_events)
+            self._stage_inputs(mapped, color, proc, staged)
+            self._apply_outputs(mapped, color, proc, staged)
+            events_per_color.append(tuple(mapped.comm_events[mark:]))
+        return events_per_color
 
     def _book(self, step: StepMetrics, procs: List[int], works, events_per_color,
               booked: Optional[Tuple] = None) -> Tuple:

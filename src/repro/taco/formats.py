@@ -12,6 +12,7 @@ Compressed}, Distribution(...))`` couples structure and placement.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from ..errors import FormatError
@@ -97,6 +98,13 @@ class Format:
     @property
     def order(self) -> int:
         return len(self.levels)
+
+    @cached_property
+    def signature(self) -> Tuple[Tuple[bool, ...], Tuple[int, ...]]:
+        """What cache keys read of the format — whether each level is
+        compressed, and the mode ordering — made once per format, on its
+        first read (a format never changes)."""
+        return (tuple(lf.is_compressed for lf in self.levels), self.mode_ordering)
 
     def is_all_dense(self) -> bool:
         return all(lf.is_dense for lf in self.levels)

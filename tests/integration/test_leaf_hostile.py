@@ -44,11 +44,13 @@ from hypothesis import strategies as st
 
 from repro import codegen
 from repro.api.autoschedule import auto_schedule
+from repro.api.session import Session
 from repro.core import (
     SPECS, caches_disabled, classify, clear_caches, compile_kernel, compile_program,
 )
 from repro.core.passes import FUSED_SDDMM_SPMM
 from repro.errors import FormatError, OOMError
+from repro.kernels import sddmm as sddmm_mod
 from repro.legion import (
     IndexSpace, Machine, NodeSpec, Privilege, Region, RegionReq, Runtime, Work,
     make_pos_region,
@@ -331,13 +333,13 @@ def test_one_call_replay_writes_what_the_pieces_write(
     """A launch through the launch thunk writes (over a poisoned output)
     the bytes the per-piece thunks write, and books the step a per-piece
     launch books: per-processor compute seconds, communication events and
-    task count.  A recording takes the one call exactly when every
-    requirement is at home — over the kernel's own placement, for an
-    output written disjointly (a reduction stages its partials home) —
-    and runs piece by piece when it stages, under a processor map other
-    than the placement's; a replay takes it either way.  An output whose
-    pieces add into it is zeroed by ``execute`` and taken as it is by a
-    bare launch, which adds into the poison.  A bind function that gathers
+    task count.  Recordings and replays alike take the one call, whether
+    every requirement is at home — over the kernel's own placement, for an
+    output written disjointly — or the launch stages: a reduction's
+    partials going home, or any launch under a processor map other than
+    the placement's.  An output whose pieces add into it is zeroed by
+    ``execute`` and taken as it is by a bare launch, which adds into the
+    poison.  A bind function that gathers
     in blocks is bound with blocks of 1 to all positions, and gathers rows
     of ``D.T`` from a contiguous copy always, by its own rule, or never
     (the interpreter gathers the strided view)."""
@@ -351,18 +353,15 @@ def test_one_call_replay_writes_what_the_pieces_write(
             mp.setattr(module, "_BLOCK_BYTES", block_bytes)
             mp.setattr(module, "_COPY_AT", copy_at)
         per_piece = {"piece": len(ck.pieces), "launch": 0}
-        reduced = ck.privileges[id(ck.out)] is Privilege.REDUCE
         for one_call in (True, False):
-            one = {"piece": 0, "launch": 1} if one_call else per_piece
+            taken = {"piece": 0, "launch": 1} if one_call else per_piece
             rt = CountingRuntime(machine, one_call)
             steps[one_call] = []
-            for how, launch, taken in (
-                ("execute", lambda: ck.execute(rt).metrics.steps[0],
-                 per_piece if reduced else one),                   # records at home
-                ("execute", lambda: ck.execute(rt).metrics.steps[0], one),  # replays
-                ("shifted", lambda: _shifted_launch(rt, ck),
-                 per_piece if reduced or _moves(ck) else one),
-                ("shifted", lambda: _shifted_launch(rt, ck), one),           # replays
+            for how, launch in (
+                ("execute", lambda: ck.execute(rt).metrics.steps[0]),   # records
+                ("execute", lambda: ck.execute(rt).metrics.steps[0]),   # replays
+                ("shifted", lambda: _shifted_launch(rt, ck)),           # records
+                ("shifted", lambda: _shifted_launch(rt, ck)),           # replays
             ):
                 out.vals.data[...] = 7.0
                 steps[one_call].append(launch())
@@ -401,15 +400,6 @@ def _shifted_launch(rt, ck):
                            proc_map=lambda c: (proc_of(c) + 1) % rt.machine.size)
 
 
-def _moves(ck):
-    """Whether the shifted launch leaves some requirement away from home:
-    on two or more processors, any partitioned requirement with a
-    non-empty piece (a replicated operand is home everywhere)."""
-    return ck.machine.size > 1 and any(
-        not s.empty for r in ck._reqs() if r.partition is not None
-        for s in r.partition.subsets.values())
-
-
 def _oracle_statements():
     """Every (kind, format, strategy) the differential oracle builds."""
     for kind, formats in _KIND_FORMATS.items():
@@ -425,10 +415,9 @@ def test_one_call_only_where_no_value_depends_on_the_split(backend):
     leaves (the codegen backend), no operand is streamed in rounds and its
     pieces own whole rows or positions (a ``grid`` piece owns a column
     window) — a ``REDUCE`` output included, whose one call folds the
-    pieces' partials in piece order.  The recording runs over the kernel's
-    own placement: it takes the one call too when every requirement is at
-    home, which an output written disjointly is and a reduced one, whose
-    partials stage home, is not."""
+    pieces' partials in piece order.  The recording, over the kernel's own
+    placement, computes as its replay does: an output written disjointly
+    is at home, and a reduced one stages its partials home first."""
     machine = Machine.cpu(4)
     one_call = {Privilege.WRITE_DISCARD: 0, Privilege.REDUCE: 0}
     for combo in _oracle_statements():
@@ -451,13 +440,10 @@ def test_one_call_only_where_no_value_depends_on_the_split(backend):
             expected = (backend == "codegen" and codegen.supported(ck) and not streamed
                         and all(p.cols is None for p in ck.pieces))
             assert bool(calls["launch"]) == expected, combo
+            assert recorded == calls, combo
             if not expected:
-                assert recorded == calls, combo
                 continue
             assert calls == {"piece": 0, "launch": 1}, combo
-            at_home = privilege is Privilege.WRITE_DISCARD
-            assert recorded == (calls if at_home else
-                                {"piece": len(ck.pieces), "launch": 0}), combo
             one_call[privilege] += 1
     assert all(n > 0 for n in one_call.values()) == (backend == "codegen")
     assert any(one_call.values()) == (backend == "codegen")
@@ -603,21 +589,155 @@ def test_one_call_adds_what_the_pieces_add_at_any_cut(
 
 
 def test_an_oom_in_a_recording_launch_leaves_the_runtime_dirty():
-    """The launch thunk is never called while recording: an OOM part-way
-    through the pieces leaves a partial launch, an unknown residency state
-    and no trace to replay."""
+    """A recording stages every color before its one call: an OOM staging
+    the second color raises before any piece computes, so the output keeps
+    its poison, and leaves an unknown residency state and no trace to
+    replay."""
     machine = Machine.cpu(2, NodeSpec(dram_bytes=400.0))
     big = Region(IndexSpace(100))
     rt = CountingRuntime(machine)
     rt.place_on(big, 0)
     reqs = [RegionReq(big, None, Privilege.READ_ONLY)]
+    out = np.full(2, np.nan)
+
+    def launch():
+        out[...] = 1.0
+        return (Work(1, 1),) * 2
+
+    def task(c):
+        out[c] = 1.0
+        return Work(1, 1)
+
     for _ in range(2):  # the second launch from the same state records too
         rt.reset_residency()
         with pytest.raises(OOMError):  # staging `big` on proc 1
-            rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs,
-                            launch=lambda: (Work(1, 1),) * 2)
-        assert rt.count() == {"piece": 1, "launch": 0}
+            rt.index_launch("t", [0, 1], task, reqs, launch=launch)
+        assert rt.count() == {"piece": 0, "launch": 0}
+        assert np.isnan(out).all()
         assert rt._state[0] == "dirty" and not rt._traces and not rt.trace_hits
+
+
+def _rmat(rng, scale, edge_factor):
+    """A Graph500 recursive-matrix graph's distinct coordinates (heavy row
+    skew) and its shape."""
+    n = 1 << scale
+    rows = np.zeros(n * edge_factor, dtype=np.int64)
+    cols = np.zeros_like(rows)
+    for level in range(scale):
+        r = rng.random(rows.size)
+        bit = 1 << (scale - level - 1)
+        cols += bit * ((r >= 0.57) & (r < 0.76) | (r >= 0.95))
+        rows += bit * (r >= 0.76)
+    keep = np.unique(rows * n + cols, return_index=True)[1]
+    return [rows[keep], cols[keep]], (n, n)
+
+
+class _CountingNumpy:
+    """NumPy as :mod:`repro.kernels.sddmm` sees it, counting its
+    contiguous copies (of ``D.T``)."""
+
+    def __init__(self):
+        self.copies = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def ascontiguousarray(self, a):
+        self.copies += 1
+        return np.ascontiguousarray(a)
+
+
+def _fused_on_gpus(seed):
+    """The fused SDDMM→SpMM kernel of perfbench's ``program_mixed_gpu``,
+    smaller: a non-zero split over gpu(4) of an RMAT graph, k = 16, about
+    6 positions per column of D in all and fewer than ``_COPY_AT`` in any
+    one piece."""
+    rng = np.random.default_rng(seed)
+    coords, shape = _rmat(rng, 11, 8)
+    n, k = shape[0], 16
+    B = Tensor.from_coo("B", coords, rng.random(coords[0].size), shape, CSR)
+    U, V, F = (Tensor.from_dense(name, rng.random(dims))
+               for name, dims in (("U", (n, k)), ("V", (k, n)), ("F", (n, k))))
+    E, H = Tensor.zeros("E", shape, CSR), Tensor.zeros("H", (n, k))
+    i, j, l, x, y, z = index_vars("i j l x y z")
+    E[i, j] = B[i, j] * U[i, l] * V[l, j]
+    H[x, y] = E[x, z] * F[z, y]
+    machine = Machine.gpu(4)
+    (ck,) = compile_program(
+        [auto_schedule(E.assignment, machine),
+         auto_schedule(H.assignment, machine, strategy="nonzeros")], machine).kernels
+    assert ck.kind == FUSED_SDDMM_SPMM and ck.strategy == "nonzeros"
+    assert coords[0].size >= sddmm_mod._COPY_AT * n > coords[0].size / 4
+    return ck, H
+
+
+def test_a_reducing_first_execute_is_one_call_with_one_copy(monkeypatch):
+    """The fused non-zero launch reduces, so its recording stages the
+    partials home; it still makes the one call, whose SDDMM phase copies
+    ``D.T`` contiguous once over every position, where each piece alone
+    gathers the strided view.  It writes the bits a per-piece recording
+    writes and books the steps that recording books, and so does its own
+    replay."""
+    numpy = _CountingNumpy()
+    monkeypatch.setattr(sddmm_mod, "np", numpy)
+    written, steps = {}, {}
+    for one_call in (True, False):
+        clear_caches()
+        ck, out = _fused_on_gpus(5)
+        assert ck.privileges[id(ck.out)] is Privilege.REDUCE
+        rt = CountingRuntime(ck.machine, one_call)
+        numpy.copies = 0
+        steps[one_call] = ck.execute(rt).metrics.steps
+        written[one_call] = out.vals.data.tobytes()
+        if one_call:
+            assert rt.count() == {"piece": 0, "launch": 1} and numpy.copies == 1
+            assert rt.stats()["trace_records"] == 1
+            assert ck.execute(rt).metrics.steps == steps[True]
+            assert rt.stats()["trace_hits"] == 1
+            assert out.vals.data.tobytes() == written[True]
+        else:
+            assert rt.count() == {"piece": len(ck.pieces), "launch": 0}
+            assert numpy.copies == 0
+    assert written[True] == written[False]
+    assert steps[True] == steps[False]
+    assert any(e.reason.startswith("reduce") for step in steps[True]
+               for e in step.comm_events)
+
+
+def test_the_five_statement_program_books_its_first_run_as_its_second():
+    """perfbench's five-statement program on gpu(4) — fused SDDMM→SpMM,
+    SpAdd3, SpMTTKRP, SpTTV — books on its first run, which records, the
+    steps and events its second run replays, and writes the same bits."""
+    rng = np.random.default_rng(9)
+    s = Session(gpus=4)
+    mats = {}
+    for name, factor in (("B", 8), ("B2", 2), ("B3", 2)):
+        coords, shape = _rmat(rng, 8, factor)
+        mats[name] = s.from_coo(name, coords, rng.random(coords[0].size), shape, CSR)
+    n, rank, tshape = 256, 4, (60, 50, 40)
+    flat = np.unique(rng.integers(0, np.prod(tshape), 2000))
+    T = s.from_coo("T", np.unravel_index(flat, tshape), rng.random(flat.size), tshape, CSF3)
+    U, V, F, TC, TD, tc = (s.tensor(name, rng.random(dims)) for name, dims in (
+        ("U", (n, rank)), ("V", (rank, n)), ("F", (n, rank)),
+        ("TC", (tshape[1], rank)), ("TD", (tshape[2], rank)), ("tc", tshape[2])))
+    E, S, W = (s.zeros(name, dims, CSR) for name, dims in (
+        ("E", (n, n)), ("S", (n, n)), ("W", tshape[:2])))
+    H, M = s.zeros("H", (n, rank)), s.zeros("M", (tshape[0], rank))
+    i, j, k, x, y, z = index_vars("i j k x y z")
+    i3, j3, i4, j4, k4, l4, i5, j5, k5 = index_vars("i3 j3 i4 j4 k4 l4 i5 j5 k5")
+    with s.program() as p:
+        E[i, j] = mats["B"][i, j] * U[i, k] * V[k, j]
+        H[x, y] = E[x, z] * F[z, y]
+        S[i3, j3] = mats["B"][i3, j3] + mats["B2"][i3, j3] + mats["B3"][i3, j3]
+        M[i4, l4] = T[i4, j4, k4] * TC[j4, l4] * TD[k4, l4]
+        W[i5, j5] = T[i5, j5, k5] * tc[k5]
+    runs, written = [], []
+    for _ in range(2):
+        runs.append([r.metrics.steps for r in p.run().results])
+        written.append([t.vals.data.tobytes() for t in (H, S, M, W)])
+    assert s.runtime.stats()["trace_hits"] == s.runtime.stats()["trace_records"]
+    assert runs[0] == runs[1] and written[0] == written[1]
+    assert any(step.comm_events for steps in runs[0] for step in steps)
 
 
 # --------------------------------------------------------------------------- #
@@ -694,7 +814,7 @@ def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy, monkeypatch):
     SDDMM's gathers index by row, so its thunks slice one position → row
     array (8 bytes per position) and hold nothing else.  Every launch but
     ``grid``'s has a launch thunk, a non-zero one included; it derives its
-    boundaries on its first call — every piece's, concatenated, from the
+    boundaries as it binds — every piece's, concatenated, from the
     bind's ``indptr``: O(rows + pieces) — holds no float array (it
     allocates its scratch per call) and nothing else the per-piece thunks
     do not already share."""
@@ -725,11 +845,6 @@ def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy, monkeypatch):
     launch = ck._launch_args[-1]
     assert (launch is not None) == (strategy != "grid")
     if launch is not None:
-        # a recording at home took the one call; a reduction's ran per
-        # piece and left the launch thunk's scaffolding underived
-        cells = dict(zip(launch.__code__.co_freevars, launch.__closure__))
-        reduced = ck.privileges[id(ck.out)] is Privilege.REDUCE
-        assert bool(cells["built"].cell_contents) != reduced
         works = launch()
         assert launch() is works  # each piece's frozen Work, as columns
         frozen = {id(_root(a)) for a in _held(works)}

@@ -330,6 +330,49 @@ class TestSteadyStateLoops:
         res.add(0, r.ispace.full_subset())
         assert len(res.pieces()) == n  # structurally equal: not re-added
 
+class TestTraceBackstop:
+    """A runtime keeps at most 512 traces: a recording past that evicts the
+    one least recently recorded or replayed, and only that one."""
+
+    @staticmethod
+    def _launch(rt, name, reqs=()):
+        return rt.index_launch(name, [0, 1], lambda c: Work(1, 1), reqs)
+
+    def test_a_513th_recording_evicts_the_least_recently_used(self):
+        rt = make_rt()
+        for i in range(512):
+            self._launch(rt, f"t{i}")
+        assert len(rt._traces) == 512 and rt.trace_records == 512
+        self._launch(rt, "t0")  # a replay: now the most recently used
+        assert rt.trace_hits == 1
+        self._launch(rt, "t512")
+        names = [key[1] for key in rt._traces]
+        assert len(names) == 512 and rt.trace_records == 513
+        assert names[0] == "t2" and names[-2:] == ["t0", "t512"] and "t1" not in names
+        self._launch(rt, "t0")
+        assert (rt.trace_hits, rt.trace_records) == (2, 513)
+        self._launch(rt, "t1")
+        assert (rt.trace_hits, rt.trace_records) == (2, 514)
+
+    def test_a_pickled_runtime_keeps_the_order_of_use(self):
+        import pickle
+
+        rt = make_rt()
+        r = Region(IndexSpace(8))
+        part = equal_partition(r.ispace, 2)
+        rt.place(r, part)
+        reqs = [RegionReq(r, part, Privilege.READ_ONLY)]
+        for name in "abc":
+            self._launch(rt, name, reqs)
+        self._launch(rt, "a", reqs)
+        assert [key[1] for key in rt._traces] == ["b", "c", "a"]
+        rt2, reqs2 = pickle.loads(pickle.dumps((rt, reqs)))
+        assert [key[1] for key in rt2._traces] == ["b", "c", "a"]
+        self._launch(rt2, "b", reqs2)
+        assert rt2.trace_hits == 1 and rt2.trace_records == 0
+        assert [key[1] for key in rt2._traces] == ["c", "a", "b"]
+
+
 class TestSpAddReplay:
     """The SpAdd assembly chain (symbolic -> scan -> fill) replays across
     iterations: the per-execute output re-assembly no longer re-records."""

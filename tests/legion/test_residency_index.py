@@ -525,10 +525,11 @@ class TestLaunchGrowsWithPieces:
         rt.index_launch("v", range(pieces), lambda c: pytest.fail("per piece"), reqs,
                         launch=launch)
         assert calls == {} and thunk == {"calls": 2}
-        # a partition no fact speaks for stages, so the launch runs per piece
+        # a partition no fact speaks for stages, and the launch still
+        # computes in one call
         reqs[1] = RegionReq(src, equal_partition(src.ispace, pieces // 2), Privilege.READ_ONLY)
         rt.index_launch("u", range(pieces), lambda c: Work(1, 1), reqs, launch=launch)
-        assert calls["missing_subset"] == pieces // 2 and thunk == {"calls": 2}
+        assert calls["missing_subset"] == pieces // 2 and thunk == {"calls": 3}
 
     def test_an_sddmm_sharing_its_pattern_regions_is_at_home(self, monkeypatch):
         """SDDMM's output reads the pattern regions of its sparse operand

@@ -98,3 +98,32 @@ class TestFormat:
     def test_default_name_encodes_levels(self):
         f = Format([Dense, Compressed, Compressed])
         assert f.name == "Format(D,C,C)"
+
+
+class TestSignature:
+    """``Format.signature`` is what cache keys read of a format: each
+    level's compressedness and the mode ordering, made once."""
+
+    @pytest.mark.parametrize("fmt,expected", [
+        (CSR, ((False, True), (0, 1))),
+        (CSC, ((False, True), (1, 0))),
+        (CSF3, ((False, True, True), (0, 1, 2))),
+        (DDC, ((False, False, True), (0, 1, 2))),
+        (SPARSE_VECTOR, ((True,), (0,))),
+        (Format([Compressed, Compressed], name="DCSR"), ((True, True), (0, 1))),
+        (dense_format(1), ((False,), (0,))),
+        (dense_format(2), ((False, False), (0, 1))),
+        (dense_format(3), ((False, False, False), (0, 1, 2))),
+    ])
+    def test_levels_compressed_and_mode_ordering(self, fmt, expected):
+        assert fmt.signature == expected
+        assert fmt.signature == (tuple(lf.is_compressed for lf in fmt.levels),
+                                 fmt.mode_ordering)
+
+    def test_made_once_and_kept_through_pickling(self):
+        import pickle
+
+        fmt = Format([Dense, Compressed], mode_ordering=(1, 0))
+        assert fmt.signature is fmt.signature
+        assert pickle.loads(pickle.dumps(fmt)).signature == CSC.signature
+        assert fmt.with_distribution(object()).signature == fmt.signature
