@@ -245,8 +245,8 @@ def _mirror(
     program's launching ones) on a scratch runtime, as a real run makes it:
     the homes of the regions a TDN statement declared on ``runtime`` copied
     in its order, every kernel placed, one reset, then each launch in order
-    with the leaf bodies replaced by the Work model (None: no work), per
-    piece and as the launch's columns.  Returns the launches' steps and the
+    with the leaf bodies replaced by the Work model's columns (None: no
+    work).  Returns the launches' steps and the
     scratch runtime; raises :class:`repro.errors.OOMError` where the run
     would."""
     from ..core.kernelspec import SPECS
@@ -265,13 +265,11 @@ def _mirror(
     steps: List[StepMetrics] = []
     for ck in kernels:
         colors = [p.color for p in ck.pieces]
-        at = dict(zip(colors, range(len(colors))))
         proc_of = dict(zip(colors, (p.proc for p in ck.pieces))).__getitem__
 
         def launch(name: str, phase: str, reqs) -> StepMetrics:
             works = work(phase) if work is not None else Works.zeros(len(colors))
-            return rt.index_launch(name, colors, lambda c: works[at[c]], reqs,
-                                   proc_map=proc_of, launch=lambda: works)
+            return rt.index_launch(name, colors, lambda: works, reqs, proc_map=proc_of)
 
         if SPECS[ck.kind].assembles:
             reqs = ck.spadd_read_reqs()

@@ -8,8 +8,8 @@ call hoists the scaffolding the pieces share out of the execution path
 and returns a flat ``{color: thunk}`` leaf whose thunks are built on first
 use, plus, where the bind function returns an ``over`` — every strategy
 but ``grid`` — a launch thunk that computes every piece in one call, a
-reducing launch's too (:func:`bind_leaf`; the call adds the pieces'
-partials in piece order, so it writes what they write).  Which kernels
+reducing or streamed launch's too (:func:`bind_leaf`; the call adds the
+pieces' partials in piece order, so it writes what they write).  Which kernels
 bind, the arrays a bind function
 receives and each piece's frozen :class:`~repro.legion.machine.Work` all
 come from the kernel table (:mod:`repro.core.kernelspec`); this package
@@ -106,10 +106,10 @@ def bind_leaf(ck) -> Optional[Tuple[Callable, Optional[Callable]]]:
     and, where the bind function returns an ``over``, a zero-argument
     callable that binds the launch thunk over every piece (``() ->`` each
     piece's Work in piece order, its scaffolding derived as it binds;
-    None when the pieces do not tile one range) — only a launch
-    that may run as one call binds it — or None
-    (interpreter fallback, bumping the ``fallbacks`` counter) when the
-    kernel table names no bind function for its kind and strategy."""
+    None when the pieces do not tile one range) — or None (interpreter
+    fallback, bumping the ``fallbacks`` counter) when the kernel table
+    names no bind function for its kind and strategy.  A launch with no
+    launch thunk calls the leaf for each piece in its one call."""
     spec = SPECS[ck.kind]
     bind = spec.bound.get(ck.strategy)
     if bind is None:

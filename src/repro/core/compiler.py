@@ -25,12 +25,12 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..errors import CompileError
-from ..legion.machine import Machine, Work
+from ..legion.machine import Machine
 from ..legion.partition import Coloring
 from ..legion.metrics import CommEvent, ExecutionMetrics, StepMetrics
 from ..legion.network import Network
@@ -142,8 +142,8 @@ class CompiledKernel:
         #: or "codegen" (bound flat thunks, interpreter fallback where the
         #: table names no bind function).  Fixed by ``compile_statement``.
         self.backend: str = "interp"
-        self._leaf: Optional[Callable[[Piece], Work]] = None
-        #: ``index_launch``'s arguments, frozen with the leaf by :meth:`_bind`.
+        #: ``index_launch``'s arguments and the leaf (piece -> Work), frozen
+        #: by :meth:`_bind`.
         self._launch_args: Optional[tuple] = None
         self._streamed: set = set()
         self._spadd_reqs: Optional[List[RegionReq]] = None
@@ -152,7 +152,7 @@ class CompiledKernel:
         """Communicate this tensor's sub-regions in memory-sized rounds
         instead of keeping them resident (the "SpDISTAL-Batched" strategy)."""
         self._streamed.add(id(tensor))
-        self._leaf = None  # re-freeze the launch's requirements at next execute
+        self._launch_args = None  # re-freeze the launch's requirements at next execute
 
     # -- persistence (repro.core.store) ---------------------------------------
     def __getstate__(self):
@@ -160,7 +160,6 @@ class CompiledKernel:
         raw NumPy views) and the assembly plan (index arrays derived from
         the operands); both are rebuilt lazily on the first execute."""
         state = self.__dict__.copy()
-        state["_leaf"] = None
         state["_launch_args"] = None
         state["_spadd_plan"] = None
         state.pop("cache_key", None)
@@ -268,12 +267,12 @@ class CompiledKernel:
         )
 
     def _execute_compute(self, rt: Runtime) -> List[StepMetrics]:
-        if self._leaf is None:
+        if self._launch_args is None:
             self._bind()
         if self._needs_zero():
             self.out.vals.fill(0.0)
-        name, colors, task, reqs, proc_of, launch = self._launch_args
-        return [rt.index_launch(name, colors, task, reqs, proc_map=proc_of, launch=launch)]
+        name, colors, launch, reqs, proc_of, _ = self._launch_args
+        return [rt.index_launch(name, colors, launch, reqs, proc_map=proc_of)]
 
     def _bind(self) -> None:
         """Bind the leaf, and freeze what every launch of it hands the
@@ -292,28 +291,20 @@ class CompiledKernel:
             leaf, bind_launch = _codegen.bind_leaf(self) or (None, None)
         if leaf is None:
             leaf = SPECS[self.kind].interp_leaf(self)
-        # A launch may compute every piece in one call when that call
-        # writes what the pieces write: an output written disjointly, or a
-        # reduced one (the one call reduces each piece's part of a shared
-        # row as a segment of its own, from 0.0, and adds the partials in
-        # piece order), and every operand resident rather than streamed in
-        # rounds.  This is the one place that decides; a bind function
-        # declines only what its body cannot run (``grid``'s column
-        # windows), and a launch refused here binds nothing for the
-        # one-call path.
-        if (bind_launch is not None and not self._streamed
-                and self.privileges.get(id(self.out)) in (
-                    Privilege.WRITE_DISCARD, Privilege.REDUCE)):
+        # The launch computes every piece in one call where the bind
+        # function binds one (it declines only what its body cannot run:
+        # ``grid``'s column windows, pieces that do not tile one range);
+        # else it calls the leaf piece by piece.
+        if bind_launch is not None:
             launch = bind_launch()
-        by_color = {p.color: p for p in self.pieces}
-        self._leaf = leaf
+        pieces = self.pieces
         self._launch_args = (
             f"{self.kind}:{self.strategy}",
-            list(by_color),
-            lambda color: leaf(by_color[color]),
+            [p.color for p in pieces],
+            launch or (lambda: [leaf(p) for p in pieces]),
             self._reqs(),
-            {p.color: p.proc for p in self.pieces}.__getitem__,
-            launch,
+            {p.color: p.proc for p in pieces}.__getitem__,
+            leaf,
         )
 
     def _needs_zero(self) -> bool:
@@ -385,7 +376,7 @@ class CompiledKernel:
         symbolic = rt.index_launch(
             "spadd:symbolic",
             colors,
-            lambda color: K.spadd3_symbolic(plan.pieces[color])[1],
+            lambda: [K.spadd3_symbolic(plan.pieces[c])[1] for c in colors],
             read_reqs,
             proc_map=proc_of,
         )
@@ -401,9 +392,8 @@ class CompiledKernel:
         fill = rt.index_launch(
             "spadd:fill",
             colors,
-            lambda color: K.spadd3_fill(
-                plan.pieces[color], vals, out_vals[plan.spans[color]]
-            ),
+            lambda: [K.spadd3_fill(plan.pieces[c], vals, out_vals[plan.spans[c]])
+                     for c in colors],
             read_reqs,
             proc_map=proc_of,
         )

@@ -33,9 +33,6 @@ class StepMetrics:
     comm_events: List[CommEvent] = field(default_factory=list)
     tasks_launched: int = 0
 
-    def add_compute(self, proc: int, seconds: float) -> None:
-        self.compute_seconds[proc] = self.compute_seconds.get(proc, 0.0) + seconds
-
     def comm_bytes(self) -> float:
         return sum(e.nbytes for e in self.comm_events)
 

@@ -1,14 +1,14 @@
 """The simulated Legion runtime: index task launches over partitioned regions.
 
-Execution is sequential but *logically distributed*: every task runs on the
-sub-regions its region requirements name, and the runtime performs the same
-bookkeeping Legion's mapper would — tracking which processor memories hold
-valid copies of which sub-regions, moving missing data (and charging the
-network model for it), applying reduction privileges, and enforcing memory
-capacities (GPU OOM → DNC entries in the paper's Fig. 11).  The numerical
-work happens inside the task body on NumPy views; the task returns a
-:class:`~repro.legion.machine.Work` record from which the roofline model
-derives per-processor compute time.
+Execution is sequential but *logically distributed*: every color of a
+launch computes on the sub-regions its region requirements name, and the
+runtime performs the same bookkeeping Legion's mapper would — tracking
+which processor memories hold valid copies of which sub-regions, moving
+missing data (and charging the network model for it), applying reduction
+privileges, and enforcing memory capacities (GPU OOM → DNC entries in the
+paper's Fig. 11).  The numerical work happens inside the launch's body on
+NumPy views; it returns a :class:`~repro.legion.machine.Work` record per
+color, from which the roofline model derives per-processor compute time.
 
 Mapping-trace replay
 --------------------
@@ -22,16 +22,15 @@ assignment) from the same state replays it: the events are re-charged and
 the table installed, but no per-color subset algebra re-runs.  The
 computation always executes and compute time comes from the returned
 :class:`Work`, so replayed metrics are bit-identical to a fresh analysis.
-A launch handed a *launch thunk* (the compiler passes one where
-``CompiledKernel._bind`` grants it) calls it once and books
-the per-color ``Work`` columns at once, summed per processor in color
-order — a replay, and a recording too: it stages and applies coherence
-color by color first, then makes the call.  A recording whose every
-requirement is *at home* — the facts ``place*`` recorded about whole
-partitions say staging and coherence do nothing, as on a first launch over
-the placement (:meth:`Runtime._at_home`) — writes, and so copies, no
-table.  A launch with no thunk runs the tasks one by one, between their
-staging and coherence steps.
+A launch's body is a *launch thunk*, one zero-argument call that returns
+every color's ``Work`` in color order: the mapping (what moves where) is
+decided apart from it, and the runtime calls it once, then books the
+``Work`` columns at once, summed per processor in color order.  A replay
+books the trace's events first; a recording stages and applies coherence
+color by color first.  A recording whose every requirement is *at home*
+— the facts ``place*`` recorded about whole partitions say staging and
+coherence do nothing, as on a first launch over the placement
+(:meth:`Runtime._at_home`) — writes, and so copies, no table.
 
 Residency states are tracked symbolically: ``reset_residency`` (called
 between trials) returns to the canonical "homes only" state *without*
@@ -71,7 +70,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -143,7 +142,7 @@ class MappingTrace:
     #: ``id`` has its address recycled; unpickling re-anchors those keys on
     #: them (``__setstate__``).
     pinned: Tuple = ()
-    #: ``(works, compute_seconds, events)`` a one-call launch last booked,
+    #: ``(works, compute_seconds, events)`` the launch last booked,
     #: reused while its thunk returns that same ``works`` object (held, so
     #: the identity is not recycled) — docs/codegen.md, "The exactness
     #: contract".  Process-local: dropped on pickling.
@@ -288,32 +287,31 @@ class Runtime:
         self,
         name: str,
         colors: Sequence[Color],
-        task: Callable[[Color], Union[Work, Tuple[Work, float]]],
+        launch: Callable[[], Sequence[Work]],
         reqs: Sequence[RegionReq] = (),
         *,
         proc_map: Optional[Callable[[Color], int]] = None,
-        launch: Optional[Callable[[], Sequence[Work]]] = None,
     ) -> StepMetrics:
-        """Launch one task per color; returns the launch's metrics, which
-        the runtime keeps no copy of.
+        """Launch ``launch`` over ``colors``; returns the launch's metrics,
+        which the runtime keeps no copy of.
 
         For every color the runtime (1) resolves each region requirement to a
         sub-region, (2) moves any part not valid in the target memory,
-        charging the alpha-beta model, (3) runs the task body and converts its
-        returned :class:`Work` to seconds, and (4) applies write/reduction
+        charging the alpha-beta model, and (3) applies write/reduction
         coherence.  Reduction requirements additionally charge the cost of
         sending each non-owner's partial back to the sub-region's home.
+        Then it (4) calls ``launch`` once, a thunk returning every color's
+        :class:`Work` in color order (the caller vouches that it computes
+        every color's body, a reduction's partials included), and converts
+        the Works to per-processor seconds.
 
         A launch that already ran from the current residency state replays
-        steps (1), (2) and (4) from its :class:`MappingTrace`; step (3) always
-        executes — as one call of ``launch``, a thunk returning every
-        color's :class:`Work` in color order (the caller vouches that it
-        computes what the tasks would, a reduction's partials included),
-        whenever there is one, recording or replaying; else task by task.
-        A recording with a thunk runs steps (1), (2) and (4) color by
-        color first — none for a requirement at home (:meth:`_at_home`) —
-        then makes the one call: a task writes no table, so staging decides
-        what moves and nothing about how the body runs.
+        steps (1)-(3) from its :class:`MappingTrace`; step (4) always
+        executes.  A recording runs steps (1)-(3) color by color — none for
+        a requirement at home (:meth:`_at_home`) — before the call: the body
+        writes no table, so staging decides what moves and nothing about
+        how the body runs, and a staging that runs out of memory raises
+        before any color computes.
         """
         procs = self._procs(colors, proc_map)
         trace_key = (self._state, name, tuple(colors), tuple(
@@ -322,30 +320,16 @@ class Runtime:
         trace = self._traces.pop(trace_key, None)
         if trace is not None:
             self._traces[trace_key] = trace  # most recently used: last to go
-            return self._replay_launch(name, colors, task, trace, launch)
+            return self._replay_launch(name, trace, launch)
 
         step = StepMetrics(name)
-        events_per_color: List[Tuple[CommEvent, ...]] = []
         staged = [req for req, home in zip(reqs, self._at_home(reqs, colors, procs)) if not home]
         # at home, nothing writes the table: no "before" copy to compare
         before = self._unshare_residency(keep=True) if staged else None
-        booked = None
         try:
-            if launch is not None:
-                events_per_color = (self._map_colors(colors, procs, staged) if staged
-                                    else [()] * len(procs))
-                booked = self._book(step, procs, launch(), events_per_color)
-            else:
-                for ordinal, color in enumerate(colors):
-                    proc = procs[ordinal]
-                    mark = len(step.comm_events)
-                    self._stage_inputs(step, color, proc, staged)
-                    result = task(color)
-                    work = result[0] if isinstance(result, tuple) else result
-                    step.add_compute(proc, self.machine.proc(proc).seconds_for(work))
-                    step.tasks_launched += 1
-                    self._apply_outputs(step, color, proc, staged)
-                    events_per_color.append(tuple(step.comm_events[mark:]))
+            events_per_color = (self._map_colors(colors, procs, staged) if staged
+                                else [()] * len(procs))
+            booked = self._book(step, procs, launch(), events_per_color)
         except BaseException:
             # A partial launch (e.g. OOM) leaves an unknown residency state.
             self._mark_dirty()
@@ -390,9 +374,8 @@ class Runtime:
 
     def _map_colors(self, colors: Sequence[Color], procs: List[int],
                     staged: Sequence[RegionReq]) -> List[Tuple[CommEvent, ...]]:
-        """Stage ``staged`` and apply its coherence color by color, as the
-        per-task loop does around each task (a task writes no table), and
-        return each color's events in order, for :meth:`_book`."""
+        """Stage ``staged`` and apply its coherence color by color; returns
+        each color's events in order, for :meth:`_book`."""
         mapped = StepMetrics("")
         events_per_color = []
         for color, proc in zip(colors, procs):
@@ -404,11 +387,10 @@ class Runtime:
 
     def _book(self, step: StepMetrics, procs: List[int], works, events_per_color,
               booked: Optional[Tuple] = None) -> Tuple:
-        """Book a one-call launch's per-color ``works`` (:class:`Works`
-        columns, or one :class:`Work` per color) and its events, as the
-        per-task loop adds them: each color's roofline seconds, summed per
-        processor in color order.  Returns what it booked, ``booked`` itself
-        while ``works`` is the object it priced."""
+        """Book a launch's per-color ``works`` (:class:`Works` columns, or
+        one :class:`Work` per color) and its events: each color's roofline
+        seconds, summed per processor in color order.  Returns what it
+        booked, ``booked`` itself while ``works`` is the object it priced."""
         if booked is None or booked[0] is not works:
             cols, (flops, membw) = Works.of(works), self.machine.rates
             seconds = np.maximum(cols.flops / flops[procs], cols.bytes / membw[procs]).tolist()
@@ -422,27 +404,12 @@ class Runtime:
         step.tasks_launched = len(booked[0])
         return booked
 
-    def _replay_launch(
-        self,
-        name: str,
-        colors: Sequence[Color],
-        task: Callable[[Color], Union[Work, Tuple[Work, float]]],
-        trace: MappingTrace,
-        launch: Optional[Callable[[], Sequence[Work]]] = None,
-    ) -> StepMetrics:
-        """Re-charge a recorded launch's communication and run the tasks."""
+    def _replay_launch(self, name: str, trace: MappingTrace,
+                       launch: Callable[[], Sequence[Work]]) -> StepMetrics:
+        """Re-charge a recorded launch's communication and make its call."""
         step = StepMetrics(name)
-        if launch is None:
-            for ordinal, color in enumerate(colors):
-                proc = trace.procs[ordinal]
-                step.comm_events.extend(trace.events_per_color[ordinal])
-                result = task(color)
-                work = result[0] if isinstance(result, tuple) else result
-                step.add_compute(proc, self.machine.proc(proc).seconds_for(work))
-                step.tasks_launched += 1
-        else:
-            trace.booked = self._book(step, trace.procs, launch(), trace.events_per_color,
-                                      trace.booked)
+        trace.booked = self._book(step, trace.procs, launch(), trace.events_per_color,
+                                  trace.booked)
         self._restore_residency(trace.residency_after)
         self._state = trace.post_state
         self.trace_hits += 1

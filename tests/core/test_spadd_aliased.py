@@ -100,6 +100,29 @@ class TestAliasedSpAdd:
         assert np.array_equal(u_vals, c_vals)
 
 
+class TestAliasedReadsLiveRegions:
+    @pytest.mark.xfail(strict=True, reason=(
+        "spadd_read_reqs freezes the aliased operand's requirements on the "
+        "output's pre-install regions, so the assembly launches read, place "
+        "and stage regions A no longer holds"))
+    def test_assembly_launches_read_the_live_output_regions(self):
+        """``A = B + A``: once the first execute installs A's assembled
+        structure (regions with new uids), every later execute's symbolic
+        and fill launches should read A's live regions, and the runtime
+        should hold homes for them."""
+        (Bm,) = make_inputs(k=1)
+        B = Tensor.from_scipy("B", Bm, CSR)
+        A = Tensor.zeros("A", SHAPE, CSR)
+        machine = Machine.cpu(PIECES)
+        rt = Runtime(machine)
+        for _ in range(4):
+            ck = compile_kernel(aliased_schedule(A, B), machine)
+            ck.execute(rt)
+            live = {region.uid for region in A.regions()}
+            assert live <= {req.region.uid for req in ck.spadd_read_reqs()}
+            assert live <= rt._home.keys()
+
+
 class TestAccumulateSugar:
     def iterate_accumulate(self, cached, iterations=ITERATIONS):
         Bm, Cm = make_inputs(seed=5, k=2)

@@ -289,14 +289,14 @@ class TestRoundTrip:
         rt.place(r, home)
         req = equal_partition(r.ispace, 2)
         reqs = [RegionReq(r, req, Privilege.READ_ONLY)]
-        s1 = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        s1 = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_records == 1
 
         # Pickle runtime and requirements together so the partition objects
         # in the trace keys and in the reqs stay one object graph.
         rt2, reqs2 = pickle.loads(pickle.dumps((rt, reqs)))
         rt2.reset_residency()
-        s2 = rt2.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs2)
+        s2 = rt2.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs2)
         assert rt2.trace_hits == 1 and rt2.trace_records == 0
         assert s2.comm_bytes() == s1.comm_bytes() > 0
 
@@ -312,7 +312,7 @@ class TestRoundTrip:
         rt = Runtime(machine)
         warm(B, c, a, machine, rt)
         scratch = Region(IndexSpace(16), name="scratch")  # never place()-d
-        rt.index_launch("t", list(range(PIECES)), lambda c: Work(1, 1),
+        rt.index_launch("t", list(range(PIECES)), lambda: [Work(1, 1)] * PIECES,
                         [RegionReq(scratch, equal_partition(scratch.ispace, PIECES),
                                    Privilege.WRITE_DISCARD)])
         rt.reset_residency()  # scratch leaves _residency; only the trace names it

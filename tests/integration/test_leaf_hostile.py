@@ -290,30 +290,43 @@ def test_outputs_the_reduce_cannot_write_in_place(strategy, out_dtype, out_fmt, 
 # a replayed launch is one call
 # --------------------------------------------------------------------------- #
 class CountingRuntime(Runtime):
-    """Counts per-piece task calls and launch-thunk calls.  With
-    ``one_call=False`` it withholds every launch thunk, so its replays run
-    the per-piece thunks."""
+    """Counts the launch calls it makes.  Given a kernel to ``withhold``,
+    it runs that kernel's launches as calls of its leaf, piece by piece
+    (counted as ``"piece"`` calls); every other launch calls its launch
+    thunk (``"launch"``)."""
 
-    def __init__(self, machine, one_call=True):
+    def __init__(self, machine, withhold=None):
         super().__init__(machine)
-        self.one_call = one_call
+        self.withhold = withhold
         self.calls = {"piece": 0, "launch": 0}
 
-    def index_launch(self, name, colors, task, reqs=(), *, launch=None, **kw):
-        def piece(color):
-            self.calls["piece"] += 1
-            return task(color)
+    def index_launch(self, name, colors, launch, reqs=(), **kw):
+        ck = self.withhold
 
-        def one():
+        def counted():
+            if ck is not None and launch is ck._launch_args[2]:
+                leaf = ck._launch_args[-1]
+                self.calls["piece"] += len(ck.pieces)
+                return [leaf(p) for p in ck.pieces]
             self.calls["launch"] += 1
             return launch()
 
-        use = one if launch is not None and self.one_call else None
-        return super().index_launch(name, colors, piece, reqs, launch=use, **kw)
+        return super().index_launch(name, colors, counted, reqs, **kw)
 
     def count(self):
         calls, self.calls = self.calls, {"piece": 0, "launch": 0}
         return calls
+
+
+def _thunks(ck):
+    """``ck``'s bound leaf's ``{color: thunk}`` table."""
+    return ck._launch_args[-1].__defaults__[0]
+
+
+def _built(ck):
+    """How many per-piece thunks ``ck``'s bound leaf has built: none while
+    its launches run as the bound launch thunk's one call."""
+    return len(_thunks(ck)._built)
 
 
 @given(
@@ -325,10 +338,11 @@ class CountingRuntime(Runtime):
     seed=st.integers(0, 2**16),
     block_bytes=st.sampled_from((8, 48, 120, 1 << 18)),
     copy_at=st.sampled_from((0, 2, 1 << 60)),
+    streamed=st.booleans(),
 )
 @settings(max_examples=60)
 def test_one_call_replay_writes_what_the_pieces_write(
-    case, pieces, n, structure, hostile, seed, block_bytes, copy_at
+    case, pieces, n, structure, hostile, seed, block_bytes, copy_at, streamed
 ):
     """A launch through the launch thunk writes (over a poisoned output)
     the bytes the per-piece thunks write, and books the step a per-piece
@@ -342,12 +356,17 @@ def test_one_call_replay_writes_what_the_pieces_write(
     poison.  A bind function that gathers
     in blocks is bound with blocks of 1 to all positions, and gathers rows
     of ``D.T`` from a contiguous copy always, by its own rule, or never
-    (the interpreter gathers the strided view)."""
+    (the interpreter gathers the strided view).  In a ``streamed`` draw
+    every operand but the output is streamed in rounds: that changes what
+    staging moves, not how the body runs, so the launch takes the one call
+    as well."""
     clear_caches()
     machine = Machine.cpu(pieces)
     steps, written = {}, {}
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
         ck, out = _kernel(case, machine, n, structure, hostile, seed)
+        if streamed:
+            _stream_operands(ck)
         module = sys.modules[SPECS[ck.kind].bound[ck.strategy].__module__]
         if hasattr(module, "_BLOCK_BYTES"):
             mp.setattr(module, "_BLOCK_BYTES", block_bytes)
@@ -355,7 +374,7 @@ def test_one_call_replay_writes_what_the_pieces_write(
         per_piece = {"piece": len(ck.pieces), "launch": 0}
         for one_call in (True, False):
             taken = {"piece": 0, "launch": 1} if one_call else per_piece
-            rt = CountingRuntime(machine, one_call)
+            rt = CountingRuntime(machine, None if one_call else ck)
             steps[one_call] = []
             for how, launch in (
                 ("execute", lambda: ck.execute(rt).metrics.steps[0]),   # records
@@ -367,6 +386,7 @@ def test_one_call_replay_writes_what_the_pieces_write(
                 steps[one_call].append(launch())
                 assert rt.count() == taken
                 written.setdefault(how, []).append(out.vals.data.copy())
+            assert (_built(ck) == 0) == one_call  # the bound call, or the leaf
         ck.execute(rt)
         executed = out.to_dense()
         interp, _, _ = _run(case, pieces, n, structure, hostile, seed, "interp")
@@ -391,13 +411,20 @@ def _kernel(case, machine, n, structure, hostile, seed, backend="codegen"):
 
 
 def _shifted_launch(rt, ck):
-    """``ck``'s bound launch from the homes-only state, each color on the
+    """``ck``'s launch from the homes-only state, each color on the
     processor after the one it is placed on (so, on two or more, it
     stages)."""
-    name, colors, task, reqs, proc_of, launch = ck._launch_args
+    name, colors, launch, reqs, proc_of, _ = ck._launch_args
     rt.reset_residency()
-    return rt.index_launch(name, colors, task, reqs, launch=launch,
+    return rt.index_launch(name, colors, launch, reqs,
                            proc_map=lambda c: (proc_of(c) + 1) % rt.machine.size)
+
+
+def _stream_operands(ck):
+    """Stream every operand of ``ck`` but its output in rounds."""
+    for part in ck.parts.values():
+        if part.tensor is not ck.out:
+            ck.stream_tensor(part.tensor)
 
 
 def _oracle_statements():
@@ -409,17 +436,31 @@ def _oracle_statements():
 
 
 @pytest.mark.parametrize("backend", ["codegen", "interp"])
-def test_one_call_only_where_no_value_depends_on_the_split(backend):
+def test_one_call_only_where_no_value_depends_on_the_split(backend, monkeypatch):
     """Observed over every statement the oracle builds, never looked up by
-    kind: a replayed launch takes the one call if and only if it runs bound
-    leaves (the codegen backend), no operand is streamed in rounds and its
-    pieces own whole rows or positions (a ``grid`` piece owns a column
-    window) — a ``REDUCE`` output included, whose one call folds the
-    pieces' partials in piece order.  The recording, over the kernel's own
-    placement, computes as its replay does: an output written disjointly
-    is at home, and a reduced one stages its partials home first."""
+    kind: a launch calls a bound launch thunk if and only if it runs bound
+    leaves (the codegen backend) and its pieces own whole rows or
+    positions (a ``grid`` piece owns a column window) — a ``REDUCE``
+    output included, whose one call folds the pieces' partials in piece
+    order, and a launch whose operands stream in rounds, which changes
+    what moves, not how the body runs.  The recording, over the kernel's
+    own placement, computes as its replay does."""
+    calls = {"bound": 0}
+    bind = codegen._launch_thunk
+
+    def counted(*args):
+        launch = bind(*args)
+        if launch is None:
+            return None
+
+        def call():
+            calls["bound"] += 1
+            return launch()
+        return call
+
+    monkeypatch.setattr(codegen, "_launch_thunk", counted)
     machine = Machine.cpu(4)
-    one_call = {Privilege.WRITE_DISCARD: 0, Privilege.REDUCE: 0}
+    one_call = {Privilege.WRITE_DISCARD: 0, Privilege.REDUCE: 0, "streamed": 0}
     for combo in _oracle_statements():
         for streamed in (False, True):
             clear_caches()
@@ -428,23 +469,20 @@ def test_one_call_only_where_no_value_depends_on_the_split(backend):
                 auto_schedule(out, machine, strategy=combo[2]), machine,
                 backend=backend)
             if streamed:
-                for part in ck.parts.values():
-                    if part.tensor is not ck.out:
-                        ck.stream_tensor(part.tensor)
+                _stream_operands(ck)
             rt = CountingRuntime(machine)
-            ck.execute(rt)
-            recorded = rt.count()
-            ck.execute(rt)
-            calls = rt.count()
-            privilege = ck.privileges[id(ck.out)]
-            expected = (backend == "codegen" and codegen.supported(ck) and not streamed
+            counts = []
+            for _ in range(2):  # records, then replays
+                calls["bound"] = 0
+                ck.execute(rt)
+                counts.append((rt.count(), calls["bound"]))
+            expected = (backend == "codegen" and codegen.supported(ck)
                         and all(p.cols is None for p in ck.pieces))
-            assert bool(calls["launch"]) == expected, combo
-            assert recorded == calls, combo
-            if not expected:
-                continue
-            assert calls == {"piece": 0, "launch": 1}, combo
-            one_call[privilege] += 1
+            (launches, bound), again = counts
+            assert again == counts[0] and launches["piece"] == 0, combo
+            assert bound == (launches["launch"] if expected else 0), combo
+            if expected:
+                one_call["streamed" if streamed else ck.privileges[id(ck.out)]] += 1
     assert all(n > 0 for n in one_call.values()) == (backend == "codegen")
     assert any(one_call.values()) == (backend == "codegen")
 
@@ -489,11 +527,12 @@ def _launched(case, machine, layout, hostile, seed, one_call, backend="codegen")
     and piece / launch calls."""
     clear_caches()
     ck, out = _kernel(case, machine, None, layout, hostile, seed, backend)
-    rt = CountingRuntime(machine, one_call)
+    rt = CountingRuntime(machine, None if one_call else ck)
     runs = []
     for _ in range(3):
         steps = ck.execute(rt).metrics.steps
         runs.append((out.vals.data.copy(), steps, rt.count()))
+    assert not one_call or _built(ck) == 0  # the bound launch thunk's call
     return runs
 
 
@@ -501,8 +540,8 @@ def check_one_call_is_per_piece(case, machine, layout, hostile, seed):
     """The launch thunk writes the bytes the per-piece thunks and the
     interpreter write and books the same steps — compute seconds per
     processor, communication events, task count — on every execute: the
-    recording (per piece for a reduction, whose partials stage home) and
-    the replays, which take the one call."""
+    recording (a reduction's partials stage home first) and the replays
+    alike take the one call."""
     machine = MACHINES[machine]()
     order3 = case[0] in ("spttv", "spmttkrp")
     with np.errstate(all="ignore"):
@@ -604,17 +643,43 @@ def test_an_oom_in_a_recording_launch_leaves_the_runtime_dirty():
         out[...] = 1.0
         return (Work(1, 1),) * 2
 
-    def task(c):
-        out[c] = 1.0
-        return Work(1, 1)
-
     for _ in range(2):  # the second launch from the same state records too
         rt.reset_residency()
         with pytest.raises(OOMError):  # staging `big` on proc 1
-            rt.index_launch("t", [0, 1], task, reqs, launch=launch)
+            rt.index_launch("t", [0, 1], launch, reqs)
         assert rt.count() == {"piece": 0, "launch": 0}
         assert np.isnan(out).all()
         assert rt._state[0] == "dirty" and not rt._traces and not rt.trace_hits
+
+
+@pytest.mark.parametrize("backend", ["interp", "codegen"])
+def test_an_oom_staging_a_later_color_raises_before_any_piece_computes(backend):
+    """A rows SpMV whose dense operand was declared whole on processor 0:
+    its recording stages the operand's window on processor 1, which then
+    runs out of memory.  Staging every color comes before the launch's one
+    call — the interpreter's piece-by-piece call as well as the bound one —
+    so the output keeps its poison everywhere, not only in the rows of the
+    color past the failing one, and the runtime is left in an unknown
+    state with no trace."""
+    rows = np.r_[np.arange(4), np.repeat(np.arange(4, 8), 20)]
+    cols = np.r_[np.arange(4), np.tile(np.arange(0, 100, 5), 4)]
+    B = Tensor.from_coo("B", [rows, cols], np.ones(rows.size), (8, 100), CSR)
+    x, y = Tensor.from_dense("x", np.ones(100)), Tensor.zeros("y", (8,))
+    i, j = index_vars("i j")
+    y[i] = B[i, j] * x[j]
+    machine = Machine.cpu(2, NodeSpec(dram_bytes=1500.0))
+    ck = compile_kernel(auto_schedule(y.assignment, machine, strategy="rows"), machine,
+                        backend=backend)
+    rt = Runtime(machine)
+    for region in x.regions():  # declared here, so no kernel re-places it
+        rt.place_on(region, 0)
+        rt.declared.add(region.uid)
+    y.vals.data[...] = np.nan
+    with pytest.raises(OOMError, match="staging x.vals") as raised:
+        ck.execute(rt)
+    assert raised.value.proc == 1
+    assert np.isnan(y.vals.data).all()
+    assert rt._state[0] == "dirty" and not rt._traces
 
 
 def _rmat(rng, scale, edge_factor):
@@ -685,7 +750,7 @@ def test_a_reducing_first_execute_is_one_call_with_one_copy(monkeypatch):
         clear_caches()
         ck, out = _fused_on_gpus(5)
         assert ck.privileges[id(ck.out)] is Privilege.REDUCE
-        rt = CountingRuntime(ck.machine, one_call)
+        rt = CountingRuntime(ck.machine, None if one_call else ck)
         numpy.copies = 0
         steps[one_call] = ck.execute(rt).metrics.steps
         written[one_call] = out.vals.data.tobytes()
@@ -824,7 +889,7 @@ def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy, monkeypatch):
                         lambda *a: built.append(1) or build(*a))
     pieces = 4
     ck, B = _bound(kind, CSR, strategy, pieces)
-    assert len(built) == (ck._launch_args[-1] is not None)
+    assert len(built) == (strategy != "grid")
     before = len(built)
     codegen.leaf_for(ck)
     assert len(built) == before
@@ -834,7 +899,7 @@ def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy, monkeypatch):
         return {id(_root(a)): _root(a) for t in thunks for a in _held(t)
                 if id(_root(a)) not in operands}
 
-    shared = hoisted(ck._leaf.__defaults__[0].values())
+    shared = hoisted(_thunks(ck).values())
     rows = B.shape[0]
     assert B.nnz > 4 * (rows + 2 * pieces)  # so the bound below means something
     if kind == "sddmm":
@@ -842,9 +907,8 @@ def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy, monkeypatch):
         assert rows_of.dtype == np.int64 and rows_of.size == B.nnz
     else:
         assert 0 < sum(a.nbytes for a in shared.values()) <= 8 * (rows + 2 * pieces)
-    launch = ck._launch_args[-1]
-    assert (launch is not None) == (strategy != "grid")
-    if launch is not None:
+    launch = ck._launch_args[2]
+    if strategy != "grid":
         works = launch()
         assert launch() is works  # each piece's frozen Work, as columns
         frozen = {id(_root(a)) for a in _held(works)}
@@ -928,7 +992,7 @@ def test_spmttkrp_shares_one_identity_pair_per_bind(fmt, strategy):
     unit data array per bind, sliced to each piece's fiber count and sized
     to the most fibers one piece's positions touch."""
     ck, B = _bound("spmttkrp", fmt, strategy, pieces=4)
-    closures = [c for t in ck._leaf.__defaults__[0].values() for c in _bodies(t)]
+    closures = [c for t in _thunks(ck).values() for c in _bodies(t)]
     closures = [c for c in closures if "ident" in c]  # empty pieces: no sums
     assert len(closures) > 1
     def fibers(p0, p1):
@@ -973,7 +1037,7 @@ def test_warm_spmttkrp_allocates_per_fiber_not_per_nonzero(strategy):
         asg, nfib = _fibers_of_depth(per_fiber)
         ck = compile_kernel(auto_schedule(asg, machine, strategy=strategy), machine)
         ck.execute(Runtime(machine))  # binds and builds every thunk
-        thunks = list(ck._leaf.__defaults__[0].values())
+        thunks = list(_thunks(ck).values())
         tracemalloc.start()
         try:
             for thunk in thunks:

@@ -249,7 +249,8 @@ def _run(rt, source, regions, call):
     if op == "reset":
         return rt.reset_residency()
     _, r, part, pmap = call
-    step = rt.index_launch(op, range(COLORS), lambda c: Work(c + 1, 1),
+    works = [Work(c + 1, 1) for c in range(COLORS)]
+    step = rt.index_launch(op, range(COLORS), lambda: works,
                            [RegionReq(regions[r], part, PRIVILEGE[op])],
                            proc_map=_map(rt, pmap))
     return step.comm_events, step.compute_seconds
@@ -314,7 +315,7 @@ class TestTwinHomes:
                               Privilege.READ_ONLY)]
             return [rt._owner_of(r, RectSubset(Rect(4, 7)))] + [
                 [(e.src_proc, e.nbytes) for e in rt.index_launch(
-                    "r", [0], lambda c: Work(1, 1), read, proc_map=lambda c: proc).comm_events]
+                    "r", [0], lambda: [Work(1, 1)], read, proc_map=lambda c: proc).comm_events]
                 for proc in (0, 1)]
 
         for placed, seen in (({0: EMPTY, 1: RectSubset(Rect(0, 3))}, [0, [], [(0, 32)]]),

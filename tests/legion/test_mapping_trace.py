@@ -50,10 +50,10 @@ class TestRecordReplay:
     def test_second_trial_replays_identical_comm(self):
         rt = make_rt()
         r, reqs = mismatched(rt)
-        s1 = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        s1 = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_records == 1
         rt.reset_residency()
-        s2 = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        s2 = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_hits == 1
         assert s1.comm_bytes() == s2.comm_bytes() > 0
         assert [(e.src_proc, e.dst_proc, e.nbytes) for e in s1.comm_events] == \
@@ -69,7 +69,7 @@ class TestRecordReplay:
             steps = []
             for _ in range(3):
                 rt.reset_residency()
-                steps.append(rt.index_launch("t", [0, 1], lambda c: Work(2, 5), reqs))
+                steps.append(rt.index_launch("t", [0, 1], lambda: [Work(2, 5)] * 2, reqs))
             results.append([
                 (s.comm_bytes(), s.tasks_launched, dict(s.compute_seconds),
                  [(e.src_proc, e.dst_proc, e.nbytes, e.same_node)
@@ -82,43 +82,42 @@ class TestRecordReplay:
         rt = make_rt()
         r, reqs = mismatched(rt)
         calls = []
-        rt.index_launch("t", [0, 1], lambda c: calls.append(c) or Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [calls.append(c) or Work(1, 1) for c in [0, 1]], reqs)
         rt.reset_residency()
-        rt.index_launch("t", [0, 1], lambda c: calls.append(c) or Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [calls.append(c) or Work(1, 1) for c in [0, 1]], reqs)
         assert calls == [0, 1, 0, 1]  # values may change: bodies always run
 
     def test_chained_launches_replay(self):
         rt = make_rt()
         r, reqs = mismatched(rt)
-        rt.index_launch("a", [0, 1], lambda c: Work(1, 1), reqs)
-        rt.index_launch("b", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("a", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
+        rt.index_launch("b", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_records == 2
         rt.reset_residency()
-        rt.index_launch("a", [0, 1], lambda c: Work(1, 1), reqs)
-        rt.index_launch("b", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("a", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
+        rt.index_launch("b", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_hits == 2
 
-    @pytest.mark.parametrize("one_call", [False, True], ids=["per_task", "one_call"])
-    def test_a_returned_step_shares_nothing_with_its_trace(self, one_call):
+    @pytest.mark.parametrize("same", [False, True], ids=["fresh_works", "same_works"])
+    def test_a_returned_step_shares_nothing_with_its_trace(self, same):
         """A caller may keep or change the step a launch returned: the next
-        replay books what was recorded, whether it books task by task or
-        reuses what a one-call launch booked last."""
+        replay books what was recorded, whether it prices a fresh Work list
+        or reuses what it booked last for the same one."""
         rt = make_rt()
         r, reqs = mismatched(rt)
         works = [Work(1, 1), Work(1, 1)]
-        launch = (lambda: works) if one_call else None
+        launch = (lambda: works) if same else (lambda: list(works))
 
         def trial():
             rt.reset_residency()
-            return rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs,
-                                   launch=launch)
+            return rt.index_launch("t", [0, 1], launch, reqs)
 
         first = trial()
         recorded = (list(first.comm_events), dict(first.compute_seconds),
                     first.tasks_launched)
         for step in (first, trial()):
             step.comm_events.append(CommEvent(0, 1, 1e9, False))
-            step.add_compute(0, 5.0)
+            step.compute_seconds[0] += 5.0
             step.tasks_launched += 7
         again = trial()
         assert rt.trace_hits == 2
@@ -129,10 +128,10 @@ class TestRecordReplay:
     def test_residency_restored_after_replay(self):
         rt = make_rt()
         r, reqs = mismatched(rt)
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         cov1 = rt._residency[r.uid].covered_volume(1, reqs[0].partition[1])
         rt.reset_residency()
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         cov2 = rt._residency[r.uid].covered_volume(1, reqs[0].partition[1])
         assert cov1 == cov2 == reqs[0].partition[1].volume
 
@@ -141,27 +140,27 @@ class TestStateTracking:
     def test_different_launch_name_records_fresh(self):
         rt = make_rt()
         r, reqs = mismatched(rt)
-        rt.index_launch("a", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("a", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         rt.reset_residency()
-        rt.index_launch("b", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("b", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_hits == 0 and rt.trace_records == 2
 
     def test_out_of_band_place_prevents_replay(self):
         rt = make_rt()
         r, reqs = mismatched(rt)
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         rt.reset_residency()
         other = Region(IndexSpace(4))
         rt.place_on(other, 1)  # residency changed out of band
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_hits == 0 and rt.trace_records == 2
 
     def test_invalidate_caches_drops_traces(self):
         rt = make_rt()
         r, reqs = mismatched(rt)
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         rt.invalidate_caches()  # out-of-band write hook
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_hits == 0 and rt.trace_records == 2
 
     def test_a_rederiving_runtime_records_every_launch(self):
@@ -172,7 +171,7 @@ class TestStateTracking:
         steps = []
         for _ in range(3):
             rt.reset_residency()
-            steps.append(rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs))
+            steps.append(rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs))
         assert rt.trace_records == 3 and rt.trace_hits == 0
         assert len({s.comm_bytes() for s in steps}) == 1
         assert steps[0].comm_bytes() > 0
@@ -180,9 +179,9 @@ class TestStateTracking:
     def test_reset_residency_keeps_traces(self):
         rt = make_rt()
         r, reqs = mismatched(rt)
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         rt.reset_residency()
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_hits == 1
 
 class TestEqualPartitionsShareTraces:
@@ -194,10 +193,10 @@ class TestEqualPartitionsShareTraces:
     def _pair(self, partition):
         rt = make_rt()
         r, reqs = mismatched(rt)
-        first = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        first = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         rt.reset_residency()
         other = [RegionReq(r, partition(r), Privilege.READ_ONLY)]
-        second = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), other)
+        second = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, other)
         return rt, first, second
 
     def test_an_equal_partition_replays(self):
@@ -223,7 +222,7 @@ class TestEqualPartitionsShareTraces:
         r, _ = mismatched(rt)
         for _ in range(2):
             rt.reset_residency()
-            rt.index_launch("t", [0, 1], lambda c: Work(1, 1),
+            rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2,
                             [RegionReq(r, built(r), Privilege.READ_ONLY)])
         assert (rt.trace_hits, rt.trace_records) == (0, 2)
 
@@ -275,9 +274,9 @@ class TestReductionReplay:
                                       1: RectSubset(Rect(5, 9))})
         rt.place(out, part)
         reqs = [RegionReq(out, part, Privilege.REDUCE)]
-        s1 = rt.index_launch("r", [0, 1], lambda c: Work(1, 1), reqs)
+        s1 = rt.index_launch("r", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         rt.reset_residency()
-        s2 = rt.index_launch("r", [0, 1], lambda c: Work(1, 1), reqs)
+        s2 = rt.index_launch("r", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_hits == 1
         assert s1.comm_bytes() == s2.comm_bytes() == 2 * 1 * 8
 
@@ -289,7 +288,7 @@ class TestSteadyStateLoops:
         rt = make_rt()
         r, reqs = mismatched(rt)
         for _ in range(10):
-            rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+            rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         # launch 1 stages (records), launch 2 records the fixpoint state,
         # launches 3..10 replay it
         assert rt.trace_records == 2
@@ -303,7 +302,7 @@ class TestSteadyStateLoops:
         rt.place(out, part)
         reqs = [RegionReq(out, part, Privilege.WRITE_DISCARD)]
         for _ in range(6):
-            rt.index_launch("w", [0, 1], lambda c: Work(1, 1), reqs)
+            rt.index_launch("w", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_hits >= 4  # steady state replays
 
     def test_a_cold_launch_after_a_rederived_warm_one_restages(self):
@@ -312,11 +311,11 @@ class TestSteadyStateLoops:
         the warm trace."""
         rt = make_rt()
         r, reqs = mismatched(rt)
-        s_first = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        s_first = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         rt._traces.clear()
-        s_warm = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        s_warm = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         rt.reset_residency()  # true homes-only state
-        s_cold = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        s_cold = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert (rt.trace_records, rt.trace_hits) == (3, 0)
         assert s_warm.comm_bytes() == 0
         assert s_cold.comm_bytes() == s_first.comm_bytes() > 0
@@ -336,7 +335,7 @@ class TestTraceBackstop:
 
     @staticmethod
     def _launch(rt, name, reqs=()):
-        return rt.index_launch(name, [0, 1], lambda c: Work(1, 1), reqs)
+        return rt.index_launch(name, [0, 1], lambda: [Work(1, 1)] * 2, reqs)
 
     def test_a_513th_recording_evicts_the_least_recently_used(self):
         rt = make_rt()
@@ -514,7 +513,7 @@ class TestNoStepLog:
         for _ in range(3):
             rt.reset_residency()
             refs.append(weakref.ref(
-                rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)))
+                rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)))
         assert not hasattr(rt, "metrics")
         assert [ref() for ref in refs] == [None] * 3
         assert (rt.trace_records, rt.trace_hits) == (1, 2)
@@ -528,7 +527,7 @@ class TestNoStepLog:
             steps = []
             for _ in range(100):
                 rt.reset_residency()
-                steps.append(rt.index_launch("t", [0, 1], lambda c: Work(3, 7), reqs))
+                steps.append(rt.index_launch("t", [0, 1], lambda: [Work(3, 7)] * 2, reqs))
             m = ExecutionMetrics(steps)
             totals.append((m.simulated_seconds(rt.network),
                            m.total_comm_bytes(), m.total_tasks()))
@@ -680,7 +679,7 @@ class TestSharedResidencyTables:
 
         def trial():
             rt.reset_residency()
-            return rt.index_launch("t", range(pieces), lambda c: Work(1, 1), reqs)
+            return rt.index_launch("t", range(pieces), lambda: [Work(1, 1)] * pieces, reqs)
 
         cold, warm = trial(), trial()
         assert (rt.trace_records, rt.trace_hits) == (1, 1)
@@ -724,7 +723,7 @@ class TestSharedResidencyTables:
         events = {rt: [], twin: []}  # each runtime's launches, as they returned
 
         def launch(x, name="t", reqs=reqs):
-            step = x.index_launch(name, [0, 1], lambda c: Work(1, 1), reqs)
+            step = x.index_launch(name, [0, 1], lambda: [Work(1, 1)] * 2, reqs)
             events[x].append(step.comm_events)
 
         def rederived(x):  # records from the memo, a trace on file or not
@@ -794,7 +793,7 @@ class TestSharedResidencyTables:
         rt = make_rt()
         r, reqs = mismatched(rt)
         homes_only = rt.resident_bytes_per_proc()
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.resident_bytes_per_proc() != homes_only
         rt.invalidate_caches()
         assert rt.resident_bytes_per_proc() == homes_only
@@ -805,7 +804,7 @@ class TestSharedResidencyTables:
 
         rt = make_rt()
         r, reqs = mismatched(rt)
-        rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         (trace,) = rt._traces.values()
         assert rt._residency is trace.residency_after
 
@@ -815,12 +814,12 @@ class TestSharedResidencyTables:
         before = copy_table(trace2.residency_after)
         # a new launch records straight from the loaded state ...
         write = [RegionReq(reqs2[0].region, reqs2[0].partition, Privilege.WRITE_DISCARD)]
-        rt2.index_launch("w", [0, 1], lambda c: Work(1, 1), write)
+        rt2.index_launch("w", [0, 1], lambda: [Work(1, 1)] * 2, write)
         assert rt2.trace_records == 1
         assert not equal_tables(rt2._residency, before)  # it invalidated copies
         # ... without altering the loaded trace, which still replays
         assert equal_tables(trace2.residency_after, before)
         rt2.reset_residency()
-        rt2.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs2)
+        rt2.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs2)
         assert rt2.trace_hits == 1
         assert rt2._residency is trace2.residency_after

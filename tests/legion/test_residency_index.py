@@ -273,7 +273,7 @@ def scenarios(draw):
                 calls.append((op, r, part, shift()))
             if draw(st.booleans()):  # then a write over the last placement
                 calls.append(("launch", [(r, part, Privilege.WRITE_DISCARD)], 4,
-                              calls[-1][3], draw(st.booleans())))
+                              calls[-1][3]))
         elif op == "place_on":
             calls.append((op, r, draw(st.integers(0, procs - 1))))
         elif op == "launch":
@@ -288,11 +288,10 @@ def scenarios(draw):
                 ri = reqs[0][0]
                 reqs.append((ri, draw(st.sampled_from(parts[ri] + [None])),
                              Privilege.READ_ONLY))
-            calls.append((op, reqs, draw(st.integers(0, 2)), shift(), draw(st.booleans())))
+            calls.append((op, reqs, draw(st.integers(0, 2)), shift()))
             if draw(st.booleans()):  # then a read of what it wrote
                 ri, part, _ = reqs[0]
-                calls.append((op, [(ri, part, Privilege.READ_ONLY)], 3, shift(),
-                              draw(st.booleans())))
+                calls.append((op, [(ri, part, Privilege.READ_ONLY)], 3, shift()))
             if draw(st.booleans()):  # the next trial: a replay
                 calls += [("reset", r), calls[-1]]
         else:
@@ -314,12 +313,11 @@ def _run(rt, regions, call):
         return rt.place_replicated(regions[call[1]])
     if op == "reset":
         return rt.reset_residency()
-    _, reqs, name, shift, thunk = call
+    _, reqs, name, shift = call
     step = rt.index_launch(
-        f"t{name}", range(COLORS), lambda c: Work(c + 1, 1),
+        f"t{name}", range(COLORS), lambda: [Work(c + 1, 1) for c in range(COLORS)],
         [RegionReq(regions[ri], part, priv) for ri, part, priv in reqs],
-        proc_map=_shifted(rt, shift),
-        launch=(lambda: [Work(c + 1, 1) for c in range(COLORS)]) if thunk else None)
+        proc_map=_shifted(rt, shift))
     return step.comm_events, step.compute_seconds, step.tasks_launched
 
 
@@ -382,11 +380,11 @@ class TestTwinResidency:
         counters = []
         for rt in (Runtime(Machine.cpu(2)), ListRuntime(Machine.cpu(2))):
             rt.place(r, Partition(r.ispace, {0: a, 1: b}), lambda c: 0)
-            rt.index_launch("c", [1], lambda c: Work(1, 1),  # stages A on 1
+            rt.index_launch("c", [1], lambda: [Work(1, 1)],  # stages A on 1
                             [RegionReq(r, Partition(r.ispace, {1: a}), Privilege.READ_ONLY)],
                             proc_map=lambda c: 1)
             for _ in range(3):
-                rt.index_launch("w", [0, 1], lambda c: Work(1, 1), reqs,
+                rt.index_launch("w", [0, 1], lambda: [Work(1, 1)] * 2, reqs,
                                 proc_map=lambda c: 1 - c)
             assert by_proc(rt._residency[r.uid]) == {0: [b, a], 1: [a]}
             counters.append((rt.trace_records, rt.trace_hits))
@@ -397,7 +395,7 @@ class TestTwinResidency:
         discard-write of its pieces adds each of them beside the replica."""
         r = Region(IndexSpace(12))
         write = ("launch", [(0, equal_partition(r.ispace, COLORS),
-                             Privilege.WRITE_DISCARD)], 0, 0, True)
+                             Privilege.WRITE_DISCARD)], 0, 0)
         rt, twin = Runtime(Machine.cpu(1)), ListRuntime(Machine.cpu(1))
         for x in (rt, twin):
             x.place_replicated(r)
@@ -443,14 +441,14 @@ class TestLaunchGrowsWithPieces:
         reqs = [RegionReq(src, part, Privilege.READ_ONLY),
                 RegionReq(rep, None, Privilege.READ_ONLY),
                 RegionReq(out, part, Privilege.WRITE_DISCARD)]
-        step = rt.index_launch("w", range(pieces), lambda c: Work(1, 1), reqs,
+        step = rt.index_launch("w", range(pieces), lambda: [Work(1, 1)] * pieces, reqs,
                                proc_map=lambda c: (c + 1) % pieces)
         assert rt.trace_records == 1 and step.comm_events
         assert calls["subsets_overlap"] <= 2 * pieces
         # a write that overlaps every replica drops them: still one test per
         # piece it touches
         calls.clear()
-        rt.index_launch("r", range(pieces), lambda c: Work(1, 1),
+        rt.index_launch("r", range(pieces), lambda: [Work(1, 1)] * pieces,
                         [RegionReq(rep, part, Privilege.WRITE_DISCARD)])
         assert calls["subsets_overlap"] <= 2 * pieces
         assert len(by_proc(rt._residency[rep.uid])) == pieces
@@ -468,7 +466,7 @@ class TestLaunchGrowsWithPieces:
         part = equal_partition(out.ispace, pieces)
         rt.place(out, part)
         # color 0 written on processor 1 drops processor 0's piece
-        rt.index_launch("w", [0], lambda c: Work(1, 1),
+        rt.index_launch("w", [0], lambda: [Work(1, 1)],
                         [RegionReq(out, part, Privilege.WRITE_DISCARD)], proc_map=lambda c: 1)
         assert rt._residency[out.uid].whole == {}
         assert 0 not in by_proc(rt._residency[out.uid])
@@ -513,8 +511,7 @@ class TestLaunchGrowsWithPieces:
                 RegionReq(rep, None, Privilege.READ_ONLY),
                 RegionReq(out, part, Privilege.WRITE_DISCARD)]
         before = rt._residency
-        step = rt.index_launch("w", range(pieces), lambda c: pytest.fail("per piece"),
-                               reqs, launch=launch)
+        step = rt.index_launch("w", range(pieces), launch, reqs)
         assert calls == {} and thunk == {"calls": 1} and rt.trace_records == 1
         assert step.comm_events == [] and step.tasks_launched == pieces
         assert Runtime._snapshots_equal(rt._residency, before)
@@ -522,13 +519,12 @@ class TestLaunchGrowsWithPieces:
         # a fact about rects speaks for every partition with their bounds:
         # an equal partition of src, never placed, is at home too
         reqs[1] = RegionReq(src, equal_partition(src.ispace, pieces), Privilege.READ_ONLY)
-        rt.index_launch("v", range(pieces), lambda c: pytest.fail("per piece"), reqs,
-                        launch=launch)
+        rt.index_launch("v", range(pieces), launch, reqs)
         assert calls == {} and thunk == {"calls": 2}
         # a partition no fact speaks for stages, and the launch still
         # computes in one call
         reqs[1] = RegionReq(src, equal_partition(src.ispace, pieces // 2), Privilege.READ_ONLY)
-        rt.index_launch("u", range(pieces), lambda c: Work(1, 1), reqs, launch=launch)
+        rt.index_launch("u", range(pieces), launch, reqs)
         assert calls["missing_subset"] == pieces // 2 and thunk == {"calls": 3}
 
     def test_an_sddmm_sharing_its_pattern_regions_is_at_home(self, monkeypatch):

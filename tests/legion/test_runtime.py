@@ -33,7 +33,7 @@ class TestStaging:
         p = equal_partition(r.ispace, 2)
         rt.place(r, p)
         step = rt.index_launch(
-            "t", [0, 1], lambda c: Work(1, 1), [RegionReq(r, p, Privilege.READ_ONLY)]
+            "t", [0, 1], lambda: [Work(1, 1)] * 2, [RegionReq(r, p, Privilege.READ_ONLY)]
         )
         assert step.comm_bytes() == 0
 
@@ -46,7 +46,7 @@ class TestStaging:
         rt.place(r, home)
         req = equal_partition(r.ispace, 2)  # wants [0..3], [4..7]
         step = rt.index_launch(
-            "t", [0, 1], lambda c: Work(1, 1), [RegionReq(r, req, Privilege.READ_ONLY)]
+            "t", [0, 1], lambda: [Work(1, 1)] * 2, [RegionReq(r, req, Privilege.READ_ONLY)]
         )
         # piece 1 needs [4..7]; owns [6..7]; missing [4..5] = 2 elems * 8B
         assert step.comm_bytes() == 2 * 8
@@ -57,12 +57,12 @@ class TestStaging:
         rt.place_on(r, 0)
         req = equal_partition(r.ispace, 2)
         reqs = [RegionReq(r, req, Privilege.READ_ONLY)]
-        s1 = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        s1 = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert s1.comm_bytes() == 4 * 8  # piece 1 pulls its half
-        s2 = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        s2 = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert s2.comm_bytes() == 0  # cached
         rt.invalidate_caches()
-        s3 = rt.index_launch("t", [0, 1], lambda c: Work(1, 1), reqs)
+        s3 = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert s3.comm_bytes() == 4 * 8  # cache dropped, home kept
 
     def test_replicated_home_survives_invalidation(self):
@@ -71,7 +71,7 @@ class TestStaging:
         rt.place_replicated(r)
         rt.invalidate_caches()
         step = rt.index_launch(
-            "t", [0, 1], lambda c: Work(1, 1), [RegionReq(r, None, Privilege.READ_ONLY)]
+            "t", [0, 1], lambda: [Work(1, 1)] * 2, [RegionReq(r, None, Privilege.READ_ONLY)]
         )
         assert step.comm_bytes() == 0
 
@@ -85,7 +85,7 @@ class TestHomePlacements:
             need = Partition(
                 r.ispace, {0: RectSubset(Rect(2, 7)), 1: RectSubset(Rect(0, 1))}
             )
-            step = rt.index_launch("t", [0, 1], lambda c: Work(1, 1),
+            step = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2,
                                    [RegionReq(r, need, Privilege.READ_ONLY)])
             return [(e.src_proc, e.dst_proc, e.nbytes) for e in step.comm_events]
 
@@ -168,11 +168,10 @@ class TestPlacementFacts:
             calls.append(1)
             return [Work(1, 1)] * 4
 
-        step = rt.index_launch("t", range(4), lambda c: pytest.fail("per piece"),
-                               [RegionReq(r, twin, Privilege.READ_ONLY)], launch=launch)
+        step = rt.index_launch("t", range(4), launch, [RegionReq(r, twin, Privilege.READ_ONLY)])
         assert calls == [1] and step.comm_events == [] and step.tasks_launched == 4
         # on other processors the same pieces must move
-        other = rt.index_launch("u", range(4), lambda c: Work(1, 1),
+        other = rt.index_launch("u", range(4), lambda: [Work(1, 1)] * 4,
                                 [RegionReq(r, twin, Privilege.READ_ONLY)],
                                 proc_map=lambda c: (c + 1) % 4)
         assert len(other.comm_events) == 4
@@ -214,7 +213,7 @@ class TestAHeldPlacementChangesNothing:
         place(rt)
         rt.reset_residency()
         # a launch that stages leaves a recorded trace and a post state
-        step = rt.index_launch("t", range(4), lambda c: Work(1, 1),
+        step = rt.index_launch("t", range(4), lambda: [Work(1, 1)] * 4,
                                [RegionReq(r, equal_partition(r.ispace, 4),
                                           Privilege.READ_ONLY)],
                                proc_map=lambda c: (c + 1) % 4)
@@ -241,7 +240,7 @@ class TestWriteCoherence:
         rt.place_replicated(r)
         p = equal_partition(r.ispace, 2)
         rt.index_launch(
-            "w", [0, 1], lambda c: Work(1, 1), [RegionReq(r, p, Privilege.WRITE_DISCARD)]
+            "w", [0, 1], lambda: [Work(1, 1)] * 2, [RegionReq(r, p, Privilege.WRITE_DISCARD)]
         )
         # proc 1's copy of [0..3] was invalidated by proc 0's write
         res = rt._residency[r.uid]
@@ -259,7 +258,7 @@ class TestReduction:
         )
         rt.place(out, part)
         step = rt.index_launch(
-            "r", [0, 1], lambda c: Work(1, 1), [RegionReq(out, part, Privilege.REDUCE)]
+            "r", [0, 1], lambda: [Work(1, 1)] * 2, [RegionReq(out, part, Privilege.REDUCE)]
         )
         # each piece sends only the 1 shared element to the other's home
         assert step.comm_bytes() == 2 * 1 * 8
@@ -270,7 +269,7 @@ class TestReduction:
         part = equal_partition(out.ispace, 2)
         rt.place(out, part)
         step = rt.index_launch(
-            "r", [0, 1], lambda c: Work(1, 1), [RegionReq(out, part, Privilege.REDUCE)]
+            "r", [0, 1], lambda: [Work(1, 1)] * 2, [RegionReq(out, part, Privilege.REDUCE)]
         )
         assert step.comm_bytes() == 0
 
@@ -281,9 +280,9 @@ class TestStreaming:
         r = Region(IndexSpace(100))
         rt.place_on(r, 0)
         req = RegionReq(r, None, Privilege.READ_ONLY, streamed=True)
-        s1 = rt.index_launch("t", [1], lambda c: Work(1, 1), [req],
+        s1 = rt.index_launch("t", [1], lambda: [Work(1, 1)], [req],
                              proc_map=lambda c: 1)
-        s2 = rt.index_launch("t", [1], lambda c: Work(1, 1), [req],
+        s2 = rt.index_launch("t", [1], lambda: [Work(1, 1)], [req],
                              proc_map=lambda c: 1)
         assert s1.comm_bytes() == 100 * 8
         assert s2.comm_bytes() == 100 * 8  # never resident
@@ -294,7 +293,7 @@ class TestStreaming:
         r = Region(IndexSpace(4096))  # 32KB > 1KB capacity
         rt.place_on(r, 0)
         req = RegionReq(r, None, Privilege.READ_ONLY, streamed=True)
-        rt.index_launch("t", [1], lambda c: Work(1, 1), [req], proc_map=lambda c: 1)
+        rt.index_launch("t", [1], lambda: [Work(1, 1)], [req], proc_map=lambda c: 1)
 
 
 class TestCapacity:
@@ -305,7 +304,7 @@ class TestCapacity:
         rt.place_on(r, 0)
         with pytest.raises(OOMError):
             rt.index_launch(
-                "t", [1], lambda c: Work(1, 1),
+                "t", [1], lambda: [Work(1, 1)],
                 [RegionReq(r, None, Privilege.READ_ONLY)],
                 proc_map=lambda c: 1,
             )
@@ -321,9 +320,9 @@ class TestMetricsRollup:
         r = Region(IndexSpace(8))
         p = equal_partition(r.ispace, 2)
         rt.place(r, p)
-        a = rt.index_launch("a", [0, 1], lambda c: Work(1e6, 1e6),
+        a = rt.index_launch("a", [0, 1], lambda: [Work(1e6, 1e6)] * 2,
                             [RegionReq(r, p, Privilege.READ_ONLY)])
-        b = rt.index_launch("b", [0, 1], lambda c: Work(1e6, 1e6),
+        b = rt.index_launch("b", [0, 1], lambda: [Work(1e6, 1e6)] * 2,
                             [RegionReq(r, p, Privilege.READ_ONLY)])
         t1 = ExecutionMetrics([a]).simulated_seconds(rt.network)
         assert ExecutionMetrics([a, b]).simulated_seconds(rt.network) > t1 > 0
@@ -336,9 +335,9 @@ class TestMetricsRollup:
         p = equal_partition(r.ispace, 2)
         rt.place(r, p)
         reqs = [RegionReq(r, p, Privilege.READ_ONLY)]
-        a = rt.index_launch("a", [0, 1], lambda c: Work(1e6, 1e6), reqs)
+        a = rt.index_launch("a", [0, 1], lambda: [Work(1e6, 1e6)] * 2, reqs)
         kept = (dict(a.compute_seconds), list(a.comm_events), a.tasks_launched)
-        b = rt.index_launch("b", [0, 1], lambda c: Work(2e6, 2e6), reqs)
+        b = rt.index_launch("b", [0, 1], lambda: [Work(2e6, 2e6)] * 2, reqs)
         assert (a.name, b.name) == ("a", "b")
         assert (dict(a.compute_seconds), list(a.comm_events), a.tasks_launched) == kept
         assert a.tasks_launched == b.tasks_launched == 2
@@ -354,6 +353,6 @@ class TestMetricsRollup:
 
     def test_load_imbalance_measure(self):
         rt = make_rt()
-        works = {0: Work(4e6, 0), 1: Work(1e6, 0)}
-        step = rt.index_launch("a", [0, 1], lambda c: works[c], [])
+        works = [Work(4e6, 0), Work(1e6, 0)]
+        step = rt.index_launch("a", [0, 1], lambda: works, [])
         assert step.load_imbalance() == pytest.approx(4 / 2.5)
