@@ -108,27 +108,19 @@ class AssemblyPlan:
 
 def merge_operands(tensors: Sequence[Tensor], pieces, shape) -> AssemblyPlan:
     """Build the plan of ``out = sum(tensors)`` over the launch ``pieces``
-    (disjoint row ranges): one :func:`~repro.kernels.spadd3_plan` each."""
+    (disjoint row ranges tiling the rows): one linear
+    :func:`~repro.kernels.spadd3_plan` over every row, cut into the
+    pieces' views by :func:`~repro.kernels.spadd3_pieces`.  A hand-built
+    operand whose row is not strictly ascending raises
+    :class:`~repro.errors.FormatError` naming it and the row."""
     nrows, ncols = shape
     versions = tuple(t.pattern_version for t in tensors)
     metas = [t.csr_arrays()[:2] for t in tensors]
-    merged = {p.color: K.spadd3_plan(metas, ncols, *p.rows) for p in pieces}
-    counts = np.zeros(nrows, dtype=np.int64)
-    for p in pieces:
-        counts[p.rows[0] : p.rows[1] + 1] = merged[p.color].counts
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    crd = np.empty(int(starts[-1]), dtype=np.int64)
-    spans = {}
-    for p in pieces:
-        piece = merged[p.color]
-        d = int(starts[p.rows[0]]) if piece.crd.size else 0
-        span = spans[p.color] = slice(d, d + piece.crd.size)
-        crd[span] = piece.crd
-        # the pieces keep views of the whole-output arrays, not second copies
-        merged[p.color] = piece._replace(
-            counts=counts[p.rows[0] : p.rows[1] + 1], crd=crd[span]
-        )
-    return AssemblyPlan(versions, merged, spans, counts, crd)
+    whole = K.spadd3_plan(metas, ncols, 0, nrows - 1, [t.name for t in tensors])
+    merged, spans = {}, {}
+    for p, (piece, span) in zip(pieces, K.spadd3_pieces(whole, metas, [p.rows for p in pieces])):
+        merged[p.color], spans[p.color] = piece, span
+    return AssemblyPlan(versions, merged, spans, whole.counts, whole.crd)
 
 
 def install_assembled_output(out: Tensor, counts: np.ndarray, crd: np.ndarray) -> bool:

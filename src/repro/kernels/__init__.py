@@ -28,7 +28,7 @@ from .sddmm import (
     fused_sddmm_spmm_bind, sddmm_nonzeros, sddmm_nonzeros_bind, sddmm_reference,
     sddmm_rows, sddmm_rows_bind,
 )
-from .spadd import PiecePlan, spadd3_fill, spadd3_plan, spadd3_symbolic
+from .spadd import PiecePlan, spadd3_fill, spadd3_pieces, spadd3_plan, spadd3_symbolic
 from .spmttkrp import spmttkrp, spmttkrp_bind, spmttkrp_reference
 from .generic_coo import CooData, coo_of_access, evaluate_generic, fits_int64, lex_ranks
 
@@ -39,7 +39,7 @@ __all__ = [
     "spmm_bind", "spmm_nonzeros", "spmm_rows", "spmm_rows_reference",
     "fused_sddmm_spmm_bind", "sddmm_nonzeros", "sddmm_nonzeros_bind",
     "sddmm_reference", "sddmm_rows", "sddmm_rows_bind",
-    "PiecePlan", "spadd3_fill", "spadd3_plan", "spadd3_symbolic",
+    "PiecePlan", "spadd3_fill", "spadd3_pieces", "spadd3_plan", "spadd3_symbolic",
     "spmttkrp", "spmttkrp_bind", "spmttkrp_reference",
     "CooData", "coo_of_access", "evaluate_generic", "fits_int64", "lex_ranks",
 ]

@@ -10,6 +10,10 @@ The bound leaves (:func:`sddmm_rows_bind`, :func:`sddmm_nonzeros_bind`)
 hoist one position -> row array per bind and gather in cache-sized blocks
 (:func:`_sddmm`); :func:`fused_sddmm_spmm_bind` runs that phase into a
 scratch values array and reduces it with the SpMM reduce of :mod:`.segment`.
+Every position -> row array, the interpreter leaf's included, is built by
+:func:`_rows_of` from the rows' lengths in one pass over its positions
+(:func:`~repro.kernels.segment.row_of_range`), so the leaves agree by
+construction on which row a position belongs to.
 Each binds a launch of every piece as one call: a position's value is
 formed alone (a NaN product is the one quiet NaN, whatever the call), and
 the fused kind's reduce adds the pieces' partials of shared rows in piece
@@ -26,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..legion.machine import Work
-from .segment import _Span, _bounds, _const, _indptr, row_of_positions
+from .segment import _Span, _bounds, _const, _indptr, row_of_range
 
 __all__ = [
     "fused_sddmm_spmm_bind", "sddmm_nonzeros", "sddmm_nonzeros_bind",
@@ -58,7 +62,7 @@ def sddmm_nonzeros(
         return Work.zero()
     k = C.shape[1]
     nnz = p1 - p0 + 1
-    rows = row_of_positions(pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64))
+    rows = _rows_of(pos, p0, p1)
     # (j, k) indexing of D; a strided view, not a copy: on a row-major D
     # each gathered row is k elements n apart, k cache lines
     Dt = D.T
@@ -107,8 +111,10 @@ def sddmm_reference(pos, crd, vals, C, D, out_vals, p0, p1) -> Work:
 # bound leaves
 # --------------------------------------------------------------------------- #
 def _rows_of(pos, p0, p1):
-    """The row of each position ``p0 .. p1``."""
-    return row_of_positions(pos[:, 0], np.arange(p0, p1 + 1, dtype=np.int64))
+    """The row of each position ``p0 .. p1``, from the rows' lengths
+    (:func:`~repro.kernels.segment.row_of_range`): the one position -> row
+    map of the interpreter leaf and of every bind."""
+    return row_of_range(pos[:, 0], p0, p1)
 
 
 def _one_nan(vals: np.ndarray) -> None:

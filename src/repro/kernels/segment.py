@@ -20,9 +20,16 @@ segment of its own, from 0.0 (the workspace of SparseLNR), and adds the
 partials into the output in piece order — the sums, and the order of
 the additions, that the pieces' own calls make.
 
+Two more structural derivations live here, both linear passes over a
+packed level: :func:`row_of_range`, the owning segment of every position
+of a range, from segment lengths; and SpAdd's pattern union
+(:mod:`.spadd`), which runs on SciPy's canonical CSR merge
+``csr_plus_csr`` after :func:`check_canonical` has found each operand's
+rows ordered and unique.
+
 ``scipy.sparse._sparsetools`` is private SciPy surface: it is imported by
 name here only, and ``tests/kernels/test_segment.py`` pins what the
-leaves rely on.
+leaves and the merge rely on.
 """
 from __future__ import annotations
 
@@ -34,16 +41,20 @@ import scipy
 from ..errors import CompileError, FormatError
 
 try:
-    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+    from scipy.sparse._sparsetools import (
+        csr_has_canonical_format, csr_matvec, csr_matvecs, csr_plus_csr,
+    )
 except ImportError as e:  # pragma: no cover - depends on the SciPy build
     raise CompileError(
         f"scipy {scipy.__version__} lacks scipy.sparse._sparsetools."
-        "csr_matvec / csr_matvecs, which every reducing leaf kernel runs on"
+        "csr_matvec / csr_matvecs / csr_plus_csr / csr_has_canonical_format, "
+        "which every reducing leaf kernel and SpAdd's merge run on"
     ) from e
 
 __all__ = [
-    "check_packed", "packed_indptr", "piece_indptr", "piece_range",
-    "row_of_positions", "segment_dot", "segment_matmul",
+    "check_canonical", "check_packed", "packed_indptr", "piece_indptr",
+    "piece_range", "row_of_positions", "row_of_range", "segment_dot",
+    "segment_matmul",
 ]
 
 
@@ -63,6 +74,42 @@ def row_of_positions(starts: np.ndarray, positions: np.ndarray) -> np.ndarray:
     (``searchsorted right - 1``) is the non-empty owner of position ``p``.
     """
     return np.searchsorted(starts, positions, side="right") - 1
+
+
+def row_of_range(starts: np.ndarray, p0: int, p1: int) -> np.ndarray:
+    """:func:`row_of_positions` of every position ``p0 .. p1``, in one
+    pass over the range: each touched segment's id repeated over its
+    length, the first and last clipped to ``[p0, p1]`` — O(range) where a
+    search per position is O(range · log segments).  Only the two ends
+    are searched."""
+    if p1 < p0:
+        return np.empty(0, dtype=np.int64)
+    a, b = starts.searchsorted((p0, p1), side="right").tolist()  # the owners + 1
+    edges = np.empty(b - a + 2, dtype=np.int64)
+    edges[0], edges[1:-1], edges[-1] = p0, starts[a:b], p1 + 1
+    return np.repeat(np.arange(a - 1, b, dtype=np.int64), edges[1:] - edges[:-1])
+
+
+def check_canonical(indptr: np.ndarray, crd: np.ndarray, name: str) -> None:
+    """Raise :class:`~repro.errors.FormatError` unless every segment of
+    ``(indptr, crd)`` holds strictly ascending coordinates — the *ordered*
+    and *unique* properties ``Tensor._pack`` gives every compressed level,
+    so only a hand-built level fails.  The error names ``name`` and the
+    first offending segment (row), counted from ``indptr``'s first."""
+    n = indptr.size - 1
+    if n <= 0 or csr_has_canonical_format(n, indptr, crd):
+        return
+    lo, hi = int(indptr[0]), int(indptr[-1])
+    bad = crd[lo + 1 : hi] <= crd[lo : hi - 1]
+    heads = indptr[1:-1] - lo - 1  # a segment's first entry follows no entry of its own
+    bad[heads[(heads >= 0) & (heads < bad.size)]] = False
+    p = lo + 1 + int(bad.argmax())
+    row = int(row_of_positions(indptr, p))
+    what = "repeats" if crd[p] == crd[p - 1] else "descends"
+    raise FormatError(
+        f"{name} is not a canonical compressed level: row {row} {what} "
+        f"(coordinate {int(crd[p])} after {int(crd[p - 1])})"
+    )
 
 
 def check_packed(pos: np.ndarray, name: str = "pos") -> None:

@@ -36,7 +36,8 @@ from .segment import _Span, _bounds, _const, _indptr, csr_matvecs, piece_indptr
 __all__ = ["spmttkrp", "spmttkrp_bind", "spmttkrp_reference"]
 
 F8 = 8
-#: (positions of a storage level, default the last) -> per-level
+#: (positions of a storage level — an array, or a ``range`` whose parents
+#: are derived in one pass — and the level, default the last) -> per-level
 #: coordinate arrays, root first.
 Coords = Callable[..., Sequence[np.ndarray]]
 
@@ -160,11 +161,16 @@ def _fibers(f0: int, ip: np.ndarray, coords: Coords):
     f0 + 1, ...``, whose boundaries are ``ip`` (absolute positions): an
     empty fiber of a dense level 1 would scale a 0.0 row by ``C``, so it is
     dropped.  ``(i, j)`` are the coordinates of the fiber's level-1
-    position."""
+    position: over the whole run of fibers in one pass when none is
+    empty (always so under a compressed level 1, which stores no empty
+    fiber), else at the kept positions alone — a dense level 1 may hold
+    many more fibers than it keeps."""
     keep = ip[1:] > ip[:-1]
-    fp = np.append(ip[:-1][keep], ip[-1:])
+    if keep.all():
+        fi, fj = coords(range(f0, f0 + keep.size), 1)
+        return ip, fi, fj
     fi, fj = coords(f0 + np.flatnonzero(keep), 1)
-    return fp, fi, fj
+    return np.append(ip[:-1][keep], ip[-1:]), fi, fj
 
 
 def _contract(fp, crd, vals, C, D, fj, span, ident, ones) -> None:

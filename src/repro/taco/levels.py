@@ -17,8 +17,9 @@ Each class carries everything that depends on the format:
   distinct COO entries (``pack``, its arm of ``Tensor._pack``);
 * **iteration** — the three level functions of Chou et al.'s format
   abstraction: ``child_range`` (parent position range -> position range),
-  ``parent_of`` (position -> parent position) and ``coord_of`` (position ->
-  coordinate);
+  ``parent_of`` (position -> parent position; its range form
+  ``parent_of_range`` maps every position of a run in one pass) and
+  ``coord_of`` (position -> coordinate);
 * **partitioning** — SpDISTAL's Table I (paper §IV-B): the initial
   partition functions ``init`` / ``create...Entry`` / ``finalize`` x
   {universe: coordinate bounds, non-zero: position bounds} — the entry
@@ -41,6 +42,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import CompileError
+from ..kernels.segment import row_of_positions, row_of_range
 from ..legion.dependent import (
     image,
     partition_by_bounds,
@@ -117,6 +119,10 @@ class DenseLevel:
     def parent_of(self, positions):
         """Position(s) -> the parent entry each slot belongs to."""
         return positions // self.size
+
+    def parent_of_range(self, p0: int, p1: int) -> np.ndarray:
+        """:meth:`parent_of` of every position ``p0 .. p1``."""
+        return np.arange(p0, p1 + 1, dtype=np.int64) // self.size
 
     def coord_of(self, positions):
         """Position(s) -> coordinate: the slot's offset under its parent."""
@@ -291,10 +297,15 @@ class CompressedLevel:
                 np.where(live, pos[np.where(live, hi, 0), 1], -1))
 
     def parent_of(self, positions):
-        """Position(s) -> the owning parent entry.  Empty entries share
-        their successor's start, so the last entry with ``start <= p`` is
-        the non-empty owner of ``p``."""
-        return np.searchsorted(self.pos.data[:, 0], positions, side="right") - 1
+        """Position(s) -> the owning parent entry, searched: empty entries
+        share their successor's start, so the last entry with
+        ``start <= p`` is the non-empty owner of ``p``."""
+        return row_of_positions(self.pos.data[:, 0], positions)
+
+    def parent_of_range(self, p0: int, p1: int) -> np.ndarray:
+        """:meth:`parent_of` of every position ``p0 .. p1``, from segment
+        lengths in one pass over the range (no search per position)."""
+        return row_of_range(self.pos.data[:, 0], p0, p1)
 
     def coord_of(self, positions):
         """Position(s) -> the stored coordinate."""

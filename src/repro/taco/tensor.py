@@ -495,14 +495,25 @@ class Tensor:
     def coords_of(self, positions, level: Optional[int] = None) -> List[np.ndarray]:
         """Storage-order coordinates of ``positions`` of storage level
         ``level`` (default: the last), root first: position -> coordinate
-        and position -> parent, chained up to the root."""
+        and position -> parent, chained up to the root.  ``positions`` may
+        be a ``range``: the parents of that run are then derived from
+        segment lengths in one pass (``parent_of_range``), where an array
+        of positions is searched position by position."""
         coords = []
         last = len(self.levels) - 1 if level is None else level
+        run = isinstance(positions, range)
+        if run:
+            positions = np.arange(positions.start, positions.stop, dtype=np.int64)
         for depth in range(last, -1, -1):
             lvl = self.levels[depth]
             coords.append(lvl.coord_of(positions))
-            if depth:  # the root's parent is the single position 0
+            if not depth:  # the root's parent is the single position 0
+                break
+            if run and positions.size:
+                positions = lvl.parent_of_range(int(positions[0]), int(positions[-1]))
+            else:
                 positions = lvl.parent_of(positions)
+            run = False  # a run's parents skip empty entries: not a run
         return coords[::-1]
 
     # ------------------------------------------------------------------ #

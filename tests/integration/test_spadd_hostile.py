@@ -10,14 +10,19 @@ twin's **bitwise** (NaN payloads and the sign of zero included), the
 table's, the statically predicted metrics must equal the measured ones,
 and finite draws must agree with :mod:`repro.taco.reference`.
 
-Draws: 2 / 3 / 4 operands × {1, 3, more-than-rows} pieces × {every operand
-empty, one operand empty, all-empty rows, one heavy row, identical
-patterns, disjoint patterns, random} × NaN / ±inf / ``-0.0`` values, plain
-and ``accumulate``; three steps each, values rotated in place in between,
-so steps 2 and 3 fill from a warm plan (into kept regions when the pattern
+Draws: 2 / 3 / 4 operands, and 65 — more than one 64-bit word of
+per-operand tags holds — × {1, 3, 9} pieces over 1–6 rows (more pieces
+than rows) or 40–200 (many rows a piece) × 8 columns, or 2³² columns so
+that ``row * ncols + col`` passes 2³¹ × {every operand empty, one operand
+empty, all-empty rows, one heavy row, identical patterns, disjoint
+patterns, random} × NaN / ±inf / ``-0.0`` values, plain and
+``accumulate``; three steps each, values rotated in place in between, so
+steps 2 and 3 fill from a warm plan (into kept regions when the pattern
 held).
 
-Plus an operation count: a warm step sorts nothing and allocates no region.
+Plus an operation count — an assembly sorts nothing, and a warm step
+allocates no region — and the refusal of a hand-built operand whose row
+is not strictly ascending, before anything launches.
 """
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from repro import kernels as K
 from repro.analysis.commplan import measured_signature
 from repro.analysis.costmodel import predict_cost
 from repro.core import SPECS, clear_caches, compile_kernel
+from repro.errors import FormatError
 from repro.legion import Machine, Runtime, make_pos_region
 from repro.legion.machine import Work
 from repro.legion.region import RectRegion, Region
@@ -35,11 +41,13 @@ from repro.taco import CSR, Tensor, index_vars
 from repro.taco.reference import evaluate
 
 F8 = 8
-PIECES = (1, 3, 9)  # rows <= 6
+PIECES = (1, 3, 9)
 STRUCTURES = ("all_empty", "one_empty", "empty_rows", "heavy_row",
               "identical", "disjoint", "random")
 SPECIALS = (np.nan, np.inf, -np.inf, -0.0)
 NCOLS = 8
+#: a column count whose linear keys ``row * ncols + col`` pass 2**31
+WIDE = 2**32
 STEPS = 3
 
 
@@ -154,9 +162,12 @@ def _values(rng, size, hostile):
     return vals
 
 
-def _operand(name, mask, vals):
+def _operand(name, mask, vals, ncols=NCOLS):
+    """``mask``'s entries, its columns spread over ``ncols``."""
     rows, cols = np.nonzero(mask)
-    return Tensor.from_coo(name, [rows, cols], vals, mask.shape, CSR)
+    stride = ncols // NCOLS
+    return Tensor.from_coo(name, [rows, cols * stride + stride // 2], vals,
+                           (mask.shape[0], ncols), CSR)
 
 
 def _snapshot(t):
@@ -168,9 +179,10 @@ def _bits(a):
 
 
 @given(
-    k=st.sampled_from((2, 3, 4)),
+    k=st.sampled_from((2, 3, 4, 65)),
     pieces=st.sampled_from(PIECES),
-    n=st.integers(1, 6),
+    n=st.one_of(st.integers(1, 6), st.integers(40, 200)),
+    ncols=st.sampled_from((NCOLS, WIDE)),
     structure=st.sampled_from(STRUCTURES),
     hostile=st.booleans(),
     accumulate=st.booleans(),
@@ -178,16 +190,16 @@ def _bits(a):
 )
 @settings(max_examples=120)
 def test_planned_assembly_equals_the_two_sort_twin(
-    k, pieces, n, structure, hostile, accumulate, seed
+    k, pieces, n, ncols, structure, hostile, accumulate, seed
 ):
     clear_caches()
     rng = np.random.default_rng(seed)
     masks = _patterns(rng, structure, k, n)
     ops = [
-        _operand(f"B{idx}", m, _values(rng, int(m.sum()), hostile))
+        _operand(f"B{idx}", m, _values(rng, int(m.sum()), hostile), ncols)
         for idx, m in enumerate(masks)
     ]
-    A = Tensor.zeros("A", (n, NCOLS), CSR)
+    A = Tensor.zeros("A", (n, ncols), CSR)
     machine = Machine.cpu(pieces)
     rt = Runtime(machine)
     i, j, io, ii = index_vars("i j io ii")
@@ -205,7 +217,8 @@ def test_planned_assembly_equals_the_two_sort_twin(
             reads = ops + [A] if accumulate else ops
             pos, crd, vals, works = twin_step(
                 [_snapshot(t) for t in reads], A.shape, piece_rows)
-            ref = None if hostile else evaluate(A.assignment)
+            # the dense reference only where a dense array is small
+            ref = None if hostile or ncols == WIDE else evaluate(A.assignment)
 
             est = predict_cost(ck)  # static, from the kernel table's Work
             model = SPECS[ck.kind].work_model(ck)
@@ -263,8 +276,8 @@ def test_warm_step_sorts_nothing_and_allocates_no_region(monkeypatch):
     for cls in (Region, RectRegion):
         monkeypatch.setattr(cls, "__init__", counted("Region", cls.__init__))
 
-    step()  # cold: one merge per piece, three regions installed
-    assert calls == {"unique": 4, "Region": 3}
+    step()  # cold: one linear merge, no sort; three regions installed
+    assert calls == {"Region": 3}
     regions = (A.levels[1].pos, A.levels[1].crd, A.vals)
     calls.clear()
     for _ in range(3):
@@ -273,3 +286,42 @@ def test_warm_step_sorts_nothing_and_allocates_no_region(monkeypatch):
         assert calls == {}
         assert (A.levels[1].pos, A.levels[1].crd, A.vals) == regions
         assert np.allclose(A.to_dense(), sum(t.to_dense() for t in ops))
+
+
+# --------------------------------------------------------------------------- #
+# an operand no pack builds
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("fault", ["descending", "repeated"])
+def test_a_hand_built_non_canonical_operand_is_refused_before_any_launch(
+    fault, monkeypatch
+):
+    """``_pack`` makes every row strictly ascending; a hand-built ``crd``
+    that descends or repeats within a row cannot be merged linearly, and
+    is refused — naming the tensor and the row — before either assembly
+    launch runs or the output changes."""
+    rng = np.random.default_rng(5)
+    masks = _patterns(rng, "random", 3, 12)
+    masks[1][7] = True  # row 7 of B1 holds every column
+    ops = [_operand(f"B{idx}", m, rng.random(int(m.sum()))) for idx, m in enumerate(masks)]
+    pos, crd, _ = ops[1].csr_arrays()
+    p = int(pos[7, 0])
+    if fault == "descending":
+        crd[p], crd[p + 1] = crd[p + 1], crd[p]
+    else:
+        crd[p + 1] = crd[p]
+    A = Tensor.zeros("A", (12, NCOLS), CSR)
+    version = A.pattern_version
+    machine = Machine.cpu(4)
+    rt = Runtime(machine)
+    launched = []
+    monkeypatch.setattr(Runtime, "index_launch",
+                        lambda self, name, *a, **kw: launched.append(name))
+    i, j, io, ii = index_vars("i j io ii")
+    A[i, j] = ops[0][i, j] + ops[1][i, j] + ops[2][i, j]
+    ck = compile_kernel(A.schedule().divide(i, io, ii, 4).distribute(io), machine)
+    what = "descends" if fault == "descending" else "repeats"
+    with pytest.raises(FormatError, match=rf"B1 is not a canonical compressed level: "
+                                          rf"row 7 {what}"):
+        ck.execute(rt)
+    assert launched == []
+    assert A.pattern_version == version

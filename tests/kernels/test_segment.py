@@ -13,8 +13,11 @@ from repro.kernels import (
     segment_dot,
     segment_matmul,
 )
-from repro.kernels.segment import packed_indptr, piece_indptr
+from repro.kernels.segment import check_canonical, packed_indptr, piece_indptr, row_of_range
 from repro.legion import make_pos_region
+from repro.legion.index_space import IndexSpace
+from repro.legion.region import Region
+from repro.taco.levels import CompressedLevel, DenseLevel
 
 
 class TestPieceRange:
@@ -52,6 +55,73 @@ class TestRowOfPositions:
         assert got.tolist() == [0, 2, 2]
 
 
+class TestCheckCanonical:
+    @pytest.mark.parametrize("crd, what, row", [
+        ([0, 3, 4, 2, 5], "descends", 2), ([0, 3, 1, 4, 4], "repeats", 2),
+        ([2, 1, 1, 2, 5], "descends", 0),
+    ])
+    def test_names_the_tensor_and_the_first_offending_row(self, crd, what, row):
+        indptr = np.array([0, 2, 2, 5], dtype=np.int64)  # row 1 empty
+        with pytest.raises(FormatError, match=rf"'B' is not a canonical compressed "
+                                              rf"level: row {row} {what}"):
+            check_canonical(indptr, np.array(crd, dtype=np.int64), "'B'")
+
+    def test_a_segment_may_start_below_its_predecessor_s_end(self):
+        check_canonical(np.array([0, 2, 2, 5]), np.array([3, 7, 0, 1, 9]), "B")
+        check_canonical(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), "B")
+
+
+class TestRowOfRange:
+    """Twin oracle: the range form of position -> parent equals a search
+    per position, bit for bit, on raw ``starts`` and through both level
+    classes' ``parent_of_range``."""
+
+    @given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=12)
+           .flatmap(lambda c: st.sampled_from(["as_drawn", "leading", "trailing",
+                                               "all_empty", "heavy"]).map(
+               lambda shape: _shaped(c, shape))),
+           ends=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+           size=st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_a_search_per_position(self, counts, ends, size):
+        pos = make_pos_region(np.array(counts, dtype=np.int64))
+        nnz = int(sum(counts))
+        p0, p1 = (int(f * nnz) for f in ends)  # p1 < p0 or p0 == nnz: an empty range
+        p1 = min(p1, nnz - 1)
+        starts = pos.data[:, 0]
+        want = row_of_positions(starts, np.arange(p0, p1 + 1))
+        level = CompressedLevel(pos, Region(IndexSpace(nnz), np.int64, data=np.zeros(nnz, np.int64)))
+        for got in (row_of_range(starts, p0, p1), level.parent_of_range(p0, p1)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert level.parent_of(np.arange(p0, p1 + 1)).tobytes() == want.tobytes()
+        dense = DenseLevel(size, len(counts) * size)
+        q0, q1 = (int(f * dense.num_positions) for f in ends)
+        q1 = min(q1, dense.num_positions - 1)
+        got = dense.parent_of_range(q0, q1)
+        want = dense.parent_of(np.arange(q0, q1 + 1, dtype=np.int64))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_mid_segment_ends_and_the_empty_range(self):
+        starts = make_pos_region(np.array([0, 3, 0, 4, 0])).data[:, 0]  # [0, 0, 3, 3, 7]
+        assert row_of_range(starts, 1, 5).tolist() == [1, 1, 3, 3, 3]
+        assert row_of_range(starts, 4, 3).size == 0
+        assert row_of_range(starts, 4, 3).dtype == np.int64
+
+
+def _shaped(counts, shape):
+    """Row lengths with leading / trailing empty rows, every row empty, or
+    one heavy row among short ones."""
+    if shape == "leading":
+        return [0, 0] + counts
+    if shape == "trailing":
+        return counts + [0, 0]
+    if shape == "all_empty":
+        return [0] * len(counts)
+    if shape == "heavy":
+        return counts[:1] + [40] + counts[1:]
+    return counts
+
+
 class TestSparsetoolsPin:
     """What ``repro.kernels.segment`` and the bind functions rely on in
     ``scipy.sparse._sparsetools`` — private surface, so pinned here: a
@@ -62,13 +132,49 @@ class TestSparsetoolsPin:
     crd = np.array([0, 2, 1], dtype=np.int64)
     vals = np.array([2.0, 3.0, 5.0])
 
-    def test_both_symbols_import_from_the_checked_site(self):
+    def test_every_symbol_imports_from_the_checked_site(self):
         from scipy.sparse import _sparsetools
 
-        from repro.kernels import segment
+        from repro.kernels import segment, spadd
 
         assert segment.csr_matvec is _sparsetools.csr_matvec
         assert segment.csr_matvecs is _sparsetools.csr_matvecs
+        assert segment.csr_plus_csr is _sparsetools.csr_plus_csr
+        assert segment.csr_has_canonical_format is _sparsetools.csr_has_canonical_format
+        assert spadd.csr_plus_csr is _sparsetools.csr_plus_csr
+
+    def test_csr_plus_csr_merges_canonical_rows_into_the_sorted_union(self):
+        """(n_row, n_col, Ap, Aj, Ax, Bp, Bj, Bx, Cp, Cj, Cx): one linear
+        merge into preallocated outputs; the union comes out sorted per
+        row, shared entries add their data (the tags 1 + 2 = 3 SpAdd
+        reads), and an entry whose sum is 0 is dropped — why SpAdd's
+        tags are never 0."""
+        from repro.kernels.segment import csr_plus_csr
+
+        # a: rows {0: [0, 5], 1: [1]}; b: rows {0: [5], 1: [0, 1]}
+        ap, aj = np.array([0, 2, 3]), np.array([0, 5, 1])
+        bp, bj = np.array([0, 1, 3]), np.array([5, 0, 1])
+        cp, cj, cx = np.empty(3, np.int64), np.empty(6, np.int64), np.empty(6, np.int8)
+        csr_plus_csr(2, 2**32, ap, aj, np.ones(3, np.int8), bp, bj,
+                     np.full(3, 2, np.int8), cp, cj, cx)
+        assert cp.tolist() == [0, 2, 4]
+        assert cj[:4].tolist() == [0, 5, 0, 1] and cx[:4].tolist() == [1, 3, 2, 3]
+        # data summing to 0 drops the entry from the union
+        csr_plus_csr(2, 8, ap, aj, np.ones(3, np.int8), bp, bj,
+                     np.array([-1, 2, 2], np.int8), cp, cj, cx)
+        assert cp.tolist() == [0, 1, 3] and cj[:3].tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("indptr, crd", [
+        ([0, 2, 3], [5, 0, 1]),   # a descending coordinate in row 0
+        ([0, 1, 3], [4, 2, 2]),   # a repeated coordinate in row 1
+        ([0, 2, 1], [0, 1, 2]),   # a decreasing indptr
+    ], ids=["descending", "repeated", "indptr-decreasing"])
+    def test_csr_has_canonical_format_refuses(self, indptr, crd):
+        from repro.kernels.segment import csr_has_canonical_format
+
+        ip, c = np.array(indptr, np.int64), np.array(crd, np.int64)
+        assert not csr_has_canonical_format(2, ip, c)
+        assert csr_has_canonical_format(2, np.array([0, 2, 3]), np.array([0, 5, 1]))
 
     def test_csr_matvec_argument_order_and_accumulation(self):
         from repro.kernels.segment import csr_matvec
