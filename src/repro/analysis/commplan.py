@@ -63,8 +63,8 @@ __all__ = [
     "commplan_diagnostics",
 ]
 
-#: a Work model: maps a launch's phase name to the Work every piece's leaf
-#: will report, as columns in piece order.
+#: a Work model: maps a launch's name to the Work every piece's leaf will
+#: report, as columns in piece order.
 WorkModel = Callable[[str], Works]
 
 
@@ -244,13 +244,11 @@ def _mirror(
     """Replay a cold run's *mapping* of ``kernels`` (one statement, or a
     program's launching ones) on a scratch runtime, as a real run makes it:
     the homes of the regions a TDN statement declared on ``runtime`` copied
-    in its order, every kernel placed, one reset, then each launch in order
-    with the leaf bodies replaced by the Work model's columns (None: no
-    work).  Returns the launches' steps and the
-    scratch runtime; raises :class:`repro.errors.OOMError` where the run
-    would."""
-    from ..core.kernelspec import SPECS
-
+    in its order, every kernel placed, one reset, then each kernel's
+    :meth:`~repro.core.compiler.CompiledKernel.launches` in order with the
+    bodies replaced by the Work model's columns for the launch's name (None:
+    no work).  Returns the launches' steps and the scratch runtime; raises
+    :class:`repro.errors.OOMError` where the run would."""
     rt = Runtime(machine, network)
     if runtime is not None:
         rt.copy_homes(runtime, list({
@@ -264,20 +262,9 @@ def _mirror(
     rt.reset_residency()
     steps: List[StepMetrics] = []
     for ck in kernels:
-        colors = [p.color for p in ck.pieces]
-        proc_of = dict(zip(colors, (p.proc for p in ck.pieces))).__getitem__
-
-        def launch(name: str, phase: str, reqs) -> StepMetrics:
-            works = work(phase) if work is not None else Works.zeros(len(colors))
-            return rt.index_launch(name, colors, lambda: works, reqs, proc_map=proc_of)
-
-        if SPECS[ck.kind].assembles:
-            reqs = ck.spadd_read_reqs()
-            steps += [launch("spadd:symbolic", "spadd:symbolic", reqs),
-                      ck._spadd_scan_step(rt),
-                      launch("spadd:fill", "spadd:fill", reqs)]
-        else:
-            steps.append(launch(f"{ck.kind}:{ck.strategy}", "compute", ck._reqs()))
+        for step in ck.launches():
+            works = work(step.name) if work is not None else Works.zeros(len(step.colors))
+            steps.append(step.run(rt, lambda: works))
     return steps, rt
 
 
@@ -343,13 +330,8 @@ def _plan_of(ck, steps: List[StepMetrics], rt: Runtime) -> CommPlan:
     return plan
 
 
-def _predict_one(
-    ck,
-    *,
-    runtime: Optional[Runtime] = None,
-    work: Optional[WorkModel] = None,
-) -> CommPlan:
-    steps, rt = _mirror([ck], ck.machine, runtime=runtime, work=work)
+def _predict_one(ck, *, runtime: Optional[Runtime] = None) -> CommPlan:
+    steps, rt = _mirror([ck], ck.machine, runtime=runtime)
     return _plan_of(ck, steps, rt)
 
 
@@ -358,7 +340,6 @@ def communication_plan(
     machine: Optional[Machine] = None,
     *,
     runtime: Optional[Runtime] = None,
-    work: Optional[WorkModel] = None,
 ) -> CommPlan:
     """The static communication plan of one scheduled statement.
 
@@ -370,7 +351,7 @@ def communication_plan(
     placed by ``repro.distal`` so the plan sees their real homes.
     """
     ck = _as_kernel(target, machine)
-    return _predict_one(ck, runtime=runtime, work=work)
+    return _predict_one(ck, runtime=runtime)
 
 
 def _as_kernel(target, machine: Optional[Machine]):
@@ -413,7 +394,6 @@ def predict_metrics(
     machine: Optional[Machine] = None,
     *,
     runtime: Optional[Runtime] = None,
-    work: Optional[WorkModel] = None,
 ) -> MetricsSignature:
     """Statically predict the simulated metrics signature of ``target``.
 
@@ -443,14 +423,14 @@ def predict_metrics(
         steps, rt = _mirror(
             [ck for ck, prior in zip(program.kernels, program.reused_from)
              if prior is None],
-            program.machine, runtime=runtime, work=work)
+            program.machine, runtime=runtime)
         return MetricsSignature(
             steps=_fold_steps(steps),
             node_footprint=_node_footprint(
                 rt.resident_bytes_per_proc(), rt.machine
             ),
         )
-    plan = _predict_one(_as_kernel(target, machine), runtime=runtime, work=work)
+    plan = _predict_one(_as_kernel(target, machine), runtime=runtime)
     return plan.signature
 
 

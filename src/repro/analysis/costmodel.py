@@ -61,10 +61,10 @@ def kernel_work_model(ck) -> Tuple[WorkModel, bool]:
     """A (work model, exact?) pair for a compiled kernel, from its entry
     in the kernel table (:mod:`repro.core.kernelspec`).
 
-    The model maps a launch's phase to the :class:`Work` every piece's
-    leaf task will return, as :class:`~repro.legion.machine.Works` columns
-    in piece order, derived purely from the operands' packed pattern.  ``exact`` is True when the formulas mirror the leaf
-    kernel's own accounting.
+    The model maps a launch's name to the :class:`Work` every piece's leaf
+    task will return, as :class:`~repro.legion.machine.Works` columns in
+    piece order, derived purely from the operands' packed pattern.
+    ``exact`` is True when the formulas mirror the leaf's own accounting.
     """
     from ..core.kernelspec import SPECS
 

@@ -128,7 +128,7 @@ def statement_privileges(
         u.tensor is not asg.lhs.tensor for u in priv.reads
     ):
         # ``+=`` consumes the existing output values (for SpAdd this is
-        # the stripped-LHS operand _execute_spadd re-adds from snapshot).
+        # the stripped-LHS operand the symbolic launch's body snapshots).
         priv.reads.append(_use(asg.lhs))
     return priv
 

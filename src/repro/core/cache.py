@@ -410,9 +410,9 @@ def _fingerprint(asg: Assignment, machine, schedule: Optional[Schedule]) -> Tupl
         # including the aliased forms (``A = B + A``, and the ``accumulate``
         # sugar): the assembly plan re-merges whenever the aliased operand's
         # version moved, and execution takes its values before an install
-        # (see ``CompiledKernel._execute_spadd``), so the compiled kernel
-        # never reads through a stale structure and each re-assembly can
-        # reuse the kernel and replay its mapping traces.
+        # (see the assembly steps of ``CompiledKernel.launches``), so the
+        # compiled kernel never reads through a stale structure and each
+        # re-assembly can reuse the kernel and replay its mapping traces.
         assembled = asg.lhs.tensor
     tensor_states = tuple(
         _assembled_output_state(t) if t is assembled else _tensor_state(t)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .partitioner import (
 from .plan import PartitioningPlan
 
 __all__ = [
-    "Piece", "CompiledKernel", "compile_kernel", "compile_statement",
+    "Piece", "Launch", "CompiledKernel", "compile_kernel", "compile_statement",
     "ExecutionResult",
 ]
 
@@ -74,6 +74,30 @@ class Piece(NamedTuple):
     rows: Bounds  # top-level coordinate bounds of this piece
     pos: Optional[Bounds] = None  # non-zero position bounds (non-zero strategy)
     cols: Optional[Bounds] = None  # secondary universe bounds (batched SpMM)
+
+
+class Launch(NamedTuple):
+    """One step of a kernel's run (:meth:`CompiledKernel.launches`): an
+    index launch whose ``body`` returns every colour's Work in colour order,
+    or a step that launches nothing and books its own metrics (``book(rt)``:
+    SpAdd's scan).  The static planner runs the same steps with its Work
+    model's columns and calls no body, so whatever a run does besides
+    launching happens in one.  ``leaf`` is the piece -> Work leaf a bound
+    compute launch runs."""
+
+    name: str
+    reqs: Sequence[RegionReq] = ()
+    colors: Sequence[Color] = ()
+    proc_of: Optional[Callable[[Color], int]] = None
+    body: Optional[Callable[[], list]] = None
+    book: Optional[Callable[[Runtime], StepMetrics]] = None
+    leaf: Optional[Callable[[Piece], object]] = None
+
+    def run(self, rt: Runtime, body: Callable[[], list]) -> StepMetrics:
+        """Book this step on ``rt``, launching ``body`` as its thunk."""
+        if self.book is not None:
+            return self.book(rt)
+        return rt.index_launch(self.name, self.colors, body, self.reqs, proc_map=self.proc_of)
 
 
 def _chunk_bounds(extent: int, pieces: int) -> np.ndarray:
@@ -109,6 +133,9 @@ class CompiledKernel:
     #: The kernel-cache key ``store_kernel`` stored this kernel under (None
     #: when uncached); its ids are process-local, so pickling drops it.
     cache_key: Optional[Tuple] = None
+    #: A compute kernel's :meth:`launches`, frozen on their first call and
+    #: bound on the first execute (:meth:`_bind`).
+    _launches: Optional[List[Launch]] = None
 
     def __init__(
         self,
@@ -142,9 +169,6 @@ class CompiledKernel:
         #: or "codegen" (bound flat thunks, interpreter fallback where the
         #: table names no bind function).  Fixed by ``compile_statement``.
         self.backend: str = "interp"
-        #: ``index_launch``'s arguments and the leaf (piece -> Work), frozen
-        #: by :meth:`_bind`.
-        self._launch_args: Optional[tuple] = None
         self._streamed: set = set()
         self._spadd_reqs: Optional[List[RegionReq]] = None
 
@@ -152,7 +176,7 @@ class CompiledKernel:
         """Communicate this tensor's sub-regions in memory-sized rounds
         instead of keeping them resident (the "SpDISTAL-Batched" strategy)."""
         self._streamed.add(id(tensor))
-        self._launch_args = None  # re-freeze the launch's requirements at next execute
+        self._launches = None  # re-freeze the launch's requirements at next execute
 
     # -- persistence (repro.core.store) ---------------------------------------
     def __getstate__(self):
@@ -160,7 +184,7 @@ class CompiledKernel:
         raw NumPy views) and the assembly plan (index arrays derived from
         the operands); both are rebuilt lazily on the first execute."""
         state = self.__dict__.copy()
-        state["_launch_args"] = None
+        state.pop("_launches", None)
         state["_spadd_plan"] = None
         state.pop("cache_key", None)
         state.pop("_placed_on")  # a loaded kernel meets its runtimes anew
@@ -258,25 +282,36 @@ class CompiledKernel:
         self._meet(runtime)
         if fresh_trial:
             runtime.reset_residency()
-        run = self._execute_spadd if SPECS[self.kind].assembles else self._execute_compute
         return ExecutionResult(
             output=self.out,
-            metrics=ExecutionMetrics(steps=run(runtime)),
+            metrics=ExecutionMetrics(steps=[s.run(runtime, s.body) for s in self.launches()]),
             plan=self.plan,
             network=runtime.network,
         )
 
-    def _execute_compute(self, rt: Runtime) -> List[StepMetrics]:
-        if self._launch_args is None:
-            self._bind()
-        if self._needs_zero():
-            self.out.vals.fill(0.0)
-        name, colors, launch, reqs, proc_of, _ = self._launch_args
-        return [rt.index_launch(name, colors, launch, reqs, proc_map=proc_of)]
+    def launches(self) -> List[Launch]:
+        """The steps one run of this kernel takes, in order: the one list
+        :meth:`execute` runs and the static planner mirrors.
 
-    def _bind(self) -> None:
-        """Bind the leaf, and freeze what every launch of it hands the
-        runtime (the pieces, requirements and leaf fixed per kernel)."""
+        A compute kernel's is its one launch.  Until the first execute
+        binds the leaf (:meth:`_bind`, from the launch's body) the list is
+        made per call, as that body holds the kernel (kept, it would make a
+        reference cycle); from then on it is frozen, so a warm execute
+        builds nothing.  SpAdd's is made per call from
+        :meth:`assembly_plan`."""
+        if self._launches is not None:
+            return self._launches
+        if SPECS[self.kind].assembles:
+            return self._assembly_launches()
+        pieces = self.pieces
+        step = Launch(f"{self.kind}:{self.strategy}", self._reqs(), [p.color for p in pieces],
+                      {p.color: p.proc for p in pieces}.__getitem__)
+        return [step._replace(body=lambda: self._bind(step).body())]
+
+    def _bind(self, step: Launch) -> Launch:
+        """Bind the leaf, and freeze ``step`` with it as the launch every
+        execute hands the runtime (pieces, requirements and leaf fixed per
+        kernel)."""
         # Write targets must be promoted before the leaf captures their
         # arrays: a leaf closure over a read-only mmap-backed region
         # (load_packed(..., mmap=True)) would crash on its first write,
@@ -284,7 +319,7 @@ class CompiledKernel:
         for t_id, part in self.parts.items():
             if self.privileges.get(t_id, Privilege.READ_ONLY) != Privilege.READ_ONLY:
                 part.tensor.ensure_writable()
-        leaf = bind_launch = launch = None
+        leaf = bind_launch = None
         if self.backend == "codegen":
             from .. import codegen as _codegen  # lazy: avoids import cycle
 
@@ -295,17 +330,16 @@ class CompiledKernel:
         # function binds one (it declines only what its body cannot run:
         # ``grid``'s column windows, pieces that do not tile one range);
         # else it calls the leaf piece by piece.
-        if bind_launch is not None:
-            launch = bind_launch()
-        pieces = self.pieces
-        self._launch_args = (
-            f"{self.kind}:{self.strategy}",
-            [p.color for p in pieces],
-            launch or (lambda: [leaf(p) for p in pieces]),
-            self._reqs(),
-            {p.color: p.proc for p in pieces}.__getitem__,
-            leaf,
-        )
+        pieces, out = self.pieces, self.out
+        launch = (bind_launch and bind_launch()) or (lambda: [leaf(p) for p in pieces])
+        if self._needs_zero():
+            def body():  # an output the pieces add into starts from zero
+                out.vals.fill(0.0)
+                return launch()
+        else:
+            body = launch
+        (bound,) = self._launches = [step._replace(body=body, leaf=leaf)]
+        return bound
 
     def _needs_zero(self) -> bool:
         return (
@@ -357,47 +391,40 @@ class CompiledKernel:
             for req in self.parts[id(t)].region_reqs(Privilege.READ_ONLY)
         ]
 
-    def _execute_spadd(self, rt: Runtime) -> List[StepMetrics]:
-        out = self.out
-        plan = self.assembly_plan()
+    def _assembly_launches(self) -> List[Launch]:
+        """SpAdd's steps: the symbolic launch, the scan, and the fill into
+        the output the merged pattern installs."""
+        out, plan = self.out, self.assembly_plan()
         operand_tensors = SPECS[self.kind].operand_tensors(self)
-        # Operand values, taken BEFORE install_assembled_output may replace
-        # the output's regions: an aliased operand (``A = B + A``, or the
-        # ``accumulate`` sugar, which strips A from the operand list but
-        # still reads it) shares them, and the pre-install array holds the
-        # values the statement consumes.  Re-reading through the tensor
-        # after an install would see the freshly-sized empty output instead
-        # — the seed bug that crashed or dropped the aliased operand.
-        vals = [t.vals.data for t in operand_tensors]
-        read_reqs = self._spadd_reqs = self.spadd_read_reqs()
+        read_reqs = self.spadd_read_reqs()
         colors = [p.color for p in self.pieces]
         proc_of = {p.color: p.proc for p in self.pieces}.__getitem__
+        vals: list = []
 
-        symbolic = rt.index_launch(
-            "spadd:symbolic",
-            colors,
-            lambda: [K.spadd3_symbolic(plan.pieces[c])[1] for c in colors],
-            read_reqs,
-            proc_map=proc_of,
-        )
+        def symbolic():
+            self._spadd_reqs = read_reqs
+            # Operand values, taken before the fill's install may replace
+            # the output's regions: an aliased operand (``A = B + A``, or
+            # the ``accumulate`` sugar) shares them, and a read after the
+            # install would see the freshly-sized empty output instead.
+            vals[:] = [t.vals.data for t in operand_tensors]
+            return [K.spadd3_symbolic(plan.pieces[c])[1] for c in colors]
 
-        scan = self._spadd_scan_step(rt)
-        # Checked once per new plan, and again whenever another statement
-        # re-structured the output in between (its version moved).
-        if plan.installed != out.pattern_version:
-            install_assembled_output(out, plan.counts, plan.crd)
-            plan.installed = out.pattern_version
-        out_vals = out.vals.data
+        def fill():
+            # Once per new plan, and again whenever another statement
+            # re-structured the output in between (its version moved).
+            if plan.installed != out.pattern_version:
+                install_assembled_output(out, plan.counts, plan.crd)
+                plan.installed = out.pattern_version
+            out_vals = out.vals.data
+            return [K.spadd3_fill(plan.pieces[c], vals, out_vals[plan.spans[c]])
+                    for c in colors]
 
-        fill = rt.index_launch(
-            "spadd:fill",
-            colors,
-            lambda: [K.spadd3_fill(plan.pieces[c], vals, out_vals[plan.spans[c]])
-                     for c in colors],
-            read_reqs,
-            proc_map=proc_of,
-        )
-        return [symbolic, scan, fill]
+        return [
+            Launch("spadd:symbolic", read_reqs, colors, proc_of, body=symbolic),
+            Launch("spadd:scan", book=self._spadd_scan_step),
+            Launch("spadd:fill", read_reqs, colors, proc_of, body=fill),
+        ]
 
 
 # --------------------------------------------------------------------------- #

@@ -255,10 +255,10 @@ class KernelSpec:
         return lambda p: run(*args_of[p.color])
 
     def work_model(self, ck) -> Callable[[str], Works]:
-        """phase -> the Work every piece's leaf task will report, in piece
-        order."""
+        """A launch's name (a step of ``CompiledKernel.launches``) -> the
+        Work every piece's leaf task will report, in piece order."""
         works = self.work(self.operands(ck), ck.strategy)(*self.columns(ck))
-        return lambda _phase: works
+        return lambda _name: works
 
     def bind_args(self, ck) -> Tuple[tuple, list, Works]:
         """What a bind function takes — the raw arrays and one ``(color,
@@ -602,8 +602,8 @@ class _SpAdd(KernelSpec):
     """``A(i,j) = B(i,j) + C(i,j) + ...`` into a sparse A whose pattern is
     unknown until the operands are merged (paper §V-B).  The merge is the
     kernel's assembly plan, redone only when an operand's pattern changes;
-    the symbolic and fill launches that read it live in
-    ``CompiledKernel._execute_spadd``."""
+    the symbolic and fill launches that read it are steps of
+    ``CompiledKernel.launches``, and its Work model keys on their names."""
 
     kind = "spadd"
     formats = (CSR,)
@@ -624,7 +624,7 @@ class _SpAdd(KernelSpec):
                            for size in (lambda q: q.inverse.size, lambda q: q.crd.size))
         symbolic = Works(touched, touched * 2 * F8)
         fill = Works(touched, touched * 3 * F8 + merged * 2 * F8)
-        return lambda phase: symbolic if phase == "spadd:symbolic" else fill
+        return lambda name: symbolic if name == "spadd:symbolic" else fill
 
 
 class _Generic(KernelSpec):
@@ -653,7 +653,7 @@ class _Generic(KernelSpec):
         n = len(ck.pieces)
         per_piece = float(touched) / max(1, n)
         works = Works(np.full(n, 2.0 * per_piece), np.full(n, per_piece * 24.0))
-        return lambda _phase: works
+        return lambda _name: works
 
     def interp_leaf(self, ck):
         asg = ck.schedule.assignment

@@ -107,7 +107,7 @@ class WriteHazard(AnalysisError):
     e.g. ``a(i) += B(i, j) * a(j)``.  SpAdd-assembled statements are
     exempt: their execution takes the operands' value arrays before a new
     output pattern is installed, and each piece gathers them before it
-    writes (see ``CompiledKernel._execute_spadd``)."""
+    writes (see the assembly steps of ``CompiledKernel.launches``)."""
 
 
 class IllegalCSE(AnalysisError):

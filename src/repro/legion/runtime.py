@@ -36,9 +36,7 @@ Residency states are tracked symbolically: ``reset_residency`` (called
 between trials) returns to the canonical "homes only" state *without*
 dropping traces, so iterations 2..N of a solver replay.  A ``place*`` that
 adds a home moves to a fresh state, so stale traces never fire (one the
-homes hold already changes nothing); ``invalidate_caches`` also drops
-every trace (the hook to use after writing region data behind the
-runtime's back).
+homes hold already changes nothing).
 
 The tables behind those states are shared values.  Each region's homes
 are a residency table too, one that only grows (:attr:`Runtime._home`):
@@ -581,13 +579,6 @@ class Runtime:
                                  for uid, homes in self._home.items()}
         self._restore_residency(self._homes_table)
         self._state = ("clean", self._homes_version)
-
-    def invalidate_caches(self) -> None:
-        """Reset residency to home placements AND drop every trace — the
-        hook for out-of-band changes (region data written behind the
-        runtime's back), after which launches re-record."""
-        self._traces.clear()
-        self.reset_residency()
 
     # -- results ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

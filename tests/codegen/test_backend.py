@@ -75,13 +75,13 @@ class TestKnobs:
         assert compile_kernel(sched, machine) is ck and ck.backend == "codegen"
         rt = Runtime(machine)
         first = (s.execute(ck).output.vals.data.copy(), interp.execute(rt))
-        binds, leaves = codegen_stats()["binds"], (ck._launch_args[-1], interp._launch_args[-1])
+        binds, leaves = codegen_stats()["binds"], (ck.launches()[0].leaf, interp.launches()[0].leaf)
         assert binds == 1
         for _ in range(3):
             np.testing.assert_array_equal(s.execute(ck).output.vals.data, first[0])
             np.testing.assert_array_equal(interp.execute(rt).output.vals.data, first[0])
         assert codegen_stats()["binds"] == binds
-        assert (ck._launch_args[-1], interp._launch_args[-1]) == leaves and ck.backend == "codegen"
+        assert (ck.launches()[0].leaf, interp.launches()[0].leaf) == leaves and ck.backend == "codegen"
 
     def test_compile_statement_rejects_unknown_backend(self):
         a, sched = spmv_workload()
@@ -142,7 +142,7 @@ class TestBoundLeaves:
         assert codegen.supported(ck) and ck.strategy == "rows"
         bind = SPECS["spmv"].bound["rows"]
         assert bind.__name__ == "segdot_bind"
-        for thunk in ck._launch_args[-1].__defaults__[0].values():
+        for thunk in ck.launches()[0].leaf.__defaults__[0].values():
             assert thunk.__globals__ is vars(sys.modules[bind.__module__])
         stats = codegen_stats()
         assert (stats["lowered"], stats["loaded"], stats["binds"]) == (0, 0, 1)
@@ -155,7 +155,7 @@ class TestBoundLeaves:
         machine = Machine.cpu(PIECES)
         ck = compile_kernel(sched, machine, backend="codegen")
         ck.execute(Runtime(machine))
-        thunks = ck._launch_args[-1].__defaults__[0]
+        thunks = ck.launches()[0].leaf.__defaults__[0]
         assert thunks._built == {}
         assert set(thunks) == {p.color for p in ck.pieces} and len(thunks) == PIECES
         first = dict(thunks)

@@ -74,7 +74,7 @@ def run(sched, machine, backend="codegen"):
 
 def body_codes(ck):
     """The code objects of ``ck``'s non-empty piece thunks."""
-    thunks = ck._launch_args[-1].__defaults__[0]
+    thunks = ck.launches()[0].leaf.__defaults__[0]
     assert set(thunks) == {p.color for p in ck.pieces}
     return {t.__code__ for t in thunks.values()} - {CONST_CODE}
 
@@ -101,7 +101,7 @@ def test_one_bind_function_per_template(case):
     bind = SPECS[case[0]].bound[case[2]]
     (code,) = body_codes(ck1)
     assert body_codes(ck2) == {code}
-    for t in ck1._launch_args[-1].__defaults__[0].values():
+    for t in ck1.launches()[0].leaf.__defaults__[0].values():
         assert t.__globals__ is vars(sys.modules[bind.__module__])
 
 

@@ -292,11 +292,14 @@ def test_outputs_the_reduce_cannot_write_in_place(strategy, out_dtype, out_fmt, 
 class CountingRuntime(Runtime):
     """Counts the launch calls it makes.  Given a kernel to ``withhold``,
     it runs that kernel's launches as calls of its leaf, piece by piece
-    (counted as ``"piece"`` calls); every other launch calls its launch
-    thunk (``"launch"``)."""
+    (counted as ``"piece"`` calls), after the zero-fill the launch's body
+    makes first; every other launch calls its launch thunk
+    (``"launch"``)."""
 
     def __init__(self, machine, withhold=None):
         super().__init__(machine)
+        if withhold is not None and withhold._launches is None:
+            withhold._bind(*withhold.launches())  # its leaf, without running it
         self.withhold = withhold
         self.calls = {"piece": 0, "launch": 0}
 
@@ -304,10 +307,12 @@ class CountingRuntime(Runtime):
         ck = self.withhold
 
         def counted():
-            if ck is not None and launch is ck._launch_args[2]:
-                leaf = ck._launch_args[-1]
+            step = ck.launches()[0] if ck is not None else None
+            if step is not None and launch is step.body:
+                if ck._needs_zero():
+                    ck.out.vals.fill(0.0)
                 self.calls["piece"] += len(ck.pieces)
-                return [leaf(p) for p in ck.pieces]
+                return [step.leaf(p) for p in ck.pieces]
             self.calls["launch"] += 1
             return launch()
 
@@ -320,7 +325,7 @@ class CountingRuntime(Runtime):
 
 def _thunks(ck):
     """``ck``'s bound leaf's ``{color: thunk}`` table."""
-    return ck._launch_args[-1].__defaults__[0]
+    return ck.launches()[0].leaf.__defaults__[0]
 
 
 def _built(ck):
@@ -352,8 +357,8 @@ def test_one_call_replay_writes_what_the_pieces_write(
     output written disjointly — or the launch stages: a reduction's
     partials going home, or any launch under a processor map other than
     the placement's.  An output whose pieces add into it is zeroed by
-    ``execute`` and taken as it is by a bare launch, which adds into the
-    poison.  A bind function that gathers
+    the launch's body, so a bare launch of it writes over the poison what
+    ``execute`` writes.  A bind function that gathers
     in blocks is bound with blocks of 1 to all positions, and gathers rows
     of ``D.T`` from a contiguous copy always, by its own rule, or never
     (the interpreter gathers the strided view).  In a ``streamed`` draw
@@ -414,10 +419,10 @@ def _shifted_launch(rt, ck):
     """``ck``'s launch from the homes-only state, each color on the
     processor after the one it is placed on (so, on two or more, it
     stages)."""
-    name, colors, launch, reqs, proc_of, _ = ck._launch_args
+    (step,) = ck.launches()
     rt.reset_residency()
-    return rt.index_launch(name, colors, launch, reqs,
-                           proc_map=lambda c: (proc_of(c) + 1) % rt.machine.size)
+    return rt.index_launch(step.name, step.colors, step.body, step.reqs,
+                           proc_map=lambda c: (step.proc_of(c) + 1) % rt.machine.size)
 
 
 def _stream_operands(ck):
@@ -907,7 +912,7 @@ def test_bind_hoists_nothing_proportional_to_nnz(kind, strategy, monkeypatch):
         assert rows_of.dtype == np.int64 and rows_of.size == B.nnz
     else:
         assert 0 < sum(a.nbytes for a in shared.values()) <= 8 * (rows + 2 * pieces)
-    launch = ck._launch_args[2]
+    launch = ck.launches()[0].body
     if strategy != "grid":
         works = launch()
         assert launch() is works  # each piece's frozen Work, as columns

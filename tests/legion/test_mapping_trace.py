@@ -155,14 +155,6 @@ class TestStateTracking:
         rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_hits == 0 and rt.trace_records == 2
 
-    def test_invalidate_caches_drops_traces(self):
-        rt = make_rt()
-        r, reqs = mismatched(rt)
-        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
-        rt.invalidate_caches()  # out-of-band write hook
-        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
-        assert rt.trace_hits == 0 and rt.trace_records == 2
-
     def test_a_rederiving_runtime_records_every_launch(self):
         """The oracle's re-derive side never replays, so the replay oracle
         compares replay against analysis, not against another replay."""
@@ -788,16 +780,6 @@ class TestSharedResidencyTables:
             p: 8.0 * sum(s.volume for u in rt._home for s, q in rt._home[u].pieces() if q == p)
             for p in (0, 1)
         }
-
-    def test_invalidate_caches_still_resets(self):
-        rt = make_rt()
-        r, reqs = mismatched(rt)
-        homes_only = rt.resident_bytes_per_proc()
-        rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
-        assert rt.resident_bytes_per_proc() != homes_only
-        rt.invalidate_caches()
-        assert rt.resident_bytes_per_proc() == homes_only
-        assert not rt._traces and rt._state == ("clean", rt._homes_version)
 
     def test_pickled_while_the_live_table_is_a_traces_snapshot(self):
         import pickle

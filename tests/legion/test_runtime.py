@@ -51,7 +51,7 @@ class TestStaging:
         # piece 1 needs [4..7]; owns [6..7]; missing [4..5] = 2 elems * 8B
         assert step.comm_bytes() == 2 * 8
 
-    def test_second_trial_after_invalidate_repays(self):
+    def test_second_trial_after_reset_repays(self):
         rt = make_rt()
         r = Region(IndexSpace(8))
         rt.place_on(r, 0)
@@ -61,15 +61,15 @@ class TestStaging:
         assert s1.comm_bytes() == 4 * 8  # piece 1 pulls its half
         s2 = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert s2.comm_bytes() == 0  # cached
-        rt.invalidate_caches()
+        rt.reset_residency()
         s3 = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
-        assert s3.comm_bytes() == 4 * 8  # cache dropped, home kept
+        assert s3.comm_bytes() == 4 * 8  # staged copy dropped, home kept
 
-    def test_replicated_home_survives_invalidation(self):
+    def test_replicated_home_survives_reset(self):
         rt = make_rt()
         r = Region(IndexSpace(8))
         rt.place_replicated(r)
-        rt.invalidate_caches()
+        rt.reset_residency()
         step = rt.index_launch(
             "t", [0, 1], lambda: [Work(1, 1)] * 2, [RegionReq(r, None, Privilege.READ_ONLY)]
         )
