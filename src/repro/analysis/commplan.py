@@ -492,21 +492,19 @@ def commplan_diagnostics(
 
     # streamed regions must stay read-only: the runtime discards their
     # round-wise transfers, so written data would never be read back.
-    for t_id in ck._streamed:
-        priv = ck.privileges.get(t_id, Privilege.READ_ONLY)
+    for t in ck._streamed:
+        priv = ck.privileges.get(t, Privilege.READ_ONLY)
         if priv != Privilege.READ_ONLY:
-            part = ck.parts.get(t_id)
-            name = part.tensor.name if part is not None else "?"
             diags.append(Diagnostic(
                 severity="error",
                 error_type=IncoherentDistribution,
                 message=(
-                    f"streamed tensor {name} holds {priv.name} privilege: "
+                    f"streamed tensor {t.name} holds {priv.name} privilege: "
                     "streamed sub-regions are never resident, so the "
                     "written rounds would be discarded before the output "
                     "is read back"
                 ),
-                provenance=prov(tensor=name),
+                provenance=prov(tensor=t.name),
             ))
 
     communicated_names = set()
@@ -516,7 +514,7 @@ def commplan_diagnostics(
             communicated_names.add(t.name)
             moved = plan.staged_bytes_by_tensor.get(t.name, 0.0)
             if moved == 0.0:
-                part = ck.parts.get(id(t))
+                part = ck.parts.get(t)
                 why = (
                     "its partition is replicated onto every piece"
                     if part is not None and part.replicated
@@ -547,8 +545,7 @@ def commplan_diagnostics(
         dsts.add(m.dst_proc)
         by_region[m.region] = (total + m.nbytes, dsts)
     flagged = set()
-    for part in ck.parts.values():
-        t = part.tensor
+    for t, part in ck.parts.items():
         if t is ck.out or t.name in communicated_names or t.name in flagged:
             continue
         region_bytes = {

@@ -149,10 +149,9 @@ class Session:
         self._pending = None  # implicit Program fed by define()
         #: Content-keyed packing memo (see :meth:`packed_operand`): digest
         #: of the raw operand → the packed Tensor, so repeated calls over
-        #: equal raw data reuse one tensor *identity* and every
-        #: identity-keyed layer downstream (kernel fingerprints, partition
-        #: memo, mapping traces) hits.  An LRU of 256 entries, like the
-        #: front-door table below, cleared by :meth:`close`.
+        #: equal raw data reuse one tensor *identity* and the kernel cache,
+        #: whose fingerprints are identity-keyed, hits.  An LRU of 256
+        #: entries, like the front-door table below, cleared by :meth:`close`.
         self._packed_memo = _cache._SizedLRU(_cache.MiB, 256)
         #: einsum output-tensor memo: statement signature → (operand
         #: tensors, output tensor).  Holding the operands pins their ids

@@ -10,8 +10,8 @@ schedule is synthesized, never looked up in a session's autotuning
 decisions, so a decision recorded elsewhere cannot change a figure.
 Execution goes through the high-level :class:`~repro.api.session.Session`
 (one per measured kernel), so the benchmarks exercise the same
-runtime-ownership path as the front end — warm-store operands,
-kernel/partition caches and mapping-trace replay all flow through it.
+runtime-ownership path as the front end — warm-store operands, the
+kernel cache and mapping-trace replay all flow through it.
 
 Sparse operands are obtained through :func:`repro.bench.warmstore.packed_operand`:
 per-node-count trials over the same dataset reuse one packed structure

@@ -25,7 +25,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -144,8 +144,8 @@ class CompiledKernel:
         kind: str,
         strategy: str,
         pieces: List[Piece],
-        parts: Dict[int, TensorPartition],
-        privileges: Dict[int, Privilege],
+        parts: Dict[Tensor, TensorPartition],
+        privileges: Dict[Tensor, Privilege],
         plan: PartitioningPlan,
         roles: Dict[str, Access],
         operands: List[Access],
@@ -169,13 +169,13 @@ class CompiledKernel:
         #: or "codegen" (bound flat thunks, interpreter fallback where the
         #: table names no bind function).  Fixed by ``compile_statement``.
         self.backend: str = "interp"
-        self._streamed: set = set()
+        self._streamed: Set[Tensor] = set()
         self._spadd_reqs: Optional[List[RegionReq]] = None
 
     def stream_tensor(self, tensor: Tensor) -> None:
         """Communicate this tensor's sub-regions in memory-sized rounds
         instead of keeping them resident (the "SpDISTAL-Batched" strategy)."""
-        self._streamed.add(id(tensor))
+        self._streamed.add(tensor)
         self._launches = None  # re-freeze the launch's requirements at next execute
 
     # -- persistence (repro.core.store) ---------------------------------------
@@ -193,20 +193,6 @@ class CompiledKernel:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._placed_on = weakref.WeakKeyDictionary()
-        # ``parts``/``privileges``/``_streamed`` key on id(tensor); ids
-        # changed across the pickle boundary.  Every partition carries its
-        # tensor, so re-key from the old ids to the unpickled identities.
-        old_parts: Dict[int, TensorPartition] = self.parts
-        tensor_of = {old_id: part.tensor for old_id, part in old_parts.items()}
-        self.parts = {id(t): old_parts[old_id] for old_id, t in tensor_of.items()}
-        self.privileges = {
-            id(tensor_of[old_id]): priv
-            for old_id, priv in self.privileges.items()
-            if old_id in tensor_of
-        }
-        self._streamed = {
-            id(tensor_of[old_id]) for old_id in self._streamed if old_id in tensor_of
-        }
 
     # -- data placement -----------------------------------------------------
     def _meet(self, rt: Runtime) -> None:
@@ -233,18 +219,17 @@ class CompiledKernel:
         Nothing resets here: placement comes before a run.
         """
         proc_of = {p.color: p.proc for p in self.pieces}.__getitem__
-        reqs_of = {t_id: part.region_reqs(Privilege.READ_ONLY)
-                   for t_id, part in self.parts.items()}
+        reqs_of = {t: part.region_reqs(Privilege.READ_ONLY) for t, part in self.parts.items()}
         if self._spadd_reqs is not None:
             # the operand regions an assembly's launches read (re-installed
             # ones included), as its first execute froze them
             frozen = iter(self._spadd_reqs)
             for t in SPECS[self.kind].operand_tensors(self):
-                reqs_of[id(t)] = [next(frozen) for _ in reqs_of[id(t)]]
-        for t_id, reqs in reqs_of.items():
+                reqs_of[t] = [next(frozen) for _ in reqs_of[t]]
+        for t, reqs in reqs_of.items():
             if any(req.region.uid in rt.declared for req in reqs):
                 continue
-            if t_id in self._streamed:
+            if t in self._streamed:
                 for req in reqs:
                     rt.place_on(req.region, 0)
                 continue
@@ -257,10 +242,10 @@ class CompiledKernel:
     # -- region requirements --------------------------------------------------
     def _reqs(self) -> List[RegionReq]:
         reqs: List[RegionReq] = []
-        for t_id, part in self.parts.items():
-            priv = self.privileges.get(t_id, Privilege.READ_ONLY)
+        for t, part in self.parts.items():
+            priv = self.privileges.get(t, Privilege.READ_ONLY)
             for req in part.region_reqs(priv):
-                if t_id in self._streamed:
+                if t in self._streamed:
                     req.streamed = True
                 reqs.append(req)
         return reqs
@@ -316,9 +301,9 @@ class CompiledKernel:
         # arrays: a leaf closure over a read-only mmap-backed region
         # (load_packed(..., mmap=True)) would crash on its first write,
         # and a later promotion could not reach the captured buffer.
-        for t_id, part in self.parts.items():
-            if self.privileges.get(t_id, Privilege.READ_ONLY) != Privilege.READ_ONLY:
-                part.tensor.ensure_writable()
+        for t in self.parts:
+            if self.privileges.get(t, Privilege.READ_ONLY) != Privilege.READ_ONLY:
+                t.ensure_writable()
         leaf = bind_launch = None
         if self.backend == "codegen":
             from .. import codegen as _codegen  # lazy: avoids import cycle
@@ -343,7 +328,7 @@ class CompiledKernel:
 
     def _needs_zero(self) -> bool:
         return (
-            self.privileges.get(id(self.out)) == Privilege.REDUCE
+            self.privileges.get(self.out) == Privilege.REDUCE
             or SPECS[self.kind].needs_zero(self)
         )
 
@@ -388,7 +373,7 @@ class CompiledKernel:
         return [
             req
             for t in SPECS[self.kind].operand_tensors(self)
-            for req in self.parts[id(t)].region_reqs(Privilege.READ_ONLY)
+            for req in self.parts[t].region_reqs(Privilege.READ_ONLY)
         ]
 
     def _assembly_launches(self) -> List[Launch]:
@@ -545,12 +530,10 @@ def _compile_uncached(schedule: Schedule, machine: Machine) -> CompiledKernel:
 
 
 def _unique_tensors(asg: Assignment) -> List[Tuple[Tensor, Access]]:
-    seen, out = set(), []
+    first: Dict[Tensor, Access] = {}
     for acc in asg.accesses():
-        if id(acc.tensor) not in seen:
-            seen.add(id(acc.tensor))
-            out.append((acc.tensor, acc))
-    return out
+        first.setdefault(acc.tensor, acc)
+    return list(first.items())
 
 
 def _prepare_output(kc: KernelClass, asg: Assignment) -> None:
@@ -564,15 +547,33 @@ def _prepare_output(kc: KernelClass, asg: Assignment) -> None:
         adopt_pattern(out, src.tensor, keep_levels=len(asg.lhs.indices))
 
 
+def _replicated(tensor: Tensor, colors: List[Color], plan: PartitioningPlan) -> TensorPartition:
+    """``tensor`` whole on every piece, as the plan notes."""
+    part = replicated_partition(tensor, colors)
+    plan.emit("replicate", f"// {tensor.name} replicated onto all pieces", tensor=tensor.name)
+    return part
+
+
+def _privilege(part: TensorPartition, is_out: bool) -> Privilege:
+    """How a distributed launch accesses a tensor: the pieces add into an
+    output they all hold or that aliases across them, write any other
+    output, and read an operand."""
+    if not is_out:
+        return Privilege.READ_ONLY
+    if part.replicated or part.is_output_aliased():
+        return Privilege.REDUCE
+    return Privilege.WRITE_DISCARD
+
+
 def _compile_single(schedule, machine, kc, plan, sizes) -> CompiledKernel:
     """No distributed loops: one piece covering the whole iteration space."""
     asg = schedule.assignment
     _prepare_output(kc, asg)
-    parts: Dict[int, TensorPartition] = {}
-    privileges: Dict[int, Privilege] = {}
+    parts: Dict[Tensor, TensorPartition] = {}
+    privileges: Dict[Tensor, Privilege] = {}
     for tensor, acc in _unique_tensors(asg):
-        parts[id(tensor)] = replicated_partition(tensor, [0])
-        privileges[id(tensor)] = (
+        parts[tensor] = replicated_partition(tensor, [0])
+        privileges[tensor] = (
             Privilege.READ_WRITE if tensor is asg.lhs.tensor else Privilege.READ_ONLY
         )
     n0 = asg.lhs.tensor.shape[0] if asg.lhs.tensor.shape else 1
@@ -618,8 +619,8 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
     comps = np.array(colors, dtype=np.int64).reshape(len(colors), -1)
     chunk_arrays = [info[3][comps[:, k]] for k, info in enumerate(infos)]
 
-    parts: Dict[int, TensorPartition] = {}
-    privileges: Dict[int, Privilege] = {}
+    parts: Dict[Tensor, TensorPartition] = {}
+    privileges: Dict[Tensor, Privilege] = {}
     primary_u = infos[0][1]
     primary_sparse: Optional[TensorPartition] = None
     for tensor, acc in _unique_tensors(asg):
@@ -640,7 +641,7 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
                         f"// {tensor.name} windows inferred from crd images",
                         tensor=tensor.name,
                     )
-            parts[id(tensor)] = dense_partition(tensor, colors, mode_bounds, plan)
+            parts[tensor] = dense_partition(tensor, colors, mode_bounds, plan)
         elif matched:
             sparse_ks = list(matched.keys())
             if len(sparse_ks) > 1:
@@ -650,20 +651,11 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
                 )
             k = sparse_ks[0]
             level = tensor.format.level_of_mode(matched[k])
-            parts[id(tensor)] = partition_tensor(
+            parts[tensor] = partition_tensor(
                 tensor, level, "universe", Coloring(colors, chunk_arrays[k]), plan)
         else:
-            parts[id(tensor)] = replicated_partition(tensor, colors)
-            plan.emit("replicate", f"// {tensor.name} replicated onto all pieces",
-                      tensor=tensor.name)
-        if is_out:
-            part = parts[id(tensor)]
-            if part.replicated or part.is_output_aliased():
-                privileges[id(tensor)] = Privilege.REDUCE
-            else:
-                privileges[id(tensor)] = Privilege.WRITE_DISCARD
-        else:
-            privileges[id(tensor)] = Privilege.READ_ONLY
+            parts[tensor] = _replicated(tensor, colors, plan)
+        privileges[tensor] = _privilege(parts[tensor], is_out)
 
     rows = map(tuple, chunk_arrays[0].tolist())
     cols = map(tuple, chunk_arrays[1].tolist()) if multi else [None] * len(colors)
@@ -685,7 +677,7 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
 def _inferred_windows(
     asg: Assignment,
     acc: Access,
-    parts: Dict[int, TensorPartition],
+    parts: Dict[Tensor, TensorPartition],
 ) -> Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]]:
     """Infer per-piece windows of an unpartitioned dense operand.
 
@@ -701,7 +693,7 @@ def _inferred_windows(
     windows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for mode, var in enumerate(acc.indices):
         for other in asg.accesses():
-            part = parts.get(id(other.tensor))
+            part = parts.get(other.tensor)
             if part is None or other.tensor.format.is_all_dense() or part.replicated:
                 continue
             if var not in other.indices:
@@ -734,10 +726,10 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
     colors = list(range(npieces))
     bounds = Coloring(colors, _chunk_bounds(npos, npieces))
 
-    parts: Dict[int, TensorPartition] = {}
-    privileges: Dict[int, Privilege] = {}
+    parts: Dict[Tensor, TensorPartition] = {}
+    privileges: Dict[Tensor, Privilege] = {}
     split_part = partition_tensor(split_tensor, split_level, "nonzero", bounds, plan)
-    parts[id(split_tensor)] = split_part
+    parts[split_tensor] = split_part
     top_bounds = split_part.top_level_bounds()
 
     # Which underlying variable names the split tensor's root level?
@@ -749,7 +741,7 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
             top_u = u
 
     for tensor, acc in _unique_tensors(asg):
-        if id(tensor) in parts:
+        if tensor in parts:
             continue
         is_out = tensor is asg.lhs.tensor
         shares_pattern = (
@@ -761,7 +753,7 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
         if shares_pattern:
             lvl = len(tensor.levels) - 1
             src = split_part.level_positions[lvl]
-            parts[id(tensor)] = TensorPartition(
+            parts[tensor] = TensorPartition(
                 tensor,
                 level_positions=list(split_part.level_positions[: lvl + 1]),
                 level_pos_parts=list(split_part.level_pos_parts[: lvl + 1]),
@@ -774,35 +766,21 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
             mode = acc.indices.index(top_u)
             if tensor.format.is_all_dense():
                 b = top_bounds.bounds
-                parts[id(tensor)] = dense_partition(
+                parts[tensor] = dense_partition(
                     tensor, colors, {mode: (b[:, 0], b[:, 1])}, plan)
             else:
                 level = tensor.format.level_of_mode(mode)
-                parts[id(tensor)] = partition_tensor(
+                parts[tensor] = partition_tensor(
                     tensor, level, "universe", top_bounds, plan
                 )
-        elif tensor.format.is_all_dense() and not is_out:
-            windows = _inferred_windows(asg, acc, parts)
-            if windows is not None:
-                plan.emit("image", f"// {tensor.name} windows inferred from crd images",
-                          tensor=tensor.name)
-                parts[id(tensor)] = dense_partition(tensor, colors, windows, plan)
-            else:
-                parts[id(tensor)] = replicated_partition(tensor, colors)
-                plan.emit("replicate", f"// {tensor.name} replicated onto all pieces",
-                          tensor=tensor.name)
-        else:
-            parts[id(tensor)] = replicated_partition(tensor, colors)
-            plan.emit("replicate", f"// {tensor.name} replicated onto all pieces",
+        elif tensor.format.is_all_dense() and not is_out and (
+                windows := _inferred_windows(asg, acc, parts)) is not None:
+            plan.emit("image", f"// {tensor.name} windows inferred from crd images",
                       tensor=tensor.name)
-        if is_out:
-            part = parts[id(tensor)]
-            if part.replicated or part.is_output_aliased():
-                privileges[id(tensor)] = Privilege.REDUCE
-            else:
-                privileges[id(tensor)] = Privilege.WRITE_DISCARD
+            parts[tensor] = dense_partition(tensor, colors, windows, plan)
         else:
-            privileges[id(tensor)] = Privilege.READ_ONLY
+            parts[tensor] = _replicated(tensor, colors, plan)
+        privileges[tensor] = _privilege(parts[tensor], is_out)
 
     size = machine.size
     pieces = [Piece(c, c % size, rows, pos)

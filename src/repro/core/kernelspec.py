@@ -645,8 +645,7 @@ class _Generic(KernelSpec):
         """The statement's stored entries spread evenly across pieces, at
         the engine's 24 bytes per touched entry."""
         touched = 0
-        for part in ck.parts.values():
-            t = part.tensor
+        for t in ck.parts:
             if t is ck.out:
                 continue
             touched += t.nnz if not t.format.is_all_dense() else int(np.prod(t.shape))

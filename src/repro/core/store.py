@@ -54,11 +54,14 @@ An artifact carries data and analyses, never code: a leaf is bound by
 calling the bind function its kernel-table entry names, in whichever
 process executes it (:mod:`repro.codegen`), so nothing is compiled.
 
-``load_packed`` re-seeds the process-local caches under the *new* object
-identities (fingerprints are recomputed over the unpickled tensors, trace
-keys are re-anchored on the unpickled partitions), so a fresh process that
-rebuilds the same schedule over the loaded tensors hits the kernel cache
-on its first compile and replays mapping traces on its first execute —
+``load_packed`` re-seeds the process-local kernel cache under the *new*
+object identities (fingerprints are recomputed over the unpickled tensors);
+a loaded runtime and its kernels are what was saved, as trace keys and facts
+name partitions by content and regions by uid, and a kernel's tables key on
+its tensor objects, which pickle rebuilds as the loaded ones.  So a fresh
+process that rebuilds the same schedule over the loaded tensors hits the
+kernel cache on its first compile and replays mapping traces on its first
+execute —
 steady-state cost from execution one, with bit-identical simulated
 metrics.  See ``docs/caching.md`` for the contract,
 ``tests/integration/test_warmstart.py`` for its cross-process check and
@@ -118,10 +121,13 @@ __all__ = [
 #: saved kernel was placed on and the (kernel, runtime) placements, and a
 #: runtime pickles the regions declared on it.  v16: the payload drops the
 #: (kernel, runtime) placements: a kernel meeting a runtime that holds its
-#: placement already changes nothing there.
+#: placement already changes nothing there.  v17: launch-trace keys and
+#: residency facts name partitions by content (``Partition.key``) and pickle
+#: with the facts; a kernel keys its partitions, privileges and streamed
+#: set on its tensors.
 #: Any other version is refused with
 #: :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 16
+STORE_FORMAT_VERSION = 17
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"
@@ -567,7 +573,7 @@ def load_packed(
             by_name[name].ensure_writable()
         for kernel, tensors in payload.get("kernels", ()):
             for t in tensors:
-                priv = kernel.privileges.get(id(t))
+                priv = kernel.privileges.get(t)
                 if priv is not None and priv != Privilege.READ_ONLY:
                     t.ensure_writable()
 

@@ -9,7 +9,8 @@ memory.
 """
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+import hashlib
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .index_space import (
     Rect,
     RectSubset,
     _once,
-    intersect_subsets,
     rect_piece,
     union_subsets,
 )
@@ -80,7 +80,8 @@ class Partition:
     them all — and :meth:`is_disjoint` (and a 1-D :meth:`is_complete`)
     read the columns.  A partition built from pieces (an :class:`ArraySubset`
     colour, a hand-built dict) has them all made, and derives its bounds on
-    first read.
+    first read.  Partitions are named by their content (:attr:`key`), never
+    by identity.
     """
 
     def __init__(
@@ -109,7 +110,7 @@ class Partition:
         part = cls.__new__(cls)
         part.parent, part.name = parent, name or f"part_of_{parent.name}"
         part._colors, part._made = list(colors), [None] * len(colors)
-        part.__dict__.update(bounds=(lo, hi), sizes=volumes, _from_bounds=True)
+        part.__dict__.update(bounds=(lo, hi), sizes=volumes)
         return part
 
     @_once
@@ -119,26 +120,19 @@ class Partition:
         pickle taken before then carries none and derives it on load."""
         return _bounds_of(self.parent.ndim, self.subsets.values())
 
-    #: Built from its bounds (:meth:`from_bounds`, or a copy of such a
-    #: partition) rather than from pieces.
-    _from_bounds = False
-
-    def __getstate__(self):
-        # the trace name is made again where the partition is loaded
-        return {k: v for k, v in self.__dict__.items() if k != "rects_key"}
-
     @_once
-    def rects_key(self) -> Optional[bytes]:
-        """How a launch trace names a partition built from its bounds: its
-        colors and bounds as one bytes value, so equal partitions replay
-        each other's traces.  None for a partition built from pieces (a
-        replicated operand, an index-list colour, a hand-built one), which
-        a trace names by identity.  Made once, on the first launch over the
-        partition."""
-        if not self._from_bounds:
-            return None
+    def key(self) -> Tuple[bytes, bytes]:
+        """The partition's content as ``(colors, pieces)``, both bytes: a
+        launch trace names the partition by both, a residency fact by the
+        pieces, so partitions built apart with equal pieces share traces
+        and facts.  The pieces of a partition of rects are its bounds
+        (``lo``, then ``hi``; a region's partitions share its rank), of any
+        other a sha256 of each colour's piece.  Made on first read."""
+        colors = repr(self._colors).encode()
+        if self.bounds is None:
+            return colors, b"".join(map(_digest, self.subsets.values()))
         lo, hi = self.bounds
-        return repr(self._colors).encode() + lo.tobytes() + hi.tobytes()
+        return colors, lo.tobytes() + hi.tobytes()
 
     @_once
     def sizes(self) -> np.ndarray:
@@ -214,28 +208,6 @@ class Partition:
             raise NotImplementedError("completeness of aliased N-D partitions")
         return union_subsets(subsets).volume == self.parent.volume
 
-    def color_of_point(self, p) -> List[Color]:
-        return [c for c, s in self.subsets.items() if s.contains_point(p)]
-
-    # -- derived partitions ------------------------------------------------
-    def restrict(self, colors: Iterable[Color]) -> "Partition":
-        return Partition(
-            self.parent, {c: self.subsets.get(c, EMPTY) for c in colors}, name=self.name
-        )
-
-    def compose_intersection(self, other: "Partition") -> "Partition":
-        """Per-color intersection (both partitions of the same space)."""
-        if other.parent is not self.parent:
-            raise ValueError("intersection requires partitions of the same space")
-        out = {
-            c: intersect_subsets(self[c], other[c])
-            for c in set(self.colors()) | set(other.colors())
-        }
-        return Partition(self.parent, out, name=f"({self.name}&{other.name})")
-
-    def volumes(self) -> Dict[Color, int]:
-        return dict(zip(self._colors, self.sizes.tolist()))
-
     def copy(self, name: Optional[str] = None,
              parent: Optional[IndexSpace] = None) -> "Partition":
         """The same pieces under another name (and index space), shared,
@@ -244,7 +216,7 @@ class Partition:
         out.parent, out.name = parent or self.parent, name or self.name
         out._colors, out._made = self._colors, self._made
         out.__dict__.update((k, v) for k, v in self.__dict__.items()
-                            if k in ("bounds", "sizes", "_from_bounds"))
+                            if k in ("bounds", "sizes", "key"))
         return out
 
     def scale_dense(self, width: int) -> "Partition":
@@ -302,6 +274,15 @@ def _covered(lo: np.ndarray, hi: np.ndarray) -> int:
     reach = np.maximum.accumulate(hi)  # the furthest point covered so far
     start = np.maximum(lo, np.concatenate(([lo[0]], reach[:-1] + 1)))
     return int(np.maximum(hi - start + 1, 0).sum())
+
+
+def _digest(piece: IndexSubset) -> bytes:
+    """A sha256 of one piece: of an index list's indices (int64), of a
+    rect's corners (as text), so an index list and a rect over the same
+    points, which a residency table holds as two pieces, differ."""
+    if isinstance(piece, ArraySubset):
+        return hashlib.sha256(piece.indices()).digest()
+    return hashlib.sha256(repr((piece.rect.lo, piece.rect.hi)).encode()).digest()
 
 
 def _bounds_of(ndim: int, subsets) -> Optional[Tuple[np.ndarray, np.ndarray]]:

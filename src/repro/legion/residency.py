@@ -15,7 +15,7 @@ residency``).
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,13 +39,6 @@ def _same(x: IndexSubset, y: IndexSubset) -> bool:
 
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
-
-
-def _same_rects(bounds: Tuple[np.ndarray, np.ndarray], lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Whether ``bounds`` are ``(lo, hi)``: the same rect per color (int64
-    arrays, compared as bytes)."""
-    return bounds[0].shape == lo.shape and bounds[0].tobytes() == lo.tobytes() \
-        and bounds[1].tobytes() == hi.tobytes()
 
 
 def _put(column: np.ndarray, k: int, value: int) -> np.ndarray:
@@ -79,14 +72,15 @@ class _Residency:
     elements (None: none yet) — as a region's homes, the owner of what no
     home meets.
 
-    ``whole`` holds facts about whole partitions, which ``place*`` records:
-    ``whole[id(p)] = (p, procs)``, each non-empty piece of ``p`` (or an
-    equal one) is held on its color's processor (``procs``, a list, one
-    per color in order); ``whole[None] = (None, procs)``, the whole region
-    is held on each of ``procs``.  A fact about a partition of rects also
-    speaks for every partition with its bounds, so placing one of those
-    where the fact says records nothing new.  A write that drops a piece
-    clears them; pickling drops them (they hold ids).
+    ``whole`` holds facts about whole partitions, which ``place*`` records,
+    each key mapped to the processor lists placed there: under a
+    partition's pieces key (``p.key[1]``), each non-empty piece is held on
+    its color's processor (a list, one per color in order); under
+    ``None``, the whole region is held on each processor of a set.  A fact
+    names content, not a partition object, so it speaks for every
+    partition with those pieces, placing one of those where it says
+    records nothing new, and it pickles as it is.  A write that drops a
+    piece clears them.
     """
 
     def __init__(self):
@@ -95,7 +89,7 @@ class _Residency:
         self._unmade: Optional[Partition] = None
         self.vol: Dict[int, int] = {}
         self.span: Optional[int] = 0
-        self.whole: Dict[Optional[int], Tuple] = {}
+        self.whole: Dict[Optional[bytes], Tuple] = {}
         self.first_home: Optional[int] = None
 
     def copy(self, facts: Optional["_Residency"] = None) -> "_Residency":
@@ -105,12 +99,6 @@ class _Residency:
         new.__dict__.update(self.__dict__, vol=dict(self.vol),
                             whole=dict((facts or self).whole))
         return new
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "whole"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state, whole={})
 
     def _make(self) -> None:
         """Make the pieces :meth:`load` left as columns."""
@@ -202,46 +190,23 @@ class _Residency:
         return len(mine) == len(theirs) and all(
             p == q and _same(a, b) for (a, p), (b, q) in zip(mine, theirs))
 
-    def hold_whole(self, key: Optional[int], partition, holders) -> None:
-        self.whole[key] = (partition, holders)
-
-    def _facts(self, partition: Partition, procs: Optional[List[int]] = None
-               ) -> Iterator[List[int]]:
-        """The processors of each fact about ``partition``'s pieces (only
-        of those on ``procs``, when given): the fact naming it first, then,
-        for a partition of rects, each naming another with its bounds
-        (color for color, equal pieces)."""
-        fact = self.whole.get(id(partition))
-        if fact is not None and procs in (None, fact[1]):
-            yield fact[1]
-        if partition.bounds is None:
-            return
-        lo, hi = partition.bounds
-        for part, on in self.whole.values():
-            if part is not None and part is not partition and procs in (None, on) \
-                    and part.bounds is not None and _same_rects(part.bounds, lo, hi):
-                yield on
-
-    def holds_placed(self, partition: Partition, procs: List[int]) -> bool:
-        """Whether a fact says ``partition``'s pieces (rects) are held on
-        ``procs``, color for color: then each equals a held piece, homed on
-        its processor by an earlier placement, and placing ``partition``
-        there shares that fact."""
-        return partition.bounds is not None and \
-            next(self._facts(partition, procs), None) is not None
+    def hold_whole(self, key: Optional[bytes], holders) -> None:
+        """Record that the pieces ``key`` names are held on ``holders``."""
+        facts = self.whole.get(key, ())
+        if holders not in facts:
+            self.whole[key] = facts + (holders,)
 
     def held(self, partition: Optional[Partition], colors: Sequence[Color],
              procs: List[int], replicas: bool) -> bool:
         """Whether a fact says each color's non-empty piece of ``partition``
         is held where it launches (``colors`` on ``procs``; ``replicas``: a
         replicated region says so)."""
-        rep = self.whole.get(None)
-        if replicas and rep is not None and rep[1].issuperset(procs):
+        if replicas and any(on.issuperset(procs) for on in self.whole.get(None, ())):
             return True
         if partition is None:
             return False
         own, launch = partition.colors(), None
-        for on in self._facts(partition):
+        for on in self.whole.get(partition.key[1], ()):
             if on == procs and colors == own:
                 return True
             if launch is None:

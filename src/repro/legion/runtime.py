@@ -59,9 +59,11 @@ of a program — replays end to end, each from the state the one before left.
 A launch returns its :class:`StepMetrics` and the runtime keeps no log of
 them: whoever launches (:meth:`CompiledKernel.execute
 <repro.core.compiler.CompiledKernel.execute>`, the static planner's mirror)
-collects the steps of its own call.  Runtimes are *picklable*:
-:mod:`repro.core.store` persists one (traces, homes and symbolic state; hit
-counters start fresh) so a new process replays from its first launch.
+collects the steps of its own call.  Runtimes are *picklable* as they
+are: :mod:`repro.core.store` persists one (traces, homes, facts and symbolic
+state; hit counters start fresh) so a new process replays from its first
+launch.  Nothing is re-keyed on load: a trace key and a fact name a
+partition by its content (:attr:`Partition.key`) and a region by its uid.
 """
 from __future__ import annotations
 
@@ -135,11 +137,6 @@ class MappingTrace:
     events_per_color: List[Tuple[CommEvent, ...]]
     residency_after: Dict[int, _Residency]
     post_state: Tuple
-    #: The partitions of the trace key's requirements (one per requirement,
-    #: ``None`` for broadcasts), pinned so no freed one the key names by
-    #: ``id`` has its address recycled; unpickling re-anchors those keys on
-    #: them (``__setstate__``).
-    pinned: Tuple = ()
     #: ``(works, compute_seconds, events)`` the launch last booked,
     #: reused while its thunk returns that same ``works`` object (held, so
     #: the identity is not recycled) — docs/codegen.md, "The exactness
@@ -223,13 +220,13 @@ class Runtime:
     ) -> None:
         """Declare the initial distribution of a region (its home placement)."""
         procs = self._procs(partition.colors(), proc_map)
-        self._place_pieces(region, partition, procs, (id(partition), partition, procs))
+        self._place_pieces(region, partition, procs, (partition.key[1], procs))
 
     def place_replicated(self, region: Region) -> None:
         """Place a full valid copy of the region on every processor."""
         procs = range(self.machine.size)
         self._place_pieces(region, _whole_on(region, procs), procs,
-                           (None, None, frozenset(procs)))
+                           (None, frozenset(procs)))
 
     def place_on(self, region: Region, proc: int) -> None:
         """Place the whole region on a single processor."""
@@ -239,16 +236,16 @@ class Runtime:
                       whole=None, check: bool = True) -> None:
         """Make each color's piece resident on its processor (``procs``)
         and a home of ``region``, and record ``whole``, the fact it
-        establishes (:class:`_Residency`).  An empty region's homes load at
+        establishes (``(key, holders)``, :class:`_Residency`).  An empty region's homes load at
         once, from the partition's bounds when it has them, and its live
         table starts as their copy.  A placement the homes hold already —
-        one a fact names (equal bounds, same processors), or one whose
+        one a fact names (equal pieces, same processors), or one whose
         every piece is a home piece on its processor — changes nothing:
         not the homes, the live table, the state nor its traces."""
         uid, homes = region.uid, self._home.get(region.uid)
         if homes is not None and (
                 whole and whole[0] is not None
-                and self._residency.get(uid, homes).holds_placed(whole[1], whole[2])
+                and whole[1] in self._residency.get(uid, homes).whole.get(whole[0], ())
                 or homes.holds(partition, procs)):
             return
         self._unshare_residency()
@@ -313,8 +310,8 @@ class Runtime:
         """
         procs = self._procs(colors, proc_map)
         trace_key = (self._state, name, tuple(colors), tuple(
-            _req_sig(r.region.uid, r.partition, r.privilege.value, r.streamed)
-            for r in reqs), tuple(procs))
+            (r.region.uid, None if r.partition is None else r.partition.key,
+             r.privilege.value, r.streamed) for r in reqs), tuple(procs))
         trace = self._traces.pop(trace_key, None)
         if trace is not None:
             self._traces[trace_key] = trace  # most recently used: last to go
@@ -344,8 +341,7 @@ class Runtime:
         if len(self._traces) >= 512:  # runaway-recording backstop: evict the LRU trace
             del self._traces[next(iter(self._traces))]
         self._traces[trace_key] = MappingTrace(
-            procs, events_per_color, after, post_state,
-            tuple(req.partition for req in reqs), booked)
+            procs, events_per_color, after, post_state, booked)
         self._state = post_state
         self.trace_records += 1
         return step
@@ -592,36 +588,6 @@ class Runtime:
         """Pickle the *replayable* state (homes, residency, symbolic state,
         traces); hit counters start fresh where it loads."""
         return {**self.__dict__, "trace_hits": 0, "trace_records": 0}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Trace keys embed id()s of partitions from the saving process;
-        # re-anchor them on the unpickled objects (pinned in each trace).
-        # Region uids are stable instance attributes and survive pickling
-        # unchanged.
-        self._traces = self._rekeyed_traces(self._traces)
-
-    @staticmethod
-    def _rekeyed_traces(traces: Dict[Tuple, MappingTrace]) -> Dict[Tuple, MappingTrace]:
-        # A trace whose pins do not match its key cannot be re-anchored: it
-        # is dropped, and the launch re-records.
-        return {
-            (st, name, colors, tuple(
-                _req_sig(uid, part if pid is not None else None, priv, streamed)
-                for (uid, pid, priv, streamed), part in zip(sigs, trace.pinned)
-            ), procs): trace
-            for (st, name, colors, sigs, procs), trace in traces.items()
-            if len(trace.pinned) == len(sigs)
-        }
-
-
-def _req_sig(uid: int, partition: Optional[Partition], priv: str, streamed: bool) -> Tuple:
-    """A region requirement as a trace key holds it: a partition built
-    from its bounds by them (:attr:`Partition.rects_key`), any other by
-    ``id``."""
-    if partition is not None:
-        partition = partition.rects_key or id(partition)
-    return (uid, partition, priv, streamed)
 
 
 def _whole_on(region: Region, procs: Sequence[int]) -> Partition:

@@ -42,7 +42,7 @@ class TestSharedOperandPartitions:
             y[i2] = B[i2, j2] * x[j2]
 
             prog = s.compile(a, y)
-            first, second = (k.parts[id(B)] for k in prog)
+            first, second = (k.parts[B] for k in prog)
             assert first is not second
             assert all(p.bounds is not None and q.bounds is not None
                        and np.array_equal(p.bounds, q.bounds)

@@ -133,7 +133,7 @@ class TestCompileExecute:
         s = (a.schedule().fuse(i, j, f).pos(f, fp, B[i, j])
              .divide(fp, fo, fi, pieces).distribute(fo))
         ck = compile_kernel(s, Machine.cpu(pieces))
-        assert ck.privileges[id(a)] in (Privilege.REDUCE, Privilege.WRITE_DISCARD)
+        assert ck.privileges[a] in (Privilege.REDUCE, Privilege.WRITE_DISCARD)
         ck.execute(Runtime(ck.machine))
         assert np.allclose(a.vals.data, M @ x)
 

@@ -370,7 +370,7 @@ def window_disagreements(T):
                 continue
             x = Tensor.from_dense("x", np.zeros(T.shape[mode]))
             asg = Assignment(out[i], T[i] * x[i[mode]])
-            (lo, hi), = _inferred_windows(asg, asg.accesses()[-1], {id(T): part}).values()
+            (lo, hi), = _inferred_windows(asg, asg.accesses()[-1], {T: part}).values()
             for k, (c, masks) in enumerate(expected.items()):
                 got, want = (int(lo[k]), int(hi[k])), _bounds_of(coord[l][masks[l]])
                 if got != want:

@@ -112,8 +112,9 @@ class TestManifest:
     # 12: artifacts carried partition-memo entries;
     # 13: synthesized schedules' kernels were keyed by their structure;
     # 14: kernels pickled the runtime they last ran on;
-    # 15: payloads paired each saved kernel with the runtimes it was placed on
-    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15])
+    # 15: payloads paired each saved kernel with the runtimes it was placed on;
+    # 16: trace keys and kernels named partitions and tensors by identity
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -125,7 +126,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (16, found)
+        assert (exc.value.expected, exc.value.found) == (17, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -215,12 +216,33 @@ class TestRoundTrip:
         art = load_packed(path)
         (kernel,) = art.kernels
         B2 = art.tensor
-        assert kernel.parts[id(B2)].tensor is B2
+        assert kernel.parts[B2].tensor is B2
         monkeypatch.setattr(partitioner, "partition_tensor",
                             lambda *a, **k: pytest.fail("re-derived"))
         ck = compile_kernel(spmv_schedule(B2, art.companions["c"], art.companions["a"]),
                             machine)
         assert ck is kernel
+
+    def test_a_streamed_kernel_reads_its_tables_through_the_loaded_tensors(self):
+        """A kernel keys its partitions, privileges and streamed set on its
+        tensors, so a pickled one reads all three through the unpickled
+        tensors, and runs as the saved one does."""
+        _, B, c, a = make_workload()
+        machine = Machine.cpu(PIECES)
+        ck = compile_kernel(spmv_schedule(B, c, a), machine, use_cache=False)
+        ck.stream_tensor(c)
+        ck2, tensors = pickle.loads(pickle.dumps((ck, (B, c, a))))
+        B2, c2, a2 = tensors
+        assert list(ck2.parts) == [a2, B2, c2] and all(
+            ck2.parts[t].tensor is t for t in tensors)
+        assert ck2.privileges == dict(zip(tensors, map(ck.privileges.get, (B, c, a))))
+        assert ck2._streamed == {c2}
+        runs = [k.execute(Runtime(machine)) for k in (ck, ck2)]
+        assert [s.comm_events for s in runs[1].metrics.steps] == \
+            [s.comm_events for s in runs[0].metrics.steps]
+        assert any(e.reason == f"stream {c2.vals.name}"
+                   for s in runs[1].metrics.steps for e in s.comm_events)
+        assert np.array_equal(a2.vals.data, a.vals.data)
 
     @pytest.mark.parametrize("strategy,machine", [
         ("rows", Machine.cpu(PIECES)), ("nonzeros", Machine.cpu(PIECES)),
@@ -275,8 +297,9 @@ class TestRoundTrip:
         assert fresh.uid > max(loaded_uids)
 
     def test_runtime_pickle_roundtrip_replays(self):
-        """A pickled runtime re-anchors its trace keys on the unpickled
-        partitions and replays without re-recording."""
+        """A pickled runtime's trace keys name partitions by content, so it
+        replays over partitions unpickled apart from it without
+        re-recording."""
         from repro.legion import (
             Partition, Privilege, Rect, RectSubset, RegionReq, Work,
             equal_partition,
@@ -292,9 +315,7 @@ class TestRoundTrip:
         s1 = rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs)
         assert rt.trace_records == 1
 
-        # Pickle runtime and requirements together so the partition objects
-        # in the trace keys and in the reqs stay one object graph.
-        rt2, reqs2 = pickle.loads(pickle.dumps((rt, reqs)))
+        rt2, reqs2 = pickle.loads(pickle.dumps(rt)), pickle.loads(pickle.dumps(reqs))
         rt2.reset_residency()
         s2 = rt2.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2, reqs2)
         assert rt2.trace_hits == 1 and rt2.trace_records == 0
@@ -362,13 +383,13 @@ class TestRoundTrip:
             save_packed(blocker, B)
 
 
-class TestTheStoreSeesNoFacts:
+class TestTheStoreKeepsFacts:
     """What a runtime knows about whole partitions (``_Residency.whole``)
-    and what a rect computed once (``volume``, ``empty``) stay in the
-    process: the pickled bytes, and so the store format, are what they are
-    without them."""
+    names their pieces by content, so it pickles with its runtime and holds
+    where that loads; what a rect computed once (``volume``, ``empty``)
+    stays in the process."""
 
-    def test_a_placed_runtime_pickles_the_same_with_or_without_facts(self):
+    def test_a_placed_runtime_pickles_its_facts(self):
         from repro.legion import equal_partition
 
         rt = Runtime(Machine.cpu(PIECES))
@@ -376,14 +397,11 @@ class TestTheStoreSeesNoFacts:
         rt.place(r, equal_partition(r.ispace, PIECES))
         rt.place_replicated(s)
         rt.reset_residency()
-        assert all(res.whole for res in rt._residency.values())
-        with_facts = pickle.dumps(rt)
-        for res in rt._residency.values():
-            res.whole = {}
-        assert pickle.dumps(rt) == with_facts
-        loaded = pickle.loads(with_facts)
-        assert not any(res.whole for res in loaded._residency.values())
-        assert STORE_FORMAT_VERSION == 16
+        facts = {uid: res.whole for uid, res in rt._residency.items()}
+        assert all(facts.values())
+        loaded = pickle.loads(pickle.dumps(rt))
+        assert {uid: res.whole for uid, res in loaded._residency.items()} == facts
+        assert STORE_FORMAT_VERSION == 17
 
     def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
         from repro.legion import Rect
@@ -420,11 +438,49 @@ class TestTheStoreSeesNoFacts:
                [(type(h), h, p) for h, p in rt._home[s.uid].pieces()]
         assert len(rt._home[s.uid].pieces()) == 3 * PIECES
 
-    def test_a_loaded_runtime_replays_then_records_piece_by_piece(
+    def test_a_trace_over_an_index_list_and_the_facts_survive_the_store(self, tmp_path):
+        """SpTTV over a DDC tensor split by non-zeros launches over an
+        index-list partition (of ``T.pos2``).  Its trace and the runtime's
+        facts survive ``save_packed`` / ``load_packed``, so the first
+        execute after the load replays."""
+        from repro.api import auto_schedule
+        from repro.taco import DDC
+
+        rng = np.random.default_rng(3)
+        shape, nnz = (24, 12, 8), 300
+        machine = Machine.cpu(PIECES)
+
+        def statement(T, c, A):
+            i, j, k = index_vars("i j k")
+            A[i, j] = T[i, j, k] * c[k]
+            return auto_schedule(A, machine, strategy="nonzeros")
+
+        T = Tensor.from_coo("T", [rng.integers(0, n, nnz) for n in shape],
+                            rng.random(nnz), shape, DDC)
+        c, A = Tensor.from_dense("c", rng.random(shape[2])), Tensor.zeros("A", shape[:2])
+        ck = compile_kernel(statement(T, c, A), machine)
+        rt = Runtime(machine)
+        ck.execute(rt)
+        (launch,) = ck.launches()
+        assert any(req.partition is not None and req.partition.bounds is None
+                   for req in launch.reqs)
+        facts = {uid: res.whole for uid, res in rt._residency.items()}
+        path = save_packed(tmp_path / "art", T)
+        clear_caches()
+        art = load_packed(path)
+        rt2 = art.runtime()
+        assert {uid: res.whole for uid, res in rt2._residency.items()} == facts
+        ck2 = compile_kernel(statement(art.tensor, art.companions["c"],
+                                       art.companions["A"]), machine)
+        ck2.execute(rt2)
+        assert (rt2.trace_records, rt2.trace_hits) == (0, 1)
+
+    def test_a_loaded_runtime_replays_then_records_at_home(
             self, tmp_path, monkeypatch):
         """The first recording over the placement is at home; a loaded
-        runtime has no facts, so after its replay the next recording stages
-        piece by piece — and finds nothing to move, as the first did."""
+        runtime holds the saving runtime's facts, so after its replay the
+        next recording is at home too: it stages nothing, and books the
+        events the first did."""
         from repro.legion import runtime as runtime_mod
 
         _, B, c, a = make_workload()
@@ -445,7 +501,7 @@ class TestTheStoreSeesNoFacts:
         assert rt2.trace_hits == 1 and not staged
         rt2._traces.clear()  # the loaded traces: without them the next execute records
         again = ck.execute(rt2)
-        assert rt2.trace_records == 1 and staged
+        assert rt2.trace_records == 1 and not staged
         for res in (replayed, again):
             assert [s.comm_events for s in res.metrics.steps] == \
                    [s.comm_events for s in recorded.metrics.steps]

@@ -28,7 +28,7 @@ class TestWindowInference:
         A = banded(400, bandwidth=3)
         machine = Machine.cpu(4)
         ck, B, c, a = compile_spmv(A, 4, machine)
-        part = ck.parts[id(c)]
+        part = ck.parts[c]
         # each piece's window: its 100 rows +- the band, not the full vector
         for color in range(4):
             vol = part.vals_part[color].volume
@@ -67,7 +67,7 @@ class TestWindowInference:
         s = (S.schedule().fuse(i, j, f).pos(f, fp, B[i, j])
              .divide(fp, fo, fi, 4).distribute(fo))
         ck = compile_kernel(s, Machine.cpu(4))
-        part = ck.parts[id(D)]
+        part = ck.parts[D]
         assert not part.replicated
         for color in range(4):
             assert part.vals_part[color].volume < 200 * 4  # windowed, not full

@@ -487,7 +487,7 @@ def test_one_call_only_where_no_value_depends_on_the_split(backend, monkeypatch)
             assert again == counts[0] and launches["piece"] == 0, combo
             assert bound == (launches["launch"] if expected else 0), combo
             if expected:
-                one_call["streamed" if streamed else ck.privileges[id(ck.out)]] += 1
+                one_call["streamed" if streamed else ck.privileges[ck.out]] += 1
     assert all(n > 0 for n in one_call.values()) == (backend == "codegen")
     assert any(one_call.values()) == (backend == "codegen")
 
@@ -754,7 +754,7 @@ def test_a_reducing_first_execute_is_one_call_with_one_copy(monkeypatch):
     for one_call in (True, False):
         clear_caches()
         ck, out = _fused_on_gpus(5)
-        assert ck.privileges[id(ck.out)] is Privilege.REDUCE
+        assert ck.privileges[ck.out] is Privilege.REDUCE
         rt = CountingRuntime(ck.machine, None if one_call else ck)
         numpy.copies = 0
         steps[one_call] = ck.execute(rt).metrics.steps

@@ -177,10 +177,9 @@ class TestStateTracking:
         assert rt.trace_hits == 1
 
 class TestEqualPartitionsShareTraces:
-    """A trace key names a partition built from its bounds by its colors
-    and bounds, so a launch over an equal partition replays the trace
-    another partition object recorded; a partition built from pieces is
-    still named by identity."""
+    """A trace key names a partition by its content (colors and pieces), so
+    a launch over an equal partition replays the trace another partition
+    object recorded, however either was built."""
 
     def _pair(self, partition):
         rt = make_rt()
@@ -202,7 +201,7 @@ class TestEqualPartitionsShareTraces:
         assert (rt.trace_hits, rt.trace_records) == (0, 2)
 
     @pytest.mark.parametrize("piece", ["rect", "index list"])
-    def test_a_partition_built_from_pieces_is_named_by_identity(self, piece):
+    def test_a_partition_built_from_pieces_is_named_by_its_pieces(self, piece):
         from repro.legion import ArraySubset
 
         def built(r):
@@ -212,11 +211,45 @@ class TestEqualPartitionsShareTraces:
 
         rt = make_rt()
         r, _ = mismatched(rt)
+        steps = []
         for _ in range(2):
             rt.reset_residency()
-            rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2,
-                            [RegionReq(r, built(r), Privilege.READ_ONLY)])
-        assert (rt.trace_hits, rt.trace_records) == (0, 2)
+            steps.append(rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2,
+                                         [RegionReq(r, built(r), Privilege.READ_ONLY)]))
+        assert (rt.trace_hits, rt.trace_records) == (1, 1)
+        assert steps[1].comm_events == steps[0].comm_events and steps[0].comm_bytes() > 0
+
+    def test_an_index_list_and_a_rect_over_the_same_points_are_apart(self):
+        """A piece's kind is part of its name: a residency table holds an
+        index list and a rect over the same points as two pieces."""
+        from repro.legion import ArraySubset
+
+        space = IndexSpace(8)
+        head = ArraySubset(np.array([0, 2]))
+        mixed, lists = (Partition(space, {0: head, 1: tail}) for tail in (
+            RectSubset(Rect(4, 7)), ArraySubset(np.arange(4, 8))))
+        assert mixed.bounds is None and lists.bounds is None
+        assert mixed.key[0] == lists.key[0] and mixed.key[1] != lists.key[1]
+
+    def test_equal_index_lists_built_apart_share_one_trace_and_one_fact(self):
+        from repro.legion import ArraySubset
+
+        rt = make_rt()
+        r = Region(IndexSpace(8))
+        first, second = (Partition(r.ispace, {c: ArraySubset(np.arange(c, 8, 2))
+                                              for c in (0, 1)}) for _ in range(2))
+        for part in (first, second):
+            rt.place(r, part)
+        assert first.key == second.key
+        assert rt._residency[r.uid].whole == {first.key[1]: ([0, 1],)}
+        steps = []
+        for part in (first, second):
+            rt.reset_residency()
+            steps.append(rt.index_launch("t", [0, 1], lambda: [Work(1, 1)] * 2,
+                                         [RegionReq(r, part, Privilege.READ_ONLY)],
+                                         proc_map=lambda c: 1 - c))
+        assert (rt.trace_hits, rt.trace_records) == (1, 1) and len(rt._traces) == 1
+        assert steps[1].comm_events == steps[0].comm_events and steps[0].comm_bytes() > 0
 
     def test_a_copy_is_named_as_its_source(self):
         rt, first, second = self._pair(lambda r: equal_partition(r.ispace, 2).copy("c"))
@@ -245,7 +278,7 @@ class TestEqualPartitionsShareTraces:
                                      machine, use_cache=False)
 
         ck1, ck2 = kernel(), kernel()
-        assert ck1.parts[id(B)].vals_part is not ck2.parts[id(B)].vals_part
+        assert ck1.parts[B].vals_part is not ck2.parts[B].vals_part
         steps = []
         for rt in (Runtime(machine), RederivingRuntime(machine)):
             ck1.execute(rt)

@@ -83,27 +83,9 @@ class TestPartitionProperties:
         )
         assert not p2.is_disjoint()
 
-    def test_color_of_point(self):
-        isp = IndexSpace(10)
-        p = Partition(isp, {0: RectSubset(Rect(0, 5)), 1: RectSubset(Rect(4, 9))})
-        assert p.color_of_point(4) == [0, 1]
-        assert p.color_of_point(9) == [1]
-
     def test_missing_color_is_empty(self):
         p = equal_partition(IndexSpace(4), 2)
         assert p[99].empty
-
-    def test_volumes(self):
-        p = equal_partition(IndexSpace(9), 3)
-        assert p.volumes() == {0: 3, 1: 3, 2: 3}
-
-    def test_compose_intersection(self):
-        isp = IndexSpace(10)
-        a = Partition(isp, {0: RectSubset(Rect(0, 6)), 1: RectSubset(Rect(7, 9))})
-        b = Partition(isp, {0: RectSubset(Rect(4, 9)), 1: RectSubset(Rect(0, 9))})
-        both = a.compose_intersection(b)
-        assert both[0].volume == 3  # [4,6]
-        assert both[1].volume == 3  # [7,9]
 
     def test_scale_dense_rect(self):
         p = equal_partition(IndexSpace(4), 2)

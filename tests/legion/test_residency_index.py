@@ -167,10 +167,10 @@ class ListRuntime(ListHomesRuntime):
         return out
 
 
-def assert_index_consistent(res, region=None):
+def assert_index_consistent(res, region=None, placed=()):
     """The index columns, the piece list and the running totals hold the
     same pieces, and every recorded fact about a whole partition (of
-    ``region``) is true of them."""
+    ``region``, or with the pieces of one of ``placed``) is true of them."""
     lists = by_proc(res)  # makes the pieces a load left as columns
     rows = res._row_pieces
     keys = list(zip(res.starts.tolist(), res.owners.tolist(), res.arrivals.tolist()))
@@ -181,14 +181,15 @@ def assert_index_consistent(res, region=None):
     assert res.vol == {proc: sum(p.volume for p in pieces) for proc, pieces in lists.items()}
     if res.span is not None:
         assert all(e - a <= res.span for a, e in zip(res.starts.tolist(), res.ends.tolist()))
-    for key, (part, holders) in res.whole.items():
-        if key is None:
-            held = [(region.ispace.full_subset(), proc) for proc in holders]
-        else:
-            assert key == id(part)
-            held = [(part[color], proc) for color, proc in zip(part.colors(), holders)]
-        for piece, proc in held:
-            assert piece.empty or _holds(lists.get(proc, []), piece)
+    named = {part.key[1]: part for part in placed}
+    for key, facts in res.whole.items():
+        for holders in facts:
+            if key is None:
+                held = [(region.ispace.full_subset(), proc) for proc in holders]
+            else:
+                held = list(zip(named[key].subsets.values(), holders))
+            for piece, proc in held:
+                assert piece.empty or _holds(lists.get(proc, []), piece)
 
 
 def homes_only(rt):
@@ -344,8 +345,9 @@ class TestTwinResidency:
             assert Runtime._snapshots_equal(twin._residency, rt._residency)
             assert homes(rt) == homes(twin)
             by_uid = {r.uid: r for r in regions}
+            placed = [c[2] for c in calls if c[0] == "place"]
             for uid, res in rt._residency.items():
-                assert_index_consistent(res, by_uid[uid])
+                assert_index_consistent(res, by_uid[uid], placed)
             if call[0] == "reset":  # whether built or the live table reused
                 for x in (rt, twin):
                     assert list(x._residency) == list(x._home)
@@ -479,7 +481,7 @@ class TestLaunchGrowsWithPieces:
         assert calls == {"_same": pieces}
         assert (rt._state, rt._homes_version) == state and rt._residency is live
         assert 0 not in by_proc(rt._residency[out.uid])
-        assert_index_consistent(rt._residency[out.uid], out)
+        assert_index_consistent(rt._residency[out.uid], out, [part])
 
     def test_a_first_launch_over_home_partitions_runs_no_subset_algebra(
             self, monkeypatch):

@@ -141,20 +141,20 @@ class TestPlacementFacts:
         for _ in range(5):
             rt.place(r, equal_partition(r.ispace, 4))
         res = rt._residency[r.uid]
-        assert [part for part, _ in res.whole.values()] == [first]
+        assert res.whole == {first.key[1]: ([0, 1, 2, 3],)}
         assert rt._home[r.uid].pieces() == homes
         rt.reset_residency()
         assert len(rt._residency[r.uid].whole) == 1
 
-    def test_an_equal_partition_on_other_processors_is_its_own_fact(self):
+    def test_an_equal_partition_on_other_processors_adds_its_processors(self):
         rt, r = make_rt(nodes=4), Region(IndexSpace(16))
         rt.place(r, equal_partition(r.ispace, 4))
         other = equal_partition(r.ispace, 4)
         rt.place(r, other, lambda c: 3 - c)
         res = rt._residency[r.uid]
-        assert len(res.whole) == 2 and res.whole[id(other)][1] == [3, 2, 1, 0]
+        assert res.whole == {other.key[1]: ([0, 1, 2, 3], [3, 2, 1, 0])}
         rt.place(r, equal_partition(r.ispace, 4), lambda c: 3 - c)
-        assert len(res.whole) == 2
+        assert res.whole == {other.key[1]: ([0, 1, 2, 3], [3, 2, 1, 0])}
 
     def test_an_equal_partition_launches_at_home_under_a_shared_fact(self):
         rt, r = make_rt(nodes=4), Region(IndexSpace(16))
@@ -181,7 +181,7 @@ class TestAHeldPlacementChangesNothing:
     """Placing what the homes hold already — a partition a fact names, an
     equal one, one whose every piece is a home, a replica — changes
     nothing: not the state, the homes' version or rows, the traces, nor the
-    live table; also on a pickled runtime, which holds no facts."""
+    live table; also on a pickled runtime, which holds the same facts."""
 
     @staticmethod
     def _placements(r):

@@ -586,6 +586,49 @@ class TestResidencyScanner:
         assert check.RESIDENCY_HOME == ("src/repro/legion/residency.py", "_Residency")
 
 
+class TestIdScanner:
+    """The ``residency`` plugin's second part: nothing under
+    ``src/repro/legion/`` names an object by ``id``, as traces and facts
+    pickle."""
+
+    def _scan(self, source):
+        return check._scan_id_calls("src/repro/legion/fake.py", source, ast.parse(source))
+
+    def test_id_calls_are_flagged_with_lines(self):
+        src = (
+            "def place(rt, region, partition, procs):\n"
+            "    fact = (id(partition), procs)\n"                     # line 2
+            "    key = partition.key[1]\n"                            # the fix
+            "    return {id(region): fact}, self.id(key), region.uid\n"  # line 4
+        )
+        findings = self._scan(src)
+        assert [f.line for f in findings] == [2, 4]
+        assert str(findings[0]).startswith(
+            "src/repro/legion/fake.py:2: id() names an object by its address")
+
+    def test_waiver_needs_a_reason(self):
+        ok = "seen = {id(r)}  # id: ok a set local to one call\n"
+        assert self._scan(ok) == []
+        (finding,) = self._scan("seen = {id(r)}  # id: ok\n")
+        assert "id waiver without a reason" in finding.message
+
+    def test_only_the_runtime_modules_are_scanned(self, monkeypatch):
+        """The plugin scans legion/ only: an ``id(`` planted under core/
+        is not reported."""
+        planted = {"src/repro/legion/runtime.py": "x = id(p)\n",
+                   "src/repro/core/compiler.py": "y = id(t)\n"}
+        real = check.SourceCache.get
+
+        def get(cache, relpath):
+            text = planted.get(relpath)
+            return real(cache, relpath) if text is None else (text, ast.parse(text))
+
+        monkeypatch.setattr(check.SourceCache, "get", get)
+        result = check._run_residency(check.SourceCache())
+        assert [(f.file, f.line) for f in result.findings] == [
+            ("src/repro/legion/runtime.py", 1)]
+
+
 class TestScheduleScanner:
     """The ``schedule`` plugin: only ``taco/schedule.py`` writes a
     schedule's fields — a synthesized schedule is keyed by what built them."""

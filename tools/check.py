@@ -57,7 +57,11 @@ codebase passes defined here:
   the unmade load ``_unmade``, ``vol``, ``span``, ``whole`` or
   ``first_home`` (or an item of one), or call an in-place mutator on them.  The facts the table
   records about whole partitions, which let a launch skip staging, stay
-  true only while every writer goes through the class;
+  true only while every writer goes through the class.  And nothing under
+  ``src/repro/legion/`` calls ``id(``: a launch trace and a fact name a
+  partition by its content (``Partition.key``) and a region by its uid, so
+  a pickled runtime is what was saved, with no re-keying.  Waiver:
+  ``# id: ok <reason>``;
 * **schedule** — a schedule's fields ``loop_order`` / ``relations`` /
   ``distributed`` / ``communicated`` / ``parallelized`` /
   ``precomputed`` are written only in ``src/repro/taco/schedule.py``:
@@ -298,7 +302,7 @@ NONDET_ROOTS = (
 
 #: inline waiver for an intentional finding: the flagged line carries
 #: ``# <tag>: ok <reason>`` (tags: ``nondet``, ``kind``, ``format``,
-#: ``level``, ``nnz``); the reason is mandatory.
+#: ``level``, ``nnz``, ``schedule``, ``id``); the reason is mandatory.
 _WAIVER_RE = r"#\s*%s:\s*ok\b[ \t]*(.*)"
 
 #: attribute chains whose *call* (or use) injects nondeterminism.
@@ -786,15 +790,38 @@ def _scan_residency_writes(relpath: str, tree: ast.Module) -> List[Finding]:
     ]
 
 
+#: the runtime's modules, whose traces and facts pickle: nothing there
+#: names an object by ``id``.
+ID_FREE_ROOT = "src/repro/legion/"
+
+
+def _scan_id_calls(relpath: str, text: str, tree: ast.Module) -> List[Finding]:
+    """Calls of the builtin ``id`` (a method of that name is not one)."""
+    findings: List[Finding] = []
+    report = _reporter(relpath, text, "id", findings)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "id":
+            report(node.lineno,
+                   "id() names an object by its address, which a pickle does "
+                   "not keep — name a partition by its content "
+                   "(Partition.key), a region by its uid "
+                   "(`# id: ok <reason>` waives an intentional call)")
+    return findings
+
+
 def _run_residency(cache: SourceCache) -> CheckResult:
     modules = sorted(str(p.relative_to(REPO)) for p in (SRC / "repro").rglob("*.py"))
     findings: List[Finding] = []
     for relpath in modules:
-        findings.extend(_scan_residency_writes(relpath, cache.get(relpath)[1]))
+        text, tree = cache.get(relpath)
+        findings.extend(_scan_residency_writes(relpath, tree))
+        if relpath.startswith(ID_FREE_ROOT):
+            findings.extend(_scan_id_calls(relpath, text, tree))
     return CheckResult(
         "residency", findings,
         f"{len(modules)} modules under src/repro write the residency fields "
-        f"only inside {RESIDENCY_HOME[1]}",
+        f"only inside {RESIDENCY_HOME[1]}; {ID_FREE_ROOT} calls no id()",
     )
 
 
@@ -1201,7 +1228,7 @@ PLUGINS: List[Plugin] = [
            "SciPy surface at one site; codegen and kernels read no "
            "environment", _run_no_exec),
     Plugin("residency", "a region's residency table is written only through "
-           "its class", _run_residency),
+           "its class; the runtime names nothing by id()", _run_residency),
     Plugin("schedule", "a schedule's fields are written only by "
            "taco/schedule.py", _run_schedule),
     Plugin("commplan", "auto-synthesized schedules yield coherent static "
