@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence
 
 from ..core.passes import PassRecord, PipelinePlan, pipeline_plan
 from ..errors import (
-    AnalysisError, IllegalCSE, IncoherentDistribution, MissingCommunicate,
-    RedundantCommunicate, SanitizerError, UnsupportedEinsum, WriteHazard,
+    AnalysisError, IllegalCSE, MissingCommunicate, RedundantCommunicate,
+    SanitizerError, UnsupportedEinsum, WriteHazard,
 )
 from .commplan import (
     CommPlan, MetricsSignature, commplan_diagnostics, communication_plan,
@@ -50,8 +50,7 @@ __all__ = [
     "verify_aot_source",
     "ALLOWED_IMPORT_ROOTS", "FORBIDDEN_NAMES",
     "AnalysisError", "WriteHazard", "IllegalCSE", "UnsupportedEinsum",
-    "RedundantCommunicate", "MissingCommunicate", "IncoherentDistribution",
-    "SanitizerError",
+    "RedundantCommunicate", "MissingCommunicate", "SanitizerError",
 ]
 
 
@@ -70,7 +69,7 @@ def analyze_program(
     kernel cache — still nothing executes), ``report.predictions`` holds
     each statement's predicted metrics signature, and the diagnostics
     gain the planner's coherence findings (redundant/missing
-    ``communicate`` placements, privilege-incoherent distributions).
+    ``communicate`` placements).
     Statements the compiler rejects are skipped — the hazard analyzer
     already reports them as ``UnsupportedEinsum``.  Pass ``runtime`` when
     tensors were placed by ``repro.distal`` so the planner sees their

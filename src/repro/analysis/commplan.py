@@ -25,10 +25,8 @@ full kernel × format × strategy × machine sweep.
 The planner also emits typed :class:`~repro.analysis.report.Diagnostic`
 findings through the :class:`~repro.analysis.report.AnalysisReport`
 machinery: redundant ``communicate`` placements (the placed tensor moves
-zero bytes), missing ones (overlapping sub-regions staged to several
-processors — duplicate transfer a ``communicate`` would hoist), and
-privilege-incoherent distributions (a streamed region holding write or
-reduce privilege).
+zero bytes) and missing ones (overlapping sub-regions staged to several
+processors — duplicate transfer a ``communicate`` would hoist).
 
 Entry points:
 
@@ -47,9 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import (
-    IncoherentDistribution, MissingCommunicate, RedundantCommunicate,
-)
+from ..errors import MissingCommunicate, RedundantCommunicate
 from ..legion.machine import Machine, Works
 from ..legion.metrics import CommEvent, ExecutionMetrics, StepMetrics
 from ..legion.network import Network
@@ -463,12 +459,10 @@ def commplan_diagnostics(
 ) -> List[Diagnostic]:
     """Statically vet one scheduled statement's communication coherence.
 
-    Three findings, all anchored with derived-variable provenance like
-    the hazard analyzer's:
+    Two findings, both anchored with derived-variable provenance like
+    the hazard analyzer's (a streamed output, the incoherent distribution,
+    is refused at compile):
 
-    * **error** :class:`~repro.errors.IncoherentDistribution` — a
-      streamed (never-resident) tensor holds WRITE or REDUCE privilege;
-      its round-wise transfers could not maintain output coherence;
     * **warning** :class:`~repro.errors.RedundantCommunicate` — a
       ``communicate(tensor, var)`` placement whose tensor moves zero
       bytes in the derived plan (already resident where it executes);
@@ -489,23 +483,6 @@ def commplan_diagnostics(
             statement=statement, statement_repr=srepr,
             tensor=tensor, loop_vars=tuple(loop_vars),
         )
-
-    # streamed regions must stay read-only: the runtime discards their
-    # round-wise transfers, so written data would never be read back.
-    for t in ck._streamed:
-        priv = ck.privileges.get(t, Privilege.READ_ONLY)
-        if priv != Privilege.READ_ONLY:
-            diags.append(Diagnostic(
-                severity="error",
-                error_type=IncoherentDistribution,
-                message=(
-                    f"streamed tensor {t.name} holds {priv.name} privilege: "
-                    "streamed sub-regions are never resident, so the "
-                    "written rounds would be discarded before the output "
-                    "is read back"
-                ),
-                provenance=prov(tensor=t.name),
-            ))
 
     communicated_names = set()
     for var, tensors in schedule.communicated.items():

@@ -188,6 +188,13 @@ def _unsupported(privs: Sequence[StatementPrivileges]) -> List[Diagnostic]:
             continue
         if sched is None:
             continue
+        if any(t is asg.lhs.tensor for t in sched.streamed()):
+            diag(
+                f"cannot stream the output {asg.lhs.tensor.name}: communicate "
+                "it at a distributed loop",
+                tensor=asg.lhs.tensor.name,
+            )
+            continue
         dvars = list(sched.distributed)
         nonzero = [v for v in dvars if sched.is_position_var(v)]
         if len(nonzero) > 1:

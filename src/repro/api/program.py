@@ -143,8 +143,8 @@ class Program:
         vets every statement (compiling through the kernel cache, still
         never executing): ``report.predictions`` carries each statement's
         predicted metrics signature and the diagnostics gain
-        redundant/missing ``communicate`` and incoherent-distribution
-        findings (see :mod:`repro.analysis.commplan`).
+        redundant/missing ``communicate`` findings (see
+        :mod:`repro.analysis.commplan`).
         """
         if not self.statements:
             raise ValueError("the program has no statements")

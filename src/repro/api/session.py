@@ -329,7 +329,7 @@ class Session:
         per pass (see :func:`repro.core.program.compile_program`).
 
         A repeated call is one lookup in the session's front-door table
-        (``docs/caching.md``); an evicted or streamed kernel misses it.
+        (``docs/caching.md``); an evicted kernel misses it.
         """
         flags = dict(cse=cse, fold=fold, dse=dse, fuse=fuse, keep=keep)
         plans = []  # (target, assignment, tuned strategy or None)
@@ -382,7 +382,7 @@ class Session:
             return None
         primaries, reused_from, passes, origin = entry
         kernels = [_cache.peek_kernel(k) for k in primaries]
-        if any(ck is None or ck._streamed for ck in kernels):
+        if None in kernels:
             return None
         for k in primaries:
             _cache.lookup_kernel(k)  # the hit compile_statement would count

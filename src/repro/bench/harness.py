@@ -122,8 +122,9 @@ def spdistal_run(
     ``operands`` are SciPy matrices, NumPy arrays or packed tensors in the
     statement's order.  ``strategy=None`` is the kernel table's choice for
     the processor kind (the paper's, §VI-A); ``"rows"`` / ``"nonzeros"``
-    force one; ``"batched"`` is the row split with the dense operands
-    streamed in memory-sized rounds ("SpDISTAL-Batched").  The result's
+    force one; ``"batched"`` is the row split whose schedule also
+    communicates the dense operands at the inner row loop, which streams
+    them in memory-sized rounds ("SpDISTAL-Batched").  The result's
     ``value`` is the output tensor.
     """
     cfg = cfg or default_config()
@@ -141,12 +142,10 @@ def spdistal_run(
 
         asg = build_assignment(_parse_spec(spec, len(tensors)), tensors, output)
         s = auto_schedule(asg, machine, strategy="rows" if batched else strategy)
-        ck = compile_kernel(s, machine)
         if batched:
-            for t in tensors:
-                if t.format.is_all_dense():
-                    ck.stream_tensor(t)
-        seconds, comm = _run(ck, cfg)
+            inner = s.divide_rel_of(s.distributed[0]).inner
+            s.communicate([t for t in tensors if t.format.is_all_dense()], inner)
+        seconds, comm = _run(compile_kernel(s, machine), cfg)
         return seconds, comm, asg.lhs.tensor
 
     return _wrap("SpDISTAL", body)

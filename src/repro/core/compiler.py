@@ -25,7 +25,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,6 +149,9 @@ class CompiledKernel:
         plan: PartitioningPlan,
         roles: Dict[str, Access],
         operands: List[Access],
+        *,
+        backend: str,
+        streamed: FrozenSet[Tensor],
     ):
         self.schedule = schedule
         self.machine = machine
@@ -167,16 +170,12 @@ class CompiledKernel:
         self._placed_on: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         #: execution backend: "interp" (closure leaves over repro.kernels)
         #: or "codegen" (bound flat thunks, interpreter fallback where the
-        #: table names no bind function).  Fixed by ``compile_statement``.
-        self.backend: str = "interp"
-        self._streamed: Set[Tensor] = set()
+        #: table names no bind function).
+        self.backend = backend
+        #: The operands the schedule streams in memory-sized rounds instead
+        #: of keeping them resident (``Schedule.streamed``).
+        self._streamed = streamed
         self._spadd_reqs: Optional[List[RegionReq]] = None
-
-    def stream_tensor(self, tensor: Tensor) -> None:
-        """Communicate this tensor's sub-regions in memory-sized rounds
-        instead of keeping them resident (the "SpDISTAL-Batched" strategy)."""
-        self._streamed.add(tensor)
-        self._launches = None  # re-freeze the launch's requirements at next execute
 
     # -- persistence (repro.core.store) ---------------------------------------
     def __getstate__(self):
@@ -478,15 +477,11 @@ def compile_statement(
             key = None
         if key is not None:
             hit = _cache.lookup_kernel(key)
-            # A kernel mutated after compilation (stream_tensor) must not be
-            # handed to a caller that didn't ask for streaming — recompile
-            # (the fresh kernel then replaces the mutated entry).
-            if hit is not None and not hit._streamed:
+            if hit is not None:
                 return hit
             tensors = schedule.assignment.tensors()
             versions = [t.pattern_version for t in tensors]
-            ck = _compile_uncached(schedule, machine)
-            ck.backend = backend
+            ck = _compile_uncached(schedule, machine, backend)
             # Compilation may adopt an input's pattern into the output
             # (bumping its version); then store under the post-compile
             # fingerprint — the one the next lookup will compute.
@@ -494,13 +489,19 @@ def compile_statement(
                 key = _cache.kernel_fingerprint(schedule, machine)
             _cache.store_kernel(key, ck, tensors)
             return ck
-    ck = _compile_uncached(schedule, machine)
-    ck.backend = backend
-    return ck
+    return _compile_uncached(schedule, machine, backend)
 
 
-def _compile_uncached(schedule: Schedule, machine: Machine) -> CompiledKernel:
+def _compile_uncached(schedule: Schedule, machine: Machine, backend: str) -> CompiledKernel:
     asg = schedule.assignment
+    streamed = frozenset(schedule.streamed())
+    if asg.lhs.tensor in streamed:
+        raise CompileError(
+            f"cannot stream the output {asg.lhs.tensor.name}: a communicate "
+            "inside every distributed loop fetches it in rounds that are "
+            "never kept, so its written values would be lost; communicate "
+            "it at a distributed loop"
+        )
     sizes = var_sizes(asg)
     kc = classify(asg)
     if SPECS[kc.kind].assembles:
@@ -521,12 +522,15 @@ def _compile_uncached(schedule: Schedule, machine: Machine) -> CompiledKernel:
         raise CompileError("at most one non-zero distributed variable is supported")
 
     if not dvars:
-        return _compile_single(schedule, machine, kc, plan, sizes)
-    if nonzero_vars:
+        layout = _compile_single(schedule, kc, plan)
+    elif nonzero_vars:
         if len(dvars) != 1:
             raise CompileError("non-zero distribution cannot be combined with others")
-        return _compile_nonzero(schedule, machine, kc, plan, sizes, dvars[0])
-    return _compile_universe(schedule, machine, kc, plan, sizes, dvars)
+        layout = _compile_nonzero(schedule, machine, kc, plan, dvars[0])
+    else:
+        layout = _compile_universe(schedule, machine, kc, plan, sizes, dvars)
+    return CompiledKernel(schedule, machine, kc.kind, *layout, plan, kc.roles,
+                          kc.operands, backend=backend, streamed=streamed)
 
 
 def _unique_tensors(asg: Assignment) -> List[Tuple[Tensor, Access]]:
@@ -565,7 +569,11 @@ def _privilege(part: TensorPartition, is_out: bool) -> Privilege:
     return Privilege.WRITE_DISCARD
 
 
-def _compile_single(schedule, machine, kc, plan, sizes) -> CompiledKernel:
+#: A strategy's compile: its name, pieces, partitions and privileges.
+Layout = Tuple[str, List[Piece], Dict[Tensor, TensorPartition], Dict[Tensor, Privilege]]
+
+
+def _compile_single(schedule, kc, plan) -> Layout:
     """No distributed loops: one piece covering the whole iteration space."""
     asg = schedule.assignment
     _prepare_output(kc, asg)
@@ -585,13 +593,10 @@ def _compile_single(schedule, machine, kc, plan, sizes) -> CompiledKernel:
         pos_bounds = (0, last.num_positions - 1)
     pieces = [Piece(color=0, proc=0, rows=kind_rows, pos=pos_bounds)]
     plan.emit("single", "// single-piece execution (no distributed loops)")
-    return CompiledKernel(
-        schedule, machine, kc.kind, "rows", pieces, parts, privileges, plan,
-        kc.roles, kc.operands,
-    )
+    return "rows", pieces, parts, privileges
 
 
-def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKernel:
+def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> Layout:
     """createInitialUniversePartitions + partitionCoordinateTrees."""
     asg = schedule.assignment
     _prepare_output(kc, asg)
@@ -668,10 +673,7 @@ def _compile_universe(schedule, machine, kc, plan, sizes, dvars) -> CompiledKern
     # A multi-variable universe distribution is the 2-D (or N-D) grid
     # mapping — reported as its own strategy so callers (autotune, the
     # store manifest) can tell the tile shape apart from the 1-D row split.
-    return CompiledKernel(
-        schedule, machine, kc.kind, "grid" if multi else "rows", pieces,
-        parts, privileges, plan, kc.roles, kc.operands,
-    )
+    return "grid" if multi else "rows", pieces, parts, privileges
 
 
 def _inferred_windows(
@@ -707,7 +709,7 @@ def _inferred_windows(
     return windows or None
 
 
-def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel:
+def _compile_nonzero(schedule, machine, kc, plan, dvar) -> Layout:
     """createInitialNonZeroPartition + partitionNonZeroCoordinateTree +
     partitionRemainingCoordinateTrees (Fig. 9a, else branch)."""
     asg = schedule.assignment
@@ -787,7 +789,4 @@ def _compile_nonzero(schedule, machine, kc, plan, sizes, dvar) -> CompiledKernel
               for c, pos, rows in zip(colors, map(tuple, bounds.bounds.tolist()),
                                       map(tuple, top_bounds.bounds.tolist()))]
     plan.emit("launch", f"distributed for fo in {{0 ... {npieces}}} {{ ... }}")
-    return CompiledKernel(
-        schedule, machine, kc.kind, "nonzeros", pieces, parts, privileges, plan,
-        kc.roles, kc.operands,
-    )
+    return "nonzeros", pieces, parts, privileges

@@ -141,7 +141,7 @@ def _fold_copies(entries: List[_Entry]) -> PassRecord:
             if later.lhs.tensor is a or later.lhs.tensor is b:
                 break  # a redefined, or b no longer holds the copied values
             if any(acc.tensor is a for acc in later.rhs.accesses()):
-                entries[j].schedule = entries[j].schedule.forward_reads(a, b)
+                entries[j] = _Entry(entries[j].orig, entries[j].schedule.forward_reads(a, b))
                 touched.extend(entries[j].orig)
                 details.append(
                     f"statement {entries[j].orig[0]} reads {b.name} "

@@ -124,10 +124,13 @@ __all__ = [
 #: placement already changes nothing there.  v17: launch-trace keys and
 #: residency facts name partitions by content (``Partition.key``) and pickle
 #: with the facts; a kernel keys its partitions, privileges and streamed
-#: set on its tensors.
+#: set on its tensors.  v18: a kernel's streamed set is read from its
+#: schedule at compile (a ``communicate`` inside every distributed loop)
+#: and fixed from then on, so its key says what it streams; a v17 kernel
+#: may have been streamed after its compile, under a key that does not.
 #: Any other version is refused with
 #: :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 17
+STORE_FORMAT_VERSION = 18
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"

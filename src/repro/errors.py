@@ -6,8 +6,7 @@ __all__ = [
     "PackError",
     "StoreError", "StoreFormatError", "ServingError", "TenantBudgetError",
     "AnalysisError", "WriteHazard", "IllegalCSE", "UnsupportedEinsum",
-    "RedundantCommunicate", "MissingCommunicate", "IncoherentDistribution",
-    "SanitizerError",
+    "RedundantCommunicate", "MissingCommunicate", "SanitizerError",
 ]
 
 
@@ -142,15 +141,6 @@ class MissingCommunicate(AnalysisError):
     a ``communicate`` placement at the distributed loop would hoist into
     one broadcast.  Surfaced as a warning by the static communication
     planner (:mod:`repro.analysis.commplan`)."""
-
-
-class IncoherentDistribution(AnalysisError):
-    """A privilege-incoherent distribution: a region placed so its write
-    coherence cannot be maintained — e.g. a streamed (never-resident)
-    tensor holding WRITE or REDUCE privilege, whose round-wise transfers
-    would be discarded before the output is read back.  Surfaced as an
-    error by the static communication planner
-    (:mod:`repro.analysis.commplan`)."""
 
 
 class SanitizerError(ReproError):

@@ -107,7 +107,8 @@ class RegionReq:
     ``streamed`` requirements are communicated in memory-sized rounds and
     never kept resident — the memory-conserving schedule of the paper's
     "SpDISTAL-Batched" SpMM, which trades extra messages for fitting in
-    GPU memory.
+    GPU memory.  A kernel streams the operands its schedule communicates
+    at a loop inside every distributed loop (``Schedule.communicate``).
     """
 
     region: Region

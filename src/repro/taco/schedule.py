@@ -296,7 +296,13 @@ class Schedule:
         return self
 
     def communicate(self, tensors, i: IndexVar) -> "Schedule":
-        """Fetch each tensor's needed sub-tensor at iterations of loop ``i``."""
+        """Fetch each tensor's needed sub-tensor at iterations of loop ``i``.
+
+        At a distributed loop a piece fetches its sub-tensor once and keeps
+        it resident.  At a loop nested inside every distributed loop (later
+        than all of them in the loop order) the tensor is *streamed*: each
+        piece fetches it in memory-sized rounds and keeps none of it — the
+        paper's "SpDISTAL-Batched" (:meth:`streamed`)."""
         self._edit()
         self._position(i)
         if not isinstance(tensors, (list, tuple)):
@@ -442,6 +448,18 @@ class Schedule:
                 ra = self.pos_relation_of(rel.a)
                 return ra if ra is not None else self.pos_relation_of(rel.b)
         return None
+
+    def streamed(self) -> List:
+        """The tensors a ``communicate`` names at a loop nested inside every
+        distributed loop (later than all of them in the loop order): each
+        piece fetches them in memory-sized rounds and keeps none resident.
+        The compiler reads its kernel's streamed set here, and refuses a
+        streamed output."""
+        if not self.distributed:
+            return []
+        at = {v: n for n, v in enumerate(self.loop_order)}
+        inside = max(at.get(v, len(at)) for v in self.distributed)
+        return [t for v, ts in self.communicated.items() if at.get(v, -1) > inside for t in ts]
 
     def is_position_var(self, v: IndexVar) -> bool:
         """Position (non-zero) iteration vs coordinate (universe) iteration."""

@@ -221,6 +221,24 @@ class TestUnsupportedEinsumPredictions:
         with pytest.raises(CompileError):
             compile_kernel(s, Machine.cpu(4), use_cache=False)
 
+    def test_streamed_output_flagged_and_raises(self):
+        """A ``communicate`` of the output inside every distributed loop
+        would stream it in rounds that are never kept; streaming an operand
+        there is SpDISTAL-Batched, and stays clean."""
+        B, c, a = self._spmv()
+        i, j, io, ii = index_vars("i j io ii")
+        a[i] = B[i, j] * c[j]
+        s = (a.schedule().divide(i, io, ii, 4).distribute(io)
+             .communicate([a, B, c], io).communicate(c, ii))
+        assert not analyze_program([s], Machine.cpu(4)).diagnostics_of(UnsupportedEinsum)
+        compile_kernel(s, Machine.cpu(4), use_cache=False)  # no raise
+        s.communicate(a, ii)
+        (diag,) = analyze_program([s], Machine.cpu(4)).diagnostics_of(UnsupportedEinsum)
+        assert "cannot stream the output a" in diag.message
+        assert diag.provenance.tensor == "a"
+        with pytest.raises(CompileError, match="cannot stream the output a"):
+            compile_kernel(s, Machine.cpu(4), use_cache=False)
+
     def test_supported_schedules_stay_clean(self):
         B, c, a = self._spmv()
         i, j, io, ii = index_vars("i j io ii")

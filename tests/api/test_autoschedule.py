@@ -34,11 +34,9 @@ def _machine():
     return cfg.cpu_machine(PIECES), cfg.legion_network()
 
 
-def _run(sched, streamed, machine, network):
+def _run(sched, machine, network):
     rt = Runtime(machine, network)
     ck = compile_kernel(sched, machine)
-    for t in streamed:
-        ck.stream_tensor(t)
     ck.execute(rt)  # cold: placement + staging
     return ck.execute(rt)  # warm trial
 
@@ -116,19 +114,20 @@ def _spmttkrp(fmt):
 
 
 # --------------------------------------------------------------------------- #
-# the hand-written schedules: (schedule, streamed tensors)
+# the hand-written schedules
 # --------------------------------------------------------------------------- #
 def _rows(out, ts, v, n):
     io, ii = index_vars("io ii")
     return (out.schedule().divide(v[0], io, ii, n).distribute(io)
-            .communicate(list(ts), io).parallelize(ii)), ()
+            .communicate(list(ts), io).parallelize(ii))
 
 
 def _batched(out, ts, v, n):
-    """Row distribution with the dense C streamed in memory-sized rounds."""
+    """Row distribution with the dense C communicated at the inner row
+    loop: streamed in memory-sized rounds."""
     io, ii = index_vars("io ii")
     return (out.schedule().divide(v[0], io, ii, n).distribute(io)
-            .communicate(list(ts), io)), (ts[2],)
+            .communicate(list(ts), io).communicate(ts[2], ii))
 
 
 def _spmv_nonzeros(out, ts, v, n):
@@ -136,7 +135,7 @@ def _spmv_nonzeros(out, ts, v, n):
     f, fp, fo, fi = index_vars("f fp fo fi")
     return (out.schedule().fuse(i, j, f).pos(f, fp, B[i, j])
             .divide(fp, fo, fi, n).distribute(fo)
-            .communicate(list(ts), fo).parallelize(fi)), ()
+            .communicate(list(ts), fo).parallelize(fi))
 
 
 def _spmm_nonzeros(out, ts, v, n):
@@ -145,7 +144,7 @@ def _spmm_nonzeros(out, ts, v, n):
     return (out.schedule().reorder(k, j)  # [i, k, j]: bring B's dims together
             .fuse(i, k, f).pos(f, fp, B[i, k])
             .divide(fp, fo, fi, n).distribute(fo)
-            .communicate(list(ts), fo)), ()
+            .communicate(list(ts), fo))
 
 
 def _sddmm_nonzeros(out, ts, v, n):
@@ -153,7 +152,7 @@ def _sddmm_nonzeros(out, ts, v, n):
     f, fp, fo, fi = index_vars("f fp fo fi")
     return (out.schedule().fuse(i, j, f).pos(f, fp, B[i, j])
             .divide(fp, fo, fi, n).distribute(fo)
-            .communicate(list(ts), fo)), ()
+            .communicate(list(ts), fo))
 
 
 def _spttv_nonzeros(out, ts, v, n):
@@ -161,7 +160,7 @@ def _spttv_nonzeros(out, ts, v, n):
     f1, f2, fp, fo, fi = index_vars("f1 f2 fp fo fi")
     return (out.schedule().fuse(i, j, f1).fuse(f1, k, f2)
             .pos(f2, fp, B[i, j, k]).divide(fp, fo, fi, n)
-            .distribute(fo).communicate(list(ts), fo)), ()
+            .distribute(fo).communicate(list(ts), fo))
 
 
 def _spmttkrp_nonzeros(out, ts, v, n):
@@ -170,7 +169,7 @@ def _spmttkrp_nonzeros(out, ts, v, n):
     return (out.schedule().reorder(j, l).fuse(i, j, g1).reorder(k, l)
             .fuse(g1, k, g2).pos(g2, gp, B[i, j, k])
             .divide(gp, go, gi, n).distribute(go)
-            .communicate(list(ts), go)), ()
+            .communicate(list(ts), go))
 
 
 #: (kernel, strategy, operand format) → (statement, hand-written schedule)
@@ -193,10 +192,12 @@ REFERENCE = {
 
 
 def _auto(out, ts, machine, strategy):
-    """The synthesized side; ``batched`` is rows plus the streamed dense C."""
+    """The synthesized side; ``batched`` is rows plus the dense C
+    communicated at the inner row loop."""
     if strategy == "batched":
-        return auto_schedule(out, machine, strategy="rows"), (ts[2],)
-    return auto_schedule(out, machine, strategy=strategy), ()
+        s = auto_schedule(out, machine, strategy="rows")
+        return s.communicate(ts[2], s.divide_rel_of(s.distributed[0]).inner)
+    return auto_schedule(out, machine, strategy=strategy)
 
 
 class TestReferenceTable:
@@ -211,16 +212,19 @@ class TestReferenceTable:
         network = cfg.legion_network()
         build, hand = REFERENCE[kind, strategy, fmt]
         out_h, ts, v = build(fmt)
-        r_hand = _run(*hand(out_h, ts, v, machine.size), machine, network)
+        r_hand = _run(hand(out_h, ts, v, machine.size), machine, network)
         clear_caches()
         out_a, ts, _ = build(fmt)
-        r_auto = _run(*_auto(out_a, ts, machine, strategy), machine, network)
+        r_auto = _run(_auto(out_a, ts, machine, strategy), machine, network)
         assert np.array_equal(out_a.vals.data, out_h.vals.data)
         assert np.array_equal(out_a.to_dense(), out_h.to_dense())
         assert r_auto.simulated_seconds == r_hand.simulated_seconds
         assert (r_auto.metrics.total_comm_bytes()
                 == r_hand.metrics.total_comm_bytes())
         assert r_auto.metrics.total_tasks() == r_hand.metrics.total_tasks()
+        for r in (r_hand, r_auto):  # only the batched schedules stream C
+            assert (strategy == "batched") == any(
+                e.reason.startswith("stream ") for s in r.metrics.steps for e in s.comm_events)
 
 
 class TestStrategySelection:
@@ -269,5 +273,5 @@ class TestStrategySelection:
         # The auto-derived path stays valid: dense statements row-split.
         sched = auto_schedule(z, machine)
         assert sched.distributed
-        _run(sched, (), machine, network)
+        _run(sched, machine, network)
         assert np.allclose(z.vals.data, X.dense_array() @ y.dense_array())

@@ -24,6 +24,7 @@ from repro.core import cache as _cache
 from repro.core import clear_caches, set_cache_budget
 from repro.core.compiler import compile_statement
 from repro.core.program import compile_program
+from repro.legion import Runtime
 from repro.taco import CSR, Tensor, index_vars
 
 N = 40
@@ -109,6 +110,12 @@ class _ScheduleFirst(Session):
 def _kernel_counts():
     st = _cache.cache_stats()
     return st["kernel_hits"], st["kernel_misses"]
+
+
+def _streaming(sched, *tensors):
+    """``sched`` with ``tensors`` also communicated at the inner loop of
+    its last distributed loop: streamed in rounds (SpDISTAL-Batched)."""
+    return sched.communicate(list(tensors), sched.divide_rel_of(sched.distributed[-1]).inner)
 
 
 # --------------------------------------------------------------------------- #
@@ -250,15 +257,15 @@ class TestInvalidation:
         assert _kernel_counts()[1] == misses + 1
         assert np.allclose(A.to_dense(), (4 * M1 + M2).toarray())
 
-    def test_streamed_hit_kernel_recompiles(self):
+    def test_streaming_schedule_compiles_its_own_kernel(self):
         B, c, a = _spmv_world()
         with repro.session(nodes=4) as s:
             first = s.compile_kernel(_spmv(a, B, c))
-            first.stream_tensor(B)
-            ck = s.compile_kernel(_spmv(a, B, c))
-            assert ck is not first and not ck._streamed
+            ck = s.compile_kernel(_streaming(s.schedule_for(_spmv(a, B, c)), B))
+            assert ck is not first and ck._streamed == {B}
+            assert s.compile_kernel(_spmv(a, B, c)) is first and not first._streamed
             assert ck is compile_statement(
-                s.schedule_for(_spmv(a, B, c)), s.machine)
+                _streaming(s.schedule_for(_spmv(a, B, c)), B), s.machine)
 
     def test_reassigned_output_misses(self):
         B, c, a = _spmv_world()
@@ -370,6 +377,61 @@ class TestInvalidation:
 
 
 # --------------------------------------------------------------------------- #
+# streaming is a schedule: a kernel is what its key says
+# --------------------------------------------------------------------------- #
+class TestStreamingIsASchedule:
+    """SpDISTAL-Batched is a ``communicate`` at the inner loop, read when
+    the kernel compiles: nothing changes a kernel after its compile, so a
+    handle a caller holds runs as it did, and the streaming and the plain
+    schedule of one statement are two kernels under two keys."""
+
+    @staticmethod
+    def _world():
+        rng = np.random.default_rng(12)
+        B = Tensor.from_scipy("B", _csr(12, n=200, density=0.05), CSR)
+        C = Tensor.from_dense("C", rng.random((200, 4)))
+        return Tensor.zeros("A", (200, 4)), B, C
+
+    @staticmethod
+    def _events(ck, machine):
+        """Every event of a cold and a warm run of ``ck`` on a fresh runtime."""
+        rt = Runtime(machine)
+        return [e for _ in range(2) for step in ck.execute(rt).metrics.steps
+                for e in step.comm_events]
+
+    def test_a_held_kernel_is_unchanged_by_the_streaming_schedule(self):
+        A, B, C = self._world()
+        with repro.session(nodes=4) as s:
+            first = s.compile_kernel(_spmm(A, B, C))
+            second = s.compile_kernel(_spmm(A, B, C))
+            assert first is second
+            before = self._events(first, s.machine)
+            streamed = s.execute(_streaming(s.schedule_for(_spmm(A, B, C)), C))
+            assert any(e.reason == f"stream {C.vals.name}"
+                       for step in streamed.metrics.steps for e in step.comm_events)
+            assert self._events(first, s.machine) == before
+            assert self._events(second, s.machine) == before
+            assert not first._streamed
+
+    def test_streaming_and_plain_schedules_are_two_kernels_and_both_hit(self):
+        A, B, C = self._world()
+        with repro.session(nodes=4) as s:
+            plain = lambda: s.schedule_for(_spmm(A, B, C))  # noqa: E731
+            streaming = lambda: _streaming(plain(), C)  # noqa: E731
+            kernels = [s.compile(make()).kernels[0] for make in (plain, streaming)]
+            assert kernels[0] is not kernels[1]
+            assert (kernels[0]._streamed, kernels[1]._streamed) == (frozenset(), {C})
+            for make, ck in zip((plain, streaming), kernels):
+                hits, misses = _kernel_counts()
+                door = s._frontdoor.hits
+                assert s.compile(make()).kernels[0] is ck
+                assert _kernel_counts() == (hits + 1, misses)
+                assert s._frontdoor.hits == door + 1
+                assert compile_statement(make(), s.machine) is ck
+                assert _kernel_counts() == (hits + 2, misses)
+
+
+# --------------------------------------------------------------------------- #
 # counters match the schedule-first path
 # --------------------------------------------------------------------------- #
 def test_cache_counters_match_schedule_first_path():
@@ -380,7 +442,8 @@ def test_cache_counters_match_schedule_first_path():
         B, c, a = _spmv_world(8)
         for _ in range(3):
             s.execute(_spmv(a, B, c))
-        s.compile_kernel(_spmv(a, B, c)).stream_tensor(B)
+        for _ in range(2):
+            s.compile(_streaming(s.schedule_for(_spmv(a, B, c)), B))
         s.execute(_spmv(a, B, c))
         B._bump_pattern_version()
         s.execute(_spmv(a, B, c))

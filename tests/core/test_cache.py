@@ -53,10 +53,13 @@ def make_tensors(seed=3):
     return A, B, c, a
 
 
-def spmv_schedule(B, c, a, pieces=4):
+def spmv_schedule(B, c, a, pieces=4, streamed=()):
+    """Rows over ``pieces``; ``streamed`` tensors are communicated at the
+    inner row loop (streamed in rounds)."""
     i, j, io, ii = index_vars("i j io ii")
     a[i] = B[i, j] * c[j]
-    return a.schedule().divide(i, io, ii, pieces).distribute(io)
+    s = a.schedule().divide(i, io, ii, pieces).distribute(io)
+    return s.communicate(list(streamed), ii) if streamed else s
 
 
 class TestKernelCache:
@@ -247,20 +250,20 @@ class TestPartitionDerivation:
         assert plan1.describe() == plan2.describe()
 
 
-class TestPostCompileMutation:
-    def test_streamed_kernel_not_served_from_cache(self):
-        """stream_tensor() after compile must not leak into later callers
-        of the identical schedule (caching must not change metrics)."""
+class TestStreamingKeysApart:
+    def test_streaming_and_resident_schedules_are_two_entries(self):
+        """What a kernel streams is read from its schedule at compile, and
+        the key names every ``communicate``: the streaming schedule and the
+        resident one of a statement are two entries, each hitting itself
+        (caching must not change metrics)."""
         _, B, c, a = make_tensors()
         machine = Machine.cpu(4)
         ck1 = compile_kernel(spmv_schedule(B, c, a), machine)
-        ck1.stream_tensor(c)
-        ck2 = compile_kernel(spmv_schedule(B, c, a), machine)
+        ck2 = compile_kernel(spmv_schedule(B, c, a, streamed=[c]), machine)
         assert ck2 is not ck1
-        assert not ck2._streamed
-        # the fresh (unstreamed) kernel replaced the entry
-        ck3 = compile_kernel(spmv_schedule(B, c, a), machine)
-        assert ck3 is ck2
+        assert (ck1._streamed, ck2._streamed) == (frozenset(), {c})
+        assert compile_kernel(spmv_schedule(B, c, a), machine) is ck1
+        assert compile_kernel(spmv_schedule(B, c, a, streamed=[c]), machine) is ck2
 
 
 class TestSizeAwareEviction:

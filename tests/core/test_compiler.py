@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.api import auto_schedule
 from repro.core import classify, compile_kernel, pattern_source
 from repro.errors import CompileError, FormatError
 from repro.legion import Machine, Privilege, Region, Runtime
@@ -299,6 +300,45 @@ class TestCompileErrors:
         s = a.schedule().fuse(i, j, f).divide(f, fo, fi, 2).distribute(fo)
         with pytest.raises(CompileError):
             compile_kernel(s, Machine.cpu(2))
+
+    @pytest.mark.parametrize("strategy", ["rows", "nonzeros", "grid"])
+    def test_streaming_the_output_is_refused_naming_it(self, strategy):
+        """A ``communicate`` inside every distributed loop streams in rounds
+        that are never kept; for the output that would drop what the
+        pieces write, so the compile refuses it."""
+        A, (B, C), machine = self._spmm()
+        s = auto_schedule(A, machine, strategy=strategy)
+        s.communicate(A, s.divide_rel_of(s.distributed[-1]).inner)
+        with pytest.raises(CompileError, match="cannot stream the output A"):
+            compile_kernel(s, machine)
+
+    @pytest.mark.parametrize("strategy,inner", [
+        ("rows", "ii"), ("nonzeros", "fi"), ("grid", "ji")])
+    def test_a_communicate_inside_every_distributed_loop_streams(self, strategy, inner):
+        """The streamed set is read from the schedule: a tensor
+        communicated at a loop after every distributed loop streams; one
+        communicated at a distributed loop, or before the last of them
+        (``ii`` under ``grid``), stays resident."""
+        A, (B, C), machine = self._spmm()
+        s = auto_schedule(A, machine, strategy=strategy)
+        assert compile_kernel(s, machine)._streamed == frozenset()
+        loops = {v.name: v for v in s.loop_order}
+        s.communicate(C, loops[inner])
+        if strategy == "grid":
+            s.communicate(B, loops["ii"])
+        ck = compile_kernel(s, machine)
+        assert ck._streamed == {C}
+        assert [r.streamed for r in ck.launches()[0].reqs] == [
+            t is C for t, part in ck.parts.items() for _ in part.region_reqs(Privilege.READ_ONLY)]
+
+    @staticmethod
+    def _spmm():
+        B, _ = rand_csr()
+        C = Tensor.from_dense("C", rng.random((32, 4)))
+        A = Tensor.zeros("A", (40, 4))
+        i, k, j = index_vars("i k j")
+        A[i, j] = B[i, k] * C[k, j]
+        return A, (B, C), Machine.cpu(4)
 
     def test_plan_contains_distributed_loop(self):
         B, M = rand_csr()

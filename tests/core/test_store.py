@@ -39,11 +39,14 @@ def make_workload(seed=7):
     return A, B, c, a
 
 
-def spmv_schedule(B, c, a):
+def spmv_schedule(B, c, a, streamed=()):
+    """Rows; ``streamed`` tensors are also communicated at the inner row
+    loop (streamed in rounds)."""
     i, j, io, ii = index_vars("i j io ii")
     a[i] = B[i, j] * c[j]
-    return (a.schedule().divide(i, io, ii, PIECES).distribute(io)
-            .communicate([a, B, c], io))
+    s = (a.schedule().divide(i, io, ii, PIECES).distribute(io)
+         .communicate([a, B, c], io))
+    return s.communicate(list(streamed), ii) if streamed else s
 
 
 def warm(B, c, a, machine, rt, iterations=2):
@@ -113,8 +116,9 @@ class TestManifest:
     # 13: synthesized schedules' kernels were keyed by their structure;
     # 14: kernels pickled the runtime they last ran on;
     # 15: payloads paired each saved kernel with the runtimes it was placed on;
-    # 16: trace keys and kernels named partitions and tensors by identity
-    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16])
+    # 16: trace keys and kernels named partitions and tensors by identity;
+    # 17: a kernel could stream what its key does not say
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -126,7 +130,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (17, found)
+        assert (exc.value.expected, exc.value.found) == (18, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -229,8 +233,7 @@ class TestRoundTrip:
         tensors, and runs as the saved one does."""
         _, B, c, a = make_workload()
         machine = Machine.cpu(PIECES)
-        ck = compile_kernel(spmv_schedule(B, c, a), machine, use_cache=False)
-        ck.stream_tensor(c)
+        ck = compile_kernel(spmv_schedule(B, c, a, streamed=[c]), machine, use_cache=False)
         ck2, tensors = pickle.loads(pickle.dumps((ck, (B, c, a))))
         B2, c2, a2 = tensors
         assert list(ck2.parts) == [a2, B2, c2] and all(
@@ -401,7 +404,7 @@ class TestTheStoreKeepsFacts:
         assert all(facts.values())
         loaded = pickle.loads(pickle.dumps(rt))
         assert {uid: res.whole for uid, res in loaded._residency.items()} == facts
-        assert STORE_FORMAT_VERSION == 17
+        assert STORE_FORMAT_VERSION == 18
 
     def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
         from repro.legion import Rect

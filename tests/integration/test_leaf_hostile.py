@@ -48,7 +48,7 @@ from repro.api.session import Session
 from repro.core import (
     SPECS, caches_disabled, classify, clear_caches, compile_kernel, compile_program,
 )
-from repro.core.passes import FUSED_SDDMM_SPMM
+from repro.core.passes import FUSED_SDDMM_SPMM, pipeline_plan
 from repro.errors import FormatError, OOMError
 from repro.kernels import sddmm as sddmm_mod
 from repro.legion import (
@@ -369,9 +369,8 @@ def test_one_call_replay_writes_what_the_pieces_write(
     machine = Machine.cpu(pieces)
     steps, written = {}, {}
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
-        ck, out = _kernel(case, machine, n, structure, hostile, seed)
-        if streamed:
-            _stream_operands(ck)
+        ck, out = _kernel(case, machine, n, structure, hostile, seed, streamed=streamed)
+        assert bool(ck._streamed) == streamed
         module = sys.modules[SPECS[ck.kind].bound[ck.strategy].__module__]
         if hasattr(module, "_BLOCK_BYTES"):
             mp.setattr(module, "_BLOCK_BYTES", block_bytes)
@@ -403,16 +402,18 @@ def test_one_call_replay_writes_what_the_pieces_write(
     assert all(s.tasks_launched == len(ck.pieces) for s in steps[True])
 
 
-def _kernel(case, machine, n, structure, hostile, seed, backend="codegen"):
+def _kernel(case, machine, n, structure, hostile, seed, backend="codegen",
+            streamed=False):
     """The one compiled kernel of a draw — the fused chain's through the
-    pass pipeline — and the output it writes."""
+    pass pipeline, whose schedule a ``streamed`` draw streams
+    (:func:`_stream_operands`) — and the output it writes."""
     outs, _ = _statements(case, n, structure, hostile, seed)
     scheds = [auto_schedule(o.assignment, machine) for o in outs[:-1]]
     scheds.append(auto_schedule(outs[-1].assignment, machine, strategy=case[2]))
-    if len(scheds) == 1:
-        return compile_kernel(scheds[0], machine, backend=backend), outs[-1]
-    (ck,) = compile_program(scheds, machine, backend=backend).kernels
-    return ck, outs[-1]
+    (sched,) = pipeline_plan(scheds, machine).schedules
+    if streamed:
+        _stream_operands(sched)
+    return compile_kernel(sched, machine, backend=backend), outs[-1]
 
 
 def _shifted_launch(rt, ck):
@@ -425,11 +426,13 @@ def _shifted_launch(rt, ck):
                            proc_map=lambda c: (step.proc_of(c) + 1) % rt.machine.size)
 
 
-def _stream_operands(ck):
-    """Stream every operand of ``ck`` but its output in rounds."""
-    for part in ck.parts.values():
-        if part.tensor is not ck.out:
-            ck.stream_tensor(part.tensor)
+def _stream_operands(sched):
+    """Communicate every operand of ``sched`` but its output at the inner
+    loop of its last distributed loop (``ii`` under rows, ``fi`` under
+    non-zeros, ``ji`` under ``grid``): each streams in rounds."""
+    out = sched.assignment.lhs.tensor
+    sched.communicate([t for t in sched.assignment.tensors() if t is not out],
+                      sched.divide_rel_of(sched.distributed[-1]).inner)
 
 
 def _oracle_statements():
@@ -470,11 +473,11 @@ def test_one_call_only_where_no_value_depends_on_the_split(backend, monkeypatch)
         for streamed in (False, True):
             clear_caches()
             out = _build(*combo[:2], np.random.default_rng(3), 24, 0.2)
-            ck = compile_kernel(
-                auto_schedule(out, machine, strategy=combo[2]), machine,
-                backend=backend)
+            sched = auto_schedule(out, machine, strategy=combo[2])
             if streamed:
-                _stream_operands(ck)
+                _stream_operands(sched)
+            ck = compile_kernel(sched, machine, backend=backend)
+            assert bool(ck._streamed) == streamed, combo
             rt = CountingRuntime(machine)
             counts = []
             for _ in range(2):  # records, then replays

@@ -3,7 +3,7 @@
 Running every fast plugin clean here wires the whole invariant set —
 lock discipline, docstring coverage, the exported API surface, the
 nondeterminism lint, the one-kernel-table lint, the no-exec scan, the
-residency-writer scan and the schedule-writer scan —
+residency-writer scan and the schedule- and kernel-writer scans —
 into the plain ``pytest`` loop.  The self-tests pin the runner's own
 semantics (plugin selection, JSON schema stability, exact-line findings
 from every scanner)
@@ -420,7 +420,7 @@ class TestScheduleCallScanner:
             "s = auto_schedule(a, machine, strategy='rows')\n"
             "uni = distribute(B, 'B(x,y) -> M(x)', mach)\n"     # a function
             "q = x.divide\n"                                    # no call
-            "ck.stream_tensor(C)\n"
+            "s = s.communicate(C, s.divide_rel_of(s.distributed[0]).inner)\n"
             "s.communicate([a, B], io).parallelize(ii)\n"
         )
         assert self._scan(src) == []
@@ -671,3 +671,67 @@ class TestScheduleScanner:
         assert check._scan_schedule_writes(check.SCHEDULE_HOME, tree) == []
         assert check.SCHEDULE_HOME == "src/repro/taco/schedule.py"
         assert len(check._scan_schedule_writes("src/repro/taco/expr.py", tree)) == 8
+
+
+class TestKernelScanner:
+    """The ``schedule`` plugin's second part: only ``core/compiler.py``
+    writes a compiled kernel's fields, and only ``core/cache.py`` its
+    cache key — a cached kernel is shared under a key that names its
+    schedule, so nothing sets its state after the compile."""
+
+    # The batched benchmark as it was written: a cached kernel mutated.
+    SRC = (
+        "def batched(ck, backend, C, key):\n"
+        "    ck._streamed.add(C)\n"                                    # line 2
+        "    ck.backend = backend\n"                                   # line 3
+        "    ck.parts[C], ck.privileges[C] = None, None\n"             # line 4
+        "    ck.pieces.append(None)\n"                                 # line 5
+        "    del ck.schedule\n"                                        # line 6
+        "    ck.cache_key = key\n"                                     # line 7
+        "    return ck.execute(ck.machine), ck.parts[C], ck.backend\n"  # reads
+    )
+
+    def _scan(self, relpath, source):
+        return check._scan_kernel_writes(relpath, source, ast.parse(source))
+
+    def test_writes_outside_the_compiler_are_flagged_with_lines(self):
+        findings = self._scan("src/repro/bench/harness.py", self.SRC)
+        assert [f.line for f in findings] == [2, 3, 4, 5, 6, 7]
+        assert str(findings[0]).startswith(
+            "src/repro/bench/harness.py:2: writes the kernel field '_streamed' "
+            "outside src/repro/core/compiler.py")
+        assert "outside src/repro/core/cache.py" in findings[-1].message
+
+    @pytest.mark.parametrize("field", sorted(check.KERNEL_HOMES))
+    def test_every_field_is_flagged(self, field):
+        src = "".join(f"def f(ck, x):\n    {stmt}\n" for stmt in (
+            f"ck.{field} = x", f"ck.{field} += x", f"del ck.{field}",
+            f"ck.{field}[0] = x", f"ck.{field}.update(x)"))
+        findings = self._scan("src/repro/api/x.py", src)
+        assert [f.line for f in findings] == [2, 4, 6, 8, 10]
+        assert all(f"kernel field {field!r}" in f.message for f in findings)
+
+    def test_each_field_is_written_in_its_own_module_only(self):
+        compiler = [f.line for f in self._scan("src/repro/core/compiler.py", self.SRC)]
+        cache = [f.line for f in self._scan("src/repro/core/cache.py", self.SRC)]
+        assert (compiler, cache) == ([7], [2, 3, 4, 5, 6])
+
+    def test_waiver_needs_a_reason(self):
+        ok = "entry.schedule = s  # kernel: ok a pass entry, not a kernel\n"
+        assert self._scan("src/repro/core/passes.py", ok) == []
+        (finding,) = self._scan("src/repro/core/passes.py", "entry.schedule = s  # kernel: ok\n")
+        assert "kernel waiver without a reason" in finding.message
+
+    def test_the_plugin_runs_the_scan(self, monkeypatch):
+        """A kernel-field write planted under bench/ fails the plugin."""
+        planted = {"src/repro/bench/harness.py": "ck.backend = 'interp'\n"}
+        real = check.SourceCache.get
+
+        def get(cache, relpath):
+            text = planted.get(relpath)
+            return real(cache, relpath) if text is None else (text, ast.parse(text))
+
+        monkeypatch.setattr(check.SourceCache, "get", get)
+        result = check._run_schedule(check.SourceCache())
+        assert [(f.file, f.line) for f in result.findings] == [
+            ("src/repro/bench/harness.py", 1)]

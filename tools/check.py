@@ -69,12 +69,16 @@ codebase passes defined here:
   one (or an item of one), or call an in-place mutator on it.  A
   synthesized schedule keys the kernel cache by what built those fields
   (its ``synthesis_key``), which stays true only while every write goes
-  through a builder call, which drops the key;
+  through a builder call, which drops the key.  Likewise a compiled
+  kernel's fields ``_streamed`` / ``backend`` / ``parts`` /
+  ``privileges`` / ``pieces`` / ``schedule`` are written only in
+  ``src/repro/core/compiler.py``, and its ``cache_key`` only in
+  ``src/repro/core/cache.py``: a kernel is what its key says, with no
+  state set after its compile.  Waiver: ``# kernel: ok <reason>``;
 * **commplan** — every (kernel × sweep format × strategy × machine kind)
   the kernel table declares must yield a coherent static communication plan
   (:mod:`repro.analysis.commplan`): the plan derives without error and
-  reports no privilege-incoherent distribution and no
-  missing-``communicate`` duplicate transfers;
+  reports no missing-``communicate`` duplicate transfers;
 * **fusion** — the seeded SDDMM→SpMM chain must fuse, and the fused
   statement must plan coherently under each of its legal strategies.
 * **release** — no statement keeps its operands for the cyclic
@@ -302,7 +306,8 @@ NONDET_ROOTS = (
 
 #: inline waiver for an intentional finding: the flagged line carries
 #: ``# <tag>: ok <reason>`` (tags: ``nondet``, ``kind``, ``format``,
-#: ``level``, ``nnz``, ``schedule``, ``id``); the reason is mandatory.
+#: ``level``, ``nnz``, ``schedule``, ``id``, ``kernel``); the reason is
+#: mandatory.
 _WAIVER_RE = r"#\s*%s:\s*ok\b[ \t]*(.*)"
 
 #: attribute chains whose *call* (or use) injects nondeterminism.
@@ -853,15 +858,45 @@ def _scan_schedule_writes(relpath: str, tree: ast.Module) -> List[Finding]:
     ]
 
 
+#: Each compiled-kernel field and the one module that writes it: the
+#: kernel cache shares a kernel under a key naming its schedule, tensors
+#: and machine, so what it streams, its backend, partitions, privileges,
+#: pieces and schedule are set by its compile and by nothing after.
+KERNEL_HOMES = {
+    **dict.fromkeys(("_streamed", "backend", "parts", "privileges", "pieces",
+                     "schedule"), "src/repro/core/compiler.py"),
+    "cache_key": "src/repro/core/cache.py",
+}
+
+
+def _scan_kernel_writes(relpath: str, text: str, tree: ast.Module) -> List[Finding]:
+    """Assignments (plain, augmented, ``del``) to a compiled-kernel field
+    or an item of one, and in-place mutator calls on them, outside the
+    field's module (:data:`KERNEL_HOMES`)."""
+    findings: List[Finding] = []
+    report = _reporter(relpath, text, "kernel", findings)
+    fields = tuple(f for f, home in KERNEL_HOMES.items() if home != relpath)
+    for line, field in _field_writes(tree, fields):
+        report(line,
+               f"writes the kernel field {field!r} outside "
+               f"{KERNEL_HOMES[field]}: a cached kernel is shared under a key "
+               "that names its schedule, so set it when the kernel is built "
+               "(`# kernel: ok <reason>` waives a field of another object)")
+    return findings
+
+
 def _run_schedule(cache: SourceCache) -> CheckResult:
     modules = sorted(str(p.relative_to(REPO)) for p in (SRC / "repro").rglob("*.py"))
     findings: List[Finding] = []
     for relpath in modules:
-        findings.extend(_scan_schedule_writes(relpath, cache.get(relpath)[1]))
+        text, tree = cache.get(relpath)
+        findings.extend(_scan_schedule_writes(relpath, tree))
+        findings.extend(_scan_kernel_writes(relpath, text, tree))
     return CheckResult(
         "schedule", findings,
         f"{len(modules)} modules under src/repro write a schedule's fields "
-        f"only inside {SCHEDULE_HOME}",
+        f"only inside {SCHEDULE_HOME}, a compiled kernel's only where "
+        "KERNEL_HOMES says",
     )
 
 
@@ -940,8 +975,7 @@ def _commplan_workload(kind: str, fmt_obj, n: int = 18, density: float = 0.25):
 
 def _plan_findings(sched, machine, combo: str) -> List[Finding]:
     """Findings against one schedule's static communication plan: it must
-    derive, with no error-severity diagnostic (privilege-incoherent
-    distribution) and no missing-``communicate`` duplicate transfer.
+    derive, with no missing-``communicate`` duplicate transfer.
 
     ``RedundantCommunicate`` is advisory — whether a placement moves data
     depends on residency state, so a cold plan legitimately reports
@@ -962,7 +996,7 @@ def _plan_findings(sched, machine, combo: str) -> List[Finding]:
     return [
         Finding(where, None, f"schedule {combo} is incoherent: {d}")
         for d in diags
-        if d.severity == "error" or d.error_type is MissingCommunicate
+        if d.error_type is MissingCommunicate
     ]
 
 
@@ -1230,7 +1264,8 @@ PLUGINS: List[Plugin] = [
     Plugin("residency", "a region's residency table is written only through "
            "its class; the runtime names nothing by id()", _run_residency),
     Plugin("schedule", "a schedule's fields are written only by "
-           "taco/schedule.py", _run_schedule),
+           "taco/schedule.py, a compiled kernel's only by core/compiler.py "
+           "(its cache key by core/cache.py)", _run_schedule),
     Plugin("commplan", "auto-synthesized schedules yield coherent static "
            "communication plans", _run_commplan),
     Plugin("fusion", "fusable SDDMM→SpMM chains fuse into coherent static "
