@@ -1,6 +1,6 @@
 """Static analysis over programs and stored artifacts.
 
-Three coordinated layers (see ``docs/analysis.md``):
+Four coordinated layers (see ``docs/analysis.md``):
 
 * **privileges + hazards** — per-statement read/write privilege sets
   (tensor × mode, with the accumulate / assembled-output distinctions
@@ -9,6 +9,11 @@ Three coordinated layers (see ``docs/analysis.md``):
 * **cse** — proven-safe common-subexpression collapse: the reuse map
   ``compile_program(cse=True)`` executes, plus ``IllegalCSE``
   diagnostics explaining every blocked collapse;
+* **planner + cost model** — :func:`predict_metrics` derives a schedule's
+  exact metrics signature (launches, communication events, per-node
+  footprint) over a scratch runtime, :func:`predict_cost` prices it in
+  simulated seconds, and :func:`commplan_diagnostics` reads the signature
+  for ``RedundantCommunicate`` / ``MissingCommunicate`` findings;
 * **sanitizer** — an AST allowlist for kernel-module source (kept for
   perfbench's ``analysis.sanitizer.verify_s`` row).
 
@@ -25,10 +30,9 @@ from ..errors import (
     SanitizerError, UnsupportedEinsum, WriteHazard,
 )
 from .commplan import (
-    CommPlan, MetricsSignature, commplan_diagnostics, communication_plan,
-    measured_signature, predict_metrics,
+    MetricsSignature, commplan_diagnostics, measured_signature, predict_metrics,
 )
-from .costmodel import CostEstimate, kernel_work_model, predict_cost
+from .costmodel import CostEstimate, predict_cost
 from .cse import cse_reuse_map
 from .hazards import Dependence, DependenceGraph, build_graph, detect_hazards
 from .privileges import (
@@ -44,9 +48,8 @@ __all__ = [
     "Dependence", "DependenceGraph", "build_graph", "detect_hazards",
     "cse_reuse_map", "analyze_program",
     "PassRecord", "PipelinePlan", "pipeline_plan",
-    "CommPlan", "MetricsSignature", "predict_metrics", "communication_plan",
-    "measured_signature", "commplan_diagnostics",
-    "CostEstimate", "kernel_work_model", "predict_cost",
+    "MetricsSignature", "predict_metrics", "measured_signature",
+    "commplan_diagnostics", "CostEstimate", "predict_cost",
     "verify_aot_source",
     "ALLOWED_IMPORT_ROOTS", "FORBIDDEN_NAMES",
     "AnalysisError", "WriteHazard", "IllegalCSE", "UnsupportedEinsum",
@@ -107,21 +110,20 @@ def analyze_program(
         report.passes = []
     if cost:
         from ..errors import CompileError, OOMError, ScheduleError
-        from .commplan import communication_plan, commplan_diagnostics
 
         for n, sched in enumerate(schedules):
             if report.reuse_map[n] is not None:
                 report.predictions.append(None)
                 continue
             try:
-                plan = communication_plan(sched, machine, runtime=runtime)
+                sig = predict_metrics(sched, machine, runtime=runtime)
             except (CompileError, ScheduleError, OOMError):
                 # rejected schedules are already UnsupportedEinsum findings;
                 # an OOMing plan has no signature to report.
                 report.predictions.append(None)
                 continue
-            report.predictions.append(plan.signature)
+            report.predictions.append(sig)
             report.diagnostics.extend(commplan_diagnostics(
-                sched, machine, runtime=runtime, statement=n, plan=plan,
+                sched, machine, runtime=runtime, statement=n, signature=sig,
             ))
     return report

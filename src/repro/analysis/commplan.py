@@ -9,9 +9,9 @@ about the tensors' *values* ever reaches a staging decision.  This module
 exploits that: it drives the runtime's own staging algebra over a scratch
 :class:`~repro.legion.runtime.Runtime` with the leaf task bodies replaced
 by a (pattern-derived) :class:`~repro.legion.machine.Work` model, so the
-communication plan — per-color launch set, region movements with byte
-counts per channel, per-node footprint — and the full metrics signature
-are derived **without executing any tensor math**.
+metrics signature — every launch, every communication event with its
+channel, the per-node footprint — is derived **without executing any
+tensor math**.
 
 Because the mirror runs the same subset algebra, the same home lists and
 the same owner selection as a real cold execution, the prediction is
@@ -31,19 +31,20 @@ processors — duplicate transfer a ``communicate`` would hoist).
 Entry points:
 
 * :func:`predict_metrics` — the public one-call predictor (also exported
-  as ``repro.predict_metrics``);
-* :func:`communication_plan` — the richer per-statement plan;
+  as ``repro.predict_metrics``), for one statement or a program;
 * :func:`measured_signature` — fold an executed
   :class:`~repro.legion.metrics.ExecutionMetrics` + runtime into the same
   signature shape, for differential comparison;
-* :func:`commplan_diagnostics` — the coherence findings,
-  consumed by ``Program.analyze(cost=True)`` and the ``commplan``
-  check-runner plugin.
+* :func:`commplan_diagnostics` — the coherence findings, read from a
+  statement's signature, consumed by ``Program.analyze(cost=True)`` and
+  the ``commplan`` check-runner plugin.
+
+:func:`repro.analysis.predict_cost` prices the same mirror's steps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import MissingCommunicate, RedundantCommunicate
 from ..legion.machine import Machine, Works
@@ -54,9 +55,8 @@ from .hazards import _var_chain
 from .report import Diagnostic, Provenance
 
 __all__ = [
-    "PredictedStep", "MetricsSignature", "Movement", "CommPlan",
-    "predict_metrics", "communication_plan", "measured_signature",
-    "commplan_diagnostics",
+    "PredictedStep", "MetricsSignature",
+    "predict_metrics", "measured_signature", "commplan_diagnostics",
 ]
 
 #: a Work model: maps a launch's name to the Work every piece's leaf will
@@ -143,68 +143,23 @@ class MetricsSignature:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Movement:
-    """One region movement of the communication plan."""
-
-    step: str  #: launch name the movement belongs to
-    region: str  #: region name parsed from the staging reason
-    src_proc: int
-    dst_proc: int
-    nbytes: float
-    channel: str  #: "intra_node" | "inter_node" | "local"
-    reason: str  #: the runtime's verb: stage / stream / reduce / counts / pos
-
-
-@dataclass
-class CommPlan:
-    """The full static communication plan of one compiled statement."""
-
-    kind: str
-    strategy: str
-    #: per-color launch assignment, in launch order
-    launches: List[Tuple[object, int]] = field(default_factory=list)
-    movements: List[Movement] = field(default_factory=list)
-    signature: Optional[MetricsSignature] = None
-    #: per-node footprint maximum observed at step granularity (the
-    #: capacity model checks per staged region; this bounds it per step)
-    peak_node_footprint: Dict[int, float] = field(default_factory=dict)
-    #: bytes staged/streamed per tensor name (reduce flows excluded)
-    staged_bytes_by_tensor: Dict[str, float] = field(default_factory=dict)
-
-    def describe(self) -> str:
-        """The plan as text: launches, movements, channels, footprint."""
-        lines = [f"{self.kind}:{self.strategy} — {len(self.launches)} pieces"]
-        for color, proc in self.launches:
-            lines.append(f"  color {color} -> proc {proc}")
-        for m in self.movements:
-            lines.append(
-                f"  [{m.step}] {m.region}: {m.src_proc} -> {m.dst_proc} "
-                f"{m.nbytes:.0f} B ({m.channel}, {m.reason})"
-            )
-        if self.signature is not None:
-            lines.append(self.signature.describe())
-        return "\n".join(lines)
-
-
 # --------------------------------------------------------------------------- #
 # signature construction
 # --------------------------------------------------------------------------- #
-def _fold_steps(steps: Sequence[StepMetrics]) -> Tuple[PredictedStep, ...]:
-    return tuple(
-        PredictedStep(s.name, s.tasks_launched, tuple(s.comm_events))
-        for s in steps
-    )
-
-
-def _node_footprint(
-    per_proc: Dict[int, float], machine: Machine
-) -> Tuple[Tuple[int, float], ...]:
+def _signature(steps: Sequence[StepMetrics], rt: Runtime) -> MetricsSignature:
+    """The signature of ``steps`` run on ``rt``: the steps' launch counts
+    and events, and ``rt``'s resident bytes summed per node."""
     by_node: Dict[int, float] = {}
-    for proc, nbytes in per_proc.items():
-        node = machine.proc(proc).node_id
+    for proc, nbytes in rt.resident_bytes_per_proc().items():
+        node = rt.machine.proc(proc).node_id
         by_node[node] = by_node.get(node, 0.0) + nbytes
-    return tuple(sorted(by_node.items()))
+    return MetricsSignature(
+        steps=tuple(
+            PredictedStep(s.name, s.tasks_launched, tuple(s.comm_events))
+            for s in steps
+        ),
+        node_footprint=tuple(sorted(by_node.items())),
+    )
 
 
 def measured_signature(
@@ -218,12 +173,7 @@ def measured_signature(
     same :meth:`~repro.legion.runtime.Runtime.resident_bytes_per_proc`
     accounting the predictor uses.
     """
-    return MetricsSignature(
-        steps=_fold_steps(metrics.steps),
-        node_footprint=_node_footprint(
-            runtime.resident_bytes_per_proc(), runtime.machine
-        ),
-    )
+    return _signature(metrics.steps, runtime)
 
 
 # --------------------------------------------------------------------------- #
@@ -264,25 +214,6 @@ def _mirror(
     return steps, rt
 
 
-def _channel_of(e: CommEvent) -> str:
-    if e.src_proc == e.dst_proc:
-        return "local"
-    return "intra_node" if e.same_node else "inter_node"
-
-
-def _movements_of(steps: Sequence[StepMetrics]) -> List[Movement]:
-    out = []
-    for s in steps:
-        for e in s.comm_events:
-            verb, _, rest = e.reason.partition(" ")
-            out.append(Movement(
-                step=s.name, region=rest or e.reason,
-                src_proc=e.src_proc, dst_proc=e.dst_proc, nbytes=e.nbytes,
-                channel=_channel_of(e), reason=verb,
-            ))
-    return out
-
-
 def _region_tensors(ck) -> Dict[str, str]:
     """region name -> owning tensor name (ambiguous names dropped)."""
     names: Dict[str, str] = {}
@@ -295,59 +226,6 @@ def _region_tensors(ck) -> Dict[str, str]:
             else:
                 names[rname] = owner
     return names
-
-
-def _plan_of(ck, steps: List[StepMetrics], rt: Runtime) -> CommPlan:
-    plan = CommPlan(
-        kind=ck.kind,
-        strategy=ck.strategy,
-        launches=[(p.color, p.proc) for p in ck.pieces],
-        movements=_movements_of(steps),
-        signature=MetricsSignature(
-            steps=_fold_steps(steps),
-            node_footprint=_node_footprint(
-                rt.resident_bytes_per_proc(), rt.machine
-            ),
-        ),
-    )
-    for node, nbytes in plan.signature.node_footprint:
-        plan.peak_node_footprint[node] = max(
-            plan.peak_node_footprint.get(node, 0.0), nbytes
-        )
-    region_owner = _region_tensors(ck)
-    for m in plan.movements:
-        if m.reason not in ("stage", "stream"):
-            continue
-        owner = region_owner.get(m.region)
-        if owner:
-            plan.staged_bytes_by_tensor[owner] = (
-                plan.staged_bytes_by_tensor.get(owner, 0.0) + m.nbytes
-            )
-    return plan
-
-
-def _predict_one(ck, *, runtime: Optional[Runtime] = None) -> CommPlan:
-    steps, rt = _mirror([ck], ck.machine, runtime=runtime)
-    return _plan_of(ck, steps, rt)
-
-
-def communication_plan(
-    target,
-    machine: Optional[Machine] = None,
-    *,
-    runtime: Optional[Runtime] = None,
-) -> CommPlan:
-    """The static communication plan of one scheduled statement.
-
-    ``target`` is a :class:`~repro.taco.schedule.Schedule`, a bare
-    :class:`~repro.taco.expr.Assignment` (or a tensor carrying one), or an
-    already-compiled :class:`~repro.core.compiler.CompiledKernel`.
-    Compilation (when needed) goes through the ordinary kernel cache;
-    nothing executes.  Pass the session ``runtime`` when tensors were
-    placed by ``repro.distal`` so the plan sees their real homes.
-    """
-    ck = _as_kernel(target, machine)
-    return _predict_one(ck, runtime=runtime)
 
 
 def _as_kernel(target, machine: Optional[Machine]):
@@ -416,18 +294,13 @@ def predict_metrics(
     """
     program = _as_compiled_program(target, machine)
     if program is not None:
-        steps, rt = _mirror(
-            [ck for ck, prior in zip(program.kernels, program.reused_from)
-             if prior is None],
-            program.machine, runtime=runtime)
-        return MetricsSignature(
-            steps=_fold_steps(steps),
-            node_footprint=_node_footprint(
-                rt.resident_bytes_per_proc(), rt.machine
-            ),
-        )
-    plan = _predict_one(_as_kernel(target, machine), runtime=runtime)
-    return plan.signature
+        kernels = [ck for ck, prior in zip(program.kernels, program.reused_from)
+                   if prior is None]
+        machine = program.machine
+    else:
+        kernels = [_as_kernel(target, machine)]
+        machine = kernels[0].machine
+    return _signature(*_mirror(kernels, machine, runtime=runtime))
 
 
 def _as_compiled_program(target, machine: Optional[Machine]):
@@ -455,7 +328,7 @@ def commplan_diagnostics(
     *,
     runtime: Optional[Runtime] = None,
     statement: int = 0,
-    plan: Optional[CommPlan] = None,
+    signature: Optional[MetricsSignature] = None,
 ) -> List[Diagnostic]:
     """Statically vet one scheduled statement's communication coherence.
 
@@ -465,16 +338,35 @@ def commplan_diagnostics(
 
     * **warning** :class:`~repro.errors.RedundantCommunicate` — a
       ``communicate(tensor, var)`` placement whose tensor moves zero
-      bytes in the derived plan (already resident where it executes);
+      bytes in the predicted signature (already resident where it
+      executes);
     * **warning** :class:`~repro.errors.MissingCommunicate` — a tensor
       with no ``communicate`` placement whose staged transfers exceed the
       data actually needed (overlapping sub-regions pulled by several
       processors), i.e. duplicated movement a placement would hoist.
+
+    ``signature`` is the statement's :func:`predict_metrics` result under
+    the same ``runtime``, when the caller already has it.
     """
     ck = _as_kernel(target, machine)
     schedule = ck.schedule
-    if plan is None:
-        plan = _predict_one(ck, runtime=runtime)
+    if signature is None:
+        signature = predict_metrics(ck, runtime=runtime)
+    # An event's reason is "<verb> <region>": bytes staged or streamed per
+    # tensor, and bytes staged per region with the processors they reach.
+    region_owner = _region_tensors(ck)
+    moved: Dict[str, float] = {}
+    staged: Dict[str, float] = {}
+    staged_to: Dict[str, Set[int]] = {}
+    for e in signature.events():
+        verb, _, region = e.reason.partition(" ")
+        region = region or e.reason
+        owner = region_owner.get(region)
+        if verb in ("stage", "stream") and owner:
+            moved[owner] = moved.get(owner, 0.0) + e.nbytes
+        if verb == "stage" and e.nbytes > 0.0:
+            staged[region] = staged.get(region, 0.0) + e.nbytes
+            staged_to.setdefault(region, set()).add(e.dst_proc)
     diags: List[Diagnostic] = []
     srepr = repr(schedule.assignment)
 
@@ -489,8 +381,7 @@ def commplan_diagnostics(
         chain = _var_chain(schedule, var)
         for t in tensors:
             communicated_names.add(t.name)
-            moved = plan.staged_bytes_by_tensor.get(t.name, 0.0)
-            if moved == 0.0:
+            if moved.get(t.name, 0.0) == 0.0:
                 part = ck.parts.get(t)
                 why = (
                     "its partition is replicated onto every piece"
@@ -512,15 +403,6 @@ def commplan_diagnostics(
     # processors — a communicate at the distributed loop would hoist it.
     dvars = list(schedule.distributed)
     chain = _var_chain(schedule, dvars[0]) if dvars else None
-    region_owner = _region_tensors(ck)
-    by_region: Dict[str, Tuple[float, set]] = {}
-    for m in plan.movements:
-        if m.reason != "stage" or m.nbytes <= 0.0:
-            continue
-        total, dsts = by_region.get(m.region, (0.0, set()))
-        dsts = set(dsts)
-        dsts.add(m.dst_proc)
-        by_region[m.region] = (total + m.nbytes, dsts)
     flagged = set()
     for t, part in ck.parts.items():
         if t is ck.out or t.name in communicated_names or t.name in flagged:
@@ -534,7 +416,7 @@ def commplan_diagnostics(
         for rname, full_bytes in region_bytes.items():
             if region_owner.get(rname) != t.name:
                 continue
-            total, dsts = by_region.get(rname, (0.0, set()))
+            total, dsts = staged.get(rname, 0.0), staged_to.get(rname, ())
             if len(dsts) >= 2 and total > full_bytes:
                 flagged.add(t.name)
                 diags.append(Diagnostic(

@@ -1,4 +1,4 @@
-"""Static cost model: price a communication plan without executing.
+"""Static cost model: price a statement's communication without executing.
 
 The companion to :mod:`repro.analysis.commplan`: where the planner
 derives *what moves*, this module derives *what it costs*.  Leaf compute
@@ -23,7 +23,7 @@ intermediate result sizes, so its estimate is approximate and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -31,22 +31,20 @@ from ..errors import OOMError
 from ..legion.metrics import ExecutionMetrics
 from ..legion.network import Network
 from ..legion.runtime import Runtime
-from .commplan import (
-    CommPlan, MetricsSignature, WorkModel, _mirror, _plan_of,
-)
+from .commplan import MetricsSignature, _mirror, _signature
 
-__all__ = ["CostEstimate", "kernel_work_model", "predict_cost"]
+__all__ = ["CostEstimate", "predict_cost"]
 
 
 @dataclass
 class CostEstimate:
-    """The statically predicted cost of one compiled statement."""
+    """The statically predicted cost of one compiled statement — also one
+    candidate of a :meth:`repro.Session.autotune` search."""
 
     strategy: str
     seconds: float  #: predicted simulated seconds of one isolated trial
     comm_bytes: float
     signature: Optional[MetricsSignature] = None
-    plan: Optional[CommPlan] = None
     #: True when the Work model mirrors the leaf exactly (specialized
     #: kernels on packed operands); False for the generic engine's estimate.
     exact: bool = True
@@ -55,21 +53,6 @@ class CostEstimate:
     @property
     def ok(self) -> bool:
         return not self.oom and np.isfinite(self.seconds)
-
-
-def kernel_work_model(ck) -> Tuple[WorkModel, bool]:
-    """A (work model, exact?) pair for a compiled kernel, from its entry
-    in the kernel table (:mod:`repro.core.kernelspec`).
-
-    The model maps a launch's name to the :class:`Work` every piece's leaf
-    task will return, as :class:`~repro.legion.machine.Works` columns in
-    piece order, derived purely from the operands' packed pattern.
-    ``exact`` is True when the formulas mirror the leaf's own accounting.
-    """
-    from ..core.kernelspec import SPECS
-
-    spec = SPECS[ck.kind]
-    return spec.work_model(ck), spec.exact
 
 
 def predict_cost(
@@ -81,29 +64,32 @@ def predict_cost(
     """Statically predict one isolated trial's simulated seconds.
 
     Runs the communication planner's mirror with the kernel's Work model
-    and prices the resulting steps through the same
-    :meth:`~repro.legion.metrics.ExecutionMetrics.simulated_seconds`
+    (its kind's entry in :mod:`repro.core.kernelspec`: a launch's name →
+    every piece's :class:`~repro.legion.machine.Work`, derived from the
+    operands' packed pattern) and prices the resulting steps through the
+    same :meth:`~repro.legion.metrics.ExecutionMetrics.simulated_seconds`
     the simulator itself folds — compute, receiver-side communication
     serialization, task and sync overheads.  A plan that exceeds a
     processor's memory comes back with ``oom=True`` and infinite seconds
     instead of raising, so autotune never picks it.
     """
-    work, exact = kernel_work_model(ck)
+    from ..core.kernelspec import SPECS
+
+    spec = SPECS[ck.kind]
+    work = spec.work_model(ck)
     try:
         steps, rt = _mirror([ck], ck.machine, runtime=runtime, work=work,
                             network=network)
     except OOMError:
         return CostEstimate(
             strategy=ck.strategy, seconds=float("inf"), comm_bytes=0.0,
-            exact=exact, oom=True,
+            exact=spec.exact, oom=True,
         )
-    plan = _plan_of(ck, steps, rt)
     metrics = ExecutionMetrics(steps=list(steps))
     return CostEstimate(
         strategy=ck.strategy,
         seconds=metrics.simulated_seconds(rt.network),
         comm_bytes=metrics.total_comm_bytes(),
-        signature=plan.signature,
-        plan=plan,
-        exact=exact,
+        signature=_signature(steps, rt),
+        exact=spec.exact,
     )

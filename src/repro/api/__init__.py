@@ -30,7 +30,7 @@ from .autoschedule import auto_schedule, auto_strategy, candidate_strategies
 from .einsum import einsum
 from .program import Program, Statement
 from .serving import ServeResult, Server, TenantStats, serve
-from .session import AutotuneCandidate, AutotuneResult, Session, session
+from .session import AutotuneResult, Session, session
 
 __all__ = [
     "Session",
@@ -45,6 +45,5 @@ __all__ = [
     "auto_strategy",
     "candidate_strategies",
     "einsum",
-    "AutotuneCandidate",
     "AutotuneResult",
 ]

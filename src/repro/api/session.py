@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..analysis.costmodel import CostEstimate
 from ..core import cache as _cache
 from ..core.compiler import CompiledKernel, ExecutionResult, compile_statement
 from ..core.passes import _keep_sets
@@ -45,24 +46,9 @@ from ..taco.schedule import Schedule
 from ..taco.tensor import Tensor
 from .autoschedule import _as_assignment, auto_schedule, candidate_strategies
 
-__all__ = ["Session", "session", "AutotuneCandidate", "AutotuneResult"]
+__all__ = ["Session", "session", "AutotuneResult"]
 
 Schedulable = Union[Schedule, Assignment, Tensor]
-
-
-@dataclass
-class AutotuneCandidate:
-    """One strategy's predicted cost inside a :meth:`Session.autotune`
-    search (:func:`repro.analysis.predict_cost`)."""
-
-    strategy: str
-    simulated_seconds: float
-    comm_bytes: float = 0.0
-    oom: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.oom and np.isfinite(self.simulated_seconds)
 
 
 @dataclass
@@ -70,15 +56,16 @@ class AutotuneResult:
     """The outcome of one :meth:`Session.autotune` call.
 
     ``strategy`` names the winning schedule family, ``kernel`` is its
-    compiled form (also held by the kernel cache), ``candidates`` lists
-    every strategy priced (empty when the decision table answered), and
-    ``from_cache`` says whether the search was skipped.
+    compiled form (also held by the kernel cache), ``candidates`` holds
+    every strategy's :class:`~repro.analysis.CostEstimate` (empty when the
+    decision table answered), and ``from_cache`` says whether the search
+    was skipped.
     """
 
     strategy: str
     kernel: CompiledKernel
     decision_key: Optional[str]
-    candidates: List[AutotuneCandidate] = field(default_factory=list)
+    candidates: List[CostEstimate] = field(default_factory=list)
     from_cache: bool = False
 
     @property
@@ -86,7 +73,7 @@ class AutotuneResult:
         """The winner's predicted seconds (NaN on a from-cache replay)."""
         for c in self.candidates:
             if c.strategy == self.strategy:
-                return c.simulated_seconds
+                return c.seconds
         return float("nan")
 
 
@@ -505,8 +492,8 @@ class Session:
         )
         if not pool:
             raise ValueError("autotune needs at least one candidate strategy")
-        candidates: List[AutotuneCandidate] = []
-        best: Optional[AutotuneCandidate] = None
+        candidates: List[CostEstimate] = []
+        best: Optional[CostEstimate] = None
         winner: Optional[CompiledKernel] = None
         for strategy in pool:
             try:
@@ -519,14 +506,11 @@ class Session:
             est = predict_cost(
                 ck, network=self.runtime.network, runtime=self.runtime
             )
-            cand = AutotuneCandidate(strategy, est.seconds, est.comm_bytes, est.oom)
-            candidates.append(cand)
+            candidates.append(est)
             # Strict improvement only: a tie keeps the earlier candidate,
             # and the pool lists the paper's default first.
-            if cand.ok and (
-                best is None or cand.simulated_seconds < best.simulated_seconds
-            ):
-                best, winner = cand, ck
+            if est.ok and (best is None or est.seconds < best.seconds):
+                best, winner = est, ck
         if best is None:
             raise OOMError(
                 0, float("inf"), 0.0,
@@ -541,9 +525,9 @@ class Session:
                 "strategy": best.strategy,
                 "kind": winner.kind,
                 "pieces": len(winner.pieces),
-                "simulated_seconds": best.simulated_seconds,
+                "simulated_seconds": best.seconds,
                 "candidates": {
-                    c.strategy: "oom" if c.oom else c.simulated_seconds
+                    c.strategy: "oom" if c.oom else c.seconds
                     for c in candidates
                 },
             })

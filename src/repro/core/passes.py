@@ -221,7 +221,9 @@ def _find_fusable_pair(entries: List[_Entry], keep_ids, keep_names):
     (:func:`repro.analysis.privileges.program_privileges`): exactly one
     consumer of the intermediate, no other writer, no aliasing at either
     endpoint, plain overwrite semantics on both, and no intervening write
-    to any operand the fused statement reads.
+    to any operand the fused statement reads.  A pair whose producer or
+    consumer streams an operand (``Schedule.streamed``) stays unfused: the
+    fused statement is auto-scheduled and would keep it resident.
     """
     from ..analysis.privileges import program_privileges
     from .kernelspec import classify
@@ -230,6 +232,8 @@ def _find_fusable_pair(entries: List[_Entry], keep_ids, keep_names):
     for p, entry in enumerate(entries):
         asg_p = entry.schedule.assignment
         if privs[p].write_kind != "write" or privs[p].aliased_tensors():
+            continue
+        if entry.schedule.streamed():
             continue
         kc_p = classify(asg_p)
         if kc_p.kind != "sddmm":
@@ -254,6 +258,8 @@ def _find_fusable_pair(entries: List[_Entry], keep_ids, keep_names):
             continue
         c = readers[0]
         if privs[c].write_kind != "write" or privs[c].aliased_tensors():
+            continue
+        if entries[c].schedule.streamed():
             continue
         asg_c = entries[c].schedule.assignment
         kc_c = classify(asg_c)

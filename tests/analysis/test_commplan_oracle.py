@@ -35,7 +35,9 @@ from test_differential import (  # noqa: E402
     _build, _combos as _statement_combos, _int_csr, _int_dense,
 )
 
-from repro.analysis.commplan import measured_signature  # noqa: E402
+from repro.analysis.commplan import (  # noqa: E402
+    measured_signature, predict_metrics,
+)
 from repro.analysis.costmodel import predict_cost  # noqa: E402
 from repro.api.autoschedule import auto_schedule  # noqa: E402
 from repro.core import SPECS, clear_caches, compile_kernel  # noqa: E402
@@ -100,6 +102,7 @@ def run_case(
     label = f"{kind}/{fmt}/{strategy}/{machine_kind} seed={seed} n={n}"
     assert est.exact, f"{label}: specialized kernel priced approximately"
     assert not est.oom, f"{label}: predicted OOM on a feasible plan"
+    assert predict_metrics(ck) == est.signature
 
     rt = Runtime(machine)
     res = ck.execute(rt)  # cold: the execution the prediction models

@@ -115,7 +115,7 @@ class TestStrategySelection:
             out, B, C = _spmm(s, M, k=32)
             r = s.autotune(out)
             assert r.strategy == "grid"
-            by = {c.strategy: c.simulated_seconds for c in r.candidates}
+            by = {c.strategy: c.seconds for c in r.candidates}
             assert by["grid"] < by["rows"] and by["grid"] < by["nonzeros"]
             # the winner kernel is the 2-D launch and computes the truth
             assert r.kernel.strategy == "grid"
@@ -148,7 +148,7 @@ class TestStrategySelection:
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, M)
             r = s.autotune(a)
-            assert all(np.isfinite(c.simulated_seconds) or c.oom
+            assert all(np.isfinite(c.seconds) or c.oom
                        for c in r.candidates)
             winner = next(c for c in r.candidates if c.strategy == r.strategy)
             assert winner.ok
@@ -478,7 +478,7 @@ class TestStaticSearch:
             r = s.autotune(out, force=True, warm=False)
             winner, costs = exhaustive_twin(s, out.assignment)
         assert r.strategy == winner
-        assert {c.strategy: (c.simulated_seconds, c.comm_bytes)
+        assert {c.strategy: (c.seconds, c.comm_bytes)
                 for c in r.candidates} == costs
 
     def test_a_tie_keeps_the_paper_default(self, monkeypatch):
@@ -554,7 +554,7 @@ class TestStaticSearch:
         assert decision["strategy"] == r.strategy
         assert decision["simulated_seconds"] == r.simulated_seconds
         assert decision["candidates"] == {
-            c.strategy: c.simulated_seconds for c in r.candidates
+            c.strategy: c.seconds for c in r.candidates
         }
 
     def test_every_candidate_oom_raises(self):

@@ -217,6 +217,29 @@ class TestFusionLegality:
         assert not next(r for r in plan.records if r.name == "fuse").fired
         assert len(plan.schedules) == 3
 
+    def test_a_streaming_consumer_blocks_fusion(self):
+        """A consumer that streams its dense operand keeps it: the fused
+        statement would be auto-scheduled and hold ``F`` resident."""
+        machine = Machine.cpu(4)
+
+        def run(**kw):
+            clear_caches()
+            scheds, H, _ = _chain(machine, consumer_strategy="rows")
+            consumer = scheds[1]
+            (F,) = [a.tensor for a in consumer.assignment.rhs.accesses()
+                    if a.tensor.name == "F"]
+            consumer.communicate(
+                F, consumer.divide_rel_of(consumer.distributed[-1]).inner)
+            cp = _run(scheds, machine, **kw)
+            return cp, F, H.dense_array().copy()
+
+        cp, F, fused_default = run()
+        assert [ck.kind for ck in cp.kernels] == ["sddmm", "spmm"]
+        assert cp.kernels[1]._streamed == {F}
+        assert not next(r for r in cp.passes if r.name == "fuse").fired
+        _, _, unfused = run(fuse=False)
+        assert np.array_equal(fused_default, unfused)
+
 
 class TestDeadStoreElimination:
     def _spmv(self, out, B, x, seed_vars):

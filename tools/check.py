@@ -80,7 +80,8 @@ codebase passes defined here:
   (:mod:`repro.analysis.commplan`): the plan derives without error and
   reports no missing-``communicate`` duplicate transfers;
 * **fusion** — the seeded SDDMM→SpMM chain must fuse, and the fused
-  statement must plan coherently under each of its legal strategies.
+  statement must plan coherently under each of its legal strategies;
+  the same chain with a consumer streaming its dense operand must not fuse.
 * **release** — no statement keeps its operands for the cyclic
   collector: with ``gc`` disabled, every (kernel × sweep format ×
   strategy × machine kind × backend) the kernel table declares is run four
@@ -981,13 +982,12 @@ def _plan_findings(sched, machine, combo: str) -> List[Finding]:
     depends on residency state, so a cold plan legitimately reports
     auto-inserted ``communicate`` placements as idle — and is not flagged.
     """
-    from repro.analysis.commplan import commplan_diagnostics, communication_plan
+    from repro.analysis.commplan import commplan_diagnostics
     from repro.errors import MissingCommunicate
 
     where = "src/repro/analysis/commplan.py"
     try:
-        plan = communication_plan(sched, machine)
-        diags = commplan_diagnostics(sched, machine, plan=plan)
+        diags = commplan_diagnostics(sched, machine)
     except Exception as e:  # a plan must always derive
         return [Finding(
             where, None,
@@ -1046,8 +1046,10 @@ def _run_commplan(cache: SourceCache) -> CheckResult:
 # --------------------------------------------------------------------- #
 # SDDMM→SpMM fusion coherence (new)
 # --------------------------------------------------------------------- #
-def _fusable_chain(machine):
-    """A seeded SDDMM→SpMM chain as auto-scheduled statements."""
+def _fusable_chain(machine, stream=False):
+    """A seeded SDDMM→SpMM chain as auto-scheduled statements; with
+    ``stream`` the consumer streams its dense operand ``F`` (a
+    ``communicate`` at the loop inside its distributed one)."""
     import numpy as np
     import scipy.sparse as sp
 
@@ -1072,10 +1074,11 @@ def _fusable_chain(machine):
     i, j, k, i2, j2, k2 = index_vars("i j k i2 j2 k2")
     E[i, j] = B[i, j] * U[i, k] * V[k, j]
     H[i2, k2] = E[i2, j2] * F[j2, k2]
-    return [
-        auto_schedule(E.assignment, machine),
-        auto_schedule(H.assignment, machine),
-    ]
+    consumer = auto_schedule(H.assignment, machine)
+    if stream:
+        consumer.communicate(
+            F, consumer.divide_rel_of(consumer.distributed[-1]).inner)
+    return [auto_schedule(E.assignment, machine), consumer]
 
 
 def _run_fusion(cache: SourceCache) -> CheckResult:
@@ -1084,7 +1087,9 @@ def _run_fusion(cache: SourceCache) -> CheckResult:
     On both machine kinds, the pass pipeline must fuse the seeded
     SDDMM→SpMM chain into one ``fused_sddmm_spmm`` statement, and under
     each of the fused kind's legal strategies that statement's static
-    communication plan must be coherent (:func:`_plan_findings`).
+    communication plan must be coherent (:func:`_plan_findings`).  The
+    same chain with a consumer that streams its dense operand must stay
+    unfused: the fused statement would keep that operand resident.
     """
     from repro.api.autoschedule import auto_schedule
     from repro.core import SPECS, clear_caches
@@ -1098,6 +1103,13 @@ def _run_fusion(cache: SourceCache) -> CheckResult:
     try:
         for machine_kind in ("cpu", "gpu"):
             machine = Machine.gpu(4) if machine_kind == "gpu" else Machine.cpu(4)
+            streaming = pipeline_plan(_fusable_chain(machine, stream=True), machine)
+            if len(streaming.schedules) != 2:
+                findings.append(Finding(
+                    "src/repro/core/passes.py", None,
+                    f"SDDMM→SpMM chain whose consumer streams F fused on "
+                    f"{machine_kind}, dropping the stream",
+                ))
             scheds = _fusable_chain(machine)
             plan = pipeline_plan(scheds, machine)
             fuse_rec = next(r for r in plan.records if r.name == "fuse")
