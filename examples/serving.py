@@ -3,7 +3,7 @@
 SpDISTAL's compile-once / run-many amortization usually serves one
 session; ``repro.serve`` multiplexes *tenants* — concurrent callers
 issuing einsum requests — over a pool of pre-warmed runtimes that share
-the process-wide kernel cache and decision table.
+the process-wide kernel cache.
 Identical requests from different tenants single-flight to one
 compile (and one autotune search); per-tenant byte budgets shed a tenant
 flooding distinct compiles while cache hits stay free.

@@ -338,8 +338,10 @@ def commplan_diagnostics(
 
     * **warning** :class:`~repro.errors.RedundantCommunicate` — a
       ``communicate(tensor, var)`` placement whose tensor moves zero
-      bytes in the predicted signature (already resident where it
-      executes);
+      bytes in the predicted signature although it had a home on
+      ``runtime`` before the prediction (a declared distribution or an
+      earlier run) — already resident where it executes.  A tensor with
+      no home says nothing: a cold run homes each piece where it runs;
     * **warning** :class:`~repro.errors.MissingCommunicate` — a tensor
       with no ``communicate`` placement whose staged transfers exceed the
       data actually needed (overlapping sub-regions pulled by several
@@ -376,12 +378,14 @@ def commplan_diagnostics(
             tensor=tensor, loop_vars=tuple(loop_vars),
         )
 
+    homed = set() if runtime is None else set(runtime._home)
     communicated_names = set()
     for var, tensors in schedule.communicated.items():
         chain = _var_chain(schedule, var)
         for t in tensors:
             communicated_names.add(t.name)
-            if moved.get(t.name, 0.0) == 0.0:
+            if moved.get(t.name, 0.0) == 0.0 and any(
+                    r.uid in homed for r in t.regions()):
                 part = ck.parts.get(t)
                 why = (
                     "its partition is replicated onto every piece"

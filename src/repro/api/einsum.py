@@ -184,10 +184,9 @@ def einsum(
 
     ``autotune=True`` picks the cost model's cheapest schedule-family
     candidate through :meth:`~repro.api.session.Session.autotune` before
-    executing — the first call pays the search, and the recorded
-    decision makes every later ``einsum`` of the same statement family
-    (this process or a warm-started one) synthesize the winning strategy
-    directly.
+    executing — the first call pays the search, and the session keeps the
+    winner, so every later ``einsum`` of the same statement over the same
+    operands on that session synthesizes the winning strategy directly.
     """
     if not operands:
         raise ValueError("einsum needs at least one operand")

@@ -5,8 +5,8 @@ synthesis, autotuning and mapping-trace replay amortize across executions.
 A single :class:`~repro.api.session.Session` reaps that for one caller;
 this module multiplexes *many* callers — logical tenants issuing
 einsum-style requests concurrently — over a pool of pre-warmed runtimes
-that share the process-wide kernel cache and decision table and the bind
-counters (all thread-safe; see the thread-safety notes
+that share the process-wide kernel cache and the bind counters (all
+thread-safe; see the thread-safety notes
 in :mod:`repro.core.cache` and :mod:`repro.codegen`)::
 
     import repro
@@ -334,7 +334,7 @@ class Server:
         :class:`Tensor` objects, which are registered under their own
         names on first use.  ``tune`` (default: the server's mode) routes
         the build through :meth:`Session.autotune` — searched once per
-        statement family, then replayed.  ``out_format`` requests a
+        request signature by its build leader, then shared.  ``out_format`` requests a
         formatted output (e.g. ``repro.CSR`` for SDDMM's sampled output).
         Admission control runs here: a tenant over its compile budget gets
         :class:`~repro.errors.TenantBudgetError` instead of a future —

@@ -58,13 +58,12 @@ class AutotuneResult:
     ``strategy`` names the winning schedule family, ``kernel`` is its
     compiled form (also held by the kernel cache), ``candidates`` holds
     every strategy's :class:`~repro.analysis.CostEstimate` (empty when the
-    decision table answered), and ``from_cache`` says whether the search
-    was skipped.
+    session's own tuned winner answered), and ``from_cache`` says whether
+    the search was skipped.
     """
 
     strategy: str
     kernel: CompiledKernel
-    decision_key: Optional[str]
     candidates: List[CostEstimate] = field(default_factory=list)
     from_cache: bool = False
 
@@ -149,7 +148,13 @@ class Session:
         self.last_result: Optional[ExecutionResult] = None
         #: :meth:`compile`'s front-door table (256 entries): key →
         #: (kernel-cache keys, reused_from, passes, origin); pins no tensor.
+        #: :meth:`autotune` keeps its winners here too, under the bare
+        #: :func:`~repro.core.cache.statement_key` (a 4-tuple; a compile's
+        #: key is a 7-tuple) → the winner's kernel-cache key.
         self._frontdoor = _cache._SizedLRU(_cache.MiB, 256)
+        #: Whether :meth:`autotune` ever recorded a winner here: an
+        #: untuned session's compiles compute no statement key for it.
+        self._tuned = False
 
     # ------------------------------------------------------------------ #
     # context management
@@ -168,6 +173,7 @@ class Session:
         and ``Server.close()`` end their sessions here."""
         for table in (self._frontdoor, self._packed_memo, self._einsum_out_memo):
             table.clear()
+        self._tuned = False
 
     # ------------------------------------------------------------------ #
     # tensor construction sugar
@@ -263,22 +269,22 @@ class Session:
         :class:`Schedule` passes through; anything else is auto-scheduled
         for the session's machine (see :func:`repro.api.auto_schedule`).
 
-        When the decision table holds an :meth:`autotune` winner for the
-        statement's family (same statement shape, tensor pattern stats and
-        machine signature), that strategy is synthesized instead of the
-        paper's static default — tuned sessions, warm-started processes and
-        ``einsum`` all replay the tuned choice without searching again.
+        When this session's :meth:`autotune` picked a winner for the
+        statement in its current state (same tensors, patterns and
+        machine), that strategy is synthesized instead of the paper's
+        static default, while the kernel cache still holds the winner.
         """
         if isinstance(target, Schedule):
             return target
         asg = _as_assignment(target)
-        tuned = None if "strategy" in kw else self._tuned_strategy(asg)
-        return self._synthesize(asg, tuned, **kw)
+        won = None if "strategy" in kw else self._winner(asg)
+        return self._synthesize(asg, won, **kw)
 
-    def _synthesize(self, asg: Assignment, tuned: Optional[str], **kw) -> Schedule:
-        if tuned is not None:
+    def _synthesize(self, asg: Assignment, won: Optional[CompiledKernel],
+                    **kw) -> Schedule:
+        if won is not None:
             try:
-                return auto_schedule(asg, self.machine, strategy=tuned, **kw)
+                return auto_schedule(asg, self.machine, strategy=won.strategy, **kw)
             except ScheduleError:
                 # The recorded winner cannot be built under these
                 # options (e.g. a tuned 'grid' with a non-square
@@ -288,18 +294,30 @@ class Session:
                 pass
         return auto_schedule(asg, self.machine, **kw)
 
-    def _decision_key(self, asg: Assignment) -> Optional[str]:
+    def _winner(self, asg: Assignment) -> Optional[CompiledKernel]:
+        """The kernel :meth:`autotune` picked for ``asg`` in its current
+        state, while the kernel cache holds it (the front door's rule: a
+        live kernel pins its tensors, so no recycled ``id()`` matches)."""
+        if not self._tuned:
+            return None  # untuned session: skip the statement key
         try:
-            return _cache.decision_fingerprint(asg, self.machine)
+            kernel_key = self._frontdoor.peek(
+                _cache.statement_key(asg, self.machine))
         except _cache.Unfingerprintable:
             return None
+        return None if kernel_key is None else _cache.peek_kernel(kernel_key)
 
-    def _tuned_strategy(self, asg: Assignment) -> Optional[str]:
-        if not _cache.has_decisions():
-            return None  # untuned process: skip the fingerprint walk
-        key = self._decision_key(asg)
-        decision = _cache.lookup_decision(key) if key is not None else None
-        return None if decision is None else decision["strategy"]
+    def _remember(self, asg: Assignment, winner: CompiledKernel) -> None:
+        """Record ``winner`` as ``asg``'s tuned kernel under the
+        statement's current key."""
+        if winner.cache_key is None:
+            return  # uncached: nothing a replay could find
+        try:
+            key = _cache.statement_key(asg, self.machine)
+        except _cache.Unfingerprintable:
+            return
+        self._frontdoor.put(key, winner.cache_key, 256)
+        self._tuned = True
 
     def compile(self, *targets: Schedulable, use_cache: bool = True,
                 cse: bool = True, fold: bool = True, dse: bool = True,
@@ -319,11 +337,11 @@ class Session:
         (``docs/caching.md``); an evicted kernel misses it.
         """
         flags = dict(cse=cse, fold=fold, dse=dse, fuse=fuse, keep=keep)
-        plans = []  # (target, assignment, tuned strategy or None)
+        plans = []  # (target, assignment, tuned winner or None)
         for t in targets:
             explicit = isinstance(t, Schedule)
             asg = t.assignment if explicit else _as_assignment(t)
-            plans.append((t, asg, None if explicit else self._tuned_strategy(asg)))
+            plans.append((t, asg, None if explicit else self._winner(asg)))
         key = use_cache and _cache.caches_enabled() and self._frontdoor_key(
             plans, flags)
         hit = key and self._frontdoor_hit(key)
@@ -332,16 +350,20 @@ class Session:
         tensors = [t for _, asg, _ in plans for t in asg.tensors()]
         versions = [t.pattern_version for t in tensors]
         cp = compile_program(
-            [t if isinstance(t, Schedule) else self._synthesize(asg, tuned)
-             for t, asg, tuned in plans],
+            [t if isinstance(t, Schedule) else self._synthesize(asg, won)
+             for t, asg, won in plans],
             self.machine, use_cache=use_cache, **flags,
         )
         primaries = tuple(ck.cache_key for ck in cp.kernels)
         if key and None not in primaries:
             # Compiling may adopt an input's pattern into an output (a
-            # version bump): record under the post-compile key.
+            # version bump): record under the post-compile key, and keep
+            # each tuned winner under its statement's new key too.
             if versions != [t.pattern_version for t in tensors]:
                 key = self._frontdoor_key(plans, flags)
+                for _, asg, won in plans:
+                    if won is not None:
+                        self._remember(asg, won)
             self._frontdoor.put(key, (primaries, tuple(cp.reused_from), tuple(
                 cp.passes), tuple(cp.origin)), 256 * len(primaries))
         return cp
@@ -351,8 +373,9 @@ class Session:
             parts = tuple(
                 _cache.kernel_fingerprint(t, self.machine)
                 if isinstance(t, Schedule)
-                else (_cache.statement_key(asg, self.machine), tuned)
-                for t, asg, tuned in plans
+                else (_cache.statement_key(asg, self.machine),
+                      won and won.strategy)
+                for t, asg, won in plans
             )
         except _cache.Unfingerprintable:
             return None
@@ -408,7 +431,6 @@ class Session:
         target,
         *,
         strategies: Optional[Sequence[str]] = None,
-        force: bool = False,
         warm: bool = True,
     ):
         """Search the schedule-family space for ``target`` and keep the winner.
@@ -429,16 +451,17 @@ class Session:
         paper's default.
 
         The winner's :class:`CompiledKernel` stays in the kernel cache, and
-        the decision is recorded in the decision table under the statement
-        family's stable fingerprint — later :meth:`execute`/``einsum``
-        calls synthesize the winning strategy directly, and an
-        ``ArtifactStore`` warm start replays it in a fresh process with
-        no search (``force=True`` re-searches anyway).
+        the session keeps it as the statement's tuned winner under the
+        statement's exact key (its tensors, their patterns and the
+        machine) — later :meth:`execute`/``einsum`` calls on this session
+        synthesize the winning strategy directly, and a repeat
+        ``autotune`` of the same state answers with no search.  Another
+        session, another tensor or a changed pattern searches afresh.
         ``strategies=`` restricts the pool for a one-off *measurement*:
-        the constrained search bypasses (and never writes) the decision
-        table, so it cannot become family policy.  With ``warm`` (default)
-        the winner executes once on the *session* runtime — searched or
-        answered from the table — so its mapping trace is recorded (or
+        the constrained search neither answers from nor records a tuned
+        winner, so it cannot become the session's policy.  With ``warm``
+        (default) the winner executes once on the *session* runtime —
+        searched or answered — so its mapping trace is recorded (or
         replayed) where subsequent executions use it; the result lands in
         :attr:`last_result`.  Nothing else executes.
         """
@@ -446,33 +469,20 @@ class Session:
 
         if isinstance(target, Program):
             return [
-                self.autotune(
-                    stmt.assignment, strategies=strategies, force=force,
-                    warm=warm,
-                )
+                self.autotune(stmt.assignment, strategies=strategies, warm=warm)
                 for stmt in target.statements
                 if stmt.explicit_schedule is None
             ]
         asg = _as_assignment(target)
-        key = self._decision_key(asg)
-        # An explicit strategies= pool is a one-off measurement: it
-        # neither answers from the decision table (the recorded winner
-        # may be a strategy the caller excluded) nor writes to it.
-        decision = (
-            _cache.lookup_decision(key)
-            if not force and strategies is None and key is not None
-            else None
-        )
-        if decision is not None:
-            sched = auto_schedule(asg, self.machine, strategy=decision["strategy"])
+        # An explicit strategies= pool is a one-off measurement: it neither
+        # answers from the tuned winner (which may be a strategy the caller
+        # excluded) nor records one.
+        if strategies is None and self._winner(asg) is not None:
+            kernel = self.compile_kernel(asg)
             result = AutotuneResult(
-                strategy=decision["strategy"],
-                kernel=compile_program([sched], self.machine).kernels[0],
-                decision_key=key,
-                from_cache=True,
-            )
+                strategy=kernel.strategy, kernel=kernel, from_cache=True)
         else:
-            result = self._search(asg, key, strategies)
+            result = self._search(asg, strategies)
         if warm:
             # Record the winner's mapping trace on the session runtime (or
             # replay a stored one) so the next execute replays instead of
@@ -480,9 +490,10 @@ class Session:
             self.last_result = result.kernel.execute(self.runtime)
         return result
 
-    def _search(self, asg: Assignment, key: Optional[str],
+    def _search(self, asg: Assignment,
                 strategies: Optional[Sequence[str]]) -> AutotuneResult:
-        """Price every candidate of the pool and record the cheapest."""
+        """Price every candidate of the pool; a full pool's cheapest
+        becomes the session's tuned winner."""
         from ..analysis.costmodel import predict_cost
 
         pool = (
@@ -516,25 +527,14 @@ class Session:
                 0, float("inf"), 0.0,
                 what="autotune: every candidate strategy is predicted to OOM",
             )
-        # A restricted pool measures, it does not set family policy: only
-        # a full-candidate search records into the decision table, so a
-        # one-off ``strategies=['nonzeros']`` probe can neither overwrite
-        # nor seed what later executes (and warm-started processes) replay.
-        if key is not None and strategies is None:
-            _cache.store_decision(key, {
-                "strategy": best.strategy,
-                "kind": winner.kind,
-                "pieces": len(winner.pieces),
-                "simulated_seconds": best.seconds,
-                "candidates": {
-                    c.strategy: "oom" if c.oom else c.seconds
-                    for c in candidates
-                },
-            })
+        # A restricted pool measures, it does not set policy: a one-off
+        # ``strategies=['nonzeros']`` probe can neither overwrite nor seed
+        # what later executes replay.  The key is taken after the search:
+        # a candidate compile may adopt a pattern into a sparse output.
+        if strategies is None:
+            self._remember(asg, winner)
         return AutotuneResult(
-            strategy=best.strategy, kernel=winner, decision_key=key,
-            candidates=candidates,
-        )
+            strategy=best.strategy, kernel=winner, candidates=candidates)
 
     # ------------------------------------------------------------------ #
     # lazy programs

@@ -6,8 +6,8 @@
 kernel and processor kind (§VI-A), read from the kernel table — compiles,
 executes one cold trial (placement + staging) and returns the steady-state
 warm trial, matching the paper's 10-warmup / 20-trial methodology.  The
-schedule is synthesized, never looked up in a session's autotuning
-decisions, so a decision recorded elsewhere cannot change a figure.
+schedule is synthesized, never looked up in a session's tuned winners,
+so a winner tuned elsewhere cannot change a figure.
 Execution goes through the high-level :class:`~repro.api.session.Session`
 (one per measured kernel), so the benchmarks exercise the same
 runtime-ownership path as the front end — warm-store operands, the

@@ -3,9 +3,10 @@
 SpDISTAL's headline wins come from paying the cost of sparse-tensor
 partitioning once and amortizing it over the many executions of an
 iterative workload (SpMV inside CG, MTTKRP inside ALS — paper §VI).  This
-module provides the two compiler-side layers of that amortization (the
-runtime-side mapping-trace replay lives in
-:mod:`repro.legion.runtime`):
+module provides the compiler-side layer of that amortization (the
+runtime-side mapping-trace replay lives in :mod:`repro.legion.runtime`,
+and each :class:`~repro.api.session.Session` keeps its own front-door
+table and tuned winners under :func:`statement_key`).
 
 * **Kernel cache** — :func:`repro.core.compile_kernel` is memoized behind
   :func:`lookup_kernel` / :func:`store_kernel`.  The key is a *canonical
@@ -25,25 +26,16 @@ runtime-side mapping-trace replay lives in
   (:func:`repro.core.partitioner.partition_tensor`), so a hit reuses them
   and nothing else caches partitions.
 
-* **Decision table** — :meth:`repro.api.session.Session.autotune` records
-  which schedule family won for a statement under
-  :func:`decision_fingerprint` — a *stable* digest of the bare statement
-  structure, each tensor's pattern stats (shape, format, dtype, nnz, row
-  skew bucket — not its exact pattern) and the machine signature.  Later
-  auto-scheduled compiles of the same statement family replay the winning
-  strategy without a search, and because the keys carry no process-local
-  ids the table persists verbatim through :mod:`repro.core.store`.
-
 Invalidation
 ------------
 Keys embed ``Tensor.pattern_version``; a pattern bump self-invalidates all
 dependent entries.  Explicit hooks are also provided: call
 :func:`invalidate_tensor` after out-of-band structural surgery on a
 tensor, or :func:`clear_caches` to drop everything (tests use this for
-isolation).  The two caches are *size-aware* LRUs: every entry is charged
-an estimated byte cost (for kernels, the pieces and partition subsets of
-the compiled artifact) and the least-recently-used entries are evicted once
-the cache's byte budget (:func:`set_cache_budget`) is exceeded.  Entries
+isolation).  The cache is a *size-aware* LRU: every entry is charged
+an estimated byte cost (the pieces and partition subsets of the compiled
+artifact) and the least-recently-used entries are evicted once the
+byte budget (:func:`set_cache_budget`) is exceeded.  Entries
 hold strong references to their tensors, which keeps ``id``-based keys
 unambiguous (an id can only be reused after the entry — and thus the
 reference — is evicted).
@@ -79,12 +71,9 @@ single-flights compiles/autotunes per fingerprint).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from ..legion.index_space import ArraySubset
 from ..taco.expr import Access, Add, Assignment, Literal, Mul
@@ -95,12 +84,8 @@ __all__ = [
     "statement_key",
     "lookup_kernel",
     "store_kernel",
-    "decision_fingerprint",
-    "lookup_decision",
-    "store_decision",
     "iter_aot_entries",
     "iter_kernel_entries",
-    "iter_decision_entries",
     "invalidate_tensor",
     "clear_caches",
     "cache_stats",
@@ -115,12 +100,9 @@ MiB = 1024 * 1024
 #: tensors the user already holds: compiled-kernel scaffolding and the
 #: partition subsets (index arrays for irregular colors) a kernel keeps.
 _KERNEL_CACHE_BUDGET = 64 * MiB
-#: Autotune decisions are a few hundred bytes each; 1 MiB holds thousands.
-_DECISION_CACHE_BUDGET = 1 * MiB
-#: Entry-count backstops so a flood of tiny entries cannot balloon the
+#: Entry-count backstop so a flood of tiny entries cannot balloon the
 #: key/bookkeeping overhead past the byte accounting.
 _KERNEL_CACHE_MAX_ENTRIES = 512
-_DECISION_CACHE_MAX_ENTRIES = 4096
 
 #: per-thread nesting depth of :func:`caches_disabled` blocks.
 _disabled_here = threading.local()
@@ -140,11 +122,11 @@ class _SizedLRU:
     evicted, so a single oversized entry still caches — run-many workloads
     over one huge tensor must not silently lose their only entry.
 
-    Thread-safe: every method serializes on the instance ``RLock`` (a
-    reentrant lock so eviction inside ``put`` may run arbitrary entry
-    destructors that read the cache).  ``items`` snapshots under the lock
-    and yields outside it, so export iteration never holds the lock across
-    caller work.
+    Thread-safe: every method but :meth:`peek` (one atomic dict read)
+    serializes on the instance ``RLock`` (a reentrant lock so eviction
+    inside ``put`` may run arbitrary entry destructors that read the
+    cache).  ``items`` snapshots under the lock and yields outside it, so
+    export iteration never holds the lock across caller work.
     """
 
     def __init__(self, budget_bytes: int, max_entries: int):
@@ -167,6 +149,11 @@ class _SizedLRU:
             self._map.move_to_end(key)
             self.hits += 1
             return value
+
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """:meth:`get` without counting or LRU movement."""
+        entry = self._map.get(key)
+        return None if entry is None else entry[0]
 
     def put(self, key: Hashable, value: Any, nbytes: int) -> None:
         with self._lock:
@@ -215,7 +202,6 @@ class _SizedLRU:
 
 
 _kernel_cache = _SizedLRU(_KERNEL_CACHE_BUDGET, _KERNEL_CACHE_MAX_ENTRIES)
-_decision_cache = _SizedLRU(_DECISION_CACHE_BUDGET, _DECISION_CACHE_MAX_ENTRIES)
 
 
 # --------------------------------------------------------------------------- #
@@ -272,26 +258,18 @@ def caches_disabled():
         _disabled_here.depth -= 1
 
 
-def set_cache_budget(
-    kernel_bytes: Optional[int] = None,
-    decision_bytes: Optional[int] = None,
-) -> None:
-    """Set the byte budgets of the kernel / decision caches.
+def set_cache_budget(kernel_bytes: Optional[int] = None) -> None:
+    """Set the byte budget of the kernel cache.
 
-    Shrinking a budget evicts LRU entries immediately.  Pass ``None`` to
-    leave a budget unchanged.  See ``docs/caching.md`` for tuning guidance.
+    Shrinking the budget evicts LRU entries immediately.  Pass ``None`` to
+    leave it unchanged.  See ``docs/caching.md`` for tuning guidance.
     """
     if kernel_bytes is not None:
         _kernel_cache.resize(kernel_bytes)
-    if decision_bytes is not None:
-        _decision_cache.resize(decision_bytes)
 
 
 def cache_budgets() -> Dict[str, int]:
-    return {
-        "kernel_bytes": _kernel_cache.budget_bytes,
-        "decision_bytes": _decision_cache.budget_bytes,
-    }
+    return {"kernel_bytes": _kernel_cache.budget_bytes}
 
 
 # --------------------------------------------------------------------------- #
@@ -371,7 +349,8 @@ def is_assembled_output(asg: Assignment) -> bool:
 
 def statement_key(asg: Assignment, machine) -> Tuple:
     """:func:`kernel_fingerprint` without the schedule (``Session.compile``'s
-    front-door key).  Raises :class:`Unfingerprintable` like it."""
+    front-door key, and the key a session keeps a tuned winner under).
+    Raises :class:`Unfingerprintable` like it."""
     return _fingerprint(asg, machine, None)
 
 
@@ -466,8 +445,8 @@ def lookup_kernel(key: Tuple):
 
 def peek_kernel(key: Tuple):
     """:func:`lookup_kernel` without counting or LRU movement."""
-    entry = _kernel_cache._map.get(key) if caches_enabled() else None
-    return None if entry is None else entry[0][0]
+    entry = _kernel_cache.peek(key) if caches_enabled() else None
+    return None if entry is None else entry[0]
 
 
 def store_kernel(key: Tuple, kernel, tensors: List[Any]) -> None:
@@ -484,96 +463,6 @@ def iter_kernel_entries() -> Iterator[Tuple[Tuple, Any, Tuple]]:
     the cache next to packed tensors."""
     for key, (kernel, tensors) in _kernel_cache.items():
         yield key, kernel, tensors
-
-
-# --------------------------------------------------------------------------- #
-# autotune decision table
-# --------------------------------------------------------------------------- #
-def _pattern_stats(t) -> Tuple:
-    """Structural statistics of one tensor for the decision key.
-
-    Distribution choice depends on the tensor *family*, not its exact
-    non-zero pattern: the same statement over a re-packed matrix with the
-    same shape, density and row skew should replay the tuned decision
-    without a new search.  So the key deliberately excludes
-    ``pattern_version`` and hashes coarse stats instead: shape, format,
-    dtype, non-zero count, and a log2 *skew bucket* of the heaviest
-    compressed segment relative to the mean (the statistic that separates
-    rows-balanced from non-zeros-balanced mappings in the paper's Figs.
-    10-12).
-    """
-    base = (tuple(t.shape), t.format.signature, t.dtype.str, int(t.nnz))
-    skew_bucket = 0
-    for lvl in getattr(t, "levels", ()):
-        if getattr(lvl, "pos", None) is None:
-            continue
-        seg = lvl.counts()  # children per parent; rect pos is inclusive
-        total = int(seg.sum())
-        if len(seg) and total > 0:
-            ratio = float(seg.max()) * len(seg) / total
-            skew_bucket = int(np.ceil(np.log2(max(ratio, 1.0))))
-        break
-    return base + (skew_bucket,)
-
-
-def decision_fingerprint(assignment: Assignment, machine) -> str:
-    """The stable (process-independent) key of one autotune decision.
-
-    Canonicalizes the *bare statement* (no scheduling relations — the
-    decision is precisely about which schedule family to synthesize), the
-    per-tensor pattern stats of :func:`_pattern_stats` in canonical order,
-    and the structural machine signature, then digests the result.  Two
-    processes tuning the same statement shape over equal-stat tensors on
-    equivalent machines agree on the key, which is what lets
-    :mod:`repro.core.store` warm-start the table.  Raises
-    :class:`Unfingerprintable` for expression content outside the canonical
-    forms (callers then skip the table).
-    """
-    canon = _Canon()
-    stmt = (
-        "=",
-        canon.expr(assignment.lhs),
-        canon.expr(assignment.rhs),
-        assignment.accumulate,
-    )
-    stats = tuple(_pattern_stats(t) for t in canon.tensors)
-    blob = repr((stmt, stats, machine.signature)).encode()
-    return "dt:" + hashlib.sha256(blob).hexdigest()
-
-
-def has_decisions() -> bool:
-    """True when the decision table holds any entry at all.
-
-    The cheap pre-check for the auto-schedule hot path: computing a
-    decision fingerprint walks each sparse tensor's ``pos`` array, which
-    an iterative solver loop should not pay per statement when nothing
-    was ever tuned (the common case).
-    """
-    return caches_enabled() and len(_decision_cache) > 0
-
-
-def lookup_decision(key: str) -> Optional[Dict[str, Any]]:
-    """The recorded autotune decision for ``key``, or None."""
-    if not caches_enabled():
-        return None
-    return _decision_cache.get(key)
-
-
-def store_decision(key: str, decision: Dict[str, Any]) -> None:
-    """Record one autotune decision (a small JSON-able dict; at least a
-    ``"strategy"`` entry).  Sized into the decision table's byte budget."""
-    if not caches_enabled():
-        return
-    nbytes = len(key) + len(repr(decision)) + 64
-    _decision_cache.put(key, dict(decision), nbytes)
-
-
-def iter_decision_entries() -> Iterator[Tuple[str, Dict[str, Any]]]:
-    """Yield every live decision as ``(key, decision)`` (LRU order).  Keys
-    are process-independent digests, so :mod:`repro.core.store` persists
-    entries verbatim — no re-keying on load."""
-    for key, decision in _decision_cache.items():
-        yield key, dict(decision)
 
 
 def iter_aot_entries() -> Iterator[Tuple[Tuple[str, str], Any]]:
@@ -598,9 +487,8 @@ def invalidate_tensor(tensor) -> int:
 
 
 def clear_caches() -> None:
-    """Drop all kernel and decision entries (e.g. between tests)."""
+    """Drop all kernel entries (e.g. between tests)."""
     _kernel_cache.clear()
-    _decision_cache.clear()
 
 
 def cache_stats() -> Dict[str, int]:
@@ -610,11 +498,6 @@ def cache_stats() -> Dict[str, int]:
         "kernel_misses": _kernel_cache.misses,
         "kernel_bytes": _kernel_cache.total_bytes,
         "kernel_evictions": _kernel_cache.evictions,
-        "decision_entries": len(_decision_cache),
-        "decision_hits": _decision_cache.hits,
-        "decision_misses": _decision_cache.misses,
-        "decision_bytes": _decision_cache.total_bytes,
-        "decision_evictions": _decision_cache.evictions,
         # read 0: perfbench's core.cache.partition_hit_ratio and
         # aot_hit_ratio rows read them, and retiring those deletes them
         "partition_hits": 0,

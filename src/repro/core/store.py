@@ -128,9 +128,11 @@ __all__ = [
 #: schedule at compile (a ``communicate`` inside every distributed loop)
 #: and fixed from then on, so its key says what it streams; a v17 kernel
 #: may have been streamed after its compile, under a key that does not.
+#: v19: the payload carries no autotune decisions (a session keeps its own
+#: tuned winners) and the manifest no ``decision_entries``.
 #: Any other version is refused with
 #: :class:`~repro.errors.StoreFormatError`, never migrated.
-STORE_FORMAT_VERSION = 18
+STORE_FORMAT_VERSION = 19
 PAYLOAD_NAME = "payload.pkl"
 MANIFEST_NAME = "manifest.json"
 REGIONS_DIR = "regions"
@@ -314,20 +316,11 @@ def save_packed(
             for uid in trace.residency_after:
                 max_region_uid = max(max_region_uid, uid)
 
-    # Autotune decisions travel whole: keys are process-independent digests
-    # (no tensor ids to re-anchor) and entries are a few hundred bytes, so
-    # filtering by tensor would buy nothing and could strand a decision
-    # whose statement family the loading process re-creates.
-    decision_entries: List[Tuple[str, Dict[str, Any]]] = []
-    if include_caches:
-        decision_entries = list(_cache.iter_decision_entries())
-
     payload = {
         "format_version": STORE_FORMAT_VERSION,
         "tensor": tensor,
         "companions": [t for t in tensor_set if t is not tensor],
         "kernels": kernel_entries,
-        "decisions": decision_entries,
         "runtimes": runtimes,
         "max_region_uid": max_region_uid,
         "max_ispace_uid": max_ispace_uid,
@@ -404,7 +397,6 @@ def save_packed(
         "companions": [_tensor_meta(t) for t in tensor_set if t is not tensor],
         "kernels": kernels_meta,
         "regions": regions_meta,
-        "decision_entries": len(decision_entries),
         "runtimes": len(runtimes),
         "trace_count": sum(len(rt._traces) for rt in runtimes),
     }
@@ -489,9 +481,9 @@ def load_packed(
 ) -> PackedArtifact:
     """Load an artifact directory written by :func:`save_packed`.
 
-    Re-seeds the kernel cache and the decision table under the loaded
-    objects' identities (skipped when ``restore_caches`` is false or caches
-    are disabled on the calling thread), advances the region/index-space uid counters past
+    Re-seeds the kernel cache under the loaded objects' identities
+    (skipped when ``restore_caches`` is false or caches are disabled on
+    the calling thread), advances the region/index-space uid counters past
     the loaded uids, and returns a :class:`PackedArtifact`.  A fresh
     process that rebuilds the saved schedule over the returned tensors
     compiles to a cache hit and replays the stored mapping traces on its
@@ -582,8 +574,6 @@ def load_packed(
 
     kernels = []
     if restore_caches and _cache.caches_enabled():
-        for key, decision in payload.get("decisions", ()):
-            _cache.store_decision(key, decision)
         for kernel, tensors in payload.get("kernels", ()):
             try:
                 key = _cache.kernel_fingerprint(kernel.schedule, kernel.machine)

@@ -2,10 +2,12 @@
 
 ``commplan_diagnostics`` reads a statement's predicted metrics signature:
 
-* ``RedundantCommunicate`` — a ``communicate`` whose tensor moves no byte.
-  The auto-scheduled rows SpMV places ``y``, ``B`` and ``x`` at the
-  distributed loop, and a cold plan homes each piece where it runs, so
-  all three are idle.
+* ``RedundantCommunicate`` — a ``communicate`` whose tensor had a home
+  before the prediction and moves no byte.  The auto-scheduled rows SpMV
+  places ``y``, ``B`` and ``x`` at the distributed loop; in a cold plan
+  none has a home, so nothing is said.  ``y`` declared block-wise by a
+  TDN statement (``y(x) -> M(x)``), the partition the rows split writes,
+  is already where every piece runs: that placement is redundant.
 * ``MissingCommunicate`` — a tensor with no ``communicate`` staged to
   several processors with overlap.  ``x`` declared block-wise by a TDN
   statement (``x(x) -> M(x)``) is read whole by every row piece, so each
@@ -57,20 +59,31 @@ def _found(diags):
     return [(d.error_type, d.provenance.tensor, d.message) for d in diags]
 
 
-def test_idle_auto_communicates_are_redundant_in_a_cold_plan():
+def test_a_cold_auto_scheduled_plan_reports_nothing():
     machine = Machine.cpu(4)
     y, _ = _spmv()
     sched = auto_schedule(y.assignment, machine)
-    idle = "moves no data: every piece's sub-region is already resident " \
-        "where it executes"
-    want = [
-        (RedundantCommunicate, t, f"communicate({t}, io) {idle}")
-        for t in ("y", "B", "x")
-    ]
-    assert _found(commplan_diagnostics(sched, machine)) == want
+    assert commplan_diagnostics(sched, machine) == []
+    assert commplan_diagnostics(sched, machine, runtime=Runtime(machine)) == []
     report = analyze_program([sched], machine, cost=True)
-    assert _found(report.diagnostics) == want
+    assert report.diagnostics == []
     assert report.predictions[0] is not None
+
+
+def test_a_declared_partition_the_schedule_reads_is_a_redundant_communicate():
+    machine = Machine.cpu(4)
+    y, _ = _spmv()
+    rt = Runtime(machine)
+    place_tensor(y, parse_tdn("y(x) -> M(x)"), machine, rt)
+    sched = auto_schedule(y.assignment, machine)
+    want = [(
+        RedundantCommunicate, "y",
+        "communicate(y, io) moves no data: every piece's sub-region is "
+        "already resident where it executes",
+    )]
+    assert _found(commplan_diagnostics(sched, machine, runtime=rt)) == want
+    report = analyze_program([sched], machine, cost=True, runtime=rt)
+    assert _found(report.diagnostics) == want
 
 
 def test_a_declared_block_vector_read_whole_is_a_missing_communicate():

@@ -1,4 +1,4 @@
-"""Session.autotune: search, decision replay, and warm-start persistence.
+"""Session.autotune: search, the session's tuned winners, and warm starts.
 
 Four contracts:
 
@@ -11,13 +11,17 @@ Four contracts:
   candidate; its winner and every candidate's seconds equal, bit for bit,
   those of the exhaustive search it replaced (``exhaustive_twin``: cold
   execute on a scratch runtime, then the best of two isolated trials);
-* **replay** — the decision table drives every later ``execute``/``einsum``
-  of the same statement family to the winning strategy with no search;
-* **persistence** — winner decision + compiled kernel + mapping trace
-  round-trip through the :class:`~repro.core.store_index.ArtifactStore`,
-  and a fresh process (simulated with ``clear_caches`` + reload, the
-  ``tests/bench/test_mmap_drivers.py`` pattern) warm-starts straight to
-  the winning strategy: no search, kernel-cache hit, trace replay.
+* **replay** — a session keeps each full-pool winner under the exact
+  statement key (tensors, patterns, machine): later ``execute``/``einsum``
+  calls of that statement on that session synthesize the winner with no
+  search, and nothing else does — not another tensor with the same
+  statistics whose non-zeros lie elsewhere, not another session;
+* **persistence** — compiled candidates + mapping trace round-trip through
+  the :class:`~repro.core.store_index.ArtifactStore`, and a fresh process
+  (simulated with ``clear_caches`` + reload, the
+  ``tests/bench/test_mmap_drivers.py`` pattern) searches again over the
+  loaded kernel cache: every candidate compile hits, the winner is the
+  saving process's, and the first execute replays the stored trace.
 """
 import sys
 from pathlib import Path
@@ -37,7 +41,7 @@ from repro.bench.harness import spdistal_run  # noqa: E402
 from repro.bench.models import default_config  # noqa: E402
 from repro.core import SPECS, clear_caches, compile_program  # noqa: E402
 from repro.core import cache as _cache  # noqa: E402
-from repro.core.compiler import CompiledKernel  # noqa: E402
+from repro.core.compiler import CompiledKernel, compile_statement  # noqa: E402
 from repro.data.matrices import striped, uniform_random  # noqa: E402
 from repro.data.suite import load_matrix  # noqa: E402
 from repro.errors import OOMError, ScheduleError  # noqa: E402
@@ -70,6 +74,32 @@ def _spmm(s, M, k=32, seed=1):
     i, kk, j = repro.index_vars("i k j")
     out[i, j] = B[i, kk] * C[kk, j]
     return out, B, C
+
+
+def _priced(r):
+    """What a search priced: each candidate's strategy, seconds, comm
+    bytes and OOM flag, in pool order."""
+    return [(c.strategy, c.seconds, c.comm_bytes, c.oom) for c in r.candidates]
+
+
+def _fresh_search(build, nodes=4):
+    """``(winner, _priced)`` of a fresh session's search over ``build(s)``."""
+    clear_caches()
+    with repro.session(nodes=nodes) as s:
+        r = s.autotune(build(s), warm=False)
+    assert not r.from_cache
+    return r.strategy, _priced(r)
+
+
+def _heavy_rows_matrix(heavy, n=2000, heavy_nnz=1500, light_nnz=4, seed=0):
+    """The probe pair's matrices: ``n`` × ``n`` CSR, rows ``heavy`` hold
+    ``heavy_nnz`` non-zeros each and every other row ``light_nnz``."""
+    rng = np.random.default_rng(seed)
+    heavy = set(int(r) for r in heavy)
+    counts = [heavy_nnz if r in heavy else light_nnz for r in range(n)]
+    rows = np.repeat(np.arange(n), counts)
+    cols = np.concatenate([rng.choice(n, k, replace=False) for k in counts])
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
 
 class TestStrategySelection:
@@ -202,7 +232,7 @@ class TestTunedMatchesHandWritten:
         assert tuned <= 1.05 * min(hand)
 
 
-class TestDecisionReplay:
+class TestWinnerReplay:
     def test_second_autotune_is_zero_trials(self):
         M = uniform_random(600, 0.02, seed=4)
         with repro.session(nodes=4) as s:
@@ -212,38 +242,35 @@ class TestDecisionReplay:
             assert r2.from_cache and r2.candidates == []
             assert r2.strategy == r1.strategy
             assert r2.kernel is r1.kernel  # the cached winner
-            r3 = s.autotune(a, force=True)  # explicit re-search
-            assert not r3.from_cache and r3.candidates
 
-    def test_restricted_pool_bypasses_cached_decision(self):
-        """strategies= must be honored even when the decision table holds
-        a winner outside the requested pool — and the constrained search
-        must not overwrite the full-pool family decision."""
+    def test_restricted_pool_bypasses_the_tuned_winner(self):
+        """strategies= must be honored even when the session holds a
+        winner outside the requested pool — and the constrained search
+        must not overwrite the full-pool winner."""
         M = uniform_random(500, 0.02, seed=4)
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, M)
             r1 = s.autotune(a)
             r2 = s.autotune(a, strategies=["nonzeros"])
             assert r2.strategy == "nonzeros" and not r2.from_cache
-            decision = _cache.lookup_decision(r1.decision_key)
-            assert decision["strategy"] == r1.strategy
+            assert s._winner(a.assignment) is r1.kernel
             r3 = s.autotune(a)
             assert r3.from_cache and r3.strategy == r1.strategy
 
     def test_restricted_probe_on_fresh_session_records_no_policy(self):
         """strategies= is a one-off measurement: on an untuned session it
-        must not seed the decision table, so plain executes keep the
-        paper's static default."""
+        must not record a winner, so plain executes keep the paper's
+        static default."""
         M = uniform_random(500, 0.02, seed=4)
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, M)
             r = s.autotune(a, strategies=["nonzeros"])
             assert r.strategy == "nonzeros"
-            assert _cache.cache_stats()["decision_entries"] == 0
+            assert s._winner(a.assignment) is None
             assert s.compile_kernel(a.assignment).strategy == "rows"
 
     def test_tuned_grid_never_breaks_pieces_override(self):
-        """A recorded 'grid' decision must not turn a previously valid
+        """A tuned 'grid' winner must not turn a previously valid
         non-square pieces= call into a ScheduleError — schedule_for falls
         back to the static default synthesis."""
         M = striped(1500, 20_000, heavy_frac=0.9, seed=2)
@@ -266,21 +293,22 @@ class TestDecisionReplay:
             r2 = s.autotune(a, warm=False)
             assert r2.from_cache
 
-    def test_skew_bucket_separates_pattern_families(self):
-        """The decision key must distinguish a hub-row matrix from a
-        uniform one of the same shape/nnz (the statistic that drives the
-        rows-vs-nonzeros choice), even when nnz <= nrows."""
-        import scipy.sparse as ssp
-
+    def test_a_winner_answers_for_its_own_tensors_only(self):
+        """A hub-row matrix and a uniform one of the same shape and nnz
+        (nnz <= nrows) never share a winner: tuning one leaves the other
+        to a search of its own, which prices what a fresh session does."""
         n = 1000
-        hub = ssp.csr_matrix(
+        hub = sp.csr_matrix(
             (np.ones(50), (np.zeros(50, int), np.arange(50))), shape=(n, n)
         )
-        uni = ssp.random(n, n, density=50 / (n * n), format="csr",
-                         random_state=np.random.default_rng(0))
-        th = repro.Tensor.from_scipy("B", hub, repro.CSR)
-        tu = repro.Tensor.from_scipy("B", uni, repro.CSR)
-        assert _cache._pattern_stats(th)[-1] > _cache._pattern_stats(tu)[-1]
+        uni = sp.random(n, n, density=50 / (n * n), format="csr",
+                        random_state=np.random.default_rng(0))
+        with repro.session(nodes=4) as s:
+            assert not s.autotune(_spmv(s, hub)[0], warm=False).from_cache
+            r = s.autotune(_spmv(s, uni)[0], warm=False)
+        assert not r.from_cache
+        assert (r.strategy, _priced(r)) == _fresh_search(
+            lambda s: _spmv(s, uni)[0])
 
     def test_execute_replays_winning_strategy_and_trace(self):
         M = striped(1500, 20000, heavy_frac=0.9, seed=2)
@@ -288,7 +316,7 @@ class TestDecisionReplay:
             out, B, C = _spmm(s, M)
             r = s.autotune(out)
             assert r.strategy == "grid"
-            # plain execute goes through the decision table: same kernel,
+            # plain execute synthesizes the session's winner: same kernel,
             # and the warm-up trace recorded by autotune replays
             hits0 = s.stats()["trace_hits"]
             ck = s.compile_kernel(out.assignment)
@@ -303,11 +331,13 @@ class TestDecisionReplay:
             c = s.tensor("c", np.random.default_rng(6).random(500))
             a1 = repro.einsum("ij,j->i", B, c, session=s, autotune=True)
             assert np.allclose(a1.vals.data, M @ c.dense_array())
-            assert _cache.cache_stats()["decision_entries"] == 1
-            hits0 = _cache.cache_stats()["decision_hits"]
+            winner = s._winner(a1.assignment)
+            assert winner is not None
+            misses0 = _cache.cache_stats()["kernel_misses"]
             a2 = repro.einsum("ij,j->i", B, c, session=s)
+            assert a2 is a1 and s._winner(a2.assignment) is winner
             assert np.allclose(a2.vals.data, M @ c.dense_array())
-            assert _cache.cache_stats()["decision_hits"] > hits0
+            assert _cache.cache_stats()["kernel_misses"] == misses0
 
     def test_program_autotune_tunes_each_statement(self):
         M = uniform_random(400, 0.02, seed=7)
@@ -324,14 +354,16 @@ class TestDecisionReplay:
 
 
 class TestPersistenceRoundTrip:
-    """Winner decision + trace saved through ArtifactStore; a fresh
-    process warm-starts to the winning strategy with zero search trials."""
+    """Every candidate's kernel + the winner's trace saved through
+    ArtifactStore; a fresh process searches again — the session holds no
+    winner yet — over the loaded kernel cache, compiling nothing, and
+    picks the saving process's winner."""
 
     def _workload(self, s):
         M = striped(1600, 22000, heavy_frac=0.9, seed=11)
         return _spmm(s, M, k=16)
 
-    def test_warm_start_replays_decision_with_zero_trials(self, tmp_path):
+    def test_warm_start_searches_over_the_loaded_kernels(self, tmp_path):
         from repro.core.store_index import ArtifactStore
 
         store_dir = tmp_path / "store"
@@ -346,7 +378,7 @@ class TestPersistenceRoundTrip:
         clear_caches()
         store = ArtifactStore(store_dir)
         art = store.load("autotune:spmm")
-        assert art.manifest["decision_entries"] >= 1
+        assert "decision_entries" not in art.manifest
         B2 = art.tensor
         C2, out2 = art.companions["C"], art.companions["A"]
         rt = art.runtime()
@@ -357,12 +389,16 @@ class TestPersistenceRoundTrip:
             out2[i, j] = B2[i, k] * C2[k, j]
             stats0 = _cache.cache_stats()
             r2 = s.autotune(out2)
-            # no search: the decision table answered
-            assert r2.from_cache and r2.candidates == []
-            assert r2.strategy == "grid"
-            # the compile was a kernel-cache hit (no recompilation)
+            # a search: the new session holds no winner
+            assert not r2.from_cache
+            assert [c.strategy for c in r2.candidates] == [
+                c.strategy for c in r.candidates]
+            assert r2.strategy == r.strategy == "grid"
+            # every candidate compile was a kernel-cache hit
             stats1 = _cache.cache_stats()
-            assert stats1["kernel_hits"] > stats0["kernel_hits"]
+            assert stats1["kernel_misses"] == stats0["kernel_misses"]
+            assert stats1["kernel_hits"] - stats0["kernel_hits"] == len(
+                r2.candidates)
             # first execute replays the stored mapping trace: no re-record
             records0 = rt.trace_records
             res = s.execute(out2)
@@ -374,20 +410,28 @@ class TestPersistenceRoundTrip:
             )
             assert res.simulated_seconds > 0.0
 
-    def test_decision_table_travels_through_save_packed(self, tmp_path):
-        from repro.core.store import load_packed, save_packed
+    def test_save_packed_carries_kernels_not_winners(self, tmp_path):
+        """``save_packed`` exports the candidates' kernels and no tuned
+        winner: a session over the loaded tensors searches, compiles
+        nothing and prices the saving session's pool the same."""
+        from repro.core.store import PAYLOAD_NAME, load_packed, save_packed
 
         with repro.session(nodes=2) as s:
             a, B, c = _spmv(s, uniform_random(500, 0.02, seed=8))
-            r = s.autotune(a)
-            key = r.decision_key
-            assert _cache.lookup_decision(key) is not None
-            save_packed(tmp_path / "art", B, runtime=s.runtime)
+            r = s.autotune(a, warm=False)
+            path = save_packed(tmp_path / "art", B)
+        assert b"decisions" not in (path / PAYLOAD_NAME).read_bytes()
         clear_caches()
-        assert _cache.lookup_decision(key) is None
-        load_packed(tmp_path / "art")
-        decision = _cache.lookup_decision(key)
-        assert decision is not None and decision["strategy"] == r.strategy
+        art = load_packed(path)
+        a2, c2 = art.companions["a"], art.companions["c"]
+        with repro.session(nodes=2) as s:
+            i, j = repro.index_vars("i j")
+            a2[i] = art.tensor[i, j] * c2[j]
+            misses0 = _cache.cache_stats()["kernel_misses"]
+            r2 = s.autotune(a2, warm=False)
+            assert not r2.from_cache
+            assert _cache.cache_stats()["kernel_misses"] == misses0
+        assert r2.strategy == r.strategy and _priced(r2) == _priced(r)
 
 
 def exhaustive_twin(s, asg):
@@ -475,7 +519,7 @@ class TestStaticSearch:
         with repro.Session(machine=MACHINES[machine](),
                            network=NETWORKS[network]) as s:
             out = _build(kind, fmt, np.random.default_rng(7), 40, 0.2)
-            r = s.autotune(out, force=True, warm=False)
+            r = s.autotune(out, warm=False)
             winner, costs = exhaustive_twin(s, out.assignment)
         assert r.strategy == winner
         assert {c.strategy: (c.seconds, c.comm_bytes)
@@ -520,42 +564,29 @@ class TestStaticSearch:
             assert r.from_cache
             assert executions == ([r.strategy] if warm else [])
 
-    def test_decision_in_the_old_shape_replays_without_executing(
-        self, executions
-    ):
-        """A decision recorded by the trial-timing search (``trials``,
-        ``pruned`` and ``predicted`` keys included) still answers from the
-        table: the key of a decision is unchanged, only its payload
-        shrank."""
+    def test_a_recorded_winner_replays_without_executing(self, executions):
+        """A winner the session holds — here one it did not search for,
+        recorded the way a full-pool search records — answers autotune
+        and every compile with no pricing and no execution."""
         M = uniform_random(400, 0.02, seed=6)
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, M)
-            key = s._decision_key(a.assignment)
-            _cache.store_decision(key, {
-                "strategy": "nonzeros", "kind": "spmv", "pieces": 4,
-                "simulated_seconds": 1e-3, "trials": 2,
-                "candidates": {"rows": 2e-3, "nonzeros": 1e-3},
-                "pruned": True, "predicted": {"rows": 2e-3, "nonzeros": 1e-3},
-            })
+            s._remember(a.assignment, compile_statement(
+                s.schedule_for(a, strategy="nonzeros"), s.machine))
             r = s.autotune(a, warm=False)
             assert r.from_cache and r.strategy == "nonzeros"
             assert r.kernel.strategy == "nonzeros" and r.candidates == []
             assert executions == []
             assert s.compile_kernel(a.assignment).strategy == "nonzeros"
 
-    def test_recorded_decision_is_the_priced_pool(self):
+    def test_recorded_winner_is_the_priced_pool_argmin(self):
         with repro.session(nodes=4) as s:
             a, *_ = _spmv(s, uniform_random(600, 0.02, seed=5))
             r = s.autotune(a)
-        decision = _cache.lookup_decision(r.decision_key)
-        assert set(decision) == {
-            "strategy", "kind", "pieces", "simulated_seconds", "candidates",
-        }
-        assert decision["strategy"] == r.strategy
-        assert decision["simulated_seconds"] == r.simulated_seconds
-        assert decision["candidates"] == {
-            c.strategy: c.seconds for c in r.candidates
-        }
+            assert s._winner(a.assignment) is r.kernel
+        assert r.kernel.strategy == r.strategy
+        assert r.simulated_seconds == min(
+            c.seconds for c in r.candidates if c.ok)
 
     def test_every_candidate_oom_raises(self):
         """No candidate fits: the search raises instead of picking one."""
@@ -565,4 +596,81 @@ class TestStaticSearch:
             a, *_ = _spmv(s, M)
             with pytest.raises(OOMError, match="every candidate"):
                 s.autotune(a)
-            assert _cache.cache_stats()["decision_entries"] == 0
+            assert s._winner(a.assignment) is None
+
+
+class TestWinnersAreExact:
+    """A session keeps a winner for one statement over one set of tensors
+    in one state on one machine, and nowhere else: whether rows or
+    non-zeros win depends on where the non-zeros lie (Fig. 10), which no
+    coarser key sees."""
+
+    def test_probe_pair_searches_the_concentrated_matrix(self):
+        """Two matrices with equal shape, nnz and heaviest row: rows 0–59
+        heavy, or 60 heavy rows spread evenly.  Tuning the spread one first
+        must not answer for the concentrated one, whose own search picks
+        the non-zero split and prices both candidates as a fresh session
+        does."""
+        spread = _heavy_rows_matrix(np.linspace(0, 1999, 60).astype(int))
+        conc = _heavy_rows_matrix(range(60))
+        assert spread.nnz == conc.nnz == 97_760
+        with repro.session(nodes=4) as s:
+            assert s.autotune(_spmv(s, spread)[0], warm=False).strategy == "rows"
+            r = s.autotune(_spmv(s, conc)[0], warm=False)
+        assert not r.from_cache and r.strategy == "nonzeros"
+        assert (r.strategy, _priced(r)) == _fresh_search(
+            lambda s: _spmv(s, conc)[0])
+
+    def test_a_winner_stays_in_its_session(self):
+        """Session A's full-pool winner changes A's schedule, never B's:
+        B, over the very same tensors in the same process, keeps the
+        paper's default until it tunes itself."""
+        M = striped(1500, 20_000, heavy_frac=0.9, seed=2)
+        with repro.session(nodes=4) as a_sess, \
+                repro.session(nodes=4) as b_sess:
+            out, *_ = _spmm(a_sess, M, k=16)
+            default = auto_schedule(out.assignment, a_sess.machine)
+            assert a_sess.autotune(out, warm=False).strategy == "grid"
+            tuned = a_sess.schedule_for(out.assignment)
+            assert tuned.synthesis_key != default.synthesis_key
+            assert b_sess.schedule_for(out.assignment).synthesis_key == \
+                default.synthesis_key
+            assert b_sess.compile_kernel(out.assignment).strategy == "rows"
+
+    def test_sparse_output_compiles_the_winner_after_autotune(
+        self, monkeypatch
+    ):
+        """SDDMM over a fresh ``zeros`` output: each candidate compile
+        adopts ``B``'s pattern into the output and bumps its version, so
+        the winner is kept under the statement's key after the search —
+        and under its key after each later compile.  Priced so the row
+        split (not the paper's default) wins."""
+        from repro.analysis import costmodel
+
+        real = costmodel.predict_cost
+
+        def rows_cheapest(ck, **kw):
+            est = real(ck, **kw)
+            est.seconds = 1.0 if ck.strategy == "rows" else 2.0
+            return est
+
+        monkeypatch.setattr(costmodel, "predict_cost", rows_cheapest)
+        rng = np.random.default_rng(4)
+        M = uniform_random(200, 0.05, seed=4)
+        with repro.session(nodes=4) as s:
+            B = s.tensor("B", M, repro.CSR)
+            C = s.tensor("C", rng.random((200, 4)))
+            D = s.tensor("D", rng.random((4, 200)))
+            out = s.zeros("A", (200, 200), repro.CSR)
+            i, j, k = repro.index_vars("i j k")
+            out[i, j] = B[i, j] * C[i, k] * D[k, j]
+            assert candidate_strategies(out.assignment, s.machine)[0] == \
+                "nonzeros"
+            r = s.autotune(out, warm=False)
+            assert r.strategy == "rows"
+            for _ in range(2):
+                assert s.compile_kernel(out.assignment).strategy == "rows"
+            assert s.autotune(out, warm=False).from_cache
+            s.execute(out)
+        want = (M.multiply(C.dense_array() @ D.dense_array())).toarray()
+        assert np.allclose(out.to_dense(), want)

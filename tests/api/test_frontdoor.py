@@ -280,14 +280,15 @@ class TestInvalidation:
                 s.execute(_spmv(a, M, x))
                 assert np.allclose(a.vals.data, mat @ vec.vals.data)
 
-    def test_store_decision_after_hit_uses_tuned_strategy(self):
+    def test_a_winner_recorded_after_hit_uses_tuned_strategy(self):
         B, c, a = _spmv_world()
         with repro.session(nodes=4) as s:
             s.execute(_spmv(a, B, c))
             default = s.compile_kernel(_spmv(a, B, c))
             assert default.strategy == "rows"
-            key = _cache.decision_fingerprint(_spmv(a, B, c).assignment, s.machine)
-            _cache.store_decision(key, {"strategy": "nonzeros"})
+            # what a full-pool autotune records when non-zeros wins
+            s._remember(_spmv(a, B, c).assignment, compile_statement(
+                s.schedule_for(_spmv(a, B, c), strategy="nonzeros"), s.machine))
             tuned = s.compile_kernel(_spmv(a, B, c))
             assert tuned.strategy == "nonzeros"
             assert s.compile_kernel(_spmv(a, B, c)) is tuned

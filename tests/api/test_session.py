@@ -194,9 +194,9 @@ class TestExecution:
     def test_stats_merges_cache_and_runtime_counters(self):
         with repro.session() as s:
             st = s.stats()
-            for key in ("kernel_hits", "decision_hits", "trace_hits",
-                        "trace_records"):
+            for key in ("kernel_hits", "trace_hits", "trace_records"):
                 assert key in st
+            assert not any(key.startswith("decision") for key in st)
 
 
 class TestStore:

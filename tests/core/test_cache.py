@@ -318,7 +318,7 @@ class TestSeedPathBypass:
         assert stats["partition_hits"] == stats["partition_misses"] == 0
         assert sorted(k for k in stats if k.startswith("partition")) == [
             "partition_hits", "partition_misses"]
-        assert set(cache_budgets()) == {"kernel_bytes", "decision_bytes"}
+        assert set(cache_budgets()) == {"kernel_bytes"}
 
     def test_use_cache_false_consults_no_cache(self):
         _, B, c, a = make_tensors()

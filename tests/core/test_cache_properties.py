@@ -1,8 +1,8 @@
 """Property tests for the byte-budgeted LRU behind every cache tier.
 
-``repro.core.cache._SizedLRU`` carries the process-wide kernel cache and
-decision table — the state the multi-tenant serving layer shares across
-tenants — so its documented
+``repro.core.cache._SizedLRU`` carries the process-wide kernel cache — the
+state the multi-tenant serving layer shares across tenants — and each
+session's front-door table, so its documented
 semantics are pinned here against a straight-line reference model under
 randomized operation interleavings:
 

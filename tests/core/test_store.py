@@ -117,8 +117,9 @@ class TestManifest:
     # 14: kernels pickled the runtime they last ran on;
     # 15: payloads paired each saved kernel with the runtimes it was placed on;
     # 16: trace keys and kernels named partitions and tensors by identity;
-    # 17: a kernel could stream what its key does not say
-    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17])
+    # 17: a kernel could stream what its key does not say;
+    # 18: payloads carried the process-wide autotune decision table
+    @pytest.mark.parametrize("found", [99, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18])
     def test_unsupported_version_raises(self, tmp_path, found, monkeypatch):
         _, B, _, _ = make_workload()
         path = save_packed(tmp_path / "art", B, include_caches=False)
@@ -130,7 +131,7 @@ class TestManifest:
         monkeypatch.setattr("pickle.load", None)
         with pytest.raises(StoreFormatError, match="version") as exc:
             load_packed(path)
-        assert (exc.value.expected, exc.value.found) == (18, found)
+        assert (exc.value.expected, exc.value.found) == (19, found)
 
     def test_stale_manifest_vs_payload_raises(self, tmp_path):
         _, B, _, _ = make_workload()
@@ -404,7 +405,7 @@ class TestTheStoreKeepsFacts:
         assert all(facts.values())
         loaded = pickle.loads(pickle.dumps(rt))
         assert {uid: res.whole for uid, res in loaded._residency.items()} == facts
-        assert STORE_FORMAT_VERSION == 18
+        assert STORE_FORMAT_VERSION == 19
 
     def test_a_rect_pickles_the_same_with_or_without_its_cached_volume(self):
         from repro.legion import Rect

@@ -3,7 +3,7 @@
 The smallest end-to-end statement of the thread-safety contract: two
 :class:`repro.Session` objects running concurrently — same machine
 structure, same statements — must (a) not corrupt or lose entries in the
-shared kernel / partition / decision / AOT caches, (b) keep the
+shared kernel cache, (b) keep the
 compile-once / run-many contract *within* each thread (the second
 identical compile hits the cache no matter how the threads interleave),
 and (c) produce results exactly equal to the same statements run serially

@@ -3,7 +3,7 @@
 ``Session.execute(a)`` resolves a repeated statement in the session's
 front-door table instead of scheduling it again.  For every statement of
 the differential oracle (each kind × format, synthesized under each of its
-strategies through the decision table) on cpu(4), gpu(4) and cpu(16), two
+strategies as the session's tuned winner) on cpu(4), gpu(4) and cpu(16), two
 identical worlds run two rebuilt executions each: one through the front
 door, its twin through ``compile_statement(session.schedule_for(b))``.  The
 front door must hand back the very kernel the schedule path returns, and
@@ -29,7 +29,6 @@ from test_frontdoor import _assert_same_program, _ProgramWorld  # noqa: E402
 
 from repro.api.autoschedule import auto_schedule  # noqa: E402
 from repro.api.session import Session  # noqa: E402
-from repro.core import cache as _cache  # noqa: E402
 from repro.core import clear_caches  # noqa: E402
 from repro.core.compiler import compile_statement  # noqa: E402
 from repro.core.program import compile_program  # noqa: E402
@@ -74,18 +73,15 @@ def _twin(kind, fmt, strategy, machine_key, seed):
         _build(kind, fmt, np.random.default_rng(seed), 24, 0.2) for _ in range(2)
     )
     # One execution first in each world: a sparse output adopts or
-    # assembles its pattern, which moves the pattern stats the decision
-    # key reads.  Then the statement family synthesizes ``strategy``
-    # through the decision table, in both worlds (equal stats, one key).
-    for out in (front_out, back_out):
-        compile_statement(
-            auto_schedule(out, machine, strategy=strategy), machine).execute(
-                Runtime(machine))
-    _cache.store_decision(
-        _cache.decision_fingerprint(front_out.assignment, machine),
-        {"strategy": strategy},
-    )
+    # assembles its pattern, which moves the statement key.  Then each
+    # session holds that kernel as its tuned winner, as a full-pool
+    # autotune that picked ``strategy`` would, and synthesizes ``strategy``.
     front, back = Session(machine), Session(machine)
+    for s, out in ((front, front_out), (back, back_out)):
+        ck = compile_statement(auto_schedule(out, machine, strategy=strategy),
+                               machine)
+        ck.execute(Runtime(machine))
+        s._remember(out.assignment, ck)
     for rep in range(2):
         # (Compiling before executing: a compile may re-adopt a sparse
         # output's pattern, which resets the values it holds.)

@@ -629,6 +629,38 @@ class TestIdScanner:
             ("src/repro/legion/runtime.py", 1)]
 
 
+class TestModuleCacheScanner:
+    """The ``residency`` plugin's third part: the kernel cache is the one
+    module-level ``_SizedLRU`` under ``src/repro``; any other cache is a
+    session's or a server's."""
+
+    SRC = (
+        "_kernel_cache = _SizedLRU(64, 512)\n"                     # line 1
+        "_decision_cache = _SizedLRU(1, 4096)\n"                   # line 2
+        "_tables = {'a': _cache._SizedLRU(1, 1)}\n"                # line 3
+        "if True:\n"
+        "    _late = _SizedLRU(1, 1)\n"                            # line 5
+        "class Session:\n"
+        "    def __init__(self):\n"
+        "        self._frontdoor = _cache._SizedLRU(1, 256)\n"     # owned
+        "def table():\n"
+        "    return _SizedLRU(1, 1)\n"                             # owned
+    )
+
+    def _lines(self, relpath):
+        return [f.line for f in check._scan_module_caches(relpath, ast.parse(self.SRC))]
+
+    def test_module_level_caches_are_flagged_with_lines(self):
+        assert self._lines(check.MODULE_CACHE[0]) == [2, 3, 5]
+        (first, *_) = check._scan_module_caches(
+            check.MODULE_CACHE[0], ast.parse(self.SRC))
+        assert "module-level _SizedLRU" in first.message
+
+    def test_the_kernel_cache_is_exempt_only_in_its_own_module(self):
+        assert self._lines("src/repro/api/serving.py") == [1, 2, 3, 5]
+        assert check.MODULE_CACHE == ("src/repro/core/cache.py", "_kernel_cache")
+
+
 class TestScheduleScanner:
     """The ``schedule`` plugin: only ``taco/schedule.py`` writes a
     schedule's fields — a synthesized schedule is keyed by what built them."""

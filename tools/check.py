@@ -61,7 +61,9 @@ codebase passes defined here:
   ``src/repro/legion/`` calls ``id(``: a launch trace and a fact name a
   partition by its content (``Partition.key``) and a region by its uid, so
   a pickled runtime is what was saved, with no re-keying.  Waiver:
-  ``# id: ok <reason>``;
+  ``# id: ok <reason>``.  And no module under ``src/repro`` binds a
+  ``_SizedLRU`` at module level but ``core/cache.py``'s kernel cache:
+  every other cache belongs to the session or server that owns it;
 * **schedule** — a schedule's fields ``loop_order`` / ``relations`` /
   ``distributed`` / ``communicated`` / ``parallelized`` /
   ``precomputed`` are written only in ``src/repro/taco/schedule.py``:
@@ -78,7 +80,7 @@ codebase passes defined here:
 * **commplan** — every (kernel × sweep format × strategy × machine kind)
   the kernel table declares must yield a coherent static communication plan
   (:mod:`repro.analysis.commplan`): the plan derives without error and
-  reports no missing-``communicate`` duplicate transfers;
+  reports no diagnostic of any type;
 * **fusion** — the seeded SDDMM→SpMM chain must fuse, and the fused
   statement must plan coherently under each of its legal strategies;
   the same chain with a consumer streaming its dense operand must not fuse.
@@ -816,18 +818,49 @@ def _scan_id_calls(relpath: str, text: str, tree: ast.Module) -> List[Finding]:
     return findings
 
 
+#: ``(module, name)`` of the one module-level ``_SizedLRU`` under
+#: ``src/repro``: the kernel cache.  Any other cache is state a session or
+#: server owns, so two of them cannot leak into each other.
+MODULE_CACHE = ("src/repro/core/cache.py", "_kernel_cache")
+
+
+def _scan_module_caches(relpath: str, tree: ast.Module) -> List[Finding]:
+    """``_SizedLRU(...)`` calls at module level (outside every function and
+    class body) other than the binding :data:`MODULE_CACHE` names."""
+    findings: List[Finding] = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(stmt, ast.Assign) and (relpath, [
+                getattr(t, "id", None) for t in stmt.targets]) == (
+                MODULE_CACHE[0], [MODULE_CACHE[1]]):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and \
+                    (_dotted(node.func) or ("",))[-1] == "_SizedLRU":
+                findings.append(Finding(
+                    relpath, node.lineno,
+                    "a module-level _SizedLRU is process-global state "
+                    "every session shares; keep the cache on the Session "
+                    f"or Server that owns it ({MODULE_CACHE[0]}'s "
+                    f"{MODULE_CACHE[1]} is the one process cache)"))
+    return findings
+
+
 def _run_residency(cache: SourceCache) -> CheckResult:
     modules = sorted(str(p.relative_to(REPO)) for p in (SRC / "repro").rglob("*.py"))
     findings: List[Finding] = []
     for relpath in modules:
         text, tree = cache.get(relpath)
         findings.extend(_scan_residency_writes(relpath, tree))
+        findings.extend(_scan_module_caches(relpath, tree))
         if relpath.startswith(ID_FREE_ROOT):
             findings.extend(_scan_id_calls(relpath, text, tree))
     return CheckResult(
         "residency", findings,
         f"{len(modules)} modules under src/repro write the residency fields "
-        f"only inside {RESIDENCY_HOME[1]}; {ID_FREE_ROOT} calls no id()",
+        f"only inside {RESIDENCY_HOME[1]}; {ID_FREE_ROOT} calls no id(); "
+        f"{MODULE_CACHE[1]} is the one module-level _SizedLRU",
     )
 
 
@@ -976,14 +1009,8 @@ def _commplan_workload(kind: str, fmt_obj, n: int = 18, density: float = 0.25):
 
 def _plan_findings(sched, machine, combo: str) -> List[Finding]:
     """Findings against one schedule's static communication plan: it must
-    derive, with no missing-``communicate`` duplicate transfer.
-
-    ``RedundantCommunicate`` is advisory — whether a placement moves data
-    depends on residency state, so a cold plan legitimately reports
-    auto-inserted ``communicate`` placements as idle — and is not flagged.
-    """
+    derive, with no diagnostic of any type."""
     from repro.analysis.commplan import commplan_diagnostics
-    from repro.errors import MissingCommunicate
 
     where = "src/repro/analysis/commplan.py"
     try:
@@ -996,7 +1023,6 @@ def _plan_findings(sched, machine, combo: str) -> List[Finding]:
     return [
         Finding(where, None, f"schedule {combo} is incoherent: {d}")
         for d in diags
-        if d.error_type is MissingCommunicate
     ]
 
 
@@ -1274,7 +1300,8 @@ PLUGINS: List[Plugin] = [
            "SciPy surface at one site; codegen and kernels read no "
            "environment", _run_no_exec),
     Plugin("residency", "a region's residency table is written only through "
-           "its class; the runtime names nothing by id()", _run_residency),
+           "its class; the runtime names nothing by id(); the kernel cache "
+           "is the one module-level _SizedLRU", _run_residency),
     Plugin("schedule", "a schedule's fields are written only by "
            "taco/schedule.py, a compiled kernel's only by core/compiler.py "
            "(its cache key by core/cache.py)", _run_schedule),
